@@ -101,6 +101,129 @@ fn time_int8_gemm(m: usize, k: usize, n: usize, iters: usize) -> GemmRow {
     }
 }
 
+/// One conv pass timed both ways: the explicit lowering the layers used to
+/// run (`im2col` + GEMM, or GEMM + `col2im` for the input gradient)
+/// against the gathered product that replaced it, on the same operands.
+struct ConvRow {
+    pass: &'static str,
+    batch: usize,
+    c_in: usize,
+    c_out: usize,
+    hw: usize,
+    explicit_ns: u128,
+    gather_ns: u128,
+}
+
+/// Best of `reps` timings of `iters` back-to-back calls, per call: host
+/// noise only ever slows a sample, so the minimum is the stable number to
+/// compare two implementations by.
+fn best_ns(reps: usize, iters: usize, mut f: impl FnMut()) -> u128 {
+    f();
+    (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            start.elapsed().as_nanos() / iters as u128
+        })
+        .min()
+        .unwrap_or(0)
+}
+
+/// Times forward, weight gradient and input gradient of a 3×3 / stride 1
+/// / pad 1 convolution at one shape, explicit vs gathered, on the fixed
+/// `blocked` plan. Both sides start from NCHW operands (plus the output
+/// gradient as position rows, which either backward pass needs anyway)
+/// and end at what the layer consumes next: position-row output, `dWᵀ` /
+/// `dW`, NCHW `dx`.
+fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -> Vec<ConvRow> {
+    use nf_tensor::{
+        col2im_batch_into, flip_kernel_panel_into, im2col_batch_into, matmul_at_b_into,
+        matmul_into, nchw_to_posrows, posrows_to_nchw, transpose2d, Conv2dGeometry, ConvGather,
+        Tensor,
+    };
+    let backend = KernelBackend::Blocked;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+    let geom = Conv2dGeometry::new(hw, hw, 3, 3, 1, 1).unwrap();
+    let dgeom = geom.input_grad_geometry().expect("stride-1 conv");
+    let x = nf_tensor::uniform_init(&mut rng, &[batch, c_in, hw, hw], -1.0, 1.0);
+    let weight = nf_tensor::uniform_init(&mut rng, &[c_out, c_in * 9], -1.0, 1.0);
+    let grad_out = nf_tensor::uniform_init(&mut rng, &[batch, c_out, hw, hw], -1.0, 1.0);
+    let wt = transpose2d(&weight).unwrap();
+    let g_rows = nchw_to_posrows(&grad_out).unwrap();
+    let mut flipped = Tensor::default();
+    flip_kernel_panel_into(&weight, c_in, 3, 3, &mut flipped).unwrap();
+
+    let (mut cols, mut out, mut dx) = (Tensor::default(), Tensor::default(), Tensor::default());
+    let (mut padded, mut pack) = (Tensor::default(), Vec::new());
+    let (mut patches, mut grad_patches) = (ConvGather::new(), ConvGather::new());
+    let reps = 7;
+    let row = |pass, explicit_ns, gather_ns| ConvRow {
+        pass,
+        batch,
+        c_in,
+        c_out,
+        hw,
+        explicit_ns,
+        gather_ns,
+    };
+    let fwd = row(
+        "fwd",
+        best_ns(reps, iters, || {
+            im2col_batch_into(&x, &geom, &mut cols).unwrap();
+            matmul_into(backend, &cols, &wt, &mut out).unwrap();
+        }),
+        best_ns(reps, iters, || {
+            patches
+                .forward_into(backend, &x, &geom, &wt, &mut padded, &mut pack, &mut out)
+                .unwrap();
+        }),
+    );
+    let wgrad = row(
+        "wgrad",
+        best_ns(reps, iters, || {
+            im2col_batch_into(&x, &geom, &mut cols).unwrap();
+            matmul_at_b_into(backend, &g_rows, &cols, &mut out, &mut pack).unwrap();
+        }),
+        best_ns(reps, iters, || {
+            patches
+                .wgrad_into(
+                    backend,
+                    &x,
+                    &geom,
+                    &g_rows,
+                    &mut padded,
+                    &mut pack,
+                    &mut out,
+                )
+                .unwrap();
+        }),
+    );
+    let dgrad = row(
+        "dgrad",
+        best_ns(reps, iters, || {
+            matmul_into(backend, &g_rows, &weight, &mut out).unwrap();
+            col2im_batch_into(&out, batch, c_in, &geom, &mut dx).unwrap();
+        }),
+        best_ns(reps, iters, || {
+            grad_patches
+                .dgrad_into(
+                    backend,
+                    &grad_out,
+                    &dgeom,
+                    &flipped,
+                    &mut padded,
+                    &mut pack,
+                    &mut out,
+                )
+                .unwrap();
+            dx = posrows_to_nchw(&out, batch, c_in, hw, hw).unwrap();
+        }),
+    );
+    vec![fwd, wgrad, dgrad]
+}
+
 /// Peak resident set size via `/proc/self/status` `VmHWM` (bytes); 0 when
 /// unavailable (non-Linux). A proxy, not an exact hot-path footprint.
 fn peak_rss_bytes() -> u64 {
@@ -170,7 +293,7 @@ fn time_train_step(backend: KernelBackend, smoke: bool) -> TrainStepRow {
             let logits = head.forward(&out, Mode::Train).unwrap();
             let (_, grad_logits) = cross_entropy(&logits, &labels).unwrap();
             let grad_out = head.backward(&grad_logits).unwrap();
-            let _ = unit.backward(&grad_out).unwrap();
+            unit.backward_params(&grad_out).unwrap();
             sgd.step(unit);
             sgd.step(head);
             cur = out;
@@ -797,6 +920,39 @@ fn main() {
         rows.push(time_int8_gemm(m, k, n, iters));
     }
 
+    // --- Conv lowering: explicit vs gathered, batch 1 (serving) and 8 ---
+    // Full shapes: the repo benchmark's `compute` unit (16→16 @32²), a
+    // narrow early layer whose `c_out` lives in the masked tile (3→6
+    // @64²), and a wide late one (64→64 @8²).
+    let conv_shapes: &[(usize, usize, usize)] = if smoke {
+        &[(4, 8, 8), (3, 5, 12)]
+    } else {
+        &[(16, 16, 32), (3, 6, 64), (64, 64, 8)]
+    };
+    let mut conv_rows = Vec::new();
+    for &(c_in, c_out, hw) in conv_shapes {
+        for batch in [1, 8] {
+            conv_rows.extend(time_conv(batch, c_in, c_out, hw, iters));
+        }
+    }
+    // The gathered lowering exists to be faster than building the patch
+    // matrix; a shape where it is not is a regression of the kernel or of
+    // the lowering (5 % timing-noise margin on best-of-7 timings).
+    for r in &conv_rows {
+        assert!(
+            r.gather_ns as f64 <= r.explicit_ns as f64 * 1.05,
+            "gathered conv {} ({} ns) slower than explicit lowering + GEMM ({} ns) \
+             at batch {} {}→{} @{}²",
+            r.pass,
+            r.gather_ns,
+            r.explicit_ns,
+            r.batch,
+            r.c_in,
+            r.c_out,
+            r.hw
+        );
+    }
+
     // The multicore-scaling invariant: with the serial-fallback threshold
     // in `blocked-parallel`, the parallel backend must never lose to the
     // serial one on any benched shape. Enforced loudly on multi-core
@@ -879,10 +1035,33 @@ fn main() {
                 .collect(),
         ),
     );
+    gemm.insert(
+        "conv",
+        Value::Array(
+            conv_rows
+                .iter()
+                .map(|r| {
+                    let mut row = Table::new();
+                    row.insert("pass", Value::Str(r.pass.into()));
+                    row.insert("batch", Value::Int(r.batch as i64));
+                    row.insert("c_in", Value::Int(r.c_in as i64));
+                    row.insert("c_out", Value::Int(r.c_out as i64));
+                    row.insert("hw", Value::Int(r.hw as i64));
+                    row.insert("explicit_ns", Value::Int(r.explicit_ns as i64));
+                    row.insert("gather_ns", Value::Int(r.gather_ns as i64));
+                    row.insert(
+                        "speedup",
+                        Value::Float(round2(r.explicit_ns as f64 / r.gather_ns.max(1) as f64)),
+                    );
+                    row.build()
+                })
+                .collect(),
+        ),
+    );
     write_and_check(
         &artifact_path("BENCH_gemm", smoke),
         &gemm.build(),
-        &["schema", "host_cores", "calibration", "results"],
+        &["schema", "host_cores", "calibration", "results", "conv"],
     );
 
     let mut ts = Table::new();

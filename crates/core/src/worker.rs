@@ -193,7 +193,9 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
                     let (loss, grad_logits) = cross_entropy(&logits, batch_labels)?;
                     losses.push(loss);
                     let grad_out = aux_heads[u].backward(&grad_logits)?;
-                    let _ = model.units[u].backward(&grad_out)?;
+                    // Local learning: nothing upstream reads this unit's
+                    // input gradient.
+                    model.units[u].backward_params(&grad_out)?;
                     sgd.step(&mut model.units[u]);
                     sgd.step(&mut aux_heads[u]);
                     cur = out;
@@ -340,9 +342,9 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         // instead of pinning the sum of per-block arenas. Units and aux
         // heads get *separate* arenas because they interleave within
         // every training step (unit fwd → head fwd → head bwd → unit
-        // bwd): in one arena the head's lowering would clobber the
-        // unit's, forcing the unit backward to re-run `im2col` every
-        // step (see `WorkspaceParts::cols_owner`).
+        // bwd), and the memory model's optional workspace term
+        // (`MemoryModel::include_workspace`) charges a unit's and its
+        // head's scratch side by side — which is what two arenas reserve.
         let ws_units = nf_tensor::shared_workspace();
         let ws_heads = nf_tensor::shared_workspace();
         for unit in &mut model.units {
@@ -527,7 +529,7 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
                         let xb = acts.slice_batch(start, end)?;
                         let logits = model.head.forward(&xb, Mode::Train)?;
                         let (_, grad) = cross_entropy(&logits, &labels[start..end])?;
-                        let _ = model.head.backward(&grad)?;
+                        model.head.backward_params(&grad)?;
                         sgd.step(&mut model.head);
                         start = end;
                     }

@@ -6,8 +6,8 @@
 //! - **optimizer** — gradient + momentum buffers (2× parameters for
 //!   momentum SGD);
 //! - **activations** — everything batch-dependent: retained layer outputs
-//!   (BP), transient in/out/gradient buffers and `im2col` lowering
-//!   workspaces (all paradigms).
+//!   (BP), transient in/out/gradient buffers and, optionally, conv
+//!   lowering workspaces (all paradigms).
 //!
 //! The batch-dependent term is **linear in batch size** by construction,
 //! which is the empirical observation (Figure 8) the NeuroFlux Profiler
@@ -163,9 +163,11 @@ pub struct MemoryModel {
     /// the same per-layer copy count the BP constant charges, which makes
     /// classic-LL footprints track BP's as Figure 4 observes.
     pub grad_copies: f64,
-    /// Whether `im2col` lowering workspaces count. Off by default: the
-    /// paper's cuDNN backend uses implicit GEMM (no materialised patch
-    /// matrix). Enable to model naive unfold-based convolution stacks.
+    /// Whether conv lowering workspaces count — here the padded input
+    /// copy an implicit-GEMM convolution reads, as `nf_nn::Conv2d` keeps
+    /// in its `Workspace` (no materialised patch matrix). Off by default:
+    /// the paper budgets activations, and the partitioner's frozen block
+    /// plans are sized without it.
     pub include_workspace: bool,
     /// Optimizer state per parameter (2.0 = gradient + momentum).
     pub optimizer_states: f64,
@@ -183,42 +185,36 @@ impl Default for MemoryModel {
     }
 }
 
-/// `im2col` workspace elements per sample for one unit (all its convs).
+/// Elements of one sample padded by `pad` on every spatial side.
+fn padded_elems(c: usize, h: usize, w: usize, pad: usize) -> usize {
+    c * (h + 2 * pad) * (w + 2 * pad)
+}
+
+/// Lowering-workspace elements per sample for one unit: the padded copy
+/// of a conv's input that the gathered GEMM reads (`nf_nn::Conv2d`,
+/// DESIGN.md §8). A unit's convs run one after another through the same
+/// grow-only slot, so the unit needs the largest of them; unpadded
+/// (1×1) convs gather straight from their input and need nothing.
 fn workspace_elems(unit_kind: LayerKind, a: &UnitAnalytics) -> usize {
-    let (in_c, _, _) = a.in_shape;
+    let (in_c, in_h, in_w) = a.in_shape;
     let (out_c, out_h, out_w) = a.out_shape;
     match unit_kind {
-        LayerKind::Conv { kernel, pool, .. } => {
-            // The conv's own (pre-pool) output geometry.
-            let (ch, cw) = if pool {
-                (out_h * 2, out_w * 2)
-            } else {
-                (out_h, out_w)
-            };
-            in_c * kernel * kernel * ch * cw
+        LayerKind::Conv { pad, .. } => padded_elems(in_c, in_h, in_w, pad),
+        LayerKind::Residual { .. } => {
+            // conv1 pads the unit input, conv2 the block's inner
+            // activation; the projection shortcut is 1×1.
+            padded_elems(in_c, in_h, in_w, 1).max(padded_elems(out_c, out_h, out_w, 1))
         }
-        LayerKind::Residual { stride, .. } => {
-            let conv1 = in_c * 9 * out_h * out_w;
-            let conv2 = out_c * 9 * out_h * out_w;
-            let proj = if stride != 1 || in_c != out_c {
-                in_c * out_h * out_w
-            } else {
-                0
-            };
-            conv1 + conv2 + proj
-        }
-        LayerKind::DepthwiseSeparable { .. } => {
-            let dw = in_c * 9 * out_h * out_w;
-            let pw = in_c * out_h * out_w;
-            dw + pw
-        }
+        // The 3×3 stage pads the unit input; the pointwise stage is 1×1.
+        LayerKind::DepthwiseSeparable { .. } => padded_elems(in_c, in_h, in_w, 1),
     }
 }
 
-/// Auxiliary-head workspace elements per sample (its 3×3 conv lowering).
+/// Auxiliary-head workspace elements per sample: its 3×3 conv's padded
+/// input (the padded output gradient of its backward pass is smaller).
 fn aux_workspace_elems(aux: &AuxSpec) -> usize {
     let (h, w) = aux.in_hw;
-    aux.in_ch * 9 * h * w
+    padded_elems(aux.in_ch, h, w, 1)
 }
 
 impl MemoryModel {

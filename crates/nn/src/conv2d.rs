@@ -1,4 +1,5 @@
-//! 2-D convolution layer (NCHW), lowered to matrix products via `im2col`.
+//! 2-D convolution layer (NCHW), lowered to matrix products over a patch
+//! matrix that is gathered in place, never built.
 
 use crate::error::NnError;
 use crate::layer::{Layer, Mode};
@@ -7,10 +8,9 @@ use crate::scratch::{InputCache, PackedPanel, QuantPanel};
 use crate::Result;
 use nf_tensor::kernels::int8;
 use nf_tensor::{
-    col2im_batch, global_backend, he_normal, im2col_batch_into, im2col_batch_u8_into,
-    lock_workspace, matmul_at_b_into, matmul_into, nchw_to_posrows_into, new_owner_token,
-    posrows_to_nchw, shared_workspace, sum_axis0_acc, Conv2dGeometry, KernelBackend, QuantTensor,
-    SharedWorkspace, Tensor,
+    col2im_batch, flip_kernel_panel_into, global_backend, he_normal, im2col_batch_u8_into,
+    lock_workspace, matmul_into, nchw_to_posrows_into, posrows_to_nchw, shared_workspace,
+    sum_axis0_acc, Conv2dGeometry, ConvGather, KernelBackend, QuantTensor, SharedWorkspace, Tensor,
 };
 use rand::Rng;
 use std::sync::Arc;
@@ -18,19 +18,25 @@ use std::sync::Arc;
 /// 2-D convolution over NCHW input.
 ///
 /// Weights are stored pre-flattened as `(c_out, c_in·k·k)`. The whole
-/// minibatch is lowered at once: one `(N·OH·OW) × (C·KH·KW)` `im2col`
-/// matrix and a *single* large GEMM per pass, instead of one small GEMM per
-/// sample — large products are what the blocked/parallel kernel backends
-/// are fast at. The backward pass recomputes `im2col` rather than caching
-/// it, trading FLOPs for the activation memory the paper is concerned
-/// with.
+/// minibatch is one `(N·OH·OW) × (C·KH·KW)` patch matrix and a *single*
+/// large GEMM per pass — large products are what the blocked/parallel
+/// kernel backends are fast at — but the matrix is never written: the
+/// GEMM reads each element out of the input padded once into workspace
+/// scratch, through two cached offset tables ([`ConvGather`]). Forward,
+/// weight gradient and (at stride 1) input gradient are all that one
+/// kind of product; only the strided input gradient still runs a dense
+/// GEMM and scatters it back with `col2im`. Backward keeps the *unpadded*
+/// input and re-pads it (tens of microseconds against a product of
+/// hundreds), rather than retaining the larger padded copy: retained
+/// activations are the memory the paper is concerned with.
 ///
 /// All lowering and GEMM scratch lives in a shared [`SharedWorkspace`]
 /// (grow-only, installed per block by [`Layer::set_workspace`]), and the
-/// transposed weight panel the forward GEMM consumes is cached across the
-/// minibatch loop, re-packed only when [`crate::Param::version`] says the
-/// weights actually changed — so the steady-state hot path allocates
-/// nothing beyond its output tensor.
+/// weight panels the GEMMs consume (transposed for forward, flipped for
+/// the input gradient) are cached across the minibatch loop, re-packed
+/// only when [`crate::Param::version`] says the weights actually changed
+/// — so the steady-state hot path allocates nothing beyond its output
+/// tensor.
 ///
 /// Matrix products run on the layer's pinned [`KernelBackend`] if
 /// [`Layer::set_kernel_backend`] (or [`Conv2d::with_backend`]) was called,
@@ -58,12 +64,17 @@ pub struct Conv2d {
     pad: usize,
     backend: Option<KernelBackend>,
     ws: SharedWorkspace,
-    /// This layer's stamp for the workspace `cols` slot (see
-    /// [`nf_tensor::WorkspaceParts::cols_owner`]).
-    owner_token: u64,
+    /// Offset tables addressing the input's patch matrix (forward and
+    /// weight gradient), rebuilt only when the input geometry changes.
+    patches: ConvGather,
+    /// The same for the output gradient's patch matrix (input gradient).
+    grad_patches: ConvGather,
     /// `weight.value` transposed to `(c_in·k·k, c_out)` — the `B` operand
     /// of the forward GEMM — re-packed only when the weight version moves.
     packed_wt: PackedPanel,
+    /// `weight.value` as the `(c_out·k·k, c_in)` flipped panel — the `B`
+    /// operand of the input-gradient GEMM — keyed the same way.
+    flipped_w: PackedPanel,
     /// Per-output-channel `i8` form of the same panel for
     /// [`Layer::forward_quant`], keyed by the same weight version.
     quant_wt: QuantPanel,
@@ -105,8 +116,10 @@ impl Conv2d {
             pad,
             backend: None,
             ws: shared_workspace(),
-            owner_token: new_owner_token(),
+            patches: ConvGather::new(),
+            grad_patches: ConvGather::new(),
             packed_wt: PackedPanel::new(),
+            flipped_w: PackedPanel::new(),
             quant_wt: QuantPanel::new(),
             qlhs: int8::QuantizedLhs::default(),
             qacc: Vec::new(),
@@ -158,6 +171,75 @@ impl Conv2d {
         }
         Ok((n, c, h, w))
     }
+
+    /// The backward pass; with `want_dx` unset the input-gradient product
+    /// is skipped and an empty tensor returned
+    /// ([`Layer::backward_params`]).
+    fn backward_impl(&mut self, grad_out: &Tensor, want_dx: bool) -> Result<Tensor> {
+        // Rank check before consuming the cache, so a malformed grad
+        // leaves the forward state intact (same contract as the shape
+        // check below).
+        let (gn, gc, goh, gow) = grad_out.dims4()?;
+        let x = self
+            .cached_input
+            .take()
+            .ok_or_else(|| NnError::NoForwardCache { layer: self.name() })?;
+        let (n, c, h, w) = x.dims4()?;
+        let geom = self.geometry(h, w)?;
+        if gn != n || gc != self.out_channels || goh != geom.out_h || gow != geom.out_w {
+            self.cached_input.put_back(x);
+            return Err(NnError::BadInput {
+                layer: self.name(),
+                reason: format!(
+                    "grad shape {:?} inconsistent with cached input",
+                    grad_out.shape(),
+                ),
+            });
+        }
+        let backend = self.backend();
+        let mut ws = lock_workspace(&self.ws);
+        let p = ws.parts();
+        // As in forward: `cols` is about to be overwritten.
+        *p.cols_owner = 0;
+        // g is N·P × C_out; dWᵀ = patchesᵀ · g (C·K·K × C_out), the
+        // forward tables swapped over the re-padded input.
+        let g = p.posrows;
+        nchw_to_posrows_into(grad_out, g)?;
+        self.patches
+            .wgrad_into(backend, &x, &geom, g, p.cols, p.pack, p.out)?;
+        let fan_in = self.weight.grad.shape()[1];
+        for (q, dwt_row) in p.out.data().chunks_exact(self.out_channels).enumerate() {
+            let dw_col = self.weight.grad.data_mut()[q..].iter_mut().step_by(fan_in);
+            for (dw, &v) in dw_col.zip(dwt_row) {
+                *dw += v;
+            }
+        }
+        // db += column sums of g.
+        sum_axis0_acc(g, &mut self.bias.grad)?;
+        let dx = if !want_dx {
+            Tensor::default()
+        } else if let Some(dgeom) = geom.input_grad_geometry() {
+            // dx rows (N·H·W × C) = patches(grad_out) · flipped(W): a
+            // stride-1 convolution of the padded gradient, every dx
+            // element gathered once instead of scatter-added K·K times.
+            let (cin, k) = (self.in_channels, self.kernel);
+            let flipped = self.flipped_w.get_with(&self.weight, |w, out| {
+                flip_kernel_panel_into(w, cin, k, k, out)
+            })?;
+            self.grad_patches
+                .dgrad_into(backend, grad_out, &dgeom, flipped, p.cols, p.pack, p.out)?;
+            posrows_to_nchw(p.out, n, c, h, w)?
+        } else {
+            // Strided (or over-padded) convolutions: dcols = g · W
+            // (N·P × C·K·K), scattered back to image space.
+            matmul_into(backend, g, &self.weight.value, p.out)?;
+            col2im_batch(p.out, n, c, &geom)?
+        };
+        drop(ws);
+        // Retire the consumed input cache buffer for the next forward.
+        self.cached_input.retire(x);
+        Ok(dx)
+    }
 }
 
 impl Layer for Conv2d {
@@ -173,21 +255,15 @@ impl Layer for Conv2d {
         let geom = self.geometry(h, w)?;
         let backend = self.backend();
         let wt = self.packed_wt.get(&self.weight)?;
-        // One batched lowering + one large GEMM for the whole minibatch,
-        // entirely in workspace scratch:
-        // (N·P × C·K·K) · (C·K·K × C_out) -> N·P × C_out.
+        // One gathered GEMM for the whole minibatch, entirely in workspace
+        // scratch: (N·P × C·K·K) · (C·K·K × C_out) -> N·P × C_out.
         let mut ws = lock_workspace(&self.ws);
         let p = ws.parts();
-        im2col_batch_into(x, &geom, p.cols)?;
-        // Claim the lowering for backward reuse only when this forward is
-        // the one backward will differentiate — an Eval forward in between
-        // would leave `cols` inconsistent with the cached input.
-        *p.cols_owner = if mode == Mode::Train {
-            self.owner_token
-        } else {
-            0
-        };
-        matmul_into(backend, p.cols, wt, p.out)?;
+        // `cols` is this layer's padded-input slot; whatever explicit
+        // lowering another layer left there is gone.
+        *p.cols_owner = 0;
+        self.patches
+            .forward_into(backend, x, &geom, wt, p.cols, p.pack, p.out)?;
         // Broadcast the per-channel bias over every output position (rows
         // are positions, columns are output channels).
         let bias = self.bias.value.data();
@@ -230,8 +306,6 @@ impl Layer for Conv2d {
         int8::gemm_i32(&self.qlhs, rhs, &mut self.qacc);
         let mut ws = lock_workspace(&self.ws);
         let p = ws.parts();
-        // `cols` is untouched here, so a pending Train lowering (if any)
-        // keeps its owner stamp.
         p.out.reuse_as(&[rows, self.out_channels]);
         int8::dequantize_into(
             &self.qlhs,
@@ -244,54 +318,11 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        // Rank check before consuming the cache, so a malformed grad
-        // leaves the forward state intact (same contract as the shape
-        // check below).
-        let (gn, gc, goh, gow) = grad_out.dims4()?;
-        let x = self
-            .cached_input
-            .take()
-            .ok_or_else(|| NnError::NoForwardCache { layer: self.name() })?;
-        let (n, c, h, w) = x.dims4()?;
-        let geom = self.geometry(h, w)?;
-        if gn != n || gc != self.out_channels || goh != geom.out_h || gow != geom.out_w {
-            self.cached_input.put_back(x);
-            return Err(NnError::BadInput {
-                layer: self.name(),
-                reason: format!(
-                    "grad shape {:?} inconsistent with cached input",
-                    grad_out.shape(),
-                ),
-            });
-        }
-        let backend = self.backend();
-        let mut ws = lock_workspace(&self.ws);
-        let p = ws.parts();
-        // Recompute the batched lowering (FLOPs for memory, as per-sample
-        // did) and run the whole batch's three products as single GEMMs —
-        // unless this layer's own forward lowering is still sitting
-        // untouched in the shared `cols` slot (true whenever no other conv
-        // ran between this layer's forward and backward, e.g. for every
-        // aux-head conv), in which case the recompute is skipped.
-        if *p.cols_owner != self.owner_token {
-            im2col_batch_into(&x, &geom, p.cols)?;
-            *p.cols_owner = self.owner_token;
-        }
-        // g is N·P × C_out; dW += gᵀ · cols  (C_out × C·K·K).
-        let g = p.posrows;
-        nchw_to_posrows_into(grad_out, g)?;
-        matmul_at_b_into(backend, g, p.cols, p.out, p.pack)?;
-        nf_tensor::axpy(1.0, p.out, &mut self.weight.grad)?;
-        // db += column sums of g.
-        sum_axis0_acc(g, &mut self.bias.grad)?;
-        // dcols = g · W (N·P × C·K·K) — reusing the dW slot, which the
-        // axpy above already consumed — scattered back to image space.
-        matmul_into(backend, g, &self.weight.value, p.out)?;
-        let dx = col2im_batch(p.out, n, c, &geom)?;
-        drop(ws);
-        // Retire the consumed input cache buffer for the next forward.
-        self.cached_input.retire(x);
-        Ok(dx)
+        self.backward_impl(grad_out, true)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.backward_impl(grad_out, false).map(drop)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

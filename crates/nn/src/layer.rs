@@ -57,6 +57,18 @@ pub trait Layer: Send {
     /// parameter gradients.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
 
+    /// [`Layer::backward`] for a caller that will not read the input
+    /// gradient: local learning sends no gradient across a unit boundary,
+    /// so the first layer of a locally trained unit never needs one.
+    /// Parameter gradients must come out bit-identical to `backward`'s.
+    ///
+    /// The default runs `backward` and drops the result; layers whose
+    /// input gradient is a product of its own (`Conv2d`, `Linear`) skip
+    /// it, and containers hand the saving to their first layer.
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.backward(grad_out).map(drop)
+    }
+
     /// Visits every trainable parameter (used by optimizers and reporting).
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
 
@@ -118,6 +130,10 @@ impl Layer for Box<dyn Layer> {
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         self.as_mut().backward(grad_out)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.as_mut().backward_params(grad_out)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

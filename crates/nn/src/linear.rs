@@ -164,6 +164,14 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        self.backward_params(grad_out)?;
+        // dx = g · Wᵀ as a plain GEMM against the packed panel.
+        let backend = self.backend();
+        let wt = self.packed_wt.get(&self.weight)?;
+        Ok(matmul_with(backend, grad_out, wt)?)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
         // Rank check before consuming the cache, so a malformed grad
         // leaves the forward state intact.
         let (gr, gc) = grad_out.dims2()?;
@@ -171,8 +179,7 @@ impl Layer for Linear {
             .cached_input
             .take()
             .ok_or_else(|| NnError::NoForwardCache { layer: self.name() })?;
-        // dW = xᵀ · g, db = Σ_rows g, dx = g · Wᵀ.
-        let backend = self.backend();
+        // dW = xᵀ · g, db = Σ_rows g.
         if gr != x.shape()[0] || gc != self.out_features {
             self.cached_input.put_back(x);
             return Err(NnError::BadInput {
@@ -183,15 +190,13 @@ impl Layer for Linear {
         {
             let mut ws = lock_workspace(&self.ws);
             let p = ws.parts();
-            matmul_at_b_into(backend, &x, grad_out, p.out, p.pack)?;
+            matmul_at_b_into(self.backend(), &x, grad_out, p.out, p.pack)?;
             nf_tensor::axpy(1.0, p.out, &mut self.weight.grad)?;
         }
         // db += column sums of g, accumulated in place.
         sum_axis0_acc(grad_out, &mut self.bias.grad)?;
         self.cached_input.retire(x);
-        // dx = g · Wᵀ as a plain GEMM against the packed panel.
-        let wt = self.packed_wt.get(&self.weight)?;
-        Ok(matmul_with(backend, grad_out, wt)?)
+        Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -5,7 +5,8 @@
 //! everywhere, so they live here rather than being re-implemented
 //! per layer:
 //!
-//! - [`PackedPanel`]: a transposed weight panel cached across the
+//! - [`PackedPanel`]: a re-laid-out weight panel (transposed, or flipped
+//!   for the conv input gradient) cached across the
 //!   minibatch loop, re-derived only when [`Param::version`] says the
 //!   weights actually changed (once per optimizer step in training;
 //!   never during frozen-weight eval sweeps).
@@ -22,8 +23,9 @@ use crate::Result;
 use nf_tensor::kernels::int8::QuantizedRhs;
 use nf_tensor::{transpose2d_into, Tensor};
 
-/// A layer's packed transposed weight panel, keyed by the owning
-/// [`Param`]'s version (see `DESIGN.md` §8).
+/// A layer's packed weight panel — `weight.value` in the layout one of
+/// its GEMMs consumes — keyed by the owning [`Param`]'s version (see
+/// `DESIGN.md` §8).
 #[derive(Debug, Default)]
 pub struct PackedPanel {
     tensor: Tensor,
@@ -39,9 +41,20 @@ impl PackedPanel {
     /// The transpose of `weight.value`, re-packed into the reused buffer
     /// iff the weight changed since the last call.
     pub fn get(&mut self, weight: &Param) -> Result<&Tensor> {
+        self.get_with(weight, transpose2d_into)
+    }
+
+    /// `pack(weight.value)` for a layout other than the transpose, cached
+    /// the same way. One panel must always be asked for with the same
+    /// `pack`: the cache is keyed by weight version alone.
+    pub fn get_with(
+        &mut self,
+        weight: &Param,
+        pack: impl FnOnce(&Tensor, &mut Tensor) -> nf_tensor::Result<()>,
+    ) -> Result<&Tensor> {
         let version = weight.version();
         if self.version != Some(version) {
-            transpose2d_into(&weight.value, &mut self.tensor)?;
+            pack(&weight.value, &mut self.tensor)?;
             self.version = Some(version);
         }
         Ok(&self.tensor)

@@ -100,6 +100,19 @@ impl Layer for Sequential {
         Ok(grad)
     }
 
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        // Every layer but the first feeds the one before it; only the
+        // first layer's input gradient leaves the container.
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut grad = grad_out.clone();
+        for layer in rest.iter_mut().rev() {
+            grad = layer.backward(&grad)?;
+        }
+        first.backward_params(&grad)
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(f);

@@ -1,7 +1,20 @@
-//! Convolution lowering: `im2col` / `col2im`, per-sample and batched.
+//! Convolution lowering: the in-place gathered patch matrix the conv
+//! layers multiply, and the explicit `im2col` / `col2im` it is tested
+//! against.
 //!
 //! A 2-D convolution over an NCHW input is lowered to a matrix product.
-//! Two lowerings are provided:
+//! The production lowering is [`ConvGather`]: the `(N·OH·OW) × (C·KH·KW)`
+//! patch matrix is never written — element `(position, tap)` is
+//! `padded[pos_off[position] + tap_off[tap]]`, two small offset tables
+//! over the input padded once, which the blocked GEMM reads in place
+//! ([`crate::kernels::GatherA`]). Forward, weight gradient (the same
+//! tables swapped) and, for stride 1, the input gradient (the same
+//! product over the padded output gradient with a flipped kernel panel)
+//! all run through it.
+//!
+//! The explicit lowerings remain as its oracle, as the lowering of the
+//! baselines' feedback-alignment conv, and for the strided input
+//! gradient:
 //!
 //! - **Per-sample** ([`im2col`] / [`col2im`]): one `(C·KH·KW) × (OH·OW)`
 //!   patch matrix per image, multiplied by the `(C_out) × (C·KH·KW)`
@@ -18,7 +31,9 @@
 //! backward pass relies on; adjointness is property-tested below.
 
 use crate::error::TensorError;
+use crate::kernels::autotune::{GemmOp, ShapeClass};
 use crate::kernels::int8::QuantizedLhs;
+use crate::kernels::{GatherA, KernelBackend};
 use crate::quant::QuantTensor;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -121,6 +136,336 @@ impl Conv2dGeometry {
     /// Number of output positions (`out_h * out_w`).
     pub fn out_positions(&self) -> usize {
         self.out_h * self.out_w
+    }
+
+    /// The geometry under which this convolution's **input gradient** is
+    /// itself a stride-1 convolution of the output gradient (with the
+    /// kernel flipped, see [`flip_kernel_panel_into`]): a `k×k` window
+    /// over `grad_out` padded by `k − 1 − pad`, producing `in_h × in_w`.
+    ///
+    /// `None` when it is not one: stride above 1 (the gradient would have
+    /// to be zero-dilated first, multiplying mostly zeros — see DESIGN.md
+    /// §8 for the measurement), padding wider than `k − 1`, or a
+    /// non-square kernel.
+    pub fn input_grad_geometry(&self) -> Option<Conv2dGeometry> {
+        if self.stride != 1 || self.k_h != self.k_w || self.pad >= self.k_h {
+            return None;
+        }
+        Some(Conv2dGeometry {
+            in_h: self.out_h,
+            in_w: self.out_w,
+            k_h: self.k_h,
+            k_w: self.k_w,
+            stride: 1,
+            pad: self.k_h - 1 - self.pad,
+            out_h: self.in_h,
+            out_w: self.in_w,
+        })
+    }
+}
+
+/// Zero-pads an NCHW tensor by `pad` on every spatial side into `out`
+/// (grow-only; every element is written, so no clearing pass).
+pub fn pad_nchw_into(x: &Tensor, pad: usize, out: &mut Tensor) -> Result<()> {
+    let (n, c, h, w) = x.dims4()?;
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    out.reuse_as(&[n, c, hp, wp]);
+    if h == 0 || w == 0 {
+        out.data_mut().fill(0.0);
+        return Ok(());
+    }
+    let planes = x.data().chunks_exact(h * w);
+    for (src, dst) in planes.zip(out.data_mut().chunks_exact_mut(hp * wp)) {
+        let (top, rest) = dst.split_at_mut(pad * wp);
+        let (body, bottom) = rest.split_at_mut(h * wp);
+        top.fill(0.0);
+        bottom.fill(0.0);
+        for (srow, drow) in src.chunks_exact(w).zip(body.chunks_exact_mut(wp)) {
+            drow[..pad].fill(0.0);
+            drow[pad..pad + w].copy_from_slice(srow);
+            drow[pad + w..].fill(0.0);
+        }
+    }
+    Ok(())
+}
+
+/// Packs conv weights `(c_out, c_in·k_h·k_w)` into the `B` operand of the
+/// input-gradient product: `(c_out·k_h·k_w, c_in)` with both kernel axes
+/// reversed, so that convolving the padded output gradient with it (see
+/// [`Conv2dGeometry::input_grad_geometry`]) yields `dx`.
+pub fn flip_kernel_panel_into(
+    weight: &Tensor,
+    c_in: usize,
+    k_h: usize,
+    k_w: usize,
+    out: &mut Tensor,
+) -> Result<()> {
+    let (c_out, fan_in) = weight.dims2()?;
+    let taps = k_h * k_w;
+    if fan_in != c_in * taps {
+        return Err(TensorError::ShapeMismatch {
+            op: "flip_kernel_panel",
+            lhs: weight.shape().to_vec(),
+            rhs: vec![c_out, c_in * taps],
+        });
+    }
+    out.reuse_as(&[c_out * taps, c_in]);
+    let src = weight.data();
+    for (row, orow) in out.data_mut().chunks_exact_mut(c_in.max(1)).enumerate() {
+        let (co, tap) = (row / taps, row % taps);
+        let flipped = taps - 1 - tap; // reverses kh and kw together
+        for (c, o) in orow.iter_mut().enumerate() {
+            *o = src[co * fan_in + c * taps + flipped];
+        }
+    }
+    Ok(())
+}
+
+/// One conv layer's patch matrix, addressed in place: the offset tables
+/// that turn the (padded) input into the `A` operand of the layer's GEMMs,
+/// cached across calls.
+///
+/// `A(position, tap) = padded[pos[position] + taps[tap]]`, positions
+/// ordered `(n, oy, ox)` and taps `(c, kh, kw)` — exactly the rows and
+/// columns of [`im2col_batch`], so products through it keep that
+/// lowering's `K` order (and, on the blocked backend, its bits). The
+/// tables depend only on channels, geometry and batch size; they are
+/// rebuilt when channels or geometry change and only ever extended when
+/// the batch grows (a smaller batch's table is a prefix of a larger
+/// one's), so steady-state calls allocate nothing.
+///
+/// # Examples
+///
+/// ```
+/// use nf_tensor::{im2col_batch, matmul, Conv2dGeometry, ConvGather, KernelBackend, Tensor};
+///
+/// let x = Tensor::from_vec(vec![1, 1, 3, 3], (1..=9).map(|v| v as f32).collect()).unwrap();
+/// let geom = Conv2dGeometry::new(3, 3, 2, 2, 1, 0).unwrap();
+/// let wt = Tensor::ones(&[4, 1]); // sum-of-window kernel, packed K×C_out
+/// let (mut pad, mut pack, mut out) = (Tensor::default(), Vec::new(), Tensor::default());
+/// let mut lowering = ConvGather::new();
+/// lowering
+///     .forward_into(KernelBackend::Blocked, &x, &geom, &wt, &mut pad, &mut pack, &mut out)
+///     .unwrap();
+/// assert_eq!(out.data(), &[12., 16., 24., 28.]);
+/// assert_eq!(out, matmul(&im2col_batch(&x, &geom).unwrap(), &wt).unwrap());
+/// ```
+#[derive(Debug, Default)]
+pub struct ConvGather {
+    /// Channels and geometry the tables were built for.
+    key: Option<(usize, Conv2dGeometry)>,
+    /// Offset of each output position's window origin in the padded
+    /// input, `(n, oy, ox)`-major.
+    pos: Vec<u32>,
+    /// Offset of each `(c, kh, kw)` tap from a window origin.
+    taps: Vec<u32>,
+}
+
+impl ConvGather {
+    /// Empty tables; built on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Brings the tables up to date for `n` samples of `c` channels under
+    /// `geom`.
+    fn ensure(&mut self, n: usize, c: usize, geom: &Conv2dGeometry) -> Result<()> {
+        let (hp, wp) = (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad);
+        let sample = c * hp * wp;
+        if u32::try_from(n * sample).is_err() {
+            return Err(TensorError::InvalidGeometry(format!(
+                "padded input of {n}×{c}×{hp}×{wp} elements exceeds the 32-bit gather offsets"
+            )));
+        }
+        if self.key != Some((c, *geom)) {
+            self.key = Some((c, *geom));
+            self.pos.clear();
+            self.taps.clear();
+            for ch in 0..c {
+                for kh in 0..geom.k_h {
+                    for kw in 0..geom.k_w {
+                        self.taps.push(((ch * hp + kh) * wp + kw) as u32);
+                    }
+                }
+            }
+        }
+        let positions = geom.out_positions();
+        for img in self.pos.len() / positions.max(1)..n {
+            for oy in 0..geom.out_h {
+                for ox in 0..geom.out_w {
+                    let origin = (oy * wp + ox) * geom.stride;
+                    self.pos.push((img * sample + origin) as u32);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks `x` against `geom`, updates the tables, and returns
+    /// `(n·positions, c·k_h·k_w)` plus the buffer the tables index: `x`
+    /// itself when there is no padding, else `x` padded into `padded`.
+    fn lower<'a>(
+        &mut self,
+        op: &'static str,
+        x: &'a Tensor,
+        geom: &Conv2dGeometry,
+        padded: &'a mut Tensor,
+    ) -> Result<(usize, usize, &'a [f32])> {
+        let (n, c, h, w) = x.dims4().map_err(|_| TensorError::RankMismatch {
+            op,
+            expected: 4,
+            actual: x.rank(),
+        })?;
+        if h != geom.in_h || w != geom.in_w {
+            return Err(TensorError::ShapeMismatch {
+                op,
+                lhs: x.shape().to_vec(),
+                rhs: vec![n, c, geom.in_h, geom.in_w],
+            });
+        }
+        self.ensure(n, c, geom)?;
+        let base = if geom.pad == 0 {
+            x.data()
+        } else {
+            pad_nchw_into(x, geom.pad, padded)?;
+            padded.data()
+        };
+        Ok((n * geom.out_positions(), self.taps.len(), base))
+    }
+
+    /// The forward product: `out (N·OH·OW × C_out) = patches(x) · wt`,
+    /// with `wt` the `(C·KH·KW × C_out)` packed kernel panel. Equals
+    /// [`im2col_batch_into`] + [`crate::matmul_into`] without the patch
+    /// matrix; tuned and recorded as the `ab` product of that shape.
+    ///
+    /// `padded` receives the padded input (untouched when `geom.pad` is
+    /// 0), `pack` is backend scratch, all grow-only.
+    #[allow(clippy::too_many_arguments)]
+    pub fn forward_into(
+        &mut self,
+        backend: KernelBackend,
+        x: &Tensor,
+        geom: &Conv2dGeometry,
+        wt: &Tensor,
+        padded: &mut Tensor,
+        pack: &mut Vec<f32>,
+        out: &mut Tensor,
+    ) -> Result<()> {
+        self.patches_times(
+            GemmOp::Ab,
+            "conv_forward",
+            backend,
+            x,
+            geom,
+            wt,
+            padded,
+            pack,
+            out,
+        )
+    }
+
+    /// The input gradient of a convolution whose
+    /// [`Conv2dGeometry::input_grad_geometry`] is `dgeom`:
+    /// `out (N·H·W × C_in) = patches(grad_out) · flipped`, with `flipped`
+    /// from [`flip_kernel_panel_into`] — a gather over the padded output
+    /// gradient where [`col2im_batch_into`] scatter-adds. Tuned and
+    /// recorded as an `abt` product (it stands where `g · Wᵀ` did).
+    #[allow(clippy::too_many_arguments)]
+    pub fn dgrad_into(
+        &mut self,
+        backend: KernelBackend,
+        grad_out: &Tensor,
+        dgeom: &Conv2dGeometry,
+        flipped: &Tensor,
+        padded: &mut Tensor,
+        pack: &mut Vec<f32>,
+        out: &mut Tensor,
+    ) -> Result<()> {
+        self.patches_times(
+            GemmOp::ABt,
+            "conv_dgrad",
+            backend,
+            grad_out,
+            dgeom,
+            flipped,
+            padded,
+            pack,
+            out,
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn patches_times(
+        &mut self,
+        gemm_op: GemmOp,
+        op: &'static str,
+        backend: KernelBackend,
+        x: &Tensor,
+        geom: &Conv2dGeometry,
+        panel: &Tensor,
+        padded: &mut Tensor,
+        pack: &mut Vec<f32>,
+        out: &mut Tensor,
+    ) -> Result<()> {
+        let (rows, patch, base) = self.lower(op, x, geom, padded)?;
+        let (k, n) = panel.dims2()?;
+        if k != patch {
+            return Err(TensorError::ShapeMismatch {
+                op,
+                lhs: vec![rows, patch],
+                rhs: panel.shape().to_vec(),
+            });
+        }
+        let a = GatherA::new(base, &self.pos[..rows], &self.taps)?;
+        out.reuse_as(&[rows, n]);
+        backend.backend().gemm_gather(
+            ShapeClass::of(gemm_op, rows, patch, n),
+            &a,
+            n,
+            panel.data(),
+            out.data_mut(),
+            pack,
+        );
+        Ok(())
+    }
+
+    /// The weight gradient, transposed:
+    /// `out (C·KH·KW × C_out) = patches(x)ᵀ · g_rows`, with `g_rows` the
+    /// output gradient as `(N·OH·OW × C_out)` position rows — the forward
+    /// tables swapped. Element for element it sums what
+    /// [`crate::matmul_at_b_into`]`(g_rows, patches)` sums, in the same
+    /// order; tuned and recorded as that `atb` product.
+    #[allow(clippy::too_many_arguments)]
+    pub fn wgrad_into(
+        &mut self,
+        backend: KernelBackend,
+        x: &Tensor,
+        geom: &Conv2dGeometry,
+        g_rows: &Tensor,
+        padded: &mut Tensor,
+        pack: &mut Vec<f32>,
+        out: &mut Tensor,
+    ) -> Result<()> {
+        let (rows, patch, base) = self.lower("conv_wgrad", x, geom, padded)?;
+        let (g_len, c_out) = g_rows.dims2()?;
+        if g_len != rows {
+            return Err(TensorError::ShapeMismatch {
+                op: "conv_wgrad",
+                lhs: vec![rows, patch],
+                rhs: g_rows.shape().to_vec(),
+            });
+        }
+        let a = GatherA::new(base, &self.taps, &self.pos[..rows])?;
+        out.reuse_as(&[patch, c_out]);
+        backend.backend().gemm_gather(
+            ShapeClass::of(GemmOp::AtB, c_out, rows, patch),
+            &a,
+            c_out,
+            g_rows.data(),
+            out.data_mut(),
+            pack,
+        );
+        Ok(())
     }
 }
 

@@ -43,6 +43,14 @@ pub enum TensorError {
         /// The tensor's shape.
         shape: Vec<usize>,
     },
+    /// A gather operand's offset tables reach past the buffer they index
+    /// (see [`crate::kernels::GatherA`]).
+    OffsetOutOfBounds {
+        /// Largest element offset the tables address.
+        reach: u64,
+        /// Length of the indexed buffer.
+        len: usize,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -62,6 +70,12 @@ impl fmt::Display for TensorError {
             TensorError::InvalidGeometry(msg) => write!(f, "invalid geometry: {msg}"),
             TensorError::IndexOutOfBounds { index, shape } => {
                 write!(f, "index {index:?} out of bounds for shape {shape:?}")
+            }
+            TensorError::OffsetOutOfBounds { reach, len } => {
+                write!(
+                    f,
+                    "gather offsets reach element {reach} of a {len}-element buffer"
+                )
             }
         }
     }

@@ -25,7 +25,7 @@
 //! candidate) and takes the timer as a closure, so tests can pin timings
 //! and assert plan stability.
 
-use super::{blocked::PAR_MIN_FLOPS, host_cores, BlockedGemm, GemmBackend};
+use super::{blocked::PAR_MIN_FLOPS, host_cores, BlockedGemm, GatherA, GemmBackend};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -41,6 +41,13 @@ pub struct Plan {
     pub nc: usize,
     /// Whether row panels fan out across threads.
     pub parallel: bool,
+}
+
+impl Plan {
+    /// The blocked kernel configured by this plan.
+    fn kernel(self) -> BlockedGemm {
+        BlockedGemm::custom(self.parallel, self.kc, self.nc)
+    }
 }
 
 /// Operand order of a tuned product, part of the shape-class key (the
@@ -101,15 +108,24 @@ impl ShapeClass {
 /// worth distinguishing on current cache hierarchies, with parallel
 /// variants only where fan-out can possibly pay (multi-core host, product
 /// above the spawn-overhead floor).
+///
+/// Plans that execute the same loop nest on this shape — a cache block
+/// at least as large as the dimension it splits does not split it — are
+/// listed once (the first of them), so a small product is never timed
+/// against itself and its plan cannot be decided by noise.
 pub fn candidates(m: usize, k: usize, n: usize) -> Vec<Plan> {
-    let mut plans = Vec::new();
+    let effective = |p: &Plan| (p.kc.min(k), p.nc.min(n), p.parallel);
+    let mut plans: Vec<Plan> = Vec::new();
     for &parallel in &[false, true] {
         if parallel && !(host_cores() > 1 && m * k * n >= PAR_MIN_FLOPS) {
             continue;
         }
         for &kc in &[128usize, 256] {
             for &nc in &[128usize, 256] {
-                plans.push(Plan { kc, nc, parallel });
+                let plan = Plan { kc, nc, parallel };
+                if !plans.iter().any(|p| effective(p) == effective(&plan)) {
+                    plans.push(plan);
+                }
             }
         }
     }
@@ -168,20 +184,26 @@ fn lock_plans() -> std::sync::MutexGuard<'static, HashMap<ShapeClass, Plan>> {
 ///
 /// `run` executes the caller's product under a given plan; during tuning
 /// it is invoked once per candidate (plus one warm-up of the first
-/// candidate so cold caches don't bias the measurement). Every candidate
-/// computes the same (correct) output, so the caller only needs one
-/// final run with the returned plan to make results reproducible across
-/// calls within the process.
-fn plan_for(class: ShapeClass, cands: &[Plan], run: &mut dyn FnMut(Plan)) -> Plan {
+/// candidate so cold caches don't bias the measurement) — unless only one
+/// candidate is distinguishable on this shape, which is recorded without
+/// running anything. Every candidate computes the same (correct) output,
+/// so the caller only needs one final run with the returned plan to make
+/// results reproducible across calls within the process.
+fn plan_for(class: ShapeClass, m: usize, k: usize, n: usize, run: &mut dyn FnMut(Plan)) -> Plan {
     if let Some(plan) = lock_plans().get(&class) {
         return *plan;
     }
-    run(cands[0]); // warm-up: touch operands/outputs before timing
-    let plan = select_plan(cands, |p| {
-        let t0 = Instant::now();
-        run(p);
-        t0.elapsed()
-    });
+    let cands = candidates(m, k, n);
+    let plan = if let [only] = cands[..] {
+        only
+    } else {
+        run(cands[0]); // warm-up: touch operands/outputs before timing
+        select_plan(&cands, |p| {
+            let t0 = Instant::now();
+            run(p);
+            t0.elapsed()
+        })
+    };
     // First tuner to finish wins; concurrent tuners of the same class
     // converge on its plan rather than racing the table.
     *lock_plans().entry(class).or_insert(plan)
@@ -241,15 +263,26 @@ impl GemmBackend for AutoGemm {
     }
 
     fn gemm(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        let cands = candidates(m, k, n);
-        let plan = plan_for(
-            ShapeClass::of(GemmOp::Ab, m, k, n),
-            &cands,
-            &mut |p: Plan| {
-                BlockedGemm::custom(p.parallel, p.kc, p.nc).gemm(m, k, n, a, b, out);
-            },
-        );
-        BlockedGemm::custom(plan.parallel, plan.kc, plan.nc).gemm(m, k, n, a, b, out);
+        let class = ShapeClass::of(GemmOp::Ab, m, k, n);
+        let plan = plan_for(class, m, k, n, &mut |p: Plan| {
+            p.kernel().gemm(m, k, n, a, b, out);
+        });
+        plan.kernel().gemm(m, k, n, a, b, out);
+    }
+
+    fn gemm_gather(
+        &self,
+        class: ShapeClass,
+        a: &GatherA<'_>,
+        n: usize,
+        b: &[f32],
+        out: &mut [f32],
+        scratch: &mut Vec<f32>,
+    ) {
+        let plan = plan_for(class, a.rows(), a.depth(), n, &mut |p: Plan| {
+            p.kernel().gemm_gather(class, a, n, b, out, scratch);
+        });
+        plan.kernel().gemm_gather(class, a, n, b, out, scratch);
     }
 
     fn gemm_at_b(&self, k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
@@ -270,17 +303,11 @@ impl GemmBackend for AutoGemm {
         out: &mut [f32],
         pack: &mut Vec<f32>,
     ) {
-        let cands = candidates(m, k, n);
-        let plan = plan_for(
-            ShapeClass::of(GemmOp::AtB, m, k, n),
-            &cands,
-            &mut |p: Plan| {
-                BlockedGemm::custom(p.parallel, p.kc, p.nc)
-                    .gemm_at_b_scratch(k, m, n, a, b, out, pack);
-            },
-        );
-        BlockedGemm::custom(plan.parallel, plan.kc, plan.nc)
-            .gemm_at_b_scratch(k, m, n, a, b, out, pack);
+        let class = ShapeClass::of(GemmOp::AtB, m, k, n);
+        let plan = plan_for(class, m, k, n, &mut |p: Plan| {
+            p.kernel().gemm_at_b_scratch(k, m, n, a, b, out, pack);
+        });
+        plan.kernel().gemm_at_b_scratch(k, m, n, a, b, out, pack);
     }
 
     fn gemm_a_bt_scratch(
@@ -293,17 +320,11 @@ impl GemmBackend for AutoGemm {
         out: &mut [f32],
         pack: &mut Vec<f32>,
     ) {
-        let cands = candidates(m, k, n);
-        let plan = plan_for(
-            ShapeClass::of(GemmOp::ABt, m, k, n),
-            &cands,
-            &mut |p: Plan| {
-                BlockedGemm::custom(p.parallel, p.kc, p.nc)
-                    .gemm_a_bt_scratch(m, k, n, a, b, out, pack);
-            },
-        );
-        BlockedGemm::custom(plan.parallel, plan.kc, plan.nc)
-            .gemm_a_bt_scratch(m, k, n, a, b, out, pack);
+        let class = ShapeClass::of(GemmOp::ABt, m, k, n);
+        let plan = plan_for(class, m, k, n, &mut |p: Plan| {
+            p.kernel().gemm_a_bt_scratch(m, k, n, a, b, out, pack);
+        });
+        plan.kernel().gemm_a_bt_scratch(m, k, n, a, b, out, pack);
     }
 }
 
@@ -314,8 +335,9 @@ mod tests {
 
     #[test]
     fn select_plan_is_deterministic_under_pinned_timings() {
-        let grid = candidates(64, 64, 64);
-        assert!(!grid.is_empty());
+        // K and N both above 128, so all four cache blockings differ.
+        let grid = candidates(64, 512, 512);
+        assert!(grid.len() >= 4);
         // Pinned timing oracle: pretend kc=256/nc=128 is fastest.
         let pinned = |p: Plan| {
             Duration::from_micros(if p.kc == 256 && p.nc == 128 && !p.parallel {
@@ -332,8 +354,46 @@ mod tests {
     }
 
     #[test]
+    fn plans_that_run_the_same_loop_nest_are_listed_once() {
+        // K ≤ 128 and N ≤ 128: no block splits anything — one plan (the
+        // product is below the thread fan-out floor on any host).
+        assert_eq!(
+            candidates(512, 27, 4),
+            [Plan {
+                kc: 128,
+                nc: 128,
+                parallel: false
+            }]
+        );
+        let serial = |m, k, n| {
+            candidates(m, k, n)
+                .into_iter()
+                .filter(|p| !p.parallel)
+                .map(|p| (p.kc, p.nc))
+                .collect::<Vec<_>>()
+        };
+        // Only K splits / only N splits / both.
+        assert_eq!(serial(64, 200, 16), [(128, 128), (256, 128)]);
+        assert_eq!(serial(64, 100, 300), [(128, 128), (128, 256)]);
+        assert_eq!(serial(64, 300, 300).len(), 4);
+    }
+
+    #[test]
+    fn a_single_candidate_is_recorded_without_running_it() {
+        // A class nothing else in this test binary uses.
+        let (m, k, n) = (3usize, 5usize, 100usize);
+        let class = ShapeClass::of(GemmOp::ABt, m, k, n);
+        let mut runs = 0;
+        let plan = plan_for(class, m, k, n, &mut |_| runs += 1);
+        assert_eq!((runs, plan), (0, candidates(m, k, n)[0]));
+        assert!(plan_snapshot()
+            .iter()
+            .any(|e| e.op == "abt" && (e.m_class, e.k_class, e.n_class) == (2, 3, 7)));
+    }
+
+    #[test]
     fn ties_keep_the_earliest_candidate() {
-        let grid = candidates(8, 8, 8);
+        let grid = candidates(8, 512, 512);
         let plan = select_plan(&grid, |_| Duration::from_micros(5));
         assert_eq!(plan, grid[0]);
     }

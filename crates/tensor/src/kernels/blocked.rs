@@ -1,18 +1,15 @@
 //! The fast GEMM backend: cache-blocked, register-blocked, optionally
 //! parallel over row panels.
 
-use super::{simd, GemmBackend};
+use super::autotune::ShapeClass;
+use super::simd::{self, DenseA, GatherA, PanelA};
+use super::GemmBackend;
 use rayon::prelude::*;
-
-// The SIMD micro-kernel assumes the same panel height as the scalar one.
-const _: () = assert!(MR == simd::MR);
 
 /// Rows of `A`/`C` processed together by the register micro-kernel: `MR`
 /// output rows stay resident in registers while one row of `B` streams
-/// past, dividing `B` traffic by `MR` relative to the naive loop. With
-/// `JT = 32`, the `MR × JT` accumulator tile is 16 AVX-512 (32 AVX2)
-/// vectors — sized to the 32-register file of AVX-512 hosts.
-const MR: usize = 8;
+/// past, dividing `B` traffic by `MR` relative to the naive loop.
+const MR: usize = simd::MR;
 
 /// `K`-dimension cache block: `KC` rows of `B` (`KC × NC` floats) are
 /// re-read `MR`-rows-at-a-time while they are hot in L2.
@@ -38,15 +35,17 @@ const KOUTER_MAX_MN: usize = 1 << 15;
 /// K-outermost order pays off.
 const KOUTER_MIN_KN: usize = 1 << 16;
 
-/// Cache-blocked GEMM with an `MR × JT` register-tile micro-kernel.
+/// Cache-blocked GEMM over the [`simd`] `MR × 8` register-tile
+/// micro-kernel.
 ///
 /// Layout: the output is walked in `MR`-row panels (the parallel unit);
 /// within a panel the `K` and `N` dimensions are tiled `KC × NC` so one
-/// `B` tile is reused from cache by all rows of the panel. The inner loop
-/// is the runtime-dispatched [`simd`] micro-kernel (explicit AVX2+FMA
-/// `f32x8` tiles) with the auto-vectorised `MR × JT` scalar tile as the
-/// portable fallback; the first `K` block stores rather than accumulates,
-/// so outputs need no zero-fill pass.
+/// `B` tile is reused from cache by all rows of the panel. The first `K`
+/// block stores rather than accumulates, so outputs need no zero-fill
+/// pass. There is **one** loop nest, generic over how `A` is addressed
+/// (`simd::PanelA`): a dense row-major operand and a convolution's
+/// gathered patch matrix ([`GatherA`]) run the same blocking and the same
+/// tile.
 ///
 /// `Aᵀ·B` and `A·Bᵀ` are computed by transposing one operand once into
 /// the caller's pack scratch (cache-tiled, `O(K·M)` / `O(N·K)` —
@@ -61,6 +60,24 @@ pub struct BlockedGemm {
     nc: usize,
 }
 
+/// Runs `work(panel_index, panel_rows)` over `out` split into `MR`-row
+/// panels of `n` floats per row. Panels are disjoint output rows, so they
+/// may run on separate threads.
+fn for_each_panel<F>(parallel: bool, n: usize, out: &mut [f32], work: F)
+where
+    F: Fn(usize, &mut [f32]) + Send + Sync,
+{
+    if parallel {
+        out.par_chunks_mut(MR * n)
+            .enumerate()
+            .for_each(|(idx, opanel)| work(idx, opanel));
+    } else {
+        for (idx, opanel) in out.chunks_mut(MR * n).enumerate() {
+            work(idx, opanel);
+        }
+    }
+}
+
 impl BlockedGemm {
     /// Single-threaded variant with the default cache blocking.
     pub const fn serial() -> Self {
@@ -68,7 +85,7 @@ impl BlockedGemm {
     }
 
     /// Variant that fans row panels out across threads for large products
-    /// (on multi-core hosts; see `gemm_into`), default cache blocking.
+    /// (on multi-core hosts; see `fans_out`), default cache blocking.
     pub const fn parallel() -> Self {
         Self::custom(true, KC, NC)
     }
@@ -80,99 +97,81 @@ impl BlockedGemm {
         BlockedGemm { parallel, kc, nc }
     }
 
-    fn gemm_into(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    /// Whether a product of this size fans its row panels out across
+    /// threads. Requires an actual multi-core host: on a single core the
+    /// spawned workers only time-slice, so the spawn/join overhead is pure
+    /// loss at any size (the `blocked-parallel < blocked` regression the
+    /// benchmarks caught); with the gate `blocked-parallel` degrades to
+    /// exactly `blocked` there.
+    fn fans_out(&self, m: usize, k: usize, n: usize) -> bool {
+        self.parallel && super::host_cores() > 1 && m * k * n >= PAR_MIN_FLOPS
+    }
+
+    /// One panel's `K` block `[kk0, kk0+kc)`, `N`-blocked: the only caller
+    /// of the micro-kernel.
+    #[allow(clippy::too_many_arguments)]
+    fn panel_k_block<A: PanelA>(
+        &self,
+        a: &A,
+        b: &[f32],
+        n: usize,
+        idx: usize,
+        kk0: usize,
+        kc: usize,
+        opanel: &mut [f32],
+    ) {
+        let rows = opanel.len() / n;
+        // First K block overwrites the (unspecified) output; subsequent
+        // blocks accumulate.
+        let first = kk0 == 0;
+        let mut jj0 = 0;
+        while jj0 < n {
+            let nc = self.nc.min(n - jj0);
+            simd::panel(a, b, n, idx * MR, rows, kk0, kc, jj0, nc, first, opanel);
+            jj0 += nc;
+        }
+    }
+
+    /// `out (M×N) = A · b (K×N)` for any `A` addressing.
+    fn gemm_into<A: PanelA>(&self, a: &A, n: usize, b: &[f32], out: &mut [f32]) {
+        let (m, k) = (a.rows(), a.depth());
+        assert_eq!(b.len(), k * n, "B operand is not k×n");
+        assert_eq!(out.len(), m * n, "output is not m×n");
         // Degenerate products (any zero dimension) are an empty or
         // all-zero result; bail before chunking `out` by `MR * n`, which
         // would panic on a zero chunk size. This is also the only path
-        // that zero-fills: the first K block *stores* its tile (see
-        // `first` below), so `out` never needs a separate clearing pass.
+        // that zero-fills: the first K block *stores* its tile, so `out`
+        // never needs a separate clearing pass.
         if m == 0 || n == 0 || k == 0 {
             out.fill(0.0);
             return;
         }
-        // Weight-gradient shape (`Aᵀ·B` lowerings transpose into it): few
-        // output rows, enormous K. With panels outermost, every panel
-        // would re-stream the whole of `B` from memory. Run K blocks
-        // outermost instead — `out` is small enough to stay cached across
-        // blocks, so `A` and `B` each stream exactly once — still fanning
-        // the panels of each K block across threads on the parallel
-        // backend (panels are disjoint `out` rows, and the `first` flag is
-        // uniform within a block).
+        let parallel = self.fans_out(m, k, n);
+        // Weight-gradient shape: few output rows, enormous K. With panels
+        // outermost, every panel would re-stream the whole of `B` from
+        // memory. Run K blocks outermost instead — `out` is small enough
+        // to stay cached across blocks, so `A` and `B` each stream exactly
+        // once — still fanning the panels of each K block across threads
+        // on the parallel backend.
         if m * n <= KOUTER_MAX_MN && k * n >= KOUTER_MIN_KN {
-            let ncb = self.nc;
-            let kouter_panel =
-                |kk0: usize, kc: usize, first: bool, idx: usize, opanel: &mut [f32]| {
-                    let i0 = idx * MR;
-                    let rows = opanel.len() / n;
-                    let mut jj0 = 0;
-                    while jj0 < n {
-                        let nc = ncb.min(n - jj0);
-                        if rows == MR {
-                            micro_mr(a, b, k, n, i0, kk0, kc, jj0, nc, first, opanel);
-                        } else {
-                            micro_tail(a, b, k, n, i0, rows, kk0, kc, jj0, nc, first, opanel);
-                        }
-                        jj0 += nc;
-                    }
-                };
-            // Thread fan-out also requires an actual multi-core host: on a
-            // single core the spawned workers only time-slice, so the
-            // spawn/join overhead is pure loss at any size (the
-            // `blocked-parallel < blocked` regression the benchmarks
-            // caught). With the gate, `blocked-parallel` degrades to
-            // exactly `blocked` on 1-core hosts.
-            let parallel =
-                self.parallel && super::host_cores() > 1 && m * k * n >= PAR_MIN_FLOPS && m > MR;
             let mut kk0 = 0;
             while kk0 < k {
                 let kc = self.kc.min(k - kk0);
-                let first = kk0 == 0;
-                if parallel {
-                    out.par_chunks_mut(MR * n)
-                        .enumerate()
-                        .for_each(|(idx, opanel)| kouter_panel(kk0, kc, first, idx, opanel));
-                } else {
-                    for (idx, opanel) in out.chunks_mut(MR * n).enumerate() {
-                        kouter_panel(kk0, kc, first, idx, opanel);
-                    }
-                }
+                for_each_panel(parallel && m > MR, n, out, |idx, opanel| {
+                    self.panel_k_block(a, b, n, idx, kk0, kc, opanel);
+                });
                 kk0 += kc;
             }
             return;
         }
-        let (kcb, ncb) = (self.kc, self.nc);
-        let panel = |panel_idx: usize, opanel: &mut [f32]| {
-            let i0 = panel_idx * MR;
-            let rows = opanel.len() / n;
+        for_each_panel(parallel, n, out, |idx, opanel| {
             let mut kk0 = 0;
             while kk0 < k {
-                let kc = kcb.min(k - kk0);
-                // First K block overwrites the (unspecified) output;
-                // subsequent blocks accumulate.
-                let first = kk0 == 0;
-                let mut jj0 = 0;
-                while jj0 < n {
-                    let nc = ncb.min(n - jj0);
-                    if rows == MR {
-                        micro_mr(a, b, k, n, i0, kk0, kc, jj0, nc, first, opanel);
-                    } else {
-                        micro_tail(a, b, k, n, i0, rows, kk0, kc, jj0, nc, first, opanel);
-                    }
-                    jj0 += nc;
-                }
+                let kc = self.kc.min(k - kk0);
+                self.panel_k_block(a, b, n, idx, kk0, kc, opanel);
                 kk0 += kc;
             }
-        };
-        // Same multi-core gate as the K-outer path above.
-        if self.parallel && super::host_cores() > 1 && m * k * n >= PAR_MIN_FLOPS {
-            out.par_chunks_mut(MR * n)
-                .enumerate()
-                .for_each(|(idx, opanel)| panel(idx, opanel));
-        } else {
-            for (idx, opanel) in out.chunks_mut(MR * n).enumerate() {
-                panel(idx, opanel);
-            }
-        }
+        });
     }
 
     /// `out (M×N) = a (M×K) · b16 (K×N)` where `b16` holds **f16-encoded**
@@ -199,17 +198,15 @@ impl BlockedGemm {
         out: &mut [f32],
         scratch: &mut Vec<f32>,
     ) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b16.len(), 2 * k * n);
-        debug_assert_eq!(out.len(), m * n);
+        let a = DenseA::new(a, m, k);
+        assert_eq!(b16.len(), 2 * k * n, "B operand is not k×n f16");
+        assert_eq!(out.len(), m * n, "output is not m×n");
         if m == 0 || n == 0 || k == 0 {
             out.fill(0.0);
             return;
         }
         scratch.resize(k * n, 0.0);
-        let ncb = self.nc;
-        let parallel =
-            self.parallel && super::host_cores() > 1 && m * k * n >= PAR_MIN_FLOPS && m > MR;
+        let parallel = self.fans_out(m, k, n) && m > MR;
         let mut kk0 = 0;
         while kk0 < k {
             let kc = self.kc.min(k - kk0);
@@ -220,153 +217,10 @@ impl BlockedGemm {
                 &mut scratch[kk0 * n..(kk0 + kc) * n],
             );
             let b = &scratch[..];
-            let first = kk0 == 0;
-            let strip_panel = |idx: usize, opanel: &mut [f32]| {
-                let i0 = idx * MR;
-                let rows = opanel.len() / n;
-                let mut jj0 = 0;
-                while jj0 < n {
-                    let nc = ncb.min(n - jj0);
-                    if rows == MR {
-                        micro_mr(a, b, k, n, i0, kk0, kc, jj0, nc, first, opanel);
-                    } else {
-                        micro_tail(a, b, k, n, i0, rows, kk0, kc, jj0, nc, first, opanel);
-                    }
-                    jj0 += nc;
-                }
-            };
-            if parallel {
-                out.par_chunks_mut(MR * n)
-                    .enumerate()
-                    .for_each(|(idx, opanel)| strip_panel(idx, opanel));
-            } else {
-                for (idx, opanel) in out.chunks_mut(MR * n).enumerate() {
-                    strip_panel(idx, opanel);
-                }
-            }
+            for_each_panel(parallel, n, out, |idx, opanel| {
+                self.panel_k_block(&a, b, n, idx, kk0, kc, opanel);
+            });
             kk0 += kc;
-        }
-    }
-}
-
-/// `N`-dimension register tile: an `MR × JT` block of `C` is accumulated in
-/// locals (registers, once vectorised) across the whole `KC` loop, so the
-/// inner loop does no output loads/stores at all.
-const JT: usize = 32;
-
-/// Micro-kernel for a full `MR`-row panel over the `[jj0, jj0+nc)`
-/// segment.
-///
-/// Runtime-dispatched: on hosts with AVX2+FMA the explicit
-/// [`simd::panel_f32x8`] kernel handles the `LANES`-aligned columns and
-/// only the remainder falls to the scalar tail; elsewhere the original
-/// `MR × JT` register-tile loops run (the portable unrolled-scalar
-/// fallback, which the auto-vectoriser still lowers to whatever SIMD the
-/// target offers).
-#[allow(clippy::too_many_arguments)]
-fn micro_mr(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    i0: usize,
-    kk0: usize,
-    kc: usize,
-    jj0: usize,
-    nc: usize,
-    first: bool,
-    opanel: &mut [f32],
-) {
-    if let Some(done) = simd::panel_f32x8(a, b, k, n, i0, kk0, kc, jj0, nc, first, opanel) {
-        if done < nc {
-            micro_tail(
-                a,
-                b,
-                k,
-                n,
-                i0,
-                MR,
-                kk0,
-                kc,
-                jj0 + done,
-                nc - done,
-                first,
-                opanel,
-            );
-        }
-        return;
-    }
-    let mut jt = 0;
-    while jt + JT <= nc {
-        let mut acc = [[0.0f32; JT]; MR];
-        for kk in kk0..kk0 + kc {
-            let off = kk * n + jj0 + jt;
-            let brow: &[f32; JT] = b[off..off + JT].try_into().expect("JT slice");
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = a[(i0 + r) * k + kk];
-                for l in 0..JT {
-                    accr[l] += av * brow[l];
-                }
-            }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            let off = r * n + jj0 + jt;
-            let orow = &mut opanel[off..off + JT];
-            if first {
-                orow.copy_from_slice(accr);
-            } else {
-                for l in 0..JT {
-                    orow[l] += accr[l];
-                }
-            }
-        }
-        jt += JT;
-    }
-    if jt < nc {
-        micro_tail(
-            a,
-            b,
-            k,
-            n,
-            i0,
-            MR,
-            kk0,
-            kc,
-            jj0 + jt,
-            nc - jt,
-            first,
-            opanel,
-        );
-    }
-}
-
-/// Fallback for the final panel when `M` is not a multiple of `MR`.
-#[allow(clippy::too_many_arguments)]
-fn micro_tail(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    i0: usize,
-    rows: usize,
-    kk0: usize,
-    kc: usize,
-    jj0: usize,
-    nc: usize,
-    first: bool,
-    opanel: &mut [f32],
-) {
-    for (r, orow) in opanel.chunks_mut(n).enumerate().take(rows) {
-        let oseg = &mut orow[jj0..jj0 + nc];
-        if first {
-            oseg.fill(0.0);
-        }
-        for kk in kk0..kk0 + kc {
-            let av = a[(i0 + r) * k + kk];
-            let brow = &b[kk * n + jj0..kk * n + jj0 + nc];
-            for (o, &bv) in oseg.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
         }
     }
 }
@@ -390,10 +244,19 @@ impl GemmBackend for BlockedGemm {
     }
 
     fn gemm(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
-        self.gemm_into(m, k, n, a, b, out);
+        self.gemm_into(&DenseA::new(a, m, k), n, b, out);
+    }
+
+    fn gemm_gather(
+        &self,
+        _class: ShapeClass,
+        a: &GatherA<'_>,
+        n: usize,
+        b: &[f32],
+        out: &mut [f32],
+        _scratch: &mut Vec<f32>,
+    ) {
+        self.gemm_into(a, n, b, out);
     }
 
     fn gemm_at_b(&self, k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
@@ -414,11 +277,9 @@ impl GemmBackend for BlockedGemm {
         out: &mut [f32],
         pack: &mut Vec<f32>,
     ) {
-        debug_assert_eq!(a.len(), k * m);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
+        assert_eq!(a.len(), k * m, "A operand is not k×m");
         transpose_into(k, m, a, pack); // K×M -> M×K
-        self.gemm_into(m, k, n, pack, b, out);
+        self.gemm_into(&DenseA::new(pack, m, k), n, b, out);
     }
 
     fn gemm_a_bt_scratch(
@@ -431,11 +292,9 @@ impl GemmBackend for BlockedGemm {
         out: &mut [f32],
         pack: &mut Vec<f32>,
     ) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), n * k);
-        debug_assert_eq!(out.len(), m * n);
+        assert_eq!(b.len(), n * k, "B operand is not n×k");
         transpose_into(n, k, b, pack); // N×K -> K×N
-        self.gemm_into(m, k, n, a, pack, out);
+        self.gemm_into(&DenseA::new(a, m, k), n, pack, out);
     }
 }
 

@@ -1,17 +1,21 @@
 //! Pluggable GEMM kernel backends.
 //!
 //! Every convolution and fully-connected layer in the workspace lowers to
-//! one of three dense matrix products — `A·B`, `Aᵀ·B`, `A·Bᵀ` — so this
-//! seam is *the* compute hot path of every training experiment. The
-//! [`GemmBackend`] trait abstracts the implementation; three are provided:
+//! one of three matrix products — `A·B`, `Aᵀ·B`, `A·Bᵀ` — so this seam is
+//! *the* compute hot path of every training experiment. Fully-connected
+//! layers hand over dense operands; convolutions hand over a [`GatherA`]
+//! (their patch matrix addressed in place in the padded input, see
+//! [`GemmBackend::gemm_gather`]). The [`GemmBackend`] trait abstracts the
+//! implementation; three are provided:
 //!
 //! - [`NaiveGemm`] — the original streaming `i-k-j` loops. Slow but
 //!   obviously correct; kept as the reference oracle the fast path is
-//!   property-tested against.
-//! - [`BlockedGemm`] — cache-blocked with an `MR × JT` register-tile
-//!   micro-kernel (8 rows × 32 columns), optionally parallel over row
-//!   panels via rayon (multi-core hosts only; on one core thread fan-out
-//!   is pure overhead, so the parallel variant degrades to serial).
+//!   property-tested against (it materialises a gathered `A`, which makes
+//!   the explicit `im2col` lowering the oracle of the gathered one).
+//! - [`BlockedGemm`] — cache-blocked with an `MR × 8` register-tile
+//!   micro-kernel ([`simd`]), optionally parallel over row panels via
+//!   rayon (multi-core hosts only; on one core thread fan-out is pure
+//!   overhead, so the parallel variant degrades to serial).
 //! - [`autotune::AutoGemm`] — dispatches to [`BlockedGemm`] with cache
 //!   blocks and a thread strategy benchmarked per shape class at first
 //!   use. This is the default.
@@ -38,6 +42,7 @@ pub mod simd_int8;
 
 pub use blocked::BlockedGemm;
 pub use naive::NaiveGemm;
+pub use simd::GatherA;
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -89,6 +94,31 @@ pub trait GemmBackend: Send + Sync {
 
     /// `out (M×N) = a · bᵀ` with `a` stored as `M×K`, `b` as `N×K`.
     fn gemm_a_bt(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]);
+
+    /// `out (M×N) = A · b (K×N)` with `A` a [`GatherA`] — a matrix
+    /// addressed through offset tables instead of stored, which is how the
+    /// conv layers multiply their patch matrix without building it.
+    ///
+    /// `class` is the plan-table row the product is tuned and recorded
+    /// under by the autotuned backend (the caller knows whether this is a
+    /// forward, weight-gradient or input-gradient product and what its
+    /// logical dimensions are; the fixed-plan backends ignore it). The
+    /// default materialises `A` dense into `scratch` (grow-only) and runs
+    /// [`GemmBackend::gemm`]; [`BlockedGemm`] gathers inside its
+    /// micro-kernel instead.
+    fn gemm_gather(
+        &self,
+        class: autotune::ShapeClass,
+        a: &GatherA<'_>,
+        n: usize,
+        b: &[f32],
+        out: &mut [f32],
+        scratch: &mut Vec<f32>,
+    ) {
+        let _ = class;
+        a.materialize_into(scratch);
+        self.gemm(a.rows(), a.depth(), n, scratch, b, out);
+    }
 
     /// [`GemmBackend::gemm_at_b`] with a caller-provided pack/transpose
     /// scratch buffer, so steady-state callers (workspaces) avoid the

@@ -3,9 +3,10 @@
 //! This crate provides the minimal numerical kernel that the rest of the
 //! workspace is built on: an owned, row-major, `f32` n-dimensional array
 //! ([`Tensor`]) plus the handful of operations CNN training needs —
-//! element-wise arithmetic, matrix multiplication, `im2col`/`col2im`
-//! convolution lowering, pooling helpers, reductions, and seeded random
-//! initialisers.
+//! element-wise arithmetic, matrix multiplication, convolution lowering
+//! (gathered in place — [`ConvGather`] — with the explicit
+//! `im2col`/`col2im` as its oracle), pooling helpers, reductions, and
+//! seeded random initialisers.
 //!
 //! The paper's training stack (PyTorch on a Jetson GPU) is unavailable in
 //! this environment, so this crate *is* the substitute substrate; see
@@ -53,8 +54,9 @@ mod tensor;
 mod workspace;
 
 pub use conv::{
-    col2im, col2im_batch, col2im_batch_into, im2col, im2col_batch, im2col_batch_into,
-    im2col_batch_u8_into, nchw_to_posrows, nchw_to_posrows_into, posrows_to_nchw, Conv2dGeometry,
+    col2im, col2im_batch, col2im_batch_into, flip_kernel_panel_into, im2col, im2col_batch,
+    im2col_batch_into, im2col_batch_u8_into, nchw_to_posrows, nchw_to_posrows_into, pad_nchw_into,
+    posrows_to_nchw, Conv2dGeometry, ConvGather,
 };
 pub use error::TensorError;
 pub use init::{he_normal, uniform_init, xavier_uniform};

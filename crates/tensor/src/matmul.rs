@@ -1,7 +1,9 @@
 //! Dense matrix multiplication entry points.
 //!
-//! All convolutions in the workspace are lowered to these kernels via
-//! `im2col`, so this is the hot path of every training experiment. The
+//! Fully-connected layers, the explicit conv lowering and the strided conv
+//! input gradient multiply through these; the conv layers' gathered
+//! products enter the same backends one level down
+//! ([`crate::ConvGather`]). The
 //! actual arithmetic lives in the pluggable [`crate::kernels`] backends;
 //! the functions here validate shapes and dispatch — to the process-global
 //! default backend ([`matmul`], [`matmul_at_b`], [`matmul_a_bt`]) or to an

@@ -1,7 +1,7 @@
 //! Reusable scratch buffers for the conv/GEMM hot path.
 //!
-//! Every training step lowers convolutions through `im2col` and runs three
-//! dense products per layer; done naively, each of those builds its entire
+//! Every training step pads conv inputs for the gathered lowering and runs
+//! three products per layer; done naively, each of those builds its entire
 //! working set from scratch (`vec![0.0; …]`) and drops it again — per
 //! minibatch, per layer. A [`Workspace`] owns those buffers instead, with a
 //! **grow-only** policy: buffers are resized in place ([`Tensor::reuse_as`]),
@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 ///
 /// | slot      | role                                                    |
 /// |-----------|---------------------------------------------------------|
-/// | `cols`    | `im2col` patch matrix / `col2im` input                  |
+/// | `cols`    | padded conv input (or an explicit `im2col` matrix)      |
 /// | `posrows` | position-major activations or gradients (`N·H·W × C`)   |
 /// | `out`     | GEMM outputs consumed within the same call              |
 /// | `pack`    | operand transpose/pack scratch inside the GEMM backends |
@@ -67,7 +67,9 @@ pub struct Workspace {
 /// several slots at once (e.g. conv backward reads `cols` and `posrows`
 /// while writing `out` and packing into `pack`).
 pub struct WorkspaceParts<'a> {
-    /// `im2col` patch matrix slot.
+    /// Lowering slot: the padded input (or output gradient) a conv's
+    /// gathered GEMM reads — or, for layers that still lower explicitly
+    /// (the baselines' feedback-alignment conv), the `im2col` matrix.
     pub cols: &'a mut Tensor,
     /// Position-major rows slot.
     pub posrows: &'a mut Tensor,
@@ -75,12 +77,13 @@ pub struct WorkspaceParts<'a> {
     pub out: &'a mut Tensor,
     /// Transpose/pack scratch slot.
     pub pack: &'a mut Vec<f32>,
-    /// Token identifying the layer whose lowering currently fills `cols`
-    /// (0 = nobody). A conv layer stamps its own token after `im2col` in
-    /// forward; if the token still matches at backward time, nothing else
-    /// wrote `cols` in between and the backward pass skips the
-    /// re-lowering entirely — the common case for the last conv before a
-    /// backward chain (every auxiliary head's conv, in particular).
+    /// Token identifying the layer whose explicit lowering currently fills
+    /// `cols` (0 = nobody). A layer that builds an `im2col` matrix stamps
+    /// its own token after forward; if the token still matches at backward
+    /// time, nothing else wrote `cols` in between and the backward pass
+    /// skips the re-lowering. Any other writer of `cols` must reset it to
+    /// 0 (`nf_nn::Conv2d` does: its padded copies are cheap to redo and
+    /// carry no stamp).
     pub cols_owner: &'a mut u64,
 }
 

@@ -1,0 +1,211 @@
+//! The gathered conv lowering against its oracle, the explicit one.
+//!
+//! `ConvGather` multiplies a patch matrix it never builds; `im2col_batch`
+//! builds it. On the blocked backend the two must agree **bit for bit**
+//! for the forward product and the weight gradient (same `K` order, same
+//! `KC` split, padding taps multiplying a stored `0.0` either way); the
+//! naive backend materialises the gathered operand, so there the two are
+//! the same lowering up to the kernels' tolerance. The input gradient
+//! changes summation order (a gather where `col2im` scatter-adds) and is
+//! held to 1e-5 relative.
+
+use nf_tensor::{
+    col2im_batch, flip_kernel_panel_into, im2col_batch, matmul_at_b_with, matmul_with,
+    nchw_to_posrows, transpose2d, Conv2dGeometry, ConvGather, KernelBackend, Tensor,
+};
+use proptest::prelude::*;
+
+fn random(shape: &[usize], seed: u64) -> Tensor {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let n: usize = shape.iter().product();
+    Tensor::from_vec(
+        shape.to_vec(),
+        (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+    )
+    .unwrap()
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+fn assert_close(got: &Tensor, want: &Tensor, tol: f32, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}: shape");
+    let scale = want.data().iter().fold(1.0f32, |m, v| m.max(v.abs()));
+    for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+        assert!(
+            (g - w).abs() <= tol * scale,
+            "{what}[{i}]: {g} vs {w} (scale {scale})"
+        );
+    }
+}
+
+/// One conv problem: input, weights `(c_out, c·k·k)`, output gradient.
+struct Case {
+    x: Tensor,
+    weight: Tensor,
+    grad_out: Tensor,
+    geom: Conv2dGeometry,
+    c_in: usize,
+}
+
+impl Case {
+    fn new(n: usize, c: usize, c_out: usize, h: usize, w: usize, geom: Conv2dGeometry) -> Case {
+        let seed = (n * 7 + c * 5 + c_out * 3 + h + w) as u64;
+        Case {
+            x: random(&[n, c, h, w], seed),
+            weight: random(&[c_out, c * geom.k_h * geom.k_w], seed + 1),
+            grad_out: random(&[n, c_out, geom.out_h, geom.out_w], seed + 2),
+            geom,
+            c_in: c,
+        }
+    }
+
+    fn check(&self, lowering: &mut ConvGather, dlowering: &mut ConvGather) {
+        let Case {
+            x,
+            weight,
+            grad_out,
+            geom,
+            c_in,
+        } = self;
+        let n = x.shape()[0];
+        let cols = im2col_batch(x, geom).unwrap();
+        let wt = transpose2d(weight).unwrap();
+        let g_rows = nchw_to_posrows(grad_out).unwrap();
+        let (mut pad, mut pack, mut out) = (Tensor::default(), Vec::new(), Tensor::default());
+
+        for (backend, exact) in [
+            (KernelBackend::Blocked, true),
+            (KernelBackend::BlockedParallel, true),
+            (KernelBackend::Naive, false),
+        ] {
+            let what = backend.name();
+            // Forward.
+            lowering
+                .forward_into(backend, x, geom, &wt, &mut pad, &mut pack, &mut out)
+                .unwrap();
+            let want = matmul_with(backend, &cols, &wt).unwrap();
+            if exact {
+                assert_eq!(bits(&out), bits(&want), "{what} forward bits");
+            }
+            assert_close(&out, &want, 1e-4, "forward");
+            // Weight gradient: the gathered product is dWᵀ.
+            lowering
+                .wgrad_into(backend, x, geom, &g_rows, &mut pad, &mut pack, &mut out)
+                .unwrap();
+            let want = transpose2d(&matmul_at_b_with(backend, &g_rows, &cols).unwrap()).unwrap();
+            if exact {
+                assert_eq!(bits(&out), bits(&want), "{what} wgrad bits");
+            }
+            assert_close(&out, &want, 1e-4, "wgrad");
+            // Input gradient, where it is a stride-1 convolution.
+            if let Some(dgeom) = geom.input_grad_geometry() {
+                let mut flipped = Tensor::default();
+                flip_kernel_panel_into(weight, *c_in, geom.k_h, geom.k_w, &mut flipped).unwrap();
+                dlowering
+                    .dgrad_into(
+                        backend, grad_out, &dgeom, &flipped, &mut pad, &mut pack, &mut out,
+                    )
+                    .unwrap();
+                let dcols = matmul_with(backend, &g_rows, weight).unwrap();
+                let want = nchw_to_posrows(&col2im_batch(&dcols, n, *c_in, geom).unwrap()).unwrap();
+                assert_close(&out, &want, 1e-5, "dgrad");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Kernel 1/2/3/5, stride 1/2, pad 0–2, odd H≠W, batch 1–5, and
+    /// `c_out` 1–19 so full tiles, the masked column tile and the row
+    /// remainder are all hit; each case reuses one table cache at two
+    /// batch sizes (the prefix path).
+    #[test]
+    fn gather_matches_explicit_lowering(
+        k in 0usize..4,
+        stride in 1usize..3,
+        pad in 0usize..3,
+        h in 3usize..10,
+        dw in 1usize..4,
+        n in 1usize..6,
+        c in 1usize..5,
+        c_out in 1usize..20,
+    ) {
+        let k = [1usize, 2, 3, 5][k];
+        let w = h + dw;
+        prop_assume!(k <= h + 2 * pad);
+        let geom = Conv2dGeometry::new(h, w, k, k, stride, pad).unwrap();
+        let (mut lowering, mut dlowering) = (ConvGather::new(), ConvGather::new());
+        Case::new(n, c, c_out, h, w, geom).check(&mut lowering, &mut dlowering);
+        // A smaller batch through the same cached tables.
+        Case::new(1, c, c_out, h, w, geom).check(&mut lowering, &mut dlowering);
+    }
+}
+
+#[test]
+fn kc_split_shapes_stay_bit_identical() {
+    // K = 32·9 = 288 > KC (256): two K blocks in the forward product;
+    // M = 2·10·10 = 200 positions is the wgrad's K. c_out 12 exercises the
+    // masked tile next to a full one.
+    let geom = Conv2dGeometry::new(10, 10, 3, 3, 1, 1).unwrap();
+    let (mut lowering, mut dlowering) = (ConvGather::new(), ConvGather::new());
+    Case::new(2, 32, 12, 10, 10, geom).check(&mut lowering, &mut dlowering);
+    // wgrad with K = 4·16·16 = 1024 positions: four K blocks.
+    let geom = Conv2dGeometry::new(16, 16, 3, 3, 1, 1).unwrap();
+    Case::new(4, 3, 5, 16, 16, geom).check(&mut lowering, &mut dlowering);
+}
+
+#[test]
+fn tables_follow_geometry_changes() {
+    // One cache driven through different channels/geometry/batch in turn
+    // must rebuild, not reuse stale offsets.
+    let (mut lowering, mut dlowering) = (ConvGather::new(), ConvGather::new());
+    for (n, c, h, k, stride, pad) in [
+        (2, 3, 6, 3, 1, 1),
+        (3, 3, 6, 3, 1, 1),
+        (1, 2, 6, 3, 1, 1),
+        (2, 2, 7, 3, 2, 1),
+        (2, 2, 7, 1, 1, 0),
+    ] {
+        let geom = Conv2dGeometry::new(h, h + 1, k, k, stride, pad).unwrap();
+        Case::new(n, c, 4, h, h + 1, geom).check(&mut lowering, &mut dlowering);
+    }
+}
+
+#[test]
+fn shape_errors_are_typed() {
+    let geom = Conv2dGeometry::new(4, 4, 3, 3, 1, 1).unwrap();
+    let (mut pad, mut pack, mut out) = (Tensor::default(), Vec::new(), Tensor::default());
+    let mut lowering = ConvGather::new();
+    let wt = Tensor::zeros(&[18, 4]);
+    let backend = KernelBackend::Blocked;
+    // Wrong spatial size, wrong rank, panel not matching channels·k·k.
+    for x in [Tensor::zeros(&[1, 2, 5, 4]), Tensor::zeros(&[2, 4, 4])] {
+        assert!(lowering
+            .forward_into(backend, &x, &geom, &wt, &mut pad, &mut pack, &mut out)
+            .is_err());
+    }
+    let x = Tensor::zeros(&[1, 3, 4, 4]);
+    assert!(lowering
+        .forward_into(backend, &x, &geom, &wt, &mut pad, &mut pack, &mut out)
+        .is_err());
+    // Gradient rows not matching the positions.
+    let x = Tensor::zeros(&[1, 2, 4, 4]);
+    let g = Tensor::zeros(&[15, 4]);
+    assert!(lowering
+        .wgrad_into(backend, &x, &geom, &g, &mut pad, &mut pack, &mut out)
+        .is_err());
+    // Strided and over-padded convolutions have no stride-1 dgrad form.
+    assert!(Conv2dGeometry::new(8, 8, 3, 3, 2, 1)
+        .unwrap()
+        .input_grad_geometry()
+        .is_none());
+    assert!(Conv2dGeometry::new(8, 8, 1, 1, 1, 1)
+        .unwrap()
+        .input_grad_geometry()
+        .is_none());
+}
