@@ -116,9 +116,9 @@ impl LocalLearningTrainer {
             let (loss, grad_logits) = cross_entropy(&logits, labels)?;
             total_loss += loss;
             let grad_out = aux_heads[i].backward(&grad_logits)?;
-            // Update the unit from the local loss only; the returned input
-            // gradient is discarded — no feedback to earlier units.
-            let _ = unit.backward(&grad_out)?;
+            // Update the unit from the local loss only — no feedback to
+            // earlier units, so its input gradient is never computed.
+            unit.backward_params(&grad_out)?;
             self.sgd.step(unit);
             self.sgd.step(&mut aux_heads[i]);
             cur = out;
@@ -128,7 +128,7 @@ impl LocalLearningTrainer {
         let logits = model.head.forward(&cur, Mode::Train)?;
         let (loss, grad_logits) = cross_entropy(&logits, labels)?;
         total_loss += loss;
-        let _ = model.head.backward(&grad_logits)?;
+        model.head.backward_params(&grad_logits)?;
         self.sgd.step(&mut model.head);
         Ok(total_loss / (n_units + 1) as f32)
     }
@@ -277,6 +277,72 @@ mod tests {
         let mut params1 = Vec::new();
         model1.units[0].visit_params(&mut |p| params1.push(p.value.clone()));
         assert_eq!(params1, params2);
+    }
+
+    #[test]
+    fn skipping_input_gradients_changes_no_bits() {
+        // `step` never computes a unit's (or the deep head's) input
+        // gradient. Against the same update written with the full
+        // `backward`, every loss and every trained weight keeps its bits.
+        let ds = SyntheticSpec::quick(3, 8, 32).generate();
+        let trainer = LocalLearningTrainer {
+            policy: AuxPolicy::Fixed(4),
+            ..LocalLearningTrainer::classic(0.1, 1, 8)
+        };
+        let setup = || {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            let spec = ModelSpec::tiny("lean", 8, &[4, 6], 3);
+            let mut model = spec.build(&mut rng).unwrap();
+            let mut heads: Vec<Sequential> = assign_aux(&spec, trainer.policy)
+                .iter()
+                .map(|a| build_aux_head(&mut rng, a).unwrap())
+                .collect();
+            // A fixed plan, so both sides split every product the same way.
+            let units = model.units.iter_mut().chain(heads.iter_mut());
+            for layer in units.chain(std::iter::once(&mut model.head)) {
+                layer.set_kernel_backend(nf_tensor::KernelBackend::Blocked);
+            }
+            (model, heads)
+        };
+        let (mut lean, mut lean_heads) = setup();
+        let (mut full, mut full_heads) = setup();
+        for (images, labels) in ds.train.batches(8).take(3) {
+            let got = trainer
+                .step(&mut lean, &mut lean_heads, &images, &labels)
+                .unwrap();
+            let mut cur = images.clone();
+            let mut want = 0.0f32;
+            for (unit, head) in full.units.iter_mut().zip(&mut full_heads) {
+                let out = unit.forward(&cur, Mode::Train).unwrap();
+                let logits = head.forward(&out, Mode::Train).unwrap();
+                let (loss, grad_logits) = cross_entropy(&logits, &labels).unwrap();
+                want += loss;
+                let grad_out = head.backward(&grad_logits).unwrap();
+                assert_eq!(unit.backward(&grad_out).unwrap().shape(), cur.shape());
+                trainer.sgd.step(unit);
+                trainer.sgd.step(head);
+                cur = out;
+            }
+            let logits = full.head.forward(&cur, Mode::Train).unwrap();
+            let (loss, grad_logits) = cross_entropy(&logits, &labels).unwrap();
+            full.head.backward(&grad_logits).unwrap();
+            trainer.sgd.step(&mut full.head);
+            want = (want + loss) / (full.units.len() + 1) as f32;
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        let weights = |model: &mut BuiltModel, heads: &mut [Sequential]| {
+            let mut bits: Vec<u32> = Vec::new();
+            let units = model.units.iter_mut().chain(heads.iter_mut());
+            for layer in units.chain(std::iter::once(&mut model.head)) {
+                layer
+                    .visit_params(&mut |p| bits.extend(p.value.data().iter().map(|v| v.to_bits())));
+            }
+            bits
+        };
+        assert_eq!(
+            weights(&mut lean, &mut lean_heads),
+            weights(&mut full, &mut full_heads)
+        );
     }
 
     #[test]

@@ -143,7 +143,8 @@ impl SpTrainer {
                     let target = Tensor::from_vec(out.shape().to_vec(), target)?;
                     let (loss, grad) = mse(&out, &target)?;
                     losses.push(loss);
-                    let _ = unit.backward(&grad)?;
+                    // Layer-local: no unit reads another's input gradient.
+                    unit.backward_params(&grad)?;
                     self.sgd.step(unit);
                     cur = out;
                 }
@@ -218,6 +219,63 @@ mod tests {
             "acc {:?}",
             report.test_accuracy
         );
+    }
+
+    #[test]
+    fn skipping_input_gradients_changes_no_bits() {
+        // `train` never computes a unit's input gradient. Against the same
+        // loop written with the full `backward`, the epoch loss and every
+        // trained weight keep their bits.
+        let ds = SyntheticSpec::quick(2, 8, 32).generate();
+        let trainer = SpTrainer {
+            kernel_backend: nf_tensor::KernelBackend::Blocked,
+            ..SpTrainer::new(0.01, 1, 16)
+        };
+        let build = || {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+            ModelSpec::tiny("lean", 8, &[4, 6], 2)
+                .build(&mut rng)
+                .unwrap()
+        };
+        let mut lean = build();
+        let (report, _) = trainer.train(&mut lean, &ds.train, &ds.test).unwrap();
+
+        let mut full = build();
+        let mut protos: Vec<Prototypes> = full.units.iter().map(|_| Prototypes::new(2)).collect();
+        let mut losses = Vec::new();
+        for (images, labels) in ds.train.batches(trainer.batch) {
+            let mut cur = images;
+            for (unit, proto) in full.units.iter_mut().zip(&mut protos) {
+                unit.set_kernel_backend(trainer.kernel_backend);
+                let out = unit.forward(&cur, Mode::Train).unwrap();
+                let dim = out.numel() / out.shape()[0];
+                let mut target = Vec::with_capacity(out.numel());
+                for (i, &label) in labels.iter().enumerate() {
+                    proto.update(
+                        label,
+                        &out.data()[i * dim..(i + 1) * dim],
+                        trainer.proto_momentum,
+                    );
+                    target.extend(proto.target_for(label, dim));
+                }
+                let target = Tensor::from_vec(out.shape().to_vec(), target).unwrap();
+                let (loss, grad) = mse(&out, &target).unwrap();
+                losses.push(loss);
+                assert_eq!(unit.backward(&grad).unwrap().shape(), cur.shape());
+                trainer.sgd.step(unit);
+                cur = out;
+            }
+        }
+        let want = losses.iter().sum::<f32>() / losses.len() as f32;
+        assert_eq!(report.epoch_loss[0].to_bits(), want.to_bits());
+        let weights = |model: &mut BuiltModel| {
+            let mut bits: Vec<u32> = Vec::new();
+            for unit in &mut model.units {
+                unit.visit_params(&mut |p| bits.extend(p.value.data().iter().map(|v| v.to_bits())));
+            }
+            bits
+        };
+        assert_eq!(weights(&mut lean), weights(&mut full));
     }
 
     #[test]

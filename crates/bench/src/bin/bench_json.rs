@@ -25,6 +25,26 @@ use nf_tensor::KernelBackend;
 use rand::SeedableRng;
 use std::time::Instant;
 
+/// Best of `reps` timings of `iters` back-to-back calls, per call: host
+/// noise only ever slows a sample, so the minimum is the stable number to
+/// compare two implementations by. Every GEMM and conv row and every gate
+/// on them uses it: the mean of three sub-microsecond smoke-shape calls
+/// came out bimodal (363 vs 635 ns for identical code) once the kernels
+/// used 512-bit instructions, failing the parallel ≥ serial gate at random.
+fn best_ns(reps: usize, iters: usize, mut f: impl FnMut()) -> u128 {
+    f();
+    (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            start.elapsed().as_nanos() / iters as u128
+        })
+        .min()
+        .unwrap_or(0)
+}
+
 /// One timed GEMM configuration.
 struct GemmRow {
     backend: &'static str,
@@ -41,14 +61,10 @@ fn time_gemm(backend: KernelBackend, m: usize, k: usize, n: usize, iters: usize)
     let b = nf_tensor::uniform_init(&mut rng, &[k, n], -1.0, 1.0);
     // Reusable output buffer: times the steady-state `*_into` hot path.
     let mut out = nf_tensor::Tensor::default();
-    for _ in 0..2 {
-        nf_tensor::matmul_into(backend, &a, &b, &mut out).unwrap();
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        nf_tensor::matmul_into(backend, &a, &b, &mut out).unwrap();
-    }
-    let ns_per_iter = start.elapsed().as_nanos() / iters as u128;
+    let ns_per_iter = best_ns(7, iters, || {
+        nf_tensor::matmul_into(backend, &a, &b, &mut out).unwrap()
+    })
+    .max(1);
     let flops = 2.0 * m as f64 * k as f64 * n as f64;
     GemmRow {
         backend: backend.name(),
@@ -76,18 +92,11 @@ fn time_int8_gemm(m: usize, k: usize, n: usize, iters: usize) -> GemmRow {
     rhs.pack_from_f32(b.data(), k, n);
     let mut acc = Vec::new();
     let mut out = vec![0.0f32; m * n];
-    let mut run = || {
+    let ns_per_iter = best_ns(7, iters, || {
         int8::gemm_i32(&lhs, &rhs, &mut acc);
         int8::dequantize_into(&lhs, &rhs, &acc, None, &mut out);
-    };
-    for _ in 0..2 {
-        run();
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        run();
-    }
-    let ns_per_iter = start.elapsed().as_nanos() / iters as u128;
+    })
+    .max(1);
     // Same useful work as the f32 rows (2mkn MACs), so gflops compare
     // directly across rows.
     let flops = 2.0 * m as f64 * k as f64 * n as f64;
@@ -104,31 +113,25 @@ fn time_int8_gemm(m: usize, k: usize, n: usize, iters: usize) -> GemmRow {
 /// One conv pass timed both ways: the explicit lowering the layers used to
 /// run (`im2col` + GEMM, or GEMM + `col2im` for the input gradient)
 /// against the gathered product that replaced it, on the same operands.
+///
+/// `pad_ns` and `transpose_ns` split out the non-product part of the
+/// gathered side: zero-padding the pass's NCHW operand (inside
+/// `gather_ns`) and the position-rows → NCHW permutation of its result
+/// (after the forward, where the layer pays it on top of `gather_ns`;
+/// inside `gather_ns` for the input gradient; none for the small `dW`).
+/// `n` is the gathered product's output width, which decides the tile:
+/// `c_out` for the forward and for `dWᵀ`, `c_in` for the input gradient.
 struct ConvRow {
     pass: &'static str,
     batch: usize,
     c_in: usize,
     c_out: usize,
     hw: usize,
+    n: usize,
     explicit_ns: u128,
     gather_ns: u128,
-}
-
-/// Best of `reps` timings of `iters` back-to-back calls, per call: host
-/// noise only ever slows a sample, so the minimum is the stable number to
-/// compare two implementations by.
-fn best_ns(reps: usize, iters: usize, mut f: impl FnMut()) -> u128 {
-    f();
-    (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() / iters as u128
-        })
-        .min()
-        .unwrap_or(0)
+    pad_ns: u128,
+    transpose_ns: u128,
 }
 
 /// Times forward, weight gradient and input gradient of a 3×3 / stride 1
@@ -140,8 +143,8 @@ fn best_ns(reps: usize, iters: usize, mut f: impl FnMut()) -> u128 {
 fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -> Vec<ConvRow> {
     use nf_tensor::{
         col2im_batch_into, flip_kernel_panel_into, im2col_batch_into, matmul_at_b_into,
-        matmul_into, nchw_to_posrows, posrows_to_nchw, transpose2d, Conv2dGeometry, ConvGather,
-        Tensor,
+        matmul_into, nchw_to_posrows, pad_nchw_into, posrows_to_nchw, transpose2d, Conv2dGeometry,
+        ConvGather, Tensor,
     };
     let backend = KernelBackend::Blocked;
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
@@ -159,17 +162,35 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
     let (mut padded, mut pack) = (Tensor::default(), Vec::new());
     let (mut patches, mut grad_patches) = (ConvGather::new(), ConvGather::new());
     let reps = 7;
-    let row = |pass, explicit_ns, gather_ns| ConvRow {
+    let row = |pass, n, explicit_ns, gather_ns, pad_ns, transpose_ns| ConvRow {
         pass,
         batch,
         c_in,
         c_out,
         hw,
+        n,
         explicit_ns,
         gather_ns,
+        pad_ns,
+        transpose_ns,
     };
+    let pad_x = best_ns(reps, iters, || {
+        pad_nchw_into(&x, geom.pad, &mut padded).unwrap()
+    });
+    let pad_g = best_ns(reps, iters, || {
+        pad_nchw_into(&grad_out, dgeom.pad, &mut padded).unwrap()
+    });
+    let y_rows = Tensor::zeros(&[batch * hw * hw, c_out]);
+    let to_nchw_y = best_ns(reps, iters, || {
+        posrows_to_nchw(&y_rows, batch, c_out, hw, hw).unwrap();
+    });
+    let dx_rows = Tensor::zeros(&[batch * hw * hw, c_in]);
+    let to_nchw_dx = best_ns(reps, iters, || {
+        posrows_to_nchw(&dx_rows, batch, c_in, hw, hw).unwrap();
+    });
     let fwd = row(
         "fwd",
+        c_out,
         best_ns(reps, iters, || {
             im2col_batch_into(&x, &geom, &mut cols).unwrap();
             matmul_into(backend, &cols, &wt, &mut out).unwrap();
@@ -179,9 +200,12 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
                 .forward_into(backend, &x, &geom, &wt, &mut padded, &mut pack, &mut out)
                 .unwrap();
         }),
+        pad_x,
+        to_nchw_y,
     );
     let wgrad = row(
         "wgrad",
+        c_out,
         best_ns(reps, iters, || {
             im2col_batch_into(&x, &geom, &mut cols).unwrap();
             matmul_at_b_into(backend, &g_rows, &cols, &mut out, &mut pack).unwrap();
@@ -199,9 +223,12 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
                 )
                 .unwrap();
         }),
+        pad_x,
+        0,
     );
     let dgrad = row(
         "dgrad",
+        c_in,
         best_ns(reps, iters, || {
             matmul_into(backend, &g_rows, &weight, &mut out).unwrap();
             col2im_batch_into(&out, batch, c_in, &geom, &mut dx).unwrap();
@@ -220,8 +247,116 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
                 .unwrap();
             dx = posrows_to_nchw(&out, batch, c_in, hw, hw).unwrap();
         }),
+        pad_g,
+        to_nchw_dx,
     );
     vec![fwd, wgrad, dgrad]
+}
+
+/// One frozen-block entry layer timed both ways from the same int8-cached
+/// activations: the integer path `Conv2d::forward_quant` runs (`u8`
+/// `im2col`, `i32` GEMM, dequantize) against what it replaces (decode to
+/// f32, gathered forward on the `blocked` plan).
+struct ConvInt8Row {
+    batch: usize,
+    c_in: usize,
+    c_out: usize,
+    hw: usize,
+    im2col_u8_ns: u128,
+    gemm_i32_ns: u128,
+    dequantize_ns: u128,
+    f32_decode_ns: u128,
+    f32_gather_ns: u128,
+}
+
+impl ConvInt8Row {
+    fn int8_ns(&self) -> u128 {
+        self.im2col_u8_ns + self.gemm_i32_ns + self.dequantize_ns
+    }
+    fn f32_ns(&self) -> u128 {
+        self.f32_decode_ns + self.f32_gather_ns
+    }
+}
+
+fn time_conv_int8(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -> ConvInt8Row {
+    use nf_tensor::kernels::int8;
+    use nf_tensor::{
+        im2col_batch_u8_into, transpose2d, Conv2dGeometry, ConvGather, QuantTensor, Tensor,
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+    let geom = Conv2dGeometry::new(hw, hw, 3, 3, 1, 1).unwrap();
+    let x = nf_tensor::uniform_init(&mut rng, &[batch, c_in, hw, hw], -1.0, 1.0);
+    let weight = nf_tensor::uniform_init(&mut rng, &[c_out, c_in * 9], -1.0, 1.0);
+    let wt = transpose2d(&weight).unwrap();
+    let qx = QuantTensor::from_f32(&x);
+    let mut rhs = int8::QuantizedRhs::default();
+    rhs.pack_from_f32(wt.data(), c_in * 9, c_out);
+    let pad_byte = int8::zero_point(qx.min(), qx.scale());
+    let mut lhs = int8::QuantizedLhs::default();
+    let mut acc = Vec::new();
+    let mut y = vec![0.0f32; batch * hw * hw * c_out];
+    let reps = 7;
+    let im2col_u8_ns = best_ns(reps, iters, || {
+        im2col_batch_u8_into(&qx, &geom, pad_byte, &mut lhs).unwrap();
+    });
+    let gemm_i32_ns = best_ns(reps, iters, || int8::gemm_i32(&lhs, &rhs, &mut acc));
+    let dequantize_ns = best_ns(reps, iters, || {
+        int8::dequantize_into(&lhs, &rhs, &acc, None, &mut y)
+    });
+    let (mut decoded, mut padded, mut out) =
+        (Tensor::default(), Tensor::default(), Tensor::default());
+    let (mut pack, mut patches) = (Vec::new(), ConvGather::new());
+    let f32_decode_ns = best_ns(reps, iters, || qx.dequantize_into(&mut decoded).unwrap());
+    let f32_gather_ns = best_ns(reps, iters, || {
+        patches
+            .forward_into(
+                KernelBackend::Blocked,
+                &decoded,
+                &geom,
+                &wt,
+                &mut padded,
+                &mut pack,
+                &mut out,
+            )
+            .unwrap();
+    });
+    ConvInt8Row {
+        batch,
+        c_in,
+        c_out,
+        hw,
+        im2col_u8_ns,
+        gemm_i32_ns,
+        dequantize_ns,
+        f32_decode_ns,
+        f32_gather_ns,
+    }
+}
+
+/// Dense `size³` on the dispatching `blocked` backend and on each tile the
+/// host has, every strip driven directly on that tile
+/// (`simd::gemm_on_tile`) over the same operands: `(name, ns)` rows,
+/// `blocked` first.
+fn time_tiles(size: usize, iters: usize) -> Vec<(&'static str, u128)> {
+    use nf_tensor::kernels::simd::{gemm_on_tile, Tile};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let a = nf_tensor::uniform_init(&mut rng, &[size, size], -1.0, 1.0);
+    let b = nf_tensor::uniform_init(&mut rng, &[size, size], -1.0, 1.0);
+    let mut out = nf_tensor::Tensor::default();
+    let mut rows = vec![(
+        "blocked",
+        best_ns(7, iters, || {
+            nf_tensor::matmul_into(KernelBackend::Blocked, &a, &b, &mut out).unwrap()
+        }),
+    )];
+    let mut raw = vec![0.0f32; size * size];
+    for tile in Tile::ALL.into_iter().filter(|t| t.supported()) {
+        let ns = best_ns(7, iters, || {
+            gemm_on_tile(tile, size, size, size, a.data(), b.data(), &mut raw);
+        });
+        rows.push((tile.name(), ns));
+    }
+    rows
 }
 
 /// Peak resident set size via `/proc/self/status` `VmHWM` (bytes); 0 when
@@ -953,6 +1088,64 @@ fn main() {
         );
     }
 
+    // --- The int8 entry layer against the f32 one it replaces ---
+    // Full shapes: the three frozen-block entry layers of the repo
+    // benchmark's `quant` workload (8→8 @48², 8→12 and 12→12 @24²) at the
+    // batch its regeneration runs them. Recorded with a warning, not a
+    // gate: closing the gap is ROADMAP item 2's change, and this table is
+    // the number it starts from.
+    let int8_shapes: &[(usize, usize, usize, usize)] = if smoke {
+        &[(2, 4, 8, 8)]
+    } else {
+        &[(6, 8, 8, 48), (17, 8, 12, 24), (17, 12, 12, 24)]
+    };
+    let conv_int8_rows: Vec<ConvInt8Row> = int8_shapes
+        .iter()
+        .map(|&(batch, c_in, c_out, hw)| time_conv_int8(batch, c_in, c_out, hw, iters))
+        .collect();
+    for r in &conv_int8_rows {
+        if r.int8_ns() > r.f32_ns() {
+            println!(
+                "warning: int8 conv forward {}→{} @{}² batch {} takes {} ns \
+                 (im2col_u8 {} + gemm_i32 {} + dequantize {}) against {} ns in f32 \
+                 (decode {} + gathered {}): {:.1}× slower",
+                r.c_in,
+                r.c_out,
+                r.hw,
+                r.batch,
+                r.int8_ns(),
+                r.im2col_u8_ns,
+                r.gemm_i32_ns,
+                r.dequantize_ns,
+                r.f32_ns(),
+                r.f32_decode_ns,
+                r.f32_gather_ns,
+                r.int8_ns() as f64 / r.f32_ns().max(1) as f64
+            );
+        }
+    }
+
+    // --- The register tile at each width the host has, dense 256³ ---
+    // Where the host has AVX-512 the dispatcher must actually be using
+    // it: `blocked` has to beat the ymm tile driven directly over the same
+    // operands by 1.5× (5 % timing-noise margin on best-of-7 timings).
+    use nf_tensor::kernels::simd::Tile;
+    let tile_rows = time_tiles(256, iters);
+    let tile_ns = |name: &str| tile_rows.iter().find(|r| r.0 == name).map(|r| r.1);
+    if Tile::Zmm.supported() {
+        let (blocked, ymm) = (
+            tile_ns("blocked").unwrap(),
+            tile_ns(Tile::Ymm.name()).unwrap(),
+        );
+        assert!(
+            blocked as f64 * 1.5 <= ymm as f64 * 1.05,
+            "blocked 256³ ({blocked} ns) is not 1.5× the ymm tile driven directly \
+             ({ymm} ns) on an AVX-512 host — the zmm tiles are not being dispatched"
+        );
+    } else {
+        println!("skipping zmm>=1.5×ymm check: host has no AVX-512F");
+    }
+
     // The multicore-scaling invariant: with the serial-fallback threshold
     // in `blocked-parallel`, the parallel backend must never lose to the
     // serial one on any benched shape. Enforced loudly on multi-core
@@ -1016,6 +1209,12 @@ fn main() {
                     row.insert("n", Value::Int(r.n as i64));
                     row.insert("ns_per_iter", Value::Int(r.ns_per_iter as i64));
                     row.insert("gflops", Value::Float(round2(r.gflops)));
+                    // The widest tile the row ran on.
+                    let tile = match r.backend {
+                        "int8" => nf_tensor::kernels::int8::kernel_name(),
+                        _ => Tile::for_strip(r.n).name(),
+                    };
+                    row.insert("tile", Value::Str(tile.into()));
                     if r.backend == "int8" {
                         // The tentpole's throughput claim, recorded per
                         // shape: quantized compute vs the f32 blocked
@@ -1047,8 +1246,11 @@ fn main() {
                     row.insert("c_in", Value::Int(r.c_in as i64));
                     row.insert("c_out", Value::Int(r.c_out as i64));
                     row.insert("hw", Value::Int(r.hw as i64));
+                    row.insert("tile", Value::Str(Tile::for_strip(r.n).name().into()));
                     row.insert("explicit_ns", Value::Int(r.explicit_ns as i64));
                     row.insert("gather_ns", Value::Int(r.gather_ns as i64));
+                    row.insert("pad_ns", Value::Int(r.pad_ns as i64));
+                    row.insert("transpose_ns", Value::Int(r.transpose_ns as i64));
                     row.insert(
                         "speedup",
                         Value::Float(round2(r.explicit_ns as f64 / r.gather_ns.max(1) as f64)),
@@ -1058,10 +1260,59 @@ fn main() {
                 .collect(),
         ),
     );
+    gemm.insert(
+        "conv_int8",
+        Value::Array(
+            conv_int8_rows
+                .iter()
+                .map(|r| {
+                    let mut row = Table::new();
+                    row.insert("batch", Value::Int(r.batch as i64));
+                    row.insert("c_in", Value::Int(r.c_in as i64));
+                    row.insert("c_out", Value::Int(r.c_out as i64));
+                    row.insert("hw", Value::Int(r.hw as i64));
+                    row.insert("im2col_u8_ns", Value::Int(r.im2col_u8_ns as i64));
+                    row.insert("gemm_i32_ns", Value::Int(r.gemm_i32_ns as i64));
+                    row.insert("dequantize_ns", Value::Int(r.dequantize_ns as i64));
+                    row.insert("f32_decode_ns", Value::Int(r.f32_decode_ns as i64));
+                    row.insert("f32_gather_ns", Value::Int(r.f32_gather_ns as i64));
+                    row.insert(
+                        "int8_vs_f32",
+                        Value::Float(round2(r.int8_ns() as f64 / r.f32_ns().max(1) as f64)),
+                    );
+                    row.build()
+                })
+                .collect(),
+        ),
+    );
+    gemm.insert(
+        "tiles_256",
+        Value::Array(
+            tile_rows
+                .iter()
+                .map(|&(name, ns)| {
+                    let mut row = Table::new();
+                    row.insert("tile", Value::Str(name.into()));
+                    row.insert("ns_per_iter", Value::Int(ns as i64));
+                    let flops = 2.0 * 256.0f64.powi(3);
+                    row.insert("gflops", Value::Float(round2(flops / ns.max(1) as f64)));
+                    row.build()
+                })
+                .collect(),
+        ),
+    );
     write_and_check(
         &artifact_path("BENCH_gemm", smoke),
         &gemm.build(),
-        &["schema", "host_cores", "calibration", "results", "conv"],
+        &[
+            "schema",
+            "host_cores",
+            "calibration",
+            "results",
+            "conv",
+            "conv_int8",
+            "tiles_256",
+        ],
     );
 
     let mut ts = Table::new();
@@ -1081,6 +1332,10 @@ fn main() {
                 .map(|r| {
                     let mut row = Table::new();
                     row.insert("backend", Value::Str(r.backend.into()));
+                    row.insert(
+                        "tile",
+                        Value::Str(nf_tensor::kernels::simd::kernel_name().into()),
+                    );
                     row.insert("ns_per_step", Value::Int(r.ns_per_step as i64));
                     row.insert("steps_per_sec", Value::Float(round2(r.steps_per_sec)));
                     row.build()

@@ -16,7 +16,9 @@ const MR: usize = simd::MR;
 const KC: usize = 256;
 
 /// `N`-dimension cache block: output row segments of `NC` floats (1 KiB)
-/// stay in L1 across the `KC` rank-1 updates.
+/// stay in L1 across the `KC` rank-1 updates. A multiple of the widest
+/// tile (32 columns), so a block boundary never splits a strip the tile
+/// could have taken whole.
 const NC: usize = 256;
 
 /// Minimum `M·K·N` before the parallel variant spins up worker threads;
@@ -35,8 +37,9 @@ const KOUTER_MAX_MN: usize = 1 << 15;
 /// K-outermost order pays off.
 const KOUTER_MIN_KN: usize = 1 << 16;
 
-/// Cache-blocked GEMM over the [`simd`] `MR × 8` register-tile
-/// micro-kernel.
+/// Cache-blocked GEMM over the [`simd`] register-tile micro-kernel (`MR`
+/// rows × 8, 16 or 32 columns, chosen per column strip from the host's
+/// vector width).
 ///
 /// Layout: the output is walked in `MR`-row panels (the parallel unit);
 /// within a panel the `K` and `N` dimensions are tiled `KC × NC` so one

@@ -210,8 +210,9 @@ impl QuantizedRhs {
 
 /// `out (M×N) = q_a (M×K) · q_w (K×N)` in exact `i32` arithmetic.
 ///
-/// Dispatches to the maddubs SIMD panel when available, with the scalar
-/// quad kernel as fallback and for row/column remainders; fans 4-row
+/// Dispatches to the maddubs SIMD panel when available (every column of
+/// every full 4-row block), with the scalar quad kernel as fallback and
+/// for the last `m % 4` rows; fans 4-row
 /// blocks out across threads on multi-core hosts when the product is
 /// large enough. All paths produce bit-identical accumulators.
 pub fn gemm_i32(lhs: &QuantizedLhs, rhs: &QuantizedRhs, out: &mut Vec<i32>) {
@@ -232,14 +233,8 @@ pub fn gemm_i32(lhs: &QuantizedLhs, rhs: &QuantizedRhs, out: &mut Vec<i32>) {
     let row_block = |idx: usize, opanel: &mut [i32]| {
         let i0 = idx * rows_per_block;
         let rows = opanel.len() / n;
-        if rows == rows_per_block {
-            match simd_int8::panel_u8i8(a, bp, k4, n, i0, opanel) {
-                Some(done) if done < n => scalar_rows(a, bp, k4, n, i0, rows, done, opanel),
-                Some(_) => {}
-                None => scalar_rows(a, bp, k4, n, i0, rows, 0, opanel),
-            }
-        } else {
-            scalar_rows(a, bp, k4, n, i0, rows, 0, opanel);
+        if !(rows == rows_per_block && simd_int8::panel_u8i8(a, bp, k4, n, i0, opanel)) {
+            scalar_rows(a, bp, k4, n, i0, rows, opanel);
         }
     };
     if super::host_cores() > 1 && m * k4 * n >= PAR_MIN_OPS && m > rows_per_block {
@@ -253,10 +248,9 @@ pub fn gemm_i32(lhs: &QuantizedLhs, rhs: &QuantizedRhs, out: &mut Vec<i32>) {
     }
 }
 
-/// Scalar quad kernel over rows `i0..i0+rows`, columns `j0..n` — the
-/// portable path and the SIMD remainder finisher. Walks the same k-quad
-/// interleaved panel as the SIMD kernel so both consume one layout.
-#[allow(clippy::too_many_arguments)]
+/// Scalar quad kernel over rows `i0..i0+rows` — the portable path and the
+/// finisher of the last `m % 4` rows. Walks the same k-quad interleaved
+/// panel as the SIMD kernel so both consume one layout.
 fn scalar_rows(
     a: &[u8],
     bp: &[i8],
@@ -264,17 +258,15 @@ fn scalar_rows(
     n: usize,
     i0: usize,
     rows: usize,
-    j0: usize,
     opanel: &mut [i32],
 ) {
     for (r, orow) in opanel.chunks_mut(n).enumerate().take(rows) {
         let arow = &a[(i0 + r) * k4..(i0 + r) * k4 + k4];
-        let oseg = &mut orow[j0..];
-        oseg.fill(0);
+        orow.fill(0);
         for (kq, aq) in arow.chunks_exact(4).enumerate() {
             let (a0, a1, a2, a3) = (aq[0] as i32, aq[1] as i32, aq[2] as i32, aq[3] as i32);
-            let bq = &bp[(kq * n + j0) * 4..(kq * n + n) * 4];
-            for (o, q) in oseg.iter_mut().zip(bq.chunks_exact(4)) {
+            let bq = &bp[kq * n * 4..(kq + 1) * n * 4];
+            for (o, q) in orow.iter_mut().zip(bq.chunks_exact(4)) {
                 *o += a0 * q[0] as i32 + a1 * q[1] as i32 + a2 * q[2] as i32 + a3 * q[3] as i32;
             }
         }

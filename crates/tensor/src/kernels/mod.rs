@@ -12,8 +12,9 @@
 //!   obviously correct; kept as the reference oracle the fast path is
 //!   property-tested against (it materialises a gathered `A`, which makes
 //!   the explicit `im2col` lowering the oracle of the gathered one).
-//! - [`BlockedGemm`] — cache-blocked with an `MR × 8` register-tile
-//!   micro-kernel ([`simd`]), optionally parallel over row panels via
+//! - [`BlockedGemm`] — cache-blocked with one `MR`-row register-tile
+//!   micro-kernel ([`simd`]) instantiated at the host's vector widths
+//!   (AVX-512 / AVX2 / portable), optionally parallel over row panels via
 //!   rayon (multi-core hosts only; on one core thread fan-out is pure
 //!   overhead, so the parallel variant degrades to serial).
 //! - [`autotune::AutoGemm`] — dispatches to [`BlockedGemm`] with cache

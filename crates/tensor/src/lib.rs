@@ -15,10 +15,10 @@
 //! buffers (see [`Workspace`]), with the allocating originals kept as thin
 //! wrappers. The GEMM hot path is pluggable (see [`kernels`]): a naive
 //! reference backend validates a cache-blocked, optionally rayon-parallel
-//! backend, with an explicit AVX2+FMA micro-kernel ([`kernels::simd`])
-//! dispatched at runtime; the default selection is [`kernels::autotune`],
-//! which benchmarks cache-block/thread candidates per shape class at
-//! first use. Quantized compute is first-class: [`QuantTensor`] carries
+//! backend, with an explicit AVX-512 / AVX2+FMA micro-kernel
+//! ([`kernels::simd`]) dispatched at runtime; the default selection is
+//! [`kernels::autotune`], which benchmarks cache-block/thread candidates
+//! per shape class at first use. Quantized compute is first-class: [`QuantTensor`] carries
 //! affine-`u8` activations and [`kernels::int8`] multiplies them against
 //! per-channel `i8` weights in exact `i32` arithmetic (AVX2 `maddubs`
 //! path in [`kernels::simd_int8`]). `unsafe` is denied crate-wide and

@@ -121,9 +121,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Kernel 1/2/3/5, stride 1/2, pad 0–2, odd H≠W, batch 1–5, and
-    /// `c_out` 1–19 so full tiles, the masked column tile and the row
-    /// remainder are all hit; each case reuses one table cache at two
-    /// batch sizes (the prefix path).
+    /// `c_out` 1–40 so every tile the host has (32-wide, 16-wide masked,
+    /// 8-wide and its masked tail) and the row remainder are all hit;
+    /// each case reuses one table cache at two batch sizes (the prefix
+    /// path).
     #[test]
     fn gather_matches_explicit_lowering(
         k in 0usize..4,
@@ -133,7 +134,7 @@ proptest! {
         dw in 1usize..4,
         n in 1usize..6,
         c in 1usize..5,
-        c_out in 1usize..20,
+        c_out in 1usize..41,
     ) {
         let k = [1usize, 2, 3, 5][k];
         let w = h + dw;
@@ -157,6 +158,18 @@ fn kc_split_shapes_stay_bit_identical() {
     // wgrad with K = 4·16·16 = 1024 positions: four K blocks.
     let geom = Conv2dGeometry::new(16, 16, 3, 3, 1, 1).unwrap();
     Case::new(4, 3, 5, 16, 16, geom).check(&mut lowering, &mut dlowering);
+}
+
+#[test]
+fn every_strip_kind_stays_bit_identical() {
+    // Forward and weight-gradient strips by c_out on an AVX-512 host:
+    // 40 = 32 + 8 (zmm pair, full ymm), 37 = 32 + 5 (masked ymm),
+    // 24 = 16 + 8 (one zmm), 13 (one masked zmm), 8 and 5 (ymm only).
+    let geom = Conv2dGeometry::new(7, 9, 3, 3, 1, 1).unwrap();
+    let (mut lowering, mut dlowering) = (ConvGather::new(), ConvGather::new());
+    for c_out in [40, 37, 24, 13, 8, 5] {
+        Case::new(2, 3, c_out, 7, 9, geom).check(&mut lowering, &mut dlowering);
+    }
 }
 
 #[test]
