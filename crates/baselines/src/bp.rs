@@ -70,10 +70,9 @@ impl BpTrainer {
         train: &Dataset,
         test: &Dataset,
     ) -> nf_nn::Result<TrainReport> {
-        // Pin every layer to the configured backend (rather than mutating
-        // the process-global default, which would race concurrent runs),
-        // and share one scratch workspace across the whole network — BP
-        // trains end-to-end, so the network is a single "block".
+        // Pin every layer to the configured backend and share one scratch
+        // workspace across the whole network — BP trains end-to-end, so the
+        // network is a single "block".
         let ws = nf_tensor::shared_workspace();
         for unit in &mut model.units {
             unit.set_kernel_backend(self.kernel_backend);

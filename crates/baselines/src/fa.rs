@@ -13,10 +13,9 @@ use nf_nn::loss::{accuracy, cross_entropy};
 use nf_nn::optim::Sgd;
 use nf_nn::{InputCache, Layer, Mode, NnError, PackedPanel, Param};
 use nf_tensor::{
-    col2im_batch, global_backend, he_normal, im2col_batch_into, lock_workspace, matmul_at_b_into,
-    matmul_into, matmul_with, nchw_to_posrows_into, new_owner_token, posrows_to_nchw,
-    shared_workspace, sum_axis0_acc, transpose2d_into, Conv2dGeometry, KernelBackend,
-    SharedWorkspace, Tensor,
+    col2im_batch, he_normal, im2col_batch_into, lock_workspace, matmul_at_b_into, matmul_into,
+    matmul_with, nchw_to_posrows_into, new_owner_token, posrows_to_nchw, shared_workspace,
+    sum_axis0_acc, transpose2d_into, Conv2dGeometry, KernelBackend, SharedWorkspace, Tensor,
 };
 use rand::Rng;
 use std::sync::Arc;
@@ -35,7 +34,7 @@ pub struct FaLinear {
     packed_fb: Tensor,
     in_features: usize,
     out_features: usize,
-    backend: Option<KernelBackend>,
+    backend: KernelBackend,
     ws: SharedWorkspace,
     cached_input: InputCache,
 }
@@ -53,14 +52,10 @@ impl FaLinear {
             packed_fb,
             in_features,
             out_features,
-            backend: None,
+            backend: KernelBackend::default(),
             ws: shared_workspace(),
             cached_input: InputCache::new(),
         }
-    }
-
-    fn backend(&self) -> KernelBackend {
-        self.backend.unwrap_or_else(global_backend)
     }
 }
 
@@ -70,7 +65,7 @@ impl Layer for FaLinear {
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> nf_nn::Result<Tensor> {
-        let mut y = matmul_with(self.backend(), x, &self.weight.value)?;
+        let mut y = matmul_with(self.backend, x, &self.weight.value)?;
         let b = self.bias.value.data();
         for row in y.data_mut().chunks_mut(self.out_features) {
             for (v, bv) in row.iter_mut().zip(b) {
@@ -90,7 +85,7 @@ impl Layer for FaLinear {
             .cached_input
             .take()
             .ok_or_else(|| NnError::NoForwardCache { layer: self.name() })?;
-        let backend = self.backend();
+        let backend = self.backend;
         if gr != x.shape()[0] || gc != self.out_features {
             self.cached_input.put_back(x);
             return Err(NnError::BadInput {
@@ -122,7 +117,7 @@ impl Layer for FaLinear {
     }
 
     fn set_kernel_backend(&mut self, backend: KernelBackend) {
-        self.backend = Some(backend);
+        self.backend = backend;
     }
 
     fn set_workspace(&mut self, ws: &SharedWorkspace) {
@@ -144,7 +139,7 @@ pub struct FaConv2d {
     kernel: usize,
     stride: usize,
     pad: usize,
-    backend: Option<KernelBackend>,
+    backend: KernelBackend,
     ws: SharedWorkspace,
     /// Stamp for the workspace `cols` slot (backward lowering reuse).
     owner_token: u64,
@@ -172,15 +167,11 @@ impl FaConv2d {
             kernel,
             stride,
             pad,
-            backend: None,
+            backend: KernelBackend::default(),
             ws: shared_workspace(),
             owner_token: new_owner_token(),
             cached_input: InputCache::new(),
         }
-    }
-
-    fn backend(&self) -> KernelBackend {
-        self.backend.unwrap_or_else(global_backend)
     }
 
     fn geometry(&self, h: usize, w: usize) -> nf_nn::Result<Conv2dGeometry> {
@@ -209,7 +200,6 @@ impl Layer for FaConv2d {
             });
         }
         let geom = self.geometry(h, w)?;
-        let backend = self.backend();
         let wt = self.packed_wt.get(&self.weight)?;
         // Batched lowering: one GEMM for the whole minibatch (same shape
         // as nf-nn's Conv2d fast path), entirely in workspace scratch.
@@ -223,7 +213,7 @@ impl Layer for FaConv2d {
         } else {
             0
         };
-        matmul_into(backend, p.cols, wt, p.out)?; // N·P × C_out
+        matmul_into(self.backend, p.cols, wt, p.out)?; // N·P × C_out
         let bias = self.bias.value.data();
         for row in p.out.data_mut().chunks_mut(self.out_channels) {
             for (v, b) in row.iter_mut().zip(bias) {
@@ -261,7 +251,7 @@ impl Layer for FaConv2d {
                 ),
             });
         }
-        let backend = self.backend();
+        let backend = self.backend;
         let mut ws = lock_workspace(&self.ws);
         let p = ws.parts();
         if *p.cols_owner != self.owner_token {
@@ -292,7 +282,7 @@ impl Layer for FaConv2d {
     }
 
     fn set_kernel_backend(&mut self, backend: KernelBackend) {
-        self.backend = Some(backend);
+        self.backend = backend;
     }
 
     fn set_workspace(&mut self, ws: &SharedWorkspace) {
@@ -366,9 +356,8 @@ impl FaTrainer {
         train: &Dataset,
         test: &Dataset,
     ) -> nf_nn::Result<TrainReport> {
-        // Pin every layer to the configured backend (rather than mutating
-        // the process-global default, which would race concurrent runs),
-        // sharing one scratch workspace across the whole network.
+        // Pin every layer to the configured backend, sharing one scratch
+        // workspace across the whole network.
         let ws = shared_workspace();
         for layer in &mut net.layers {
             layer.set_kernel_backend(self.kernel_backend);

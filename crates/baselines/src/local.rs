@@ -141,11 +141,10 @@ impl LocalLearningTrainer {
         train: &Dataset,
         test: &Dataset,
     ) -> nf_nn::Result<(LocallyTrainedModel, TrainReport)> {
-        // Pin every layer to the configured backend (rather than mutating
-        // the process-global default, which would race concurrent runs).
-        // Units and aux heads interleave within each local update, so
-        // they get separate shared arenas (see the Worker) — the unit
-        // chain's backward lowering then survives the head's traffic.
+        // Pin every layer to the configured backend. Units and aux heads
+        // interleave within each local update, so they get separate shared
+        // arenas (see the Worker) — the unit chain's backward lowering then
+        // survives the head's traffic.
         let ws_units = nf_tensor::shared_workspace();
         let ws_heads = nf_tensor::shared_workspace();
         for unit in &mut model.units {
@@ -292,16 +291,11 @@ mod tests {
         let setup = || {
             let mut rng = rand::rngs::StdRng::seed_from_u64(5);
             let spec = ModelSpec::tiny("lean", 8, &[4, 6], 3);
-            let mut model = spec.build(&mut rng).unwrap();
-            let mut heads: Vec<Sequential> = assign_aux(&spec, trainer.policy)
+            let model = spec.build(&mut rng).unwrap();
+            let heads: Vec<Sequential> = assign_aux(&spec, trainer.policy)
                 .iter()
                 .map(|a| build_aux_head(&mut rng, a).unwrap())
                 .collect();
-            // A fixed plan, so both sides split every product the same way.
-            let units = model.units.iter_mut().chain(heads.iter_mut());
-            for layer in units.chain(std::iter::once(&mut model.head)) {
-                layer.set_kernel_backend(nf_tensor::KernelBackend::Blocked);
-            }
             (model, heads)
         };
         let (mut lean, mut lean_heads) = setup();

@@ -111,10 +111,8 @@ impl SpTrainer {
         train: &Dataset,
         test: &Dataset,
     ) -> nf_nn::Result<(TrainReport, Vec<f32>)> {
-        // Pin every layer to the configured backend (rather than mutating
-        // the process-global default, which would race concurrent runs),
-        // sharing one scratch workspace across the sequentially trained
-        // units.
+        // Pin every layer to the configured backend, sharing one scratch
+        // workspace across the sequentially trained units.
         let ws = nf_tensor::shared_workspace();
         for unit in &mut model.units {
             unit.set_kernel_backend(self.kernel_backend);
@@ -227,10 +225,7 @@ mod tests {
         // loop written with the full `backward`, the epoch loss and every
         // trained weight keep their bits.
         let ds = SyntheticSpec::quick(2, 8, 32).generate();
-        let trainer = SpTrainer {
-            kernel_backend: nf_tensor::KernelBackend::Blocked,
-            ..SpTrainer::new(0.01, 1, 16)
-        };
+        let trainer = SpTrainer::new(0.01, 1, 16);
         let build = || {
             let mut rng = rand::rngs::StdRng::seed_from_u64(3);
             ModelSpec::tiny("lean", 8, &[4, 6], 2)
@@ -246,7 +241,6 @@ mod tests {
         for (images, labels) in ds.train.batches(trainer.batch) {
             let mut cur = images;
             for (unit, proto) in full.units.iter_mut().zip(&mut protos) {
-                unit.set_kernel_backend(trainer.kernel_backend);
                 let out = unit.forward(&cur, Mode::Train).unwrap();
                 let dim = out.numel() / out.shape()[0];
                 let mut target = Vec::with_capacity(out.numel());

@@ -17,7 +17,7 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
-/// Naive vs blocked vs blocked-parallel on CNN-relevant GEMM shapes, so the
+/// Naive vs blocked on CNN-relevant GEMM shapes, so the
 /// backend speedup is measured rather than asserted. Shapes:
 /// `128×1152×256` is a batched 3×3 conv lowering (`N·OH·OW=128` rows of
 /// `C_in·9=1152` patch values against 256 output channels), `256³` is the
@@ -25,11 +25,7 @@ fn bench_matmul(c: &mut Criterion) {
 /// early VGG layer at batch 8.
 fn bench_gemm_backends(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let backends = [
-        KernelBackend::Naive,
-        KernelBackend::Blocked,
-        KernelBackend::BlockedParallel,
-    ];
+    let backends = [KernelBackend::Naive, KernelBackend::Blocked];
     for &(m, k, n) in &[
         (128usize, 1152usize, 256usize),
         (256, 256, 256),

@@ -4,9 +4,9 @@
 //!
 //! Criterion output is for eyes; this binary is for trend lines. It times
 //! the two numbers every perf PR must not regress — raw GEMM throughput
-//! per backend, and steps/sec of a quickstart-shaped training step — and
-//! writes them as JSON into the repo root so the perf trajectory is
-//! recorded in-tree from PR to PR.
+//! of the blocked kernel, and steps/sec of a quickstart-shaped training
+//! step — and writes them as JSON into the repo root so the perf
+//! trajectory is recorded in-tree from PR to PR.
 //!
 //! ```text
 //! cargo run --release -p nf-bench --bin bench_json            # full shapes
@@ -30,7 +30,7 @@ use std::time::Instant;
 /// compare two implementations by. Every GEMM and conv row and every gate
 /// on them uses it: the mean of three sub-microsecond smoke-shape calls
 /// came out bimodal (363 vs 635 ns for identical code) once the kernels
-/// used 512-bit instructions, failing the parallel ≥ serial gate at random.
+/// used 512-bit instructions.
 fn best_ns(reps: usize, iters: usize, mut f: impl FnMut()) -> u128 {
     f();
     (0..reps)
@@ -55,7 +55,8 @@ struct GemmRow {
     gflops: f64,
 }
 
-fn time_gemm(backend: KernelBackend, m: usize, k: usize, n: usize, iters: usize) -> GemmRow {
+fn time_gemm(m: usize, k: usize, n: usize, iters: usize) -> GemmRow {
+    let backend = KernelBackend::Blocked;
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let a = nf_tensor::uniform_init(&mut rng, &[m, k], -1.0, 1.0);
     let b = nf_tensor::uniform_init(&mut rng, &[k, n], -1.0, 1.0);
@@ -389,7 +390,7 @@ struct TrainStepRow {
     steps_per_sec: f64,
 }
 
-fn time_train_step(backend: KernelBackend, smoke: bool) -> TrainStepRow {
+fn time_train_step(smoke: bool) -> TrainStepRow {
     let (channels, hw, classes, batch): (&[usize], usize, usize, usize) = if smoke {
         (&[4, 8], 8, 3, 8)
     } else {
@@ -412,9 +413,7 @@ fn time_train_step(backend: KernelBackend, smoke: bool) -> TrainStepRow {
     let ws_units = nf_tensor::shared_workspace();
     let ws_heads = nf_tensor::shared_workspace();
     for (unit, head) in model.units.iter_mut().zip(heads.iter_mut()) {
-        unit.set_kernel_backend(backend);
         unit.set_workspace(&ws_units);
-        head.set_kernel_backend(backend);
         head.set_workspace(&ws_heads);
     }
     let images = nf_tensor::uniform_init(&mut rng, &[batch, 3, hw, hw], -1.0, 1.0);
@@ -444,7 +443,7 @@ fn time_train_step(backend: KernelBackend, smoke: bool) -> TrainStepRow {
     }
     let ns_per_step = start.elapsed().as_nanos() / iters as u128;
     TrainStepRow {
-        backend: backend.name(),
+        backend: KernelBackend::default().name(),
         ns_per_step,
         steps_per_sec: 1e9 / ns_per_step as f64,
     }
@@ -1024,20 +1023,12 @@ fn round2(x: f64) -> f64 {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let host_cores = nf_tensor::host_cores();
-    let backends = [
-        KernelBackend::Blocked,
-        KernelBackend::BlockedParallel,
-        KernelBackend::Auto,
-    ];
 
     // --- Training-step throughput ---
     // Runs first, with VmHWM sampled immediately after, so the recorded
     // peak-RSS proxy reflects the training step's working set rather than
     // whatever the (larger-operand) GEMM stage would push it to.
-    let steps: Vec<TrainStepRow> = backends
-        .iter()
-        .map(|&b| time_train_step(b, smoke))
-        .collect();
+    let steps = [time_train_step(smoke)];
     let train_step_peak_rss = peak_rss_bytes();
 
     // --- GEMM throughput ---
@@ -1049,9 +1040,7 @@ fn main() {
     let iters = if smoke { 3 } else { 20 };
     let mut rows = Vec::new();
     for &(m, k, n) in shapes {
-        for backend in backends {
-            rows.push(time_gemm(backend, m, k, n, iters));
-        }
+        rows.push(time_gemm(m, k, n, iters));
         rows.push(time_int8_gemm(m, k, n, iters));
     }
 
@@ -1146,31 +1135,6 @@ fn main() {
         println!("skipping zmm>=1.5×ymm check: host has no AVX-512F");
     }
 
-    // The multicore-scaling invariant: with the serial-fallback threshold
-    // in `blocked-parallel`, the parallel backend must never lose to the
-    // serial one on any benched shape. Enforced loudly on multi-core
-    // hosts (5 % timing-noise margin); logged and skipped on single-core
-    // runners, where the two backends run the identical code path.
-    for &(m, k, n) in shapes {
-        let gf = |name: &str| {
-            rows.iter()
-                .find(|r| r.backend == name && (r.m, r.k, r.n) == (m, k, n))
-                .map(|r| r.gflops)
-                .unwrap()
-        };
-        let (blocked, parallel) = (gf("blocked"), gf("blocked-parallel"));
-        if host_cores > 1 {
-            assert!(
-                parallel >= blocked * 0.95,
-                "blocked-parallel ({parallel:.2} GFLOP/s) slower than blocked \
-                 ({blocked:.2} GFLOP/s) on {m}x{k}x{n} with {host_cores} cores \
-                 — parallel scaling regressed"
-            );
-        } else {
-            println!("skipping parallel>=serial check on {m}x{k}x{n}: single-core host");
-        }
-    }
-
     // Measured primitives for `nf-memsim`'s CalibratedCostModel: the best
     // sustained f32 and int8 rates across the benched shapes.
     let best = |name: &str| {
@@ -1181,10 +1145,12 @@ fn main() {
     };
 
     use nf_cli::{Table, Value};
+    use nf_tensor::kernels::FAN_OUT_MIN_MACS;
     let mut gemm = Table::new();
     gemm.insert("schema", Value::Str("nf-bench-gemm-v1".into()));
     gemm.insert("smoke", Value::Bool(smoke));
     gemm.insert("host_cores", Value::Int(host_cores as i64));
+    gemm.insert("fan_out_min_macs", Value::Int(FAN_OUT_MIN_MACS as i64));
     gemm.insert(
         "simd",
         Value::Str(nf_tensor::kernels::simd::kernel_name().into()),
@@ -1194,7 +1160,7 @@ fn main() {
         Value::Str(nf_tensor::kernels::int8::kernel_name().into()),
     );
     let mut calibration = Table::new();
-    calibration.insert("gemm_gflops", Value::Float(round2(best("auto"))));
+    calibration.insert("gemm_gflops", Value::Float(round2(best("blocked"))));
     calibration.insert("int8_gflops", Value::Float(round2(best("int8"))));
     gemm.insert("calibration", calibration);
     gemm.insert(
@@ -1209,6 +1175,13 @@ fn main() {
                     row.insert("n", Value::Int(r.n as i64));
                     row.insert("ns_per_iter", Value::Int(r.ns_per_iter as i64));
                     row.insert("gflops", Value::Float(round2(r.gflops)));
+                    // Whether the product's row panels ran on more than
+                    // one thread: the kernels' rule (`kernels::fans_out`,
+                    // f32 and int8 alike) restated from its two inputs.
+                    row.insert(
+                        "fans_out",
+                        Value::Bool(host_cores > 1 && r.m * r.k * r.n >= FAN_OUT_MIN_MACS),
+                    );
                     // The widest tile the row ran on.
                     let tile = match r.backend {
                         "int8" => nf_tensor::kernels::int8::kernel_name(),

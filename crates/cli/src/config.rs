@@ -86,9 +86,9 @@ pub struct TrainSection {
     pub exit_tolerance: f64,
     /// Whether trained blocks round-trip through serialised storage.
     pub evict_params: bool,
-    /// GEMM kernel backend (`naive|blocked|blocked-parallel|auto`; `auto`
-    /// — the default — benchmarks tile sizes and thread splits per shape
-    /// class at first use and caches the winning plan).
+    /// GEMM kernel backend (`blocked|naive`; `blocked` — the default and
+    /// the only production kernel — has one fixed plan, `naive` is the
+    /// oracle).
     pub kernel_backend: KernelBackend,
     /// Auxiliary-head policy (`adaptive|classic|fixed:<n>`).
     pub aux_policy: AuxPolicy,
@@ -466,7 +466,7 @@ impl RunConfig {
                 .as_str()
                 .ok_or_else(|| train.bad("kernel_backend", "a string"))?
                 .parse::<KernelBackend>()
-                .map_err(|e| CliError::new(format!("[train].kernel_backend: {e}")))?,
+                .map_err(|e| CliError::config("train.kernel_backend", e))?,
         };
         let aux_policy = match train.get("aux_policy") {
             None => AuxPolicy::Adaptive,
@@ -1068,7 +1068,7 @@ epochs_per_block = 2
         assert_eq!(nf.budget_bytes, 32_000_000);
         assert_eq!(nf.batch_limit, 16);
         assert_eq!(nf.epochs_per_block, 2);
-        assert_eq!(nf.kernel_backend, KernelBackend::Auto);
+        assert_eq!(nf.kernel_backend, KernelBackend::Blocked);
         assert_eq!(nf.aux_policy, AuxPolicy::Adaptive);
     }
 
@@ -1231,23 +1231,49 @@ kernel_backend = "naive"
     }
 
     #[test]
-    fn auto_backend_and_int8_compute_parse_and_round_trip() {
-        // `auto` is a first-class kernel_backend value.
+    fn deleted_kernel_backends_are_typed_errors_naming_the_remaining_two() {
+        // No alias keeps the autotuner or the parallel variant alive — a
+        // pre-one-plan snapshot saying `auto` must not resume as if its
+        // earlier blocks had been computed on today's `KC` split.
+        for gone in ["auto", "blocked-parallel"] {
+            let doc = format!("{}\nkernel_backend = \"{gone}\"\n", quickstart_toml());
+            let err = crate::toml::parse(&doc)
+                .and_then(|v| RunConfig::from_value(&v))
+                .unwrap_err();
+            match &err {
+                CliError::Config { path, message } => {
+                    assert_eq!(path, "train.kernel_backend");
+                    assert!(message.contains(gone), "{message}");
+                    assert!(message.contains("blocked | naive"), "{message}");
+                }
+                other => panic!("expected Config error, got {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn default_backend_and_int8_compute_parse_and_round_trip() {
         let doc = format!(
-            "{}\nkernel_backend = \"auto\"\nint8_compute = true\n[cache]\ncodec = \"int8\"\n",
+            "{}\nint8_compute = true\n[cache]\ncodec = \"int8\"\n",
             quickstart_toml()
         );
         let cfg = parse_config(&doc);
-        assert_eq!(cfg.train.kernel_backend, KernelBackend::Auto);
+        assert_eq!(cfg.train.kernel_backend, KernelBackend::Blocked);
         assert!(cfg.train.int8_compute);
         let nf = cfg.resolve_train().unwrap();
-        assert_eq!(nf.kernel_backend, KernelBackend::Auto);
+        assert_eq!(nf.kernel_backend, KernelBackend::Blocked);
         assert!(nf.int8_compute);
         assert_eq!(nf.cache_codec, CodecKind::Int8Affine);
+        // The run-directory snapshot spells the default out and re-parses
+        // to the same config.
         let rendered = cfg.to_value().to_toml();
+        assert!(
+            rendered.contains("kernel_backend = \"blocked\""),
+            "{rendered}"
+        );
         assert_eq!(parse_config(&rendered), cfg, "snapshot:\n{rendered}");
 
-        // Default: off, and the default backend is the autotuner.
+        // Default: off.
         let cfg = parse_config(quickstart_toml());
         assert!(!cfg.train.int8_compute);
         assert!(!cfg.resolve_train().unwrap().int8_compute);

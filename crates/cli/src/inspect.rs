@@ -53,19 +53,18 @@ pub fn run_inspect(path: &Path) -> Result<String> {
 }
 
 /// Renders the compute-kernel section of a train metrics document: the
-/// selected backend, detected SIMD paths, and — when the `auto` backend
-/// tuned anything — one row per shape class with the winning tile sizes
-/// and thread split (also on disk as `kernel_plan.toml`).
+/// backend, the detected SIMD paths and the blocked kernel's one plan.
+/// Run directories written before the plan became constants carry no
+/// `kc`/`nc`/`fan_out_min_macs` (and a per-class `plans` table this no
+/// longer reads); they render without the plan sentence.
 fn render_kernel_section(out: &mut String, m: &Value) {
     let kernel = match m.get("kernel") {
         Some(k) => k,
         None => return,
     };
     let s = |key: &str| kernel.get(key).and_then(Value::as_str).unwrap_or("?");
-    let cores = kernel
-        .get("host_cores")
-        .and_then(Value::as_int)
-        .unwrap_or(1);
+    let int = |key: &str| kernel.get(key).and_then(Value::as_int);
+    let cores = int("host_cores").unwrap_or(1);
     let int8 = kernel
         .get("int8_compute")
         .and_then(Value::as_bool)
@@ -80,20 +79,12 @@ fn render_kernel_section(out: &mut String, m: &Value) {
         s("simd_int8"),
         if int8 { "on" } else { "off" }
     );
-    let plans = match kernel.get("plans").and_then(Value::entries) {
-        Some(entries) if !entries.is_empty() => entries,
-        _ => return,
-    };
-    let _ = writeln!(out, "\n| shape class | kc | nc | parallel |");
-    let _ = writeln!(out, "|---|---|---|---|");
-    for (class, plan) in plans {
-        let kc = plan.get("kc").and_then(Value::as_int).unwrap_or(0);
-        let nc = plan.get("nc").and_then(Value::as_int).unwrap_or(0);
-        let par = plan
-            .get("parallel")
-            .and_then(Value::as_bool)
-            .unwrap_or(false);
-        let _ = writeln!(out, "| {class} | {kc} | {nc} | {par} |");
+    if let (Some(kc), Some(nc), Some(floor)) = (int("kc"), int("nc"), int("fan_out_min_macs")) {
+        let _ = writeln!(
+            out,
+            "One plan: cache blocks KC = {kc}, NC = {nc}; row panels fan out across \
+             threads from {floor} multiply-accumulates per product on a multi-core host."
+        );
     }
 }
 

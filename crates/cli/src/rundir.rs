@@ -8,7 +8,6 @@
 //! | `metrics.json` | final metrics (written once, atomically, at the end — its presence marks a *completed* run) |
 //! | `checkpoint.nfck` | model + optimizer + progress snapshot, rewritten after every block ([`neuroflux_core::checkpoint`]) |
 //! | `cache/` | the Worker's on-disk activation cache ([`neuroflux_core::DiskStore`]); drained on completion |
-//! | `kernel_plan.toml` | tuned GEMM plans (tile sizes, thread splits) the autotuner selected during the run |
 //!
 //! `nf train --resume` needs exactly `config.toml` + `checkpoint.nfck` +
 //! `cache/` — which is precisely what an interrupted run leaves.
@@ -68,13 +67,6 @@ impl RunDir {
     /// Directory of the on-disk activation cache.
     pub fn cache_dir(&self) -> PathBuf {
         self.root.join("cache")
-    }
-
-    /// Path of the tuned-kernel-plan snapshot (`auto` backend): the
-    /// per-shape-class tile sizes and thread splits the autotuner settled
-    /// on during the run, rendered as TOML for eyeballing and diffing.
-    pub fn kernel_plan_path(&self) -> PathBuf {
-        self.root.join("kernel_plan.toml")
     }
 
     /// Whether the run already completed (metrics were written).

@@ -11,7 +11,7 @@ use neuroflux_core::simulate::{sweep_point, SimConfig, SimulatedRun};
 use nf_memsim::{DeviceProfile, MeasuredPrimitives};
 use std::time::Instant;
 
-/// Measures this machine's sustained GEMM throughput (autotuned backend)
+/// Measures this machine's sustained GEMM throughput (the default kernel)
 /// and activation-codec bandwidth, and returns them as the sweep's
 /// `host` device: predictions priced from measured primitives instead of
 /// a Table 1 datasheet. Takes ~a second; only runs when the config's
@@ -23,11 +23,12 @@ fn calibrate_host(codec: CodecKind) -> (MeasuredPrimitives, DeviceProfile) {
     let a = nf_tensor::uniform_init(&mut rng, &[128, 256], -1.0, 1.0);
     let b = nf_tensor::uniform_init(&mut rng, &[256, 128], -1.0, 1.0);
     let mut out = nf_tensor::Tensor::default();
-    nf_tensor::matmul_into(KernelBackend::Auto, &a, &b, &mut out).expect("calibration gemm");
+    let backend = KernelBackend::default();
+    nf_tensor::matmul_into(backend, &a, &b, &mut out).expect("calibration gemm");
     let iters = 8;
     let start = Instant::now();
     for _ in 0..iters {
-        nf_tensor::matmul_into(KernelBackend::Auto, &a, &b, &mut out).expect("calibration gemm");
+        nf_tensor::matmul_into(backend, &a, &b, &mut out).expect("calibration gemm");
     }
     let gemm_gflops =
         2.0 * 128.0 * 256.0 * 128.0 * iters as f64 / start.elapsed().as_secs_f64() / 1e9;

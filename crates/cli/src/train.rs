@@ -147,26 +147,16 @@ pub fn run_train(cfg: &RunConfig, opts: &TrainOptions) -> Result<TrainSummary> {
         opts.resume,
         data.train.len(),
     );
-    write_kernel_plan(&run_dir, cfg)?;
     run_dir.write_metrics(&metrics)?;
     Ok(TrainSummary { run_dir, metrics })
 }
 
-/// Snapshots the autotuner's per-shape-class winners into
-/// `kernel_plan.toml` so `nf inspect` (and humans diffing run dirs) can
-/// see which tiles and thread splits the run actually computed on.
-fn write_kernel_plan(run_dir: &RunDir, cfg: &RunConfig) -> Result<()> {
-    let value = kernel_table(cfg);
-    std::fs::write(run_dir.kernel_plan_path(), value.to_toml())
-        .map_err(|e| CliError::new(format!("writing kernel_plan.toml: {e}")))?;
-    Ok(())
-}
-
-/// The `kernel` table embedded in `metrics.json` and rendered to
-/// `kernel_plan.toml`: backend, detected SIMD levels, host core count, and
-/// one `plans.<class>` sub-table per tuned shape class (empty until the
-/// `auto` backend has tuned something).
+/// The `kernel` table embedded in `metrics.json`: what the run computed
+/// on — backend, detected SIMD levels, host core count — and the blocked
+/// kernel's one plan (cache blocks and thread fan-out floor), all
+/// constants of the build and the host.
 fn kernel_table(cfg: &RunConfig) -> Value {
+    use nf_tensor::kernels::{FAN_OUT_MIN_MACS, KC, NC};
     let mut t = Table::new();
     t.insert(
         "backend",
@@ -182,26 +172,9 @@ fn kernel_table(cfg: &RunConfig) -> Value {
     );
     t.insert("host_cores", Value::Int(nf_tensor::host_cores() as i64));
     t.insert("int8_compute", Value::Bool(cfg.train.int8_compute));
-    let mut plans = Table::new();
-    for p in nf_tensor::kernels::autotune::plan_snapshot() {
-        let mut plan = Table::new();
-        plan.insert("kc", Value::Int(p.kc as i64));
-        plan.insert("nc", Value::Int(p.nc as i64));
-        plan.insert("parallel", Value::Bool(p.parallel));
-        // Shape classes are ceil(log2) buckets; name them by the bucket's
-        // upper bound so the key reads as "products up to this size".
-        plans.insert(
-            &format!(
-                "{}-m{}-k{}-n{}",
-                p.op,
-                1u64 << p.m_class,
-                1u64 << p.k_class,
-                1u64 << p.n_class
-            ),
-            plan,
-        );
-    }
-    t.insert("plans", plans);
+    t.insert("kc", Value::Int(KC as i64));
+    t.insert("nc", Value::Int(NC as i64));
+    t.insert("fan_out_min_macs", Value::Int(FAN_OUT_MIN_MACS as i64));
     t.build()
 }
 

@@ -1,8 +1,8 @@
-//! CLI surface of the quantized-compute tentpole: `nf train` under the
-//! `auto` backend with `int8_compute`, the tuned-kernel-plan artifact, the
-//! `nf inspect` rendering of it, and the `host`-calibrated `nf sweep`.
+//! CLI surface of the quantized-compute tentpole: `nf train` with
+//! `int8_compute`, the `kernel` table it records, the `nf inspect`
+//! rendering of it, and the `host`-calibrated `nf sweep`.
 
-use nf_cli::{run_inspect, run_sweep, run_train, RunConfig, TrainOptions, Value};
+use nf_cli::{run_inspect, run_sweep, run_train, RunConfig, Table, TrainOptions, Value};
 use std::path::PathBuf;
 
 fn temp_base(tag: &str) -> PathBuf {
@@ -16,8 +16,8 @@ fn parse(toml: &str) -> RunConfig {
     RunConfig::from_value(&nf_cli::toml::parse(toml).unwrap()).unwrap()
 }
 
-/// A small multi-block run with the int8 codec, int8 compute, and the
-/// autotuned backend — the full quantized pipeline through the real CLI.
+/// A small multi-block run with the int8 codec and int8 compute on the
+/// default backend — the full quantized pipeline through the real CLI.
 fn int8_config(out_dir: &std::path::Path) -> RunConfig {
     parse(&format!(
         r#"
@@ -41,7 +41,6 @@ budget_bytes = 131072
 batch_limit = 8
 epochs_per_block = 2
 rho = 0.0
-kernel_backend = "auto"
 int8_compute = true
 
 [cache]
@@ -52,54 +51,60 @@ codec = "int8"
 }
 
 #[test]
-fn int8_auto_train_writes_kernel_plan_and_inspect_renders_it() {
+fn int8_train_records_the_kernel_constants_and_inspect_renders_them() {
+    use nf_tensor::kernels::{FAN_OUT_MIN_MACS, KC, NC};
     let base = temp_base("qint8");
     let cfg = int8_config(&base);
     let summary = run_train(&cfg, &TrainOptions::default()).unwrap();
 
-    // The run completed and recorded its kernel configuration.
+    // The run completed and recorded what it computed on: the default
+    // backend and the constants of its one plan.
     let kernel = summary.metrics.get("kernel").expect("kernel table");
     assert_eq!(
         kernel.get("backend").and_then(Value::as_str),
-        Some("auto"),
-        "metrics must record the autotuned backend"
+        Some("blocked")
     );
     assert_eq!(
         kernel.get("int8_compute").and_then(Value::as_bool),
         Some(true)
     );
-    assert!(
-        kernel
-            .get("host_cores")
-            .and_then(Value::as_int)
-            .unwrap_or(0)
-            >= 1
-    );
-    // The autotuner ran during training, so at least one shape class has a
-    // tuned plan, both in metrics.json and in kernel_plan.toml.
-    let plans = kernel
-        .get("plans")
-        .and_then(Value::entries)
-        .expect("plans table");
-    assert!(!plans.is_empty(), "auto backend must have tuned plans");
-    let plan_path = summary.run_dir.kernel_plan_path();
-    let plan_toml = std::fs::read_to_string(&plan_path).expect("kernel_plan.toml written");
-    let plan_doc = nf_cli::toml::parse(&plan_toml).expect("kernel_plan.toml parses");
-    assert_eq!(
-        plan_doc.get("backend").and_then(Value::as_str),
-        Some("auto")
-    );
-    assert!(plan_doc.get("plans").and_then(Value::entries).is_some());
+    let int = |key: &str| kernel.get(key).and_then(Value::as_int);
+    assert!(int("host_cores").unwrap_or(0) >= 1);
+    assert_eq!(int("kc"), Some(KC as i64));
+    assert_eq!(int("nc"), Some(NC as i64));
+    assert_eq!(int("fan_out_min_macs"), Some(FAN_OUT_MIN_MACS as i64));
+    assert!(kernel.get("plans").is_none(), "nothing is tuned per class");
 
     // `nf inspect` renders the kernel section from the artifact.
     let report = run_inspect(summary.run_dir.root()).unwrap();
     assert!(report.contains("## Compute kernels"), "{report}");
-    assert!(report.contains("Backend `auto`"), "{report}");
+    assert!(report.contains("Backend `blocked`"), "{report}");
     assert!(report.contains("int8 frozen-block compute on"), "{report}");
     assert!(
-        report.contains("| shape class | kc | nc | parallel |"),
+        report.contains(&format!("One plan: cache blocks KC = {KC}, NC = {NC}")),
         "{report}"
     );
+
+    // A run directory written by the autotuner era (`backend = "auto"`, a
+    // per-class `plans` table, no constants) still renders — without them.
+    let mut plan = Table::new();
+    plan.insert("kc", Value::Int(128));
+    plan.insert("nc", Value::Int(256));
+    plan.insert("parallel", Value::Bool(false));
+    let mut plans = Table::new();
+    plans.insert("ab-m64-k256-n8", plan);
+    let mut old_kernel = Table::new();
+    old_kernel.insert("backend", Value::Str("auto".into()));
+    old_kernel.insert("simd", Value::Str("avx2".into()));
+    old_kernel.insert("host_cores", Value::Int(2));
+    old_kernel.insert("plans", plans);
+    let mut old = summary.metrics.clone();
+    old.insert("kernel", old_kernel.build()).unwrap();
+    summary.run_dir.write_metrics(&old).unwrap();
+    let report = run_inspect(summary.run_dir.root()).unwrap();
+    assert!(report.contains("Backend `auto` on 2 core(s)"), "{report}");
+    assert!(!report.contains("One plan"), "{report}");
+    assert!(!report.contains("ab-m64-k256-n8"), "{report}");
 
     std::fs::remove_dir_all(&base).ok();
 }

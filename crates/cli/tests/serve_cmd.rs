@@ -20,8 +20,7 @@ fn temp_out_dir(tag: &str) -> String {
 }
 
 /// A 3-unit config so the three SLO tiers cap at distinct depths
-/// (fast → 0, balanced → 1, exact → 2). `blocked` pins one GEMM kernel
-/// so bit-identity claims are about batching, not autotuner plans.
+/// (fast → 0, balanced → 1, exact → 2).
 fn config(out_dir: &str) -> RunConfig {
     let doc = format!(
         r#"
@@ -44,7 +43,6 @@ train = 120
 budget_mb = 16
 batch_limit = 8
 epochs_per_block = 1
-kernel_backend = "blocked"
 
 [serve]
 threshold = 0.80

@@ -50,7 +50,6 @@ train = 120
 budget_mb = 16
 batch_limit = 8
 epochs_per_block = 1
-kernel_backend = "blocked"
 
 [serve]
 threshold = 0.80

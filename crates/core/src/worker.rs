@@ -323,10 +323,8 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         hooks: &mut RunHooks<'_>,
     ) -> Result<WorkerReport> {
         // Run every layer's matrix products on the configured kernel
-        // backend (the blocked parallel kernel unless overridden). Pin
-        // per-layer rather than mutating the process-global default, which
-        // would race concurrent runs; no layers are built after this point
-        // in a run, so pinning covers everything.
+        // backend (the blocked kernel unless overridden); no layers are
+        // built after this point in a run, so pinning covers everything.
         for unit in &mut model.units {
             unit.set_kernel_backend(self.config.kernel_backend);
         }

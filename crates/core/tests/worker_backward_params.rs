@@ -11,22 +11,17 @@ use nf_models::{assign_aux, build_aux_head, AuxPolicy, BuiltModel, ModelSpec};
 use nf_nn::loss::cross_entropy;
 use nf_nn::optim::Sgd;
 use nf_nn::{Layer, Mode, Sequential};
-use nf_tensor::KernelBackend;
 use rand::SeedableRng;
 
 fn setup() -> (BuiltModel, Vec<Sequential>, nf_data::SplitDataset) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let spec = ModelSpec::tiny("bp", 8, &[6, 8], 3);
-    let mut model = spec.build(&mut rng).unwrap();
+    let model = spec.build(&mut rng).unwrap();
     let aux = assign_aux(&spec, AuxPolicy::Fixed(4));
-    let mut heads: Vec<Sequential> = aux
+    let heads: Vec<Sequential> = aux
         .iter()
         .map(|a| build_aux_head(&mut rng, a).unwrap())
         .collect();
-    // A fixed plan, so both sides split every product the same way.
-    for layer in model.units.iter_mut().chain(heads.iter_mut()) {
-        layer.set_kernel_backend(KernelBackend::Blocked);
-    }
     (model, heads, SyntheticSpec::quick(3, 8, 48).generate())
 }
 

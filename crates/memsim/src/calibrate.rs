@@ -46,13 +46,13 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MeasuredPrimitives {
-    /// Sustained GEMM throughput in GFLOP/s (best backend, benched shapes).
+    /// Sustained GEMM throughput in GFLOP/s (the default kernel, benched shapes).
     pub gemm_gflops: f64,
     /// Activation-cache codec encode bandwidth in GB/s (f32 input bytes).
     pub encode_gbps: f64,
     /// Activation-cache codec decode bandwidth in GB/s (f32 output bytes).
     pub decode_gbps: f64,
-    /// Cores the parallel kernels had available (`available_parallelism`).
+    /// Cores the kernels had available (`available_parallelism`).
     pub host_cores: usize,
 }
 

@@ -8,9 +8,9 @@ use crate::scratch::{InputCache, PackedPanel, QuantPanel};
 use crate::Result;
 use nf_tensor::kernels::int8;
 use nf_tensor::{
-    col2im_batch, flip_kernel_panel_into, global_backend, he_normal, im2col_batch_u8_into,
-    lock_workspace, matmul_into, nchw_to_posrows_into, posrows_to_nchw, shared_workspace,
-    sum_axis0_acc, Conv2dGeometry, ConvGather, KernelBackend, QuantTensor, SharedWorkspace, Tensor,
+    col2im_batch, flip_kernel_panel_into, he_normal, im2col_batch_u8_into, lock_workspace,
+    matmul_into, nchw_to_posrows_into, posrows_to_nchw, shared_workspace, sum_axis0_acc,
+    Conv2dGeometry, ConvGather, KernelBackend, QuantTensor, SharedWorkspace, Tensor,
 };
 use rand::Rng;
 use std::sync::Arc;
@@ -38,9 +38,9 @@ use std::sync::Arc;
 /// — so the steady-state hot path allocates nothing beyond its output
 /// tensor.
 ///
-/// Matrix products run on the layer's pinned [`KernelBackend`] if
-/// [`Layer::set_kernel_backend`] (or [`Conv2d::with_backend`]) was called,
-/// otherwise on the process-global default.
+/// Matrix products run on the layer's [`KernelBackend`]: the default
+/// until [`Layer::set_kernel_backend`] (or [`Conv2d::with_backend`]) pins
+/// another.
 ///
 /// # Examples
 ///
@@ -62,7 +62,7 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     pad: usize,
-    backend: Option<KernelBackend>,
+    backend: KernelBackend,
     ws: SharedWorkspace,
     /// Offset tables addressing the input's patch matrix (forward and
     /// weight gradient), rebuilt only when the input geometry changes.
@@ -114,7 +114,7 @@ impl Conv2d {
             kernel,
             stride,
             pad,
-            backend: None,
+            backend: KernelBackend::default(),
             ws: shared_workspace(),
             patches: ConvGather::new(),
             grad_patches: ConvGather::new(),
@@ -129,12 +129,8 @@ impl Conv2d {
 
     /// Pins the GEMM backend this layer runs on (builder form).
     pub fn with_backend(mut self, backend: KernelBackend) -> Self {
-        self.backend = Some(backend);
+        self.backend = backend;
         self
-    }
-
-    fn backend(&self) -> KernelBackend {
-        self.backend.unwrap_or_else(global_backend)
     }
 
     /// Output channel count.
@@ -196,7 +192,7 @@ impl Conv2d {
                 ),
             });
         }
-        let backend = self.backend();
+        let backend = self.backend;
         let mut ws = lock_workspace(&self.ws);
         let p = ws.parts();
         // As in forward: `cols` is about to be overwritten.
@@ -253,7 +249,6 @@ impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
         let (n, _, h, w) = self.check_input(x)?;
         let geom = self.geometry(h, w)?;
-        let backend = self.backend();
         let wt = self.packed_wt.get(&self.weight)?;
         // One gathered GEMM for the whole minibatch, entirely in workspace
         // scratch: (N·P × C·K·K) · (C·K·K × C_out) -> N·P × C_out.
@@ -263,7 +258,7 @@ impl Layer for Conv2d {
         // lowering another layer left there is gone.
         *p.cols_owner = 0;
         self.patches
-            .forward_into(backend, x, &geom, wt, p.cols, p.pack, p.out)?;
+            .forward_into(self.backend, x, &geom, wt, p.cols, p.pack, p.out)?;
         // Broadcast the per-channel bias over every output position (rows
         // are positions, columns are output channels).
         let bias = self.bias.value.data();
@@ -335,7 +330,7 @@ impl Layer for Conv2d {
     }
 
     fn set_kernel_backend(&mut self, backend: KernelBackend) {
-        self.backend = Some(backend);
+        self.backend = backend;
     }
 
     fn set_workspace(&mut self, ws: &SharedWorkspace) {

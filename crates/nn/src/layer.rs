@@ -97,8 +97,8 @@ pub trait Layer: Send {
 
     /// Pins the GEMM kernel backend this layer (and any child layers) runs
     /// its matrix products on. Layers without a GEMM hot path ignore it;
-    /// layers that have one default to the process-global backend
-    /// ([`nf_tensor::global_backend`]) until pinned.
+    /// layers that have one run on [`nf_tensor::KernelBackend::default`]
+    /// until pinned.
     fn set_kernel_backend(&mut self, _backend: nf_tensor::KernelBackend) {}
 
     /// Installs the scratch [`nf_tensor::Workspace`] this layer (and any

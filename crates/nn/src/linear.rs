@@ -7,8 +7,8 @@ use crate::scratch::{InputCache, PackedPanel, QuantPanel};
 use crate::Result;
 use nf_tensor::kernels::int8;
 use nf_tensor::{
-    global_backend, he_normal, lock_workspace, matmul_at_b_into, matmul_with, shared_workspace,
-    sum_axis0_acc, KernelBackend, QuantTensor, SharedWorkspace, Tensor,
+    he_normal, lock_workspace, matmul_at_b_into, matmul_with, shared_workspace, sum_axis0_acc,
+    KernelBackend, QuantTensor, SharedWorkspace, Tensor,
 };
 use rand::Rng;
 use std::sync::Arc;
@@ -16,9 +16,8 @@ use std::sync::Arc;
 /// Fully-connected layer: `y = x·W + b` with `W: (in, out)`, `b: (out)`.
 ///
 /// Accepts rank-2 input `(batch, in_features)`. Matrix products run on the
-/// layer's pinned [`KernelBackend`] if [`Layer::set_kernel_backend`] (or
-/// [`Linear::with_backend`]) was called, otherwise on the process-global
-/// default.
+/// layer's [`KernelBackend`]: the default until
+/// [`Layer::set_kernel_backend`] (or [`Linear::with_backend`]) pins another.
 ///
 /// # Examples
 ///
@@ -37,7 +36,7 @@ pub struct Linear {
     bias: Param,
     in_features: usize,
     out_features: usize,
-    backend: Option<KernelBackend>,
+    backend: KernelBackend,
     ws: SharedWorkspace,
     /// `weight.value` transposed to `(out, in)` — the `B` operand of the
     /// input-gradient GEMM — re-packed only when the weight version moves.
@@ -61,7 +60,7 @@ impl Linear {
             bias: Param::new(Tensor::zeros(&[out_features])),
             in_features,
             out_features,
-            backend: None,
+            backend: KernelBackend::default(),
             ws: shared_workspace(),
             packed_wt: PackedPanel::new(),
             quant_wt: QuantPanel::new(),
@@ -73,12 +72,8 @@ impl Linear {
 
     /// Pins the GEMM backend this layer runs on (builder form).
     pub fn with_backend(mut self, backend: KernelBackend) -> Self {
-        self.backend = Some(backend);
+        self.backend = backend;
         self
-    }
-
-    fn backend(&self) -> KernelBackend {
-        self.backend.unwrap_or_else(global_backend)
     }
 
     /// Input feature count.
@@ -113,7 +108,7 @@ impl Layer for Linear {
                 reason: format!("expected {} features, got {cols}", self.in_features),
             });
         }
-        let mut y = matmul_with(self.backend(), x, &self.weight.value)?;
+        let mut y = matmul_with(self.backend, x, &self.weight.value)?;
         let b = self.bias.value.data();
         let out = self.out_features;
         for row in y.data_mut().chunks_mut(out) {
@@ -166,9 +161,8 @@ impl Layer for Linear {
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         self.backward_params(grad_out)?;
         // dx = g · Wᵀ as a plain GEMM against the packed panel.
-        let backend = self.backend();
         let wt = self.packed_wt.get(&self.weight)?;
-        Ok(matmul_with(backend, grad_out, wt)?)
+        Ok(matmul_with(self.backend, grad_out, wt)?)
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
@@ -190,7 +184,7 @@ impl Layer for Linear {
         {
             let mut ws = lock_workspace(&self.ws);
             let p = ws.parts();
-            matmul_at_b_into(self.backend(), &x, grad_out, p.out, p.pack)?;
+            matmul_at_b_into(self.backend, &x, grad_out, p.out, p.pack)?;
             nf_tensor::axpy(1.0, p.out, &mut self.weight.grad)?;
         }
         // db += column sums of g, accumulated in place.
@@ -209,7 +203,7 @@ impl Layer for Linear {
     }
 
     fn set_kernel_backend(&mut self, backend: KernelBackend) {
-        self.backend = Some(backend);
+        self.backend = backend;
     }
 
     fn set_workspace(&mut self, ws: &SharedWorkspace) {

@@ -128,11 +128,7 @@ fn check_case(
 
 #[test]
 fn batched_conv_matches_per_sample_reference() {
-    for backend in [
-        KernelBackend::Naive,
-        KernelBackend::Blocked,
-        KernelBackend::BlockedParallel,
-    ] {
+    for backend in [KernelBackend::Naive, KernelBackend::Blocked] {
         // (n, c_in, c_out, hw, kernel, stride, pad)
         check_case(backend, 1, 1, 1, 4, 3, 1, 1, 1);
         check_case(backend, 3, 2, 4, 6, 3, 1, 1, 2);
@@ -147,5 +143,5 @@ fn batched_conv_matches_at_scale() {
     // One CNN-realistic shape so the blocking boundaries (MR=8, JT=32)
     // are actually crossed: batch 8 of 16×16×16 through a 3×3 conv to 32
     // channels.
-    check_case(KernelBackend::BlockedParallel, 8, 16, 32, 16, 3, 1, 1, 6);
+    check_case(KernelBackend::Blocked, 8, 16, 32, 16, 3, 1, 1, 6);
 }

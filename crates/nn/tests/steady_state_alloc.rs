@@ -50,7 +50,6 @@ fn conv_train_step_alloc_count_is_constant_after_warmup() {
     let mut conv = Conv2d::new(&mut rng, 4, 8, 3, 1, 1).unwrap();
     let ws = shared_workspace();
     conv.set_workspace(&ws);
-    conv.set_kernel_backend(nf_tensor::KernelBackend::Blocked);
     let x = Tensor::ones(&[4, 4, 10, 10]);
     let g = Tensor::ones(&[4, 8, 10, 10]);
     let sgd = Sgd::new(0.01).with_momentum(0.9);

@@ -23,7 +23,7 @@
 //! - **Batched** ([`im2col_batch`] / [`col2im_batch`]): one
 //!   `(N·OH·OW) × (C·KH·KW)` patch matrix for the whole minibatch, so the
 //!   convolution is a *single* large GEMM instead of `N` small ones — large
-//!   GEMMs are where the blocked/parallel kernel backends earn their keep.
+//!   GEMMs are where the blocked kernel earns its keep.
 //!   [`nchw_to_posrows`] / [`posrows_to_nchw`] convert activations between
 //!   NCHW and the batched lowering's position-major row layout.
 //!
@@ -31,7 +31,6 @@
 //! backward pass relies on; adjointness is property-tested below.
 
 use crate::error::TensorError;
-use crate::kernels::autotune::{GemmOp, ShapeClass};
 use crate::kernels::int8::QuantizedLhs;
 use crate::kernels::{GatherA, KernelBackend};
 use crate::quant::QuantTensor;
@@ -336,7 +335,7 @@ impl ConvGather {
     /// The forward product: `out (N·OH·OW × C_out) = patches(x) · wt`,
     /// with `wt` the `(C·KH·KW × C_out)` packed kernel panel. Equals
     /// [`im2col_batch_into`] + [`crate::matmul_into`] without the patch
-    /// matrix; tuned and recorded as the `ab` product of that shape.
+    /// matrix.
     ///
     /// `padded` receives the padded input (untouched when `geom.pad` is
     /// 0), `pack` is backend scratch, all grow-only.
@@ -351,25 +350,14 @@ impl ConvGather {
         pack: &mut Vec<f32>,
         out: &mut Tensor,
     ) -> Result<()> {
-        self.patches_times(
-            GemmOp::Ab,
-            "conv_forward",
-            backend,
-            x,
-            geom,
-            wt,
-            padded,
-            pack,
-            out,
-        )
+        self.patches_times("conv_forward", backend, x, geom, wt, padded, pack, out)
     }
 
     /// The input gradient of a convolution whose
     /// [`Conv2dGeometry::input_grad_geometry`] is `dgeom`:
     /// `out (N·H·W × C_in) = patches(grad_out) · flipped`, with `flipped`
     /// from [`flip_kernel_panel_into`] — a gather over the padded output
-    /// gradient where [`col2im_batch_into`] scatter-adds. Tuned and
-    /// recorded as an `abt` product (it stands where `g · Wᵀ` did).
+    /// gradient where [`col2im_batch_into`] scatter-adds.
     #[allow(clippy::too_many_arguments)]
     pub fn dgrad_into(
         &mut self,
@@ -382,7 +370,6 @@ impl ConvGather {
         out: &mut Tensor,
     ) -> Result<()> {
         self.patches_times(
-            GemmOp::ABt,
             "conv_dgrad",
             backend,
             grad_out,
@@ -397,7 +384,6 @@ impl ConvGather {
     #[allow(clippy::too_many_arguments)]
     fn patches_times(
         &mut self,
-        gemm_op: GemmOp,
         op: &'static str,
         backend: KernelBackend,
         x: &Tensor,
@@ -418,14 +404,9 @@ impl ConvGather {
         }
         let a = GatherA::new(base, &self.pos[..rows], &self.taps)?;
         out.reuse_as(&[rows, n]);
-        backend.backend().gemm_gather(
-            ShapeClass::of(gemm_op, rows, patch, n),
-            &a,
-            n,
-            panel.data(),
-            out.data_mut(),
-            pack,
-        );
+        backend
+            .backend()
+            .gemm_gather(&a, n, panel.data(), out.data_mut(), pack);
         Ok(())
     }
 
@@ -434,7 +415,7 @@ impl ConvGather {
     /// output gradient as `(N·OH·OW × C_out)` position rows — the forward
     /// tables swapped. Element for element it sums what
     /// [`crate::matmul_at_b_into`]`(g_rows, patches)` sums, in the same
-    /// order; tuned and recorded as that `atb` product.
+    /// order.
     #[allow(clippy::too_many_arguments)]
     pub fn wgrad_into(
         &mut self,
@@ -457,14 +438,9 @@ impl ConvGather {
         }
         let a = GatherA::new(base, &self.taps, &self.pos[..rows])?;
         out.reuse_as(&[patch, c_out]);
-        backend.backend().gemm_gather(
-            ShapeClass::of(GemmOp::AtB, c_out, rows, patch),
-            &a,
-            c_out,
-            g_rows.data(),
-            out.data_mut(),
-            pack,
-        );
+        backend
+            .backend()
+            .gemm_gather(&a, c_out, g_rows.data(), out.data_mut(), pack);
         Ok(())
     }
 }

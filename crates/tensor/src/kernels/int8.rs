@@ -44,11 +44,6 @@ use rayon::prelude::*;
 /// (int8-compute within 1pp of f32) shows is immaterial.
 pub const WEIGHT_QMAX: i32 = 63;
 
-/// Minimum `M·K·N` before the i32 GEMM fans row blocks out across
-/// threads; same rationale as the f32 kernel's threshold (the vendored
-/// rayon spawns OS threads per call).
-const PAR_MIN_OPS: usize = 1 << 19;
-
 /// Rounds a `K` extent up to the quad stride the packed layout uses.
 pub const fn round_up4(k: usize) -> usize {
     (k + 3) & !3
@@ -213,8 +208,8 @@ impl QuantizedRhs {
 /// Dispatches to the maddubs SIMD panel when available (every column of
 /// every full 4-row block), with the scalar quad kernel as fallback and
 /// for the last `m % 4` rows; fans 4-row
-/// blocks out across threads on multi-core hosts when the product is
-/// large enough. All paths produce bit-identical accumulators.
+/// blocks out across threads under the same rule as the f32 kernel
+/// (`fans_out`). All paths produce bit-identical accumulators.
 pub fn gemm_i32(lhs: &QuantizedLhs, rhs: &QuantizedRhs, out: &mut Vec<i32>) {
     assert_eq!(lhs.k, rhs.k, "int8 gemm K mismatch");
     assert_eq!(lhs.k4, rhs.k4, "int8 gemm K stride mismatch");
@@ -237,7 +232,7 @@ pub fn gemm_i32(lhs: &QuantizedLhs, rhs: &QuantizedRhs, out: &mut Vec<i32>) {
             scalar_rows(a, bp, k4, n, i0, rows, opanel);
         }
     };
-    if super::host_cores() > 1 && m * k4 * n >= PAR_MIN_OPS && m > rows_per_block {
+    if super::fans_out(m, lhs.k, n) {
         out.par_chunks_mut(rows_per_block * n)
             .enumerate()
             .for_each(|(idx, opanel)| row_block(idx, opanel));

@@ -1,4 +1,4 @@
-//! Pluggable GEMM kernel backends.
+//! The GEMM kernel seam.
 //!
 //! Every convolution and fully-connected layer in the workspace lowers to
 //! one of three matrix products — `A·B`, `Aᵀ·B`, `A·Bᵀ` — so this seam is
@@ -6,31 +6,36 @@
 //! layers hand over dense operands; convolutions hand over a [`GatherA`]
 //! (their patch matrix addressed in place in the padded input, see
 //! [`GemmBackend::gemm_gather`]). The [`GemmBackend`] trait abstracts the
-//! implementation; three are provided:
+//! implementation; two are provided:
 //!
 //! - [`NaiveGemm`] — the original streaming `i-k-j` loops. Slow but
 //!   obviously correct; kept as the reference oracle the fast path is
 //!   property-tested against (it materialises a gathered `A`, which makes
 //!   the explicit `im2col` lowering the oracle of the gathered one).
-//! - [`BlockedGemm`] — cache-blocked with one `MR`-row register-tile
-//!   micro-kernel ([`simd`]) instantiated at the host's vector widths
-//!   (AVX-512 / AVX2 / portable), optionally parallel over row panels via
-//!   rayon (multi-core hosts only; on one core thread fan-out is pure
-//!   overhead, so the parallel variant degrades to serial).
-//! - [`autotune::AutoGemm`] — dispatches to [`BlockedGemm`] with cache
-//!   blocks and a thread strategy benchmarked per shape class at first
-//!   use. This is the default.
+//! - [`BlockedGemm`] — the production kernel and the default:
+//!   cache-blocked with one `MR`-row register-tile micro-kernel ([`simd`])
+//!   instantiated at the host's vector widths (AVX-512 / AVX2 / portable).
+//!
+//! The blocked kernel has **one plan**: the cache blocks [`KC`] and [`NC`]
+//! are compile-time constants, and whether a product fans its row panels
+//! out across threads is a pure function of the host's core count and the
+//! product's shape (`fans_out`, floor [`FAN_OUT_MIN_MACS`]). A product's
+//! bits depend only on its `KC` split — every tile and both loop orders do
+//! identical per-element arithmetic, and fan-out only distributes disjoint
+//! output rows — so with `KC` fixed the same operands give the same bits
+//! in every process, at every batch size and on any number of threads.
 //!
 //! Quantized compute lives alongside: [`int8`] is the `u8×i8→i32` GEMM
 //! the frozen-block forward pass runs on cached int8 activations, with
-//! its own runtime-dispatched maddubs path in [`simd_int8`].
+//! its own runtime-dispatched maddubs path in [`simd_int8`]; it takes its
+//! thread decision from the same `fans_out`.
 //!
-//! Selection is either explicit (`matmul_with` and friends, or calling a
-//! backend directly) or through the process-global default
-//! ([`set_global_backend`] / [`global_backend`]), which
-//! `NeuroFluxConfig::kernel_backend` and the baseline trainers set at the
-//! start of a run. The global default starts as [`KernelBackend::Auto`],
-//! so everything runs on the tuned fast path unless a caller opts out.
+//! Selection is always explicit — a [`KernelBackend`] value handed to
+//! `matmul_with` and friends, or pinned on a layer by
+//! `Layer::set_kernel_backend` (which is how
+//! `NeuroFluxConfig::kernel_backend` and the baseline trainers apply it);
+//! there is no process-global selector. Everything that is not told
+//! otherwise runs on [`KernelBackend::default`], the blocked kernel.
 
 pub mod autotune;
 mod blocked;
@@ -46,11 +51,29 @@ pub use naive::NaiveGemm;
 pub use simd::GatherA;
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Number of hardware threads on this host (cached). The parallel kernel
-/// paths and the autotuner's candidate grid consult this so thread
-/// fan-out only ever happens where a second core actually exists.
+/// `K`-dimension cache block of the blocked kernel: `KC` rows of `B`
+/// (`KC × NC` floats) are re-read `MR`-rows-at-a-time while they are hot
+/// in L2. This constant is what fixes a product's f32 rounding (partial
+/// sums are folded into the output once per `K` block), so changing it
+/// changes every loss digest.
+pub const KC: usize = 256;
+
+/// `N`-dimension cache block of the blocked kernel: output row segments of
+/// `NC` floats (1 KiB) stay in L1 across the `KC` rank-1 updates. A
+/// multiple of the widest tile (32 columns), so a block boundary never
+/// splits a strip the tile could have taken whole. Never changes bits.
+pub const NC: usize = 256;
+
+/// Minimum `M·K·N` (multiply-accumulates) before a product fans its row
+/// panels out across threads. The vendored rayon has no persistent pool —
+/// it spawns OS threads per call — so a product has to carry about a
+/// millisecond of serial work before the spawn/join pays; measured in
+/// EXPERIMENTS.md ("One-plan PR").
+pub const FAN_OUT_MIN_MACS: usize = 1 << 26;
+
+/// Number of hardware threads on this host (cached). Thread fan-out only
+/// ever happens where a second core actually exists.
 pub fn host_cores() -> usize {
     use std::sync::OnceLock;
     static CORES: OnceLock<usize> = OnceLock::new();
@@ -61,6 +84,16 @@ pub fn host_cores() -> usize {
     })
 }
 
+/// The one thread decision of the f32 and int8 GEMMs: whether an
+/// `M×K×N` product fans its row panels out across threads. Reads nothing
+/// but the host's core count and the shape, so it is the same answer in
+/// every process on a host; it never changes bits (panels are disjoint
+/// output rows). On a single core the spawned workers would only
+/// time-slice, so fan-out is off at any size there.
+fn fans_out(m: usize, k: usize, n: usize) -> bool {
+    host_cores() > 1 && m * k * n >= FAN_OUT_MIN_MACS
+}
+
 /// A dense single-precision matrix-multiplication implementation.
 ///
 /// All matrices are row-major, fully packed slices. Implementations
@@ -68,9 +101,9 @@ pub fn host_cores() -> usize {
 ///
 /// # Examples
 ///
-/// Every variant of [`KernelBackend`] resolves to a `GemmBackend`; the fast
-/// backends are property-tested against [`NaiveGemm`], so any of them can be
-/// called directly on packed row-major slices:
+/// Every variant of [`KernelBackend`] resolves to a `GemmBackend`; the
+/// blocked kernel is property-tested against [`NaiveGemm`], so either can
+/// be called directly on packed row-major slices:
 ///
 /// ```
 /// use nf_tensor::kernels::{GemmBackend, KernelBackend};
@@ -100,23 +133,17 @@ pub trait GemmBackend: Send + Sync {
     /// addressed through offset tables instead of stored, which is how the
     /// conv layers multiply their patch matrix without building it.
     ///
-    /// `class` is the plan-table row the product is tuned and recorded
-    /// under by the autotuned backend (the caller knows whether this is a
-    /// forward, weight-gradient or input-gradient product and what its
-    /// logical dimensions are; the fixed-plan backends ignore it). The
-    /// default materialises `A` dense into `scratch` (grow-only) and runs
-    /// [`GemmBackend::gemm`]; [`BlockedGemm`] gathers inside its
+    /// The default materialises `A` dense into `scratch` (grow-only) and
+    /// runs [`GemmBackend::gemm`]; [`BlockedGemm`] gathers inside its
     /// micro-kernel instead.
     fn gemm_gather(
         &self,
-        class: autotune::ShapeClass,
         a: &GatherA<'_>,
         n: usize,
         b: &[f32],
         out: &mut [f32],
         scratch: &mut Vec<f32>,
     ) {
-        let _ = class;
         a.materialize_into(scratch);
         self.gemm(a.rows(), a.depth(), n, scratch, b, out);
     }
@@ -162,22 +189,16 @@ pub trait GemmBackend: Send + Sync {
 /// config struct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum KernelBackend {
-    /// Reference `i-k-j` loops, single-threaded.
+    /// Reference `i-k-j` loops, single-threaded: the oracle.
     Naive,
-    /// Cache-blocked micro-kernel, single-threaded.
-    Blocked,
-    /// Cache-blocked micro-kernel, parallel over row panels.
-    BlockedParallel,
-    /// Cache-blocked micro-kernel with blocking/threading benchmarked per
-    /// shape class at first use (see [`autotune`]).
+    /// Cache-blocked micro-kernel with the one fixed plan (see the module
+    /// docs): the production kernel.
     #[default]
-    Auto,
+    Blocked,
 }
 
 static NAIVE: NaiveGemm = NaiveGemm;
-static BLOCKED: BlockedGemm = BlockedGemm::serial();
-static BLOCKED_PARALLEL: BlockedGemm = BlockedGemm::parallel();
-static AUTO: autotune::AutoGemm = autotune::AutoGemm;
+static BLOCKED: BlockedGemm = BlockedGemm;
 
 impl KernelBackend {
     /// The backend implementation this variant selects.
@@ -185,75 +206,33 @@ impl KernelBackend {
         match self {
             KernelBackend::Naive => &NAIVE,
             KernelBackend::Blocked => &BLOCKED,
-            KernelBackend::BlockedParallel => &BLOCKED_PARALLEL,
-            KernelBackend::Auto => &AUTO,
         }
     }
 
-    /// Stable name (`naive`, `blocked`, `blocked-parallel`, `auto`).
+    /// Stable name (`naive`, `blocked`).
     pub fn name(self) -> &'static str {
         self.backend().name()
     }
 
-    /// All selectable backends, in `to_u8` order.
-    pub fn all() -> [KernelBackend; 4] {
-        [
-            KernelBackend::Naive,
-            KernelBackend::Blocked,
-            KernelBackend::BlockedParallel,
-            KernelBackend::Auto,
-        ]
-    }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            KernelBackend::Naive => 0,
-            KernelBackend::Blocked => 1,
-            KernelBackend::BlockedParallel => 2,
-            KernelBackend::Auto => 3,
-        }
-    }
-
-    fn from_u8(v: u8) -> Self {
-        match v {
-            0 => KernelBackend::Naive,
-            1 => KernelBackend::Blocked,
-            2 => KernelBackend::BlockedParallel,
-            _ => KernelBackend::Auto,
-        }
+    /// All selectable backends.
+    pub fn all() -> [KernelBackend; 2] {
+        [KernelBackend::Naive, KernelBackend::Blocked]
     }
 }
 
 impl std::str::FromStr for KernelBackend {
     type Err = String;
 
-    /// Parses the stable names produced by [`KernelBackend::name`] (plus
-    /// `blocked_parallel` as an alias, since TOML keys often use
-    /// underscores).
+    /// Parses the stable names produced by [`KernelBackend::name`].
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "naive" => Ok(KernelBackend::Naive),
             "blocked" => Ok(KernelBackend::Blocked),
-            "blocked-parallel" | "blocked_parallel" => Ok(KernelBackend::BlockedParallel),
-            "auto" => Ok(KernelBackend::Auto),
             other => Err(format!(
-                "unknown kernel backend {other:?} (expected naive, blocked, blocked-parallel, or auto)"
+                "unknown kernel backend {other:?} (expected blocked | naive)"
             )),
         }
     }
-}
-
-static GLOBAL_BACKEND: AtomicU8 = AtomicU8::new(3); // Auto
-
-/// Sets the process-global default backend used by [`crate::matmul`] and
-/// friends when no explicit backend is given.
-pub fn set_global_backend(backend: KernelBackend) {
-    GLOBAL_BACKEND.store(backend.to_u8(), Ordering::Relaxed);
-}
-
-/// The current process-global default backend.
-pub fn global_backend() -> KernelBackend {
-    KernelBackend::from_u8(GLOBAL_BACKEND.load(Ordering::Relaxed))
 }
 
 #[cfg(test)]
@@ -261,24 +240,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_auto() {
-        assert_eq!(KernelBackend::default(), KernelBackend::Auto);
-        assert_eq!(KernelBackend::default().name(), "auto");
-    }
-
-    #[test]
-    fn global_backend_round_trips() {
-        let before = global_backend();
-        set_global_backend(KernelBackend::Naive);
-        assert_eq!(global_backend(), KernelBackend::Naive);
-        set_global_backend(before);
-        assert_eq!(global_backend(), before);
+    fn default_is_blocked() {
+        assert_eq!(KernelBackend::default(), KernelBackend::Blocked);
+        assert_eq!(KernelBackend::default().name(), "blocked");
     }
 
     #[test]
     fn backend_names_are_distinct() {
         let names = KernelBackend::all().map(KernelBackend::name);
-        assert_eq!(names, ["naive", "blocked", "blocked-parallel", "auto"]);
+        assert_eq!(names, ["naive", "blocked"]);
     }
 
     #[test]
@@ -292,10 +262,17 @@ mod tests {
         for backend in KernelBackend::all() {
             assert_eq!(backend.name().parse::<KernelBackend>(), Ok(backend));
         }
-        assert_eq!(
-            "blocked_parallel".parse::<KernelBackend>(),
-            Ok(KernelBackend::BlockedParallel)
-        );
-        assert!("cuda".parse::<KernelBackend>().is_err());
+        // The deleted selectors are refused, not aliased.
+        for gone in ["auto", "blocked-parallel", "blocked_parallel", "cuda"] {
+            let err = gone.parse::<KernelBackend>().unwrap_err();
+            assert!(err.contains("blocked | naive"), "{err}");
+        }
+    }
+
+    #[test]
+    fn fan_out_needs_a_second_core_and_a_large_product() {
+        assert!(!fans_out(2, 2, 2));
+        assert!(!fans_out(FAN_OUT_MIN_MACS - 1, 1, 1));
+        assert_eq!(fans_out(FAN_OUT_MIN_MACS, 1, 1), host_cores() > 1);
     }
 }

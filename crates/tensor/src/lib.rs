@@ -13,12 +13,13 @@
 //! `DESIGN.md` §2. Everything is allocation-explicit: the hot-path entry
 //! points come in `*_into` form writing into caller-provided grow-only
 //! buffers (see [`Workspace`]), with the allocating originals kept as thin
-//! wrappers. The GEMM hot path is pluggable (see [`kernels`]): a naive
-//! reference backend validates a cache-blocked, optionally rayon-parallel
-//! backend, with an explicit AVX-512 / AVX2+FMA micro-kernel
-//! ([`kernels::simd`]) dispatched at runtime; the default selection is
-//! [`kernels::autotune`], which benchmarks cache-block/thread candidates
-//! per shape class at first use. Quantized compute is first-class: [`QuantTensor`] carries
+//! wrappers. The GEMM hot path is one seam (see [`kernels`]): a naive
+//! reference backend validates the cache-blocked production kernel, which
+//! runs an explicit AVX-512 / AVX2+FMA micro-kernel ([`kernels::simd`])
+//! dispatched at runtime under one fixed plan — constant cache blocks, and
+//! thread fan-out a pure function of core count and shape — so equal
+//! operands give equal bits in every process. Quantized compute is
+//! first-class: [`QuantTensor`] carries
 //! affine-`u8` activations and [`kernels::int8`] multiplies them against
 //! per-channel `i8` weights in exact `i32` arithmetic (AVX2 `maddubs`
 //! path in [`kernels::simd_int8`]). `unsafe` is denied crate-wide and
@@ -60,7 +61,7 @@ pub use conv::{
 };
 pub use error::TensorError;
 pub use init::{he_normal, uniform_init, xavier_uniform};
-pub use kernels::{global_backend, host_cores, set_global_backend, GemmBackend, KernelBackend};
+pub use kernels::{host_cores, GemmBackend, KernelBackend};
 pub use matmul::{
     matmul, matmul_a_bt, matmul_a_bt_into, matmul_a_bt_with, matmul_at_b, matmul_at_b_into,
     matmul_at_b_with, matmul_into, matmul_with, transpose2d, transpose2d_into,

@@ -5,13 +5,13 @@
 //! products enter the same backends one level down
 //! ([`crate::ConvGather`]). The
 //! actual arithmetic lives in the pluggable [`crate::kernels`] backends;
-//! the functions here validate shapes and dispatch — to the process-global
-//! default backend ([`matmul`], [`matmul_at_b`], [`matmul_a_bt`]) or to an
-//! explicit one (the `*_with` variants, used by property tests and
-//! benchmarks to pin a specific implementation).
+//! the functions here validate shapes and dispatch — to the default
+//! backend ([`matmul`], [`matmul_at_b`], [`matmul_a_bt`]) or to an explicit
+//! one (the `*_with` variants, used by layers that carry a configured
+//! backend and by property tests that compare against the oracle).
 
 use crate::error::TensorError;
-use crate::kernels::{global_backend, KernelBackend};
+use crate::kernels::KernelBackend;
 use crate::tensor::Tensor;
 use crate::Result;
 
@@ -29,7 +29,7 @@ fn check2(op: &'static str, a: &Tensor, b: &Tensor) -> Result<((usize, usize), (
     Ok((ad, bd))
 }
 
-/// Matrix product `a (M×K) · b (K×N) -> (M×N)` on the global backend.
+/// Matrix product `a (M×K) · b (K×N) -> (M×N)` on the default backend.
 ///
 /// # Examples
 ///
@@ -42,7 +42,7 @@ fn check2(op: &'static str, a: &Tensor, b: &Tensor) -> Result<((usize, usize), (
 /// assert_eq!(c.data(), &[3.0, 7.0]);
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_with(global_backend(), a, b)
+    matmul_with(KernelBackend::default(), a, b)
 }
 
 /// [`matmul`] on an explicit backend.
@@ -89,7 +89,7 @@ pub fn matmul_into(backend: KernelBackend, a: &Tensor, b: &Tensor, out: &mut Ten
 /// transpose copy at the call site (the blocked backend may still pack
 /// internally).
 pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_at_b_with(global_backend(), a, b)
+    matmul_at_b_with(KernelBackend::default(), a, b)
 }
 
 /// [`matmul_at_b`] on an explicit backend.
@@ -128,7 +128,7 @@ pub fn matmul_at_b_into(
 ///
 /// Layer backward passes need `G·Wᵀ` for input gradients.
 pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_a_bt_with(global_backend(), a, b)
+    matmul_a_bt_with(KernelBackend::default(), a, b)
 }
 
 /// [`matmul_a_bt`] on an explicit backend.
@@ -234,12 +234,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    const ALL_BACKENDS: [KernelBackend; 4] = [
-        KernelBackend::Naive,
-        KernelBackend::Blocked,
-        KernelBackend::BlockedParallel,
-        KernelBackend::Auto,
-    ];
+    const ALL_BACKENDS: [KernelBackend; 2] = [KernelBackend::Naive, KernelBackend::Blocked];
 
     #[test]
     fn matmul_known_value() {

@@ -56,9 +56,9 @@ fn random(shape: &[usize], seed: u64) -> Tensor {
 
 #[test]
 fn conv_gemm_cycle_is_allocation_free_after_warmup() {
-    // Small enough that the batched lowerings stay on the single-threaded
-    // path (the vendored rayon would otherwise spawn OS threads, which
-    // allocate); the serial blocked backend is the kernel under test.
+    // Small enough that the batched lowerings and the blocked kernel (the
+    // kernel under test) stay below their thread fan-out floors — the
+    // vendored rayon would otherwise spawn OS threads, which allocate.
     let geom = Conv2dGeometry::new(12, 12, 3, 3, 1, 1).unwrap();
     let (n, c, f) = (4usize, 6usize, 10usize);
     let x = random(&[n, c, 12, 12], 1);

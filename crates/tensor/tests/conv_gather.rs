@@ -78,7 +78,6 @@ impl Case {
 
         for (backend, exact) in [
             (KernelBackend::Blocked, true),
-            (KernelBackend::BlockedParallel, true),
             (KernelBackend::Naive, false),
         ] {
             let what = backend.name();

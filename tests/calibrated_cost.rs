@@ -20,7 +20,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Sustained GEMM GFLOP/s of the autotuned backend on a model-shaped
+/// Sustained GEMM GFLOP/s of the default kernel on a model-shaped
 /// product, measured in this very process (so debug/release consistency
 /// between primitive and prediction is automatic).
 fn measure_gemm_gflops() -> f64 {
@@ -28,13 +28,14 @@ fn measure_gemm_gflops() -> f64 {
     let a = nf_tensor::uniform_init(&mut rng, &[256, 128, 64][..2], -1.0, 1.0);
     let b = nf_tensor::uniform_init(&mut rng, &[128, 64], -1.0, 1.0);
     let mut out = nf_tensor::Tensor::default();
-    nf_tensor::matmul_into(KernelBackend::Auto, &a, &b, &mut out).unwrap();
+    let backend = KernelBackend::default();
+    nf_tensor::matmul_into(backend, &a, &b, &mut out).unwrap();
     let flops = 2.0 * 256.0 * 128.0 * 64.0;
     let times: Vec<f64> = (0..5)
         .map(|_| {
             let start = Instant::now();
             for _ in 0..4 {
-                nf_tensor::matmul_into(KernelBackend::Auto, &a, &b, &mut out).unwrap();
+                nf_tensor::matmul_into(backend, &a, &b, &mut out).unwrap();
             }
             start.elapsed().as_secs_f64() / 4.0
         })
@@ -90,9 +91,7 @@ fn measure_step_s(spec: &ModelSpec, batch: usize) -> f64 {
     let ws_units = nf_tensor::shared_workspace();
     let ws_heads = nf_tensor::shared_workspace();
     for (unit, head) in model.units.iter_mut().zip(heads.iter_mut()) {
-        unit.set_kernel_backend(KernelBackend::Auto);
         unit.set_workspace(&ws_units);
-        head.set_kernel_backend(KernelBackend::Auto);
         head.set_workspace(&ws_heads);
     }
     let images = nf_tensor::uniform_init(&mut rng, &[batch, 3, hw, hw], -1.0, 1.0);
@@ -111,7 +110,7 @@ fn measure_step_s(spec: &ModelSpec, batch: usize) -> f64 {
             cur = out;
         }
     };
-    step(); // warm caches, autotuner, and workspace arenas
+    step(); // warm caches and workspace arenas
     median(
         (0..5)
             .map(|_| {

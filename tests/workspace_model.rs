@@ -6,7 +6,7 @@
 use nf_memsim::MemoryModel;
 use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
 use nf_nn::{Layer, Mode};
-use nf_tensor::{lock_workspace, shared_workspace, KernelBackend, Tensor};
+use nf_tensor::{lock_workspace, shared_workspace, Tensor};
 use rand::SeedableRng;
 
 #[test]
@@ -30,10 +30,8 @@ fn workspace_term_is_the_padded_input_the_layers_reserve() {
     let mut model = spec.build(&mut rng).unwrap();
     let mut head = build_aux_head(&mut rng, aux).unwrap();
     let (ws_unit, ws_head) = (shared_workspace(), shared_workspace());
-    let (unit, backend) = (&mut model.units[0], KernelBackend::Blocked);
-    unit.set_kernel_backend(backend);
+    let unit = &mut model.units[0];
     unit.set_workspace(&ws_unit);
-    head.set_kernel_backend(backend);
     head.set_workspace(&ws_head);
     let out = unit
         .forward(&Tensor::ones(&[batch, 3, hw, hw]), Mode::Eval)
