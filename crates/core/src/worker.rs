@@ -223,64 +223,54 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
 
     /// Runs the trained block forward over all `inputs` (eval mode, in
     /// batches) producing the activations to cache.
+    ///
+    /// With `quant` set — the same cached inputs still in int8 form — each
+    /// batch is sliced *quantized* and enters the block's first unit via
+    /// [`Layer::forward_quant`], which runs the integer GEMM path through
+    /// that unit's entry layer without a decode to f32; the rest of the
+    /// block continues in f32 either way. Batch outputs are copied straight
+    /// into the one result tensor (sized from the first batch), so the
+    /// block's output is never held twice.
     fn regenerate_activations(
         &self,
         model: &mut BuiltModel,
         block: &Block,
         inputs: &Tensor,
+        quant: Option<&QuantTensor>,
     ) -> Result<Tensor> {
-        let n = inputs.shape()[0];
+        let n = match quant {
+            Some(q) => q.shape().first().copied().unwrap_or(0),
+            None => inputs.shape()[0],
+        };
         let batch = block.batch.max(1);
-        let mut parts: Vec<Tensor> = Vec::new();
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + batch).min(n);
-            let mut cur = inputs.slice_batch(start, end)?;
-            for u in block.units.clone() {
-                cur = model.units[u].forward(&cur, Mode::Eval)?;
-            }
-            parts.push(cur);
-            start = end;
-        }
-        let refs: Vec<&Tensor> = parts.iter().collect();
-        Ok(Tensor::cat_batch(&refs)?)
-    }
-
-    /// [`Worker::regenerate_activations`] consuming int8-cached inputs
-    /// without decode-to-f32: each batch is sliced *in quantized form* and
-    /// fed to the block's first unit via [`Layer::forward_quant`], which
-    /// runs the integer GEMM path through that unit's entry layer; the
-    /// rest of the block continues in f32 as usual.
-    fn regenerate_activations_quant(
-        &self,
-        model: &mut BuiltModel,
-        block: &Block,
-        qinputs: &QuantTensor,
-    ) -> Result<Tensor> {
-        let n = qinputs.shape().first().copied().unwrap_or(0);
-        let batch = block.batch.max(1);
-        let mut parts: Vec<Tensor> = Vec::new();
+        let mut acts = Tensor::default();
         let mut qbatch = QuantTensor::new();
         let mut start = 0usize;
         while start < n {
             let end = (start + batch).min(n);
-            qinputs.slice_batch_into(start, end, &mut qbatch)?;
             let mut units = block.units.clone();
-            let cur = match units.next() {
-                Some(first) => {
-                    let mut cur = model.units[first].forward_quant(&qbatch, Mode::Eval)?;
-                    for u in units {
-                        cur = model.units[u].forward(&cur, Mode::Eval)?;
+            let mut cur = match quant {
+                Some(q) => {
+                    q.slice_batch_into(start, end, &mut qbatch)?;
+                    match units.next() {
+                        Some(first) => model.units[first].forward_quant(&qbatch, Mode::Eval)?,
+                        None => qbatch.dequantize()?,
                     }
-                    cur
                 }
-                None => qbatch.dequantize()?,
+                None => inputs.slice_batch(start, end)?,
             };
-            parts.push(cur);
+            for u in units {
+                cur = model.units[u].forward(&cur, Mode::Eval)?;
+            }
+            if start == 0 {
+                let mut shape = cur.shape().to_vec();
+                shape[0] = n;
+                acts = Tensor::zeros(&shape);
+            }
+            acts.write_batch(start, &cur)?;
             start = end;
         }
-        let refs: Vec<&Tensor> = parts.iter().collect();
-        Ok(Tensor::cat_batch(&refs)?)
+        Ok(acts)
     }
 
     /// Trains all blocks in order over the training set (the full §3 flow).
@@ -459,14 +449,15 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
             // block's cache *in quantized form*, skipping the f32 decode;
             // block 0 reads the raw dataset, and stores that cannot serve
             // quantized reads fall back to the f32 path.
-            let acts = if b > 0
+            let quantized = b > 0
                 && self.config.int8_compute
-                && self.store.read_quant(b - 1, &mut quant_input)?
-            {
-                self.regenerate_activations_quant(model, block, &quant_input)?
-            } else {
-                self.regenerate_activations(model, block, inputs)?
-            };
+                && self.store.read_quant(b - 1, &mut quant_input)?;
+            let acts = self.regenerate_activations(
+                model,
+                block,
+                inputs,
+                quantized.then_some(&quant_input),
+            )?;
             report.cache_logical_bytes += acts.numel() as u64 * 4;
             report.cache_bytes_written += self.store.write(b, &acts)?;
             for u in block.units.clone() {

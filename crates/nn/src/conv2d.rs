@@ -8,9 +8,9 @@ use crate::scratch::{InputCache, PackedPanel, QuantPanel};
 use crate::Result;
 use nf_tensor::kernels::int8;
 use nf_tensor::{
-    col2im_batch, flip_kernel_panel_into, he_normal, im2col_batch_u8_into, lock_workspace,
-    matmul_into, nchw_to_posrows_into, posrows_to_nchw, shared_workspace, sum_axis0_acc,
-    Conv2dGeometry, ConvGather, KernelBackend, QuantTensor, SharedWorkspace, Tensor,
+    col2im_batch, flip_kernel_panel_into, he_normal, lock_workspace, matmul_into,
+    nchw_to_posrows_into, posrows_to_nchw, shared_workspace, sum_axis0_acc, Conv2dGeometry,
+    ConvGather, KernelBackend, QuantTensor, SharedWorkspace, Tensor,
 };
 use rand::Rng;
 use std::sync::Arc;
@@ -36,7 +36,10 @@ use std::sync::Arc;
 /// the input gradient) are cached across the minibatch loop, re-packed
 /// only when [`crate::Param::version`] says the weights actually changed
 /// — so the steady-state hot path allocates nothing beyond its output
-/// tensor.
+/// tensor. [`Layer::forward_quant`] is the same gathered product in
+/// integer arithmetic over an int8-cached input (padded once with its
+/// zero-point byte, read through the same position table), dequantized
+/// per output channel.
 ///
 /// Matrix products run on the layer's [`KernelBackend`]: the default
 /// until [`Layer::set_kernel_backend`] (or [`Conv2d::with_backend`]) pins
@@ -76,11 +79,9 @@ pub struct Conv2d {
     /// operand of the input-gradient GEMM — keyed the same way.
     flipped_w: PackedPanel,
     /// Per-output-channel `i8` form of the same panel for
-    /// [`Layer::forward_quant`], keyed by the same weight version.
+    /// [`Layer::forward_quant`], one quad per kernel row, keyed by the
+    /// same weight version.
     quant_wt: QuantPanel,
-    /// Quantized `im2col` rows (the int8 GEMM `A` operand), reused across
-    /// calls.
-    qlhs: int8::QuantizedLhs,
     /// `i32` accumulator buffer for the int8 GEMM, reused across calls.
     qacc: Vec<i32>,
     cached_input: InputCache,
@@ -121,7 +122,6 @@ impl Conv2d {
             packed_wt: PackedPanel::new(),
             flipped_w: PackedPanel::new(),
             quant_wt: QuantPanel::new(),
-            qlhs: int8::QuantizedLhs::default(),
             qacc: Vec::new(),
             cached_input: InputCache::new(),
         })
@@ -292,21 +292,24 @@ impl Layer for Conv2d {
         let geom = self.geometry(h, w)?;
         let version = self.weight.version();
         let wt = self.packed_wt.get(&self.weight)?;
-        let rhs = self.quant_wt.get(version, wt)?;
-        // Lower straight in the quantized domain: padding contributes the
-        // code for real 0.0, so the integer GEMM sees exactly what the f32
-        // lowering would have encoded.
-        let pad = int8::zero_point(x.min(), x.scale());
-        let (rows, _) = im2col_batch_u8_into(x, &geom, pad, &mut self.qlhs)?;
-        int8::gemm_i32(&self.qlhs, rhs, &mut self.qacc);
+        let rhs = self.quant_wt.get_runs(version, wt, self.kernel)?;
+        // The same gathered product as the f32 forward, in the quantized
+        // domain: the input is padded once with the code for real 0.0, so
+        // the integer GEMM sees exactly what the f32 lowering would have
+        // encoded, and reads it in place through the same tables.
         let mut ws = lock_workspace(&self.ws);
         let p = ws.parts();
+        let rows = self
+            .patches
+            .forward_quant_into(x, &geom, rhs, p.cols_u8, &mut self.qacc)?;
         p.out.reuse_as(&[rows, self.out_channels]);
         int8::dequantize_into(
-            &self.qlhs,
+            x.scale(),
+            x.min(),
             rhs,
             &self.qacc,
             Some(self.bias.value.data()),
+            p.pack,
             p.out.data_mut(),
         );
         posrows_to_nchw(p.out, n, self.out_channels, geom.out_h, geom.out_w).map_err(NnError::from)
@@ -444,6 +447,57 @@ mod tests {
         // bitwise-identical.
         let again = conv.forward_quant(&xq, Mode::Eval).unwrap();
         assert_eq!(again.data(), got.data());
+    }
+
+    #[test]
+    fn forward_quant_is_the_explicit_composition_bit_for_bit() {
+        use nf_tensor::kernels::int8::{QuantizedLhs, QuantizedRhs};
+        use nf_tensor::{im2col_batch_u8_into, transpose2d};
+        // The gathered layer against the lowering it replaced, spelled
+        // out: u8 im2col → dense i32 GEMM → dequantize + bias → NCHW. The
+        // repo benchmark's three `quant` entry layers at their
+        // regeneration batch, one strided and one 5×5 (two quads per
+        // kernel row) layer on a non-square input.
+        for (n, c_in, c_out, h, w, k, stride, pad) in [
+            (
+                6usize, 8usize, 8usize, 48usize, 48usize, 3usize, 1usize, 1usize,
+            ),
+            (17, 8, 12, 24, 24, 3, 1, 1),
+            (17, 12, 12, 24, 24, 3, 1, 1),
+            (3, 4, 5, 9, 11, 3, 2, 1),
+            (2, 3, 20, 7, 10, 5, 1, 2),
+        ] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64((n * c_out + k) as u64);
+            let mut conv = Conv2d::new(&mut rng, c_in, c_out, k, stride, pad).unwrap();
+            conv.bias.value = nf_tensor::uniform_init(&mut rng, &[c_out], -0.5, 0.5);
+            let x = nf_tensor::uniform_init(&mut rng, &[n, c_in, h, w], -1.0, 3.0);
+            let xq = QuantTensor::from_f32(&x);
+            let got = conv.forward_quant(&xq, Mode::Eval).unwrap();
+
+            let geom = conv.geometry(h, w).unwrap();
+            let wt = transpose2d(&conv.weight.value).unwrap();
+            let mut rhs = QuantizedRhs::default();
+            rhs.pack_from_f32(wt.data(), c_in * k * k, c_out);
+            let mut lhs = QuantizedLhs::default();
+            let pad_byte = int8::zero_point(xq.min(), xq.scale());
+            let (rows, _) = im2col_batch_u8_into(&xq, &geom, pad_byte, &mut lhs).unwrap();
+            let mut acc = Vec::new();
+            int8::gemm_i32(&lhs, &rhs, &mut acc);
+            let mut out = Tensor::zeros(&[rows, c_out]);
+            int8::dequantize_into(
+                xq.scale(),
+                xq.min(),
+                &rhs,
+                &acc,
+                Some(conv.bias.value.data()),
+                &mut Vec::new(),
+                out.data_mut(),
+            );
+            let want = posrows_to_nchw(&out, n, c_out, geom.out_h, geom.out_w).unwrap();
+            assert_eq!(got.shape(), want.shape());
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{}", conv.name());
+        }
     }
 
     #[test]

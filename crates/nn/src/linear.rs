@@ -149,10 +149,12 @@ impl Layer for Linear {
         int8::gemm_i32(&self.qlhs, rhs, &mut self.qacc);
         let mut y = Tensor::zeros(&[rows, self.out_features]);
         int8::dequantize_into(
-            &self.qlhs,
+            x.scale(),
+            x.min(),
             rhs,
             &self.qacc,
             Some(self.bias.value.data()),
+            lock_workspace(&self.ws).parts().pack,
             y.data_mut(),
         );
         Ok(y)

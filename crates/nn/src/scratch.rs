@@ -85,9 +85,19 @@ impl QuantPanel {
     /// reused buffers iff `version` (the owning weight's
     /// [`Param::version`]) moved since the last call.
     pub fn get(&mut self, version: u64, panel: &Tensor) -> Result<&QuantizedRhs> {
+        let k = panel.dims2()?.0;
+        self.get_runs(version, panel, k.max(1))
+    }
+
+    /// [`QuantPanel::get`] packed for an LHS whose `K` axis is contiguous
+    /// `run` values at a time (`Conv2d`: its kernel width; see
+    /// [`QuantizedRhs::pack_runs_from_f32`]). One panel must always be
+    /// asked for with the same `run`: the cache is keyed by weight version
+    /// alone.
+    pub fn get_runs(&mut self, version: u64, panel: &Tensor, run: usize) -> Result<&QuantizedRhs> {
         if self.version != Some(version) {
             let (k, n) = panel.dims2()?;
-            self.rhs.pack_from_f32(panel.data(), k, n);
+            self.rhs.pack_runs_from_f32(panel.data(), k, n, run);
             self.version = Some(version);
         }
         Ok(&self.rhs)

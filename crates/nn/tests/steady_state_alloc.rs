@@ -8,7 +8,7 @@
 
 use nf_nn::optim::Sgd;
 use nf_nn::{Conv2d, Layer, Mode};
-use nf_tensor::{lock_workspace, shared_workspace, Tensor};
+use nf_tensor::{lock_workspace, shared_workspace, QuantTensor, Tensor};
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,6 +83,34 @@ fn conv_train_step_alloc_count_is_constant_after_warmup() {
         "expected only output-tensor allocations per step, got {}",
         counts[0]
     );
+    assert_eq!(
+        lock_workspace(&ws).reserved_bytes(),
+        warmed,
+        "shared workspace grew after warm-up"
+    );
+}
+
+#[test]
+fn warmed_up_forward_quant_allocates_only_its_output() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let mut conv = Conv2d::new(&mut rng, 4, 8, 3, 1, 1).unwrap();
+    let ws = shared_workspace();
+    conv.set_workspace(&ws);
+    let xq = QuantTensor::from_f32(&Tensor::ones(&[4, 4, 10, 10]));
+    // Warm-up: offset tables, i8 weight panel, padded u8 input,
+    // accumulators, per-column correction, position-row output.
+    conv.forward_quant(&xq, Mode::Eval).unwrap();
+    let warmed = lock_workspace(&ws).reserved_bytes();
+
+    let counts: Vec<u64> = (0..4)
+        .map(|_| {
+            let before = allocs_now();
+            let _y = conv.forward_quant(&xq, Mode::Eval).unwrap();
+            allocs_now() - before
+        })
+        .collect();
+    // The owned NCHW output: its data and its shape vector.
+    assert_eq!(counts, [2; 4], "forward_quant allocates beyond its output");
     assert_eq!(
         lock_workspace(&ws).reserved_bytes(),
         warmed,

@@ -10,11 +10,13 @@
 //! ([`crate::kernels::GatherA`]). Forward, weight gradient (the same
 //! tables swapped) and, for stride 1, the input gradient (the same
 //! product over the padded output gradient with a flipped kernel panel)
-//! all run through it.
+//! all run through it — and so does the int8 forward over a cached `u8`
+//! input ([`ConvGather::forward_quant_into`]: the same position table,
+//! one four-byte quad per kernel row).
 //!
-//! The explicit lowerings remain as its oracle, as the lowering of the
-//! baselines' feedback-alignment conv, and for the strided input
-//! gradient:
+//! The explicit lowerings remain as its oracle (f32 and `u8`), as the
+//! lowering of the baselines' feedback-alignment conv, and for the
+//! strided input gradient:
 //!
 //! - **Per-sample** ([`im2col`] / [`col2im`]): one `(C·KH·KW) × (OH·OW)`
 //!   patch matrix per image, multiplied by the `(C_out) × (C·KH·KW)`
@@ -31,8 +33,8 @@
 //! backward pass relies on; adjointness is property-tested below.
 
 use crate::error::TensorError;
-use crate::kernels::int8::QuantizedLhs;
-use crate::kernels::{GatherA, KernelBackend};
+use crate::kernels::int8::{self, QuantizedLhs, QuantizedRhs};
+use crate::kernels::{GatherA, GatherQuads, KernelBackend};
 use crate::quant::QuantTensor;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -188,6 +190,36 @@ pub fn pad_nchw_into(x: &Tensor, pad: usize, out: &mut Tensor) -> Result<()> {
     Ok(())
 }
 
+/// [`pad_nchw_into`] for an affine-`u8` tensor: pads with `pad_byte` (the
+/// encoding's zero point, see [`int8::zero_point`]) into `out`, followed by
+/// `slack` more bytes of it — the room a quad starting on the last window
+/// of the last row reads past the image. Grow-only; every byte is written.
+pub fn pad_nchw_u8_into(
+    x: &QuantTensor,
+    pad: usize,
+    pad_byte: u8,
+    slack: usize,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    let (n, c, h, w) = x.dims4()?;
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    // One fill for rim and slack together, then the rows over it: the
+    // buffer is a ninth of a patch matrix and a quarter of its f32 twin.
+    out.clear();
+    out.resize(n * c * hp * wp + slack, pad_byte);
+    if h == 0 || w == 0 {
+        return Ok(());
+    }
+    let planes = x.data().chunks_exact(h * w);
+    for (src, dst) in planes.zip(out.chunks_exact_mut(hp * wp)) {
+        let body = dst[pad * wp..].chunks_exact_mut(wp);
+        for (srow, drow) in src.chunks_exact(w).zip(body) {
+            drow[pad..pad + w].copy_from_slice(srow);
+        }
+    }
+    Ok(())
+}
+
 /// Packs conv weights `(c_out, c_in·k_h·k_w)` into the `B` operand of the
 /// input-gradient product: `(c_out·k_h·k_w, c_in)` with both kernel axes
 /// reversed, so that convolving the padded output gradient with it (see
@@ -258,6 +290,9 @@ pub struct ConvGather {
     pos: Vec<u32>,
     /// Offset of each `(c, kh, kw)` tap from a window origin.
     taps: Vec<u32>,
+    /// The taps the int8 product loads a quad from: `kw = 0, 4, …` of
+    /// every `(c, kh)` kernel row.
+    quads: Vec<u32>,
 }
 
 impl ConvGather {
@@ -280,10 +315,15 @@ impl ConvGather {
             self.key = Some((c, *geom));
             self.pos.clear();
             self.taps.clear();
+            self.quads.clear();
             for ch in 0..c {
                 for kh in 0..geom.k_h {
                     for kw in 0..geom.k_w {
-                        self.taps.push(((ch * hp + kh) * wp + kw) as u32);
+                        let tap = ((ch * hp + kh) * wp + kw) as u32;
+                        self.taps.push(tap);
+                        if kw % 4 == 0 {
+                            self.quads.push(tap);
+                        }
                     }
                 }
             }
@@ -300,8 +340,33 @@ impl ConvGather {
         Ok(())
     }
 
-    /// Checks `x` against `geom`, updates the tables, and returns
-    /// `(n·positions, c·k_h·k_w)` plus the buffer the tables index: `x`
+    /// Checks an NCHW `shape` against `geom`, updates the tables, and
+    /// returns `(n·positions, c·k_h·k_w)`.
+    fn tables_for(
+        &mut self,
+        op: &'static str,
+        shape: &[usize],
+        geom: &Conv2dGeometry,
+    ) -> Result<(usize, usize)> {
+        let &[n, c, h, w] = shape else {
+            return Err(TensorError::RankMismatch {
+                op,
+                expected: 4,
+                actual: shape.len(),
+            });
+        };
+        if h != geom.in_h || w != geom.in_w {
+            return Err(TensorError::ShapeMismatch {
+                op,
+                lhs: shape.to_vec(),
+                rhs: vec![n, c, geom.in_h, geom.in_w],
+            });
+        }
+        self.ensure(n, c, geom)?;
+        Ok((n * geom.out_positions(), self.taps.len()))
+    }
+
+    /// [`Self::tables_for`] `x`, plus the buffer the tables index: `x`
     /// itself when there is no padding, else `x` padded into `padded`.
     fn lower<'a>(
         &mut self,
@@ -310,26 +375,14 @@ impl ConvGather {
         geom: &Conv2dGeometry,
         padded: &'a mut Tensor,
     ) -> Result<(usize, usize, &'a [f32])> {
-        let (n, c, h, w) = x.dims4().map_err(|_| TensorError::RankMismatch {
-            op,
-            expected: 4,
-            actual: x.rank(),
-        })?;
-        if h != geom.in_h || w != geom.in_w {
-            return Err(TensorError::ShapeMismatch {
-                op,
-                lhs: x.shape().to_vec(),
-                rhs: vec![n, c, geom.in_h, geom.in_w],
-            });
-        }
-        self.ensure(n, c, geom)?;
+        let (rows, patch) = self.tables_for(op, x.shape(), geom)?;
         let base = if geom.pad == 0 {
             x.data()
         } else {
             pad_nchw_into(x, geom.pad, padded)?;
             padded.data()
         };
-        Ok((n * geom.out_positions(), self.taps.len(), base))
+        Ok((rows, patch, base))
     }
 
     /// The forward product: `out (N·OH·OW × C_out) = patches(x) · wt`,
@@ -442,6 +495,45 @@ impl ConvGather {
             .backend()
             .gemm_gather(&a, c_out, g_rows.data(), out.data_mut(), pack);
         Ok(())
+    }
+
+    /// The int8 forward product over an affine-`u8` input: `acc`
+    /// (`N·OH·OW × C_out` exact `i32` accumulators, the rows returned) `=
+    /// patches(x) · rhs`, equal bit for bit to [`im2col_batch_u8_into`] +
+    /// [`int8::gemm_i32`] without the patch matrix.
+    ///
+    /// `maddubs` consumes four consecutive `K` values as one 32-bit load,
+    /// so `rhs` must be the `(C·KH·KW × C_out)` kernel panel packed one
+    /// quad per kernel row ([`QuantizedRhs::pack_runs_from_f32`] with
+    /// `run = KW`): every quad is then four contiguous bytes of one padded
+    /// input row, addressed by the same position table as the f32 product
+    /// and the `kw = 0, 4, …` taps. `padded` receives `x` padded with its
+    /// zero-point byte (always — unlike the f32 path an unpadded `x` has no
+    /// room for the last quad's `round_up4(KW) − KW` trailing bytes);
+    /// grow-only, as is `acc`.
+    pub fn forward_quant_into(
+        &mut self,
+        x: &QuantTensor,
+        geom: &Conv2dGeometry,
+        rhs: &QuantizedRhs,
+        padded: &mut Vec<u8>,
+        acc: &mut Vec<i32>,
+    ) -> Result<usize> {
+        let op = "conv_forward_quant";
+        let (rows, patch) = self.tables_for(op, x.shape(), geom)?;
+        if rhs.k() != patch || rhs.run() != geom.k_w {
+            return Err(TensorError::ShapeMismatch {
+                op,
+                lhs: vec![rows, patch],
+                rhs: vec![rhs.k(), rhs.n()],
+            });
+        }
+        let pad_byte = int8::zero_point(x.min(), x.scale());
+        let slack = int8::round_up4(geom.k_w) - geom.k_w;
+        pad_nchw_u8_into(x, geom.pad, pad_byte, slack, padded)?;
+        let a = GatherQuads::new(padded, &self.pos[..rows], &self.quads)?;
+        int8::gemm_i32_gather(&a, rhs, acc);
+        Ok(rows)
     }
 }
 
@@ -697,8 +789,10 @@ pub fn col2im_batch_into(
 }
 
 /// Quantized variant of [`im2col_batch_into`]: unrolls an affine-`u8`
-/// NCHW minibatch straight into the int8 GEMM's LHS layout — `u8` patch
-/// rows at stride `round_up4(patch)` — without any decode to f32.
+/// NCHW minibatch straight into the int8 GEMM's dense LHS layout — `u8`
+/// patch rows at stride `round_up4(patch)` — without any decode to f32.
+/// Like its f32 twin it is the oracle of the gathered lowering
+/// ([`ConvGather::forward_quant_into`]), not a production path.
 ///
 /// Padding taps are written as `pad_byte` (the quantized zero point of
 /// the input's encoding, see [`crate::kernels::int8::zero_point`]); the
@@ -707,9 +801,6 @@ pub fn col2im_batch_into(
 /// `(rows, row_stride)`; `lhs` carries the input's affine parameters
 /// through unchanged (a spatial rearrangement does not change the
 /// encoding).
-///
-/// Serial on purpose: this is a byte-copy pass an order of magnitude
-/// lighter than the f32 unroll, so thread fan-out never pays here.
 pub fn im2col_batch_u8_into(
     input: &QuantTensor,
     geom: &Conv2dGeometry,

@@ -20,18 +20,35 @@
 //! in. Accumulation cannot overflow: `|q_a · q_w| ≤ 255 · 63`, so even
 //! `K = 100 000` stays 5 orders of magnitude below `i32::MAX`.
 //!
-//! Data layout: the LHS stores `u8` rows at stride `k4 = round_up4(k)`;
-//! the RHS is packed **k-quad interleaved** —
-//! `packed[(kq·n + j)·4 + r] = q_w[4·kq + r][j]` — so four consecutive
-//! `k` values of one column sit in one 32-bit lane. That is exactly the
-//! operand order of AVX2's `maddubs` ([`super::simd_int8`]); rows
-//! `k..k4` of the RHS are zero, which makes the LHS's arbitrary stride
-//! tail harmless. The scalar quad kernel below is the portable fallback
-//! and the dispatch is runtime (same policy as the f32 [`super::simd`]
-//! path); both paths are bit-identical because the weight clamp keeps
-//! `maddubs` out of its saturation range.
+//! Data layout: the RHS is packed **k-quad interleaved** —
+//! `packed[(q·n + j)·4 + r]` is the weight of the `r`-th `K` value of quad
+//! `q`, column `j` — so four consecutive `K` values of one column sit in
+//! one 32-bit lane. That is exactly the operand order of AVX2's `maddubs`
+//! ([`super::simd_int8`]). The LHS is addressed one quad at a time,
+//! `A_quad(i, q) = base[row_off[i] + quad_off[q] ..][..4]`, in two ways:
+//!
+//! - **dense** ([`QuantizedLhs`], [`gemm_i32`]): `u8` rows at stride
+//!   `k4 = round_up4(k)`, i.e. offsets `(i·k4, 4q)`; rows `k..k4` of the
+//!   RHS are zero, which makes the LHS's arbitrary stride tail harmless.
+//!   What `Linear` multiplies.
+//! - **gathered** ([`GatherQuads`], [`gemm_i32_gather`]): two offset
+//!   tables over a `u8` buffer, which is how a convolution multiplies its
+//!   patch matrix straight out of the once-padded input. Four bytes of one
+//!   load have to be four consecutive `K` values, so the conv weight panel
+//!   is packed **one quad per kernel row**
+//!   ([`QuantizedRhs::pack_runs_from_f32`]): `K` order `(c, kh, kw)` with
+//!   every `kw` run padded to a multiple of 4 by zero weights. The bytes
+//!   those zero weights meet are whatever follows the window in memory;
+//!   they add nothing to an exact integer sum.
+//!
+//! The scalar quad kernel below is the portable fallback and the dispatch
+//! is runtime (same policy as the f32 [`super::simd`] path); both paths
+//! are bit-identical because the weight clamp keeps `maddubs` out of its
+//! saturation range, and both addressings give the accumulators of the
+//! same logical product bit for bit (integer addition is exact and
+//! order-free).
 
-use super::simd_int8;
+use super::simd_int8::{self, DenseQuads, GatherQuads, QuadA};
 use crate::convert;
 use rayon::prelude::*;
 
@@ -134,6 +151,7 @@ impl QuantizedLhs {
 pub struct QuantizedRhs {
     packed: Vec<i8>,
     k: usize,
+    run: usize,
     k4: usize,
     n: usize,
     scales: Vec<f32>,
@@ -141,14 +159,36 @@ pub struct QuantizedRhs {
 }
 
 impl QuantizedRhs {
-    /// Packs a row-major `k × n` f32 weight matrix: per column `j`,
-    /// `s_j = max_k |w_kj| / WEIGHT_QMAX` and
+    /// Packs a row-major `k × n` f32 weight matrix for a dense LHS: per
+    /// column `j`, `s_j = max_k |w_kj| / WEIGHT_QMAX` and
     /// `q_w = round(w / s_j)` clamped to `±WEIGHT_QMAX` (all-zero
     /// columns get `s_j = 0`, `q_w = 0`). Buffers are grow-only.
     pub fn pack_from_f32(&mut self, b: &[f32], k: usize, n: usize) {
+        self.pack_runs_from_f32(b, k, n, k.max(1));
+    }
+
+    /// [`Self::pack_from_f32`] for a gathered LHS whose `K` axis is
+    /// contiguous in memory only `run` values at a time (a convolution's
+    /// kernel rows: `run = KW`): every run of `run` consecutive rows of `b`
+    /// is padded to a multiple of 4 with zero weights, so each quad the
+    /// kernel loads is four consecutive bytes of one run —
+    /// `k4 = (k / run) · round_up4(run)`. Quantized values, scales and
+    /// column sums are those of the dense packing (zero weights add
+    /// nothing), which is the dense case `run = k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is not `k·n` long or `run` does not divide `k`.
+    pub fn pack_runs_from_f32(&mut self, b: &[f32], k: usize, n: usize, run: usize) {
         assert_eq!(b.len(), k * n, "pack_from_f32 length mismatch");
+        assert!(
+            run > 0 && k.is_multiple_of(run),
+            "K runs of {run} do not tile K = {k}"
+        );
+        let run4 = round_up4(run);
         self.k = k;
-        self.k4 = round_up4(k);
+        self.run = run;
+        self.k4 = k / run * run4;
         self.n = n;
         self.scales.resize(n, 0.0);
         self.col_sums.resize(n, 0);
@@ -174,7 +214,9 @@ impl QuantizedRhs {
                         .clamp(-(WEIGHT_QMAX as f32), WEIGHT_QMAX as f32)
                         as i32;
                     sum += q;
-                    self.packed[((kk / 4) * n + j) * 4 + kk % 4] = q as i8;
+                    // Row of the packed panel this weight lands in.
+                    let pk = kk / run * run4 + kk % run;
+                    self.packed[((pk / 4) * n + j) * 4 + pk % 4] = q as i8;
                 }
             }
             self.col_sums[j] = sum;
@@ -186,9 +228,21 @@ impl QuantizedRhs {
         self.n
     }
 
-    /// Reduction depth the panel was packed for.
+    /// Logical reduction depth the panel was packed for.
     pub fn k(&self) -> usize {
         self.k
+    }
+
+    /// Contiguous `K` run the panel was packed for (the whole of `k` when
+    /// dense — see [`Self::pack_runs_from_f32`]).
+    pub fn run(&self) -> usize {
+        self.run
+    }
+
+    /// Packed reduction depth, zero rows included: four times the quads
+    /// per LHS row.
+    pub fn k4(&self) -> usize {
+        self.k4
     }
 
     /// Per-column symmetric scales.
@@ -213,26 +267,45 @@ impl QuantizedRhs {
 pub fn gemm_i32(lhs: &QuantizedLhs, rhs: &QuantizedRhs, out: &mut Vec<i32>) {
     assert_eq!(lhs.k, rhs.k, "int8 gemm K mismatch");
     assert_eq!(lhs.k4, rhs.k4, "int8 gemm K stride mismatch");
-    let (m, k4, n) = (lhs.m, lhs.k4, rhs.n);
-    out.clear();
+    gemm_quads(&DenseQuads::new(&lhs.data, lhs.m, lhs.k4), rhs, out);
+}
+
+/// [`gemm_i32`] with the LHS addressed in place through offset tables
+/// instead of stored — how `ConvGather` multiplies a convolution's patch
+/// matrix out of the padded `u8` input. `rhs` must be packed for the runs
+/// the quads cover ([`QuantizedRhs::pack_runs_from_f32`]); thread fan-out
+/// is decided on the logical `M·K·N`, zero-weight padding not counted.
+///
+/// # Panics
+///
+/// Panics if `a` does not supply `rhs.k4() / 4` quads per row.
+pub fn gemm_i32_gather(a: &GatherQuads<'_>, rhs: &QuantizedRhs, out: &mut Vec<i32>) {
+    assert_eq!(a.quads() * 4, rhs.k4, "int8 gather K mismatch");
+    gemm_quads(a, rhs, out);
+}
+
+/// The one row-block loop both addressings run.
+fn gemm_quads<A: QuadA>(a: &A, rhs: &QuantizedRhs, out: &mut Vec<i32>) {
+    let (m, n) = (a.rows(), rhs.n);
+    // No clearing pass: every path below overwrites every accumulator.
     out.resize(m * n, 0);
     if m == 0 || n == 0 {
         return;
     }
-    if k4 == 0 {
-        return; // resize above already zeroed the accumulators
+    if a.quads() == 0 {
+        out.fill(0);
+        return;
     }
-    let a = &lhs.data[..];
     let bp = &rhs.packed[..];
     let rows_per_block = simd_int8::ROWS;
     let row_block = |idx: usize, opanel: &mut [i32]| {
         let i0 = idx * rows_per_block;
         let rows = opanel.len() / n;
-        if !(rows == rows_per_block && simd_int8::panel_u8i8(a, bp, k4, n, i0, opanel)) {
-            scalar_rows(a, bp, k4, n, i0, rows, opanel);
+        if !(rows == rows_per_block && simd_int8::panel_u8i8(a, bp, n, i0, opanel)) {
+            scalar_rows(a, bp, n, i0, rows, opanel);
         }
     };
-    if super::fans_out(m, lhs.k, n) {
+    if super::fans_out(m, rhs.k, n) {
         out.par_chunks_mut(rows_per_block * n)
             .enumerate()
             .for_each(|(idx, opanel)| row_block(idx, opanel));
@@ -245,22 +318,22 @@ pub fn gemm_i32(lhs: &QuantizedLhs, rhs: &QuantizedRhs, out: &mut Vec<i32>) {
 
 /// Scalar quad kernel over rows `i0..i0+rows` — the portable path and the
 /// finisher of the last `m % 4` rows. Walks the same k-quad interleaved
-/// panel as the SIMD kernel so both consume one layout.
-fn scalar_rows(
-    a: &[u8],
+/// panel through the same addressing as the SIMD kernel, bounds-checked.
+pub(crate) fn scalar_rows<A: QuadA>(
+    a: &A,
     bp: &[i8],
-    k4: usize,
     n: usize,
     i0: usize,
     rows: usize,
     opanel: &mut [i32],
 ) {
+    let data = a.data();
     for (r, orow) in opanel.chunks_mut(n).enumerate().take(rows) {
-        let arow = &a[(i0 + r) * k4..(i0 + r) * k4 + k4];
+        let row = a.row(i0 + r);
         orow.fill(0);
-        for (kq, aq) in arow.chunks_exact(4).enumerate() {
+        for (off, bq) in a.quad_offsets().zip(bp.chunks_exact(n * 4)) {
+            let aq = &data[row + off..row + off + 4];
             let (a0, a1, a2, a3) = (aq[0] as i32, aq[1] as i32, aq[2] as i32, aq[3] as i32);
-            let bq = &bp[kq * n * 4..(kq + 1) * n * 4];
             for (o, q) in orow.iter_mut().zip(bq.chunks_exact(4)) {
                 *o += a0 * q[0] as i32 + a1 * q[1] as i32 + a2 * q[2] as i32 + a3 * q[3] as i32;
             }
@@ -268,32 +341,55 @@ fn scalar_rows(
     }
 }
 
-/// Fused dequantize + bias over the `i32` accumulators:
+/// Fused dequantize + bias over the `i32` accumulators of a product whose
+/// LHS decodes as `x = min_a + scale_a · q`:
 /// `out[i][j] = s_j · (scale_a · acc[i][j] + min_a · col_sums[j]) + bias[j]`.
 ///
-/// `out` must hold `m × n` floats and is overwritten.
+/// `out` must be as long as `acc` (`m × n`) and is overwritten; `corr` is
+/// grow-only scratch for the per-column `min_a · col_sums[j]`, computed
+/// once per call rather than per element.
+///
+/// # Panics
+///
+/// Panics if `acc` is not whole rows of `rhs.n()` columns, or `out` or
+/// `bias` do not match it.
 pub fn dequantize_into(
-    lhs: &QuantizedLhs,
+    scale_a: f32,
+    min_a: f32,
     rhs: &QuantizedRhs,
     acc: &[i32],
     bias: Option<&[f32]>,
+    corr: &mut Vec<f32>,
     out: &mut [f32],
 ) {
-    let (m, n) = (lhs.m, rhs.n);
-    assert_eq!(acc.len(), m * n, "dequantize accumulator length mismatch");
-    assert_eq!(out.len(), m * n, "dequantize output length mismatch");
-    if let Some(bias) = bias {
-        assert_eq!(bias.len(), n, "dequantize bias length mismatch");
+    let n = rhs.n;
+    assert_eq!(out.len(), acc.len(), "dequantize output length mismatch");
+    if acc.is_empty() {
+        return;
     }
-    let (sa, min_a) = (lhs.scale, lhs.min);
-    for (orow, arow) in out.chunks_exact_mut(n).zip(acc.chunks_exact(n)) {
-        for (j, (o, &q)) in orow.iter_mut().zip(arow).enumerate() {
-            let corr = min_a * rhs.col_sums[j] as f32;
-            let mut v = rhs.scales[j] * (sa * q as f32 + corr);
-            if let Some(bias) = bias {
-                v += bias[j];
+    assert_eq!(acc.len() % n, 0, "dequantize accumulator length mismatch");
+    corr.clear();
+    corr.extend(rhs.col_sums.iter().map(|&c| min_a * c as f32));
+    let (scales, corr) = (&rhs.scales, &*corr);
+    let rows = out.chunks_exact_mut(n).zip(acc.chunks_exact(n));
+    // Multiply and add stay separate operations (no `mul_add`): the bits
+    // are those of the formula above, evaluated left to right.
+    match bias {
+        Some(bias) => {
+            assert_eq!(bias.len(), n, "dequantize bias length mismatch");
+            for (orow, arow) in rows {
+                let cols = orow.iter_mut().zip(arow).zip(scales).zip(corr).zip(bias);
+                for ((((o, &q), &s), &c), &b) in cols {
+                    *o = s * (scale_a * q as f32 + c) + b;
+                }
             }
-            *o = v;
+        }
+        None => {
+            for (orow, arow) in rows {
+                for (((o, &q), &s), &c) in orow.iter_mut().zip(arow).zip(scales).zip(corr) {
+                    *o = s * (scale_a * q as f32 + c);
+                }
+            }
         }
     }
 }
@@ -419,13 +515,91 @@ mod tests {
         let mut acc = Vec::new();
         gemm_i32(&lhs, &rhs, &mut acc);
         let mut got = vec![0.0f32; m * n];
-        dequantize_into(&lhs, &rhs, &acc, Some(&bias), &mut got);
+        let (sa, min_a) = (lhs.scale, lhs.min);
+        dequantize_into(
+            sa,
+            min_a,
+            &rhs,
+            &acc,
+            Some(&bias),
+            &mut Vec::new(),
+            &mut got,
+        );
         // Error budget: one activation quantization step per k term plus
         // the per-channel weight step — loose bound, tight in practice.
         let tol = (k as f32) * lhs.scale * 0.5 * 0.6 + 0.05;
         for (w, g) in want.iter().zip(&got) {
             assert!((w - g).abs() < tol, "{w} vs {g} (tol {tol})");
         }
+    }
+
+    #[test]
+    fn dequantize_is_the_written_formula_bit_for_bit() {
+        // The hoisted per-column correction and the zipped walk must not
+        // move a bit against a literal transcription of the formula, with
+        // and without bias, on column counts either side of a vector.
+        let (m, k) = (7usize, 20usize);
+        let mut corr = vec![9.0f32; 3]; // stale scratch must not leak in
+        for n in [1usize, 8, 12, 17] {
+            let a = mat(m, k, -3.0, 5.0, n as u64);
+            let b = mat(k, n, -1.0, 1.0, n as u64 + 50);
+            let bias = mat(1, n, -0.5, 0.5, n as u64 + 99);
+            let mut lhs = QuantizedLhs::default();
+            lhs.quantize_from_f32(&a, m, k);
+            let mut rhs = QuantizedRhs::default();
+            rhs.pack_from_f32(&b, k, n);
+            let mut acc = Vec::new();
+            gemm_i32(&lhs, &rhs, &mut acc);
+            let (sa, min_a) = (lhs.scale, lhs.min);
+            for bias in [Some(&bias[..]), None] {
+                let mut got = vec![f32::NAN; m * n];
+                dequantize_into(sa, min_a, &rhs, &acc, bias, &mut corr, &mut got);
+                for i in 0..m {
+                    for j in 0..n {
+                        let corr = min_a * rhs.col_sums[j] as f32;
+                        let mut want = rhs.scales[j] * (sa * acc[i * n + j] as f32 + corr);
+                        if let Some(bias) = bias {
+                            want += bias[j];
+                        }
+                        assert_eq!(got[i * n + j].to_bits(), want.to_bits(), "n {n} ({i},{j})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_packing_pads_each_run_with_zero_weights() {
+        // K = 2 runs of 3 (a 1×3 kernel over two channels): each run takes
+        // one quad whose fourth weight is zero; values, scales and column
+        // sums are the dense packing's.
+        let (k, n) = (6usize, 5usize);
+        let b = mat(k, n, -1.0, 1.0, 3);
+        let (mut dense, mut runs) = (QuantizedRhs::default(), QuantizedRhs::default());
+        dense.pack_from_f32(&b, k, n);
+        runs.pack_runs_from_f32(&b, k, n, 3);
+        assert_eq!((dense.k(), dense.run(), dense.k4()), (6, 6, 8));
+        assert_eq!((runs.k(), runs.run(), runs.k4()), (6, 3, 8));
+        assert_eq!(runs.scales(), dense.scales());
+        assert_eq!(runs.col_sums(), dense.col_sums());
+        for j in 0..n {
+            for kk in 0..k {
+                let pk = kk / 3 * 4 + kk % 3;
+                assert_eq!(
+                    runs.packed[((pk / 4) * n + j) * 4 + pk % 4],
+                    dense.packed[((kk / 4) * n + j) * 4 + kk % 4],
+                    "({kk},{j})"
+                );
+            }
+            for quad in 0..2 {
+                assert_eq!(runs.packed[(quad * n + j) * 4 + 3], 0, "pad of run {quad}");
+            }
+        }
+        // A run that is already a multiple of 4 packs exactly densely.
+        let b = mat(8, n, -1.0, 1.0, 4);
+        dense.pack_from_f32(&b, 8, n);
+        runs.pack_runs_from_f32(&b, 8, n, 4);
+        assert_eq!(runs.packed, dense.packed);
     }
 
     #[test]
@@ -468,5 +642,11 @@ mod tests {
         let mut out = vec![7i32; 1];
         gemm_i32(&lhs, &rhs, &mut out);
         assert!(out.is_empty());
+        // K = 0: an empty sum per element, whatever the reused buffer held.
+        lhs.quantize_from_f32(&[], 3, 0);
+        rhs.pack_from_f32(&[], 0, 2);
+        let mut out = vec![7i32; 9];
+        gemm_i32(&lhs, &rhs, &mut out);
+        assert_eq!(out, [0; 6]);
     }
 }

@@ -27,8 +27,10 @@
 //!
 //! Quantized compute lives alongside: [`int8`] is the `u8×i8→i32` GEMM
 //! the frozen-block forward pass runs on cached int8 activations, with
-//! its own runtime-dispatched maddubs path in [`simd_int8`]; it takes its
-//! thread decision from the same `fans_out`.
+//! its own runtime-dispatched maddubs path in [`simd_int8`] and the same
+//! two addressings of `A` (dense rows, or a [`GatherQuads`] over the
+//! padded `u8` conv input); it takes its thread decision from the same
+//! `fans_out`.
 //!
 //! Selection is always explicit — a [`KernelBackend`] value handed to
 //! `matmul_with` and friends, or pinned on a layer by
@@ -49,6 +51,7 @@ pub mod simd_int8;
 pub use blocked::BlockedGemm;
 pub use naive::NaiveGemm;
 pub use simd::GatherA;
+pub use simd_int8::GatherQuads;
 
 use serde::{Deserialize, Serialize};
 

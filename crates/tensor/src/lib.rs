@@ -22,7 +22,8 @@
 //! first-class: [`QuantTensor`] carries
 //! affine-`u8` activations and [`kernels::int8`] multiplies them against
 //! per-channel `i8` weights in exact `i32` arithmetic (AVX2 `maddubs`
-//! path in [`kernels::simd_int8`]). `unsafe` is denied crate-wide and
+//! path in [`kernels::simd_int8`]), a convolution's patch matrix gathered
+//! from the padded `u8` input the same way as in f32. `unsafe` is denied crate-wide and
 //! allowed only inside those two intrinsics modules; correctness stays
 //! anchored to the oracles via property tests (and to finite-difference
 //! gradient checks one crate up).
@@ -57,7 +58,7 @@ mod workspace;
 pub use conv::{
     col2im, col2im_batch, col2im_batch_into, flip_kernel_panel_into, im2col, im2col_batch,
     im2col_batch_into, im2col_batch_u8_into, nchw_to_posrows, nchw_to_posrows_into, pad_nchw_into,
-    posrows_to_nchw, Conv2dGeometry, ConvGather,
+    pad_nchw_u8_into, posrows_to_nchw, Conv2dGeometry, ConvGather,
 };
 pub use error::TensorError;
 pub use init::{he_normal, uniform_init, xavier_uniform};

@@ -38,6 +38,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// | slot      | role                                                    |
 /// |-----------|---------------------------------------------------------|
 /// | `cols`    | padded conv input (or an explicit `im2col` matrix)      |
+/// | `cols_u8` | padded `u8` conv input of the int8 forward (bytes)      |
 /// | `posrows` | position-major activations or gradients (`N·H·W × C`)   |
 /// | `out`     | GEMM outputs consumed within the same call              |
 /// | `pack`    | operand transpose/pack scratch inside the GEMM backends |
@@ -57,6 +58,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 #[derive(Debug, Default)]
 pub struct Workspace {
     cols: Tensor,
+    cols_u8: Vec<u8>,
     posrows: Tensor,
     out: Tensor,
     pack: Vec<f32>,
@@ -71,6 +73,11 @@ pub struct WorkspaceParts<'a> {
     /// gathered GEMM reads — or, for layers that still lower explicitly
     /// (the baselines' feedback-alignment conv), the `im2col` matrix.
     pub cols: &'a mut Tensor,
+    /// The `u8` sibling of `cols`: the int8-cached input padded once with
+    /// its zero-point byte, which `Conv2d::forward_quant`'s gathered
+    /// integer GEMM reads. Never grows in an f32 run, and carries no
+    /// `cols_owner` stamp (nothing keeps it across calls).
+    pub cols_u8: &'a mut Vec<u8>,
     /// Position-major rows slot.
     pub posrows: &'a mut Tensor,
     /// GEMM output slot.
@@ -97,6 +104,7 @@ impl Workspace {
     pub fn parts(&mut self) -> WorkspaceParts<'_> {
         WorkspaceParts {
             cols: &mut self.cols,
+            cols_u8: &mut self.cols_u8,
             posrows: &mut self.posrows,
             out: &mut self.out,
             pack: &mut self.pack,
@@ -111,7 +119,7 @@ impl Workspace {
             + self.posrows.data_capacity()
             + self.out.data_capacity()
             + self.pack.capacity();
-        elems as u64 * 4
+        elems as u64 * 4 + self.cols_u8.capacity() as u64
     }
 }
 
@@ -158,8 +166,13 @@ mod tests {
             p.out.reuse_as(&[2, 2]);
             p.pack.resize(16, 0.0);
         }
+        assert_eq!(ws.reserved_bytes(), (32 + 4 + 16) * 4);
+        // The u8 slot counts in bytes, not f32 elements.
+        ws.parts().cols_u8.resize(10, 0);
+        let bytes = ws.parts().cols_u8.capacity() as u64;
         let grown = ws.reserved_bytes();
-        assert_eq!(grown, (32 + 4 + 16) * 4);
+        assert!((10..40).contains(&bytes));
+        assert_eq!(grown, (32 + 4 + 16) * 4 + bytes);
         // Shrinking shapes must not release capacity.
         {
             let p = ws.parts();
