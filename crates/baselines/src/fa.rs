@@ -13,9 +13,9 @@ use nf_nn::loss::{accuracy, cross_entropy};
 use nf_nn::optim::Sgd;
 use nf_nn::{InputCache, Layer, Mode, NnError, PackedPanel, Param};
 use nf_tensor::{
-    col2im_batch, he_normal, im2col_batch_into, lock_workspace, matmul_at_b_into, matmul_into,
-    matmul_with, nchw_to_posrows_into, new_owner_token, posrows_to_nchw, shared_workspace,
-    sum_axis0_acc, transpose2d_into, Conv2dGeometry, KernelBackend, SharedWorkspace, Tensor,
+    col2im_batch_into, he_normal, im2col_batch_into, lock_workspace, matmul_at_b_into, matmul_into,
+    nchw_to_posrows_into, new_owner_token, posrows_to_nchw_into, shared_workspace, sum_axis0_acc,
+    transpose2d_into, Conv2dGeometry, KernelBackend, SharedWorkspace, Tensor,
 };
 use rand::Rng;
 use std::sync::Arc;
@@ -64,10 +64,10 @@ impl Layer for FaLinear {
         format!("fa_linear({}→{})", self.in_features, self.out_features)
     }
 
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> nf_nn::Result<Tensor> {
-        let mut y = matmul_with(self.backend, x, &self.weight.value)?;
+    fn forward_into(&mut self, x: &Tensor, mode: Mode, out: &mut Tensor) -> nf_nn::Result<()> {
+        matmul_into(self.backend, x, &self.weight.value, out)?;
         let b = self.bias.value.data();
-        for row in y.data_mut().chunks_mut(self.out_features) {
+        for row in out.data_mut().chunks_mut(self.out_features) {
             for (v, bv) in row.iter_mut().zip(b) {
                 *v += bv;
             }
@@ -75,10 +75,10 @@ impl Layer for FaLinear {
         if mode == Mode::Train {
             self.cached_input.store(x);
         }
-        Ok(y)
+        Ok(())
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> nf_nn::Result<Tensor> {
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) -> nf_nn::Result<()> {
         // Rank check before consuming the cache (see nf-nn's Linear).
         let (gr, gc) = grad_out.dims2()?;
         let x = self
@@ -104,7 +104,7 @@ impl Layer for FaLinear {
         self.cached_input.retire(x);
         // The error signal travels through the *feedback* matrix (packed
         // at construction, so this is a plain GEMM).
-        Ok(matmul_with(backend, grad_out, &self.packed_fb)?)
+        Ok(matmul_into(backend, grad_out, &self.packed_fb, grad_in)?)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -191,7 +191,7 @@ impl Layer for FaConv2d {
         format!("fa_conv2d({}→{})", self.in_channels, self.out_channels)
     }
 
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> nf_nn::Result<Tensor> {
+    fn forward_into(&mut self, x: &Tensor, mode: Mode, out: &mut Tensor) -> nf_nn::Result<()> {
         let (n, c, h, w) = x.dims4().map_err(NnError::Tensor)?;
         if c != self.in_channels {
             return Err(NnError::BadInput {
@@ -214,25 +214,16 @@ impl Layer for FaConv2d {
             0
         };
         matmul_into(self.backend, p.cols, wt, p.out)?; // N·P × C_out
-        let bias = self.bias.value.data();
-        for row in p.out.data_mut().chunks_mut(self.out_channels) {
-            for (v, b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
         if mode == Mode::Train {
             self.cached_input.store(x);
         }
-        Ok(posrows_to_nchw(
-            p.out,
-            n,
-            self.out_channels,
-            geom.out_h,
-            geom.out_w,
-        )?)
+        // The per-channel bias rides on the transpose back to NCHW.
+        let bias = Some(self.bias.value.data());
+        let (c_out, oh, ow) = (self.out_channels, geom.out_h, geom.out_w);
+        Ok(posrows_to_nchw_into(p.out, bias, n, c_out, oh, ow, out)?)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> nf_nn::Result<Tensor> {
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) -> nf_nn::Result<()> {
         // Rank check before consuming the cache (see nf-nn's Conv2d).
         let (gn, gc, goh, gow) = grad_out.dims4()?;
         let x = self
@@ -266,10 +257,10 @@ impl Layer for FaConv2d {
         // Input gradient through the fixed feedback filters (reusing the
         // consumed dW slot).
         matmul_into(backend, g, &self.feedback, p.out)?; // N·P × C·K·K
-        let dx = col2im_batch(p.out, n, c, &geom)?;
+        col2im_batch_into(p.out, n, c, &geom, grad_in)?;
         drop(ws);
         self.cached_input.retire(x);
-        Ok(dx)
+        Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -439,6 +430,39 @@ mod tests {
             "acc {:?}",
             report.test_accuracy
         );
+    }
+
+    #[test]
+    fn fa_layers_write_into_stale_buffers_what_the_wrappers_return() {
+        let bits = |t: &Tensor| {
+            let data: Vec<u32> = t.data().iter().map(|v| v.to_bits()).collect();
+            (t.shape().to_vec(), data)
+        };
+        type Build = fn() -> Box<dyn Layer>;
+        let builds: [(&[usize], Build); 2] = [
+            (&[3, 7], || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+                Box::new(FaLinear::new(&mut rng, 7, 5))
+            }),
+            (&[2, 3, 6, 5], || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+                Box::new(FaConv2d::new(&mut rng, 3, 4, 3, 1, 1))
+            }),
+        ];
+        for (shape, build) in builds {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            let x = nf_tensor::uniform_init(&mut rng, shape, -1.0, 1.0);
+            let (mut owning, mut writing) = (build(), build());
+            let want = owning.forward(&x, Mode::Train).unwrap();
+            let mut got = Tensor::full(&[2, 999], f32::NAN);
+            writing.forward_into(&x, Mode::Train, &mut got).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{}", owning.name());
+            let g = nf_tensor::uniform_init(&mut rng, want.shape(), -1.0, 1.0);
+            let want_dx = owning.backward(&g).unwrap();
+            let mut dx = Tensor::full(&[2, 999], f32::NAN);
+            writing.backward_into(&g, &mut dx).unwrap();
+            assert_eq!(bits(&dx), bits(&want_dx), "{}", owning.name());
+        }
     }
 
     #[test]

@@ -1,0 +1,39 @@
+//! A counting global allocator for bench harnesses (`bench_json` includes
+//! this file by path): measurement scaffolding of the same kind as the
+//! counting allocators in `crates/*/tests/`, kept with the bench harnesses
+//! rather than in product source.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Forwards to [`System`], counting every allocation and reallocation.
+pub struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: delegates entirely to `System`; only adds a relaxed counter.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+/// Allocations (and reallocations) made by the process so far.
+pub fn allocations() -> u64 {
+    ALLOCS.load(Ordering::Relaxed)
+}

@@ -18,12 +18,20 @@
 //! which is what the CI bench-smoke job asserts.
 
 use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
-use nf_nn::loss::cross_entropy;
+use nf_nn::loss::cross_entropy_into;
 use nf_nn::optim::Sgd;
-use nf_nn::{Layer, Mode};
-use nf_tensor::KernelBackend;
+use nf_nn::{BatchNorm2d, GlobalAvgPool, Layer, MaxPool2d, Mode};
+use nf_tensor::{KernelBackend, Tensor};
 use rand::SeedableRng;
 use std::time::Instant;
+
+// Measurement scaffolding, kept with the bench harnesses (like the tests'
+// counting allocators) rather than in product source.
+#[path = "../../benches/support/counting_alloc.rs"]
+mod counting_alloc;
+
+#[global_allocator]
+static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 /// Best of `reps` timings of `iters` back-to-back calls, per call: host
 /// noise only ever slows a sample, so the minimum is the stable number to
@@ -403,15 +411,31 @@ fn peak_rss_bytes() -> u64 {
         .unwrap_or(0)
 }
 
+/// Minor page faults of this process so far, from `/proc/self/stat`
+/// (field 10); 0 when unavailable (non-Linux).
+fn minor_faults() -> u64 {
+    std::fs::read_to_string("/proc/self/stat")
+        .ok()
+        .and_then(|s| {
+            // The command name (field 2) may hold spaces; count from its `)`.
+            let rest = &s[s.rfind(')')? + 1..];
+            rest.split_whitespace().nth(7)?.parse().ok()
+        })
+        .unwrap_or(0)
+}
+
 /// One full local-learning training step on the quickstart-shaped model:
 /// for every unit, forward → aux forward → aux backward → unit backward →
 /// SGD on both. This is exactly the Worker's inner loop (Algorithm 2) over
-/// one minibatch, so its inverse is the steps/sec the acceptance criterion
-/// tracks.
+/// one minibatch — layers writing into tensors kept across steps — so its
+/// inverse is the steps/sec the acceptance criterion tracks, and a
+/// warmed-up step should neither allocate nor fault.
 struct TrainStepRow {
     backend: &'static str,
     ns_per_step: u128,
     steps_per_sec: f64,
+    allocs_per_step: f64,
+    minor_faults_per_step: f64,
 }
 
 fn time_train_step(smoke: bool) -> TrainStepRow {
@@ -444,33 +468,99 @@ fn time_train_step(smoke: bool) -> TrainStepRow {
     let labels: Vec<usize> = (0..batch).map(|i| i % classes).collect();
     let sgd = Sgd::new(0.05).with_momentum(0.9);
 
+    // The Worker's step tensors: the unit's spent input takes the gradient.
+    let (mut cur, mut out) = (Tensor::default(), Tensor::default());
+    let (mut logits, mut grad_logits) = (Tensor::default(), Tensor::default());
     let mut step = || {
-        let mut cur = images.clone();
+        cur.copy_from(&images);
         for (unit, head) in model.units.iter_mut().zip(heads.iter_mut()) {
-            let out = unit.forward(&cur, Mode::Train).unwrap();
-            let logits = head.forward(&out, Mode::Train).unwrap();
-            let (_, grad_logits) = cross_entropy(&logits, &labels).unwrap();
-            let grad_out = head.backward(&grad_logits).unwrap();
-            unit.backward_params(&grad_out).unwrap();
+            unit.forward_into(&cur, Mode::Train, &mut out).unwrap();
+            head.forward_into(&out, Mode::Train, &mut logits).unwrap();
+            cross_entropy_into(&logits, &labels, &mut grad_logits).unwrap();
+            head.backward_into(&grad_logits, &mut cur).unwrap();
+            unit.backward_params(&cur).unwrap();
             sgd.step(unit);
             sgd.step(head);
-            cur = out;
+            std::mem::swap(&mut cur, &mut out);
         }
     };
-    let (warmup, iters) = if smoke { (1, 3) } else { (5, 40) };
+    let (warmup, iters) = if smoke { (2, 3) } else { (5, 40) };
     for _ in 0..warmup {
         step();
     }
+    // Reading the fault count allocates; the allocation count is read
+    // inside it on both ends.
+    let faults = minor_faults();
+    let allocs = counting_alloc::allocations();
     let start = Instant::now();
     for _ in 0..iters {
         step();
     }
     let ns_per_step = start.elapsed().as_nanos() / iters as u128;
+    let allocs = counting_alloc::allocations() - allocs;
+    let faults = minor_faults() - faults;
     TrainStepRow {
         backend: KernelBackend::default().name(),
         ns_per_step,
         steps_per_sec: 1e9 / ns_per_step as f64,
+        allocs_per_step: allocs as f64 / iters as f64,
+        minor_faults_per_step: faults as f64 / iters as f64,
     }
+}
+
+/// One timed pass of one non-GEMM layer.
+struct LayerRow {
+    layer: &'static str,
+    shape: [usize; 4],
+    ns_per_iter: u128,
+}
+
+/// The streaming layers around the GEMM — batch norm, 2×2 max-pool, ReLU,
+/// global average pool — each pass alone through the `_into` entry points,
+/// at the shapes the repo benchmark's `compute` and `quant` configs run
+/// them at: a unit's layers at its batch × channels × plane (`compute`
+/// units 0–1, `quant` unit 2), global average pooling — which only occurs
+/// inside an auxiliary head — at that unit's head's filter count.
+fn time_layers(iters: usize) -> Vec<LayerRow> {
+    let mut rows = Vec::new();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let mut time = |layer: &mut dyn Layer, shape: [usize; 4], fwd, bwd: Option<&'static str>| {
+        let x = nf_tensor::uniform_init(&mut rng, &shape, -1.0, 1.0);
+        let (mut y, mut dx) = (Tensor::default(), Tensor::default());
+        layer.forward_into(&x, Mode::Train, &mut y).unwrap();
+        let dy = nf_tensor::uniform_init(&mut rng, y.shape(), -1.0, 1.0);
+        let ns = best_ns(7, iters, || {
+            layer.forward_into(&x, Mode::Train, &mut y).unwrap()
+        });
+        rows.push(LayerRow {
+            layer: fwd,
+            shape,
+            ns_per_iter: ns,
+        });
+        let Some(bwd) = bwd else { return };
+        // Each backward consumes a forward's cache: time the pair and
+        // take the forward back out.
+        let pair = best_ns(7, iters, || {
+            layer.forward_into(&x, Mode::Train, &mut y).unwrap();
+            layer.backward_into(&dy, &mut dx).unwrap();
+        });
+        rows.push(LayerRow {
+            layer: bwd,
+            shape,
+            ns_per_iter: pair.saturating_sub(ns),
+        });
+    };
+    for (unit, aux_filters) in [([8usize, 16, 32, 32], 8usize), ([11, 12, 24, 24], 6)] {
+        let [n, c, h, w] = unit;
+        time(&mut BatchNorm2d::new(c), unit, "bn_fwd", Some("bn_bwd"));
+        let pool = &mut MaxPool2d::new(2, 2);
+        time(pool, unit, "maxpool2x2_fwd", Some("maxpool2x2_bwd"));
+        let relu = &mut nf_nn::relu::ReLU::new();
+        time(relu, unit, "relu_fwd", Some("relu_bwd"));
+        let gap = &mut GlobalAvgPool::new();
+        time(gap, [n, aux_filters, h, w], "gap_fwd", None);
+    }
+    rows
 }
 
 /// One federated timing at a fixed thread count.
@@ -1054,6 +1144,18 @@ fn main() {
     // whatever the (larger-operand) GEMM stage would push it to.
     let steps = [time_train_step(smoke)];
     let train_step_peak_rss = peak_rss_bytes();
+    // A warmed-up step reuses every buffer it touches: it may not fault
+    // more than a handful of pages (before layers wrote into recycled
+    // buffers it faulted hundreds, serving and trimming its activations
+    // from the OS every step).
+    for r in &steps {
+        assert!(
+            r.minor_faults_per_step <= 4.0,
+            "a warmed-up training step took {} minor faults",
+            r.minor_faults_per_step
+        );
+    }
+    let layer_rows = time_layers(if smoke { 5 } else { 50 });
 
     // --- GEMM throughput ---
     let shapes: &[(usize, usize, usize)] = if smoke {
@@ -1360,6 +1462,29 @@ fn main() {
                     );
                     row.insert("ns_per_step", Value::Int(r.ns_per_step as i64));
                     row.insert("steps_per_sec", Value::Float(round2(r.steps_per_sec)));
+                    row.insert("allocs_per_step", Value::Float(round2(r.allocs_per_step)));
+                    row.insert(
+                        "minor_faults_per_step",
+                        Value::Float(round2(r.minor_faults_per_step)),
+                    );
+                    row.build()
+                })
+                .collect(),
+        ),
+    );
+    ts.insert(
+        "layers",
+        Value::Array(
+            layer_rows
+                .iter()
+                .map(|r| {
+                    let mut row = Table::new();
+                    row.insert("layer", Value::Str(r.layer.into()));
+                    row.insert(
+                        "shape",
+                        Value::Array(r.shape.iter().map(|&d| Value::Int(d as i64)).collect()),
+                    );
+                    row.insert("ns_per_iter", Value::Int(r.ns_per_iter as i64));
                     row.build()
                 })
                 .collect(),
@@ -1374,6 +1499,7 @@ fn main() {
             "host_cores",
             "peak_rss_bytes",
             "results",
+            "layers",
         ],
     );
 

@@ -13,6 +13,7 @@ use nf_data::{Dataset, SplitDataset};
 use nf_models::{build_aux_head, BuiltModel, ExitCandidate, ModelSpec};
 use nf_nn::loss::accuracy;
 use nf_nn::{Layer, Mode, Sequential};
+use nf_tensor::Tensor;
 use rand::Rng;
 
 /// Caller-supplied extension points for [`NeuroFluxTrainer::train_with`].
@@ -75,21 +76,35 @@ pub fn exit_accuracy(
     exit: usize,
     data: &Dataset,
 ) -> Result<f32> {
+    exit_accuracy_with(model, aux_heads, exit, data, &mut Default::default())
+}
+
+/// [`exit_accuracy`] with the two activation buffers the batches travel
+/// through supplied by the caller, so measuring every exit in turn reuses
+/// one pair (the layers write into them in place).
+fn exit_accuracy_with(
+    model: &mut BuiltModel,
+    aux_heads: &mut [Sequential],
+    exit: usize,
+    data: &Dataset,
+    (cur, out): &mut (Tensor, Tensor),
+) -> Result<f32> {
     if data.is_empty() {
         return Ok(0.0);
     }
     let mut correct = 0.0f32;
-    let mut seen = 0usize;
-    for (images, labels) in data.batches(64) {
-        let mut cur = images;
+    for start in (0..data.len()).step_by(64) {
+        let end = (start + 64).min(data.len());
+        data.images().slice_batch_into(start, end, cur)?;
         for unit in &mut model.units[..=exit] {
-            cur = unit.forward(&cur, Mode::Eval)?;
+            unit.forward_into(cur, Mode::Eval, out)?;
+            std::mem::swap(cur, out);
         }
-        let logits = aux_heads[exit].forward(&cur, Mode::Eval)?;
-        correct += accuracy(&logits, &labels)? * labels.len() as f32;
-        seen += labels.len();
+        aux_heads[exit].forward_into(cur, Mode::Eval, out)?;
+        let labels = &data.labels()[start..end];
+        correct += accuracy(out, labels)? * labels.len() as f32;
     }
-    Ok(correct / seen as f32)
+    Ok(correct / data.len() as f32)
 }
 
 /// The NeuroFlux training system.
@@ -195,8 +210,9 @@ impl NeuroFluxTrainer {
         // §4: measure every exit on the validation split and pick the
         // smallest within tolerance of the best.
         let mut exits = nf_models::exit_candidates(spec, &aux_specs);
+        let mut bufs = Default::default();
         for (i, cand) in exits.iter_mut().enumerate() {
-            let acc = exit_accuracy(&mut model, &mut aux_heads, i, &data.val)?;
+            let acc = exit_accuracy_with(&mut model, &mut aux_heads, i, &data.val, &mut bufs)?;
             cand.val_accuracy = Some(acc);
             if let Some(p) = hooks.run.progress.as_mut() {
                 let keep_going = p(&TrainEvent::ExitMeasured {

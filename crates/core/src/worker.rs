@@ -20,7 +20,7 @@ use crate::config::NeuroFluxConfig;
 use crate::partitioner::Block;
 use crate::{NfError, Result};
 use nf_models::BuiltModel;
-use nf_nn::loss::cross_entropy;
+use nf_nn::loss::cross_entropy_into;
 use nf_nn::optim::Sgd;
 use nf_nn::{Layer, Mode, Sequential};
 use nf_tensor::{QuantTensor, Tensor};
@@ -125,6 +125,21 @@ pub struct WorkerReport {
     pub params_bytes_evicted: u64,
 }
 
+/// The tensors one step threads through the layers, kept for a whole run:
+/// every layer writes into them in place ([`Layer::forward_into`]), so
+/// after the first step of the widest block no step allocates.
+#[derive(Default)]
+struct StepTensors {
+    /// The current unit's input; once its forward has run (and its layers
+    /// have cached what they need) the buffer is free, and takes the
+    /// gradient arriving from the auxiliary head.
+    cur: Tensor,
+    /// The current unit's output — swapped into `cur` for the next unit.
+    out: Tensor,
+    logits: Tensor,
+    grad_logits: Tensor,
+}
+
 /// Block-wise trainer operating over an [`ActivationStore`].
 ///
 /// `S: ?Sized` so a `Worker<'_, dyn ActivationStore>` works: the
@@ -156,7 +171,10 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         inputs: &Tensor,
         labels: &[usize],
     ) -> Result<Vec<f32>> {
-        self.train_block_observed(model, aux_heads, block, inputs, labels, 0, &mut None)
+        let mut step = StepTensors::default();
+        self.train_block_observed(
+            model, aux_heads, block, inputs, labels, 0, &mut None, &mut step,
+        )
     }
 
     /// [`Worker::train_block`] with per-epoch [`TrainEvent::EpochFinished`]
@@ -171,7 +189,14 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         labels: &[usize],
         block_idx: usize,
         progress: &mut Option<&mut dyn FnMut(&TrainEvent) -> bool>,
+        step: &mut StepTensors,
     ) -> Result<Vec<f32>> {
+        let StepTensors {
+            cur,
+            out,
+            logits,
+            grad_logits,
+        } = step;
         let sgd = self.optimizer();
         let n = inputs.shape()[0];
         let batch = block.batch.max(1);
@@ -183,22 +208,24 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
                 let end = (start + batch).min(n);
                 // AB-LL prefetch: slice exactly this block's batch size out
                 // of the cached activation stream.
-                let mut cur = inputs.slice_batch(start, end)?;
+                inputs.slice_batch_into(start, end, cur)?;
                 let batch_labels = &labels[start..end];
                 for u in block.units.clone() {
                     // Lines 3–7 of Algorithm 2: unit forward, auxiliary
                     // prediction, local loss, local update.
-                    let out = model.units[u].forward(&cur, Mode::Train)?;
-                    let logits = aux_heads[u].forward(&out, Mode::Train)?;
-                    let (loss, grad_logits) = cross_entropy(&logits, batch_labels)?;
-                    losses.push(loss);
-                    let grad_out = aux_heads[u].backward(&grad_logits)?;
+                    model.units[u].forward_into(cur, Mode::Train, out)?;
+                    aux_heads[u].forward_into(out, Mode::Train, logits)?;
+                    losses.push(cross_entropy_into(logits, batch_labels, grad_logits)?);
+                    // The unit's input is spent: its buffer takes the
+                    // gradient of the unit's output.
+                    let grad_out = &mut *cur;
+                    aux_heads[u].backward_into(grad_logits, grad_out)?;
                     // Local learning: nothing upstream reads this unit's
                     // input gradient.
-                    model.units[u].backward_params(&grad_out)?;
+                    model.units[u].backward_params(grad_out)?;
                     sgd.step(&mut model.units[u]);
                     sgd.step(&mut aux_heads[u]);
-                    cur = out;
+                    std::mem::swap(cur, out);
                 }
                 start = end;
             }
@@ -237,7 +264,9 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         block: &Block,
         inputs: &Tensor,
         quant: Option<&QuantTensor>,
+        step: &mut StepTensors,
     ) -> Result<Tensor> {
+        let StepTensors { cur, out, .. } = step;
         let n = match quant {
             Some(q) => q.shape().first().copied().unwrap_or(0),
             None => inputs.shape()[0],
@@ -249,25 +278,28 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         while start < n {
             let end = (start + batch).min(n);
             let mut units = block.units.clone();
-            let mut cur = match quant {
+            match quant {
                 Some(q) => {
                     q.slice_batch_into(start, end, &mut qbatch)?;
                     match units.next() {
-                        Some(first) => model.units[first].forward_quant(&qbatch, Mode::Eval)?,
-                        None => qbatch.dequantize()?,
+                        Some(first) => {
+                            model.units[first].forward_quant_into(&qbatch, Mode::Eval, cur)?
+                        }
+                        None => qbatch.dequantize_into(cur)?,
                     }
                 }
-                None => inputs.slice_batch(start, end)?,
-            };
+                None => inputs.slice_batch_into(start, end, cur)?,
+            }
             for u in units {
-                cur = model.units[u].forward(&cur, Mode::Eval)?;
+                model.units[u].forward_into(cur, Mode::Eval, out)?;
+                std::mem::swap(cur, out);
             }
             if start == 0 {
                 let mut shape = cur.shape().to_vec();
                 shape[0] = n;
                 acts = Tensor::zeros(&shape);
             }
-            acts.write_batch(start, &cur)?;
+            acts.write_batch(start, cur)?;
             start = end;
         }
         Ok(acts)
@@ -397,6 +429,7 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         // Quantized sibling of `cache_input` for the int8-compute
         // regeneration path (only filled when the store serves it).
         let mut quant_input = QuantTensor::new();
+        let mut step = StepTensors::default();
         for (b, block) in blocks.iter().enumerate() {
             if b < start_block {
                 // Completed before the checkpoint: parameters restored, the
@@ -439,6 +472,7 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
                 labels,
                 b,
                 &mut hooks.progress,
+                &mut step,
             )?;
             report.block_losses.push(losses);
             report.block_batches.push(block.batch);
@@ -457,6 +491,7 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
                 block,
                 inputs,
                 quantized.then_some(&quant_input),
+                &mut step,
             )?;
             report.cache_logical_bytes += acts.numel() as u64 * 4;
             report.cache_bytes_written += self.store.write(b, &acts)?;
@@ -511,14 +546,20 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
                 let sgd = self.optimizer();
                 let batch = blocks[last].batch.max(1);
                 let n = acts.shape()[0];
+                let StepTensors {
+                    cur: xb,
+                    logits,
+                    grad_logits,
+                    ..
+                } = &mut step;
                 for _ in 0..self.config.epochs_per_block {
                     let mut start = 0usize;
                     while start < n {
                         let end = (start + batch).min(n);
-                        let xb = acts.slice_batch(start, end)?;
-                        let logits = model.head.forward(&xb, Mode::Train)?;
-                        let (_, grad) = cross_entropy(&logits, &labels[start..end])?;
-                        model.head.backward_params(&grad)?;
+                        acts.slice_batch_into(start, end, xb)?;
+                        model.head.forward_into(xb, Mode::Train, logits)?;
+                        cross_entropy_into(logits, &labels[start..end], grad_logits)?;
+                        model.head.backward_params(grad_logits)?;
                         sgd.step(&mut model.head);
                         start = end;
                     }

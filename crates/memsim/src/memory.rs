@@ -163,11 +163,12 @@ pub struct MemoryModel {
     /// the same per-layer copy count the BP constant charges, which makes
     /// classic-LL footprints track BP's as Figure 4 observes.
     pub grad_copies: f64,
-    /// Whether conv lowering workspaces count — here the padded input
-    /// copy an implicit-GEMM convolution reads, as `nf_nn::Conv2d` keeps
-    /// in its `Workspace` (no materialised patch matrix). Off by default:
-    /// the paper budgets activations, and the partitioner's frozen block
-    /// plans are sized without it.
+    /// Whether the layers' shared workspace counts — the padded input
+    /// copy an implicit-GEMM convolution reads (`nf_nn::Conv2d`; no
+    /// materialised patch matrix) and the hand-off buffers a chain of
+    /// layers passes its activations through (`nf_nn::Sequential`). Off
+    /// by default: the paper budgets activations, and the partitioner's
+    /// frozen block plans are sized without it.
     pub include_workspace: bool,
     /// Optimizer state per parameter (2.0 = gradient + momentum).
     pub optimizer_states: f64,
@@ -190,31 +191,56 @@ fn padded_elems(c: usize, h: usize, w: usize, pad: usize) -> usize {
     c * (h + 2 * pad) * (w + 2 * pad)
 }
 
-/// Lowering-workspace elements per sample for one unit: the padded copy
-/// of a conv's input that the gathered GEMM reads (`nf_nn::Conv2d`,
-/// DESIGN.md §8). A unit's convs run one after another through the same
-/// grow-only slot, so the unit needs the largest of them; unpadded
-/// (1×1) convs gather straight from their input and need nothing.
+/// Workspace elements per sample for one unit, as its layers reserve them
+/// in their shared `nf_tensor::Workspace` (DESIGN.md §8):
+///
+/// - the **lowering slot** — the padded copy of a conv's input that the
+///   gathered GEMM reads (`nf_nn::Conv2d`). A unit's convs run one after
+///   another through the same grow-only slot, so the unit needs the
+///   largest of them; unpadded (1×1) convs gather straight from their
+///   input and need nothing;
+/// - the **hand-off buffers** its chain passes activations through from
+///   one layer to the next (`nf_nn::Sequential` takes two, a residual
+///   block three), each as large as the widest activation inside the
+///   unit. The unit's own input and output are the caller's tensors and
+///   are counted with the transients, not here.
 fn workspace_elems(unit_kind: LayerKind, a: &UnitAnalytics) -> usize {
     let (in_c, in_h, in_w) = a.in_shape;
     let (out_c, out_h, out_w) = a.out_shape;
     match unit_kind {
-        LayerKind::Conv { pad, .. } => padded_elems(in_c, in_h, in_w, pad),
+        LayerKind::Conv {
+            kernel,
+            stride,
+            pad,
+            ..
+        } => {
+            // conv → bn → relu (→ pool): everything handed on inside the
+            // unit has the conv's output shape, before any pooling.
+            let conv_out = |d: usize| (d + 2 * pad).saturating_sub(kernel) / stride + 1;
+            padded_elems(in_c, in_h, in_w, pad) + 2 * out_c * conv_out(in_h) * conv_out(in_w)
+        }
         LayerKind::Residual { .. } => {
             // conv1 pads the unit input, conv2 the block's inner
-            // activation; the projection shortcut is 1×1.
+            // activation; the projection shortcut is 1×1. Main branch,
+            // its ping-pong partner and the shortcut are all output-sized.
             padded_elems(in_c, in_h, in_w, 1).max(padded_elems(out_c, out_h, out_w, 1))
+                + 3 * a.out_elems
         }
         // The 3×3 stage pads the unit input; the pointwise stage is 1×1.
-        LayerKind::DepthwiseSeparable { .. } => padded_elems(in_c, in_h, in_w, 1),
+        // The 3×3 stage keeps the input's channels at the output's size.
+        LayerKind::DepthwiseSeparable { .. } => {
+            padded_elems(in_c, in_h, in_w, 1) + 2 * in_c.max(out_c) * out_h * out_w
+        }
     }
 }
 
 /// Auxiliary-head workspace elements per sample: its 3×3 conv's padded
-/// input (the padded output gradient of its backward pass is smaller).
+/// input (the padded output gradient of its backward pass is smaller) and
+/// the two hand-off buffers of its conv → relu → pool → linear chain, each
+/// the conv's output.
 fn aux_workspace_elems(aux: &AuxSpec) -> usize {
     let (h, w) = aux.in_hw;
-    padded_elems(aux.in_ch, h, w, 1)
+    padded_elems(aux.in_ch, h, w, 1) + 2 * aux.filters * h * w
 }
 
 impl MemoryModel {

@@ -31,11 +31,13 @@ impl BuiltModel {
 
     /// Runs an inference forward pass through all units and the head.
     pub fn infer(&mut self, x: &nf_tensor::Tensor) -> nf_nn::Result<nf_tensor::Tensor> {
-        let mut cur = x.clone();
+        // The first unit reads the caller's tensor; no copy to own it.
+        let mut cur = None;
         for unit in &mut self.units {
-            cur = unit.forward(&cur, nf_nn::Mode::Eval)?;
+            cur = Some(unit.forward(cur.as_ref().unwrap_or(x), nf_nn::Mode::Eval)?);
         }
-        self.head.forward(&cur, nf_nn::Mode::Eval)
+        self.head
+            .forward(cur.as_ref().unwrap_or(x), nf_nn::Mode::Eval)
     }
 }
 

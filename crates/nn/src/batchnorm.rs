@@ -1,8 +1,10 @@
 //! Batch normalisation over the channel dimension of NCHW tensors.
 
 use crate::error::NnError;
+use crate::lanes::{fold_lanes, lanes, sum_lanes, LANES};
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
+use crate::scratch::InputCache;
 use crate::Result;
 use nf_tensor::Tensor;
 
@@ -14,6 +16,12 @@ use nf_tensor::Tensor;
 /// each channel. The biased variance (divide by `m`) is used both for
 /// normalisation and for the running estimate, keeping the backward pass
 /// exact.
+///
+/// The channel reductions (μ, σ², and backward's Σdy, Σdy·x̂) run eight
+/// channels side by side (the crate's `lanes` module); each channel's sum
+/// keeps its order — per-image partial sums for the mean, one running sum
+/// over the batch for the rest — so the statistics are the bits a
+/// channel-at-a-time loop gives.
 pub struct BatchNorm2d {
     gamma: Param,
     beta: Param,
@@ -22,13 +30,14 @@ pub struct BatchNorm2d {
     channels: usize,
     eps: f32,
     momentum: f32,
-    cache: Option<BnCache>,
+    cache: InputCache<BnCache>,
 }
 
+/// What backward needs from a Train forward; `x_hat` carries the shape.
+#[derive(Default)]
 struct BnCache {
     x_hat: Tensor,
     inv_std: Vec<f32>,
-    shape: Vec<usize>,
 }
 
 impl BatchNorm2d {
@@ -43,7 +52,7 @@ impl BatchNorm2d {
             channels,
             eps: 1e-5,
             momentum: 0.1,
-            cache: None,
+            cache: InputCache::new(),
         }
     }
 
@@ -72,80 +81,93 @@ impl BatchNorm2d {
     }
 }
 
+/// Batch mean and biased variance over `(N, H, W)` of the `count` channels
+/// starting at `ch0`, one channel per lane.
+fn batch_stats(
+    xv: &[f32],
+    (n, c, plane): (usize, usize, usize),
+    ch0: usize,
+    count: usize,
+) -> ([f32; LANES], [f32; LANES]) {
+    let m = (n * plane) as f32;
+    let mut mean = [0.0f32; LANES];
+    for img in 0..n {
+        let part = sum_lanes(&lanes(xv, img * c + ch0, count, plane), plane);
+        for (mu, p) in mean.iter_mut().zip(part) {
+            *mu += p;
+        }
+    }
+    mean.iter_mut().for_each(|mu| *mu /= m);
+    let mut var = [0.0f32; LANES];
+    for img in 0..n {
+        let rows = lanes(xv, img * c + ch0, count, plane);
+        var = fold_lanes([&rows], plane, var, |k, acc, [v]| {
+            let d = v - mean[k];
+            acc + d * d
+        });
+    }
+    var.iter_mut().for_each(|v| *v /= m);
+    (mean, var)
+}
+
 impl Layer for BatchNorm2d {
     fn name(&self) -> String {
         format!("batchnorm2d({})", self.channels)
     }
 
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_into(&mut self, x: &Tensor, mode: Mode, out: &mut Tensor) -> Result<()> {
         let (n, c, h, w) = self.check_input(x)?;
         let plane = h * w;
-        let m = (n * plane) as f32;
-        let mut out = Tensor::zeros(x.shape());
+        out.reuse_as(x.shape());
         // All channel loops below walk contiguous `plane`-sized slices —
         // indexing element-by-element through `data()[i]` costs a bounds
         // check per element and blocks vectorisation on what is otherwise
         // pure streaming arithmetic.
         let xv = x.data();
+        let out_all = out.data_mut();
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
         match mode {
             Mode::Train => {
-                let mut x_hat = Tensor::zeros(x.shape());
-                let mut inv_stds = vec![0.0f32; c];
-                let xh_all = x_hat.data_mut();
-                let out_all = out.data_mut();
-                // Indexing by channel everywhere (x, out, the running
-                // stats) reads clearer than an enumerate over one of them.
-                #[allow(clippy::needless_range_loop)]
-                for ch in 0..c {
-                    // Batch statistics over (N, H, W) for this channel.
-                    let mut mean = 0.0f32;
-                    for img in 0..n {
-                        let base = (img * c + ch) * plane;
-                        mean += xv[base..base + plane].iter().sum::<f32>();
-                    }
-                    mean /= m;
-                    let mut var = 0.0f32;
-                    for img in 0..n {
-                        let base = (img * c + ch) * plane;
-                        for &v in &xv[base..base + plane] {
-                            let d = v - mean;
-                            var += d * d;
+                let mut cache = self.cache.recycle();
+                cache.x_hat.reuse_as(x.shape());
+                cache.inv_std.resize(c, 0.0);
+                let xh_all = cache.x_hat.data_mut();
+                for ch0 in (0..c).step_by(LANES) {
+                    let count = LANES.min(c - ch0);
+                    let (means, vars) = batch_stats(xv, (n, c, plane), ch0, count);
+                    for (ch, (mean, var)) in (ch0..ch0 + count).zip(means.into_iter().zip(vars)) {
+                        let inv_std = 1.0 / (var + self.eps).sqrt();
+                        cache.inv_std[ch] = inv_std;
+                        let (g, b) = (gamma[ch], beta[ch]);
+                        for img in 0..n {
+                            let base = (img * c + ch) * plane;
+                            let xs = &xv[base..base + plane];
+                            let xhs = &mut xh_all[base..base + plane];
+                            let os = &mut out_all[base..base + plane];
+                            // One output stream per loop, x̂ read back
+                            // from L1: interleaving two store streams that
+                            // sit at the same page offset (as two large
+                            // allocations do) measured 2.5× slower.
+                            for (&v, xh) in xs.iter().zip(xhs.iter_mut()) {
+                                *xh = (v - mean) * inv_std;
+                            }
+                            for (&h, o) in xhs.iter().zip(os.iter_mut()) {
+                                *o = g * h + b;
+                            }
                         }
+                        let rm = &mut self.running_mean.data_mut()[ch];
+                        *rm = (1.0 - self.momentum) * *rm + self.momentum * mean;
+                        let rv = &mut self.running_var.data_mut()[ch];
+                        *rv = (1.0 - self.momentum) * *rv + self.momentum * var;
                     }
-                    var /= m;
-                    let inv_std = 1.0 / (var + self.eps).sqrt();
-                    inv_stds[ch] = inv_std;
-                    let g = self.gamma.value.data()[ch];
-                    let b = self.beta.value.data()[ch];
-                    for img in 0..n {
-                        let base = (img * c + ch) * plane;
-                        let xs = &xv[base..base + plane];
-                        let xhs = &mut xh_all[base..base + plane];
-                        let os = &mut out_all[base..base + plane];
-                        for ((&v, xh), o) in xs.iter().zip(xhs.iter_mut()).zip(os.iter_mut()) {
-                            let h = (v - mean) * inv_std;
-                            *xh = h;
-                            *o = g * h + b;
-                        }
-                    }
-                    let rm = &mut self.running_mean.data_mut()[ch];
-                    *rm = (1.0 - self.momentum) * *rm + self.momentum * mean;
-                    let rv = &mut self.running_var.data_mut()[ch];
-                    *rv = (1.0 - self.momentum) * *rv + self.momentum * var;
                 }
-                self.cache = Some(BnCache {
-                    x_hat,
-                    inv_std: inv_stds,
-                    shape: x.shape().to_vec(),
-                });
+                self.cache.put_back(cache);
             }
             Mode::Eval => {
-                let out_all = out.data_mut();
                 for ch in 0..c {
                     let mean = self.running_mean.data()[ch];
                     let inv_std = 1.0 / (self.running_var.data()[ch] + self.eps).sqrt();
-                    let g = self.gamma.value.data()[ch];
-                    let b = self.beta.value.data()[ch];
+                    let (g, b) = (gamma[ch], beta[ch]);
                     for img in 0..n {
                         let base = (img * c + ch) * plane;
                         let xs = &xv[base..base + plane];
@@ -157,63 +179,63 @@ impl Layer for BatchNorm2d {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) -> Result<()> {
         let cache = self
             .cache
             .take()
             .ok_or_else(|| NnError::NoForwardCache { layer: self.name() })?;
-        if grad_out.shape() != cache.shape.as_slice() {
+        if grad_out.shape() != cache.x_hat.shape() {
+            let reason = format!(
+                "grad shape {:?} inconsistent with cached input {:?}",
+                grad_out.shape(),
+                cache.x_hat.shape()
+            );
+            self.cache.put_back(cache);
             return Err(NnError::BadInput {
                 layer: self.name(),
-                reason: format!(
-                    "grad shape {:?} inconsistent with cached input {:?}",
-                    grad_out.shape(),
-                    cache.shape
-                ),
+                reason,
             });
         }
         let (n, c, h, w) = grad_out.dims4()?;
         let plane = h * w;
         let m = (n * plane) as f32;
-        let mut grad_in = Tensor::zeros(&cache.shape);
+        grad_in.reuse_as(grad_out.shape());
         let dy_all = grad_out.data();
         let xh_all = cache.x_hat.data();
         let gi_all = grad_in.data_mut();
-        for ch in 0..c {
-            let g = self.gamma.value.data()[ch];
-            let inv_std = cache.inv_std[ch];
-            // Channel-wise reductions: Σdy, Σdy·x̂.
-            let mut sum_dy = 0.0f32;
-            let mut sum_dy_xhat = 0.0f32;
+        for ch0 in (0..c).step_by(LANES) {
+            let count = LANES.min(c - ch0);
+            // Channel-wise reductions: (Σdy, Σdy·x̂).
+            let mut sums = [(0.0f32, 0.0f32); LANES];
             for img in 0..n {
-                let base = (img * c + ch) * plane;
-                for (&dy, &xh) in dy_all[base..base + plane]
-                    .iter()
-                    .zip(&xh_all[base..base + plane])
-                {
-                    sum_dy += dy;
-                    sum_dy_xhat += dy * xh;
-                }
+                let dys = lanes(dy_all, img * c + ch0, count, plane);
+                let xhs = lanes(xh_all, img * c + ch0, count, plane);
+                sums = fold_lanes([&dys, &xhs], plane, sums, |_, (s, sx), [dy, xh]| {
+                    (s + dy, sx + dy * xh)
+                });
             }
-            self.beta.grad.data_mut()[ch] += sum_dy;
-            self.gamma.grad.data_mut()[ch] += sum_dy_xhat;
-            // dx = (γ/√(σ²+ε)) · (dy − Σdy/m − x̂·Σ(dy·x̂)/m)
-            let k = g * inv_std;
-            let (mean_dy, mean_dy_xhat) = (sum_dy / m, sum_dy_xhat / m);
-            for img in 0..n {
-                let base = (img * c + ch) * plane;
-                let dys = &dy_all[base..base + plane];
-                let xhs = &xh_all[base..base + plane];
-                let gis = &mut gi_all[base..base + plane];
-                for ((&dy, &xh), gi) in dys.iter().zip(xhs).zip(gis.iter_mut()) {
-                    *gi = k * (dy - mean_dy - xh * mean_dy_xhat);
+            for (ch, (sum_dy, sum_dy_xhat)) in (ch0..ch0 + count).zip(sums) {
+                self.beta.grad.data_mut()[ch] += sum_dy;
+                self.gamma.grad.data_mut()[ch] += sum_dy_xhat;
+                // dx = (γ/√(σ²+ε)) · (dy − Σdy/m − x̂·Σ(dy·x̂)/m)
+                let scale = self.gamma.value.data()[ch] * cache.inv_std[ch];
+                let (mean_dy, mean_dy_xhat) = (sum_dy / m, sum_dy_xhat / m);
+                for img in 0..n {
+                    let base = (img * c + ch) * plane;
+                    let dys = &dy_all[base..base + plane];
+                    let xhs = &xh_all[base..base + plane];
+                    let gis = &mut gi_all[base..base + plane];
+                    for ((&dy, &xh), gi) in dys.iter().zip(xhs).zip(gis.iter_mut()) {
+                        *gi = scale * (dy - mean_dy - xh * mean_dy_xhat);
+                    }
                 }
             }
         }
-        Ok(grad_in)
+        self.cache.retire(cache);
+        Ok(())
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -227,7 +249,7 @@ impl Layer for BatchNorm2d {
     }
 
     fn clear_cache(&mut self) {
-        self.cache = None;
+        self.cache.clear();
     }
 }
 
@@ -287,6 +309,177 @@ mod tests {
     fn param_count_is_two_per_channel() {
         let mut bn = BatchNorm2d::new(8);
         assert_eq!(bn.param_count(), 16);
+    }
+
+    /// The channel-at-a-time loops this layer ran before its reductions
+    /// went side by side — kept as the bit-level oracle. Returns
+    /// `(out, x_hat, inv_std, mean, var)` of a Train forward.
+    #[allow(clippy::type_complexity)]
+    fn forward_oracle(
+        x: &Tensor,
+        gamma: &[f32],
+        beta: &[f32],
+        eps: f32,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
+        let (n, c, h, w) = x.dims4().unwrap();
+        let plane = h * w;
+        let m = (n * plane) as f32;
+        let xv = x.data();
+        let (mut out, mut x_hat) = (vec![0.0f32; xv.len()], vec![0.0f32; xv.len()]);
+        let (mut inv_stds, mut means, mut vars) = (vec![0.0; c], vec![0.0; c], vec![0.0; c]);
+        for ch in 0..c {
+            let mut mean = 0.0f32;
+            for img in 0..n {
+                let base = (img * c + ch) * plane;
+                mean += xv[base..base + plane].iter().sum::<f32>();
+            }
+            mean /= m;
+            let mut var = 0.0f32;
+            for img in 0..n {
+                let base = (img * c + ch) * plane;
+                for &v in &xv[base..base + plane] {
+                    let d = v - mean;
+                    var += d * d;
+                }
+            }
+            var /= m;
+            let inv_std = 1.0 / (var + eps).sqrt();
+            (inv_stds[ch], means[ch], vars[ch]) = (inv_std, mean, var);
+            for img in 0..n {
+                let base = (img * c + ch) * plane;
+                for i in base..base + plane {
+                    let h = (xv[i] - mean) * inv_std;
+                    x_hat[i] = h;
+                    out[i] = gamma[ch] * h + beta[ch];
+                }
+            }
+        }
+        (out, x_hat, inv_stds, means, vars)
+    }
+
+    /// Backward oracle: `(grad_in, d_gamma, d_beta)`.
+    fn backward_oracle(
+        dy: &Tensor,
+        x_hat: &[f32],
+        inv_std: &[f32],
+        gamma: &[f32],
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let (n, c, h, w) = dy.dims4().unwrap();
+        let plane = h * w;
+        let m = (n * plane) as f32;
+        let dyv = dy.data();
+        let mut gi = vec![0.0f32; dyv.len()];
+        let (mut d_gamma, mut d_beta) = (vec![0.0f32; c], vec![0.0f32; c]);
+        for ch in 0..c {
+            let (mut sum_dy, mut sum_dy_xhat) = (0.0f32, 0.0f32);
+            for img in 0..n {
+                let base = (img * c + ch) * plane;
+                for i in base..base + plane {
+                    sum_dy += dyv[i];
+                    sum_dy_xhat += dyv[i] * x_hat[i];
+                }
+            }
+            d_beta[ch] += sum_dy;
+            d_gamma[ch] += sum_dy_xhat;
+            let k = gamma[ch] * inv_std[ch];
+            let (mean_dy, mean_dy_xhat) = (sum_dy / m, sum_dy_xhat / m);
+            for img in 0..n {
+                let base = (img * c + ch) * plane;
+                for i in base..base + plane {
+                    gi[i] = k * (dyv[i] - mean_dy - x_hat[i] * mean_dy_xhat);
+                }
+            }
+        }
+        (gi, d_gamma, d_beta)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn side_by_side_reductions_keep_the_channel_at_a_time_bits() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        // Channel counts around the lane width (full groups, short tails,
+        // one lone channel), planes around the tile width, odd H/W.
+        for c in [1usize, 3, 4, 6, 8, 12, 16, 17] {
+            for (h, w) in [(1usize, 1usize), (2, 2), (4, 4), (3, 5), (32, 32)] {
+                for n in [1usize, 8] {
+                    let shape = [n, c, h, w];
+                    // Values spread over magnitudes, so any reordering of
+                    // a sum shows in its low bits.
+                    let mut draw = |len: usize| -> Vec<f32> {
+                        (0..len)
+                            .map(|_| rng.gen_range(-1.0f32..1.0) * 10f32.powi(rng.gen_range(-3..3)))
+                            .collect()
+                    };
+                    let x = Tensor::from_vec(shape.to_vec(), draw(n * c * h * w)).unwrap();
+                    let dy = Tensor::from_vec(shape.to_vec(), draw(n * c * h * w)).unwrap();
+                    let mut bn = BatchNorm2d::new(c);
+                    bn.gamma.value = Tensor::from_vec(vec![c], draw(c)).unwrap();
+                    bn.beta.value = Tensor::from_vec(vec![c], draw(c)).unwrap();
+                    let (gamma, beta) = (
+                        bn.gamma.value.data().to_vec(),
+                        bn.beta.value.data().to_vec(),
+                    );
+                    let (out, x_hat, inv_std, mean, var) =
+                        forward_oracle(&x, &gamma, &beta, bn.eps);
+                    let (gi, d_gamma, d_beta) = backward_oracle(&dy, &x_hat, &inv_std, &gamma);
+
+                    // Into stale, oversized buffers: nothing may lean on
+                    // what they held.
+                    let mut y = Tensor::full(&[out.len() + 3], f32::NAN);
+                    bn.forward_into(&x, Mode::Train, &mut y).unwrap();
+                    assert_eq!(y.shape(), &shape);
+                    assert_eq!(bits(y.data()), bits(&out), "forward {shape:?}");
+                    let run_mean: Vec<f32> = mean.iter().map(|m| 0.9 * 0.0 + 0.1 * m).collect();
+                    let run_var: Vec<f32> = var.iter().map(|v| 0.9 * 1.0 + 0.1 * v).collect();
+                    assert_eq!(bits(bn.running_mean.data()), bits(&run_mean), "{shape:?}");
+                    assert_eq!(bits(bn.running_var.data()), bits(&run_var), "{shape:?}");
+                    let mut dx = Tensor::full(&[out.len() + 3], f32::NAN);
+                    bn.backward_into(&dy, &mut dx).unwrap();
+                    assert_eq!(bits(dx.data()), bits(&gi), "backward {shape:?}");
+                    assert_eq!(bits(bn.gamma.grad.data()), bits(&d_gamma), "{shape:?}");
+                    assert_eq!(bits(bn.beta.grad.data()), bits(&d_beta), "{shape:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eval_rows_do_not_depend_on_their_batch() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let mut bn = BatchNorm2d::new(5);
+        bn.running_mean = nf_tensor::uniform_init(&mut rng, &[5], -1.0, 1.0);
+        bn.running_var = nf_tensor::uniform_init(&mut rng, &[5], 0.5, 2.0);
+        let x = nf_tensor::uniform_init(&mut rng, &[8, 5, 3, 3], -2.0, 2.0);
+        let batched = bn.forward(&x, Mode::Eval).unwrap();
+        for i in 0..8 {
+            let alone = bn
+                .forward(&x.slice_batch(i, i + 1).unwrap(), Mode::Eval)
+                .unwrap();
+            let row = batched.slice_batch(i, i + 1).unwrap();
+            assert_eq!(bits(alone.data()), bits(row.data()), "sample {i}");
+        }
+    }
+
+    #[test]
+    fn backward_spends_the_cache_and_a_malformed_grad_does_not() {
+        let mut bn = BatchNorm2d::new(2);
+        let x = Tensor::ones(&[2, 2, 4, 4]);
+        let g = Tensor::ones(&[2, 2, 4, 4]);
+        bn.forward(&x, Mode::Train).unwrap();
+        bn.backward(&g).unwrap();
+        // Spent; a malformed gradient, though, leaves a pending cache be.
+        assert!(bn.backward(&g).is_err());
+        bn.forward(&x, Mode::Train).unwrap();
+        assert!(bn.backward(&Tensor::ones(&[2, 2, 4, 3])).is_err());
+        bn.backward(&g).unwrap();
+        bn.forward(&x, Mode::Train).unwrap();
+        bn.clear_cache();
+        assert!(bn.backward(&g).is_err());
     }
 
     #[test]

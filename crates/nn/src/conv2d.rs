@@ -2,14 +2,14 @@
 //! matrix that is gathered in place, never built.
 
 use crate::error::NnError;
-use crate::layer::{Layer, Mode};
+use crate::layer::{forward_dequantized, Layer, Mode};
 use crate::param::Param;
 use crate::scratch::{InputCache, PackedPanel, QuantPanel};
 use crate::Result;
 use nf_tensor::kernels::int8;
 use nf_tensor::{
-    col2im_batch, flip_kernel_panel_into, he_normal, lock_workspace, matmul_into,
-    nchw_to_posrows_into, posrows_to_nchw, shared_workspace, sum_axis0_acc, Conv2dGeometry,
+    col2im_batch_into, flip_kernel_panel_into, he_normal, lock_workspace, matmul_into,
+    nchw_to_posrows_into, posrows_to_nchw_into, shared_workspace, sum_axis0_acc, Conv2dGeometry,
     ConvGather, KernelBackend, QuantTensor, SharedWorkspace, Tensor,
 };
 use rand::Rng;
@@ -35,8 +35,9 @@ use std::sync::Arc;
 /// weight panels the GEMMs consume (transposed for forward, flipped for
 /// the input gradient) are cached across the minibatch loop, re-packed
 /// only when [`crate::Param::version`] says the weights actually changed
-/// — so the steady-state hot path allocates nothing beyond its output
-/// tensor. [`Layer::forward_quant`] is the same gathered product in
+/// — so the steady-state hot path allocates nothing: the output lands in
+/// the caller's buffer, the bias added on the way through the
+/// position-rows → NCHW transpose. [`Layer::forward_quant_into`] is the same gathered product in
 /// integer arithmetic over an int8-cached input (padded once with its
 /// zero-point byte, read through the same position table), dequantized
 /// per output channel.
@@ -154,11 +155,14 @@ impl Conv2d {
         )?)
     }
 
-    fn check_input(&self, x: &Tensor) -> Result<(usize, usize, usize, usize)> {
-        let (n, c, h, w) = x.dims4().map_err(|_| NnError::BadInput {
-            layer: self.name(),
-            reason: format!("expected NCHW input, got shape {:?}", x.shape()),
-        })?;
+    /// Validates an NCHW input shape against the layer's channel count.
+    fn check_input(&self, shape: &[usize]) -> Result<(usize, usize, usize, usize)> {
+        let &[n, c, h, w] = shape else {
+            return Err(NnError::BadInput {
+                layer: self.name(),
+                reason: format!("expected NCHW input, got shape {shape:?}"),
+            });
+        };
         if c != self.in_channels {
             return Err(NnError::BadInput {
                 layer: self.name(),
@@ -168,10 +172,9 @@ impl Conv2d {
         Ok((n, c, h, w))
     }
 
-    /// The backward pass; with `want_dx` unset the input-gradient product
-    /// is skipped and an empty tensor returned
-    /// ([`Layer::backward_params`]).
-    fn backward_impl(&mut self, grad_out: &Tensor, want_dx: bool) -> Result<Tensor> {
+    /// The backward pass; without `grad_in` the input-gradient product is
+    /// skipped ([`Layer::backward_params`]).
+    fn backward_impl(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>) -> Result<()> {
         // Rank check before consuming the cache, so a malformed grad
         // leaves the forward state intact (same contract as the shape
         // check below).
@@ -212,29 +215,29 @@ impl Conv2d {
         }
         // db += column sums of g.
         sum_axis0_acc(g, &mut self.bias.grad)?;
-        let dx = if !want_dx {
-            Tensor::default()
-        } else if let Some(dgeom) = geom.input_grad_geometry() {
-            // dx rows (N·H·W × C) = patches(grad_out) · flipped(W): a
-            // stride-1 convolution of the padded gradient, every dx
-            // element gathered once instead of scatter-added K·K times.
-            let (cin, k) = (self.in_channels, self.kernel);
-            let flipped = self.flipped_w.get_with(&self.weight, |w, out| {
-                flip_kernel_panel_into(w, cin, k, k, out)
-            })?;
-            self.grad_patches
-                .dgrad_into(backend, grad_out, &dgeom, flipped, p.cols, p.pack, p.out)?;
-            posrows_to_nchw(p.out, n, c, h, w)?
-        } else {
-            // Strided (or over-padded) convolutions: dcols = g · W
-            // (N·P × C·K·K), scattered back to image space.
-            matmul_into(backend, g, &self.weight.value, p.out)?;
-            col2im_batch(p.out, n, c, &geom)?
-        };
+        if let Some(dx) = grad_in {
+            if let Some(dgeom) = geom.input_grad_geometry() {
+                // dx rows (N·H·W × C) = patches(grad_out) · flipped(W): a
+                // stride-1 convolution of the padded gradient, every dx
+                // element gathered once instead of scatter-added K·K times.
+                let (cin, k) = (self.in_channels, self.kernel);
+                let flipped = self.flipped_w.get_with(&self.weight, |w, out| {
+                    flip_kernel_panel_into(w, cin, k, k, out)
+                })?;
+                self.grad_patches
+                    .dgrad_into(backend, grad_out, &dgeom, flipped, p.cols, p.pack, p.out)?;
+                posrows_to_nchw_into(p.out, None, n, c, h, w, dx)?;
+            } else {
+                // Strided (or over-padded) convolutions: dcols = g · W
+                // (N·P × C·K·K), scattered back to image space.
+                matmul_into(backend, g, &self.weight.value, p.out)?;
+                col2im_batch_into(p.out, n, c, &geom, dx)?;
+            }
+        }
         drop(ws);
         // Retire the consumed input cache buffer for the next forward.
         self.cached_input.retire(x);
-        Ok(dx)
+        Ok(())
     }
 }
 
@@ -246,8 +249,8 @@ impl Layer for Conv2d {
         )
     }
 
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let (n, _, h, w) = self.check_input(x)?;
+    fn forward_into(&mut self, x: &Tensor, mode: Mode, out: &mut Tensor) -> Result<()> {
+        let (n, _, h, w) = self.check_input(x.shape())?;
         let geom = self.geometry(h, w)?;
         let wt = self.packed_wt.get(&self.weight)?;
         // One gathered GEMM for the whole minibatch, entirely in workspace
@@ -259,36 +262,23 @@ impl Layer for Conv2d {
         *p.cols_owner = 0;
         self.patches
             .forward_into(self.backend, x, &geom, wt, p.cols, p.pack, p.out)?;
-        // Broadcast the per-channel bias over every output position (rows
-        // are positions, columns are output channels).
-        let bias = self.bias.value.data();
-        for row in p.out.data_mut().chunks_mut(self.out_channels) {
-            for (v, b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
         if mode == Mode::Train {
             self.cached_input.store(x);
         }
-        posrows_to_nchw(p.out, n, self.out_channels, geom.out_h, geom.out_w).map_err(NnError::from)
+        // Rows are positions, columns output channels: the per-channel
+        // bias rides on the transpose to NCHW.
+        let bias = Some(self.bias.value.data());
+        let (c, oh, ow) = (self.out_channels, geom.out_h, geom.out_w);
+        Ok(posrows_to_nchw_into(p.out, bias, n, c, oh, ow, out)?)
     }
 
-    fn forward_quant(&mut self, x: &QuantTensor, mode: Mode) -> Result<Tensor> {
+    fn forward_quant_into(&mut self, x: &QuantTensor, mode: Mode, out: &mut Tensor) -> Result<()> {
         if mode == Mode::Train {
             // Backward differentiates against an f32 cached input, so the
             // training path must run the f32 forward.
-            return self.forward(&x.dequantize()?, mode);
+            return forward_dequantized(self, x, mode, out);
         }
-        let (n, c, h, w) = x.dims4().map_err(|_| NnError::BadInput {
-            layer: self.name(),
-            reason: format!("expected NCHW input, got shape {:?}", x.shape()),
-        })?;
-        if c != self.in_channels {
-            return Err(NnError::BadInput {
-                layer: self.name(),
-                reason: format!("expected {} input channels, got {c}", self.in_channels),
-            });
-        }
+        let (n, _, h, w) = self.check_input(x.shape())?;
         let geom = self.geometry(h, w)?;
         let version = self.weight.version();
         let wt = self.packed_wt.get(&self.weight)?;
@@ -312,15 +302,16 @@ impl Layer for Conv2d {
             p.pack,
             p.out.data_mut(),
         );
-        posrows_to_nchw(p.out, n, self.out_channels, geom.out_h, geom.out_w).map_err(NnError::from)
+        let (c, oh, ow) = (self.out_channels, geom.out_h, geom.out_w);
+        Ok(posrows_to_nchw_into(p.out, None, n, c, oh, ow, out)?)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        self.backward_impl(grad_out, true)
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) -> Result<()> {
+        self.backward_impl(grad_out, Some(grad_in))
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
-        self.backward_impl(grad_out, false).map(drop)
+        self.backward_impl(grad_out, None)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -452,7 +443,7 @@ mod tests {
     #[test]
     fn forward_quant_is_the_explicit_composition_bit_for_bit() {
         use nf_tensor::kernels::int8::{QuantizedLhs, QuantizedRhs};
-        use nf_tensor::{im2col_batch_u8_into, transpose2d};
+        use nf_tensor::{im2col_batch_u8_into, posrows_to_nchw, transpose2d};
         // The gathered layer against the lowering it replaced, spelled
         // out: u8 im2col → dense i32 GEMM → dequantize + bias → NCHW. The
         // repo benchmark's three `quant` entry layers at their

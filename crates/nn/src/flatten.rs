@@ -20,13 +20,14 @@ use nf_tensor::Tensor;
 /// ```
 #[derive(Debug, Default)]
 pub struct Flatten {
-    cached_shape: Option<Vec<usize>>,
+    /// Input shape of the last Train forward; empty when none is pending.
+    cached_shape: Vec<usize>,
 }
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
-        Flatten { cached_shape: None }
+        Self::default()
     }
 }
 
@@ -35,7 +36,7 @@ impl Layer for Flatten {
         "flatten".to_string()
     }
 
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+    fn forward_into(&mut self, x: &Tensor, mode: Mode, out: &mut Tensor) -> Result<()> {
         if x.rank() < 1 {
             return Err(NnError::BadInput {
                 layer: self.name(),
@@ -45,23 +46,36 @@ impl Layer for Flatten {
         let n = x.shape()[0];
         let rest: usize = x.shape()[1..].iter().product();
         if mode == Mode::Train {
-            self.cached_shape = Some(x.shape().to_vec());
+            self.cached_shape.clear();
+            self.cached_shape.extend_from_slice(x.shape());
         }
-        Ok(x.reshaped(&[n, rest])?)
+        out.reuse_as(&[n, rest]);
+        out.data_mut().copy_from_slice(x.data());
+        Ok(())
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let shape = self
-            .cached_shape
-            .take()
-            .ok_or_else(|| NnError::NoForwardCache { layer: self.name() })?;
-        Ok(grad_out.reshaped(&shape)?)
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) -> Result<()> {
+        if self.cached_shape.is_empty() {
+            return Err(NnError::NoForwardCache { layer: self.name() });
+        }
+        let expected = self.cached_shape.iter().product();
+        if grad_out.numel() != expected {
+            return Err(nf_tensor::TensorError::ShapeDataMismatch {
+                expected,
+                actual: grad_out.numel(),
+            }
+            .into());
+        }
+        grad_in.reuse_as(&self.cached_shape);
+        grad_in.data_mut().copy_from_slice(grad_out.data());
+        self.cached_shape.clear();
+        Ok(())
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn clear_cache(&mut self) {
-        self.cached_shape = None;
+        self.cached_shape.clear();
     }
 }
 

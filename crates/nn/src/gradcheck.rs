@@ -164,18 +164,20 @@ mod tests {
             "broken_scale".into()
         }
 
-        fn forward(&mut self, x: &Tensor, mode: Mode) -> crate::Result<Tensor> {
+        fn forward_into(&mut self, x: &Tensor, mode: Mode, out: &mut Tensor) -> crate::Result<()> {
             if mode == Mode::Train {
                 self.cached = Some(x.clone());
             }
-            Ok(x.map(|v| v * self.p.value.data()[0]))
+            *out = x.map(|v| v * self.p.value.data()[0]);
+            Ok(())
         }
 
-        fn backward(&mut self, grad_out: &Tensor) -> crate::Result<Tensor> {
+        fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) -> crate::Result<()> {
             let _ = self.cached.take();
             // Wrong: ignores the scale parameter entirely.
             self.p.grad.data_mut()[0] += 123.0;
-            Ok(grad_out.clone())
+            grad_in.copy_from(grad_out);
+            Ok(())
         }
 
         fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -1,4 +1,5 @@
-//! The [`Layer`] trait: explicit forward/backward with owned caches.
+//! The [`Layer`] trait: explicit forward/backward into caller-owned
+//! buffers, with layer-owned caches.
 
 use crate::param::Param;
 use crate::Result;
@@ -21,14 +22,27 @@ pub enum Mode {
 
 /// A differentiable network component with explicit state.
 ///
+/// A layer **writes into the caller's buffer**: [`Layer::forward_into`] and
+/// [`Layer::backward_into`] are the one forward and one backward body every
+/// implementation has, built on [`Tensor::reuse_as`] so a caller that keeps
+/// its tensors across steps (the Worker, [`crate::Sequential`]) runs a
+/// warmed-up step without allocating. The owning entry points
+/// ([`Layer::forward`], [`Layer::backward`], [`Layer::forward_quant`]) are
+/// provided wrappers that allocate the output and call the `_into` form.
+///
 /// Contract:
-/// - `forward(x, Mode::Train)` must cache enough to answer one subsequent
-///   `backward` call; `forward(x, Mode::Eval)` must not allocate caches.
-/// - `backward(grad_out)` consumes the cache, **accumulates** parameter
-///   gradients into [`Param::grad`], and returns the gradient with respect
-///   to the layer input. Calling it twice without an intervening forward is
-///   an error ([`crate::NnError::NoForwardCache`]).
+/// - `forward_into(x, Mode::Train, out)` must cache enough to answer one
+///   subsequent backward call; `forward_into(x, Mode::Eval, out)` must not
+///   touch the caches. `out` arrives with unspecified shape and contents
+///   (often the previous step's output) and leaves fully overwritten.
+/// - `backward_into(grad_out, grad_in)` consumes the cache, **accumulates**
+///   parameter gradients into [`Param::grad`], and writes the gradient with
+///   respect to the layer input over `grad_in` (same buffer contract as
+///   `out`). Calling it twice without an intervening forward is an error
+///   ([`crate::NnError::NoForwardCache`]).
 /// - Gradients accumulate across backward calls until [`Layer::zero_grad`].
+/// - Cache *storage* (cached inputs, masks, normalised activations) is
+///   kept and refilled step after step; [`Layer::clear_cache`] releases it.
 ///
 /// `Send` is a supertrait so trained models can move between threads —
 /// the federated engine trains clients in parallel and the serve path
@@ -38,35 +52,57 @@ pub trait Layer: Send {
     /// Human-readable layer name (used in error messages and reports).
     fn name(&self) -> String;
 
-    /// Computes the layer output for `x`.
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor>;
+    /// Computes the layer output for `x` into `out`.
+    fn forward_into(&mut self, x: &Tensor, mode: Mode, out: &mut Tensor) -> Result<()>;
+
+    /// [`Layer::forward_into`] returning a freshly allocated output.
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+        let mut out = Tensor::default();
+        self.forward_into(x, mode, &mut out)?;
+        Ok(out)
+    }
 
     /// Computes the layer output for an affine-`u8` quantized input — the
     /// frozen-block regeneration entry point, where inputs arrive straight
     /// from the int8 activation cache.
     ///
-    /// The default decodes to f32 and runs [`Layer::forward`], so every
-    /// layer accepts quantized input; the GEMM-backed layers override it
-    /// in `Eval` mode with the [`nf_tensor::kernels::int8`] integer
-    /// kernel, skipping the decode entirely.
-    fn forward_quant(&mut self, x: &QuantTensor, mode: Mode) -> Result<Tensor> {
-        self.forward(&x.dequantize()?, mode)
+    /// The default decodes to f32 and runs [`Layer::forward_into`], so
+    /// every layer accepts quantized input; the GEMM-backed layers
+    /// override it in `Eval` mode with the [`nf_tensor::kernels::int8`]
+    /// integer kernel, skipping the decode entirely.
+    fn forward_quant_into(&mut self, x: &QuantTensor, mode: Mode, out: &mut Tensor) -> Result<()> {
+        forward_dequantized(self, x, mode, out)
     }
 
-    /// Computes the input gradient from the output gradient, accumulating
-    /// parameter gradients.
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
+    /// [`Layer::forward_quant_into`] returning a freshly allocated output.
+    fn forward_quant(&mut self, x: &QuantTensor, mode: Mode) -> Result<Tensor> {
+        let mut out = Tensor::default();
+        self.forward_quant_into(x, mode, &mut out)?;
+        Ok(out)
+    }
 
-    /// [`Layer::backward`] for a caller that will not read the input
+    /// Computes the input gradient from the output gradient into
+    /// `grad_in`, accumulating parameter gradients.
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) -> Result<()>;
+
+    /// [`Layer::backward_into`] returning a freshly allocated gradient.
+    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        let mut grad_in = Tensor::default();
+        self.backward_into(grad_out, &mut grad_in)?;
+        Ok(grad_in)
+    }
+
+    /// The backward pass for a caller that will not read the input
     /// gradient: local learning sends no gradient across a unit boundary,
     /// so the first layer of a locally trained unit never needs one.
-    /// Parameter gradients must come out bit-identical to `backward`'s.
+    /// Parameter gradients must come out bit-identical to
+    /// [`Layer::backward_into`]'s.
     ///
-    /// The default runs `backward` and drops the result; layers whose
-    /// input gradient is a product of its own (`Conv2d`, `Linear`) skip
-    /// it, and containers hand the saving to their first layer.
+    /// The default runs `backward_into` into a throw-away tensor; layers
+    /// whose input gradient is a product of its own (`Conv2d`, `Linear`)
+    /// skip it, and containers hand the saving to their first layer.
     fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
-        self.backward(grad_out).map(drop)
+        self.backward_into(grad_out, &mut Tensor::default())
     }
 
     /// Visits every trainable parameter (used by optimizers and reporting).
@@ -112,24 +148,39 @@ pub trait Layer: Send {
     fn set_workspace(&mut self, _ws: &nf_tensor::SharedWorkspace) {}
 }
 
+/// Decodes `x` to f32 and runs `layer`'s f32 forward on it: what a layer
+/// without an integer path does with quantized input, and what the ones
+/// with one do in `Train` mode (backward differentiates against an f32
+/// cached input).
+pub(crate) fn forward_dequantized<L: Layer + ?Sized>(
+    layer: &mut L,
+    x: &QuantTensor,
+    mode: Mode,
+    out: &mut Tensor,
+) -> Result<()> {
+    let mut decoded = Tensor::default();
+    x.dequantize_into(&mut decoded)?;
+    layer.forward_into(&decoded, mode, out)
+}
+
 impl Layer for Box<dyn Layer> {
     fn name(&self) -> String {
         self.as_ref().name()
     }
 
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        self.as_mut().forward(x, mode)
+    fn forward_into(&mut self, x: &Tensor, mode: Mode, out: &mut Tensor) -> Result<()> {
+        self.as_mut().forward_into(x, mode, out)
     }
 
-    fn forward_quant(&mut self, x: &QuantTensor, mode: Mode) -> Result<Tensor> {
+    fn forward_quant_into(&mut self, x: &QuantTensor, mode: Mode, out: &mut Tensor) -> Result<()> {
         // Must forward explicitly: the blanket default would dispatch the
         // decoded forward on the *box*, never reaching an override on the
         // boxed layer.
-        self.as_mut().forward_quant(x, mode)
+        self.as_mut().forward_quant_into(x, mode, out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        self.as_mut().backward(grad_out)
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) -> Result<()> {
+        self.as_mut().backward_into(grad_out, grad_in)
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {

@@ -43,6 +43,7 @@ pub mod conv2d;
 mod error;
 pub mod flatten;
 pub mod gradcheck;
+mod lanes;
 mod layer;
 pub mod linear;
 pub mod loss;

@@ -1,13 +1,13 @@
 //! Fully-connected layer.
 
 use crate::error::NnError;
-use crate::layer::{Layer, Mode};
+use crate::layer::{forward_dequantized, Layer, Mode};
 use crate::param::Param;
 use crate::scratch::{InputCache, PackedPanel, QuantPanel};
 use crate::Result;
 use nf_tensor::kernels::int8;
 use nf_tensor::{
-    he_normal, lock_workspace, matmul_at_b_into, matmul_with, shared_workspace, sum_axis0_acc,
+    he_normal, lock_workspace, matmul_at_b_into, matmul_into, shared_workspace, sum_axis0_acc,
     KernelBackend, QuantTensor, SharedWorkspace, Tensor,
 };
 use rand::Rng;
@@ -90,6 +90,23 @@ impl Linear {
     pub fn weight(&self) -> &Param {
         &self.weight
     }
+
+    /// Validates a `(rows, in_features)` input shape and returns `rows`.
+    fn check_features(&self, shape: &[usize]) -> Result<usize> {
+        let &[rows, cols] = shape else {
+            return Err(NnError::BadInput {
+                layer: self.name(),
+                reason: format!("expected rank-2 input, got shape {shape:?}"),
+            });
+        };
+        if cols != self.in_features {
+            return Err(NnError::BadInput {
+                layer: self.name(),
+                reason: format!("expected {} features, got {cols}", self.in_features),
+            });
+        }
+        Ok(rows)
+    }
 }
 
 impl Layer for Linear {
@@ -97,21 +114,11 @@ impl Layer for Linear {
         format!("linear({}→{})", self.in_features, self.out_features)
     }
 
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let (_, cols) = x.dims2().map_err(|_| NnError::BadInput {
-            layer: self.name(),
-            reason: format!("expected rank-2 input, got shape {:?}", x.shape()),
-        })?;
-        if cols != self.in_features {
-            return Err(NnError::BadInput {
-                layer: self.name(),
-                reason: format!("expected {} features, got {cols}", self.in_features),
-            });
-        }
-        let mut y = matmul_with(self.backend, x, &self.weight.value)?;
+    fn forward_into(&mut self, x: &Tensor, mode: Mode, out: &mut Tensor) -> Result<()> {
+        self.check_features(x.shape())?;
+        matmul_into(self.backend, x, &self.weight.value, out)?;
         let b = self.bias.value.data();
-        let out = self.out_features;
-        for row in y.data_mut().chunks_mut(out) {
+        for row in out.data_mut().chunks_mut(self.out_features) {
             for (v, bv) in row.iter_mut().zip(b) {
                 *v += bv;
             }
@@ -119,25 +126,16 @@ impl Layer for Linear {
         if mode == Mode::Train {
             self.cached_input.store(x);
         }
-        Ok(y)
+        Ok(())
     }
 
-    fn forward_quant(&mut self, x: &QuantTensor, mode: Mode) -> Result<Tensor> {
+    fn forward_quant_into(&mut self, x: &QuantTensor, mode: Mode, out: &mut Tensor) -> Result<()> {
         if mode == Mode::Train {
             // Backward differentiates against an f32 cached input, so the
             // training path must run the f32 forward.
-            return self.forward(&x.dequantize()?, mode);
+            return forward_dequantized(self, x, mode, out);
         }
-        let (rows, cols) = x.dims2().map_err(|_| NnError::BadInput {
-            layer: self.name(),
-            reason: format!("expected rank-2 input, got shape {:?}", x.shape()),
-        })?;
-        if cols != self.in_features {
-            return Err(NnError::BadInput {
-                layer: self.name(),
-                reason: format!("expected {} features, got {cols}", self.in_features),
-            });
-        }
+        let rows = self.check_features(x.shape())?;
         // `weight.value` is already the `K×N` GEMM panel, so the quantized
         // panel packs straight from it; the input bytes repack into the
         // 4-padded row stride the kernel wants without re-quantizing.
@@ -145,9 +143,9 @@ impl Layer for Linear {
             .quant_wt
             .get(self.weight.version(), &self.weight.value)?;
         self.qlhs
-            .from_rows_u8(x.data(), rows, cols, x.scale(), x.min());
+            .from_rows_u8(x.data(), rows, self.in_features, x.scale(), x.min());
         int8::gemm_i32(&self.qlhs, rhs, &mut self.qacc);
-        let mut y = Tensor::zeros(&[rows, self.out_features]);
+        out.reuse_as(&[rows, self.out_features]);
         int8::dequantize_into(
             x.scale(),
             x.min(),
@@ -155,16 +153,16 @@ impl Layer for Linear {
             &self.qacc,
             Some(self.bias.value.data()),
             lock_workspace(&self.ws).parts().pack,
-            y.data_mut(),
+            out.data_mut(),
         );
-        Ok(y)
+        Ok(())
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) -> Result<()> {
         self.backward_params(grad_out)?;
         // dx = g · Wᵀ as a plain GEMM against the packed panel.
         let wt = self.packed_wt.get(&self.weight)?;
-        Ok(matmul_with(self.backend, grad_out, wt)?)
+        Ok(matmul_into(self.backend, grad_out, wt, grad_in)?)
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {

@@ -6,7 +6,7 @@
 
 use crate::error::NnError;
 use crate::Result;
-use nf_tensor::{softmax_rows, sub, Tensor};
+use nf_tensor::{softmax_rows_into, sub, Tensor};
 
 /// Softmax cross-entropy against integer class labels.
 ///
@@ -25,6 +25,14 @@ use nf_tensor::{softmax_rows, sub, Tensor};
 /// assert!(loss < 1e-3); // confident and correct
 /// ```
 pub fn cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<(f32, Tensor)> {
+    let mut grad = Tensor::default();
+    let loss = cross_entropy_into(logits, labels, &mut grad)?;
+    Ok((loss, grad))
+}
+
+/// [`cross_entropy`] writing the gradient into a caller-provided buffer
+/// (grow-only; every element is overwritten) and returning the loss.
+pub fn cross_entropy_into(logits: &Tensor, labels: &[usize], grad: &mut Tensor) -> Result<f32> {
     let (batch, classes) = logits.dims2().map_err(NnError::Tensor)?;
     if labels.len() != batch {
         return Err(NnError::BadLabels {
@@ -36,17 +44,17 @@ pub fn cross_entropy(logits: &Tensor, labels: &[usize]) -> Result<(f32, Tensor)>
             reason: format!("label {bad} out of range for {classes} classes"),
         });
     }
-    let probs = softmax_rows(logits)?;
+    // The gradient starts as the probabilities and is edited in place.
+    softmax_rows_into(logits, grad)?;
     let mut loss = 0.0f32;
-    let mut grad = probs.clone();
     let inv_batch = 1.0 / batch as f32;
     for (r, &label) in labels.iter().enumerate() {
-        let p = probs.data()[r * classes + label].max(1e-12);
-        loss -= p.ln();
-        grad.data_mut()[r * classes + label] -= 1.0;
+        let p = &mut grad.data_mut()[r * classes + label];
+        loss -= p.max(1e-12).ln();
+        *p -= 1.0;
     }
     grad.scale_inplace(inv_batch);
-    Ok((loss * inv_batch, grad))
+    Ok(loss * inv_batch)
 }
 
 /// Mean-squared error between `pred` and `target` (same shape).

@@ -6,9 +6,11 @@ use crate::error::NnError;
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
 use crate::relu::ReLU;
+use crate::sequential::{give_handoff, take_handoff};
 use crate::Result;
-use nf_tensor::{add, Tensor};
+use nf_tensor::{shared_workspace, SharedWorkspace, Tensor};
 use rand::Rng;
+use std::sync::Arc;
 
 /// The ResNet-18 basic block:
 /// `y = relu(bn2(conv2(relu(bn1(conv1(x))))) + shortcut(x))`.
@@ -23,8 +25,10 @@ pub struct BasicBlock {
     conv2: Conv2d,
     bn2: BatchNorm2d,
     shortcut: Option<(Conv2d, BatchNorm2d)>,
-    /// Mask of the final ReLU (cached in train mode).
-    final_mask: Option<Vec<bool>>,
+    /// The final ReLU, over the sum of both branches.
+    relu2: ReLU,
+    /// Arena the three inner hand-off buffers are taken from.
+    ws: SharedWorkspace,
 }
 
 impl BasicBlock {
@@ -51,13 +55,89 @@ impl BasicBlock {
             conv2: Conv2d::new(rng, out_channels, out_channels, 3, 1, 1)?,
             bn2: BatchNorm2d::new(out_channels),
             shortcut,
-            final_mask: None,
+            relu2: ReLU::new(),
+            ws: shared_workspace(),
         })
     }
 
     /// Whether this block uses a projection shortcut.
     pub fn has_projection(&self) -> bool {
         self.shortcut.is_some()
+    }
+
+    fn forward_with(
+        &mut self,
+        x: &Tensor,
+        mode: Mode,
+        out: &mut Tensor,
+        [a, b, skip]: &mut [Tensor; 3],
+    ) -> Result<()> {
+        self.conv1.forward_into(x, mode, a)?;
+        self.bn1.forward_into(a, mode, b)?;
+        self.relu1.forward_into(b, mode, a)?;
+        self.conv2.forward_into(a, mode, b)?;
+        self.bn2.forward_into(b, mode, a)?;
+        let skip: &Tensor = match &mut self.shortcut {
+            Some((conv, bn)) => {
+                conv.forward_into(x, mode, b)?;
+                bn.forward_into(b, mode, skip)?;
+                skip
+            }
+            None => x,
+        };
+        if a.shape() != skip.shape() {
+            return Err(NnError::BadInput {
+                layer: self.name(),
+                reason: format!(
+                    "main/shortcut shape mismatch: {:?} vs {:?}",
+                    a.shape(),
+                    skip.shape()
+                ),
+            });
+        }
+        // Residual sum into the free hand-off buffer, then the final ReLU.
+        b.reuse_as(a.shape());
+        for ((pre, m), s) in b.data_mut().iter_mut().zip(a.data()).zip(skip.data()) {
+            *pre = m + s;
+        }
+        self.relu2.forward_into(b, mode, out)
+    }
+
+    /// The backward pass; without `grad_in` the two input-gradient
+    /// products that meet at the block input are skipped
+    /// ([`Layer::backward_params`]).
+    fn backward_with(
+        &mut self,
+        grad_out: &Tensor,
+        grad_in: Option<&mut Tensor>,
+        [a, b, d_pre]: &mut [Tensor; 3],
+    ) -> Result<()> {
+        // Gradient through the final ReLU, then split to both branches.
+        self.relu2.backward_into(grad_out, d_pre)?;
+        // Main branch, in reverse.
+        self.bn2.backward_into(d_pre, a)?;
+        self.conv2.backward_into(a, b)?;
+        self.relu1.backward_into(b, a)?;
+        self.bn1.backward_into(a, b)?;
+        let Some(grad_in) = grad_in else {
+            self.conv1.backward_params(b)?;
+            if let Some((conv, bn)) = &mut self.shortcut {
+                bn.backward_into(d_pre, a)?;
+                conv.backward_params(a)?;
+            }
+            return Ok(());
+        };
+        self.conv1.backward_into(b, grad_in)?;
+        // Shortcut branch, added onto the main branch's input gradient.
+        let d_skip: &Tensor = match &mut self.shortcut {
+            Some((conv, bn)) => {
+                bn.backward_into(d_pre, a)?;
+                conv.backward_into(a, b)?;
+                b
+            }
+            None => d_pre,
+        };
+        Ok(nf_tensor::axpy(1.0, d_skip, grad_in)?)
     }
 }
 
@@ -71,65 +151,25 @@ impl Layer for BasicBlock {
         )
     }
 
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let main = self.conv1.forward(x, mode)?;
-        let main = self.bn1.forward(&main, mode)?;
-        let main = self.relu1.forward(&main, mode)?;
-        let main = self.conv2.forward(&main, mode)?;
-        let main = self.bn2.forward(&main, mode)?;
-        let skip = match &mut self.shortcut {
-            Some((conv, bn)) => {
-                let s = conv.forward(x, mode)?;
-                bn.forward(&s, mode)?
-            }
-            None => x.clone(),
-        };
-        let pre = add(&main, &skip).map_err(|e| NnError::BadInput {
-            layer: self.name(),
-            reason: format!("main/shortcut shape mismatch: {e}"),
-        })?;
-        if mode == Mode::Train {
-            self.final_mask = Some(pre.data().iter().map(|&v| v > 0.0).collect());
-        }
-        Ok(pre.map(|v| v.max(0.0)))
+    fn forward_into(&mut self, x: &Tensor, mode: Mode, out: &mut Tensor) -> Result<()> {
+        let mut bufs = take_handoff(&self.ws);
+        let result = self.forward_with(x, mode, out, &mut bufs);
+        give_handoff(&self.ws, bufs);
+        result
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mask = self
-            .final_mask
-            .take()
-            .ok_or_else(|| NnError::NoForwardCache { layer: self.name() })?;
-        if mask.len() != grad_out.numel() {
-            return Err(NnError::BadInput {
-                layer: self.name(),
-                reason: "grad shape inconsistent with cached forward".to_string(),
-            });
-        }
-        // Gradient through the final ReLU, then split to both branches.
-        let d_pre = Tensor::from_vec(
-            grad_out.shape().to_vec(),
-            grad_out
-                .data()
-                .iter()
-                .zip(&mask)
-                .map(|(&g, &m)| if m { g } else { 0.0 })
-                .collect(),
-        )?;
-        // Main branch, in reverse.
-        let g = self.bn2.backward(&d_pre)?;
-        let g = self.conv2.backward(&g)?;
-        let g = self.relu1.backward(&g)?;
-        let g = self.bn1.backward(&g)?;
-        let d_main = self.conv1.backward(&g)?;
-        // Shortcut branch.
-        let d_skip = match &mut self.shortcut {
-            Some((conv, bn)) => {
-                let g = bn.backward(&d_pre)?;
-                conv.backward(&g)?
-            }
-            None => d_pre,
-        };
-        Ok(add(&d_main, &d_skip)?)
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) -> Result<()> {
+        let mut bufs = take_handoff(&self.ws);
+        let result = self.backward_with(grad_out, Some(grad_in), &mut bufs);
+        give_handoff(&self.ws, bufs);
+        result
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        let mut bufs = take_handoff(&self.ws);
+        let result = self.backward_with(grad_out, None, &mut bufs);
+        give_handoff(&self.ws, bufs);
+        result
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -159,7 +199,8 @@ impl Layer for BasicBlock {
         }
     }
 
-    fn set_workspace(&mut self, ws: &nf_tensor::SharedWorkspace) {
+    fn set_workspace(&mut self, ws: &SharedWorkspace) {
+        self.ws = Arc::clone(ws);
         self.conv1.set_workspace(ws);
         self.conv2.set_workspace(ws);
         if let Some((conv, _)) = &mut self.shortcut {
@@ -177,7 +218,7 @@ impl Layer for BasicBlock {
             conv.clear_cache();
             bn.clear_cache();
         }
-        self.final_mask = None;
+        self.relu2.clear_cache();
     }
 }
 

@@ -10,10 +10,11 @@
 //!   minibatch loop, re-derived only when [`Param::version`] says the
 //!   weights actually changed (once per optimizer step in training;
 //!   never during frozen-weight eval sweeps).
-//! - [`InputCache`]: the Train-forward input cache, recycled through a
-//!   retired spare buffer so caching stops allocating after warm-up
-//!   while keeping the take-on-backward (`NoForwardCache` on double
-//!   backward) contract.
+//! - [`InputCache`]: the Train-forward → backward cache (a conv's input,
+//!   batch-norm's normalised activations, a ReLU mask, pooling codes),
+//!   recycled through a retired spare buffer so caching stops allocating
+//!   after warm-up while keeping the take-on-backward (`NoForwardCache`
+//!   on double backward) contract.
 //! - [`QuantPanel`]: the int8 sibling of [`PackedPanel`] — a per-channel
 //!   `i8` packed weight panel for [`nf_tensor::kernels::int8::gemm_i32`],
 //!   re-quantized from the f32 panel only when the weights changed.
@@ -104,50 +105,74 @@ impl QuantPanel {
     }
 }
 
-/// Recycled owned-input cache for the forward→backward handshake.
-#[derive(Debug, Default)]
-pub struct InputCache {
-    cached: Option<Tensor>,
-    spare: Option<Tensor>,
+/// Recycled cache for the forward→backward handshake: whatever a Train
+/// forward must keep for the one backward that follows — by default a
+/// copy of the input tensor ([`InputCache::store`]), or any `T` a layer
+/// fills in place ([`InputCache::recycle`]). The storage survives the
+/// backward pass as a retired spare and is refilled by the next forward,
+/// until [`InputCache::clear`] releases it.
+#[derive(Debug)]
+pub struct InputCache<T = Tensor> {
+    cached: Option<T>,
+    spare: Option<T>,
 }
 
-impl InputCache {
+impl<T> Default for InputCache<T> {
+    fn default() -> Self {
+        InputCache {
+            cached: None,
+            spare: None,
+        }
+    }
+}
+
+impl<T: Default> InputCache<T> {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Stores a copy of `x` as the pending backward input, reusing the
-    /// retired buffer from the previous step when one exists.
-    pub fn store(&mut self, x: &Tensor) {
-        let mut cache = self.spare.take().unwrap_or_default();
-        cache.copy_from(x);
-        self.cached = Some(cache);
+    /// The storage to fill for the next backward: the buffer the previous
+    /// step retired (or left pending) when there is one, an empty `T`
+    /// otherwise. Hand it back with [`InputCache::put_back`] once filled.
+    pub fn recycle(&mut self) -> T {
+        let pending = self.cached.take();
+        pending.or_else(|| self.spare.take()).unwrap_or_default()
     }
 
-    /// Consumes the pending input (`None` if no Train forward preceded —
+    /// Consumes the pending state (`None` if no Train forward preceded —
     /// the layer maps this to `NoForwardCache`).
-    pub fn take(&mut self) -> Option<Tensor> {
+    pub fn take(&mut self) -> Option<T> {
         self.cached.take()
     }
 
-    /// Re-instates a taken input unconsumed (backward validation failed
+    /// Instates `state` as pending: a freshly filled [`InputCache::recycle`]
+    /// buffer, or a taken one unconsumed (backward validation failed
     /// before using it).
-    pub fn put_back(&mut self, x: Tensor) {
-        self.cached = Some(x);
+    pub fn put_back(&mut self, state: T) {
+        self.cached = Some(state);
     }
 
-    /// Retires a consumed input's buffer for reuse by the next
-    /// [`InputCache::store`].
-    pub fn retire(&mut self, x: Tensor) {
-        self.spare = Some(x);
+    /// Retires consumed state's storage for reuse by the next forward.
+    pub fn retire(&mut self, state: T) {
+        self.spare = Some(state);
     }
 
-    /// Drops the pending input (the [`crate::Layer::clear_cache`]
+    /// Drops the pending state (the [`crate::Layer::clear_cache`]
     /// eviction path; the spare buffer is released too).
     pub fn clear(&mut self) {
         self.cached = None;
         self.spare = None;
+    }
+}
+
+impl InputCache<Tensor> {
+    /// Stores a copy of `x` as the pending backward input, reusing the
+    /// retired buffer from the previous step when one exists.
+    pub fn store(&mut self, x: &Tensor) {
+        let mut cache = self.recycle();
+        cache.copy_from(x);
+        self.put_back(cache);
     }
 }
 
@@ -200,5 +225,27 @@ mod tests {
         cache.retire(taken);
         cache.store(&Tensor::zeros(&[2, 2]));
         assert_eq!(cache.take().unwrap(), Tensor::zeros(&[2, 2]));
+    }
+
+    #[test]
+    fn recycle_hands_back_the_same_storage_until_cleared() {
+        let mut cache: InputCache<Vec<u8>> = InputCache::new();
+        let mut mask = cache.recycle();
+        mask.resize(100, 1);
+        let ptr = mask.as_ptr();
+        cache.put_back(mask);
+        // A second forward without a backward refills the pending buffer…
+        let mask = cache.recycle();
+        assert_eq!(mask.as_ptr(), ptr);
+        cache.put_back(mask);
+        // …and so does the forward after a backward retired it.
+        let taken = cache.take().unwrap();
+        cache.retire(taken);
+        assert!(cache.take().is_none(), "retired state is not pending");
+        let mask = cache.recycle();
+        assert_eq!(mask.as_ptr(), ptr);
+        cache.put_back(mask);
+        cache.clear();
+        assert_eq!(cache.recycle().capacity(), 0);
     }
 }

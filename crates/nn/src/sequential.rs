@@ -3,27 +3,55 @@
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
 use crate::Result;
-use nf_tensor::{QuantTensor, Tensor};
+use nf_tensor::{lock_workspace, QuantTensor, SharedWorkspace, Tensor};
+use std::sync::Arc;
 
 /// A stack of layers applied in order; backward runs in reverse.
 ///
 /// End-to-end backpropagation over a `Sequential` is the paper's BP
 /// baseline; NeuroFlux instead builds many small `Sequential`s (one per
 /// layer + auxiliary head) and trains them locally.
+///
+/// Activations travel from one layer to the next through two hand-off
+/// buffers that live in the chain's [`SharedWorkspace`] — one pair per
+/// arena, shared by every chain installed on it — while the entry layer
+/// reads the caller's tensor and the exit layer writes the caller's
+/// buffer, so a warmed-up pass through the container allocates nothing
+/// and copies nothing it does not compute.
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
+    ws: SharedWorkspace,
+}
+
+/// The hand-off buffers of one pass through a container, taken *out* of
+/// the workspace for its duration: the layers of the chain lock the
+/// workspace themselves, and the mutex is not re-entrant.
+pub(crate) fn take_handoff<const N: usize>(ws: &SharedWorkspace) -> [Tensor; N] {
+    let mut ws = lock_workspace(ws);
+    std::array::from_fn(|_| ws.take_handoff())
+}
+
+/// Returns [`take_handoff`]'s buffers, last out first in, so the
+/// container's next pass pops the same ones (a nested container's sit
+/// below).
+pub(crate) fn give_handoff<const N: usize>(ws: &SharedWorkspace, bufs: [Tensor; N]) {
+    let mut ws = lock_workspace(ws);
+    bufs.into_iter().rev().for_each(|buf| ws.give_handoff(buf));
 }
 
 impl Sequential {
     /// Creates a container from boxed layers.
     pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
-        Sequential { layers }
+        Sequential {
+            layers,
+            ..Self::default()
+        }
     }
 
     /// Creates an empty container.
     pub fn empty() -> Self {
-        Sequential { layers: Vec::new() }
+        Self::default()
     }
 
     /// Appends a layer.
@@ -60,11 +88,90 @@ impl Sequential {
     /// intermediate activation. `forward_until(x, mode, len())` is the full
     /// forward pass.
     pub fn forward_until(&mut self, x: &Tensor, mode: Mode, end: usize) -> Result<Tensor> {
-        let mut cur = x.clone();
-        for layer in self.layers.iter_mut().take(end) {
-            cur = layer.forward(&cur, mode)?;
+        let mut out = Tensor::default();
+        self.forward_until_into(x, mode, end, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Sequential::forward_until`] into a caller-provided buffer.
+    pub fn forward_until_into(
+        &mut self,
+        x: &Tensor,
+        mode: Mode,
+        end: usize,
+        out: &mut Tensor,
+    ) -> Result<()> {
+        if end == 0 || self.layers.is_empty() {
+            out.copy_from(x);
+            return Ok(());
         }
-        Ok(cur)
+        self.forward_chain(mode, end, out, |entry, out| {
+            entry.forward_into(x, mode, out)
+        })
+    }
+
+    /// Forward through the first `end ≥ 1` layers of a non-empty chain:
+    /// `enter` runs the entry layer on the caller's input, the rest read
+    /// the hand-off buffers, the last writes `out`.
+    fn forward_chain(
+        &mut self,
+        mode: Mode,
+        end: usize,
+        out: &mut Tensor,
+        enter: impl FnOnce(&mut dyn Layer, &mut Tensor) -> Result<()>,
+    ) -> Result<()> {
+        let end = end.min(self.layers.len());
+        let (entry, rest) = self.layers[..end]
+            .split_first_mut()
+            .expect("callers handle the empty chain");
+        let Some((exit, middle)) = rest.split_last_mut() else {
+            return enter(entry, out);
+        };
+        let [mut cur, mut next] = take_handoff(&self.ws);
+        let pass = || {
+            enter(entry, &mut cur)?;
+            for layer in middle {
+                layer.forward_into(&cur, mode, &mut next)?;
+                std::mem::swap(&mut cur, &mut next);
+            }
+            exit.forward_into(&cur, mode, out)
+        };
+        let result = pass();
+        give_handoff(&self.ws, [cur, next]);
+        result
+    }
+
+    /// Backward through the whole chain, last layer first. With `grad_in`
+    /// the first layer writes the input gradient there; without, it runs
+    /// [`Layer::backward_params`] — every layer but the first feeds the
+    /// one before it, so only the first layer's input gradient can be
+    /// skipped.
+    fn backward_chain(&mut self, grad_out: &Tensor, grad_in: Option<&mut Tensor>) -> Result<()> {
+        let Some((entry, rest)) = self.layers.split_first_mut() else {
+            if let Some(grad_in) = grad_in {
+                grad_in.copy_from(grad_out);
+            }
+            return Ok(());
+        };
+        let leave = |entry: &mut Box<dyn Layer>, grad: &Tensor| match grad_in {
+            Some(grad_in) => entry.backward_into(grad, grad_in),
+            None => entry.backward_params(grad),
+        };
+        let Some((exit, middle)) = rest.split_last_mut() else {
+            return leave(entry, grad_out);
+        };
+        let [mut cur, mut next] = take_handoff(&self.ws);
+        let pass = || {
+            exit.backward_into(grad_out, &mut cur)?;
+            for layer in middle.iter_mut().rev() {
+                layer.backward_into(&cur, &mut next)?;
+                std::mem::swap(&mut cur, &mut next);
+            }
+            leave(entry, &cur)
+        };
+        let result = pass();
+        give_handoff(&self.ws, [cur, next]);
+        result
     }
 }
 
@@ -73,44 +180,27 @@ impl Layer for Sequential {
         format!("sequential[{}]", self.layers.len())
     }
 
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        self.forward_until(x, mode, self.layers.len())
+    fn forward_into(&mut self, x: &Tensor, mode: Mode, out: &mut Tensor) -> Result<()> {
+        self.forward_until_into(x, mode, self.layers.len(), out)
     }
 
-    fn forward_quant(&mut self, x: &QuantTensor, mode: Mode) -> Result<Tensor> {
+    fn forward_quant_into(&mut self, x: &QuantTensor, mode: Mode, out: &mut Tensor) -> Result<()> {
+        if self.layers.is_empty() {
+            return Ok(x.dequantize_into(out)?);
+        }
         // Only the entry layer sees quantized input (that is where the
         // int8-cached activation arrives); everything downstream is f32.
-        match self.layers.split_first_mut() {
-            None => Ok(x.dequantize()?),
-            Some((first, rest)) => {
-                let mut cur = first.forward_quant(x, mode)?;
-                for layer in rest {
-                    cur = layer.forward(&cur, mode)?;
-                }
-                Ok(cur)
-            }
-        }
+        self.forward_chain(mode, self.layers.len(), out, |entry, out| {
+            entry.forward_quant_into(x, mode, out)
+        })
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let mut grad = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad)?;
-        }
-        Ok(grad)
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) -> Result<()> {
+        self.backward_chain(grad_out, Some(grad_in))
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
-        // Every layer but the first feeds the one before it; only the
-        // first layer's input gradient leaves the container.
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return Ok(());
-        };
-        let mut grad = grad_out.clone();
-        for layer in rest.iter_mut().rev() {
-            grad = layer.backward(&grad)?;
-        }
-        first.backward_params(&grad)
+        self.backward_chain(grad_out, None)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -137,7 +227,8 @@ impl Layer for Sequential {
         }
     }
 
-    fn set_workspace(&mut self, ws: &nf_tensor::SharedWorkspace) {
+    fn set_workspace(&mut self, ws: &SharedWorkspace) {
+        self.ws = Arc::clone(ws);
         for layer in &mut self.layers {
             layer.set_workspace(ws);
         }

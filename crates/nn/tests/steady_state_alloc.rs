@@ -1,13 +1,19 @@
 //! Layer-level steady-state allocation discipline.
 //!
-//! A full `Conv2d` train step still allocates its *output* tensors (the
-//! `Layer` contract hands owned activations to the caller), but all
-//! lowering/GEMM scratch, the input cache, and the packed weight panel
-//! must reuse their buffers: the per-step allocation count settles to a
-//! small constant after warm-up, and the shared workspace stops growing.
+//! A layer writes into the caller's buffer (`Layer::forward_into` /
+//! `backward_into`), containers hand activations between their layers
+//! through workspace scratch, and every cache — inputs, masks, normalised
+//! activations, pooling codes — refills the storage the previous step
+//! retired. So a warmed-up local-learning step driven through the `_into`
+//! entry points performs **no** allocation at all, and the owning wrappers
+//! (`forward`, `backward`, `forward_quant`) allocate exactly the tensor
+//! they return: the per-step count is a small constant, nothing in it is
+//! activation-sized, and the shared workspaces stop growing.
 
+use nf_nn::loss::cross_entropy_into;
 use nf_nn::optim::Sgd;
-use nf_nn::{Conv2d, Layer, Mode};
+use nf_nn::relu::ReLU;
+use nf_nn::{BatchNorm2d, Conv2d, GlobalAvgPool, Layer, Linear, MaxPool2d, Mode, Sequential};
 use nf_tensor::{lock_workspace, shared_workspace, QuantTensor, Tensor};
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -17,12 +23,23 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Allocations of at least [`LARGE`] bytes — anything activation-sized.
+    static LARGE_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-// SAFETY: delegates entirely to `System`; only adds a thread-local count.
+const LARGE: usize = 4096;
+
+fn count(size: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    if size >= LARGE {
+        LARGE_ALLOCS.with(|c| c.set(c.get() + 1));
+    }
+}
+
+// SAFETY: delegates entirely to `System`; only adds thread-local counts.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -31,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,6 +58,94 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocs_now() -> u64 {
     ALLOCS.with(|c| c.get())
+}
+
+fn large_allocs_now() -> u64 {
+    LARGE_ALLOCS.with(|c| c.get())
+}
+
+/// One `tiny`-preset unit with pooling and its auxiliary head, as
+/// `nf_models` builds them, on the Worker's two arenas.
+fn unit_and_head(rng: &mut rand::rngs::StdRng) -> (Sequential, Sequential) {
+    let mut unit = Sequential::new(vec![
+        Box::new(Conv2d::new(rng, 3, 8, 3, 1, 1).unwrap()),
+        Box::new(BatchNorm2d::new(8)),
+        Box::new(ReLU::new()),
+        Box::new(MaxPool2d::new(2, 2)),
+    ]);
+    let mut head = Sequential::new(vec![
+        Box::new(Conv2d::new(rng, 8, 4, 3, 1, 1).unwrap()),
+        Box::new(ReLU::new()),
+        Box::new(GlobalAvgPool::new()),
+        Box::new(Linear::new(rng, 4, 3)),
+    ]);
+    unit.set_workspace(&shared_workspace());
+    head.set_workspace(&shared_workspace());
+    (unit, head)
+}
+
+#[test]
+fn warmed_up_local_learning_step_allocates_nothing() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+    let (mut unit, mut head) = unit_and_head(&mut rng);
+    // 6·3·16·16 floats: every activation of the step is well past `LARGE`.
+    let x = nf_tensor::uniform_init(&mut rng, &[6, 3, 16, 16], -1.0, 1.0);
+    let labels = [0usize, 1, 2, 0, 1, 2];
+    let sgd = Sgd::new(0.01).with_momentum(0.9);
+    // The Worker's step tensors: the unit's spent input takes the gradient.
+    let (mut cur, mut out) = (Tensor::default(), Tensor::default());
+    let (mut logits, mut grad_logits) = (Tensor::default(), Tensor::default());
+
+    let mut step = || {
+        cur.copy_from(&x);
+        unit.forward_into(&cur, Mode::Train, &mut out).unwrap();
+        head.forward_into(&out, Mode::Train, &mut logits).unwrap();
+        cross_entropy_into(&logits, &labels, &mut grad_logits).unwrap();
+        head.backward_into(&grad_logits, &mut cur).unwrap();
+        unit.backward_params(&cur).unwrap();
+        sgd.step(&mut unit);
+        sgd.step(&mut head);
+    };
+    step();
+    step();
+
+    let counts: Vec<(u64, u64)> = (0..6)
+        .map(|_| {
+            let before = (allocs_now(), large_allocs_now());
+            step();
+            (allocs_now() - before.0, large_allocs_now() - before.1)
+        })
+        .collect();
+    assert_eq!(
+        counts,
+        [(0, 0); 6],
+        "(allocations, of them ≥ 4 KiB) per step"
+    );
+}
+
+#[test]
+fn warmed_up_sequential_eval_forward_allocates_nothing() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let (mut unit, mut head) = unit_and_head(&mut rng);
+    let x = nf_tensor::uniform_init(&mut rng, &[6, 3, 16, 16], -1.0, 1.0);
+    let (mut out, mut logits) = (Tensor::default(), Tensor::default());
+    let mut infer = || {
+        unit.forward_into(&x, Mode::Eval, &mut out).unwrap();
+        head.forward_into(&out, Mode::Eval, &mut logits).unwrap();
+    };
+    infer();
+    let before = allocs_now();
+    for _ in 0..4 {
+        infer();
+    }
+    assert_eq!(allocs_now() - before, 0);
+    // The owning wrapper adds the tensor it returns (shape + data), twice
+    // over (unit output, logits), and nothing else.
+    let before = (allocs_now(), large_allocs_now());
+    let y = unit.forward(&x, Mode::Eval).unwrap();
+    let _logits = head.forward(&y, Mode::Eval).unwrap();
+    assert_eq!(allocs_now() - before.0, 4);
+    assert_eq!(large_allocs_now() - before.1, 1, "only the unit's output");
 }
 
 #[test]

@@ -902,9 +902,27 @@ pub fn nchw_to_posrows_into(x: &Tensor, out: &mut Tensor) -> Result<()> {
 
 /// Inverse of [`nchw_to_posrows`]: `(N·H·W, C)` rows back to `(N, C, H, W)`.
 pub fn posrows_to_nchw(rows: &Tensor, n: usize, c: usize, h: usize, w: usize) -> Result<Tensor> {
-    let (r, cols) = rows.dims2()?;
+    let mut out = Tensor::default();
+    posrows_to_nchw_into(rows, None, n, c, h, w, &mut out)?;
+    Ok(out)
+}
+
+/// [`posrows_to_nchw`] writing into a caller-provided buffer (grow-only;
+/// every element is overwritten). With `bias` (one value per channel) each
+/// element lands as `v + bias[channel]` — a convolution's bias add folded
+/// into the transpose it has to make anyway, on the same values a separate
+/// pass over the rows would have added.
+pub fn posrows_to_nchw_into(
+    rows: &Tensor,
+    bias: Option<&[f32]>,
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    out: &mut Tensor,
+) -> Result<()> {
     let plane = h * w;
-    if r != n * plane || cols != c {
+    if rows.dims2()? != (n * plane, c) || bias.is_some_and(|b| b.len() != c) {
         return Err(TensorError::ShapeMismatch {
             op: "posrows_to_nchw",
             lhs: rows.shape().to_vec(),
@@ -912,15 +930,21 @@ pub fn posrows_to_nchw(rows: &Tensor, n: usize, c: usize, h: usize, w: usize) ->
         });
     }
     let src = rows.data();
-    let mut out = vec![0.0f32; n * c * plane];
+    out.reuse_as(&[n, c, h, w]);
+    let out = out.data_mut();
     // Inverse per-sample transpose, same tiling rationale as the forward
     // direction.
     for img in 0..n {
         let block = &src[img * plane * c..(img + 1) * plane * c];
         let sample = &mut out[img * c * plane..(img + 1) * c * plane];
-        crate::matmul::transpose_tiled(plane, c, block, sample);
+        match bias {
+            Some(b) => {
+                crate::matmul::transpose_tiled_with(plane, c, block, sample, |ch, v| v + b[ch])
+            }
+            None => crate::matmul::transpose_tiled(plane, c, block, sample),
+        }
     }
-    Tensor::from_vec(vec![n, c, h, w], out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1150,6 +1174,36 @@ mod tests {
         assert_eq!(rows.at(&[21, 2]), x.at(&[1, 2, 0, 1]));
         let back = posrows_to_nchw(&rows, 2, 3, 4, 5).unwrap();
         assert_eq!(back, x);
+    }
+
+    #[test]
+    fn bias_on_the_transpose_is_the_bias_pass_it_replaces() {
+        // Shapes on both sides of the 32-wide transpose tile.
+        for (n, c, h, w) in [
+            (2usize, 3usize, 4usize, 5usize),
+            (1, 40, 7, 9),
+            (3, 1, 1, 1),
+        ] {
+            let rows = nchw_to_posrows(&random_nchw(n, c, h, w, 12)).unwrap();
+            let bias: Vec<f32> = (0..c).map(|j| (j as f32 - 1.5) * 0.37).collect();
+            // What a conv used to do: add the bias over the rows, then
+            // transpose.
+            let mut biased = rows.clone();
+            for row in biased.data_mut().chunks_mut(c) {
+                for (v, b) in row.iter_mut().zip(&bias) {
+                    *v += b;
+                }
+            }
+            let want = posrows_to_nchw(&biased, n, c, h, w).unwrap();
+            let mut got = Tensor::full(&[n * c * h * w + 7], f32::NAN);
+            posrows_to_nchw_into(&rows, Some(&bias), n, c, h, w, &mut got).unwrap();
+            assert_eq!(got.shape(), want.shape());
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want));
+            // One value per channel, or a shape error.
+            assert!(posrows_to_nchw_into(&rows, Some(&bias[1..]), n, c, h, w, &mut got).is_err());
+            assert!(posrows_to_nchw_into(&rows, None, n, c, w, h + 1, &mut got).is_err());
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ mod workspace;
 pub use conv::{
     col2im, col2im_batch, col2im_batch_into, flip_kernel_panel_into, im2col, im2col_batch,
     im2col_batch_into, im2col_batch_u8_into, nchw_to_posrows, nchw_to_posrows_into, pad_nchw_into,
-    pad_nchw_u8_into, posrows_to_nchw, Conv2dGeometry, ConvGather,
+    pad_nchw_u8_into, posrows_to_nchw, posrows_to_nchw_into, Conv2dGeometry, ConvGather,
 };
 pub use error::TensorError;
 pub use init::{he_normal, uniform_init, xavier_uniform};
@@ -68,9 +68,14 @@ pub use matmul::{
     matmul_at_b_with, matmul_into, matmul_with, transpose2d, transpose2d_into,
 };
 pub use ops::{add, axpy, hadamard, sub};
-pub use pool::{avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward};
+pub use pool::{
+    avg_pool2d, avg_pool2d_backward, avg_pool2d_backward_into, avg_pool2d_into, max_pool2d,
+    max_pool2d_backward, max_pool2d_backward_into, max_pool2d_into,
+};
 pub use quant::QuantTensor;
-pub use reduce::{argmax_rows, mean_all, softmax_rows, sum_all, sum_axis0, sum_axis0_acc};
+pub use reduce::{
+    argmax_rows, mean_all, softmax_rows, softmax_rows_into, sum_all, sum_axis0, sum_axis0_acc,
+};
 pub use tensor::Tensor;
 pub use workspace::{
     lock_workspace, new_owner_token, shared_workspace, SharedWorkspace, Workspace, WorkspaceParts,

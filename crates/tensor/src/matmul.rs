@@ -203,6 +203,19 @@ const TRANSPOSE_TILE: usize = 32;
 /// `Aᵀ·B` weight-gradient GEMMs on tall `im2col` matrices. Tiling bounds
 /// the working set to two tiles.
 pub(crate) fn transpose_tiled(rows: usize, cols: usize, src: &[f32], dst: &mut [f32]) {
+    transpose_tiled_with(rows, cols, src, dst, |_, v| v);
+}
+
+/// [`transpose_tiled`] storing `f(j, v)` for the element that lands in
+/// `dst` row `j` — an element-wise epilogue (a per-row bias) riding on
+/// the pass instead of re-reading `dst`.
+pub(crate) fn transpose_tiled_with(
+    rows: usize,
+    cols: usize,
+    src: &[f32],
+    dst: &mut [f32],
+    f: impl Fn(usize, f32) -> f32,
+) {
     debug_assert_eq!(src.len(), rows * cols);
     debug_assert_eq!(dst.len(), rows * cols);
     // Within a tile, the inner loop writes `dst` contiguously and takes
@@ -220,7 +233,7 @@ pub(crate) fn transpose_tiled(rows: usize, cols: usize, src: &[f32], dst: &mut [
             for j in j0..j0 + jb {
                 let drow = &mut dst[j * rows + i0..j * rows + i0 + ib];
                 for (di, d) in drow.iter_mut().enumerate() {
-                    *d = src[(i0 + di) * cols + j];
+                    *d = f(j, src[(i0 + di) * cols + j]);
                 }
             }
             i0 += ib;

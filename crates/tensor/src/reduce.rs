@@ -85,12 +85,22 @@ pub fn argmax_rows(t: &Tensor) -> Result<Vec<usize>> {
 /// assert!((p.data()[0] - 0.5).abs() < 1e-6);
 /// ```
 pub fn softmax_rows(t: &Tensor) -> Result<Tensor> {
+    let mut out = Tensor::default();
+    softmax_rows_into(t, &mut out)?;
+    Ok(out)
+}
+
+/// [`softmax_rows`] writing into a caller-provided buffer (grow-only;
+/// every element is overwritten).
+pub fn softmax_rows_into(t: &Tensor, out: &mut Tensor) -> Result<()> {
     let (rows, cols) = t.dims2()?;
-    let mut out = vec![0.0f32; rows * cols];
-    for r in 0..rows {
-        let row = &t.data()[r * cols..(r + 1) * cols];
+    out.reuse_as(&[rows, cols]);
+    if cols == 0 {
+        return Ok(());
+    }
+    let rows_in = t.data().chunks_exact(cols);
+    for (row, dst) in rows_in.zip(out.data_mut().chunks_exact_mut(cols)) {
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let dst = &mut out[r * cols..(r + 1) * cols];
         let mut z = 0.0f32;
         for (d, &v) in dst.iter_mut().zip(row) {
             let e = (v - max).exp();
@@ -102,7 +112,7 @@ pub fn softmax_rows(t: &Tensor) -> Result<Tensor> {
             *d *= inv;
         }
     }
-    Tensor::from_vec(vec![rows, cols], out)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -27,10 +27,14 @@ pub struct Tensor {
 
 impl Default for Tensor {
     /// An empty rank-1 tensor (`shape == [0]`), the canonical seed for
-    /// grow-only buffers resized with [`Tensor::reuse_as`].
+    /// grow-only buffers resized with [`Tensor::reuse_as`]. The shape
+    /// vector starts with room for rank 4, so growing the seed into an
+    /// activation costs one allocation for the shape and one for the data.
     fn default() -> Self {
+        let mut shape = Vec::with_capacity(4);
+        shape.push(0);
         Tensor {
-            shape: vec![0],
+            shape,
             data: Vec::new(),
         }
     }
@@ -343,6 +347,28 @@ impl Tensor {
     /// Extracts samples `[start, end)` along the batch (first) axis of any
     /// rank ≥ 1 tensor.
     pub fn slice_batch(&self, start: usize, end: usize) -> Result<Self> {
+        let mut out = Tensor::default();
+        self.slice_batch_into(start, end, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Tensor::slice_batch`] into a caller-provided tensor (grow-only) —
+    /// the f32 sibling of [`crate::QuantTensor::slice_batch_into`], so a
+    /// minibatch loop reuses one batch buffer for the whole run.
+    pub fn slice_batch_into(&self, start: usize, end: usize, out: &mut Tensor) -> Result<()> {
+        let per = self.batch_range(start, end)?;
+        out.shape.clear();
+        out.shape.extend_from_slice(&self.shape);
+        out.shape[0] = end - start;
+        out.data.clear();
+        out.data
+            .extend_from_slice(&self.data[start * per..end * per]);
+        Ok(())
+    }
+
+    /// Validates `[start, end)` against the batch axis and returns the
+    /// element count of one sample.
+    fn batch_range(&self, start: usize, end: usize) -> Result<usize> {
         if self.shape.is_empty() {
             return Err(TensorError::RankMismatch {
                 op: "slice_batch",
@@ -350,20 +376,13 @@ impl Tensor {
                 actual: 0,
             });
         }
-        let n = self.shape[0];
-        if start > end || end > n {
+        if start > end || end > self.shape[0] {
             return Err(TensorError::IndexOutOfBounds {
                 index: vec![start, end],
                 shape: self.shape.clone(),
             });
         }
-        let per: usize = self.shape[1..].iter().product();
-        let mut shape = self.shape.clone();
-        shape[0] = end - start;
-        Ok(Tensor {
-            shape,
-            data: self.data[start * per..end * per].to_vec(),
-        })
+        Ok(self.shape[1..].iter().product())
     }
 
     /// Overwrites samples `[start, start + part.shape()[0])` along the
@@ -508,6 +527,25 @@ mod tests {
         let b = t.slice_batch(1, 4).unwrap();
         let r = Tensor::cat_batch(&[&a, &b]).unwrap();
         assert_eq!(r, t);
+    }
+
+    #[test]
+    fn slice_batch_into_reuses_the_buffer() {
+        let t = Tensor::from_vec(vec![4, 1, 2, 2], (0..16).map(|i| i as f32).collect()).unwrap();
+        let mut part = Tensor::default();
+        t.slice_batch_into(0, 3, &mut part).unwrap();
+        let cap = part.data_capacity();
+        t.slice_batch_into(2, 4, &mut part).unwrap();
+        assert_eq!(part, t.slice_batch(2, 4).unwrap());
+        assert_eq!(
+            part.data_capacity(),
+            cap,
+            "a smaller slice must not reallocate"
+        );
+        assert!(t.slice_batch_into(3, 5, &mut part).is_err());
+        assert!(Tensor::scalar(1.0)
+            .slice_batch_into(0, 1, &mut part)
+            .is_err());
     }
 
     #[test]

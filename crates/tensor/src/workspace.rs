@@ -26,6 +26,12 @@
 //! - State that must survive *across* calls (a layer's cached forward
 //!   input, packed weight panels) lives in the layer, not here: workspace
 //!   slots are valid only within a single lock scope.
+//! - The one exception is the **hand-off** free list
+//!   ([`Workspace::take_handoff`]): the activations a container passes
+//!   from one child layer to the next. A container takes its buffers *out*
+//!   of the workspace (the mutex is not re-entrant, and its children lock
+//!   it themselves), runs the chain, and gives them back, so every chain
+//!   sharing the arena shares one set of hand-off buffers.
 
 use crate::tensor::Tensor;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -42,6 +48,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// | `posrows` | position-major activations or gradients (`N·H·W × C`)   |
 /// | `out`     | GEMM outputs consumed within the same call              |
 /// | `pack`    | operand transpose/pack scratch inside the GEMM backends |
+///
+/// Beside the slots sits the hand-off free list
+/// ([`Workspace::take_handoff`]): activations on their way from one layer
+/// of a chain to the next, held by the container for the length of a pass.
 ///
 /// # Examples
 ///
@@ -63,6 +73,8 @@ pub struct Workspace {
     out: Tensor,
     pack: Vec<f32>,
     cols_owner: u64,
+    /// Hand-off activations not currently taken out by a container.
+    handoff: Vec<Tensor>,
 }
 
 /// Disjoint mutable views of every [`Workspace`] slot, so one call can use
@@ -112,13 +124,36 @@ impl Workspace {
         }
     }
 
-    /// Total bytes currently reserved across all slots — the steady-state
-    /// scratch footprint of the block this workspace serves.
+    /// Takes one hand-off buffer out of the workspace: the one most
+    /// recently given back, or an empty tensor the first time. Containers
+    /// (`nf_nn::Sequential`) take what their chain needs before calling
+    /// their children, which lock this workspace themselves, and return
+    /// the buffers with [`Workspace::give_handoff`] last out first in — so
+    /// a chain meets its own buffers again every pass, already grown to
+    /// its widest activation, and a nested container's stay below them.
+    pub fn take_handoff(&mut self) -> Tensor {
+        self.handoff.pop().unwrap_or_default()
+    }
+
+    /// Returns a buffer taken with [`Workspace::take_handoff`] (grow-only:
+    /// its capacity stays with the workspace).
+    pub fn give_handoff(&mut self, buf: Tensor) {
+        self.handoff.push(buf);
+    }
+
+    /// Total bytes currently reserved across all slots and the hand-off
+    /// buffers at rest — the steady-state scratch footprint of the block
+    /// this workspace serves.
     pub fn reserved_bytes(&self) -> u64 {
         let elems = self.cols.data_capacity()
             + self.posrows.data_capacity()
             + self.out.data_capacity()
-            + self.pack.capacity();
+            + self.pack.capacity()
+            + self
+                .handoff
+                .iter()
+                .map(Tensor::data_capacity)
+                .sum::<usize>();
         elems as u64 * 4 + self.cols_u8.capacity() as u64
     }
 }
@@ -180,6 +215,22 @@ mod tests {
             p.pack.clear();
         }
         assert_eq!(ws.reserved_bytes(), grown);
+    }
+
+    #[test]
+    fn handoff_buffers_come_back_in_the_order_they_left() {
+        let mut ws = Workspace::new();
+        let (mut a, mut b) = (ws.take_handoff(), ws.take_handoff());
+        a.reuse_as(&[16]);
+        b.reuse_as(&[8]);
+        ws.give_handoff(b);
+        ws.give_handoff(a);
+        assert_eq!(ws.reserved_bytes(), (16 + 8) * 4);
+        // Same roles next time: the first buffer out is the big one.
+        assert_eq!(ws.take_handoff().data_capacity(), 16);
+        assert_eq!(ws.take_handoff().data_capacity(), 8);
+        // A nested taker finds the list empty and starts its own.
+        assert_eq!(ws.take_handoff().data_capacity(), 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The memory model's optional workspace term against the bytes a real
 //! `Workspace` reserves: with `include_workspace` set, the per-sample
 //! slope grows by exactly the padded-input copies the conv layers keep in
-//! their lowering slot.
+//! their lowering slot plus the hand-off buffers their chains pass
+//! activations through.
 
 use nf_memsim::MemoryModel;
 use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
@@ -38,15 +39,18 @@ fn workspace_term_is_the_padded_input_the_layers_reserve() {
         .unwrap();
     head.forward(&out, Mode::Eval).unwrap();
 
-    // A forward pass fills two slots per arena: the padded input and the
-    // conv's position-row output (pre-pool for the unit; `filters` wide
-    // for the head).
+    // A forward pass fills, per arena: the padded input, the two hand-off
+    // buffers between the chain's layers (both modelled), and the conv's
+    // position-row GEMM output (pre-pool for the unit; `filters` wide for
+    // the head), which lives and dies inside one layer call.
     let conv_out = 6 * hw * hw + aux.filters * aux.in_hw.0 * aux.in_hw.1;
     let reserved =
         lock_workspace(&ws_unit).reserved_bytes() + lock_workspace(&ws_head).reserved_bytes();
     assert_eq!(reserved - (conv_out * batch * 4) as u64, modelled);
-    // A ninth of what the explicit patch matrix took for these 3×3 convs,
-    // up to the padding rim.
+    // The hand-off pair is two more of those conv outputs; the padded
+    // inputs are a ninth of what the explicit patch matrix took for these
+    // 3×3 convs, up to the padding rim.
+    let padded = modelled - (2 * conv_out * batch * 4) as u64;
     let im2col = (3 * hw * hw + aux.in_ch * aux.in_hw.0 * aux.in_hw.1) * 9 * batch * 4;
-    assert!(modelled * 5 < im2col as u64);
+    assert!(padded * 5 < im2col as u64);
 }
