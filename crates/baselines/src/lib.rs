@@ -5,8 +5,9 @@
 //! - [`local`] — classic greedy local learning (Belilovsky et al.): every
 //!   layer paired with an auxiliary classifier, fixed batch size, fixed
 //!   256-filter heads;
-//! - [`fa`] — feedback alignment: backward passes use fixed random
-//!   feedback weights instead of transposed forward weights;
+//! - [`fa`] — feedback alignment: the BP model and trainer, with a fixed
+//!   random feedback matrix installed on every weight so backward passes
+//!   propagate the error through it instead of the transposed weights;
 //! - [`sp`] — a simplified signal-propagation stand-in: forward-only,
 //!   layer-local prototype targets, no auxiliary networks.
 //!
@@ -25,7 +26,7 @@ mod report;
 pub mod sp;
 
 pub use bp::BpTrainer;
-pub use fa::FaTrainer;
+pub use fa::install_feedback;
 pub use local::LocalLearningTrainer;
 pub use report::TrainReport;
 pub use sp::SpTrainer;

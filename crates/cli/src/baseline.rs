@@ -6,11 +6,10 @@ use crate::config::RunConfig;
 use crate::error::{CliError, Result};
 use crate::rundir::RunDir;
 use crate::value::{Table, Value};
+use neuroflux_core::serve::SystemClock;
 use neuroflux_core::{Checkpoint, WorkerReport};
-use nf_baselines::{BpTrainer, FaTrainer, LocalLearningTrainer, SpTrainer, TrainReport};
-use nf_models::UnitSpec;
+use nf_baselines::{install_feedback, BpTrainer, LocalLearningTrainer, SpTrainer, TrainReport};
 use rand::SeedableRng;
-use std::time::Instant;
 
 /// The four baseline paradigms `nf baseline` can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,13 +63,18 @@ pub fn run_baseline(cfg: &RunConfig, paradigm: Paradigm) -> Result<(RunDir, Valu
     run_dir.write_config(cfg)?;
     let data = data_spec.generate();
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.run.seed);
-    let start = Instant::now();
+    let start = SystemClock::new();
     let backend = nf_config.kernel_backend;
 
     let mut extra = Table::new();
     let report = match paradigm {
-        Paradigm::Bp => {
+        Paradigm::Bp | Paradigm::Fa => {
             let mut model = spec.build(&mut rng)?;
+            if paradigm == Paradigm::Fa {
+                // Drawn after the model, so FA and BP at one seed start
+                // from the same weights.
+                install_feedback(&mut rng, &mut model);
+            }
             let mut trainer = BpTrainer::new(b.lr as f32, b.epochs, b.batch);
             trainer.kernel_backend = backend;
             let report = trainer.train(&mut model, &data.train, &data.test)?;
@@ -115,15 +119,6 @@ pub fn run_baseline(cfg: &RunConfig, paradigm: Paradigm) -> Result<(RunDir, Valu
             .save(&run_dir.checkpoint_path())?;
             report
         }
-        Paradigm::Fa => {
-            // FA builds its own conv stack; mirror the spec's channel plan.
-            let channels: Vec<usize> = spec.units.iter().map(UnitSpec::out_channels).collect();
-            let mut net =
-                nf_baselines::fa::FaNetwork::build(&mut rng, spec.input.1, &channels, spec.classes);
-            let mut trainer = FaTrainer::new(b.lr as f32, b.epochs, b.batch);
-            trainer.kernel_backend = backend;
-            trainer.train(&mut net, &data.train, &data.test)?
-        }
         Paradigm::Sp => {
             let mut model = spec.build(&mut rng)?;
             let mut trainer = SpTrainer::new(b.lr as f32, b.epochs, b.batch);
@@ -144,7 +139,7 @@ pub fn run_baseline(cfg: &RunConfig, paradigm: Paradigm) -> Result<(RunDir, Valu
         paradigm,
         &report,
         extra.build(),
-        start.elapsed().as_secs_f64(),
+        start.elapsed_seconds(),
     );
     run_dir.write_metrics(&metrics)?;
     Ok((run_dir, metrics))

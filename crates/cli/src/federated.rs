@@ -13,9 +13,9 @@ use crate::config::RunConfig;
 use crate::error::{CliError, Result};
 use crate::rundir::RunDir;
 use crate::value::{Table, Value};
+use neuroflux_core::serve::SystemClock;
 use neuroflux_core::{run_federated, FederatedOutcome};
 use rand::SeedableRng;
-use std::time::Instant;
 
 /// Executes the `[federated]` section; returns the run directory and
 /// metrics.
@@ -46,11 +46,11 @@ pub fn run_federated_cmd(cfg: &RunConfig, force: bool, quiet: bool) -> Result<(R
             fed.strategy
         );
     }
-    let start = Instant::now();
+    let start = SystemClock::new();
     let data = data_spec.generate();
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.run.seed);
     let outcome = run_federated(&mut rng, &spec, &data, &fed)?;
-    let wall_seconds = start.elapsed().as_secs_f64();
+    let wall_seconds = start.elapsed_seconds();
 
     if !quiet {
         for round in &outcome.rounds {

@@ -7,9 +7,9 @@ use crate::error::{CliError, Result};
 use crate::rundir::RunDir;
 use crate::value::{Table, Value};
 use neuroflux_core::codec::{ActivationCodec, CacheBlob, CodecKind};
+use neuroflux_core::serve::SystemClock;
 use neuroflux_core::simulate::{sweep_point, SimConfig, SimulatedRun};
 use nf_memsim::{DeviceProfile, MeasuredPrimitives};
-use std::time::Instant;
 
 /// Measures this machine's sustained GEMM throughput (the default kernel)
 /// and activation-codec bandwidth, and returns them as the sweep's
@@ -26,12 +26,11 @@ fn calibrate_host(codec: CodecKind) -> (MeasuredPrimitives, DeviceProfile) {
     let backend = KernelBackend::default();
     nf_tensor::matmul_into(backend, &a, &b, &mut out).expect("calibration gemm");
     let iters = 8;
-    let start = Instant::now();
+    let start = SystemClock::new();
     for _ in 0..iters {
         nf_tensor::matmul_into(backend, &a, &b, &mut out).expect("calibration gemm");
     }
-    let gemm_gflops =
-        2.0 * 128.0 * 256.0 * 128.0 * iters as f64 / start.elapsed().as_secs_f64() / 1e9;
+    let gemm_gflops = 2.0 * 128.0 * 256.0 * 128.0 * iters as f64 / start.elapsed_seconds() / 1e9;
 
     // Codec bandwidth of the *configured* cache codec — that's what the
     // sweep's storage term models.
@@ -39,22 +38,22 @@ fn calibrate_host(codec: CodecKind) -> (MeasuredPrimitives, DeviceProfile) {
     let bytes = (acts.numel() * 4) as f64;
     let mut blob = CacheBlob::new();
     codec.encode(&acts, &mut blob);
-    let start = Instant::now();
+    let start = SystemClock::new();
     for _ in 0..4 {
         codec.encode(&acts, &mut blob);
     }
-    let encode_gbps = 4.0 * bytes / start.elapsed().as_secs_f64() / 1e9;
+    let encode_gbps = 4.0 * bytes / start.elapsed_seconds() / 1e9;
     let mut decoded = nf_tensor::Tensor::default();
     codec
         .decode_into(&blob, &mut decoded)
         .expect("calibration decode");
-    let start = Instant::now();
+    let start = SystemClock::new();
     for _ in 0..4 {
         codec
             .decode_into(&blob, &mut decoded)
             .expect("calibration decode");
     }
-    let decode_gbps = 4.0 * bytes / start.elapsed().as_secs_f64() / 1e9;
+    let decode_gbps = 4.0 * bytes / start.elapsed_seconds() / 1e9;
 
     let primitives = MeasuredPrimitives {
         gemm_gflops,
@@ -81,7 +80,7 @@ pub fn run_sweep(cfg: &RunConfig, quiet: bool) -> Result<(RunDir, Value)> {
     let spec = cfg.resolve_model(&dataset)?;
     let run_dir = RunDir::create(&cfg.run.out_dir, &format!("{}-sweep", cfg.run.name))?;
     run_dir.write_config(cfg)?;
-    let start = Instant::now();
+    let start = SystemClock::new();
 
     let mut device_tables = Vec::new();
     for slug in &sweep.devices {
@@ -161,7 +160,7 @@ pub fn run_sweep(cfg: &RunConfig, quiet: bool) -> Result<(RunDir, Value)> {
     m.insert("config", cfg.to_value());
     m.insert("model", Value::Str(spec.name.clone()));
     m.insert("devices", Value::Array(device_tables));
-    m.insert("wall_seconds", Value::Float(start.elapsed().as_secs_f64()));
+    m.insert("wall_seconds", Value::Float(start.elapsed_seconds()));
     let m = m.build();
     run_dir.write_metrics(&m)?;
     Ok((run_dir, m))

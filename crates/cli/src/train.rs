@@ -12,12 +12,12 @@ use crate::error::{CliError, Result};
 use crate::progress::ProgressPrinter;
 use crate::rundir::RunDir;
 use crate::value::{Table, Value};
+use neuroflux_core::serve::SystemClock;
 use neuroflux_core::{
     Checkpoint, DiskStore, FileCheckpoint, NeuroFluxOutcome, NeuroFluxTrainer, RunHooks,
     TrainEvent, TrainHooks,
 };
 use rand::SeedableRng;
-use std::time::Instant;
 
 /// Options for [`run_train`].
 #[derive(Debug, Clone, Default)]
@@ -87,7 +87,7 @@ pub fn run_train(cfg: &RunConfig, opts: &TrainOptions) -> Result<TrainSummary> {
     }
     run_dir.write_config(cfg)?;
 
-    let start = Instant::now();
+    let start = SystemClock::new();
     let data = data_spec.generate();
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.run.seed);
 
@@ -138,7 +138,7 @@ pub fn run_train(cfg: &RunConfig, opts: &TrainOptions) -> Result<TrainSummary> {
     )?;
 
     let test_accuracy = outcome.selected_exit_accuracy(&data.test)?;
-    let wall_seconds = start.elapsed().as_secs_f64();
+    let wall_seconds = start.elapsed_seconds();
     let metrics = train_metrics(
         cfg,
         &outcome,

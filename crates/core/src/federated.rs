@@ -42,6 +42,7 @@ use crate::cache::{DiskStore, MemoryStore};
 use crate::config::NeuroFluxConfig;
 use crate::controller::exit_accuracy;
 use crate::partitioner::Block;
+use crate::serve::SystemClock;
 use crate::worker::Worker;
 use crate::{NfError, Result};
 use nf_data::{shard, Dataset, ShardStrategy, SplitDataset};
@@ -52,7 +53,6 @@ use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Federated-run parameters.
 #[derive(Debug, Clone)]
@@ -256,7 +256,7 @@ pub fn run_federated<R: Rng>(
     let mut rounds = Vec::with_capacity(fed.rounds);
     let mut round_accuracy = Vec::with_capacity(fed.rounds);
     for round in 0..fed.rounds {
-        let round_start = Instant::now();
+        let round_start = SystemClock::new();
         // One immutable snapshot of the global state, shared by every
         // client thread.
         let global_units: Vec<StateSnapshot> =
@@ -265,7 +265,7 @@ pub fn run_federated<R: Rng>(
             global_heads.iter_mut().map(|h| snapshot(h)).collect();
         let global_deep = snapshot(&mut global.head);
 
-        let train_start = Instant::now();
+        let train_start = SystemClock::new();
         let outcomes = run_round_clients(
             spec,
             &aux_specs,
@@ -278,7 +278,7 @@ pub fn run_federated<R: Rng>(
             &global_head_snaps,
             &global_deep,
         )?;
-        let train_wall_seconds = train_start.elapsed().as_secs_f64();
+        let train_wall_seconds = train_start.elapsed_seconds();
 
         // FedAvg all-reduce, weighted by shard size, accumulated in client
         // order so float summation is schedule-independent.
@@ -311,7 +311,7 @@ pub fn run_federated<R: Rng>(
         rounds.push(RoundReport {
             round,
             accuracy,
-            wall_seconds: round_start.elapsed().as_secs_f64(),
+            wall_seconds: round_start.elapsed_seconds(),
             train_wall_seconds,
             clients: outcomes
                 .iter()
@@ -425,7 +425,7 @@ fn train_client(
     global_heads: &[StateSnapshot],
     global_deep: &StateSnapshot,
 ) -> Result<ClientOutcome> {
-    let start = Instant::now();
+    let start = SystemClock::new();
     // Deterministic per-client stream: nothing here depends on which
     // thread (or in which order) this client runs.
     let mut rng =
@@ -481,7 +481,7 @@ fn train_client(
         units: model.units.iter_mut().map(|u| snapshot(u)).collect(),
         heads: heads.iter_mut().map(|h| snapshot(h)).collect(),
         deep: snapshot(&mut model.head),
-        wall_seconds: start.elapsed().as_secs_f64(),
+        wall_seconds: start.elapsed_seconds(),
         final_loss,
         cache_bytes_written: report.cache_bytes_written,
         cache_logical_bytes: report.cache_logical_bytes,

@@ -244,6 +244,38 @@ mod tests {
     }
 
     #[test]
+    fn feedback_matrices_stay_out_of_the_snapshot() {
+        // Feedback alignment hangs a fixed matrix on each weight; it is
+        // not a parameter, so the blobs — count, lengths, bytes — are the
+        // ones a plain model writes, and either model loads them.
+        use crate::serve::ServeEngine;
+        use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
+        let engine = |feedback: bool| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+            let spec = ModelSpec::tiny("fa", 8, &[4, 8], 3);
+            let mut model = spec.build(&mut rng).unwrap();
+            let heads = assign_aux(&spec, AuxPolicy::Adaptive)
+                .iter()
+                .map(|a| build_aux_head(&mut rng, a).unwrap())
+                .collect();
+            if feedback {
+                for layer in model.units.iter_mut().chain([&mut model.head]) {
+                    layer.visit_params(&mut |p| {
+                        p.set_feedback(Tensor::ones(p.value.shape())).unwrap()
+                    });
+                }
+            }
+            ServeEngine::new(model, heads, 0.5).unwrap()
+        };
+        let (mut plain, mut fa) = (engine(false), engine(true));
+        let blobs = fa.params_snapshot();
+        assert_eq!(blobs, plain.params_snapshot());
+        fa.load_params(&blobs).unwrap();
+        plain.load_params(&blobs).unwrap();
+        assert_eq!(fa.params_snapshot(), blobs);
+    }
+
+    #[test]
     fn restored_unit_computes_identically() {
         let mut a = trained_unit(4);
         let bytes = serialize_params(&mut a);

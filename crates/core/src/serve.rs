@@ -383,6 +383,13 @@ impl SystemClock {
             anchor: Instant::now(),
         }
     }
+
+    /// Seconds since construction, at the host timer's full resolution:
+    /// the stopwatch behind every run's `wall_seconds` telemetry (reported
+    /// to the operator, never fed back into scheduling or model state).
+    pub fn elapsed_seconds(&self) -> f64 {
+        self.anchor.elapsed().as_secs_f64()
+    }
 }
 
 impl Default for SystemClock {

@@ -46,6 +46,11 @@ use std::sync::Arc;
 /// until [`Layer::set_kernel_backend`] (or [`Conv2d::with_backend`]) pins
 /// another.
 ///
+/// With a feedback matrix installed on the weight
+/// ([`Param::set_feedback`]) the input gradient multiplies by it where
+/// backprop multiplies by the weights — feedback alignment; forward,
+/// weight and bias gradients are unchanged.
+///
 /// # Examples
 ///
 /// ```
@@ -76,8 +81,9 @@ pub struct Conv2d {
     /// `weight.value` transposed to `(c_in·k·k, c_out)` — the `B` operand
     /// of the forward GEMM — re-packed only when the weight version moves.
     packed_wt: PackedPanel,
-    /// `weight.value` as the `(c_out·k·k, c_in)` flipped panel — the `B`
-    /// operand of the input-gradient GEMM — keyed the same way.
+    /// The `(c_out·k·k, c_in)` flipped panel of the weights — or of their
+    /// feedback matrix, [`Param::set_feedback`] — the `B` operand of the
+    /// input-gradient GEMM, keyed the same way.
     flipped_w: PackedPanel,
     /// Per-output-channel `i8` form of the same panel for
     /// [`Layer::forward_quant`], one quad per kernel row, keyed by the
@@ -198,8 +204,6 @@ impl Conv2d {
         let backend = self.backend;
         let mut ws = lock_workspace(&self.ws);
         let p = ws.parts();
-        // As in forward: `cols` is about to be overwritten.
-        *p.cols_owner = 0;
         // g is N·P × C_out; dWᵀ = patchesᵀ · g (C·K·K × C_out), the
         // forward tables swapped over the re-padded input.
         let g = p.posrows;
@@ -216,12 +220,15 @@ impl Conv2d {
         // db += column sums of g.
         sum_axis0_acc(g, &mut self.bias.grad)?;
         if let Some(dx) = grad_in {
+            // Backprop sends the error back through W itself, feedback
+            // alignment through the fixed matrix installed on the weight.
+            let (version, w_back) = (self.weight.version(), self.weight.backward_operand());
             if let Some(dgeom) = geom.input_grad_geometry() {
                 // dx rows (N·H·W × C) = patches(grad_out) · flipped(W): a
                 // stride-1 convolution of the padded gradient, every dx
                 // element gathered once instead of scatter-added K·K times.
                 let (cin, k) = (self.in_channels, self.kernel);
-                let flipped = self.flipped_w.get_with(&self.weight, |w, out| {
+                let flipped = self.flipped_w.get_with(version, w_back, |w, out| {
                     flip_kernel_panel_into(w, cin, k, k, out)
                 })?;
                 self.grad_patches
@@ -230,7 +237,7 @@ impl Conv2d {
             } else {
                 // Strided (or over-padded) convolutions: dcols = g · W
                 // (N·P × C·K·K), scattered back to image space.
-                matmul_into(backend, g, &self.weight.value, p.out)?;
+                matmul_into(backend, g, w_back, p.out)?;
                 col2im_batch_into(p.out, n, c, &geom, dx)?;
             }
         }
@@ -257,9 +264,6 @@ impl Layer for Conv2d {
         // scratch: (N·P × C·K·K) · (C·K·K × C_out) -> N·P × C_out.
         let mut ws = lock_workspace(&self.ws);
         let p = ws.parts();
-        // `cols` is this layer's padded-input slot; whatever explicit
-        // lowering another layer left there is gone.
-        *p.cols_owner = 0;
         self.patches
             .forward_into(self.backend, x, &geom, wt, p.cols, p.pack, p.out)?;
         if mode == Mode::Train {

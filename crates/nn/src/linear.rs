@@ -8,7 +8,7 @@ use crate::Result;
 use nf_tensor::kernels::int8;
 use nf_tensor::{
     he_normal, lock_workspace, matmul_at_b_into, matmul_into, shared_workspace, sum_axis0_acc,
-    KernelBackend, QuantTensor, SharedWorkspace, Tensor,
+    transpose2d_into, KernelBackend, QuantTensor, SharedWorkspace, Tensor,
 };
 use rand::Rng;
 use std::sync::Arc;
@@ -18,6 +18,9 @@ use std::sync::Arc;
 /// Accepts rank-2 input `(batch, in_features)`. Matrix products run on the
 /// layer's [`KernelBackend`]: the default until
 /// [`Layer::set_kernel_backend`] (or [`Linear::with_backend`]) pins another.
+/// With a feedback matrix installed on the weight
+/// ([`Param::set_feedback`]) the input gradient is `g·Bᵀ` instead of
+/// `g·Wᵀ` (feedback alignment); nothing else changes.
 ///
 /// # Examples
 ///
@@ -38,8 +41,9 @@ pub struct Linear {
     out_features: usize,
     backend: KernelBackend,
     ws: SharedWorkspace,
-    /// `weight.value` transposed to `(out, in)` — the `B` operand of the
-    /// input-gradient GEMM — re-packed only when the weight version moves.
+    /// The weights — or their feedback matrix, [`Param::set_feedback`] —
+    /// transposed to `(out, in)`: the `B` operand of the input-gradient
+    /// GEMM, re-packed only when the weight version moves.
     packed_wt: PackedPanel,
     /// Per-output-feature `i8` form of `weight.value` (already `K×N`) for
     /// [`Layer::forward_quant`], keyed by the weight version.
@@ -160,8 +164,12 @@ impl Layer for Linear {
 
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) -> Result<()> {
         self.backward_params(grad_out)?;
-        // dx = g · Wᵀ as a plain GEMM against the packed panel.
-        let wt = self.packed_wt.get(&self.weight)?;
+        // dx = g · Wᵀ as a plain GEMM against the packed panel (g · Bᵀ
+        // when a feedback matrix is installed on the weight).
+        let w_back = self.weight.backward_operand();
+        let wt = self
+            .packed_wt
+            .get_with(self.weight.version(), w_back, transpose2d_into)?;
         Ok(matmul_into(self.backend, grad_out, wt, grad_in)?)
     }
 

@@ -27,6 +27,9 @@ pub struct Param {
     pub steps: u64,
     /// Monotonic value-mutation counter; see [`Param::note_update`].
     version: u64,
+    /// Fixed feedback matrix (feedback alignment), same shape as `value`;
+    /// see [`Param::set_feedback`].
+    feedback: Option<Tensor>,
 }
 
 impl Param {
@@ -39,6 +42,7 @@ impl Param {
             state: Vec::new(),
             steps: 0,
             version: 0,
+            feedback: None,
         }
     }
 
@@ -53,6 +57,37 @@ impl Param {
     /// Current value-mutation version (bumped by [`Param::note_update`]).
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// Installs a fixed feedback matrix `B` of `value`'s shape: `Conv2d`
+    /// and `Linear` then propagate the error to their input through `B`
+    /// where backprop uses `value` (feedback alignment, Lillicrap et al.).
+    /// Forward, weight gradient and bias gradient still use `value`; `B`
+    /// is not a parameter — no optimizer, visitor, parameter count or
+    /// checkpoint sees it. Bumps the version, so panels packed from the
+    /// previous backward operand are re-derived.
+    pub fn set_feedback(&mut self, feedback: Tensor) -> nf_tensor::Result<()> {
+        if feedback.shape() != self.value.shape() {
+            return Err(nf_tensor::TensorError::ShapeMismatch {
+                op: "set_feedback",
+                lhs: self.value.shape().to_vec(),
+                rhs: feedback.shape().to_vec(),
+            });
+        }
+        self.feedback = Some(feedback);
+        self.note_update();
+        Ok(())
+    }
+
+    /// The installed feedback matrix, if any.
+    pub fn feedback(&self) -> Option<&Tensor> {
+        self.feedback.as_ref()
+    }
+
+    /// The matrix the input-gradient product multiplies by: the feedback
+    /// matrix when one is installed, the weights themselves otherwise.
+    pub(crate) fn backward_operand(&self) -> &Tensor {
+        self.feedback.as_ref().unwrap_or(&self.value)
     }
 
     /// Number of scalar parameters.

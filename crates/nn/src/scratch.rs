@@ -1,5 +1,5 @@
 //! Per-layer steady-state caching helpers shared by the GEMM-backed
-//! layers (`Conv2d`, `Linear`, and the baselines' FA variants).
+//! layers (`Conv2d` and `Linear`).
 //!
 //! Two idioms recur in every such layer and must behave identically
 //! everywhere, so they live here rather than being re-implemented
@@ -42,20 +42,22 @@ impl PackedPanel {
     /// The transpose of `weight.value`, re-packed into the reused buffer
     /// iff the weight changed since the last call.
     pub fn get(&mut self, weight: &Param) -> Result<&Tensor> {
-        self.get_with(weight, transpose2d_into)
+        self.get_with(weight.version(), &weight.value, transpose2d_into)
     }
 
-    /// `pack(weight.value)` for a layout other than the transpose, cached
-    /// the same way. One panel must always be asked for with the same
-    /// `pack`: the cache is keyed by weight version alone.
+    /// `pack(source)` for any layout of any matrix that changes only when
+    /// the owning weight's `version` does (the weights themselves, or the
+    /// operand of their input-gradient product), cached the same way. One
+    /// panel must always be asked for with the same `source` and `pack`:
+    /// the cache is keyed by weight version alone.
     pub fn get_with(
         &mut self,
-        weight: &Param,
+        version: u64,
+        source: &Tensor,
         pack: impl FnOnce(&Tensor, &mut Tensor) -> nf_tensor::Result<()>,
     ) -> Result<&Tensor> {
-        let version = weight.version();
         if self.version != Some(version) {
-            pack(&weight.value, &mut self.tensor)?;
+            pack(source, &mut self.tensor)?;
             self.version = Some(version);
         }
         Ok(&self.tensor)

@@ -14,9 +14,9 @@
 //! input ([`ConvGather::forward_quant_into`]: the same position table,
 //! one four-byte quad per kernel row).
 //!
-//! The explicit lowerings remain as its oracle (f32 and `u8`), as the
-//! lowering of the baselines' feedback-alignment conv, and for the
-//! strided input gradient:
+//! The explicit lowerings remain as its oracle (f32 and `u8`; no layer
+//! builds a patch matrix) and, `col2im` only, for the strided input
+//! gradient:
 //!
 //! - **Per-sample** ([`im2col`] / [`col2im`]): one `(C·KH·KW) × (OH·OW)`
 //!   patch matrix per image, multiplied by the `(C_out) × (C·KH·KW)`

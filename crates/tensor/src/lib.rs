@@ -77,9 +77,7 @@ pub use reduce::{
     argmax_rows, mean_all, softmax_rows, softmax_rows_into, sum_all, sum_axis0, sum_axis0_acc,
 };
 pub use tensor::Tensor;
-pub use workspace::{
-    lock_workspace, new_owner_token, shared_workspace, SharedWorkspace, Workspace, WorkspaceParts,
-};
+pub use workspace::{lock_workspace, shared_workspace, SharedWorkspace, Workspace, WorkspaceParts};
 
 /// Convenience alias for fallible tensor operations.
 pub type Result<T> = std::result::Result<T, TensorError>;

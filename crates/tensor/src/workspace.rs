@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 ///
 /// | slot      | role                                                    |
 /// |-----------|---------------------------------------------------------|
-/// | `cols`    | padded conv input (or an explicit `im2col` matrix)      |
+/// | `cols`    | padded conv input (or output gradient)                  |
 /// | `cols_u8` | padded `u8` conv input of the int8 forward (bytes)      |
 /// | `posrows` | position-major activations or gradients (`N·H·W × C`)   |
 /// | `out`     | GEMM outputs consumed within the same call              |
@@ -72,7 +72,6 @@ pub struct Workspace {
     posrows: Tensor,
     out: Tensor,
     pack: Vec<f32>,
-    cols_owner: u64,
     /// Hand-off activations not currently taken out by a container.
     handoff: Vec<Tensor>,
 }
@@ -82,13 +81,11 @@ pub struct Workspace {
 /// while writing `out` and packing into `pack`).
 pub struct WorkspaceParts<'a> {
     /// Lowering slot: the padded input (or output gradient) a conv's
-    /// gathered GEMM reads — or, for layers that still lower explicitly
-    /// (the baselines' feedback-alignment conv), the `im2col` matrix.
+    /// gathered GEMM reads.
     pub cols: &'a mut Tensor,
     /// The `u8` sibling of `cols`: the int8-cached input padded once with
     /// its zero-point byte, which `Conv2d::forward_quant`'s gathered
-    /// integer GEMM reads. Never grows in an f32 run, and carries no
-    /// `cols_owner` stamp (nothing keeps it across calls).
+    /// integer GEMM reads. Never grows in an f32 run.
     pub cols_u8: &'a mut Vec<u8>,
     /// Position-major rows slot.
     pub posrows: &'a mut Tensor,
@@ -96,14 +93,6 @@ pub struct WorkspaceParts<'a> {
     pub out: &'a mut Tensor,
     /// Transpose/pack scratch slot.
     pub pack: &'a mut Vec<f32>,
-    /// Token identifying the layer whose explicit lowering currently fills
-    /// `cols` (0 = nobody). A layer that builds an `im2col` matrix stamps
-    /// its own token after forward; if the token still matches at backward
-    /// time, nothing else wrote `cols` in between and the backward pass
-    /// skips the re-lowering. Any other writer of `cols` must reset it to
-    /// 0 (`nf_nn::Conv2d` does: its padded copies are cheap to redo and
-    /// carry no stamp).
-    pub cols_owner: &'a mut u64,
 }
 
 impl Workspace {
@@ -120,7 +109,6 @@ impl Workspace {
             posrows: &mut self.posrows,
             out: &mut self.out,
             pack: &mut self.pack,
-            cols_owner: &mut self.cols_owner,
         }
     }
 
@@ -168,14 +156,6 @@ pub type SharedWorkspace = Arc<Mutex<Workspace>>;
 /// Creates a fresh [`SharedWorkspace`].
 pub fn shared_workspace() -> SharedWorkspace {
     Arc::new(Mutex::new(Workspace::new()))
-}
-
-/// Allocates a process-unique, non-zero token for
-/// [`WorkspaceParts::cols_owner`] stamping.
-pub fn new_owner_token() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Locks a [`SharedWorkspace`], recovering from poisoning (a panic while

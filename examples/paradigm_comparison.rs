@@ -9,7 +9,7 @@
 //! accuracy is measured, memory comes from the analytic model at the
 //! training batch size.
 
-use nf_baselines::{fa::FaNetwork, BpTrainer, FaTrainer, LocalLearningTrainer, SpTrainer};
+use nf_baselines::{install_feedback, BpTrainer, LocalLearningTrainer, SpTrainer};
 use nf_data::SyntheticSpec;
 use nf_memsim::{MemoryModel, TrainingParadigm};
 use nf_models::{assign_aux, AuxPolicy, ModelSpec};
@@ -52,9 +52,12 @@ fn main() {
         .unwrap();
     let ll_acc = ll_report.final_test_accuracy();
 
-    let mut fa_net = FaNetwork::build(&mut rng, 8, &[8, 16], 6);
-    let fa_acc = FaTrainer::new(0.02, epochs, batch)
-        .train(&mut fa_net, &data.train, &data.test)
+    // FA: the same model and trainer as BP, error sent back through fixed
+    // random feedback matrices.
+    let mut fa_model = spec.build(&mut rng).unwrap();
+    install_feedback(&mut rng, &mut fa_model);
+    let fa_acc = BpTrainer::new(lr, epochs, batch)
+        .train(&mut fa_model, &data.train, &data.test)
         .unwrap()
         .final_test_accuracy();
 
