@@ -53,9 +53,6 @@ impl Paradigm {
 pub fn run_baseline(cfg: &RunConfig, paradigm: Paradigm) -> Result<(RunDir, Value)> {
     let (spec, data_spec, nf_config) = cfg.resolve()?;
     let b = cfg.baseline();
-    if b.epochs == 0 || b.batch == 0 {
-        return Err(CliError::new("[baseline].epochs and .batch must be > 0"));
-    }
     let run_dir = RunDir::create(
         &cfg.run.out_dir,
         &format!("{}-{}", cfg.run.name, paradigm.name()),

@@ -9,7 +9,7 @@
 //! only: results are bit-identical across `threads` values (see
 //! `neuroflux_core::federated`).
 
-use crate::config::RunConfig;
+use crate::config::{Field, RunConfig};
 use crate::error::{CliError, Result};
 use crate::rundir::RunDir;
 use crate::value::{Table, Value};
@@ -157,7 +157,7 @@ fn federated_metrics(
         .max()
         .unwrap_or(0);
     let mut cache = Table::new();
-    cache.insert("codec", Value::Str(cfg.cache.codec.name().to_string()));
+    cache.insert("codec", cfg.cache.codec.write());
     cache.insert("bytes_written", Value::Int(bytes_written as i64));
     cache.insert("logical_bytes", Value::Int(logical_bytes as i64));
     if bytes_written > 0 {

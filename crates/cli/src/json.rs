@@ -1,9 +1,10 @@
-//! A minimal JSON parser (for `nf inspect` reading `metrics.json`).
+//! A minimal JSON parser (for `nf inspect` reading `metrics.json`, and
+//! for `.json` configs).
 //!
 //! Writing JSON lives on [`crate::value::Value::to_json`]; this is the
 //! other direction. Standard JSON: objects, arrays, strings with escapes
 //! (including `\uXXXX`), numbers, booleans, null. Like the TOML module it
-//! exists because the vendored `serde` is a no-op stub.
+//! is all the offline build needs, and it never panics on its input.
 
 use crate::error::CliError;
 use crate::value::Value;
@@ -55,7 +56,8 @@ impl<'a> Parser<'a> {
     }
 
     fn eat(&mut self, token: &str) -> Result<(), CliError> {
-        if self.bytes[self.pos..].starts_with(token.as_bytes()) {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(token.as_bytes()) {
             self.pos += token.len();
             Ok(())
         } else {
@@ -143,7 +145,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
             out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
+                std::str::from_utf8(self.bytes.get(start..self.pos).unwrap_or_default())
                     .map_err(|_| self.err("invalid UTF-8 in string"))?,
             );
             match self.peek() {
@@ -197,7 +199,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos])
+        let token = std::str::from_utf8(self.bytes.get(start..self.pos).unwrap_or_default())
             .map_err(|_| self.err("bad number"))?;
         if !token.contains(['.', 'e', 'E']) {
             if let Ok(i) = token.parse::<i64>() {

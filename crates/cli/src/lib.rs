@@ -43,6 +43,7 @@ pub mod net;
 pub mod progress;
 pub mod proto;
 pub mod rundir;
+pub mod schema;
 pub mod serve;
 pub mod sweep;
 pub mod toml;

@@ -176,7 +176,7 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
                 let n: usize = n.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
                     nf_cli::CliError::new("--connections must be a positive integer")
                 })?;
-                let mut lg = cfg.loadgen.clone().unwrap_or_default();
+                let mut lg = cfg.loadgen();
                 // Preserve the config's per-connection pipelining window so
                 // the override scales fan-in, not queueing behavior.
                 let window = if lg.inflight == 0 {

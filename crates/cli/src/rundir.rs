@@ -82,7 +82,7 @@ impl RunDir {
     /// Writes the resolved-config snapshot.
     pub fn write_config(&self, config: &crate::config::RunConfig) -> Result<()> {
         let path = self.config_path();
-        std::fs::write(&path, config.to_value().to_toml())
+        std::fs::write(&path, config.to_value().to_toml()?)
             .map_err(|e| CliError::new(format!("writing {}: {e}", path.display())))
     }
 

@@ -70,12 +70,7 @@ pub fn run_sweep(cfg: &RunConfig, quiet: bool) -> Result<(RunDir, Value)> {
     let sweep = cfg
         .sweep
         .clone()
-        .ok_or_else(|| CliError::new("config has no [sweep] section (required by `nf sweep`)"))?;
-    if sweep.budgets_mb.is_empty() || sweep.devices.is_empty() {
-        return Err(CliError::new(
-            "[sweep].devices and [sweep].budgets_mb must be non-empty",
-        ));
-    }
+        .ok_or_else(|| CliError::config("sweep", "missing section (required by `nf sweep`)"))?;
     let dataset = cfg.resolve_dataset()?;
     let spec = cfg.resolve_model(&dataset)?;
     let run_dir = RunDir::create(&cfg.run.out_dir, &format!("{}-sweep", cfg.run.name))?;
@@ -104,7 +99,7 @@ pub fn run_sweep(cfg: &RunConfig, quiet: bool) -> Result<(RunDir, Value)> {
         let mut points = Vec::new();
         for &budget_mb in &sweep.budgets_mb {
             let sim = SimConfig {
-                budget_bytes: budget_mb * 1_000_000,
+                budget_bytes: budget_mb.saturating_mul(1_000_000),
                 batch_limit: sweep.batch_limit,
                 epochs: sweep.epochs,
                 samples: sweep.samples,

@@ -7,7 +7,7 @@
 //! metrics the uninterrupted run would have (asserted by
 //! `tests/resume.rs`).
 
-use crate::config::RunConfig;
+use crate::config::{Field, RunConfig};
 use crate::error::{CliError, Result};
 use crate::progress::ProgressPrinter;
 use crate::rundir::RunDir;
@@ -158,10 +158,7 @@ pub fn run_train(cfg: &RunConfig, opts: &TrainOptions) -> Result<TrainSummary> {
 fn kernel_table(cfg: &RunConfig) -> Value {
     use nf_tensor::kernels::{FAN_OUT_MIN_MACS, KC, NC};
     let mut t = Table::new();
-    t.insert(
-        "backend",
-        Value::Str(cfg.train.kernel_backend.name().to_string()),
-    );
+    t.insert("backend", cfg.train.kernel_backend.write());
     t.insert(
         "simd",
         Value::Str(nf_tensor::kernels::simd::kernel_name().into()),
@@ -171,7 +168,7 @@ fn kernel_table(cfg: &RunConfig) -> Value {
         Value::Str(nf_tensor::kernels::int8::kernel_name().into()),
     );
     t.insert("host_cores", Value::Int(nf_tensor::host_cores() as i64));
-    t.insert("int8_compute", Value::Bool(cfg.train.int8_compute));
+    t.insert("int8_compute", cfg.train.int8_compute.write());
     t.insert("kc", Value::Int(KC as i64));
     t.insert("nc", Value::Int(NC as i64));
     t.insert("fan_out_min_macs", Value::Int(FAN_OUT_MIN_MACS as i64));
@@ -239,10 +236,7 @@ fn train_metrics(
         ),
     );
     let mut cache = Table::new();
-    cache.insert(
-        "codec",
-        Value::Str(outcome.report.cache_codec.name().to_string()),
-    );
+    cache.insert("codec", outcome.report.cache_codec.write());
     cache.insert(
         "bytes_written",
         Value::Int(outcome.report.cache_bytes_written as i64),

@@ -1,12 +1,10 @@
 //! A small dynamic value model shared by the TOML and JSON front-ends.
 //!
-//! The workspace's `serde` is the offline marker stub (`vendor/README.md`),
-//! so the CLI carries its own minimal document model: configs parse
-//! *into* a [`Value`] tree (from TOML or JSON), typed config structs read
-//! out of it, and run artifacts render back out of it (JSON for
-//! `metrics.json`, TOML for the config snapshot). When real serde becomes
-//! available the typed structs already carry the derive annotations; this
-//! module is the part that would be replaced by `toml`/`serde_json`.
+//! The build is offline (`vendor/README.md`), so the CLI carries its own
+//! minimal document model: configs parse *into* a [`Value`] tree (from
+//! TOML or JSON), the schema table in [`crate::config`] reads the typed
+//! sections out of it, and run artifacts render back out of it (JSON for
+//! `metrics.json`, TOML for the config snapshot).
 
 use crate::error::CliError;
 use std::fmt::Write as _;
@@ -193,14 +191,15 @@ impl Value {
         }
     }
 
-    /// Renders a table as a TOML document (top level must be a table whose
-    /// nested tables become `[section]` headers). Scalar/array keys print
-    /// before sub-tables, matching conventional TOML layout.
-    pub fn to_toml(&self) -> String {
+    /// Renders a table as a TOML document: nested tables become `[section]`
+    /// headers, scalar/array keys print before sub-tables. A root that is
+    /// not a table, or a table inside an array, is a typed error.
+    pub fn to_toml(&self) -> Result<String, CliError> {
         let mut out = String::new();
-        let entries = self.entries().expect("TOML document root must be a table");
-        render_toml_table(&mut out, entries, "");
-        out
+        let not_table = || CliError::new(format!("{} is no TOML document", self.type_name()));
+        let entries = self.entries().ok_or_else(not_table)?;
+        render_toml_table(&mut out, entries, "")?;
+        Ok(out)
     }
 }
 
@@ -241,31 +240,42 @@ impl From<Table> for Value {
     }
 }
 
-fn render_toml_table(out: &mut String, entries: &[(String, Value)], prefix: &str) {
+/// `key` beneath the dotted `path` (which is empty at the document root).
+pub(crate) fn join(path: &str, key: &str) -> String {
+    match path {
+        "" => key.to_string(),
+        _ => format!("{path}.{key}"),
+    }
+}
+
+fn render_toml_table(
+    out: &mut String,
+    entries: &[(String, Value)],
+    prefix: &str,
+) -> Result<(), CliError> {
     for (k, v) in entries {
         if !matches!(v, Value::Table(_)) {
             let _ = write!(out, "{k} = ");
-            render_toml_value(out, v);
+            render_toml_value(out, v)
+                .map_err(|message| CliError::config(join(prefix, k), message))?;
             out.push('\n');
         }
     }
     for (k, v) in entries {
         if let Value::Table(sub) = v {
-            let path = if prefix.is_empty() {
-                k.clone()
-            } else {
-                format!("{prefix}.{k}")
-            };
+            let path = join(prefix, k);
             if !out.is_empty() {
                 out.push('\n');
             }
             let _ = writeln!(out, "[{path}]");
-            render_toml_table(out, sub, &path);
+            render_toml_table(out, sub, &path)?;
         }
     }
+    Ok(())
 }
 
-fn render_toml_value(out: &mut String, v: &Value) {
+/// Renders one inline TOML value; `Err` says what the subset cannot spell.
+pub(crate) fn render_toml_value(out: &mut String, v: &Value) -> Result<(), &'static str> {
     match v {
         Value::Null => out.push_str("\"\""), // TOML has no null; unused
         Value::Bool(b) => {
@@ -282,12 +292,13 @@ fn render_toml_value(out: &mut String, v: &Value) {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                render_toml_value(out, item);
+                render_toml_value(out, item)?;
             }
             out.push(']');
         }
-        Value::Table(_) => unreachable!("nested tables render as [sections]"),
+        Value::Table(_) => return Err("a table inside an array has no rendering here"),
     }
+    Ok(())
 }
 
 fn write_json_float(out: &mut String, f: f64) {
@@ -409,9 +420,17 @@ mod tests {
         run.insert("name", Value::Str("x".into()));
         run.insert("seed", Value::Int(7));
         root.insert("run", run);
-        let toml = root.build().to_toml();
+        let toml = root.build().to_toml().unwrap();
         assert!(toml.contains("[run]"));
         assert!(toml.contains("name = \"x\""));
         assert!(toml.contains("seed = 7"));
+        // What TOML cannot spell is a typed error, not a panic.
+        assert!(Value::Int(3).to_toml().is_err());
+        let mut root = Table::new();
+        root.insert("xs", Value::Array(vec![Value::table()]));
+        match root.build().to_toml().unwrap_err() {
+            CliError::Config { path, .. } => assert_eq!(path, "xs"),
+            other => panic!("expected Config error, got {other}"),
+        }
     }
 }

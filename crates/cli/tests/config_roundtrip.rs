@@ -1,4 +1,4 @@
-//! Config serde round-trip: TOML file → `RunConfig` → rendered snapshot →
+//! Config round-trip: TOML file → `RunConfig` → rendered snapshot →
 //! `RunConfig`, asserting full equality (the property `runs/<name>/config.toml`
 //! snapshots rely on).
 
@@ -15,9 +15,32 @@ fn workspace_file(rel: &str) -> std::path::PathBuf {
 fn quickstart_example_round_trips() {
     let cfg = RunConfig::load(&workspace_file("examples/quickstart.toml")).unwrap();
     assert_eq!(cfg.run.name, "quickstart");
-    let rendered = cfg.to_value().to_toml();
+    let rendered = cfg.to_value().to_toml().unwrap();
     let reparsed = RunConfig::from_value(&nf_cli::toml::parse(&rendered).unwrap()).unwrap();
     assert_eq!(cfg, reparsed, "snapshot:\n{rendered}");
+}
+
+/// Every shipped example loads under unknown-key rejection and its
+/// snapshot is a fixed point; the optional sections each one exists to
+/// show arrive typed.
+#[test]
+fn every_example_loads_and_round_trips() {
+    for name in ["quickstart", "sweep", "federated", "serve"] {
+        let cfg = RunConfig::load(&workspace_file(&format!("examples/{name}.toml")))
+            .unwrap_or_else(|e| panic!("examples/{name}.toml: {e}"));
+        let rendered = cfg.to_value().to_toml().unwrap();
+        let reparsed = RunConfig::from_value(&nf_cli::toml::parse(&rendered).unwrap()).unwrap();
+        assert_eq!(cfg, reparsed, "examples/{name}.toml snapshot:\n{rendered}");
+        assert_eq!(reparsed.to_value().to_toml().unwrap(), rendered);
+    }
+    let federated = RunConfig::load(&workspace_file("examples/federated.toml")).unwrap();
+    let fed = federated.resolve_federated().unwrap();
+    assert_eq!((fed.clients, fed.rounds, fed.threads), (4, 3, 0));
+    let serve = RunConfig::load(&workspace_file("examples/serve.toml")).unwrap();
+    assert_eq!(serve.serve().addr, "127.0.0.1:7471");
+    assert!(serve.serve().allow_shutdown);
+    assert_eq!(serve.loadgen().inflight, 8);
+    serve.resolve_serve().unwrap();
 }
 
 #[test]
@@ -26,7 +49,7 @@ fn sweep_example_round_trips_and_resolves() {
     let sweep = cfg.sweep.as_ref().expect("sweep section");
     assert_eq!(sweep.devices, ["agx-orin"]);
     assert_eq!(sweep.budgets_mb.len(), 5);
-    let rendered = cfg.to_value().to_toml();
+    let rendered = cfg.to_value().to_toml().unwrap();
     let reparsed = RunConfig::from_value(&nf_cli::toml::parse(&rendered).unwrap()).unwrap();
     assert_eq!(cfg, reparsed);
     // The model section resolves to the real VGG-16 at CIFAR geometry.
@@ -57,7 +80,7 @@ fn spec_serialization_survives_model_resolution() {
     // snapshot (same preset + knobs ⇒ same spec) — the property resume
     // relies on to rebuild the architecture in a fresh process.
     let cfg = RunConfig::load(&workspace_file("examples/quickstart.toml")).unwrap();
-    let rendered = cfg.to_value().to_toml();
+    let rendered = cfg.to_value().to_toml().unwrap();
     let reparsed = RunConfig::from_value(&nf_cli::toml::parse(&rendered).unwrap()).unwrap();
     let (a, da, ca) = cfg.resolve().unwrap();
     let (b, db, cb) = reparsed.resolve().unwrap();

@@ -150,6 +150,24 @@ fn interrupted_run_resumed_matches_uninterrupted() {
     .unwrap_err();
     assert!(err.to_string().contains("snapshot"), "{err}");
 
+    // A snapshot from before a key was deleted is refused too, naming the
+    // key: no alias resumes it as if its earlier blocks had run under
+    // today's schema.
+    let snapshot_path = run_dir.join("config.toml");
+    let snapshot_text = std::fs::read_to_string(&snapshot_path).unwrap();
+    let stale = snapshot_text.replace("[train]\n", "[train]\nevict_params = true\n");
+    std::fs::write(&snapshot_path, stale).unwrap();
+    let opts = TrainOptions {
+        resume: true,
+        quiet: true,
+        ..TrainOptions::default()
+    };
+    match run_train(&cfg_b, &opts).unwrap_err() {
+        CliError::Config { path, .. } => assert_eq!(path, "train.evict_params"),
+        other => panic!("expected a typed config error, got {other}"),
+    }
+    std::fs::write(&snapshot_path, snapshot_text).unwrap();
+
     // Resume (a fresh RunConfig, as a new process would load it from the
     // snapshot) and compare outcomes.
     let snapshot = RunConfig::load(&run_dir.join("config.toml")).unwrap();

@@ -34,7 +34,6 @@ use nf_tensor::convert::{
     dequantize_u8_slice, f16_decode_slice, f16_encode_slice, minmax_slice, quantize_u8_slice,
 };
 use nf_tensor::{QuantTensor, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Magic bytes prefixing every serialised cache blob ("NeuroFlux
 /// Activation Cache").
@@ -52,7 +51,7 @@ pub const BLOB_MAGIC: [u8; 4] = *b"NFAC";
 /// assert_eq!(CodecKind::F16.name(), "f16");
 /// assert!("f64".parse::<CodecKind>().is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CodecKind {
     /// Raw little-endian f32 — bit-identical storage, 4 bytes/element.
     #[default]

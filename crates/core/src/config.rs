@@ -3,14 +3,13 @@
 use crate::codec::CodecKind;
 use nf_models::AuxPolicy;
 use nf_tensor::KernelBackend;
-use serde::{Deserialize, Serialize};
 
 /// The user-facing knobs of a NeuroFlux training run.
 ///
 /// The paper's system takes four inputs: an untrained CNN, a training set,
 /// a GPU memory budget, and a batch-size limit (Section 4). The remaining
 /// fields parameterise the training loop itself.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeuroFluxConfig {
     /// GPU memory budget in bytes.
     pub budget_bytes: u64,

@@ -2,7 +2,6 @@
 
 use crate::dataset::SplitDataset;
 use crate::generator;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a synthetic dataset.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// sample counts default to sizes that train in reasonable CPU time and can
 /// be overridden for full-scale accounting (e.g. storage-overhead
 /// experiments use [`SyntheticSpec::full_scale_bytes`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticSpec {
     /// Dataset name (used in reports).
     pub name: String,

@@ -23,7 +23,6 @@
 //! `tests/` for the accuracy assertion.
 
 use crate::device::DeviceProfile;
-use serde::{Deserialize, Serialize};
 
 /// Throughputs measured on the bench host, in the units the bench
 /// artifacts report them.
@@ -44,7 +43,7 @@ use serde::{Deserialize, Serialize};
 /// // effective_flops reproduces the measured GEMM rate exactly.
 /// assert!((host.effective_flops() - 8.0e9).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredPrimitives {
     /// Sustained GEMM throughput in GFLOP/s (the default kernel, benched shapes).
     pub gemm_gflops: f64,
@@ -91,7 +90,7 @@ impl MeasuredPrimitives {
 /// [`step_time_s`](CalibratedCostModel::step_time_s) /
 /// [`cache_write_time_s`](CalibratedCostModel::cache_write_time_s) /
 /// [`cache_read_time_s`](CalibratedCostModel::cache_read_time_s).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibratedCostModel {
     /// The measured rates this model prices from.
     pub primitives: MeasuredPrimitives,

@@ -1,7 +1,5 @@
 //! Edge-device profiles (the paper's Table 1).
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of a target platform.
 ///
 /// The first six fields come straight from Table 1 of the paper. The last
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(orin.gpu_cores, 1536);
 /// assert!(orin.effective_flops() < orin.peak_tflops * 1e12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable platform name.
     pub name: String,

@@ -14,10 +14,9 @@
 //! turns into per-layer linear predictors.
 
 use nf_models::{AuxSpec, LayerKind, ModelSpec, UnitAnalytics};
-use serde::{Deserialize, Serialize};
 
 /// Which training (or inference) regime memory is being modelled for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrainingParadigm {
     /// Forward passes only.
     Inference,
@@ -56,7 +55,7 @@ pub enum TrainingParadigm {
 /// assert!(encoded < 251_000);
 /// assert_eq!(CacheCostModel::f32_raw().encoded_bytes(250_000, 64), 1_000_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheCostModel {
     /// Stable codec name (`f32`, `f16`, `int8`).
     pub name: &'static str,
@@ -128,7 +127,7 @@ impl Default for CacheCostModel {
 }
 
 /// A memory footprint split into the paper's three components (bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryBreakdown {
     /// Batch-dependent activation/workspace bytes.
     pub activations: u64,
@@ -146,7 +145,7 @@ impl MemoryBreakdown {
 }
 
 /// The memory model and its documented constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryModel {
     /// Bytes per tensor element (4 = fp32).
     pub bytes_per_elem: u64,

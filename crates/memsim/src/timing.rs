@@ -10,10 +10,9 @@
 
 use crate::device::DeviceProfile;
 use nf_models::{AuxSpec, ModelSpec};
-use serde::{Deserialize, Serialize};
 
 /// Timing-model constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// Backward-pass FLOPs as a multiple of forward FLOPs.
     pub backward_factor: f64,

@@ -14,10 +14,9 @@
 //!   channel counts.
 
 use crate::spec::{ModelSpec, UnitAnalytics};
-use serde::{Deserialize, Serialize};
 
 /// How auxiliary conv filter counts are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuxPolicy {
     /// Fixed filter count for every unit (classic LL uses 256).
     Fixed(usize),

@@ -1,9 +1,7 @@
 //! Architecture specification and analytic accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of one local-learning unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerKind {
     /// 3×3 (or `kernel`-sized) convolution + batch norm + ReLU, optionally
     /// followed by a 2×2 max pool (the VGG building block).
@@ -42,7 +40,7 @@ pub enum LayerKind {
 }
 
 /// One local-learning unit of a model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitSpec {
     /// What the unit computes.
     pub kind: LayerKind,
@@ -197,7 +195,7 @@ impl UnitSpec {
 }
 
 /// The classifier head appended after the final unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HeadSpec {
     /// Flatten then a single linear layer (CIFAR-style VGG).
     Linear {
@@ -264,7 +262,7 @@ pub struct UnitAnalytics {
 }
 
 /// A full architecture: input geometry, ordered units, classifier head.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelSpec {
     /// Human-readable name ("vgg16", "resnet18", …).
     pub name: String,

@@ -53,8 +53,6 @@ pub use naive::NaiveGemm;
 pub use simd::GatherA;
 pub use simd_int8::GatherQuads;
 
-use serde::{Deserialize, Serialize};
-
 /// `K`-dimension cache block of the blocked kernel: `KC` rows of `B`
 /// (`KC × NC` floats) are re-read `MR`-rows-at-a-time while they are hot
 /// in L2. This constant is what fixes a product's f32 rounding (partial
@@ -190,7 +188,7 @@ pub trait GemmBackend: Send + Sync {
 
 /// The selectable GEMM implementations, as a plain value that can sit in a
 /// config struct.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelBackend {
     /// Reference `i-k-j` loops, single-threaded: the oracle.
     Naive,
