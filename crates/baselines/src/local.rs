@@ -61,12 +61,15 @@ impl LocallyTrainedModel {
         Ok(correct / seen as f32)
     }
 
-    /// Measures validation accuracy at every exit, returning the filled-in
-    /// candidate list (Section 5.4's exit evaluation).
+    /// Measures validation accuracy at every exit — one pass over `val`,
+    /// [`nf_models::exit_accuracies`] — returning the filled-in candidate
+    /// list (Section 5.4's exit evaluation).
     pub fn measure_exits(&mut self, val: &Dataset) -> nf_nn::Result<Vec<ExitCandidate>> {
         let mut cands = nf_models::exit_candidates(&self.model.spec, &self.aux_specs);
-        for (i, cand) in cands.iter_mut().enumerate() {
-            cand.val_accuracy = Some(self.exit_accuracy(i, val)?);
+        let (model, heads) = (&mut self.model, &mut self.aux_heads);
+        let accs = nf_models::exit_accuracies(model, heads, val.images(), val.labels())?;
+        for (cand, acc) in cands.iter_mut().zip(accs) {
+            cand.val_accuracy = Some(acc);
         }
         Ok(cands)
     }
@@ -352,6 +355,10 @@ mod tests {
         let (mut trained, _) = trainer.train(&mut rng, model, &ds.train, &ds.test).unwrap();
         let cands = trained.measure_exits(&ds.val).unwrap();
         assert_eq!(cands.len(), 2);
-        assert!(cands.iter().all(|c| c.val_accuracy.is_some()));
+        // One pass over the split scores what each exit scores alone.
+        for (i, c) in cands.iter().enumerate() {
+            let alone = trained.exit_accuracy(i, &ds.val).unwrap();
+            assert_eq!(c.val_accuracy.map(f32::to_bits), Some(alone.to_bits()));
+        }
     }
 }

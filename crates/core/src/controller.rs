@@ -69,40 +69,29 @@ impl NeuroFluxOutcome {
     }
 }
 
-/// Inference accuracy when exiting at auxiliary head `exit`.
+/// Inference accuracy when exiting at auxiliary head `exit` (all exits at
+/// once: [`nf_models::exit_accuracies`]).
 pub fn exit_accuracy(
     model: &mut BuiltModel,
     aux_heads: &mut [Sequential],
     exit: usize,
     data: &Dataset,
 ) -> Result<f32> {
-    exit_accuracy_with(model, aux_heads, exit, data, &mut Default::default())
-}
-
-/// [`exit_accuracy`] with the two activation buffers the batches travel
-/// through supplied by the caller, so measuring every exit in turn reuses
-/// one pair (the layers write into them in place).
-fn exit_accuracy_with(
-    model: &mut BuiltModel,
-    aux_heads: &mut [Sequential],
-    exit: usize,
-    data: &Dataset,
-    (cur, out): &mut (Tensor, Tensor),
-) -> Result<f32> {
     if data.is_empty() {
         return Ok(0.0);
     }
+    let (mut cur, mut out) = (Tensor::default(), Tensor::default());
     let mut correct = 0.0f32;
     for start in (0..data.len()).step_by(64) {
         let end = (start + 64).min(data.len());
-        data.images().slice_batch_into(start, end, cur)?;
+        data.images().slice_batch_into(start, end, &mut cur)?;
         for unit in &mut model.units[..=exit] {
-            unit.forward_into(cur, Mode::Eval, out)?;
-            std::mem::swap(cur, out);
+            unit.forward_into(&cur, Mode::Eval, &mut out)?;
+            std::mem::swap(&mut cur, &mut out);
         }
-        aux_heads[exit].forward_into(cur, Mode::Eval, out)?;
+        aux_heads[exit].forward_into(&cur, Mode::Eval, &mut out)?;
         let labels = &data.labels()[start..end];
-        correct += accuracy(out, labels)? * labels.len() as f32;
+        correct += accuracy(&out, labels)? * labels.len() as f32;
     }
     Ok(correct / data.len() as f32)
 }
@@ -207,12 +196,13 @@ impl NeuroFluxTrainer {
             data.train.labels(),
             &mut hooks.run,
         )?;
-        // §4: measure every exit on the validation split and pick the
-        // smallest within tolerance of the best.
+        // §4: measure every exit on the validation split — one pass, each
+        // head scoring its unit's activation as the batch goes by — and
+        // pick the smallest within tolerance of the best.
         let mut exits = nf_models::exit_candidates(spec, &aux_specs);
-        let mut bufs = Default::default();
-        for (i, cand) in exits.iter_mut().enumerate() {
-            let acc = exit_accuracy_with(&mut model, &mut aux_heads, i, &data.val, &mut bufs)?;
+        let (val_images, val_labels) = (data.val.images(), data.val.labels());
+        let accs = nf_models::exit_accuracies(&mut model, &mut aux_heads, val_images, val_labels)?;
+        for (i, (cand, acc)) in exits.iter_mut().zip(accs).enumerate() {
             cand.val_accuracy = Some(acc);
             if let Some(p) = hooks.run.progress.as_mut() {
                 let keep_going = p(&TrainEvent::ExitMeasured {
@@ -259,6 +249,37 @@ mod tests {
         assert!(test_acc > 0.5, "test accuracy {test_acc}");
         // The streamlined model is smaller than the full model.
         assert!(outcome.compression_factor().unwrap() > 1.0);
+    }
+
+    #[test]
+    fn one_pass_exit_measurement_is_each_exit_measured_alone() {
+        // Four units, a validation split that is not a whole number of
+        // 64-sample batches: every exit of the one-pass measurement (what
+        // `train_with` reports) has the bits of `exit_accuracy(i)`.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut spec = SyntheticSpec::quick(3, 8, 48);
+        spec.val = 70;
+        let ds = spec.generate();
+        let model_spec = ModelSpec::tiny("exits", 8, &[4, 4, 8, 8], 3);
+        let config = NeuroFluxConfig::new(64 << 20, 16).with_epochs(1);
+        let mut o = NeuroFluxTrainer::new(config)
+            .train(&mut rng, &model_spec, &ds)
+            .unwrap();
+        assert_eq!(o.exits.len(), 4);
+        for (i, cand) in o.exits.iter().enumerate() {
+            let alone = exit_accuracy(&mut o.model, &mut o.aux_heads, i, &ds.val).unwrap();
+            assert_eq!(cand.val_accuracy.map(f32::to_bits), Some(alone.to_bits()));
+        }
+        // No samples, no accuracy — at every exit.
+        let none = ds.val.select(&[]).unwrap();
+        let accs = nf_models::exit_accuracies(
+            &mut o.model,
+            &mut o.aux_heads,
+            none.images(),
+            none.labels(),
+        )
+        .unwrap();
+        assert_eq!(accs, [0.0; 4]);
     }
 
     #[test]

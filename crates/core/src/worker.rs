@@ -256,8 +256,9 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
     /// [`Layer::forward_quant`], which runs the integer GEMM path through
     /// that unit's entry layer without a decode to f32; the rest of the
     /// block continues in f32 either way. Batch outputs are copied straight
-    /// into the one result tensor (sized from the first batch), so the
-    /// block's output is never held twice.
+    /// into `acts` — the caller's run-wide buffer, resized from the first
+    /// batch and fully overwritten — so the block's output is never held
+    /// twice and no dataset-sized tensor is faulted in per block.
     fn regenerate_activations(
         &self,
         model: &mut BuiltModel,
@@ -265,14 +266,18 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         inputs: &Tensor,
         quant: Option<&QuantTensor>,
         step: &mut StepTensors,
-    ) -> Result<Tensor> {
+        acts: &mut Tensor,
+    ) -> Result<()> {
         let StepTensors { cur, out, .. } = step;
         let n = match quant {
             Some(q) => q.shape().first().copied().unwrap_or(0),
             None => inputs.shape()[0],
         };
         let batch = block.batch.max(1);
-        let mut acts = Tensor::default();
+        if n == 0 {
+            // No batch will size it: empty, not the previous block's.
+            acts.reuse_as(&[0]);
+        }
         let mut qbatch = QuantTensor::new();
         let mut start = 0usize;
         while start < n {
@@ -297,12 +302,12 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
             if start == 0 {
                 let mut shape = cur.shape().to_vec();
                 shape[0] = n;
-                acts = Tensor::zeros(&shape);
+                acts.reuse_as(&shape);
             }
             acts.write_batch(start, cur)?;
             start = end;
         }
-        Ok(acts)
+        Ok(())
     }
 
     /// Trains all blocks in order over the training set (the full §3 flow).
@@ -429,6 +434,15 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         // Quantized sibling of `cache_input` for the int8-compute
         // regeneration path (only filled when the store serves it).
         let mut quant_input = QuantTensor::new();
+        // Its partner: the activations a block regenerates for the store.
+        // The two trade places at every block — the buffer block `b - 1`'s
+        // output was regenerated into is exactly the size of its decoded
+        // cache entry, and the spent input buffer is at least as large as
+        // anything a later block regenerates — so from the third block on
+        // neither is faulted in again, and never more than one of each is
+        // held (a tensor kept at its largest size beside a growing
+        // `cache_input` would raise the run's peak).
+        let mut acts = Tensor::default();
         let mut step = StepTensors::default();
         for (b, block) in blocks.iter().enumerate() {
             if b < start_block {
@@ -461,6 +475,7 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
             let inputs: &Tensor = if b == 0 {
                 images
             } else {
+                std::mem::swap(&mut cache_input, &mut acts);
                 self.store.read_into(b - 1, &mut cache_input)?;
                 &cache_input
             };
@@ -486,12 +501,13 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
             let quantized = b > 0
                 && self.config.int8_compute
                 && self.store.read_quant(b - 1, &mut quant_input)?;
-            let acts = self.regenerate_activations(
+            self.regenerate_activations(
                 model,
                 block,
                 inputs,
                 quantized.then_some(&quant_input),
                 &mut step,
+                &mut acts,
             )?;
             report.cache_logical_bytes += acts.numel() as u64 * 4;
             report.cache_bytes_written += self.store.write(b, &acts)?;
@@ -629,6 +645,32 @@ mod tests {
                 batch: 16,
             },
         ]
+    }
+
+    #[test]
+    fn regeneration_reuses_one_buffer_and_is_empty_for_no_samples() {
+        let (mut model, _, ds) = setup(0, &[6, 8]);
+        let mut store = MemoryStore::new();
+        let worker = Worker::new(NeuroFluxConfig::new(1 << 30, 16), &mut store);
+        let block = &two_blocks()[0];
+        let (mut step, mut acts) = (StepTensors::default(), Tensor::full(&[7], f32::NAN));
+        let mut regenerate = |inputs: &Tensor, acts: &mut Tensor| {
+            worker
+                .regenerate_activations(&mut model, block, inputs, None, &mut step, acts)
+                .unwrap()
+        };
+        // 48 samples in batches of 8, every element written.
+        regenerate(ds.train.images(), &mut acts);
+        assert_eq!(acts.shape(), &[48, 6, 8, 8]);
+        assert!(acts.data().iter().all(|v| v.is_finite()));
+        let (first, capacity) = (acts.clone(), acts.data_capacity());
+        // A smaller input through the same buffer: its prefix, no growth.
+        regenerate(&ds.train.images().slice_batch(0, 11).unwrap(), &mut acts);
+        assert_eq!(acts, first.slice_batch(0, 11).unwrap());
+        assert_eq!(acts.data_capacity(), capacity);
+        // No samples: a well-formed empty tensor, not the previous result.
+        regenerate(&Tensor::zeros(&[0, 3, 8, 8]), &mut acts);
+        assert_eq!((acts.shape(), acts.numel()), (&[0][..], 0));
     }
 
     #[test]

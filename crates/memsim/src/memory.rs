@@ -203,6 +203,13 @@ fn padded_elems(c: usize, h: usize, w: usize, pad: usize) -> usize {
 ///   block three), each as large as the widest activation inside the
 ///   unit. The unit's own input and output are the caller's tensors and
 ///   are counted with the transients, not here.
+///
+/// That is all a forward pass reserves per sample: the GEMM writes a
+/// conv's output into its hand-off buffer as NCHW, so no position-row
+/// copy of it exists (`tests/workspace_model.rs` holds the arenas to this
+/// term to the byte). What the kernel keeps beside it is a fixed group of
+/// output rows (64 × `C_out` floats) — part of the intercept, not of this
+/// slope.
 fn workspace_elems(unit_kind: LayerKind, a: &UnitAnalytics) -> usize {
     let (in_c, in_h, in_w) = a.in_shape;
     let (out_c, out_h, out_w) = a.out_shape;

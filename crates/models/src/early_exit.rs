@@ -5,10 +5,15 @@
 //! units `0..=k` plus auxiliary head `k`; everything deeper is discarded.
 //! This module computes the analytic size/FLOPs of each candidate — the
 //! numbers behind Table 2's compression factors and Table 3's throughput
-//! gains.
+//! gains — and measures every candidate's accuracy in one pass over a
+//! dataset ([`exit_accuracies`]).
 
 use crate::aux::AuxSpec;
+use crate::build::BuiltModel;
 use crate::spec::ModelSpec;
+use nf_nn::loss::accuracy;
+use nf_nn::{Layer, Mode, Sequential};
+use nf_tensor::Tensor;
 
 /// One candidate early-exit model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,6 +55,37 @@ pub fn exit_candidates(spec: &ModelSpec, aux: &[AuxSpec]) -> Vec<ExitCandidate> 
         });
     }
     out
+}
+
+/// Inference accuracy at **every** exit over `images` / `labels`, in one
+/// pass: each batch of 64 goes through the units once (eval mode), and
+/// head `i` scores the activation as it leaves unit `i` — `units` forward
+/// passes per batch where measuring the exits one by one re-runs units
+/// `0..=i` for each (`units·(units+1)/2`). Exit `i`'s accuracy is the sum
+/// of its per-batch `accuracy · batch_len`, over the sample count: the
+/// arithmetic of a single-exit measurement, so the two agree bit for bit.
+/// An empty dataset scores `0.0` everywhere.
+pub fn exit_accuracies(
+    model: &mut BuiltModel,
+    aux_heads: &mut [Sequential],
+    images: &Tensor,
+    labels: &[usize],
+) -> nf_nn::Result<Vec<f32>> {
+    let mut correct = vec![0.0f32; aux_heads.len()];
+    let (mut cur, mut out, mut logits) = (Tensor::default(), Tensor::default(), Tensor::default());
+    for start in (0..labels.len()).step_by(64) {
+        let batch = &labels[start..(start + 64).min(labels.len())];
+        images.slice_batch_into(start, start + batch.len(), &mut cur)?;
+        let exits = model.units.iter_mut().zip(aux_heads.iter_mut());
+        for ((unit, head), correct) in exits.zip(&mut correct) {
+            unit.forward_into(&cur, Mode::Eval, &mut out)?;
+            std::mem::swap(&mut cur, &mut out);
+            head.forward_into(&cur, Mode::Eval, &mut logits)?;
+            *correct += accuracy(&logits, batch)? * batch.len() as f32;
+        }
+    }
+    let n = labels.len().max(1) as f32;
+    Ok(correct.into_iter().map(|c| c / n).collect())
 }
 
 /// Selects the paper's "best" exit: the candidate with the **smallest

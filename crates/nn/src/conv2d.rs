@@ -9,8 +9,8 @@ use crate::Result;
 use nf_tensor::kernels::int8;
 use nf_tensor::{
     col2im_batch_into, flip_kernel_panel_into, he_normal, lock_workspace, matmul_into,
-    nchw_to_posrows_into, posrows_to_nchw_into, shared_workspace, sum_axis0_acc, Conv2dGeometry,
-    ConvGather, KernelBackend, QuantTensor, SharedWorkspace, Tensor,
+    nchw_to_posrows_into, shared_workspace, sum_axis0_acc, Conv2dGeometry, ConvGather,
+    KernelBackend, QuantTensor, SharedWorkspace, Tensor,
 };
 use rand::Rng;
 use std::sync::Arc;
@@ -19,28 +19,35 @@ use std::sync::Arc;
 ///
 /// Weights are stored pre-flattened as `(c_out, c_in·k·k)`. The whole
 /// minibatch is one `(N·OH·OW) × (C·KH·KW)` patch matrix and a *single*
-/// large GEMM per pass — large products are what the blocked/parallel
-/// kernel backends are fast at — but the matrix is never written: the
-/// GEMM reads each element out of the input padded once into workspace
-/// scratch, through two cached offset tables ([`ConvGather`]). Forward,
-/// weight gradient and (at stride 1) input gradient are all that one
-/// kind of product; only the strided input gradient still runs a dense
-/// GEMM and scatters it back with `col2im`. Backward keeps the *unpadded*
-/// input and re-pads it (tens of microseconds against a product of
-/// hundreds), rather than retaining the larger padded copy: retained
-/// activations are the memory the paper is concerned with.
+/// large GEMM per pass — large products are what the blocked kernel is
+/// fast at — but the matrix is never written: the GEMM reads each element
+/// out of the input padded once into workspace scratch, through two
+/// cached offset tables ([`ConvGather`]). Forward, weight gradient and (at
+/// stride 1) input gradient are all that one kind of product; only the
+/// strided input gradient still runs a dense GEMM and scatters it back
+/// with `col2im`. Backward keeps the *unpadded* input and re-pads it (tens
+/// of microseconds against a product of hundreds), rather than retaining
+/// the larger padded copy: retained activations are the memory the paper
+/// is concerned with.
 ///
-/// All lowering and GEMM scratch lives in a shared [`SharedWorkspace`]
+/// Nor is the product ever held as position rows: the GEMM writes the
+/// caller's NCHW tensor itself (`nf_tensor::kernels::Dest::Nchw`) — a few
+/// row panels at a time, transposed while they are cache-hot, the bias
+/// added to each finished sum on the way — so a forward pass and a
+/// stride-1 input gradient each make one pass over their output and need
+/// no activation-sized scratch for it.
+///
+/// What scratch there is (the padded input, the GEMM's row group, the
+/// weight gradient's small `dWᵀ`) lives in a shared [`SharedWorkspace`]
 /// (grow-only, installed per block by [`Layer::set_workspace`]), and the
 /// weight panels the GEMMs consume (transposed for forward, flipped for
 /// the input gradient) are cached across the minibatch loop, re-packed
 /// only when [`crate::Param::version`] says the weights actually changed
-/// — so the steady-state hot path allocates nothing: the output lands in
-/// the caller's buffer, the bias added on the way through the
-/// position-rows → NCHW transpose. [`Layer::forward_quant_into`] is the same gathered product in
-/// integer arithmetic over an int8-cached input (padded once with its
-/// zero-point byte, read through the same position table), dequantized
-/// per output channel.
+/// — so the steady-state hot path allocates nothing.
+/// [`Layer::forward_quant_into`] is the same gathered product in integer
+/// arithmetic over an int8-cached input (padded once with its zero-point
+/// byte, read through the same position table), dequantized per output
+/// channel on the same way out to NCHW.
 ///
 /// Matrix products run on the layer's [`KernelBackend`]: the default
 /// until [`Layer::set_kernel_backend`] (or [`Conv2d::with_backend`]) pins
@@ -224,16 +231,16 @@ impl Conv2d {
             // alignment through the fixed matrix installed on the weight.
             let (version, w_back) = (self.weight.version(), self.weight.backward_operand());
             if let Some(dgeom) = geom.input_grad_geometry() {
-                // dx rows (N·H·W × C) = patches(grad_out) · flipped(W): a
-                // stride-1 convolution of the padded gradient, every dx
-                // element gathered once instead of scatter-added K·K times.
+                // dx = patches(grad_out) · flipped(W): a stride-1
+                // convolution of the padded gradient, every dx element
+                // gathered once instead of scatter-added K·K times, the
+                // product written as NCHW like the forward's.
                 let (cin, k) = (self.in_channels, self.kernel);
                 let flipped = self.flipped_w.get_with(version, w_back, |w, out| {
                     flip_kernel_panel_into(w, cin, k, k, out)
                 })?;
                 self.grad_patches
-                    .dgrad_into(backend, grad_out, &dgeom, flipped, p.cols, p.pack, p.out)?;
-                posrows_to_nchw_into(p.out, None, n, c, h, w, dx)?;
+                    .dgrad_into(backend, grad_out, &dgeom, flipped, p.cols, p.pack, dx)?;
             } else {
                 // Strided (or over-padded) convolutions: dcols = g · W
                 // (N·P × C·K·K), scattered back to image space.
@@ -257,23 +264,22 @@ impl Layer for Conv2d {
     }
 
     fn forward_into(&mut self, x: &Tensor, mode: Mode, out: &mut Tensor) -> Result<()> {
-        let (n, _, h, w) = self.check_input(x.shape())?;
+        let (_, _, h, w) = self.check_input(x.shape())?;
         let geom = self.geometry(h, w)?;
         let wt = self.packed_wt.get(&self.weight)?;
-        // One gathered GEMM for the whole minibatch, entirely in workspace
-        // scratch: (N·P × C·K·K) · (C·K·K × C_out) -> N·P × C_out.
+        // One gathered GEMM for the whole minibatch:
+        // (N·P × C·K·K) · (C·K·K × C_out), its rows (positions) × columns
+        // (output channels) written straight into `out` as NCHW, the
+        // per-channel bias added on the way.
         let mut ws = lock_workspace(&self.ws);
         let p = ws.parts();
+        let bias = Some(self.bias.value.data());
         self.patches
-            .forward_into(self.backend, x, &geom, wt, p.cols, p.pack, p.out)?;
+            .forward_into(self.backend, x, &geom, wt, bias, p.cols, p.pack, out)?;
         if mode == Mode::Train {
             self.cached_input.store(x);
         }
-        // Rows are positions, columns output channels: the per-channel
-        // bias rides on the transpose to NCHW.
-        let bias = Some(self.bias.value.data());
-        let (c, oh, ow) = (self.out_channels, geom.out_h, geom.out_w);
-        Ok(posrows_to_nchw_into(p.out, bias, n, c, oh, ow, out)?)
+        Ok(())
     }
 
     fn forward_quant_into(&mut self, x: &QuantTensor, mode: Mode, out: &mut Tensor) -> Result<()> {
@@ -293,21 +299,21 @@ impl Layer for Conv2d {
         // encoded, and reads it in place through the same tables.
         let mut ws = lock_workspace(&self.ws);
         let p = ws.parts();
-        let rows = self
-            .patches
+        self.patches
             .forward_quant_into(x, &geom, rhs, p.cols_u8, &mut self.qacc)?;
-        p.out.reuse_as(&[rows, self.out_channels]);
-        int8::dequantize_into(
+        // Dequantize + bias on the way from accumulator rows to NCHW.
+        out.reuse_as(&[n, self.out_channels, geom.out_h, geom.out_w]);
+        int8::dequantize_nchw_into(
             x.scale(),
             x.min(),
             rhs,
             &self.qacc,
-            Some(self.bias.value.data()),
+            self.bias.value.data(),
             p.pack,
-            p.out.data_mut(),
+            geom.out_positions(),
+            out.data_mut(),
         );
-        let (c, oh, ow) = (self.out_channels, geom.out_h, geom.out_w);
-        Ok(posrows_to_nchw_into(p.out, None, n, c, oh, ow, out)?)
+        Ok(())
     }
 
     fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) -> Result<()> {

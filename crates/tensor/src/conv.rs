@@ -12,7 +12,9 @@
 //! product over the padded output gradient with a flipped kernel panel)
 //! all run through it — and so does the int8 forward over a cached `u8`
 //! input ([`ConvGather::forward_quant_into`]: the same position table,
-//! one four-byte quad per kernel row).
+//! one four-byte quad per kernel row). Products whose result is an
+//! activation (forward, input gradient) are written as NCHW by the GEMM
+//! itself ([`Dest::Nchw`]); no position-row copy of them exists.
 //!
 //! The explicit lowerings remain as its oracle (f32 and `u8`; no layer
 //! builds a patch matrix) and, `col2im` only, for the strided input
@@ -27,14 +29,16 @@
 //!   convolution is a *single* large GEMM instead of `N` small ones — large
 //!   GEMMs are where the blocked kernel earns its keep.
 //!   [`nchw_to_posrows`] / [`posrows_to_nchw`] convert activations between
-//!   NCHW and the batched lowering's position-major row layout.
+//!   NCHW and the batched lowering's position-major row layout (the
+//!   weight gradient reads its output gradient that way; the way back is
+//!   the oracle of the GEMM's NCHW destination, not a production pass).
 //!
 //! Each `col2im*` is the exact adjoint of its `im2col*`, which is what the
 //! backward pass relies on; adjointness is property-tested below.
 
 use crate::error::TensorError;
 use crate::kernels::int8::{self, QuantizedLhs, QuantizedRhs};
-use crate::kernels::{GatherA, GatherQuads, KernelBackend};
+use crate::kernels::{Dest, GatherA, GatherQuads, KernelBackend};
 use crate::quant::QuantTensor;
 use crate::tensor::Tensor;
 use crate::Result;
@@ -276,10 +280,11 @@ pub fn flip_kernel_panel_into(
 /// let (mut pad, mut pack, mut out) = (Tensor::default(), Vec::new(), Tensor::default());
 /// let mut lowering = ConvGather::new();
 /// lowering
-///     .forward_into(KernelBackend::Blocked, &x, &geom, &wt, &mut pad, &mut pack, &mut out)
+///     .forward_into(KernelBackend::Blocked, &x, &geom, &wt, None, &mut pad, &mut pack, &mut out)
 ///     .unwrap();
+/// assert_eq!(out.shape(), &[1, 1, 2, 2]);
 /// assert_eq!(out.data(), &[12., 16., 24., 28.]);
-/// assert_eq!(out, matmul(&im2col_batch(&x, &geom).unwrap(), &wt).unwrap());
+/// assert_eq!(out.data(), matmul(&im2col_batch(&x, &geom).unwrap(), &wt).unwrap().data());
 /// ```
 #[derive(Debug, Default)]
 pub struct ConvGather {
@@ -385,10 +390,12 @@ impl ConvGather {
         Ok((rows, patch, base))
     }
 
-    /// The forward product: `out (N·OH·OW × C_out) = patches(x) · wt`,
-    /// with `wt` the `(C·KH·KW × C_out)` packed kernel panel. Equals
-    /// [`im2col_batch_into`] + [`crate::matmul_into`] without the patch
-    /// matrix.
+    /// The forward pass: `out (N × C_out × OH × OW) = patches(x) · wt +
+    /// bias`, with `wt` the `(C·KH·KW × C_out)` packed kernel panel and
+    /// `bias` one value per output channel. Equals [`im2col_batch_into`] +
+    /// [`crate::matmul_into`] + [`posrows_to_nchw_into`] without the patch
+    /// matrix or the position-row product: the GEMM writes NCHW
+    /// ([`Dest::Nchw`]).
     ///
     /// `padded` receives the padded input (untouched when `geom.pad` is
     /// 0), `pack` is backend scratch, all grow-only.
@@ -399,18 +406,29 @@ impl ConvGather {
         x: &Tensor,
         geom: &Conv2dGeometry,
         wt: &Tensor,
+        bias: Option<&[f32]>,
         padded: &mut Tensor,
         pack: &mut Vec<f32>,
         out: &mut Tensor,
     ) -> Result<()> {
-        self.patches_times("conv_forward", backend, x, geom, wt, padded, pack, out)
+        self.patches_times(
+            "conv_forward",
+            backend,
+            x,
+            geom,
+            wt,
+            bias,
+            padded,
+            pack,
+            out,
+        )
     }
 
     /// The input gradient of a convolution whose
     /// [`Conv2dGeometry::input_grad_geometry`] is `dgeom`:
-    /// `out (N·H·W × C_in) = patches(grad_out) · flipped`, with `flipped`
-    /// from [`flip_kernel_panel_into`] — a gather over the padded output
-    /// gradient where [`col2im_batch_into`] scatter-adds.
+    /// `out (N × C_in × H × W) = patches(grad_out) · flipped`, with
+    /// `flipped` from [`flip_kernel_panel_into`] — a gather over the padded
+    /// output gradient where [`col2im_batch_into`] scatter-adds.
     #[allow(clippy::too_many_arguments)]
     pub fn dgrad_into(
         &mut self,
@@ -428,6 +446,7 @@ impl ConvGather {
             grad_out,
             dgeom,
             flipped,
+            None,
             padded,
             pack,
             out,
@@ -442,13 +461,14 @@ impl ConvGather {
         x: &Tensor,
         geom: &Conv2dGeometry,
         panel: &Tensor,
+        bias: Option<&[f32]>,
         padded: &mut Tensor,
         pack: &mut Vec<f32>,
         out: &mut Tensor,
     ) -> Result<()> {
         let (rows, patch, base) = self.lower(op, x, geom, padded)?;
         let (k, n) = panel.dims2()?;
-        if k != patch {
+        if k != patch || bias.is_some_and(|b| b.len() != n) {
             return Err(TensorError::ShapeMismatch {
                 op,
                 lhs: vec![rows, patch],
@@ -456,10 +476,12 @@ impl ConvGather {
             });
         }
         let a = GatherA::new(base, &self.pos[..rows], &self.taps)?;
-        out.reuse_as(&[rows, n]);
+        let plane = geom.out_positions();
+        out.reuse_as(&[rows / plane, n, geom.out_h, geom.out_w]);
+        let dest = Dest::Nchw { plane, bias };
         backend
             .backend()
-            .gemm_gather(&a, n, panel.data(), out.data_mut(), pack);
+            .gemm_gather(&a, n, panel.data(), dest, out.data_mut(), pack);
         Ok(())
     }
 
@@ -491,9 +513,10 @@ impl ConvGather {
         }
         let a = GatherA::new(base, &self.taps, &self.pos[..rows])?;
         out.reuse_as(&[patch, c_out]);
+        let (g, dwt) = (g_rows.data(), out.data_mut());
         backend
             .backend()
-            .gemm_gather(&a, c_out, g_rows.data(), out.data_mut(), pack);
+            .gemm_gather(&a, c_out, g, Dest::RowMajor, dwt, pack);
         Ok(())
     }
 
@@ -909,9 +932,13 @@ pub fn posrows_to_nchw(rows: &Tensor, n: usize, c: usize, h: usize, w: usize) ->
 
 /// [`posrows_to_nchw`] writing into a caller-provided buffer (grow-only;
 /// every element is overwritten). With `bias` (one value per channel) each
-/// element lands as `v + bias[channel]` — a convolution's bias add folded
-/// into the transpose it has to make anyway, on the same values a separate
-/// pass over the rows would have added.
+/// element lands as `v + bias[channel]`.
+///
+/// Like [`im2col_batch_u8_into`] this is an oracle, not a production
+/// path: it is the pass the conv layers made over a row-major product
+/// until the GEMM got an NCHW destination ([`Dest::Nchw`]), what
+/// [`crate::kernels::NaiveGemm`] still composes that destination from, and
+/// so what the blocked kernel's emit is held to bit for bit.
 pub fn posrows_to_nchw_into(
     rows: &Tensor,
     bias: Option<&[f32]>,
@@ -929,9 +956,21 @@ pub fn posrows_to_nchw_into(
             rhs: vec![n * plane, c],
         });
     }
-    let src = rows.data();
     out.reuse_as(&[n, c, h, w]);
-    let out = out.data_mut();
+    posrows_to_nchw_slice(rows.data(), bias, n, c, plane, out.data_mut());
+    Ok(())
+}
+
+/// [`posrows_to_nchw_into`] on slices the caller has already checked:
+/// `src` is `(n·plane) × c`, `out` its `n × c × plane` permutation.
+pub(crate) fn posrows_to_nchw_slice(
+    src: &[f32],
+    bias: Option<&[f32]>,
+    n: usize,
+    c: usize,
+    plane: usize,
+    out: &mut [f32],
+) {
     // Inverse per-sample transpose, same tiling rationale as the forward
     // direction.
     for img in 0..n {
@@ -944,7 +983,6 @@ pub fn posrows_to_nchw_into(
             None => crate::matmul::transpose_tiled(plane, c, block, sample),
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]

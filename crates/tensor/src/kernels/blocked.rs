@@ -2,7 +2,7 @@
 //! ([`KC`]/[`NC`] constants, thread fan-out decided by `fans_out`).
 
 use super::simd::{self, DenseA, GatherA, PanelA};
-use super::{fans_out, GemmBackend, KC, NC};
+use super::{fans_out, host_cores, nchw, nchw_samples, Dest, GemmBackend, KC, NC};
 use rayon::prelude::*;
 
 /// Rows of `A`/`C` processed together by the register micro-kernel: `MR`
@@ -42,13 +42,34 @@ const KOUTER_MIN_KN: usize = 1 << 16;
 #[derive(Debug)]
 pub struct BlockedGemm;
 
-/// One panel's `K` block `[kk0, kk0+kc)`, `N`-blocked: the only caller of
-/// the micro-kernel.
+/// Floats of scratch a product bound for [`Dest::Nchw`] accumulates
+/// before they are emitted: 16 KiB, so the emit reads them back from L1.
+const GROUP_ELEMS: usize = 1 << 12;
+
+/// Rows of such a group at `n` columns: whole panels filling
+/// [`GROUP_ELEMS`], at least eight (wider than 64 columns the group
+/// outgrows L1 rather than fall below 64 rows, where a group is too little
+/// work for its loop overhead). 64 rows at 64 channels, 256 at 16, 680 at
+/// 6: narrow layers need the long groups — at 64 rows a 3-column input
+/// gradient @64² lost 5–8 % to the pass it replaced, and `N` = 4 forward
+/// 5–20 % at 16–32 rows; 16..64 channels measured flat from 32 to 128
+/// rows.
+fn group_rows(n: usize) -> usize {
+    (GROUP_ELEMS / n / MR).max(8) * MR
+}
+
+/// Scratch floats of one group: its rows plus the emit's read slack.
+fn group_len(n: usize) -> usize {
+    group_rows(n) * n + nchw::BLOCK
+}
+
+/// The `K` block `[kk0, kk0+kc)` of the panel of rows `i0..` that `opanel`
+/// holds, `N`-blocked: the only caller of the micro-kernel.
 fn panel_k_block<A: PanelA>(
     a: &A,
     b: &[f32],
     n: usize,
-    idx: usize,
+    i0: usize,
     kk0: usize,
     kc: usize,
     opanel: &mut [f32],
@@ -60,8 +81,23 @@ fn panel_k_block<A: PanelA>(
     let mut jj0 = 0;
     while jj0 < n {
         let nc = NC.min(n - jj0);
-        simd::panel(a, b, n, idx * MR, rows, kk0, kc, jj0, nc, first, opanel);
+        simd::panel(a, b, n, i0, rows, kk0, kc, jj0, nc, first, opanel);
         jj0 += nc;
+    }
+}
+
+/// `K` blocks outermost over the panels of `opanels` (rows `i0..` of the
+/// product): each `B` block is read by every panel while it is cached, and
+/// `opanels` has to stay cached across blocks.
+fn k_blocks_outer<A: PanelA>(a: &A, b: &[f32], n: usize, i0: usize, opanels: &mut [f32]) {
+    let k = a.depth();
+    let mut kk0 = 0;
+    while kk0 < k {
+        let kc = KC.min(k - kk0);
+        for (idx, opanel) in opanels.chunks_mut(MR * n).enumerate() {
+            panel_k_block(a, b, n, i0 + idx * MR, kk0, kc, opanel);
+        }
+        kk0 += kc;
     }
 }
 
@@ -75,7 +111,7 @@ fn panels_outer<A: PanelA>(fan_out: bool, a: &A, n: usize, b: &[f32], out: &mut 
         let mut kk0 = 0;
         while kk0 < k {
             let kc = KC.min(k - kk0);
-            panel_k_block(a, b, n, idx, kk0, kc, opanel);
+            panel_k_block(a, b, n, idx * MR, kk0, kc, opanel);
             kk0 += kc;
         }
     };
@@ -111,17 +147,117 @@ fn gemm_into<A: PanelA>(a: &A, n: usize, b: &[f32], out: &mut [f32]) {
     // "One-plan PR"). Both orders fold the same `KC` blocks into each
     // element in the same order, so the choice never changes bits.
     if !fan_out && m * n <= KOUTER_MAX_MN && k * n >= KOUTER_MIN_KN {
-        let mut kk0 = 0;
-        while kk0 < k {
-            let kc = KC.min(k - kk0);
-            for (idx, opanel) in out.chunks_mut(MR * n).enumerate() {
-                panel_k_block(a, b, n, idx, kk0, kc, opanel);
-            }
-            kk0 += kc;
-        }
-        return;
+        return k_blocks_outer(a, b, n, 0, out);
     }
     panels_outer(fan_out, a, n, b, out);
+}
+
+/// Rows `row0..` of `A · b` for the whole samples whose NCHW storage is
+/// `out`, [`group_rows`] at a time: a group of panels goes through every
+/// `K` block in `group` (one [`group_len`] long), then [`nchw::emit`] moves
+/// it to `out` with `bias` added — per element the same `(Σ K blocks) +
+/// bias` that a row-major product followed by a transposing pass makes,
+/// without the `M×N` buffer in between. Emitting per group rather than
+/// per tile keeps the micro-kernel's store contiguous and gives the emit
+/// whole cache lines of every channel; emitting per group rather than
+/// after the product finds the rows still in L1 (DESIGN.md §8).
+#[allow(clippy::too_many_arguments)]
+fn nchw_run<A: PanelA>(
+    a: &A,
+    n: usize,
+    b: &[f32],
+    plane: usize,
+    bias: Option<&[f32]>,
+    row0: usize,
+    out: &mut [f32],
+    group: &mut [f32],
+) {
+    let (rows, per_group) = (out.len() / n, group_rows(n));
+    for g0 in (0..rows).step_by(per_group) {
+        let live = per_group.min(rows - g0);
+        let product = &mut group[..live * n];
+        if a.depth() == 0 {
+            product.fill(0.0);
+        }
+        k_blocks_outer(a, b, n, row0 + g0, product);
+        // With the slack behind it, so the group's last rows stay on the
+        // emit's block path at any `n`.
+        let src = &group[..live * n + nchw::BLOCK];
+        match bias {
+            Some(bias) => nchw::emit(
+                src,
+                n,
+                live,
+                g0,
+                plane,
+                out,
+                |j0| nchw::block_of(bias, j0),
+                |b, v| std::array::from_fn(|c| v[c] + b[c]),
+            ),
+            None => nchw::emit(src, n, live, g0, plane, out, |_| (), |_, v| v),
+        }
+    }
+}
+
+/// [`nchw_run`] over `parts` runs of whole samples, side by side: `out`
+/// and `scratch` (one group per part) are split into disjoint halves down
+/// to single runs. Each worker needs its own group, which is why this is
+/// a `join` tree and not `par_chunks_mut` over one slice. A run's rows are
+/// the same dot products wherever its panels start, so `parts` never
+/// changes bits.
+#[allow(clippy::too_many_arguments)]
+fn nchw_fan<A: PanelA>(
+    parts: usize,
+    a: &A,
+    n: usize,
+    b: &[f32],
+    plane: usize,
+    bias: Option<&[f32]>,
+    row0: usize,
+    out: &mut [f32],
+    scratch: &mut [f32],
+) {
+    if parts <= 1 {
+        return nchw_run(a, n, b, plane, bias, row0, out, scratch);
+    }
+    let samples = out.len() / (n * plane);
+    let (left, left_samples) = (parts / 2, samples * (parts / 2) / parts);
+    let (out_l, out_r) = out.split_at_mut(left_samples * n * plane);
+    let (scratch_l, scratch_r) = scratch.split_at_mut(left * group_len(n));
+    rayon::join(
+        || nchw_fan(left, a, n, b, plane, bias, row0, out_l, scratch_l),
+        || {
+            let row0 = row0 + left_samples * plane;
+            nchw_fan(parts - left, a, n, b, plane, bias, row0, out_r, scratch_r)
+        },
+    );
+}
+
+/// `A · b` written as NCHW (see [`Dest::Nchw`]); `scratch` is grow-only.
+fn gemm_nchw_into<A: PanelA>(
+    a: &A,
+    n: usize,
+    b: &[f32],
+    plane: usize,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    scratch: &mut Vec<f32>,
+) {
+    let (m, k) = (a.rows(), a.depth());
+    assert_eq!(b.len(), k * n, "B operand is not k×n");
+    assert_eq!(out.len(), m * n, "output is not m×n");
+    let samples = nchw_samples(m, n, plane, bias);
+    if m == 0 || n == 0 {
+        return;
+    }
+    // Whole samples are the parallel unit: their NCHW storage is disjoint.
+    let parts = if fans_out(m, k, n) {
+        host_cores().min(samples)
+    } else {
+        1
+    };
+    scratch.resize(parts * group_len(n), 0.0);
+    nchw_fan(parts, a, n, b, plane, bias, 0, out, scratch);
 }
 
 /// Transpose of a packed `rows × cols` matrix into a reusable scratch
@@ -147,10 +283,14 @@ impl GemmBackend for BlockedGemm {
         a: &GatherA<'_>,
         n: usize,
         b: &[f32],
+        dest: Dest<'_>,
         out: &mut [f32],
-        _scratch: &mut Vec<f32>,
+        scratch: &mut Vec<f32>,
     ) {
-        gemm_into(a, n, b, out);
+        match dest {
+            Dest::RowMajor => gemm_into(a, n, b, out),
+            Dest::Nchw { plane, bias } => gemm_nchw_into(a, n, b, plane, bias, out, scratch),
+        }
     }
 
     fn gemm_at_b(&self, k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
@@ -249,6 +389,19 @@ mod tests {
         backend.gemm(0, 4, 3, &[], &[0.0; 12], &mut []);
         backend.gemm_at_b(4, 0, 3, &[], &[0.0; 12], &mut []);
         backend.gemm_a_bt(2, 3, 0, &[0.0; 6], &[], &mut []);
+        // The same through the NCHW destination: a `K = 0` product is its
+        // bias, an empty one writes nothing.
+        let dest = Dest::Nchw {
+            plane: 2,
+            bias: Some(&[1.5, -2.0, 0.25]),
+        };
+        let a = GatherA::new(&[], &[0, 0, 0, 0], &[]).unwrap();
+        let mut out = [f32::NAN; 12];
+        backend.gemm_gather(&a, 3, &[], dest, &mut out, &mut Vec::new());
+        assert_eq!(out[..6], [1.5, 1.5, -2.0, -2.0, 0.25, 0.25]);
+        assert_eq!(out[..6], out[6..]);
+        let a = GatherA::new(&[], &[], &[0]).unwrap();
+        backend.gemm_gather(&a, 3, &[0.0; 3], dest, &mut [], &mut Vec::new());
     }
 
     #[test]
@@ -284,6 +437,38 @@ mod tests {
         panels_outer(true, &a, n, &b, &mut fanned);
         assert!(serial.iter().all(|x| x.is_finite()));
         assert_eq!(bits(&serial), bits(&fanned));
+    }
+
+    #[test]
+    fn nchw_runs_agree_with_one_run_and_with_the_transposed_product() {
+        // As above for the NCHW destination: the run tree driven directly
+        // at 1, 2 and 5 parts (5 samples of 2·192 + 9 rows at 21 columns:
+        // groups that end mid-panel, runs that start off the panel grid),
+        // a `K` that splits on `KC`, over a poisoned output.
+        let (samples, plane, k, n) = (5usize, 393usize, 300usize, 21usize);
+        assert_eq!(group_rows(n), 192);
+        let m = samples * plane;
+        let (a, b) = (mat(m, k, 5), mat(k, n, 6));
+        let bias: Vec<f32> = (0..n).map(|j| j as f32 - 9.5).collect();
+        let a = DenseA::new(&a, m, k);
+        let on = |parts: usize| {
+            let mut out = vec![f32::NAN; m * n];
+            let mut scratch = vec![f32::NAN; parts * group_len(n)];
+            let bias = Some(&bias[..]);
+            nchw_fan(parts, &a, n, &b, plane, bias, 0, &mut out, &mut scratch);
+            out
+        };
+        let serial = on(1);
+        assert_eq!(bits(&serial), bits(&on(2)));
+        assert_eq!(bits(&serial), bits(&on(5)));
+        let mut rows = vec![f32::NAN; m * n];
+        panels_outer(false, &a, n, &b, &mut rows);
+        for (i, row) in rows.chunks(n).enumerate() {
+            for (j, (v, bj)) in row.iter().zip(&bias).enumerate() {
+                let at = ((i / plane) * n + j) * plane + i % plane;
+                assert_eq!(serial[at].to_bits(), (v + bj).to_bits(), "({i},{j})");
+            }
+        }
     }
 
     #[test]

@@ -48,6 +48,7 @@
 //! same logical product bit for bit (integer addition is exact and
 //! order-free).
 
+use super::nchw;
 use super::simd_int8::{self, DenseQuads, GatherQuads, QuadA};
 use crate::convert;
 use rayon::prelude::*;
@@ -368,30 +369,87 @@ pub fn dequantize_into(
         return;
     }
     assert_eq!(acc.len() % n, 0, "dequantize accumulator length mismatch");
-    corr.clear();
-    corr.extend(rhs.col_sums.iter().map(|&c| min_a * c as f32));
+    column_corrections(min_a, rhs, corr);
     let (scales, corr) = (&rhs.scales, &*corr);
     let rows = out.chunks_exact_mut(n).zip(acc.chunks_exact(n));
-    // Multiply and add stay separate operations (no `mul_add`): the bits
-    // are those of the formula above, evaluated left to right.
     match bias {
         Some(bias) => {
             assert_eq!(bias.len(), n, "dequantize bias length mismatch");
             for (orow, arow) in rows {
                 let cols = orow.iter_mut().zip(arow).zip(scales).zip(corr).zip(bias);
                 for ((((o, &q), &s), &c), &b) in cols {
-                    *o = s * (scale_a * q as f32 + c) + b;
+                    *o = dequantized(scale_a, q, s, c) + b;
                 }
             }
         }
         None => {
             for (orow, arow) in rows {
                 for (((o, &q), &s), &c) in orow.iter_mut().zip(arow).zip(scales).zip(corr) {
-                    *o = s * (scale_a * q as f32 + c);
+                    *o = dequantized(scale_a, q, s, c);
                 }
             }
         }
     }
+}
+
+/// `corr[j] = min_a · col_sums[j]`, once per call rather than per element.
+fn column_corrections(min_a: f32, rhs: &QuantizedRhs, corr: &mut Vec<f32>) {
+    corr.clear();
+    corr.extend(rhs.col_sums.iter().map(|&c| min_a * c as f32));
+}
+
+/// One accumulator's real value, `s · (scale_a · q + c)`. Multiply and add
+/// stay separate operations (no `mul_add`): the bits are those of the
+/// formula, evaluated left to right.
+#[inline(always)]
+fn dequantized(scale_a: f32, q: i32, s: f32, c: f32) -> f32 {
+    s * (scale_a * q as f32 + c)
+}
+
+/// [`dequantize_into`] for a convolution: the rows of `acc` are `(sample,
+/// position)` pairs, `plane` positions to a sample, and `out` receives the
+/// same values, bias added, as the NCHW tensor of those samples — through
+/// the emitter the f32 product uses ([`super::Dest::Nchw`]), so the layer
+/// writes its output once instead of dequantizing into position rows and
+/// transposing those.
+///
+/// # Panics
+///
+/// Panics if `acc` is not whole samples of `plane` rows × `rhs.n()`
+/// columns, or `out` or `bias` do not match it.
+#[allow(clippy::too_many_arguments)]
+pub fn dequantize_nchw_into(
+    scale_a: f32,
+    min_a: f32,
+    rhs: &QuantizedRhs,
+    acc: &[i32],
+    bias: &[f32],
+    corr: &mut Vec<f32>,
+    plane: usize,
+    out: &mut [f32],
+) {
+    let n = rhs.n;
+    assert_eq!(out.len(), acc.len(), "dequantize output length mismatch");
+    assert_eq!(bias.len(), n, "dequantize bias length mismatch");
+    assert!(
+        plane > 0 && acc.len().is_multiple_of(n * plane),
+        "dequantize accumulators are not whole samples"
+    );
+    column_corrections(min_a, rhs, corr);
+    let (scales, corr) = (&rhs.scales[..], &corr[..]);
+    nchw::emit(
+        acc,
+        n,
+        acc.len() / n.max(1),
+        0,
+        plane,
+        out,
+        |j0| {
+            let at = |xs| nchw::block_of(xs, j0);
+            (at(scales), at(corr), at(bias))
+        },
+        |(s, c, b), q| std::array::from_fn(|l| dequantized(scale_a, q[l], s[l], c[l]) + b[l]),
+    );
 }
 
 /// Name of the int8 micro-kernel in effect on this host, for benchmark

@@ -5,13 +5,16 @@
 //! *the* compute hot path of every training experiment. Fully-connected
 //! layers hand over dense operands; convolutions hand over a [`GatherA`]
 //! (their patch matrix addressed in place in the padded input, see
-//! [`GemmBackend::gemm_gather`]). The [`GemmBackend`] trait abstracts the
-//! implementation; two are provided:
+//! [`GemmBackend::gemm_gather`]) and a [`Dest`]: the layout the product
+//! leaves in, row-major or the NCHW tensor the next layer reads. The
+//! [`GemmBackend`] trait abstracts the implementation; two are provided:
 //!
 //! - [`NaiveGemm`] — the original streaming `i-k-j` loops. Slow but
 //!   obviously correct; kept as the reference oracle the fast path is
-//!   property-tested against (it materialises a gathered `A`, which makes
-//!   the explicit `im2col` lowering the oracle of the gathered one).
+//!   property-tested against (it materialises a gathered `A` and permutes
+//!   a row-major product into NCHW, which makes the explicit `im2col`
+//!   lowering and the transposing pass the oracles of the gathered,
+//!   NCHW-emitting one).
 //! - [`BlockedGemm`] — the production kernel and the default:
 //!   cache-blocked with one `MR`-row register-tile micro-kernel ([`simd`])
 //!   instantiated at the host's vector widths (AVX-512 / AVX2 / portable).
@@ -43,6 +46,7 @@ pub mod autotune;
 mod blocked;
 pub mod int8;
 mod naive;
+mod nchw;
 #[allow(unsafe_code)]
 pub mod simd;
 #[allow(unsafe_code)]
@@ -130,23 +134,43 @@ pub trait GemmBackend: Send + Sync {
     /// `out (M×N) = a · bᵀ` with `a` stored as `M×K`, `b` as `N×K`.
     fn gemm_a_bt(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]);
 
-    /// `out (M×N) = A · b (K×N)` with `A` a [`GatherA`] — a matrix
+    /// `C (M×N) = A · b (K×N)` with `A` a [`GatherA`] — a matrix
     /// addressed through offset tables instead of stored, which is how the
-    /// conv layers multiply their patch matrix without building it.
+    /// conv layers multiply their patch matrix without building it —
+    /// written to `out` (`M·N` elements) in the layout `dest` names.
     ///
-    /// The default materialises `A` dense into `scratch` (grow-only) and
-    /// runs [`GemmBackend::gemm`]; [`BlockedGemm`] gathers inside its
-    /// micro-kernel instead.
+    /// The default materialises `A` dense into `scratch` (grow-only), runs
+    /// [`GemmBackend::gemm`] and, for [`Dest::Nchw`], permutes the product
+    /// with [`crate::posrows_to_nchw_into`]'s pass — the composition the
+    /// conv layers used to make, and so the oracle of [`BlockedGemm`],
+    /// which gathers inside its micro-kernel and emits NCHW from the row
+    /// panels while they are cache-hot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dest` does not fit the product: `M` not whole samples of
+    /// `plane` rows, or a bias that is not `N` long.
     fn gemm_gather(
         &self,
         a: &GatherA<'_>,
         n: usize,
         b: &[f32],
+        dest: Dest<'_>,
         out: &mut [f32],
         scratch: &mut Vec<f32>,
     ) {
+        let (m, k) = (a.rows(), a.depth());
         a.materialize_into(scratch);
-        self.gemm(a.rows(), a.depth(), n, scratch, b, out);
+        match dest {
+            Dest::RowMajor => self.gemm(m, k, n, scratch, b, out),
+            Dest::Nchw { plane, bias } => {
+                let samples = nchw_samples(m, n, plane, bias);
+                scratch.resize(m * (k + n), 0.0);
+                let (dense, rows) = scratch.split_at_mut(m * k);
+                self.gemm(m, k, n, dense, b, rows);
+                crate::conv::posrows_to_nchw_slice(rows, bias, samples, n, plane, out);
+            }
+        }
     }
 
     /// [`GemmBackend::gemm_at_b`] with a caller-provided pack/transpose
@@ -184,6 +208,35 @@ pub trait GemmBackend: Send + Sync {
         let _ = pack;
         self.gemm_a_bt(m, k, n, a, b, out);
     }
+}
+
+/// Where [`GemmBackend::gemm_gather`] puts its product `C (M×N)`.
+#[derive(Debug, Clone, Copy)]
+pub enum Dest<'a> {
+    /// `out` is `C`, row-major.
+    RowMajor,
+    /// The rows of `C` are `(sample, position)` pairs, `plane` positions to
+    /// a sample, and `out` is the NCHW tensor of those samples:
+    /// `out[(s·N + j)·plane + p] = C[s·plane + p][j] + bias[j]` — a
+    /// convolution's output, bias included, with no position-row copy of
+    /// it in between. The bias is added to the finished sum, after its
+    /// last `K` block.
+    Nchw {
+        /// Positions per sample (`OH·OW`).
+        plane: usize,
+        /// One value per column (output channel), or none.
+        bias: Option<&'a [f32]>,
+    },
+}
+
+/// Checks a [`Dest::Nchw`] against an `m×n` product; returns its samples.
+fn nchw_samples(m: usize, n: usize, plane: usize, bias: Option<&[f32]>) -> usize {
+    assert!(
+        plane > 0 && m.is_multiple_of(plane),
+        "{m} rows are not whole samples of {plane}"
+    );
+    assert!(bias.is_none_or(|b| b.len() == n), "bias is not {n} long");
+    m / plane
 }
 
 /// The selectable GEMM implementations, as a plain value that can sit in a

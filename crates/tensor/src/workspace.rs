@@ -46,8 +46,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// | `cols`    | padded conv input (or output gradient)                  |
 /// | `cols_u8` | padded `u8` conv input of the int8 forward (bytes)      |
 /// | `posrows` | position-major activations or gradients (`N·H·W × C`)   |
-/// | `out`     | GEMM outputs consumed within the same call              |
-/// | `pack`    | operand transpose/pack scratch inside the GEMM backends |
+/// | `out`     | row-major GEMM outputs consumed within the same call    |
+/// | `pack`    | transpose/pack and row-group scratch inside the GEMM    |
 ///
 /// Beside the slots sits the hand-off free list
 /// ([`Workspace::take_handoff`]): activations on their way from one layer
@@ -89,9 +89,11 @@ pub struct WorkspaceParts<'a> {
     pub cols_u8: &'a mut Vec<u8>,
     /// Position-major rows slot.
     pub posrows: &'a mut Tensor,
-    /// GEMM output slot.
+    /// Row-major GEMM output slot (a conv's `dWᵀ`, its strided `g·W`; the
+    /// layers' activations go straight into the caller's tensors).
     pub out: &'a mut Tensor,
-    /// Transpose/pack scratch slot.
+    /// Transpose/pack scratch slot; also the row group a product bound
+    /// for NCHW accumulates before it is emitted.
     pub pack: &'a mut Vec<f32>,
 }
 

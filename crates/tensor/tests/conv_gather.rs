@@ -1,17 +1,21 @@
 //! The gathered conv lowering against its oracle, the explicit one.
 //!
-//! `ConvGather` multiplies a patch matrix it never builds; `im2col_batch`
-//! builds it. On the blocked backend the two must agree **bit for bit**
-//! for the forward product and the weight gradient (same `K` order, same
-//! `KC` split, padding taps multiplying a stored `0.0` either way); the
-//! naive backend materialises the gathered operand, so there the two are
-//! the same lowering up to the kernels' tolerance. The input gradient
-//! changes summation order (a gather where `col2im` scatter-adds) and is
-//! held to 1e-5 relative.
+//! `ConvGather` multiplies a patch matrix it never builds and writes the
+//! product as NCHW; `im2col_batch` builds the matrix and
+//! `posrows_to_nchw_into` permutes a row-major product (adding the bias).
+//! On the blocked backend the two must agree **bit for bit** for the
+//! forward pass and the weight gradient (same `K` order, same `KC` split,
+//! padding taps multiplying a stored `0.0` either way, the bias added to
+//! the finished sum either way); the naive backend materialises the
+//! gathered operand, so there the two are the same lowering up to the
+//! kernels' tolerance. The input gradient changes summation order (a
+//! gather where `col2im` scatter-adds) and is held to 1e-5 relative.
 
+use nf_tensor::kernels::{Dest, GatherA};
 use nf_tensor::{
     col2im_batch, flip_kernel_panel_into, im2col_batch, matmul_at_b_with, matmul_with,
-    nchw_to_posrows, transpose2d, Conv2dGeometry, ConvGather, KernelBackend, Tensor,
+    nchw_to_posrows, posrows_to_nchw_into, transpose2d, Conv2dGeometry, ConvGather, KernelBackend,
+    Tensor,
 };
 use proptest::prelude::*;
 
@@ -71,25 +75,34 @@ impl Case {
             c_in,
         } = self;
         let n = x.shape()[0];
+        let c_out = weight.shape()[0];
         let cols = im2col_batch(x, geom).unwrap();
         let wt = transpose2d(weight).unwrap();
         let g_rows = nchw_to_posrows(grad_out).unwrap();
+        let bias: Vec<f32> = (0..c_out).map(|j| 0.3 - 0.11 * j as f32).collect();
         let (mut pad, mut pack, mut out) = (Tensor::default(), Vec::new(), Tensor::default());
+        let mut want = Tensor::default();
 
         for (backend, exact) in [
             (KernelBackend::Blocked, true),
             (KernelBackend::Naive, false),
         ] {
             let what = backend.name();
-            // Forward.
-            lowering
-                .forward_into(backend, x, geom, &wt, &mut pad, &mut pack, &mut out)
-                .unwrap();
-            let want = matmul_with(backend, &cols, &wt).unwrap();
-            if exact {
-                assert_eq!(bits(&out), bits(&want), "{what} forward bits");
+            // Forward, with and without a bias, into a poisoned buffer.
+            for bias in [Some(&bias[..]), None] {
+                out.reuse_as(&[n * c_out * geom.out_positions() + 3]);
+                out.data_mut().fill(f32::NAN);
+                lowering
+                    .forward_into(backend, x, geom, &wt, bias, &mut pad, &mut pack, &mut out)
+                    .unwrap();
+                let rows = matmul_with(backend, &cols, &wt).unwrap();
+                posrows_to_nchw_into(&rows, bias, n, c_out, geom.out_h, geom.out_w, &mut want)
+                    .unwrap();
+                if exact {
+                    assert_eq!(bits(&out), bits(&want), "{what} forward bits");
+                }
+                assert_close(&out, &want, 1e-4, "forward");
             }
-            assert_close(&out, &want, 1e-4, "forward");
             // Weight gradient: the gathered product is dWᵀ.
             lowering
                 .wgrad_into(backend, x, geom, &g_rows, &mut pad, &mut pack, &mut out)
@@ -109,7 +122,7 @@ impl Case {
                     )
                     .unwrap();
                 let dcols = matmul_with(backend, &g_rows, weight).unwrap();
-                let want = nchw_to_posrows(&col2im_batch(&dcols, n, *c_in, geom).unwrap()).unwrap();
+                let want = col2im_batch(&dcols, n, *c_in, geom).unwrap();
                 assert_close(&out, &want, 1e-5, "dgrad");
             }
         }
@@ -143,6 +156,59 @@ proptest! {
         Case::new(n, c, c_out, h, w, geom).check(&mut lowering, &mut dlowering);
         // A smaller batch through the same cached tables.
         Case::new(1, c, c_out, h, w, geom).check(&mut lowering, &mut dlowering);
+    }
+}
+
+/// `gemm_gather` into [`Dest::Nchw`] against the composition it replaced —
+/// the row-major product, then `posrows_to_nchw_into` — on `backend`, over
+/// a NaN-filled destination (every element must be written).
+fn check_nchw_dest(backend: KernelBackend, samples: usize, plane: usize, n: usize, k: usize) {
+    let m = samples * plane;
+    let seed = (m * 31 + n * 7 + k) as u64;
+    let base = random(&[600], seed);
+    let row_off: Vec<u32> = (0..m as u32).map(|i| i * 13 % 290).collect();
+    let col_off: Vec<u32> = (0..k as u32).map(|p| p * 29 % 310).collect();
+    let a = GatherA::new(base.data(), &row_off, &col_off).unwrap();
+    let b = random(&[k, n], seed + 1);
+    let bias: Vec<f32> = (0..n).map(|j| 0.7 - 0.05 * j as f32).collect();
+    let gemm = backend.backend();
+    let mut pack = Vec::new();
+    let mut rows = Tensor::full(&[m, n], f32::NAN);
+    gemm.gemm_gather(&a, n, b.data(), Dest::RowMajor, rows.data_mut(), &mut pack);
+    for bias in [Some(&bias[..]), None] {
+        let mut want = Tensor::default();
+        posrows_to_nchw_into(&rows, bias, samples, n, plane, 1, &mut want).unwrap();
+        let mut got = Tensor::full(&[samples, n, plane, 1], f32::NAN);
+        let dest = Dest::Nchw { plane, bias };
+        gemm.gemm_gather(&a, n, b.data(), dest, got.data_mut(), &mut pack);
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "{} {samples}×{plane} rows, n {n}, k {k}, bias {}",
+            backend.name(),
+            bias.is_some()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Planes on both sides of the 8-row register block and of the group
+    /// (64 rows at 70 columns, 256 at 16, everything at once below 10:
+    /// groups straddling samples, `plane % 8 ≠ 0`), every strip width and
+    /// column remainder, and one, exactly one, and several `KC` blocks.
+    #[test]
+    fn nchw_destination_is_the_row_major_product_transposed(
+        plane in 0usize..6,
+        samples in 1usize..5,
+        n in 1usize..71,
+        k in 0usize..5,
+    ) {
+        let plane = [1usize, 4, 9, 16, 64, 100][plane];
+        let k = [1usize, 27, 256, 257, 577][k];
+        check_nchw_dest(KernelBackend::Blocked, samples, plane, n, k);
+        check_nchw_dest(KernelBackend::Naive, samples, plane, n, k);
     }
 }
 
@@ -198,12 +264,26 @@ fn shape_errors_are_typed() {
     // Wrong spatial size, wrong rank, panel not matching channels·k·k.
     for x in [Tensor::zeros(&[1, 2, 5, 4]), Tensor::zeros(&[2, 4, 4])] {
         assert!(lowering
-            .forward_into(backend, &x, &geom, &wt, &mut pad, &mut pack, &mut out)
+            .forward_into(backend, &x, &geom, &wt, None, &mut pad, &mut pack, &mut out)
             .is_err());
     }
     let x = Tensor::zeros(&[1, 3, 4, 4]);
     assert!(lowering
-        .forward_into(backend, &x, &geom, &wt, &mut pad, &mut pack, &mut out)
+        .forward_into(backend, &x, &geom, &wt, None, &mut pad, &mut pack, &mut out)
+        .is_err());
+    // One bias value per output channel.
+    let (x, bias) = (Tensor::zeros(&[1, 2, 4, 4]), [0.0; 3]);
+    assert!(lowering
+        .forward_into(
+            backend,
+            &x,
+            &geom,
+            &wt,
+            Some(&bias),
+            &mut pad,
+            &mut pack,
+            &mut out
+        )
         .is_err());
     // Gradient rows not matching the positions.
     let x = Tensor::zeros(&[1, 2, 4, 4]);
