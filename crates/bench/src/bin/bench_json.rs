@@ -1,74 +1,129 @@
-//! Machine-readable performance artifacts: `BENCH_gemm.json`,
-//! `BENCH_train_step.json`, `BENCH_federated.json`, `BENCH_cache.json`,
-//! and `BENCH_serve.json`.
+//! The two gated performance artifacts: `BENCH_gemm.json` and
+//! `BENCH_train_step.json`.
 //!
-//! Criterion output is for eyes; this binary is for trend lines. It times
-//! the two numbers every perf PR must not regress — raw GEMM throughput
-//! of the blocked kernel, and steps/sec of a quickstart-shaped training
-//! step — and writes them as JSON into the repo root so the perf
-//! trajectory is recorded in-tree from PR to PR.
+//! End-to-end and per-stage numbers live in `BENCHMARK.json` (the repo
+//! benchmark under `benchmark/`, run on every PR with a noise model). This
+//! binary keeps only what that cannot express: two implementations of one
+//! thing timed on identical operands with a pass/fail gate on the pair —
+//! the GEMM kernels, the conv lowerings, the register tiles — and the
+//! allocation and page-fault counts of a warmed-up training step. Both
+//! artifacts open with the same provenance header ([`header`]).
 //!
 //! ```text
 //! cargo run --release -p nf-bench --bin bench_json            # full shapes
 //! cargo run --release -p nf-bench --bin bench_json -- --smoke # tiny shapes (CI)
 //! ```
 //!
-//! After writing, each file is re-read through the `nf-cli` JSON parser
-//! and checked for its required keys; a malformed artifact exits non-zero,
-//! which is what the CI bench-smoke job asserts.
+//! Full runs rewrite the two committed files in the repo root; smoke runs
+//! write `BENCH_*.smoke.json` (ignored) beside them. After writing, each
+//! file is re-read through the `nf-cli` JSON parser and checked for its
+//! required keys; a malformed artifact exits non-zero, which is what the
+//! CI bench-smoke job asserts.
 
-use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
-use nf_nn::loss::cross_entropy_into;
+use nf_bench::step::LocalStep;
+use nf_cli::{Table, Value};
+use nf_models::ModelSpec;
 use nf_nn::optim::Sgd;
 use nf_nn::{BatchNorm2d, GlobalAvgPool, Layer, MaxPool2d, Mode};
 use nf_tensor::{KernelBackend, Tensor};
 use rand::SeedableRng;
 use std::time::Instant;
 
-// Measurement scaffolding, kept with the bench harnesses (like the tests'
-// counting allocators) rather than in product source.
-#[path = "../../benches/support/counting_alloc.rs"]
+// Measurement scaffolding, kept with the crate's tests (like the other
+// crates' counting allocators) rather than in product source.
+#[path = "../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
 #[global_allocator]
 static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
-/// Best of `reps` timings of `iters` back-to-back calls, per call: host
-/// noise only ever slows a sample, so the minimum is the stable number to
-/// compare two implementations by. Every GEMM and conv row and every gate
-/// on them uses it: the mean of three sub-microsecond smoke-shape calls
-/// came out bimodal (363 vs 635 ns for identical code) once the kernels
-/// used 512-bit instructions.
-fn best_ns(reps: usize, iters: usize, mut f: impl FnMut()) -> u128 {
-    f();
-    (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() / iters as u128
-        })
-        .min()
-        .unwrap_or(0)
+/// Repetitions behind every timing (the fused/unfused conv pair runs
+/// twice as many); recorded in the artifacts' header.
+const REPS: usize = 7;
+
+/// The fastest and the median of one timing's repetitions, ns per call.
+/// Host noise only ever slows a repetition, so `min` is the stable number
+/// to compare two implementations by and the one every gate reads (the
+/// mean of three sub-microsecond smoke-shape calls came out bimodal — 363
+/// vs 635 ns for identical code — once the kernels used 512-bit
+/// instructions); `median` is recorded beside it so the spread shows.
+#[derive(Clone, Copy, Default)]
+struct Sample {
+    min: u128,
+    median: u128,
 }
 
-/// [`best_ns`] of two implementations of one thing, their repetitions
-/// alternating: a slow stretch of the host (other tenants, a frequency
-/// step) lands on both instead of on whichever ran second, which is what a
-/// gate on their ratio needs.
-fn best_ns_pair(
+impl Sample {
+    fn of(mut reps: Vec<u128>) -> Sample {
+        reps.sort_unstable();
+        Sample {
+            min: reps.first().copied().unwrap_or(0),
+            median: reps.get(reps.len() / 2).copied().unwrap_or(0),
+        }
+    }
+
+    /// Of two measurements of one thing, the one with the lower minimum.
+    fn keep_min(&mut self, other: Sample) {
+        if other.min < self.min {
+            *self = other;
+        }
+    }
+
+    /// Inserts `<name>_ns` (the minimum) and `<name>_median_ns`.
+    fn insert_into(self, row: &mut Table, name: &str) {
+        row.insert(&format!("{name}_ns"), int(self.min));
+        row.insert(&format!("{name}_median_ns"), int(self.median));
+    }
+}
+
+impl std::ops::Add for Sample {
+    type Output = Sample;
+    fn add(self, other: Sample) -> Sample {
+        Sample {
+            min: self.min + other.min,
+            median: self.median + other.median,
+        }
+    }
+}
+
+/// `iters` back-to-back calls, ns per call.
+fn timed(iters: usize, mut f: impl FnMut()) -> u128 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_nanos() / iters as u128
+}
+
+/// `reps` timings of `f` after one warm-up call.
+fn sample(reps: usize, iters: usize, mut f: impl FnMut()) -> Sample {
+    f();
+    Sample::of((0..reps).map(|_| timed(iters, &mut f)).collect())
+}
+
+/// [`sample`]'s minimum, for the columns no gate compares.
+fn best_ns(reps: usize, iters: usize, f: impl FnMut()) -> u128 {
+    sample(reps, iters, f).min
+}
+
+/// Two implementations of one thing, their repetitions alternating (each
+/// after a warm-up call of its own): a slow stretch of the host (other
+/// tenants, a frequency step) lands on both instead of on whichever ran
+/// second, which is what a gate on their ratio needs.
+fn sample_pair(
     reps: usize,
     iters: usize,
     mut f: impl FnMut(),
     mut g: impl FnMut(),
-) -> (u128, u128) {
-    let mut best = (u128::MAX, u128::MAX);
+) -> (Sample, Sample) {
+    let (mut a, mut b) = (Vec::new(), Vec::new());
     for _ in 0..reps {
-        best.0 = best.0.min(best_ns(1, iters, &mut f));
-        best.1 = best.1.min(best_ns(1, iters, &mut g));
+        f();
+        a.push(timed(iters, &mut f));
+        g();
+        b.push(timed(iters, &mut g));
     }
-    best
+    (Sample::of(a), Sample::of(b))
 }
 
 /// One timed GEMM configuration.
@@ -77,30 +132,42 @@ struct GemmRow {
     m: usize,
     k: usize,
     n: usize,
-    ns_per_iter: u128,
-    gflops: f64,
+    ns: Sample,
 }
 
-fn time_gemm(m: usize, k: usize, n: usize, iters: usize) -> GemmRow {
-    let backend = KernelBackend::Blocked;
+impl GemmRow {
+    /// `2mkn` useful FLOPs whatever the backend, so rows compare directly.
+    fn gflops(&self) -> f64 {
+        let flops = 2.0 * self.m as f64 * self.k as f64 * self.n as f64;
+        flops / self.ns.min.max(1) as f64 // FLOP/ns == GFLOP/s
+    }
+}
+
+/// The `blocked` kernel and the `naive` oracle on the same operands,
+/// alternating, so the artifact records what the blocked kernel buys.
+fn time_gemm(m: usize, k: usize, n: usize, iters: usize) -> [GemmRow; 2] {
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let a = nf_tensor::uniform_init(&mut rng, &[m, k], -1.0, 1.0);
     let b = nf_tensor::uniform_init(&mut rng, &[k, n], -1.0, 1.0);
-    // Reusable output buffer: times the steady-state `*_into` hot path.
-    let mut out = nf_tensor::Tensor::default();
-    let ns_per_iter = best_ns(7, iters, || {
-        nf_tensor::matmul_into(backend, &a, &b, &mut out).unwrap()
-    })
-    .max(1);
-    let flops = 2.0 * m as f64 * k as f64 * n as f64;
-    GemmRow {
+    // Reusable output buffers: times the steady-state `*_into` hot path.
+    let (mut out, mut out_naive) = (Tensor::default(), Tensor::default());
+    let (blocked, naive) = sample_pair(
+        REPS,
+        iters,
+        || nf_tensor::matmul_into(KernelBackend::Blocked, &a, &b, &mut out).unwrap(),
+        || nf_tensor::matmul_into(KernelBackend::Naive, &a, &b, &mut out_naive).unwrap(),
+    );
+    [
+        (KernelBackend::Blocked, blocked),
+        (KernelBackend::Naive, naive),
+    ]
+    .map(|(backend, ns)| GemmRow {
         backend: backend.name(),
         m,
         k,
         n,
-        ns_per_iter,
-        gflops: flops / ns_per_iter as f64, // FLOP/ns == GFLOP/s
-    }
+        ns,
+    })
 }
 
 /// Times the int8 frozen-block compute path in its steady state: the u8
@@ -119,21 +186,16 @@ fn time_int8_gemm(m: usize, k: usize, n: usize, iters: usize) -> GemmRow {
     rhs.pack_from_f32(b.data(), k, n);
     let (mut acc, mut corr) = (Vec::new(), Vec::new());
     let mut out = vec![0.0f32; m * n];
-    let ns_per_iter = best_ns(7, iters, || {
+    let ns = sample(REPS, iters, || {
         int8::gemm_i32(&lhs, &rhs, &mut acc);
         int8::dequantize_into(lhs.scale, lhs.min, &rhs, &acc, None, &mut corr, &mut out);
-    })
-    .max(1);
-    // Same useful work as the f32 rows (2mkn MACs), so gflops compare
-    // directly across rows.
-    let flops = 2.0 * m as f64 * k as f64 * n as f64;
+    });
     GemmRow {
         backend: "int8",
         m,
         k,
         n,
-        ns_per_iter,
-        gflops: flops / ns_per_iter as f64,
+        ns,
     }
 }
 
@@ -158,19 +220,19 @@ struct ConvRow {
     c_out: usize,
     hw: usize,
     n: usize,
-    explicit_ns: u128,
-    gather_ns: u128,
-    unfused_ns: u128,
+    explicit: Sample,
+    gather: Sample,
+    unfused: Sample,
     pad_ns: u128,
     transpose_ns: u128,
 }
 
 impl ConvRow {
-    /// Each timing column's minimum over two measurements of one row.
+    /// Each timing column's better measurement of two of one row.
     fn keep_min(&mut self, other: &ConvRow) {
-        self.explicit_ns = self.explicit_ns.min(other.explicit_ns);
-        self.gather_ns = self.gather_ns.min(other.gather_ns);
-        self.unfused_ns = self.unfused_ns.min(other.unfused_ns);
+        self.explicit.keep_min(other.explicit);
+        self.gather.keep_min(other.gather);
+        self.unfused.keep_min(other.unfused);
         self.pad_ns = self.pad_ns.min(other.pad_ns);
         self.transpose_ns = self.transpose_ns.min(other.transpose_ns);
     }
@@ -201,21 +263,22 @@ impl ConvRow {
             hw,
             ..
         } = self;
+        let (explicit, gather, unfused) = (self.explicit.min, self.gather.min, self.unfused.min);
         let at = format!("at batch {batch} {c_in}→{c_out} @{hw}²");
-        if self.gather_ns as f64 > self.explicit_ns as f64 * 1.05 {
+        if gather as f64 > explicit as f64 * 1.05 {
             return Err(format!(
-                "gathered conv {pass} ({} ns) slower than explicit lowering + GEMM ({} ns) {at}",
-                self.gather_ns, self.explicit_ns
+                "gathered conv {pass} ({gather} ns) slower than explicit lowering + GEMM \
+                 ({explicit} ns) {at}"
             ));
         }
         let compute_unit = (*batch, *c_in, *c_out, *hw) == (8, 16, 16, 32);
         let bound = if compute_unit { 1.0 } else { 1.05 };
-        let has_pass = !smoke && self.unfused_ns > 0;
-        if has_pass && self.gather_ns as f64 > self.unfused_ns as f64 * bound {
+        let has_pass = !smoke && unfused > 0;
+        if has_pass && gather as f64 > unfused as f64 * bound {
             return Err(format!(
-                "conv {pass} emitting NCHW ({} ns) against the row-major product + transposing \
-                 pass ({} ns, the pass alone {}) {at}: allowed {bound}×",
-                self.gather_ns, self.unfused_ns, self.transpose_ns
+                "conv {pass} emitting NCHW ({gather} ns) against the row-major product + \
+                 transposing pass ({unfused} ns, the pass alone {}) {at}: allowed {bound}×",
+                self.transpose_ns
             ));
         }
         Ok(())
@@ -269,17 +332,17 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
     let (mut cols, mut out, mut dx) = (Tensor::default(), Tensor::default(), Tensor::default());
     let (mut padded, mut pack) = (Tensor::default(), Vec::new());
     let (mut patches, mut grad_patches) = (ConvGather::new(), ConvGather::new());
-    let reps = 7;
-    let row = |pass, n, explicit_ns, gather_ns, unfused_ns, pad_ns, transpose_ns| ConvRow {
+    let reps = REPS;
+    let row = |pass, n, explicit, gather, unfused, pad_ns, transpose_ns| ConvRow {
         pass,
         batch,
         c_in,
         c_out,
         hw,
         n,
-        explicit_ns,
-        gather_ns,
-        unfused_ns,
+        explicit,
+        gather,
+        unfused,
         pad_ns,
         transpose_ns,
     };
@@ -308,7 +371,7 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
         let (pos, taps) = patch_tables(batch, c, g);
         let (mut padded2, mut pack2, mut nchw2) =
             (Tensor::default(), Vec::new(), Tensor::default());
-        best_ns_pair(
+        sample_pair(
             2 * reps,
             iters,
             || {
@@ -346,7 +409,7 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
     let fwd = row(
         "fwd",
         c_out,
-        best_ns(reps, iters, || {
+        sample(reps, iters, || {
             im2col_batch_into(&x, &geom, &mut cols).unwrap();
             matmul_into(backend, &cols, &wt, &mut y_rows).unwrap();
             posrows_to_nchw_into(&y_rows, bias, batch, c_out, hw, hw, &mut out).unwrap();
@@ -359,11 +422,11 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
     let wgrad = row(
         "wgrad",
         c_out,
-        best_ns(reps, iters, || {
+        sample(reps, iters, || {
             im2col_batch_into(&x, &geom, &mut cols).unwrap();
             matmul_at_b_into(backend, &g_rows, &cols, &mut out, &mut pack).unwrap();
         }),
-        best_ns(reps, iters, || {
+        sample(reps, iters, || {
             patches
                 .wgrad_into(
                     backend,
@@ -376,14 +439,14 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
                 )
                 .unwrap();
         }),
-        0,
+        Sample::default(),
         pad_x,
         0,
     );
     let dgrad = row(
         "dgrad",
         c_in,
-        best_ns(reps, iters, || {
+        sample(reps, iters, || {
             matmul_into(backend, &g_rows, &weight, &mut out).unwrap();
             col2im_batch_into(&out, batch, c_in, &geom, &mut dx).unwrap();
         }),
@@ -403,31 +466,34 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
 /// dequantize into position rows, the transposing pass), and the f32
 /// alternative (decode to f32, gathered forward on the `blocked` plan).
 ///
-/// `pad_u8_ns` is inside `gather_i32_ns` (one `forward_quant_into` call);
-/// it is timed again on its own to show the split. `dequantize_ns` +
-/// `transpose_ns` is what `dequantize_nchw_ns` replaced in the layer.
+/// `pad_u8_ns` is inside `gather_i32` (one `forward_quant_into` call); it
+/// is timed again on its own to show the split. `dequantize` + `transpose`
+/// is what `dequantize_nchw` replaced in the layer.
 struct ConvInt8Row {
     batch: usize,
     c_in: usize,
     c_out: usize,
     hw: usize,
-    im2col_u8_ns: u128,
-    gemm_i32_ns: u128,
+    im2col_u8: Sample,
+    gemm_i32: Sample,
     pad_u8_ns: u128,
-    gather_i32_ns: u128,
-    dequantize_ns: u128,
-    transpose_ns: u128,
-    dequantize_nchw_ns: u128,
+    gather_i32: Sample,
+    dequantize: Sample,
+    transpose: Sample,
+    dequantize_nchw: Sample,
     f32_decode_ns: u128,
     f32_gather_ns: u128,
 }
 
 impl ConvInt8Row {
-    fn explicit_ns(&self) -> u128 {
-        self.im2col_u8_ns + self.gemm_i32_ns + self.dequantize_ns + self.transpose_ns
+    /// The explicit integer lowering, stage by stage (sums of the stages'
+    /// minima and of their medians).
+    fn explicit(&self) -> Sample {
+        self.im2col_u8 + self.gemm_i32 + self.dequantize + self.transpose
     }
-    fn int8_ns(&self) -> u128 {
-        self.gather_i32_ns + self.dequantize_nchw_ns
+    /// The gathered integer path the layer runs.
+    fn int8(&self) -> Sample {
+        self.gather_i32 + self.dequantize_nchw
     }
     fn f32_ns(&self) -> u128 {
         self.f32_decode_ns + self.f32_gather_ns
@@ -454,32 +520,32 @@ fn time_conv_int8(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usi
     let (mut acc, mut acc_gathered, mut corr) = (Vec::new(), Vec::new(), Vec::new());
     let bias = vec![0.25f32; c_out];
     let mut y = Tensor::zeros(&[batch * hw * hw, c_out]);
-    let reps = 7;
-    let im2col_u8_ns = best_ns(reps, iters, || {
+    let reps = REPS;
+    let im2col_u8 = sample(reps, iters, || {
         im2col_batch_u8_into(&qx, &geom, pad_byte, &mut lhs).unwrap();
     });
-    let gemm_i32_ns = best_ns(reps, iters, || int8::gemm_i32(&lhs, &rhs, &mut acc));
+    let gemm_i32 = sample(reps, iters, || int8::gemm_i32(&lhs, &rhs, &mut acc));
     let (mut padded_u8, mut patches) = (Vec::new(), ConvGather::new());
     let pad_u8_ns = best_ns(reps, iters, || {
         pad_nchw_u8_into(&qx, geom.pad, pad_byte, 1, &mut padded_u8).unwrap();
     });
-    let gather_i32_ns = best_ns(reps, iters, || {
+    let gather_i32 = sample(reps, iters, || {
         patches
             .forward_quant_into(&qx, &geom, &rhs_rows, &mut padded_u8, &mut acc_gathered)
             .unwrap();
     });
     assert_eq!(acc_gathered, acc, "gathered int8 accumulators differ");
     let (scale, min) = (qx.scale(), qx.min());
-    let dequantize_ns = best_ns(reps, iters, || {
+    let dequantize = sample(reps, iters, || {
         int8::dequantize_into(scale, min, &rhs, &acc, Some(&bias), &mut corr, y.data_mut())
     });
     let (mut decoded, mut padded, mut out) =
         (Tensor::default(), Tensor::default(), Tensor::default());
-    let transpose_ns = best_ns(reps, iters, || {
+    let transpose = sample(reps, iters, || {
         posrows_to_nchw_into(&y, None, batch, c_out, hw, hw, &mut out).unwrap()
     });
     let mut fused = Tensor::zeros(&[batch, c_out, hw, hw]);
-    let dequantize_nchw_ns = best_ns(reps, iters, || {
+    let dequantize_nchw = sample(reps, iters, || {
         let (plane, nchw) = (hw * hw, fused.data_mut());
         int8::dequantize_nchw_into(scale, min, &rhs, &acc, &bias, &mut corr, plane, nchw)
     });
@@ -508,13 +574,13 @@ fn time_conv_int8(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usi
         c_in,
         c_out,
         hw,
-        im2col_u8_ns,
-        gemm_i32_ns,
+        im2col_u8,
+        gemm_i32,
         pad_u8_ns,
-        gather_i32_ns,
-        dequantize_ns,
-        transpose_ns,
-        dequantize_nchw_ns,
+        gather_i32,
+        dequantize,
+        transpose,
+        dequantize_nchw,
         f32_decode_ns,
         f32_gather_ns,
     }
@@ -524,7 +590,7 @@ fn time_conv_int8(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usi
 /// host has, every strip driven directly on that tile
 /// (`simd::gemm_on_tile`) over the same operands: `(name, ns)` rows,
 /// `blocked` first.
-fn time_tiles(size: usize, iters: usize) -> Vec<(&'static str, u128)> {
+fn time_tiles(size: usize, iters: usize) -> Vec<(&'static str, Sample)> {
     use nf_tensor::kernels::simd::{gemm_on_tile, Tile};
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let a = nf_tensor::uniform_init(&mut rng, &[size, size], -1.0, 1.0);
@@ -532,37 +598,18 @@ fn time_tiles(size: usize, iters: usize) -> Vec<(&'static str, u128)> {
     let mut out = nf_tensor::Tensor::default();
     let mut rows = vec![(
         "blocked",
-        best_ns(7, iters, || {
+        sample(REPS, iters, || {
             nf_tensor::matmul_into(KernelBackend::Blocked, &a, &b, &mut out).unwrap()
         }),
     )];
     let mut raw = vec![0.0f32; size * size];
     for tile in Tile::ALL.into_iter().filter(|t| t.supported()) {
-        let ns = best_ns(7, iters, || {
+        let ns = sample(REPS, iters, || {
             gemm_on_tile(tile, size, size, size, a.data(), b.data(), &mut raw);
         });
         rows.push((tile.name(), ns));
     }
     rows
-}
-
-/// Peak resident set size via `/proc/self/status` `VmHWM` (bytes); 0 when
-/// unavailable (non-Linux). A proxy, not an exact hot-path footprint.
-fn peak_rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines().find_map(|l| {
-                l.strip_prefix("VmHWM:")?
-                    .trim()
-                    .strip_suffix("kB")?
-                    .trim()
-                    .parse::<u64>()
-                    .ok()
-            })
-        })
-        .map(|kb| kb * 1024)
-        .unwrap_or(0)
 }
 
 /// Minor page faults of this process so far, from `/proc/self/stat`
@@ -578,21 +625,13 @@ fn minor_faults() -> u64 {
         .unwrap_or(0)
 }
 
-/// One full local-learning training step on the quickstart-shaped model:
-/// for every unit, forward → aux forward → aux backward → unit backward →
-/// SGD on both. This is exactly the Worker's inner loop (Algorithm 2) over
-/// one minibatch — layers writing into tensors kept across steps — so its
-/// inverse is the steps/sec the acceptance criterion tracks, and a
-/// warmed-up step should neither allocate nor fault.
-struct TrainStepRow {
-    backend: &'static str,
-    ns_per_step: u128,
-    steps_per_sec: f64,
-    allocs_per_step: f64,
-    minor_faults_per_step: f64,
-}
-
-fn time_train_step(smoke: bool) -> TrainStepRow {
+/// The `BENCH_train_step.json` row: one full local-learning training step
+/// on the quickstart-shaped model ([`LocalStep`], the Worker's inner loop
+/// over one minibatch, layers writing into tensors kept across steps). Its
+/// inverse is the steps/sec the trend line tracks; a warmed-up step reuses
+/// every buffer it touches, so it should not allocate and may not fault
+/// more than a handful of pages (gated here).
+fn time_train_step(smoke: bool) -> Table {
     let (channels, hw, classes, batch): (&[usize], usize, usize, usize) = if smoke {
         (&[4, 8], 8, 3, 8)
     } else {
@@ -602,71 +641,43 @@ fn time_train_step(smoke: bool) -> TrainStepRow {
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     let spec = ModelSpec::tiny("bench", hw, channels, classes);
-    let mut model = spec.build(&mut rng).unwrap();
-    let aux = assign_aux(&spec, AuxPolicy::Adaptive);
-    let mut heads: Vec<_> = aux
-        .iter()
-        .map(|a| build_aux_head(&mut rng, a).unwrap())
-        .collect();
-    // Mirror the Worker's configuration exactly (one shared arena for
-    // the unit chain, one for the aux heads — crates/core/src/worker.rs):
-    // a private workspace per layer would make the trend line
-    // systematically optimistic versus real `nf train` throughput.
-    let ws_units = nf_tensor::shared_workspace();
-    let ws_heads = nf_tensor::shared_workspace();
-    for (unit, head) in model.units.iter_mut().zip(heads.iter_mut()) {
-        unit.set_workspace(&ws_units);
-        head.set_workspace(&ws_heads);
-    }
+    let sgd = Sgd::new(0.05).with_momentum(0.9);
+    let mut step = LocalStep::new(&mut rng, &spec, sgd).unwrap();
     let images = nf_tensor::uniform_init(&mut rng, &[batch, 3, hw, hw], -1.0, 1.0);
     let labels: Vec<usize> = (0..batch).map(|i| i % classes).collect();
-    let sgd = Sgd::new(0.05).with_momentum(0.9);
 
-    // The Worker's step tensors: the unit's spent input takes the gradient.
-    let (mut cur, mut out) = (Tensor::default(), Tensor::default());
-    let (mut logits, mut grad_logits) = (Tensor::default(), Tensor::default());
-    let mut step = || {
-        cur.copy_from(&images);
-        for (unit, head) in model.units.iter_mut().zip(heads.iter_mut()) {
-            unit.forward_into(&cur, Mode::Train, &mut out).unwrap();
-            head.forward_into(&out, Mode::Train, &mut logits).unwrap();
-            cross_entropy_into(&logits, &labels, &mut grad_logits).unwrap();
-            head.backward_into(&grad_logits, &mut cur).unwrap();
-            unit.backward_params(&cur).unwrap();
-            sgd.step(unit);
-            sgd.step(head);
-            std::mem::swap(&mut cur, &mut out);
-        }
-    };
     let (warmup, iters) = if smoke { (2, 3) } else { (5, 40) };
     for _ in 0..warmup {
-        step();
+        step.run(&images, &labels).unwrap();
     }
     // Reading the fault count allocates; the allocation count is read
     // inside it on both ends.
     let faults = minor_faults();
     let allocs = counting_alloc::allocations();
-    let start = Instant::now();
-    for _ in 0..iters {
-        step();
-    }
-    let ns_per_step = start.elapsed().as_nanos() / iters as u128;
+    let ns_per_step = timed(iters, || step.run(&images, &labels).unwrap());
     let allocs = counting_alloc::allocations() - allocs;
-    let faults = minor_faults() - faults;
-    TrainStepRow {
-        backend: KernelBackend::default().name(),
-        ns_per_step,
-        steps_per_sec: 1e9 / ns_per_step as f64,
-        allocs_per_step: allocs as f64 / iters as f64,
-        minor_faults_per_step: faults as f64 / iters as f64,
-    }
-}
-
-/// One timed pass of one non-GEMM layer.
-struct LayerRow {
-    layer: &'static str,
-    shape: [usize; 4],
-    ns_per_iter: u128,
+    let faults = (minor_faults() - faults) as f64 / iters as f64;
+    assert!(
+        faults <= 4.0,
+        "a warmed-up training step took {faults} minor faults"
+    );
+    let mut row = Table::new();
+    row.insert(
+        "backend",
+        Value::Str(KernelBackend::default().name().into()),
+    );
+    row.insert("steps", int(iters));
+    row.insert("ns_per_step", int(ns_per_step));
+    row.insert(
+        "steps_per_sec",
+        Value::Float(round2(1e9 / ns_per_step as f64)),
+    );
+    row.insert(
+        "allocs_per_step",
+        Value::Float(round2(allocs as f64 / iters as f64)),
+    );
+    row.insert("minor_faults_per_step", Value::Float(round2(faults)));
+    row
 }
 
 /// The streaming layers around the GEMM — batch norm, 2×2 max-pool, ReLU,
@@ -674,35 +685,35 @@ struct LayerRow {
 /// at the shapes the repo benchmark's `compute` and `quant` configs run
 /// them at: a unit's layers at its batch × channels × plane (`compute`
 /// units 0–1, `quant` unit 2), global average pooling — which only occurs
-/// inside an auxiliary head — at that unit's head's filter count.
-fn time_layers(iters: usize) -> Vec<LayerRow> {
+/// inside an auxiliary head — at that unit's head's filter count. One
+/// `layers` row per pass.
+fn time_layers(iters: usize) -> Vec<Value> {
     let mut rows = Vec::new();
+    let mut push = |layer: &str, shape: [usize; 4], ns: u128| {
+        let mut row = Table::new();
+        row.insert("layer", Value::Str(layer.into()));
+        row.insert("shape", Value::Array(shape.map(int).to_vec()));
+        row.insert("ns_per_iter", int(ns));
+        rows.push(row.build());
+    };
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
     let mut time = |layer: &mut dyn Layer, shape: [usize; 4], fwd, bwd: Option<&'static str>| {
         let x = nf_tensor::uniform_init(&mut rng, &shape, -1.0, 1.0);
         let (mut y, mut dx) = (Tensor::default(), Tensor::default());
         layer.forward_into(&x, Mode::Train, &mut y).unwrap();
         let dy = nf_tensor::uniform_init(&mut rng, y.shape(), -1.0, 1.0);
-        let ns = best_ns(7, iters, || {
+        let ns = best_ns(REPS, iters, || {
             layer.forward_into(&x, Mode::Train, &mut y).unwrap()
         });
-        rows.push(LayerRow {
-            layer: fwd,
-            shape,
-            ns_per_iter: ns,
-        });
+        push(fwd, shape, ns);
         let Some(bwd) = bwd else { return };
         // Each backward consumes a forward's cache: time the pair and
         // take the forward back out.
-        let pair = best_ns(7, iters, || {
+        let pair = best_ns(REPS, iters, || {
             layer.forward_into(&x, Mode::Train, &mut y).unwrap();
             layer.backward_into(&dy, &mut dx).unwrap();
         });
-        rows.push(LayerRow {
-            layer: bwd,
-            shape,
-            ns_per_iter: pair.saturating_sub(ns),
-        });
+        push(bwd, shape, pair.saturating_sub(ns));
     };
     for (unit, aux_filters) in [([8usize, 16, 32, 32], 8usize), ([11, 12, 24, 24], 6)] {
         let [n, c, h, w] = unit;
@@ -717,565 +728,84 @@ fn time_layers(iters: usize) -> Vec<LayerRow> {
     rows
 }
 
-/// One federated timing at a fixed thread count.
-struct FedRow {
-    threads: usize,
-    round_train_seconds: Vec<f64>,
-    accuracy_bits: Vec<u32>,
+/// The workspace root (not the CWD).
+fn repo_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Times the quickstart-shaped federated config
-/// (`examples/federated.toml`) at `threads` workers and returns per-round
-/// client-training wall times plus the exact round accuracies (as f32
-/// bits, for the determinism cross-check).
-fn time_federated(threads: usize, smoke: bool) -> FedRow {
-    use neuroflux_core::federated::{run_federated, FederatedConfig};
-    use neuroflux_core::NeuroFluxConfig;
-    use nf_data::SyntheticSpec;
-
-    let (clients, rounds, train_n, channels): (usize, usize, usize, &[usize]) = if smoke {
-        (3, 1, 48, &[4, 8])
-    } else {
-        // examples/federated.toml: 4 clients × 3 rounds over 240 samples.
-        (4, 3, 240, &[8, 16])
-    };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let data = SyntheticSpec::quick(4, 8, train_n).generate();
-    let spec = ModelSpec::tiny("fed-bench", 8, channels, 4);
-    let epochs = if smoke { 1 } else { 2 };
-    let fed = FederatedConfig::new(
-        clients,
-        rounds,
-        NeuroFluxConfig::new(24 << 20, 16).with_epochs(epochs),
-    )
-    .with_threads(threads)
-    .with_seed(7);
-    let outcome = run_federated(&mut rng, &spec, &data, &fed).expect("federated bench run");
-    FedRow {
-        threads,
-        round_train_seconds: outcome
-            .rounds
-            .iter()
-            .map(|r| r.train_wall_seconds)
-            .collect(),
-        accuracy_bits: outcome.round_accuracy.iter().map(|a| a.to_bits()).collect(),
-    }
-}
-
-/// Emits `BENCH_federated.json`: round wall-time at `threads = 1` vs
-/// `threads = 4`, the resulting speedup, and whether the two runs agreed
-/// bit for bit (they must — the engine's determinism contract).
-fn write_federated_artifact(smoke: bool) {
-    use nf_cli::{Table, Value};
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let rows: Vec<FedRow> = [1usize, 4]
-        .iter()
-        .map(|&t| time_federated(t, smoke))
-        .collect();
-    assert_eq!(
-        rows[0].accuracy_bits, rows[1].accuracy_bits,
-        "threads=4 must be bit-identical to threads=1"
-    );
-    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
-    let base = mean(&rows[0].round_train_seconds);
-    let mut fed = Table::new();
-    fed.insert("schema", Value::Str("nf-bench-federated-v1".into()));
-    fed.insert("smoke", Value::Bool(smoke));
-    fed.insert(
-        "config",
-        Value::Str(
-            if smoke {
-                "smoke"
-            } else {
-                "federated-quickstart"
-            }
-            .into(),
-        ),
-    );
-    fed.insert("host_cores", Value::Int(host_cores as i64));
-    fed.insert("bit_identical", Value::Bool(true));
-    fed.insert(
-        "results",
-        Value::Array(
-            rows.iter()
-                .map(|r| {
-                    let m = mean(&r.round_train_seconds);
-                    let mut row = Table::new();
-                    row.insert("threads", Value::Int(r.threads as i64));
-                    row.insert(
-                        "round_train_ms",
-                        Value::Array(
-                            r.round_train_seconds
-                                .iter()
-                                .map(|&s| Value::Float(round2(s * 1000.0)))
-                                .collect(),
-                        ),
-                    );
-                    row.insert("mean_round_ms", Value::Float(round2(m * 1000.0)));
-                    row.insert("speedup_vs_1_thread", Value::Float(round2(base / m)));
-                    row.build()
-                })
-                .collect(),
-        ),
-    );
-    write_and_check(
-        &artifact_path("BENCH_federated", smoke),
-        &fed.build(),
-        &["schema", "config", "host_cores", "bit_identical", "results"],
-    );
-}
-
-/// One activation-cache codec's measurements.
-struct CacheRow {
-    codec: &'static str,
-    encoded_bytes: u64,
-    compression_vs_f32: f64,
-    encode_ns_per_mb: u128,
-    decode_ns_per_mb: u128,
-    peak_cache_bytes: u64,
-}
-
-/// Times encode/decode throughput of every cache codec on a
-/// representative NCHW activation tensor, and measures the real Worker
-/// peak-cache footprint of a small block-wise training run under each —
-/// the §6.4 numbers the codec tentpole exists to shrink.
-fn time_cache_codecs(smoke: bool) -> Vec<CacheRow> {
-    use neuroflux_core::codec::{ActivationCodec, CacheBlob, CodecKind};
-    use neuroflux_core::{NeuroFluxConfig, NeuroFluxTrainer};
-    use nf_data::SyntheticSpec;
-
-    let (shape, iters): (&[usize], usize) = if smoke {
-        (&[8, 8, 8, 8], 3)
-    } else {
-        // Quickstart-block-shaped: 256 samples × 16 ch × 16×16.
-        (&[256, 16, 16, 16], 20)
-    };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-    let acts = nf_tensor::uniform_init(&mut rng, shape, -2.0, 2.0);
-    let mb = acts.numel() as f64 * 4.0 / 1e6;
-    let f32_bytes = (acts.numel() * 4) as f64;
-
-    // One small real training run per codec for the Worker-path peak
-    // (ρ = 0 puts every unit in its own block, so the cache is genuinely
-    // consumed between blocks).
-    let (train_n, channels): (usize, &[usize]) = if smoke {
-        (32, &[4, 8])
-    } else {
-        (96, &[6, 8, 8])
-    };
-    let peak_of = |codec: CodecKind| -> u64 {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let ds = SyntheticSpec::quick(3, 8, train_n).generate();
-        let spec = nf_models::ModelSpec::tiny("cache-bench", 8, channels, 3);
-        let config = NeuroFluxConfig::new(1 << 30, 16)
-            .with_epochs(1)
-            .with_rho(0.0)
-            .with_cache_codec(codec);
-        let outcome = NeuroFluxTrainer::new(config)
-            .train(&mut rng, &spec, &ds)
-            .expect("cache bench training run");
-        outcome.report.cache_peak_bytes
-    };
-
-    CodecKind::all()
-        .iter()
-        .map(|&kind| {
-            let mut blob = CacheBlob::new();
-            kind.encode(&acts, &mut blob); // warm the blob buffers
-            let start = Instant::now();
-            for _ in 0..iters {
-                kind.encode(&acts, &mut blob);
-            }
-            let encode_ns = start.elapsed().as_nanos() / iters as u128;
-            let mut out = nf_tensor::Tensor::default();
-            kind.decode_into(&blob, &mut out).expect("decode");
-            let start = Instant::now();
-            for _ in 0..iters {
-                kind.decode_into(&blob, &mut out).expect("decode");
-            }
-            let decode_ns = start.elapsed().as_nanos() / iters as u128;
-            CacheRow {
-                codec: kind.name(),
-                encoded_bytes: blob.encoded_len(),
-                compression_vs_f32: f32_bytes / blob.encoded_len() as f64,
-                encode_ns_per_mb: (encode_ns as f64 / mb) as u128,
-                decode_ns_per_mb: (decode_ns as f64 / mb) as u128,
-                peak_cache_bytes: peak_of(kind),
-            }
-        })
-        .collect()
-}
-
-/// Emits `BENCH_cache.json`: per-codec peak cache bytes of a real
-/// block-wise run, compression ratio vs f32, and encode/decode
-/// nanoseconds per MB of f32 activations.
-fn write_cache_artifact(smoke: bool) {
-    use nf_cli::{Table, Value};
-    let rows = time_cache_codecs(smoke);
-    let f32_peak = rows[0].peak_cache_bytes;
-    let mut doc = Table::new();
-    doc.insert("schema", Value::Str("nf-bench-cache-v1".into()));
-    doc.insert("smoke", Value::Bool(smoke));
-    doc.insert(
-        "config",
-        Value::Str(if smoke { "smoke" } else { "quickstart-shaped" }.into()),
-    );
-    doc.insert(
-        "host_cores",
-        Value::Int(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1) as i64,
-        ),
-    );
-    doc.insert(
-        "results",
-        Value::Array(
-            rows.iter()
-                .map(|r| {
-                    let mut row = Table::new();
-                    row.insert("codec", Value::Str(r.codec.into()));
-                    row.insert("encoded_bytes", Value::Int(r.encoded_bytes as i64));
-                    row.insert(
-                        "compression_vs_f32",
-                        Value::Float(round2(r.compression_vs_f32)),
-                    );
-                    row.insert("encode_ns_per_mb", Value::Int(r.encode_ns_per_mb as i64));
-                    row.insert("decode_ns_per_mb", Value::Int(r.decode_ns_per_mb as i64));
-                    // GB/s of f32 payload either direction — the
-                    // `MeasuredPrimitives` codec rates (1 MB = 10⁶ bytes,
-                    // so GB/s is simply 10⁶ / ns-per-MB).
-                    row.insert(
-                        "encode_gbps",
-                        Value::Float(round2(1e6 / r.encode_ns_per_mb.max(1) as f64)),
-                    );
-                    row.insert(
-                        "decode_gbps",
-                        Value::Float(round2(1e6 / r.decode_ns_per_mb.max(1) as f64)),
-                    );
-                    row.insert("peak_cache_bytes", Value::Int(r.peak_cache_bytes as i64));
-                    row.insert(
-                        "peak_vs_f32",
-                        Value::Float(round2(r.peak_cache_bytes as f64 / f32_peak.max(1) as f64)),
-                    );
-                    row.build()
-                })
-                .collect(),
-        ),
-    );
-    write_and_check(
-        &artifact_path("BENCH_cache", smoke),
-        &doc.build(),
-        &["schema", "config", "host_cores", "results"],
-    );
-}
-
-/// Emits `BENCH_serve.json` by driving the early-exit inference server
-/// with the deterministic loadgen harness (`examples/serve.toml` shape;
-/// a smaller model and schedule under `--smoke`), sweeping the replica
-/// count (1/2/4, capped at host cores) on full runs, and gating p99
-/// latency plus multi-core replica scaling against the committed
-/// artifact.
-fn write_serve_artifact(smoke: bool) {
-    use nf_cli::{RunConfig, Table, Value};
-    let cfg = if smoke {
-        // CI shape: a 2-replica server driven by a pipelined client
-        // (inflight = 2× connections), so the smoke run exercises the
-        // shared-queue draw and out-of-order reply matching.
-        let doc = r#"
-[run]
-name = "serve-bench-smoke"
-seed = 17
-out_dir = "runs"
-
-[model]
-preset = "tiny"
-channels = [4, 8]
-
-[dataset]
-preset = "quick"
-classes = 3
-image_hw = 8
-train = 64
-
-[train]
-budget_mb = 16
-batch_limit = 8
-epochs_per_block = 1
-
-[serve]
-replicas = 2
-
-[loadgen]
-requests = 32
-connections = 2
-inflight = 4
-tier_weights = [1, 1, 1]
-"#;
-        RunConfig::from_value(&nf_cli::toml::parse(doc).expect("smoke serve config"))
-            .expect("smoke serve config")
-    } else {
-        let path =
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/serve.toml");
-        RunConfig::load(&path).expect("examples/serve.toml")
-    };
-    let host_cores = nf_tensor::host_cores();
-
-    // Train once; the replica and connection sweeps reuse the engine via
-    // params_io clones. Smoke keeps to the config's own replica count.
-    let mut primary = nf_cli::serve::build_engine(&cfg, true).expect("serve bench engine");
-    let (report, sweep_rows) = if smoke {
-        let report = nf_cli::loadgen::run_loadgen_with_engine(&cfg, &mut primary, 2)
-            .expect("serve bench run");
-        assert_eq!(report.replicas, 2, "smoke config pins 2 replicas");
-        assert_eq!(
-            report.inflight, 4,
-            "smoke config pins inflight = 2× connections"
-        );
-        (report, Vec::new())
-    } else {
-        let sweep: Vec<usize> = [1usize, 2, 4]
-            .into_iter()
-            .filter(|&r| r == 1 || r <= host_cores)
-            .collect();
-        let mut reports = Vec::new();
-        for &r in &sweep {
-            println!("serve bench: replicas = {r} ...");
-            let rep = nf_cli::loadgen::run_loadgen_with_engine(&cfg, &mut primary, r)
-                .expect("serve bench sweep run");
-            reports.push(rep);
-        }
-        let rows: Vec<Value> = reports
-            .iter()
-            .map(|rep| {
-                let mut row = Table::new();
-                row.insert("replicas", Value::Int(rep.replicas as i64));
-                row.insert("rps", Value::Float(round2(rep.rps)));
-                row.insert("p50_us", Value::Int(rep.p50_us as i64));
-                row.insert("p95_us", Value::Int(rep.p95_us as i64));
-                row.insert("p99_us", Value::Int(rep.p99_us as i64));
-                row.insert(
-                    "busy_frac",
-                    Value::Array(
-                        rep.busy_frac
-                            .iter()
-                            .map(|&b| Value::Float(round2(b)))
-                            .collect(),
-                    ),
-                );
-                row.insert(
-                    "tiers",
-                    Value::Array(
-                        rep.tiers
-                            .iter()
-                            .map(|t| {
-                                let mut tt = Table::new();
-                                tt.insert("tier", Value::Str(t.tier.name().into()));
-                                tt.insert("ok", Value::Int(t.ok as i64));
-                                tt.insert("rejected", Value::Int(t.rejected as i64));
-                                tt.insert("p50_us", Value::Int(t.p50_us as i64));
-                                tt.insert("p99_us", Value::Int(t.p99_us as i64));
-                                tt.build()
-                            })
-                            .collect(),
-                    ),
-                );
-                row.build()
-            })
-            .collect();
-
-        // Replica-scaling gate: with ≥ 2 cores, the widest replica count
-        // must clear 1.6× the single-replica throughput on the identical
-        // schedule. Single-core hosts serialize every replica onto one
-        // core — logged skip, same convention as the GEMM and p99 gates.
-        if host_cores >= 2 && reports.len() >= 2 {
-            let rps1 = reports[0].rps;
-            let widest = reports.last().unwrap();
-            assert!(
-                widest.rps >= 1.6 * rps1,
-                "replica scaling regressed: {} replicas give {:.1} req/s vs {:.1} req/s \
-                 single-replica (< 1.6× with {host_cores} cores)",
-                widest.replicas,
-                widest.rps,
-                rps1
-            );
-        } else {
-            println!("skipping serve replica-scaling gate: single-core host");
-        }
-        (reports.pop().expect("non-empty sweep"), rows)
-    };
-    assert_eq!(
-        report.ok + report.rejected,
-        report.requests,
-        "every scheduled request must be accounted for"
-    );
-    assert_eq!(
-        report.busy_frac.len(),
-        report.replicas,
-        "one busy fraction per replica"
-    );
-
-    // --- Connection sweep: reactor fan-in at a fixed thread count. ---
-    // The same engine serves the identical seeded schedule at growing
-    // connection counts (64/256/1024 on full runs; scaled down under
-    // --smoke). Deadlines and queue capacity are raised so admission
-    // control never fires: the table isolates the reactor's per-connection
-    // overhead, and the floor gate asserts throughput at the widest
-    // fan-in holds at least half the narrowest — a reactor that degrades
-    // super-linearly with connections fails here, not in production.
-    let conn_points: &[usize] = if smoke {
-        &[4, 16, 64]
-    } else {
-        &[64, 256, 1024]
-    };
-    let mut conn_reports = Vec::new();
-    for &c in conn_points {
-        let mut swept = cfg.clone();
-        let mut lg = swept.loadgen.clone().unwrap_or_default();
-        lg.connections = c;
-        lg.inflight = 0; // closed loop: one request in flight per connection
-        lg.requests = lg.requests.max(4 * c);
-        swept.loadgen = Some(lg);
-        let mut sv = swept.serve.clone().unwrap_or_default();
-        sv.queue_capacity = 2 * c;
-        sv.fast_deadline_us = 5_000_000;
-        sv.balanced_deadline_us = 5_000_000;
-        sv.exact_deadline_us = 5_000_000;
-        swept.serve = Some(sv);
-        println!("serve bench: connections = {c} ...");
-        let rep = nf_cli::loadgen::run_loadgen_with_engine(&swept, &mut primary, report.replicas)
-            .expect("serve bench connection sweep run");
-        assert_eq!(
-            rep.rejected, 0,
-            "connection sweep must not shed load (c = {c}): deadlines and \
-             queue capacity are sized so admission control never fires"
-        );
-        assert_eq!(
-            rep.accept_exhausted, 0,
-            "fd exhaustion at c = {c} — raise the fd limit on this host"
-        );
-        conn_reports.push(rep);
-    }
-    let conn_rows: Vec<Value> = conn_points
-        .iter()
-        .zip(&conn_reports)
-        .map(|(&c, rep)| {
-            let mut row = Table::new();
-            row.insert("connections", Value::Int(c as i64));
-            row.insert("requests", Value::Int(rep.requests as i64));
-            row.insert("rps", Value::Float(round2(rep.rps)));
-            row.insert("p50_us", Value::Int(rep.p50_us as i64));
-            row.insert("p99_us", Value::Int(rep.p99_us as i64));
-            row.build()
-        })
-        .collect();
-    // Throughput-floor gate (full runs; smoke schedules are too short to
-    // time). first/last are safe: conn_points is a non-empty literal.
-    if !smoke {
-        let narrow = conn_reports.first().expect("non-empty sweep").rps;
-        let wide = conn_reports.last().expect("non-empty sweep").rps;
-        assert!(
-            wide >= 0.5 * narrow,
-            "reactor fan-in regressed: {} connections give {wide:.1} req/s vs \
-             {narrow:.1} req/s at {} connections (< 0.5×)",
-            conn_points[conn_points.len() - 1],
-            conn_points[0]
-        );
-    } else {
-        println!("skipping connection-sweep throughput gate: smoke run");
-    }
-
-    // p99 regression gate against the committed full-shape artifact.
-    // Read it before a full run overwrites it. Single-core hosts serialize
-    // the model, the batcher, and every client onto one core, so latency
-    // there measures scheduler contention, not the server — logged skip,
-    // same convention as the GEMM parallel-scaling gate.
-    let committed = artifact_path("BENCH_serve", false);
-    if host_cores > 1 {
-        match nf_cli::json::parse_file(&committed) {
-            Ok(doc) => {
-                let old_p99 = doc
-                    .get("latency_us")
-                    .and_then(|l| l.get("p99"))
-                    .and_then(Value::as_int)
-                    .unwrap_or(0);
-                if old_p99 > 0 {
-                    let new_p99 = report.p99_us as i64;
-                    assert!(
-                        new_p99 <= old_p99 * 2,
-                        "serve p99 regressed: {new_p99} µs vs committed {old_p99} µs \
-                         (>2× with {host_cores} cores)"
-                    );
-                }
-            }
-            Err(_) => println!("skipping serve p99 gate: no committed BENCH_serve.json"),
-        }
-    } else {
-        println!("skipping serve p99 gate: single-core host");
-    }
-
-    // The artifact is the report document plus (on full runs) the
-    // replicas × tier sweep EXPERIMENTS.md renders.
-    let mut doc = Table::new();
-    let report_value = report.to_value();
-    for (key, value) in report_value.entries().expect("report is a table") {
-        doc.insert(key, value.clone());
-    }
-    if !sweep_rows.is_empty() {
-        doc.insert("replica_sweep", Value::Array(sweep_rows));
-    }
-    doc.insert("connection_sweep", Value::Array(conn_rows));
-    let mut required = vec![
-        "kind",
-        "model",
-        "requests",
-        "ok",
-        "rejected",
-        "exit_hist",
-        "latency_us",
-        "rps",
-        "tiers",
-        "host_cores",
-        "replicas",
-        "inflight",
-        "busy_frac",
-        "connection_sweep",
-    ];
-    if !smoke {
-        required.push("replica_sweep");
-    }
-    write_and_check(
-        &artifact_path("BENCH_serve", smoke),
-        &doc.build(),
-        &required,
-    );
-}
-
-/// Artifact path: always the workspace root (not the CWD), and smoke runs
-/// write `*.smoke.json` so the CI variant can never clobber the committed
+/// Artifact path: always the workspace root, and smoke runs write
+/// `*.smoke.json` so the CI variant can never clobber the committed
 /// full-shape trend line.
 fn artifact_path(base: &str, smoke: bool) -> std::path::PathBuf {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    if smoke {
-        root.join(format!("{base}.smoke.json"))
-    } else {
-        root.join(format!("{base}.json"))
-    }
+    let suffix = if smoke { ".smoke.json" } else { ".json" };
+    repo_root().join(format!("{base}{suffix}"))
+}
+
+/// The keys [`header`] writes, required of every artifact.
+const HEADER_KEYS: [&str; 5] = ["schema", "rev", "mode", "host", "reps"];
+
+/// The provenance both artifacts open with, so two of them can be
+/// compared across commits and hosts: which tree (`git describe --always
+/// --dirty`, the short commit hash plus `-dirty` when tracked files
+/// differ from it; `"unknown"` where git or the repository is absent),
+/// which shapes (`smoke` | `full`), which machine — CPUs online, CPUs this
+/// process may run on (what the kernels' fan-out rule sees; 1 under
+/// `taskset -c 0`), the CPU model, the f32 and int8 tiles dispatched — and
+/// how many repetitions stand behind each timing.
+fn header(schema: &str, smoke: bool) -> Table {
+    let rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--exclude=*"])
+        .current_dir(repo_root())
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string());
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let cpu = cpuinfo
+        .lines()
+        .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
+        .map_or("unknown", |(_, name)| name.trim());
+    let online = cpuinfo
+        .lines()
+        .filter(|l| l.starts_with("processor"))
+        .count();
+    let mut host = Table::new();
+    host.insert("cores", int(online));
+    host.insert("affinity_cpus", int(nf_tensor::host_cores()));
+    host.insert("cpu", Value::Str(cpu.into()));
+    host.insert(
+        "simd",
+        Value::Str(nf_tensor::kernels::simd::kernel_name().into()),
+    );
+    host.insert(
+        "simd_int8",
+        Value::Str(nf_tensor::kernels::int8::kernel_name().into()),
+    );
+    let mut doc = Table::new();
+    doc.insert("schema", Value::Str(schema.into()));
+    doc.insert("rev", Value::Str(rev));
+    doc.insert(
+        "mode",
+        Value::Str(if smoke { "smoke" } else { "full" }.into()),
+    );
+    doc.insert("host", host);
+    doc.insert("reps", int(REPS));
+    doc
 }
 
 /// Writes `value` to `path`, re-reads it through the `nf-cli` parser and
-/// checks its `required` keys: `"key"` must be present at the top level,
-/// `"table.key"` in every row of the top-level array `table`.
-fn write_and_check(path: &std::path::Path, value: &nf_cli::Value, required: &[&str]) {
+/// checks [`HEADER_KEYS`] and its `required` keys: `"key"` must be present
+/// at the top level, `"table.key"` in every row of the top-level array
+/// `table`.
+fn write_and_check(path: &std::path::Path, value: &Value, required: &[&str]) {
     let json = value.to_json();
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     // Round-trip through the real parser: a malformed artifact must fail
     // loudly here, not downstream in whatever consumes the trend line.
     let parsed =
         nf_cli::json::parse(&json).unwrap_or_else(|e| panic!("{} malformed: {e}", path.display()));
-    for key in required {
+    for key in HEADER_KEYS.iter().chain(required) {
         let present = match key.split_once('.') {
             None => parsed.get(key).is_some(),
             Some((table, column)) => parsed
@@ -1288,6 +818,11 @@ fn write_and_check(path: &std::path::Path, value: &nf_cli::Value, required: &[&s
     println!("wrote {}", path.display());
 }
 
+/// A count or a nanosecond reading as a JSON integer.
+fn int(v: impl TryInto<i64>) -> Value {
+    Value::Int(v.try_into().unwrap_or(i64::MAX))
+}
+
 /// Rounds a throughput figure to two decimals for stable, diffable
 /// artifacts.
 fn round2(x: f64) -> f64 {
@@ -1296,25 +831,9 @@ fn round2(x: f64) -> f64 {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let host_cores = nf_tensor::host_cores();
 
-    // --- Training-step throughput ---
-    // Runs first, with VmHWM sampled immediately after, so the recorded
-    // peak-RSS proxy reflects the training step's working set rather than
-    // whatever the (larger-operand) GEMM stage would push it to.
-    let steps = [time_train_step(smoke)];
-    let train_step_peak_rss = peak_rss_bytes();
-    // A warmed-up step reuses every buffer it touches: it may not fault
-    // more than a handful of pages (before layers wrote into recycled
-    // buffers it faulted hundreds, serving and trimming its activations
-    // from the OS every step).
-    for r in &steps {
-        assert!(
-            r.minor_faults_per_step <= 4.0,
-            "a warmed-up training step took {} minor faults",
-            r.minor_faults_per_step
-        );
-    }
+    // --- Training-step throughput (first, on a fresh heap) ---
+    let step = time_train_step(smoke);
     let layer_rows = time_layers(if smoke { 5 } else { 50 });
 
     // --- GEMM throughput ---
@@ -1326,7 +845,7 @@ fn main() {
     let iters = if smoke { 3 } else { 20 };
     let mut rows = Vec::new();
     for &(m, k, n) in shapes {
-        rows.push(time_gemm(m, k, n, iters));
+        rows.extend(time_gemm(m, k, n, iters));
         rows.push(time_int8_gemm(m, k, n, iters));
     }
 
@@ -1385,41 +904,28 @@ fn main() {
         .map(|&(batch, c_in, c_out, hw)| time_conv_int8(batch, c_in, c_out, hw, iters))
         .collect();
     for r in &conv_int8_rows {
+        let ConvInt8Row {
+            batch,
+            c_in,
+            c_out,
+            hw,
+            ..
+        } = r;
+        let (int8, explicit) = (r.int8().min, r.explicit().min);
         assert!(
-            r.int8_ns() as f64 <= r.explicit_ns() as f64 * 1.05,
-            "gathered int8 conv forward ({} ns: pad+gather {} + dequantize to NCHW {}) slower \
-             than the explicit lowering ({} ns: im2col_u8 {} + gemm_i32 {} + dequantize {} + \
-             transpose {}) at batch {} {}→{} @{}²",
-            r.int8_ns(),
-            r.gather_i32_ns,
-            r.dequantize_nchw_ns,
-            r.explicit_ns(),
-            r.im2col_u8_ns,
-            r.gemm_i32_ns,
-            r.dequantize_ns,
-            r.transpose_ns,
-            r.batch,
-            r.c_in,
-            r.c_out,
-            r.hw
+            int8 as f64 <= explicit as f64 * 1.05,
+            "gathered int8 conv forward ({int8} ns: pad+gather, dequantize to NCHW = {:?}) slower \
+             than the explicit lowering ({explicit} ns: im2col_u8, gemm_i32, dequantize, \
+             transpose = {:?}) at batch {batch} {c_in}→{c_out} @{hw}²",
+            [r.gather_i32.min, r.dequantize_nchw.min],
+            [r.im2col_u8, r.gemm_i32, r.dequantize, r.transpose].map(|s| s.min),
         );
-        if r.int8_ns() > r.f32_ns() {
+        if int8 > r.f32_ns() {
             println!(
-                "warning: int8 conv forward {}→{} @{}² batch {} takes {} ns \
-                 (pad_u8 {} inside gather_i32 {} + dequantize to NCHW {}) against {} ns in f32 \
-                 (decode {} + gathered {}): {:.2}× slower",
-                r.c_in,
-                r.c_out,
-                r.hw,
-                r.batch,
-                r.int8_ns(),
-                r.pad_u8_ns,
-                r.gather_i32_ns,
-                r.dequantize_nchw_ns,
+                "warning: int8 conv forward {c_in}→{c_out} @{hw}² batch {batch} takes {int8} ns \
+                 against {} ns in f32: {:.2}× slower (stages in the artifact's `conv_int8` row)",
                 r.f32_ns(),
-                r.f32_decode_ns,
-                r.f32_gather_ns,
-                r.int8_ns() as f64 / r.f32_ns().max(1) as f64
+                int8 as f64 / r.f32_ns().max(1) as f64
             );
         }
     }
@@ -1430,7 +936,7 @@ fn main() {
     // operands by 1.5× (5 % timing-noise margin on best-of-7 timings).
     use nf_tensor::kernels::simd::Tile;
     let tile_rows = time_tiles(256, iters);
-    let tile_ns = |name: &str| tile_rows.iter().find(|r| r.0 == name).map(|r| r.1);
+    let tile_ns = |name: &str| tile_rows.iter().find(|r| r.0 == name).map(|r| r.1.min);
     if Tile::Zmm.supported() {
         let (blocked, ymm) = (
             tile_ns("blocked").unwrap(),
@@ -1445,34 +951,16 @@ fn main() {
         println!("skipping zmm>=1.5×ymm check: host has no AVX-512F");
     }
 
-    // Measured primitives for `nf-memsim`'s CalibratedCostModel: the best
-    // sustained f32 and int8 rates across the benched shapes.
-    let best = |name: &str| {
+    // Another backend's rate on a row's shape, for the ratio columns.
+    let gflops_of = |backend: &str, like: &GemmRow| {
         rows.iter()
-            .filter(|r| r.backend == name)
-            .map(|r| r.gflops)
-            .fold(0.0f64, f64::max)
+            .find(|b| b.backend == backend && (b.m, b.k, b.n) == (like.m, like.k, like.n))
+            .map(GemmRow::gflops)
     };
 
-    use nf_cli::{Table, Value};
     use nf_tensor::kernels::FAN_OUT_MIN_MACS;
-    let mut gemm = Table::new();
-    gemm.insert("schema", Value::Str("nf-bench-gemm-v1".into()));
-    gemm.insert("smoke", Value::Bool(smoke));
-    gemm.insert("host_cores", Value::Int(host_cores as i64));
-    gemm.insert("fan_out_min_macs", Value::Int(FAN_OUT_MIN_MACS as i64));
-    gemm.insert(
-        "simd",
-        Value::Str(nf_tensor::kernels::simd::kernel_name().into()),
-    );
-    gemm.insert(
-        "simd_int8",
-        Value::Str(nf_tensor::kernels::int8::kernel_name().into()),
-    );
-    let mut calibration = Table::new();
-    calibration.insert("gemm_gflops", Value::Float(round2(best("blocked"))));
-    calibration.insert("int8_gflops", Value::Float(round2(best("int8"))));
-    gemm.insert("calibration", calibration);
+    let mut gemm = header("nf-bench-gemm-v2", smoke);
+    gemm.insert("fan_out_min_macs", int(FAN_OUT_MIN_MACS));
     gemm.insert(
         "results",
         Value::Array(
@@ -1480,37 +968,28 @@ fn main() {
                 .map(|r| {
                     let mut row = Table::new();
                     row.insert("backend", Value::Str(r.backend.into()));
-                    row.insert("m", Value::Int(r.m as i64));
-                    row.insert("k", Value::Int(r.k as i64));
-                    row.insert("n", Value::Int(r.n as i64));
-                    row.insert("ns_per_iter", Value::Int(r.ns_per_iter as i64));
-                    row.insert("gflops", Value::Float(round2(r.gflops)));
-                    // Whether the product's row panels ran on more than
-                    // one thread: the kernels' rule (`kernels::fans_out`,
-                    // f32 and int8 alike) restated from its two inputs.
-                    row.insert(
-                        "fans_out",
-                        Value::Bool(host_cores > 1 && r.m * r.k * r.n >= FAN_OUT_MIN_MACS),
-                    );
-                    // The widest tile the row ran on.
-                    let tile = match r.backend {
-                        "int8" => nf_tensor::kernels::int8::kernel_name(),
-                        _ => Tile::for_strip(r.n).name(),
+                    row.insert("m", int(r.m));
+                    row.insert("k", int(r.k));
+                    row.insert("n", int(r.n));
+                    row.insert("ns_per_iter", int(r.ns.min));
+                    row.insert("median_ns", int(r.ns.median));
+                    row.insert("gflops", Value::Float(round2(r.gflops())));
+                    // The widest f32 tile a dispatched row ran on.
+                    if r.backend == "blocked" {
+                        let tile = Tile::for_strip(r.n).name();
+                        row.insert("tile", Value::Str(tile.into()));
+                    }
+                    // What the blocked kernel buys over the oracle, and
+                    // quantized compute over the blocked kernel, on the
+                    // same operands.
+                    let base = match r.backend {
+                        "blocked" => "naive",
+                        "int8" => "blocked",
+                        _ => "",
                     };
-                    row.insert("tile", Value::Str(tile.into()));
-                    if r.backend == "int8" {
-                        // The tentpole's throughput claim, recorded per
-                        // shape: quantized compute vs the f32 blocked
-                        // kernel on the same operands.
-                        let blocked = rows
-                            .iter()
-                            .find(|b| b.backend == "blocked" && (b.m, b.k, b.n) == (r.m, r.k, r.n))
-                            .map(|b| b.gflops)
-                            .unwrap_or(r.gflops);
-                        row.insert(
-                            "speedup_vs_blocked",
-                            Value::Float(round2(r.gflops / blocked)),
-                        );
+                    if let Some(base_rate) = gflops_of(base, r) {
+                        let ratio = Value::Float(round2(r.gflops() / base_rate));
+                        row.insert(&format!("speedup_vs_{base}"), ratio);
                     }
                     row.build()
                 })
@@ -1525,19 +1004,19 @@ fn main() {
                 .map(|r| {
                     let mut row = Table::new();
                     row.insert("pass", Value::Str(r.pass.into()));
-                    row.insert("batch", Value::Int(r.batch as i64));
-                    row.insert("c_in", Value::Int(r.c_in as i64));
-                    row.insert("c_out", Value::Int(r.c_out as i64));
-                    row.insert("hw", Value::Int(r.hw as i64));
+                    row.insert("batch", int(r.batch));
+                    row.insert("c_in", int(r.c_in));
+                    row.insert("c_out", int(r.c_out));
+                    row.insert("hw", int(r.hw));
                     row.insert("tile", Value::Str(Tile::for_strip(r.n).name().into()));
-                    row.insert("explicit_ns", Value::Int(r.explicit_ns as i64));
-                    row.insert("gather_ns", Value::Int(r.gather_ns as i64));
-                    row.insert("unfused_ns", Value::Int(r.unfused_ns as i64));
-                    row.insert("pad_ns", Value::Int(r.pad_ns as i64));
-                    row.insert("transpose_ns", Value::Int(r.transpose_ns as i64));
+                    r.explicit.insert_into(&mut row, "explicit");
+                    r.gather.insert_into(&mut row, "gather");
+                    r.unfused.insert_into(&mut row, "unfused");
+                    row.insert("pad_ns", int(r.pad_ns));
+                    row.insert("transpose_ns", int(r.transpose_ns));
                     row.insert(
                         "speedup",
-                        Value::Float(round2(r.explicit_ns as f64 / r.gather_ns.max(1) as f64)),
+                        Value::Float(round2(r.explicit.min as f64 / r.gather.min.max(1) as f64)),
                     );
                     row.build()
                 })
@@ -1551,29 +1030,30 @@ fn main() {
                 .iter()
                 .map(|r| {
                     let mut row = Table::new();
-                    row.insert("batch", Value::Int(r.batch as i64));
-                    row.insert("c_in", Value::Int(r.c_in as i64));
-                    row.insert("c_out", Value::Int(r.c_out as i64));
-                    row.insert("hw", Value::Int(r.hw as i64));
-                    row.insert("im2col_u8_ns", Value::Int(r.im2col_u8_ns as i64));
-                    row.insert("gemm_i32_ns", Value::Int(r.gemm_i32_ns as i64));
-                    row.insert("pad_u8_ns", Value::Int(r.pad_u8_ns as i64));
-                    row.insert("gather_i32_ns", Value::Int(r.gather_i32_ns as i64));
-                    row.insert("dequantize_ns", Value::Int(r.dequantize_ns as i64));
-                    row.insert("transpose_ns", Value::Int(r.transpose_ns as i64));
-                    row.insert(
-                        "dequantize_nchw_ns",
-                        Value::Int(r.dequantize_nchw_ns as i64),
-                    );
-                    row.insert("f32_decode_ns", Value::Int(r.f32_decode_ns as i64));
-                    row.insert("f32_gather_ns", Value::Int(r.f32_gather_ns as i64));
+                    row.insert("batch", int(r.batch));
+                    row.insert("c_in", int(r.c_in));
+                    row.insert("c_out", int(r.c_out));
+                    row.insert("hw", int(r.hw));
+                    row.insert("im2col_u8_ns", int(r.im2col_u8.min));
+                    row.insert("gemm_i32_ns", int(r.gemm_i32.min));
+                    row.insert("pad_u8_ns", int(r.pad_u8_ns));
+                    row.insert("gather_i32_ns", int(r.gather_i32.min));
+                    row.insert("dequantize_ns", int(r.dequantize.min));
+                    row.insert("transpose_ns", int(r.transpose.min));
+                    row.insert("dequantize_nchw_ns", int(r.dequantize_nchw.min));
+                    row.insert("f32_decode_ns", int(r.f32_decode_ns));
+                    row.insert("f32_gather_ns", int(r.f32_gather_ns));
+                    // The gated pair, each side the sum of its stages.
+                    let (int8, explicit) = (r.int8(), r.explicit());
+                    explicit.insert_into(&mut row, "explicit");
+                    int8.insert_into(&mut row, "int8");
                     row.insert(
                         "speedup",
-                        Value::Float(round2(r.explicit_ns() as f64 / r.int8_ns().max(1) as f64)),
+                        Value::Float(round2(explicit.min as f64 / int8.min.max(1) as f64)),
                     );
                     row.insert(
                         "int8_vs_f32",
-                        Value::Float(round2(r.int8_ns() as f64 / r.f32_ns().max(1) as f64)),
+                        Value::Float(round2(int8.min as f64 / r.f32_ns().max(1) as f64)),
                     );
                     row.build()
                 })
@@ -1588,9 +1068,10 @@ fn main() {
                 .map(|&(name, ns)| {
                     let mut row = Table::new();
                     row.insert("tile", Value::Str(name.into()));
-                    row.insert("ns_per_iter", Value::Int(ns as i64));
+                    row.insert("ns_per_iter", int(ns.min));
+                    row.insert("median_ns", int(ns.median));
                     let flops = 2.0 * 256.0f64.powi(3);
-                    row.insert("gflops", Value::Float(round2(flops / ns.max(1) as f64)));
+                    row.insert("gflops", Value::Float(round2(flops / ns.min.max(1) as f64)));
                     row.build()
                 })
                 .collect(),
@@ -1600,91 +1081,33 @@ fn main() {
         &artifact_path("BENCH_gemm", smoke),
         &gemm.build(),
         &[
-            "schema",
-            "host_cores",
-            "calibration",
             "results",
+            "results.median_ns",
             "conv",
             "conv.gather_ns",
+            "conv.gather_median_ns",
             "conv.unfused_ns",
             "conv.transpose_ns",
             "conv.pad_ns",
             "conv_int8",
             "conv_int8.dequantize_nchw_ns",
+            "conv_int8.int8_median_ns",
             "tiles_256",
+            "tiles_256.median_ns",
         ],
     );
 
-    let mut ts = Table::new();
-    ts.insert("schema", Value::Str("nf-bench-train-step-v1".into()));
-    ts.insert("smoke", Value::Bool(smoke));
-    ts.insert(
-        "config",
-        Value::Str(if smoke { "smoke" } else { "quickstart" }.into()),
-    );
-    ts.insert("host_cores", Value::Int(host_cores as i64));
-    ts.insert("peak_rss_bytes", Value::Int(train_step_peak_rss as i64));
-    ts.insert(
-        "results",
-        Value::Array(
-            steps
-                .iter()
-                .map(|r| {
-                    let mut row = Table::new();
-                    row.insert("backend", Value::Str(r.backend.into()));
-                    row.insert(
-                        "tile",
-                        Value::Str(nf_tensor::kernels::simd::kernel_name().into()),
-                    );
-                    row.insert("ns_per_step", Value::Int(r.ns_per_step as i64));
-                    row.insert("steps_per_sec", Value::Float(round2(r.steps_per_sec)));
-                    row.insert("allocs_per_step", Value::Float(round2(r.allocs_per_step)));
-                    row.insert(
-                        "minor_faults_per_step",
-                        Value::Float(round2(r.minor_faults_per_step)),
-                    );
-                    row.build()
-                })
-                .collect(),
-        ),
-    );
-    ts.insert(
-        "layers",
-        Value::Array(
-            layer_rows
-                .iter()
-                .map(|r| {
-                    let mut row = Table::new();
-                    row.insert("layer", Value::Str(r.layer.into()));
-                    row.insert(
-                        "shape",
-                        Value::Array(r.shape.iter().map(|&d| Value::Int(d as i64)).collect()),
-                    );
-                    row.insert("ns_per_iter", Value::Int(r.ns_per_iter as i64));
-                    row.build()
-                })
-                .collect(),
-        ),
-    );
+    let mut ts = header("nf-bench-train-step-v2", smoke);
+    ts.insert("results", Value::Array(vec![step.build()]));
+    ts.insert("layers", Value::Array(layer_rows));
     write_and_check(
         &artifact_path("BENCH_train_step", smoke),
         &ts.build(),
         &[
-            "schema",
-            "config",
-            "host_cores",
-            "peak_rss_bytes",
             "results",
+            "results.allocs_per_step",
+            "results.minor_faults_per_step",
             "layers",
         ],
     );
-
-    // --- Federated round wall-time vs threads ---
-    write_federated_artifact(smoke);
-
-    // --- Activation-cache codecs ---
-    write_cache_artifact(smoke);
-
-    // --- Early-exit serving under load ---
-    write_serve_artifact(smoke);
 }

@@ -1,7 +1,7 @@
-//! A counting global allocator for bench harnesses (`bench_json` includes
-//! this file by path): measurement scaffolding of the same kind as the
-//! counting allocators in `crates/*/tests/`, kept with the bench harnesses
-//! rather than in product source.
+//! A counting global allocator for `bench_json` (which includes this file
+//! by path): measurement scaffolding of the same kind as the counting
+//! allocators in `crates/*/tests/`, kept with the tests rather than in
+//! product source (`nf-lint` confines `unsafe` under `src/`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

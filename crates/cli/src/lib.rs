@@ -11,7 +11,7 @@
 //! nf federated <config> [--quiet]                     # parallel FedAvg engine
 //! nf sweep     <config> [--quiet]                     # nf-memsim budget sweep
 //! nf serve     <config> [--quiet]                     # early-exit inference service
-//! nf loadgen   <config> [--addr=..] [--out=..]        # deterministic load generator
+//! nf loadgen   <config> [--addr=..]                   # deterministic load generator
 //! nf inspect   <run-dir>                              # paper-vs-measured report
 //! ```
 //!

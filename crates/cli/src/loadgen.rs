@@ -1,5 +1,5 @@
-//! `nf loadgen <config>`: a deterministic load generator for `nf serve`,
-//! emitting the committed `BENCH_serve.json` artifact.
+//! `nf loadgen <config>`: a deterministic load generator for `nf serve`;
+//! its report is the run directory's `metrics.json`.
 //!
 //! Determinism is the point: the request *schedule* is a pure function of
 //! the config — request `k` carries test-split sample `k % test.len()`
@@ -15,7 +15,7 @@
 //! the served model is itself trained deterministically from the config,
 //! the exit-depth histogram and every per-request prediction are
 //! reproducible bit for bit; only wall-clock latencies vary run to run.
-//! `BENCH_serve.json` therefore separates the deterministic fields (exit
+//! The report therefore separates the deterministic fields (exit
 //! histogram, per-tier request counts) from the host-dependent ones
 //! (latency percentiles, requests/sec, `busy_frac`, `host_cores`).
 
@@ -31,7 +31,6 @@ use neuroflux_core::{latency_percentiles, SloTier};
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// CLI options for `nf loadgen`.
@@ -40,8 +39,6 @@ pub struct LoadgenOptions {
     /// Target an already-running server instead of self-hosting one.
     /// The config must match the one the server was started from.
     pub addr: Option<String>,
-    /// Where to write the benchmark artifact (default `BENCH_serve.json`).
-    pub out: Option<PathBuf>,
     /// Suppress progress output.
     pub quiet: bool,
 }
@@ -138,7 +135,7 @@ pub struct LoadgenReport {
 }
 
 impl LoadgenReport {
-    /// Renders the report as the `BENCH_serve.json` document.
+    /// Renders the report as the run directory's `metrics.json` document.
     pub fn to_value(&self) -> Value {
         let mut t = Table::new();
         t.insert("kind", Value::Str("serve".into()));
@@ -596,8 +593,8 @@ pub fn run_load(cfg: &RunConfig, addr: &str, model: &str, n_units: usize) -> Res
 
 /// Runs the full loadgen flow in-process: train + serve the config's
 /// model on an ephemeral port, drive the schedule, shut the server down,
-/// and return the aggregated report. This is what `nf loadgen` (without
-/// `--addr`) and the benchmark smoke path use.
+/// and return the aggregated report. This is what `nf loadgen` without
+/// `--addr` runs.
 pub fn run_loadgen_inprocess(cfg: &RunConfig, quiet: bool) -> Result<LoadgenReport> {
     let engines = build_engines(cfg, quiet)?;
     let first = engines
@@ -620,38 +617,9 @@ pub fn run_loadgen_inprocess(cfg: &RunConfig, quiet: bool) -> Result<LoadgenRepo
     })
 }
 
-/// In-process loadgen against a server built from an already-trained
-/// engine at an explicit replica count — the bench sweep path, which
-/// trains once and reuses one engine across replica counts.
-pub fn run_loadgen_with_engine(
-    cfg: &RunConfig,
-    primary: &mut neuroflux_core::ServeEngine,
-    replicas: usize,
-) -> Result<LoadgenReport> {
-    let engines = crate::serve::clone_engines(cfg, primary, replicas)?;
-    let first = engines
-        .first()
-        .ok_or_else(|| CliError::new("cloning produced zero serve engines"))?;
-    let model = first.model_name().to_string();
-    let n_units = first.n_units();
-    let mut policy = cfg.resolve_serve()?;
-    policy.replicas = replicas;
-    let handle = start_server_with_engines(engines, policy, "127.0.0.1:0", false)?;
-    let addr = handle.addr.to_string();
-    let report = run_load(cfg, &addr, &model, n_units);
-    let stats = handle.replica_stats();
-    let replicas = handle.replicas;
-    let accept_exhausted = handle.accept_exhausted();
-    handle.stop();
-    report.map(|mut r| {
-        r.replicas = replicas;
-        r.busy_frac = stats.iter().map(|s| s.busy_frac).collect();
-        r.accept_exhausted = accept_exhausted;
-        r
-    })
-}
-
-/// Executes `nf loadgen <config>` and writes the benchmark artifact.
+/// Executes `nf loadgen <config>`: runs the load and writes the report
+/// into the run directory `<out_dir>/<name>-serve`, like every other
+/// subcommand.
 pub fn run_loadgen(cfg: &RunConfig, opts: &LoadgenOptions) -> Result<LoadgenReport> {
     let report = match &opts.addr {
         Some(addr) => {
@@ -664,20 +632,10 @@ pub fn run_loadgen(cfg: &RunConfig, opts: &LoadgenOptions) -> Result<LoadgenRepo
         }
         None => run_loadgen_inprocess(cfg, opts.quiet)?,
     };
-    let out = opts
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_serve.json"));
-    let metrics = report.to_value();
-    let mut text = metrics.to_json();
-    text.push('\n');
-    std::fs::write(&out, text)
-        .map_err(|e| CliError::new(format!("writing {}: {e}", out.display())))?;
-    // Also persist an inspectable run directory, like every other command.
     let run_dir =
         crate::rundir::RunDir::create(&cfg.run.out_dir, &format!("{}-serve", cfg.run.name))?;
     run_dir.write_config(cfg)?;
-    run_dir.write_metrics(&metrics)?;
+    run_dir.write_metrics(&report.to_value())?;
     if !opts.quiet {
         println!(
             "loadgen: {} requests over {} connections ({} in flight, {} replica(s)) — \
@@ -694,7 +652,6 @@ pub fn run_loadgen(cfg: &RunConfig, opts: &LoadgenOptions) -> Result<LoadgenRepo
             report.p99_us
         );
         println!("  exit histogram: {:?}", report.exit_hist);
-        println!("  wrote {}", out.display());
         println!("inspect it with: nf inspect {}", run_dir.root().display());
     }
     Ok(report)

@@ -16,8 +16,7 @@ USAGE:
     nf federated <config.toml> [--force] [--quiet]
     nf sweep <config.toml> [--quiet]
     nf serve <config.toml> [--quiet]
-    nf loadgen <config.toml> [--addr=HOST:PORT] [--out=PATH]
-               [--connections=N] [--quiet]
+    nf loadgen <config.toml> [--addr=HOST:PORT] [--connections=N] [--quiet]
     nf inspect <run-dir>
     nf lint [--root=DIR] [--format=human|json]
     nf help
@@ -25,12 +24,12 @@ USAGE:
 serve trains the config's model in-process and serves early-exit
 inference over a length-prefixed TCP protocol (see [serve] in the
 config: SLO deadlines, batch window, queue capacity). loadgen drives a
-server with a deterministic, seeded request schedule and writes a
-BENCH_serve.json latency/exit-histogram artifact; without --addr it
-hosts the server itself on an ephemeral port. --connections overrides
-[loadgen].connections, keeping the config's per-connection pipelining
-window (one epoll mux thread drives every connection, so high fan-in
-costs sockets, not threads).
+server with a deterministic, seeded request schedule and writes its
+latency/exit-histogram report to <out_dir>/<name>-serve/metrics.json;
+without --addr it hosts the server itself on an ephemeral port.
+--connections overrides [loadgen].connections, keeping the config's
+per-connection pipelining window (one epoll mux thread drives every
+connection, so high fan-in costs sockets, not threads).
 
 lint runs the nf-lint workspace invariant checker (hot-path
 allocations, panic-freedom, unsafe confinement, clock discipline,
@@ -58,7 +57,6 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
     let mut force = false;
     let mut quiet = false;
     let mut addr = None;
-    let mut out = None;
     let mut root = None;
     let mut format = None;
     let mut connections = None;
@@ -68,7 +66,6 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
             "--force" => force = true,
             "--quiet" | "-q" => quiet = true,
             a if a.starts_with("--addr=") => addr = Some(a["--addr=".len()..].to_string()),
-            a if a.starts_with("--out=") => out = Some(a["--out=".len()..].to_string()),
             a if a.starts_with("--connections=") => {
                 connections = Some(a["--connections=".len()..].to_string())
             }
@@ -192,12 +189,7 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
                 };
                 cfg.loadgen = Some(lg);
             }
-            let opts = LoadgenOptions {
-                addr,
-                out: out.map(std::path::PathBuf::from),
-                quiet,
-            };
-            run_loadgen(&cfg, &opts)?;
+            run_loadgen(&cfg, &LoadgenOptions { addr, quiet })?;
             Ok(())
         }
         Some("lint") => {

@@ -143,31 +143,6 @@ pub fn replicate_engines(
     Ok(engines)
 }
 
-/// Clones `primary` into `n` fresh replicas without consuming it — the
-/// bench sweep trains once and reuses the engine across replica counts.
-/// Clones get the same kernel pinning and private workspaces as
-/// [`replicate_engines`] applies.
-pub fn clone_engines(
-    cfg: &RunConfig,
-    primary: &mut ServeEngine,
-    n: usize,
-) -> Result<Vec<ServeEngine>> {
-    let (_, _, nf_config) = cfg.resolve()?;
-    let mut engines = Vec::with_capacity(n.max(1));
-    for _ in 0..n.max(1) {
-        engines.push(
-            primary
-                .replicate(nf_config.aux_policy)
-                .map_err(|e| CliError::new(format!("cloning serve replica: {e}")))?,
-        );
-    }
-    for engine in &mut engines {
-        engine.set_kernel_backend(nf_config.kernel_backend);
-        engine.install_private_workspace();
-    }
-    Ok(engines)
-}
-
 /// Builds the full replica set for `cfg`: trains the primary once, then
 /// clones it out to `[serve].replicas` engines (0 = one per host core).
 pub fn build_engines(cfg: &RunConfig, quiet: bool) -> Result<Vec<ServeEngine>> {
@@ -195,7 +170,7 @@ struct ReplicaStats {
     served: AtomicU64,
 }
 
-/// One replica's accounting snapshot, as reported in `BENCH_serve.json`.
+/// One replica's accounting snapshot, as reported in the loadgen report.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicaSnapshot {
     /// Fraction of server lifetime this replica spent inside

@@ -461,8 +461,8 @@ fn shutdown_is_rejected_when_disabled() {
 }
 
 /// `nf loadgen` in-process: the deterministic fields (schedule, exit
-/// histogram, per-tier counts) are identical across runs, the artifact
-/// is written, and the run directory renders through `nf inspect`.
+/// histogram, per-tier counts) are identical across runs, and the run
+/// directory holds the report and renders through `nf inspect`.
 #[test]
 fn loadgen_is_deterministic_and_run_dir_inspects() {
     let out_dir = temp_out_dir("loadgen");
@@ -482,21 +482,36 @@ fn loadgen_is_deterministic_and_run_dir_inspects() {
         assert_eq!(ta.max_exit, tb.max_exit);
     }
 
-    // The CLI path writes both the artifact and an inspectable run dir.
-    let bench_path = std::path::Path::new(&out_dir).join("bench.json");
+    // The CLI path writes the report into an inspectable run dir. Two
+    // replicas behind the one queue and two requests pipelined per
+    // connection change no served bit, and the report echoes that shape.
+    let mut cfg = cfg;
+    cfg.serve.as_mut().unwrap().replicas = 2;
+    let loadgen = cfg.loadgen.as_mut().unwrap();
+    loadgen.inflight = 2 * loadgen.connections;
     let opts = nf_cli::LoadgenOptions {
         addr: None,
-        out: Some(bench_path.clone()),
         quiet: true,
     };
     let report = nf_cli::run_loadgen(&cfg, &opts).unwrap();
     assert_eq!(report.exit_hist, a.exit_hist);
-    let doc = nf_cli::json::parse_file(&bench_path).unwrap();
+    assert_eq!(report.ok + report.rejected, report.requests);
+    assert_eq!((report.replicas, report.inflight), (2, 6));
+    assert_eq!(report.busy_frac.len(), 2, "one busy fraction per replica");
+    let run_root = std::path::Path::new(&out_dir).join("servetest-serve");
+    let doc = nf_cli::RunDir::open(&run_root)
+        .unwrap()
+        .read_metrics()
+        .unwrap();
     assert_eq!(
         doc.get("kind").and_then(nf_cli::Value::as_str),
         Some("serve")
     );
-    let run_root = std::path::Path::new(&out_dir).join("servetest-serve");
+    let keys = "model requests ok rejected exit_hist latency_us rps tiers host_cores replicas \
+                inflight busy_frac";
+    for key in keys.split_whitespace() {
+        assert!(doc.get(key).is_some(), "report lacks {key:?}");
+    }
     let rendered = run_inspect(&run_root).unwrap();
     assert!(rendered.contains("early-exit inference load test"));
     assert!(rendered.contains("## SLO tiers"));

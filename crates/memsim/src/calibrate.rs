@@ -2,10 +2,10 @@
 //!
 //! The Table 1 presets in [`crate::device`] model the paper's edge boards.
 //! This module closes the loop on the machine the benchmarks actually run
-//! on: the bench harness measures the host's GEMM throughput and codec
-//! encode/decode bandwidth (`nf-bench`'s `bench_json` emits them in
-//! `BENCH_gemm.json` / `BENCH_cache.json`), and a [`CalibratedCostModel`]
-//! built from those [`MeasuredPrimitives`] prices training-step and cache
+//! on: the caller measures the host's GEMM throughput and codec
+//! encode/decode bandwidth (`nf sweep` on its `host` device, the root
+//! `tests/calibrated_cost.rs`), and a [`CalibratedCostModel`] built from
+//! those [`MeasuredPrimitives`] prices training-step and cache
 //! predictions from them instead of from datasheet TFLOPs.
 //!
 //! The model is deliberately linear —
@@ -19,8 +19,8 @@
 //!
 //! This crate never touches `nf-tensor` (it is `forbid(unsafe_code)` and
 //! dependency-free by design), so the measuring itself lives with the
-//! callers: `nf-bench` for the committed JSON artifacts and the root
-//! `tests/` for the accuracy assertion.
+//! callers: `nf-cli`'s sweep and the root `tests/` for the accuracy
+//! assertion.
 
 use crate::device::DeviceProfile;
 
