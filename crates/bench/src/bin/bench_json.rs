@@ -106,24 +106,23 @@ fn best_ns(reps: usize, iters: usize, f: impl FnMut()) -> u128 {
     sample(reps, iters, f).min
 }
 
-/// Two implementations of one thing, their repetitions alternating (each
+/// Implementations of one thing, their repetitions alternating (each
 /// after a warm-up call of its own): a slow stretch of the host (other
-/// tenants, a frequency step) lands on both instead of on whichever ran
-/// second, which is what a gate on their ratio needs.
-fn sample_pair(
+/// tenants, a frequency step) lands on all of them instead of on whichever
+/// ran last, which is what a gate on their ratio needs.
+fn sample_alternating<const N: usize>(
     reps: usize,
     iters: usize,
-    mut f: impl FnMut(),
-    mut g: impl FnMut(),
-) -> (Sample, Sample) {
-    let (mut a, mut b) = (Vec::new(), Vec::new());
+    mut fs: [&mut dyn FnMut(); N],
+) -> [Sample; N] {
+    let mut runs: [Vec<u128>; N] = std::array::from_fn(|_| Vec::new());
     for _ in 0..reps {
-        f();
-        a.push(timed(iters, &mut f));
-        g();
-        b.push(timed(iters, &mut g));
+        for (f, times) in fs.iter_mut().zip(&mut runs) {
+            f();
+            times.push(timed(iters, &mut **f));
+        }
     }
-    (Sample::of(a), Sample::of(b))
+    runs.map(Sample::of)
 }
 
 /// One timed GEMM configuration.
@@ -151,11 +150,13 @@ fn time_gemm(m: usize, k: usize, n: usize, iters: usize) -> [GemmRow; 2] {
     let b = nf_tensor::uniform_init(&mut rng, &[k, n], -1.0, 1.0);
     // Reusable output buffers: times the steady-state `*_into` hot path.
     let (mut out, mut out_naive) = (Tensor::default(), Tensor::default());
-    let (blocked, naive) = sample_pair(
+    let [blocked, naive] = sample_alternating(
         REPS,
         iters,
-        || nf_tensor::matmul_into(KernelBackend::Blocked, &a, &b, &mut out).unwrap(),
-        || nf_tensor::matmul_into(KernelBackend::Naive, &a, &b, &mut out_naive).unwrap(),
+        [
+            &mut || nf_tensor::matmul_into(KernelBackend::Blocked, &a, &b, &mut out).unwrap(),
+            &mut || nf_tensor::matmul_into(KernelBackend::Naive, &a, &b, &mut out_naive).unwrap(),
+        ],
     );
     [
         (KernelBackend::Blocked, blocked),
@@ -201,18 +202,29 @@ fn time_int8_gemm(m: usize, k: usize, n: usize, iters: usize) -> GemmRow {
 
 /// One conv pass timed both ways: the explicit lowering the layers used to
 /// run (`im2col` + GEMM, or GEMM + `col2im` for the input gradient)
-/// against the gathered product that replaced it, on the same operands.
+/// against the gathered product that replaced it, on the same operands —
+/// and, for the passes that end at an NCHW activation, the product in both
+/// orientations.
 ///
-/// `gather_ns` is the call the layer makes: for the forward pass and the
-/// input gradient it ends at the NCHW tensor (the GEMM emits it), for the
-/// small `dWᵀ` at the row-major product. `unfused_ns` is the composition
-/// those two passes made before the GEMM had an NCHW destination — the
-/// same gathered product left as position rows, then the
+/// `gather_ns` is the gathered orientation (positions on the rows): for
+/// the forward pass and the input gradient it ends at the NCHW tensor (the
+/// GEMM emits it), for the small `dWᵀ` at the row-major product.
+/// `lanes_ns` is the lane orientation of the same NCHW-bound product
+/// (positions on the vector lanes, `kernels::lanes_fit`), 0 for `dWᵀ`,
+/// which keeps its orientation; `orientation` names the one the rule
+/// picks, which is what the layer runs. `unfused_ns` is the composition
+/// the NCHW-bound passes made before the GEMM had an NCHW destination —
+/// the same gathered product left as position rows, then the
 /// `posrows_to_nchw_into` pass — and `transpose_ns` that pass alone (0 for
 /// `dWᵀ`, which has neither). `pad_ns` is the zero-padding of the pass's
-/// NCHW operand, inside `gather_ns` and `unfused_ns` alike. `n` is the
-/// gathered product's output width, which decides the tile: `c_out` for
-/// the forward and for `dWᵀ`, `c_in` for the input gradient.
+/// NCHW operand, inside `gather_ns`, `lanes_ns` and `unfused_ns` alike.
+/// `gather_ymm_ns` / `lanes_ymm_ns` are the two orientations again with
+/// every strip or run on the ymm tile (`kernels::gather_nchw_on_tile`,
+/// `simd::lanes_on_tile`), timed alternately with each other: what an
+/// AVX2 host runs, measured on any host that has the tile (0 elsewhere and
+/// for `dWᵀ`) — the evidence for the rule's 8-float branch.
+/// `n` is the gathered product's output width, which decides its tile:
+/// `c_out` for the forward and for `dWᵀ`, `c_in` for the input gradient.
 struct ConvRow {
     pass: &'static str,
     batch: usize,
@@ -222,7 +234,10 @@ struct ConvRow {
     n: usize,
     explicit: Sample,
     gather: Sample,
+    lanes: Sample,
     unfused: Sample,
+    gather_ymm: Sample,
+    lanes_ymm: Sample,
     pad_ns: u128,
     transpose_ns: u128,
 }
@@ -232,28 +247,58 @@ impl ConvRow {
     fn keep_min(&mut self, other: &ConvRow) {
         self.explicit.keep_min(other.explicit);
         self.gather.keep_min(other.gather);
+        self.lanes.keep_min(other.lanes);
         self.unfused.keep_min(other.unfused);
+        self.gather_ymm.keep_min(other.gather_ymm);
+        self.lanes_ymm.keep_min(other.lanes_ymm);
         self.pad_ns = self.pad_ns.min(other.pad_ns);
         self.transpose_ns = self.transpose_ns.min(other.transpose_ns);
     }
 
-    /// The two things this table exists to hold (5 % timing-noise margin
-    /// on best-of-7 timings):
+    /// Whether this pass has two orientations to choose from.
+    fn has_lanes(&self) -> bool {
+        self.pass != "wgrad"
+    }
+
+    /// Whether the orientation rule sends this pass to the lanes (every
+    /// timed shape is a 3×3 / stride 1 / pad 1 conv, so the product's
+    /// output rows are `hw` wide).
+    fn on_lanes(&self) -> bool {
+        self.has_lanes() && nf_tensor::kernels::lanes_fit(1, self.hw)
+    }
+
+    /// What the layer runs for this pass: the orientation the rule picks.
+    fn layer(&self) -> Sample {
+        if self.on_lanes() {
+            self.lanes
+        } else {
+            self.gather
+        }
+    }
+
+    /// The things this table exists to hold (5 % timing-noise margin on
+    /// best-of-7 timings, every ratio alike):
     ///
-    /// - the gathered lowering is faster than building the patch matrix; a
+    /// - what the layer runs is faster than building the patch matrix; a
     ///   shape where it is not is a regression of the kernel or of the
     ///   lowering;
-    /// - the NCHW destination is faster than the product plus the
-    ///   transposing pass it replaced: on no forward or input-gradient row
-    ///   may the fused call lose to that composition, and on the repo
-    ///   benchmark's `compute` unit at its training batch it has to win
-    ///   outright. (ISSUE 22 asked for 0.9× there; with both operands hot
-    ///   in L2, as here, the pass is a seventh of the product and the emit
-    ///   half of the pass — 0.80–0.92 forward, 0.91–0.98 input gradient
-    ///   over repeated runs — so 0.9 would fail one run in two. In a
-    ///   training run, where the buffers are cold, the share is larger:
-    ///   EXPERIMENTS.md "NCHW destination PR".) Full shapes only: the
-    ///   smoke shapes are a few microseconds a call.
+    /// - the NCHW destination the layer runs (the gathered product's emit,
+    ///   or the lane product's direct store) is faster than the row-major
+    ///   product plus the transposing pass it replaced. Until the lane
+    ///   orientation the `compute` unit's rows had to win outright, and the
+    ///   input gradient's read 0.90–1.03 with where the linker placed the
+    ///   oracle pass (EXPERIMENTS.md "Retired generators"); that row now
+    ///   runs on the lanes at about 0.7× the composition;
+    /// - the orientation rule picks the faster orientation: on a row it
+    ///   sends to the lanes they are not slower than the gathered product,
+    ///   on a row it keeps gathered the gathered product is not slower than
+    ///   the lanes. Only on a host where the rule uses the lanes at all
+    ///   (16-float vectors): with 8-float vectors it keeps every product
+    ///   gathered, which is slower on the ≤ 6-channel rows by design (see
+    ///   `kernels::lanes_fit` and the `*_ymm_ns` columns).
+    ///
+    /// The last two on full shapes only: the smoke shapes are a few
+    /// microseconds a call.
     fn gate(&self, smoke: bool) -> Result<(), String> {
         let ConvRow {
             pass,
@@ -263,22 +308,32 @@ impl ConvRow {
             hw,
             ..
         } = self;
-        let (explicit, gather, unfused) = (self.explicit.min, self.gather.min, self.unfused.min);
+        let (explicit, layer, unfused) = (self.explicit.min, self.layer().min, self.unfused.min);
+        let (gather, lanes) = (self.gather.min, self.lanes.min);
+        let picked = if self.on_lanes() { "lanes" } else { "gathered" };
         let at = format!("at batch {batch} {c_in}→{c_out} @{hw}²");
-        if gather as f64 > explicit as f64 * 1.05 {
+        if layer as f64 > explicit as f64 * 1.05 {
             return Err(format!(
-                "gathered conv {pass} ({gather} ns) slower than explicit lowering + GEMM \
+                "conv {pass} ({picked}, {layer} ns) slower than explicit lowering + GEMM \
                  ({explicit} ns) {at}"
             ));
         }
-        let compute_unit = (*batch, *c_in, *c_out, *hw) == (8, 16, 16, 32);
-        let bound = if compute_unit { 1.0 } else { 1.05 };
-        let has_pass = !smoke && unfused > 0;
-        if has_pass && gather as f64 > unfused as f64 * bound {
+        if smoke || !self.has_lanes() {
+            return Ok(());
+        }
+        if layer as f64 > unfused as f64 * 1.05 {
             return Err(format!(
-                "conv {pass} emitting NCHW ({gather} ns) against the row-major product + \
-                 transposing pass ({unfused} ns, the pass alone {}) {at}: allowed {bound}×",
+                "conv {pass} emitting NCHW ({picked}, {layer} ns) against the row-major \
+                 product + transposing pass ({unfused} ns, the pass alone {}) {at}",
                 self.transpose_ns
+            ));
+        }
+        let other = if self.on_lanes() { gather } else { lanes };
+        let rule_uses_lanes = nf_tensor::kernels::lanes_fit(1, usize::MAX);
+        if rule_uses_lanes && layer as f64 > other as f64 * 1.05 {
+            return Err(format!(
+                "conv {pass}: the rule picks {picked} ({layer} ns), the other orientation \
+                 takes {other} ns {at}"
             ));
         }
         Ok(())
@@ -286,30 +341,37 @@ impl ConvRow {
 }
 
 /// The offset tables of a conv's patch matrix over its padded input —
-/// `ConvGather`'s, written out: window origins `(n, oy, ox)` and taps
-/// `(c, kh, kw)`.
-fn patch_tables(batch: usize, c: usize, g: &nf_tensor::Conv2dGeometry) -> (Vec<u32>, Vec<u32>) {
+/// `ConvGather`'s, written out: window origins `(n, oy, ox)`, the origin of
+/// each output row `(n, oy)`, and taps `(c, kh, kw)`.
+fn patch_tables(
+    batch: usize,
+    c: usize,
+    g: &nf_tensor::Conv2dGeometry,
+) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
     let (hp, wp) = (g.in_h + 2 * g.pad, g.in_w + 2 * g.pad);
-    let origins = |img: usize| {
-        let rows = (0..g.out_h).flat_map(move |oy| (0..g.out_w).map(move |ox| (oy, ox)));
-        rows.map(move |(oy, ox)| (img * c * hp * wp + (oy * wp + ox) * g.stride) as u32)
-    };
-    let pos = (0..batch).flat_map(origins).collect();
+    let rows: Vec<u32> = (0..batch)
+        .flat_map(|img| (0..g.out_h).map(move |oy| (img * c * hp * wp + oy * g.stride * wp) as u32))
+        .collect();
+    let pos = rows
+        .iter()
+        .flat_map(|&row| (0..g.out_w).map(move |ox| row + (ox * g.stride) as u32))
+        .collect();
     let taps = (0..c)
         .flat_map(|ch| (0..g.k_h).flat_map(move |kh| (0..g.k_w).map(move |kw| (ch, kh, kw))))
         .map(|(ch, kh, kw)| ((ch * hp + kh) * wp + kw) as u32)
         .collect();
-    (pos, taps)
+    (pos, rows, taps)
 }
 
 /// Times forward, weight gradient and input gradient of a 3×3 / stride 1
-/// / pad 1 convolution at one shape, explicit vs gathered, on the fixed
-/// `blocked` plan. Both sides start from NCHW operands (plus the output
-/// gradient as position rows, which either backward pass needs anyway)
-/// and end at what the layer consumes next: NCHW output (bias added),
-/// `dWᵀ` / `dW`, NCHW `dx`.
+/// / pad 1 convolution at one shape, explicit vs gathered vs lanes, on the
+/// fixed `blocked` plan. Every side starts from NCHW operands (plus the
+/// output gradient as position rows, which either backward pass needs
+/// anyway) and ends at what the layer consumes next: NCHW output (bias
+/// added), `dWᵀ` / `dW`, NCHW `dx`.
 fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -> Vec<ConvRow> {
-    use nf_tensor::kernels::{Dest, GatherA};
+    use nf_tensor::kernels::simd::{lanes_on_tile, Tile};
+    use nf_tensor::kernels::{gather_nchw_on_tile, Dest, GatherA};
     use nf_tensor::{
         col2im_batch_into, flip_kernel_panel_into, im2col_batch_into, matmul_at_b_into,
         matmul_into, nchw_to_posrows, pad_nchw_into, posrows_to_nchw_into, transpose2d,
@@ -331,9 +393,14 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
 
     let (mut cols, mut out, mut dx) = (Tensor::default(), Tensor::default(), Tensor::default());
     let (mut padded, mut pack) = (Tensor::default(), Vec::new());
-    let (mut patches, mut grad_patches) = (ConvGather::new(), ConvGather::new());
+    let mut patches = ConvGather::new();
     let reps = REPS;
-    let row = |pass, n, explicit, gather, unfused, pad_ns, transpose_ns| ConvRow {
+    let row = |pass,
+               n,
+               explicit,
+               [gather, lanes, unfused, gather_ymm, lanes_ymm]: [Sample; 5],
+               pad_ns,
+               transpose_ns| ConvRow {
         pass,
         batch,
         c_in,
@@ -342,7 +409,10 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
         n,
         explicit,
         gather,
+        lanes,
         unfused,
+        gather_ymm,
+        lanes_ymm,
         pad_ns,
         transpose_ns,
     };
@@ -358,50 +428,101 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
     let to_nchw_y = best_ns(reps, iters, || {
         posrows_to_nchw_into(&rows, bias, batch, c_out, hw, hw, &mut out).unwrap();
     });
-    // And the composition the layer made with it — pad, the gathered
-    // product into position rows, the pass — against the one call that
-    // replaced it, alternating: `(fused, unfused)`.
-    let mut both = |src: &Tensor,
-                    g: &Conv2dGeometry,
-                    panel: &Tensor,
-                    bias: Option<&[f32]>,
-                    lowering: &mut ConvGather,
-                    nchw: &mut Tensor| {
-        let (c, n) = (src.shape()[1], panel.shape()[1]);
-        let (pos, taps) = patch_tables(batch, c, g);
-        let (mut padded2, mut pack2, mut nchw2) =
-            (Tensor::default(), Vec::new(), Tensor::default());
-        sample_pair(
+    // An NCHW-bound pass three ways from the same operands, alternating:
+    // pad + the gathered product emitting NCHW, pad + the lane product
+    // storing NCHW, and the composition before either — pad, the gathered
+    // product into position rows, the pass. Then both orientations once
+    // more on the ymm tile, alternating with each other. `(gathered, lanes,
+    // unfused, gathered on ymm, lanes on ymm)`.
+    let mut five = |src: &Tensor, g: &Conv2dGeometry, panel: &Tensor, bias: Option<&[f32]>| {
+        let (c, n, plane) = (src.shape()[1], panel.shape()[1], g.out_positions());
+        let (pos, out_rows, taps) = patch_tables(batch, c, g);
+        let dest = Dest::Nchw { plane, bias };
+        let gemm = backend.backend();
+        let mut bufs: [(Tensor, Vec<f32>, Tensor); 3] = Default::default();
+        let [gathered, lanes, unfused] = &mut bufs;
+        let times = sample_alternating(
             2 * reps,
             iters,
-            || {
-                lowering
-                    .forward_into(backend, src, g, panel, bias, &mut padded, &mut pack, nchw)
-                    .unwrap();
-            },
-            || {
-                pad_nchw_into(src, g.pad, &mut padded2).unwrap();
-                let a = GatherA::new(padded2.data(), &pos, &taps).unwrap();
-                rows.reuse_as(&[batch * hw * hw, n]);
-                let (b, c) = (panel.data(), rows.data_mut());
-                backend
-                    .backend()
-                    .gemm_gather(&a, n, b, Dest::RowMajor, c, &mut pack2);
-                posrows_to_nchw_into(&rows, bias, batch, n, hw, hw, &mut nchw2).unwrap();
-            },
-        )
+            [
+                &mut || {
+                    let (padded, pack, nchw) = &mut *gathered;
+                    pad_nchw_into(src, g.pad, padded).unwrap();
+                    let a = GatherA::new(padded.data(), &pos, &taps).unwrap();
+                    nchw.reuse_as(&[batch, n, g.out_h, g.out_w]);
+                    gemm.gemm_gather(&a, n, panel.data(), dest, nchw.data_mut(), pack);
+                },
+                &mut || {
+                    let (padded, pack, nchw) = &mut *lanes;
+                    pad_nchw_into(src, g.pad, padded).unwrap();
+                    let a = GatherA::new(padded.data(), &pos, &taps).unwrap();
+                    let a = a.with_runs(&out_rows, g.out_w).unwrap();
+                    nchw.reuse_as(&[batch, n, g.out_h, g.out_w]);
+                    gemm.gemm_gather(&a, n, panel.data(), dest, nchw.data_mut(), pack);
+                },
+                &mut || {
+                    let (padded, pack, nchw) = &mut *unfused;
+                    pad_nchw_into(src, g.pad, padded).unwrap();
+                    let a = GatherA::new(padded.data(), &pos, &taps).unwrap();
+                    rows.reuse_as(&[batch * hw * hw, n]);
+                    let (b, c) = (panel.data(), rows.data_mut());
+                    gemm.gemm_gather(&a, n, b, Dest::RowMajor, c, pack);
+                    posrows_to_nchw_into(&rows, bias, batch, n, hw, hw, nchw).unwrap();
+                },
+            ],
+        );
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&bufs[0].2), bits(&bufs[1].2), "lanes ≠ gathered bits");
+        assert_eq!(bits(&bufs[0].2), bits(&bufs[2].2), "NCHW ≠ unfused bits");
+        let mut ymm: [(Tensor, Vec<f32>, Tensor); 2] = Default::default();
+        let [gathered, lanes] = &mut ymm;
+        let on_ymm = if Tile::Ymm.supported() {
+            sample_alternating(
+                reps,
+                iters,
+                [
+                    &mut || {
+                        let (padded, pack, nchw) = &mut *gathered;
+                        pad_nchw_into(src, g.pad, padded).unwrap();
+                        let a = GatherA::new(padded.data(), &pos, &taps).unwrap();
+                        nchw.reuse_as(&[batch, n, g.out_h, g.out_w]);
+                        let (b, out) = (panel.data(), nchw.data_mut());
+                        gather_nchw_on_tile(Tile::Ymm, &a, n, b, plane, bias, out, pack);
+                    },
+                    &mut || {
+                        let (padded, _, nchw) = &mut *lanes;
+                        pad_nchw_into(src, g.pad, padded).unwrap();
+                        let a = GatherA::new(padded.data(), &pos, &taps).unwrap();
+                        let a = a.with_runs(&out_rows, g.out_w).unwrap();
+                        nchw.reuse_as(&[batch, n, g.out_h, g.out_w]);
+                        let (b, out) = (panel.data(), nchw.data_mut());
+                        lanes_on_tile(Tile::Ymm, &a, n, b, plane, bias, out);
+                    },
+                ],
+            )
+        } else {
+            Default::default()
+        };
+        if Tile::Ymm.supported() {
+            assert_eq!(
+                bits(&bufs[0].2),
+                bits(&ymm[0].2),
+                "gathered on ymm ≠ gathered bits"
+            );
+            assert_eq!(
+                bits(&bufs[0].2),
+                bits(&ymm[1].2),
+                "lanes on ymm ≠ gathered bits"
+            );
+        }
+        let [gathered, lanes, unfused] = times;
+        let [gathered_ymm, lanes_ymm] = on_ymm;
+        [gathered, lanes, unfused, gathered_ymm, lanes_ymm]
     };
-    let (fused_fwd, unfused_fwd) = both(&x, &geom, &wt, bias, &mut patches, &mut out);
-    // (`dgrad_into` is `forward_into` over the gradient's geometry, with
-    // the flipped panel and no bias.)
-    let (fused_dgrad, unfused_dgrad) = both(
-        &grad_out,
-        &dgeom,
-        &flipped,
-        None,
-        &mut grad_patches,
-        &mut dx,
-    );
+    let fwd_times = five(&x, &geom, &wt, bias);
+    // (The input gradient is the forward product over the gradient's
+    // geometry, with the flipped panel and no bias.)
+    let dgrad_times = five(&grad_out, &dgeom, &flipped, None);
     let to_nchw_dx = best_ns(reps, iters, || {
         posrows_to_nchw_into(&rows, None, batch, c_in, hw, hw, &mut dx).unwrap();
     });
@@ -414,8 +535,7 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
             matmul_into(backend, &cols, &wt, &mut y_rows).unwrap();
             posrows_to_nchw_into(&y_rows, bias, batch, c_out, hw, hw, &mut out).unwrap();
         }),
-        fused_fwd,
-        unfused_fwd,
+        fwd_times,
         pad_x,
         to_nchw_y,
     );
@@ -426,20 +546,18 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
             im2col_batch_into(&x, &geom, &mut cols).unwrap();
             matmul_at_b_into(backend, &g_rows, &cols, &mut out, &mut pack).unwrap();
         }),
-        sample(reps, iters, || {
-            patches
-                .wgrad_into(
-                    backend,
-                    &x,
-                    &geom,
-                    &g_rows,
-                    &mut padded,
-                    &mut pack,
-                    &mut out,
-                )
-                .unwrap();
-        }),
-        Sample::default(),
+        [
+            sample(reps, iters, || {
+                pad_nchw_into(&x, geom.pad, &mut padded).unwrap();
+                patches
+                    .wgrad_into(backend, &padded, &geom, &g_rows, &mut pack, &mut out)
+                    .unwrap();
+            }),
+            Sample::default(),
+            Sample::default(),
+            Sample::default(),
+            Sample::default(),
+        ],
         pad_x,
         0,
     );
@@ -450,8 +568,7 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
             matmul_into(backend, &g_rows, &weight, &mut out).unwrap();
             col2im_batch_into(&out, batch, c_in, &geom, &mut dx).unwrap();
         }),
-        fused_dgrad,
-        unfused_dgrad,
+        dgrad_times,
         pad_g,
         to_nchw_dx,
     );
@@ -503,8 +620,8 @@ impl ConvInt8Row {
 fn time_conv_int8(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -> ConvInt8Row {
     use nf_tensor::kernels::int8;
     use nf_tensor::{
-        im2col_batch_u8_into, pad_nchw_u8_into, posrows_to_nchw_into, transpose2d, Conv2dGeometry,
-        ConvGather, QuantTensor, Tensor,
+        im2col_batch_u8_into, pad_nchw_into, pad_nchw_u8_into, posrows_to_nchw_into, transpose2d,
+        Conv2dGeometry, ConvGather, QuantTensor, Tensor,
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(13);
     let geom = Conv2dGeometry::new(hw, hw, 3, 3, 1, 1).unwrap();
@@ -556,14 +673,14 @@ fn time_conv_int8(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usi
     let mut pack = Vec::new();
     let f32_decode_ns = best_ns(reps, iters, || qx.dequantize_into(&mut decoded).unwrap());
     let f32_gather_ns = best_ns(reps, iters, || {
+        pad_nchw_into(&decoded, geom.pad, &mut padded).unwrap();
         patches
             .forward_into(
                 KernelBackend::Blocked,
-                &decoded,
+                &padded,
                 &geom,
                 &wt,
                 Some(&bias),
-                &mut padded,
                 &mut pack,
                 &mut out,
             )
@@ -849,36 +966,47 @@ fn main() {
         rows.push(time_int8_gemm(m, k, n, iters));
     }
 
-    // --- Conv lowering: explicit vs gathered, batch 1 (serving) and 8 ---
-    // Full shapes: the repo benchmark's `compute` unit (16→16 @32²), a
-    // narrow early layer whose `c_out` lives in the masked tile (3→6
-    // @64²), and a wide late one (64→64 @8²).
-    let conv_shapes: &[(usize, usize, usize)] = if smoke {
-        &[(4, 8, 8), (3, 5, 12)]
+    // --- Conv lowering: explicit vs gathered vs lanes ---
+    // Full shapes `(batch, c_in, c_out, hw)`: the repo benchmark's
+    // `compute` unit (16→16 @32²), a narrow early layer whose `c_out` lives
+    // in the masked tile (3→6 @64²) and a wide late one (64→64 @8²), at
+    // batch 1 (serving) and 8; then the narrow layers the lane orientation
+    // is for, at the batch the benchmark trains them: `cache_io` 4→4 @64²,
+    // `quant` 8→4 @48², `compute`'s aux head 16→8 @32².
+    let conv_shapes: &[(usize, usize, usize, usize)] = if smoke {
+        &[(1, 4, 8, 8), (8, 4, 8, 8), (1, 3, 5, 12), (8, 3, 5, 12)]
     } else {
-        &[(16, 16, 32), (3, 6, 64), (64, 64, 8)]
+        &[
+            (1, 16, 16, 32),
+            (8, 16, 16, 32),
+            (1, 3, 6, 64),
+            (8, 3, 6, 64),
+            (1, 64, 64, 8),
+            (8, 64, 64, 8),
+            (3, 4, 4, 64),
+            (6, 8, 4, 48),
+            (8, 16, 8, 32),
+        ]
     };
-    // Two gates on every row, see `ConvRow::gate`. Host noise only ever
+    // The gates on every row, see `ConvRow::gate`. Host noise only ever
     // slows a sample, and on a shared host it comes in bursts longer than
     // one shape's measurement: a shape that misses a gate is measured
     // again, twice at most, each column keeping its minimum.
     let mut conv_rows = Vec::new();
-    for &(c_in, c_out, hw) in conv_shapes {
-        for batch in [1, 8] {
-            let mut rows = time_conv(batch, c_in, c_out, hw, iters);
-            for _ in 0..2 {
-                if rows.iter().all(|r| r.gate(smoke).is_ok()) {
-                    break;
-                }
-                for (row, again) in rows
-                    .iter_mut()
-                    .zip(time_conv(batch, c_in, c_out, hw, iters))
-                {
-                    row.keep_min(&again);
-                }
+    for &(batch, c_in, c_out, hw) in conv_shapes {
+        let mut rows = time_conv(batch, c_in, c_out, hw, iters);
+        for _ in 0..2 {
+            if rows.iter().all(|r| r.gate(smoke).is_ok()) {
+                break;
             }
-            conv_rows.extend(rows);
+            for (row, again) in rows
+                .iter_mut()
+                .zip(time_conv(batch, c_in, c_out, hw, iters))
+            {
+                row.keep_min(&again);
+            }
         }
+        conv_rows.extend(rows);
     }
     for r in &conv_rows {
         if let Err(why) = r.gate(smoke) {
@@ -1009,15 +1137,26 @@ fn main() {
                     row.insert("c_out", int(r.c_out));
                     row.insert("hw", int(r.hw));
                     row.insert("tile", Value::Str(Tile::for_strip(r.n).name().into()));
+                    let orientation = if r.on_lanes() { "lanes" } else { "gathered" };
+                    row.insert("orientation", Value::Str(orientation.into()));
                     r.explicit.insert_into(&mut row, "explicit");
                     r.gather.insert_into(&mut row, "gather");
+                    r.lanes.insert_into(&mut row, "lanes");
                     r.unfused.insert_into(&mut row, "unfused");
+                    r.gather_ymm.insert_into(&mut row, "gather_ymm");
+                    r.lanes_ymm.insert_into(&mut row, "lanes_ymm");
                     row.insert("pad_ns", int(r.pad_ns));
                     row.insert("transpose_ns", int(r.transpose_ns));
-                    row.insert(
-                        "speedup",
-                        Value::Float(round2(r.explicit.min as f64 / r.gather.min.max(1) as f64)),
-                    );
+                    // What the layer runs against the explicit lowering,
+                    // and the gathered orientation against the lanes.
+                    let (explicit, layer) = (r.explicit.min as f64, r.layer().min.max(1) as f64);
+                    row.insert("speedup", Value::Float(round2(explicit / layer)));
+                    if r.has_lanes() {
+                        let ratio = r.gather.min as f64 / r.lanes.min.max(1) as f64;
+                        row.insert("lanes_speedup", Value::Float(round2(ratio)));
+                        let ratio = r.gather_ymm.min as f64 / r.lanes_ymm.min.max(1) as f64;
+                        row.insert("lanes_speedup_ymm", Value::Float(round2(ratio)));
+                    }
                     row.build()
                 })
                 .collect(),
@@ -1086,6 +1225,8 @@ fn main() {
             "conv",
             "conv.gather_ns",
             "conv.gather_median_ns",
+            "conv.lanes_ns",
+            "conv.lanes_ymm_ns",
             "conv.unfused_ns",
             "conv.transpose_ns",
             "conv.pad_ns",

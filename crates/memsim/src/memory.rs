@@ -193,8 +193,10 @@ fn padded_elems(c: usize, h: usize, w: usize, pad: usize) -> usize {
 /// Workspace elements per sample for one unit, as its layers reserve them
 /// in their shared `nf_tensor::Workspace` (DESIGN.md §8):
 ///
-/// - the **lowering slot** — the padded copy of a conv's input that the
-///   gathered GEMM reads (`nf_nn::Conv2d`). A unit's convs run one after
+/// - the **lowering slot** — the padded copy of a conv's input that an
+///   eval forward's gathered GEMM reads (`nf_nn::Conv2d`; a training
+///   forward pads into the layer's own cache instead, which its weight
+///   gradient reads again). A unit's convs run one after
 ///   another through the same grow-only slot, so the unit needs the
 ///   largest of them; unpadded (1×1) convs gather straight from their
 ///   input and need nothing;

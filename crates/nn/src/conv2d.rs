@@ -9,8 +9,8 @@ use crate::Result;
 use nf_tensor::kernels::int8;
 use nf_tensor::{
     col2im_batch_into, flip_kernel_panel_into, he_normal, lock_workspace, matmul_into,
-    nchw_to_posrows_into, shared_workspace, sum_axis0_acc, Conv2dGeometry, ConvGather,
-    KernelBackend, QuantTensor, SharedWorkspace, Tensor,
+    nchw_to_posrows_into, pad_nchw_into, shared_workspace, sum_axis0_acc, Conv2dGeometry,
+    ConvGather, KernelBackend, QuantTensor, SharedWorkspace, Tensor,
 };
 use rand::Rng;
 use std::sync::Arc;
@@ -21,29 +21,40 @@ use std::sync::Arc;
 /// minibatch is one `(N·OH·OW) × (C·KH·KW)` patch matrix and a *single*
 /// large GEMM per pass — large products are what the blocked kernel is
 /// fast at — but the matrix is never written: the GEMM reads each element
-/// out of the input padded once into workspace scratch, through two
-/// cached offset tables ([`ConvGather`]). Forward, weight gradient and (at
-/// stride 1) input gradient are all that one kind of product; only the
-/// strided input gradient still runs a dense GEMM and scatters it back
-/// with `col2im`. Backward keeps the *unpadded* input and re-pads it (tens
-/// of microseconds against a product of hundreds), rather than retaining
-/// the larger padded copy: retained activations are the memory the paper
-/// is concerned with.
+/// out of the input padded once, through cached offset tables
+/// ([`ConvGather`]). Forward, weight gradient and (at stride 1) input
+/// gradient are all that one kind of product; only the strided input
+/// gradient still runs a dense GEMM and scatters it back with `col2im`.
+///
+/// A Train forward pads its input once, into the layer's own cache: the
+/// forward product reads it there and backward's weight gradient reads it
+/// again, so a training step makes one pad and no copy per conv. What
+/// backward retains is therefore the *padded* input, larger than the input
+/// by its rim (13 % at 32², 27 % at 16²) — measured on the repo benchmark
+/// (medians of ten runs each), `peak_rss_mb` +2.9 % on `compute` (17.60 →
+/// 18.10 MB: eight convs and eight aux-head convs retained in one block),
+/// 0.0 % on `cache_io` and −1.2 % on `quant`, where dropping the copy and
+/// the second pad outweighs it.
 ///
 /// Nor is the product ever held as position rows: the GEMM writes the
-/// caller's NCHW tensor itself (`nf_tensor::kernels::Dest::Nchw`) — a few
-/// row panels at a time, transposed while they are cache-hot, the bias
-/// added to each finished sum on the way — so a forward pass and a
-/// stride-1 input gradient each make one pass over their output and need
-/// no activation-sized scratch for it.
+/// caller's NCHW tensor itself (`nf_tensor::kernels::Dest::Nchw`), the bias
+/// added to each finished sum on the way — for a stride-1 layer whose
+/// output rows fill a 16-float vector (AVX-512 hosts) with the output
+/// positions on the vector lanes, each run stored straight into its
+/// channel's plane (`nf_tensor::kernels::lanes_fit`), otherwise a few row
+/// panels at a time, transposed while they are cache-hot — so a forward
+/// pass and a stride-1 input gradient each make one pass over their output
+/// and need no activation-sized scratch for it.
 ///
-/// What scratch there is (the padded input, the GEMM's row group, the
-/// weight gradient's small `dWᵀ`) lives in a shared [`SharedWorkspace`]
-/// (grow-only, installed per block by [`Layer::set_workspace`]), and the
-/// weight panels the GEMMs consume (transposed for forward, flipped for
-/// the input gradient) are cached across the minibatch loop, re-packed
-/// only when [`crate::Param::version`] says the weights actually changed
-/// — so the steady-state hot path allocates nothing.
+/// What scratch there is (the padded input of an eval forward, the padded
+/// output gradient, the GEMM's row group, the weight gradient's small
+/// `dWᵀ`) lives in a shared [`SharedWorkspace`] (grow-only, installed per
+/// block by [`Layer::set_workspace`]), and the weight panels the GEMMs
+/// consume (transposed for forward, flipped for the input gradient; read
+/// in place as columns by the lane orientation) are cached across the
+/// minibatch loop, re-packed only when [`crate::Param::version`] says the
+/// weights actually changed — so the steady-state hot path allocates
+/// nothing.
 /// [`Layer::forward_quant_into`] is the same gathered product in integer
 /// arithmetic over an int8-cached input (padded once with its zero-point
 /// byte, read through the same position table), dequantized per output
@@ -192,14 +203,14 @@ impl Conv2d {
         // leaves the forward state intact (same contract as the shape
         // check below).
         let (gn, gc, goh, gow) = grad_out.dims4()?;
-        let x = self
+        let padded = self
             .cached_input
             .take()
             .ok_or_else(|| NnError::NoForwardCache { layer: self.name() })?;
-        let (n, c, h, w) = x.dims4()?;
-        let geom = self.geometry(h, w)?;
+        let (n, c, hp, wp) = padded.dims4()?;
+        let geom = self.geometry(hp - 2 * self.pad, wp - 2 * self.pad)?;
         if gn != n || gc != self.out_channels || goh != geom.out_h || gow != geom.out_w {
-            self.cached_input.put_back(x);
+            self.cached_input.put_back(padded);
             return Err(NnError::BadInput {
                 layer: self.name(),
                 reason: format!(
@@ -212,11 +223,11 @@ impl Conv2d {
         let mut ws = lock_workspace(&self.ws);
         let p = ws.parts();
         // g is N·P × C_out; dWᵀ = patchesᵀ · g (C·K·K × C_out), the
-        // forward tables swapped over the re-padded input.
+        // forward tables swapped over the padded input the forward cached.
         let g = p.posrows;
         nchw_to_posrows_into(grad_out, g)?;
         self.patches
-            .wgrad_into(backend, &x, &geom, g, p.cols, p.pack, p.out)?;
+            .wgrad_into(backend, &padded, &geom, g, p.pack, p.out)?;
         let fan_in = self.weight.grad.shape()[1];
         for (q, dwt_row) in p.out.data().chunks_exact(self.out_channels).enumerate() {
             let dw_col = self.weight.grad.data_mut()[q..].iter_mut().step_by(fan_in);
@@ -239,8 +250,9 @@ impl Conv2d {
                 let flipped = self.flipped_w.get_with(version, w_back, |w, out| {
                     flip_kernel_panel_into(w, cin, k, k, out)
                 })?;
+                let g_padded = padded_operand(grad_out, dgeom.pad, p.cols)?;
                 self.grad_patches
-                    .dgrad_into(backend, grad_out, &dgeom, flipped, p.cols, p.pack, dx)?;
+                    .dgrad_into(backend, g_padded, &dgeom, flipped, p.pack, dx)?;
             } else {
                 // Strided (or over-padded) convolutions: dcols = g · W
                 // (N·P × C·K·K), scattered back to image space.
@@ -249,10 +261,24 @@ impl Conv2d {
             }
         }
         drop(ws);
-        // Retire the consumed input cache buffer for the next forward.
-        self.cached_input.retire(x);
+        // Retire the consumed cache buffer for the next forward to pad into.
+        self.cached_input.retire(padded);
         Ok(())
     }
+}
+
+/// `x` padded by `pad` into `buf`, or `x` itself when there is no padding:
+/// the operand a gathered product reads.
+fn padded_operand<'a>(
+    x: &'a Tensor,
+    pad: usize,
+    buf: &'a mut Tensor,
+) -> nf_tensor::Result<&'a Tensor> {
+    if pad == 0 {
+        return Ok(x);
+    }
+    pad_nchw_into(x, pad, buf)?;
+    Ok(buf)
 }
 
 impl Layer for Conv2d {
@@ -274,12 +300,24 @@ impl Layer for Conv2d {
         let mut ws = lock_workspace(&self.ws);
         let p = ws.parts();
         let bias = Some(self.bias.value.data());
-        self.patches
-            .forward_into(self.backend, x, &geom, wt, bias, p.cols, p.pack, out)?;
-        if mode == Mode::Train {
-            self.cached_input.store(x);
+        // The product reads the input padded once: in training into the
+        // layer's cache, which the weight gradient reads again in backward;
+        // otherwise into workspace scratch.
+        let mut cache = (mode == Mode::Train).then(|| self.cached_input.recycle());
+        let done = match cache.as_mut() {
+            Some(buf) => pad_nchw_into(x, self.pad, buf).map(|()| &*buf),
+            None => padded_operand(x, self.pad, p.cols),
         }
-        Ok(())
+        .and_then(|padded| {
+            self.patches
+                .forward_into(self.backend, padded, &geom, wt, bias, p.pack, out)
+        });
+        match (cache, &done) {
+            (Some(buf), Ok(())) => self.cached_input.put_back(buf),
+            (Some(buf), Err(_)) => self.cached_input.retire(buf),
+            (None, _) => {}
+        }
+        Ok(done?)
     }
 
     fn forward_quant_into(&mut self, x: &QuantTensor, mode: Mode, out: &mut Tensor) -> Result<()> {

@@ -10,8 +10,9 @@
 //!   minibatch loop, re-derived only when [`Param::version`] says the
 //!   weights actually changed (once per optimizer step in training;
 //!   never during frozen-weight eval sweeps).
-//! - [`InputCache`]: the Train-forward → backward cache (a conv's input,
-//!   batch-norm's normalised activations, a ReLU mask, pooling codes),
+//! - [`InputCache`]: the Train-forward → backward cache (a conv's padded
+//!   input, a linear layer's input, batch-norm's normalised activations, a
+//!   ReLU mask, pooling codes),
 //!   recycled through a retired spare buffer so caching stops allocating
 //!   after warm-up while keeping the take-on-backward (`NoForwardCache`
 //!   on double backward) contract.

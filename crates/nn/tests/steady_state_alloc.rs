@@ -64,6 +64,27 @@ fn large_allocs_now() -> u64 {
     LARGE_ALLOCS.with(|c| c.get())
 }
 
+/// The inputs of the steps below, so that both orientations of the conv
+/// product are held to zero allocations. At 16×16 the head's conv (rows 8
+/// wide) stays gathered on every host, its input gradient included — the
+/// NCHW emit through the workspace's row group — while the unit's (rows
+/// 16 wide) runs on the lanes wherever the rule uses them. At 32×32 both
+/// convs run on the lanes there (rows 32 and 16 wide): the lane product
+/// reads the weight panel in place, so it must not copy it per call.
+fn inputs() -> [[usize; 4]; 2] {
+    use nf_tensor::kernels::lanes_fit;
+    assert!(
+        !lanes_fit(1, 8),
+        "8-wide rows keep the gathered orientation"
+    );
+    assert_eq!(
+        lanes_fit(1, 16),
+        lanes_fit(1, usize::MAX),
+        "16-wide rows take the lanes wherever any row does"
+    );
+    [[6, 3, 16, 16], [6, 3, 32, 32]]
+}
+
 /// One `tiny`-preset unit with pooling and its auxiliary head, as
 /// `nf_models` builds them, on the Worker's two arenas.
 fn unit_and_head(rng: &mut rand::rngs::StdRng) -> (Sequential, Sequential) {
@@ -86,10 +107,17 @@ fn unit_and_head(rng: &mut rand::rngs::StdRng) -> (Sequential, Sequential) {
 
 #[test]
 fn warmed_up_local_learning_step_allocates_nothing() {
+    for shape in inputs() {
+        local_learning_step_allocates_nothing(shape);
+    }
+}
+
+fn local_learning_step_allocates_nothing(shape: [usize; 4]) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
     let (mut unit, mut head) = unit_and_head(&mut rng);
-    // 6·3·16·16 floats: every activation of the step is well past `LARGE`.
-    let x = nf_tensor::uniform_init(&mut rng, &[6, 3, 16, 16], -1.0, 1.0);
+    // At least 6·3·16·16 floats: every activation of the step is well past
+    // `LARGE`.
+    let x = nf_tensor::uniform_init(&mut rng, &shape, -1.0, 1.0);
     let labels = [0usize, 1, 2, 0, 1, 2];
     let sgd = Sgd::new(0.01).with_momentum(0.9);
     // The Worker's step tensors: the unit's spent input takes the gradient.
@@ -119,15 +147,21 @@ fn warmed_up_local_learning_step_allocates_nothing() {
     assert_eq!(
         counts,
         [(0, 0); 6],
-        "(allocations, of them ≥ 4 KiB) per step"
+        "(allocations, of them ≥ 4 KiB) per step at input {shape:?}"
     );
 }
 
 #[test]
 fn warmed_up_sequential_eval_forward_allocates_nothing() {
+    for shape in inputs() {
+        sequential_eval_forward_allocates_nothing(shape);
+    }
+}
+
+fn sequential_eval_forward_allocates_nothing(shape: [usize; 4]) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let (mut unit, mut head) = unit_and_head(&mut rng);
-    let x = nf_tensor::uniform_init(&mut rng, &[6, 3, 16, 16], -1.0, 1.0);
+    let x = nf_tensor::uniform_init(&mut rng, &shape, -1.0, 1.0);
     let (mut out, mut logits) = (Tensor::default(), Tensor::default());
     let mut infer = || {
         unit.forward_into(&x, Mode::Eval, &mut out).unwrap();
@@ -138,7 +172,7 @@ fn warmed_up_sequential_eval_forward_allocates_nothing() {
     for _ in 0..4 {
         infer();
     }
-    assert_eq!(allocs_now() - before, 0);
+    assert_eq!(allocs_now() - before, 0, "at input {shape:?}");
     // The owning wrapper adds the tensor it returns (shape + data), twice
     // over (unit output, logits), and nothing else.
     let before = (allocs_now(), large_allocs_now());

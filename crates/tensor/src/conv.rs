@@ -6,15 +6,19 @@
 //! The production lowering is [`ConvGather`]: the `(N·OH·OW) × (C·KH·KW)`
 //! patch matrix is never written — element `(position, tap)` is
 //! `padded[pos_off[position] + tap_off[tap]]`, two small offset tables
-//! over the input padded once, which the blocked GEMM reads in place
-//! ([`crate::kernels::GatherA`]). Forward, weight gradient (the same
-//! tables swapped) and, for stride 1, the input gradient (the same
-//! product over the padded output gradient with a flipped kernel panel)
-//! all run through it — and so does the int8 forward over a cached `u8`
+//! over the input the caller padded once ([`pad_nchw_into`]), which the
+//! blocked GEMM reads in place ([`crate::kernels::GatherA`]). Forward,
+//! weight gradient (the same tables swapped) and, for stride 1, the input
+//! gradient (the same product over the padded output gradient with a
+//! flipped kernel panel) all run through it — and so does the int8 forward over a cached `u8`
 //! input ([`ConvGather::forward_quant_into`]: the same position table,
 //! one four-byte quad per kernel row). Products whose result is an
 //! activation (forward, input gradient) are written as NCHW by the GEMM
-//! itself ([`Dest::Nchw`]); no position-row copy of them exists.
+//! itself ([`Dest::Nchw`]); no position-row copy of them exists. At stride
+//! 1, where an output row is a run of consecutive padded-input floats
+//! under every tap, such a product may run transposed — output channels as
+//! the rows, positions on the vector lanes — where
+//! [`crate::kernels::lanes_fit`] says that pays; the bits are the same.
 //!
 //! The explicit lowerings remain as its oracle (f32 and `u8`; no layer
 //! builds a patch matrix) and, `col2im` only, for the strided input
@@ -263,11 +267,15 @@ pub fn flip_kernel_panel_into(
 /// `A(position, tap) = padded[pos[position] + taps[tap]]`, positions
 /// ordered `(n, oy, ox)` and taps `(c, kh, kw)` — exactly the rows and
 /// columns of [`im2col_batch`], so products through it keep that
-/// lowering's `K` order (and, on the blocked backend, its bits). The
-/// tables depend only on channels, geometry and batch size; they are
-/// rebuilt when channels or geometry change and only ever extended when
-/// the batch grows (a smaller batch's table is a prefix of a larger
-/// one's), so steady-state calls allocate nothing.
+/// lowering's `K` order (and, on the blocked backend, its bits). At stride
+/// 1 the positions of one output row are consecutive floats of the padded
+/// input, and a third table — the origin of each `(n, oy)` output row —
+/// lets a product whose rows pass [`crate::kernels::lanes_fit`] run with
+/// the positions on the vector lanes ([`GatherA::with_runs`]). The tables
+/// depend only on channels, geometry and batch size; they are rebuilt when
+/// channels or geometry change and only ever extended when the batch grows
+/// (a smaller batch's table is a prefix of a larger one's), so
+/// steady-state calls allocate nothing.
 ///
 /// # Examples
 ///
@@ -277,10 +285,11 @@ pub fn flip_kernel_panel_into(
 /// let x = Tensor::from_vec(vec![1, 1, 3, 3], (1..=9).map(|v| v as f32).collect()).unwrap();
 /// let geom = Conv2dGeometry::new(3, 3, 2, 2, 1, 0).unwrap();
 /// let wt = Tensor::ones(&[4, 1]); // sum-of-window kernel, packed K×C_out
-/// let (mut pad, mut pack, mut out) = (Tensor::default(), Vec::new(), Tensor::default());
+/// let (mut pack, mut out) = (Vec::new(), Tensor::default());
 /// let mut lowering = ConvGather::new();
+/// // No padding: the input is its own padded input.
 /// lowering
-///     .forward_into(KernelBackend::Blocked, &x, &geom, &wt, None, &mut pad, &mut pack, &mut out)
+///     .forward_into(KernelBackend::Blocked, &x, &geom, &wt, None, &mut pack, &mut out)
 ///     .unwrap();
 /// assert_eq!(out.shape(), &[1, 1, 2, 2]);
 /// assert_eq!(out.data(), &[12., 16., 24., 28.]);
@@ -293,6 +302,9 @@ pub struct ConvGather {
     /// Offset of each output position's window origin in the padded
     /// input, `(n, oy, ox)`-major.
     pos: Vec<u32>,
+    /// Offset of each output row's first window origin, `(n, oy)`-major:
+    /// `pos` at `ox = 0`.
+    rows: Vec<u32>,
     /// Offset of each `(c, kh, kw)` tap from a window origin.
     taps: Vec<u32>,
     /// The taps the int8 product loads a quad from: `kw = 0, 4, …` of
@@ -319,6 +331,7 @@ impl ConvGather {
         if self.key != Some((c, *geom)) {
             self.key = Some((c, *geom));
             self.pos.clear();
+            self.rows.clear();
             self.taps.clear();
             self.quads.clear();
             for ch in 0..c {
@@ -333,25 +346,28 @@ impl ConvGather {
                 }
             }
         }
-        let positions = geom.out_positions();
-        for img in self.pos.len() / positions.max(1)..n {
+        for img in self.rows.len() / geom.out_h.max(1)..n {
             for oy in 0..geom.out_h {
+                let row = (img * sample + oy * geom.stride * wp) as u32;
+                self.rows.push(row);
                 for ox in 0..geom.out_w {
-                    let origin = (oy * wp + ox) * geom.stride;
-                    self.pos.push((img * sample + origin) as u32);
+                    self.pos.push(row + (ox * geom.stride) as u32);
                 }
             }
         }
         Ok(())
     }
 
-    /// Checks an NCHW `shape` against `geom`, updates the tables, and
-    /// returns `(n·positions, c·k_h·k_w)`.
+    /// Checks an NCHW `shape` — with `padded` the input padded by
+    /// `geom.pad` (every f32 product), else the input itself (the int8
+    /// forward, which pads on its own) — against `geom`, updates the
+    /// tables, and returns `(n·positions, c·k_h·k_w)`.
     fn tables_for(
         &mut self,
         op: &'static str,
         shape: &[usize],
         geom: &Conv2dGeometry,
+        padded: bool,
     ) -> Result<(usize, usize)> {
         let &[n, c, h, w] = shape else {
             return Err(TensorError::RankMismatch {
@@ -360,113 +376,85 @@ impl ConvGather {
                 actual: shape.len(),
             });
         };
-        if h != geom.in_h || w != geom.in_w {
+        let rim = if padded { 2 * geom.pad } else { 0 };
+        if h != geom.in_h + rim || w != geom.in_w + rim {
             return Err(TensorError::ShapeMismatch {
                 op,
                 lhs: shape.to_vec(),
-                rhs: vec![n, c, geom.in_h, geom.in_w],
+                rhs: vec![n, c, geom.in_h + rim, geom.in_w + rim],
             });
         }
         self.ensure(n, c, geom)?;
         Ok((n * geom.out_positions(), self.taps.len()))
     }
 
-    /// [`Self::tables_for`] `x`, plus the buffer the tables index: `x`
-    /// itself when there is no padding, else `x` padded into `padded`.
-    fn lower<'a>(
-        &mut self,
-        op: &'static str,
-        x: &'a Tensor,
-        geom: &Conv2dGeometry,
-        padded: &'a mut Tensor,
-    ) -> Result<(usize, usize, &'a [f32])> {
-        let (rows, patch) = self.tables_for(op, x.shape(), geom)?;
-        let base = if geom.pad == 0 {
-            x.data()
-        } else {
-            pad_nchw_into(x, geom.pad, padded)?;
-            padded.data()
-        };
-        Ok((rows, patch, base))
-    }
-
     /// The forward pass: `out (N × C_out × OH × OW) = patches(x) · wt +
-    /// bias`, with `wt` the `(C·KH·KW × C_out)` packed kernel panel and
-    /// `bias` one value per output channel. Equals [`im2col_batch_into`] +
+    /// bias`, with `padded` the input padded by `geom.pad`
+    /// ([`pad_nchw_into`]; the input itself when that is 0), `wt` the
+    /// `(C·KH·KW × C_out)` packed kernel panel and `bias` one value per
+    /// output channel. Equals [`im2col_batch_into`] +
     /// [`crate::matmul_into`] + [`posrows_to_nchw_into`] without the patch
     /// matrix or the position-row product: the GEMM writes NCHW
-    /// ([`Dest::Nchw`]).
+    /// ([`Dest::Nchw`]). Taking the padded input lets a training layer pad
+    /// once, into the cache its weight gradient reads
+    /// ([`ConvGather::wgrad_into`]).
     ///
-    /// `padded` receives the padded input (untouched when `geom.pad` is
-    /// 0), `pack` is backend scratch, all grow-only.
+    /// `pack` is backend scratch, grow-only.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_into(
         &mut self,
         backend: KernelBackend,
-        x: &Tensor,
+        padded: &Tensor,
         geom: &Conv2dGeometry,
         wt: &Tensor,
         bias: Option<&[f32]>,
-        padded: &mut Tensor,
         pack: &mut Vec<f32>,
         out: &mut Tensor,
     ) -> Result<()> {
-        self.patches_times(
-            "conv_forward",
-            backend,
-            x,
-            geom,
-            wt,
-            bias,
-            padded,
-            pack,
-            out,
-        )
+        let op = "conv_forward";
+        let rows = self.tables_for(op, padded.shape(), geom, true)?;
+        self.patches_times(op, backend, padded, rows, geom, wt, bias, pack, out)
     }
 
     /// The input gradient of a convolution whose
     /// [`Conv2dGeometry::input_grad_geometry`] is `dgeom`:
     /// `out (N × C_in × H × W) = patches(grad_out) · flipped`, with
-    /// `flipped` from [`flip_kernel_panel_into`] — a gather over the padded
-    /// output gradient where [`col2im_batch_into`] scatter-adds.
-    #[allow(clippy::too_many_arguments)]
+    /// `padded` the output gradient padded by `dgeom.pad` (as for
+    /// [`ConvGather::forward_into`]) and `flipped` from
+    /// [`flip_kernel_panel_into`] — a gather over the padded output
+    /// gradient where [`col2im_batch_into`] scatter-adds.
     pub fn dgrad_into(
         &mut self,
         backend: KernelBackend,
-        grad_out: &Tensor,
+        padded: &Tensor,
         dgeom: &Conv2dGeometry,
         flipped: &Tensor,
-        padded: &mut Tensor,
         pack: &mut Vec<f32>,
         out: &mut Tensor,
     ) -> Result<()> {
-        self.patches_times(
-            "conv_dgrad",
-            backend,
-            grad_out,
-            dgeom,
-            flipped,
-            None,
-            padded,
-            pack,
-            out,
-        )
+        let op = "conv_dgrad";
+        let rows = self.tables_for(op, padded.shape(), dgeom, true)?;
+        self.patches_times(op, backend, padded, rows, dgeom, flipped, None, pack, out)
     }
 
+    /// `out = patches(base) · panel (+ bias)` as NCHW, `base` the padded
+    /// input the tables index and `(rows, patch)` what
+    /// [`ConvGather::tables_for`] returned for it. Under
+    /// [`crate::kernels::lanes_fit`] the patch matrix goes to the backend
+    /// with its output-row runs attached.
     #[allow(clippy::too_many_arguments)]
     fn patches_times(
         &mut self,
         op: &'static str,
         backend: KernelBackend,
-        x: &Tensor,
+        base: &Tensor,
+        (rows, patch): (usize, usize),
         geom: &Conv2dGeometry,
         panel: &Tensor,
         bias: Option<&[f32]>,
-        padded: &mut Tensor,
         pack: &mut Vec<f32>,
         out: &mut Tensor,
     ) -> Result<()> {
-        let (rows, patch, base) = self.lower(op, x, geom, padded)?;
         let (k, n) = panel.dims2()?;
         if k != patch || bias.is_some_and(|b| b.len() != n) {
             return Err(TensorError::ShapeMismatch {
@@ -475,7 +463,10 @@ impl ConvGather {
                 rhs: panel.shape().to_vec(),
             });
         }
-        let a = GatherA::new(base, &self.pos[..rows], &self.taps)?;
+        let mut a = GatherA::new(base.data(), &self.pos[..rows], &self.taps)?;
+        if crate::kernels::lanes_fit(geom.stride, geom.out_w) {
+            a = a.with_runs(&self.rows[..rows / geom.out_w], geom.out_w)?;
+        }
         let plane = geom.out_positions();
         out.reuse_as(&[rows / plane, n, geom.out_h, geom.out_w]);
         let dest = Dest::Nchw { plane, bias };
@@ -487,31 +478,31 @@ impl ConvGather {
 
     /// The weight gradient, transposed:
     /// `out (C·KH·KW × C_out) = patches(x)ᵀ · g_rows`, with `g_rows` the
-    /// output gradient as `(N·OH·OW × C_out)` position rows — the forward
-    /// tables swapped. Element for element it sums what
-    /// [`crate::matmul_at_b_into`]`(g_rows, patches)` sums, in the same
-    /// order.
-    #[allow(clippy::too_many_arguments)]
+    /// output gradient as `(N·OH·OW × C_out)` position rows and `padded`
+    /// the input padded by `geom.pad` ([`pad_nchw_into`]; the input itself
+    /// when that is 0) — the forward tables swapped. Element for element it
+    /// sums what [`crate::matmul_at_b_into`]`(g_rows, patches)` sums, in
+    /// the same order.
     pub fn wgrad_into(
         &mut self,
         backend: KernelBackend,
-        x: &Tensor,
+        padded: &Tensor,
         geom: &Conv2dGeometry,
         g_rows: &Tensor,
-        padded: &mut Tensor,
         pack: &mut Vec<f32>,
         out: &mut Tensor,
     ) -> Result<()> {
-        let (rows, patch, base) = self.lower("conv_wgrad", x, geom, padded)?;
+        let op = "conv_wgrad";
+        let (rows, patch) = self.tables_for(op, padded.shape(), geom, true)?;
         let (g_len, c_out) = g_rows.dims2()?;
         if g_len != rows {
             return Err(TensorError::ShapeMismatch {
-                op: "conv_wgrad",
+                op,
                 lhs: vec![rows, patch],
                 rhs: g_rows.shape().to_vec(),
             });
         }
-        let a = GatherA::new(base, &self.taps, &self.pos[..rows])?;
+        let a = GatherA::new(padded.data(), &self.taps, &self.pos[..rows])?;
         out.reuse_as(&[patch, c_out]);
         let (g, dwt) = (g_rows.data(), out.data_mut());
         backend
@@ -543,7 +534,7 @@ impl ConvGather {
         acc: &mut Vec<i32>,
     ) -> Result<usize> {
         let op = "conv_forward_quant";
-        let (rows, patch) = self.tables_for(op, x.shape(), geom)?;
+        let (rows, patch) = self.tables_for(op, x.shape(), geom, false)?;
         if rhs.k() != patch || rhs.run() != geom.k_w {
             return Err(TensorError::ShapeMismatch {
                 op,

@@ -1,7 +1,7 @@
 //! The production GEMM: cache-blocked, register-blocked, one fixed plan
 //! ([`KC`]/[`NC`] constants, thread fan-out decided by `fans_out`).
 
-use super::simd::{self, DenseA, GatherA, PanelA};
+use super::simd::{self, DenseA, GatherA, Lanes, PanelA, Tile};
 use super::{fans_out, host_cores, nchw, nchw_samples, Dest, GemmBackend, KC, NC};
 use rayon::prelude::*;
 
@@ -64,8 +64,12 @@ fn group_len(n: usize) -> usize {
 }
 
 /// The `K` block `[kk0, kk0+kc)` of the panel of rows `i0..` that `opanel`
-/// holds, `N`-blocked: the only caller of the micro-kernel.
+/// holds, `N`-blocked, each column strip on the tile `pick` names
+/// ([`Tile::for_strip`], or one tile the host supports): the only caller of
+/// the micro-kernel.
+#[allow(clippy::too_many_arguments)]
 fn panel_k_block<A: PanelA>(
+    pick: impl Fn(usize) -> Tile,
     a: &A,
     b: &[f32],
     n: usize,
@@ -81,21 +85,29 @@ fn panel_k_block<A: PanelA>(
     let mut jj0 = 0;
     while jj0 < n {
         let nc = NC.min(n - jj0);
-        simd::panel(a, b, n, i0, rows, kk0, kc, jj0, nc, first, opanel);
+        simd::panel(&pick, a, b, n, i0, rows, kk0, kc, jj0, nc, first, opanel);
         jj0 += nc;
     }
 }
 
 /// `K` blocks outermost over the panels of `opanels` (rows `i0..` of the
 /// product): each `B` block is read by every panel while it is cached, and
-/// `opanels` has to stay cached across blocks.
-fn k_blocks_outer<A: PanelA>(a: &A, b: &[f32], n: usize, i0: usize, opanels: &mut [f32]) {
+/// `opanels` has to stay cached across blocks. `pick` as for
+/// [`panel_k_block`].
+fn k_blocks_outer<A: PanelA>(
+    pick: impl Fn(usize) -> Tile + Copy,
+    a: &A,
+    b: &[f32],
+    n: usize,
+    i0: usize,
+    opanels: &mut [f32],
+) {
     let k = a.depth();
     let mut kk0 = 0;
     while kk0 < k {
         let kc = KC.min(k - kk0);
         for (idx, opanel) in opanels.chunks_mut(MR * n).enumerate() {
-            panel_k_block(a, b, n, i0 + idx * MR, kk0, kc, opanel);
+            panel_k_block(pick, a, b, n, i0 + idx * MR, kk0, kc, opanel);
         }
         kk0 += kc;
     }
@@ -111,7 +123,7 @@ fn panels_outer<A: PanelA>(fan_out: bool, a: &A, n: usize, b: &[f32], out: &mut 
         let mut kk0 = 0;
         while kk0 < k {
             let kc = KC.min(k - kk0);
-            panel_k_block(a, b, n, idx * MR, kk0, kc, opanel);
+            panel_k_block(Tile::for_strip, a, b, n, idx * MR, kk0, kc, opanel);
             kk0 += kc;
         }
     };
@@ -147,7 +159,7 @@ fn gemm_into<A: PanelA>(a: &A, n: usize, b: &[f32], out: &mut [f32]) {
     // "One-plan PR"). Both orders fold the same `KC` blocks into each
     // element in the same order, so the choice never changes bits.
     if !fan_out && m * n <= KOUTER_MAX_MN && k * n >= KOUTER_MIN_KN {
-        return k_blocks_outer(a, b, n, 0, out);
+        return k_blocks_outer(Tile::for_strip, a, b, n, 0, out);
     }
     panels_outer(fan_out, a, n, b, out);
 }
@@ -160,9 +172,11 @@ fn gemm_into<A: PanelA>(a: &A, n: usize, b: &[f32], out: &mut [f32]) {
 /// without the `M×N` buffer in between. Emitting per group rather than
 /// per tile keeps the micro-kernel's store contiguous and gives the emit
 /// whole cache lines of every channel; emitting per group rather than
-/// after the product finds the rows still in L1 (DESIGN.md §8).
+/// after the product finds the rows still in L1 (DESIGN.md §8). `pick` as
+/// for [`panel_k_block`].
 #[allow(clippy::too_many_arguments)]
 fn nchw_run<A: PanelA>(
+    pick: impl Fn(usize) -> Tile + Copy,
     a: &A,
     n: usize,
     b: &[f32],
@@ -179,7 +193,7 @@ fn nchw_run<A: PanelA>(
         if a.depth() == 0 {
             product.fill(0.0);
         }
-        k_blocks_outer(a, b, n, row0 + g0, product);
+        k_blocks_outer(pick, a, b, n, row0 + g0, product);
         // With the slack behind it, so the group's last rows stay on the
         // emit's block path at any `n`.
         let src = &group[..live * n + nchw::BLOCK];
@@ -218,7 +232,7 @@ fn nchw_fan<A: PanelA>(
     scratch: &mut [f32],
 ) {
     if parts <= 1 {
-        return nchw_run(a, n, b, plane, bias, row0, out, scratch);
+        return nchw_run(Tile::for_strip, a, n, b, plane, bias, row0, out, scratch);
     }
     let samples = out.len() / (n * plane);
     let (left, left_samples) = (parts / 2, samples * (parts / 2) / parts);
@@ -260,6 +274,60 @@ fn gemm_nchw_into<A: PanelA>(
     nchw_fan(parts, a, n, b, plane, bias, 0, out, scratch);
 }
 
+/// `a · b` written as NCHW in the **gathered orientation**, every column
+/// strip on `tile`: the counterpart of [`simd::lanes_on_tile`], so a host
+/// can time both orientations on one tile — the ymm tile an AVX2 host
+/// runs, on any host that has it (`bench_json`'s `conv` table). Serial;
+/// the arguments are those of [`GemmBackend::gemm_gather`] into
+/// [`Dest::Nchw`] (runs, if `a` has them, are not used), `scratch`
+/// grow-only. Returns `false`, leaving `out` alone, when the host cannot
+/// run `tile`.
+///
+/// # Panics
+///
+/// As [`GemmBackend::gemm_gather`]: a slice that does not match its
+/// dimensions, or a `plane` that is not whole samples.
+#[allow(clippy::too_many_arguments)]
+pub fn gather_nchw_on_tile(
+    tile: Tile,
+    a: &GatherA<'_>,
+    n: usize,
+    b: &[f32],
+    plane: usize,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    scratch: &mut Vec<f32>,
+) -> bool {
+    let (m, k) = (a.rows(), a.depth());
+    assert_eq!(b.len(), k * n, "B operand is not k×n");
+    assert_eq!(out.len(), m * n, "output is not m×n");
+    nchw_samples(m, n, plane, bias);
+    if !tile.supported() {
+        return false;
+    }
+    if m > 0 && n > 0 {
+        scratch.resize(group_len(n), 0.0);
+        nchw_run(move |_| tile, a, n, b, plane, bias, 0, out, scratch);
+    }
+    true
+}
+
+/// `A · b` as NCHW in the lane orientation (see [`simd::Lanes`]), whole
+/// samples side by side when the product fans out: each writes only its
+/// own `N × plane` block, so the split never changes bits.
+fn gemm_lanes_into(lanes: &Lanes<'_>, m: usize, k: usize, n: usize, out: &mut [f32]) {
+    let len = lanes.sample_len();
+    if len == 0 {
+        return;
+    }
+    let sample = |(s, chunk): (usize, &mut [f32])| lanes.sample(Tile::for_run, s, chunk);
+    if fans_out(m, k, n) {
+        out.par_chunks_mut(len).enumerate().for_each(sample);
+    } else {
+        out.chunks_mut(len).enumerate().for_each(sample);
+    }
+}
+
 /// Transpose of a packed `rows × cols` matrix into a reusable scratch
 /// buffer (grow-only; every element is overwritten), cache-tiled — on the
 /// tall im2col operands the at_b/a_bt paths transpose, the tiled walk is
@@ -289,7 +357,10 @@ impl GemmBackend for BlockedGemm {
     ) {
         match dest {
             Dest::RowMajor => gemm_into(a, n, b, out),
-            Dest::Nchw { plane, bias } => gemm_nchw_into(a, n, b, plane, bias, out, scratch),
+            Dest::Nchw { plane, bias } => match Lanes::new(a, n, b, plane, bias, out.len()) {
+                Some(lanes) => gemm_lanes_into(&lanes, a.rows(), a.depth(), n, out),
+                None => gemm_nchw_into(a, n, b, plane, bias, out, scratch),
+            },
         }
     }
 

@@ -18,6 +18,9 @@
 //! - [`BlockedGemm`] — the production kernel and the default:
 //!   cache-blocked with one `MR`-row register-tile micro-kernel ([`simd`])
 //!   instantiated at the host's vector widths (AVX-512 / AVX2 / portable).
+//!   A stride-1 convolution's NCHW-bound product it may run transposed,
+//!   output positions on the vector lanes ([`lanes_fit`],
+//!   [`GatherA::with_runs`]).
 //!
 //! The blocked kernel has **one plan**: the cache blocks [`KC`] and [`NC`]
 //! are compile-time constants, and whether a product fans its row panels
@@ -52,7 +55,7 @@ pub mod simd;
 #[allow(unsafe_code)]
 pub mod simd_int8;
 
-pub use blocked::BlockedGemm;
+pub use blocked::{gather_nchw_on_tile, BlockedGemm};
 pub use naive::NaiveGemm;
 pub use simd::GatherA;
 pub use simd_int8::GatherQuads;
@@ -97,6 +100,33 @@ pub fn host_cores() -> usize {
 /// time-slice, so fan-out is off at any size there.
 fn fans_out(m: usize, k: usize, n: usize) -> bool {
     host_cores() > 1 && m * k * n >= FAN_OUT_MIN_MACS
+}
+
+/// The orientation rule of a convolution's NCHW-bound product (forward,
+/// and the stride-1 input gradient): whether the output positions go on
+/// the vector lanes. A stride-1 convolution's output row is a contiguous
+/// stretch of its padded input under every tap, so on a host whose vector
+/// holds 16 floats ([`simd::vector_lanes`], AVX-512F) a row at least that
+/// wide fills every lane of the zmm tiles whatever the channel count,
+/// where the gathered orientation leaves all but `C_out` of a tile's 16 or
+/// 32 lanes idle — most of them on the 2–8-channel layers local learning
+/// trains. Narrower rows keep the gathered orientation, and a strided
+/// convolution has no runs.
+///
+/// Where the vector holds 8 floats (AVX2, portable) the gathered ymm tile
+/// already fills its lanes from 8 channels on, and the rule never picks
+/// the lanes: with both orientations driven on the ymm tile, the lanes won
+/// on products of ≤ 6 output channels (1.02–1.38× on rows ≥ 16 wide),
+/// went either way at 8–16 (0.84–1.25×), lost at 32–64 (0.75–0.89×) and
+/// lost on nearly every 8..15-wide row (EXPERIMENTS.md "Lane orientation
+/// PR", `BENCH_gemm.json` `conv` `gather_ymm_ns` / `lanes_ymm_ns`) — a
+/// split only a channel count could make, which this rule does not read.
+/// Reads nothing but its arguments and the host's vector width, and never
+/// changes bits: both orientations do the same arithmetic per element
+/// (DESIGN.md §8).
+pub fn lanes_fit(stride: usize, out_w: usize) -> bool {
+    let lanes = simd::vector_lanes();
+    stride == 1 && lanes >= 16 && out_w >= lanes
 }
 
 /// A dense single-precision matrix-multiplication implementation.
@@ -144,12 +174,15 @@ pub trait GemmBackend: Send + Sync {
     /// with [`crate::posrows_to_nchw_into`]'s pass — the composition the
     /// conv layers used to make, and so the oracle of [`BlockedGemm`],
     /// which gathers inside its micro-kernel and emits NCHW from the row
-    /// panels while they are cache-hot.
+    /// panels while they are cache-hot — or, when `A` carries runs
+    /// ([`GatherA::with_runs`]), computes the transposed product with the
+    /// positions on the vector lanes and stores NCHW directly.
     ///
     /// # Panics
     ///
     /// Panics if `dest` does not fit the product: `M` not whole samples of
-    /// `plane` rows, or a bias that is not `N` long.
+    /// `plane` rows, a bias that is not `N` long, or (with runs) a `plane`
+    /// that is not whole runs.
     fn gemm_gather(
         &self,
         a: &GatherA<'_>,

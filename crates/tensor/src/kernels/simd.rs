@@ -1,12 +1,11 @@
 //! The blocked GEMM's register micro-kernel: one `MR`-row FMA tile,
 //! written once, instantiated at every vector width the host may have and
-//! parameterised by how the `A` operand is addressed.
+//! parameterised by how its `A` and `B` operands are addressed.
 //!
-//! Every product the blocked backend runs is `C += A·B` over a cache block,
-//! with `B` and `C` dense row-major. `A` is read one scalar broadcast at a
-//! time, so it never has to be contiguous: the kernel only needs
-//! `A(i, p) = data[row(i) + col(p)]`. Two addressings implement that
-//! (`PanelA`):
+//! Every product the blocked backend runs is `C += A·B` over a cache block.
+//! `A` is read one scalar broadcast at a time, so it never has to be
+//! contiguous: the kernel only needs `A(i, p) = data[row(i) + col(p)]`.
+//! Three addressings implement that (`PanelA`):
 //!
 //! - `DenseA` — row-major `M×K`, `row(i) = i·K`, `col(p) = p`: what
 //!   `Linear` and the `matmul_*_into` entry points multiply.
@@ -15,9 +14,30 @@
 //!   = `(c, kh, kw)` tap of a once-padded input), so the conv layers
 //!   multiply straight out of the padded input and the patch matrix never
 //!   exists; swapping the tables addresses its transpose.
+//! - `ColumnsA` — a row-major `K×N` panel read as its transpose,
+//!   `row(i) = i`, `col(p) = p·N`: a conv's weight panel when output
+//!   channels are the rows (below).
 //!
-//! Both run the same tile body (`tile`), generic over a `Vector` — the
-//! handful of operations it needs from a register — and the number of
+//! `B` is read a vector at a time, `cols ≤ width` contiguous floats from
+//! the start of a row plus a column offset (`PanelB`):
+//!
+//! - `DenseB` — row-major `K×N`, row `p` at `p·N`: every product above.
+//! - `GatherRuns` — a stride-1 convolution's patch matrix **transposed**:
+//!   row `p` is tap `p`, its columns are output positions, and the `OW`
+//!   positions of one output row are `OW` consecutive floats of the padded
+//!   input (`taps[p] + origins[row] + x`). One vector load is a run of
+//!   output positions.
+//!
+//! So a convolution has two orientations. *Gathered*: positions are the
+//! rows, output channels the lanes (`GatherA × DenseB`), and the blocked
+//! backend emits NCHW from the row panels through 8×8 transposes. *Lanes*:
+//! output channels are the rows, positions the lanes
+//! (`ColumnsA × GatherRuns`), and each run is stored straight into its
+//! channel's NCHW plane with the bias — every lane busy at any channel
+//! count, no transpose. [`super::lanes_fit`] picks one per product.
+//!
+//! All of them run the same tile body (`tile`), generic over a `Vector` —
+//! the handful of operations it needs from a register — and the number of
 //! vectors per output row. It has four instantiations ([`Tile`]):
 //!
 //! | tile | registers per row | columns | needs |
@@ -29,26 +49,31 @@
 //!
 //! `panel` walks a cache block in column strips and picks the tile **per
 //! strip** from two things it can observe — the CPU (detected once at
-//! runtime) and how many columns remain ([`Tile::for_strip`]): the zmm pair
-//! while ≥ 32 remain, one masked zmm for 9..=31, the ymm tile for a strip
-//! of ≤ 8 (a masked zmm would waste half its lanes there: 16→8 @32² runs
-//! 69 GFLOP/s on ymm against 62 on a masked zmm), the portable tile on
-//! hosts with neither. There is no setting that selects a width.
+//! runtime) and how many columns remain ([`Tile::for_strip`]): the zmm
+//! pair while ≥ 32 remain, one masked zmm for 9..=31, the ymm tile for a
+//! strip of ≤ 8 (a masked zmm would waste half its lanes there: 16→8 @32²
+//! runs 69 GFLOP/s on ymm against 62 on a masked zmm), the portable tile
+//! on hosts with neither. The lane driver walks an output row in runs the
+//! same way ([`Tile::for_run`]: the pair, masked, from 17 positions on),
+//! and sends two rows of exactly 16 through the pair tile together. There
+//! is no setting that selects a width.
 //!
 //! Every tile — and every remainder case: masked columns, clamped rows for
 //! the last `M % MR` rows — performs the same per-element arithmetic (a
 //! zeroed accumulator, one fused multiply-add per `k` in order, one store
-//! or add per cache block), so a blocked product's bits depend only on its
-//! `KC` split, never on which tile or which remainder path computed an
-//! element. Width only changes how many elements share an instruction.
+//! or add per cache block, the bias added to the finished sum), so a
+//! blocked product's bits depend only on its `KC` split, never on which
+//! tile, which remainder path or which orientation computed an element.
+//! Width only changes how many elements share an instruction.
 //!
 //! Together with [`super::simd_int8`] this is one of the **two** modules
 //! in `nf-tensor` allowed to use `unsafe` (crate-level `deny(unsafe_code)`
-//! with a local allow). The unchecked reads rest on two invariants held by
+//! with a local allow). The unchecked accesses rest on invariants held by
 //! private fields of this module's types — every `row(i) + col(p)` of a
-//! `PanelA` is inside its data slice — plus the per-panel range asserts
-//! in `panel`.
+//! `PanelA` is inside its data slice, every run of a `GatherRuns` is
+//! inside its base — plus the range asserts in `panel` and `Lanes`.
 
+use super::KC;
 use crate::error::TensorError;
 
 /// Rows per panel — must match `blocked::MR` (asserted there).
@@ -105,6 +130,15 @@ pub fn kernel_name() -> &'static str {
         Isa::Avx512 => Tile::Zmm.name(),
         Isa::Avx2 => Tile::Ymm.name(),
         Isa::Portable => Tile::Portable.name(),
+    }
+}
+
+/// Floats in one vector register of this host: 16 with AVX-512F, 8
+/// otherwise (ymm, or the portable tile's `[f32; 8]`).
+pub fn vector_lanes() -> usize {
+    match isa() {
+        Isa::Avx512 => Tile::Zmm.width(),
+        Isa::Avx2 | Isa::Portable => LANES,
     }
 }
 
@@ -167,14 +201,28 @@ impl Tile {
             Isa::Avx2 | Isa::Avx512 => Tile::Ymm,
         }
     }
+
+    /// The tile the lane orientation runs next when `remaining ≥ 1`
+    /// positions of an output row are left: [`Tile::for_strip`], except
+    /// that 17..=31 positions run on the zmm pair behind its mask rather
+    /// than on a zmm plus a ymm tile — one pass over the row's taps instead
+    /// of two (8→12 @24²: 1.2× faster). Rows are output channels there, 8
+    /// per tile whatever the width, so the column trade-off behind the
+    /// strip rule does not arise.
+    pub fn for_run(remaining: usize) -> Tile {
+        match isa() {
+            Isa::Avx512 if remaining > Tile::Zmm.width() => Tile::ZmmPair,
+            _ => Tile::for_strip(remaining),
+        }
+    }
 }
 
 /// Addressing of the micro-kernel's `A` operand:
 /// `A(i, p) = data()[row(i) + col(p)]` for `i < rows()`, `p < depth()`.
 ///
 /// Implementors guarantee that every such index is inside `data()`; the
-/// tiles read through it unchecked. Both implementors live in this
-/// module with private fields so no other code can break that.
+/// tiles read through it unchecked. All implementors live in this module
+/// with private fields so no other code can break that.
 pub(crate) trait PanelA: Sync {
     /// `M`.
     fn rows(&self) -> usize;
@@ -225,6 +273,46 @@ impl PanelA for DenseA<'_> {
     }
 }
 
+/// A row-major `K×N` panel read as its `N×K` transpose,
+/// `A(i, p) = b[p·N + i]`: a conv's weight panel (`C·KH·KW × C_out`, or the
+/// flipped `C_out·KH·KW × C_in` of its input gradient) with output channels
+/// as the rows — no transposed copy of it exists.
+#[derive(Debug, Clone, Copy)]
+struct ColumnsA<'a> {
+    b: &'a [f32],
+    k: usize,
+    n: usize,
+}
+
+impl<'a> ColumnsA<'a> {
+    /// # Panics
+    ///
+    /// Panics if `b` is not exactly `k·n` long.
+    fn new(b: &'a [f32], k: usize, n: usize) -> Self {
+        assert_eq!(b.len(), k * n, "B operand is not k×n");
+        ColumnsA { b, k, n }
+    }
+}
+
+impl PanelA for ColumnsA<'_> {
+    fn rows(&self) -> usize {
+        self.n
+    }
+    fn depth(&self) -> usize {
+        self.k
+    }
+    fn data(&self) -> &[f32] {
+        self.b
+    }
+    fn row(&self, i: usize) -> usize {
+        i
+    }
+    fn cols(&self, kk0: usize, kc: usize) -> impl Iterator<Item = usize> {
+        let n = self.n;
+        (kk0..kk0 + kc).map(move |p| p * n)
+    }
+}
+
 /// Separable-offset gather operand:
 /// `A(i, p) = base[row_off[i] + col_off[p]]`, an `M×K` matrix with
 /// `M = row_off.len()`, `K = col_off.len()`.
@@ -242,12 +330,19 @@ impl PanelA for DenseA<'_> {
 /// assert_eq!(dense, [1., 2., 4., 5., 2., 3., 5., 6.]);
 /// // A table reaching past the buffer is a typed error.
 /// assert!(GatherA::new(&image, &[0, 2], &[0, 1, 3, 4]).is_err());
+/// // Both windows start on one image row and are one position apart: a
+/// // single run of two, which a backend may multiply transposed …
+/// assert!(a.with_runs(&[0], 2).is_ok());
+/// // … but not a run of two from 5, whose second window's last tap would
+/// // read past the image.
+/// assert!(a.with_runs(&[1], 2).is_err());
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct GatherA<'a> {
     base: &'a [f32],
     row_off: &'a [u32],
     col_off: &'a [u32],
+    runs: Option<GatherRuns<'a>>,
 }
 
 impl<'a> GatherA<'a> {
@@ -271,7 +366,46 @@ impl<'a> GatherA<'a> {
             base,
             row_off,
             col_off,
+            runs: None,
         })
+    }
+
+    /// Declares that the rows come in runs: row `r·run + x` is the window
+    /// at `origins[r] + x` for `x < run` — a stride-1 convolution, one run
+    /// per output row — so a backend may multiply the transposed product
+    /// instead, reading the same matrix as a `GatherRuns`. The origins are
+    /// validated against the buffer like the tables (`GatherRuns::new`);
+    /// that they name the same windows as `row_off` is the caller's
+    /// contract (checked in debug builds): a mismatch gives a wrong
+    /// product, never an out-of-bounds read.
+    ///
+    /// Returns [`TensorError::OffsetOutOfBounds`] when a run leaves the
+    /// buffer and [`TensorError::ShapeDataMismatch`] when the runs do not
+    /// cover the rows.
+    pub fn with_runs(self, origins: &'a [u32], run: usize) -> crate::Result<Self> {
+        let runs = GatherRuns::new(self.base, self.col_off, origins, run)?;
+        if origins.len() * run != self.row_off.len() {
+            return Err(TensorError::ShapeDataMismatch {
+                expected: origins.len() * run,
+                actual: self.row_off.len(),
+            });
+        }
+        debug_assert!(
+            self.row_off
+                .iter()
+                .enumerate()
+                .all(|(i, &r)| r == origins[i / run] + (i % run) as u32),
+            "runs do not name the rows' windows"
+        );
+        Ok(GatherA {
+            runs: Some(runs),
+            ..self
+        })
+    }
+
+    /// The runs [`GatherA::with_runs`] declared, if any.
+    pub(crate) fn runs(&self) -> Option<&GatherRuns<'a>> {
+        self.runs.as_ref()
     }
 
     /// `M`.
@@ -313,45 +447,110 @@ impl PanelA for GatherA<'_> {
     }
 }
 
-/// The micro-kernel: `rows ≤ MR` output rows starting at row `i0` of `A`,
-/// over the cache block `[kk0, kk0+kc) × [jj0, jj0+nc)` of `b` (`K×N`
-/// row-major), one column strip at a time on the tile [`Tile::for_strip`]
-/// picks. `opanel` holds those output rows, `n` floats each. With `first`
-/// set the block **stores** its result (the output may hold garbage from
-/// buffer reuse); otherwise it accumulates.
-///
-/// # Panics
-///
-/// Panics if the block reaches outside `a`, `b` or `opanel` — the loop
-/// nest in `blocked.rs` never asks for that, and the tiles rely on it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn panel<A: PanelA>(
-    a: &A,
-    b: &[f32],
+/// Addressing of the micro-kernel's `B` operand: row `p` starts at
+/// `data()[row(p)]`; a strip reads its columns contiguously from there plus
+/// a column offset its driver proved in range. Implementors live in this
+/// module with private fields, like [`PanelA`]'s.
+pub(crate) trait PanelB: Sync {
+    /// The buffer the offsets index.
+    fn data(&self) -> &[f32];
+    /// Offsets of rows `kk0..kk0 + kc`, in order.
+    fn rows(&self, kk0: usize, kc: usize) -> impl Iterator<Item = usize>;
+    /// The distance between consecutive rows, where it is one: the tile
+    /// then steps a pointer instead of reading [`PanelB::rows`].
+    fn stride(&self) -> Option<usize> {
+        None
+    }
+    /// Offset from one vector of a strip's `B` row to the next: `lanes`
+    /// (contiguous), unless the addressing lets a strip set its own `pair`
+    /// step (not 0).
+    fn vector_step(pair: usize, lanes: usize) -> usize {
+        let _ = pair;
+        lanes
+    }
+}
+
+/// Row-major `K×N` operand.
+#[derive(Debug, Clone, Copy)]
+struct DenseB<'a> {
+    b: &'a [f32],
     n: usize,
-    i0: usize,
-    rows: usize,
-    kk0: usize,
-    kc: usize,
-    jj0: usize,
-    nc: usize,
-    first: bool,
-    opanel: &mut [f32],
-) {
-    panel_with(
-        Tile::for_strip,
-        a,
-        b,
-        n,
-        i0,
-        rows,
-        kk0,
-        kc,
-        jj0,
-        nc,
-        first,
-        opanel,
-    );
+}
+
+impl PanelB for DenseB<'_> {
+    fn data(&self) -> &[f32] {
+        self.b
+    }
+    fn rows(&self, kk0: usize, kc: usize) -> impl Iterator<Item = usize> {
+        let n = self.n;
+        (kk0..kk0 + kc).map(move |p| p * n)
+    }
+    fn stride(&self) -> Option<usize> {
+        Some(self.n)
+    }
+}
+
+/// A stride-1 convolution's patch matrix transposed, as the `B` operand of
+/// the lane orientation: `B(p, (r, x)) = base[taps[p] + origins[r] + x]`
+/// for tap `p`, output row `r` and `x < run` — a `K × (rows·run)` matrix
+/// whose every row is `rows` stretches of `run` consecutive floats of the
+/// padded input. Reached through [`GatherA::with_runs`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GatherRuns<'a> {
+    base: &'a [f32],
+    taps: &'a [u32],
+    origins: &'a [u32],
+    run: usize,
+}
+
+impl<'a> GatherRuns<'a> {
+    /// Validates the tables against `base` once, so the kernel's unchecked
+    /// run loads never have to: the last float of the widest run,
+    /// `max(taps) + max(origins) + run − 1`, must index inside `base`.
+    ///
+    /// Returns [`TensorError::OffsetOutOfBounds`] otherwise.
+    pub(crate) fn new(
+        base: &'a [f32],
+        taps: &'a [u32],
+        origins: &'a [u32],
+        run: usize,
+    ) -> crate::Result<Self> {
+        let max_tap = taps.iter().copied().max();
+        let max_origin = origins.iter().copied().max();
+        if let (Some(t), Some(o), true) = (max_tap, max_origin, run > 0) {
+            let reach = u64::from(t) + u64::from(o) + run as u64 - 1;
+            if reach >= base.len() as u64 {
+                return Err(TensorError::OffsetOutOfBounds {
+                    reach,
+                    len: base.len(),
+                });
+            }
+        }
+        Ok(GatherRuns {
+            base,
+            taps,
+            origins,
+            run,
+        })
+    }
+}
+
+impl PanelB for GatherRuns<'_> {
+    fn data(&self) -> &[f32] {
+        self.base
+    }
+    fn rows(&self, kk0: usize, kc: usize) -> impl Iterator<Item = usize> {
+        self.taps[kk0..kk0 + kc].iter().map(|&t| t as usize)
+    }
+    /// A strip may cover two output rows of exactly one vector each: its
+    /// second vector then starts `pair` floats on, at the next row's origin.
+    fn vector_step(pair: usize, lanes: usize) -> usize {
+        if pair == 0 {
+            lanes
+        } else {
+            pair
+        }
+    }
 }
 
 /// `out (M×N) = a (M×K) · b (K×N)` with **every** column strip on `tile`:
@@ -382,17 +581,28 @@ pub fn gemm_on_tile(
     if n > 0 {
         for (idx, opanel) in out.chunks_mut(MR * n).enumerate() {
             let rows = opanel.len() / n;
-            panel_with(|_| tile, &a, b, n, idx * MR, rows, 0, k, 0, n, true, opanel);
+            panel(|_| tile, &a, b, n, idx * MR, rows, 0, k, 0, n, true, opanel);
         }
     }
     true
 }
 
-/// [`panel`] with the strip rule as a parameter: `pick(remaining)` names
-/// the tile for the next strip and must only name tiles the host supports
-/// ([`Tile::for_strip`] and [`gemm_on_tile`] both guarantee it).
+/// The micro-kernel: `rows ≤ MR` output rows starting at row `i0` of `A`,
+/// over the cache block `[kk0, kk0+kc) × [jj0, jj0+nc)` of `b` (`K×N`
+/// row-major), one column strip at a time on the tile `pick(remaining)`
+/// names — [`Tile::for_strip`] in production, one tile throughout for
+/// [`gemm_on_tile`] and `blocked::gather_nchw_on_tile`; it must only name
+/// tiles the host supports (both guarantee it). `opanel` holds those
+/// output rows, `n` floats each. With `first` set the block **stores** its
+/// result (the output may hold garbage from buffer reuse); otherwise it
+/// accumulates.
+///
+/// # Panics
+///
+/// Panics if the block reaches outside `a`, `b` or `opanel` — the loop
+/// nest in `blocked.rs` never asks for that, and the tiles rely on it.
 #[allow(clippy::too_many_arguments)]
-fn panel_with<A: PanelA>(
+pub(crate) fn panel<A: PanelA>(
     pick: impl Fn(usize) -> Tile,
     a: &A,
     b: &[f32],
@@ -412,32 +622,37 @@ fn panel_with<A: PanelA>(
         a,
         rb: row_bases(a, i0, rows),
         rows,
-        b,
+        b: &DenseB { b, n },
+        bcol: 0,
+        pair: 0,
         n,
         kk0,
         kc,
         j: jj0,
         cols: 0,
         first,
+        bias: None,
     };
     while strip.j < j_end {
         let tile = pick(j_end - strip.j);
         debug_assert!(tile.supported());
         strip.cols = tile.width().min(j_end - strip.j);
+        strip.bcol = strip.j;
         // SAFETY: `pick` only names tiles this host supports (see above).
-        // `check_block` proved rows `kk0..kk0+kc` of `b` and `rows` rows of
-        // `opanel` exist and that columns `j..j+cols` (`≤ j_end`) lie
-        // inside a row of each; `rb` holds offsets of rows `< a.rows()`
-        // and the tile takes its column offsets from `a.cols(kk0, kc)`
-        // with `kk0+kc ≤ a.depth()`, so every `A` read is one the `PanelA`
-        // contract puts inside `a.data()`. `1 ≤ cols ≤ tile.width()`.
+        // `check_block` proved rows `kk0..kk0+kc` of `b` (at `p·n`) and
+        // `rows` rows of `opanel` exist and that columns `j..j+cols`
+        // (`≤ j_end`) lie inside a row of each; `rb` holds offsets of rows
+        // `< a.rows()` and the tile takes its column offsets from
+        // `a.cols(kk0, kc)` with `kk0+kc ≤ a.depth()`, so every `A` read is
+        // one the `PanelA` contract puts inside `a.data()`.
+        // `1 ≤ cols ≤ tile.width()`.
         unsafe { tile.run(&strip, opanel) };
         strip.j += strip.cols;
     }
 }
 
-/// The range checks every tile relies on (see [`panel`]); `j_end` is the
-/// block's last column + 1.
+/// The range checks every dense-`B` tile relies on (see [`panel`]);
+/// `j_end` is the block's last column + 1.
 #[allow(clippy::too_many_arguments)]
 fn check_block<A: PanelA>(
     a: &A,
@@ -461,22 +676,222 @@ fn row_bases<A: PanelA>(a: &A, i0: usize, rows: usize) -> [usize; MR] {
     std::array::from_fn(|r| a.row(i0 + r.min(rows - 1)))
 }
 
+/// A convolution's product in the lane orientation, checked once: the
+/// weight panel `b` (`K×N`) read as `A` ([`ColumnsA`], `N` output
+/// channels) times the runs of a [`GatherA`] (its transpose, one run per
+/// output row) as `B`, each sample written as its `N × plane` NCHW block
+/// with the bias added after the last `K` block. The same per-element
+/// arithmetic as the gathered orientation — the `KC` split, the `k` order,
+/// the bias last — so the same bits.
+pub(crate) struct Lanes<'a> {
+    w: ColumnsA<'a>,
+    runs: GatherRuns<'a>,
+    bias: Option<&'a [f32]>,
+    /// Output rows (runs) per sample.
+    per_sample: usize,
+}
+
+impl<'a> Lanes<'a> {
+    /// `None` when `a` carries no runs ([`GatherA::with_runs`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is not `K×n`, `out_len` is not `M·n`, `plane` does
+    /// not split `M` into whole samples of whole output rows, or a bias is
+    /// not `n` long.
+    pub(crate) fn new(
+        a: &GatherA<'a>,
+        n: usize,
+        b: &'a [f32],
+        plane: usize,
+        bias: Option<&'a [f32]>,
+        out_len: usize,
+    ) -> Option<Self> {
+        let runs = *a.runs()?;
+        let (m, k) = (a.rows(), a.depth());
+        assert_eq!(out_len, m * n, "output is not m×n");
+        super::nchw_samples(m, n, plane, bias);
+        assert!(
+            runs.run > 0 && plane.is_multiple_of(runs.run),
+            "a plane of {plane} is not whole rows of {}",
+            runs.run
+        );
+        Some(Lanes {
+            w: ColumnsA::new(b, k, n),
+            runs,
+            bias,
+            per_sample: plane / runs.run,
+        })
+    }
+
+    /// Floats of one sample's output.
+    pub(crate) fn sample_len(&self) -> usize {
+        self.w.n * self.per_sample * self.runs.run
+    }
+
+    /// Sample `s` into `out` (its `sample_len()` floats), each output row
+    /// split into runs on the tiles `pick` names (host-supported only, as
+    /// for [`panel`]; [`Tile::for_run`] in production).
+    ///
+    /// Output rows of exactly one zmm (16 positions) go through the zmm
+    /// pair tile two at a time when `pick` would run it on 32 columns: a
+    /// lone zmm tile per row runs 8 FMAs per `k` against the pair's 16
+    /// (32→32 @16²: 0.76× the gathered orientation alone, 1.06× paired).
+    /// The two rows of a sample's plane are adjacent in the output, so only
+    /// the `B` side needs the second vector's offset (`Strip::pair`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if sample `s` or `out` does not exist at that size.
+    pub(crate) fn sample(&self, pick: impl Fn(usize) -> Tile, s: usize, out: &mut [f32]) {
+        let (k, run, plane) = (self.w.k, self.runs.run, self.per_sample * self.runs.run);
+        let origins = &self.runs.origins[s * self.per_sample..][..self.per_sample];
+        assert_eq!(out.len(), self.sample_len(), "output is not one sample");
+        if out.is_empty() {
+            return;
+        }
+        if k == 0 {
+            for (j, chan) in out.chunks_mut(plane).enumerate() {
+                chan.fill(self.bias.map_or(0.0, |b| b[j]));
+            }
+            return;
+        }
+        for (idx, opanel) in out.chunks_mut(MR * plane).enumerate() {
+            let (i0, rows) = (idx * MR, opanel.len() / plane);
+            let mut strip = Strip {
+                a: &self.w,
+                rb: row_bases(&self.w, i0, rows),
+                rows,
+                b: &self.runs,
+                bcol: 0,
+                pair: 0,
+                n: plane,
+                kk0: 0,
+                kc: 0,
+                j: 0,
+                cols: 0,
+                first: true,
+                bias: None,
+            };
+            while strip.kk0 < k {
+                strip.kc = KC.min(k - strip.kk0);
+                strip.first = strip.kk0 == 0;
+                let last = strip.kk0 + strip.kc == k;
+                strip.bias = self
+                    .bias
+                    .filter(|_| last)
+                    .map(|bias| std::array::from_fn(|r| bias[i0 + r.min(rows - 1)]));
+                let mut oy = 0;
+                while oy < origins.len() {
+                    let origin = origins[oy];
+                    if run == Tile::Zmm.width()
+                        && oy + 1 < origins.len()
+                        && pick(2 * run) == Tile::ZmmPair
+                    {
+                        strip.cols = 2 * run;
+                        (strip.j, strip.bcol) = (oy * run, origin as usize);
+                        // Wrapping: as a pointer offset it lands on the next
+                        // origin whichever way the rows are laid out.
+                        strip.pair = (origins[oy + 1] as usize).wrapping_sub(origin as usize);
+                        // SAFETY: `pick` named the pair tile, so the host
+                        // supports it. `A` as below. Vector 0 of `B` row `p`
+                        // reads `taps[p] + origins[oy] + lane`, vector 1
+                        // `taps[p] + origins[oy + 1] + lane`, lanes < 16 =
+                        // run: both inside `base` by `GatherRuns::new`.
+                        // Output lanes land at `r·plane + oy·run + lane` for
+                        // `lane < 2·run`, i.e. rows `oy` and `oy + 1 <
+                        // origins.len()` of the plane: `< rows·plane`.
+                        // `cols = 32 = width()`.
+                        unsafe { Tile::ZmmPair.run(&strip, opanel) };
+                        strip.pair = 0;
+                        oy += 2;
+                        continue;
+                    }
+                    let mut x = 0;
+                    while x < run {
+                        let tile = pick(run - x);
+                        debug_assert!(tile.supported());
+                        strip.cols = tile.width().min(run - x);
+                        (strip.j, strip.bcol) = (oy * run + x, origin as usize + x);
+                        // SAFETY: `pick` only names tiles this host
+                        // supports. `A` is `ColumnsA` over exactly `k·n`
+                        // floats with rows `i0..i0+rows ≤ n` and columns
+                        // `kk0..kk0+kc ≤ k`. `B` row `p` of the block is
+                        // read at `taps[p] + origin + x + lane` for lanes
+                        // `< cols ≤ run − x`: at most `max(taps) +
+                        // max(origins) + run − 1`, which `GatherRuns::new`
+                        // proved inside `base`. Output lanes land at
+                        // `r·plane + oy·run + x + lane < rows·plane =
+                        // opanel.len()`. `1 ≤ cols ≤ tile.width()`.
+                        unsafe { tile.run(&strip, opanel) };
+                        x += strip.cols;
+                    }
+                    oy += 1;
+                }
+                strip.kk0 += strip.kc;
+            }
+        }
+    }
+}
+
+/// `a · b` written as NCHW in the **lane orientation** (see `Lanes`),
+/// every run on `tile`: how the tests hold each tile instantiation of the
+/// lane product to the gathered one, like [`gemm_on_tile`] for the dense
+/// product. All `K` blocks, serial; the
+/// arguments are those of [`super::GemmBackend::gemm_gather`] into
+/// [`super::Dest::Nchw`]. Returns `false`, leaving `out` alone, when the
+/// host cannot run `tile` or `a` carries no runs.
+///
+/// # Panics
+///
+/// As [`super::GemmBackend::gemm_gather`]: a slice that does not match
+/// its dimensions, or a `plane` that is not whole output rows.
+pub fn lanes_on_tile(
+    tile: Tile,
+    a: &GatherA<'_>,
+    n: usize,
+    b: &[f32],
+    plane: usize,
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+) -> bool {
+    let Some(lanes) = Lanes::new(a, n, b, plane, bias, out.len()) else {
+        return false;
+    };
+    if !tile.supported() {
+        return false;
+    }
+    let len = lanes.sample_len();
+    if len > 0 {
+        for (s, sample) in out.chunks_mut(len).enumerate() {
+            lanes.sample(|_| tile, s, sample);
+        }
+    }
+    true
+}
+
 /// One column strip of one panel's cache block — everything a tile reads:
-/// rows `rb` (`rows` of them live) of `a` against rows `kk0..kk0+kc`,
-/// columns `j..j+cols` of `b` (`n` floats per row, as in the output).
-struct Strip<'a, A> {
+/// rows `rb` (`rows` of them live) of `a` against rows `kk0..kk0+kc` of
+/// `b`, `cols` columns from `bcol` (its vectors `PanelB::vector_step`
+/// apart, `pair` the step a paired strip sets), into output rows `n`
+/// floats apart at columns `j..j+cols`, plus `bias` (one per row, added to
+/// the finished sum) when this is the last `K` block of a product that has
+/// one.
+struct Strip<'a, A, B> {
     a: &'a A,
     rb: [usize; MR],
     rows: usize,
-    b: &'a [f32],
+    b: &'a B,
+    bcol: usize,
+    pair: usize,
     n: usize,
     kk0: usize,
     kc: usize,
     j: usize,
     cols: usize,
     first: bool,
+    bias: Option<[f32; MR]>,
 }
-
 /// What the tile body needs from one vector register of `LANES` floats.
 /// Implemented for `[f32; 8]` (portable), `__m256` and `__m512`; every
 /// operation is lane-wise, and `fma` rounds once, so a lane's value never
@@ -670,17 +1085,26 @@ mod x86 {
 /// `NV = 2`. `FULL` compiles the strip of exactly `NV·LANES` columns
 /// without lane masks, keeping the hot inner loop at loads, broadcast-FMAs
 /// and counters; otherwise vector `v` of a row runs behind a mask of the
-/// strip's columns that fall in it.
+/// strip's columns that fall in it. With `BIAS` the store adds the strip's
+/// bias to each finished sum — compiled in only where there is one, so
+/// the store of every other product is the plain one.
 ///
 /// # Safety
 ///
-/// As [`Tile::run`], with `V`'s ISA in force in the (inlining) caller and
-/// `cols == NV·LANES` when `FULL`.
+/// As [`Tile::run`], with `V`'s ISA in force in the (inlining) caller,
+/// `cols == NV·LANES` when `FULL` and `s.bias` set when `BIAS`.
 // SAFETY: `unsafe fn` for `V`'s ISA requirement and the unchecked pointer
 // accesses; the contract is the `# Safety` section above.
 #[inline(always)]
-unsafe fn tile<V: Vector, const NV: usize, const FULL: bool, A: PanelA>(
-    s: &Strip<'_, A>,
+unsafe fn tile<
+    V: Vector,
+    const NV: usize,
+    const FULL: bool,
+    const BIAS: bool,
+    A: PanelA,
+    B: PanelB,
+>(
+    s: &Strip<'_, A, B>,
     opanel: &mut [f32],
 ) {
     let (n, j) = (s.n, s.j);
@@ -693,49 +1117,76 @@ unsafe fn tile<V: Vector, const NV: usize, const FULL: bool, A: PanelA>(
     // One base pointer per panel row (each `rb[r]` alone is in bounds),
     // so the inner loop addresses `A` as `row + c` with `c` shared.
     let rows_at: [*const f32; MR] = std::array::from_fn(|r| ap.add(s.rb[r]));
-    let mut bsrc = s.b.as_ptr().add(s.kk0 * n + j);
-    for c in s.a.cols(s.kk0, s.kc) {
-        let mut brow = [V::zero(); NV];
-        for (v, (bv, &mask)) in brow.iter_mut().zip(&masks).enumerate() {
+    // One `k` of the block: `A` column offset `c`, `B` row at `bsrc`.
+    let vstep = B::vector_step(s.pair, V::LANES);
+    let mut step = |c: usize, bsrc: *const f32| {
+        let mut bvec = [V::zero(); NV];
+        for (v, (bv, &mask)) in bvec.iter_mut().zip(&masks).enumerate() {
             // Wrapping: a fully masked-out vector may start past the row.
-            *bv = V::load::<FULL>(bsrc.wrapping_add(v * V::LANES), mask);
+            *bv = V::load::<FULL>(bsrc.wrapping_add(v * vstep), mask);
         }
         for (accr, row) in acc.iter_mut().zip(rows_at) {
             let av = V::splat(*row.add(c));
-            for (o, &bv) in accr.iter_mut().zip(&brow) {
+            for (o, &bv) in accr.iter_mut().zip(&bvec) {
                 *o = V::fma(av, bv, *o);
             }
         }
-        // Wrapping: after the last `k` this may point past the end of `b`,
-        // where it is never dereferenced.
-        bsrc = bsrc.wrapping_add(n);
+    };
+    // Wrapping: only `bp + row(p)` is a position the caller proved in
+    // bounds, not `bp` alone, and after the last `k` the stepped pointer
+    // may point past the end of `b`, where it is never dereferenced.
+    let bp = s.b.data().as_ptr().wrapping_add(s.bcol);
+    match s.b.stride() {
+        // A pointer bump per row, not an offset per row: 3–10 % on the
+        // short-`K` products of narrow convs.
+        Some(stride) => {
+            let mut bsrc = bp.wrapping_add(s.kk0 * stride);
+            for c in s.a.cols(s.kk0, s.kc) {
+                step(c, bsrc);
+                bsrc = bsrc.wrapping_add(stride);
+            }
+        }
+        None => {
+            for (c, brow) in s.a.cols(s.kk0, s.kc).zip(s.b.rows(s.kk0, s.kc)) {
+                step(c, bp.wrapping_add(brow));
+            }
+        }
     }
     let op = opanel.as_mut_ptr();
+    let bias = s.bias.unwrap_or([0.0; MR]);
     for (r, accr) in acc.iter().enumerate().take(s.rows) {
         for (v, (&sum, &mask)) in accr.iter().zip(&masks).enumerate() {
             let dst = op.wrapping_add(r * n + j + v * V::LANES);
-            let value = if s.first {
+            let mut value = if s.first {
                 sum
             } else {
                 V::add(V::load::<FULL>(dst, mask), sum)
             };
+            if BIAS {
+                value = V::add(value, V::splat(bias[r]));
+            }
             V::store::<FULL>(dst, mask, value);
         }
     }
 }
 
-/// [`tile`] at `NV` vectors of `V`, unmasked when the strip fills it.
+/// [`tile`] at `NV` vectors of `V`, unmasked when the strip fills it, with
+/// the bias add when the strip carries one.
 ///
 /// # Safety
 ///
 /// As [`tile`].
 // SAFETY: same contract as `tile`, which it only forwards to.
 #[inline(always)]
-unsafe fn tile_any<V: Vector, const NV: usize, A: PanelA>(s: &Strip<'_, A>, opanel: &mut [f32]) {
-    if s.cols == NV * V::LANES {
-        tile::<V, NV, true, A>(s, opanel)
-    } else {
-        tile::<V, NV, false, A>(s, opanel)
+unsafe fn tile_any<V: Vector, const NV: usize, A: PanelA, B: PanelB>(
+    s: &Strip<'_, A, B>,
+    opanel: &mut [f32],
+) {
+    match (s.cols == NV * V::LANES, s.bias.is_some()) {
+        (true, false) => tile::<V, NV, true, false, A, B>(s, opanel),
+        (false, false) => tile::<V, NV, false, false, A, B>(s, opanel),
+        (true, true) => tile::<V, NV, true, true, A, B>(s, opanel),
+        (false, true) => tile::<V, NV, false, true, A, B>(s, opanel),
     }
 }
 
@@ -744,8 +1195,8 @@ unsafe fn tile_any<V: Vector, const NV: usize, A: PanelA>(s: &Strip<'_, A>, opan
 // instantiation of `tile` is compiled with that ISA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn tile_ymm<A: PanelA>(s: &Strip<'_, A>, opanel: &mut [f32]) {
-    tile_any::<std::arch::x86_64::__m256, 1, A>(s, opanel)
+unsafe fn tile_ymm<A: PanelA, B: PanelB>(s: &Strip<'_, A, B>, opanel: &mut [f32]) {
+    tile_any::<std::arch::x86_64::__m256, 1, A, B>(s, opanel)
 }
 
 // SAFETY: `unsafe fn` because of `#[target_feature]`: the caller
@@ -753,8 +1204,8 @@ unsafe fn tile_ymm<A: PanelA>(s: &Strip<'_, A>, opanel: &mut [f32]) {
 // instantiations of `tile` are compiled with that ISA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn tile_zmm<const NV: usize, A: PanelA>(s: &Strip<'_, A>, opanel: &mut [f32]) {
-    tile_any::<std::arch::x86_64::__m512, NV, A>(s, opanel)
+unsafe fn tile_zmm<const NV: usize, A: PanelA, B: PanelB>(s: &Strip<'_, A, B>, opanel: &mut [f32]) {
+    tile_any::<std::arch::x86_64::__m512, NV, A, B>(s, opanel)
 }
 
 impl Tile {
@@ -762,20 +1213,25 @@ impl Tile {
     ///
     /// # Safety
     ///
-    /// The host must support the tile ([`Tile::supported`]),
-    /// [`check_block`] must hold for the strip's block with
-    /// `j + cols ≤ j_end`, and `1 ≤ cols ≤ self.width()`.
+    /// The host must support the tile ([`Tile::supported`]), every `A`
+    /// read must be one the [`PanelA`] contract covers (rows `rb`, columns
+    /// `kk0..kk0+kc ≤ a.depth()`), the live lanes of every vector `v` of
+    /// every `B` row `p` of the block — from `bcol + row(p) +
+    /// v·vector_step` — must be inside `b.data()`, the
+    /// `rows` output rows `n` apart must hold columns `j..j+cols` inside
+    /// `opanel`, and `1 ≤ cols ≤ self.width()`.
     // SAFETY: `unsafe fn` because the tiles read and write unchecked and
-    // execute ISA-gated instructions; `panel_with` is the only caller.
-    unsafe fn run<A: PanelA>(self, s: &Strip<'_, A>, opanel: &mut [f32]) {
+    // execute ISA-gated instructions; `panel` and `Lanes::sample` are
+    // the only callers.
+    unsafe fn run<A: PanelA, B: PanelB>(self, s: &Strip<'_, A, B>, opanel: &mut [f32]) {
         match self {
-            Tile::Portable => tile_any::<[f32; LANES], 1, A>(s, opanel),
+            Tile::Portable => tile_any::<[f32; LANES], 1, A, B>(s, opanel),
             #[cfg(target_arch = "x86_64")]
             Tile::Ymm => tile_ymm(s, opanel),
             #[cfg(target_arch = "x86_64")]
-            Tile::Zmm => tile_zmm::<1, A>(s, opanel),
+            Tile::Zmm => tile_zmm::<1, A, B>(s, opanel),
             #[cfg(target_arch = "x86_64")]
-            Tile::ZmmPair => tile_zmm::<2, A>(s, opanel),
+            Tile::ZmmPair => tile_zmm::<2, A, B>(s, opanel),
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("no SIMD tile is supported off x86_64"),
         }
@@ -830,6 +1286,20 @@ mod tests {
     }
 
     #[test]
+    fn run_rule_fills_the_pair_tile_from_17_positions() {
+        for remaining in 1..=100 {
+            let (tile, strip) = (Tile::for_run(remaining), Tile::for_strip(remaining));
+            assert!(tile.supported(), "{tile:?} picked for {remaining}");
+            let want = if Tile::ZmmPair.supported() && remaining > 16 {
+                Tile::ZmmPair
+            } else {
+                strip
+            };
+            assert_eq!(tile, want, "{remaining} positions remaining");
+        }
+    }
+
+    #[test]
     fn panel_matches_scalar_reference() {
         // 8×K panel times K×N block through the dispatching entry point,
         // odd N so full tiles and the masked remainder tile both run.
@@ -839,6 +1309,7 @@ mod tests {
         // Poisoned output: `first == true` must fully overwrite it.
         let mut out = vec![f32::NAN; MR * n];
         panel(
+            Tile::for_strip,
             &DenseA::new(&a, MR, k),
             &b,
             n,
@@ -897,7 +1368,7 @@ mod tests {
                     let poison = values(MR * n, 99);
                     let on = |tile: Tile| {
                         let mut out = poison.clone();
-                        panel_with(
+                        panel(
                             |_| tile,
                             a,
                             b,
@@ -973,13 +1444,13 @@ mod tests {
                     let j0 = n - nc;
                     let mut out = vec![7.0f32; MR * n + GUARD];
                     let run = |tile: Tile, out: &mut [f32]| {
-                        panel_with(|_| tile, &a, b, n, 0, MR, 0, k, j0, nc, first, out)
+                        panel(|_| tile, &a, b, n, 0, MR, 0, k, j0, nc, first, out)
                     };
                     run(tile, &mut out[..MR * n]);
                     let mut want = vec![7.0f32; MR * n + GUARD];
                     // Dispatch-free oracle: the strip one column at a time.
                     for j in j0..n {
-                        panel_with(
+                        panel(
                             |_| Tile::Portable,
                             &a,
                             b,
@@ -1010,6 +1481,7 @@ mod tests {
         for (idx, opanel) in want.chunks_mut(MR * n).enumerate() {
             let rows = opanel.len() / n;
             panel(
+                Tile::for_strip,
                 &DenseA::new(&a, m, k),
                 &b,
                 n,
@@ -1074,6 +1546,198 @@ mod tests {
     }
 
     #[test]
+    fn run_tables_are_validated_against_the_base() {
+        let base = [0.0f32; 10];
+        // Last float read: tap 5 + origin 2 + run 3 − 1 = 9.
+        assert!(GatherRuns::new(&base, &[0, 5], &[0, 2], 3).is_ok());
+        assert_eq!(
+            GatherRuns::new(&base, &[0, 5], &[0, 3], 3).unwrap_err(),
+            TensorError::OffsetOutOfBounds { reach: 10, len: 10 }
+        );
+        assert!(GatherRuns::new(&base, &[u32::MAX], &[u32::MAX], 1).is_err());
+        // No taps, no origins or empty runs read nothing.
+        assert!(GatherRuns::new(&[], &[], &[7], 4).is_ok());
+        assert!(GatherRuns::new(&[], &[7], &[], 4).is_ok());
+        assert!(GatherRuns::new(&[], &[7], &[7], 0).is_ok());
+        // Attached to a gather: bounds as above, and the runs must cover
+        // the rows exactly.
+        let rows: Vec<u32> = vec![0, 1, 2, 4, 5, 6];
+        let a = GatherA::new(&base, &rows, &[0, 1]).unwrap();
+        assert!(a.runs().is_none());
+        assert!(a.with_runs(&[0, 4], 3).unwrap().runs().is_some());
+        assert_eq!(
+            a.with_runs(&[0, 4], 2).unwrap_err(),
+            TensorError::ShapeDataMismatch {
+                expected: 4,
+                actual: 6
+            }
+        );
+        let short = GatherA::new(&base[..8], &rows, &[0, 1]).unwrap();
+        assert!(matches!(
+            short.with_runs(&[0, 5], 3),
+            Err(TensorError::OffsetOutOfBounds { reach: 8, len: 8 })
+        ));
+    }
+
+    /// A lane problem: `samples` images of `c` channels padded to
+    /// `rows_per × (run + 2)` floats each, `k = c·6` taps of a 2×3 window,
+    /// one output row of `run` positions per padded row — with the
+    /// positions as the rows of the gathered operand and the same windows
+    /// as runs.
+    struct LaneCase {
+        base: Vec<f32>,
+        pos: Vec<u32>,
+        origins: Vec<u32>,
+        taps: Vec<u32>,
+        run: usize,
+    }
+
+    impl LaneCase {
+        fn new(samples: usize, c: usize, rows_per: usize, run: usize, seed: u64) -> LaneCase {
+            let wp = run + 2;
+            let sample = c * (rows_per + 1) * wp;
+            let origins: Vec<u32> = (0..samples * rows_per)
+                .map(|r| ((r / rows_per) * sample + (r % rows_per) * wp) as u32)
+                .collect();
+            let pos = origins
+                .iter()
+                .flat_map(|&o| (0..run as u32).map(move |x| o + x))
+                .collect();
+            let taps = (0..c)
+                .flat_map(|ch| (0..2).flat_map(move |kh| (0..3).map(move |kw| (ch, kh, kw))))
+                .map(|(ch, kh, kw)| ((ch * (rows_per + 1) + kh) * wp + kw) as u32)
+                .collect();
+            LaneCase {
+                base: values(samples * sample, seed),
+                pos,
+                origins,
+                taps,
+                run,
+            }
+        }
+
+        fn a(&self) -> GatherA<'_> {
+            let a = GatherA::new(&self.base, &self.pos, &self.taps).unwrap();
+            a.with_runs(&self.origins, self.run).unwrap()
+        }
+    }
+
+    /// The NCHW product `lanes_on_tile` must make, spelled out per element:
+    /// a zeroed accumulator and one `mul_add` per tap for each `KC` block,
+    /// the blocks summed in order, then the bias.
+    fn lanes_reference(
+        case: &LaneCase,
+        n: usize,
+        b: &[f32],
+        plane: usize,
+        bias: Option<&[f32]>,
+    ) -> Vec<f32> {
+        let (m, k) = (case.pos.len(), case.taps.len());
+        let mut out = vec![0.0f32; m * n];
+        for (i, &p) in case.pos.iter().enumerate() {
+            for j in 0..n {
+                let mut total = 0.0f32;
+                for kk0 in (0..k).step_by(KC) {
+                    let block = (kk0..k.min(kk0 + KC)).fold(0.0f32, |acc, q| {
+                        let x = case.base[p as usize + case.taps[q] as usize];
+                        b[q * n + j].mul_add(x, acc)
+                    });
+                    total = if kk0 == 0 { block } else { total + block };
+                }
+                let v = bias.map_or(total, |bias| total + bias[j]);
+                out[((i / plane) * n + j) * plane + i % plane] = v;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_tile_runs_the_lane_product_with_equal_bits() {
+        // Runs narrower than, equal to and wider than every tile (masked
+        // last runs included), channel counts around the 8-row panel, a
+        // `K` on both sides of `KC`, with and without a bias, on a
+        // poisoned output.
+        let mut tiles = simd_tiles();
+        tiles.insert(0, Tile::Portable);
+        for (run, n, c) in [
+            (5, 3, 1),
+            (8, 8, 2),
+            (13, 9, 1),
+            (16, 1, 3),
+            (37, 17, 2),
+            (64, 4, 50),
+        ] {
+            let (samples, rows_per) = (2, 3);
+            let case = LaneCase::new(samples, c, rows_per, run, (run * 31 + n) as u64);
+            let (k, plane) = (case.taps.len(), rows_per * run);
+            let b = values(k * n, 7);
+            let bias = values(n, 8);
+            for bias in [Some(&bias[..]), None] {
+                let want = lanes_reference(&case, n, &b, plane, bias);
+                for &tile in &tiles {
+                    // A sentinel behind the output catches a masked lane
+                    // stored anyway.
+                    let len = samples * n * plane;
+                    let mut out = vec![f32::NAN; len + 32];
+                    out[len..].fill(7.0);
+                    let a = case.a();
+                    assert!(lanes_on_tile(tile, &a, n, &b, plane, bias, &mut out[..len]));
+                    assert_eq!(
+                        bits(&out[..len]),
+                        bits(&want),
+                        "{tile:?} run {run} n {n} k {k} bias {}",
+                        bias.is_some()
+                    );
+                    assert!(out[len..].iter().all(|&v| v == 7.0), "{tile:?} wrote past");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_need_runs_and_a_supported_tile() {
+        let case = LaneCase::new(1, 1, 2, 4, 3);
+        let (b, mut out) = (values(6 * 2, 4), vec![f32::NAN; 2 * 8]);
+        let plain = GatherA::new(&case.base, &case.pos, &case.taps).unwrap();
+        assert!(!lanes_on_tile(
+            Tile::Portable,
+            &plain,
+            2,
+            &b,
+            8,
+            None,
+            &mut out
+        ));
+        for tile in Tile::ALL {
+            let ran = lanes_on_tile(tile, &case.a(), 2, &b, 8, None, &mut out);
+            assert_eq!(ran, tile.supported(), "{tile:?}");
+        }
+        // No taps: the product is its bias.
+        let a = GatherA::new(&case.base, &case.pos, &[]).unwrap();
+        let a = a.with_runs(&case.origins, 4).unwrap();
+        assert!(lanes_on_tile(
+            Tile::Portable,
+            &a,
+            2,
+            &[],
+            8,
+            Some(&[1.5, -2.0]),
+            &mut out
+        ));
+        assert_eq!(out, [[1.5; 8], [-2.0; 8]].concat());
+    }
+
+    #[test]
+    #[should_panic]
+    fn lanes_reject_a_plane_that_is_not_whole_runs() {
+        // 16 rows in runs of 4: planes of 2 split the samples evenly but
+        // cut every run in half.
+        let case = LaneCase::new(2, 1, 2, 4, 3);
+        let (b, mut out) = (values(6, 4), vec![0.0f32; 16]);
+        lanes_on_tile(Tile::Portable, &case.a(), 1, &b, 2, None, &mut out);
+    }
+
+    #[test]
     #[should_panic]
     fn panel_rejects_a_block_outside_its_operands() {
         let a = [0.0f32; 16];
@@ -1082,6 +1746,7 @@ mod tests {
         // b has 2 rows of 2; asking for k-block [0, 4) must not reach the
         // tile.
         panel(
+            Tile::for_strip,
             &DenseA::new(&a, 4, 4),
             &b,
             2,

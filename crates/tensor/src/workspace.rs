@@ -41,13 +41,13 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Slots are named by role rather than by owner so sequential layers of
 /// different shapes can share them:
 ///
-/// | slot      | role                                                    |
-/// |-----------|---------------------------------------------------------|
-/// | `cols`    | padded conv input (or output gradient)                  |
-/// | `cols_u8` | padded `u8` conv input of the int8 forward (bytes)      |
-/// | `posrows` | position-major activations or gradients (`N·H·W × C`)   |
-/// | `out`     | row-major GEMM outputs consumed within the same call    |
-/// | `pack`    | transpose/pack and row-group scratch inside the GEMM    |
+/// | slot      | role                                                     |
+/// |-----------|----------------------------------------------------------|
+/// | `cols`    | padded conv input of an eval forward, or output gradient |
+/// | `cols_u8` | padded `u8` conv input of the int8 forward (bytes)       |
+/// | `posrows` | position-major activations or gradients (`N·H·W × C`)    |
+/// | `out`     | row-major GEMM outputs consumed within the same call     |
+/// | `pack`    | transpose/pack and row-group scratch inside the GEMM     |
 ///
 /// Beside the slots sits the hand-off free list
 /// ([`Workspace::take_handoff`]): activations on their way from one layer
@@ -81,7 +81,8 @@ pub struct Workspace {
 /// while writing `out` and packing into `pack`).
 pub struct WorkspaceParts<'a> {
     /// Lowering slot: the padded input (or output gradient) a conv's
-    /// gathered GEMM reads.
+    /// gathered GEMM reads. A training forward pads into the layer's own
+    /// cache instead, which its weight gradient reads again.
     pub cols: &'a mut Tensor,
     /// The `u8` sibling of `cols`: the int8-cached input padded once with
     /// its zero-point byte, which `Conv2d::forward_quant`'s gathered

@@ -14,8 +14,8 @@
 use nf_tensor::kernels::{Dest, GatherA};
 use nf_tensor::{
     col2im_batch, flip_kernel_panel_into, im2col_batch, matmul_at_b_with, matmul_with,
-    nchw_to_posrows, posrows_to_nchw_into, transpose2d, Conv2dGeometry, ConvGather, KernelBackend,
-    Tensor,
+    nchw_to_posrows, pad_nchw_into, posrows_to_nchw_into, transpose2d, Conv2dGeometry, ConvGather,
+    KernelBackend, Tensor,
 };
 use proptest::prelude::*;
 
@@ -82,6 +82,8 @@ impl Case {
         let bias: Vec<f32> = (0..c_out).map(|j| 0.3 - 0.11 * j as f32).collect();
         let (mut pad, mut pack, mut out) = (Tensor::default(), Vec::new(), Tensor::default());
         let mut want = Tensor::default();
+        // Every product reads its operand padded once, by the caller.
+        pad_nchw_into(x, geom.pad, &mut pad).unwrap();
 
         for (backend, exact) in [
             (KernelBackend::Blocked, true),
@@ -93,7 +95,7 @@ impl Case {
                 out.reuse_as(&[n * c_out * geom.out_positions() + 3]);
                 out.data_mut().fill(f32::NAN);
                 lowering
-                    .forward_into(backend, x, geom, &wt, bias, &mut pad, &mut pack, &mut out)
+                    .forward_into(backend, &pad, geom, &wt, bias, &mut pack, &mut out)
                     .unwrap();
                 let rows = matmul_with(backend, &cols, &wt).unwrap();
                 posrows_to_nchw_into(&rows, bias, n, c_out, geom.out_h, geom.out_w, &mut want)
@@ -103,9 +105,10 @@ impl Case {
                 }
                 assert_close(&out, &want, 1e-4, "forward");
             }
-            // Weight gradient: the gathered product is dWᵀ.
+            // Weight gradient: the gathered product is dWᵀ, read from the
+            // same padded input.
             lowering
-                .wgrad_into(backend, x, geom, &g_rows, &mut pad, &mut pack, &mut out)
+                .wgrad_into(backend, &pad, geom, &g_rows, &mut pack, &mut out)
                 .unwrap();
             let want = transpose2d(&matmul_at_b_with(backend, &g_rows, &cols).unwrap()).unwrap();
             if exact {
@@ -116,10 +119,10 @@ impl Case {
             if let Some(dgeom) = geom.input_grad_geometry() {
                 let mut flipped = Tensor::default();
                 flip_kernel_panel_into(weight, *c_in, geom.k_h, geom.k_w, &mut flipped).unwrap();
+                let mut g_pad = Tensor::default();
+                pad_nchw_into(grad_out, dgeom.pad, &mut g_pad).unwrap();
                 dlowering
-                    .dgrad_into(
-                        backend, grad_out, &dgeom, &flipped, &mut pad, &mut pack, &mut out,
-                    )
+                    .dgrad_into(backend, &g_pad, &dgeom, &flipped, &mut pack, &mut out)
                     .unwrap();
                 let dcols = matmul_with(backend, &g_rows, weight).unwrap();
                 let want = col2im_batch(&dcols, n, *c_in, geom).unwrap();
@@ -261,26 +264,32 @@ fn shape_errors_are_typed() {
     let mut lowering = ConvGather::new();
     let wt = Tensor::zeros(&[18, 4]);
     let backend = KernelBackend::Blocked;
-    // Wrong spatial size, wrong rank, panel not matching channels·k·k.
-    for x in [Tensor::zeros(&[1, 2, 5, 4]), Tensor::zeros(&[2, 4, 4])] {
+    // The forward reads the input padded by 1: 6×6 here.
+    let padded = Tensor::zeros(&[1, 2, 6, 6]);
+    assert!(lowering
+        .forward_into(backend, &padded, &geom, &wt, None, &mut pack, &mut out)
+        .is_ok());
+    // Wrong spatial size (the unpadded input among them), wrong rank, panel
+    // not matching channels·k·k.
+    for x in [
+        Tensor::zeros(&[1, 2, 4, 4]),
+        Tensor::zeros(&[1, 2, 7, 6]),
+        Tensor::zeros(&[2, 6, 6]),
+        Tensor::zeros(&[1, 3, 6, 6]),
+    ] {
         assert!(lowering
-            .forward_into(backend, &x, &geom, &wt, None, &mut pad, &mut pack, &mut out)
+            .forward_into(backend, &x, &geom, &wt, None, &mut pack, &mut out)
             .is_err());
     }
-    let x = Tensor::zeros(&[1, 3, 4, 4]);
-    assert!(lowering
-        .forward_into(backend, &x, &geom, &wt, None, &mut pad, &mut pack, &mut out)
-        .is_err());
     // One bias value per output channel.
-    let (x, bias) = (Tensor::zeros(&[1, 2, 4, 4]), [0.0; 3]);
+    let bias = [0.0; 3];
     assert!(lowering
         .forward_into(
             backend,
-            &x,
+            &padded,
             &geom,
             &wt,
             Some(&bias),
-            &mut pad,
             &mut pack,
             &mut out
         )
@@ -288,8 +297,17 @@ fn shape_errors_are_typed() {
     // Gradient rows not matching the positions.
     let x = Tensor::zeros(&[1, 2, 4, 4]);
     let g = Tensor::zeros(&[15, 4]);
+    pad_nchw_into(&x, geom.pad, &mut pad).unwrap();
     assert!(lowering
-        .wgrad_into(backend, &x, &geom, &g, &mut pad, &mut pack, &mut out)
+        .wgrad_into(backend, &pad, &geom, &g, &mut pack, &mut out)
+        .is_err());
+    // The weight gradient reads the padded input, not the input.
+    let g = Tensor::zeros(&[16, 4]);
+    assert!(lowering
+        .wgrad_into(backend, &pad, &geom, &g, &mut pack, &mut out)
+        .is_ok());
+    assert!(lowering
+        .wgrad_into(backend, &x, &geom, &g, &mut pack, &mut out)
         .is_err());
     // Strided and over-padded convolutions have no stride-1 dgrad form.
     assert!(Conv2dGeometry::new(8, 8, 3, 3, 2, 1)
@@ -300,4 +318,166 @@ fn shape_errors_are_typed() {
         .unwrap()
         .input_grad_geometry()
         .is_none());
+}
+
+/// The tables `ConvGather` builds for `batch` samples of `c` channels
+/// under `g`, written out: window origins `(n, oy, ox)`, output-row origins
+/// `(n, oy)` and taps `(c, kh, kw)`.
+fn tables(batch: usize, c: usize, g: &Conv2dGeometry) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let (hp, wp) = (g.in_h + 2 * g.pad, g.in_w + 2 * g.pad);
+    let rows: Vec<u32> = (0..batch * g.out_h)
+        .map(|r| ((r / g.out_h) * c * hp * wp + (r % g.out_h) * g.stride * wp) as u32)
+        .collect();
+    let pos = rows
+        .iter()
+        .flat_map(|&o| (0..g.out_w).map(move |ox| o + (ox * g.stride) as u32))
+        .collect();
+    let taps = (0..c)
+        .flat_map(|ch| (0..g.k_h).flat_map(move |kh| (0..g.k_w).map(move |kw| (ch, kh, kw))))
+        .map(|(ch, kh, kw)| ((ch * hp + kh) * wp + kw) as u32)
+        .collect();
+    (pos, rows, taps)
+}
+
+/// One NCHW-bound conv product (`src` padded by `g.pad`, times `panel`)
+/// in both orientations: the gathered product on the blocked backend, both
+/// orientations on every tile the host has driven directly, and the
+/// orientation `ConvGather` picks — all into poisoned outputs, all with
+/// the same bits.
+fn check_orientations(src: &Tensor, g: &Conv2dGeometry, panel: &Tensor, bias: Option<&[f32]>) {
+    use nf_tensor::kernels::gather_nchw_on_tile;
+    use nf_tensor::kernels::simd::{lanes_on_tile, Tile};
+    let (batch, c) = (src.shape()[0], src.shape()[1]);
+    let (n, plane) = (panel.shape()[1], g.out_positions());
+    let (pos, rows, taps) = tables(batch, c, g);
+    let mut padded = Tensor::default();
+    pad_nchw_into(src, g.pad, &mut padded).unwrap();
+    let len = batch * n * plane;
+    let what = format!(
+        "{batch}×{c}→{n} @{}×{}, bias {}",
+        g.out_h,
+        g.out_w,
+        bias.is_some()
+    );
+
+    let plain = GatherA::new(padded.data(), &pos, &taps).unwrap();
+    let mut gathered = vec![f32::NAN; len];
+    let dest = Dest::Nchw { plane, bias };
+    let blocked = KernelBackend::Blocked.backend();
+    blocked.gemm_gather(
+        &plain,
+        n,
+        panel.data(),
+        dest,
+        &mut gathered,
+        &mut Vec::new(),
+    );
+    assert!(gathered.iter().all(|v| !v.is_nan()), "{what}: gathered");
+
+    let runs = plain.with_runs(&rows, g.out_w).unwrap();
+    for tile in Tile::ALL.into_iter().filter(|t| t.supported()) {
+        let mut lanes = vec![f32::NAN; len];
+        assert!(lanes_on_tile(
+            tile,
+            &runs,
+            n,
+            panel.data(),
+            plane,
+            bias,
+            &mut lanes
+        ));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&lanes), bits(&gathered), "{what}: lanes on {tile:?}");
+        let mut on_tile = vec![f32::NAN; len];
+        let b = panel.data();
+        let mut scratch = Vec::new();
+        assert!(gather_nchw_on_tile(
+            tile,
+            &plain,
+            n,
+            b,
+            plane,
+            bias,
+            &mut on_tile,
+            &mut scratch
+        ));
+        assert_eq!(
+            bits(&on_tile),
+            bits(&gathered),
+            "{what}: gathered on {tile:?}"
+        );
+    }
+    // And the dispatching backend with runs attached, whatever it picks.
+    let mut dispatched = vec![f32::NAN; len];
+    blocked.gemm_gather(
+        &runs,
+        n,
+        panel.data(),
+        dest,
+        &mut dispatched,
+        &mut Vec::new(),
+    );
+    assert_eq!(
+        dispatched.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        gathered.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "{what}: dispatched"
+    );
+}
+
+#[test]
+fn lanes_equal_gathered_bit_for_bit() {
+    // `(batch, c_in, c_out, h, w)` of a 3×3 / stride 1 / pad 1 conv: output
+    // rows 8..=64 wide, on and off every vector width (masked last runs),
+    // channels 1..=70 on both sides of the 8-row panel, batches 1..=9, and
+    // a `K` (`c_in·9` forward, `c_out·9` input gradient) on both sides of
+    // `KC` = 256. Two or three output rows keep it quick unoptimised.
+    for (batch, c_in, c_out, h, w) in [
+        (1usize, 1usize, 1usize, 2usize, 8usize),
+        (2, 3, 70, 2, 9),
+        (9, 2, 5, 2, 15),
+        (4, 29, 8, 3, 16),
+        (3, 30, 13, 2, 17),
+        (5, 1, 64, 2, 24),
+        (2, 4, 33, 3, 31),
+        (7, 3, 2, 2, 32),
+        (1, 8, 40, 2, 37),
+        (6, 2, 4, 2, 48),
+        (2, 16, 9, 2, 63),
+        (3, 3, 6, 2, 64),
+    ] {
+        let geom = Conv2dGeometry::new(h, w, 3, 3, 1, 1).unwrap();
+        let case = Case::new(batch, c_in, c_out, h, w, geom);
+        let wt = transpose2d(&case.weight).unwrap();
+        let bias: Vec<f32> = (0..c_out).map(|j| 0.25 - 0.03 * j as f32).collect();
+        for bias in [Some(&bias[..]), None] {
+            check_orientations(&case.x, &geom, &wt, bias);
+        }
+        let dgeom = geom.input_grad_geometry().unwrap();
+        let mut flipped = Tensor::default();
+        flip_kernel_panel_into(&case.weight, c_in, 3, 3, &mut flipped).unwrap();
+        check_orientations(&case.grad_out, &dgeom, &flipped, None);
+    }
+}
+
+#[test]
+fn run_tables_reaching_past_the_padded_input_are_rejected() {
+    use nf_tensor::TensorError;
+    let geom = Conv2dGeometry::new(3, 16, 3, 3, 1, 1).unwrap();
+    let x = random(&[2, 2, 3, 16], 5);
+    let (pos, mut rows, taps) = tables(2, 2, &geom);
+    let mut padded = Tensor::default();
+    pad_nchw_into(&x, 1, &mut padded).unwrap();
+    let a = GatherA::new(padded.data(), &pos, &taps).unwrap();
+    assert!(a.with_runs(&rows, 16).is_ok());
+    // One float too far for the last run of the last sample's last row.
+    *rows.last_mut().unwrap() += 1;
+    assert!(matches!(
+        a.with_runs(&rows, 16),
+        Err(TensorError::OffsetOutOfBounds { .. })
+    ));
+    // Runs that do not tile the rows.
+    assert!(matches!(
+        a.with_runs(&rows[..5], 16),
+        Err(TensorError::ShapeDataMismatch { .. })
+    ));
 }
