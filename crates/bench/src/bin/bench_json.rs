@@ -21,11 +21,11 @@
 //! CI bench-smoke job asserts.
 
 use nf_bench::step::LocalStep;
-use nf_cli::{Table, Value};
 use nf_models::ModelSpec;
 use nf_nn::optim::Sgd;
 use nf_nn::{BatchNorm2d, GlobalAvgPool, Layer, MaxPool2d, Mode};
 use nf_tensor::{KernelBackend, Tensor};
+use nf_value::{Table, Value};
 use rand::SeedableRng;
 use std::time::Instant;
 
@@ -911,7 +911,7 @@ fn header(schema: &str, smoke: bool) -> Table {
     doc
 }
 
-/// Writes `value` to `path`, re-reads it through the `nf-cli` parser and
+/// Writes `value` to `path`, re-reads it through the `nf-value` reader and
 /// checks [`HEADER_KEYS`] and its `required` keys: `"key"` must be present
 /// at the top level, `"table.key"` in every row of the top-level array
 /// `table`.
@@ -920,8 +920,8 @@ fn write_and_check(path: &std::path::Path, value: &Value, required: &[&str]) {
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     // Round-trip through the real parser: a malformed artifact must fail
     // loudly here, not downstream in whatever consumes the trend line.
-    let parsed =
-        nf_cli::json::parse(&json).unwrap_or_else(|e| panic!("{} malformed: {e}", path.display()));
+    let parsed = nf_value::json::parse(&json)
+        .unwrap_or_else(|e| panic!("{} malformed: {e}", path.display()));
     for key in HEADER_KEYS.iter().chain(required) {
         let present = match key.split_once('.') {
             None => parsed.get(key).is_some(),

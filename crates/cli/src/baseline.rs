@@ -5,10 +5,10 @@
 use crate::config::RunConfig;
 use crate::error::{CliError, Result};
 use crate::rundir::RunDir;
-use crate::value::{Table, Value};
 use neuroflux_core::serve::SystemClock;
 use neuroflux_core::{Checkpoint, WorkerReport};
 use nf_baselines::{install_feedback, BpTrainer, LocalLearningTrainer, SpTrainer, TrainReport};
+use nf_value::{Table, Value};
 use rand::SeedableRng;
 
 /// The four baseline paradigms `nf baseline` can run.

@@ -12,11 +12,11 @@
 
 use crate::error::{CliError, Result};
 use crate::schema::{sections, string_enum, wrong_type, Bound, Kind, Row};
-use crate::value::Value;
 use neuroflux_core::{CodecKind, NeuroFluxConfig, ServePolicy, SloTier, MAX_REPLICAS};
 use nf_data::{ShardStrategy, SyntheticSpec};
 use nf_models::{AuxPolicy, ModelSpec};
 use nf_tensor::KernelBackend;
+use nf_value::Value;
 
 pub use crate::schema::Field;
 
@@ -219,14 +219,25 @@ sections! {
     }
 }
 
+/// Reads the document at `path` with `parse`; every error names the file.
+pub(crate) fn read_file(
+    path: &std::path::Path,
+    parse: fn(&str) -> std::result::Result<Value, nf_value::Error>,
+) -> Result<Value> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::new(format!("reading {}: {e}", path.display())))?;
+    let named = |e| CliError::new(format!("{}: {}", path.display(), CliError::from(e)));
+    parse(&text).map_err(named)
+}
+
 impl RunConfig {
     /// Loads a config from a `.toml` or `.json` file (decided by
     /// extension; anything other than `.json` parses as TOML).
     pub fn load(path: &std::path::Path) -> Result<RunConfig> {
         let value = if path.extension().is_some_and(|e| e == "json") {
-            crate::json::parse_file(path)?
+            read_file(path, nf_value::json::parse)?
         } else {
-            crate::toml::parse_file(path)?
+            read_file(path, nf_value::toml::parse)?
         };
         Self::from_value(&value)
     }
@@ -436,7 +447,7 @@ impl RunConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Table;
+    use nf_value::Table;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -464,7 +475,7 @@ epochs_per_block = 2
     }
 
     fn try_parse(text: &str) -> Result<RunConfig> {
-        crate::toml::parse(text).and_then(|v| RunConfig::from_value(&v))
+        RunConfig::from_value(&nf_value::toml::parse(text)?)
     }
 
     fn parse_config(text: &str) -> RunConfig {
@@ -594,7 +605,7 @@ epochs_per_block = 2
         rows: &[Row],
         rng: &mut StdRng,
     ) -> std::result::Result<(), TestCaseError> {
-        let minimal = crate::toml::parse(quickstart_toml()).unwrap();
+        let minimal = nf_value::toml::parse(quickstart_toml()).unwrap();
         let section = row.path.split('.').next().unwrap();
         let mut base = match at(&minimal, section) {
             Some(_) => minimal,
@@ -637,16 +648,16 @@ epochs_per_block = 2
         let doc = with(&base, &row.path, Some(sample.clone()));
         let (toml, json) = (doc.to_toml().unwrap(), doc.to_json());
         let cfg =
-            read(&crate::toml::parse(&toml).unwrap()).unwrap_or_else(|e| panic!("{e}\n{toml}"));
+            read(&nf_value::toml::parse(&toml).unwrap()).unwrap_or_else(|e| panic!("{e}\n{toml}"));
         prop_assert!(
-            read(&crate::json::parse(&json).unwrap()).unwrap() == cfg,
+            read(&nf_value::json::parse(&json).unwrap()).unwrap() == cfg,
             "{json}"
         );
         let (toml, json) = (cfg.to_value().to_toml().unwrap(), cfg.to_value().to_json());
-        let back = read(&crate::toml::parse(&toml).unwrap()).unwrap();
+        let back = read(&nf_value::toml::parse(&toml).unwrap()).unwrap();
         prop_assert!(back == cfg, "snapshot:\n{toml}");
         prop_assert_eq!(back.to_value().to_toml().unwrap(), toml);
-        let back = read(&crate::json::parse(&json).unwrap()).unwrap();
+        let back = read(&nf_value::json::parse(&json).unwrap()).unwrap();
         prop_assert!(back == cfg, "snapshot:\n{json}");
         prop_assert_eq!(back.to_value().to_json(), json);
 
@@ -695,9 +706,10 @@ epochs_per_block = 2
                 Some(Value::Null) => "optional".to_string(),
                 Some(Value::Table(_)) => "optional, defaults below".to_string(),
                 Some(default) => {
-                    let mut text = String::new();
-                    crate::value::render_toml_value(&mut text, default).unwrap();
-                    text
+                    let mut doc = Table::new();
+                    doc.insert("x", default.clone());
+                    let text = doc.build().to_toml().unwrap();
+                    text.trim_start_matches("x = ").trim_end().to_string()
                 }
             };
             if row.kind == Kind::Table {
@@ -779,8 +791,12 @@ epochs_per_block = 2
         let (path, message) = config_error(&format!("{}\n[trian]\nlr = 0.1\n", quickstart_toml()));
         assert_eq!(path, "trian");
         assert!(message.contains("train"), "{message}");
+        // `[[run]]` reads (lint.toml uses the form); the schema refuses it.
+        let doc = quickstart_toml().replace("[run]", "[[run]]");
+        let found = ("run".into(), "must be a table, found an array".into());
+        assert_eq!(config_error(&doc), found);
         let json = r#"{"run": {"name": "j", "sed": 1}}"#;
-        match RunConfig::from_value(&crate::json::parse(json).unwrap()).unwrap_err() {
+        match RunConfig::from_value(&nf_value::json::parse(json).unwrap()).unwrap_err() {
             CliError::Config { path, .. } => assert_eq!(path, "run.sed"),
             other => panic!("expected Config error, got {other}"),
         }

@@ -71,6 +71,16 @@ impl From<neuroflux_core::NfError> for CliError {
     }
 }
 
+/// A document's typed error stays typed; a syntax error is a message.
+impl From<nf_value::Error> for CliError {
+    fn from(e: nf_value::Error) -> Self {
+        match e {
+            nf_value::Error::At { path, message } => CliError::Config { path, message },
+            syntax => CliError::Msg(syntax.to_string()),
+        }
+    }
+}
+
 impl From<nf_nn::NnError> for CliError {
     fn from(e: nf_nn::NnError) -> Self {
         CliError::Msg(e.to_string())

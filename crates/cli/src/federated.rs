@@ -12,9 +12,9 @@
 use crate::config::{Field, RunConfig};
 use crate::error::{CliError, Result};
 use crate::rundir::RunDir;
-use crate::value::{Table, Value};
 use neuroflux_core::serve::SystemClock;
 use neuroflux_core::{run_federated, FederatedOutcome};
+use nf_value::{Table, Value};
 use rand::SeedableRng;
 
 /// Executes the `[federated]` section; returns the run directory and

@@ -13,7 +13,7 @@
 
 use crate::error::{CliError, Result};
 use crate::rundir::RunDir;
-use crate::value::Value;
+use nf_value::Value;
 use std::fmt::Write as _;
 use std::path::Path;
 

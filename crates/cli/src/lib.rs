@@ -18,6 +18,8 @@
 //! Runs live in `runs/<name>/` — resolved config snapshot, `metrics.json`,
 //! a per-block checkpoint, and the on-disk activation cache — see
 //! [`rundir`] for the layout and `DESIGN.md` §6 for the config schema.
+//! Documents are [`Value`] trees from `nf-value`, the workspace's one
+//! TOML/JSON reader and writer.
 //! Interrupted runs (crash, kill, cancellation) restart from the last
 //! completed block with `--resume` and finish with the same final metrics
 //! as an uninterrupted run.
@@ -37,7 +39,6 @@ pub mod config;
 pub mod error;
 pub mod federated;
 pub mod inspect;
-pub mod json;
 pub mod loadgen;
 pub mod net;
 pub mod progress;
@@ -46,9 +47,7 @@ pub mod rundir;
 pub mod schema;
 pub mod serve;
 pub mod sweep;
-pub mod toml;
 pub mod train;
-pub mod value;
 
 pub use baseline::{run_baseline, Paradigm};
 pub use config::RunConfig;
@@ -56,6 +55,7 @@ pub use error::{CliError, Result};
 pub use federated::run_federated_cmd;
 pub use inspect::run_inspect;
 pub use loadgen::{run_loadgen, LoadgenOptions, LoadgenReport};
+pub use nf_value::{Table, Value};
 pub use rundir::RunDir;
 pub use serve::{
     build_engines, replicate_engines, run_serve, start_server, start_server_with_engine,
@@ -63,4 +63,3 @@ pub use serve::{
 };
 pub use sweep::run_sweep;
 pub use train::{run_train, TrainOptions, TrainSummary};
-pub use value::{Table, Value};

@@ -25,10 +25,10 @@ use crate::net::reactor::{read_ready, FrameAssembler, ReadEnd, WriteQueue, READ_
 use crate::net::sys::{self, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::proto::{self, RejectReason, Request, Response};
 use crate::serve::{build_engines, start_server_with_engines};
-use crate::value::{Table, Value};
 use neuroflux_core::serve::splitmix64;
 use neuroflux_core::{latency_percentiles, SloTier};
-use std::collections::HashMap;
+use nf_value::{Table, Value};
+use std::collections::BTreeMap;
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::time::Instant;
@@ -252,7 +252,7 @@ struct MuxConn<'a> {
     /// Next job index not yet entered into the window.
     next: usize,
     /// In-flight requests: tier + send instant, keyed by request id.
-    pending: HashMap<u64, (SloTier, Instant)>,
+    pending: BTreeMap<u64, (SloTier, Instant)>,
     /// Every reply received; the fd is deregistered.
     done: bool,
 }
@@ -403,7 +403,7 @@ fn run_mux(
             interest: 0,
             jobs,
             next: 0,
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             done: false,
         });
     }

@@ -18,7 +18,6 @@ USAGE:
     nf serve <config.toml> [--quiet]
     nf loadgen <config.toml> [--addr=HOST:PORT] [--connections=N] [--quiet]
     nf inspect <run-dir>
-    nf lint [--root=DIR] [--format=human|json]
     nf help
 
 serve trains the config's model in-process and serves early-exit
@@ -30,11 +29,6 @@ without --addr it hosts the server itself on an ephemeral port.
 --connections overrides [loadgen].connections, keeping the config's
 per-connection pipelining window (one epoll mux thread drives every
 connection, so high fan-in costs sockets, not threads).
-
-lint runs the nf-lint workspace invariant checker (hot-path
-allocations, panic-freedom, unsafe confinement, clock discipline,
-determinism, crate hygiene) against lint.toml in the workspace root;
-see DESIGN.md §13.
 
 Runs are written to <out_dir>/<name>/ (config snapshot, metrics.json,
 checkpoint, activation cache). See DESIGN.md for the config schema and
@@ -57,8 +51,6 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
     let mut force = false;
     let mut quiet = false;
     let mut addr = None;
-    let mut root = None;
-    let mut format = None;
     let mut connections = None;
     for arg in args {
         match arg.as_str() {
@@ -69,8 +61,6 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
             a if a.starts_with("--connections=") => {
                 connections = Some(a["--connections=".len()..].to_string())
             }
-            a if a.starts_with("--root=") => root = Some(a["--root=".len()..].to_string()),
-            a if a.starts_with("--format=") => format = Some(a["--format=".len()..].to_string()),
             "--help" | "-h" | "help" => {
                 println!("{USAGE}");
                 return Ok(());
@@ -191,29 +181,6 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
             }
             run_loadgen(&cfg, &LoadgenOptions { addr, quiet })?;
             Ok(())
-        }
-        Some("lint") => {
-            let root = root.unwrap_or_else(|| ".".to_string());
-            let format = format.unwrap_or_else(|| "human".to_string());
-            if format != "human" && format != "json" {
-                return Err(nf_cli::CliError::new("--format must be human or json"));
-            }
-            let result =
-                nf_lint::lint_workspace(Path::new(&root)).map_err(nf_cli::CliError::new)?;
-            let rendered = if format == "json" {
-                nf_lint::render_json(&result)
-            } else {
-                nf_lint::render_human(&result)
-            };
-            print!("{rendered}");
-            if result.findings.is_empty() {
-                Ok(())
-            } else {
-                Err(nf_cli::CliError::new(format!(
-                    "nf lint: {} finding(s)",
-                    result.findings.len()
-                )))
-            }
         }
         Some("inspect") => {
             let run_path = positional

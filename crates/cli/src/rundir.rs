@@ -13,7 +13,7 @@
 //! `cache/` — which is precisely what an interrupted run leaves.
 
 use crate::error::{CliError, Result};
-use crate::value::Value;
+use nf_value::Value;
 use std::path::{Path, PathBuf};
 
 /// Handle to one `runs/<name>/` directory.
@@ -104,7 +104,7 @@ impl RunDir {
 
     /// Reads `metrics.json` back.
     pub fn read_metrics(&self) -> Result<Value> {
-        crate::json::parse_file(&self.metrics_path())
+        crate::config::read_file(&self.metrics_path(), nf_value::json::parse)
     }
 }
 
@@ -120,7 +120,7 @@ mod tests {
         assert!(!rd.is_complete());
         assert!(!rd.is_resumable());
 
-        let mut metrics = crate::value::Table::new();
+        let mut metrics = nf_value::Table::new();
         metrics.insert("kind", Value::Str("train".into()));
         metrics.insert("test_accuracy", Value::Float(0.75));
         let metrics = metrics.build();

@@ -5,7 +5,7 @@
 //! failure is a [`CliError::Config`] at `section.key`, never a panic.
 
 use crate::error::{CliError, Result};
-use crate::value::{join, Value};
+use nf_value::{join, Value};
 
 /// The shape of value a key takes: the closed set the reader, the writer
 /// and the `DESIGN.md` §6 listing know.
@@ -310,7 +310,7 @@ macro_rules! sections {
         impl $crate::schema::Field for $Section {
             const KIND: $crate::schema::Kind = $crate::schema::Kind::Table;
 
-            fn read(v: &$crate::value::Value, path: &str) -> $crate::error::Result<Self> {
+            fn read(v: &::nf_value::Value, path: &str) -> $crate::error::Result<Self> {
                 $crate::schema::check_keys(v, path, &[$(stringify!($field)),+])?;
                 Ok($Section {
                     $($field: $crate::schema::read_key(
@@ -322,10 +322,10 @@ macro_rules! sections {
                 })
             }
 
-            fn write(&self) -> $crate::value::Value {
-                let mut table = $crate::value::Table::new();
+            fn write(&self) -> ::nf_value::Value {
+                let mut table = ::nf_value::Table::new();
                 $(match self.$field.write() {
-                    $crate::value::Value::Null => {}
+                    ::nf_value::Value::Null => {}
                     value => table.insert(stringify!($field), value),
                 })+
                 table.build()

@@ -69,7 +69,7 @@ use crate::proto::{self, RejectReason, Request, Response};
 use neuroflux_core::serve::{reactor_timeout_ms, Clock, MicroBatcher, SystemClock};
 use neuroflux_core::{BatchPlan, NeuroFluxTrainer, ServeEngine, ServePolicy, ServeRequest};
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -186,7 +186,7 @@ pub struct ReplicaSnapshot {
 struct Shared {
     queue: Mutex<MicroBatcher>,
     queue_cv: Condvar,
-    routes: Mutex<HashMap<u64, Route>>,
+    routes: Mutex<BTreeMap<u64, Route>>,
     /// Replies routed but not yet copied into connection outboxes;
     /// replicas push here, then wake the reactor through the eventfd.
     completions: Mutex<Vec<(u64, Response)>>,
@@ -352,7 +352,7 @@ pub fn start_server_with_engines(
     let shared = Arc::new(Shared {
         queue: Mutex::new(MicroBatcher::new(policy.queue_capacity)),
         queue_cv: Condvar::new(),
-        routes: Mutex::new(HashMap::new()),
+        routes: Mutex::new(BTreeMap::new()),
         completions: Mutex::new(Vec::new()),
         wake,
         shutdown: AtomicBool::new(false),
@@ -372,7 +372,7 @@ pub fn start_server_with_engines(
         epoll,
         listener,
         shared: shared.clone(),
-        conns: HashMap::new(),
+        conns: BTreeMap::new(),
         next_conn_id: 0,
         scratch: vec![0u8; READ_CHUNK],
         outbox_limit: policy.outbox_kib.saturating_mul(1024).max(1),
@@ -485,7 +485,7 @@ struct Reactor {
     epoll: Epoll,
     listener: TcpListener,
     shared: Arc<Shared>,
-    conns: HashMap<u64, Conn>,
+    conns: BTreeMap<u64, Conn>,
     next_conn_id: u64,
     scratch: Vec<u8>,
     /// Per-connection outbox cap in bytes (backpressure; from

@@ -5,11 +5,11 @@
 use crate::config::RunConfig;
 use crate::error::{CliError, Result};
 use crate::rundir::RunDir;
-use crate::value::{Table, Value};
 use neuroflux_core::codec::{ActivationCodec, CacheBlob, CodecKind};
 use neuroflux_core::serve::SystemClock;
 use neuroflux_core::simulate::{sweep_point, SimConfig, SimulatedRun};
 use nf_memsim::{DeviceProfile, MeasuredPrimitives};
+use nf_value::{Table, Value};
 
 /// Measures this machine's sustained GEMM throughput (the default kernel)
 /// and activation-codec bandwidth, and returns them as the sweep's

@@ -11,12 +11,12 @@ use crate::config::{Field, RunConfig};
 use crate::error::{CliError, Result};
 use crate::progress::ProgressPrinter;
 use crate::rundir::RunDir;
-use crate::value::{Table, Value};
 use neuroflux_core::serve::SystemClock;
 use neuroflux_core::{
     Checkpoint, DiskStore, FileCheckpoint, NeuroFluxOutcome, NeuroFluxTrainer, RunHooks,
     TrainEvent, TrainHooks,
 };
+use nf_value::{Table, Value};
 use rand::SeedableRng;
 
 /// Options for [`run_train`].

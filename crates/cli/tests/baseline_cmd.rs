@@ -46,7 +46,7 @@ batch = {batch}
 lr = 0.05
 "#
     );
-    RunConfig::from_value(&nf_cli::toml::parse(&doc).unwrap()).unwrap()
+    RunConfig::from_value(&nf_value::toml::parse(&doc).unwrap()).unwrap()
 }
 
 /// A metrics series as bits, so equality means the same run.

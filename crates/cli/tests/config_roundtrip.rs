@@ -16,7 +16,7 @@ fn quickstart_example_round_trips() {
     let cfg = RunConfig::load(&workspace_file("examples/quickstart.toml")).unwrap();
     assert_eq!(cfg.run.name, "quickstart");
     let rendered = cfg.to_value().to_toml().unwrap();
-    let reparsed = RunConfig::from_value(&nf_cli::toml::parse(&rendered).unwrap()).unwrap();
+    let reparsed = RunConfig::from_value(&nf_value::toml::parse(&rendered).unwrap()).unwrap();
     assert_eq!(cfg, reparsed, "snapshot:\n{rendered}");
 }
 
@@ -29,7 +29,7 @@ fn every_example_loads_and_round_trips() {
         let cfg = RunConfig::load(&workspace_file(&format!("examples/{name}.toml")))
             .unwrap_or_else(|e| panic!("examples/{name}.toml: {e}"));
         let rendered = cfg.to_value().to_toml().unwrap();
-        let reparsed = RunConfig::from_value(&nf_cli::toml::parse(&rendered).unwrap()).unwrap();
+        let reparsed = RunConfig::from_value(&nf_value::toml::parse(&rendered).unwrap()).unwrap();
         assert_eq!(cfg, reparsed, "examples/{name}.toml snapshot:\n{rendered}");
         assert_eq!(reparsed.to_value().to_toml().unwrap(), rendered);
     }
@@ -50,7 +50,7 @@ fn sweep_example_round_trips_and_resolves() {
     assert_eq!(sweep.devices, ["agx-orin"]);
     assert_eq!(sweep.budgets_mb.len(), 5);
     let rendered = cfg.to_value().to_toml().unwrap();
-    let reparsed = RunConfig::from_value(&nf_cli::toml::parse(&rendered).unwrap()).unwrap();
+    let reparsed = RunConfig::from_value(&nf_value::toml::parse(&rendered).unwrap()).unwrap();
     assert_eq!(cfg, reparsed);
     // The model section resolves to the real VGG-16 at CIFAR geometry.
     let (model, dataset, _) = cfg.resolve().unwrap();
@@ -66,7 +66,7 @@ fn json_config_parses_too() {
         "dataset": {"preset": "quick", "classes": 3, "image_hw": 8, "train": 32},
         "train": {"budget_mb": 16, "batch_limit": 8}
     }"#;
-    let value = nf_cli::json::parse(json).unwrap();
+    let value = nf_value::json::parse(json).unwrap();
     let cfg = RunConfig::from_value(&value).unwrap();
     assert_eq!(cfg.run.name, "fromjson");
     let (model, _, nf) = cfg.resolve().unwrap();
@@ -81,7 +81,7 @@ fn spec_serialization_survives_model_resolution() {
     // relies on to rebuild the architecture in a fresh process.
     let cfg = RunConfig::load(&workspace_file("examples/quickstart.toml")).unwrap();
     let rendered = cfg.to_value().to_toml().unwrap();
-    let reparsed = RunConfig::from_value(&nf_cli::toml::parse(&rendered).unwrap()).unwrap();
+    let reparsed = RunConfig::from_value(&nf_value::toml::parse(&rendered).unwrap()).unwrap();
     let (a, da, ca) = cfg.resolve().unwrap();
     let (b, db, cb) = reparsed.resolve().unwrap();
     assert_eq!(a, b);
@@ -91,7 +91,7 @@ fn spec_serialization_survives_model_resolution() {
     let mut doc = nf_cli::Table::new();
     doc.insert("config", cfg.to_value());
     let json = doc.build().to_json();
-    let back = nf_cli::json::parse(&json).unwrap();
+    let back = nf_value::json::parse(&json).unwrap();
     let from_json = RunConfig::from_value(back.get("config").unwrap()).unwrap();
     assert_eq!(from_json, cfg);
 }

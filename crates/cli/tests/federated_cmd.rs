@@ -41,7 +41,7 @@ threads = 2
 strategy = "by-label"
 "#
     );
-    RunConfig::from_value(&nf_cli::toml::parse(&doc).unwrap()).unwrap()
+    RunConfig::from_value(&nf_value::toml::parse(&doc).unwrap()).unwrap()
 }
 
 #[test]

@@ -13,7 +13,7 @@ fn temp_base(tag: &str) -> PathBuf {
 }
 
 fn parse(toml: &str) -> RunConfig {
-    RunConfig::from_value(&nf_cli::toml::parse(toml).unwrap()).unwrap()
+    RunConfig::from_value(&nf_value::toml::parse(toml).unwrap()).unwrap()
 }
 
 /// A small multi-block run with the int8 codec and int8 compute on the
@@ -98,9 +98,12 @@ fn int8_train_records_the_kernel_constants_and_inspect_renders_them() {
     old_kernel.insert("simd", Value::Str("avx2".into()));
     old_kernel.insert("host_cores", Value::Int(2));
     old_kernel.insert("plans", plans);
-    let mut old = summary.metrics.clone();
-    old.insert("kernel", old_kernel.build()).unwrap();
-    summary.run_dir.write_metrics(&old).unwrap();
+    let mut old = Table::new();
+    for (key, value) in summary.metrics.entries().unwrap() {
+        old.insert(key, value.clone());
+    }
+    old.insert("kernel", old_kernel);
+    summary.run_dir.write_metrics(&old.build()).unwrap();
     let report = run_inspect(summary.run_dir.root()).unwrap();
     assert!(report.contains("Backend `auto` on 2 core(s)"), "{report}");
     assert!(!report.contains("One plan"), "{report}");

@@ -42,7 +42,7 @@ codec = "{codec}"
 "#,
         out_dir.display()
     );
-    RunConfig::from_value(&nf_cli::toml::parse(&toml).unwrap()).unwrap()
+    RunConfig::from_value(&nf_value::toml::parse(&toml).unwrap()).unwrap()
 }
 
 fn temp_base(tag: &str) -> PathBuf {

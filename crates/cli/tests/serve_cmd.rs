@@ -60,7 +60,7 @@ connections = 3
 tier_weights = [1, 1, 1]
 "#
     );
-    RunConfig::from_value(&nf_cli::toml::parse(&doc).unwrap()).unwrap()
+    RunConfig::from_value(&nf_value::toml::parse(&doc).unwrap()).unwrap()
 }
 
 /// Test-split pixels, one flat vector per sample.

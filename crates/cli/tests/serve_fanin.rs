@@ -61,7 +61,7 @@ balanced_deadline_us = 5000000
 exact_deadline_us = 5000000
 "#
     );
-    RunConfig::from_value(&nf_cli::toml::parse(&doc).unwrap()).unwrap()
+    RunConfig::from_value(&nf_value::toml::parse(&doc).unwrap()).unwrap()
 }
 
 /// Open fds of this process.

@@ -15,7 +15,7 @@
 use crate::codec::{ActivationCodec, CacheBlob, CodecKind, BLOB_MAGIC};
 use crate::{NfError, Result};
 use nf_tensor::{QuantTensor, Tensor};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -241,7 +241,7 @@ impl<C: ActivationCodec, S: BlobStore> ActivationStore for CodecStore<C, S> {
 /// In-memory blob storage (tests, small runs).
 #[derive(Debug, Default)]
 pub struct MemoryBlobStore {
-    blocks: HashMap<usize, CacheBlob>,
+    blocks: BTreeMap<usize, CacheBlob>,
     peak: u64,
 }
 
@@ -310,7 +310,7 @@ impl Default for MemoryStore {
 #[derive(Debug)]
 pub struct DiskBlobStore {
     dir: PathBuf,
-    sizes: HashMap<usize, u64>,
+    sizes: BTreeMap<usize, u64>,
     peak: u64,
 }
 
@@ -325,7 +325,7 @@ impl DiskBlobStore {
         })?;
         Ok(DiskBlobStore {
             dir,
-            sizes: HashMap::new(),
+            sizes: BTreeMap::new(),
             peak: 0,
         })
     }

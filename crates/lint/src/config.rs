@@ -1,36 +1,16 @@
-//! Typed lint configuration, loaded from a committed `lint.toml`.
+//! Typed lint configuration, read out of the committed `lint.toml`.
 //!
-//! The parser handles the TOML subset the config actually uses —
-//! `[section]` headers, `[[array-of-tables]]` headers, `key = "string"`,
-//! `key = ["array", "of", "strings"]`, `key = true/false`, comments —
-//! and rejects everything else with a typed error. Unknown rule names
-//! and unknown keys are errors too: a typo in `lint.toml` must not
-//! silently disable a rule.
+//! `nf-value`'s TOML reader parses the text; this module extracts the
+//! typed [`LintConfig`] from the document and rejects anything it does
+//! not name. Unknown rule names, sections and keys are errors: a typo in
+//! `lint.toml` must not silently disable a rule.
 
 use crate::rules::Rule;
-use std::fmt;
+use nf_value::{join, Value};
 
-/// A parse or validation error in `lint.toml`.
-#[derive(Debug)]
-pub struct ConfigError {
-    /// 1-based line in lint.toml, when known.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lint.toml:{}: {}", self.line, self.message)
-    }
-}
-
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ConfigError> {
-    Err(ConfigError {
-        line,
-        message: message.into(),
-    })
-}
+/// A syntax error in `lint.toml` (with its line), or a typed error at a
+/// key path (`rules.no-panic.paths`, `[[allow]] #3`).
+pub type ConfigError = nf_value::Error;
 
 /// Path scope shared by every rule: where it runs and where it doesn't.
 #[derive(Debug, Clone, Default)]
@@ -65,8 +45,6 @@ pub struct AllowEntry {
     pub func: Option<String>,
     /// Mandatory human explanation; the tool refuses empty ones.
     pub justification: String,
-    /// lint.toml line the entry starts on (for unused-allow reporting).
-    pub line: usize,
 }
 
 /// One `[[unsafe-module]]` entry: a file where `unsafe` is permitted
@@ -78,8 +56,6 @@ pub struct UnsafeModule {
     pub path: String,
     /// Mandatory human explanation; the tool refuses empty ones.
     pub justification: String,
-    /// lint.toml line the entry starts on.
-    pub line: usize,
 }
 
 /// The full typed configuration.
@@ -121,337 +97,162 @@ impl LintConfig {
     }
 }
 
-/// A parsed TOML value (only the shapes the config uses).
-enum Value {
-    Str(String),
-    Array(Vec<String>),
-    Bool(bool),
+/// Parses `lint.toml` text into a validated [`LintConfig`].
+pub fn parse(text: &str) -> Result<LintConfig, ConfigError> {
+    from_value(&nf_value::toml::parse(text)?)
 }
 
-/// Parses one value starting after `=`.
-fn parse_value(raw: &str, line: usize) -> Result<Value, ConfigError> {
-    let raw = raw.trim();
-    if raw == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if raw == "false" {
-        return Ok(Value::Bool(false));
-    }
-    if let Some(body) = raw.strip_prefix('"') {
-        let Some(body) = body.strip_suffix('"') else {
-            return err(line, "unterminated string");
-        };
-        if body.contains('"') {
-            return err(line, "embedded quotes are not supported");
-        }
-        return Ok(Value::Str(body.to_string()));
-    }
-    if let Some(body) = raw.strip_prefix('[') {
-        let Some(body) = body.strip_suffix(']') else {
-            return err(line, "arrays must close on the same line");
-        };
-        let mut items = Vec::new();
-        for piece in body.split(',') {
-            let piece = piece.trim();
-            if piece.is_empty() {
-                continue;
+/// Reads a validated [`LintConfig`] out of a parsed document.
+pub fn from_value(doc: &Value) -> Result<LintConfig, ConfigError> {
+    let mut cfg = LintConfig::default();
+    for (section, v) in entries(doc, "")? {
+        match section.as_str() {
+            "rules" => {
+                for (name, table) in entries(v, "rules")? {
+                    let path = join("rules", name);
+                    let rule = Rule::from_name(name).ok_or_else(|| unknown_rule(&path, name))?;
+                    read_rule(&mut cfg, rule, table, &path)?;
+                }
             }
-            let Some(s) = piece.strip_prefix('"').and_then(|p| p.strip_suffix('"')) else {
-                return err(line, format!("array item `{piece}` is not a string"));
-            };
-            items.push(s.to_string());
+            "allow" => {
+                for (at, entry) in numbered(v, "allow")? {
+                    let keys = ["rule", "path", "pattern", "fn", "justification"];
+                    let [rule, path, pattern, func, why] = fields(entry, &at, keys)?;
+                    let rule = required(&at, "rule", rule)?;
+                    cfg.allows.push(AllowEntry {
+                        rule: Rule::from_name(&rule).ok_or_else(|| unknown_rule(&at, &rule))?,
+                        path: required(&at, "path", path)?,
+                        pattern,
+                        func,
+                        justification: justified(&at, why, "suppression")?,
+                    });
+                }
+            }
+            "unsafe-module" => {
+                for (at, entry) in numbered(v, "unsafe-module")? {
+                    let [path, why] = fields(entry, &at, ["path", "justification"])?;
+                    cfg.unsafe_modules.push(UnsafeModule {
+                        path: required(&at, "path", path)?,
+                        justification: justified(&at, why, "unsafe exemption")?,
+                    });
+                }
+            }
+            other => {
+                let known = "the known ones are: rules, allow, unsafe-module";
+                return Err(ConfigError::at(other, format!("unknown section; {known}")));
+            }
         }
-        return Ok(Value::Array(items));
     }
-    err(line, format!("unsupported value `{raw}`"))
+    Ok(cfg)
 }
 
-/// Strips a trailing `# comment` that is not inside a string.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-/// What table the parser is currently filling.
-enum Section {
-    None,
-    Rule(Rule),
-    Allow,
-    UnsafeModule,
-}
-
-/// In-progress `[[allow]]` entry before validation.
-#[derive(Default)]
-struct PendingAllow {
-    rule: Option<Rule>,
-    path: Option<String>,
-    pattern: Option<String>,
-    func: Option<String>,
-    justification: Option<String>,
-    line: usize,
-}
-
-/// In-progress `[[unsafe-module]]` entry before validation.
-#[derive(Default)]
-struct PendingUnsafeModule {
-    path: Option<String>,
-    justification: Option<String>,
-    line: usize,
-}
-
-fn finish_unsafe_module(pending: PendingUnsafeModule) -> Result<UnsafeModule, ConfigError> {
-    let line = pending.line;
-    let Some(path) = pending.path else {
-        return err(line, "[[unsafe-module]] entry is missing `path`");
-    };
-    let justification = pending.justification.unwrap_or_default();
-    if justification.trim().is_empty() {
-        return err(
-            line,
-            "[[unsafe-module]] entry has no justification — every unsafe exemption must say why",
-        );
-    }
-    Ok(UnsafeModule {
-        path,
-        justification,
-        line,
-    })
-}
-
-fn finish_allow(pending: PendingAllow) -> Result<AllowEntry, ConfigError> {
-    let line = pending.line;
-    let Some(rule) = pending.rule else {
-        return err(line, "[[allow]] entry is missing `rule`");
-    };
-    let Some(path) = pending.path else {
-        return err(line, "[[allow]] entry is missing `path`");
-    };
-    let justification = pending.justification.unwrap_or_default();
-    if justification.trim().is_empty() {
-        return err(
-            line,
-            "[[allow]] entry has no justification — every suppression must say why",
-        );
-    }
-    Ok(AllowEntry {
-        rule,
-        path,
-        pattern: pending.pattern,
-        func: pending.func,
-        justification,
-        line,
-    })
-}
-
-/// Assigns `key = value` into the scope for `rule`, or errors.
-fn assign_rule_key(
+/// Reads one `[rules.<name>]` table at `path` into `cfg`. Appearing in the
+/// file turns the rule on unless it sets `enabled = false` explicitly.
+fn read_rule(
     cfg: &mut LintConfig,
     rule: Rule,
-    key: &str,
-    value: Value,
-    line: usize,
+    table: &Value,
+    path: &str,
 ) -> Result<(), ConfigError> {
-    // Rule-specific keys first.
-    match (rule, key) {
-        (Rule::HotPathAlloc, "kernel_paths") => {
-            if let Value::Array(items) = value {
-                cfg.kernel_paths = items;
-                return Ok(());
+    let mut scope = Scope {
+        enabled: true,
+        ..Scope::default()
+    };
+    for (key, v) in entries(table, path)? {
+        let at = join(path, key);
+        let boolean = || v.as_bool().ok_or_else(|| mistyped(&at, "a boolean", v));
+        match (rule, key.as_str()) {
+            (_, "enabled") => scope.enabled = boolean()?,
+            (_, "paths") => scope.paths = strings(v, &at)?,
+            (_, "exclude") => scope.exclude = strings(v, &at)?,
+            (Rule::HotPathAlloc, "kernel_paths") => cfg.kernel_paths = strings(v, &at)?,
+            (Rule::HotPathAlloc, "into_paths") => cfg.into_paths = strings(v, &at)?,
+            // The bare suffix list predates justifications; refuse it with
+            // a pointer so a stale config fails loudly.
+            (Rule::UnsafeConfinement, "allowed") => {
+                let why =
+                    "`allowed` was replaced by [[unsafe-module]] entries (path + justification)";
+                Err(ConfigError::at(&at, why))?
             }
-            return err(line, "kernel_paths must be an array of strings");
+            _ => Err(ConfigError::at(
+                &at,
+                format!("unknown key for rule `{}`", rule.name()),
+            ))?,
         }
-        (Rule::HotPathAlloc, "into_paths") => {
-            if let Value::Array(items) = value {
-                cfg.into_paths = items;
-                return Ok(());
-            }
-            return err(line, "into_paths must be an array of strings");
-        }
-        (Rule::UnsafeConfinement, "allowed") => {
-            // The bare suffix list predates justifications; refuse it
-            // with a pointer so a stale config fails loudly.
-            return err(
-                line,
-                "`allowed` was replaced by [[unsafe-module]] entries \
-                 (path + mandatory justification)",
-            );
-        }
-        _ => {}
     }
-    let scope = match rule {
+    *match rule {
         Rule::HotPathAlloc => &mut cfg.hot_path_alloc,
         Rule::NoPanic => &mut cfg.no_panic,
         Rule::UnsafeConfinement => &mut cfg.unsafe_confinement,
         Rule::ClockDiscipline => &mut cfg.clock_discipline,
         Rule::Determinism => &mut cfg.determinism,
         Rule::LintHygiene => &mut cfg.lint_hygiene,
-    };
-    match (key, value) {
-        ("enabled", Value::Bool(b)) => scope.enabled = b,
-        ("paths", Value::Array(items)) => scope.paths = items,
-        ("exclude", Value::Array(items)) => scope.exclude = items,
-        (other, _) => {
-            return err(
-                line,
-                format!(
-                    "unknown or mistyped key `{other}` for rule `{}`",
-                    rule.name()
-                ),
-            )
-        }
-    }
+    } = scope;
     Ok(())
 }
 
-/// Parses the full `lint.toml` text into a validated [`LintConfig`].
-pub fn parse(text: &str) -> Result<LintConfig, ConfigError> {
-    let mut cfg = LintConfig::default();
-    // Rules default to enabled once their section appears; a section is
-    // required for each rule so the config is self-documenting.
-    let mut section = Section::None;
-    let mut pending: Option<PendingAllow> = None;
-    let mut pending_module: Option<PendingUnsafeModule> = None;
+fn mistyped(path: &str, wanted: &str, found: &Value) -> ConfigError {
+    let found = found.type_name();
+    ConfigError::at(path, format!("must be {wanted}, found {found}"))
+}
 
-    let mut lines = text.lines().enumerate().peekable();
-    while let Some((idx, raw_line)) = lines.next() {
-        let lineno = idx + 1;
-        let mut joined;
-        let mut line = strip_comment(raw_line).trim();
-        if line.is_empty() {
-            continue;
+fn unknown_rule(at: &str, name: &str) -> ConfigError {
+    ConfigError::at(at, format!("unknown rule `{name}`"))
+}
+
+fn entries<'v>(v: &'v Value, path: &str) -> Result<&'v [(String, Value)], ConfigError> {
+    v.entries().ok_or_else(|| mistyped(path, "a table", v))
+}
+
+fn strings(v: &Value, path: &str) -> Result<Vec<String>, ConfigError> {
+    let wrong = || mistyped(path, "an array of strings", v);
+    let item = |s: &Value| s.as_str().map(str::to_string).ok_or_else(wrong);
+    v.as_array().ok_or_else(wrong)?.iter().map(item).collect()
+}
+
+/// The entries of the `[[name]]` array, each labelled `[[name]] #k`.
+fn numbered<'v>(
+    v: &'v Value,
+    name: &'static str,
+) -> Result<impl Iterator<Item = (String, &'v Value)>, ConfigError> {
+    let wrong = || mistyped(name, "an array of tables (`[[...]]`)", v);
+    let label = move |(k, entry)| (format!("[[{name}]] #{k}"), entry);
+    Ok((1..).zip(v.as_array().ok_or_else(wrong)?).map(label))
+}
+
+/// The string fields `keys` of the `[[...]]` entry `at`, each if present;
+/// any other key, or a value that is no string, is an error.
+fn fields<const N: usize>(
+    entry: &Value,
+    at: &str,
+    keys: [&str; N],
+) -> Result<[Option<String>; N], ConfigError> {
+    for (key, v) in entries(entry, at)? {
+        let (known, found) = (keys.join(", "), v.type_name());
+        if !keys.contains(&key.as_str()) {
+            Err(ConfigError::at(
+                at,
+                format!("unknown key `{key}`; the known ones are: {known}"),
+            ))?;
         }
-        // Multi-line arrays: a `key = [` opener joins lines until the
-        // bracket closes. (Only when the *value* starts with `[` — a
-        // bracket inside a string value is not an array.)
-        let opens_array = line
-            .split_once('=')
-            .is_some_and(|(_, v)| v.trim_start().starts_with('['));
-        if opens_array && !line.ends_with(']') {
-            joined = line.to_string();
-            for (_, cont) in lines.by_ref() {
-                let cont = strip_comment(cont).trim();
-                joined.push(' ');
-                joined.push_str(cont);
-                if cont.ends_with(']') {
-                    break;
-                }
-            }
-            line = joined.as_str();
-        }
-        if line == "[[allow]]" {
-            if let Some(p) = pending.take() {
-                cfg.allows.push(finish_allow(p)?);
-            }
-            if let Some(m) = pending_module.take() {
-                cfg.unsafe_modules.push(finish_unsafe_module(m)?);
-            }
-            pending = Some(PendingAllow {
-                line: lineno,
-                ..PendingAllow::default()
-            });
-            section = Section::Allow;
-            continue;
-        }
-        if line == "[[unsafe-module]]" {
-            if let Some(p) = pending.take() {
-                cfg.allows.push(finish_allow(p)?);
-            }
-            if let Some(m) = pending_module.take() {
-                cfg.unsafe_modules.push(finish_unsafe_module(m)?);
-            }
-            pending_module = Some(PendingUnsafeModule {
-                line: lineno,
-                ..PendingUnsafeModule::default()
-            });
-            section = Section::UnsafeModule;
-            continue;
-        }
-        if let Some(name) = line
-            .strip_prefix("[rules.")
-            .and_then(|r| r.strip_suffix(']'))
-        {
-            if let Some(p) = pending.take() {
-                cfg.allows.push(finish_allow(p)?);
-            }
-            if let Some(m) = pending_module.take() {
-                cfg.unsafe_modules.push(finish_unsafe_module(m)?);
-            }
-            let Some(rule) = Rule::from_name(name) else {
-                return err(lineno, format!("unknown rule `{name}`"));
-            };
-            // Appearing in the file turns the rule on unless it sets
-            // `enabled = false` explicitly.
-            assign_rule_key(&mut cfg, rule, "enabled", Value::Bool(true), lineno)?;
-            section = Section::Rule(rule);
-            continue;
-        }
-        if line.starts_with('[') {
-            return err(lineno, format!("unknown section `{line}`"));
-        }
-        let Some((key, raw_value)) = line.split_once('=') else {
-            return err(lineno, format!("expected `key = value`, got `{line}`"));
-        };
-        let key = key.trim();
-        let value = parse_value(raw_value, lineno)?;
-        match &mut section {
-            Section::None => {
-                return err(lineno, format!("key `{key}` outside any section"));
-            }
-            Section::Rule(rule) => assign_rule_key(&mut cfg, *rule, key, value, lineno)?,
-            Section::Allow => {
-                let Some(p) = pending.as_mut() else {
-                    return err(lineno, "internal: allow section without entry");
-                };
-                match (key, value) {
-                    ("rule", Value::Str(s)) => {
-                        let Some(rule) = Rule::from_name(&s) else {
-                            return err(lineno, format!("unknown rule `{s}` in [[allow]]"));
-                        };
-                        p.rule = Some(rule);
-                    }
-                    ("path", Value::Str(s)) => p.path = Some(s),
-                    ("pattern", Value::Str(s)) => p.pattern = Some(s),
-                    ("fn", Value::Str(s)) => p.func = Some(s),
-                    ("justification", Value::Str(s)) => p.justification = Some(s),
-                    (other, _) => {
-                        return err(
-                            lineno,
-                            format!("unknown or mistyped key `{other}` in [[allow]]"),
-                        )
-                    }
-                }
-            }
-            Section::UnsafeModule => {
-                let Some(m) = pending_module.as_mut() else {
-                    return err(lineno, "internal: unsafe-module section without entry");
-                };
-                match (key, value) {
-                    ("path", Value::Str(s)) => m.path = Some(s),
-                    ("justification", Value::Str(s)) => m.justification = Some(s),
-                    (other, _) => {
-                        return err(
-                            lineno,
-                            format!("unknown or mistyped key `{other}` in [[unsafe-module]]"),
-                        )
-                    }
-                }
-            }
+        if v.as_str().is_none() {
+            Err(ConfigError::at(
+                at,
+                format!("`{key}` must be a string, found {found}"),
+            ))?;
         }
     }
-    if let Some(p) = pending.take() {
-        cfg.allows.push(finish_allow(p)?);
-    }
-    if let Some(m) = pending_module.take() {
-        cfg.unsafe_modules.push(finish_unsafe_module(m)?);
-    }
-    Ok(cfg)
+    Ok(keys.map(|key| entry.get(key).and_then(Value::as_str).map(str::to_string)))
+}
+
+fn required(at: &str, key: &str, value: Option<String>) -> Result<String, ConfigError> {
+    value.ok_or_else(|| ConfigError::at(at, format!("entry is missing `{key}`")))
+}
+
+fn justified(at: &str, why: Option<String>, what: &str) -> Result<String, ConfigError> {
+    let message = format!("entry has no justification — every {what} must say why");
+    why.filter(|why| !why.trim().is_empty())
+        .ok_or_else(|| ConfigError::at(at, message))
 }
 
 #[cfg(test)]
@@ -511,30 +312,75 @@ justification = "epoll bindings"
     }
 
     #[test]
-    fn unsafe_module_without_justification_is_an_error() {
-        let e = parse("[[unsafe-module]]\npath = \"net/sys.rs\"\n").unwrap_err();
-        assert!(e.message.contains("justification"), "{e}");
-        let e = parse("[[unsafe-module]]\njustification = \"why\"\n").unwrap_err();
-        assert!(e.message.contains("path"), "{e}");
-    }
-
-    #[test]
     fn legacy_allowed_key_points_at_unsafe_module() {
         let e = parse("[rules.unsafe-confinement]\nallowed = [\"kernels/simd.rs\"]\n").unwrap_err();
-        assert!(e.message.contains("unsafe-module"), "{e}");
+        assert!(e.to_string().contains("unsafe-module"), "{e}");
+    }
+
+    /// Asserts each (document, error path, part of the message) is rejected
+    /// at that path with that message.
+    fn assert_rejected(rows: &[(&str, &str, &str)]) {
+        for &(doc, at, says) in rows {
+            match parse(doc) {
+                Err(ConfigError::At { path, message }) => {
+                    assert_eq!(path, at, "{doc}");
+                    assert!(message.contains(says), "{doc} -> {message}");
+                }
+                other => panic!("{doc}: expected an error at `{at}`, got {other:?}"),
+            }
+        }
     }
 
     #[test]
+    #[rustfmt::skip]
+    fn unsafe_module_without_justification_is_an_error() {
+        assert_rejected(&[
+            ("[[unsafe-module]]\npath = \"net/sys.rs\"", "[[unsafe-module]] #1", "no justification"),
+            ("[[unsafe-module]]\npath = \"a.rs\"\njustification = \" \"", "[[unsafe-module]] #1", "no justification"),
+            ("[[unsafe-module]]\njustification = \"why\"", "[[unsafe-module]] #1", "missing `path`"),
+        ]);
+    }
+
+    #[test]
+    #[rustfmt::skip]
     fn missing_justification_is_an_error() {
-        let e = parse("[[allow]]\nrule = \"no-panic\"\npath = \"x.rs\"\njustification = \"  \"\n")
-            .unwrap_err();
-        assert!(e.message.contains("justification"));
+        assert_rejected(&[
+            ("[[allow]]\nrule = \"no-panic\"\npath = \"x.rs\"", "[[allow]] #1", "no justification"),
+            ("[[allow]]\nrule = \"no-panic\"\npath = \"x.rs\"\njustification = \"  \"", "[[allow]] #1", "no justification"),
+        ]);
     }
 
     #[test]
+    #[rustfmt::skip]
     fn unknown_rule_and_key_are_errors() {
-        assert!(parse("[rules.no-such-rule]\n").is_err());
-        assert!(parse("[rules.no-panic]\nbogus = true\n").is_err());
-        assert!(parse("[[allow]]\nrule = \"no-panic\"\n").is_err());
+        assert_rejected(&[
+            ("[rules.no-such-rule]", "rules.no-such-rule", "unknown rule"),
+            ("[rules.no-panic]\nbogus = true", "rules.no-panic.bogus", "unknown key"),
+            ("[rules.no-panic]\nkernel_paths = []", "rules.no-panic.kernel_paths", "unknown key"),
+            ("[lints]", "lints", "unknown section"),
+            ("top = 1", "top", "unknown section"),
+            ("[[allow]]\nrule = \"nope\"\npath = \"x.rs\"", "[[allow]] #1", "unknown rule `nope`"),
+            ("[[allow]]\nrule = \"no-panic\"\npath = \"x.rs\"\nlines = 3", "[[allow]] #1", "unknown key `lines`"),
+        ]);
+    }
+
+    #[test]
+    #[rustfmt::skip]
+    fn mistyped_and_incomplete_entries_are_errors() {
+        assert_rejected(&[
+            ("[rules.no-panic]\npaths = \"crates/\"", "rules.no-panic.paths", "array of strings"),
+            ("[rules.no-panic]\npaths = [\"a\", 1]", "rules.no-panic.paths", "array of strings"),
+            ("[rules.no-panic]\nenabled = \"yes\"", "rules.no-panic.enabled", "a boolean"),
+            ("[rules]\nno-panic = 1", "rules.no-panic", "a table"),
+            ("[allow]\nrule = \"no-panic\"", "allow", "array of tables"),
+            ("[[allow]]\npath = \"x.rs\"\njustification = \"w\"", "[[allow]] #1", "missing `rule`"),
+            ("[[allow]]\nrule = \"no-panic\"\njustification = \"w\"", "[[allow]] #1", "missing `path`"),
+            ("[[allow]]\nrule = \"no-panic\"", "[[allow]] #1", "missing `path`"),
+            ("[[allow]]\nrule = 3", "[[allow]] #1", "`rule` must be a string"),
+            ("[[allow]]\nrule = \"no-panic\"\npath = \"x.rs\"\njustification = \"w\"\n[[allow]]", "[[allow]] #2", "missing `rule`"),
+        ]);
+        // Malformed text is a syntax error with its line.
+        let e = parse("[rules.no-panic]\npaths = [\"a\"\n").unwrap_err();
+        assert!(matches!(e, ConfigError::Syntax { line: 2, .. }), "{e}");
     }
 }

@@ -1,5 +1,6 @@
 //! The drive loop: walk the workspace, lex + analyze + check each file,
-//! then filter findings through the justified allowlist.
+//! then filter findings through the justified allowlist, and report the
+//! config entries that no longer match anything.
 
 use crate::analysis::analyze;
 use crate::config::{AllowEntry, LintConfig};
@@ -79,10 +80,51 @@ pub struct RunResult {
     pub findings: Vec<Finding>,
     /// How many findings were suppressed by allows.
     pub allows_used: usize,
-    /// Allow entries that matched nothing — stale suppressions rot.
-    pub unused_allows: Vec<AllowEntry>,
+    /// Allow entries that matched nothing — stale suppressions rot — with
+    /// their 1-based position among the `[[allow]]` entries.
+    pub unused_allows: Vec<(usize, AllowEntry)>,
+    /// Scope entries that match no scanned file, as (where the entry sits,
+    /// e.g. `rules.no-panic.paths`, the entry): a moved file would
+    /// otherwise leave its rule silently covering nothing.
+    pub stale_paths: Vec<(String, String)>,
     /// How many files were scanned.
     pub files_scanned: usize,
+}
+
+impl RunResult {
+    /// No findings, no unused allows, no stale scope paths: exit 0.
+    pub fn is_clean(&self) -> bool {
+        self.findings.is_empty() && self.unused_allows.is_empty() && self.stale_paths.is_empty()
+    }
+}
+
+/// Every scope entry in `cfg` that matches none of `files`: path lists
+/// match by prefix, `[[unsafe-module]]` paths by suffix.
+fn stale_paths(cfg: &LintConfig, files: &[String]) -> Vec<(String, String)> {
+    let mut stale = Vec::new();
+    let prefix: fn(&str, &str) -> bool = |file, entry| file.starts_with(entry);
+    let suffix: fn(&str, &str) -> bool = |file, entry| file.ends_with(entry);
+    let mut check = |key: String, entries: &[String], hit: fn(&str, &str) -> bool| {
+        for entry in entries {
+            if !files.iter().any(|file| hit(file, entry)) {
+                stale.push((key.clone(), entry.clone()));
+            }
+        }
+    };
+    for rule in crate::rules::Rule::ALL {
+        let scope = cfg.scope(rule);
+        let key = |list: &str| format!("rules.{}.{list}", rule.name());
+        check(key("paths"), &scope.paths, prefix);
+        check(key("exclude"), &scope.exclude, prefix);
+    }
+    let hot = "rules.hot-path-alloc";
+    check(format!("{hot}.kernel_paths"), &cfg.kernel_paths, prefix);
+    check(format!("{hot}.into_paths"), &cfg.into_paths, prefix);
+    for (k, m) in cfg.unsafe_modules.iter().enumerate() {
+        let key = format!("[[unsafe-module]] #{} path", k + 1);
+        check(key, std::slice::from_ref(&m.path), suffix);
+    }
+    stale
 }
 
 fn allow_matches(allow: &AllowEntry, f: &Finding) -> bool {
@@ -144,13 +186,15 @@ pub fn run(root: &Path, cfg: &LintConfig) -> Result<RunResult, EngineError> {
         .allows
         .iter()
         .zip(used)
-        .filter(|(_, u)| !u)
-        .map(|(a, _)| a.clone())
+        .enumerate()
+        .filter(|(_, (_, u))| !u)
+        .map(|(k, (a, _))| (k + 1, a.clone()))
         .collect();
     Ok(RunResult {
         findings,
         allows_used,
         unused_allows,
+        stale_paths: stale_paths(cfg, &files),
         files_scanned,
     })
 }

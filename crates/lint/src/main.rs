@@ -1,6 +1,7 @@
 //! Standalone `nf-lint` binary.
 //!
-//! Exit codes: 0 = clean, 1 = findings, 2 = tool/config error.
+//! Exit codes: 0 = clean, 1 = findings, unused allows or stale scope
+//! paths, 2 = tool/config error.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -13,7 +14,8 @@ fn usage() -> &'static str {
      \n\
      Lints the workspace at DIR (default: current directory) against the\n\
      committed lint.toml. Options take their value as `--opt VALUE` or\n\
-     `--opt=VALUE`. Exit 0 when clean, 1 on findings, 2 on error."
+     `--opt=VALUE`. Exit 0 when clean; 1 on findings, unused [[allow]]\n\
+     entries or scope paths that match no file; 2 on error."
 }
 
 /// What the command line asked for.
@@ -83,7 +85,7 @@ fn main() -> ExitCode {
         nf_lint::render_human(&result)
     };
     print!("{rendered}");
-    if result.findings.is_empty() {
+    if result.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

@@ -1,76 +1,53 @@
 //! Rendering: machine-readable JSON and human-readable text.
 //!
-//! The JSON writer is hand-rolled (no serde — this crate is
-//! dependency-free by design); the only dynamic strings are file paths,
-//! excerpts, and help text, all escaped through [`json_escape`].
+//! The JSON report is an `nf-value` document rendered by
+//! [`Value::to_json`], the same writer `nf` uses for `metrics.json`.
 
 use crate::engine::RunResult;
+use nf_value::{Table, Value};
 use std::fmt::Write as _;
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders the run as a single JSON object.
 pub fn render_json(result: &RunResult) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"tool\": \"nf-lint\",\n");
-    let _ = writeln!(out, "  \"files_scanned\": {},", result.files_scanned);
-    let _ = writeln!(out, "  \"allows_used\": {},", result.allows_used);
-    out.push_str("  \"unused_allows\": [");
-    for (i, a) in result.unused_allows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+    let count = |n: usize| Value::Int(i64::try_from(n).unwrap_or(i64::MAX));
+    let text = |s: &str| Value::Str(s.to_string());
+    let row = |pairs: Vec<(&str, Value)>| {
+        let mut row = Table::new();
+        for (key, value) in pairs {
+            row.insert(key, value);
         }
-        let _ = write!(
-            out,
-            "{{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}}}",
-            a.rule.name(),
-            json_escape(&a.path),
-            a.line
-        );
-    }
-    out.push_str("],\n  \"findings\": [");
-    for (i, f) in result.findings.iter().enumerate() {
-        out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        let func = f
-            .func
-            .as_deref()
-            .map(|x| format!("\"{}\"", json_escape(x)))
-            .unwrap_or_else(|| "null".to_string());
-        let _ = write!(
-            out,
-            "{{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"fn\": {}, \
-             \"excerpt\": \"{}\", \"help\": \"{}\"}}",
-            f.rule.name(),
-            json_escape(&f.file),
-            f.line,
-            func,
-            json_escape(&f.excerpt),
-            json_escape(&f.help),
-        );
-    }
-    if result.findings.is_empty() {
-        out.push_str("]\n}\n");
-    } else {
-        out.push_str("\n  ]\n}\n");
-    }
-    out
+        row.build()
+    };
+    let unused = result.unused_allows.iter().map(|(k, a)| {
+        row(vec![
+            ("allow", count(*k)),
+            ("rule", text(a.rule.name())),
+            ("path", text(&a.path)),
+        ])
+    });
+    let stale = result
+        .stale_paths
+        .iter()
+        .map(|(key, entry)| row(vec![("key", text(key)), ("entry", text(entry))]));
+    let findings = result.findings.iter().map(|f| {
+        row(vec![
+            ("rule", text(f.rule.name())),
+            ("file", text(&f.file)),
+            ("line", count(f.line)),
+            ("fn", f.func.as_deref().map_or(Value::Null, text)),
+            ("excerpt", text(&f.excerpt)),
+            ("help", text(&f.help)),
+        ])
+    });
+    row(vec![
+        ("tool", text("nf-lint")),
+        ("files_scanned", count(result.files_scanned)),
+        ("allows_used", count(result.allows_used)),
+        ("unused_allows", Value::Array(unused.collect())),
+        ("stale_paths", Value::Array(stale.collect())),
+        ("findings", Value::Array(findings.collect())),
+    ])
+    .to_json()
 }
 
 /// Renders the run as human-readable text.
@@ -83,21 +60,24 @@ pub fn render_human(result: &RunResult) -> String {
         }
         let _ = writeln!(out, "    = help: {}", f.help);
     }
-    for a in &result.unused_allows {
+    for (k, a) in &result.unused_allows {
+        let (rule, path) = (a.rule.name(), &a.path);
         let _ = writeln!(
             out,
-            "warning: unused [[allow]] (lint.toml:{}) rule={} path={}",
-            a.line,
-            a.rule.name(),
-            a.path
+            "unused: [[allow]] #{k} (rule={rule} path={path}) matches no finding"
         );
+    }
+    for (key, entry) in &result.stale_paths {
+        let _ = writeln!(out, "stale: {key} entry {entry:?} matches no scanned file");
     }
     let _ = writeln!(
         out,
-        "{} file(s) scanned, {} finding(s), {} allow(s) used",
+        "{} file(s) scanned, {} finding(s), {} allow(s) used, {} unused allow(s), {} stale path(s)",
         result.files_scanned,
         result.findings.len(),
-        result.allows_used
+        result.allows_used,
+        result.unused_allows.len(),
+        result.stale_paths.len()
     );
     out
 }

@@ -189,7 +189,7 @@ pub fn check_hot_path_alloc(ctx: &FileContext<'_>, cfg: &LintConfig, out: &mut V
                 i,
                 format!(
                     "{what} allocates; hot paths must reuse caller-provided or \
-                     pre-sized buffers (see the *_scratch variants), or the call \
+                     pre-sized buffers (see the `*_into` functions), or the call \
                      site needs a justified [[allow]] in lint.toml"
                 ),
             ));

@@ -8,8 +8,9 @@
 //! so the deliberate violations never reach a real `nf-lint` run.
 
 use nf_lint::config::{self, LintConfig};
-use nf_lint::engine::check_source;
+use nf_lint::engine::{self, check_source};
 use nf_lint::rules::Rule;
+use nf_lint::RunResult;
 use std::path::Path;
 
 /// Reads one fixture file from `tests/fixtures/`.
@@ -193,7 +194,7 @@ justification = "fixture: raw epoll bindings"
 #[test]
 fn unsafe_module_justification_is_mandatory() {
     let err = config::parse("[[unsafe-module]]\npath = \"x.rs\"\n").unwrap_err();
-    assert!(err.message.contains("justification"), "{err:?}");
+    assert!(err.to_string().contains("justification"), "{err:?}");
 }
 
 #[test]
@@ -307,5 +308,151 @@ justification = "fixture: never iterated"
 
     // And a missing justification is a hard config error.
     let err = config::parse("[[allow]]\nrule = \"determinism\"\npath = \"x.rs\"\n").unwrap_err();
-    assert!(err.message.contains("justification"), "{err:?}");
+    assert!(err.to_string().contains("justification"), "{err:?}");
+}
+
+/// A clean config for the tree [`lint_tree`] writes: every scope entry
+/// matches a file and nothing fires.
+const TREE_CONFIG: &str = r#"
+[rules.hot-path-alloc]
+paths = ["crates/demo/src/"]
+kernel_paths = ["crates/demo/src/kernels/"]
+into_paths = ["crates/demo/src/"]
+
+[rules.lint-hygiene]
+paths = ["crates/"]
+exclude = ["crates/demo/src/kernels/"]
+
+[[unsafe-module]]
+path = "kernels/simd.rs"
+justification = "fixture: SIMD intrinsics"
+"#;
+
+/// Lints a two-file workspace (`crates/demo/src/{lib,kernels/simd}.rs`)
+/// written under a fresh temp dir named after `tag`, against `toml`.
+fn lint_tree(tag: &str, toml: &str) -> RunResult {
+    let root = std::env::temp_dir().join(format!("nf_lint_{tag}_{}", std::process::id()));
+    let kernels = root.join("crates/demo/src/kernels");
+    std::fs::create_dir_all(&kernels).unwrap();
+    let lib = "//! Demo.\n#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n";
+    std::fs::write(root.join("crates/demo/src/lib.rs"), lib).unwrap();
+    std::fs::write(kernels.join("simd.rs"), "//! Kernels.\n").unwrap();
+    let result = engine::run(&root, &config::parse(toml).unwrap()).unwrap();
+    std::fs::remove_dir_all(&root).ok();
+    result
+}
+
+/// [`TREE_CONFIG`] with the path in its `entry` line pointed at nothing
+/// reports exactly that path, at `key`, in both renderings, and fails.
+fn assert_stale(entry: &str, key: &str) {
+    let gone = entry.replace("demo/src", "gone").replace("simd", "gone");
+    let result = lint_tree(key, &TREE_CONFIG.replacen(entry, &gone, 1));
+    let stale = gone.split('"').nth(1).unwrap().to_string();
+    assert_eq!(result.stale_paths, [(key.to_string(), stale.clone())]);
+    assert!(!result.is_clean());
+    assert!(nf_lint::render_human(&result).contains(&format!("stale: {key} entry {stale:?}")));
+    assert!(nf_lint::render_json(&result).contains(&format!("\"key\": \"{key}\"")));
+}
+
+#[test]
+fn stale_rule_paths_fail_the_run() {
+    assert_stale(
+        r#"paths = ["crates/demo/src/"]"#,
+        "rules.hot-path-alloc.paths",
+    );
+}
+
+#[test]
+fn stale_exclude_fails_the_run() {
+    assert_stale(
+        r#"exclude = ["crates/demo/src/kernels/"]"#,
+        "rules.lint-hygiene.exclude",
+    );
+}
+
+#[test]
+fn stale_kernel_paths_fail_the_run() {
+    assert_stale(
+        r#"kernel_paths = ["crates/demo/src/kernels/"]"#,
+        "rules.hot-path-alloc.kernel_paths",
+    );
+}
+
+#[test]
+fn stale_into_paths_fail_the_run() {
+    assert_stale(
+        r#"into_paths = ["crates/demo/src/"]"#,
+        "rules.hot-path-alloc.into_paths",
+    );
+}
+
+#[test]
+fn stale_unsafe_module_path_fails_the_run() {
+    assert_stale(r#"path = "kernels/simd.rs""#, "[[unsafe-module]] #1 path");
+}
+
+#[test]
+fn unused_allow_is_reported_by_position_and_fails_the_run() {
+    let allow = "[[allow]]\nrule = \"lint-hygiene\"\npath = \"crates/demo/src/lib.rs\"\n\
+                 justification = \"fixture: matches nothing\"\n";
+    let result = lint_tree("unused", &format!("{TREE_CONFIG}{allow}"));
+    assert_eq!(
+        result.unused_allows.iter().map(|u| u.0).collect::<Vec<_>>(),
+        [1]
+    );
+    assert!(!result.is_clean());
+    let human = nf_lint::render_human(&result);
+    assert!(human.contains("[[allow]] #1 (rule=lint-hygiene path=crates/demo/src/lib.rs)"));
+    assert!(nf_lint::render_json(&result).contains("\"allow\": 1"));
+}
+
+/// The committed `lint.toml` as the line-based parser read it at the
+/// previous commit, minus the four allows deleted since (a `Vec::new` in
+/// `kernels/blocked.rs`, three `determinism` `HashMap`s) and with
+/// `no-panic`'s `cli/src/{toml,json,value}.rs` now `crates/value/src/`.
+const COMMITTED: &str = r#"hot-path-alloc ["crates/tensor/src/", "crates/nn/src/"] -[]
+no-panic ["crates/cli/src/serve.rs", "crates/cli/src/proto.rs", "crates/cli/src/loadgen.rs", "crates/cli/src/net/sys.rs", "crates/cli/src/net/reactor.rs", "crates/core/src/serve.rs", "crates/cli/src/config.rs", "crates/cli/src/schema.rs", "crates/value/src/"] -[]
+unsafe-confinement ["crates/", "src/"] -[]
+clock-discipline ["crates/", "src/"] -["crates/bench/"]
+determinism ["crates/core/src/", "crates/nn/src/", "crates/cli/src/"] -[]
+lint-hygiene ["crates/", "src/"] -[]
+kernel_paths ["crates/tensor/src/kernels/"]
+into_paths ["crates/tensor/src/", "crates/nn/src/"]
+unsafe-module kernels/simd.rs
+unsafe-module kernels/simd_int8.rs
+unsafe-module crates/cli/src/net/sys.rs
+allow lint-hygiene crates/tensor/src/lib.rs None
+allow lint-hygiene crates/cli/src/lib.rs None
+allow hot-path-alloc crates/tensor/src/conv.rs Some("lhs:")
+allow hot-path-alloc crates/tensor/src/conv.rs Some("rhs:")
+allow hot-path-alloc crates/tensor/src/matmul.rs Some("lhs:")
+allow hot-path-alloc crates/tensor/src/matmul.rs Some("rhs:")
+allow hot-path-alloc crates/tensor/src/quant.rs Some("index: vec!")
+allow hot-path-alloc crates/tensor/src/quant.rs Some("self.shape.clone()")
+allow clock-discipline crates/cli/src/loadgen.rs Some("Instant::now")
+"#;
+
+#[test]
+fn committed_lint_toml_is_the_previous_config_minus_four_allows() {
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../lint.toml"));
+    let cfg = config::parse(&text.unwrap()).unwrap();
+    let mut read = String::new();
+    for rule in Rule::ALL {
+        let scope = cfg.scope(rule);
+        assert!(scope.enabled, "{rule:?}");
+        let (name, paths, exclude) = (rule.name(), &scope.paths, &scope.exclude);
+        read += &format!("{name} {paths:?} -{exclude:?}\n");
+    }
+    read += &format!(
+        "kernel_paths {:?}\ninto_paths {:?}\n",
+        cfg.kernel_paths, cfg.into_paths
+    );
+    for m in &cfg.unsafe_modules {
+        read += &format!("unsafe-module {}\n", m.path);
+    }
+    for a in &cfg.allows {
+        read += &format!("allow {} {} {:?}\n", a.rule.name(), a.path, a.pattern);
+        assert!(a.func.is_none() && !a.justification.is_empty());
+    }
+    assert_eq!(read, COMMITTED);
 }

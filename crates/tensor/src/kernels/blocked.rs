@@ -364,15 +364,7 @@ impl GemmBackend for BlockedGemm {
         }
     }
 
-    fn gemm_at_b(&self, k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        self.gemm_at_b_scratch(k, m, n, a, b, out, &mut Vec::new());
-    }
-
-    fn gemm_a_bt(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-        self.gemm_a_bt_scratch(m, k, n, a, b, out, &mut Vec::new());
-    }
-
-    fn gemm_at_b_scratch(
+    fn gemm_at_b(
         &self,
         k: usize,
         m: usize,
@@ -387,7 +379,7 @@ impl GemmBackend for BlockedGemm {
         gemm_into(&DenseA::new(pack, m, k), n, b, out);
     }
 
-    fn gemm_a_bt_scratch(
+    fn gemm_a_bt(
         &self,
         m: usize,
         k: usize,
@@ -433,16 +425,16 @@ mod tests {
 
         // aᵀ·b with a stored K×M.
         let at = mat(k, m, (m * 7 + k) as u64);
-        naive.gemm_at_b(k, m, n, &at, &b, &mut want);
-        backend.gemm_at_b(k, m, n, &at, &b, &mut got);
+        naive.gemm_at_b(k, m, n, &at, &b, &mut want, &mut Vec::new());
+        backend.gemm_at_b(k, m, n, &at, &b, &mut got, &mut Vec::new());
         for (x, y) in want.iter().zip(&got) {
             assert!((x - y).abs() < 1e-4 * (1.0 + x.abs()), "at_b {x} vs {y}");
         }
 
         // a·bᵀ with b stored N×K.
         let bt = mat(n, k, (n * 13 + k) as u64);
-        naive.gemm_a_bt(m, k, n, &a, &bt, &mut want);
-        backend.gemm_a_bt(m, k, n, &a, &bt, &mut got);
+        naive.gemm_a_bt(m, k, n, &a, &bt, &mut want, &mut Vec::new());
+        backend.gemm_a_bt(m, k, n, &a, &bt, &mut got, &mut Vec::new());
         for (x, y) in want.iter().zip(&got) {
             assert!((x - y).abs() < 1e-4 * (1.0 + x.abs()), "a_bt {x} vs {y}");
         }
@@ -458,8 +450,8 @@ mod tests {
         assert_eq!(out, [0.0; 6]);
         backend.gemm(3, 4, 0, &[0.0; 12], &[], &mut []);
         backend.gemm(0, 4, 3, &[], &[0.0; 12], &mut []);
-        backend.gemm_at_b(4, 0, 3, &[], &[0.0; 12], &mut []);
-        backend.gemm_a_bt(2, 3, 0, &[0.0; 6], &[], &mut []);
+        backend.gemm_at_b(4, 0, 3, &[], &[0.0; 12], &mut [], &mut Vec::new());
+        backend.gemm_a_bt(2, 3, 0, &[0.0; 6], &[], &mut [], &mut Vec::new());
         // The same through the NCHW destination: a `K = 0` product is its
         // bias, an empty one writes nothing.
         let dest = Dest::Nchw {

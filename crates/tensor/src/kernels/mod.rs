@@ -159,10 +159,34 @@ pub trait GemmBackend: Send + Sync {
     fn gemm(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]);
 
     /// `out (M×N) = aᵀ · b` with `a` stored as `K×M`, `b` as `K×N`.
-    fn gemm_at_b(&self, k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]);
+    /// `pack` is a grow-only scratch a backend may transpose an operand
+    /// into, so steady-state callers (workspaces) never allocate; backends
+    /// that need none ignore it.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_at_b(
+        &self,
+        k: usize,
+        m: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        pack: &mut Vec<f32>,
+    );
 
-    /// `out (M×N) = a · bᵀ` with `a` stored as `M×K`, `b` as `N×K`.
-    fn gemm_a_bt(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]);
+    /// `out (M×N) = a · bᵀ` with `a` stored as `M×K`, `b` as `N×K`; `pack`
+    /// as for [`GemmBackend::gemm_at_b`].
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_a_bt(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        pack: &mut Vec<f32>,
+    );
 
     /// `C (M×N) = A · b (K×N)` with `A` a [`GatherA`] — a matrix
     /// addressed through offset tables instead of stored, which is how the
@@ -204,42 +228,6 @@ pub trait GemmBackend: Send + Sync {
                 crate::conv::posrows_to_nchw_slice(rows, bias, samples, n, plane, out);
             }
         }
-    }
-
-    /// [`GemmBackend::gemm_at_b`] with a caller-provided pack/transpose
-    /// scratch buffer, so steady-state callers (workspaces) avoid the
-    /// per-call allocation. The default ignores `pack` and delegates;
-    /// backends that materialise a transposed operand override it.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_at_b_scratch(
-        &self,
-        k: usize,
-        m: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        pack: &mut Vec<f32>,
-    ) {
-        let _ = pack;
-        self.gemm_at_b(k, m, n, a, b, out);
-    }
-
-    /// [`GemmBackend::gemm_a_bt`] with a caller-provided pack/transpose
-    /// scratch buffer (see [`GemmBackend::gemm_at_b_scratch`]).
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_a_bt_scratch(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        pack: &mut Vec<f32>,
-    ) {
-        let _ = pack;
-        self.gemm_a_bt(m, k, n, a, b, out);
     }
 }
 

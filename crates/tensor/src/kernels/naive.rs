@@ -35,7 +35,16 @@ impl GemmBackend for NaiveGemm {
         }
     }
 
-    fn gemm_at_b(&self, k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    fn gemm_at_b(
+        &self,
+        k: usize,
+        m: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        _pack: &mut Vec<f32>,
+    ) {
         debug_assert_eq!(a.len(), k * m);
         debug_assert_eq!(b.len(), k * n);
         debug_assert_eq!(out.len(), m * n);
@@ -54,7 +63,16 @@ impl GemmBackend for NaiveGemm {
         }
     }
 
-    fn gemm_a_bt(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    fn gemm_a_bt(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        _pack: &mut Vec<f32>,
+    ) {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(b.len(), n * k);
         debug_assert_eq!(out.len(), m * n);

@@ -119,7 +119,7 @@ pub fn matmul_at_b_into(
     out.reuse_as(&[m, n]);
     backend
         .backend()
-        .gemm_at_b_scratch(k, m, n, a.data(), b.data(), out.data_mut(), pack);
+        .gemm_at_b(k, m, n, a.data(), b.data(), out.data_mut(), pack);
     Ok(())
 }
 
@@ -158,7 +158,7 @@ pub fn matmul_a_bt_into(
     out.reuse_as(&[m, n]);
     backend
         .backend()
-        .gemm_a_bt_scratch(m, k, n, a.data(), b.data(), out.data_mut(), pack);
+        .gemm_a_bt(m, k, n, a.data(), b.data(), out.data_mut(), pack);
     Ok(())
 }
 

@@ -1,12 +1,6 @@
-//! A small dynamic value model shared by the TOML and JSON front-ends.
-//!
-//! The build is offline (`vendor/README.md`), so the CLI carries its own
-//! minimal document model: configs parse *into* a [`Value`] tree (from
-//! TOML or JSON), the schema table in [`crate::config`] reads the typed
-//! sections out of it, and run artifacts render back out of it (JSON for
-//! `metrics.json`, TOML for the config snapshot).
+//! The document tree the TOML and JSON front-ends share, and its writers.
 
-use crate::error::CliError;
+use crate::{join, Error};
 use std::fmt::Write as _;
 
 /// A dynamically-typed configuration/metrics value.
@@ -47,33 +41,6 @@ impl Value {
             Value::Array(_) => "an array",
             Value::Table(_) => "a table",
             Value::Null => "null",
-        }
-    }
-
-    /// Inserts (or replaces) `key` in a table.
-    ///
-    /// Inserting into a non-table is a typed [`CliError::Config`] naming
-    /// the offending key — never a panic: parsers hit this when a document
-    /// assigns a scalar where a table is expected (`model = 3` followed by
-    /// `model.name = ...`). Code building documents from scratch should
-    /// use [`Table`], whose receiver is statically a table.
-    pub fn insert(&mut self, key: &str, value: Value) -> Result<(), CliError> {
-        match self {
-            Value::Table(entries) => {
-                if let Some(e) = entries.iter_mut().find(|(k, _)| k == key) {
-                    e.1 = value;
-                } else {
-                    entries.push((key.to_string(), value));
-                }
-                Ok(())
-            }
-            other => Err(CliError::config(
-                key,
-                format!(
-                    "cannot insert into {} (a table is required here)",
-                    other.type_name()
-                ),
-            )),
         }
     }
 
@@ -143,50 +110,18 @@ impl Value {
     }
 
     fn write_json(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
         match self {
             Value::Null => out.push_str("null"),
-            Value::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Value::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Value::Float(f) => write_json_float(out, *f),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Int(i) => out.push_str(&i.to_string()),
+            Value::Float(f) => write_float(out, *f, false),
             Value::Str(s) => write_json_string(out, s),
             Value::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    item.write_json(out, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                let _ = write!(out, "{pad}]");
+                write_json_block(out, indent, "[]", items.iter().map(|v| (None, v)))
             }
             Value::Table(entries) => {
-                if entries.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    let _ = write!(out, "{pad}  ");
-                    write_json_string(out, k);
-                    out.push_str(": ");
-                    v.write_json(out, indent + 1);
-                    if i + 1 < entries.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                let _ = write!(out, "{pad}}}");
+                let entries = entries.iter().map(|(k, v)| (Some(k.as_str()), v));
+                write_json_block(out, indent, "{}", entries)
             }
         }
     }
@@ -194,21 +129,19 @@ impl Value {
     /// Renders a table as a TOML document: nested tables become `[section]`
     /// headers, scalar/array keys print before sub-tables. A root that is
     /// not a table, or a table inside an array, is a typed error.
-    pub fn to_toml(&self) -> Result<String, CliError> {
+    pub fn to_toml(&self) -> Result<String, Error> {
         let mut out = String::new();
-        let not_table = || CliError::new(format!("{} is no TOML document", self.type_name()));
+        let not_table = || Error::at("", format!("{} is no TOML document", self.type_name()));
         let entries = self.entries().ok_or_else(not_table)?;
         render_toml_table(&mut out, entries, "")?;
         Ok(out)
     }
 }
 
-/// An order-preserving table under construction.
-///
-/// The infallible counterpart of [`Value::insert`] for code that *builds*
-/// documents (metrics, config snapshots): the receiver is statically a
-/// table, so insertion cannot fail and no `Result` plumbing (or panic) is
-/// needed. Convert into a [`Value`] with [`Table::build`].
+/// An order-preserving table under construction, for code that *builds*
+/// documents (metrics, config snapshots, reports): the receiver is
+/// statically a table, so insertion cannot fail. Convert into a [`Value`]
+/// with [`Table::build`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Table(Vec<(String, Value)>);
 
@@ -240,24 +173,15 @@ impl From<Table> for Value {
     }
 }
 
-/// `key` beneath the dotted `path` (which is empty at the document root).
-pub(crate) fn join(path: &str, key: &str) -> String {
-    match path {
-        "" => key.to_string(),
-        _ => format!("{path}.{key}"),
-    }
-}
-
 fn render_toml_table(
     out: &mut String,
     entries: &[(String, Value)],
     prefix: &str,
-) -> Result<(), CliError> {
+) -> Result<(), Error> {
     for (k, v) in entries {
         if !matches!(v, Value::Table(_)) {
             let _ = write!(out, "{k} = ");
-            render_toml_value(out, v)
-                .map_err(|message| CliError::config(join(prefix, k), message))?;
+            render_toml_value(out, v).map_err(|message| Error::at(join(prefix, k), message))?;
             out.push('\n');
         }
     }
@@ -275,16 +199,12 @@ fn render_toml_table(
 }
 
 /// Renders one inline TOML value; `Err` says what the subset cannot spell.
-pub(crate) fn render_toml_value(out: &mut String, v: &Value) -> Result<(), &'static str> {
+fn render_toml_value(out: &mut String, v: &Value) -> Result<(), &'static str> {
     match v {
         Value::Null => out.push_str("\"\""), // TOML has no null; unused
-        Value::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::Float(f) => write_toml_float(out, *f),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::Float(f) => write_float(out, *f, true),
         Value::Str(s) => write_json_string(out, s), // TOML basic strings share JSON escaping
         Value::Array(items) => {
             out.push('[');
@@ -301,34 +221,43 @@ pub(crate) fn render_toml_value(out: &mut String, v: &Value) -> Result<(), &'sta
     Ok(())
 }
 
-fn write_json_float(out: &mut String, f: f64) {
-    if f.is_finite() {
-        if f == f.trunc() && f.abs() < 1e15 {
-            // Keep a fractional part so the value re-parses as a float.
-            let _ = write!(out, "{f:.1}");
-        } else {
-            let _ = write!(out, "{f}");
+/// An array (`brackets` `[]`) or object (`{}`): one entry per line,
+/// indented one level deeper than the block.
+fn write_json_block<'v>(
+    out: &mut String,
+    indent: usize,
+    brackets: &str,
+    entries: impl ExactSizeIterator<Item = (Option<&'v str>, &'v Value)>,
+) {
+    let (open, close) = brackets.split_at(1);
+    let (last, pad) = (entries.len(), "  ".repeat(indent));
+    out.push_str(open);
+    for (i, (key, value)) in entries.enumerate() {
+        out.push_str(&format!("\n{pad}  "));
+        if let Some(key) = key {
+            write_json_string(out, key);
+            out.push_str(": ");
         }
-    } else {
-        // JSON has no Inf/NaN; clamp to null like serde_json's lossy mode.
-        out.push_str("null");
+        value.write_json(out, indent + 1);
+        out.push_str(if i + 1 < last { "," } else { "\n" });
     }
+    if last > 0 {
+        out.push_str(&pad);
+    }
+    out.push_str(close);
 }
 
-fn write_toml_float(out: &mut String, f: f64) {
-    if f.is_finite() {
-        if f == f.trunc() && f.abs() < 1e15 {
-            let _ = write!(out, "{f:.1}");
-        } else {
-            let _ = write!(out, "{f}");
-        }
-    } else if f.is_nan() {
-        out.push_str("nan");
-    } else if f > 0.0 {
-        out.push_str("inf");
-    } else {
-        out.push_str("-inf");
-    }
+/// Whole finite floats keep a fractional part so they re-parse as floats.
+/// TOML spells the non-finite ones; JSON has none and writes `null`, like
+/// serde_json's lossy mode.
+fn write_float(out: &mut String, f: f64, toml: bool) {
+    let _ = match (f.is_finite(), toml) {
+        (true, _) if f == f.trunc() && f.abs() < 1e15 => write!(out, "{f:.1}"),
+        (true, _) => write!(out, "{f}"),
+        (false, false) => write!(out, "null"),
+        (false, true) if f.is_nan() => write!(out, "nan"),
+        (false, true) => write!(out, "{}inf", if f > 0.0 { "" } else { "-" }),
+    };
 }
 
 fn write_json_string(out: &mut String, s: &str) {
@@ -355,10 +284,11 @@ mod tests {
 
     #[test]
     fn table_insert_get_and_replace() {
-        let mut t = Value::table();
-        t.insert("a", Value::Int(1)).unwrap();
-        t.insert("b", Value::Str("x".into())).unwrap();
-        t.insert("a", Value::Int(2)).unwrap();
+        let mut t = Table::new();
+        t.insert("a", Value::Int(1));
+        t.insert("b", Value::Str("x".into()));
+        t.insert("a", Value::Int(2));
+        let t = t.build();
         assert_eq!(t.get("a"), Some(&Value::Int(2)));
         assert_eq!(t.get("b").and_then(Value::as_str), Some("x"));
         assert_eq!(t.get("c"), None);
@@ -366,25 +296,10 @@ mod tests {
     }
 
     #[test]
-    fn insert_on_non_table_is_a_typed_error_not_a_panic() {
-        let mut v = Value::Int(3);
-        let err = v.insert("name", Value::Str("x".into())).unwrap_err();
-        match err {
-            CliError::Config { path, message } => {
-                assert_eq!(path, "name");
-                assert!(message.contains("an integer"), "{message}");
-            }
-            other => panic!("expected Config error, got {other}"),
-        }
-        // The value is untouched after the failed insert.
-        assert_eq!(v, Value::Int(3));
-    }
-
-    #[test]
     fn table_builder_matches_value_table() {
         let mut b = Table::new();
         b.insert("a", Value::Int(1));
-        b.insert("a", Value::Int(2)); // replace, like Value::insert
+        b.insert("a", Value::Int(2)); // replaces
         let mut nested = Table::new();
         nested.insert("x", Value::Bool(true));
         b.insert("inner", nested); // Table inserts directly via Into
@@ -429,8 +344,8 @@ mod tests {
         let mut root = Table::new();
         root.insert("xs", Value::Array(vec![Value::table()]));
         match root.build().to_toml().unwrap_err() {
-            CliError::Config { path, .. } => assert_eq!(path, "xs"),
-            other => panic!("expected Config error, got {other}"),
+            Error::At { path, .. } => assert_eq!(path, "xs"),
+            other => panic!("expected a typed error, got {other}"),
         }
     }
 }
