@@ -164,8 +164,6 @@ sections! {
         pub max_batch: usize = ServePolicy::default().max_batch, Bound::Positive;
         /// Bounded request-queue capacity; beyond it requests are rejected `queue-full`.
         pub queue_capacity: usize = ServePolicy::default().queue_capacity, Bound::Positive;
-        /// How long the batcher waits for a batch to fill (µs), from the oldest queued arrival.
-        pub batch_window_us: u64 = ServePolicy::default().batch_window_us;
         /// Queue deadline for `fast`-tier requests (µs).
         pub fast_deadline_us: u64 = ServePolicy::default().deadline_us(SloTier::Fast);
         /// Queue deadline for `balanced`-tier requests (µs).
@@ -174,8 +172,6 @@ sections! {
         pub exact_deadline_us: u64 = ServePolicy::default().deadline_us(SloTier::Exact);
         /// Batcher replicas sharing the queue, each a bit-identical model clone; `0`: one per core.
         pub replicas: usize = ServePolicy::default().replicas, Bound::AtMost(MAX_REPLICAS);
-        /// Per-connection reply-outbox cap (KiB); a client that stops reading past it is dropped.
-        pub outbox_kib: usize = ServePolicy::default().outbox_kib, Bound::Positive;
         /// Whether a shutdown frame stops the server (the loadgen/test harness turns this on).
         pub allow_shutdown: bool = false;
     }
@@ -428,14 +424,12 @@ impl RunConfig {
             threshold: s.threshold as f32,
             max_batch: s.max_batch,
             queue_capacity: s.queue_capacity,
-            batch_window_us: s.batch_window_us,
             deadline_us: [
                 s.fast_deadline_us,
                 s.balanced_deadline_us,
                 s.exact_deadline_us,
             ],
             replicas: s.replicas,
-            outbox_kib: s.outbox_kib,
         };
         policy
             .validate()
@@ -786,6 +780,10 @@ epochs_per_block = 2
             config_error(&format!("{}{sweep}", quickstart_toml())).0,
             "sweep.device"
         );
+        for gone in ["batch_window_us", "outbox_kib"] {
+            let doc = format!("{}\n[serve]\n{gone} = 1\n", quickstart_toml());
+            assert_eq!(config_error(&doc).0, format!("serve.{gone}"));
+        }
 
         // Unknown sections, and the same through JSON.
         let (path, message) = config_error(&format!("{}\n[trian]\nlr = 0.1\n", quickstart_toml()));
@@ -1089,7 +1087,7 @@ kernel_backend = "naive"
     fn serve_and_loadgen_sections_parse_resolve_and_round_trip() {
         let doc = format!(
             "{}\n[serve]\naddr = \"127.0.0.1:9000\"\nthreshold = 0.9\nmax_batch = 4\n\
-             queue_capacity = 16\nbatch_window_us = 250\nfast_deadline_us = 1000\n\
+             queue_capacity = 16\nfast_deadline_us = 1000\n\
              balanced_deadline_us = 2000\nexact_deadline_us = 3000\nreplicas = 2\n\
              allow_shutdown = true\n\
              \n[loadgen]\nrequests = 32\nconnections = 2\ninflight = 6\n\
@@ -1102,14 +1100,7 @@ kernel_backend = "naive"
         assert!(s.allow_shutdown);
         let policy = cfg.resolve_serve().unwrap();
         assert_eq!(policy.threshold, 0.9f32);
-        assert_eq!(
-            (
-                policy.max_batch,
-                policy.queue_capacity,
-                policy.batch_window_us
-            ),
-            (4, 16, 250)
-        );
+        assert_eq!((policy.max_batch, policy.queue_capacity), (4, 16));
         assert_eq!(policy.deadline_us, [1000, 2000, 3000]);
         assert_eq!(policy.effective_replicas(8), 2);
         let lg = cfg.loadgen();

@@ -58,8 +58,8 @@ pub use loadgen::{run_loadgen, LoadgenOptions, LoadgenReport};
 pub use nf_value::{Table, Value};
 pub use rundir::RunDir;
 pub use serve::{
-    build_engines, replicate_engines, run_serve, start_server, start_server_with_engine,
-    start_server_with_engines, ReplicaSnapshot, ServerHandle,
+    build_engines, replicate_engines, run_serve, start_server, start_server_with_engines,
+    ReplicaSnapshot, ServerHandle,
 };
 pub use sweep::run_sweep;
 pub use train::{run_train, TrainOptions, TrainSummary};

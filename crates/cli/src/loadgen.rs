@@ -21,8 +21,8 @@
 
 use crate::config::RunConfig;
 use crate::error::{CliError, Result};
-use crate::net::reactor::{read_ready, FrameAssembler, ReadEnd, WriteQueue, READ_CHUNK};
-use crate::net::sys::{self, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
+use crate::net::reactor::{Conn, ReadEnd, READ_CHUNK};
+use crate::net::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN};
 use crate::proto::{self, RejectReason, Request, Response};
 use crate::serve::{build_engines, start_server_with_engines};
 use neuroflux_core::serve::splitmix64;
@@ -30,7 +30,6 @@ use neuroflux_core::{latency_percentiles, SloTier};
 use nf_value::{Table, Value};
 use std::collections::BTreeMap;
 use std::net::TcpStream;
-use std::os::unix::io::AsRawFd;
 use std::time::Instant;
 
 /// CLI options for `nf loadgen`.
@@ -97,8 +96,9 @@ pub struct LoadgenReport {
     pub requests: usize,
     /// Client connections used.
     pub connections: usize,
-    /// Requests kept in flight across all connections (pipelining depth;
-    /// equals `connections` for the plain closed loop).
+    /// Requests the mux kept in flight across all connections: the
+    /// per-connection [`pipeline_window`] times `connections` (equals
+    /// `connections` for the plain closed loop), capped by `requests`.
     pub inflight: usize,
     /// Batcher/model replicas on the serving side (from the config when
     /// targeting an external server).
@@ -199,20 +199,16 @@ impl LoadgenReport {
     }
 }
 
-/// Resolves the `[loadgen] inflight` knob: 0 means the plain closed loop
-/// (one request in flight per connection).
-fn resolve_inflight(inflight: usize, connections: usize) -> usize {
-    if inflight == 0 {
-        connections
-    } else {
-        inflight
-    }
-}
-
 /// Per-connection pipeline window: how many requests one connection keeps
-/// in flight. Integer share of the total, never below 1.
-fn pipeline_window(inflight: usize, connections: usize) -> usize {
-    (resolve_inflight(inflight, connections) / connections.max(1)).max(1)
+/// in flight. `[loadgen] inflight = 0` is the plain closed loop (one
+/// each); otherwise the integer share of `inflight`, never below 1. The
+/// mux keeps `pipeline_window × connections` requests in flight.
+pub fn pipeline_window(inflight: usize, connections: usize) -> usize {
+    if inflight == 0 {
+        1
+    } else {
+        (inflight / connections.max(1)).max(1)
+    }
 }
 
 /// Picks a tier from `weights` using the schedule PRNG draw `bits`.
@@ -240,108 +236,86 @@ fn build_jobs(cfg: &RunConfig, n_samples: usize, seed: u64) -> Vec<Job> {
         .collect()
 }
 
-/// One connection as the loadgen mux tracks it.
-struct MuxConn<'a> {
-    stream: TcpStream,
-    asm: FrameAssembler,
-    outq: WriteQueue,
-    /// Interest bits currently registered with epoll.
-    interest: u32,
+/// One loadgen connection: the shared [`Conn`] (taken once finished or
+/// closed by the server) plus its slice of the schedule and its
+/// in-flight window.
+struct Client<'a> {
+    conn: Option<Conn>,
     /// This connection's slice of the schedule, in order.
     jobs: &'a [Job],
     /// Next job index not yet entered into the window.
     next: usize,
     /// In-flight requests: tier + send instant, keyed by request id.
     pending: BTreeMap<u64, (SloTier, Instant)>,
-    /// Every reply received; the fd is deregistered.
-    done: bool,
 }
 
-impl MuxConn<'_> {
-    /// All jobs sent, all replies in, all bytes flushed.
-    fn finished(&self) -> bool {
-        self.next >= self.jobs.len() && self.pending.is_empty() && self.outq.is_empty()
-    }
-
-    /// The interest bits this connection's state wants: readable while
-    /// replies are owed, writable while frames are queued.
-    fn want(&self) -> u32 {
-        let mut bits = 0;
-        if !self.pending.is_empty() {
-            bits |= EPOLLIN;
-        }
-        if !self.outq.is_empty() {
-            bits |= EPOLLOUT;
-        }
-        bits
-    }
-}
-
-/// Tops up one connection's pipeline window: encodes and queues requests
-/// until `window` are in flight or the schedule slice is exhausted.
-/// Latency is measured from the instant a request enters the window
-/// (when its frame is queued), so per-tier attribution survives
-/// pipelining.
-fn top_up(
-    conn: &mut MuxConn<'_>,
-    images: &[f32],
-    pixels_per_sample: usize,
-    window: usize,
-) -> Result<()> {
-    while conn.pending.len() < window {
-        let Some(job) = conn.jobs.get(conn.next) else {
-            break;
+impl Client<'_> {
+    /// Tops up the pipeline window: encodes and queues requests until
+    /// `window` are in flight or the schedule slice is exhausted.
+    /// Latency is measured from the instant a request enters the window
+    /// (when its frame is queued), so per-tier attribution survives
+    /// pipelining.
+    fn top_up(&mut self, images: &[f32], pixels_per_sample: usize, window: usize) -> Result<()> {
+        let Some(conn) = self.conn.as_mut() else {
+            return Ok(());
         };
-        let start = job.sample * pixels_per_sample;
-        let pixels = start
-            .checked_add(pixels_per_sample)
-            .and_then(|end| images.get(start..end))
-            .ok_or_else(|| {
-                CliError::new(format!(
-                    "request {} maps to sample {} beyond the test set",
-                    job.seq, job.sample
-                ))
-            })?;
-        let payload = proto::encode_request(&Request::Infer {
-            id: job.seq,
-            tier: job.tier,
-            pixels: pixels.to_vec(),
-        });
-        let wire = proto::frame_bytes(&payload)
-            .map_err(|e| CliError::new(format!("encoding request {}: {e}", job.seq)))?;
-        conn.pending.insert(job.seq, (job.tier, Instant::now()));
-        conn.outq.push(wire);
-        conn.next += 1;
+        while self.pending.len() < window {
+            let Some(job) = self.jobs.get(self.next) else {
+                break;
+            };
+            let start = job.sample * pixels_per_sample;
+            let pixels = start
+                .checked_add(pixels_per_sample)
+                .and_then(|end| images.get(start..end))
+                .ok_or_else(|| {
+                    CliError::new(format!(
+                        "request {} maps to sample {} beyond the test set",
+                        job.seq, job.sample
+                    ))
+                })?;
+            let payload = proto::encode_request(&Request::Infer {
+                id: job.seq,
+                tier: job.tier,
+                pixels: pixels.to_vec(),
+            });
+            let wire = proto::frame_bytes(&payload)
+                .map_err(|e| CliError::new(format!("encoding request {}: {e}", job.seq)))?;
+            self.pending.insert(job.seq, (job.tier, Instant::now()));
+            conn.queue(wire);
+            self.next += 1;
+        }
+        Ok(())
     }
-    Ok(())
-}
 
-/// Flushes what the socket will take, deregisters a finished connection,
-/// and reconciles the epoll interest bits.
-fn sync_conn(epoll: &Epoll, idx: usize, conn: &mut MuxConn<'_>) -> Result<()> {
-    if conn.done {
-        return Ok(());
+    /// Flushes what the socket will take and reconciles epoll interest
+    /// (readable while replies are owed); closes the connection once
+    /// every job is sent and every reply is in.
+    fn sync(&mut self, epoll: &Epoll, idx: usize) -> Result<()> {
+        let Some(conn) = self.conn.as_mut() else {
+            return Ok(());
+        };
+        let flushed = conn
+            .sync(epoll, idx as u64, !self.pending.is_empty())
+            .map_err(|e| CliError::new(format!("sending to the server: {e}")))?;
+        if flushed && self.pending.is_empty() && self.next >= self.jobs.len() {
+            self.close(epoll);
+        }
+        Ok(())
     }
-    conn.outq
-        .flush(&mut conn.stream)
-        .map_err(|e| CliError::new(format!("sending to the server: {e}")))?;
-    if conn.finished() {
-        let _ = epoll.delete(conn.stream.as_raw_fd());
-        conn.done = true;
-        return Ok(());
+
+    /// Deregisters and closes the socket; later events find no `Conn`.
+    fn close(&mut self, epoll: &Epoll) {
+        if let Some(conn) = self.conn.take() {
+            conn.close(epoll);
+        }
     }
-    let want = conn.want();
-    if want != conn.interest {
-        epoll
-            .modify(conn.stream.as_raw_fd(), want, idx as u64)
-            .map_err(|e| CliError::new(format!("updating loadgen epoll interest: {e}")))?;
-        conn.interest = want;
-    }
-    Ok(())
 }
 
 /// Decodes one reply frame and resolves it against the window.
-fn match_reply(conn: &mut MuxConn<'_>, payload: &[u8]) -> Result<(u64, SloTier, Outcome)> {
+fn match_reply(
+    pending: &mut BTreeMap<u64, (SloTier, Instant)>,
+    payload: &[u8],
+) -> Result<(u64, SloTier, Outcome)> {
     let resp = proto::decode_response(payload)
         .map_err(|e| CliError::new(format!("decoding a reply: {e}")))?;
     let (id, ok_exit, reject) = match resp {
@@ -358,8 +332,7 @@ fn match_reply(conn: &mut MuxConn<'_>, payload: &[u8]) -> Result<(u64, SloTier, 
     };
     // A replicated server completes out of order; the echoed id is the
     // contract. A duplicate or unknown id lands here too.
-    let (tier, sent_at) = conn
-        .pending
+    let (tier, sent_at) = pending
         .remove(&id)
         .ok_or_else(|| CliError::new(format!("reply id {id} matches no in-flight request")))?;
     let latency_us = sent_at.elapsed().as_micros().min(u64::MAX as u128) as u64;
@@ -389,30 +362,21 @@ fn run_mux(
     let window = window.max(1);
     let epoll = Epoll::new()
         .map_err(|e| CliError::new(format!("creating the loadgen epoll instance: {e}")))?;
-    let mut conns: Vec<MuxConn<'_>> = Vec::with_capacity(per_conn.len());
-    for jobs in per_conn {
-        let stream = TcpStream::connect(addr)
+    let mut clients: Vec<Client<'_>> = Vec::with_capacity(per_conn.len());
+    for (idx, jobs) in per_conn.iter().enumerate() {
+        let conn = TcpStream::connect(addr)
+            .and_then(|stream| Conn::open(stream, &epoll, idx as u64))
             .map_err(|e| CliError::new(format!("connecting to serve at {addr}: {e}")))?;
-        let _ = stream.set_nodelay(true);
-        sys::set_nonblocking(stream.as_raw_fd())
-            .map_err(|e| CliError::new(format!("making a loadgen socket nonblocking: {e}")))?;
-        conns.push(MuxConn {
-            stream,
-            asm: FrameAssembler::new(),
-            outq: WriteQueue::new(),
-            interest: 0,
+        clients.push(Client {
+            conn: Some(conn),
             jobs,
             next: 0,
             pending: BTreeMap::new(),
-            done: false,
         });
     }
-    for (idx, conn) in conns.iter_mut().enumerate() {
-        epoll
-            .add(conn.stream.as_raw_fd(), 0, idx as u64)
-            .map_err(|e| CliError::new(format!("registering a loadgen socket: {e}")))?;
-        top_up(conn, images, pixels_per_sample, window)?;
-        sync_conn(&epoll, idx, conn)?;
+    for (idx, client) in clients.iter_mut().enumerate() {
+        client.top_up(images, pixels_per_sample, window)?;
+        client.sync(&epoll, idx)?;
     }
 
     let total: usize = per_conn.iter().map(|jobs| jobs.len()).sum();
@@ -425,34 +389,32 @@ fn run_mux(
             .map_err(|e| CliError::new(format!("waiting for server replies: {e}")))?;
         for ev in events.iter().take(n) {
             let idx = ev.token() as usize;
-            let ready = ev.ready();
-            let Some(conn) = conns.get_mut(idx) else {
+            let Some(client) = clients.get_mut(idx) else {
                 continue;
             };
-            if conn.done {
-                continue;
-            }
-            if ready & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0 {
+            if ev.ready() & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0 {
                 let mut frames = Vec::new();
-                let end = read_ready(&mut conn.stream, &mut conn.asm, &mut scratch, &mut frames);
+                let end = match client.conn.as_mut() {
+                    Some(conn) => conn.read_frames(&mut scratch, &mut frames),
+                    None => continue,
+                };
                 for payload in &frames {
-                    out.push(match_reply(conn, payload)?);
+                    out.push(match_reply(&mut client.pending, payload)?);
                 }
                 // Freed window slots refill immediately.
-                top_up(conn, images, pixels_per_sample, window)?;
+                client.top_up(images, pixels_per_sample, window)?;
                 match end {
                     ReadEnd::WouldBlock => {}
                     ReadEnd::CleanEof | ReadEnd::Dropped => {
                         let outstanding =
-                            conn.pending.len() + conn.jobs.len().saturating_sub(conn.next);
+                            client.pending.len() + client.jobs.len().saturating_sub(client.next);
                         if outstanding > 0 {
                             return Err(CliError::new(format!(
                                 "server closed the connection with {outstanding} replies \
                                  outstanding"
                             )));
                         }
-                        let _ = epoll.delete(conn.stream.as_raw_fd());
-                        conn.done = true;
+                        client.close(&epoll);
                         continue;
                     }
                     ReadEnd::Oversized(e) => {
@@ -460,8 +422,8 @@ fn run_mux(
                     }
                 }
             }
-            // EPOLLOUT needs no separate arm: sync_conn flushes either way.
-            sync_conn(&epoll, idx, conn)?;
+            // EPOLLOUT needs no separate arm: sync flushes either way.
+            client.sync(&epoll, idx)?;
         }
     }
     Ok(out)
@@ -481,7 +443,6 @@ pub fn run_load(cfg: &RunConfig, addr: &str, model: &str, n_units: usize) -> Res
     let seed = lg.seed.unwrap_or(cfg.run.seed);
     let jobs = build_jobs(cfg, test.len(), seed);
     let connections = lg.connections.max(1);
-    let inflight = resolve_inflight(lg.inflight, connections);
     let window = pipeline_window(lg.inflight, connections);
 
     // Partition jobs round-robin over connections, preserving order
@@ -570,7 +531,8 @@ pub fn run_load(cfg: &RunConfig, addr: &str, model: &str, n_units: usize) -> Res
         n_units,
         requests: lg.requests,
         connections,
-        inflight,
+        // Round-robin slices make this exactly the peak the mux drove.
+        inflight: (window * connections).min(lg.requests),
         // Filled in by the in-process path, which owns the server handle;
         // against an external server the config's replica count stands
         // and busy fractions are unknowable from here.
@@ -672,15 +634,22 @@ mod tests {
 
     #[test]
     fn pipeline_window_splits_inflight_across_connections() {
-        // inflight = 0 → plain closed loop: one in flight per connection.
-        assert_eq!(resolve_inflight(0, 4), 4);
-        assert_eq!(pipeline_window(0, 4), 1);
-        // inflight = 2× connections → window 2 per connection.
-        assert_eq!(resolve_inflight(8, 4), 8);
-        assert_eq!(pipeline_window(8, 4), 2);
-        // Non-divisible totals round down but never below 1.
-        assert_eq!(pipeline_window(7, 4), 1);
-        assert_eq!(pipeline_window(9, 4), 2);
-        assert_eq!(pipeline_window(1, 1), 1);
+        // (inflight, connections) → (window per connection, requests the
+        // mux drives and the report states: window × connections).
+        for (inflight, connections, window, driven) in [
+            // inflight = 0 → plain closed loop: one in flight each.
+            (0, 4, 1, 4),
+            // inflight = 2× connections → window 2 per connection.
+            (8, 4, 2, 8),
+            // Non-divisible totals round down but never below 1.
+            (7, 4, 1, 4),
+            (9, 4, 2, 8),
+            (3, 4, 1, 4),
+            (1, 1, 1, 1),
+        ] {
+            let got = pipeline_window(inflight, connections);
+            assert_eq!(got, window, "inflight {inflight}, {connections} conns");
+            assert_eq!(got * connections, driven);
+        }
     }
 }

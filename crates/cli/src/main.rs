@@ -22,7 +22,7 @@ USAGE:
 
 serve trains the config's model in-process and serves early-exit
 inference over a length-prefixed TCP protocol (see [serve] in the
-config: SLO deadlines, batch window, queue capacity). loadgen drives a
+config: SLO deadlines, queue capacity, replicas). loadgen drives a
 server with a deterministic, seeded request schedule and writes its
 latency/exit-histogram report to <out_dir>/<name>-serve/metrics.json;
 without --addr it hosts the server itself on an ephemeral port.
@@ -166,11 +166,7 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
                 let mut lg = cfg.loadgen();
                 // Preserve the config's per-connection pipelining window so
                 // the override scales fan-in, not queueing behavior.
-                let window = if lg.inflight == 0 {
-                    1
-                } else {
-                    (lg.inflight / lg.connections.max(1)).max(1)
-                };
+                let window = nf_cli::loadgen::pipeline_window(lg.inflight, lg.connections);
                 lg.connections = n;
                 lg.inflight = if window == 1 {
                     0

@@ -1,7 +1,8 @@
 //! Reactor building blocks shared by the `nf serve` server loop and the
 //! `nf loadgen` client mux: incremental frame reassembly across arbitrary
-//! `read(2)` chunk boundaries, and bounded per-connection write queues
-//! with partial-write resumption.
+//! `read(2)` chunk boundaries, bounded per-connection write queues with
+//! partial-write resumption, and the one connection type both loops
+//! drive.
 //!
 //! Both sides of the wire speak the same u32-LE length-prefixed frames
 //! ([`crate::proto`]); a nonblocking socket can surface those frames one
@@ -11,14 +12,20 @@
 //! blocking `read_exact`. Symmetrically, a nonblocking write can accept
 //! any prefix of a frame, so [`WriteQueue`] tracks a byte offset into its
 //! buffered wire bytes and resumes exactly where the socket left off.
+//! Both are socket-free and unit-tested without a kernel.
 //!
-//! Nothing here owns a socket or an epoll registration — the serve
-//! reactor and the loadgen mux own those and drive these types, which
-//! keeps every state transition unit-testable without a kernel.
+//! [`Conn`] owns a socket and its epoll registration: it wraps the two
+//! state machines around a nonblocking `TcpStream` and keeps the
+//! registered interest bits in step with the outbox. Each loop keeps its
+//! own `epoll_wait`, tokens and frame handling; only the
+//! flush-and-interest bookkeeping lives here.
 
+use crate::net::sys::{self, Epoll, EPOLLIN, EPOLLOUT};
 use crate::proto::{ProtoError, MAX_PAYLOAD};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::os::unix::io::AsRawFd;
 
 /// Reactor token for the listening socket (never collides with
 /// connection ids, which count up from 0).
@@ -245,6 +252,74 @@ impl Default for WriteQueue {
     }
 }
 
+/// One nonblocking TCP connection registered with an epoll instance —
+/// the serve reactor's client sockets and the loadgen mux's server
+/// sockets alike: the socket, its [`FrameAssembler`], its [`WriteQueue`]
+/// and the interest bits epoll currently holds for it.
+#[derive(Debug)]
+pub struct Conn {
+    stream: TcpStream,
+    asm: FrameAssembler,
+    outq: WriteQueue,
+    /// The interest bits currently registered with epoll.
+    interest: u32,
+}
+
+impl Conn {
+    /// Sets `stream` nodelay and nonblocking and registers it with
+    /// `epoll` under `token`, readable.
+    pub fn open(stream: TcpStream, epoll: &Epoll, token: u64) -> io::Result<Conn> {
+        // Nagle only delays small frames; failing to turn it off costs
+        // latency, not correctness.
+        let _ = stream.set_nodelay(true);
+        sys::set_nonblocking(stream.as_raw_fd())?;
+        epoll.add(stream.as_raw_fd(), EPOLLIN, token)?;
+        Ok(Conn {
+            stream,
+            asm: FrameAssembler::new(),
+            outq: WriteQueue::new(),
+            interest: EPOLLIN,
+        })
+    }
+
+    /// Reads until the socket would block, appending every complete
+    /// frame payload to `frames` ([`read_ready`] over this socket).
+    pub fn read_frames(&mut self, scratch: &mut [u8], frames: &mut Vec<Vec<u8>>) -> ReadEnd {
+        read_ready(&mut self.stream, &mut self.asm, scratch, frames)
+    }
+
+    /// Queues one frame's wire bytes; [`Conn::sync`] writes them.
+    pub fn queue(&mut self, wire: Vec<u8>) {
+        self.outq.push(wire);
+    }
+
+    /// Unsent bytes queued — what an outbox cap is checked against.
+    pub fn queued_bytes(&self) -> usize {
+        self.outq.queued_bytes()
+    }
+
+    /// Writes what the socket accepts, then reconciles the registered
+    /// interest with what is left: `EPOLLIN` iff `want_read`, `EPOLLOUT`
+    /// iff bytes remain queued. `Ok(true)` means the outbox is empty. An
+    /// error means the peer is gone (or epoll refused the change): close
+    /// the connection.
+    pub fn sync(&mut self, epoll: &Epoll, token: u64, want_read: bool) -> io::Result<bool> {
+        let flushed = self.outq.flush(&mut self.stream)?;
+        let read_bit = if want_read { EPOLLIN } else { 0 };
+        let want = read_bit | if flushed { 0 } else { EPOLLOUT };
+        if want != self.interest {
+            epoll.modify(self.stream.as_raw_fd(), want, token)?;
+            self.interest = want;
+        }
+        Ok(flushed)
+    }
+
+    /// Deregisters the socket and closes it.
+    pub fn close(self, epoll: &Epoll) {
+        let _ = epoll.delete(self.stream.as_raw_fd());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,5 +500,64 @@ mod tests {
         let end = read_ready(&mut &wire[..3], &mut asm, &mut scratch, &mut frames);
         assert_eq!(end, ReadEnd::Dropped);
         assert!(frames.is_empty());
+    }
+
+    #[test]
+    fn conn_sync_follows_the_outbox_on_a_loopback_pair() {
+        use crate::net::sys::EpollEvent;
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let epoll = Epoll::new().unwrap();
+        let mut conn = Conn::open(stream, &epoll, 7).unwrap();
+        assert_eq!(conn.interest, EPOLLIN);
+
+        // Queue frames until the socket stops accepting them: what is
+        // left waits on EPOLLOUT.
+        let frame = proto::frame_bytes(&vec![0xA5; 64 * 1024]).unwrap();
+        let mut sent = 0;
+        loop {
+            conn.queue(frame.clone());
+            sent += frame.len();
+            if !conn.sync(&epoll, 7, true).unwrap() {
+                break;
+            }
+            assert!(sent < 64 << 20, "the loopback socket never filled");
+        }
+        assert_eq!(conn.interest, EPOLLIN | EPOLLOUT);
+        assert!(conn.queued_bytes() > 0);
+
+        // Drain the peer: EPOLLOUT wakes the loop, each sync writes more,
+        // and the one that empties the queue drops EPOLLOUT.
+        let drain = std::thread::spawn(move || {
+            let mut buf = vec![0u8; READ_CHUNK];
+            let mut got = 0;
+            while got < sent {
+                let n = peer.read(&mut buf).unwrap();
+                assert!(n > 0, "the connection closed early");
+                got += n;
+            }
+            (got, peer)
+        });
+        let mut events = vec![EpollEvent::zeroed(); 4];
+        while !conn.sync(&epoll, 7, true).unwrap() {
+            let n = epoll.wait(&mut events, 10_000).unwrap();
+            assert!(n > 0, "EPOLLOUT never fired while the peer drained");
+        }
+        assert_eq!(conn.interest, EPOLLIN);
+        assert_eq!(conn.queued_bytes(), 0);
+        let (got, mut peer) = drain.join().unwrap();
+        assert_eq!(got, sent);
+
+        // want_read = false drops EPOLLIN: a readable socket stays quiet.
+        assert!(conn.sync(&epoll, 7, false).unwrap());
+        assert_eq!(conn.interest, 0);
+        peer.write_all(b"x").unwrap();
+        assert_eq!(epoll.wait(&mut events, 100).unwrap(), 0);
+        conn.sync(&epoll, 7, true).unwrap();
+        assert_eq!(epoll.wait(&mut events, 10_000).unwrap(), 1);
+        assert_ne!(events[0].ready() & EPOLLIN, 0);
+        conn.close(&epoll);
     }
 }

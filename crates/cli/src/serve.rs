@@ -5,34 +5,36 @@
 //! ```text
 //!                    ┌─────────────── reactor thread ───────────────┐
 //! clients ══socket══▶│ epoll { listener, eventfd, every connection }│
-//!                    │  accept → nonblock → register                │
+//!                    │  accept → Conn::open                         │
 //!                    │  read → frame reassembly → admission ──submit┼──▶ bounded queue
-//!                    │  completions → per-conn outbox → write       │    (MicroBatcher,
-//!                    └──────────────▲───────────────────────────────┘     one shared lock)
+//!                    │  route table (internal id → conn, client id) │    (MicroBatcher,
+//!                    │  completions → route → outbox → Conn::sync   │     one shared lock)
+//!                    └──────────────▲───────────────────────────────┘
 //!                                   │ eventfd wake        ▲ │ draw
 //!                                   └───── completions ───┘ replica 0..N-1
-//!                                          (reply queue)    (model clone each:
+//!                                    (internal id, outcome) (model clone each:
 //!                                                            micro-batch → capped
-//!                                                            cascade → replies)
+//!                                                            cascade → outcomes)
 //! ```
 //!
 //! - **One reactor thread** owns every socket: the listener, the eventfd
-//!   wake channel, and all client connections, multiplexed through a
-//!   single level-triggered epoll instance (`crate::net`). Thread count
-//!   is *connection-independent* — reactor + N replicas + main, whether
-//!   1 or 10 000 clients are connected.
-//! - Accepted sockets are made nonblocking; reads feed a per-connection
-//!   frame-reassembly state machine (`net::reactor::FrameAssembler`)
-//!   that tolerates arbitrary `read(2)` chunk boundaries. Admission runs
+//!   wake channel, and all client connections (`net::reactor::Conn`),
+//!   multiplexed through a single level-triggered epoll instance. Thread
+//!   count is *connection-independent* — reactor + N replicas + main,
+//!   whether 1 or 10 000 clients are connected.
+//! - Reads feed each connection's frame-reassembly state machine, which
+//!   tolerates arbitrary `read(2)` chunk boundaries. Admission runs
 //!   inline in the reactor: full queue → `queue-full`, wrong pixel count
 //!   → `bad-input`, malformed frame → a typed error reply and the
 //!   connection closes. A broken connection never touches other clients.
-//! - Replies travel from replicas to the reactor through a completion
-//!   queue plus an **eventfd wake**; the reactor copies them into
-//!   bounded per-connection outboxes (`net::reactor::WriteQueue`) and
-//!   toggles `EPOLLOUT` only while bytes remain. A peer that stops
-//!   reading past the outbox cap is disconnected (backpressure), so no
-//!   replica ever blocks on a slow client's socket.
+//! - The reactor alone owns reply routing: it gives each admitted request
+//!   an internal id and records, in a plain map, which connection and
+//!   client id it came from. Replicas post `(internal id, outcome)` to a
+//!   completion queue plus an **eventfd wake**; the reactor renders each
+//!   outcome as the client's reply into that connection's bounded outbox
+//!   and toggles `EPOLLOUT` only while bytes remain. A peer that stops
+//!   reading past [`OUTBOX_CAP_BYTES`] is disconnected (backpressure), so
+//!   no replica ever blocks on a slow client's socket.
 //! - `accept(2)` hitting fd exhaustion (`EMFILE`/`ENFILE`) backs off:
 //!   the listener is deregistered for a beat and re-armed, the typed
 //!   `accept-exhausted` counter increments, and every live connection
@@ -47,7 +49,7 @@
 //!   single-sample inference at any replica *or connection* count.
 //! - The wake policy is tier-aware: a replica runs a partial batch once
 //!   the oldest queued request's *tier window* closes (fast = ¼ of
-//!   `batch_window_us`, balanced = ½, exact = full), so a lone `fast`
+//!   `BATCH_WINDOW_US`, balanced = ½, exact = full), so a lone `fast`
 //!   request is never stuck behind a full `exact` batch window.
 //! - Shutdown is an eventfd wake, not a socket trick: the flag flips,
 //!   the reactor stops accepting, replicas drain deadline-aware (within
@@ -61,19 +63,20 @@
 
 use crate::config::RunConfig;
 use crate::error::{CliError, Result};
-use crate::net::reactor::{
-    FrameAssembler, ReadEnd, WriteQueue, READ_CHUNK, TOKEN_LISTENER, TOKEN_WAKE,
-};
-use crate::net::sys::{self, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
+use crate::net::reactor::{Conn, ReadEnd, READ_CHUNK, TOKEN_LISTENER, TOKEN_WAKE};
+use crate::net::sys::{self, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN};
 use crate::proto::{self, RejectReason, Request, Response};
 use neuroflux_core::serve::{reactor_timeout_ms, Clock, MicroBatcher, SystemClock};
-use neuroflux_core::{BatchPlan, NeuroFluxTrainer, ServeEngine, ServePolicy, ServeRequest};
+use neuroflux_core::{
+    BatchPlan, NeuroFluxTrainer, ServeEngine, ServePolicy, ServeReply, ServeRequest,
+    OUTBOX_CAP_BYTES,
+};
 use rand::SeedableRng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -162,7 +165,35 @@ struct Route {
     client_id: u64,
 }
 
-/// Per-replica work counters (lock-free; read by `replica_stats`).
+/// A replica's verdict on one admitted request. Replicas post it under
+/// the request's internal id; the reactor renders it under the client's.
+enum Outcome {
+    Served { reply: ServeReply, server_us: u64 },
+    Rejected(RejectReason),
+    Failed(String),
+}
+
+impl Outcome {
+    /// The wire reply for the client that sent the request as `client_id`.
+    fn into_response(self, client_id: u64) -> Response {
+        match self {
+            Outcome::Served { reply, server_us } => Response::Infer {
+                id: client_id,
+                class: reply.class.min(u16::MAX as usize) as u16,
+                exit: reply.exit.min(u8::MAX as usize) as u8,
+                confidence: reply.confidence,
+                server_us: server_us.min(u32::MAX as u64) as u32,
+            },
+            Outcome::Rejected(reason) => Response::Rejected {
+                id: client_id,
+                reason,
+            },
+            Outcome::Failed(message) => Response::Error { message },
+        }
+    }
+}
+
+/// One replica's work counters (lock-free; read by `replica_stats`).
 #[derive(Default)]
 struct ReplicaStats {
     busy_us: AtomicU64,
@@ -186,29 +217,22 @@ pub struct ReplicaSnapshot {
 struct Shared {
     queue: Mutex<MicroBatcher>,
     queue_cv: Condvar,
-    routes: Mutex<BTreeMap<u64, Route>>,
-    /// Replies routed but not yet copied into connection outboxes;
-    /// replicas push here, then wake the reactor through the eventfd.
-    completions: Mutex<Vec<(u64, Response)>>,
-    /// The reactor's wake channel: replicas (new replies), shutdown, and
+    /// Outcomes not yet delivered, keyed by internal request id; replicas
+    /// push here, then wake the reactor through the eventfd.
+    completions: Mutex<Vec<(u64, Outcome)>>,
+    /// The reactor's wake channel: replicas (new outcomes), shutdown, and
     /// drain completion all signal through it — no self-connects, no
     /// socket shutdown tricks.
     wake: EventFd,
     shutdown: AtomicBool,
-    next_id: AtomicU64,
     policy: ServePolicy,
-    input_len: usize,
     clock: SystemClock,
-    allow_shutdown: bool,
-    replicas: usize,
-    stats: Vec<ReplicaStats>,
     /// `accept(2)` stalls on fd exhaustion (`EMFILE`/`ENFILE`); each one
     /// backed off and re-armed rather than killing the accept path.
     accept_exhausted: AtomicU64,
     /// Replicas that finished their drain; the reactor outlives them and
     /// flushes their final replies before closing connections.
-    replicas_done: Mutex<usize>,
-    replicas_done_cv: Condvar,
+    replicas_done: AtomicUsize,
 }
 
 impl Shared {
@@ -223,22 +247,6 @@ impl Shared {
         self.queue_cv.notify_all();
         let _ = self.wake.wake();
     }
-
-    /// Routes a response for an admitted request and retires its route.
-    /// The reply lands in the completion queue; the caller wakes the
-    /// reactor (batched per micro-batch, not per reply).
-    fn respond(&self, internal_id: u64, make: impl FnOnce(u64) -> Response) {
-        let route = self
-            .routes
-            .lock()
-            .ok()
-            .and_then(|mut r| r.remove(&internal_id));
-        if let Some(route) = route {
-            if let Ok(mut completions) = self.completions.lock() {
-                completions.push((route.conn_id, make(route.client_id)));
-            }
-        }
-    }
 }
 
 /// A running `nf serve` instance (in-process handle).
@@ -252,6 +260,7 @@ pub struct ServerHandle {
     /// Batcher/model replicas drawing from the shared queue.
     pub replicas: usize,
     shared: Arc<Shared>,
+    stats: Vec<Arc<ReplicaStats>>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -259,8 +268,7 @@ impl ServerHandle {
     /// Per-replica busy/idle accounting since the server started.
     pub fn replica_stats(&self) -> Vec<ReplicaSnapshot> {
         let alive_us = self.shared.clock.now_us().max(1) as f64;
-        self.shared
-            .stats
+        self.stats
             .iter()
             .map(|s| ReplicaSnapshot {
                 busy_frac: (s.busy_us.load(Ordering::Relaxed) as f64 / alive_us).clamp(0.0, 1.0),
@@ -309,7 +317,6 @@ pub fn start_server_with_engines(
     policy
         .validate()
         .map_err(|e| CliError::config("serve", e.to_string()))?;
-    let mut engines = engines;
     let Some(first) = engines.first() else {
         return Err(CliError::new("starting a server with zero replicas"));
     };
@@ -352,20 +359,13 @@ pub fn start_server_with_engines(
     let shared = Arc::new(Shared {
         queue: Mutex::new(MicroBatcher::new(policy.queue_capacity)),
         queue_cv: Condvar::new(),
-        routes: Mutex::new(BTreeMap::new()),
         completions: Mutex::new(Vec::new()),
         wake,
         shutdown: AtomicBool::new(false),
-        next_id: AtomicU64::new(0),
-        policy: policy.clone(),
-        input_len,
+        policy,
         clock: SystemClock::new(),
-        allow_shutdown,
-        replicas,
-        stats: (0..replicas).map(|_| ReplicaStats::default()).collect(),
         accept_exhausted: AtomicU64::new(0),
-        replicas_done: Mutex::new(0),
-        replicas_done_cv: Condvar::new(),
+        replicas_done: AtomicUsize::new(0),
     });
 
     let reactor = Reactor {
@@ -373,18 +373,26 @@ pub fn start_server_with_engines(
         listener,
         shared: shared.clone(),
         conns: BTreeMap::new(),
+        closing: BTreeSet::new(),
+        routes: BTreeMap::new(),
         next_conn_id: 0,
+        next_id: 0,
+        input_len,
+        allow_shutdown,
+        replicas,
         scratch: vec![0u8; READ_CHUNK],
-        outbox_limit: policy.outbox_kib.saturating_mul(1024).max(1),
         accepting: true,
         accept_resume_us: None,
         drain_deadline_us: None,
     };
     let mut threads = vec![std::thread::spawn(move || reactor.run())];
-    for (idx, mut engine) in engines.drain(..).enumerate() {
+    let mut stats = Vec::with_capacity(replicas);
+    for mut engine in engines {
+        let replica_stats = Arc::new(ReplicaStats::default());
+        stats.push(replica_stats.clone());
         let replica_shared = shared.clone();
         threads.push(std::thread::spawn(move || {
-            replica_loop(&mut engine, replica_shared, idx);
+            replica_loop(&mut engine, &replica_shared, &replica_stats);
         }));
     }
 
@@ -394,20 +402,9 @@ pub fn start_server_with_engines(
         input_len,
         replicas,
         shared,
+        stats,
         threads,
     })
-}
-
-/// Starts a single-replica server around one engine (the replica-count
-/// knob in `policy` is ignored here; use [`start_server_with_engines`]
-/// or [`start_server`] for a replicated server).
-pub fn start_server_with_engine(
-    engine: ServeEngine,
-    policy: ServePolicy,
-    addr: &str,
-    allow_shutdown: bool,
-) -> Result<ServerHandle> {
-    start_server_with_engines(vec![engine], policy, addr, allow_shutdown)
 }
 
 /// Trains the model, clones it into the configured replica count, and
@@ -448,49 +445,33 @@ pub fn run_serve(cfg: &RunConfig, quiet: bool) -> Result<()> {
     Ok(())
 }
 
-/// One connection as the reactor tracks it.
-struct Conn {
-    stream: TcpStream,
-    asm: FrameAssembler,
-    outq: WriteQueue,
-    /// The interest bits currently registered with epoll.
-    interest: u32,
-    /// Reading is over (protocol error replied, peer EOF, or shutdown);
-    /// flush the outbox, then close.
-    close_after_flush: bool,
-}
-
-impl Conn {
-    /// The interest bits this connection's state wants.
-    fn want(&self) -> u32 {
-        let mut bits = 0;
-        if !self.close_after_flush {
-            bits |= EPOLLIN;
-        }
-        if !self.outq.is_empty() {
-            bits |= EPOLLOUT;
-        }
-        bits
-    }
-}
-
 /// `EMFILE` (per-process) / `ENFILE` (system-wide) fd exhaustion.
 fn is_fd_exhaustion(e: &io::Error) -> bool {
     matches!(e.raw_os_error(), Some(23) | Some(24))
 }
 
-/// The single I/O thread: owns the listener, the wake eventfd, and every
-/// client socket through one epoll instance.
+/// The single I/O thread: owns the listener, the wake eventfd, every
+/// client socket through one epoll instance, and the reply routes.
 struct Reactor {
     epoll: Epoll,
     listener: TcpListener,
     shared: Arc<Shared>,
     conns: BTreeMap<u64, Conn>,
+    /// Connections whose reading is over (protocol error replied, peer
+    /// EOF): flush the outbox, then close.
+    closing: BTreeSet<u64>,
+    /// Where each admitted request's reply goes, by internal id.
+    routes: BTreeMap<u64, Route>,
     next_conn_id: u64,
+    /// The next internal request id.
+    next_id: u64,
+    /// Flattened pixels per request the model expects.
+    input_len: usize,
+    /// Whether a shutdown frame stops the server.
+    allow_shutdown: bool,
+    /// Replica threads the shutdown drain waits for.
+    replicas: usize,
     scratch: Vec<u8>,
-    /// Per-connection outbox cap in bytes (backpressure; from
-    /// `[serve] outbox_kib`).
-    outbox_limit: usize,
     /// Whether the listener is currently registered with epoll.
     accepting: bool,
     /// When to re-arm the listener after an fd-exhaustion backoff.
@@ -549,29 +530,11 @@ impl Reactor {
                         drop(stream);
                         continue;
                     }
-                    let _ = stream.set_nodelay(true);
-                    if sys::set_nonblocking(stream.as_raw_fd()).is_err() {
-                        continue;
-                    }
                     let conn_id = self.next_conn_id;
                     self.next_conn_id += 1;
-                    if self
-                        .epoll
-                        .add(stream.as_raw_fd(), EPOLLIN, conn_id)
-                        .is_err()
-                    {
-                        continue;
+                    if let Ok(conn) = Conn::open(stream, &self.epoll, conn_id) {
+                        self.conns.insert(conn_id, conn);
                     }
-                    self.conns.insert(
-                        conn_id,
-                        Conn {
-                            stream,
-                            asm: FrameAssembler::new(),
-                            outq: WriteQueue::new(),
-                            interest: EPOLLIN,
-                            close_after_flush: false,
-                        },
-                    );
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -618,45 +581,29 @@ impl Reactor {
         }
     }
 
-    /// Dispatches one epoll event for a connection.
+    /// Dispatches one epoll event for a connection. `EPOLLOUT` needs no
+    /// arm of its own: [`Reactor::sync`] flushes either way.
     fn conn_event(&mut self, conn_id: u64, ready: u32) {
         if ready & (EPOLLERR | EPOLLHUP) != 0 {
             self.kill(conn_id);
             return;
         }
-        if ready & EPOLLOUT != 0 {
-            let flushed = match self.conns.get_mut(&conn_id) {
-                None => return,
-                Some(conn) => conn.outq.flush(&mut conn.stream),
-            };
-            if flushed.is_err() {
-                self.kill(conn_id);
-                return;
-            }
-        }
         if ready & EPOLLIN != 0 {
             self.conn_readable(conn_id);
         }
-        self.sync_interest(conn_id);
+        self.sync(conn_id);
     }
 
     /// Reads everything the socket has, reassembles frames, and handles
     /// each complete request.
     fn conn_readable(&mut self, conn_id: u64) {
+        if self.closing.contains(&conn_id) {
+            return;
+        }
         let mut frames = Vec::new();
         let end = match self.conns.get_mut(&conn_id) {
             None => return,
-            Some(conn) => {
-                if conn.close_after_flush {
-                    return;
-                }
-                crate::net::reactor::read_ready(
-                    &mut conn.stream,
-                    &mut conn.asm,
-                    &mut self.scratch,
-                    &mut frames,
-                )
-            }
+            Some(conn) => conn.read_frames(&mut self.scratch, &mut frames),
         };
         for payload in &frames {
             if !self.handle_frame(conn_id, payload) {
@@ -668,11 +615,7 @@ impl Reactor {
             // Peer closed (cleanly or mid-frame): flush whatever replies
             // are still queued for it, then close. Replies already in
             // flight for a vanished peer cost exactly their own bytes.
-            ReadEnd::CleanEof | ReadEnd::Dropped => match self.conns.get_mut(&conn_id) {
-                Some(conn) if !conn.outq.is_empty() => conn.close_after_flush = true,
-                Some(_) => self.kill(conn_id),
-                None => {}
-            },
+            ReadEnd::CleanEof | ReadEnd::Dropped => self.stop_reading(conn_id),
             ReadEnd::Oversized(e) => self.push_error(conn_id, e.to_string()),
         }
     }
@@ -688,7 +631,7 @@ impl Reactor {
             }
             Ok(Request::Ping { id }) => self.push_response(conn_id, &Response::Pong { id }),
             Ok(Request::Shutdown) => {
-                if self.shared.allow_shutdown {
+                if self.allow_shutdown {
                     self.push_response(conn_id, &Response::ShutdownAck);
                     self.shared.begin_shutdown();
                 } else {
@@ -700,25 +643,12 @@ impl Reactor {
                 false
             }
             Ok(Request::Infer { id, tier, pixels }) => {
-                if pixels.len() != self.shared.input_len {
-                    return self.push_response(
-                        conn_id,
-                        &Response::Rejected {
-                            id,
-                            reason: RejectReason::BadInput,
-                        },
-                    );
+                let reject = |reason| Response::Rejected { id, reason };
+                if pixels.len() != self.input_len {
+                    return self.push_response(conn_id, &reject(RejectReason::BadInput));
                 }
-                if self.shared.shutting_down() {
-                    return self.push_response(
-                        conn_id,
-                        &Response::Rejected {
-                            id,
-                            reason: RejectReason::ShuttingDown,
-                        },
-                    );
-                }
-                let internal = self.shared.next_id.fetch_add(1, Ordering::SeqCst);
+                let internal = self.next_id;
+                self.next_id += 1;
                 let now = self.shared.clock.now_us();
                 let req = ServeRequest {
                     id: internal,
@@ -727,61 +657,33 @@ impl Reactor {
                     arrival_us: now,
                     deadline_us: now.saturating_add(self.shared.policy.deadline_us(tier)),
                 };
-                if let Ok(mut routes) = self.shared.routes.lock() {
-                    routes.insert(
-                        internal,
-                        Route {
-                            conn_id,
-                            client_id: id,
-                        },
-                    );
-                }
-                // Admission happens under the queue lock, re-checking the
+                // Admission happens under the queue lock, checking the
                 // shutdown flag there: the replicas finish their drain
                 // while holding the same lock with the flag set, so a
                 // request can never land in the queue after the final
-                // drain (which would leak its route and leave the client
-                // replyless).
-                let admitted = self
-                    .shared
-                    .queue
-                    .lock()
-                    .map(|mut q| {
-                        if self.shared.shutting_down() {
-                            Some(RejectReason::ShuttingDown)
-                        } else if q.submit(req).is_err() {
-                            Some(RejectReason::QueueFull)
-                        } else {
-                            None
-                        }
-                    })
-                    .unwrap_or(None);
+                // drain (which would leave the client replyless). A
+                // poisoned lock means the replicas are gone: reject.
+                let admitted = match self.shared.queue.lock() {
+                    Ok(mut q) if !self.shared.shutting_down() => {
+                        q.submit(req).map_err(|_| RejectReason::QueueFull)
+                    }
+                    _ => Err(RejectReason::ShuttingDown),
+                };
                 match admitted {
-                    None => {
+                    Ok(()) => {
+                        // Only this thread reads the routes, so the
+                        // reply cannot be delivered before this insert.
+                        self.routes.insert(
+                            internal,
+                            Route {
+                                conn_id,
+                                client_id: id,
+                            },
+                        );
                         self.shared.queue_cv.notify_one();
                         true
                     }
-                    Some(reason) => {
-                        // The reactor rejects synchronously: retire the
-                        // route and reply straight into the outbox, no
-                        // completion-queue round trip.
-                        let route = self
-                            .shared
-                            .routes
-                            .lock()
-                            .ok()
-                            .and_then(|mut r| r.remove(&internal));
-                        match route {
-                            Some(r) => self.push_response(
-                                conn_id,
-                                &Response::Rejected {
-                                    id: r.client_id,
-                                    reason,
-                                },
-                            ),
-                            None => true,
-                        }
-                    }
+                    Err(reason) => self.push_response(conn_id, &reject(reason)),
                 }
             }
         }
@@ -798,88 +700,71 @@ impl Reactor {
             // unreachable, and dropping it beats corrupting the stream.
             return true;
         };
-        let over_cap = match self.conns.get_mut(&conn_id) {
-            None => return false,
-            Some(conn) => {
-                if conn.outq.queued_bytes().saturating_add(wire.len()) > self.outbox_limit {
-                    true
-                } else {
-                    conn.outq.push(wire);
-                    false
-                }
-            }
+        let Some(conn) = self.conns.get_mut(&conn_id) else {
+            return false;
         };
-        if over_cap {
+        if conn.queued_bytes().saturating_add(wire.len()) > OUTBOX_CAP_BYTES {
             self.kill(conn_id);
             return false;
         }
+        conn.queue(wire);
         true
     }
 
-    /// Sends a typed error reply and marks the connection to close once
-    /// it flushes — the reply that explains the close still gets out.
+    /// Sends a typed error reply and stops reading the connection — the
+    /// reply that explains the close still gets out.
     fn push_error(&mut self, conn_id: u64, message: String) {
         if self.push_response(conn_id, &Response::Error { message }) {
-            if let Some(conn) = self.conns.get_mut(&conn_id) {
-                conn.close_after_flush = true;
-            }
+            self.stop_reading(conn_id);
         }
     }
 
-    /// Opportunistically flushes, closes a drained closing connection,
-    /// and reconciles the epoll interest bits with what the connection's
-    /// state wants — the write-interest toggle.
-    fn sync_interest(&mut self, conn_id: u64) {
-        let flushed = match self.conns.get_mut(&conn_id) {
-            None => return,
-            Some(conn) if conn.outq.is_empty() => Ok(true),
-            Some(conn) => conn.outq.flush(&mut conn.stream),
-        };
-        if flushed.is_err() {
-            self.kill(conn_id);
-            return;
-        }
-        let (fd, want, have) = match self.conns.get_mut(&conn_id) {
-            None => return,
-            Some(conn) => {
-                if conn.close_after_flush && conn.outq.is_empty() {
-                    self.kill(conn_id);
-                    return;
-                }
-                (conn.stream.as_raw_fd(), conn.want(), conn.interest)
-            }
-        };
-        if want != have {
-            if self.epoll.modify(fd, want, conn_id).is_err() {
-                self.kill(conn_id);
-                return;
-            }
-            if let Some(conn) = self.conns.get_mut(&conn_id) {
-                conn.interest = want;
-            }
+    /// Marks a live connection to close once its outbox drains.
+    fn stop_reading(&mut self, conn_id: u64) {
+        if self.conns.contains_key(&conn_id) {
+            self.closing.insert(conn_id);
         }
     }
 
-    /// Copies completed replies into their connections' outboxes and
-    /// reconciles interest for every touched connection.
+    /// Flushes a connection and reconciles its epoll interest (readable
+    /// unless closing). `None` when the connection is gone.
+    fn flush(&mut self, conn_id: u64) -> Option<io::Result<bool>> {
+        let want_read = !self.closing.contains(&conn_id);
+        let conn = self.conns.get_mut(&conn_id)?;
+        Some(conn.sync(&self.epoll, conn_id, want_read))
+    }
+
+    /// [`Reactor::flush`], then closes the connection if its peer is gone
+    /// or it is closing with nothing left to send.
+    fn sync(&mut self, conn_id: u64) {
+        match self.flush(conn_id) {
+            None | Some(Ok(false)) => {}
+            Some(Ok(true)) if !self.closing.contains(&conn_id) => {}
+            Some(_) => self.kill(conn_id),
+        }
+    }
+
+    /// Renders completed outcomes as replies into their connections'
+    /// outboxes (retiring each route) and syncs every touched connection.
     fn deliver_completions(&mut self) {
         let batch = match self.shared.completions.lock() {
             Ok(mut completions) => std::mem::take(&mut *completions),
             Err(_) => return,
         };
-        if batch.is_empty() {
-            return;
-        }
         let mut touched: Vec<u64> = Vec::with_capacity(batch.len());
-        for (conn_id, resp) in batch {
-            if self.push_response(conn_id, &resp) {
-                touched.push(conn_id);
+        for (internal, outcome) in batch {
+            let Some(route) = self.routes.remove(&internal) else {
+                continue;
+            };
+            let resp = outcome.into_response(route.client_id);
+            if self.push_response(route.conn_id, &resp) {
+                touched.push(route.conn_id);
             }
         }
         touched.sort_unstable();
         touched.dedup();
         for conn_id in touched {
-            self.sync_interest(conn_id);
+            self.sync(conn_id);
         }
     }
 
@@ -895,16 +780,10 @@ impl Reactor {
             self.accepting = false;
             self.accept_resume_us = None;
         }
-        let done = self
-            .shared
-            .replicas_done
-            .lock()
-            .map(|d| *d)
-            .unwrap_or(self.shared.replicas);
-        if done < self.shared.replicas {
+        if self.shared.replicas_done.load(Ordering::SeqCst) < self.replicas {
             return false;
         }
-        // All drain replies are now pushed; move them into outboxes.
+        // All drain outcomes are now posted; move them into outboxes.
         self.deliver_completions();
         let now = self.shared.clock.now_us();
         let deadline = *self
@@ -912,25 +791,22 @@ impl Reactor {
             .get_or_insert(now.saturating_add(DRAIN_FLUSH_US));
         let conn_ids: Vec<u64> = self.conns.keys().copied().collect();
         for conn_id in conn_ids {
-            let flushed = match self.conns.get_mut(&conn_id) {
-                None => continue,
-                Some(conn) => conn.outq.flush(&mut conn.stream),
-            };
-            match flushed {
-                Ok(true) | Err(_) => self.kill(conn_id),
-                Ok(false) if now >= deadline => self.kill(conn_id),
-                Ok(false) => self.sync_interest(conn_id),
+            match self.flush(conn_id) {
+                None => {}
+                Some(Ok(false)) if now < deadline => {}
+                Some(_) => self.kill(conn_id),
             }
         }
         self.conns.is_empty()
     }
 
-    /// Removes a connection: deregisters and drops (closes) the socket.
-    /// Routes pointing at it resolve to completions that simply find no
+    /// Removes a connection: deregisters and closes the socket. Routes
+    /// pointing at it resolve to completions that simply find no
     /// connection to deliver to.
     fn kill(&mut self, conn_id: u64) {
+        self.closing.remove(&conn_id);
         if let Some(conn) = self.conns.remove(&conn_id) {
-            let _ = self.epoll.delete(conn.stream.as_raw_fd());
+            conn.close(&self.epoll);
         }
     }
 }
@@ -963,7 +839,7 @@ fn next_plan(shared: &Shared) -> Option<BatchPlan> {
         // Partial batch: wait until the earliest tier window closes,
         // re-checking as new requests land.
         let now = shared.clock.now_us();
-        let wake = q.window_deadline_us(&shared.policy).unwrap_or(now);
+        let wake = q.window_deadline_us().unwrap_or(now);
         if now >= wake {
             break;
         }
@@ -979,73 +855,50 @@ fn next_plan(shared: &Shared) -> Option<BatchPlan> {
 
 /// One replica: draws micro-batches from the shared queue, rejects
 /// deadline-lapsed requests, runs ready batches through its own model
-/// clone, and accounts its busy time. Replies land in the completion
-/// queue with one eventfd wake per micro-batch.
-fn replica_loop(engine: &mut ServeEngine, shared: Arc<Shared>, idx: usize) {
-    // Each replica owns one stats slot; a bad index means the spawner is
-    // broken, and degrading to no service beats a panic in a worker.
-    let stats = match shared.stats.get(idx) {
-        Some(stats) => stats,
-        None => {
-            if let Ok(mut done) = shared.replicas_done.lock() {
-                *done += 1;
-                shared.replicas_done_cv.notify_all();
-            }
-            let _ = shared.wake.wake();
-            return;
-        }
-    };
-    while let Some(plan) = next_plan(&shared) {
-        for req in &plan.expired {
-            shared.respond(req.id, |client_id| Response::Rejected {
-                id: client_id,
-                reason: RejectReason::Deadline,
-            });
-        }
-        if plan.ready.is_empty() {
-            if !plan.expired.is_empty() {
-                let _ = shared.wake.wake();
-            }
-            continue;
-        }
-        let t0 = shared.clock.now_us();
-        let result = engine.infer_batch(&plan.ready);
-        let busy = shared.clock.now_us().saturating_sub(t0);
-        stats.busy_us.fetch_add(busy, Ordering::Relaxed);
-        stats.batches.fetch_add(1, Ordering::Relaxed);
-        match result {
-            Ok(replies) => {
-                stats
-                    .served
-                    .fetch_add(plan.ready.len() as u64, Ordering::Relaxed);
-                let now = shared.clock.now_us();
-                for (req, reply) in plan.ready.iter().zip(replies) {
-                    let server_us = now.saturating_sub(req.arrival_us).min(u32::MAX as u64);
-                    shared.respond(req.id, |client_id| Response::Infer {
-                        id: client_id,
-                        class: reply.class.min(u16::MAX as usize) as u16,
-                        exit: reply.exit.min(u8::MAX as usize) as u8,
-                        confidence: reply.confidence,
-                        server_us: server_us as u32,
-                    });
+/// clone, and accounts its busy time. Each micro-batch's outcomes land in
+/// the completion queue under one lock, with one eventfd wake.
+fn replica_loop(engine: &mut ServeEngine, shared: &Shared, stats: &ReplicaStats) {
+    while let Some(plan) = next_plan(shared) {
+        let mut outcomes: Vec<(u64, Outcome)> = plan
+            .expired
+            .iter()
+            .map(|req| (req.id, Outcome::Rejected(RejectReason::Deadline)))
+            .collect();
+        if !plan.ready.is_empty() {
+            let t0 = shared.clock.now_us();
+            let result = engine.infer_batch(&plan.ready);
+            let busy = shared.clock.now_us().saturating_sub(t0);
+            stats.busy_us.fetch_add(busy, Ordering::Relaxed);
+            stats.batches.fetch_add(1, Ordering::Relaxed);
+            match result {
+                Ok(replies) => {
+                    stats
+                        .served
+                        .fetch_add(plan.ready.len() as u64, Ordering::Relaxed);
+                    let now = shared.clock.now_us();
+                    outcomes.extend(plan.ready.iter().zip(replies).map(|(req, reply)| {
+                        let server_us = now.saturating_sub(req.arrival_us);
+                        (req.id, Outcome::Served { reply, server_us })
+                    }));
+                }
+                // Engine failures are per-batch diagnostics, never a
+                // server crash: each affected request gets an error reply.
+                Err(e) => {
+                    let message = format!("inference failed: {e}");
+                    outcomes.extend(
+                        plan.ready
+                            .iter()
+                            .map(|req| (req.id, Outcome::Failed(message.clone()))),
+                    );
                 }
             }
-            // Engine failures are per-batch diagnostics, never a server
-            // crash: each affected request gets an error reply.
-            Err(e) => {
-                for req in &plan.ready {
-                    shared.respond(req.id, |_client_id| Response::Error {
-                        message: format!("inference failed: {e}"),
-                    });
-                }
-            }
+        }
+        if let Ok(mut completions) = shared.completions.lock() {
+            completions.extend(outcomes);
         }
         // One wake per micro-batch, not per reply.
         let _ = shared.wake.wake();
     }
-    if let Ok(mut done) = shared.replicas_done.lock() {
-        *done += 1;
-        shared.replicas_done_cv.notify_all();
-    }
+    shared.replicas_done.fetch_add(1, Ordering::SeqCst);
     let _ = shared.wake.wake();
 }

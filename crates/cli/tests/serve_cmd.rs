@@ -4,9 +4,7 @@
 
 use neuroflux_core::{ServePolicy, ServeRequest, SloTier};
 use nf_cli::proto::{self, RejectReason, Request, Response};
-use nf_cli::serve::{
-    build_engine, replicate_engines, start_server_with_engine, start_server_with_engines,
-};
+use nf_cli::serve::{build_engine, replicate_engines, start_server_with_engines};
 use nf_cli::{run_inspect, RunConfig};
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -48,7 +46,6 @@ epochs_per_block = 1
 threshold = 0.80
 max_batch = 6
 queue_capacity = 64
-batch_window_us = 2000
 fast_deadline_us = 5000000
 balanced_deadline_us = 5000000
 exact_deadline_us = 5000000
@@ -88,16 +85,24 @@ fn read_response(stream: &mut TcpStream) -> Response {
     proto::decode_response(&payload).unwrap()
 }
 
-/// Joins `handle.wait()` with a deadline so a wedged server fails the
-/// test instead of hanging it.
-fn wait_with_deadline(handle: nf_cli::ServerHandle) {
-    let waiter = std::thread::spawn(move || handle.wait());
+/// Runs `shut` (`handle.wait()` or `handle.stop()`) with a deadline so a
+/// wedged server fails the test instead of hanging it.
+fn within_deadline(shut: impl FnOnce() + Send + 'static) {
+    let waiter = std::thread::spawn(shut);
     let deadline = Instant::now() + Duration::from_secs(30);
     while !waiter.is_finished() {
         assert!(Instant::now() < deadline, "server did not shut down");
         std::thread::sleep(Duration::from_millis(10));
     }
     waiter.join().unwrap();
+}
+
+fn infer(samples: &[Vec<f32>], id: u64, k: usize) -> Request {
+    Request::Infer {
+        id,
+        tier: SloTier::ALL[k % 3],
+        pixels: samples[k].clone(),
+    }
 }
 
 /// The tentpole determinism claim: predictions served out of dynamic
@@ -112,9 +117,13 @@ fn served_predictions_are_bit_identical_to_offline_single_sample() {
     let engine = build_engine(&cfg, true).unwrap();
     let mut offline = build_engine(&cfg, true).unwrap();
     let n_units = engine.n_units();
-    let handle =
-        start_server_with_engine(engine, cfg.resolve_serve().unwrap(), "127.0.0.1:0", false)
-            .unwrap();
+    let handle = start_server_with_engines(
+        vec![engine],
+        cfg.resolve_serve().unwrap(),
+        "127.0.0.1:0",
+        false,
+    )
+    .unwrap();
     let addr = handle.addr;
 
     const PER_CONN: usize = 16;
@@ -324,9 +333,13 @@ fn protocol_garbage_never_wedges_the_server() {
     let cfg = config(&temp_out_dir("garbage"));
     let engine = build_engine(&cfg, true).unwrap();
     let input_len = engine.input_len();
-    let handle =
-        start_server_with_engine(engine, cfg.resolve_serve().unwrap(), "127.0.0.1:0", true)
-            .unwrap();
+    let handle = start_server_with_engines(
+        vec![engine],
+        cfg.resolve_serve().unwrap(),
+        "127.0.0.1:0",
+        true,
+    )
+    .unwrap();
     let addr = handle.addr;
     let samples = test_samples(&cfg, 1);
 
@@ -430,7 +443,103 @@ fn protocol_garbage_never_wedges_the_server() {
             other => panic!("expected shutdown ack, got {other:?}"),
         }
     }
-    wait_with_deadline(handle);
+    within_deadline(move || handle.wait());
+}
+
+/// Exactly one reply per admitted request, over real TCP: a client that
+/// pipelines requests and closes without reading costs only its own
+/// replies. A second client pipelining at the same time gets exactly one
+/// reply per request, under its own ids and nothing else, and `stop()`
+/// still returns promptly.
+#[test]
+fn a_client_closing_unread_costs_only_its_own_replies() {
+    let cfg = config(&temp_out_dir("unread"));
+    let engine = build_engine(&cfg, true).unwrap();
+    let policy = cfg.resolve_serve().unwrap();
+    let handle = start_server_with_engines(vec![engine], policy, "127.0.0.1:0", false).unwrap();
+    const N: usize = 24;
+    const M: usize = 16;
+    let samples = test_samples(&cfg, N);
+    let mut quitter = TcpStream::connect(handle.addr).unwrap();
+    let mut keeper = TcpStream::connect(handle.addr).unwrap();
+    for k in 0..N {
+        send_request(&mut quitter, &infer(&samples, k as u64, k));
+    }
+    for k in 0..M {
+        send_request(&mut keeper, &infer(&samples, 1000 + k as u64, k));
+    }
+    drop(quitter);
+    let mut ids: Vec<u64> = (0..M)
+        .map(|_| match read_response(&mut keeper) {
+            Response::Infer { id, .. } => id,
+            other => panic!("expected an inference reply, got {other:?}"),
+        })
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (1000..1000 + M as u64).collect::<Vec<_>>());
+    within_deadline(move || handle.stop());
+    // The server closed the connection with nothing after the M replies.
+    assert!(proto::read_frame(&mut keeper).unwrap().is_none());
+}
+
+/// PR 7's shutdown race, over real TCP: pipelined requests race
+/// `ServerHandle::stop()`. Each request that was written gets at most
+/// one reply — served, `shutting-down` or `deadline` — every reply is a
+/// whole frame, and no frame arrives after the close.
+#[test]
+fn pipelined_requests_racing_stop_get_at_most_one_reply_each() {
+    let cfg = config(&temp_out_dir("race"));
+    let engine = build_engine(&cfg, true).unwrap();
+    let policy = cfg.resolve_serve().unwrap();
+    let handle = start_server_with_engines(vec![engine], policy, "127.0.0.1:0", false).unwrap();
+    const N: usize = 48;
+    let samples = test_samples(&cfg, N);
+    let mut stream = TcpStream::connect(handle.addr).unwrap();
+    let mut reader = stream.try_clone().unwrap();
+    let (go, stop_now) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        stop_now.recv().unwrap();
+        within_deadline(move || handle.stop());
+    });
+    let mut written = 0u64;
+    for k in 0..N {
+        if k == N / 2 {
+            go.send(()).unwrap();
+        }
+        let payload = proto::encode_request(&infer(&samples, k as u64, k));
+        if proto::write_frame(&mut stream, &payload).is_err() {
+            break;
+        }
+        written += 1;
+    }
+    let mut replied = std::collections::BTreeSet::new();
+    loop {
+        let payload = match proto::read_frame(&mut reader) {
+            Ok(Some(payload)) => payload,
+            // A clean close, or a reset once the server dropped the
+            // requests it never read.
+            Ok(None) | Err(proto::ProtoError::Io(_)) => break,
+            Err(e) => panic!("reply stream torn: {e}"),
+        };
+        let id = match proto::decode_response(&payload).unwrap() {
+            Response::Infer { id, .. } => id,
+            Response::Rejected {
+                id,
+                reason: RejectReason::ShuttingDown | RejectReason::Deadline,
+            } => id,
+            other => panic!("unexpected reply {other:?}"),
+        };
+        assert!(
+            id < written,
+            "reply to request {id}, which was never written"
+        );
+        assert!(replied.insert(id), "request {id} got a second reply");
+    }
+    assert!(matches!(
+        proto::read_frame(&mut reader),
+        Ok(None) | Err(proto::ProtoError::Io(_))
+    ));
+    stopper.join().unwrap();
 }
 
 /// Shutdown frames on a server started without `allow_shutdown` are a
@@ -440,7 +549,8 @@ fn shutdown_is_rejected_when_disabled() {
     let cfg = config(&temp_out_dir("noshut"));
     let engine = build_engine(&cfg, true).unwrap();
     let handle =
-        start_server_with_engine(engine, ServePolicy::default(), "127.0.0.1:0", false).unwrap();
+        start_server_with_engines(vec![engine], ServePolicy::default(), "127.0.0.1:0", false)
+            .unwrap();
     let addr = handle.addr;
     {
         let mut s = TcpStream::connect(addr).unwrap();

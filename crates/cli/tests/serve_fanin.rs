@@ -11,7 +11,7 @@
 
 use neuroflux_core::{ServeRequest, SloTier};
 use nf_cli::proto::{self, Request, Response};
-use nf_cli::serve::{build_engine, start_server_with_engine};
+use nf_cli::serve::{build_engine, start_server_with_engines};
 use nf_cli::RunConfig;
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -55,7 +55,6 @@ epochs_per_block = 1
 threshold = 0.80
 max_batch = 6
 queue_capacity = 64
-batch_window_us = 2000
 fast_deadline_us = 5000000
 balanced_deadline_us = 5000000
 exact_deadline_us = 5000000
@@ -112,7 +111,7 @@ fn reactor_sustains_1024_connections_on_a_fixed_thread_count() {
     let n_units = engine.n_units();
     let mut policy = cfg.resolve_serve().unwrap();
     policy.replicas = 1;
-    let handle = start_server_with_engine(engine, policy, "127.0.0.1:0", false).unwrap();
+    let handle = start_server_with_engines(vec![engine], policy, "127.0.0.1:0", false).unwrap();
     let addr = handle.addr;
 
     // ---- Abrupt disconnect: dropped mid-frame → connection reaped, fd

@@ -76,7 +76,7 @@ pub use profiler::{LinearMemoryModel, Profiler, UnitProfile};
 pub use serve::{
     latency_percentiles, reactor_timeout_ms, AdmissionError, BatchPlan, Clock, MicroBatcher,
     ServeEngine, ServePolicy, ServeReply, ServeRequest, SloTier, SystemClock, VirtualClock,
-    MAX_REPLICAS,
+    BATCH_WINDOW_US, MAX_REPLICAS, OUTBOX_CAP_BYTES,
 };
 pub use worker::{RunHooks, TrainEvent, Worker, WorkerReport};
 

@@ -79,6 +79,19 @@ impl SloTier {
         }
     }
 
+    /// Batch-window share for this tier: a replica runs a partial batch
+    /// once the oldest queued request has waited this long. Fast requests
+    /// get a quarter of [`BATCH_WINDOW_US`], balanced half, exact the full
+    /// window — the wake policy that keeps a lone `fast` request from
+    /// sitting out a full `exact` batch window.
+    pub fn window_us(self) -> u64 {
+        match self {
+            SloTier::Fast => BATCH_WINDOW_US / 4,
+            SloTier::Balanced => BATCH_WINDOW_US / 2,
+            SloTier::Exact => BATCH_WINDOW_US,
+        }
+    }
+
     /// The deepest exit (0-based unit index) a request of this tier may
     /// reach in a cascade of `n_units` heads: the shallowest quarter for
     /// `fast`, the midpoint for `balanced`, the full depth for `exact`.
@@ -108,6 +121,16 @@ impl std::str::FromStr for SloTier {
     }
 }
 
+/// How long the batcher waits for a batch to fill before running a
+/// partial one, measured from the oldest queued arrival (µs). Tiers wake
+/// earlier than this — see [`SloTier::window_us`].
+pub const BATCH_WINDOW_US: u64 = 500;
+
+/// Per-connection reply-outbox cap (bytes): a peer that stops reading
+/// while this many reply bytes pile up is disconnected (backpressure), so
+/// one slow client can never pin server memory.
+pub const OUTBOX_CAP_BYTES: usize = 1 << 20;
+
 /// Server-side serving policy: batching, admission, per-tier queue
 /// deadlines, and replica count. The tier→depth mapping itself lives on
 /// [`SloTier`].
@@ -121,20 +144,12 @@ pub struct ServePolicy {
     /// Bounded-queue capacity; a submit beyond this is rejected
     /// immediately (admission control).
     pub queue_capacity: usize,
-    /// How long the batcher waits for a batch to fill before running a
-    /// partial one, measured from the oldest queued arrival. Tiers wake
-    /// earlier than this — see [`ServePolicy::window_us`].
-    pub batch_window_us: u64,
     /// Queue deadline per tier, indexed by [`SloTier::index`]: a request
     /// still queued this long after arrival is rejected, not served late.
     pub deadline_us: [u64; 3],
     /// Batcher/model replicas sharing the admission queue. `0` = one per
     /// host core. Each replica owns a bit-identical model clone.
     pub replicas: usize,
-    /// Per-connection outbox cap in KiB: a peer that stops reading while
-    /// this many reply bytes pile up is disconnected (backpressure), so
-    /// one slow client can never pin server memory.
-    pub outbox_kib: usize,
 }
 
 impl Default for ServePolicy {
@@ -143,10 +158,8 @@ impl Default for ServePolicy {
             threshold: 0.85,
             max_batch: 8,
             queue_capacity: 64,
-            batch_window_us: 500,
             deadline_us: [10_000, 50_000, 250_000],
             replicas: 0,
-            outbox_kib: 1024,
         }
     }
 }
@@ -163,19 +176,6 @@ impl ServePolicy {
             SloTier::Fast => fast,
             SloTier::Balanced => balanced,
             SloTier::Exact => exact,
-        }
-    }
-
-    /// Batch-window share for `tier`: a replica runs a partial batch once
-    /// the oldest queued request has waited this long. Fast requests get a
-    /// quarter of the window, balanced half, exact the full window — the
-    /// wake policy that keeps a lone `fast` request from sitting out a
-    /// full `exact` batch window.
-    pub fn window_us(&self, tier: SloTier) -> u64 {
-        match tier {
-            SloTier::Fast => self.batch_window_us / 4,
-            SloTier::Balanced => self.batch_window_us / 2,
-            SloTier::Exact => self.batch_window_us,
         }
     }
 
@@ -209,9 +209,6 @@ impl ServePolicy {
             return Err(NfError::BadConfig(format!(
                 "serve.replicas must be ≤ {MAX_REPLICAS} (0 = one per core)"
             )));
-        }
-        if self.outbox_kib == 0 {
-            return Err(NfError::BadConfig("serve.outbox_kib must be > 0".into()));
         }
         Ok(())
     }
@@ -308,12 +305,6 @@ impl MicroBatcher {
         self.queue.is_empty()
     }
 
-    /// Arrival time of the oldest queued request, if any — what the batch
-    /// window is measured from.
-    pub fn oldest_arrival_us(&self) -> Option<u64> {
-        self.queue.front().map(|r| r.arrival_us)
-    }
-
     /// Admits a request, or rejects it if the queue is at capacity.
     pub fn submit(&mut self, req: ServeRequest) -> std::result::Result<(), AdmissionError> {
         if self.queue.len() >= self.capacity {
@@ -348,19 +339,14 @@ impl MicroBatcher {
     /// window closes — when a replica should wake and run a partial batch
     /// even though `max_batch` hasn't filled. `None` on an empty queue.
     ///
-    /// Pure function of (queue contents, policy): the tier-aware wake
-    /// policy stays replayable under a [`VirtualClock`] like the rest of
-    /// batch formation. O(len) over a queue bounded by `queue_capacity`.
-    pub fn window_deadline_us(&self, policy: &ServePolicy) -> Option<u64> {
+    /// Pure function of the queue contents: the tier-aware wake policy
+    /// stays replayable under a [`VirtualClock`] like the rest of batch
+    /// formation. O(len) over a queue bounded by `queue_capacity`.
+    pub fn window_deadline_us(&self) -> Option<u64> {
         self.queue
             .iter()
-            .map(|r| r.arrival_us.saturating_add(policy.window_us(r.tier)))
+            .map(|r| r.arrival_us.saturating_add(r.tier.window_us()))
             .min()
-    }
-
-    /// Drains every queued request (server shutdown: reject, don't drop).
-    pub fn drain(&mut self) -> Vec<ServeRequest> {
-        self.queue.drain(..).collect()
     }
 }
 
@@ -500,11 +486,6 @@ impl ServeEngine {
     pub fn input_len(&self) -> usize {
         let (c, h, w) = self.model.spec.input;
         c * h * w
-    }
-
-    /// Input geometry `(channels, height, width)`.
-    pub fn input_shape(&self) -> (usize, usize, usize) {
-        self.model.spec.input
     }
 
     /// Runs one micro-batch through the capped cascade: each request
@@ -755,15 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_rejects_zero_outbox() {
-        let no_outbox = ServePolicy {
-            outbox_kib: 0,
-            ..ServePolicy::default()
-        };
-        assert!(no_outbox.validate().is_err());
-    }
-
-    #[test]
     fn admission_control_rejects_at_capacity() {
         let mut b = MicroBatcher::new(2);
         b.submit(req(0, SloTier::Fast, 0, 100)).unwrap();
@@ -805,7 +777,11 @@ mod tests {
             vec![0, 1, 2]
         );
         assert_eq!(b.len(), 2);
-        assert_eq!(b.oldest_arrival_us(), Some(3));
+        let rest = b.form_batch(0, 3);
+        assert_eq!(
+            rest.ready.iter().map(|r| r.id).collect::<Vec<_>>(),
+            vec![3, 4]
+        );
     }
 
     #[test]
@@ -831,27 +807,26 @@ mod tests {
 
     #[test]
     fn tier_windows_shrink_for_latency_sensitive_tiers() {
-        let policy = ServePolicy::default(); // batch_window_us = 500
-        assert_eq!(policy.window_us(SloTier::Fast), 125);
-        assert_eq!(policy.window_us(SloTier::Balanced), 250);
-        assert_eq!(policy.window_us(SloTier::Exact), 500);
+        assert_eq!(BATCH_WINDOW_US, 500);
+        assert_eq!(SloTier::Fast.window_us(), 125);
+        assert_eq!(SloTier::Balanced.window_us(), 250);
+        assert_eq!(SloTier::Exact.window_us(), 500);
     }
 
     #[test]
     fn window_deadline_is_min_over_tier_windows() {
-        let policy = ServePolicy::default();
         let mut b = MicroBatcher::new(8);
-        assert_eq!(b.window_deadline_us(&policy), None);
+        assert_eq!(b.window_deadline_us(), None);
         // An exact request arriving first: full window from t=100.
         b.submit(req(0, SloTier::Exact, 100, 1_000_000)).unwrap();
-        assert_eq!(b.window_deadline_us(&policy), Some(600));
+        assert_eq!(b.window_deadline_us(), Some(600));
         // A later fast request pulls the wake earlier: 300 + 125 < 600.
         b.submit(req(1, SloTier::Fast, 300, 1_000_000)).unwrap();
-        assert_eq!(b.window_deadline_us(&policy), Some(425));
-        // Popping the fast request restores the exact window.
+        assert_eq!(b.window_deadline_us(), Some(425));
+        // Popping both empties the queue: nothing left to wake for.
         let plan = b.form_batch(0, 2);
         assert_eq!(plan.ready.len(), 2);
-        assert_eq!(b.window_deadline_us(&policy), None);
+        assert_eq!(b.window_deadline_us(), None);
     }
 
     #[test]
