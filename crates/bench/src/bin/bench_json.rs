@@ -204,27 +204,33 @@ fn time_int8_gemm(m: usize, k: usize, n: usize, iters: usize) -> GemmRow {
 /// run (`im2col` + GEMM, or GEMM + `col2im` for the input gradient)
 /// against the gathered product that replaced it, on the same operands —
 /// and, for the passes that end at an NCHW activation, the product in both
-/// orientations.
+/// orientations; for the weight gradient, the whole stage both ways.
 ///
 /// `gather_ns` is the gathered orientation (positions on the rows): for
 /// the forward pass and the input gradient it ends at the NCHW tensor (the
-/// GEMM emits it), for the small `dWᵀ` at the row-major product.
-/// `lanes_ns` is the lane orientation of the same NCHW-bound product
-/// (positions on the vector lanes, `kernels::lanes_fit`), 0 for `dWᵀ`,
-/// which keeps its orientation; `orientation` names the one the rule
-/// picks, which is what the layer runs. `unfused_ns` is the composition
-/// the NCHW-bound passes made before the GEMM had an NCHW destination —
-/// the same gathered product left as position rows, then the
-/// `posrows_to_nchw_into` pass — and `transpose_ns` that pass alone (0 for
-/// `dWᵀ`, which has neither). `pad_ns` is the zero-padding of the pass's
-/// NCHW operand, inside `gather_ns`, `lanes_ns` and `unfused_ns` alike.
+/// GEMM emits it). For the weight gradient (`wgrad`) it is the whole
+/// gathered stage, from the NCHW output gradient to `dW` and `db`
+/// accumulated: the output gradient transposed to position rows, the
+/// `dWᵀ` product, `dWᵀ` added into `dW`, the bias column sums.
+/// `positions_ns` is the stage on the positions axis
+/// (`ConvGather::wgrad_positions_into`, `kernels::positions_fit`), timed
+/// alternately with `gather_ns`; 0 for the other passes. `lanes_ns` is the
+/// lane orientation of an NCHW-bound product (positions on the vector
+/// lanes, `kernels::lanes_fit`), 0 for `wgrad`; `orientation` names the
+/// path the rules pick, which is what the layer runs. `unfused_ns` is the
+/// composition the NCHW-bound passes made before the GEMM had an NCHW
+/// destination — the same gathered product left as position rows, then
+/// the `posrows_to_nchw_into` pass — and `transpose_ns` that pass alone (0
+/// for `wgrad`, which has neither). `pad_ns` is the zero-padding of the
+/// pass's NCHW operand, inside every column but `explicit`.
 /// `gather_ymm_ns` / `lanes_ymm_ns` are the two orientations again with
 /// every strip or run on the ymm tile (`kernels::gather_nchw_on_tile`,
-/// `simd::lanes_on_tile`), timed alternately with each other: what an
-/// AVX2 host runs, measured on any host that has the tile (0 elsewhere and
-/// for `dWᵀ`) — the evidence for the rule's 8-float branch.
-/// `n` is the gathered product's output width, which decides its tile:
-/// `c_out` for the forward and for `dWᵀ`, `c_in` for the input gradient.
+/// `simd::lanes_on_tile`), timed alternately with each other, and
+/// `positions_ymm_ns` the positions stage on it (`simd::positions_on_tile`):
+/// what an AVX2 host runs, measured on any host that has the tile (0
+/// elsewhere) — recorded, not gated. `n` is the gathered product's output
+/// width, which decides its tile: `c_out` for the forward and the weight
+/// gradient, `c_in` for the input gradient.
 struct ConvRow {
     pass: &'static str,
     batch: usize,
@@ -238,6 +244,8 @@ struct ConvRow {
     unfused: Sample,
     gather_ymm: Sample,
     lanes_ymm: Sample,
+    positions: Sample,
+    positions_ymm: Sample,
     pad_ns: u128,
     transpose_ns: u128,
 }
@@ -251,11 +259,14 @@ impl ConvRow {
         self.unfused.keep_min(other.unfused);
         self.gather_ymm.keep_min(other.gather_ymm);
         self.lanes_ymm.keep_min(other.lanes_ymm);
+        self.positions.keep_min(other.positions);
+        self.positions_ymm.keep_min(other.positions_ymm);
         self.pad_ns = self.pad_ns.min(other.pad_ns);
         self.transpose_ns = self.transpose_ns.min(other.transpose_ns);
     }
 
-    /// Whether this pass has two orientations to choose from.
+    /// Whether this pass has two orientations to choose from; the weight
+    /// gradient has two paths instead.
     fn has_lanes(&self) -> bool {
         self.pass != "wgrad"
     }
@@ -267,12 +278,27 @@ impl ConvRow {
         self.has_lanes() && nf_tensor::kernels::lanes_fit(1, self.hw)
     }
 
-    /// What the layer runs for this pass: the orientation the rule picks.
+    /// Whether the path rule sends this weight gradient to the positions
+    /// axis.
+    fn on_positions(&self) -> bool {
+        !self.has_lanes() && nf_tensor::kernels::positions_fit(1, self.hw, self.c_out)
+    }
+
+    /// The path or orientation the rules pick.
+    fn picked(&self) -> &'static str {
+        match (self.on_lanes(), self.on_positions()) {
+            (true, _) => "lanes",
+            (_, true) => "positions",
+            _ => "gathered",
+        }
+    }
+
+    /// What the layer runs for this pass: what the rules pick.
     fn layer(&self) -> Sample {
-        if self.on_lanes() {
-            self.lanes
-        } else {
-            self.gather
+        match (self.on_lanes(), self.on_positions()) {
+            (true, _) => self.lanes,
+            (_, true) => self.positions,
+            _ => self.gather,
         }
     }
 
@@ -295,9 +321,14 @@ impl ConvRow {
     ///   the lanes. Only on a host where the rule uses the lanes at all
     ///   (16-float vectors): with 8-float vectors it keeps every product
     ///   gathered, which is slower on the ≤ 6-channel rows by design (see
-    ///   `kernels::lanes_fit` and the `*_ymm_ns` columns).
+    ///   `kernels::lanes_fit` and the `*_ymm_ns` columns);
+    /// - the weight gradient's path rule picks the faster path: the
+    ///   positions stage where `kernels::positions_fit` sends the layer to
+    ///   it, the gathered stage elsewhere. On an AVX-512 host only: the rule
+    ///   reads no vector width, so on an 8-float host it may pick the
+    ///   slower path, which `positions_ymm_ns` records.
     ///
-    /// The last two on full shapes only: the smoke shapes are a few
+    /// All but the first on full shapes only: the smoke shapes are a few
     /// microseconds a call.
     fn gate(&self, smoke: bool) -> Result<(), String> {
         let ConvRow {
@@ -310,7 +341,7 @@ impl ConvRow {
         } = self;
         let (explicit, layer, unfused) = (self.explicit.min, self.layer().min, self.unfused.min);
         let (gather, lanes) = (self.gather.min, self.lanes.min);
-        let picked = if self.on_lanes() { "lanes" } else { "gathered" };
+        let picked = self.picked();
         let at = format!("at batch {batch} {c_in}→{c_out} @{hw}²");
         if layer as f64 > explicit as f64 * 1.05 {
             return Err(format!(
@@ -318,7 +349,22 @@ impl ConvRow {
                  ({explicit} ns) {at}"
             ));
         }
-        if smoke || !self.has_lanes() {
+        if smoke {
+            return Ok(());
+        }
+        if !self.has_lanes() {
+            let other = if self.on_positions() {
+                gather
+            } else {
+                self.positions.min
+            };
+            let zmm = nf_tensor::kernels::simd::Tile::Zmm.supported();
+            if zmm && layer as f64 > other as f64 * 1.05 {
+                return Err(format!(
+                    "conv {pass}: the path rule picks {picked} ({layer} ns), the other path \
+                     takes {other} ns {at}"
+                ));
+            }
             return Ok(());
         }
         if layer as f64 > unfused as f64 * 1.05 {
@@ -370,12 +416,12 @@ fn patch_tables(
 /// anyway) and ends at what the layer consumes next: NCHW output (bias
 /// added), `dWᵀ` / `dW`, NCHW `dx`.
 fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -> Vec<ConvRow> {
-    use nf_tensor::kernels::simd::{lanes_on_tile, Tile};
+    use nf_tensor::kernels::simd::{lanes_on_tile, positions_on_tile, Tile};
     use nf_tensor::kernels::{gather_nchw_on_tile, Dest, GatherA};
     use nf_tensor::{
-        col2im_batch_into, flip_kernel_panel_into, im2col_batch_into, matmul_at_b_into,
-        matmul_into, nchw_to_posrows, pad_nchw_into, posrows_to_nchw_into, transpose2d,
-        Conv2dGeometry, ConvGather, Tensor,
+        axpy, col2im_batch_into, flip_kernel_panel_into, im2col_batch_into, matmul_at_b_into,
+        matmul_into, nchw_to_posrows, nchw_to_posrows_into, pad_nchw_into, posrows_to_nchw_into,
+        sum_axis0_acc, transpose2d, Conv2dGeometry, ConvGather, Tensor,
     };
     let backend = KernelBackend::Blocked;
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
@@ -393,7 +439,6 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
 
     let (mut cols, mut out, mut dx) = (Tensor::default(), Tensor::default(), Tensor::default());
     let (mut padded, mut pack) = (Tensor::default(), Vec::new());
-    let mut patches = ConvGather::new();
     let reps = REPS;
     let row = |pass,
                n,
@@ -413,6 +458,8 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
         unfused,
         gather_ymm,
         lanes_ymm,
+        positions: Sample::default(),
+        positions_ymm: Sample::default(),
         pad_ns,
         transpose_ns,
     };
@@ -539,20 +586,100 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
         pad_x,
         to_nchw_y,
     );
-    let wgrad = row(
+    // The weight-gradient stage, from the NCHW output gradient and the
+    // input to `dW` and `db` accumulated, three ways: explicit (`im2col`,
+    // `gᵀ·patches` straight into `dW`'s layout), the gathered `dWᵀ` stage
+    // and the positions stage — the last two alternating.
+    let taps = c_in * 9;
+    let zeros = || (Tensor::zeros(&[c_out, taps]), Tensor::zeros(&[c_out]));
+    let (mut g_buf, mut dw_rows) = (Tensor::default(), Tensor::default());
+    let (mut dw, mut db) = zeros();
+    let explicit = sample(reps, iters, || {
+        nchw_to_posrows_into(&grad_out, &mut g_buf).unwrap();
+        im2col_batch_into(&x, &geom, &mut cols).unwrap();
+        matmul_at_b_into(backend, &g_buf, &cols, &mut dw_rows, &mut pack).unwrap();
+        axpy(1.0, &dw_rows, &mut dw).unwrap();
+        sum_axis0_acc(&g_buf, &mut db).unwrap();
+    });
+    let mut stages: [(Tensor, Vec<f32>, Tensor, Tensor, ConvGather); 2] = Default::default();
+    for (_, _, dw, db, _) in &mut stages {
+        (*dw, *db) = zeros();
+    }
+    let [gathered, positions] = &mut stages;
+    let [gather_stage, positions_stage] = sample_alternating(
+        reps,
+        iters,
+        [
+            &mut || {
+                let (padded, pack, dw, db, patches) = &mut *gathered;
+                pad_nchw_into(&x, geom.pad, padded).unwrap();
+                nchw_to_posrows_into(&grad_out, &mut g_buf).unwrap();
+                patches
+                    .wgrad_into(backend, padded, &geom, &g_buf, pack, &mut out)
+                    .unwrap();
+                for (q, dwt_row) in out.data().chunks_exact(c_out).enumerate() {
+                    let dw_col = dw.data_mut()[q..].iter_mut().step_by(taps);
+                    for (d, &v) in dw_col.zip(dwt_row) {
+                        *d += v;
+                    }
+                }
+                sum_axis0_acc(&g_buf, db).unwrap();
+            },
+            &mut || {
+                let (padded, pack, dw, db, patches) = &mut *positions;
+                pad_nchw_into(&x, geom.pad, padded).unwrap();
+                patches
+                    .wgrad_positions_into(padded, &geom, &grad_out, pack, dw, db)
+                    .unwrap();
+            },
+        ],
+    );
+    // The positions stage on the ymm tile, and once more dispatched, from
+    // zero: equal bits.
+    let (pos, out_rows, taps_tbl) = patch_tables(batch, c_in, &geom);
+    let (mut dw_ymm, mut db_ymm) = zeros();
+    let positions_ymm = if Tile::Ymm.supported() {
+        sample(reps, iters, || {
+            pad_nchw_into(&x, geom.pad, &mut padded).unwrap();
+            let a = GatherA::new(padded.data(), &pos, &taps_tbl).unwrap();
+            let a = a.with_runs(&out_rows, geom.out_w).unwrap();
+            let (dw, db) = (dw_ymm.data_mut(), db_ymm.data_mut());
+            let plane = geom.out_positions();
+            positions_on_tile(Tile::Ymm, &a, grad_out.data(), plane, dw, db, &mut pack);
+        })
+    } else {
+        Sample::default()
+    };
+    if Tile::Ymm.supported() {
+        let (mut once, mut once_db) = zeros();
+        let (mut ymm, mut ymm_db) = zeros();
+        let (padded, pack, ..) = &mut stages[1];
+        let mut patches = ConvGather::new();
+        patches
+            .wgrad_positions_into(padded, &geom, &grad_out, pack, &mut once, &mut once_db)
+            .unwrap();
+        let a = GatherA::new(padded.data(), &pos, &taps_tbl).unwrap();
+        let a = a.with_runs(&out_rows, geom.out_w).unwrap();
+        let (dw, db, plane) = (ymm.data_mut(), ymm_db.data_mut(), geom.out_positions());
+        positions_on_tile(Tile::Ymm, &a, grad_out.data(), plane, dw, db, pack);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&once),
+            bits(&ymm),
+            "positions on ymm ≠ dispatched dW bits"
+        );
+        assert_eq!(
+            bits(&once_db),
+            bits(&ymm_db),
+            "positions on ymm ≠ dispatched db bits"
+        );
+    }
+    let mut wgrad = row(
         "wgrad",
         c_out,
-        sample(reps, iters, || {
-            im2col_batch_into(&x, &geom, &mut cols).unwrap();
-            matmul_at_b_into(backend, &g_rows, &cols, &mut out, &mut pack).unwrap();
-        }),
+        explicit,
         [
-            sample(reps, iters, || {
-                pad_nchw_into(&x, geom.pad, &mut padded).unwrap();
-                patches
-                    .wgrad_into(backend, &padded, &geom, &g_rows, &mut pack, &mut out)
-                    .unwrap();
-            }),
+            gather_stage,
             Sample::default(),
             Sample::default(),
             Sample::default(),
@@ -561,6 +688,7 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
         pad_x,
         0,
     );
+    (wgrad.positions, wgrad.positions_ymm) = (positions_stage, positions_ymm);
     let dgrad = row(
         "dgrad",
         c_in,
@@ -1137,14 +1265,15 @@ fn main() {
                     row.insert("c_out", int(r.c_out));
                     row.insert("hw", int(r.hw));
                     row.insert("tile", Value::Str(Tile::for_strip(r.n).name().into()));
-                    let orientation = if r.on_lanes() { "lanes" } else { "gathered" };
-                    row.insert("orientation", Value::Str(orientation.into()));
+                    row.insert("orientation", Value::Str(r.picked().into()));
                     r.explicit.insert_into(&mut row, "explicit");
                     r.gather.insert_into(&mut row, "gather");
                     r.lanes.insert_into(&mut row, "lanes");
+                    r.positions.insert_into(&mut row, "positions");
                     r.unfused.insert_into(&mut row, "unfused");
                     r.gather_ymm.insert_into(&mut row, "gather_ymm");
                     r.lanes_ymm.insert_into(&mut row, "lanes_ymm");
+                    row.insert("positions_ymm_ns", int(r.positions_ymm.min));
                     row.insert("pad_ns", int(r.pad_ns));
                     row.insert("transpose_ns", int(r.transpose_ns));
                     // What the layer runs against the explicit lowering,
@@ -1156,6 +1285,9 @@ fn main() {
                         row.insert("lanes_speedup", Value::Float(round2(ratio)));
                         let ratio = r.gather_ymm.min as f64 / r.lanes_ymm.min.max(1) as f64;
                         row.insert("lanes_speedup_ymm", Value::Float(round2(ratio)));
+                    } else {
+                        let ratio = r.gather.min as f64 / r.positions.min.max(1) as f64;
+                        row.insert("positions_speedup", Value::Float(round2(ratio)));
                     }
                     row.build()
                 })
@@ -1227,6 +1359,9 @@ fn main() {
             "conv.gather_median_ns",
             "conv.lanes_ns",
             "conv.lanes_ymm_ns",
+            "conv.positions_ns",
+            "conv.positions_median_ns",
+            "conv.positions_ymm_ns",
             "conv.unfused_ns",
             "conv.transpose_ns",
             "conv.pad_ns",

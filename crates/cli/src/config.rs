@@ -1,6 +1,6 @@
 //! The `nf` config schema, declared once.
 //!
-//! Every key is one entry of the [`sections!`] block below: name, type,
+//! Every key is one entry of the `sections!` block below: name, type,
 //! default or required, [`Bound`], and doc. That declaration *is* the typed
 //! section struct and its `Default`, the reader (unknown keys and sections
 //! rejected, every error a [`CliError::Config`] at `section.key`), the

@@ -1,7 +1,7 @@
 //! The machinery behind the config table in [`crate::config`]: what a key
 //! declaration consists of ([`Kind`], [`Bound`], [`Row`]), how each kind
 //! reads from and renders to the document model ([`Field`]), and the
-//! [`sections!`] macro that turns declarations into typed structs. Every
+//! `sections!` macro that turns declarations into typed structs. Every
 //! failure is a [`CliError::Config`] at `section.key`, never a panic.
 
 use crate::error::{CliError, Result};
@@ -113,7 +113,7 @@ pub struct Row {
 }
 
 /// How a declared type reads from and renders to the document model:
-/// implemented once per [`Kind`], and by [`sections!`] for every section.
+/// implemented once per [`Kind`], and by `sections!` for every section.
 pub trait Field: Sized {
     /// The value shape this type reads.
     const KIND: Kind;

@@ -65,14 +65,17 @@ fn large_allocs_now() -> u64 {
 }
 
 /// The inputs of the steps below, so that both orientations of the conv
-/// product are held to zero allocations. At 16×16 the head's conv (rows 8
-/// wide) stays gathered on every host, its input gradient included — the
-/// NCHW emit through the workspace's row group — while the unit's (rows
-/// 16 wide) runs on the lanes wherever the rule uses them. At 32×32 both
-/// convs run on the lanes there (rows 32 and 16 wide): the lane product
-/// reads the weight panel in place, so it must not copy it per call.
+/// product and both weight-gradient paths are held to zero allocations.
+/// At 16×16 the head's conv (rows 8 wide) stays gathered on every host,
+/// its input gradient and `dWᵀ` included — the NCHW emit through the
+/// workspace's row group — while the unit's (rows 16 wide) runs on the
+/// lanes wherever the rule uses them. At 32×32 both convs run on the lanes
+/// there (rows 32 and 16 wide): the lane product reads the weight panel in
+/// place, so it must not copy it per call; and on every host both weight
+/// gradients run on the positions axis, their lane sums in the
+/// workspace's `pack` slot.
 fn inputs() -> [[usize; 4]; 2] {
-    use nf_tensor::kernels::lanes_fit;
+    use nf_tensor::kernels::{lanes_fit, positions_fit};
     assert!(
         !lanes_fit(1, 8),
         "8-wide rows keep the gathered orientation"
@@ -82,6 +85,9 @@ fn inputs() -> [[usize; 4]; 2] {
         lanes_fit(1, usize::MAX),
         "16-wide rows take the lanes wherever any row does"
     );
+    // (out_w, c_out) of the unit's and the head's conv at each input.
+    assert!(positions_fit(1, 16, 8) && !positions_fit(1, 8, 4));
+    assert!(positions_fit(1, 32, 8) && positions_fit(1, 16, 4));
     [[6, 3, 16, 16], [6, 3, 32, 32]]
 }
 

@@ -19,6 +19,11 @@
 //! under every tap, such a product may run transposed — output channels as
 //! the rows, positions on the vector lanes — where
 //! [`crate::kernels::lanes_fit`] says that pays; the bits are the same.
+//! Its weight gradient may leave the product altogether:
+//! [`ConvGather::wgrad_positions_into`] reduces over the output positions,
+//! reading the output gradient in place as NCHW, where
+//! [`crate::kernels::positions_fit`] says so — in its own fixed order, so
+//! that choice is made by shape alone.
 //!
 //! The explicit lowerings remain as its oracle (f32 and `u8`; no layer
 //! builds a patch matrix) and, `col2im` only, for the strided input
@@ -34,7 +39,7 @@
 //!   GEMMs are where the blocked kernel earns its keep.
 //!   [`nchw_to_posrows`] / [`posrows_to_nchw`] convert activations between
 //!   NCHW and the batched lowering's position-major row layout (the
-//!   weight gradient reads its output gradient that way; the way back is
+//!   gathered weight gradient reads its output gradient that way; the way back is
 //!   the oracle of the GEMM's NCHW destination, not a production pass).
 //!
 //! Each `col2im*` is the exact adjoint of its `im2col*`, which is what the
@@ -42,6 +47,7 @@
 
 use crate::error::TensorError;
 use crate::kernels::int8::{self, QuantizedLhs, QuantizedRhs};
+use crate::kernels::simd::{GatherRuns, Positions};
 use crate::kernels::{Dest, GatherA, GatherQuads, KernelBackend};
 use crate::quant::QuantTensor;
 use crate::tensor::Tensor;
@@ -508,6 +514,53 @@ impl ConvGather {
         backend
             .backend()
             .gemm_gather(&a, c_out, g, Dest::RowMajor, dwt, pack);
+        Ok(())
+    }
+
+    /// The weight and bias gradients with the output positions as the
+    /// reduction axis, **accumulated**: `dw (C_out × C·KH·KW) +=
+    /// patches(x)ᵀ · g` and `db (C_out) +=` each output channel's sum of
+    /// `g`, with `grad_out` the output gradient as NCHW, read in place (each
+    /// channel's output rows are contiguous runs), and `padded` the input
+    /// padded by `geom.pad` as for [`ConvGather::wgrad_into`]. Stride 1
+    /// only, where an output row is a run of the padded input under every
+    /// tap too; a layer takes it where [`crate::kernels::positions_fit`]
+    /// holds. The sums run in the one order the shape fixes (DESIGN.md §8
+    /// "Weight gradient on the positions axis") on every tile and at any
+    /// thread count — not [`ConvGather::wgrad_into`]'s order, so the two
+    /// agree to rounding, not bit for bit. `scratch` holds the lane sums,
+    /// grow-only.
+    pub fn wgrad_positions_into(
+        &mut self,
+        padded: &Tensor,
+        geom: &Conv2dGeometry,
+        grad_out: &Tensor,
+        scratch: &mut Vec<f32>,
+        dw: &mut Tensor,
+        db: &mut Tensor,
+    ) -> Result<()> {
+        let op = "conv_wgrad_positions";
+        if geom.stride != 1 {
+            return Err(TensorError::InvalidGeometry(format!(
+                "the weight gradient on the positions axis needs stride 1, not {}",
+                geom.stride
+            )));
+        }
+        let (_, patch) = self.tables_for(op, padded.shape(), geom, true)?;
+        let n = padded.shape()[0];
+        let (gn, c_out, gh, gw) = grad_out.dims4()?;
+        let fits = dw.shape() == [c_out, patch] && db.shape() == [c_out];
+        if (gn, gh, gw) != (n, geom.out_h, geom.out_w) || !fits {
+            return Err(TensorError::ShapeMismatch {
+                op,
+                lhs: grad_out.shape().to_vec(),
+                rhs: vec![n, c_out, geom.out_h, geom.out_w],
+            });
+        }
+        let origins = &self.rows[..n * geom.out_h];
+        let runs = GatherRuns::new(padded.data(), &self.taps, origins, geom.out_w)?;
+        let p = Positions::new(runs, grad_out.data(), c_out, geom.out_h);
+        crate::kernels::positions_into(&p, dw.data_mut(), db.data_mut(), scratch);
         Ok(())
     }
 

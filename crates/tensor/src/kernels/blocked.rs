@@ -1,7 +1,7 @@
 //! The production GEMM: cache-blocked, register-blocked, one fixed plan
 //! ([`KC`]/[`NC`] constants, thread fan-out decided by `fans_out`).
 
-use super::simd::{self, DenseA, GatherA, Lanes, PanelA, Tile};
+use super::simd::{self, DenseA, GatherA, Lanes, PanelA, Positions, Tile};
 use super::{fans_out, host_cores, nchw, nchw_samples, Dest, GemmBackend, KC, NC};
 use rayon::prelude::*;
 
@@ -328,6 +328,54 @@ fn gemm_lanes_into(lanes: &Lanes<'_>, m: usize, k: usize, n: usize, out: &mut [f
     }
 }
 
+/// A convolution's weight and bias gradients on the positions axis
+/// ([`Positions`]) accumulated into `dw` / `db` on the host's widest tile,
+/// `scratch` (grow-only) holding the lane sums. A product that fans out
+/// splits its output channels across threads — never its positions, whose
+/// order is the sum's — so `fans_out` never changes bits.
+pub(crate) fn positions_into(
+    p: &Positions<'_>,
+    dw: &mut [f32],
+    db: &mut [f32],
+    scratch: &mut Vec<f32>,
+) {
+    let c_out = p.c_out();
+    scratch.resize(c_out * p.scratch_per_channel(), 0.0);
+    let parts = if fans_out(c_out, p.positions(), p.taps()) {
+        host_cores().min(c_out.div_ceil(4))
+    } else {
+        1
+    };
+    positions_fan(parts, Tile::for_positions(), p, 0, scratch, dw, db);
+}
+
+/// [`Positions::channels`] over `parts` runs of output channels side by
+/// side: `acc`, `dw` and `db` split into disjoint halves down a
+/// `rayon::join` tree, at multiples of four channels (the zmm block).
+fn positions_fan(
+    parts: usize,
+    tile: Tile,
+    p: &Positions<'_>,
+    co0: usize,
+    acc: &mut [f32],
+    dw: &mut [f32],
+    db: &mut [f32],
+) {
+    let cos = db.len();
+    let left = parts / 2;
+    let left_co = (cos * left / parts.max(1)).next_multiple_of(4).min(cos);
+    if left == 0 || left_co == 0 || left_co == cos {
+        return p.channels(tile, co0, acc, dw, db);
+    }
+    let (acc_l, acc_r) = acc.split_at_mut(left_co * p.scratch_per_channel());
+    let (dw_l, dw_r) = dw.split_at_mut(left_co * p.taps());
+    let (db_l, db_r) = db.split_at_mut(left_co);
+    rayon::join(
+        || positions_fan(left, tile, p, co0, acc_l, dw_l, db_l),
+        || positions_fan(parts - left, tile, p, co0 + left_co, acc_r, dw_r, db_r),
+    );
+}
+
 /// Transpose of a packed `rows × cols` matrix into a reusable scratch
 /// buffer (grow-only; every element is overwritten), cache-tiled — on the
 /// tall im2col operands the at_b/a_bt paths transpose, the tiled walk is
@@ -532,6 +580,44 @@ mod tests {
                 assert_eq!(serial[at].to_bits(), (v + bj).to_bits(), "({i},{j})");
             }
         }
+    }
+
+    #[test]
+    fn positions_parts_agree_with_one_part() {
+        // The channel split driven directly at 1, 2, 3 and 5 parts: 11
+        // channels (blocks of 4, 4, 2 and 1), 27 taps, 3 samples of two
+        // 37-wide rows (two chunks and a masked tail each), accumulating
+        // into prefilled `dW` / `db` over a poisoned scratch.
+        use super::super::simd::GatherRuns;
+        let (samples, rows_per, run, c, c_out) = (3usize, 2usize, 37usize, 3usize, 11usize);
+        let wp = run + 2;
+        let sample = c * (rows_per + 2) * wp;
+        let base = mat(samples, sample, 7);
+        let origins: Vec<u32> = (0..samples * rows_per)
+            .map(|r| ((r / rows_per) * sample + (r % rows_per) * wp) as u32)
+            .collect();
+        let taps: Vec<u32> = (0..c * 9)
+            .map(|t| (((t / 9) * (rows_per + 2) + t / 3 % 3) * wp + t % 3) as u32)
+            .collect();
+        let runs = GatherRuns::new(&base, &taps, &origins, run).unwrap();
+        let g = mat(samples * c_out, rows_per * run, 8);
+        let p = Positions::new(runs, &g, c_out, rows_per);
+        let on = |parts: usize| {
+            let (mut dw, mut db) = (mat(c_out, taps.len(), 9), mat(1, c_out, 10));
+            let mut acc = vec![f32::NAN; c_out * p.scratch_per_channel()];
+            let tile = Tile::for_positions();
+            positions_fan(parts, tile, &p, 0, &mut acc, &mut dw, &mut db);
+            [dw, db].concat()
+        };
+        let serial = on(1);
+        assert!(serial.iter().all(|v| v.is_finite()));
+        for parts in [2, 3, 5] {
+            assert_eq!(bits(&on(parts)), bits(&serial), "{parts} parts");
+        }
+        // Through the entry point, which picks the parts itself.
+        let (mut dw, mut db) = (mat(c_out, taps.len(), 9), mat(1, c_out, 10));
+        positions_into(&p, &mut dw, &mut db, &mut Vec::new());
+        assert_eq!(bits(&[dw, db].concat()), bits(&serial));
     }
 
     #[test]

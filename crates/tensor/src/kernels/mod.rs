@@ -55,6 +55,7 @@ pub mod simd;
 #[allow(unsafe_code)]
 pub mod simd_int8;
 
+pub(crate) use blocked::positions_into;
 pub use blocked::{gather_nchw_on_tile, BlockedGemm};
 pub use naive::NaiveGemm;
 pub use simd::GatherA;
@@ -127,6 +128,29 @@ fn fans_out(m: usize, k: usize, n: usize) -> bool {
 pub fn lanes_fit(stride: usize, out_w: usize) -> bool {
     let lanes = simd::vector_lanes();
     stride == 1 && lanes >= 16 && out_w >= lanes
+}
+
+/// The path rule of a convolution's weight gradient: whether it is built
+/// with the output positions as the reduction axis
+/// (`ConvGather::wgrad_positions_into`, [`simd::positions_on_tile`]) rather
+/// than as the gathered `dWᵀ` product ([`GemmBackend::gemm_gather`] with
+/// positions as `K` and the `c_out` output channels on the lanes). At
+/// stride 1 an output row is a run of consecutive floats in the output
+/// gradient and, under every tap, in the padded input, so its positions
+/// can fill the lanes whatever the channel count. Taken where a row holds
+/// at least one whole [`simd::POSITION_LANES`] chunk and at least twice as
+/// many positions as there are output channels: measured against the
+/// gathered stage on rows 16 wide, 2–8 channels run 1.6–2.6× faster, 16
+/// break even and 32 run 0.6–0.9×; on rows 32 wide 16 channels run
+/// 1.2–1.3× (EXPERIMENTS.md "Positions-axis weight gradient PR").
+///
+/// Unlike [`lanes_fit`] this choice moves bits — the two paths add the
+/// same terms in different orders — so it reads the layer's shape and
+/// nothing else: no vector width, no core count. Every tile runs the one
+/// order the shape fixes, so a layer gets the same bits on AVX-512, AVX2
+/// and portable hosts, at any thread count.
+pub fn positions_fit(stride: usize, out_w: usize, c_out: usize) -> bool {
+    stride == 1 && out_w >= simd::POSITION_LANES.max(2 * c_out)
 }
 
 /// A dense single-precision matrix-multiplication implementation.

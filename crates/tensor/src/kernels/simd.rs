@@ -36,6 +36,12 @@
 //! channel's NCHW plane with the bias — every lane busy at any channel
 //! count, no transpose. [`super::lanes_fit`] picks one per product.
 //!
+//! A stride-1 convolution's weight gradient can also put its positions on
+//! the lanes, as the *reduction* (`Positions`, [`positions_on_tile`]): a
+//! second, smaller tile body of `channels × taps` accumulators of 16 lanes
+//! each, fed by runs of the NCHW output gradient and of the padded input,
+//! in one order fixed by shape on every vector width.
+//!
 //! All of them run the same tile body (`tile`), generic over a `Vector` —
 //! the handful of operations it needs from a register — and the number of
 //! vectors per output row. It has four instantiations ([`Tile`]):
@@ -870,6 +876,444 @@ pub fn lanes_on_tile(
     true
 }
 
+/// Lanes of the weight gradient's positions reduction ([`positions_on_tile`]):
+/// each `(output channel, tap)` sum is split over this many lane
+/// accumulators whatever the tile — one zmm, two ymm or two portable
+/// `[f32; 8]` — and folded by one fixed tree, so every tile adds the same
+/// terms in the same order.
+pub const POSITION_LANES: usize = 16;
+
+/// Floats of output gradient one row block of the positions reduction
+/// covers (all channels): 64 KiB, so a channel block's rows stay in L1
+/// across its tap blocks while the block as a whole stays in L2. 16 KiB
+/// blocks measured 0.99 / 1.08× the gathered stage on 16→16 @32² (batch 1
+/// / 8) where 64 KiB reads 1.18 / 1.27×; 256 KiB read the same as 64.
+/// Never changes bits (a partial sum waits between blocks exactly).
+const POSITION_BLOCK: usize = 1 << 14;
+
+/// A stride-1 convolution's weight and bias gradients with the output
+/// positions as the reduction axis, checked once:
+///
+/// `dW[co, t] += Σ_{r, x} g[co, r, x] · base[taps[t] + origins[r] + x]`
+/// and `db[co] += Σ_{r, x} g[co, r, x]`,
+///
+/// over the output rows `r` (`(n, oy)`, one run each) and the `x < run`
+/// positions of a row, with `g` the output gradient in NCHW — each row of
+/// a channel one contiguous run there, as it is in the padded input under
+/// every tap. The order is fixed by shape alone: lane `j` of
+/// [`POSITION_LANES`] accumulates the positions `x ≡ j (mod 16)` of every
+/// row, rows in order, one fused multiply-add per term (a plain add for the
+/// bias), a masked tail lane adding `0 · 0`; the lanes are folded
+/// 16 → 8 → 4 → 2 → 1 (`fold_lanes`) and added to `dW` / `db` once.
+/// Blocking over rows, channels and taps only decides which accumulators
+/// share registers — a partial sum waits between row blocks in the
+/// caller's scratch, exactly — and never reorders a sum.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Positions<'a> {
+    g: &'a [f32],
+    runs: GatherRuns<'a>,
+    c_out: usize,
+    /// Output rows (runs) per sample.
+    per_sample: usize,
+}
+
+impl<'a> Positions<'a> {
+    /// # Panics
+    ///
+    /// Panics if `g` is not `c_out` planes of `per_sample` runs for every
+    /// sample the runs' origins cover.
+    pub(crate) fn new(runs: GatherRuns<'a>, g: &'a [f32], c_out: usize, per_sample: usize) -> Self {
+        let rows = runs.origins.len();
+        assert!(
+            per_sample > 0 && rows.is_multiple_of(per_sample),
+            "{rows} output rows are not whole samples of {per_sample}"
+        );
+        assert_eq!(
+            g.len(),
+            rows * runs.run * c_out,
+            "output gradient is not NCHW"
+        );
+        Positions {
+            g,
+            runs,
+            c_out,
+            per_sample,
+        }
+    }
+
+    /// Output channels.
+    pub(crate) fn c_out(&self) -> usize {
+        self.c_out
+    }
+
+    /// Output positions, all samples.
+    pub(crate) fn positions(&self) -> usize {
+        self.runs.origins.len() * self.runs.run
+    }
+
+    /// Taps (`dW` columns).
+    pub(crate) fn taps(&self) -> usize {
+        self.runs.taps.len()
+    }
+
+    /// Scratch floats of [`Positions::channels`] per output channel: the
+    /// lanes of every tap and of the bias.
+    pub(crate) fn scratch_per_channel(&self) -> usize {
+        (self.taps() + 1) * POSITION_LANES
+    }
+
+    /// Output channels `co0..co0 + db.len()` on `tile`: their rows of `dW`
+    /// (`dw`, `taps()` floats each) and of `db` accumulated, `acc`
+    /// (`scratch_per_channel()` floats a channel) holding the lane sums
+    /// between row blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host cannot run `tile`, or the channels or a slice do
+    /// not fit.
+    pub(crate) fn channels(
+        &self,
+        tile: Tile,
+        co0: usize,
+        acc: &mut [f32],
+        dw: &mut [f32],
+        db: &mut [f32],
+    ) {
+        let (taps, run, cos) = (self.taps(), self.runs.run, db.len());
+        assert!(co0 + cos <= self.c_out, "channels past c_out");
+        assert_eq!(dw.len(), cos * taps, "dW rows are not channels × taps");
+        assert_eq!(acc.len(), cos * self.scratch_per_channel(), "scratch");
+        assert!(tile.supported(), "{tile:?} on a host without it");
+        acc.fill(0.0);
+        let rows = self.runs.origins.len();
+        let per_block = (POSITION_BLOCK / (self.c_out * run).max(1)).max(1);
+        for r0 in (0..rows).step_by(per_block) {
+            let mut strip = PosStrip {
+                p: self,
+                rows: r0..rows.min(r0 + per_block),
+                co0,
+                acc_co: 0,
+                cb: 0,
+                t0: 0,
+                tb: 0,
+                live_taps: 0,
+            };
+            while strip.acc_co < cos {
+                let (cb, tb) = positions_block(tile, cos - strip.acc_co);
+                strip.cb = cb;
+                // The taps a block at a time, then the bias (`tb = 0`).
+                let blocks = (0..taps).step_by(tb).map(|t0| (t0, tb, tb.min(taps - t0)));
+                for (t0, tb, live_taps) in blocks.chain([(taps, 0, 0)]) {
+                    (strip.t0, strip.tb, strip.live_taps) = (t0, tb, live_taps);
+                    // SAFETY: `tile` is supported (asserted). The strip's
+                    // channels `co0 + acc_co..+cb ≤ co0 + cos ≤ c_out`
+                    // (`positions_block` names no more than remain), its
+                    // live taps `t0..t0 + live_taps ≤ taps` (at least one
+                    // unless `tb = 0`) and its rows `< origins.len()`: every
+                    // `g` read is inside `g` by `Positions::new`, every
+                    // `base` read inside `base` by `GatherRuns::new`, every
+                    // scratch access inside `acc` (asserted length).
+                    unsafe { tile.run_positions(&strip, acc) };
+                }
+                strip.acc_co += cb;
+            }
+        }
+        let per = self.scratch_per_channel();
+        for (c, chan) in acc.chunks_exact(per).enumerate() {
+            let (tap_lanes, bias_lanes) = chan.split_at(taps * POSITION_LANES);
+            let row = &mut dw[c * taps..(c + 1) * taps];
+            for (d, lanes) in row.iter_mut().zip(tap_lanes.chunks_exact(POSITION_LANES)) {
+                *d += fold_lanes(lanes);
+            }
+            db[c] += fold_lanes(bias_lanes);
+        }
+    }
+}
+
+/// The positions reduction's fixed fold of one accumulator's
+/// [`POSITION_LANES`] lanes: `16 → 8 → 4 → 2 → 1`, lane `i` plus lane
+/// `i + w` at each width `w`.
+///
+/// # Panics
+///
+/// Panics if `lanes` is not 16 long.
+fn fold_lanes(lanes: &[f32]) -> f32 {
+    let mut v = [0.0f32; POSITION_LANES];
+    v.copy_from_slice(lanes);
+    let mut w = POSITION_LANES / 2;
+    while w > 0 {
+        let (lo, hi) = v.split_at_mut(w);
+        for (a, b) in lo.iter_mut().zip(&hi[..w]) {
+            *a += *b;
+        }
+        w /= 2;
+    }
+    v[0]
+}
+
+/// `(output channels, taps)` of the next positions block when `remaining
+/// ≥ 1` channels are left, on `tile`: as many accumulators as the
+/// register file holds beside the loaded vectors — 24 zmm, or 4 pairs of
+/// ymm / portable vectors — and never more channels than remain. Only
+/// registers, not bits, depend on it.
+fn positions_block(tile: Tile, remaining: usize) -> (usize, usize) {
+    match (tile, remaining) {
+        (Tile::Zmm | Tile::ZmmPair, 4..) => (4, 6),
+        (Tile::Zmm | Tile::ZmmPair, 2 | 3) => (2, 12),
+        (Tile::Zmm | Tile::ZmmPair, _) => (1, 12),
+        (Tile::Ymm | Tile::Portable, 2..) => (2, 2),
+        (Tile::Ymm | Tile::Portable, _) => (1, 4),
+    }
+}
+
+impl Tile {
+    /// The tile the positions reduction runs on this host: the widest
+    /// vector it has. Width never changes its bits.
+    pub(crate) fn for_positions() -> Tile {
+        match isa() {
+            Isa::Avx512 => Tile::Zmm,
+            Isa::Avx2 => Tile::Ymm,
+            Isa::Portable => Tile::Portable,
+        }
+    }
+}
+
+/// The weight and bias gradients of a stride-1 convolution with the
+/// output positions as the reduction, every block on `tile` (the zmm pair
+/// runs what the zmm tile runs: one vector of [`POSITION_LANES`]): how the
+/// tests hold each tile to the scalar order and `bench_json` times what an
+/// AVX2 host runs. `a` is the convolution's patch matrix with its output
+/// rows attached ([`GatherA::with_runs`]), `g` the output gradient as NCHW
+/// (`plane` positions a channel); `dw` (`C_out × K`) and `db` (`C_out`)
+/// are accumulated into; `scratch` is grow-only. Serial. Returns `false`,
+/// leaving `dw` and `db` alone, when the host cannot run `tile` or `a`
+/// carries no runs.
+///
+/// # Panics
+///
+/// Panics if `g`, `dw` or `db` does not match `a`, or `plane` is not whole
+/// output rows.
+pub fn positions_on_tile(
+    tile: Tile,
+    a: &GatherA<'_>,
+    g: &[f32],
+    plane: usize,
+    dw: &mut [f32],
+    db: &mut [f32],
+    scratch: &mut Vec<f32>,
+) -> bool {
+    let Some(&runs) = a.runs() else {
+        return false;
+    };
+    if !tile.supported() {
+        return false;
+    }
+    assert!(
+        runs.run > 0 && plane.is_multiple_of(runs.run),
+        "a plane of {plane} is not whole rows of {}",
+        runs.run
+    );
+    let p = Positions::new(runs, g, db.len(), plane / runs.run);
+    scratch.resize(p.c_out() * p.scratch_per_channel(), 0.0);
+    p.channels(tile, 0, scratch, dw, db);
+    true
+}
+
+/// One tile call of the positions reduction: output channels `co0 +
+/// acc_co..+cb` (their lane sums at channel `acc_co` of the scratch) over
+/// the output rows `rows`, against taps `t0..t0 + live_taps` in a block of
+/// `tb` (the rest repeat the last live tap and are not stored) — or, with
+/// `tb = 0`, the bias.
+struct PosStrip<'a> {
+    p: &'a Positions<'a>,
+    rows: std::ops::Range<usize>,
+    co0: usize,
+    acc_co: usize,
+    cb: usize,
+    t0: usize,
+    tb: usize,
+    live_taps: usize,
+}
+
+/// One 16-position chunk of the positions tile: `CB` output-gradient
+/// vectors loaded once and multiplied into the `CB × TB` accumulators
+/// against one input vector per tap, or with `BIAS` added to the `CB`
+/// bias accumulators. The chunk starts `at` floats past each of `g` / `x`.
+///
+/// # Safety
+///
+/// `V`'s ISA in force; the live lanes (all when `FULL`, the masks' live
+/// lanes otherwise) of every vector `v` from `g[c] + at + v·LANES` and
+/// `x[t] + at + v·LANES` readable.
+// SAFETY: `unsafe fn` for `V`'s ISA and the unchecked loads; the contract
+// is the `# Safety` section above.
+#[inline(always)]
+unsafe fn positions_chunk<
+    V: Vector,
+    const NV: usize,
+    const CB: usize,
+    const TB: usize,
+    const BIAS: bool,
+    const FULL: bool,
+>(
+    g: &[*const f32; CB],
+    x: &[*const f32; TB],
+    at: usize,
+    masks: &[V::Mask; NV],
+    acc: &mut [[[V; NV]; TB]; CB],
+    bias: &mut [[V; NV]; CB],
+) {
+    let mut gv = [[V::zero(); NV]; CB];
+    for (gc, &gp) in gv.iter_mut().zip(g) {
+        for (v, (gvec, &mask)) in gc.iter_mut().zip(masks).enumerate() {
+            *gvec = V::load::<FULL>(gp.wrapping_add(at + v * V::LANES), mask);
+        }
+    }
+    if BIAS {
+        for (bc, gc) in bias.iter_mut().zip(&gv) {
+            for (b, &gvec) in bc.iter_mut().zip(gc) {
+                *b = V::add(*b, gvec);
+            }
+        }
+    }
+    for (t, &xp) in x.iter().enumerate() {
+        let mut xv = [V::zero(); NV];
+        for (v, (xvec, &mask)) in xv.iter_mut().zip(masks).enumerate() {
+            *xvec = V::load::<FULL>(xp.wrapping_add(at + v * V::LANES), mask);
+        }
+        for (accc, gc) in acc.iter_mut().zip(&gv) {
+            for ((a, &gvec), &xvec) in accc[t].iter_mut().zip(gc).zip(&xv) {
+                *a = V::fma(gvec, xvec, *a);
+            }
+        }
+    }
+}
+
+/// **The** positions tile: `CB` output channels × `TB` taps of
+/// [`POSITION_LANES`]-lane accumulators (`NV` vectors of `V` each), loaded
+/// from the scratch, run over the strip's output rows a chunk of 16
+/// positions at a time (the last one masked) and stored back — or, with
+/// `BIAS` (`TB = 0`), the channels' bias accumulators.
+///
+/// # Safety
+///
+/// As [`Tile::run_positions`], with `V`'s ISA in force in the (inlining)
+/// caller and `NV · V::LANES = POSITION_LANES`.
+// SAFETY: `unsafe fn` for `V`'s ISA and the unchecked accesses; the
+// contract is the `# Safety` section above.
+#[inline(always)]
+unsafe fn positions_tile<
+    V: Vector,
+    const NV: usize,
+    const CB: usize,
+    const TB: usize,
+    const BIAS: bool,
+>(
+    s: &PosStrip<'_>,
+    acc_buf: &mut [f32],
+) {
+    let p = s.p;
+    let (run, taps) = (p.runs.run, p.taps());
+    let plane = p.per_sample * run;
+    let live_tap = |t: usize| s.t0 + t.min(s.live_taps.saturating_sub(1));
+    let slot = |c: usize, t: usize| ((s.acc_co + c) * (taps + 1) + t) * POSITION_LANES;
+    let ap = acc_buf.as_mut_ptr();
+    let all = V::mask(V::LANES);
+    let mut acc = [[[V::zero(); NV]; TB]; CB];
+    let mut bias = [[V::zero(); NV]; CB];
+    for (c, (accc, bc)) in acc.iter_mut().zip(&mut bias).enumerate() {
+        for (t, at) in accc.iter_mut().enumerate() {
+            for (v, a) in at.iter_mut().enumerate() {
+                *a = V::load::<true>(ap.add(slot(c, live_tap(t)) + v * V::LANES), all);
+            }
+        }
+        if BIAS {
+            for (v, b) in bc.iter_mut().enumerate() {
+                *b = V::load::<true>(ap.add(slot(c, taps) + v * V::LANES), all);
+            }
+        }
+    }
+    let (gp, bp) = (p.g.as_ptr(), p.runs.base.as_ptr());
+    let chans: [usize; CB] = std::array::from_fn(|c| (s.co0 + s.acc_co + c) * plane);
+    let offs: [usize; TB] = std::array::from_fn(|t| p.runs.taps[live_tap(t)] as usize);
+    let (chunks, tail) = (run / POSITION_LANES, run % POSITION_LANES);
+    let masks: [V::Mask; NV] = std::array::from_fn(|v| V::mask(tail.saturating_sub(v * V::LANES)));
+    let (mut sample, mut oy) = (s.rows.start / p.per_sample, s.rows.start % p.per_sample);
+    for r in s.rows.start..s.rows.end {
+        let g_row = sample * p.c_out * plane + oy * run;
+        (sample, oy) = if oy + 1 == p.per_sample {
+            (sample + 1, 0)
+        } else {
+            (sample, oy + 1)
+        };
+        let origin = p.runs.origins[r] as usize;
+        // Wrapping: only the chunks' lanes are positions the caller proved
+        // in bounds.
+        let g: [*const f32; CB] = std::array::from_fn(|c| gp.wrapping_add(chans[c] + g_row));
+        let x: [*const f32; TB] = std::array::from_fn(|t| bp.wrapping_add(offs[t] + origin));
+        for chunk in 0..chunks {
+            let at = chunk * POSITION_LANES;
+            positions_chunk::<V, NV, CB, TB, BIAS, true>(&g, &x, at, &masks, &mut acc, &mut bias);
+        }
+        if tail > 0 {
+            let at = chunks * POSITION_LANES;
+            positions_chunk::<V, NV, CB, TB, BIAS, false>(&g, &x, at, &masks, &mut acc, &mut bias);
+        }
+    }
+    for (c, (accc, bc)) in acc.iter().zip(&bias).enumerate() {
+        for (t, at) in accc.iter().enumerate().take(s.live_taps) {
+            for (v, &a) in at.iter().enumerate() {
+                V::store::<true>(ap.add(slot(c, s.t0 + t) + v * V::LANES), all, a);
+            }
+        }
+        if BIAS {
+            for (v, &b) in bc.iter().enumerate() {
+                V::store::<true>(ap.add(slot(c, taps) + v * V::LANES), all, b);
+            }
+        }
+    }
+}
+
+/// [`positions_tile`] at the strip's block shape, one `positions_block`
+/// names.
+///
+/// # Safety
+///
+/// As [`positions_tile`].
+// SAFETY: same contract as `positions_tile`, which it only forwards to.
+#[inline(always)]
+unsafe fn positions_any<V: Vector, const NV: usize>(s: &PosStrip<'_>, acc: &mut [f32]) {
+    match (s.cb, s.tb) {
+        (4, 6) => positions_tile::<V, NV, 4, 6, false>(s, acc),
+        (2, 12) => positions_tile::<V, NV, 2, 12, false>(s, acc),
+        (1, 12) => positions_tile::<V, NV, 1, 12, false>(s, acc),
+        (2, 2) => positions_tile::<V, NV, 2, 2, false>(s, acc),
+        (1, 4) => positions_tile::<V, NV, 1, 4, false>(s, acc),
+        (4, 0) => positions_tile::<V, NV, 4, 0, true>(s, acc),
+        (2, 0) => positions_tile::<V, NV, 2, 0, true>(s, acc),
+        (1, 0) => positions_tile::<V, NV, 1, 0, true>(s, acc),
+        (cb, tb) => unreachable!("no positions block of {cb} channels × {tb} taps"),
+    }
+}
+
+// SAFETY: `unsafe fn` because of `#[target_feature]`: the caller
+// (`Tile::run_positions`) must have AVX2 + FMA. This is where the `__m256`
+// instantiations of `positions_tile` are compiled with that ISA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn positions_ymm(s: &PosStrip<'_>, acc: &mut [f32]) {
+    positions_any::<std::arch::x86_64::__m256, 2>(s, acc)
+}
+
+// SAFETY: `unsafe fn` because of `#[target_feature]`: the caller
+// (`Tile::run_positions`) must have AVX-512F. This is where the `__m512`
+// instantiations of `positions_tile` are compiled with that ISA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn positions_zmm(s: &PosStrip<'_>, acc: &mut [f32]) {
+    positions_any::<std::arch::x86_64::__m512, 1>(s, acc)
+}
+
 /// One column strip of one panel's cache block — everything a tile reads:
 /// rows `rb` (`rows` of them live) of `a` against rows `kk0..kk0+kc` of
 /// `b`, `cols` columns from `bcol` (its vectors `PanelB::vector_step`
@@ -1232,6 +1676,33 @@ impl Tile {
             Tile::Zmm => tile_zmm::<1, A, B>(s, opanel),
             #[cfg(target_arch = "x86_64")]
             Tile::ZmmPair => tile_zmm::<2, A, B>(s, opanel),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("no SIMD tile is supported off x86_64"),
+        }
+    }
+
+    /// Runs this tile's positions block over one strip (see `Positions`):
+    /// a zmm for each of [`POSITION_LANES`] — also for the pair, whose
+    /// second vector the reduction has no use for — or two ymm or two
+    /// portable vectors.
+    ///
+    /// # Safety
+    ///
+    /// The host must support the tile; the strip's block shape must be one
+    /// `positions_block` names for it, its channels (`co0 + acc_co..+cb`),
+    /// live taps (`t0..t0 + live_taps`, at least one when `tb > 0`) and
+    /// rows must exist in its `Positions`, and `acc` must hold the scratch
+    /// of channels `0..acc_co + cb`.
+    // SAFETY: `unsafe fn` because the tile reads and writes unchecked and
+    // executes ISA-gated instructions; `Positions::channels` is the only
+    // caller.
+    unsafe fn run_positions(self, s: &PosStrip<'_>, acc: &mut [f32]) {
+        match self {
+            Tile::Portable => positions_any::<[f32; LANES], 2>(s, acc),
+            #[cfg(target_arch = "x86_64")]
+            Tile::Ymm => positions_ymm(s, acc),
+            #[cfg(target_arch = "x86_64")]
+            Tile::Zmm | Tile::ZmmPair => positions_zmm(s, acc),
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("no SIMD tile is supported off x86_64"),
         }
@@ -1735,6 +2206,86 @@ mod tests {
         let case = LaneCase::new(2, 1, 2, 4, 3);
         let (b, mut out) = (values(6, 4), vec![0.0f32; 16]);
         lanes_on_tile(Tile::Portable, &case.a(), 1, &b, 2, None, &mut out);
+    }
+
+    #[test]
+    fn every_tile_runs_the_positions_reduction_with_equal_bits() {
+        // Runs below, at and above one chunk of 16 (masked tails included),
+        // channel counts through every block shape, taps on both sides of
+        // every tap block, into prefilled `dW` / `db` over a poisoned
+        // scratch; the portable tile is the reference.
+        let mut tiles = simd_tiles();
+        tiles.push(Tile::ZmmPair);
+        tiles.retain(|t| t.supported());
+        for (run, c_out, c) in [(5, 1, 1), (16, 3, 2), (17, 4, 1), (37, 7, 3), (64, 13, 5)] {
+            let (samples, rows_per) = (2, 3);
+            let case = LaneCase::new(samples, c, rows_per, run, (run * 7 + c_out) as u64);
+            let k = case.taps.len();
+            let g = values(samples * c_out * rows_per * run, 11);
+            let on = |tile: Tile| {
+                let (mut dw, mut db) = (values(c_out * k, 12), values(c_out, 13));
+                let mut scratch = vec![f32::NAN; 3];
+                let plane = rows_per * run;
+                let a = case.a();
+                assert!(positions_on_tile(
+                    tile,
+                    &a,
+                    &g,
+                    plane,
+                    &mut dw,
+                    &mut db,
+                    &mut scratch
+                ));
+                [dw, db].concat()
+            };
+            let want = on(Tile::Portable);
+            assert!(want.iter().all(|v| v.is_finite()));
+            for &tile in &tiles {
+                assert_eq!(
+                    bits(&on(tile)),
+                    bits(&want),
+                    "{tile:?} run {run} c_out {c_out}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn positions_fold_one_fixed_tree_and_their_rule_reads_no_width() {
+        // 16 → 8 → 4 → 2 → 1, spelled out on values whose sum depends on
+        // the order.
+        let lanes: Vec<f32> = (0..16)
+            .map(|i| (1u32 << (i % 24)) as f32 * 1e-7 + i as f32)
+            .collect();
+        let l8: Vec<f32> = (0..8).map(|i| lanes[i] + lanes[i + 8]).collect();
+        let l4: Vec<f32> = (0..4).map(|i| l8[i] + l8[i + 4]).collect();
+        let l2 = [l4[0] + l4[2], l4[1] + l4[3]];
+        assert_eq!(fold_lanes(&lanes).to_bits(), (l2[0] + l2[1]).to_bits());
+        // Whatever vector a tile holds, the reduction is 16 lanes of it
+        // and the rule is the same function of the shape.
+        for tile in Tile::ALL {
+            let width = tile.width().min(POSITION_LANES);
+            assert_eq!(POSITION_LANES % width, 0, "{tile:?}");
+        }
+        for stride in 1..4 {
+            for out_w in 0..80 {
+                for c_out in 1..50 {
+                    let want = stride == 1 && out_w >= 16 && out_w >= 2 * c_out;
+                    let got = super::super::positions_fit(stride, out_w, c_out);
+                    assert_eq!(got, want, "stride {stride} out_w {out_w} c_out {c_out}");
+                }
+            }
+        }
+        // Blocks never name more channels than remain.
+        for tile in Tile::ALL {
+            for remaining in 1..10 {
+                let (cb, tb) = positions_block(tile, remaining);
+                assert!(
+                    (1..=remaining).contains(&cb) && tb > 0,
+                    "{tile:?} {remaining}"
+                );
+            }
+        }
     }
 
     #[test]

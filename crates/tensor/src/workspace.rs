@@ -94,7 +94,8 @@ pub struct WorkspaceParts<'a> {
     /// layers' activations go straight into the caller's tensors).
     pub out: &'a mut Tensor,
     /// Transpose/pack scratch slot; also the row group a product bound
-    /// for NCHW accumulates before it is emitted.
+    /// for NCHW accumulates before it is emitted, and the lane sums of a
+    /// weight gradient on the positions axis.
     pub pack: &'a mut Vec<f32>,
 }
 

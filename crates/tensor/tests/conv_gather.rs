@@ -9,13 +9,16 @@
 //! the finished sum either way); the naive backend materialises the
 //! gathered operand, so there the two are the same lowering up to the
 //! kernels' tolerance. The input gradient changes summation order (a
-//! gather where `col2im` scatter-adds) and is held to 1e-5 relative.
+//! gather where `col2im` scatter-adds) and is held to 1e-5 relative. The
+//! weight gradient on the positions axis has an order of its own: it is
+//! held to a scalar spelling of that order bit for bit on every tile, and
+//! to the explicit lowering to 1e-4.
 
 use nf_tensor::kernels::{Dest, GatherA};
 use nf_tensor::{
     col2im_batch, flip_kernel_panel_into, im2col_batch, matmul_at_b_with, matmul_with,
-    nchw_to_posrows, pad_nchw_into, posrows_to_nchw_into, transpose2d, Conv2dGeometry, ConvGather,
-    KernelBackend, Tensor,
+    nchw_to_posrows, pad_nchw_into, posrows_to_nchw_into, sum_axis0, transpose2d, Conv2dGeometry,
+    ConvGather, KernelBackend, Tensor,
 };
 use proptest::prelude::*;
 
@@ -128,6 +131,19 @@ impl Case {
                 let want = col2im_batch(&dcols, n, *c_in, geom).unwrap();
                 assert_close(&out, &want, 1e-5, "dgrad");
             }
+        }
+        // The weight gradient on the positions axis (stride 1, any row
+        // width) sums in another order: against the explicit lowering on
+        // the naive backend, to 1e-4.
+        if geom.stride == 1 {
+            let taps = cols.shape()[1];
+            let (mut dw, mut db) = (Tensor::zeros(&[c_out, taps]), Tensor::zeros(&[c_out]));
+            lowering
+                .wgrad_positions_into(&pad, geom, grad_out, &mut pack, &mut dw, &mut db)
+                .unwrap();
+            let want = matmul_at_b_with(KernelBackend::Naive, &g_rows, &cols).unwrap();
+            assert_close(&dw, &want, 1e-4, "positions dW");
+            assert_close(&db, &sum_axis0(&g_rows).unwrap(), 1e-4, "positions db");
         }
     }
 }
@@ -457,6 +473,157 @@ fn lanes_equal_gathered_bit_for_bit() {
         flip_kernel_panel_into(&case.weight, c_in, 3, 3, &mut flipped).unwrap();
         check_orientations(&case.grad_out, &dgeom, &flipped, None);
     }
+}
+
+/// The weight gradient on the positions axis spelled out: for each output
+/// channel and tap (the bias last, as a tap of ones), lane `j` of 16 takes
+/// the positions `x ≡ j (mod 16)` of every output row in `(n, oy)` order —
+/// one `mul_add` per term (a plain add for the bias), `0·0` (`+ 0`) on a
+/// masked tail lane — and the lanes fold 16 → 8 → 4 → 2 → 1 into what `dw`
+/// / `db` already hold.
+fn positions_oracle(padded: &Tensor, g: &Conv2dGeometry, grad_out: &Tensor) -> (Tensor, Tensor) {
+    let (n, c, hp, wp) = padded.dims4().unwrap();
+    let (_, c_out, oh, ow) = grad_out.dims4().unwrap();
+    let taps = c * g.k_h * g.k_w;
+    let (mut dw, mut db) = prefilled(c_out, taps);
+    let (x, gr) = (padded.data(), grad_out.data());
+    for co in 0..c_out {
+        for t in 0..=taps {
+            let (ch, kh, kw) = (t / (g.k_h * g.k_w), t / g.k_w % g.k_h, t % g.k_w);
+            let mut lanes = [0.0f32; 16];
+            for img in 0..n {
+                for oy in 0..oh {
+                    for x0 in (0..ow).step_by(16) {
+                        for (j, lane) in lanes.iter_mut().enumerate() {
+                            let ox = x0 + j;
+                            let gv = if ox < ow {
+                                gr[((img * c_out + co) * oh + oy) * ow + ox]
+                            } else {
+                                0.0
+                            };
+                            if t == taps {
+                                *lane += gv;
+                                continue;
+                            }
+                            let xv = if ox < ow {
+                                x[((img * c + ch) * hp + oy + kh) * wp + ox + kw]
+                            } else {
+                                0.0
+                            };
+                            *lane = gv.mul_add(xv, *lane);
+                        }
+                    }
+                }
+            }
+            let l8: [f32; 8] = std::array::from_fn(|i| lanes[i] + lanes[i + 8]);
+            let l4: [f32; 4] = std::array::from_fn(|i| l8[i] + l8[i + 4]);
+            let l2: [f32; 2] = std::array::from_fn(|i| l4[i] + l4[i + 2]);
+            let sum = l2[0] + l2[1];
+            if t < taps {
+                dw.data_mut()[co * taps + t] += sum;
+            } else {
+                db.data_mut()[co] += sum;
+            }
+        }
+    }
+    (dw, db)
+}
+
+/// `dW` and `db` holding non-zero values, so accumulation shows.
+fn prefilled(c_out: usize, taps: usize) -> (Tensor, Tensor) {
+    (random(&[c_out, taps], 77), random(&[c_out], 78))
+}
+
+#[test]
+fn positions_equal_the_scalar_order_on_every_tile() {
+    use nf_tensor::kernels::simd::{positions_on_tile, Tile};
+    // `(batch, c_in, c_out, h, w)` of a 3×3 / stride 1 / pad 1 conv: output
+    // rows 16..=64 wide (whole chunks and masked tails), channels 1..=70 on
+    // both sides of every channel block, batches 1..=9.
+    for (batch, c_in, c_out, h, w) in [
+        (1usize, 1usize, 1usize, 2usize, 16usize),
+        (2, 3, 70, 2, 17),
+        (9, 2, 5, 2, 24),
+        (4, 29, 8, 3, 31),
+        (3, 30, 13, 2, 32),
+        (5, 1, 64, 2, 33),
+        (2, 4, 33, 3, 47),
+        (7, 3, 2, 2, 48),
+        (1, 8, 40, 2, 63),
+        (6, 2, 3, 2, 64),
+    ] {
+        let geom = Conv2dGeometry::new(h, w, 3, 3, 1, 1).unwrap();
+        let case = Case::new(batch, c_in, c_out, h, w, geom);
+        let mut padded = Tensor::default();
+        pad_nchw_into(&case.x, 1, &mut padded).unwrap();
+        let (want_dw, want_db) = positions_oracle(&padded, &geom, &case.grad_out);
+        let what = format!("{batch}×{c_in}→{c_out} @{h}×{w}");
+        let taps = c_in * 9;
+        // The layer's entry point, on whatever tile the host dispatches.
+        let (mut dw, mut db) = prefilled(c_out, taps);
+        let mut scratch = vec![f32::NAN; 5];
+        ConvGather::new()
+            .wgrad_positions_into(
+                &padded,
+                &geom,
+                &case.grad_out,
+                &mut scratch,
+                &mut dw,
+                &mut db,
+            )
+            .unwrap();
+        assert_eq!(bits(&dw), bits(&want_dw), "{what}: dispatched dW");
+        assert_eq!(bits(&db), bits(&want_db), "{what}: dispatched db");
+        // Every tile the host has, driven directly.
+        let (pos, rows, taps_tbl) = tables(batch, c_in, &geom);
+        let a = GatherA::new(padded.data(), &pos, &taps_tbl).unwrap();
+        let a = a.with_runs(&rows, geom.out_w).unwrap();
+        for tile in Tile::ALL.into_iter().filter(|t| t.supported()) {
+            let (mut dw, mut db) = prefilled(c_out, taps);
+            let (g, plane) = (case.grad_out.data(), geom.out_positions());
+            let (dwm, dbm) = (dw.data_mut(), db.data_mut());
+            assert!(positions_on_tile(
+                tile,
+                &a,
+                g,
+                plane,
+                dwm,
+                dbm,
+                &mut scratch
+            ));
+            assert_eq!(bits(&dw), bits(&want_dw), "{what}: dW on {tile:?}");
+            assert_eq!(bits(&db), bits(&want_db), "{what}: db on {tile:?}");
+        }
+    }
+}
+
+#[test]
+fn positions_need_stride_one_and_matching_gradients() {
+    use nf_tensor::TensorError;
+    let geom = Conv2dGeometry::new(4, 16, 3, 3, 1, 1).unwrap();
+    let padded = random(&[2, 3, 6, 18], 3);
+    let grad = random(&[2, 5, 4, 16], 4);
+    let (mut dw, mut db) = prefilled(5, 27);
+    let (mut lowering, mut scratch) = (ConvGather::new(), Vec::new());
+    let mut run = |padded: &Tensor, geom: &Conv2dGeometry, grad: &Tensor, dw: &mut Tensor| {
+        lowering.wgrad_positions_into(padded, geom, grad, &mut scratch, dw, &mut db)
+    };
+    assert!(run(&padded, &geom, &grad, &mut dw).is_ok());
+    // An output gradient of another batch or width, or a dW of other taps.
+    for bad in [random(&[1, 5, 4, 16], 5), random(&[2, 5, 4, 15], 5)] {
+        assert!(matches!(
+            run(&padded, &geom, &bad, &mut dw),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+    }
+    assert!(run(&padded, &geom, &grad, &mut Tensor::zeros(&[5, 18])).is_err());
+    // A strided convolution has no runs.
+    let strided = Conv2dGeometry::new(4, 16, 3, 3, 2, 1).unwrap();
+    let grad = random(&[2, 5, 2, 8], 6);
+    assert!(matches!(
+        run(&padded, &strided, &grad, &mut dw),
+        Err(TensorError::InvalidGeometry(_))
+    ));
 }
 
 #[test]
