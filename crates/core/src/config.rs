@@ -36,7 +36,7 @@ pub struct NeuroFluxConfig {
     /// ablations.
     pub evict_params: bool,
     /// GEMM kernel backend every layer's matrix products run on
-    /// (the blocked, rayon-parallel kernel by default; the naive reference
+    /// (the blocked, multi-threaded kernel by default; the naive reference
     /// kernel is selectable for A/B runs and debugging).
     pub kernel_backend: KernelBackend,
     /// Codec the activation cache stores block outputs with (bit-exact f32

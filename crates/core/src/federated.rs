@@ -4,9 +4,12 @@
 //! The paper motivates NeuroFlux for federated learning: clients with tiny
 //! GPU budgets train locally and a server aggregates. This module runs
 //! synchronous FedAvg over NeuroFlux clients with real concurrency: each
-//! round, the clients train **in parallel on a scoped thread pool** — every
-//! client gets its own model replica, scratch [`nf_tensor::Workspace`]
-//! arenas (installed by its private [`Worker`]), its own activation store
+//! round, the clients train **in parallel** as the items of one
+//! [`nf_tensor::kernels::fan::fan`] — `threads` scoped workers, each
+//! claiming the next client when it finishes one, so uneven shards balance
+//! themselves — and every client gets its own model replica, scratch
+//! [`nf_tensor::Workspace`] arenas (installed by its private [`Worker`]),
+//! its own activation store
 //! ([`MemoryStore`], or a [`DiskStore`] directory when
 //! [`FederatedConfig::cache_dir`] is set), and a deterministic RNG stream
 //! derived from `(seed, round, client)` — then the server installs the
@@ -49,10 +52,9 @@ use nf_data::{shard, Dataset, ShardStrategy, SplitDataset};
 use nf_models::{assign_aux, build_aux_head, AuxSpec, BuiltModel, ModelSpec};
 use nf_nn::aggregate::{load, snapshot, StateSnapshot, WeightedReduce};
 use nf_nn::Sequential;
+use nf_tensor::kernels::{fan::fan, host_cores};
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Federated-run parameters.
 #[derive(Debug, Clone)]
@@ -61,8 +63,9 @@ pub struct FederatedConfig {
     pub clients: usize,
     /// Synchronous FedAvg rounds.
     pub rounds: usize,
-    /// Worker threads for client training: `1` is the sequential path,
-    /// `0` means one per available core. Any value produces bit-identical
+    /// Worker threads for client training, and so the most clients in
+    /// flight at once: `1` is the sequential path, `0` means one per core
+    /// ([`nf_tensor::host_cores`]). Any value produces bit-identical
     /// results; threads only change wall time.
     pub threads: usize,
     /// How the training split is partitioned (see [`ShardStrategy`]).
@@ -120,9 +123,7 @@ impl FederatedConfig {
     /// client count).
     pub fn effective_threads(&self) -> usize {
         let requested = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            host_cores()
         } else {
             self.threads
         };
@@ -341,10 +342,10 @@ pub fn run_federated<R: Rng>(
 
 /// Trains every client of one round, on `threads` workers.
 ///
-/// Clients are pulled from a shared atomic counter; results land in
-/// per-client slots, so completion order never influences the returned
-/// (client-ordered) vector. Errors are reported for the lowest failing
-/// client index, deterministically.
+/// Workers claim clients one at a time ([`fan`]), so uneven shards balance
+/// themselves; results land in per-client slots, so completion order never
+/// influences the returned (client-ordered) vector. Errors are reported
+/// for the lowest failing client index, deterministically.
 #[allow(clippy::too_many_arguments)]
 fn run_round_clients(
     spec: &ModelSpec,
@@ -358,55 +359,25 @@ fn run_round_clients(
     global_heads: &[StateSnapshot],
     global_deep: &StateSnapshot,
 ) -> Result<Vec<ClientOutcome>> {
-    let clients = shards.len();
-    let run_one = |client: usize| -> Result<ClientOutcome> {
-        train_client(
+    let mut slots: Vec<Option<Result<ClientOutcome>>> = shards.iter().map(|_| None).collect();
+    let clients = shards.iter().zip(&mut slots).enumerate();
+    // One worker is the sequential path: the same engine, inline.
+    fan(threads, clients, |(client, (shard, slot))| {
+        *slot = Some(train_client(
             spec,
             aux_specs,
             blocks,
-            &shards[client],
+            shard,
             fed,
             round,
             client,
             global_units,
             global_heads,
             global_deep,
-        )
-    };
-
-    if threads <= 1 {
-        // The sequential path is the same engine with one inline worker.
-        return (0..clients).map(run_one).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<ClientOutcome>>>> =
-        (0..clients).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let client = next.fetch_add(1, Ordering::Relaxed);
-                if client >= clients {
-                    break;
-                }
-                let outcome = run_one(client);
-                *slots[client].lock().expect("client slot poisoned") = Some(outcome);
-            });
-        }
+        ));
     });
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(client, slot)| {
-            slot.into_inner()
-                .expect("client slot poisoned")
-                .unwrap_or_else(|| {
-                    Err(NfError::BadConfig(format!(
-                        "client {client} produced no result (worker thread died)"
-                    )))
-                })
-        })
-        .collect()
+    // `fan` has run every client (a panic would have reached us).
+    slots.into_iter().flatten().collect()
 }
 
 /// One client's round: replicate the global state, train block-wise on the

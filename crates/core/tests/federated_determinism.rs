@@ -63,11 +63,17 @@ fn state_bits(outcome: &mut FederatedOutcome) -> Vec<u32> {
 
 #[test]
 fn parallel_run_is_bit_identical_to_sequential() {
-    for strategy in [ShardStrategy::RoundRobin, ShardStrategy::Dirichlet(0.7)] {
+    // Three workers over four clients under uneven Dirichlet shards: one
+    // worker claims a second client while the others are still busy.
+    for (strategy, threads) in [
+        (ShardStrategy::RoundRobin, 4),
+        (ShardStrategy::Dirichlet(0.7), 4),
+        (ShardStrategy::Dirichlet(0.7), 3),
+    ] {
         let mut seq = run(1, strategy);
-        let mut par = run(4, strategy);
+        let mut par = run(threads, strategy);
         assert_eq!(seq.threads_used, 1);
-        assert_eq!(par.threads_used, 4);
+        assert_eq!(par.threads_used, threads);
         // Accuracies must agree exactly — not approximately.
         let seq_acc: Vec<u32> = seq.round_accuracy.iter().map(|a| a.to_bits()).collect();
         let par_acc: Vec<u32> = par.round_accuracy.iter().map(|a| a.to_bits()).collect();
@@ -76,7 +82,7 @@ fn parallel_run_is_bit_identical_to_sequential() {
         assert_eq!(
             state_bits(&mut seq),
             state_bits(&mut par),
-            "{strategy}: global state diverged between threads=1 and threads=4"
+            "{strategy}: global state diverged between threads=1 and threads={threads}"
         );
     }
 }

@@ -51,7 +51,7 @@ pub struct MeasuredPrimitives {
     pub encode_gbps: f64,
     /// Activation-cache codec decode bandwidth in GB/s (f32 output bytes).
     pub decode_gbps: f64,
-    /// Cores the kernels had available (`available_parallelism`).
+    /// Cores the kernels had available (`nf_tensor::host_cores`).
     pub host_cores: usize,
 }
 

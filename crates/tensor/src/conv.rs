@@ -46,37 +46,28 @@
 //! backward pass relies on; adjointness is property-tested below.
 
 use crate::error::TensorError;
+use crate::kernels::fan::fan;
 use crate::kernels::int8::{self, QuantizedLhs, QuantizedRhs};
 use crate::kernels::simd::{GatherRuns, Positions};
-use crate::kernels::{Dest, GatherA, GatherQuads, KernelBackend};
+use crate::kernels::{host_cores, Dest, GatherA, GatherQuads, KernelBackend};
 use crate::quant::QuantTensor;
 use crate::tensor::Tensor;
 use crate::Result;
-use rayon::prelude::*;
 
 /// Minimum total elements before the batched lowerings fan samples out
-/// across threads. The vendored rayon spawns OS threads per call (no
-/// persistent pool), so small lowerings — gradcheck shapes, tiny test
-/// models — must stay inline or spawn/join overhead dwarfs the copy work.
+/// across threads. [`fan`] spawns OS threads per call (no persistent
+/// pool), so small lowerings — gradcheck shapes, tiny test models — must
+/// stay inline or spawn/join overhead dwarfs the copy work.
 const PAR_MIN_ELEMS: usize = 1 << 16;
 
-/// Runs `work(sample_index, sample_chunk)` over `out` split into
-/// `chunk_len`-sized sample chunks — in parallel only when `work_elems`
-/// (the number of elements the operation actually touches, which for the
-/// scatter direction is the cols matrix, not the output) clears
-/// [`PAR_MIN_ELEMS`].
-fn for_each_sample_chunk<F>(out: &mut [f32], chunk_len: usize, work_elems: usize, work: F)
-where
-    F: Fn(usize, &mut [f32]) + Send + Sync,
-{
+/// The [`fan`] workers of a batched lowering that touches `work_elems`
+/// elements (for the scatter direction the cols matrix, not the output):
+/// every core from [`PAR_MIN_ELEMS`] on, else one.
+fn sample_workers(work_elems: usize) -> usize {
     if work_elems >= PAR_MIN_ELEMS {
-        out.par_chunks_mut(chunk_len)
-            .enumerate()
-            .for_each(|(img, chunk)| work(img, chunk));
+        host_cores()
     } else {
-        for (img, chunk) in out.chunks_mut(chunk_len).enumerate() {
-            work(img, chunk);
-        }
+        1
     }
 }
 
@@ -709,6 +700,16 @@ pub fn im2col_batch(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor> {
 /// [`Tensor::reuse_zeroed`]): the zero-allocation steady-state entry point
 /// the conv layers run on.
 pub fn im2col_batch_into(input: &Tensor, geom: &Conv2dGeometry, out: &mut Tensor) -> Result<()> {
+    im2col_batch_on(sample_workers, input, geom, out)
+}
+
+/// [`im2col_batch_into`], its samples fanned out over `workers(elements)`.
+fn im2col_batch_on(
+    workers: impl Fn(usize) -> usize,
+    input: &Tensor,
+    geom: &Conv2dGeometry,
+    out: &mut Tensor,
+) -> Result<()> {
     let (n, channels, h, w) = input.dims4().map_err(|_| TensorError::RankMismatch {
         op: "im2col_batch",
         expected: 4,
@@ -733,8 +734,8 @@ pub fn im2col_batch_into(input: &Tensor, geom: &Conv2dGeometry, out: &mut Tensor
     let out = out.data_mut();
     let (in_h, in_w) = (geom.in_h as isize, geom.in_w as isize);
     let g = *geom;
-    let total = out.len();
-    for_each_sample_chunk(out, positions * patch, total, |img, block| {
+    let samples = out.chunks_mut(positions * patch).enumerate();
+    fan(workers(n * positions * patch), samples, |(img, block)| {
         let image = &src[img * sample_len..(img + 1) * sample_len];
         for oy in 0..g.out_h {
             for ox in 0..g.out_w {
@@ -803,6 +804,18 @@ pub fn col2im_batch_into(
     geom: &Conv2dGeometry,
     out: &mut Tensor,
 ) -> Result<()> {
+    col2im_batch_on(sample_workers, cols, n, channels, geom, out)
+}
+
+/// [`col2im_batch_into`], its samples fanned out over `workers(elements)`.
+fn col2im_batch_on(
+    workers: impl Fn(usize) -> usize,
+    cols: &Tensor,
+    n: usize,
+    channels: usize,
+    geom: &Conv2dGeometry,
+    out: &mut Tensor,
+) -> Result<()> {
     let (rows, patch) = cols.dims2()?;
     let positions = geom.out_positions();
     if rows != n * positions || patch != channels * geom.k_h * geom.k_w {
@@ -821,7 +834,8 @@ pub fn col2im_batch_into(
     let g = *geom;
     // Scatter work is proportional to the cols matrix (src), which is
     // ~K·K times larger than the output image it lands on.
-    for_each_sample_chunk(out, sample_len, src.len(), |img, image| {
+    let samples = out.chunks_mut(sample_len).enumerate();
+    fan(workers(src.len()), samples, |(img, image)| {
         let block = &src[img * positions * patch..(img + 1) * positions * patch];
         for oy in 0..g.out_h {
             for ox in 0..g.out_w {
@@ -1209,6 +1223,29 @@ mod tests {
         batch_matches_per_sample_case(3, 2, 5, 3, 1, 1);
         batch_matches_per_sample_case(2, 3, 6, 2, 2, 0);
         batch_matches_per_sample_case(4, 1, 4, 3, 2, 1);
+    }
+
+    #[test]
+    fn batched_lowerings_agree_at_every_worker_count() {
+        // The sample split of both batched lowerings driven directly at 1,
+        // 2, 3 and 5 workers, stride 2 (the strided input gradient
+        // `col2im` still serves), 7 samples.
+        let (n, c, h) = (7usize, 3usize, 9usize);
+        let g = Conv2dGeometry::new(h, h, 3, 3, 2, 1).unwrap();
+        let x = random_nchw(n, c, h, h, 21);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let lowered = |workers: usize| {
+            let mut cols = Tensor::full(&[n * g.out_positions() * c * 9], f32::NAN);
+            im2col_batch_on(|_| workers, &x, &g, &mut cols).unwrap();
+            let mut back = Tensor::full(&[n * c * h * h], f32::NAN);
+            col2im_batch_on(|_| workers, &cols, n, c, &g, &mut back).unwrap();
+            (bits(&cols), bits(&back))
+        };
+        let serial = lowered(1);
+        assert_eq!(serial.0, bits(&im2col_batch(&x, &g).unwrap()));
+        for workers in [2, 3, 5] {
+            assert_eq!(lowered(workers), serial, "{workers} workers");
+        }
     }
 
     #[test]

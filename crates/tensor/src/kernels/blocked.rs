@@ -1,9 +1,9 @@
 //! The production GEMM: cache-blocked, register-blocked, one fixed plan
 //! ([`KC`]/[`NC`] constants, thread fan-out decided by `fans_out`).
 
+use super::fan::{fan, fan_with};
 use super::simd::{self, DenseA, GatherA, Lanes, PanelA, Positions, Tile};
-use super::{fans_out, host_cores, nchw, nchw_samples, Dest, GemmBackend, KC, NC};
-use rayon::prelude::*;
+use super::{fans_out, nchw, nchw_samples, Dest, GemmBackend, KC, NC};
 
 /// Rows of `A`/`C` processed together by the register micro-kernel: `MR`
 /// output rows stay resident in registers while one row of `B` streams
@@ -114,24 +114,19 @@ fn k_blocks_outer<A: PanelA>(
 }
 
 /// The default loop order: `MR`-row panels outermost, each walking all of
-/// `K` — on separate threads when `fan_out`. Panels are disjoint output
-/// rows computed by the same code either way, so `fan_out` never changes
-/// bits.
-fn panels_outer<A: PanelA>(fan_out: bool, a: &A, n: usize, b: &[f32], out: &mut [f32]) {
+/// `K`, fanned out over `workers`. Panels are disjoint output rows computed
+/// by the same code on any worker, so `workers` never changes bits.
+fn panels_outer<A: PanelA>(workers: usize, a: &A, n: usize, b: &[f32], out: &mut [f32]) {
     let k = a.depth();
-    let panel = |(idx, opanel): (usize, &mut [f32])| {
+    let panels = out.chunks_mut(MR * n).enumerate();
+    fan(workers, panels, |(idx, opanel)| {
         let mut kk0 = 0;
         while kk0 < k {
             let kc = KC.min(k - kk0);
             panel_k_block(Tile::for_strip, a, b, n, idx * MR, kk0, kc, opanel);
             kk0 += kc;
         }
-    };
-    if fan_out {
-        out.par_chunks_mut(MR * n).enumerate().for_each(panel);
-    } else {
-        out.chunks_mut(MR * n).enumerate().for_each(panel);
-    }
+    });
 }
 
 /// `out (M×N) = A · b (K×N)` for any `A` addressing.
@@ -148,7 +143,7 @@ fn gemm_into<A: PanelA>(a: &A, n: usize, b: &[f32], out: &mut [f32]) {
         out.fill(0.0);
         return;
     }
-    let fan_out = fans_out(m, k, n);
+    let workers = fans_out(m, k, n);
     // Weight-gradient shape: few output rows, enormous K. With panels
     // outermost, every panel would re-stream the whole of `B` from
     // memory. Run K blocks outermost instead — `out` is small enough to
@@ -158,10 +153,10 @@ fn gemm_into<A: PanelA>(a: &A, n: usize, b: &[f32], out: &mut [f32]) {
     // such shape), where fanned-out panels beat it (EXPERIMENTS.md,
     // "One-plan PR"). Both orders fold the same `KC` blocks into each
     // element in the same order, so the choice never changes bits.
-    if !fan_out && m * n <= KOUTER_MAX_MN && k * n >= KOUTER_MIN_KN {
+    if workers == 1 && m * n <= KOUTER_MAX_MN && k * n >= KOUTER_MIN_KN {
         return k_blocks_outer(Tile::for_strip, a, b, n, 0, out);
     }
-    panels_outer(fan_out, a, n, b, out);
+    panels_outer(workers, a, n, b, out);
 }
 
 /// Rows `row0..` of `A · b` for the whole samples whose NCHW storage is
@@ -213,38 +208,29 @@ fn nchw_run<A: PanelA>(
     }
 }
 
-/// [`nchw_run`] over `parts` runs of whole samples, side by side: `out`
-/// and `scratch` (one group per part) are split into disjoint halves down
-/// to single runs. Each worker needs its own group, which is why this is
-/// a `join` tree and not `par_chunks_mut` over one slice. A run's rows are
-/// the same dot products wherever its panels start, so `parts` never
-/// changes bits.
+/// [`nchw_run`] over runs of whole samples, one per worker, side by side:
+/// each worker owns one group of `scratch` (one [`group_len`] each). A
+/// run's rows are the same dot products wherever its panels start, so
+/// `workers` never changes bits; with one worker the groups run over the
+/// whole product, across sample boundaries.
 #[allow(clippy::too_many_arguments)]
 fn nchw_fan<A: PanelA>(
-    parts: usize,
+    workers: usize,
     a: &A,
     n: usize,
     b: &[f32],
     plane: usize,
     bias: Option<&[f32]>,
-    row0: usize,
     out: &mut [f32],
     scratch: &mut [f32],
 ) {
-    if parts <= 1 {
-        return nchw_run(Tile::for_strip, a, n, b, plane, bias, row0, out, scratch);
-    }
     let samples = out.len() / (n * plane);
-    let (left, left_samples) = (parts / 2, samples * (parts / 2) / parts);
-    let (out_l, out_r) = out.split_at_mut(left_samples * n * plane);
-    let (scratch_l, scratch_r) = scratch.split_at_mut(left * group_len(n));
-    rayon::join(
-        || nchw_fan(left, a, n, b, plane, bias, row0, out_l, scratch_l),
-        || {
-            let row0 = row0 + left_samples * plane;
-            nchw_fan(parts - left, a, n, b, plane, bias, row0, out_r, scratch_r)
-        },
-    );
+    let rows = samples.div_ceil(workers.max(1)) * plane;
+    let groups = scratch.chunks_mut(group_len(n));
+    let runs = out.chunks_mut(rows * n).enumerate();
+    fan_with(workers, groups, runs, |group, (r, out)| {
+        nchw_run(Tile::for_strip, a, n, b, plane, bias, r * rows, out, group);
+    });
 }
 
 /// `A · b` written as NCHW (see [`Dest::Nchw`]); `scratch` is grow-only.
@@ -265,13 +251,9 @@ fn gemm_nchw_into<A: PanelA>(
         return;
     }
     // Whole samples are the parallel unit: their NCHW storage is disjoint.
-    let parts = if fans_out(m, k, n) {
-        host_cores().min(samples)
-    } else {
-        1
-    };
-    scratch.resize(parts * group_len(n), 0.0);
-    nchw_fan(parts, a, n, b, plane, bias, 0, out, scratch);
+    let workers = fans_out(m, k, n).min(samples);
+    scratch.resize(workers * group_len(n), 0.0);
+    nchw_fan(workers, a, n, b, plane, bias, out, scratch);
 }
 
 /// `a · b` written as NCHW in the **gathered orientation**, every column
@@ -313,19 +295,16 @@ pub fn gather_nchw_on_tile(
 }
 
 /// `A · b` as NCHW in the lane orientation (see [`simd::Lanes`]), whole
-/// samples side by side when the product fans out: each writes only its
-/// own `N × plane` block, so the split never changes bits.
-fn gemm_lanes_into(lanes: &Lanes<'_>, m: usize, k: usize, n: usize, out: &mut [f32]) {
+/// samples fanned out over `workers`: each writes only its own
+/// `N × plane` block, so `workers` never changes bits.
+fn gemm_lanes_into(workers: usize, lanes: &Lanes<'_>, out: &mut [f32]) {
     let len = lanes.sample_len();
     if len == 0 {
         return;
     }
-    let sample = |(s, chunk): (usize, &mut [f32])| lanes.sample(Tile::for_run, s, chunk);
-    if fans_out(m, k, n) {
-        out.par_chunks_mut(len).enumerate().for_each(sample);
-    } else {
-        out.chunks_mut(len).enumerate().for_each(sample);
-    }
+    fan(workers, out.chunks_mut(len).enumerate(), |(s, chunk)| {
+        lanes.sample(Tile::for_run, s, chunk);
+    });
 }
 
 /// A convolution's weight and bias gradients on the positions axis
@@ -341,39 +320,33 @@ pub(crate) fn positions_into(
 ) {
     let c_out = p.c_out();
     scratch.resize(c_out * p.scratch_per_channel(), 0.0);
-    let parts = if fans_out(c_out, p.positions(), p.taps()) {
-        host_cores().min(c_out.div_ceil(4))
-    } else {
-        1
-    };
-    positions_fan(parts, Tile::for_positions(), p, 0, scratch, dw, db);
+    let workers = fans_out(c_out, p.positions(), p.taps()).min(c_out.div_ceil(4));
+    positions_fan(workers, Tile::for_positions(), p, scratch, dw, db);
 }
 
-/// [`Positions::channels`] over `parts` runs of output channels side by
-/// side: `acc`, `dw` and `db` split into disjoint halves down a
-/// `rayon::join` tree, at multiples of four channels (the zmm block).
+/// [`Positions::channels`] over runs of output channels, one per worker,
+/// side by side: `acc`, `dw` and `db` cut at the same multiple of four
+/// channels (the zmm block).
 fn positions_fan(
-    parts: usize,
+    workers: usize,
     tile: Tile,
     p: &Positions<'_>,
-    co0: usize,
     acc: &mut [f32],
     dw: &mut [f32],
     db: &mut [f32],
 ) {
-    let cos = db.len();
-    let left = parts / 2;
-    let left_co = (cos * left / parts.max(1)).next_multiple_of(4).min(cos);
-    if left == 0 || left_co == 0 || left_co == cos {
-        return p.channels(tile, co0, acc, dw, db);
+    if p.taps() == 0 {
+        // No `dW` columns to cut, only the bias gradient.
+        return p.channels(tile, 0, acc, dw, db);
     }
-    let (acc_l, acc_r) = acc.split_at_mut(left_co * p.scratch_per_channel());
-    let (dw_l, dw_r) = dw.split_at_mut(left_co * p.taps());
-    let (db_l, db_r) = db.split_at_mut(left_co);
-    rayon::join(
-        || positions_fan(left, tile, p, co0, acc_l, dw_l, db_l),
-        || positions_fan(parts - left, tile, p, co0 + left_co, acc_r, dw_r, db_r),
-    );
+    let per = db.len().div_ceil(workers.max(1)).next_multiple_of(4).max(4);
+    let accs = acc.chunks_mut(per * p.scratch_per_channel());
+    let runs = accs
+        .zip(dw.chunks_mut(per * p.taps()))
+        .zip(db.chunks_mut(per));
+    fan(workers, runs.enumerate(), |(r, ((acc, dw), db))| {
+        p.channels(tile, r * per, acc, dw, db);
+    });
 }
 
 /// Transpose of a packed `rows × cols` matrix into a reusable scratch
@@ -406,7 +379,7 @@ impl GemmBackend for BlockedGemm {
         match dest {
             Dest::RowMajor => gemm_into(a, n, b, out),
             Dest::Nchw { plane, bias } => match Lanes::new(a, n, b, plane, bias, out.len()) {
-                Some(lanes) => gemm_lanes_into(&lanes, a.rows(), a.depth(), n, out),
+                Some(lanes) => gemm_lanes_into(fans_out(a.rows(), a.depth(), n), &lanes, out),
                 None => gemm_nchw_into(a, n, b, plane, bias, out, scratch),
             },
         }
@@ -533,47 +506,57 @@ mod tests {
         }
     }
 
+    /// The worker counts every fan-out site is driven at: real threads
+    /// spawn on any host, whatever its core count.
+    const WORKERS: [usize; 3] = [2, 3, 5];
+
     #[test]
     fn parallel_threshold_paths_agree() {
         // The thread rule only fires above `FAN_OUT_MIN_MACS` on a
-        // multi-core host, so drive the panel loop directly with fan-out
-        // forced on and off: an odd panel remainder (131 = 16·8 + 3), a
-        // `K` that splits on `KC` and an `N` that splits on `NC`.
+        // multi-core host, so drive the panel loop directly at explicit
+        // worker counts: an odd panel remainder (131 = 16·8 + 3), a `K`
+        // that splits on `KC` and an `N` that splits on `NC`.
         let (m, k, n) = (131usize, 300usize, 267usize);
         let (a, b) = (mat(m, k, 1), mat(k, n, 2));
         let a = DenseA::new(&a, m, k);
-        let mut serial = vec![f32::NAN; m * n];
-        let mut fanned = vec![f32::NAN; m * n];
-        panels_outer(false, &a, n, &b, &mut serial);
-        panels_outer(true, &a, n, &b, &mut fanned);
+        let on = |workers: usize| {
+            let mut out = vec![f32::NAN; m * n];
+            panels_outer(workers, &a, n, &b, &mut out);
+            out
+        };
+        let serial = on(1);
         assert!(serial.iter().all(|x| x.is_finite()));
-        assert_eq!(bits(&serial), bits(&fanned));
+        for workers in WORKERS {
+            assert_eq!(bits(&serial), bits(&on(workers)), "{workers} workers");
+        }
     }
 
     #[test]
     fn nchw_runs_agree_with_one_run_and_with_the_transposed_product() {
-        // As above for the NCHW destination: the run tree driven directly
-        // at 1, 2 and 5 parts (5 samples of 2·192 + 9 rows at 21 columns:
-        // groups that end mid-panel, runs that start off the panel grid),
-        // a `K` that splits on `KC`, over a poisoned output.
+        // As above for the NCHW destination: the sample runs driven
+        // directly at 1, 2, 3 and 5 workers (5 samples of 2·192 + 9 rows
+        // at 21 columns: groups that end mid-panel, runs that start off
+        // the panel grid), a `K` that splits on `KC`, over a poisoned
+        // output.
         let (samples, plane, k, n) = (5usize, 393usize, 300usize, 21usize);
         assert_eq!(group_rows(n), 192);
         let m = samples * plane;
         let (a, b) = (mat(m, k, 5), mat(k, n, 6));
         let bias: Vec<f32> = (0..n).map(|j| j as f32 - 9.5).collect();
         let a = DenseA::new(&a, m, k);
-        let on = |parts: usize| {
+        let on = |workers: usize| {
             let mut out = vec![f32::NAN; m * n];
-            let mut scratch = vec![f32::NAN; parts * group_len(n)];
+            let mut scratch = vec![f32::NAN; workers * group_len(n)];
             let bias = Some(&bias[..]);
-            nchw_fan(parts, &a, n, &b, plane, bias, 0, &mut out, &mut scratch);
+            nchw_fan(workers, &a, n, &b, plane, bias, &mut out, &mut scratch);
             out
         };
         let serial = on(1);
-        assert_eq!(bits(&serial), bits(&on(2)));
-        assert_eq!(bits(&serial), bits(&on(5)));
+        for workers in WORKERS {
+            assert_eq!(bits(&serial), bits(&on(workers)), "{workers} workers");
+        }
         let mut rows = vec![f32::NAN; m * n];
-        panels_outer(false, &a, n, &b, &mut rows);
+        panels_outer(1, &a, n, &b, &mut rows);
         for (i, row) in rows.chunks(n).enumerate() {
             for (j, (v, bj)) in row.iter().zip(&bias).enumerate() {
                 let at = ((i / plane) * n + j) * plane + i % plane;
@@ -583,8 +566,53 @@ mod tests {
     }
 
     #[test]
+    fn lane_samples_agree_at_every_worker_count() {
+        // The lane orientation's sample split driven directly at 1, 2, 3
+        // and 5 workers: 4 samples of three 20-wide output rows, 2 channels
+        // under a 3×3 window, 5 output channels with a bias.
+        let (samples, rows_per, run, c, n) = (4usize, 3usize, 20usize, 2usize, 5usize);
+        let wp = run + 2;
+        let sample = c * (rows_per + 2) * wp;
+        let base = mat(samples, sample, 11);
+        let origins: Vec<u32> = (0..samples * rows_per)
+            .map(|r| ((r / rows_per) * sample + (r % rows_per) * wp) as u32)
+            .collect();
+        let pos: Vec<u32> = origins
+            .iter()
+            .flat_map(|&o| (0..run as u32).map(move |x| o + x))
+            .collect();
+        let taps: Vec<u32> = (0..c * 9)
+            .map(|t| (((t / 9) * (rows_per + 2) + t / 3 % 3) * wp + t % 3) as u32)
+            .collect();
+        let a = GatherA::new(&base, &pos, &taps).unwrap();
+        let a = a.with_runs(&origins, run).unwrap();
+        let (b, bias) = (mat(taps.len(), n, 12), mat(1, n, 13));
+        let (m, plane) = (pos.len(), rows_per * run);
+        let lanes = Lanes::new(&a, n, &b, plane, Some(&bias), m * n).unwrap();
+        let on = |workers: usize| {
+            let mut out = vec![f32::NAN; m * n];
+            gemm_lanes_into(workers, &lanes, &mut out);
+            out
+        };
+        let serial = on(1);
+        assert!(serial.iter().all(|v| v.is_finite()));
+        for workers in WORKERS {
+            assert_eq!(bits(&on(workers)), bits(&serial), "{workers} workers");
+        }
+        // The gathered orientation makes the same bits.
+        let mut gathered = vec![f32::NAN; m * n];
+        let dest = Dest::Nchw {
+            plane,
+            bias: Some(&bias),
+        };
+        let rows = GatherA::new(&base, &pos, &taps).unwrap();
+        BlockedGemm.gemm_gather(&rows, n, &b, dest, &mut gathered, &mut Vec::new());
+        assert_eq!(bits(&gathered), bits(&serial));
+    }
+
+    #[test]
     fn positions_parts_agree_with_one_part() {
-        // The channel split driven directly at 1, 2, 3 and 5 parts: 11
+        // The channel split driven directly at 1, 2, 3 and 5 workers: 11
         // channels (blocks of 4, 4, 2 and 1), 27 taps, 3 samples of two
         // 37-wide rows (two chunks and a masked tail each), accumulating
         // into prefilled `dW` / `db` over a poisoned scratch.
@@ -602,19 +630,19 @@ mod tests {
         let runs = GatherRuns::new(&base, &taps, &origins, run).unwrap();
         let g = mat(samples * c_out, rows_per * run, 8);
         let p = Positions::new(runs, &g, c_out, rows_per);
-        let on = |parts: usize| {
+        let on = |workers: usize| {
             let (mut dw, mut db) = (mat(c_out, taps.len(), 9), mat(1, c_out, 10));
             let mut acc = vec![f32::NAN; c_out * p.scratch_per_channel()];
             let tile = Tile::for_positions();
-            positions_fan(parts, tile, &p, 0, &mut acc, &mut dw, &mut db);
+            positions_fan(workers, tile, &p, &mut acc, &mut dw, &mut db);
             [dw, db].concat()
         };
         let serial = on(1);
         assert!(serial.iter().all(|v| v.is_finite()));
-        for parts in [2, 3, 5] {
-            assert_eq!(bits(&on(parts)), bits(&serial), "{parts} parts");
+        for workers in WORKERS {
+            assert_eq!(bits(&on(workers)), bits(&serial), "{workers} workers");
         }
-        // Through the entry point, which picks the parts itself.
+        // Through the entry point, which picks the workers itself.
         let (mut dw, mut db) = (mat(c_out, taps.len(), 9), mat(1, c_out, 10));
         positions_into(&p, &mut dw, &mut db, &mut Vec::new());
         assert_eq!(bits(&[dw, db].concat()), bits(&serial));
@@ -632,7 +660,7 @@ mod tests {
         let mut k_outer = vec![f32::NAN; m * n];
         let mut p_outer = vec![f32::NAN; m * n];
         gemm_into(&a, n, &b, &mut k_outer);
-        panels_outer(false, &a, n, &b, &mut p_outer);
+        panels_outer(1, &a, n, &b, &mut p_outer);
         assert_eq!(bits(&k_outer), bits(&p_outer));
     }
 }

@@ -48,10 +48,10 @@
 //! same logical product bit for bit (integer addition is exact and
 //! order-free).
 
+use super::fan::fan;
 use super::nchw;
 use super::simd_int8::{self, DenseQuads, GatherQuads, QuadA};
 use crate::convert;
-use rayon::prelude::*;
 
 /// Symmetric weight clamp: `q_w ∈ [-63, 63]`.
 ///
@@ -268,7 +268,8 @@ impl QuantizedRhs {
 pub fn gemm_i32(lhs: &QuantizedLhs, rhs: &QuantizedRhs, out: &mut Vec<i32>) {
     assert_eq!(lhs.k, rhs.k, "int8 gemm K mismatch");
     assert_eq!(lhs.k4, rhs.k4, "int8 gemm K stride mismatch");
-    gemm_quads(&DenseQuads::new(&lhs.data, lhs.m, lhs.k4), rhs, out);
+    let a = DenseQuads::new(&lhs.data, lhs.m, lhs.k4);
+    gemm_quads(super::fans_out(lhs.m, lhs.k, rhs.n), &a, rhs, out);
 }
 
 /// [`gemm_i32`] with the LHS addressed in place through offset tables
@@ -282,11 +283,12 @@ pub fn gemm_i32(lhs: &QuantizedLhs, rhs: &QuantizedRhs, out: &mut Vec<i32>) {
 /// Panics if `a` does not supply `rhs.k4() / 4` quads per row.
 pub fn gemm_i32_gather(a: &GatherQuads<'_>, rhs: &QuantizedRhs, out: &mut Vec<i32>) {
     assert_eq!(a.quads() * 4, rhs.k4, "int8 gather K mismatch");
-    gemm_quads(a, rhs, out);
+    gemm_quads(super::fans_out(a.rows(), rhs.k, rhs.n), a, rhs, out);
 }
 
-/// The one row-block loop both addressings run.
-fn gemm_quads<A: QuadA>(a: &A, rhs: &QuantizedRhs, out: &mut Vec<i32>) {
+/// The one row-block loop both addressings run, its 4-row blocks fanned
+/// out over `workers`.
+fn gemm_quads<A: QuadA>(workers: usize, a: &A, rhs: &QuantizedRhs, out: &mut Vec<i32>) {
     let (m, n) = (a.rows(), rhs.n);
     // No clearing pass: every path below overwrites every accumulator.
     out.resize(m * n, 0);
@@ -299,22 +301,14 @@ fn gemm_quads<A: QuadA>(a: &A, rhs: &QuantizedRhs, out: &mut Vec<i32>) {
     }
     let bp = &rhs.packed[..];
     let rows_per_block = simd_int8::ROWS;
-    let row_block = |idx: usize, opanel: &mut [i32]| {
+    let blocks = out.chunks_mut(rows_per_block * n).enumerate();
+    fan(workers, blocks, |(idx, opanel)| {
         let i0 = idx * rows_per_block;
         let rows = opanel.len() / n;
         if !(rows == rows_per_block && simd_int8::panel_u8i8(a, bp, n, i0, opanel)) {
             scalar_rows(a, bp, n, i0, rows, opanel);
         }
-    };
-    if super::fans_out(m, rhs.k, n) {
-        out.par_chunks_mut(rows_per_block * n)
-            .enumerate()
-            .for_each(|(idx, opanel)| row_block(idx, opanel));
-    } else {
-        for (idx, opanel) in out.chunks_mut(rows_per_block * n).enumerate() {
-            row_block(idx, opanel);
-        }
-    }
+    });
 }
 
 /// Scalar quad kernel over rows `i0..i0+rows` — the portable path and the
@@ -498,6 +492,25 @@ mod tests {
         let mut got = Vec::new();
         gemm_i32(&lhs, &rhs, &mut got);
         assert_eq!(got, oracle_i32(&lhs, &rhs), "({m},{k},{n})");
+    }
+
+    #[test]
+    fn row_blocks_agree_at_every_worker_count() {
+        // The 4-row block split driven directly at 1, 2, 3 and 5 workers:
+        // 23 rows (a 3-row tail for the scalar finisher), `K` off the quad
+        // grid, over a poisoned output.
+        let (m, k, n) = (23usize, 37usize, 11usize);
+        let mut lhs = QuantizedLhs::default();
+        lhs.quantize_from_f32(&mat(m, k, -3.0, 5.0, 3), m, k);
+        let mut rhs = QuantizedRhs::default();
+        rhs.pack_from_f32(&mat(k, n, -1.0, 1.0, 4), k, n);
+        let want = oracle_i32(&lhs, &rhs);
+        let a = DenseQuads::new(&lhs.data, m, lhs.k4);
+        for workers in [1, 2, 3, 5] {
+            let mut got = vec![i32::MIN; m * n];
+            gemm_quads(workers, &a, &rhs, &mut got);
+            assert_eq!(got, want, "{workers} workers");
+        }
     }
 
     #[test]

@@ -47,6 +47,7 @@
 
 pub mod autotune;
 mod blocked;
+pub mod fan;
 pub mod int8;
 mod naive;
 mod nchw;
@@ -75,14 +76,15 @@ pub const KC: usize = 256;
 pub const NC: usize = 256;
 
 /// Minimum `M·K·N` (multiply-accumulates) before a product fans its row
-/// panels out across threads. The vendored rayon has no persistent pool —
-/// it spawns OS threads per call — so a product has to carry about a
+/// panels out across threads. [`fan::fan`] has no persistent pool — it
+/// spawns OS threads per call — so a product has to carry about a
 /// millisecond of serial work before the spawn/join pays; measured in
 /// EXPERIMENTS.md ("One-plan PR").
 pub const FAN_OUT_MIN_MACS: usize = 1 << 26;
 
-/// Number of hardware threads on this host (cached). Thread fan-out only
-/// ever happens where a second core actually exists.
+/// Number of hardware threads this process may use (read once, cached):
+/// the one core count behind every fan-out, kernel or federated. Thread
+/// fan-out only ever happens where a second core actually exists.
 pub fn host_cores() -> usize {
     use std::sync::OnceLock;
     static CORES: OnceLock<usize> = OnceLock::new();
@@ -93,14 +95,19 @@ pub fn host_cores() -> usize {
     })
 }
 
-/// The one thread decision of the f32 and int8 GEMMs: whether an
-/// `M×K×N` product fans its row panels out across threads. Reads nothing
-/// but the host's core count and the shape, so it is the same answer in
-/// every process on a host; it never changes bits (panels are disjoint
-/// output rows). On a single core the spawned workers would only
-/// time-slice, so fan-out is off at any size there.
-fn fans_out(m: usize, k: usize, n: usize) -> bool {
-    host_cores() > 1 && m * k * n >= FAN_OUT_MIN_MACS
+/// The one thread decision of the f32 and int8 GEMMs: how many workers
+/// an `M×K×N` product fans its row panels out on ([`fan::fan`]) — every
+/// core from [`FAN_OUT_MIN_MACS`] multiply-accumulates on, else one. Reads
+/// nothing but the host's core count and the shape, so it is the same
+/// answer in every process on a host; it never changes bits (panels are
+/// disjoint output rows). On a single core it is one at any size: spawned
+/// workers would only time-slice.
+fn fans_out(m: usize, k: usize, n: usize) -> usize {
+    if m * k * n >= FAN_OUT_MIN_MACS {
+        host_cores()
+    } else {
+        1
+    }
 }
 
 /// The orientation rule of a convolution's NCHW-bound product (forward,
@@ -370,8 +377,8 @@ mod tests {
 
     #[test]
     fn fan_out_needs_a_second_core_and_a_large_product() {
-        assert!(!fans_out(2, 2, 2));
-        assert!(!fans_out(FAN_OUT_MIN_MACS - 1, 1, 1));
-        assert_eq!(fans_out(FAN_OUT_MIN_MACS, 1, 1), host_cores() > 1);
+        assert_eq!(fans_out(2, 2, 2), 1);
+        assert_eq!(fans_out(FAN_OUT_MIN_MACS - 1, 1, 1), 1);
+        assert_eq!(fans_out(FAN_OUT_MIN_MACS, 1, 1), host_cores());
     }
 }

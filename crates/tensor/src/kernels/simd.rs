@@ -385,10 +385,14 @@ impl<'a> GatherA<'a> {
     /// contract (checked in debug builds): a mismatch gives a wrong
     /// product, never an out-of-bounds read.
     ///
-    /// Returns [`TensorError::OffsetOutOfBounds`] when a run leaves the
-    /// buffer and [`TensorError::ShapeDataMismatch`] when the runs do not
-    /// cover the rows.
+    /// Returns [`TensorError::InvalidGeometry`] for runs of no position,
+    /// [`TensorError::OffsetOutOfBounds`] when a run leaves the buffer and
+    /// [`TensorError::ShapeDataMismatch`] when the runs do not cover the
+    /// rows.
     pub fn with_runs(self, origins: &'a [u32], run: usize) -> crate::Result<Self> {
+        if run == 0 {
+            return Err(TensorError::InvalidGeometry("a run of no positions".into()));
+        }
         let runs = GatherRuns::new(self.base, self.col_off, origins, run)?;
         if origins.len() * run != self.row_off.len() {
             return Err(TensorError::ShapeDataMismatch {

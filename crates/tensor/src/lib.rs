@@ -81,3 +81,47 @@ pub use workspace::{lock_workspace, shared_workspace, SharedWorkspace, Workspace
 
 /// Convenience alias for fallible tensor operations.
 pub type Result<T> = std::result::Result<T, TensorError>;
+
+#[cfg(test)]
+mod tests {
+    //! [`kernels::fan::fan`] over the item shapes its callers hand it:
+    //! mutable slice chunks, shared slice chunks and a pair of slots, at
+    //! 1, 2, 3 and 5 workers (its other cases are in `kernels/fan.rs`).
+    use crate::kernels::fan::fan;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    #[test]
+    fn par_chunks_mut_enumerate_covers_all_chunks() {
+        for workers in [1, 2, 3, 5] {
+            let mut data = vec![0u64; 103];
+            fan(workers, data.chunks_mut(10).enumerate(), |(i, c)| {
+                c.fill(i as u64 + 1);
+            });
+            for (j, &v) in data.iter().enumerate() {
+                assert_eq!(v, (j / 10) as u64 + 1, "{workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn par_chunks_reads_everything() {
+        let data: Vec<u64> = (0..1000).collect();
+        for workers in [1, 2, 3, 5] {
+            let sum = AtomicU64::new(0);
+            fan(workers, data.chunks(7), |c| {
+                sum.fetch_add(c.iter().sum::<u64>(), Ordering::Relaxed);
+            });
+            assert_eq!(sum.into_inner(), 1000 * 999 / 2, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn join_returns_both() {
+        // Two items on two workers, each filling its own slot.
+        let mut both = [0, 0];
+        fan(2, both.iter_mut().enumerate(), |(i, slot)| {
+            *slot = if i == 0 { 2 + 2 } else { 7 };
+        });
+        assert_eq!(both, [4, 7]);
+    }
+}

@@ -19,10 +19,10 @@
 //! - A layer locks the workspace for the duration of one forward or
 //!   backward call and takes disjoint `&mut` slots via
 //!   [`Workspace::parts`]. Calls within a block are sequential, so the
-//!   lock is uncontended; it exists so layers stay `Send` and so rayon
-//!   worker threads inside a kernel can never observe a half-written
-//!   buffer (they only ever receive sub-slices of a slot borrowed for the
-//!   whole call).
+//!   lock is uncontended; it exists so layers stay `Send` and so the
+//!   [`crate::kernels::fan`] workers inside a kernel can never observe a
+//!   half-written buffer (they only ever receive sub-slices of a slot
+//!   borrowed for the whole call).
 //! - State that must survive *across* calls (a layer's cached forward
 //!   input, packed weight panels) lives in the layer, not here: workspace
 //!   slots are valid only within a single lock scope.

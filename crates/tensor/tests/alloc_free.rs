@@ -57,8 +57,8 @@ fn random(shape: &[usize], seed: u64) -> Tensor {
 #[test]
 fn conv_gemm_cycle_is_allocation_free_after_warmup() {
     // Small enough that the batched lowerings and the blocked kernel (the
-    // kernel under test) stay below their thread fan-out floors — the
-    // vendored rayon would otherwise spawn OS threads, which allocate.
+    // kernel under test) stay below their thread fan-out floors, so every
+    // `fan` runs its one worker inline.
     let geom = Conv2dGeometry::new(12, 12, 3, 3, 1, 1).unwrap();
     let (n, c, f) = (4usize, 6usize, 10usize);
     let x = random(&[n, c, 12, 12], 1);
@@ -94,4 +94,21 @@ fn conv_gemm_cycle_is_allocation_free_after_warmup() {
         during, 0,
         "conv/GEMM hot path allocated {during} times in 10 steady-state steps"
     );
+}
+
+#[test]
+fn a_one_worker_fan_is_allocation_free() {
+    use nf_tensor::kernels::fan::{fan, fan_with};
+    let mut data = vec![0.0f32; 64];
+    let mut group = [0.0f32; 8];
+    let before = allocs_now();
+    fan(1, data.chunks_mut(8).enumerate(), |(i, c)| c.fill(i as f32));
+    fan_with(1, [&mut group[..]], data.chunks(8), |g, c| {
+        for (acc, v) in g.iter_mut().zip(c) {
+            *acc += v;
+        }
+    });
+    let during = allocs_now() - before;
+    assert_eq!(during, 0, "a one-worker fan allocated {during} times");
+    assert_eq!(group, [28.0; 8]);
 }
