@@ -87,6 +87,10 @@ impl std::ops::Add for Sample {
 }
 
 /// `iters` back-to-back calls, ns per call.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark measures real time by design"
+)]
 fn timed(iters: usize, mut f: impl FnMut()) -> u128 {
     let start = Instant::now();
     for _ in 0..iters {

@@ -1,7 +1,8 @@
 //! A counting global allocator for `bench_json` (which includes this file
 //! by path): measurement scaffolding of the same kind as the counting
 //! allocators in `crates/*/tests/`, kept with the tests rather than in
-//! product source (`nf-lint` confines `unsafe` under `src/`).
+//! product source (`tests/invariants.rs` pins the `unsafe` under `src/`
+//! to three modules).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

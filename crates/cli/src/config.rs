@@ -10,6 +10,16 @@
 //! Defaults core owns are read from there. Below the table sit the checks
 //! no single key can make, and resolution into workspace types.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::error::{CliError, Result};
 use crate::schema::{sections, string_enum, wrong_type, Bound, Kind, Row};
 use neuroflux_core::{CodecKind, NeuroFluxConfig, ServePolicy, SloTier, MAX_REPLICAS};
@@ -554,7 +564,7 @@ epochs_per_block = 2
                 let name = names[rng.gen_range(0..names.len())];
                 Value::Str(name.replace("<n>", "3").replace("<alpha>", "0.5"))
             }
-            Kind::Table => unreachable!("a section's sample is the section itself"),
+            Kind::Table => panic!("a section's sample is the section itself"),
         }
     }
 
@@ -789,14 +799,24 @@ epochs_per_block = 2
         let (path, message) = config_error(&format!("{}\n[trian]\nlr = 0.1\n", quickstart_toml()));
         assert_eq!(path, "trian");
         assert!(message.contains("train"), "{message}");
-        // `[[run]]` reads (lint.toml uses the form); the schema refuses it.
-        let doc = quickstart_toml().replace("[run]", "[[run]]");
-        let found = ("run".into(), "must be a table, found an array".into());
-        assert_eq!(config_error(&doc), found);
-        let json = r#"{"run": {"name": "j", "sed": 1}}"#;
-        match RunConfig::from_value(&nf_value::json::parse(json).unwrap()).unwrap_err() {
-            CliError::Config { path, .. } => assert_eq!(path, "run.sed"),
-            other => panic!("expected Config error, got {other}"),
+        for (json, at, found) in [
+            (
+                r#"{"run": {"name": "j", "sed": 1}}"#,
+                "run.sed",
+                "unknown key",
+            ),
+            (
+                r#"{"run": [{"name": "j"}]}"#,
+                "run",
+                "must be a table, found an array",
+            ),
+        ] {
+            match RunConfig::from_value(&nf_value::json::parse(json).unwrap()).unwrap_err() {
+                CliError::Config { path, message } => {
+                    assert!(path == at && message.contains(found), "{path}: {message}")
+                }
+                other => panic!("expected Config error, got {other}"),
+            }
         }
     }
 

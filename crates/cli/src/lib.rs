@@ -28,9 +28,9 @@
 //! drive commands in-process; `src/main.rs` is a thin argv wrapper.
 
 // deny (not forbid) solely so `net::sys` can opt back in with its
-// documented `#![allow(unsafe_code)]` — the epoll/eventfd bindings are
-// the crate's one unsafe surface, policed by nf-lint's
-// unsafe-confinement rule. Everything else stays unsafe-free.
+// reasoned `#![expect(unsafe_code)]` — the epoll/eventfd bindings are
+// the crate's one unsafe surface (`tests/invariants.rs` pins it).
+// Everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 

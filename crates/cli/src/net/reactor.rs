@@ -20,6 +20,16 @@
 //! own `epoll_wait`, tokens and frame handling; only the
 //! flush-and-interest bookkeeping lives here.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::net::sys::{self, Epoll, EPOLLIN, EPOLLOUT};
 use crate::proto::{ProtoError, MAX_PAYLOAD};
 use std::collections::VecDeque;

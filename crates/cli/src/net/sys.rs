@@ -2,19 +2,30 @@
 //! `epoll_ctl`, `epoll_wait`, `eventfd`, `fcntl(O_NONBLOCK)`, and
 //! `listen` (backlog re-arm).
 //!
-//! This is the one unsafe module outside the SIMD kernels — declared in
-//! `lint.toml`'s `[[unsafe-module]]` list with its justification. The
+//! This is the one unsafe module outside the SIMD kernels (the crate
+//! root denies `unsafe_code`; `tests/invariants.rs` pins the set). The
 //! unsafe surface is exactly the `extern "C"` declarations plus the call
 //! sites in this file; everything exported is a safe wrapper that owns
 //! its file descriptor (closed on `Drop`) and converts every failure
 //! into a typed [`std::io::Error`] via `io::Error::last_os_error()`.
 //! No other module in the workspace may call these syscalls directly.
 
-// The crate root denies unsafe_code; this module is the documented
-// exception (mirrors nf-tensor's SIMD kernels), policed by nf-lint's
-// unsafe-confinement rule: every unsafe block below carries a SAFETY
-// comment.
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "the serve reactor's only unsafe surface: thin extern-C bindings to \
+              epoll_create1/epoll_ctl/epoll_wait/eventfd/fcntl, each wrapped in a safe \
+              RAII type that owns the fd and translates errno into io::Error"
+)]
+#![deny(
+    clippy::undocumented_unsafe_blocks,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::io;
 use std::os::raw::c_int;

@@ -26,6 +26,16 @@
 //! A frame longer than [`MAX_PAYLOAD`] is rejected from its header alone
 //! — the length prefix is never trusted to allocate.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use neuroflux_core::SloTier;
 use std::io::{Read, Write};
 

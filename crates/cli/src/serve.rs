@@ -61,6 +61,16 @@
 //! `[run].seed`), so a given config always serves the identical model —
 //! the determinism the serve tests pin.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::config::RunConfig;
 use crate::error::{CliError, Result};
 use crate::net::reactor::{Conn, ReadEnd, READ_CHUNK, TOKEN_LISTENER, TOKEN_WAKE};

@@ -2,10 +2,16 @@
 //! bit-identical to single-sample offline inference, SLO depth caps must
 //! hold on the wire, and protocol garbage must never wedge the server.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test waits on a real server with a wall-clock deadline"
+)]
+
 use neuroflux_core::{ServePolicy, ServeRequest, SloTier};
 use nf_cli::proto::{self, RejectReason, Request, Response};
 use nf_cli::serve::{build_engine, replicate_engines, start_server_with_engines};
 use nf_cli::{run_inspect, RunConfig};
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -229,7 +235,7 @@ fn four_replicas_with_pipelining_match_one_replica_and_offline() {
     let samples = test_samples(&cfg, 36);
 
     // One reply table per replica count, keyed by request id.
-    let serve_all = |replicas: usize| -> std::collections::HashMap<u64, (u16, u8, u32)> {
+    let serve_all = |replicas: usize| -> BTreeMap<u64, (u16, u8, u32)> {
         let primary = build_engine(&cfg, true).unwrap();
         let engines = replicate_engines(&cfg, primary, replicas).unwrap();
         let mut policy = cfg.resolve_serve().unwrap();
@@ -241,13 +247,13 @@ fn four_replicas_with_pipelining_match_one_replica_and_offline() {
         const CONNS: usize = 3;
         const WINDOW: usize = 4; // in-flight per connection (pipelined)
         let per_conn = samples.len() / CONNS;
-        let replies: std::collections::HashMap<u64, (u16, u8, u32)> = std::thread::scope(|scope| {
+        let replies: BTreeMap<u64, (u16, u8, u32)> = std::thread::scope(|scope| {
             let mut workers = Vec::new();
             for c in 0..CONNS {
                 let samples = &samples;
                 workers.push(scope.spawn(move || {
                     let mut stream = TcpStream::connect(addr).unwrap();
-                    let mut got = std::collections::HashMap::new();
+                    let mut got = BTreeMap::new();
                     let mut sent = 0usize;
                     // Keep up to WINDOW requests on the wire; replies
                     // may come back out of order across the window.

@@ -9,6 +9,11 @@
 //! process-wide counters (threads, fds), so concurrent tests in the same
 //! binary would make them racy.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test polls a real server's fd count against a wall-clock deadline"
+)]
+
 use neuroflux_core::{ServeRequest, SloTier};
 use nf_cli::proto::{self, Request, Response};
 use nf_cli::serve::{build_engine, start_server_with_engines};

@@ -9,6 +9,10 @@
 //! and 15, in USER_HZ ticks), which is exactly what the assertion is
 //! about — observed scheduler ticks, not instrumented counters.
 #![cfg(target_os = "linux")]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the test times a real server process: its deadlines and idle windows are wall time"
+)]
 
 use nf_cli::proto::{self, Request, Response};
 use std::io::{BufRead, BufReader};

@@ -534,7 +534,7 @@ mod tests {
 
     #[test]
     fn derived_seeds_are_unique_across_rounds_and_clients() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for round in 0..8 {
             for client in 0..8 {
                 assert!(seen.insert(derive_seed(42, round, 8, client)));

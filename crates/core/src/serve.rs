@@ -21,6 +21,16 @@
 //! time, never results. `crates/cli/tests/serve_cmd.rs` pins this against
 //! single-sample offline inference.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::confidence_exit::ConfidenceCascade;
 use crate::params_io::{deserialize_params, serialize_params};
 use crate::{NfError, Result};
@@ -364,6 +374,10 @@ pub struct SystemClock {
 
 impl SystemClock {
     /// Creates a clock whose epoch is now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one wall clock: everything else reads time through a `Clock`"
+    )]
     pub fn new() -> Self {
         SystemClock {
             anchor: Instant::now(),

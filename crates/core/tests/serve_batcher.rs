@@ -8,6 +8,7 @@
 use neuroflux_core::serve::VirtualClock;
 use neuroflux_core::{AdmissionError, Clock, MicroBatcher, ServeRequest, SloTier};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// One generated scheduler event.
 #[derive(Debug, Clone)]
@@ -224,12 +225,12 @@ proptest! {
         let mut next_seq = [0u64; 4];
         let mut admitted_per_conn: Vec<Vec<u64>> = vec![Vec::new(); 4];
         // (plan index, list tag, position) for every departure, by id.
-        let mut departures: std::collections::HashMap<u64, (usize, u8, usize)> =
-            std::collections::HashMap::new();
+        let mut departures: BTreeMap<u64, (usize, u8, usize)> =
+            BTreeMap::new();
         let mut plan_idx = 0usize;
         let record = |plan: &neuroflux_core::BatchPlan,
                           plan_idx: usize,
-                          departures: &mut std::collections::HashMap<u64, (usize, u8, usize)>| {
+                          departures: &mut BTreeMap<u64, (usize, u8, usize)>| {
             for (pos, r) in plan.ready.iter().enumerate() {
                 departures.insert(r.id, (plan_idx, 0, pos));
             }

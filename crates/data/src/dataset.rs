@@ -87,10 +87,7 @@ impl Dataset {
         let mut labels = Vec::with_capacity(indices.len());
         for &i in indices {
             if i >= self.len() {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: vec![i],
-                    shape: self.images.shape().to_vec(),
-                });
+                return Err(TensorError::index_out_of_bounds(&[i], self.images.shape()));
             }
             data.extend_from_slice(&self.images.data()[i * per..(i + 1) * per]);
             labels.push(self.labels[i]);

@@ -68,11 +68,11 @@ impl Param {
     /// previous backward operand are re-derived.
     pub fn set_feedback(&mut self, feedback: Tensor) -> nf_tensor::Result<()> {
         if feedback.shape() != self.value.shape() {
-            return Err(nf_tensor::TensorError::ShapeMismatch {
-                op: "set_feedback",
-                lhs: self.value.shape().to_vec(),
-                rhs: feedback.shape().to_vec(),
-            });
+            return Err(nf_tensor::TensorError::shape_mismatch(
+                "set_feedback",
+                self.value.shape(),
+                feedback.shape(),
+            ));
         }
         self.feedback = Some(feedback);
         self.note_update();

@@ -239,11 +239,11 @@ pub fn flip_kernel_panel_into(
     let (c_out, fan_in) = weight.dims2()?;
     let taps = k_h * k_w;
     if fan_in != c_in * taps {
-        return Err(TensorError::ShapeMismatch {
-            op: "flip_kernel_panel",
-            lhs: weight.shape().to_vec(),
-            rhs: vec![c_out, c_in * taps],
-        });
+        return Err(TensorError::shape_mismatch(
+            "flip_kernel_panel",
+            weight.shape(),
+            &[c_out, c_in * taps],
+        ));
     }
     out.reuse_as(&[c_out * taps, c_in]);
     let src = weight.data();
@@ -375,11 +375,11 @@ impl ConvGather {
         };
         let rim = if padded { 2 * geom.pad } else { 0 };
         if h != geom.in_h + rim || w != geom.in_w + rim {
-            return Err(TensorError::ShapeMismatch {
+            return Err(TensorError::shape_mismatch(
                 op,
-                lhs: shape.to_vec(),
-                rhs: vec![n, c, geom.in_h + rim, geom.in_w + rim],
-            });
+                shape,
+                &[n, c, geom.in_h + rim, geom.in_w + rim],
+            ));
         }
         self.ensure(n, c, geom)?;
         Ok((n * geom.out_positions(), self.taps.len()))
@@ -454,11 +454,11 @@ impl ConvGather {
     ) -> Result<()> {
         let (k, n) = panel.dims2()?;
         if k != patch || bias.is_some_and(|b| b.len() != n) {
-            return Err(TensorError::ShapeMismatch {
+            return Err(TensorError::shape_mismatch(
                 op,
-                lhs: vec![rows, patch],
-                rhs: panel.shape().to_vec(),
-            });
+                &[rows, patch],
+                panel.shape(),
+            ));
         }
         let mut a = GatherA::new(base.data(), &self.pos[..rows], &self.taps)?;
         if crate::kernels::lanes_fit(geom.stride, geom.out_w) {
@@ -493,11 +493,11 @@ impl ConvGather {
         let (rows, patch) = self.tables_for(op, padded.shape(), geom, true)?;
         let (g_len, c_out) = g_rows.dims2()?;
         if g_len != rows {
-            return Err(TensorError::ShapeMismatch {
+            return Err(TensorError::shape_mismatch(
                 op,
-                lhs: vec![rows, patch],
-                rhs: g_rows.shape().to_vec(),
-            });
+                &[rows, patch],
+                g_rows.shape(),
+            ));
         }
         let a = GatherA::new(padded.data(), &self.taps, &self.pos[..rows])?;
         out.reuse_as(&[patch, c_out]);
@@ -542,11 +542,11 @@ impl ConvGather {
         let (gn, c_out, gh, gw) = grad_out.dims4()?;
         let fits = dw.shape() == [c_out, patch] && db.shape() == [c_out];
         if (gn, gh, gw) != (n, geom.out_h, geom.out_w) || !fits {
-            return Err(TensorError::ShapeMismatch {
+            return Err(TensorError::shape_mismatch(
                 op,
-                lhs: grad_out.shape().to_vec(),
-                rhs: vec![n, c_out, geom.out_h, geom.out_w],
-            });
+                grad_out.shape(),
+                &[n, c_out, geom.out_h, geom.out_w],
+            ));
         }
         let origins = &self.rows[..n * geom.out_h];
         let runs = GatherRuns::new(padded.data(), &self.taps, origins, geom.out_w)?;
@@ -580,11 +580,11 @@ impl ConvGather {
         let op = "conv_forward_quant";
         let (rows, patch) = self.tables_for(op, x.shape(), geom, false)?;
         if rhs.k() != patch || rhs.run() != geom.k_w {
-            return Err(TensorError::ShapeMismatch {
+            return Err(TensorError::shape_mismatch(
                 op,
-                lhs: vec![rows, patch],
-                rhs: vec![rhs.k(), rhs.n()],
-            });
+                &[rows, patch],
+                &[rhs.k(), rhs.n()],
+            ));
         }
         let pad_byte = int8::zero_point(x.min(), x.scale());
         let slack = int8::round_up4(geom.k_w) - geom.k_w;
@@ -609,11 +609,11 @@ pub fn im2col(image: &Tensor, channels: usize, geom: &Conv2dGeometry) -> Result<
     }
     let shape = image.shape();
     if shape[0] != channels || shape[1] != geom.in_h || shape[2] != geom.in_w {
-        return Err(TensorError::ShapeMismatch {
-            op: "im2col",
-            lhs: shape.to_vec(),
-            rhs: vec![channels, geom.in_h, geom.in_w],
-        });
+        return Err(TensorError::shape_mismatch(
+            "im2col",
+            shape,
+            &[channels, geom.in_h, geom.in_w],
+        ));
     }
     let rows = channels * geom.k_h * geom.k_w;
     let cols = geom.out_positions();
@@ -651,11 +651,11 @@ pub fn im2col(image: &Tensor, channels: usize, geom: &Conv2dGeometry) -> Result<
 pub fn col2im(cols: &Tensor, channels: usize, geom: &Conv2dGeometry) -> Result<Tensor> {
     let (rows, n_cols) = cols.dims2()?;
     if rows != channels * geom.k_h * geom.k_w || n_cols != geom.out_positions() {
-        return Err(TensorError::ShapeMismatch {
-            op: "col2im",
-            lhs: cols.shape().to_vec(),
-            rhs: vec![channels * geom.k_h * geom.k_w, geom.out_positions()],
-        });
+        return Err(TensorError::shape_mismatch(
+            "col2im",
+            cols.shape(),
+            &[channels * geom.k_h * geom.k_w, geom.out_positions()],
+        ));
     }
     let src = cols.data();
     let mut out = vec![0.0f32; channels * geom.in_h * geom.in_w];
@@ -716,11 +716,11 @@ fn im2col_batch_on(
         actual: input.rank(),
     })?;
     if h != geom.in_h || w != geom.in_w {
-        return Err(TensorError::ShapeMismatch {
-            op: "im2col_batch",
-            lhs: input.shape().to_vec(),
-            rhs: vec![n, channels, geom.in_h, geom.in_w],
-        });
+        return Err(TensorError::shape_mismatch(
+            "im2col_batch",
+            input.shape(),
+            &[n, channels, geom.in_h, geom.in_w],
+        ));
     }
     let positions = geom.out_positions();
     let patch = channels * geom.k_h * geom.k_w;
@@ -819,11 +819,11 @@ fn col2im_batch_on(
     let (rows, patch) = cols.dims2()?;
     let positions = geom.out_positions();
     if rows != n * positions || patch != channels * geom.k_h * geom.k_w {
-        return Err(TensorError::ShapeMismatch {
-            op: "col2im_batch",
-            lhs: cols.shape().to_vec(),
-            rhs: vec![n * positions, channels * geom.k_h * geom.k_w],
-        });
+        return Err(TensorError::shape_mismatch(
+            "col2im_batch",
+            cols.shape(),
+            &[n * positions, channels * geom.k_h * geom.k_w],
+        ));
     }
     let src = cols.data();
     let sample_len = channels * geom.in_h * geom.in_w;
@@ -894,11 +894,11 @@ pub fn im2col_batch_u8_into(
         actual: input.shape().len(),
     })?;
     if h != geom.in_h || w != geom.in_w {
-        return Err(TensorError::ShapeMismatch {
-            op: "im2col_batch_u8",
-            lhs: input.shape().to_vec(),
-            rhs: vec![n, channels, geom.in_h, geom.in_w],
-        });
+        return Err(TensorError::shape_mismatch(
+            "im2col_batch_u8",
+            input.shape(),
+            &[n, channels, geom.in_h, geom.in_w],
+        ));
     }
     let positions = geom.out_positions();
     let patch = channels * geom.k_h * geom.k_w;
@@ -1008,11 +1008,11 @@ pub fn posrows_to_nchw_into(
 ) -> Result<()> {
     let plane = h * w;
     if rows.dims2()? != (n * plane, c) || bias.is_some_and(|b| b.len() != c) {
-        return Err(TensorError::ShapeMismatch {
-            op: "posrows_to_nchw",
-            lhs: rows.shape().to_vec(),
-            rhs: vec![n * plane, c],
-        });
+        return Err(TensorError::shape_mismatch(
+            "posrows_to_nchw",
+            rows.shape(),
+            &[n * plane, c],
+        ));
     }
     out.reuse_as(&[n, c, h, w]);
     posrows_to_nchw_slice(rows.data(), bias, n, c, plane, out.data_mut());

@@ -53,6 +53,30 @@ pub enum TensorError {
     },
 }
 
+impl TensorError {
+    /// A [`TensorError::ShapeMismatch`] from borrowed shapes: the copies
+    /// are made here, on the cold error path, so a hot caller never
+    /// allocates to check its operands.
+    #[cold]
+    pub fn shape_mismatch(op: &'static str, lhs: &[usize], rhs: &[usize]) -> Self {
+        TensorError::ShapeMismatch {
+            op,
+            lhs: lhs.to_vec(),
+            rhs: rhs.to_vec(),
+        }
+    }
+
+    /// A [`TensorError::IndexOutOfBounds`] from borrowed parts, like
+    /// [`TensorError::shape_mismatch`].
+    #[cold]
+    pub fn index_out_of_bounds(index: &[usize], shape: &[usize]) -> Self {
+        TensorError::IndexOutOfBounds {
+            index: index.to_vec(),
+            shape: shape.to_vec(),
+        }
+    }
+}
+
 impl fmt::Display for TensorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -96,12 +120,13 @@ mod tests {
         assert!(e.to_string().contains("4"));
         assert!(e.to_string().contains("3"));
 
-        let e = TensorError::ShapeMismatch {
-            op: "matmul",
-            lhs: vec![2, 3],
-            rhs: vec![4, 5],
-        };
-        assert!(e.to_string().contains("matmul"));
+        let e = TensorError::shape_mismatch("matmul", &[2, 3], &[4, 5]);
+        assert_eq!(
+            e.to_string(),
+            "matmul: incompatible shapes [2, 3] and [4, 5]"
+        );
+        let e = TensorError::index_out_of_bounds(&[1, 5], &[3, 2]);
+        assert_eq!(e.to_string(), "index [1, 5] out of bounds for shape [3, 2]");
     }
 
     #[test]

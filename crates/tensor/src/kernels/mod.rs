@@ -51,9 +51,7 @@ pub mod fan;
 pub mod int8;
 mod naive;
 mod nchw;
-#[allow(unsafe_code)]
 pub mod simd;
-#[allow(unsafe_code)]
 pub mod simd_int8;
 
 pub(crate) use blocked::positions_into;

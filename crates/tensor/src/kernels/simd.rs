@@ -74,10 +74,19 @@
 //!
 //! Together with [`super::simd_int8`] this is one of the **two** modules
 //! in `nf-tensor` allowed to use `unsafe` (crate-level `deny(unsafe_code)`
-//! with a local allow). The unchecked accesses rest on invariants held by
-//! private fields of this module's types — every `row(i) + col(p)` of a
-//! `PanelA` is inside its data slice, every run of a `GatherRuns` is
-//! inside its base — plus the range asserts in `panel` and `Lanes`.
+//! with a reasoned module-level `expect`). The unchecked accesses rest on
+//! invariants held by private fields of this module's types — every
+//! `row(i) + col(p)` of a `PanelA` is inside its data slice, every run of
+//! a `GatherRuns` is inside its base — plus the range asserts in `panel`
+//! and `Lanes`.
+
+#![expect(
+    unsafe_code,
+    reason = "f32 SIMD matmul/conv kernels: core::arch intrinsics are unsafe by signature; \
+              every call sits under a SAFETY comment proving the target-feature and \
+              alignment preconditions"
+)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use super::KC;
 use crate::error::TensorError;

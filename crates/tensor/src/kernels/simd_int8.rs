@@ -27,11 +27,11 @@
 //!
 //! Together with [`super::simd`] this is one of the **two** modules in
 //! `nf-tensor` allowed to use `unsafe` (crate-level `deny(unsafe_code)`
-//! with a local allow): the intrinsic function below is gated by
-//! [`available`], and its unchecked reads rest on an invariant held by
-//! private fields of this module's types — every four-byte window
-//! `row(i) + quad(q) .. + 4` of a `QuadA` is inside its data slice — plus
-//! the per-panel range asserts in `panel_u8i8`.
+//! with a reasoned module-level `expect`): the intrinsic function below
+//! is gated by [`available`], and its unchecked reads rest on an
+//! invariant held by private fields of this module's types — every
+//! four-byte window `row(i) + quad(q) .. + 4` of a `QuadA` is inside its
+//! data slice — plus the per-panel range asserts in `panel_u8i8`.
 //!
 //! `maddubs` *saturates* its intermediate `i16` pair sums, which would
 //! silently diverge from the scalar path for large operands. The packer
@@ -50,6 +50,13 @@
 //! masks — one accumulator per row for ≤ 8 of them, two for 9..=15 — so no
 //! column falls back to scalar code: the frozen-block layers this kernel
 //! serves have 8 or 12 output channels, i.e. *only* a remainder.
+
+#![expect(
+    unsafe_code,
+    reason = "int8 quantized SIMD kernels: the core::arch intrinsic regime of kernels/simd.rs, \
+              with saturating-widen SAFETY obligations documented per block"
+)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::error::TensorError;
 
@@ -294,7 +301,7 @@ pub(crate) fn panel_u8i8<A: QuadA>(
 // pointer accesses; the contract is the `# Safety` section above, which
 // `panel_u8i8` (the only caller) establishes with real asserts.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code, clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2")]
 unsafe fn tile_u8i8<A: QuadA, const NV: usize, const FULL: bool>(
     a: &A,

@@ -69,11 +69,7 @@ pub fn matmul_with(backend: KernelBackend, a: &Tensor, b: &Tensor) -> Result<Ten
 pub fn matmul_into(backend: KernelBackend, a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     let ((m, k), (k2, n)) = check2("matmul", a, b)?;
     if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul",
-            lhs: a.shape().to_vec(),
-            rhs: b.shape().to_vec(),
-        });
+        return Err(TensorError::shape_mismatch("matmul", a.shape(), b.shape()));
     }
     out.reuse_as(&[m, n]);
     backend
@@ -110,11 +106,11 @@ pub fn matmul_at_b_into(
 ) -> Result<()> {
     let ((k, m), (k2, n)) = check2("matmul_at_b", a, b)?;
     if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_at_b",
-            lhs: a.shape().to_vec(),
-            rhs: b.shape().to_vec(),
-        });
+        return Err(TensorError::shape_mismatch(
+            "matmul_at_b",
+            a.shape(),
+            b.shape(),
+        ));
     }
     out.reuse_as(&[m, n]);
     backend
@@ -149,11 +145,11 @@ pub fn matmul_a_bt_into(
 ) -> Result<()> {
     let ((m, k), (n, k2)) = check2("matmul_a_bt", a, b)?;
     if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_a_bt",
-            lhs: a.shape().to_vec(),
-            rhs: b.shape().to_vec(),
-        });
+        return Err(TensorError::shape_mismatch(
+            "matmul_a_bt",
+            a.shape(),
+            b.shape(),
+        ));
     }
     out.reuse_as(&[m, n]);
     backend

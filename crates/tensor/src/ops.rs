@@ -6,11 +6,7 @@ use crate::Result;
 
 fn check_same_shape(op: &'static str, a: &Tensor, b: &Tensor) -> Result<()> {
     if a.shape() != b.shape() {
-        return Err(TensorError::ShapeMismatch {
-            op,
-            lhs: a.shape().to_vec(),
-            rhs: b.shape().to_vec(),
-        });
+        return Err(TensorError::shape_mismatch(op, a.shape(), b.shape()));
     }
     Ok(())
 }

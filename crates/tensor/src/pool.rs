@@ -12,11 +12,11 @@ fn check_nchw(op: &'static str, x: &Tensor, geom: &Conv2dGeometry) -> Result<(us
         actual: x.rank(),
     })?;
     if h != geom.in_h || w != geom.in_w {
-        return Err(TensorError::ShapeMismatch {
+        return Err(TensorError::shape_mismatch(
             op,
-            lhs: x.shape().to_vec(),
-            rhs: vec![n, c, geom.in_h, geom.in_w],
-        });
+            x.shape(),
+            &[n, c, geom.in_h, geom.in_w],
+        ));
     }
     Ok((n, c))
 }
@@ -29,11 +29,11 @@ fn check_grad(
 ) -> Result<(usize, usize)> {
     let (n, c, oh, ow) = grad_out.dims4()?;
     if oh != geom.out_h || ow != geom.out_w {
-        return Err(TensorError::ShapeMismatch {
+        return Err(TensorError::shape_mismatch(
             op,
-            lhs: grad_out.shape().to_vec(),
-            rhs: vec![n, c, geom.out_h, geom.out_w],
-        });
+            grad_out.shape(),
+            &[n, c, geom.out_h, geom.out_w],
+        ));
     }
     Ok((n, c))
 }
@@ -295,11 +295,11 @@ pub fn avg_pool2d_backward(
     let mut grad_in = Tensor::default();
     avg_pool2d_backward_into(grad_out, geom, &mut grad_in)?;
     if grad_in.shape() != input_shape {
-        return Err(TensorError::ShapeMismatch {
-            op: "avg_pool2d_backward",
-            lhs: grad_in.shape().to_vec(),
-            rhs: input_shape.to_vec(),
-        });
+        return Err(TensorError::shape_mismatch(
+            "avg_pool2d_backward",
+            grad_in.shape(),
+            input_shape,
+        ));
     }
     Ok(grad_in)
 }

@@ -151,16 +151,18 @@ impl QuantTensor {
     /// regeneration loop stays allocation-free in steady state.
     pub fn slice_batch_into(&self, start: usize, end: usize, out: &mut QuantTensor) -> Result<()> {
         if self.shape.is_empty() || start > end || end > self.shape[0] {
-            return Err(TensorError::IndexOutOfBounds {
-                index: vec![start, end],
-                shape: self.shape.clone(),
-            });
+            return Err(TensorError::index_out_of_bounds(&[start, end], &self.shape));
         }
         let sample: usize = self.shape[1..].iter().product();
-        let mut shape = self.shape.clone();
-        shape[0] = end - start;
-        out.reuse_as(&shape, self.scale, self.min)
-            .copy_from_slice(&self.data[start * sample..end * sample]);
+        // In place, like `reuse_as`: a warmed-up `out` never allocates.
+        out.shape.clear();
+        out.shape.extend_from_slice(&self.shape);
+        out.shape[0] = end - start;
+        out.scale = self.scale;
+        out.min = self.min;
+        out.data.clear();
+        out.data
+            .extend_from_slice(&self.data[start * sample..end * sample]);
         Ok(())
     }
 }

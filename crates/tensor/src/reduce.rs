@@ -33,11 +33,11 @@ pub fn sum_axis0(t: &Tensor) -> Result<Tensor> {
 pub fn sum_axis0_acc(t: &Tensor, acc: &mut Tensor) -> Result<()> {
     let (rows, cols) = t.dims2()?;
     if acc.rank() != 1 || acc.numel() != cols {
-        return Err(TensorError::ShapeMismatch {
-            op: "sum_axis0_acc",
-            lhs: t.shape().to_vec(),
-            rhs: acc.shape().to_vec(),
-        });
+        return Err(TensorError::shape_mismatch(
+            "sum_axis0_acc",
+            t.shape(),
+            acc.shape(),
+        ));
     }
     let av = acc.data_mut();
     for r in 0..rows {

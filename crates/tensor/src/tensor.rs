@@ -160,19 +160,13 @@ impl Tensor {
     /// Converts a multi-dimensional index into a flat offset.
     fn offset(&self, index: &[usize]) -> Result<usize> {
         if index.len() != self.shape.len() {
-            return Err(TensorError::IndexOutOfBounds {
-                index: index.to_vec(),
-                shape: self.shape.clone(),
-            });
+            return Err(TensorError::index_out_of_bounds(index, &self.shape));
         }
         let mut off = 0;
         let mut stride = 1;
         for d in (0..self.shape.len()).rev() {
             if index[d] >= self.shape[d] {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: index.to_vec(),
-                    shape: self.shape.clone(),
-                });
+                return Err(TensorError::index_out_of_bounds(index, &self.shape));
             }
             off += index[d] * stride;
             stride *= self.shape[d];
@@ -333,10 +327,7 @@ impl Tensor {
     pub fn slice_rows(&self, start: usize, end: usize) -> Result<Self> {
         let (rows, cols) = self.dims2()?;
         if start > end || end > rows {
-            return Err(TensorError::IndexOutOfBounds {
-                index: vec![start, end],
-                shape: self.shape.clone(),
-            });
+            return Err(TensorError::index_out_of_bounds(&[start, end], &self.shape));
         }
         Ok(Tensor {
             shape: vec![end - start, cols],
@@ -377,10 +368,7 @@ impl Tensor {
             });
         }
         if start > end || end > self.shape[0] {
-            return Err(TensorError::IndexOutOfBounds {
-                index: vec![start, end],
-                shape: self.shape.clone(),
-            });
+            return Err(TensorError::index_out_of_bounds(&[start, end], &self.shape));
         }
         Ok(self.shape[1..].iter().product())
     }
@@ -391,18 +379,15 @@ impl Tensor {
     /// instead of collecting parts for [`Tensor::cat_batch`].
     pub fn write_batch(&mut self, start: usize, part: &Tensor) -> Result<()> {
         if self.shape.is_empty() || part.shape.is_empty() || self.shape[1..] != part.shape[1..] {
-            return Err(TensorError::ShapeMismatch {
-                op: "write_batch",
-                lhs: self.shape.clone(),
-                rhs: part.shape.clone(),
-            });
+            return Err(TensorError::shape_mismatch(
+                "write_batch",
+                &self.shape,
+                &part.shape,
+            ));
         }
         let end = start + part.shape[0];
         if end > self.shape[0] {
-            return Err(TensorError::IndexOutOfBounds {
-                index: vec![start, end],
-                shape: self.shape.clone(),
-            });
+            return Err(TensorError::index_out_of_bounds(&[start, end], &self.shape));
         }
         let per: usize = self.shape[1..].iter().product();
         self.data[start * per..end * per].copy_from_slice(&part.data);
@@ -420,11 +405,11 @@ impl Tensor {
         let mut total = 0;
         for p in parts {
             if p.shape.is_empty() || &p.shape[1..] != tail {
-                return Err(TensorError::ShapeMismatch {
-                    op: "cat_batch",
-                    lhs: first.shape.clone(),
-                    rhs: p.shape.clone(),
-                });
+                return Err(TensorError::shape_mismatch(
+                    "cat_batch",
+                    &first.shape,
+                    &p.shape,
+                ));
             }
             total += p.shape[0];
         }

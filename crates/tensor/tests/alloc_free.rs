@@ -2,13 +2,14 @@
 //!
 //! A counting global allocator tracks allocations made by *this thread*
 //! (other test threads don't interfere). After one warm-up step through a
-//! full conv-layer compute cycle — lowering, forward GEMM, gradient
+//! full conv-layer compute cycle — an int8 batch slice (the Worker's
+//! frozen-block regeneration input), lowering, forward GEMM, gradient
 //! GEMMs, scatter — a workspace-driven step performs **zero** heap
 //! allocations.
 
 use nf_tensor::{
     col2im_batch_into, im2col_batch_into, matmul_at_b_into, matmul_into, nchw_to_posrows_into,
-    Conv2dGeometry, KernelBackend, Tensor, Workspace,
+    Conv2dGeometry, KernelBackend, QuantTensor, Tensor, Workspace,
 };
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -66,10 +67,13 @@ fn conv_gemm_cycle_is_allocation_free_after_warmup() {
     let wt = random(&[f, c * 9], 3); // W operand for the dcols product
     let g = random(&[n, f, 12, 12], 4);
     let backend = KernelBackend::Blocked;
+    let cached = QuantTensor::from_f32(&random(&[3 * n, c, 12, 12], 5));
 
     let mut ws = Workspace::new();
     let mut dx = Tensor::default();
-    let step = |ws: &mut Workspace, dx: &mut Tensor| {
+    let mut qbatch = QuantTensor::new();
+    let step = |ws: &mut Workspace, dx: &mut Tensor, qbatch: &mut QuantTensor| {
+        cached.slice_batch_into(n, 2 * n, qbatch).unwrap();
         // Forward: lower, one GEMM.
         let p = ws.parts();
         im2col_batch_into(&x, &geom, p.cols).unwrap();
@@ -82,18 +86,20 @@ fn conv_gemm_cycle_is_allocation_free_after_warmup() {
     };
 
     // Warm-up: buffers grow to their steady-state sizes here.
-    step(&mut ws, &mut dx);
-    step(&mut ws, &mut dx);
+    step(&mut ws, &mut dx, &mut qbatch);
+    step(&mut ws, &mut dx, &mut qbatch);
 
     let before = allocs_now();
     for _ in 0..10 {
-        step(&mut ws, &mut dx);
+        step(&mut ws, &mut dx, &mut qbatch);
     }
     let during = allocs_now() - before;
     assert_eq!(
         during, 0,
         "conv/GEMM hot path allocated {during} times in 10 steady-state steps"
     );
+    let sample = c * 12 * 12;
+    assert_eq!(qbatch.data(), &cached.data()[n * sample..2 * n * sample]);
 }
 
 #[test]

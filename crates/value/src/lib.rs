@@ -1,14 +1,22 @@
 //! `nf-value`: the workspace's one document model. `nf` reads its run
 //! configs ([`toml`] or [`json`]) into a [`Value`] tree, reads the typed
 //! schema out of it and renders run artifacts from one ([`Value::to_json`],
-//! [`Value::to_toml`]); `nf-lint` reads `lint.toml` and renders its JSON
-//! report the same way. The build is offline, so the readers cover the
+//! [`Value::to_toml`]). The build is offline, so the readers cover the
 //! subset those documents use and reject the rest with an [`Error`]. A
 //! document is input from outside the program: nothing here panics on it
-//! (`nf-lint`'s `no-panic` rule covers this crate).
+//! (the crate denies clippy's panicking constructs and slice indexing).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod json;
 mod scan;

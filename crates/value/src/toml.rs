@@ -1,19 +1,18 @@
 //! A minimal TOML reader covering the subset the workspace's configs use.
 //!
-//! Supported: `[section]` and `[nested.section]` headers,
-//! `[[array-of-tables]]` headers, `key = value` pairs, dotted keys
-//! (`model.name = "x"`), basic strings with the JSON escapes, integers
-//! (with optional `_` separators), floats, booleans, arrays (which may
-//! span lines, with comments between their items), `#` comments, and blank
-//! lines. Unsupported (rejected with a line-numbered error, not silently
-//! misread): multi-line strings, inline tables and dates. Values are read
-//! by the scanner the JSON reader shares.
+//! Supported: `[section]` and `[nested.section]` headers, `key = value`
+//! pairs, dotted keys (`model.name = "x"`), basic strings with the JSON
+//! escapes, integers (with optional `_` separators), floats, booleans,
+//! arrays (which may span lines, with comments between their items), `#`
+//! comments, and blank lines. Unsupported (rejected with a line-numbered
+//! error, not silently misread): `[[array-of-tables]]` headers, multi-line
+//! strings, inline tables and dates. Values are read by the scanner the
+//! JSON reader shares.
 //!
-//! Structural conflicts — a scalar assigned where a table is expected
-//! (`model = 3` then `model.name = ...`, or a `[model]` header over that
-//! scalar), a `[[x]]` header over a value that is not an array of tables,
-//! or a `[x]` header over one that is — are typed [`Error::At`] errors
-//! carrying the offending key path, never panics.
+//! Structural conflicts — a value other than a table where a table is
+//! expected (`model = 3` then `model.name = ...`, or a `[model]` header
+//! over that scalar) — are typed [`Error::At`] errors carrying the
+//! offending key path, never panics.
 
 use crate::scan::Scanner;
 use crate::{Error, Value};
@@ -22,7 +21,7 @@ use crate::{Error, Value};
 pub fn parse(input: &str) -> Result<Value, Error> {
     let mut root = Entries::new();
     let mut s = Scanner::new(input, true);
-    // Path of the currently open [section] or [[array-of-tables]] entry.
+    // Path of the currently open [section].
     let mut current: Vec<String> = Vec::new();
     loop {
         s.skip(true);
@@ -31,12 +30,11 @@ pub fn parse(input: &str) -> Result<Value, Error> {
             return Ok(Value::Table(root));
         };
         if let Some(header) = line.strip_prefix('[') {
-            let (close, header) = match header.strip_prefix('[') {
-                Some(inner) => ("]]", inner),
-                None => ("]", header),
-            };
+            if header.starts_with('[') {
+                return Err(err(lineno, "arrays of tables are not supported"));
+            }
             let unterminated = || err(lineno, "unterminated section header");
-            let (header, after) = header.split_once(close).ok_or_else(unterminated)?;
+            let (header, after) = header.split_once(']').ok_or_else(unterminated)?;
             s.pos += line.len() - after.len();
             s.skip(false);
             if !matches!(s.peek(), None | Some(b'\n')) {
@@ -46,7 +44,8 @@ pub fn parse(input: &str) -> Result<Value, Error> {
             if current.iter().any(|p| p.is_empty()) {
                 return Err(err(lineno, "empty component in section path"));
             }
-            open_section(&mut root, &current, close == "]]", lineno)?;
+            // The section exists even if it stays empty.
+            table_at(&mut root, &current, lineno)?;
             continue;
         }
         let (key, _) = strip_comment(line)
@@ -114,43 +113,7 @@ fn strip_comment(line: &str) -> &str {
 /// A table's entries, in document order.
 type Entries = Vec<(String, Value)>;
 
-/// Materialises the table a `[path]` header opens, or appends the entry a
-/// `[[path]]` header opens, so the section exists even if it stays empty.
-fn open_section(
-    root: &mut Entries,
-    path: &[String],
-    array: bool,
-    lineno: usize,
-) -> Result<(), Error> {
-    let Some((leaf, parent)) = path.split_last() else {
-        return Err(err(lineno, "empty section header"));
-    };
-    let conflict = |found: &Value, wanted: &str| {
-        let path = path.join(".");
-        let found = found.type_name();
-        let message = format!("line {lineno}: `{path}` is already {found}, not {wanted}");
-        Error::at(path, message)
-    };
-    // A conflict on the way is reported at the header, not at its parent.
-    let table = table_at(root, parent, lineno).map_err(|e| match e {
-        Error::At { message, .. } => Error::at(path.join("."), message),
-        syntax => syntax,
-    })?;
-    match (table.iter_mut().find(|(k, _)| k == leaf), array) {
-        (None, true) => table.push((leaf.clone(), Value::Array(vec![Value::table()]))),
-        (Some((_, Value::Array(items))), true) if items.iter().all(|v| v.entries().is_some()) => {
-            items.push(Value::table())
-        }
-        (Some((_, found)), true) => return Err(conflict(found, "an array of tables")),
-        (Some((_, found @ Value::Array(_))), false) => return Err(conflict(found, "a table")),
-        (_, false) => drop(table_at(table, std::slice::from_ref(leaf), lineno)?),
-    }
-    Ok(())
-}
-
-/// Walks (creating as needed) the nested table at `path`. An array of
-/// tables on the way stands for its last entry, the one its most recent
-/// `[[header]]` opened.
+/// Walks (creating as needed) the nested table at `path`.
 ///
 /// Hitting any other value along the way — a scalar where a table is
 /// expected — is a typed [`Error::At`] naming the conflicting path prefix.
@@ -169,13 +132,6 @@ fn table_at<'a>(
                 cur = entries;
                 continue;
             }
-            Some(Value::Array(items)) => match items.last_mut() {
-                Some(Value::Table(entries)) => {
-                    cur = entries;
-                    continue;
-                }
-                _ => "an array",
-            },
             Some(other) => other.type_name(),
             None => return Err(err(lineno, "lost the open section (parser bug)")),
         };
@@ -245,7 +201,7 @@ lr = 1e-2
         for (doc, needle) in [
             ("x 1", "line 1"),
             ("[sec\nx = 1", "unterminated section"),
-            ("[[sec]\nx = 1", "unterminated section"),
+            ("x = [1]\n[x]", "`x` is already an array, not a table"),
             ("x = 1\nx = 2", "duplicate key"),
             ("a = [1, 2", "array"),
             ("a = [", "unterminated array"),
@@ -260,36 +216,20 @@ lr = 1e-2
     }
 
     #[test]
-    fn arrays_of_tables_append_one_entry_per_header() {
-        let v = parse("[[t]]\nk = \"a\"\n\n[[t]]\nk = \"b\"\nx.y = 1\n[other]\nk = 2").unwrap();
-        let t = v.get("t").and_then(Value::as_array).unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0].get("k").and_then(Value::as_str), Some("a"));
-        assert_eq!(t[1].get("k").and_then(Value::as_str), Some("b"));
-        assert_eq!(t[1].get("x").unwrap().get("y"), Some(&Value::Int(1)));
-        assert_eq!(v.get("other").unwrap().get("k"), Some(&Value::Int(2)));
-        // A header beneath the array opens a table in its last entry.
-        let v = parse("[[a]]\n[[a]]\n[a.b]\nc = 1").unwrap();
-        let entries = v.get("a").and_then(Value::as_array).unwrap();
-        assert_eq!(entries[0], Value::table());
-        assert_eq!(entries[1].get("b").unwrap().get("c"), Some(&Value::Int(1)));
-    }
-
-    #[test]
-    #[rustfmt::skip]
-    fn array_of_tables_conflicts_are_typed_errors() {
-        for (doc, path, found) in [
-            ("x = 1\n[[x]]", "x", "already an integer, not an array of tables"),
-            ("x = [1]\n[[x]]", "x", "already an array, not an array of tables"),
-            ("[x]\n[[x]]", "x", "already a table, not an array of tables"),
-            ("[[x]]\n[x]", "x", "already an array, not a table"),
-            ("[[x]]\n[[x.y]]\n[x.y]", "x.y", "already an array, not a table"),
+    fn array_of_tables_headers_are_typed_syntax_errors() {
+        for (doc, at) in [
+            ("[[t]]\nk = 1", 1),
+            ("x = 1\n[[x]]", 2),
+            ("[x]\n[[x.y]]", 2),
         ] {
             match parse(doc).unwrap_err() {
-                Error::At { path: at, message } => {
-                    assert!(at == path && message.contains(found), "{doc:?} -> {at}: {message}");
+                Error::Syntax { line, message, .. } => {
+                    assert!(
+                        line == at && message.contains("arrays of tables"),
+                        "{message}"
+                    )
                 }
-                other => panic!("{doc:?}: expected a typed error, got {other}"),
+                other => panic!("{doc:?}: expected a syntax error, got {other}"),
             }
         }
     }

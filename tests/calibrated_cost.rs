@@ -5,6 +5,11 @@
 //! criterion for pricing `nf sweep` estimates from measured primitives
 //! instead of datasheet TFLOPs.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "calibration measures this host's real step times"
+)]
+
 use neuroflux_core::codec::{ActivationCodec, CacheBlob, CodecKind};
 use nf_memsim::{CalibratedCostModel, MeasuredPrimitives, TimingModel};
 use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};

@@ -1,11 +1,10 @@
 //! The document readers and both typed extractors under hostile input.
 //!
 //! Random byte strings, random truncations and random one-byte mutations
-//! of every committed `examples/*.toml` and of `lint.toml` go through
-//! `nf_value::toml::parse` and `nf_value::json::parse`, and every document
-//! either reader accepts goes through `RunConfig::from_value` (`nf`) and
-//! `config::from_value` (`nf-lint`). Each step must return `Ok` or a typed
-//! error, never panic. A failing case prints its seed, and
+//! of every committed `examples/*.toml` go through `nf_value::toml::parse`
+//! and `nf_value::json::parse`, and every document either reader accepts
+//! goes through `RunConfig::from_value`. Each step must return `Ok` or a
+//! typed error, never panic. A failing case prints its seed, and
 //! `exercise(&input(seed))` replays it.
 
 use nf_cli::{CliError, RunConfig};
@@ -25,7 +24,6 @@ fn corpus() -> &'static [Vec<u8>] {
             .collect();
         paths.sort();
         assert_eq!(paths.len(), 4, "{paths:?}");
-        paths.push(root.join("lint.toml"));
         paths.iter().map(|p| std::fs::read(p).unwrap()).collect()
     })
 }
@@ -59,7 +57,7 @@ fn input(seed: u64) -> Vec<u8> {
     }
 }
 
-/// Feeds one input through both readers and both extractors.
+/// Feeds one input through both readers and the config extractor.
 fn exercise(bytes: &[u8]) {
     let text = String::from_utf8_lossy(bytes);
     let docs = [nf_value::toml::parse(&text), nf_value::json::parse(&text)];
@@ -70,7 +68,6 @@ fn exercise(bytes: &[u8]) {
                 "{e}"
             );
         }
-        let _typed: Result<_, nf_lint::ConfigError> = nf_lint::config::from_value(&doc);
     }
 }
 
@@ -92,9 +89,8 @@ proptest! {
 fn unmutated_corpus_documents_load() {
     // The committed documents themselves are the fuzz's fixed points.
     let docs = corpus();
-    for doc in &docs[..4] {
+    for doc in docs {
         let value = nf_value::toml::parse(std::str::from_utf8(doc).unwrap()).unwrap();
         RunConfig::from_value(&value).unwrap();
     }
-    nf_lint::config::parse(std::str::from_utf8(&docs[4]).unwrap()).unwrap();
 }
