@@ -4,7 +4,8 @@
 //!   paper's primary baseline;
 //! - [`local`] — classic greedy local learning (Belilovsky et al.): every
 //!   layer paired with an auxiliary classifier, fixed batch size, fixed
-//!   256-filter heads;
+//!   256-filter heads. It runs the NeuroFlux Worker's own step,
+//!   `nf_nn::LocalStep`, over the whole model at once;
 //! - [`fa`] — feedback alignment: the BP model and trainer, with a fixed
 //!   random feedback matrix installed on every weight so backward passes
 //!   propagate the error through it instead of the transposed weights;

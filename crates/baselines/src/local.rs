@@ -3,10 +3,9 @@
 
 use crate::report::TrainReport;
 use nf_data::Dataset;
-use nf_models::{assign_aux, build_aux_head, AuxPolicy, BuiltModel, ExitCandidate};
-use nf_nn::loss::{accuracy, cross_entropy};
+use nf_models::{assign_aux, build_aux_head, exit_accuracy, AuxPolicy, BuiltModel, ExitCandidate};
 use nf_nn::optim::Sgd;
-use nf_nn::{Layer, Mode, Sequential};
+use nf_nn::{LocalStep, Sequential};
 use nf_tensor::Tensor;
 
 /// Local-learning trainer: every unit paired with an auxiliary classifier,
@@ -42,23 +41,10 @@ pub struct LocallyTrainedModel {
 
 impl LocallyTrainedModel {
     /// Accuracy when predicting from auxiliary head `exit` (backbone is run
-    /// in eval mode up to and including unit `exit`).
+    /// in eval mode up to and including unit `exit`):
+    /// [`nf_models::exit_accuracy`].
     pub fn exit_accuracy(&mut self, exit: usize, data: &Dataset) -> nf_nn::Result<f32> {
-        if data.is_empty() {
-            return Ok(0.0);
-        }
-        let mut correct = 0.0f32;
-        let mut seen = 0usize;
-        for (images, labels) in data.batches(64) {
-            let mut cur = images;
-            for unit in &mut self.model.units[..=exit] {
-                cur = unit.forward(&cur, Mode::Eval)?;
-            }
-            let logits = self.aux_heads[exit].forward(&cur, Mode::Eval)?;
-            correct += accuracy(&logits, &labels)? * labels.len() as f32;
-            seen += labels.len();
-        }
-        Ok(correct / seen as f32)
+        exit_accuracy(&mut self.model, &mut self.aux_heads, exit, data)
     }
 
     /// Measures validation accuracy at every exit — one pass over `val`,
@@ -99,41 +85,29 @@ impl LocalLearningTrainer {
     }
 
     /// One local-learning pass of a batch through the whole model
-    /// (Algorithm 2 applied to all units): unit forward → aux forward →
-    /// local loss → update unit + aux → pass activations on (detached).
+    /// (Algorithm 2 applied to all units): per unit,
+    /// [`LocalStep::train_unit`], passing activations on (detached); then
+    /// the deep head, [`LocalStep::train_head`]. `tensors` carries the
+    /// step's buffers from one batch to the next.
     ///
-    /// Returns the mean local loss across units.
+    /// Returns the mean local loss across units and the deep head.
     pub fn step(
         &self,
+        tensors: &mut LocalStep,
         model: &mut BuiltModel,
         aux_heads: &mut [Sequential],
         images: &Tensor,
         labels: &[usize],
     ) -> nf_nn::Result<f32> {
-        let mut cur = images.clone();
+        tensors.cur.copy_from(images);
         let mut total_loss = 0.0f32;
-        let n_units = model.units.len();
-        for (i, unit) in model.units.iter_mut().enumerate() {
-            let out = unit.forward(&cur, Mode::Train)?;
-            let logits = aux_heads[i].forward(&out, Mode::Train)?;
-            let (loss, grad_logits) = cross_entropy(&logits, labels)?;
-            total_loss += loss;
-            let grad_out = aux_heads[i].backward(&grad_logits)?;
-            // Update the unit from the local loss only — no feedback to
-            // earlier units, so its input gradient is never computed.
-            unit.backward_params(&grad_out)?;
-            self.sgd.step(unit);
-            self.sgd.step(&mut aux_heads[i]);
-            cur = out;
+        for (unit, head) in model.units.iter_mut().zip(aux_heads) {
+            total_loss += tensors.train_unit(&self.sgd, unit, head, labels)?;
         }
         // The original head trains on the final unit's (detached) output —
         // the model's own final exit.
-        let logits = model.head.forward(&cur, Mode::Train)?;
-        let (loss, grad_logits) = cross_entropy(&logits, labels)?;
-        total_loss += loss;
-        model.head.backward_params(&grad_logits)?;
-        self.sgd.step(&mut model.head);
-        Ok(total_loss / (n_units + 1) as f32)
+        total_loss += tensors.train_head(&self.sgd, &mut model.head, labels)?;
+        Ok(total_loss / (model.units.len() + 1) as f32)
     }
 
     /// Trains a freshly built model with local learning.
@@ -144,51 +118,31 @@ impl LocalLearningTrainer {
         train: &Dataset,
         test: &Dataset,
     ) -> nf_nn::Result<(LocallyTrainedModel, TrainReport)> {
-        // Pin every layer to the configured backend. Units and aux heads
-        // interleave within each local update, so they get separate shared
-        // arenas (see the Worker) — the unit chain's backward lowering then
-        // survives the head's traffic.
-        let ws_units = nf_tensor::shared_workspace();
-        let ws_heads = nf_tensor::shared_workspace();
-        for unit in &mut model.units {
-            unit.set_kernel_backend(self.kernel_backend);
-            unit.set_workspace(&ws_units);
-        }
-        // The deep head trains every minibatch too (classic LL keeps it
-        // attached), so it shares the unit chain's backend and workspace.
-        model.head.set_kernel_backend(self.kernel_backend);
-        model.head.set_workspace(&ws_units);
         let aux_specs = assign_aux(&model.spec, self.policy);
-        let mut aux_heads = Vec::with_capacity(aux_specs.len());
-        for spec in &aux_specs {
-            let mut head = build_aux_head(rng, spec)?;
-            head.set_kernel_backend(self.kernel_backend);
-            head.set_workspace(&ws_heads);
-            aux_heads.push(head);
-        }
+        let mut aux_heads = aux_specs
+            .iter()
+            .map(|spec| build_aux_head(rng, spec))
+            .collect::<nf_nn::Result<Vec<_>>>()?;
+        model.prepare_local_learning(&mut aux_heads, self.kernel_backend);
+        let mut tensors = LocalStep::default();
+        let last = model.units.len() - 1;
         let mut report = TrainReport::default();
         for _ in 0..self.epochs {
             let mut losses = Vec::new();
             for (images, labels) in train.batches(self.batch) {
-                losses.push(self.step(&mut model, &mut aux_heads, &images, &labels)?);
+                let loss = self.step(&mut tensors, &mut model, &mut aux_heads, &images, &labels)?;
+                losses.push(loss);
             }
             report
                 .epoch_loss
                 .push(losses.iter().sum::<f32>() / losses.len().max(1) as f32);
-            let mut trained = LocallyTrainedModel {
-                model,
-                aux_heads,
-                aux_specs: aux_specs.clone(),
-            };
-            let last = trained.model.units.len() - 1;
+            let (model, heads) = (&mut model, &mut aux_heads);
             report
                 .train_accuracy
-                .push(trained.exit_accuracy(last, train)?);
+                .push(exit_accuracy(model, heads, last, train)?);
             report
                 .test_accuracy
-                .push(trained.exit_accuracy(last, test)?);
-            model = trained.model;
-            aux_heads = trained.aux_heads;
+                .push(exit_accuracy(model, heads, last, test)?);
         }
         Ok((
             LocallyTrainedModel {
@@ -206,6 +160,8 @@ mod tests {
     use super::*;
     use nf_data::SyntheticSpec;
     use nf_models::ModelSpec;
+    use nf_nn::loss::cross_entropy;
+    use nf_nn::{Layer, Mode};
     use rand::SeedableRng;
 
     #[test]
@@ -267,11 +223,12 @@ mod tests {
             .map(|a| build_aux_head(&mut rng_h, a).unwrap())
             .collect();
 
+        let mut tensors = LocalStep::default();
         trainer
-            .step(&mut model2, &mut heads2, &images, &labels)
+            .step(&mut tensors, &mut model2, &mut heads2, &images, &labels)
             .unwrap();
         trainer
-            .step(&mut model1, &mut heads1, &images, &labels)
+            .step(&mut tensors, &mut model1, &mut heads1, &images, &labels)
             .unwrap();
 
         let mut params2 = Vec::new();
@@ -303,9 +260,10 @@ mod tests {
         };
         let (mut lean, mut lean_heads) = setup();
         let (mut full, mut full_heads) = setup();
+        let mut tensors = LocalStep::default();
         for (images, labels) in ds.train.batches(8).take(3) {
             let got = trainer
-                .step(&mut lean, &mut lean_heads, &images, &labels)
+                .step(&mut tensors, &mut lean, &mut lean_heads, &images, &labels)
                 .unwrap();
             let mut cur = images.clone();
             let mut want = 0.0f32;
@@ -360,5 +318,42 @@ mod tests {
             let alone = trained.exit_accuracy(i, &ds.val).unwrap();
             assert_eq!(c.val_accuracy.map(f32::to_bits), Some(alone.to_bits()));
         }
+    }
+
+    #[test]
+    fn classic_ll_bits_match_the_committed_digest() {
+        // Two epochs of the classic baseline (256-filter heads) on a fixed
+        // seed, over a split whose last batch is short: the per-epoch
+        // losses and accuracies, then every trained weight and batch-norm
+        // statistic of the units, the auxiliary heads and the deep head,
+        // digest (FNV-1a over the f32 bits) to a committed value.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let ds = SyntheticSpec::quick(3, 8, 40).generate();
+        let model = ModelSpec::tiny("pin", 8, &[4, 6, 8], 3)
+            .build(&mut rng)
+            .unwrap();
+        let trainer = LocalLearningTrainer::classic(0.05, 2, 16);
+        let (mut trained, report) = trainer.train(&mut rng, model, &ds.train, &ds.test).unwrap();
+        let mut bits: Vec<u32> = [
+            report.epoch_loss,
+            report.train_accuracy,
+            report.test_accuracy,
+        ]
+        .iter()
+        .flatten()
+        .map(|v| v.to_bits())
+        .collect();
+        let units = trained.model.units.iter_mut().chain(&mut trained.aux_heads);
+        for layer in units.chain(std::iter::once(&mut trained.model.head)) {
+            layer.visit_params(&mut |p| bits.extend(p.value.data().iter().map(|v| v.to_bits())));
+            layer.visit_buffers(&mut |t| bits.extend(t.data().iter().map(|v| v.to_bits())));
+        }
+        let digest = bits
+            .iter()
+            .flat_map(|b| b.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(format!("{digest:016x}"), "a2e938de90370c85");
     }
 }

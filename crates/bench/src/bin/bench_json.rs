@@ -20,10 +20,9 @@
 //! required keys; a malformed artifact exits non-zero, which is what the
 //! CI bench-smoke job asserts.
 
-use nf_bench::step::LocalStep;
-use nf_models::ModelSpec;
+use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
 use nf_nn::optim::Sgd;
-use nf_nn::{BatchNorm2d, GlobalAvgPool, Layer, MaxPool2d, Mode};
+use nf_nn::{BatchNorm2d, GlobalAvgPool, Layer, LocalStep, MaxPool2d, Mode};
 use nf_tensor::{KernelBackend, Tensor};
 use nf_value::{Table, Value};
 use rand::SeedableRng;
@@ -875,8 +874,10 @@ fn minor_faults() -> u64 {
 }
 
 /// The `BENCH_train_step.json` row: one full local-learning training step
-/// on the quickstart-shaped model ([`LocalStep`], the Worker's inner loop
-/// over one minibatch, layers writing into tensors kept across steps). Its
+/// on the quickstart-shaped model with adaptive heads, arranged as the
+/// Worker arranges them — [`LocalStep::train_unit`] per unit over one
+/// minibatch, the Worker's inner loop, layers writing into tensors kept
+/// across steps (the timed region holds the step and nothing else). Its
 /// inverse is the steps/sec the trend line tracks; a warmed-up step reuses
 /// every buffer it touches, so it should not allocate and may not fault
 /// more than a handful of pages (gated here).
@@ -890,20 +891,32 @@ fn time_train_step(smoke: bool) -> Table {
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     let spec = ModelSpec::tiny("bench", hw, channels, classes);
+    let mut model = spec.build(&mut rng).unwrap();
+    let mut heads: Vec<_> = assign_aux(&spec, AuxPolicy::Adaptive)
+        .iter()
+        .map(|a| build_aux_head(&mut rng, a).unwrap())
+        .collect();
+    model.prepare_local_learning(&mut heads, KernelBackend::default());
     let sgd = Sgd::new(0.05).with_momentum(0.9);
-    let mut step = LocalStep::new(&mut rng, &spec, sgd).unwrap();
     let images = nf_tensor::uniform_init(&mut rng, &[batch, 3, hw, hw], -1.0, 1.0);
     let labels: Vec<usize> = (0..batch).map(|i| i % classes).collect();
+    let mut step = LocalStep::default();
+    let mut run = || {
+        step.cur.copy_from(&images);
+        for (unit, head) in model.units.iter_mut().zip(&mut heads) {
+            step.train_unit(&sgd, unit, head, &labels).unwrap();
+        }
+    };
 
     let (warmup, iters) = if smoke { (2, 3) } else { (5, 40) };
     for _ in 0..warmup {
-        step.run(&images, &labels).unwrap();
+        run();
     }
     // Reading the fault count allocates; the allocation count is read
     // inside it on both ends.
     let faults = minor_faults();
     let allocs = counting_alloc::allocations();
-    let ns_per_step = timed(iters, || step.run(&images, &labels).unwrap());
+    let ns_per_step = timed(iters, run);
     let allocs = counting_alloc::allocations() - allocs;
     let faults = (minor_faults() - faults) as f64 / iters as f64;
     assert!(

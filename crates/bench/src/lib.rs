@@ -4,13 +4,13 @@
 //! paper's evaluation (see DESIGN.md §7 for the index) and prints the same
 //! rows/series the paper plots. Helpers here keep the output format
 //! consistent and hold the scaled-training harness that accuracy figures
-//! share, and the training step `bench_json` times ([`step`]).
+//! share. The training step `bench_json` times is the product's own,
+//! `nf_nn::LocalStep`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod scaled;
-pub mod step;
 
 /// Unwraps a bench-setup result, printing the error and exiting with a
 /// nonzero status — figure binaries have no meaningful partial output, but

@@ -10,10 +10,8 @@ use crate::profiler::Profiler;
 use crate::worker::{RunHooks, TrainEvent, Worker, WorkerReport};
 use crate::{NfError, Result};
 use nf_data::{Dataset, SplitDataset};
-use nf_models::{build_aux_head, BuiltModel, ExitCandidate, ModelSpec};
-use nf_nn::loss::accuracy;
-use nf_nn::{Layer, Mode, Sequential};
-use nf_tensor::Tensor;
+use nf_models::{build_aux_head, exit_accuracy, BuiltModel, ExitCandidate, ModelSpec};
+use nf_nn::Sequential;
 use rand::Rng;
 
 /// Caller-supplied extension points for [`NeuroFluxTrainer::train_with`].
@@ -57,7 +55,8 @@ impl NeuroFluxOutcome {
             Some(e) => e.unit,
             None => return Ok(0.0),
         };
-        exit_accuracy(&mut self.model, &mut self.aux_heads, exit, data)
+        let (model, heads) = (&mut self.model, &mut self.aux_heads);
+        Ok(exit_accuracy(model, heads, exit, data)?)
     }
 
     /// Compression factor of the selected exit versus the full model
@@ -67,33 +66,6 @@ impl NeuroFluxOutcome {
             .as_ref()
             .map(|e| nf_models::compression_factor(&self.model.spec, e))
     }
-}
-
-/// Inference accuracy when exiting at auxiliary head `exit` (all exits at
-/// once: [`nf_models::exit_accuracies`]).
-pub fn exit_accuracy(
-    model: &mut BuiltModel,
-    aux_heads: &mut [Sequential],
-    exit: usize,
-    data: &Dataset,
-) -> Result<f32> {
-    if data.is_empty() {
-        return Ok(0.0);
-    }
-    let (mut cur, mut out) = (Tensor::default(), Tensor::default());
-    let mut correct = 0.0f32;
-    for start in (0..data.len()).step_by(64) {
-        let end = (start + 64).min(data.len());
-        data.images().slice_batch_into(start, end, &mut cur)?;
-        for unit in &mut model.units[..=exit] {
-            unit.forward_into(&cur, Mode::Eval, &mut out)?;
-            std::mem::swap(&mut cur, &mut out);
-        }
-        aux_heads[exit].forward_into(&cur, Mode::Eval, &mut out)?;
-        let labels = &data.labels()[start..end];
-        correct += accuracy(&out, labels)? * labels.len() as f32;
-    }
-    Ok(correct / data.len() as f32)
 }
 
 /// The NeuroFlux training system.

@@ -43,13 +43,12 @@
 
 use crate::cache::{DiskStore, MemoryStore};
 use crate::config::NeuroFluxConfig;
-use crate::controller::exit_accuracy;
 use crate::partitioner::Block;
 use crate::serve::SystemClock;
 use crate::worker::Worker;
 use crate::{NfError, Result};
 use nf_data::{shard, Dataset, ShardStrategy, SplitDataset};
-use nf_models::{assign_aux, build_aux_head, AuxSpec, BuiltModel, ModelSpec};
+use nf_models::{assign_aux, build_aux_head, exit_accuracy, AuxSpec, BuiltModel, ModelSpec};
 use nf_nn::aggregate::{load, snapshot, StateSnapshot, WeightedReduce};
 use nf_nn::Sequential;
 use nf_tensor::kernels::{fan::fan, host_cores};

@@ -20,9 +20,8 @@ use crate::config::NeuroFluxConfig;
 use crate::partitioner::Block;
 use crate::{NfError, Result};
 use nf_models::BuiltModel;
-use nf_nn::loss::cross_entropy_into;
 use nf_nn::optim::Sgd;
-use nf_nn::{Layer, Mode, Sequential};
+use nf_nn::{Layer, LocalStep, Mode, Sequential};
 use nf_tensor::{QuantTensor, Tensor};
 
 /// Progress notifications emitted during a Worker run (and exit
@@ -125,21 +124,6 @@ pub struct WorkerReport {
     pub params_bytes_evicted: u64,
 }
 
-/// The tensors one step threads through the layers, kept for a whole run:
-/// every layer writes into them in place ([`Layer::forward_into`]), so
-/// after the first step of the widest block no step allocates.
-#[derive(Default)]
-struct StepTensors {
-    /// The current unit's input; once its forward has run (and its layers
-    /// have cached what they need) the buffer is free, and takes the
-    /// gradient arriving from the auxiliary head.
-    cur: Tensor,
-    /// The current unit's output — swapped into `cur` for the next unit.
-    out: Tensor,
-    logits: Tensor,
-    grad_logits: Tensor,
-}
-
 /// Block-wise trainer operating over an [`ActivationStore`].
 ///
 /// `S: ?Sized` so a `Worker<'_, dyn ActivationStore>` works: the
@@ -171,81 +155,40 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         inputs: &Tensor,
         labels: &[usize],
     ) -> Result<Vec<f32>> {
-        let mut step = StepTensors::default();
-        self.train_block_observed(
-            model, aux_heads, block, inputs, labels, 0, &mut None, &mut step,
-        )
+        let mut step = LocalStep::default();
+        (0..self.config.epochs_per_block)
+            .map(|_| self.train_epoch(model, aux_heads, block, inputs, labels, &mut step))
+            .collect()
     }
 
-    /// [`Worker::train_block`] with per-epoch [`TrainEvent::EpochFinished`]
-    /// notifications; `block_idx` labels the events.
-    #[allow(clippy::too_many_arguments)]
-    fn train_block_observed(
-        &mut self,
+    /// One epoch of [`Worker::train_block`], returning its mean local loss.
+    fn train_epoch(
+        &self,
         model: &mut BuiltModel,
         aux_heads: &mut [Sequential],
         block: &Block,
         inputs: &Tensor,
         labels: &[usize],
-        block_idx: usize,
-        progress: &mut Option<&mut dyn FnMut(&TrainEvent) -> bool>,
-        step: &mut StepTensors,
-    ) -> Result<Vec<f32>> {
-        let StepTensors {
-            cur,
-            out,
-            logits,
-            grad_logits,
-        } = step;
+        step: &mut LocalStep,
+    ) -> Result<f32> {
         let sgd = self.optimizer();
         let n = inputs.shape()[0];
         let batch = block.batch.max(1);
-        let mut epoch_losses = Vec::with_capacity(self.config.epochs_per_block);
-        for epoch in 0..self.config.epochs_per_block {
-            let mut losses = Vec::new();
-            let mut start = 0usize;
-            while start < n {
-                let end = (start + batch).min(n);
-                // AB-LL prefetch: slice exactly this block's batch size out
-                // of the cached activation stream.
-                inputs.slice_batch_into(start, end, cur)?;
-                let batch_labels = &labels[start..end];
-                for u in block.units.clone() {
-                    // Lines 3–7 of Algorithm 2: unit forward, auxiliary
-                    // prediction, local loss, local update.
-                    model.units[u].forward_into(cur, Mode::Train, out)?;
-                    aux_heads[u].forward_into(out, Mode::Train, logits)?;
-                    losses.push(cross_entropy_into(logits, batch_labels, grad_logits)?);
-                    // The unit's input is spent: its buffer takes the
-                    // gradient of the unit's output.
-                    let grad_out = &mut *cur;
-                    aux_heads[u].backward_into(grad_logits, grad_out)?;
-                    // Local learning: nothing upstream reads this unit's
-                    // input gradient.
-                    model.units[u].backward_params(grad_out)?;
-                    sgd.step(&mut model.units[u]);
-                    sgd.step(&mut aux_heads[u]);
-                    std::mem::swap(cur, out);
-                }
-                start = end;
-            }
-            let mean_loss = losses.iter().sum::<f32>() / losses.len().max(1) as f32;
-            epoch_losses.push(mean_loss);
-            if let Some(p) = progress.as_mut() {
-                let keep_going = p(&TrainEvent::EpochFinished {
-                    block: block_idx,
-                    epoch,
-                    epochs: self.config.epochs_per_block,
-                    mean_loss,
-                });
-                if !keep_going {
-                    return Err(NfError::Interrupted {
-                        completed_blocks: block_idx,
-                    });
-                }
+        let (mut sum, mut count) = (0.0f32, 0usize);
+        for start in (0..n).step_by(batch) {
+            let end = (start + batch).min(n);
+            // AB-LL prefetch: slice exactly this block's batch size out of
+            // the cached activation stream.
+            inputs.slice_batch_into(start, end, &mut step.cur)?;
+            for u in block.units.clone() {
+                // Lines 3–7 of Algorithm 2: unit forward, auxiliary
+                // prediction, local loss, local update.
+                let (unit, head) = (&mut model.units[u], &mut aux_heads[u]);
+                sum += step.train_unit(&sgd, unit, head, &labels[start..end])?;
+                count += 1;
             }
         }
-        Ok(epoch_losses)
+        Ok(sum / count.max(1) as f32)
     }
 
     /// Runs the trained block forward over all `inputs` (eval mode, in
@@ -265,10 +208,10 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         block: &Block,
         inputs: &Tensor,
         quant: Option<&QuantTensor>,
-        step: &mut StepTensors,
+        step: &mut LocalStep,
         acts: &mut Tensor,
     ) -> Result<()> {
-        let StepTensors { cur, out, .. } = step;
+        let (cur, out) = (&mut step.cur, &mut step.out);
         let n = match quant {
             Some(q) => q.shape().first().copied().unwrap_or(0),
             None => inputs.shape()[0],
@@ -349,36 +292,10 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         labels: &[usize],
         hooks: &mut RunHooks<'_>,
     ) -> Result<WorkerReport> {
-        // Run every layer's matrix products on the configured kernel
-        // backend (the blocked kernel unless overridden); no layers are
-        // built after this point in a run, so pinning covers everything.
-        for unit in &mut model.units {
-            unit.set_kernel_backend(self.config.kernel_backend);
-        }
-        for head in aux_heads.iter_mut() {
-            head.set_kernel_backend(self.config.kernel_backend);
-        }
-        model.head.set_kernel_backend(self.config.kernel_backend);
-        // Two scratch workspaces for the whole run: one arena shared by
-        // every unit (and the deep head), one by every aux head. Blocks
-        // train strictly sequentially, so run-wide arenas bound scratch
-        // to the largest layer of each chain — the steady-state
-        // assumption behind the paper's Figure-11 budget sweeps —
-        // instead of pinning the sum of per-block arenas. Units and aux
-        // heads get *separate* arenas because they interleave within
-        // every training step (unit fwd → head fwd → head bwd → unit
-        // bwd), and the memory model's optional workspace term
-        // (`MemoryModel::include_workspace`) charges a unit's and its
-        // head's scratch side by side — which is what two arenas reserve.
-        let ws_units = nf_tensor::shared_workspace();
-        let ws_heads = nf_tensor::shared_workspace();
-        for unit in &mut model.units {
-            unit.set_workspace(&ws_units);
-        }
-        for head in aux_heads.iter_mut() {
-            head.set_workspace(&ws_heads);
-        }
-        model.head.set_workspace(&ws_units);
+        // Run every layer on the configured kernel backend and the run's
+        // two workspace arenas; no layers are built after this point in a
+        // run, so this covers everything.
+        model.prepare_local_learning(aux_heads, self.config.kernel_backend);
         // The store must encode with the configured codec: the cache
         // telemetry below (and the §6.4 accounting it feeds) is defined in
         // that codec's encoded bytes.
@@ -443,7 +360,7 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         // held (a tensor kept at its largest size beside a growing
         // `cache_input` would raise the run's peak).
         let mut acts = Tensor::default();
-        let mut step = StepTensors::default();
+        let mut step = LocalStep::default();
         for (b, block) in blocks.iter().enumerate() {
             if b < start_block {
                 // Completed before the checkpoint: parameters restored, the
@@ -479,16 +396,23 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
                 self.store.read_into(b - 1, &mut cache_input)?;
                 &cache_input
             };
-            let losses = self.train_block_observed(
-                model,
-                aux_heads,
-                block,
-                inputs,
-                labels,
-                b,
-                &mut hooks.progress,
-                &mut step,
-            )?;
+            let epochs = self.config.epochs_per_block;
+            let mut losses = Vec::with_capacity(epochs);
+            for epoch in 0..epochs {
+                let mean_loss =
+                    self.train_epoch(model, aux_heads, block, inputs, labels, &mut step)?;
+                losses.push(mean_loss);
+                emit_event(
+                    &mut hooks.progress,
+                    TrainEvent::EpochFinished {
+                        block: b,
+                        epoch,
+                        epochs,
+                        mean_loss,
+                    },
+                    b,
+                )?;
+            }
             report.block_losses.push(losses);
             report.block_batches.push(block.batch);
             // §3.3: persist the trained block's outputs, then evict. The
@@ -558,26 +482,14 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         if let Some(last) = blocks.len().checked_sub(1) {
             if !resume_head_trained {
                 self.store.read_into(last, &mut cache_input)?;
-                let acts = &cache_input;
                 let sgd = self.optimizer();
                 let batch = blocks[last].batch.max(1);
-                let n = acts.shape()[0];
-                let StepTensors {
-                    cur: xb,
-                    logits,
-                    grad_logits,
-                    ..
-                } = &mut step;
+                let n = cache_input.shape()[0];
                 for _ in 0..self.config.epochs_per_block {
-                    let mut start = 0usize;
-                    while start < n {
+                    for start in (0..n).step_by(batch) {
                         let end = (start + batch).min(n);
-                        acts.slice_batch_into(start, end, xb)?;
-                        model.head.forward_into(xb, Mode::Train, logits)?;
-                        cross_entropy_into(logits, &labels[start..end], grad_logits)?;
-                        model.head.backward_params(grad_logits)?;
-                        sgd.step(&mut model.head);
-                        start = end;
+                        cache_input.slice_batch_into(start, end, &mut step.cur)?;
+                        step.train_head(&sgd, &mut model.head, &labels[start..end])?;
                     }
                 }
                 if let Some(sink) = hooks.checkpoint.as_mut() {
@@ -653,7 +565,7 @@ mod tests {
         let mut store = MemoryStore::new();
         let worker = Worker::new(NeuroFluxConfig::new(1 << 30, 16), &mut store);
         let block = &two_blocks()[0];
-        let (mut step, mut acts) = (StepTensors::default(), Tensor::full(&[7], f32::NAN));
+        let (mut step, mut acts) = (LocalStep::default(), Tensor::full(&[7], f32::NAN));
         let mut regenerate = |inputs: &Tensor, acts: &mut Tensor| {
             worker
                 .regenerate_activations(&mut model, block, inputs, None, &mut step, acts)

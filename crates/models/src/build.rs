@@ -29,6 +29,35 @@ impl BuiltModel {
         units + self.head.param_count()
     }
 
+    /// Arranges the model and its auxiliary heads for local learning: every
+    /// layer computes on `backend`, and two workspace arenas serve the
+    /// whole run — one shared by the units and the deep head, one by the
+    /// auxiliary heads. Blocks train strictly sequentially, so run-wide
+    /// arenas bound scratch to the largest layer of each chain (the
+    /// steady-state assumption behind the paper's Figure-11 budget sweeps)
+    /// instead of pinning one arena per layer or per block. Units and aux
+    /// heads get *separate* arenas because they interleave within every
+    /// step (unit fwd → head fwd → head bwd → unit bwd), and the memory
+    /// model's optional workspace term (`MemoryModel::include_workspace`)
+    /// charges a unit's and its head's scratch side by side — which is
+    /// what two arenas reserve.
+    pub fn prepare_local_learning(
+        &mut self,
+        aux_heads: &mut [Sequential],
+        backend: nf_tensor::KernelBackend,
+    ) {
+        let ws_units = nf_tensor::shared_workspace();
+        let ws_heads = nf_tensor::shared_workspace();
+        for layer in self.units.iter_mut().chain(std::iter::once(&mut self.head)) {
+            layer.set_kernel_backend(backend);
+            layer.set_workspace(&ws_units);
+        }
+        for head in aux_heads {
+            head.set_kernel_backend(backend);
+            head.set_workspace(&ws_heads);
+        }
+    }
+
     /// Runs an inference forward pass through all units and the head.
     pub fn infer(&mut self, x: &nf_tensor::Tensor) -> nf_nn::Result<nf_tensor::Tensor> {
         // The first unit reads the caller's tensor; no copy to own it.

@@ -6,11 +6,13 @@
 //! This module computes the analytic size/FLOPs of each candidate — the
 //! numbers behind Table 2's compression factors and Table 3's throughput
 //! gains — and measures every candidate's accuracy in one pass over a
-//! dataset ([`exit_accuracies`]).
+//! dataset ([`exit_accuracies`]) or one candidate's alone
+//! ([`exit_accuracy`]).
 
 use crate::aux::AuxSpec;
 use crate::build::BuiltModel;
 use crate::spec::ModelSpec;
+use nf_data::Dataset;
 use nf_nn::loss::accuracy;
 use nf_nn::{Layer, Mode, Sequential};
 use nf_tensor::Tensor;
@@ -86,6 +88,32 @@ pub fn exit_accuracies(
     }
     let n = labels.len().max(1) as f32;
     Ok(correct.into_iter().map(|c| c / n).collect())
+}
+
+/// Inference accuracy at exit `exit` alone over `data`: each batch of 64
+/// goes through units `0..=exit` (eval mode), then head `exit`. The same
+/// arithmetic as [`exit_accuracies`], so the two agree bit for bit. An
+/// empty dataset scores `0.0`.
+pub fn exit_accuracy(
+    model: &mut BuiltModel,
+    aux_heads: &mut [Sequential],
+    exit: usize,
+    data: &Dataset,
+) -> nf_nn::Result<f32> {
+    let (images, labels) = (data.images(), data.labels());
+    let (mut cur, mut out) = (Tensor::default(), Tensor::default());
+    let mut correct = 0.0f32;
+    for start in (0..labels.len()).step_by(64) {
+        let batch = &labels[start..(start + 64).min(labels.len())];
+        images.slice_batch_into(start, start + batch.len(), &mut cur)?;
+        for unit in &mut model.units[..=exit] {
+            unit.forward_into(&cur, Mode::Eval, &mut out)?;
+            std::mem::swap(&mut cur, &mut out);
+        }
+        aux_heads[exit].forward_into(&cur, Mode::Eval, &mut out)?;
+        correct += accuracy(&out, batch)? * batch.len() as f32;
+    }
+    Ok(correct / labels.len().max(1) as f32)
 }
 
 /// Selects the paper's "best" exit: the candidate with the **smallest

@@ -40,6 +40,6 @@ mod spec;
 pub use aux::{assign_aux, AuxPolicy, AuxSpec};
 pub use build::{build_aux_head, BuiltModel};
 pub use early_exit::{
-    compression_factor, exit_accuracies, exit_candidates, select_exit, ExitCandidate,
+    compression_factor, exit_accuracies, exit_accuracy, exit_candidates, select_exit, ExitCandidate,
 };
 pub use spec::{HeadSpec, LayerKind, ModelSpec, SpecError, UnitAnalytics, UnitSpec};

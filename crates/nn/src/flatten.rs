@@ -72,6 +72,16 @@ impl Layer for Flatten {
         Ok(())
     }
 
+    /// No parameters and no input gradient wanted: only spend the cache
+    /// (the deep head's first layer, so its step allocates nothing).
+    fn backward_params(&mut self, _grad_out: &Tensor) -> Result<()> {
+        if self.cached_shape.is_empty() {
+            return Err(NnError::NoForwardCache { layer: self.name() });
+        }
+        self.cached_shape.clear();
+        Ok(())
+    }
+
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn clear_cache(&mut self) {

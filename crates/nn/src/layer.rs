@@ -100,7 +100,8 @@ pub trait Layer: Send {
     ///
     /// The default runs `backward_into` into a throw-away tensor; layers
     /// whose input gradient is a product of its own (`Conv2d`, `Linear`)
-    /// skip it, and containers hand the saving to their first layer.
+    /// skip it, parameterless `Flatten` and `GlobalAvgPool` only spend
+    /// their cache, and containers hand the saving to their first layer.
     fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
         self.backward_into(grad_out, &mut Tensor::default())
     }

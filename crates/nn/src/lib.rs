@@ -54,6 +54,7 @@ pub mod relu;
 pub mod residual;
 pub mod scratch;
 mod sequential;
+pub mod step;
 
 pub use aggregate::{load, snapshot, StateSnapshot, WeightedReduce};
 pub use batchnorm::BatchNorm2d;
@@ -67,6 +68,7 @@ pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
 pub use residual::BasicBlock;
 pub use scratch::{InputCache, PackedPanel};
 pub use sequential::Sequential;
+pub use step::LocalStep;
 
 /// Convenience alias for fallible layer operations.
 pub type Result<T> = std::result::Result<T, NnError>;

@@ -223,6 +223,15 @@ impl Layer for GlobalAvgPool {
         Ok(())
     }
 
+    /// No parameters and no input gradient wanted: only spend the cache
+    /// (the deep head's first layer, so its step allocates nothing).
+    fn backward_params(&mut self, _grad_out: &Tensor) -> Result<()> {
+        self.cache
+            .take()
+            .map(drop)
+            .ok_or_else(|| NnError::NoForwardCache { layer: self.name() })
+    }
+
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn clear_cache(&mut self) {

@@ -10,10 +10,11 @@
 //! they return: the per-step count is a small constant, nothing in it is
 //! activation-sized, and the shared workspaces stop growing.
 
-use nf_nn::loss::cross_entropy_into;
 use nf_nn::optim::Sgd;
 use nf_nn::relu::ReLU;
-use nf_nn::{BatchNorm2d, Conv2d, GlobalAvgPool, Layer, Linear, MaxPool2d, Mode, Sequential};
+use nf_nn::{
+    BatchNorm2d, Conv2d, GlobalAvgPool, Layer, Linear, LocalStep, MaxPool2d, Mode, Sequential,
+};
 use nf_tensor::{lock_workspace, shared_workspace, QuantTensor, Tensor};
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -125,20 +126,21 @@ fn local_learning_step_allocates_nothing(shape: [usize; 4]) {
     // `LARGE`.
     let x = nf_tensor::uniform_init(&mut rng, &shape, -1.0, 1.0);
     let labels = [0usize, 1, 2, 0, 1, 2];
+    let mut deep = Sequential::new(vec![
+        Box::new(GlobalAvgPool::new()),
+        Box::new(Linear::new(&mut rng, 8, 3)),
+    ]);
+    deep.set_workspace(&shared_workspace());
     let sgd = Sgd::new(0.01).with_momentum(0.9);
-    // The Worker's step tensors: the unit's spent input takes the gradient.
-    let (mut cur, mut out) = (Tensor::default(), Tensor::default());
-    let (mut logits, mut grad_logits) = (Tensor::default(), Tensor::default());
-
+    // The step the trainers run: the unit with its auxiliary head, then a
+    // deep head on the unit's output.
+    let mut tensors = LocalStep::default();
     let mut step = || {
-        cur.copy_from(&x);
-        unit.forward_into(&cur, Mode::Train, &mut out).unwrap();
-        head.forward_into(&out, Mode::Train, &mut logits).unwrap();
-        cross_entropy_into(&logits, &labels, &mut grad_logits).unwrap();
-        head.backward_into(&grad_logits, &mut cur).unwrap();
-        unit.backward_params(&cur).unwrap();
-        sgd.step(&mut unit);
-        sgd.step(&mut head);
+        tensors.cur.copy_from(&x);
+        tensors
+            .train_unit(&sgd, &mut unit, &mut head, &labels)
+            .unwrap();
+        tensors.train_head(&sgd, &mut deep, &labels).unwrap();
     };
     step();
     step();

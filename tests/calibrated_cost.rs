@@ -13,9 +13,8 @@
 use neuroflux_core::codec::{ActivationCodec, CacheBlob, CodecKind};
 use nf_memsim::{CalibratedCostModel, MeasuredPrimitives, TimingModel};
 use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
-use nf_nn::loss::cross_entropy;
 use nf_nn::optim::Sgd;
-use nf_nn::{Layer, Mode};
+use nf_nn::LocalStep;
 use nf_tensor::KernelBackend;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -80,39 +79,28 @@ fn measure_codec_gbps() -> (f64, f64) {
 }
 
 /// Median wall-clock seconds of one local-learning training step at
-/// `batch` — the same inner loop `bench_json`'s quickstart step times
-/// (forward → aux → backward → SGD per unit), on a smoke-sized model so
-/// the unoptimized test binary stays fast.
+/// `batch` — the step `bench_json`'s quickstart row times and `nf train`
+/// runs ([`LocalStep::train_unit`] per unit, model and adaptive heads
+/// arranged as the Worker arranges them), on a smoke-sized model so the
+/// unoptimized test binary stays fast.
 fn measure_step_s(spec: &ModelSpec, batch: usize) -> f64 {
     let hw = spec.input.1;
     let classes = spec.classes;
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     let mut model = spec.build(&mut rng).unwrap();
-    let aux = assign_aux(spec, AuxPolicy::Adaptive);
-    let mut heads: Vec<_> = aux
+    let mut heads: Vec<_> = assign_aux(spec, AuxPolicy::Adaptive)
         .iter()
         .map(|a| build_aux_head(&mut rng, a).unwrap())
         .collect();
-    let ws_units = nf_tensor::shared_workspace();
-    let ws_heads = nf_tensor::shared_workspace();
-    for (unit, head) in model.units.iter_mut().zip(heads.iter_mut()) {
-        unit.set_workspace(&ws_units);
-        head.set_workspace(&ws_heads);
-    }
+    model.prepare_local_learning(&mut heads, KernelBackend::default());
     let images = nf_tensor::uniform_init(&mut rng, &[batch, 3, hw, hw], -1.0, 1.0);
     let labels: Vec<usize> = (0..batch).map(|i| i % classes).collect();
     let sgd = Sgd::new(0.05).with_momentum(0.9);
+    let mut tensors = LocalStep::default();
     let mut step = || {
-        let mut cur = images.clone();
-        for (unit, head) in model.units.iter_mut().zip(heads.iter_mut()) {
-            let out = unit.forward(&cur, Mode::Train).unwrap();
-            let logits = head.forward(&out, Mode::Train).unwrap();
-            let (_, grad_logits) = cross_entropy(&logits, &labels).unwrap();
-            let grad_out = head.backward(&grad_logits).unwrap();
-            let _ = unit.backward(&grad_out).unwrap();
-            sgd.step(unit);
-            sgd.step(head);
-            cur = out;
+        tensors.cur.copy_from(&images);
+        for (unit, head) in model.units.iter_mut().zip(&mut heads) {
+            tensors.train_unit(&sgd, unit, head, &labels).unwrap();
         }
     };
     step(); // warm caches and workspace arenas
