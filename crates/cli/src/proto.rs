@@ -36,6 +36,7 @@
     clippy::indexing_slicing
 )]
 
+use neuroflux_core::reader::{ReadError, Reader};
 use neuroflux_core::SloTier;
 use std::io::{Read, Write};
 
@@ -222,87 +223,22 @@ impl From<std::io::Error> for ProtoError {
     }
 }
 
-/// A little-endian byte cursor that turns every short read into a typed
-/// [`ProtoError::Truncated`] instead of a slice panic.
-struct Cursor<'b> {
-    buf: &'b [u8],
-    pos: usize,
-    context: &'static str,
-}
-
-impl<'b> Cursor<'b> {
-    fn new(buf: &'b [u8], context: &'static str) -> Self {
-        Cursor {
-            buf,
-            pos: 0,
-            context,
+/// The shared reader's short read is a truncated frame, and its leftover
+/// bytes a payload longer than its declared fields.
+impl From<ReadError> for ProtoError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated { context } => ProtoError::Truncated { context },
+            ReadError::Trailing {
+                context,
+                expected,
+                got,
+            } => ProtoError::LengthMismatch {
+                context,
+                expected,
+                got,
+            },
         }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'b [u8], ProtoError> {
-        let slice = self
-            .pos
-            .checked_add(n)
-            .and_then(|end| self.buf.get(self.pos..end));
-        match slice {
-            Some(s) => {
-                self.pos += n;
-                Ok(s)
-            }
-            None => Err(ProtoError::Truncated {
-                context: self.context,
-            }),
-        }
-    }
-
-    /// Takes exactly N bytes as an array; `take(N)` guarantees the
-    /// length, so a short slice is reported as truncation, never a panic.
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], ProtoError> {
-        let mut out = [0u8; N];
-        let src = self.take(N)?;
-        if src.len() != N {
-            return Err(ProtoError::Truncated {
-                context: self.context,
-            });
-        }
-        out.copy_from_slice(src);
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        let [b] = self.array::<1>()?;
-        Ok(b)
-    }
-
-    fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.array()?))
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn f32(&mut self) -> Result<f32, ProtoError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn finish(&self) -> Result<(), ProtoError> {
-        if self.remaining() != 0 {
-            return Err(ProtoError::LengthMismatch {
-                context: self.context,
-                expected: self.pos,
-                got: self.buf.len(),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -332,7 +268,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 
 /// Decodes a request payload.
 pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
-    let mut c = Cursor::new(payload, "request");
+    let mut c = Reader::new(payload, "request");
     match c.u8()? {
         0 => {
             let id = c.u64()?;
@@ -418,7 +354,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 
 /// Decodes a response payload.
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
-    let mut c = Cursor::new(payload, "response");
+    let mut c = Reader::new(payload, "response");
     match c.u8()? {
         0 => {
             let id = c.u64()?;

@@ -247,7 +247,9 @@ fn interrupted_quantized_run_resumes_and_changed_codec_is_refused() {
 
     // Below the CLI guard, the core is also defended: recovering the int8
     // cache directory under f32 is a typed mismatch naming both codecs.
-    let mut wrong = neuroflux_core::DiskStore::recover(run_dir.join("cache")).unwrap();
+    let f32 = neuroflux_core::CodecKind::F32Raw;
+    let mut wrong =
+        neuroflux_core::DiskStore::recover_with_codec(run_dir.join("cache"), f32).unwrap();
     let msg = neuroflux_core::ActivationStore::read(&mut wrong, 0)
         .unwrap_err()
         .to_string();

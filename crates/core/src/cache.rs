@@ -7,18 +7,28 @@
 //! redundant forward passes over trained blocks. The paper's §6.4 measures
 //! this cache at 1.5–5.3× the dataset size — [`ActivationStore::bytes_stored`]
 //! reproduces that accounting, **in encoded bytes**: the cache path is two
-//! orthogonal layers, an [`ActivationCodec`] deciding how tensors become
-//! bytes (raw f32, f16, or per-channel-quantized int8 — see
-//! [`crate::codec`]) and a [`BlobStore`] deciding where the bytes live
-//! (memory or disk), composed by [`CodecStore`].
+//! orthogonal layers, a [`CodecKind`] deciding how tensors become bytes
+//! (raw f32, f16, or per-channel-quantized int8 — see [`crate::codec`])
+//! and a [`BlobStore`] deciding where the bytes live (memory or disk),
+//! composed by [`CodecStore`].
 
-use crate::codec::{ActivationCodec, CacheBlob, CodecKind, BLOB_MAGIC};
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
+use crate::codec::{parse_header, ActivationCodec, CacheBlob, CodecKind, MAX_HEADER_LEN};
 use crate::{NfError, Result};
 use nf_tensor::{QuantTensor, Tensor};
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 /// Storage backend for cached activations, keyed by block index.
 ///
@@ -30,8 +40,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 ///
 /// # Examples
 ///
-/// The Worker only sees this trait, so an in-memory store, the on-disk
-/// store, and test fault injectors are interchangeable:
+/// The Worker only sees this trait, so the in-memory store (fault
+/// switches included) and the on-disk store are interchangeable:
 ///
 /// ```
 /// use neuroflux_core::{ActivationStore, CodecKind, MemoryStore};
@@ -71,12 +81,10 @@ pub trait ActivationStore {
     /// Loads the cached activations of `block` directly in affine-`u8`
     /// form into `out` — the quantized-compute consume path. Returns
     /// `Ok(true)` when the store holds natively quantized data and filled
-    /// `out` **without an f32 detour**; `Ok(false)` (the default) when it
-    /// cannot, in which case the caller falls back to
-    /// [`ActivationStore::read_into`] and the f32 path.
-    fn read_quant(&mut self, _block: usize, _out: &mut QuantTensor) -> Result<bool> {
-        Ok(false)
-    }
+    /// `out` **without an f32 detour**; `Ok(false)` when it cannot, in
+    /// which case the caller falls back to [`ActivationStore::read_into`]
+    /// and the f32 path.
+    fn read_quant(&mut self, block: usize, out: &mut QuantTensor) -> Result<bool>;
 
     /// Drops the cached activations of `block` (frees storage once the next
     /// block has consumed them).
@@ -89,9 +97,7 @@ pub trait ActivationStore {
     fn peak_bytes(&self) -> u64;
 
     /// The codec this store encodes with.
-    fn codec(&self) -> CodecKind {
-        CodecKind::F32Raw
-    }
+    fn codec(&self) -> CodecKind;
 }
 
 // Mutable references forward to the underlying store, so APIs taking a
@@ -100,10 +106,6 @@ pub trait ActivationStore {
 impl<S: ActivationStore + ?Sized> ActivationStore for &mut S {
     fn write(&mut self, block: usize, activations: &Tensor) -> Result<u64> {
         (**self).write(block, activations)
-    }
-
-    fn read(&mut self, block: usize) -> Result<Tensor> {
-        (**self).read(block)
     }
 
     fn read_into(&mut self, block: usize, out: &mut Tensor) -> Result<()> {
@@ -153,26 +155,24 @@ pub trait BlobStore {
     fn peak_bytes(&self) -> u64;
 }
 
-/// Composes an [`ActivationCodec`] with a [`BlobStore`] into the
+/// Composes a [`CodecKind`] with a [`BlobStore`] into the
 /// [`ActivationStore`] the Worker trains against.
 ///
-/// The concrete aliases [`MemoryStore`] and [`DiskStore`] cover the two
-/// shipped storage backends with a runtime-selected codec; the generic
-/// form exists so tests (and future backends) can compose freely. One
-/// scratch [`CacheBlob`] is reused across every write and read, so the
-/// steady-state encode/decode path performs no payload-sized allocations
-/// once warmed up (what remains per block write is small header/metadata
-/// work, negligible next to the payload I/O).
+/// The aliases [`MemoryStore`] and [`DiskStore`] name the shipped storage
+/// backends. One scratch [`CacheBlob`] is reused across every write and
+/// read, so the steady-state encode/decode path performs no payload-sized
+/// allocations once warmed up (what remains per block write is small
+/// header/metadata work, negligible next to the payload I/O).
 #[derive(Debug)]
-pub struct CodecStore<C, S> {
-    codec: C,
+pub struct CodecStore<S> {
+    codec: CodecKind,
     store: S,
     scratch: CacheBlob,
 }
 
-impl<C: ActivationCodec, S: BlobStore> CodecStore<C, S> {
+impl<S: BlobStore> CodecStore<S> {
     /// Composes `codec` over `store`.
-    pub fn from_parts(codec: C, store: S) -> Self {
+    pub fn from_parts(codec: CodecKind, store: S) -> Self {
         CodecStore {
             codec,
             store,
@@ -184,9 +184,29 @@ impl<C: ActivationCodec, S: BlobStore> CodecStore<C, S> {
     pub fn inner(&self) -> &S {
         &self.store
     }
+
+    /// The underlying blob store, mutably (how tests arm a
+    /// [`MemoryBlobStore`]'s fault switches).
+    pub fn inner_mut(&mut self) -> &mut S {
+        &mut self.store
+    }
+
+    /// Loads `block` into the scratch blob and checks it was written under
+    /// `expected`.
+    fn load(&mut self, block: usize, expected: CodecKind, what: &str) -> Result<()> {
+        self.store.get(block, &mut self.scratch)?;
+        if self.scratch.codec != expected {
+            return Err(NfError::CodecMismatch {
+                expected: expected.name(),
+                found: self.scratch.codec.name(),
+                context: format!("activation cache block {block}{what}"),
+            });
+        }
+        Ok(())
+    }
 }
 
-impl<C: ActivationCodec, S: BlobStore> ActivationStore for CodecStore<C, S> {
+impl<S: BlobStore> ActivationStore for CodecStore<S> {
     fn write(&mut self, block: usize, activations: &Tensor) -> Result<u64> {
         self.codec.encode(activations, &mut self.scratch);
         self.store.put(block, &self.scratch)?;
@@ -194,29 +214,15 @@ impl<C: ActivationCodec, S: BlobStore> ActivationStore for CodecStore<C, S> {
     }
 
     fn read_into(&mut self, block: usize, out: &mut Tensor) -> Result<()> {
-        self.store.get(block, &mut self.scratch)?;
-        if self.scratch.codec != self.codec.kind() {
-            return Err(NfError::CodecMismatch {
-                expected: self.codec.kind().name(),
-                found: self.scratch.codec.name(),
-                context: format!("activation cache block {block}"),
-            });
-        }
+        self.load(block, self.codec, "")?;
         self.codec.decode_into(&self.scratch, out)
     }
 
     fn read_quant(&mut self, block: usize, out: &mut QuantTensor) -> Result<bool> {
-        if self.codec.kind() != CodecKind::Int8Affine {
+        if self.codec != CodecKind::Int8Affine {
             return Ok(false);
         }
-        self.store.get(block, &mut self.scratch)?;
-        if self.scratch.codec != CodecKind::Int8Affine {
-            return Err(NfError::CodecMismatch {
-                expected: CodecKind::Int8Affine.name(),
-                found: self.scratch.codec.name(),
-                context: format!("activation cache block {block} (quantized read)"),
-            });
-        }
+        self.load(block, CodecKind::Int8Affine, " (quantized read)")?;
         crate::codec::requantize_int8_blob(&self.scratch, out)?;
         Ok(true)
     }
@@ -234,25 +240,38 @@ impl<C: ActivationCodec, S: BlobStore> ActivationStore for CodecStore<C, S> {
     }
 
     fn codec(&self) -> CodecKind {
-        self.codec.kind()
+        self.codec
     }
 }
 
-/// In-memory blob storage (tests, small runs).
+/// In-memory blob storage (tests, small runs). Its two switches inject
+/// faults: while one is set, every `put` or `get` fails with a typed
+/// [`NfError::Cache`] — how tests check, under every codec, that the
+/// Worker surfaces storage failures without corrupting trained state.
 #[derive(Debug, Default)]
 pub struct MemoryBlobStore {
     blocks: BTreeMap<usize, CacheBlob>,
     peak: u64,
+    /// While set, every `put` fails.
+    pub fail_writes: bool,
+    /// While set, every `get` fails.
+    pub fail_reads: bool,
 }
 
 impl BlobStore for MemoryBlobStore {
     fn put(&mut self, block: usize, blob: &CacheBlob) -> Result<()> {
+        if self.fail_writes {
+            return Err(injected("write", block));
+        }
         self.blocks.entry(block).or_default().copy_from(blob);
         self.peak = self.peak.max(self.bytes_stored());
         Ok(())
     }
 
     fn get(&mut self, block: usize, blob: &mut CacheBlob) -> Result<()> {
+        if self.fail_reads {
+            return Err(injected("read", block));
+        }
         let stored = self.blocks.get(&block).ok_or(NfError::Cache {
             op: "read",
             block,
@@ -276,9 +295,17 @@ impl BlobStore for MemoryBlobStore {
     }
 }
 
+fn injected(op: &'static str, block: usize) -> NfError {
+    NfError::Cache {
+        op,
+        block,
+        cause: format!("injected {op} failure"),
+    }
+}
+
 /// Simple in-memory store (tests, small runs): a [`MemoryBlobStore`] under
 /// a runtime-selected codec.
-pub type MemoryStore = CodecStore<CodecKind, MemoryBlobStore>;
+pub type MemoryStore = CodecStore<MemoryBlobStore>;
 
 impl MemoryStore {
     /// Creates an empty store with the default bit-exact f32 codec.
@@ -301,12 +328,12 @@ impl Default for MemoryStore {
 /// On-disk blob storage: one self-describing file per block under a
 /// directory (the paper's SD-card/NVMe activation cache).
 ///
-/// File format: magic `NFAC`, codec id `u32` LE, rank `u64` LE, each dim
-/// `u64` LE, then the codec's payload. Reads are a handful of header reads
-/// plus one bulk `read_exact` of the whole payload into a reused buffer —
-/// the codec then decodes it with a single slice-wise pass, so multi-
-/// megabyte block reloads during `--resume` stay I/O-bound rather than
-/// decode-bound.
+/// File format: magic `NFAC`, codec id `u32` LE, the shape record (rank
+/// `u64` LE, each dim `u64` LE), then the codec's payload. A read is one
+/// header read, parsed by the one blob-header parser, plus one bulk
+/// `read_exact` of the whole payload into a reused buffer — the codec then
+/// decodes it with a single slice-wise pass, so multi-megabyte block
+/// reloads during `--resume` stay I/O-bound rather than decode-bound.
 #[derive(Debug)]
 pub struct DiskBlobStore {
     dir: PathBuf,
@@ -367,22 +394,29 @@ impl DiskBlobStore {
         Ok(store)
     }
 
-    /// Reads just enough of a blob file's header (magic + codec + rank) to
-    /// compute its payload length; `None` if the header is unreadable.
-    fn peek_payload_len(path: &std::path::Path) -> Option<u64> {
-        let mut file = std::fs::File::open(path).ok()?;
-        let len = file.metadata().ok()?.len();
-        let mut head = [0u8; 16];
-        file.read_exact(&mut head).ok()?;
-        if head[..4] != BLOB_MAGIC {
-            return None;
-        }
-        let rank = u64::from_le_bytes(head[8..16].try_into().ok()?);
-        if rank > 8 {
-            return None;
-        }
-        len.checked_sub(16 + 8 * rank)
+    /// A blob file's payload length from its header; `None` if the
+    /// header is unreadable.
+    fn peek_payload_len(path: &Path) -> Option<u64> {
+        read_header(&mut File::open(path).ok()?)
+            .ok()
+            .map(|(_, _, payload)| payload)
     }
+}
+
+/// Parses the header of an open blob file and leaves the file at its
+/// payload: the codec, the shape, and the payload's length in bytes.
+fn read_header(file: &mut File) -> std::result::Result<(CodecKind, Vec<usize>, u64), String> {
+    let io = |e: std::io::Error| e.to_string();
+    let file_len = file.metadata().map_err(io)?.len();
+    let mut head = [0u8; MAX_HEADER_LEN];
+    let head = head
+        .get_mut(..file_len.min(MAX_HEADER_LEN as u64) as usize)
+        .unwrap_or_default();
+    file.read_exact(head).map_err(io)?;
+    let (codec, shape, header_len) = parse_header(head)?;
+    let header_len = header_len as u64;
+    file.seek(SeekFrom::Start(header_len)).map_err(io)?;
+    Ok((codec, shape, file_len - header_len))
 }
 
 impl BlobStore for DiskBlobStore {
@@ -396,7 +430,7 @@ impl BlobStore for DiskBlobStore {
         // Header and payload stream out separately: the encoded payload
         // is written straight from the blob's buffer, never copied into a
         // whole-file staging Vec.
-        let mut file = std::fs::File::create(&path).map_err(werr)?;
+        let mut file = File::create(&path).map_err(werr)?;
         file.write_all(&blob.header_bytes()).map_err(werr)?;
         file.write_all(blob.bytes()).map_err(werr)?;
         // Accounting excludes the fixed per-file header so the write /
@@ -413,54 +447,12 @@ impl BlobStore for DiskBlobStore {
             block,
             cause,
         };
-        let path = self.path(block);
-        let mut file = std::fs::File::open(&path).map_err(|e| rerr(e.to_string()))?;
-        let file_len = file.metadata().map_err(|e| rerr(e.to_string()))?.len();
-        let mut magic = [0u8; 4];
-        file.read_exact(&mut magic)
-            .map_err(|e| rerr(e.to_string()))?;
-        if magic != BLOB_MAGIC {
-            return Err(rerr("bad magic (not a NeuroFlux cache blob)".to_string()));
-        }
-        let mut u32buf = [0u8; 4];
-        file.read_exact(&mut u32buf)
-            .map_err(|e| rerr(e.to_string()))?;
-        let codec_id = u32::from_le_bytes(u32buf);
-        let codec = CodecKind::from_id(codec_id)
-            .ok_or_else(|| rerr(format!("unknown codec id {codec_id}")))?;
-        let mut u64buf = [0u8; 8];
-        file.read_exact(&mut u64buf)
-            .map_err(|e| rerr(e.to_string()))?;
-        let rank = u64::from_le_bytes(u64buf) as usize;
-        if rank > 8 {
-            return Err(rerr(format!("implausible rank {rank}")));
-        }
-        let mut shape = [0usize; 8];
-        for d in shape.iter_mut().take(rank) {
-            file.read_exact(&mut u64buf)
-                .map_err(|e| rerr(e.to_string()))?;
-            *d = u64::from_le_bytes(u64buf) as usize;
-        }
-        // Dims come from a possibly-corrupt file: a garbage shape must be
-        // a typed error here, not an integer overflow downstream when the
-        // codec computes its expected payload size from the element
-        // count. 2⁴⁰ elements (4 TiB as f32) bounds every real cache.
-        shape[..rank]
-            .iter()
-            .try_fold(1u64, |n, &d| n.checked_mul(d as u64))
-            .filter(|&n| n <= 1 << 40)
-            .ok_or_else(|| rerr(format!("implausible shape {:?}", &shape[..rank])))?;
-        let header = (4 + 4 + 8 * (1 + rank)) as u64;
-        let payload = file_len.checked_sub(header).ok_or_else(|| {
-            rerr(format!(
-                "file is {file_len} bytes, smaller than its {header}-byte header"
-            ))
-        })?;
-        blob.reset(codec, &shape[..rank], payload as usize);
+        let mut file = File::open(self.path(block)).map_err(|e| rerr(e.to_string()))?;
+        let (codec, shape, payload) = read_header(&mut file).map_err(rerr)?;
+        blob.reset(codec, &shape, payload as usize);
         // The whole payload in one bulk read into the reused buffer.
         file.read_exact(blob.bytes_mut())
-            .map_err(|e| rerr(e.to_string()))?;
-        Ok(())
+            .map_err(|e| rerr(e.to_string()))
     }
 
     fn delete(&mut self, block: usize) -> Result<()> {
@@ -486,129 +478,28 @@ impl BlobStore for DiskBlobStore {
 }
 
 /// On-disk store: a [`DiskBlobStore`] under a runtime-selected codec.
-pub type DiskStore = CodecStore<CodecKind, DiskBlobStore>;
+pub type DiskStore = CodecStore<DiskBlobStore>;
 
 impl DiskStore {
-    /// Creates (and if needed, makes) a store under `dir` with the default
-    /// bit-exact f32 codec.
-    pub fn new(dir: impl Into<PathBuf>) -> Result<Self> {
-        Self::with_codec(dir, CodecKind::F32Raw)
-    }
-
     /// Creates (and if needed, makes) a store under `dir` encoding with
     /// `codec`.
     pub fn with_codec(dir: impl Into<PathBuf>, codec: CodecKind) -> Result<Self> {
         Ok(CodecStore::from_parts(codec, DiskBlobStore::new(dir)?))
     }
 
-    /// Opens a store under `dir`, re-registering any `block_*.acts` files a
-    /// previous process left behind so `bytes_stored` accounts for them and
-    /// `read` serves them. This is the resume path: an interrupted run's
-    /// cached activations become the restart point. Reads with the default
-    /// f32 codec; blobs written under another codec surface as
-    /// [`NfError::CodecMismatch`].
-    pub fn recover(dir: impl Into<PathBuf>) -> Result<Self> {
-        Self::recover_with_codec(dir, CodecKind::F32Raw)
-    }
-
-    /// [`DiskStore::recover`] reading with `codec`. Because blobs are
-    /// self-describing, resuming a run whose cache was written under a
-    /// *different* codec fails with a typed [`NfError::CodecMismatch`]
-    /// naming both codecs — never garbage tensors.
+    /// Opens a store under `dir` reading with `codec`, re-registering any
+    /// `block_*.acts` files a previous process left behind so
+    /// `bytes_stored` accounts for them and `read` serves them. This is
+    /// the resume path: an interrupted run's cached activations become the
+    /// restart point. Because blobs are self-describing, a cache written
+    /// under a *different* codec fails with a typed
+    /// [`NfError::CodecMismatch`] naming both codecs — never garbage
+    /// tensors.
     pub fn recover_with_codec(dir: impl Into<PathBuf>, codec: CodecKind) -> Result<Self> {
         Ok(CodecStore::from_parts(
             codec,
             DiskBlobStore::recover_dir(dir)?,
         ))
-    }
-}
-
-/// Fault-injection store: fails writes and/or reads on demand. Used to test
-/// that the Worker surfaces storage failures without corrupting trained
-/// state.
-#[derive(Debug, Default)]
-pub struct FailingStore {
-    inner: MemoryStore,
-    fail_writes: AtomicBool,
-    fail_reads: AtomicBool,
-}
-
-impl FailingStore {
-    /// Creates a store that initially behaves normally (f32 codec).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a store encoding with `codec`, so fault injection also
-    /// covers the quantized cache paths (the Worker cross-checks its
-    /// config codec against [`ActivationStore::codec`]).
-    pub fn with_codec(codec: CodecKind) -> Self {
-        FailingStore {
-            inner: MemoryStore::with_codec(codec),
-            fail_writes: AtomicBool::new(false),
-            fail_reads: AtomicBool::new(false),
-        }
-    }
-
-    /// Makes all subsequent writes fail.
-    pub fn fail_writes(&self, fail: bool) {
-        self.fail_writes.store(fail, Ordering::SeqCst);
-    }
-
-    /// Makes all subsequent reads fail.
-    pub fn fail_reads(&self, fail: bool) {
-        self.fail_reads.store(fail, Ordering::SeqCst);
-    }
-}
-
-impl ActivationStore for FailingStore {
-    fn write(&mut self, block: usize, activations: &Tensor) -> Result<u64> {
-        if self.fail_writes.load(Ordering::SeqCst) {
-            return Err(NfError::Cache {
-                op: "write",
-                block,
-                cause: "injected write failure".into(),
-            });
-        }
-        self.inner.write(block, activations)
-    }
-
-    fn read_into(&mut self, block: usize, out: &mut Tensor) -> Result<()> {
-        if self.fail_reads.load(Ordering::SeqCst) {
-            return Err(NfError::Cache {
-                op: "read",
-                block,
-                cause: "injected read failure".into(),
-            });
-        }
-        self.inner.read_into(block, out)
-    }
-
-    fn read_quant(&mut self, block: usize, out: &mut QuantTensor) -> Result<bool> {
-        if self.fail_reads.load(Ordering::SeqCst) {
-            return Err(NfError::Cache {
-                op: "read",
-                block,
-                cause: "injected read failure".into(),
-            });
-        }
-        self.inner.read_quant(block, out)
-    }
-
-    fn delete(&mut self, block: usize) -> Result<()> {
-        self.inner.delete(block)
-    }
-
-    fn bytes_stored(&self) -> u64 {
-        self.inner.bytes_stored()
-    }
-
-    fn peak_bytes(&self) -> u64 {
-        self.inner.peak_bytes()
-    }
-
-    fn codec(&self) -> CodecKind {
-        ActivationStore::codec(&self.inner)
     }
 }
 
@@ -635,7 +526,7 @@ mod tests {
     #[test]
     fn disk_store_round_trips() {
         let dir = std::env::temp_dir().join(format!("nf_cache_test_{}", std::process::id()));
-        let mut s = DiskStore::new(&dir).unwrap();
+        let mut s = DiskStore::with_codec(&dir, CodecKind::F32Raw).unwrap();
         s.write(3, &sample()).unwrap();
         assert_eq!(s.read(3).unwrap(), sample());
         assert_eq!(s.bytes_stored(), 24, "payload-only accounting");
@@ -648,12 +539,12 @@ mod tests {
     fn disk_store_recovers_existing_blocks() {
         let dir = std::env::temp_dir().join(format!("nf_cache_rec_{}", std::process::id()));
         {
-            let mut s = DiskStore::new(&dir).unwrap();
+            let mut s = DiskStore::with_codec(&dir, CodecKind::F32Raw).unwrap();
             s.write(0, &sample()).unwrap();
             s.write(2, &sample()).unwrap();
         }
         // A fresh process recovering the directory sees both blocks.
-        let mut recovered = DiskStore::recover(&dir).unwrap();
+        let mut recovered = DiskStore::recover_with_codec(&dir, CodecKind::F32Raw).unwrap();
         assert_eq!(recovered.read(0).unwrap(), sample());
         assert_eq!(recovered.read(2).unwrap(), sample());
         assert!(recovered.read(1).is_err());
@@ -677,7 +568,7 @@ mod tests {
     #[test]
     fn disk_store_overwrites_blocks() {
         let dir = std::env::temp_dir().join(format!("nf_cache_ow_{}", std::process::id()));
-        let mut s = DiskStore::new(&dir).unwrap();
+        let mut s = DiskStore::with_codec(&dir, CodecKind::F32Raw).unwrap();
         s.write(0, &sample()).unwrap();
         let bigger = Tensor::ones(&[4, 4]);
         s.write(0, &bigger).unwrap();
@@ -687,28 +578,33 @@ mod tests {
 
     #[test]
     fn failing_store_supports_every_codec() {
-        // Fault injection composes with quantized codecs: the store
-        // reports the inner codec, and round-trips under it.
+        // Fault injection composes with every codec: the store reports the
+        // codec, round-trips under it, and fails exactly while armed.
         for codec in CodecKind::all() {
-            let mut s = FailingStore::with_codec(codec);
+            let mut s = MemoryStore::with_codec(codec);
             assert_eq!(ActivationStore::codec(&s), codec);
             let written = s.write(0, &Tensor::ones(&[4, 8])).unwrap();
             assert_eq!(written, s.bytes_stored());
             assert_eq!(s.read(0).unwrap(), Tensor::ones(&[4, 8]));
-            s.fail_reads(true);
-            assert!(s.read(0).is_err(), "{codec}");
+            s.inner_mut().fail_reads = true;
+            assert!(matches!(s.read(0), Err(NfError::Cache { op: "read", .. })));
+            s.inner_mut().fail_reads = false;
+            assert!(s.read(0).is_ok(), "{codec}");
+            s.inner_mut().fail_writes = true;
+            let err = s.write(1, &sample());
+            assert!(matches!(err, Err(NfError::Cache { op: "write", .. })));
         }
     }
 
     #[test]
     fn failing_store_injects_faults() {
-        let mut s = FailingStore::new();
+        let mut s = MemoryStore::new();
         s.write(0, &sample()).unwrap();
-        s.fail_reads(true);
+        s.inner_mut().fail_reads = true;
         assert!(matches!(s.read(0), Err(NfError::Cache { op: "read", .. })));
-        s.fail_reads(false);
+        s.inner_mut().fail_reads = false;
         assert!(s.read(0).is_ok());
-        s.fail_writes(true);
+        s.inner_mut().fail_writes = true;
         assert!(matches!(
             s.write(1, &sample()),
             Err(NfError::Cache { op: "write", .. })
@@ -792,7 +688,7 @@ mod tests {
     #[test]
     fn corrupt_blob_headers_are_rejected() {
         let dir = std::env::temp_dir().join(format!("nf_cache_corrupt_{}", std::process::id()));
-        let mut s = DiskStore::new(&dir).unwrap();
+        let mut s = DiskStore::with_codec(&dir, CodecKind::F32Raw).unwrap();
         s.write(0, &sample()).unwrap();
         let path = dir.join("block_0.acts");
         // Bad magic.
@@ -849,10 +745,10 @@ mod tests {
             );
         }
         // Fault injection covers the quantized read too.
-        let mut failing = FailingStore::with_codec(CodecKind::Int8Affine);
+        let mut failing = MemoryStore::with_codec(CodecKind::Int8Affine);
         failing.write(0, &t).unwrap();
         assert!(failing.read_quant(0, &mut q).unwrap());
-        failing.fail_reads(true);
+        failing.inner_mut().fail_reads = true;
         assert!(failing.read_quant(0, &mut q).is_err());
     }
 

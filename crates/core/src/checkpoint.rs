@@ -16,11 +16,24 @@
 //! [`WorkerReport`] (which includes the activation-cache codec the run's
 //! blobs were encoded with, so resume round-trips the codec choice), then
 //! length-prefixed [`crate::params_io`] blobs for each unit, the head, and
-//! each auxiliary head. Files are written to a temporary sibling and
+//! each auxiliary head. A file is exactly these fields: bytes past the
+//! last one are an error. Files are written to a temporary sibling and
 //! atomically renamed, so a crash mid-write never corrupts the previous
 //! checkpoint.
 
-use crate::params_io::{deserialize_params, serialize_params};
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
+use crate::codec::CodecKind;
+use crate::params_io::{load_snapshot, snapshot_params};
+use crate::reader::Reader;
 use crate::worker::WorkerReport;
 use crate::{NfError, Result};
 use nf_models::BuiltModel;
@@ -42,9 +55,10 @@ pub struct Checkpoint {
     pub head_trained: bool,
     /// Worker telemetry accumulated up to this snapshot.
     pub report: WorkerReport,
-    unit_blobs: Vec<Vec<u8>>,
-    head_blob: Vec<u8>,
-    aux_blobs: Vec<Vec<u8>>,
+    /// [`snapshot_params`] of the model and its aux heads.
+    layers: Vec<Vec<u8>>,
+    /// How many of `layers` are units (the head follows them).
+    units: usize,
 }
 
 /// Receives model snapshots at block boundaries during a Worker run.
@@ -83,39 +97,27 @@ impl Checkpoint {
             completed_blocks,
             head_trained,
             report: report.clone(),
-            unit_blobs: model
-                .units
-                .iter_mut()
-                .map(|u| serialize_params(u))
-                .collect(),
-            head_blob: serialize_params(&mut model.head),
-            aux_blobs: aux_heads.iter_mut().map(|h| serialize_params(h)).collect(),
+            units: model.units.len(),
+            layers: snapshot_params(model, aux_heads),
         }
     }
 
     /// Restores the captured parameters into `model` + `aux_heads`, which
     /// must have the same architecture the checkpoint was captured from.
     pub fn restore(&self, model: &mut BuiltModel, aux_heads: &mut [Sequential]) -> Result<()> {
-        if model.units.len() != self.unit_blobs.len() || aux_heads.len() != self.aux_blobs.len() {
+        let aux = self.layers.len().saturating_sub(self.units + 1);
+        if model.units.len() != self.units || aux_heads.len() != aux {
             return Err(NfError::Checkpoint {
                 op: "restore",
                 cause: format!(
-                    "architecture mismatch: checkpoint has {} units / {} aux heads, model has {} / {}",
-                    self.unit_blobs.len(),
-                    self.aux_blobs.len(),
+                    "architecture mismatch: checkpoint has {} units / {aux} aux heads, model has {} / {}",
+                    self.units,
                     model.units.len(),
                     aux_heads.len()
                 ),
             });
         }
-        for (unit, blob) in model.units.iter_mut().zip(&self.unit_blobs) {
-            deserialize_params(unit, blob)?;
-        }
-        deserialize_params(&mut model.head, &self.head_blob)?;
-        for (head, blob) in aux_heads.iter_mut().zip(&self.aux_blobs) {
-            deserialize_params(head, blob)?;
-        }
-        Ok(())
+        load_snapshot(model, aux_heads, &self.layers)
     }
 
     /// Serialises the checkpoint to its on-disk byte format.
@@ -142,96 +144,74 @@ impl Checkpoint {
         out.extend_from_slice(&self.report.cache_codec.id().to_le_bytes());
         out.extend_from_slice(&self.report.cache_peak_bytes.to_le_bytes());
         out.extend_from_slice(&self.report.params_bytes_evicted.to_le_bytes());
-        // Parameter blobs.
-        let write_blobs = |out: &mut Vec<u8>, blobs: &[Vec<u8>]| {
-            out.extend_from_slice(&(blobs.len() as u64).to_le_bytes());
-            for blob in blobs {
-                out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-                out.extend_from_slice(blob);
+        // Parameter blobs: the counted units, the head, the counted aux
+        // heads; each blob length-prefixed.
+        out.extend_from_slice(&(self.units as u64).to_le_bytes());
+        for (i, blob) in self.layers.iter().enumerate() {
+            out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+            out.extend_from_slice(blob);
+            if i == self.units {
+                let aux = self.layers.len() - i - 1;
+                out.extend_from_slice(&(aux as u64).to_le_bytes());
             }
-        };
-        write_blobs(&mut out, &self.unit_blobs);
-        out.extend_from_slice(&(self.head_blob.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.head_blob);
-        write_blobs(&mut out, &self.aux_blobs);
+        }
         out
     }
 
     /// Parses the byte format produced by [`Checkpoint::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let err = |cause: String| NfError::Checkpoint { op: "read", cause };
-        let trunc = || err("truncated checkpoint".to_string());
-        let mut cur = 0usize;
-        let take = |cur: &mut usize, n: usize| -> Result<&[u8]> {
-            // Lengths come from the (possibly corrupt) file; checked_add
-            // keeps a garbage length an error instead of a debug-build
-            // overflow panic.
-            let end = cur.checked_add(n).ok_or_else(trunc)?;
-            let chunk = bytes.get(*cur..end).ok_or_else(trunc)?;
-            *cur = end;
-            Ok(chunk)
-        };
-        let read_u64 = |cur: &mut usize| -> Result<u64> {
-            Ok(u64::from_le_bytes(take(cur, 8)?.try_into().unwrap()))
-        };
-        if take(&mut cur, 4)? != MAGIC {
-            return Err(err("bad magic (not a NeuroFlux checkpoint)".to_string()));
+        Self::parse(&mut Reader::new(bytes, "checkpoint"))
+            .map_err(|cause| NfError::Checkpoint { op: "read", cause })
+    }
+
+    fn parse(r: &mut Reader<'_>) -> std::result::Result<Self, String> {
+        if r.array()? != *MAGIC {
+            return Err("bad magic (not a NeuroFlux checkpoint)".to_string());
         }
-        let version = u32::from_le_bytes(take(&mut cur, 4)?.try_into().unwrap());
+        let version = r.u32()?;
         if version != VERSION {
-            return Err(err(format!("unsupported checkpoint version {version}")));
+            return Err(format!("unsupported checkpoint version {version}"));
         }
-        let completed_blocks = read_u64(&mut cur)? as usize;
-        let head_trained = take(&mut cur, 1)?[0] != 0;
-        let sane = |n: u64| -> Result<usize> {
-            if n > 1 << 20 {
-                Err(err(format!("implausible count {n}")))
-            } else {
-                Ok(n as usize)
-            }
-        };
-        let n_blocks = sane(read_u64(&mut cur)?)?;
+        let completed_blocks = r.u64()? as usize;
+        let head_trained = r.u8()? != 0;
         let mut report = WorkerReport::default();
-        for _ in 0..n_blocks {
-            let n = sane(read_u64(&mut cur)?)?;
-            let mut losses = Vec::with_capacity(n);
-            for _ in 0..n {
-                losses.push(f32::from_le_bytes(take(&mut cur, 4)?.try_into().unwrap()));
-            }
+        // Every count is bounded by the bytes its items need (a loss list
+        // or a blob is at least its own 8-byte length).
+        for _ in 0..r.count(8)? {
+            let mut losses = vec![0.0; r.count(4)?];
+            r.f32s_into(&mut losses)?;
             report.block_losses.push(losses);
         }
-        let n_batches = sane(read_u64(&mut cur)?)?;
-        for _ in 0..n_batches {
-            report.block_batches.push(read_u64(&mut cur)? as usize);
+        for _ in 0..r.count(8)? {
+            report.block_batches.push(r.u64()? as usize);
         }
-        report.cache_bytes_written = read_u64(&mut cur)?;
-        report.cache_logical_bytes = read_u64(&mut cur)?;
-        let codec_id = u32::from_le_bytes(take(&mut cur, 4)?.try_into().unwrap());
-        report.cache_codec = crate::codec::CodecKind::from_id(codec_id)
-            .ok_or_else(|| err(format!("unknown cache codec id {codec_id}")))?;
-        report.cache_peak_bytes = read_u64(&mut cur)?;
-        report.params_bytes_evicted = read_u64(&mut cur)?;
-        let read_blobs = |cur: &mut usize| -> Result<Vec<Vec<u8>>> {
-            let n = sane(read_u64(cur)?)?;
-            let mut blobs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let len = read_u64(cur)? as usize;
-                blobs.push(take(cur, len)?.to_vec());
-            }
-            Ok(blobs)
+        report.cache_bytes_written = r.u64()?;
+        report.cache_logical_bytes = r.u64()?;
+        let codec_id = r.u32()?;
+        report.cache_codec = CodecKind::from_id(codec_id)
+            .ok_or_else(|| format!("unknown cache codec id {codec_id}"))?;
+        report.cache_peak_bytes = r.u64()?;
+        report.params_bytes_evicted = r.u64()?;
+        let blob = |r: &mut Reader<'_>| -> std::result::Result<Vec<u8>, String> {
+            let len = r.count(1)?;
+            Ok(r.take(len)?.to_vec())
         };
-        let unit_blobs = read_blobs(&mut cur)?;
-        let head_len = read_u64(&mut cur)? as usize;
-        let head_blob = take(&mut cur, head_len)?.to_vec();
-        let aux_blobs = read_blobs(&mut cur)?;
-        Ok(Checkpoint {
+        let blobs = |r: &mut Reader<'_>| -> std::result::Result<Vec<Vec<u8>>, String> {
+            (0..r.count(8)?).map(|_| blob(r)).collect()
+        };
+        let mut layers = blobs(r)?;
+        let units = layers.len();
+        layers.push(blob(r)?);
+        layers.extend(blobs(r)?);
+        let checkpoint = Checkpoint {
             completed_blocks,
             head_trained,
             report,
-            unit_blobs,
-            head_blob,
-            aux_blobs,
-        })
+            layers,
+            units,
+        };
+        r.finish()?;
+        Ok(checkpoint)
     }
 
     /// Writes the checkpoint to `path` atomically (temp file + rename).
@@ -335,7 +315,7 @@ mod tests {
             block_batches: vec![8, 16],
             cache_bytes_written: 1234,
             cache_logical_bytes: 2468,
-            cache_codec: crate::codec::CodecKind::Int8Affine,
+            cache_codec: CodecKind::Int8Affine,
             cache_peak_bytes: 999,
             params_bytes_evicted: 42,
         };

@@ -1,5 +1,5 @@
-//! Activation-cache codecs: pluggable encodings between [`Tensor`]s and
-//! the bytes the cache actually stores.
+//! Activation-cache codecs: the encodings between [`Tensor`]s and the
+//! bytes the cache actually stores.
 //!
 //! The paper's §6.4 measures the activation cache at **1.5–5.3× the
 //! dataset size** — the single largest memory consumer in the system — and
@@ -11,10 +11,10 @@
 //!
 //! The cache path is therefore split into two orthogonal layers:
 //!
-//! - an [`ActivationCodec`] — `encode: &Tensor → CacheBlob`,
-//!   `decode: CacheBlob → Tensor` — with three implementations:
-//!   [`F32Raw`] (bit-identical, the default), [`F16`] (IEEE binary16,
-//!   round-to-nearest-even, ≤ 2⁻¹¹ relative error), and [`Int8Affine`]
+//! - a [`CodecKind`], which is the codec ([`ActivationCodec`]) —
+//!   `encode: &Tensor → CacheBlob`, `decode: CacheBlob → Tensor` — one of
+//!   `F32Raw` (bit-identical, the default), `F16` (IEEE binary16,
+//!   round-to-nearest-even, ≤ 2⁻¹¹ relative error) and `Int8Affine`
 //!   (per-channel affine u8 quantization, ≤ scale/2 absolute error per
 //!   element, ~4× smaller than f32);
 //! - a [`crate::cache::BlobStore`] — where the encoded bytes live
@@ -22,13 +22,25 @@
 //!
 //! [`crate::cache::CodecStore`] composes the two back into the
 //! [`crate::ActivationStore`] interface the Worker trains against, so
-//! every existing call site keeps working and `bytes_stored()` /
-//! `peak_bytes()` report **encoded** sizes — the §6.4 metric.
+//! `bytes_stored()` / `peak_bytes()` report **encoded** sizes — the §6.4
+//! metric.
 //!
-//! Blobs are self-describing (magic + codec id + shape), so reading a
-//! cache directory written under a different codec is a typed
-//! [`NfError::CodecMismatch`] naming both codecs, never garbage tensors.
+//! Blobs are self-describing (magic + codec id + shape record, one header
+//! parser), so reading a cache directory written under a different codec
+//! is a typed [`NfError::CodecMismatch`] naming both codecs, never garbage
+//! tensors.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
+use crate::reader::{read_shape, write_shape, Reader, MAX_RANK};
 use crate::{NfError, Result};
 use nf_tensor::convert::{
     dequantize_u8_slice, f16_decode_slice, f16_encode_slice, minmax_slice, quantize_u8_slice,
@@ -96,6 +108,17 @@ impl CodecKind {
     pub fn all() -> [CodecKind; 3] {
         [CodecKind::F32Raw, CodecKind::F16, CodecKind::Int8Affine]
     }
+
+    /// Encoded payload size of a tensor of `shape` (for int8, the
+    /// `(scale, min)` table + one byte per element).
+    fn payload_len(self, shape: &[usize]) -> usize {
+        let numel: usize = shape.iter().product();
+        match self {
+            CodecKind::F32Raw => numel * 4,
+            CodecKind::F16 => numel * 2,
+            CodecKind::Int8Affine => int8_grouping(shape).0 * 8 + numel,
+        }
+    }
 }
 
 impl std::fmt::Display for CodecKind {
@@ -155,11 +178,6 @@ impl CacheBlob {
         self.bytes.len() as u64
     }
 
-    /// Number of elements the decoded tensor will have.
-    pub fn numel(&self) -> usize {
-        self.shape.iter().product()
-    }
-
     /// Resets the blob to `codec` + `shape` with an uninitialised payload
     /// of `payload_len` bytes, reusing the existing allocations.
     pub fn reset(&mut self, codec: CodecKind, shape: &[usize], payload_len: usize) {
@@ -185,34 +203,36 @@ impl CacheBlob {
     }
 
     /// Serialises just the self-describing header (magic + codec id +
-    /// shape) — the prefix of the on-disk format of one cache entry.
-    /// Writers stream the payload separately so the (possibly
+    /// shape record) — the prefix of the on-disk format of one cache
+    /// entry. Writers stream the payload separately so the (possibly
     /// multi-megabyte) encoded bytes are never copied into a second
     /// buffer.
     pub fn header_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.header_len());
+        let mut out = Vec::with_capacity(MAX_HEADER_LEN);
         out.extend_from_slice(&BLOB_MAGIC);
         out.extend_from_slice(&self.codec.id().to_le_bytes());
-        out.extend_from_slice(&(self.shape.len() as u64).to_le_bytes());
-        for &d in &self.shape {
-            out.extend_from_slice(&(d as u64).to_le_bytes());
-        }
+        write_shape(&mut out, &self.shape);
         out
     }
+}
 
-    /// Serialises the self-describing header followed by the payload —
-    /// the full on-disk format of one cache entry (tests and one-shot
-    /// writers; the disk store streams header and payload separately).
-    pub fn to_file_bytes(&self) -> Vec<u8> {
-        let mut out = self.header_bytes();
-        out.extend_from_slice(&self.bytes);
-        out
-    }
+/// Longest header a blob file can have: magic, codec id and a shape
+/// record of [`MAX_RANK`] dims.
+pub(crate) const MAX_HEADER_LEN: usize = 4 + 4 + 8 * (1 + MAX_RANK);
 
-    /// Byte length of the self-describing header for this blob's shape.
-    pub fn header_len(&self) -> usize {
-        BLOB_MAGIC.len() + 4 + 8 * (1 + self.shape.len())
+/// Parses the self-describing header at the front of a blob file: the
+/// codec, the shape, and the header's length in bytes.
+pub(crate) fn parse_header(
+    head: &[u8],
+) -> std::result::Result<(CodecKind, Vec<usize>, usize), String> {
+    let mut r = Reader::new(head, "cache blob header");
+    if r.array()? != BLOB_MAGIC {
+        return Err("bad magic (not a NeuroFlux cache blob)".to_string());
     }
+    let id = r.u32()?;
+    let codec = CodecKind::from_id(id).ok_or_else(|| format!("unknown codec id {id}"))?;
+    let shape = read_shape(&mut r)?;
+    Ok((codec, shape, head.len() - r.remaining()))
 }
 
 /// The error-bound contract every codec satisfies, per element of a
@@ -235,83 +255,26 @@ pub trait ActivationCodec {
     fn decode_into(&self, blob: &CacheBlob, out: &mut Tensor) -> Result<()>;
 }
 
-/// Raises a typed codec error.
-fn codec_err(codec: CodecKind, cause: String) -> NfError {
-    NfError::Codec {
-        codec: codec.name(),
-        cause,
-    }
-}
-
 /// Validates the payload length against the shape-derived expectation.
-fn check_len(codec: CodecKind, blob: &CacheBlob, expected: usize) -> Result<()> {
+fn check_len(codec: CodecKind, blob: &CacheBlob) -> Result<()> {
+    let expected = codec.payload_len(&blob.shape);
     if blob.bytes.len() != expected {
-        return Err(codec_err(
-            codec,
-            format!(
+        return Err(NfError::Codec {
+            codec: codec.name(),
+            cause: format!(
                 "payload is {} bytes, shape {:?} requires {expected}",
                 blob.bytes.len(),
                 blob.shape
             ),
-        ));
+        });
     }
     Ok(())
 }
 
-/// Bit-identical little-endian f32 storage — the default codec; preserves
-/// every existing determinism guarantee.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct F32Raw;
-
-impl ActivationCodec for F32Raw {
-    fn kind(&self) -> CodecKind {
-        CodecKind::F32Raw
-    }
-
-    fn encode(&self, acts: &Tensor, blob: &mut CacheBlob) {
-        blob.reset(CodecKind::F32Raw, acts.shape(), acts.numel() * 4);
-        for (dst, &src) in blob.bytes.chunks_exact_mut(4).zip(acts.data()) {
-            dst.copy_from_slice(&src.to_le_bytes());
-        }
-    }
-
-    fn decode_into(&self, blob: &CacheBlob, out: &mut Tensor) -> Result<()> {
-        check_len(CodecKind::F32Raw, blob, blob.numel() * 4)?;
-        out.reuse_as(&blob.shape);
-        // One slice-wise pass over the bulk-read payload: this loop
-        // compiles to a vectorised copy, so multi-megabyte block reloads
-        // stay I/O-bound rather than decode-bound.
-        for (dst, src) in out.data_mut().iter_mut().zip(blob.bytes.chunks_exact(4)) {
-            *dst = f32::from_le_bytes([src[0], src[1], src[2], src[3]]);
-        }
-        Ok(())
-    }
-}
-
-/// IEEE 754 binary16 storage with round-to-nearest-even — 2× smaller than
-/// f32 at ≤ 2⁻¹¹ relative error.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct F16;
-
-impl ActivationCodec for F16 {
-    fn kind(&self) -> CodecKind {
-        CodecKind::F16
-    }
-
-    fn encode(&self, acts: &Tensor, blob: &mut CacheBlob) {
-        blob.reset(CodecKind::F16, acts.shape(), acts.numel() * 2);
-        f16_encode_slice(acts.data(), &mut blob.bytes);
-    }
-
-    fn decode_into(&self, blob: &CacheBlob, out: &mut Tensor) -> Result<()> {
-        check_len(CodecKind::F16, blob, blob.numel() * 2)?;
-        out.reuse_as(&blob.shape);
-        f16_decode_slice(&blob.bytes, out.data_mut());
-        Ok(())
-    }
-}
-
-/// Per-channel affine u8 quantization — ~4× smaller than f32.
+/// How `Int8Affine` partitions a shape into quantization groups: `(groups,
+/// segment_len)` such that the data is repeated runs of `groups`
+/// contiguous segments of `segment_len` elements, segment `i` belonging to
+/// group `i % groups`.
 ///
 /// Grouping follows the tensor's layout: rank-4 NCHW tensors quantize per
 /// **channel** (axis 1 — channels have wildly different dynamic ranges
@@ -323,106 +286,79 @@ impl ActivationCodec for F16 {
 /// Payload layout: `groups × (scale f32 LE, min f32 LE)`, then one u8 per
 /// element in tensor order. `x ≈ min + scale·q` with `q ∈ 0..=255`;
 /// reconstruction error ≤ scale/2 per element.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Int8Affine;
-
-/// How a shape is partitioned into quantization groups: `(groups,
-/// segment_len, segments_per_pass)` such that the data is
-/// `segments_per_pass` repetitions of `groups` contiguous segments of
-/// `segment_len` elements.
-fn int8_grouping(shape: &[usize]) -> (usize, usize, usize) {
+fn int8_grouping(shape: &[usize]) -> (usize, usize) {
     match shape {
         // NCHW: for each n, C contiguous segments of H·W elements.
-        [n, c, h, w] => (*c, h * w, *n),
+        [_, c, h, w] => (*c, h * w),
         // [rows, features]: one segment per row.
-        [rows, cols] => (*rows, *cols, 1),
+        [rows, cols] => (*rows, *cols),
         // Fallback: a single whole-tensor group.
-        other => (1, other.iter().product(), 1),
+        other => (1, other.iter().product()),
     }
 }
 
-impl Int8Affine {
-    /// Encoded payload size for `shape` (scale/offset table + u8 data).
-    pub fn payload_len(shape: &[usize]) -> usize {
-        let (groups, seg, passes) = int8_grouping(shape);
-        groups * 8 + groups * seg * passes
+/// An int8 payload split into its `(scale, min)` table and its codes, as
+/// `(step, table, codes)`. The walks take segments of `step` =
+/// `segment_len.max(1)`: a zero segment means no elements, and
+/// `chunks_exact(0)` would panic.
+fn int8_parts<'b>(shape: &[usize], bytes: &'b [u8]) -> (usize, &'b [u8], &'b [u8]) {
+    let (groups, seg) = int8_grouping(shape);
+    // `check_len` sized the payload for the table; an unsplittable one
+    // decodes nothing.
+    let (table, codes) = bytes.split_at_checked(groups * 8).unwrap_or_default();
+    (seg.max(1), table, codes)
+}
+
+/// The `(scale, min)` pairs of an int8 payload's table.
+fn int8_table(table: &[u8]) -> impl Iterator<Item = (f32, f32)> + Clone + '_ {
+    table
+        .as_chunks::<8>()
+        .0
+        .iter()
+        .map(|&[s0, s1, s2, s3, m0, m1, m2, m3]| {
+            (
+                f32::from_le_bytes([s0, s1, s2, s3]),
+                f32::from_le_bytes([m0, m1, m2, m3]),
+            )
+        })
+}
+
+/// Int8 encode: per-group min/max, the table, then each segment quantized
+/// with its group's parameters.
+fn int8_encode(shape: &[usize], data: &[f32], bytes: &mut [u8]) {
+    let (groups, seg) = int8_grouping(shape);
+    let step = seg.max(1);
+    let mut ranges = vec![(f32::INFINITY, f32::NEG_INFINITY); groups];
+    for run in data.chunks_exact((groups * seg).max(1)) {
+        for (segment, (lo, hi)) in run.chunks_exact(step).zip(&mut ranges) {
+            let (slo, shi) = minmax_slice(segment);
+            *lo = lo.min(slo);
+            *hi = hi.max(shi);
+        }
+    }
+    // (min, scale) per group; an empty or non-finite group maps to 0.
+    let params: Vec<(f32, f32)> = ranges
+        .into_iter()
+        .map(|(lo, hi)| {
+            if lo.is_finite() {
+                (lo, (hi - lo) / 255.0)
+            } else {
+                (0.0, 0.0)
+            }
+        })
+        .collect();
+    let (table, codes) = bytes.split_at_mut_checked(groups * 8).unwrap_or_default();
+    let words = params.iter().flat_map(|&(min, scale)| [scale, min]);
+    for (dst, v) in table.as_chunks_mut::<4>().0.iter_mut().zip(words) {
+        *dst = v.to_le_bytes();
+    }
+    let segments = data.chunks_exact(step).zip(codes.chunks_exact_mut(step));
+    for ((src, dst), &(min, scale)) in segments.zip(params.iter().cycle()) {
+        quantize_u8_slice(src, min, scale, dst);
     }
 }
 
-impl ActivationCodec for Int8Affine {
-    fn kind(&self) -> CodecKind {
-        CodecKind::Int8Affine
-    }
-
-    fn encode(&self, acts: &Tensor, blob: &mut CacheBlob) {
-        let (groups, seg, passes) = int8_grouping(acts.shape());
-        blob.reset(
-            CodecKind::Int8Affine,
-            acts.shape(),
-            Self::payload_len(acts.shape()),
-        );
-        let data = acts.data();
-        // Pass 1: per-group min/max across every segment of the group.
-        let mut params = vec![(0.0f32, 0.0f32); groups];
-        for (gi, p) in params.iter_mut().enumerate() {
-            let mut lo = f32::INFINITY;
-            let mut hi = f32::NEG_INFINITY;
-            for pass in 0..passes {
-                let start = (pass * groups + gi) * seg;
-                let (slo, shi) = minmax_slice(&data[start..start + seg]);
-                lo = lo.min(slo);
-                hi = hi.max(shi);
-            }
-            if seg == 0 || !lo.is_finite() {
-                lo = 0.0;
-                hi = 0.0;
-            }
-            *p = (lo, (hi - lo) / 255.0);
-        }
-        // Header table, then pass 2: quantize each segment with its
-        // group's parameters.
-        let (table, payload) = blob.bytes.split_at_mut(groups * 8);
-        for (dst, &(min, scale)) in table.chunks_exact_mut(8).zip(&params) {
-            dst[..4].copy_from_slice(&scale.to_le_bytes());
-            dst[4..].copy_from_slice(&min.to_le_bytes());
-        }
-        for pass in 0..passes {
-            for (gi, &(min, scale)) in params.iter().enumerate() {
-                let start = (pass * groups + gi) * seg;
-                quantize_u8_slice(
-                    &data[start..start + seg],
-                    min,
-                    scale,
-                    &mut payload[start..start + seg],
-                );
-            }
-        }
-    }
-
-    fn decode_into(&self, blob: &CacheBlob, out: &mut Tensor) -> Result<()> {
-        let (groups, seg, passes) = int8_grouping(&blob.shape);
-        check_len(CodecKind::Int8Affine, blob, Self::payload_len(&blob.shape))?;
-        out.reuse_as(&blob.shape);
-        let (table, payload) = blob.bytes.split_at(groups * 8);
-        let data = out.data_mut();
-        for pass in 0..passes {
-            for (gi, p) in table.chunks_exact(8).enumerate() {
-                let scale = f32::from_le_bytes([p[0], p[1], p[2], p[3]]);
-                let min = f32::from_le_bytes([p[4], p[5], p[6], p[7]]);
-                let start = (pass * groups + gi) * seg;
-                dequantize_u8_slice(
-                    &payload[start..start + seg],
-                    min,
-                    scale,
-                    &mut data[start..start + seg],
-                );
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Re-quantizes a per-group [`Int8Affine`] blob into a single per-tensor
+/// Re-quantizes a per-group `Int8Affine` blob into a single per-tensor
 /// affine encoding — the quantized-compute read path: the int8 GEMM
 /// ([`nf_tensor::kernels::int8`]) wants one `(scale, min)` pair per
 /// tensor, so the stored per-group codes are remapped through per-group
@@ -430,26 +366,12 @@ impl ActivationCodec for Int8Affine {
 /// range. This adds at most half a *global* quantization step of error on
 /// top of the codec's own bound, and never touches f32 element-wise.
 pub fn requantize_int8_blob(blob: &CacheBlob, out: &mut QuantTensor) -> Result<()> {
-    let (groups, seg, passes) = int8_grouping(blob.shape());
-    check_len(
-        CodecKind::Int8Affine,
-        blob,
-        Int8Affine::payload_len(blob.shape()),
-    )?;
-    let (table, payload) = blob.bytes().split_at(groups * 8);
-    let params: Vec<(f32, f32)> = table
-        .chunks_exact(8)
-        .map(|p| {
-            (
-                f32::from_le_bytes([p[0], p[1], p[2], p[3]]), // scale
-                f32::from_le_bytes([p[4], p[5], p[6], p[7]]), // min
-            )
-        })
-        .collect();
+    check_len(CodecKind::Int8Affine, blob)?;
+    let (step, table, codes) = int8_parts(&blob.shape, &blob.bytes);
     // Global range covering every group's representable span.
     let mut lo = f32::INFINITY;
     let mut hi = f32::NEG_INFINITY;
-    for &(scale, min) in &params {
+    for (scale, min) in int8_table(table) {
         lo = lo.min(min);
         hi = hi.max(min + 255.0 * scale);
     }
@@ -460,53 +382,72 @@ pub fn requantize_int8_blob(blob: &CacheBlob, out: &mut QuantTensor) -> Result<(
     let gscale = if hi > lo { (hi - lo) / 255.0 } else { 0.0 };
     let dst = out.reuse_as(blob.shape(), gscale, lo);
     // One LUT per group: stored code -> global code.
-    let mut luts = vec![[0u8; 256]; groups];
-    for (lut, &(scale, min)) in luts.iter_mut().zip(&params) {
-        for (q, slot) in lut.iter_mut().enumerate() {
-            *slot = if gscale == 0.0 {
-                0
-            } else {
-                (((min + scale * q as f32) - lo) / gscale)
-                    .round()
-                    .clamp(0.0, 255.0) as u8
-            };
-        }
-    }
-    for pass in 0..passes {
-        for (gi, lut) in luts.iter().enumerate() {
-            let start = (pass * groups + gi) * seg;
-            for (d, &q) in dst[start..start + seg]
-                .iter_mut()
-                .zip(&payload[start..start + seg])
-            {
-                *d = lut[q as usize];
-            }
+    let luts: Vec<[u8; 256]> = int8_table(table)
+        .map(|(scale, min)| {
+            std::array::from_fn(|q| {
+                if gscale == 0.0 {
+                    0
+                } else {
+                    (((min + scale * q as f32) - lo) / gscale)
+                        .round()
+                        .clamp(0.0, 255.0) as u8
+                }
+            })
+        })
+        .collect();
+    let segments = codes.chunks_exact(step).zip(dst.chunks_exact_mut(step));
+    for ((src, dst), lut) in segments.zip(luts.iter().cycle()) {
+        for (d, &q) in dst.iter_mut().zip(src) {
+            *d = lut.get(usize::from(q)).copied().unwrap_or_default();
         }
     }
     Ok(())
 }
 
-// `CodecKind` is itself a codec (dispatching to the unit implementations),
-// so a runtime-configured store is simply `CodecStore<CodecKind, S>`.
+/// `CodecKind` is the codec: one match per direction dispatches to the
+/// encoding's slice-wise pass.
 impl ActivationCodec for CodecKind {
     fn kind(&self) -> CodecKind {
         *self
     }
 
     fn encode(&self, acts: &Tensor, blob: &mut CacheBlob) {
+        blob.reset(*self, acts.shape(), self.payload_len(acts.shape()));
+        let (data, bytes) = (acts.data(), blob.bytes.as_mut_slice());
         match self {
-            CodecKind::F32Raw => F32Raw.encode(acts, blob),
-            CodecKind::F16 => F16.encode(acts, blob),
-            CodecKind::Int8Affine => Int8Affine.encode(acts, blob),
+            CodecKind::F32Raw => {
+                for (dst, &src) in bytes.as_chunks_mut::<4>().0.iter_mut().zip(data) {
+                    *dst = src.to_le_bytes();
+                }
+            }
+            CodecKind::F16 => f16_encode_slice(data, bytes),
+            CodecKind::Int8Affine => int8_encode(acts.shape(), data, bytes),
         }
     }
 
     fn decode_into(&self, blob: &CacheBlob, out: &mut Tensor) -> Result<()> {
+        check_len(*self, blob)?;
+        out.reuse_as(&blob.shape);
+        let (bytes, data) = (blob.bytes.as_slice(), out.data_mut());
         match self {
-            CodecKind::F32Raw => F32Raw.decode_into(blob, out),
-            CodecKind::F16 => F16.decode_into(blob, out),
-            CodecKind::Int8Affine => Int8Affine.decode_into(blob, out),
+            // One slice-wise pass over the bulk-read payload: this loop
+            // compiles to a vectorised copy, so multi-megabyte block
+            // reloads stay I/O-bound rather than decode-bound.
+            CodecKind::F32Raw => {
+                for (dst, src) in data.iter_mut().zip(bytes.as_chunks::<4>().0) {
+                    *dst = f32::from_le_bytes(*src);
+                }
+            }
+            CodecKind::F16 => f16_decode_slice(bytes, data),
+            CodecKind::Int8Affine => {
+                let (step, table, codes) = int8_parts(&blob.shape, bytes);
+                let segments = codes.chunks_exact(step).zip(data.chunks_exact_mut(step));
+                for ((src, dst), (scale, min)) in segments.zip(int8_table(table).cycle()) {
+                    dequantize_u8_slice(src, min, scale, dst);
+                }
+            }
         }
+        Ok(())
     }
 }
 
@@ -539,7 +480,7 @@ mod tests {
     #[test]
     fn f32_raw_is_bit_identical() {
         let t = sample_nchw();
-        let back = roundtrip(&F32Raw, &t);
+        let back = roundtrip(&CodecKind::F32Raw, &t);
         let bits: Vec<u32> = t.data().iter().map(|x| x.to_bits()).collect();
         let back_bits: Vec<u32> = back.data().iter().map(|x| x.to_bits()).collect();
         assert_eq!(bits, back_bits);
@@ -548,7 +489,7 @@ mod tests {
     #[test]
     fn f16_error_within_bound() {
         let t = sample_nchw();
-        let back = roundtrip(&F16, &t);
+        let back = roundtrip(&CodecKind::F16, &t);
         for (&a, &b) in t.data().iter().zip(back.data()) {
             assert!((a - b).abs() <= a.abs() * 2f32.powi(-11) + 2f32.powi(-24));
         }
@@ -558,14 +499,11 @@ mod tests {
     fn int8_error_within_half_scale_per_channel() {
         let t = sample_nchw();
         let mut blob = CacheBlob::new();
-        Int8Affine.encode(&t, &mut blob);
+        CodecKind::Int8Affine.encode(&t, &mut blob);
         // Per-channel scales from the blob header.
-        let scales: Vec<f32> = blob.bytes()[..3 * 8]
-            .chunks_exact(8)
-            .map(|p| f32::from_le_bytes([p[0], p[1], p[2], p[3]]))
-            .collect();
+        let scales: Vec<f32> = int8_table(&blob.bytes()[..3 * 8]).map(|p| p.0).collect();
         let mut out = Tensor::default();
-        Int8Affine.decode_into(&blob, &mut out).unwrap();
+        CodecKind::Int8Affine.decode_into(&blob, &mut out).unwrap();
         for n in 0..2 {
             for (c, &scale) in scales.iter().enumerate() {
                 for i in 0..16 {
@@ -589,7 +527,7 @@ mod tests {
         // and the ratio approaches 4×.
         let t = Tensor::ones(&[8, 16, 8, 8]);
         let mut blob = CacheBlob::new();
-        Int8Affine.encode(&t, &mut blob);
+        CodecKind::Int8Affine.encode(&t, &mut blob);
         let f32_bytes = (t.numel() * 4) as f64;
         let ratio = f32_bytes / blob.encoded_len() as f64;
         assert!(ratio > 3.9, "ratio {ratio}");
@@ -603,9 +541,9 @@ mod tests {
         )
         .unwrap();
         let mut blob = CacheBlob::new();
-        Int8Affine.encode(&t, &mut blob);
+        CodecKind::Int8Affine.encode(&t, &mut blob);
         let mut out = Tensor::default();
-        Int8Affine.decode_into(&blob, &mut out).unwrap();
+        CodecKind::Int8Affine.decode_into(&blob, &mut out).unwrap();
         // Row 0's scale is 3/255: every row-0 value reconstructs within
         // 3/255/2 even though row 1 spans 0..300.
         for i in 0..4 {
@@ -619,9 +557,11 @@ mod tests {
         // global step of the codec's own per-group decode.
         let t = sample_nchw();
         let mut blob = CacheBlob::new();
-        Int8Affine.encode(&t, &mut blob);
+        CodecKind::Int8Affine.encode(&t, &mut blob);
         let mut per_group = Tensor::default();
-        Int8Affine.decode_into(&blob, &mut per_group).unwrap();
+        CodecKind::Int8Affine
+            .decode_into(&blob, &mut per_group)
+            .unwrap();
         let mut q = QuantTensor::new();
         requantize_int8_blob(&blob, &mut q).unwrap();
         assert_eq!(q.shape(), t.shape());
@@ -640,7 +580,7 @@ mod tests {
     fn requantize_handles_constant_tensors() {
         let t = Tensor::ones(&[2, 2, 2, 2]);
         let mut blob = CacheBlob::new();
-        Int8Affine.encode(&t, &mut blob);
+        CodecKind::Int8Affine.encode(&t, &mut blob);
         let mut q = QuantTensor::new();
         requantize_int8_blob(&blob, &mut q).unwrap();
         assert_eq!(q.dequantize().unwrap().data(), t.data());
@@ -666,12 +606,15 @@ mod tests {
     fn blob_file_bytes_are_self_describing() {
         let t = sample_nchw();
         let mut blob = CacheBlob::new();
-        F16.encode(&t, &mut blob);
-        let file = blob.to_file_bytes();
-        assert_eq!(&file[..4], b"NFAC");
-        assert_eq!(u32::from_le_bytes(file[4..8].try_into().unwrap()), 1);
-        assert_eq!(u64::from_le_bytes(file[8..16].try_into().unwrap()), 4);
-        assert_eq!(file.len(), blob.header_len() + blob.bytes().len());
+        CodecKind::F16.encode(&t, &mut blob);
+        let mut file = blob.header_bytes();
+        assert_eq!(&file[..8], b"NFAC\x01\0\0\0");
+        assert_eq!(file.len(), 8 + 8 * (1 + 4));
+        file.extend_from_slice(blob.bytes());
+        let (codec, shape, len) = parse_header(&file).unwrap();
+        assert_eq!((codec, &shape[..], len), (CodecKind::F16, t.shape(), 48));
+        let err = parse_header(&file[..len - 1]).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
     }
 
     #[test]
@@ -691,7 +634,7 @@ mod tests {
             data in proptest::collection::vec(-1e6f32..1e6, 1..96),
         ) {
             let t = Tensor::from_vec(vec![data.len()], data).unwrap();
-            let back = roundtrip(&F32Raw, &t);
+            let back = roundtrip(&CodecKind::F32Raw, &t);
             let bits: Vec<u32> = t.data().iter().map(|x| x.to_bits()).collect();
             let back_bits: Vec<u32> = back.data().iter().map(|x| x.to_bits()).collect();
             prop_assert_eq!(bits, back_bits);
@@ -703,7 +646,7 @@ mod tests {
         ) {
             let t = Tensor::from_vec(vec![2, data.len() / 2], data[..data.len() / 2 * 2].to_vec())
                 .unwrap();
-            let back = roundtrip(&F16, &t);
+            let back = roundtrip(&CodecKind::F16, &t);
             for (&a, &b) in t.data().iter().zip(back.data()) {
                 // 2⁻¹¹ relative for normals, one binary16 subnormal ulp
                 // of absolute slack near zero.
@@ -725,13 +668,10 @@ mod tests {
                 .collect();
             let t = Tensor::from_vec(vec![n, c, hw, hw], data).unwrap();
             let mut blob = CacheBlob::new();
-            Int8Affine.encode(&t, &mut blob);
-            let scales: Vec<f32> = blob.bytes()[..c * 8]
-                .chunks_exact(8)
-                .map(|p| f32::from_le_bytes([p[0], p[1], p[2], p[3]]))
-                .collect();
+            CodecKind::Int8Affine.encode(&t, &mut blob);
+            let scales: Vec<f32> = int8_table(&blob.bytes()[..c * 8]).map(|p| p.0).collect();
             let mut out = Tensor::default();
-            Int8Affine.decode_into(&blob, &mut out).unwrap();
+            CodecKind::Int8Affine.decode_into(&blob, &mut out).unwrap();
             for ni in 0..n {
                 for (ci, &scale) in scales.iter().enumerate() {
                     for i in 0..hw * hw {

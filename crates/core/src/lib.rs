@@ -55,16 +55,16 @@ pub mod federated;
 pub mod params_io;
 pub mod partitioner;
 pub mod profiler;
+pub mod reader;
 pub mod serve;
 pub mod simulate;
 pub mod worker;
 
 pub use cache::{
-    ActivationStore, BlobStore, CodecStore, DiskBlobStore, DiskStore, FailingStore,
-    MemoryBlobStore, MemoryStore,
+    ActivationStore, BlobStore, CodecStore, DiskBlobStore, DiskStore, MemoryBlobStore, MemoryStore,
 };
 pub use checkpoint::{Checkpoint, CheckpointSink, FileCheckpoint};
-pub use codec::{ActivationCodec, CacheBlob, CodecKind, F32Raw, Int8Affine, F16};
+pub use codec::{ActivationCodec, CacheBlob, CodecKind};
 pub use confidence_exit::{CascadePrediction, CascadeReport, ConfidenceCascade};
 pub use config::NeuroFluxConfig;
 pub use controller::{NeuroFluxOutcome, NeuroFluxTrainer, TrainHooks};

@@ -6,152 +6,159 @@
 //! parameter encoding so the Worker can round-trip blocks through the same
 //! storage device the activation cache uses.
 //!
-//! Format: for each parameter in `visit_params` order — rank (u64 LE), the
-//! dims (u64 LE each), the value buffer (f32 LE), one u64 state-tensor
-//! count, then each state tensor's buffer (shapes match the value). After
-//! the parameters, each persistent buffer in `visit_buffers` order
-//! (batch-norm running statistics): rank, dims, data — so a restored layer
-//! reproduces *inference*, not just training state.
+//! Format: for each parameter in `visit_params` order — the value as a
+//! tensor record (the shape record, then the f32 LE data), one u64
+//! state-tensor count, each state tensor's data (shapes match the value),
+//! then the u64 step count. After the parameters, each persistent buffer
+//! in `visit_buffers` order (batch-norm running statistics) as a tensor
+//! record — so a restored layer reproduces *inference*, not just training
+//! state. A blob is exactly these fields: bytes past the last one are an
+//! error.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
+use crate::reader::{read_shape, write_shape, Reader};
 use crate::{NfError, Result};
-use nf_nn::Layer;
+use nf_models::BuiltModel;
+use nf_nn::{Layer, Param, Sequential};
 use nf_tensor::Tensor;
+
+/// Most optimizer state tensors a parameter may carry (Adam keeps two).
+const MAX_STATE: usize = 4;
+
+fn write_f32s(out: &mut Vec<u8>, data: &[f32]) {
+    for v in data {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Appends `t` as a tensor record: its shape record, then its data.
+fn write_tensor(out: &mut Vec<u8>, t: &Tensor) {
+    write_shape(out, t.shape());
+    write_f32s(out, t.data());
+}
+
+/// Reads a tensor record into `t`, whose shape the stored one must equal.
+fn read_tensor(r: &mut Reader<'_>, t: &mut Tensor, what: &str) -> std::result::Result<(), String> {
+    let shape = read_shape(r)?;
+    if shape != t.shape() {
+        return Err(format!(
+            "{what} shape mismatch: stored {shape:?}, layer has {:?}",
+            t.shape()
+        ));
+    }
+    Ok(r.f32s_into(t.data_mut())?)
+}
+
+fn read_param(r: &mut Reader<'_>, p: &mut Param) -> std::result::Result<(), String> {
+    read_tensor(r, &mut p.value, "parameter")?;
+    p.note_update();
+    let n_state = r.u64()?;
+    if n_state > MAX_STATE as u64 {
+        return Err(format!("implausible optimizer state count {n_state}"));
+    }
+    p.state.clear();
+    for _ in 0..n_state {
+        let mut state = Tensor::zeros(p.value.shape());
+        r.f32s_into(state.data_mut())?;
+        p.state.push(state);
+    }
+    p.steps = r.u64()?;
+    Ok(())
+}
 
 /// Serialises every parameter of `layer` (values + optimizer state).
 pub fn serialize_params(layer: &mut dyn Layer) -> Vec<u8> {
     let mut out = Vec::new();
     layer.visit_params(&mut |p| {
-        let shape = p.value.shape();
-        out.extend_from_slice(&(shape.len() as u64).to_le_bytes());
-        for &d in shape {
-            out.extend_from_slice(&(d as u64).to_le_bytes());
-        }
-        for v in p.value.data() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        write_tensor(&mut out, &p.value);
         out.extend_from_slice(&(p.state.len() as u64).to_le_bytes());
         for s in &p.state {
-            for v in s.data() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            write_f32s(&mut out, s.data());
         }
         out.extend_from_slice(&p.steps.to_le_bytes());
     });
-    layer.visit_buffers(&mut |t| {
-        let shape = t.shape();
-        out.extend_from_slice(&(shape.len() as u64).to_le_bytes());
-        for &d in shape {
-            out.extend_from_slice(&(d as u64).to_le_bytes());
-        }
-        for v in t.data() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    });
+    layer.visit_buffers(&mut |t| write_tensor(&mut out, t));
     out
 }
 
 /// Restores parameters serialised by [`serialize_params`] into `layer`.
 ///
 /// The layer must have the same architecture (same parameter shapes in the
-/// same order); mismatches and truncation are reported as errors. On error
-/// the layer may be left partially restored — callers should treat it as
+/// same order), and `bytes` must be exactly one blob; mismatches,
+/// truncation and trailing bytes are reported as errors. On error the
+/// layer may be left partially restored — callers should treat it as
 /// corrupt and rebuild (the Worker re-reads the blob or fails the run).
 pub fn deserialize_params(layer: &mut dyn Layer, bytes: &[u8]) -> Result<()> {
-    let mut cursor = 0usize;
-    let mut failure: Option<String> = None;
-    let read_u64 = |bytes: &[u8], cursor: &mut usize| -> Option<u64> {
-        let end = *cursor + 8;
-        let chunk = bytes.get(*cursor..end)?;
-        *cursor = end;
-        Some(u64::from_le_bytes(chunk.try_into().ok()?))
-    };
-    let read_f32s = |bytes: &[u8], cursor: &mut usize, n: usize| -> Option<Vec<f32>> {
-        let end = *cursor + n * 4;
-        let chunk = bytes.get(*cursor..end)?;
-        *cursor = end;
-        Some(
-            chunk
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect(),
-        )
-    };
+    let mut r = Reader::new(bytes, "parameter blob");
+    let mut outcome = Ok(());
     layer.visit_params(&mut |p| {
-        if failure.is_some() {
-            return;
-        }
-        let mut go = || -> std::result::Result<(), String> {
-            let trunc = || "truncated parameter blob".to_string();
-            let rank = read_u64(bytes, &mut cursor).ok_or_else(trunc)? as usize;
-            if rank > 8 {
-                return Err(format!("implausible rank {rank}"));
-            }
-            let mut shape = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                shape.push(read_u64(bytes, &mut cursor).ok_or_else(trunc)? as usize);
-            }
-            if shape != p.value.shape() {
-                return Err(format!(
-                    "shape mismatch: stored {shape:?}, layer has {:?}",
-                    p.value.shape()
-                ));
-            }
-            let numel: usize = shape.iter().product();
-            let value = read_f32s(bytes, &mut cursor, numel).ok_or_else(trunc)?;
-            p.value = Tensor::from_vec(shape.clone(), value).map_err(|e| e.to_string())?;
-            p.note_update();
-            let n_state = read_u64(bytes, &mut cursor).ok_or_else(trunc)? as usize;
-            if n_state > 4 {
-                return Err(format!("implausible optimizer state count {n_state}"));
-            }
-            p.state.clear();
-            for _ in 0..n_state {
-                let data = read_f32s(bytes, &mut cursor, numel).ok_or_else(trunc)?;
-                p.state
-                    .push(Tensor::from_vec(shape.clone(), data).map_err(|e| e.to_string())?);
-            }
-            p.steps = read_u64(bytes, &mut cursor).ok_or_else(trunc)?;
-            Ok(())
-        };
-        if let Err(msg) = go() {
-            failure = Some(msg);
+        if outcome.is_ok() {
+            outcome = read_param(&mut r, p);
         }
     });
     layer.visit_buffers(&mut |t| {
-        if failure.is_some() {
-            return;
-        }
-        let mut go = || -> std::result::Result<(), String> {
-            let trunc = || "truncated buffer blob".to_string();
-            let rank = read_u64(bytes, &mut cursor).ok_or_else(trunc)? as usize;
-            if rank > 8 {
-                return Err(format!("implausible buffer rank {rank}"));
-            }
-            let mut shape = Vec::with_capacity(rank);
-            for _ in 0..rank {
-                shape.push(read_u64(bytes, &mut cursor).ok_or_else(trunc)? as usize);
-            }
-            if shape != t.shape() {
-                return Err(format!(
-                    "buffer shape mismatch: stored {shape:?}, layer has {:?}",
-                    t.shape()
-                ));
-            }
-            let numel: usize = shape.iter().product();
-            let data = read_f32s(bytes, &mut cursor, numel).ok_or_else(trunc)?;
-            *t = Tensor::from_vec(shape, data).map_err(|e| e.to_string())?;
-            Ok(())
-        };
-        if let Err(msg) = go() {
-            failure = Some(msg);
+        if outcome.is_ok() {
+            outcome = read_tensor(&mut r, t, "buffer");
         }
     });
-    if let Some(msg) = failure {
-        return Err(NfError::Cache {
-            op: "read",
-            block: usize::MAX,
-            cause: format!("parameter restore failed: {msg}"),
-        });
+    outcome
+        .and_then(|()| Ok(r.finish()?))
+        .map_err(restore_failed)
+}
+
+fn restore_failed(msg: String) -> NfError {
+    NfError::Cache {
+        op: "read",
+        block: usize::MAX,
+        cause: format!("parameter restore failed: {msg}"),
+    }
+}
+
+/// A model's layers in snapshot order: the units, the head, then the aux
+/// heads.
+fn layers<'m>(
+    model: &'m mut BuiltModel,
+    aux_heads: &'m mut [Sequential],
+) -> impl Iterator<Item = &'m mut Sequential> {
+    model
+        .units
+        .iter_mut()
+        .chain([&mut model.head])
+        .chain(aux_heads)
+}
+
+/// One [`serialize_params`] blob per layer of `model` + `aux_heads`, in
+/// snapshot order (the units, the head, then the aux heads) — what a
+/// checkpoint stores and a serving replica is loaded from.
+pub fn snapshot_params(model: &mut BuiltModel, aux_heads: &mut [Sequential]) -> Vec<Vec<u8>> {
+    layers(model, aux_heads)
+        .map(|l| serialize_params(l))
+        .collect()
+}
+
+/// Loads a [`snapshot_params`] list into a model of the same
+/// architecture; a blob count other than the layer count is an error.
+pub fn load_snapshot(
+    model: &mut BuiltModel,
+    aux_heads: &mut [Sequential],
+    blobs: &[Vec<u8>],
+) -> Result<()> {
+    let expected = model.units.len() + 1 + aux_heads.len();
+    if blobs.len() != expected {
+        let n = blobs.len();
+        return Err(restore_failed(format!("{n} blobs for {expected} layers")));
+    }
+    for (layer, blob) in layers(model, aux_heads).zip(blobs) {
+        deserialize_params(layer, blob)?;
     }
     Ok(())
 }

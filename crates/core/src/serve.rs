@@ -32,7 +32,7 @@
 )]
 
 use crate::confidence_exit::ConfidenceCascade;
-use crate::params_io::{deserialize_params, serialize_params};
+use crate::params_io::{load_snapshot, snapshot_params};
 use crate::{NfError, Result};
 use nf_models::{assign_aux, build_aux_head, AuxPolicy, BuiltModel};
 use nf_nn::{Layer, Sequential};
@@ -553,41 +553,13 @@ impl ServeEngine {
     /// (units, then head, then aux heads), in the stable
     /// `visit_params`/`visit_buffers` order `params_io` defines.
     pub fn params_snapshot(&mut self) -> Vec<Vec<u8>> {
-        let mut blobs = Vec::with_capacity(self.model.units.len() + 1 + self.aux_heads.len());
-        for unit in &mut self.model.units {
-            blobs.push(serialize_params(unit));
-        }
-        blobs.push(serialize_params(&mut self.model.head));
-        for head in &mut self.aux_heads {
-            blobs.push(serialize_params(head));
-        }
-        blobs
+        snapshot_params(&mut self.model, &mut self.aux_heads)
     }
 
     /// Loads a [`ServeEngine::params_snapshot`] back into this engine.
     /// Blob count or any per-layer shape mismatch is a typed error.
     pub fn load_params(&mut self, blobs: &[Vec<u8>]) -> Result<()> {
-        let expected = self.model.units.len() + 1 + self.aux_heads.len();
-        if blobs.len() != expected {
-            return Err(NfError::Serve {
-                cause: format!(
-                    "params snapshot carries {} blobs, engine has {expected} layers",
-                    blobs.len()
-                ),
-            });
-        }
-        // Pair each layer with its blob positionally; the count check
-        // above makes the zip exact, and zip itself can never panic.
-        let layers = self
-            .model
-            .units
-            .iter_mut()
-            .chain(std::iter::once(&mut self.model.head))
-            .chain(self.aux_heads.iter_mut());
-        for (layer, blob) in layers.zip(blobs) {
-            deserialize_params(layer, blob)?;
-        }
-        Ok(())
+        load_snapshot(&mut self.model, &mut self.aux_heads, blobs)
     }
 
     /// Builds a bit-identical clone of this engine: the architecture is

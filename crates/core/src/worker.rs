@@ -96,7 +96,7 @@ pub struct RunHooks<'h> {
     pub checkpoint: Option<&'h mut dyn CheckpointSink>,
     /// Resume state: restores parameters and telemetry, then skips the
     /// blocks the checkpoint already completed (their activations must be
-    /// present in the store — see [`crate::DiskStore::recover`]).
+    /// present in the store — see [`crate::DiskStore::recover_with_codec`]).
     pub resume_from: Option<&'h Checkpoint>,
 }
 
@@ -446,12 +446,11 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
             // blocks.
             if self.config.evict_params {
                 for u in block.units.clone() {
-                    let blob = crate::params_io::serialize_params(&mut model.units[u]);
-                    report.params_bytes_evicted += blob.len() as u64;
-                    crate::params_io::deserialize_params(&mut model.units[u], &blob)?;
-                    let blob = crate::params_io::serialize_params(&mut aux_heads[u]);
-                    report.params_bytes_evicted += blob.len() as u64;
-                    crate::params_io::deserialize_params(&mut aux_heads[u], &blob)?;
+                    for layer in [&mut model.units[u], &mut aux_heads[u]] {
+                        let blob = crate::params_io::serialize_params(layer);
+                        report.params_bytes_evicted += blob.len() as u64;
+                        crate::params_io::deserialize_params(layer, &blob)?;
+                    }
                 }
             }
             report.cache_peak_bytes = resume_peak.max(self.store.peak_bytes());
@@ -524,7 +523,7 @@ fn emit_event(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{FailingStore, MemoryStore};
+    use crate::cache::MemoryStore;
     use crate::NfError;
     use nf_data::SyntheticSpec;
     use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
@@ -741,8 +740,8 @@ mod tests {
     #[test]
     fn storage_write_failure_surfaces_without_corrupting_block() {
         let (mut model, mut heads, ds) = setup(1, &[6, 8]);
-        let mut store = FailingStore::new();
-        store.fail_writes(true);
+        let mut store = MemoryStore::with_codec(CodecKind::F32Raw);
+        store.inner_mut().fail_writes = true;
         let config = NeuroFluxConfig::new(1 << 30, 8).with_epochs(1);
         let mut worker = Worker::new(config, &mut store);
         let err = worker
@@ -770,11 +769,10 @@ mod tests {
     #[test]
     fn storage_read_failure_surfaces() {
         let (mut model, mut heads, ds) = setup(2, &[6, 8]);
-        let store = FailingStore::new();
-        let mut store = store;
+        let mut store = MemoryStore::with_codec(CodecKind::F32Raw);
         let config = NeuroFluxConfig::new(1 << 30, 8).with_epochs(1);
         // Fail reads only: block 0 trains and writes, block 1's read fails.
-        store.fail_reads(true);
+        store.inner_mut().fail_reads = true;
         let mut worker = Worker::new(config, &mut store);
         let err = worker
             .run(
@@ -815,7 +813,7 @@ mod tests {
         // Interrupted run: cancel right after block 0 completes (its
         // checkpoint and cached activations are already durable).
         let (mut model, mut heads, _) = setup(11, &[6, 8]);
-        let mut store = DiskStore::new(dir.join("cache")).unwrap();
+        let mut store = DiskStore::with_codec(dir.join("cache"), CodecKind::F32Raw).unwrap();
         let mut sink = FileCheckpoint::new(&ck_path);
         let mut cancel = |e: &TrainEvent| !matches!(e, TrainEvent::BlockFinished { block: 0, .. });
         let err = Worker::new(config, &mut store)
@@ -844,7 +842,8 @@ mod tests {
         let (mut model2, mut heads2, _) = setup(11, &[6, 8]);
         let ck = Checkpoint::load(&ck_path).unwrap();
         assert_eq!(ck.completed_blocks, 1);
-        let mut store2 = DiskStore::recover(dir.join("cache")).unwrap();
+        let mut store2 =
+            DiskStore::recover_with_codec(dir.join("cache"), CodecKind::F32Raw).unwrap();
         let mut skipped = Vec::new();
         let mut observe = |e: &TrainEvent| {
             if let TrainEvent::BlockSkipped { block, .. } = e {

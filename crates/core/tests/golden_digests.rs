@@ -21,10 +21,12 @@
 //! for last-bit gradient differences to reach a loss's bits.
 
 use neuroflux_core::{
-    CodecKind, NeuroFluxConfig, NeuroFluxTrainer, ServeEngine, ServeRequest, SloTier,
+    serialize_params, ActivationStore, Checkpoint, CodecKind, DiskStore, NeuroFluxConfig,
+    NeuroFluxTrainer, ServeEngine, ServeRequest, SloTier,
 };
 use nf_data::SyntheticSpec;
 use nf_models::{assign_aux, build_aux_head, AuxPolicy, HeadSpec, LayerKind, ModelSpec};
+use nf_tensor::Tensor;
 use rand::{Rng, SeedableRng};
 
 /// 64-bit FNV-1a, as the repo benchmark's `child.rs` computes it.
@@ -189,5 +191,84 @@ fn block_losses_match_the_committed_digests() {
     for (row, (blocks, digest)) in TABLE.iter().zip(got) {
         assert_eq!(blocks, row.blocks, "{}: block plan changed", row.name);
         assert_eq!(digest, row.digest, "{}: loss bits changed", row.name);
+    }
+}
+
+/// What the stored bytes digest to: one cache blob file (header + payload)
+/// per codec in `CodecKind::all()` order, over a seeded tensor of each
+/// int8 grouping (NCHW per channel, rank-2 per row, rank-1 whole); then
+/// `serialize_params` of every unit, the head and every aux head of a
+/// seeded tiny run; then that run's `Checkpoint::to_bytes`. A format
+/// change moves one of these, whatever the loss bits do.
+const STORED: [&str; 5] = [
+    "7a0add2413736ce6",
+    "d71e86aba1b03a6e",
+    "48468a81045ba1a9",
+    "dd7ae8aee8a2e96d",
+    "2064edcda552a989",
+];
+
+/// Every blob file a `DiskStore` under `codec` writes for the seeded
+/// tensors, concatenated.
+fn blob_files(codec: CodecKind) -> Vec<u8> {
+    let dir = std::env::temp_dir().join(format!("nf_golden_blob_{}_{codec}", std::process::id()));
+    let mut store = DiskStore::with_codec(&dir, codec).unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let mut bytes = Vec::new();
+    for (block, shape) in [vec![2, 3, 4, 4], vec![3, 5], vec![7]]
+        .into_iter()
+        .enumerate()
+    {
+        let numel = shape.iter().product();
+        let data = (0..numel).map(|_| rng.gen_range(-4.0..4.0)).collect();
+        store
+            .write(block, &Tensor::from_vec(shape, data).unwrap())
+            .unwrap();
+        bytes.extend(std::fs::read(dir.join(format!("block_{block}.acts"))).unwrap());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    bytes
+}
+
+#[test]
+fn stored_bytes_match_the_committed_digests() {
+    let mut got: Vec<String> = CodecKind::all()
+        .into_iter()
+        .map(|codec| format!("{:016x}", fnv1a(&blob_files(codec))))
+        .collect();
+    let data = SyntheticSpec::quick(3, 8, 16).generate();
+    let spec = ModelSpec::tiny("golden-stored", 8, &[4, 8], 3);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let mut run = NeuroFluxTrainer::new(NeuroFluxConfig::new(1 << 30, 8).with_epochs(1))
+        .train(&mut rng, &spec, &data)
+        .unwrap();
+    let params: Vec<u8> = run
+        .model
+        .units
+        .iter_mut()
+        .chain([&mut run.model.head])
+        .chain(run.aux_heads.iter_mut())
+        .flat_map(|layer| serialize_params(layer))
+        .collect();
+    got.push(format!("{:016x}", fnv1a(&params)));
+    let blocks = run.blocks.len();
+    let checkpoint = Checkpoint::capture(
+        blocks,
+        true,
+        &mut run.model,
+        &mut run.aux_heads,
+        &run.report,
+    );
+    got.push(format!("{:016x}", fnv1a(&checkpoint.to_bytes())));
+    println!("stored digests {got:?}");
+    let names = [
+        "f32 blobs",
+        "f16 blobs",
+        "int8 blobs",
+        "params",
+        "checkpoint",
+    ];
+    for ((name, digest), want) in names.iter().zip(got).zip(STORED) {
+        assert_eq!(digest, want, "{name}: stored bytes changed");
     }
 }

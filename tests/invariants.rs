@@ -1,9 +1,10 @@
 //! The workspace invariants no compiler lint can scope (DESIGN.md §13):
 //! nothing allocates in the tensor kernels or in a `*_into` body of
-//! nf-tensor and nf-nn, every crate root carries its lint gates, and
-//! `unsafe` lives in three pinned modules, each `unsafe fn` under a
-//! `// SAFETY:` comment. Every scan also rejects a planted violation, so
-//! none passes by seeing nothing; clippy carries the other contracts.
+//! nf-tensor and nf-nn, every crate root carries its lint gates, the
+//! pinned no-panic modules keep their inner deny, and `unsafe` lives in
+//! three pinned modules, each `unsafe fn` under a `// SAFETY:` comment.
+//! Every scan also rejects a planted violation, so none passes by seeing
+//! nothing; clippy carries the other contracts.
 
 use std::{fmt::Display, fs, path::Path};
 
@@ -14,6 +15,38 @@ const UNSAFE_MODULES: [&str; 3] = [
     "crates/cli/src/net/sys.rs",
     "crates/tensor/src/kernels/simd.rs",
     "crates/tensor/src/kernels/simd_int8.rs",
+];
+
+/// The modules that take bytes or requests from outside the process: the
+/// serve path, the wire format, config, the document readers and the
+/// storage decoders. Each carries an inner `#![deny(..)]` of every
+/// [`NO_PANIC`] lint, so clippy rejects a panic path in them.
+const NO_PANIC_MODULES: [&str; 14] = [
+    "crates/cli/src/config.rs",
+    "crates/cli/src/loadgen.rs",
+    "crates/cli/src/net/reactor.rs",
+    "crates/cli/src/net/sys.rs",
+    "crates/cli/src/proto.rs",
+    "crates/cli/src/schema.rs",
+    "crates/cli/src/serve.rs",
+    "crates/core/src/cache.rs",
+    "crates/core/src/checkpoint.rs",
+    "crates/core/src/codec.rs",
+    "crates/core/src/params_io.rs",
+    "crates/core/src/reader.rs",
+    "crates/core/src/serve.rs",
+    "crates/value/src/lib.rs",
+];
+
+/// The lints a no-panic module denies.
+const NO_PANIC: [&str; 7] = [
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::panic",
+    "clippy::unreachable",
+    "clippy::todo",
+    "clippy::unimplemented",
+    "clippy::indexing_slicing",
 ];
 
 /// What allocates, as the hot-path scan matches it (space-separated).
@@ -158,6 +191,20 @@ fn missing_gates(path: &str, src: &str) -> Vec<&'static str> {
     missing
 }
 
+/// The [`NO_PANIC`] lints no inner `#![deny(..)]` of `src` names.
+fn missing_no_panic(_path: &str, src: &str) -> Vec<&'static str> {
+    let code = code(src);
+    let denied: Vec<&str> = code
+        .match_indices("#![deny(")
+        .flat_map(|(at, _)| code[at..].split(')').next().unwrap_or("").split(['(', ',']))
+        .map(str::trim)
+        .collect();
+    NO_PANIC
+        .into_iter()
+        .filter(|l| !denied.contains(l))
+        .collect()
+}
+
 /// Every `.rs` file under `dir`: (workspace-relative path, source).
 fn sources(dir: &str) -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -211,6 +258,18 @@ fn crate_roots_carry_their_gates() {
 }
 
 #[test]
+fn no_panic_modules_keep_their_deny() {
+    let mut files = product_sources();
+    files.retain(|(p, _)| NO_PANIC_MODULES.contains(&p.as_str()));
+    assert_eq!(
+        files.len(),
+        NO_PANIC_MODULES.len(),
+        "a pinned module is gone"
+    );
+    check(&files, missing_no_panic);
+}
+
+#[test]
 fn unsafe_lives_in_the_pinned_modules_under_safety_comments() {
     let files = product_sources();
     check(&files, unsafe_findings);
@@ -237,6 +296,24 @@ fn planted_gate_gaps_are_rejected() {
     assert!(missing_gates("crates/cli/src/lib.rs", root).is_empty());
     let undocumented = "#![forbid(unsafe_code)]\n// #![deny(missing_docs)]\n";
     assert_eq!(missing_gates("src/lib.rs", undocumented), [DOCS]);
+}
+
+#[test]
+fn planted_no_panic_gaps_are_rejected() {
+    let full = format!(
+        "//! Docs.\n#![deny(\n    {},\n)]\n",
+        NO_PANIC.join(",\n    ")
+    );
+    assert!(missing_no_panic("m.rs", &full).is_empty());
+    let commented = format!("// {}", full.replace('\n', " "));
+    assert_eq!(missing_no_panic("m.rs", &commented), NO_PANIC);
+    let partial = full.replace("    clippy::indexing_slicing,\n", "");
+    assert_eq!(
+        missing_no_panic("m.rs", &partial),
+        ["clippy::indexing_slicing"]
+    );
+    let split = "#![deny(clippy::unwrap_used, clippy::expect_used)]\n#![deny(clippy::panic)]";
+    assert_eq!(missing_no_panic("m.rs", split), &NO_PANIC[3..]);
 }
 
 #[test]
