@@ -195,6 +195,19 @@ fn render_serve(m: &Value) -> String {
             let _ = writeln!(out, "Replica busy fractions: {}.", rendered.join(", "));
         }
     }
+    let total = |key: &str| -> i64 {
+        m.get(key)
+            .and_then(Value::as_array)
+            .map_or(0, |v| v.iter().filter_map(Value::as_int).sum())
+    };
+    let (batches, served) = (total("batches"), total("served"));
+    if batches > 0 {
+        let _ = writeln!(
+            out,
+            "Micro-batches: {batches} run, {served} request(s) served, mean batch {:.2}.",
+            served as f64 / batches as f64
+        );
+    }
     if let Some(rps) = m.get("rps").and_then(Value::as_float) {
         let _ = writeln!(out, "Throughput: {rps:.1} requests/s.\n");
     }

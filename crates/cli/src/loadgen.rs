@@ -17,7 +17,8 @@
 //! reproducible bit for bit; only wall-clock latencies vary run to run.
 //! The report therefore separates the deterministic fields (exit
 //! histogram, per-tier request counts) from the host-dependent ones
-//! (latency percentiles, requests/sec, `busy_frac`, `host_cores`).
+//! (latency percentiles, requests/sec, per-replica `busy_frac` /
+//! `batches` / `served`, `host_cores`).
 
 #![deny(
     clippy::unwrap_used,
@@ -116,6 +117,10 @@ pub struct LoadgenReport {
     /// Per-replica busy fraction (time inside `infer_batch` / server
     /// lifetime); empty when targeting an external server.
     pub busy_frac: Vec<f64>,
+    /// Per-replica micro-batches run; empty like `busy_frac`.
+    pub batches: Vec<u64>,
+    /// Per-replica requests served; empty like `busy_frac`.
+    pub served: Vec<u64>,
     /// Schedule seed.
     pub seed: u64,
     /// Requests served end to end.
@@ -159,6 +164,9 @@ impl LoadgenReport {
             "busy_frac",
             Value::Array(self.busy_frac.iter().map(|&b| Value::Float(b)).collect()),
         );
+        let ints = |v: &[u64]| Value::Array(v.iter().map(|&c| Value::Int(c as i64)).collect());
+        t.insert("batches", ints(&self.batches));
+        t.insert("served", ints(&self.served));
         t.insert("seed", Value::Int(self.seed as i64));
         t.insert("ok", Value::Int(self.ok as i64));
         t.insert("rejected", Value::Int(self.rejected as i64));
@@ -558,6 +566,8 @@ pub fn run_load(cfg: &RunConfig, addr: &str, model: &str, n_units: usize) -> Res
         // and busy fractions are unknowable from here.
         replicas: policy.effective_replicas(nf_tensor::host_cores()),
         busy_frac: Vec::new(),
+        batches: Vec::new(),
+        served: Vec::new(),
         seed,
         ok,
         rejected,
@@ -594,6 +604,8 @@ pub fn run_loadgen_inprocess(cfg: &RunConfig, quiet: bool) -> Result<LoadgenRepo
     report.map(|mut r| {
         r.replicas = replicas;
         r.busy_frac = stats.iter().map(|s| s.busy_frac).collect();
+        r.batches = stats.iter().map(|s| s.batches).collect();
+        r.served = stats.iter().map(|s| s.served).collect();
         r.accept_exhausted = accept_exhausted;
         r
     })

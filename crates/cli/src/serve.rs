@@ -47,10 +47,13 @@
 //!   the ascending-k GEMM invariant makes results batch-size
 //!   independent, so served predictions are bit-identical to offline
 //!   single-sample inference at any replica *or connection* count.
-//! - The wake policy is tier-aware: a replica runs a partial batch once
-//!   the oldest queued request's *tier window* closes (fast = ¼ of
-//!   `BATCH_WINDOW_US`, balanced = ½, exact = full), so a lone `fast`
-//!   request is never stuck behind a full `exact` batch window.
+//! - Batching is work-conserving, with no timer: a free replica runs
+//!   whatever is queued, up to `max_batch`, at once
+//!   (`MicroBatcher::draw`), so a lone request never waits for company.
+//!   The reactor wakes one replica once per epoll turn, after it has
+//!   queued every frame that turn read, so a burst that arrives together
+//!   is still one batch (only a full `max_batch` wakes one mid-turn); the
+//!   backlog that builds while every replica is busy is the next batch.
 //! - Shutdown is an eventfd wake, not a socket trick: the flag flips,
 //!   the reactor stops accepting, replicas drain deadline-aware (within
 //!   deadline → served, lapsed → `deadline`, new → `shutting-down`),
@@ -78,7 +81,7 @@ use crate::net::sys::{self, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOL
 use crate::proto::{self, RejectReason, Request, Response};
 use neuroflux_core::serve::{reactor_timeout_ms, Clock, MicroBatcher, SystemClock};
 use neuroflux_core::{
-    BatchPlan, NeuroFluxTrainer, ServeEngine, ServePolicy, ServeReply, ServeRequest,
+    BatchPlan, Draw, NeuroFluxTrainer, ServeEngine, ServePolicy, ServeReply, ServeRequest,
     OUTBOX_CAP_BYTES,
 };
 use rand::SeedableRng;
@@ -89,7 +92,6 @@ use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Backoff before re-arming accept after `EMFILE`/`ENFILE` (µs). Long
 /// enough for the operator (or a disconnect) to return fds, short enough
@@ -251,9 +253,13 @@ impl Shared {
     }
 
     /// Flips the shutdown flag and unblocks everything that sleeps: the
-    /// replicas (condvar) and the reactor (eventfd wake). Idempotent.
+    /// replicas (condvar) and the reactor (eventfd wake). Idempotent. The
+    /// flag flips under the queue lock, so a replica between its `draw`
+    /// and its condvar wait cannot miss the notify.
     fn begin_shutdown(&self) {
+        let queue = self.queue.lock();
         self.shutdown.store(true, Ordering::SeqCst);
+        drop(queue);
         self.queue_cv.notify_all();
         let _ = self.wake.wake();
     }
@@ -297,11 +303,9 @@ impl ServerHandle {
     /// Signals shutdown and joins the reactor and replica threads (the
     /// replicas finish their deadline-aware drain first; the reactor
     /// then flushes outstanding replies and closes every connection).
-    pub fn stop(mut self) {
+    pub fn stop(self) {
         self.shared.begin_shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.wait();
     }
 
     /// Blocks until the server shuts down (a shutdown frame on an
@@ -394,6 +398,7 @@ pub fn start_server_with_engines(
         accepting: true,
         accept_resume_us: None,
         drain_deadline_us: None,
+        admitted: false,
     };
     let mut threads = vec![std::thread::spawn(move || reactor.run())];
     let mut stats = Vec::with_capacity(replicas);
@@ -488,6 +493,9 @@ struct Reactor {
     accept_resume_us: Option<u64>,
     /// Shutdown flush deadline, set once the replicas finish draining.
     drain_deadline_us: Option<u64>,
+    /// Whether this epoll turn admitted requests no wake has announced
+    /// yet (a partial batch: one wake after the turn's last frame).
+    admitted: bool,
 }
 
 impl Reactor {
@@ -507,6 +515,11 @@ impl Reactor {
                     TOKEN_LISTENER => self.accept_ready(),
                     conn_id => self.conn_event(conn_id, ev.ready()),
                 }
+            }
+            // One replica wake per turn, after every frame the turn read
+            // is queued: requests that arrived together form one batch.
+            if std::mem::take(&mut self.admitted) {
+                self.shared.queue_cv.notify_one();
             }
             self.deliver_completions();
             self.maybe_resume_accept();
@@ -674,13 +687,14 @@ impl Reactor {
                 // drain (which would leave the client replyless). A
                 // poisoned lock means the replicas are gone: reject.
                 let admitted = match self.shared.queue.lock() {
-                    Ok(mut q) if !self.shared.shutting_down() => {
-                        q.submit(req).map_err(|_| RejectReason::QueueFull)
-                    }
+                    Ok(mut q) if !self.shared.shutting_down() => q
+                        .submit(req)
+                        .map(|()| q.len())
+                        .map_err(|_| RejectReason::QueueFull),
                     _ => Err(RejectReason::ShuttingDown),
                 };
                 match admitted {
-                    Ok(()) => {
+                    Ok(queued) => {
                         // Only this thread reads the routes, so the
                         // reply cannot be delivered before this insert.
                         self.routes.insert(
@@ -690,7 +704,12 @@ impl Reactor {
                                 client_id: id,
                             },
                         );
-                        self.shared.queue_cv.notify_one();
+                        // A full batch cannot grow: a replica takes it now,
+                        // not after the turn; a partial one waits for it.
+                        self.admitted = queued < self.shared.policy.max_batch;
+                        if !self.admitted {
+                            self.shared.queue_cv.notify_one();
+                        }
                         true
                     }
                     Err(reason) => self.push_response(conn_id, &reject(reason)),
@@ -822,45 +841,29 @@ impl Reactor {
 }
 
 /// Waits for the next batch this replica should run, or `None` when the
-/// replica should exit (shutdown with an empty queue).
-///
-/// While serving, the replica sleeps on the queue condvar with no timeout
-/// when the queue is empty (zero idle CPU), and with a bounded timeout
-/// until the earliest tier window closes when a partial batch is queued.
-/// During shutdown it drains deadline-aware: batches form immediately
-/// (no window), `form_batch` splits out lapsed requests for rejection,
-/// and the replica exits once the queue is empty.
+/// replica should exit (shutdown with an empty queue): the queue lock and
+/// a condvar loop around [`MicroBatcher::draw`]. A free replica runs
+/// whatever is queued at once; on an empty queue it sleeps with no
+/// timeout (zero idle CPU). Draining differs from serving only in that an
+/// empty queue means exit, and `form_batch` splits lapsed requests out
+/// for rejection either way.
 fn next_plan(shared: &Shared) -> Option<BatchPlan> {
     let mut q = shared.queue.lock().ok()?;
     loop {
-        if shared.shutting_down() {
-            if q.is_empty() {
-                return None;
-            }
-            break;
-        }
-        if q.is_empty() {
-            q = shared.queue_cv.wait(q).ok()?;
-            continue;
-        }
-        if q.len() >= shared.policy.max_batch {
-            break;
-        }
-        // Partial batch: wait until the earliest tier window closes,
-        // re-checking as new requests land.
         let now = shared.clock.now_us();
-        let wake = q.window_deadline_us().unwrap_or(now);
-        if now >= wake {
-            break;
+        match q.draw(now, shared.policy.max_batch, shared.shutting_down()) {
+            Draw::Run(plan) => {
+                // More was queued than one batch holds: the rest goes to
+                // the next free replica, not back to the reactor's wake.
+                if !q.is_empty() {
+                    shared.queue_cv.notify_one();
+                }
+                return Some(plan);
+            }
+            Draw::Sleep => q = shared.queue_cv.wait(q).ok()?,
+            Draw::Exit => return None,
         }
-        let wait = (wake - now).clamp(50, 2_000);
-        let (qq, _) = shared
-            .queue_cv
-            .wait_timeout(q, Duration::from_micros(wait))
-            .ok()?;
-        q = qq;
     }
-    Some(q.form_batch(shared.clock.now_us(), shared.policy.max_batch))
 }
 
 /// One replica: draws micro-batches from the shared queue, rejects

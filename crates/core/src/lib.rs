@@ -74,9 +74,9 @@ pub use params_io::{deserialize_params, serialize_params};
 pub use partitioner::{partition, Block};
 pub use profiler::{LinearMemoryModel, Profiler, UnitProfile};
 pub use serve::{
-    latency_percentiles, reactor_timeout_ms, AdmissionError, BatchPlan, Clock, MicroBatcher,
+    latency_percentiles, reactor_timeout_ms, AdmissionError, BatchPlan, Clock, Draw, MicroBatcher,
     ServeEngine, ServePolicy, ServeReply, ServeRequest, SloTier, SystemClock, VirtualClock,
-    BATCH_WINDOW_US, MAX_REPLICAS, OUTBOX_CAP_BYTES,
+    MAX_REPLICAS, OUTBOX_CAP_BYTES,
 };
 pub use worker::{RunHooks, TrainEvent, Worker, WorkerReport};
 

@@ -9,8 +9,10 @@
 //!   `exact`) to a **maximum exit depth** — the deepest head a request may
 //!   reach before it is forced to exit — and a queue deadline.
 //! - [`MicroBatcher`] is a bounded FIFO queue with admission control.
-//!   Batch formation is a pure function of (queue contents, clock), so a
-//!   [`VirtualClock`] makes every schedule reproducible in tests.
+//!   Batch formation and a free replica's next step ([`MicroBatcher::draw`]:
+//!   run what is queued, sleep, or exit) are pure functions of (queue
+//!   contents, clock, shutdown flag), so a [`VirtualClock`] makes every
+//!   schedule reproducible in tests.
 //! - [`ServeEngine`] owns a trained model plus its auxiliary heads and
 //!   runs mixed-tier micro-batches through the capped cascade.
 //!
@@ -46,7 +48,9 @@ use std::time::Instant;
 ///
 /// Each tier caps how deep a request may travel before it is forced to
 /// exit at the deepest head its budget allows, and how long it may sit in
-/// the queue before admission control rejects it.
+/// the queue before admission control rejects it. A tier never delays a
+/// request: every tier rides the same work-conserving batches
+/// ([`MicroBatcher::draw`]), which run as soon as a replica is free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SloTier {
     /// Lowest latency: exit by the shallowest quarter of the cascade.
@@ -89,19 +93,6 @@ impl SloTier {
         }
     }
 
-    /// Batch-window share for this tier: a replica runs a partial batch
-    /// once the oldest queued request has waited this long. Fast requests
-    /// get a quarter of [`BATCH_WINDOW_US`], balanced half, exact the full
-    /// window — the wake policy that keeps a lone `fast` request from
-    /// sitting out a full `exact` batch window.
-    pub fn window_us(self) -> u64 {
-        match self {
-            SloTier::Fast => BATCH_WINDOW_US / 4,
-            SloTier::Balanced => BATCH_WINDOW_US / 2,
-            SloTier::Exact => BATCH_WINDOW_US,
-        }
-    }
-
     /// The deepest exit (0-based unit index) a request of this tier may
     /// reach in a cascade of `n_units` heads: the shallowest quarter for
     /// `fast`, the midpoint for `balanced`, the full depth for `exact`.
@@ -130,11 +121,6 @@ impl std::str::FromStr for SloTier {
         }
     }
 }
-
-/// How long the batcher waits for a batch to fill before running a
-/// partial one, measured from the oldest queued arrival (µs). Tiers wake
-/// earlier than this — see [`SloTier::window_us`].
-pub const BATCH_WINDOW_US: u64 = 500;
 
 /// Per-connection reply-outbox cap (bytes): a peer that stops reading
 /// while this many reply bytes pile up is disconnected (backpressure), so
@@ -345,19 +331,32 @@ impl MicroBatcher {
         plan
     }
 
-    /// Earliest queue-clock time at which some queued request's tier
-    /// window closes — when a replica should wake and run a partial batch
-    /// even though `max_batch` hasn't filled. `None` on an empty queue.
-    ///
-    /// Pure function of the queue contents: the tier-aware wake policy
-    /// stays replayable under a [`VirtualClock`] like the rest of batch
-    /// formation. O(len) over a queue bounded by `queue_capacity`.
-    pub fn window_deadline_us(&self) -> Option<u64> {
-        self.queue
-            .iter()
-            .map(|r| r.arrival_us.saturating_add(r.tier.window_us()))
-            .min()
+    /// What a free replica does next at queue-clock time `now_us`: run
+    /// whatever is queued (up to `max_batch`, via [`Self::form_batch`])
+    /// the moment it is free, sleep until a submit wakes it on an empty
+    /// queue, or exit on an empty queue once `shutting_down` — the one
+    /// difference between serving and draining. No timer: the backlog
+    /// that builds while every replica is busy is the next batch.
+    pub fn draw(&mut self, now_us: u64, max_batch: usize, shutting_down: bool) -> Draw {
+        if !self.queue.is_empty() {
+            Draw::Run(self.form_batch(now_us, max_batch))
+        } else if shutting_down {
+            Draw::Exit
+        } else {
+            Draw::Sleep
+        }
     }
+}
+
+/// A free replica's next step: [`MicroBatcher::draw`]'s verdict.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Draw {
+    /// Run this batch (it holds at least one request, ready or expired).
+    Run(BatchPlan),
+    /// The queue is empty and the server is serving: block until woken.
+    Sleep,
+    /// The queue is empty during shutdown: the drain is over.
+    Exit,
 }
 
 /// A microsecond clock the serving path reads time from.
@@ -789,30 +788,6 @@ mod tests {
         let lat: Vec<u64> = (1..=200).collect();
         assert_eq!(latency_percentiles(&lat), (100, 190, 198));
         assert_eq!(latency_percentiles(&[]), (0, 0, 0));
-    }
-
-    #[test]
-    fn tier_windows_shrink_for_latency_sensitive_tiers() {
-        assert_eq!(BATCH_WINDOW_US, 500);
-        assert_eq!(SloTier::Fast.window_us(), 125);
-        assert_eq!(SloTier::Balanced.window_us(), 250);
-        assert_eq!(SloTier::Exact.window_us(), 500);
-    }
-
-    #[test]
-    fn window_deadline_is_min_over_tier_windows() {
-        let mut b = MicroBatcher::new(8);
-        assert_eq!(b.window_deadline_us(), None);
-        // An exact request arriving first: full window from t=100.
-        b.submit(req(0, SloTier::Exact, 100, 1_000_000)).unwrap();
-        assert_eq!(b.window_deadline_us(), Some(600));
-        // A later fast request pulls the wake earlier: 300 + 125 < 600.
-        b.submit(req(1, SloTier::Fast, 300, 1_000_000)).unwrap();
-        assert_eq!(b.window_deadline_us(), Some(425));
-        // Popping both empties the queue: nothing left to wake for.
-        let plan = b.form_batch(0, 2);
-        assert_eq!(plan.ready.len(), 2);
-        assert_eq!(b.window_deadline_us(), None);
     }
 
     #[test]

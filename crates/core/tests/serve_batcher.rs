@@ -1,12 +1,13 @@
 //! Property-based tests over the serving micro-batcher and SLO tiers:
 //! invariants the server relies on for any request schedule.
 //!
-//! The batcher is a pure function of (queue contents, clock), so a
+//! The batcher is a pure function of (queue contents, clock, shutdown
+//! flag), so a
 //! [`VirtualClock`] replays arbitrary proptest-generated schedules
 //! exactly — no sleeps, no flakiness.
 
 use neuroflux_core::serve::VirtualClock;
-use neuroflux_core::{AdmissionError, Clock, MicroBatcher, ServeRequest, SloTier};
+use neuroflux_core::{AdmissionError, Clock, Draw, MicroBatcher, ServeRequest, SloTier};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -178,6 +179,46 @@ proptest! {
             prop_assert!(q.len() < before, "form_batch made no progress");
             calls += 1;
             prop_assert!(calls <= n, "drain took more calls than requests");
+        }
+    }
+
+    /// Work conservation: a replica's draw on a non-empty queue always
+    /// runs (at least one request leaves it, `ready` filled up to
+    /// `max_batch`), whatever the clock or tier mix; it sleeps only on an
+    /// empty queue while serving and exits only on an empty queue during
+    /// shutdown. No timer is consulted.
+    #[test]
+    fn draw_runs_whatever_is_queued_and_sleeps_or_exits_only_when_empty(
+        // Each `Form` is a replica's draw, under the paired shutdown flag.
+        events in proptest::collection::vec(
+            (event_strategy(), (0u8..2).prop_map(|b| b == 1)),
+            1..120,
+        ),
+    ) {
+        let clock = VirtualClock::new();
+        let mut q = MicroBatcher::new(16);
+        for (id, (ev, down)) in events.into_iter().enumerate() {
+            match ev {
+                Event::Submit { tier, deadline_offset } => {
+                    let tier = SloTier::from_index(tier).unwrap();
+                    let _ = q.submit(request(id as u64, tier, clock.now_us(), deadline_offset));
+                }
+                Event::Advance { us } => clock.advance(us),
+                Event::Form { max_batch } => {
+                    let before = q.len();
+                    match q.draw(clock.now_us(), max_batch, down) {
+                        Draw::Run(plan) => {
+                            let left = plan.ready.len() + plan.expired.len();
+                            prop_assert!(left >= 1 && q.len() == before - left, "ran nothing");
+                            prop_assert!(plan.ready.len() <= max_batch);
+                            prop_assert!(plan.ready.len() == max_batch || q.is_empty(),
+                                "a run left work queued below max_batch");
+                        }
+                        Draw::Sleep => prop_assert!(before == 0 && !down, "slept beside work"),
+                        Draw::Exit => prop_assert!(before == 0 && down, "exited early"),
+                    }
+                }
+            }
         }
     }
 
