@@ -1,16 +1,12 @@
 //! Scaled-training harness shared by the accuracy figures.
 //!
-//! Figures 10 and 12 and Table 2 need *real* training runs. Full-size
-//! models on full datasets are out of reach for a CPU tensor library, so
-//! these binaries train **channel-scaled** variants of the paper's
-//! architectures on reduced synthetic datasets (DESIGN.md §2's scale
-//! substitution) and transfer the *shape* of the result — which exit
-//! saturates, how accuracy orders between methods — back to the full-size
-//! analytics.
-//!
-//! Unknown model/dataset names are typed [`ScaledError`]s, not panics, so
-//! anything that routes user input here (CLI layers, future argv-driven
-//! binaries) surfaces them as ordinary errors.
+//! Figures 10 and 12 and Tables 2–3 need *real* training runs, out of
+//! reach at full size on a CPU, so [`crate::figures`] trains
+//! **channel-scaled** variants of the paper's architectures on reduced
+//! synthetic datasets (DESIGN.md §2's scale substitution) and transfers
+//! the *shape* of the result — which exit saturates, how accuracy orders
+//! between methods — back to the full-size analytics. Unknown names are
+//! typed [`ScaledError`]s, not panics.
 
 use nf_data::{SplitDataset, SyntheticSpec};
 use nf_models::ModelSpec;

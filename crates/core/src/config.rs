@@ -52,13 +52,18 @@ pub struct NeuroFluxConfig {
     pub int8_compute: bool,
 }
 
+/// The Partitioner's grouping threshold ρ (Algorithm 1) the paper settles
+/// on: 40 % balanced training efficiency and convergence best across the
+/// 10–70 % it swept (§5.2).
+pub const RHO: f64 = 0.4;
+
 impl NeuroFluxConfig {
-    /// Creates a config with the paper's defaults (ρ = 0.4, AAN heads).
+    /// Creates a config with the paper's defaults ([`RHO`], AAN heads).
     pub fn new(budget_bytes: u64, batch_limit: usize) -> Self {
         NeuroFluxConfig {
             budget_bytes,
             batch_limit,
-            rho: 0.4,
+            rho: RHO,
             aux_policy: AuxPolicy::Adaptive,
             lr: 0.05,
             momentum: 0.9,

@@ -3,6 +3,16 @@
 //! Wires the pipeline of Figure 7 together: Profiler → Partitioner →
 //! Worker → early-exit selection, producing the streamlined output model.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::cache::{ActivationStore, MemoryStore};
 use crate::config::NeuroFluxConfig;
 use crate::partitioner::{partition, Block};

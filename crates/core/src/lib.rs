@@ -66,7 +66,7 @@ pub use cache::{
 pub use checkpoint::{Checkpoint, CheckpointSink, FileCheckpoint};
 pub use codec::{ActivationCodec, CacheBlob, CodecKind};
 pub use confidence_exit::{CascadePrediction, CascadeReport, ConfidenceCascade};
-pub use config::NeuroFluxConfig;
+pub use config::{NeuroFluxConfig, RHO};
 pub use controller::{NeuroFluxOutcome, NeuroFluxTrainer, TrainHooks};
 pub use error::NfError;
 pub use federated::{run_federated, ClientReport, FederatedConfig, FederatedOutcome, RoundReport};

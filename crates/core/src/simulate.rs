@@ -10,7 +10,7 @@
 
 use crate::partitioner::{partition, Block};
 use crate::profiler::Profiler;
-use crate::{NfError, Result};
+use crate::{NfError, Result, RHO};
 use nf_memsim::{
     max_batch_bp, max_batch_ll_unit, CacheCostModel, DeviceProfile, MemoryModel, TimingModel,
     TrainingParadigm,
@@ -37,6 +37,12 @@ pub struct SimulatedRun {
     /// adjacent blocks' outputs coexist: the input being consumed and the
     /// output being written).
     pub cache_peak_bytes: u64,
+    /// Seconds the activation cache saves (NeuroFlux only): the forward
+    /// passes over trained blocks it skips — without it every block
+    /// re-runs all earlier units over every sample each epoch — less the
+    /// regeneration passes and exposed I/O it costs. `total_s() +
+    /// cache_saved_s` prices the same plan without the cache.
+    pub cache_saved_s: f64,
 }
 
 impl SimulatedRun {
@@ -99,6 +105,7 @@ pub fn simulate_bp(
         batches: vec![batch],
         cache_bytes_written: 0,
         cache_peak_bytes: 0,
+        cache_saved_s: 0.0,
     })
 }
 
@@ -140,12 +147,12 @@ pub fn simulate_classic_ll(
         batches: vec![batch],
         cache_bytes_written: 0,
         cache_peak_bytes: 0,
+        cache_saved_s: 0.0,
     })
 }
 
-/// Simulates a NeuroFlux run: plan blocks with the real Profiler +
-/// Partitioner, then price block-wise training with adaptive batches,
-/// cache regeneration passes, and storage I/O.
+/// Simulates a NeuroFlux run: [`plan_neuroflux`] at [`RHO`], then
+/// [`price_neuroflux`] over the plan.
 pub fn simulate_neuroflux(
     spec: &ModelSpec,
     device: &DeviceProfile,
@@ -153,6 +160,18 @@ pub fn simulate_neuroflux(
     mem: &MemoryModel,
     timing: &TimingModel,
 ) -> Result<(SimulatedRun, Vec<Block>)> {
+    let blocks = plan_neuroflux(spec, cfg, mem, RHO)?;
+    Ok((price_neuroflux(spec, device, cfg, timing, &blocks), blocks))
+}
+
+/// Plans blocks the way the Controller does: the real (noise-free)
+/// Profiler over `spec`, then the Partitioner at grouping threshold `rho`.
+pub fn plan_neuroflux(
+    spec: &ModelSpec,
+    cfg: &SimConfig,
+    mem: &MemoryModel,
+    rho: f64,
+) -> Result<Vec<Block>> {
     let profiler = Profiler {
         memory_model: *mem,
         ..Profiler::default()
@@ -161,13 +180,26 @@ pub fn simulate_neuroflux(
     // signature for the noisy case.
     let mut rng = rand::rngs::mock::StepRng::new(0, 1);
     let profiles = profiler.profile(&mut rng, spec, AuxPolicy::Adaptive);
-    let blocks = partition(&profiles, cfg.budget_bytes, cfg.batch_limit, 0.4)?;
+    partition(&profiles, cfg.budget_bytes, cfg.batch_limit, rho)
+}
+
+/// Prices block-wise training of `blocks` (which tile `spec`'s units, as
+/// the Partitioner returns them) with adaptive batches, cache regeneration
+/// passes, and storage I/O.
+pub fn price_neuroflux(
+    spec: &ModelSpec,
+    device: &DeviceProfile,
+    cfg: &SimConfig,
+    timing: &TimingModel,
+    blocks: &[Block],
+) -> SimulatedRun {
     let aux = assign_aux(spec, AuxPolicy::Adaptive);
     let analytics = spec.analyze();
 
     let mut compute_s = 0.0;
     let mut overhead_s = 0.0;
     let mut io_s = 0.0;
+    let mut cache_saved_s = 0.0;
     let mut cache_bytes = 0u64;
     let mut cache_peak = 0u64;
     let mut prev_block_bytes = 0u64;
@@ -190,12 +222,14 @@ pub fn simulate_neuroflux(
         // priced in *encoded* bytes: a quantizing codec moves fewer bytes
         // over the storage link, which is part of its win on
         // bandwidth-starved devices.
+        let mut read_excess = 0.0;
         if bi > 0 {
             let in_elems = analytics[block.units.start].in_elems as u64 * cfg.samples as u64;
             let in_channels = channels_of(analytics[block.units.start].in_shape) as u64;
             let in_bytes = cfg.cache.encoded_bytes(in_elems, in_channels) as f64;
             let raw_io = in_bytes * cfg.epochs as f64 / device.storage_bw_bytes_s;
-            io_s += (raw_io - block_compute).max(0.0);
+            read_excess = (raw_io - block_compute).max(0.0);
+            io_s += read_excess;
         }
         // Final regeneration pass + cache write (§3.3); writes stream out
         // behind the forward pass, so only the excess is exposed.
@@ -206,25 +240,32 @@ pub fn simulate_neuroflux(
         let out_elems = out_analytics.out_elems as u64 * cfg.samples as u64;
         let out_channels = channels_of(out_analytics.out_shape) as u64;
         let out_bytes = cfg.cache.encoded_bytes(out_elems, out_channels);
-        io_s += (out_bytes as f64 / device.storage_bw_bytes_s - regen_compute).max(0.0);
+        let write_excess = (out_bytes as f64 / device.storage_bw_bytes_s - regen_compute).max(0.0);
+        io_s += write_excess;
         cache_bytes += out_bytes;
         // At most two adjacent blocks' caches coexist: the consumed input
         // survives until this block's output is durable.
         cache_peak = cache_peak.max(prev_block_bytes + out_bytes);
         prev_block_bytes = out_bytes;
+        // Without the cache: no regeneration pass or cache I/O, but the
+        // trained prefix runs forward for every sample of every epoch.
+        let prefix_flops: f64 = analytics[..block.units.start]
+            .iter()
+            .map(|a| a.flops as f64)
+            .sum();
+        let prefix_s = prefix_flops * n * cfg.epochs as f64 / device.effective_flops();
+        cache_saved_s += prefix_s - regen_compute - read_excess - write_excess;
     }
-    Ok((
-        SimulatedRun {
-            paradigm: "neuroflux",
-            compute_s,
-            overhead_s,
-            io_s,
-            batches: blocks.iter().map(|b| b.batch).collect(),
-            cache_bytes_written: cache_bytes,
-            cache_peak_bytes: cache_peak,
-        },
-        blocks,
-    ))
+    SimulatedRun {
+        paradigm: "neuroflux",
+        compute_s,
+        overhead_s,
+        io_s,
+        batches: blocks.iter().map(|b| b.batch).collect(),
+        cache_bytes_written: cache_bytes,
+        cache_peak_bytes: cache_peak,
+        cache_saved_s,
+    }
 }
 
 /// Convenience: the three paradigms at one budget; infeasible entries are
@@ -421,11 +462,12 @@ mod tests {
         let mem = MemoryModel::default();
         let timing = TimingModel::default();
         let (run, _) = simulate_neuroflux(&spec, &device, &cfg(300), &mem, &timing).unwrap();
-        // Dataset ≈ 50k CIFAR images as u8: ~150 MB; as f32: ~600 MB. The
-        // cache stores f32 activations; compare against the f32 dataset.
-        // The paper reports 1.5–5.3x (likely with coarser blocks and/or
-        // quantised caches); our finer partitions land somewhat above that
-        // but in the same order of magnitude (see EXPERIMENTS.md).
+        // Dataset ≈ 50k CIFAR images as u8: ~150 MB; as f32: ~600 MB. This
+        // test divides by the f32 dataset and reads ≈ 16x. §6.4 (and the
+        // `overheads` figure) divide by the stored u8 dataset, where the
+        // same cache reads ≈ 65x: an order of magnitude above the paper's
+        // 1.5–5.3x, a finding in EXPERIMENTS.md. The band asserted here is
+        // a plausibility bound on the accounting, not the paper's band.
         let dataset_f32 = 50_000u64 * 3 * 32 * 32 * 4;
         let ratio = run.cache_bytes_written as f64 / dataset_f32 as f64;
         assert!(

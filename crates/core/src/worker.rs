@@ -13,6 +13,16 @@
 //!    activations to the [`crate::ActivationStore`] (§3.3), then evicts the
 //!    block's forward caches and the consumed upstream cache entry.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::cache::ActivationStore;
 use crate::checkpoint::{Checkpoint, CheckpointSink};
 use crate::codec::CodecKind;
@@ -172,7 +182,7 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         step: &mut LocalStep,
     ) -> Result<f32> {
         let sgd = self.optimizer();
-        let n = inputs.shape()[0];
+        let n = batch_count(inputs);
         let batch = block.batch.max(1);
         let (mut sum, mut count) = (0.0f32, 0usize);
         for start in (0..n).step_by(batch) {
@@ -180,11 +190,12 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
             // AB-LL prefetch: slice exactly this block's batch size out of
             // the cached activation stream.
             inputs.slice_batch_into(start, end, &mut step.cur)?;
-            for u in block.units.clone() {
+            let batch_labels = labels_of(labels, start, end)?;
+            let units = block_slice(&mut model.units, block)?;
+            for (unit, head) in units.iter_mut().zip(block_slice(aux_heads, block)?) {
                 // Lines 3–7 of Algorithm 2: unit forward, auxiliary
                 // prediction, local loss, local update.
-                let (unit, head) = (&mut model.units[u], &mut aux_heads[u]);
-                sum += step.train_unit(&sgd, unit, head, &labels[start..end])?;
+                sum += step.train_unit(&sgd, unit, head, batch_labels)?;
                 count += 1;
             }
         }
@@ -214,7 +225,7 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         let (cur, out) = (&mut step.cur, &mut step.out);
         let n = match quant {
             Some(q) => q.shape().first().copied().unwrap_or(0),
-            None => inputs.shape()[0],
+            None => batch_count(inputs),
         };
         let batch = block.batch.max(1);
         if n == 0 {
@@ -225,26 +236,26 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         let mut start = 0usize;
         while start < n {
             let end = (start + batch).min(n);
-            let mut units = block.units.clone();
+            let mut units = block_slice(&mut model.units, block)?.iter_mut();
             match quant {
                 Some(q) => {
                     q.slice_batch_into(start, end, &mut qbatch)?;
                     match units.next() {
-                        Some(first) => {
-                            model.units[first].forward_quant_into(&qbatch, Mode::Eval, cur)?
-                        }
+                        Some(first) => first.forward_quant_into(&qbatch, Mode::Eval, cur)?,
                         None => qbatch.dequantize_into(cur)?,
                     }
                 }
                 None => inputs.slice_batch_into(start, end, cur)?,
             }
-            for u in units {
-                model.units[u].forward_into(cur, Mode::Eval, out)?;
+            for unit in units {
+                unit.forward_into(cur, Mode::Eval, out)?;
                 std::mem::swap(cur, out);
             }
             if start == 0 {
                 let mut shape = cur.shape().to_vec();
-                shape[0] = n;
+                if let Some(batch_dim) = shape.first_mut() {
+                    *batch_dim = n;
+                }
                 acts.reuse_as(&shape);
             }
             acts.write_batch(start, cur)?;
@@ -435,9 +446,10 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
             )?;
             report.cache_logical_bytes += acts.numel() as u64 * 4;
             report.cache_bytes_written += self.store.write(b, &acts)?;
-            for u in block.units.clone() {
-                model.units[u].clear_cache();
-                aux_heads[u].clear_cache();
+            let units = block_slice(&mut model.units, block)?;
+            for (unit, head) in units.iter_mut().zip(block_slice(aux_heads, block)?) {
+                unit.clear_cache();
+                head.clear_cache();
             }
             // §3.1: the trained block itself moves to storage. Serialise
             // unit + head parameters (with optimizer state), then restore —
@@ -445,8 +457,9 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
             // bytes. A device deployment would hold only the blob between
             // blocks.
             if self.config.evict_params {
-                for u in block.units.clone() {
-                    for layer in [&mut model.units[u], &mut aux_heads[u]] {
+                let units = block_slice(&mut model.units, block)?;
+                for (unit, head) in units.iter_mut().zip(block_slice(aux_heads, block)?) {
+                    for layer in [unit, head] {
                         let blob = crate::params_io::serialize_params(layer);
                         report.params_bytes_evicted += blob.len() as u64;
                         crate::params_io::deserialize_params(layer, &blob)?;
@@ -478,17 +491,18 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         // Train the original head on the final block's cached activations —
         // the model's deepest exit. Skipped when the resumed-from
         // checkpoint already covers it (head parameters were restored).
-        if let Some(last) = blocks.len().checked_sub(1) {
+        if let Some((last, last_block)) = blocks.iter().enumerate().next_back() {
             if !resume_head_trained {
                 self.store.read_into(last, &mut cache_input)?;
                 let sgd = self.optimizer();
-                let batch = blocks[last].batch.max(1);
-                let n = cache_input.shape()[0];
+                let batch = last_block.batch.max(1);
+                let n = batch_count(&cache_input);
                 for _ in 0..self.config.epochs_per_block {
                     for start in (0..n).step_by(batch) {
                         let end = (start + batch).min(n);
                         cache_input.slice_batch_into(start, end, &mut step.cur)?;
-                        step.train_head(&sgd, &mut model.head, &labels[start..end])?;
+                        let batch_labels = labels_of(labels, start, end)?;
+                        step.train_head(&sgd, &mut model.head, batch_labels)?;
                     }
                 }
                 if let Some(sink) = hooks.checkpoint.as_mut() {
@@ -501,6 +515,34 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         report.cache_peak_bytes = resume_peak.max(self.store.peak_bytes());
         Ok(report)
     }
+}
+
+/// Samples along `t`'s leading (batch) axis; a scalar has none.
+fn batch_count(t: &Tensor) -> usize {
+    t.shape().first().copied().unwrap_or(0)
+}
+
+/// The labels of samples `start..end`; fewer labels than samples is a
+/// typed error, not a panic.
+fn labels_of(labels: &[usize], start: usize, end: usize) -> Result<&[usize]> {
+    labels.get(start..end).ok_or_else(|| {
+        NfError::BadConfig(format!(
+            "{} labels for samples {start}..{end}",
+            labels.len()
+        ))
+    })
+}
+
+/// `block`'s entries of a per-unit vector (the model's units or their
+/// aux heads); a block past its end is a typed error, not a panic.
+fn block_slice<'a, T>(per_unit: &'a mut [T], block: &Block) -> Result<&'a mut [T]> {
+    let len = per_unit.len();
+    per_unit.get_mut(block.units.clone()).ok_or_else(|| {
+        NfError::BadConfig(format!(
+            "block units {}..{} outside a {len}-unit model",
+            block.units.start, block.units.end
+        ))
+    })
 }
 
 /// Delivers `event` to the progress hook (if any); translates a `false`
