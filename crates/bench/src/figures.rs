@@ -9,15 +9,16 @@
 
 use crate::scaled::{workload, DATASETS};
 use neuroflux_core::partitioner::check_partition;
+use neuroflux_core::profiler::{profile, profiling_flops};
 use neuroflux_core::simulate::{
     plan_neuroflux, price_neuroflux, simulate_bp, simulate_classic_ll, simulate_neuroflux,
     sweep_point, SimConfig, SimulatedRun,
 };
-use neuroflux_core::{Block, NeuroFluxConfig, NeuroFluxTrainer, Profiler, UnitProfile, RHO};
+use neuroflux_core::{Block, NeuroFluxConfig, NeuroFluxTrainer, RHO};
 use nf_baselines::{install_feedback, BpTrainer, LocalLearningTrainer, SpTrainer};
 use nf_data::SyntheticSpec;
 use nf_memsim::TrainingParadigm::{BlockLocal, LocalLearning};
-use nf_memsim::{max_batch_per_unit, CacheCostModel, DeviceProfile, MemoryModel, TimingModel};
+use nf_memsim::{CacheCostModel, DeviceProfile, MemoryModel, TimingModel};
 use nf_models::{assign_aux, exit_candidates, AuxPolicy, ExitCandidate, ModelSpec, UnitAnalytics};
 use rand::{rngs::StdRng, SeedableRng};
 use std::cell::{OnceCell, RefCell};
@@ -486,8 +487,9 @@ fn fig06(_: &Shared) -> Result<Figure> {
     let (spec, mem) = (ModelSpec::vgg19(200), MemoryModel::default());
     let aux = assign_aux(&spec, AuxPolicy::Adaptive);
     let budget = mem.ll_training_peak(&spec, &aux, 30, BlockLocal).0.total();
-    let batches = max_batch_per_unit(&mem, &spec, &aux, budget, BlockLocal);
-    let batches: Vec<usize> = batches.into_iter().map(|b| b.unwrap_or(0)).collect();
+    let line = |a| mem.ll_unit_line(&spec, a, &aux, BlockLocal);
+    let max_batch = |a| line(a).max_batch(budget).unwrap_or(0);
+    let batches: Vec<usize> = spec.analyze().iter().map(max_batch).collect();
     let max_b = batches.iter().copied().max().unwrap_or(1).max(1);
     let bar = |b: usize| "#".repeat((b * 40 / max_b).max(1));
     let rows = (1..)
@@ -511,7 +513,7 @@ fn fig06(_: &Shared) -> Result<Figure> {
 }
 
 /// Figure 8: VGG-11's per-layer training memory is linear in batch size,
-/// and the Profiler's least-squares fits under ±2 % measurement noise.
+/// and the line per layer the Profiler hands the Partitioner.
 fn fig08(_: &Shared) -> Result<Figure> {
     let (spec, mem) = (ModelSpec::vgg11(200), MemoryModel::default());
     let (aux, analytics) = (assign_aux(&spec, AuxPolicy::Adaptive), spec.analyze());
@@ -526,18 +528,15 @@ fn fig08(_: &Shared) -> Result<Figure> {
     let title = "Figure 8: per-layer memory vs batch size, VGG-11 (MB)";
     let headers = format!("batch | {}", names.join(" | "));
     fig.table(title, &headers, rows.collect());
-    let mut rng = StdRng::seed_from_u64(0);
-    let profiler = Profiler::default().with_noise(0.02);
-    let profiles = profiler.profile(&mut rng, &spec, AuxPolicy::Adaptive);
-    let fit = |p: &UnitProfile| {
-        let slope = format!("{:.3}", p.memory.slope / 1e6);
-        let intercept = format!("{:.1}", p.memory.intercept / 1e6);
-        let (label, r2) = (format!("L{}", p.unit + 1), format!("{:.4}", p.r_squared));
-        row(label, [slope, intercept, r2])
-    };
-    let headers = "layer | slope (MB/sample) | intercept (MB) | r²";
-    let title = "Profiler linear fits (±2% measurement noise)";
-    fig.table(title, headers, profiles.iter().map(fit).collect());
+    let lines = profile(&mem, &spec, AuxPolicy::Adaptive)
+        .into_iter()
+        .zip(&names);
+    let rows = lines.map(|(line, name)| {
+        let slope = format!("{:.3}", line.slope / 1e6);
+        row(name, [slope, format!("{:.1}", line.intercept / 1e6)])
+    });
+    let headers = "layer | slope (MB/sample) | intercept (MB)";
+    fig.table("Profiler lines (closed form)", headers, rows.collect());
     // Affine: every 10-sample step adds the same bytes to a layer.
     let step = |a: &[u64], b: &[u64], l: usize| b[l] - a[l];
     let equal = |w: &[(usize, Vec<u64>)]| {
@@ -930,10 +929,10 @@ fn table3(shared: &Shared) -> Result<Figure> {
 /// §6.4 system overheads: Profiler + Partitioner cost against training,
 /// and activation-cache bytes against the stored (u8) dataset.
 fn overheads(shared: &Shared) -> Result<Figure> {
-    let (device, profiler) = (DeviceProfile::agx_orin(), Profiler::default());
+    let device = DeviceProfile::agx_orin();
     let (mut rows, mut worst) = (Vec::new(), 0.0f64);
     for spec in MODELS.map(|(_, make)| make(100)) {
-        let flops = profiler.profiling_flops(&spec, AuxPolicy::Adaptive);
+        let flops = profiling_flops(&spec, AuxPolicy::Adaptive);
         let profile_s = flops / device.effective_flops();
         let training_s = shared.run_300(&spec, 50_000)?.0.total_s();
         worst = worst.max(profile_s / training_s);

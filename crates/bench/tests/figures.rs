@@ -16,7 +16,7 @@ const DIGESTS: [(&str, &str); 12] = [
     ("fig04", "f5a17cae2562f619"),
     ("fig05", "2c9d690ccb520e38"),
     ("fig06", "88f910faf3fd3540"),
-    ("fig08", "e45462efe5d7baf5"),
+    ("fig08", "17483d9687c1f363"),
     ("fig09", "a70f4bcaa7778008"),
     ("fig11", "592841253ed3e6d1"),
     ("obs", "522e115e1e92e474"),

@@ -105,8 +105,7 @@ pub fn run_sweep(cfg: &RunConfig, quiet: bool) -> Result<(RunDir, Value)> {
                 samples: sweep.samples,
                 // The sweep prices cache footprint and storage I/O in the
                 // configured codec's encoded bytes.
-                cache: nf_memsim::CacheCostModel::by_name(cfg.cache.codec.name())
-                    .unwrap_or_default(),
+                cache: cfg.cache.codec.cost_model(),
             };
             let (bp, ll, nf) = sweep_point(&spec, &device, &sim);
             let mut point = Table::new();

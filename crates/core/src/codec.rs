@@ -42,6 +42,7 @@
 
 use crate::reader::{read_shape, write_shape, Reader, MAX_RANK};
 use crate::{NfError, Result};
+use nf_memsim::CacheCostModel;
 use nf_tensor::convert::{
     dequantize_u8_slice, f16_decode_slice, f16_encode_slice, minmax_slice, quantize_u8_slice,
 };
@@ -107,6 +108,16 @@ impl CodecKind {
     /// All selectable codecs, in `id` order.
     pub fn all() -> [CodecKind; 3] {
         [CodecKind::F32Raw, CodecKind::F16, CodecKind::Int8Affine]
+    }
+
+    /// The codec's analytic twin: the encoded bytes `nf-memsim`'s sweep
+    /// accounting charges per element and per channel.
+    pub fn cost_model(self) -> CacheCostModel {
+        match self {
+            CodecKind::F32Raw => CacheCostModel::f32_raw(),
+            CodecKind::F16 => CacheCostModel::f16(),
+            CodecKind::Int8Affine => CacheCostModel::int8_affine(),
+        }
     }
 
     /// Encoded payload size of a tensor of `shape` (for int8, the
@@ -519,6 +530,22 @@ mod tests {
         // The channel scaled ×21 must get a proportionally larger scale
         // than channel 0 (that is the point of per-channel quantization).
         assert!(scales[2] > scales[0] * 5.0);
+    }
+
+    #[test]
+    fn cost_model_prices_the_encoded_bytes() {
+        // The sweep's cache accounting must charge what the codec stores.
+        for codec in CodecKind::all() {
+            for shape in [[2, 3, 4, 4], [1, 64, 8, 8], [5, 1, 3, 7], [1, 7, 1, 1]] {
+                let t = Tensor::ones(&shape);
+                let mut blob = CacheBlob::new();
+                codec.encode(&t, &mut blob);
+                let priced = codec
+                    .cost_model()
+                    .encoded_bytes(t.numel() as u64, shape[1] as u64);
+                assert_eq!(blob.encoded_len(), priced, "{codec} {shape:?}");
+            }
+        }
     }
 
     #[test]

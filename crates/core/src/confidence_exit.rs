@@ -157,7 +157,6 @@ impl<'m> ConfidenceCascade<'m> {
         }
         // Cost of exiting at unit k = backbone prefix + heads 0..=k (every
         // earlier head ran and declined).
-        let exits = nf_models::exit_candidates(full_spec, full_aux);
         let mut mean_flops = 0.0f64;
         for (k, &count) in exit_counts.iter().enumerate() {
             if count == 0 {
@@ -168,7 +167,6 @@ impl<'m> ConfidenceCascade<'m> {
             mean_flops += (backbone + heads) * count as f64;
         }
         mean_flops /= seen as f64;
-        let _ = exits;
         Ok(CascadeReport {
             exit_fractions: exit_counts
                 .iter()

@@ -15,11 +15,11 @@
 
 use crate::cache::{ActivationStore, MemoryStore};
 use crate::config::NeuroFluxConfig;
-use crate::partitioner::{partition, Block};
-use crate::profiler::Profiler;
+use crate::partitioner::{plan, Block};
 use crate::worker::{RunHooks, TrainEvent, Worker, WorkerReport};
 use crate::{NfError, Result};
 use nf_data::{Dataset, SplitDataset};
+use nf_memsim::MemoryModel;
 use nf_models::{build_aux_head, exit_accuracy, BuiltModel, ExitCandidate, ModelSpec};
 use nf_nn::Sequential;
 use rand::Rng;
@@ -103,30 +103,23 @@ impl NeuroFluxOutcome {
 pub struct NeuroFluxTrainer {
     /// Run configuration (§0 inputs).
     pub config: NeuroFluxConfig,
-    /// Profiler used for memory modelling.
-    pub profiler: Profiler,
 }
 
 impl NeuroFluxTrainer {
-    /// Creates a trainer with the default (noise-free) profiler.
+    /// Creates a trainer for `config`.
     pub fn new(config: NeuroFluxConfig) -> Self {
-        NeuroFluxTrainer {
-            config,
-            profiler: Profiler::default(),
-        }
+        NeuroFluxTrainer { config }
     }
 
     /// Plans the block partition for `spec` without training (Profiler +
-    /// Partitioner only).
-    pub fn plan<R: Rng>(&self, rng: &mut R, spec: &ModelSpec) -> Result<Vec<Block>> {
+    /// Partitioner only, against the default [`MemoryModel`]).
+    ///
+    /// Planning draws nothing: `_rng` is unused, and stays in the
+    /// signature only because the repository benchmark, which is frozen,
+    /// calls `plan(&mut rng, &spec)`.
+    pub fn plan<R: Rng>(&self, _rng: &mut R, spec: &ModelSpec) -> Result<Vec<Block>> {
         self.config.validate()?;
-        let profiles = self.profiler.profile(rng, spec, self.config.aux_policy);
-        partition(
-            &profiles,
-            self.config.budget_bytes,
-            self.config.batch_limit,
-            self.config.rho,
-        )
+        plan(&MemoryModel::default(), spec, &self.config)
     }
 
     /// Runs the full pipeline: plan, build, block-train, measure exits,

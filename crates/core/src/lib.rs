@@ -2,11 +2,12 @@
 //!
 //! This crate implements the paper's system (Figure 7) end to end:
 //!
-//! 1. **Profiler** ([`profiler`]) — assigns AAN auxiliary heads, measures
-//!    per-unit training memory at a few batch sizes, and fits the per-layer
-//!    linear models `mem(batch) = intercept + slope·batch` (§1; Figure 8).
+//! 1. **Profiler** ([`profiler`]) — assigns AAN auxiliary heads and
+//!    returns the per-layer linear models `mem(batch) = intercept +
+//!    slope·batch` (§1; Figure 8), read off the `nf-memsim` memory model.
 //! 2. **Partitioner** ([`partitioner`]) — Algorithm 1: computes each
-//!    layer's maximum feasible batch under the memory budget, caps it at
+//!    layer's maximum feasible batch under the memory budget
+//!    ([`nf_memsim::LinearMemoryModel::max_batch`]), caps it at
 //!    the user batch limit, and groups contiguous layers whose feasible
 //!    batches are within the ρ = 40 % margin into blocks (§2).
 //! 3. **Controller / Worker** ([`controller`], [`worker`]) — Algorithm 2:
@@ -72,7 +73,6 @@ pub use error::NfError;
 pub use federated::{run_federated, ClientReport, FederatedConfig, FederatedOutcome, RoundReport};
 pub use params_io::{deserialize_params, serialize_params};
 pub use partitioner::{partition, Block};
-pub use profiler::{LinearMemoryModel, Profiler, UnitProfile};
 pub use serve::{
     latency_percentiles, reactor_timeout_ms, AdmissionError, BatchPlan, Clock, Draw, MicroBatcher,
     ServeEngine, ServePolicy, ServeReply, ServeRequest, SloTier, SystemClock, VirtualClock,

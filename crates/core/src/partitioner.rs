@@ -6,8 +6,10 @@
 //! feasible batches differ by at most `ρ · b_i` are grouped into one block,
 //! whose batch size is the minimum over its members.
 
-use crate::profiler::UnitProfile;
-use crate::{NfError, Result};
+use crate::profiler::profile;
+use crate::{NeuroFluxConfig, NfError, Result};
+use nf_memsim::{LinearMemoryModel, MemoryModel};
+use nf_models::ModelSpec;
 
 /// One partition: a contiguous run of units trained together with a single
 /// batch size.
@@ -35,33 +37,30 @@ impl Block {
 /// Algorithm 1: partitions units into blocks under `budget_bytes`.
 ///
 /// Inputs mirror the paper's: the budget `M`, batch limit `B`, per-layer
-/// linear models `R` (from the Profiler), and grouping threshold `ρ`.
+/// linear models `R` (from the Profiler, one per unit in unit order), and
+/// grouping threshold `ρ`.
 ///
 /// Returns [`NfError::InfeasibleBudget`] if any unit cannot train even at
 /// batch 1 — the budget is simply too small for that layer's parameters
 /// and single-sample activations.
 pub fn partition(
-    profiles: &[UnitProfile],
+    lines: &[LinearMemoryModel],
     budget_bytes: u64,
     batch_limit: usize,
     rho: f64,
 ) -> Result<Vec<Block>> {
-    if profiles.is_empty() {
+    if lines.is_empty() {
         return Err(NfError::BadConfig("no units to partition".into()));
     }
     if batch_limit == 0 {
         return Err(NfError::BadConfig("batch_limit must be > 0".into()));
     }
     // Lines 2–5: per-layer max feasible batch, capped at B.
-    let mut feasible = Vec::with_capacity(profiles.len());
-    for p in profiles {
-        let t = p
-            .memory
+    let mut feasible = Vec::with_capacity(lines.len());
+    for (unit, line) in lines.iter().enumerate() {
+        let t = line
             .max_batch(budget_bytes)
-            .ok_or(NfError::InfeasibleBudget {
-                unit: p.unit,
-                budget_bytes,
-            })?;
+            .ok_or(NfError::InfeasibleBudget { unit, budget_bytes })?;
         feasible.push(t.min(batch_limit));
     }
     // Lines 6–16: greedy grouping of contiguous layers.
@@ -90,6 +89,19 @@ pub fn partition(
         i += 1;
     }
     Ok(blocks)
+}
+
+/// Profiler + Partitioner: one [`profile`] line per unit of `spec` from
+/// `memory` under `config`'s heads, partitioned by Algorithm 1 at
+/// `config`'s budget, batch limit and ρ. The one planning body behind
+/// [`crate::NeuroFluxTrainer::plan`] and [`crate::simulate::plan_neuroflux`].
+pub fn plan(
+    memory: &MemoryModel,
+    spec: &ModelSpec,
+    config: &NeuroFluxConfig,
+) -> Result<Vec<Block>> {
+    let lines = profile(memory, spec, config.aux_policy);
+    partition(&lines, config.budget_bytes, config.batch_limit, config.rho)
 }
 
 /// Invariant checks used by tests and debug assertions: blocks are
@@ -126,39 +138,27 @@ pub fn check_partition(blocks: &[Block], n_units: usize, batch_limit: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiler::{LinearMemoryModel, Profiler};
-    use nf_models::{assign_aux, AuxPolicy, ModelSpec};
+    use nf_memsim::TrainingParadigm::BlockLocal;
+    use nf_models::{assign_aux, AuxPolicy};
     use proptest::prelude::*;
-    use rand::SeedableRng;
 
-    fn profile_of(feasible_batches: &[usize], budget: u64) -> Vec<UnitProfile> {
-        // Construct synthetic profiles whose max_batch(budget) equals the
-        // requested values exactly: slope = budget / (b + 1), intercept 0
-        // gives floor(budget/slope) = b (+ rounding care) — instead solve
-        // directly with slope = budget / (b + 0.5).
-        let spec = ModelSpec::tiny("p", 8, &[4], 2);
-        let aux = assign_aux(&spec, AuxPolicy::Fixed(4));
-        feasible_batches
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| UnitProfile {
-                unit: i,
-                aux: aux[0],
-                memory: LinearMemoryModel {
-                    intercept: 0.0,
-                    slope: budget as f64 / (b as f64 + 0.5),
-                },
-                r_squared: 1.0,
-            })
-            .collect()
+    fn lines_of(feasible_batches: &[usize], budget: u64) -> Vec<LinearMemoryModel> {
+        // Synthetic lines whose max_batch(budget) equals the requested
+        // values exactly: intercept 0 and slope = budget / (b + 0.5), so
+        // floor(budget / slope) = b away from any rounding edge.
+        let line = |&b: &usize| LinearMemoryModel {
+            intercept: 0.0,
+            slope: budget as f64 / (b as f64 + 0.5),
+        };
+        feasible_batches.iter().map(line).collect()
     }
 
     #[test]
     fn groups_layers_within_threshold() {
         let budget = 1_000_000;
         // Feasible batches: 10, 12, 13 (within 40% of each other), then 40.
-        let profiles = profile_of(&[10, 12, 13, 40], budget);
-        let blocks = partition(&profiles, budget, 512, 0.4).unwrap();
+        let lines = lines_of(&[10, 12, 13, 40], budget);
+        let blocks = partition(&lines, budget, 512, 0.4).unwrap();
         assert_eq!(blocks.len(), 2);
         assert_eq!(blocks[0].units, 0..3);
         assert_eq!(blocks[0].batch, 10, "block batch is the member minimum");
@@ -169,8 +169,8 @@ mod tests {
     #[test]
     fn threshold_zero_gives_singleton_blocks() {
         let budget = 1_000_000;
-        let profiles = profile_of(&[10, 12, 14, 40], budget);
-        let blocks = partition(&profiles, budget, 512, 0.0).unwrap();
+        let lines = lines_of(&[10, 12, 14, 40], budget);
+        let blocks = partition(&lines, budget, 512, 0.0).unwrap();
         assert_eq!(blocks.len(), 4);
         assert!(blocks.iter().all(|b| b.len() == 1));
     }
@@ -178,8 +178,8 @@ mod tests {
     #[test]
     fn batch_limit_caps_everything() {
         let budget = 1_000_000;
-        let profiles = profile_of(&[1000, 2000, 3000], budget);
-        let blocks = partition(&profiles, budget, 64, 0.4).unwrap();
+        let lines = lines_of(&[1000, 2000, 3000], budget);
+        let blocks = partition(&lines, budget, 64, 0.4).unwrap();
         // All capped to 64 → all equal → single block.
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0].batch, 64);
@@ -188,19 +188,13 @@ mod tests {
     #[test]
     fn infeasible_unit_is_reported() {
         let budget = 100;
-        let spec = ModelSpec::tiny("p", 8, &[4], 2);
-        let aux = assign_aux(&spec, AuxPolicy::Fixed(4));
-        let profiles = vec![UnitProfile {
-            unit: 0,
-            aux: aux[0],
-            memory: LinearMemoryModel {
-                intercept: 1000.0,
-                slope: 10.0,
-            },
-            r_squared: 1.0,
-        }];
-        match partition(&profiles, budget, 8, 0.4) {
-            Err(NfError::InfeasibleBudget { unit, .. }) => assert_eq!(unit, 0),
+        let mut lines = lines_of(&[10], budget);
+        lines.push(LinearMemoryModel {
+            intercept: 1000.0,
+            slope: 10.0,
+        });
+        match partition(&lines, budget, 8, 0.4) {
+            Err(NfError::InfeasibleBudget { unit, .. }) => assert_eq!(unit, 1),
             other => panic!("expected InfeasibleBudget, got {other:?}"),
         }
     }
@@ -210,8 +204,8 @@ mod tests {
         // 10 → 13 → 17 → 22: each step is within 40% of the *previous*
         // layer, so they chain into one block even though 22 is far from 10.
         let budget = 1_000_000;
-        let profiles = profile_of(&[10, 13, 17, 22], budget);
-        let blocks = partition(&profiles, budget, 512, 0.4).unwrap();
+        let lines = lines_of(&[10, 13, 17, 22], budget);
+        let blocks = partition(&lines, budget, 512, 0.4).unwrap();
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[0].batch, 10);
     }
@@ -219,11 +213,10 @@ mod tests {
     #[test]
     fn real_vgg_partition_is_valid_and_monotone() {
         // End-to-end: profile VGG-16 and partition under a mid budget.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let spec = ModelSpec::vgg16(100);
-        let profiles = Profiler::default().profile(&mut rng, &spec, AuxPolicy::Adaptive);
         let budget = 300_000_000; // 300 MB
-        let blocks = partition(&profiles, budget, 512, 0.4).unwrap();
+        let config = NeuroFluxConfig::new(budget, 512);
+        let blocks = plan(&MemoryModel::default(), &spec, &config).unwrap();
         check_partition(&blocks, spec.num_units(), 512).unwrap();
         assert!(blocks.len() >= 2, "VGG-16 should split into several blocks");
         // Deeper blocks get (weakly) larger batches — the AB-LL effect.
@@ -232,6 +225,35 @@ mod tests {
             batches.windows(2).all(|w| w[1] >= w[0]),
             "batches not monotone: {batches:?}"
         );
+    }
+
+    #[test]
+    fn plan_admits_every_sample_that_fits() {
+        // At this budget unit 0 fits exactly 18 samples: a line a hair
+        // above its footprints admits 17 and splits the block as
+        // [0..1 @ 17, 1..4 @ 24].
+        let spec = ModelSpec::tiny("tiny", 48, &[8, 8, 12, 12], 4);
+        let (mm, budget) = (MemoryModel::default(), 14_940_000);
+        let blocks = plan(&mm, &spec, &NeuroFluxConfig::new(budget, 32)).unwrap();
+        assert_eq!(
+            blocks,
+            [Block {
+                units: 0..4,
+                batch: 18
+            }]
+        );
+        let (aux, analytics) = (assign_aux(&spec, AuxPolicy::Adaptive), spec.analyze());
+        for block in &blocks {
+            for a in &analytics[block.units.clone()] {
+                let bytes = mm.ll_unit_training(&spec, a, &aux, block.batch, BlockLocal);
+                assert!(
+                    bytes.total() <= budget,
+                    "unit {}: {} B",
+                    a.index,
+                    bytes.total()
+                );
+            }
+        }
     }
 
     proptest! {
@@ -243,8 +265,8 @@ mod tests {
             rho in 0.0f64..0.7,
         ) {
             let budget = 10_000_000u64;
-            let profiles = profile_of(&batches, budget);
-            let blocks = partition(&profiles, budget, limit, rho).unwrap();
+            let lines = lines_of(&batches, budget);
+            let blocks = partition(&lines, budget, limit, rho).unwrap();
             check_partition(&blocks, batches.len(), limit).unwrap();
             // Every block batch equals the min of its members' capped
             // feasible batches.

@@ -1,262 +1,77 @@
-//! The Profiler (§1): per-unit linear memory models.
+//! The Profiler (§1): one linear memory model per unit.
 //!
-//! The Profiler assigns auxiliary networks (AAN-LL), "benchmarks" the GPU
-//! memory needed to train each unit at a handful of batch sizes, and fits
-//! `mem(batch) = intercept + slope · batch` per unit by least squares.
-//! Here the benchmark backend is the `nf-memsim` memory model standing in
-//! for a real GPU (DESIGN.md §2); an optional multiplicative measurement
-//! noise exercises the regression the way real jittery measurements would.
-//! The paper observes the relationship is linear (Figure 8), which is why
-//! two coefficients per layer suffice.
+//! The paper's Profiler assigns auxiliary networks (AAN-LL), benchmarks
+//! the GPU memory needed to train each unit at a handful of batch sizes,
+//! and fits `mem(batch) = intercept + slope · batch` per unit — the
+//! relationship is linear (Figure 8), so two coefficients per layer
+//! suffice. Here the memory backend is the `nf-memsim` model standing in
+//! for a real GPU (DESIGN.md §2), which is affine by construction, so the
+//! line is read off it in closed form
+//! ([`MemoryModel::ll_unit_line`]) rather than fitted to samples.
 
-use nf_memsim::{MemoryModel, TrainingParadigm};
-use nf_models::{assign_aux, AuxPolicy, AuxSpec, ModelSpec};
-use rand::Rng;
+use nf_memsim::{LinearMemoryModel, MemoryModel, TimingModel, TrainingParadigm};
+use nf_models::{assign_aux, AuxPolicy, ModelSpec};
 
-/// Fitted affine memory predictor for one unit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearMemoryModel {
-    /// Bytes at batch 0 (parameters + optimizer state of unit + head).
-    pub intercept: f64,
-    /// Bytes per additional sample.
-    pub slope: f64,
+/// Batch sizes the paper's Profiler benchmarks each unit at.
+const PROBE_BATCHES: [usize; 5] = [4, 8, 16, 32, 64];
+
+/// Assigns auxiliary heads under `policy` and returns one block-local
+/// training line per unit, in unit order.
+pub fn profile(
+    memory: &MemoryModel,
+    spec: &ModelSpec,
+    policy: AuxPolicy,
+) -> Vec<LinearMemoryModel> {
+    let aux = assign_aux(spec, policy);
+    let line = |a| memory.ll_unit_line(spec, a, &aux, TrainingParadigm::BlockLocal);
+    spec.analyze().iter().map(line).collect()
 }
 
-impl LinearMemoryModel {
-    /// Predicted bytes at `batch`.
-    pub fn predict(&self, batch: usize) -> f64 {
-        self.intercept + self.slope * batch as f64
-    }
-
-    /// Largest batch fitting `budget` bytes (`None` if even batch 1 does
-    /// not fit).
-    pub fn max_batch(&self, budget_bytes: u64) -> Option<usize> {
-        if self.predict(1) > budget_bytes as f64 {
-            return None;
-        }
-        if self.slope <= 0.0 {
-            return Some(usize::MAX);
-        }
-        Some(((budget_bytes as f64 - self.intercept) / self.slope).floor() as usize)
-    }
-}
-
-/// Profile of one unit: its auxiliary head and fitted memory model.
-#[derive(Debug, Clone)]
-pub struct UnitProfile {
-    /// Unit index.
-    pub unit: usize,
-    /// The auxiliary head assigned to this unit.
-    pub aux: AuxSpec,
-    /// Fitted linear memory model.
-    pub memory: LinearMemoryModel,
-    /// Coefficient of determination of the fit (1.0 = perfectly linear).
-    pub r_squared: f64,
-}
-
-/// The Profiler: benchmarks and fits per-unit memory models.
-#[derive(Debug, Clone)]
-pub struct Profiler {
-    /// Memory backend ("the GPU being measured").
-    pub memory_model: MemoryModel,
-    /// Batch sizes sampled during benchmarking.
-    pub probe_batches: Vec<usize>,
-    /// Multiplicative measurement noise amplitude (0 = exact).
-    pub noise: f64,
-}
-
-impl Default for Profiler {
-    fn default() -> Self {
-        Profiler {
-            memory_model: MemoryModel::default(),
-            probe_batches: vec![4, 8, 16, 32, 64],
-            noise: 0.0,
-        }
-    }
-}
-
-impl Profiler {
-    /// Profiler with multiplicative measurement noise (e.g. `0.02` = ±2 %).
-    pub fn with_noise(mut self, noise: f64) -> Self {
-        self.noise = noise;
-        self
-    }
-
-    /// Assigns auxiliary heads under `policy` and fits one linear memory
-    /// model per unit.
-    pub fn profile<R: Rng>(
-        &self,
-        rng: &mut R,
-        spec: &ModelSpec,
-        policy: AuxPolicy,
-    ) -> Vec<UnitProfile> {
-        let aux = assign_aux(spec, policy);
-        let analytics = spec.analyze();
-        analytics
-            .iter()
-            .zip(&aux)
-            .map(|(a, ax)| {
-                // "Benchmark": query the memory backend at each probe batch.
-                let points: Vec<(f64, f64)> = self
-                    .probe_batches
-                    .iter()
-                    .map(|&b| {
-                        let exact = self
-                            .memory_model
-                            .ll_unit_training(spec, a, &aux, b, TrainingParadigm::BlockLocal)
-                            .total() as f64;
-                        let jitter = if self.noise > 0.0 {
-                            1.0 + rng.gen_range(-self.noise..self.noise)
-                        } else {
-                            1.0
-                        };
-                        (b as f64, exact * jitter)
-                    })
-                    .collect();
-                let (intercept, slope, r_squared) = least_squares(&points);
-                UnitProfile {
-                    unit: a.index,
-                    aux: *ax,
-                    memory: LinearMemoryModel { intercept, slope },
-                    r_squared,
-                }
-            })
-            .collect()
-    }
-
-    /// FLOPs spent benchmarking (one forward+backward per probe batch per
-    /// unit) — the numerator of the paper's "< 1.5 % of training time"
-    /// overhead claim (§6.4).
-    pub fn profiling_flops(&self, spec: &ModelSpec, policy: AuxPolicy) -> f64 {
-        let aux = assign_aux(spec, policy);
-        let timing = nf_memsim::TimingModel::default();
-        let probe_samples: usize = self.probe_batches.iter().sum();
-        (0..spec.num_units())
-            .map(|u| timing.unit_train_flops(spec, u, &aux[u]) * probe_samples as f64)
-            .sum()
-    }
-}
-
-/// Ordinary least squares fit returning `(intercept, slope, r²)`.
-fn least_squares(points: &[(f64, f64)]) -> (f64, f64, f64) {
-    let n = points.len() as f64;
-    let mean_x = points.iter().map(|p| p.0).sum::<f64>() / n;
-    let mean_y = points.iter().map(|p| p.1).sum::<f64>() / n;
-    let mut sxx = 0.0;
-    let mut sxy = 0.0;
-    let mut syy = 0.0;
-    for &(x, y) in points {
-        sxx += (x - mean_x) * (x - mean_x);
-        sxy += (x - mean_x) * (y - mean_y);
-        syy += (y - mean_y) * (y - mean_y);
-    }
-    let slope = if sxx == 0.0 { 0.0 } else { sxy / sxx };
-    let intercept = mean_y - slope * mean_x;
-    let r_squared = if syy == 0.0 {
-        1.0
-    } else {
-        (sxy * sxy) / (sxx * syy)
-    };
-    (intercept, slope, r_squared)
+/// FLOPs the paper's Profiler spends benchmarking (one forward+backward
+/// per probe batch per unit) — the numerator of its "< 1.5 % of training
+/// time" overhead claim (§6.4).
+pub fn profiling_flops(spec: &ModelSpec, policy: AuxPolicy) -> f64 {
+    let aux = assign_aux(spec, policy);
+    let timing = TimingModel::default();
+    let probe_samples: usize = PROBE_BATCHES.iter().sum();
+    (0..spec.num_units())
+        .map(|u| timing.unit_train_flops(spec, u, &aux[u]) * probe_samples as f64)
+        .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn exact_measurements_fit_perfectly() {
-        // Figure 8: the memory/batch relationship is linear, so a noiseless
-        // profile must have r² = 1 and recover the analytic slope.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        // Figure 8: the memory/batch relationship is linear, so every
+        // footprint the probe schedule would measure lies on the unit's
+        // line (to the byte the footprint truncates).
         let spec = ModelSpec::vgg11(10);
-        let profiles = Profiler::default().profile(&mut rng, &spec, AuxPolicy::Adaptive);
-        assert_eq!(profiles.len(), 8);
-        let aux = assign_aux(&spec, AuxPolicy::Adaptive);
-        let analytics = spec.analyze();
         let mm = MemoryModel::default();
-        for p in &profiles {
-            assert!(
-                p.r_squared > 0.999_999,
-                "unit {} r² {}",
-                p.unit,
-                p.r_squared
-            );
-            let analytic_slope =
-                mm.ll_unit_activation_bytes_per_sample(&spec, &analytics[p.unit], &aux[p.unit]);
-            let rel = (p.memory.slope - analytic_slope).abs() / analytic_slope;
-            assert!(rel < 1e-6, "unit {} slope off by {rel}", p.unit);
-        }
-    }
-
-    #[test]
-    fn noisy_measurements_still_predict_well() {
-        // With ±3 % measurement noise the fitted line must still *predict*
-        // footprints to within a few percent at an unseen batch size. (r²
-        // itself is a poor metric for deep units, where the parameter
-        // intercept dwarfs the activation slope and noise on the fixed part
-        // swamps the batch-explained variance.)
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let spec = ModelSpec::vgg11(10);
-        let profiles =
-            Profiler::default()
-                .with_noise(0.03)
-                .profile(&mut rng, &spec, AuxPolicy::Adaptive);
-        let mm = MemoryModel::default();
-        let analytics = spec.analyze();
+        let lines = profile(&mm, &spec, AuxPolicy::Adaptive);
+        assert_eq!(lines.len(), 8);
         let aux = assign_aux(&spec, AuxPolicy::Adaptive);
-        for p in &profiles {
-            let exact = mm
-                .ll_unit_training(
-                    &spec,
-                    &analytics[p.unit],
-                    &aux,
-                    128,
-                    TrainingParadigm::BlockLocal,
-                )
-                .total() as f64;
-            let rel = (p.memory.predict(128) - exact).abs() / exact;
-            assert!(rel < 0.08, "unit {} prediction off by {rel}", p.unit);
+        for (a, line) in spec.analyze().iter().zip(&lines) {
+            for b in PROBE_BATCHES {
+                let bytes = mm.ll_unit_training(&spec, a, &aux, b, TrainingParadigm::BlockLocal);
+                let off = (line.predict(b) - bytes.total() as f64).abs();
+                assert!(off < 1.0, "unit {} batch {b} off by {off} B", a.index);
+            }
         }
-    }
-
-    #[test]
-    fn max_batch_inverts_prediction() {
-        let m = LinearMemoryModel {
-            intercept: 1000.0,
-            slope: 10.0,
-        };
-        assert_eq!(m.max_batch(1100), Some(10));
-        assert_eq!(m.max_batch(1009), None);
-        assert_eq!(m.max_batch(2000), Some(100));
-        let flat = LinearMemoryModel {
-            intercept: 10.0,
-            slope: 0.0,
-        };
-        assert_eq!(flat.max_batch(100), Some(usize::MAX));
     }
 
     #[test]
     fn profiling_cost_is_small_fraction_of_training() {
         // §6.4: profiler + partitioner overhead < 1.5 % of training time.
         let spec = ModelSpec::vgg16(100);
-        let profiler = Profiler::default();
-        let profile_flops = profiler.profiling_flops(&spec, AuxPolicy::Adaptive);
+        let profile_flops = profiling_flops(&spec, AuxPolicy::Adaptive);
         let aux = assign_aux(&spec, AuxPolicy::Adaptive);
-        let timing = nf_memsim::TimingModel::default();
+        let timing = TimingModel::default();
         // One epoch over a CIFAR-sized training set.
         let train_flops = timing.ll_train_flops_per_sample(&spec, &aux) * 50_000.0;
         let frac = profile_flops / train_flops;
         assert!(frac < 0.015, "profiling fraction {frac}");
-    }
-
-    #[test]
-    fn least_squares_recovers_exact_line() {
-        let pts: Vec<(f64, f64)> = (1..6).map(|x| (x as f64, 3.0 + 2.0 * x as f64)).collect();
-        let (b, m, r2) = least_squares(&pts);
-        assert!((b - 3.0).abs() < 1e-9);
-        assert!((m - 2.0).abs() < 1e-9);
-        assert!((r2 - 1.0).abs() < 1e-9);
     }
 }

@@ -8,13 +8,9 @@
 //! sizes, resident sets, and cache traffic differ — which is exactly the
 //! paper's claim about where NeuroFlux's speedup comes from.
 
-use crate::partitioner::{partition, Block};
-use crate::profiler::Profiler;
-use crate::{NfError, Result, RHO};
-use nf_memsim::{
-    max_batch_bp, max_batch_ll_unit, CacheCostModel, DeviceProfile, MemoryModel, TimingModel,
-    TrainingParadigm,
-};
+use crate::partitioner::{plan, Block};
+use crate::{NeuroFluxConfig, NfError, Result, RHO};
+use nf_memsim::{CacheCostModel, DeviceProfile, MemoryModel, TimingModel, TrainingParadigm};
 use nf_models::{assign_aux, AuxPolicy, ModelSpec};
 
 /// Simulated cost of one full training run.
@@ -89,7 +85,9 @@ pub fn simulate_bp(
     mem: &MemoryModel,
     timing: &TimingModel,
 ) -> Result<SimulatedRun> {
-    let batch = max_batch_bp(mem, spec, cfg.budget_bytes)
+    let batch = mem
+        .bp_line(spec)
+        .max_batch(cfg.budget_bytes)
         .ok_or(NfError::InfeasibleBudget {
             unit: 0,
             budget_bytes: cfg.budget_bytes,
@@ -120,19 +118,14 @@ pub fn simulate_classic_ll(
 ) -> Result<SimulatedRun> {
     let aux = assign_aux(spec, AuxPolicy::CLASSIC);
     let mut batch = usize::MAX;
-    for unit in 0..spec.num_units() {
-        let b = max_batch_ll_unit(
-            mem,
-            spec,
-            &aux,
-            unit,
-            cfg.budget_bytes,
-            TrainingParadigm::LocalLearning,
-        )
-        .ok_or(NfError::InfeasibleBudget {
-            unit,
-            budget_bytes: cfg.budget_bytes,
-        })?;
+    for a in &spec.analyze() {
+        let b = mem
+            .ll_unit_line(spec, a, &aux, TrainingParadigm::LocalLearning)
+            .max_batch(cfg.budget_bytes)
+            .ok_or(NfError::InfeasibleBudget {
+                unit: a.index,
+                budget_bytes: cfg.budget_bytes,
+            })?;
         batch = batch.min(b);
     }
     let batch = batch.min(cfg.batch_limit);
@@ -164,23 +157,16 @@ pub fn simulate_neuroflux(
     Ok((price_neuroflux(spec, device, cfg, timing, &blocks), blocks))
 }
 
-/// Plans blocks the way the Controller does: the real (noise-free)
-/// Profiler over `spec`, then the Partitioner at grouping threshold `rho`.
+/// Plans blocks the way the Controller does ([`plan`]): adaptive heads,
+/// `mem`'s line per unit, then the Partitioner at grouping threshold `rho`.
 pub fn plan_neuroflux(
     spec: &ModelSpec,
     cfg: &SimConfig,
     mem: &MemoryModel,
     rho: f64,
 ) -> Result<Vec<Block>> {
-    let profiler = Profiler {
-        memory_model: *mem,
-        ..Profiler::default()
-    };
-    // The profiler is noise-free here; rng is unused but required by the
-    // signature for the noisy case.
-    let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-    let profiles = profiler.profile(&mut rng, spec, AuxPolicy::Adaptive);
-    partition(&profiles, cfg.budget_bytes, cfg.batch_limit, rho)
+    let config = NeuroFluxConfig::new(cfg.budget_bytes, cfg.batch_limit).with_rho(rho);
+    plan(mem, spec, &config)
 }
 
 /// Prices block-wise training of `blocks` (which tile `spec`'s units, as

@@ -9,15 +9,15 @@
 //!   batch size. Activation footprints are exact functions of tensor
 //!   shapes; retained-copy and workspace factors are documented constants.
 //!   The per-layer footprint is linear in batch size, which is precisely
-//!   the observation (Figure 8) the paper's Profiler exploits.
+//!   the observation (Figure 8) the paper's Profiler exploits: each unit's
+//!   footprint is a [`LinearMemoryModel`], whose
+//!   [`LinearMemoryModel::max_batch`] is the largest batch that fits a
+//!   budget — Figure 6 and the infeasibility regions of Figure 11.
 //! - **time** ([`timing`]): FLOP-proportional compute plus a per-batch
 //!   overhead (data loading / kernel launch) plus storage I/O. The
 //!   per-batch overhead term is what makes small batches catastrophically
 //!   slow (Figure 1's 9× at batch 4) and is the effect NeuroFlux's larger
 //!   adaptive batches exploit.
-//! - **feasibility** ([`feasibility`]): the largest batch that fits a
-//!   memory budget, per layer or per paradigm — Figure 6 and the
-//!   infeasibility regions of Figure 11.
 //! - **calibration** ([`calibrate`]): a cost model priced from the bench
 //!   host's *measured* GEMM and codec throughput, so sweep predictions on
 //!   "this machine" come from primitives rather than datasheet TFLOPs.
@@ -31,12 +31,12 @@
 
 pub mod calibrate;
 pub mod device;
-pub mod feasibility;
 pub mod memory;
 pub mod timing;
 
 pub use calibrate::{CalibratedCostModel, MeasuredPrimitives};
 pub use device::DeviceProfile;
-pub use feasibility::{max_batch_bp, max_batch_ll_unit, max_batch_per_unit};
-pub use memory::{CacheCostModel, MemoryBreakdown, MemoryModel, TrainingParadigm};
+pub use memory::{
+    CacheCostModel, LinearMemoryModel, MemoryBreakdown, MemoryModel, TrainingParadigm,
+};
 pub use timing::TimingModel;

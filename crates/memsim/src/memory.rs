@@ -35,7 +35,7 @@ pub enum TrainingParadigm {
 /// cache is charged per cached element, plus any per-channel side table.
 ///
 /// This is the analytic twin of `neuroflux-core`'s `ActivationCodec`
-/// implementations, so memsim's feasibility and sweep accounting sees the
+/// implementations, so memsim's sweep accounting sees the
 /// same **encoded** byte counts a real run's `bytes_stored()` reports:
 ///
 /// | codec | bytes/elem | per-channel overhead |
@@ -95,16 +95,6 @@ impl CacheCostModel {
         }
     }
 
-    /// Looks a model up by its stable codec name.
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "f32" => Some(Self::f32_raw()),
-            "f16" => Some(Self::f16()),
-            "int8" => Some(Self::int8_affine()),
-            _ => None,
-        }
-    }
-
     /// Encoded bytes for caching `elems` tensor elements spread over
     /// `channels` quantization channels.
     pub fn encoded_bytes(&self, elems: u64, channels: u64) -> u64 {
@@ -141,6 +131,50 @@ impl MemoryBreakdown {
     /// Total bytes.
     pub fn total(&self) -> u64 {
         self.activations + self.model + self.optimizer
+    }
+}
+
+/// A training footprint as a line in the batch size, `bytes(batch) =
+/// intercept + slope · batch` — the two coefficients per layer the
+/// paper's Profiler fits (Figure 8) and Algorithm 1 divides the budget by.
+///
+/// # Examples
+///
+/// ```
+/// use nf_memsim::LinearMemoryModel;
+///
+/// let line = LinearMemoryModel { intercept: 1000.0, slope: 10.0 };
+/// assert_eq!(line.predict(10), 1100.0);
+/// assert_eq!(line.max_batch(1100), Some(10));
+/// assert_eq!(line.max_batch(1009), None); // batch 1 needs 1010 bytes
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinearMemoryModel {
+    /// Bytes at batch 0 (parameters + optimizer state).
+    pub intercept: f64,
+    /// Bytes per additional sample.
+    pub slope: f64,
+}
+
+impl LinearMemoryModel {
+    /// Predicted bytes at `batch`.
+    pub fn predict(&self, batch: usize) -> f64 {
+        self.intercept + self.slope * batch as f64
+    }
+
+    /// Largest batch fitting `budget_bytes` (`None` if even batch 1 does
+    /// not fit): the one place a budget is divided by a per-sample slope
+    /// (Figure 6, lines 2–4 of Algorithm 1).
+    pub fn max_batch(&self, budget_bytes: u64) -> Option<usize> {
+        let headroom = budget_bytes as f64 - self.intercept;
+        if headroom < 0.0 {
+            return None;
+        }
+        if self.slope <= 0.0 {
+            return Some(usize::MAX);
+        }
+        let batch = (headroom / self.slope).floor() as usize;
+        (batch > 0).then_some(batch)
     }
 }
 
@@ -359,6 +393,32 @@ impl MemoryModel {
         }
     }
 
+    /// [`MemoryModel::ll_unit_training`] as a line: its bytes at batch 0
+    /// plus [`MemoryModel::ll_unit_activation_bytes_per_sample`] per
+    /// sample.
+    pub fn ll_unit_line(
+        &self,
+        spec: &ModelSpec,
+        a: &UnitAnalytics,
+        all_aux: &[AuxSpec],
+        paradigm: TrainingParadigm,
+    ) -> LinearMemoryModel {
+        LinearMemoryModel {
+            intercept: self.ll_unit_training(spec, a, all_aux, 0, paradigm).total() as f64,
+            slope: self.ll_unit_activation_bytes_per_sample(spec, a, &all_aux[a.index]),
+        }
+    }
+
+    /// [`MemoryModel::bp_training`] as a line: its bytes at batch 0 plus
+    /// the bytes each sample adds.
+    pub fn bp_line(&self, spec: &ModelSpec) -> LinearMemoryModel {
+        let fixed = self.bp_training(spec, 0).total();
+        LinearMemoryModel {
+            intercept: fixed as f64,
+            slope: (self.bp_training(spec, 1).total() - fixed) as f64,
+        }
+    }
+
     /// Peak local-learning memory across all units at a fixed batch, with
     /// the index of the binding unit (Figure 4's curve / Figure 5's bars).
     pub fn ll_training_peak(
@@ -386,6 +446,7 @@ impl MemoryModel {
 mod tests {
     use super::*;
     use nf_models::{assign_aux, AuxPolicy};
+    use proptest::prelude::*;
 
     fn vgg19_aan() -> (ModelSpec, Vec<AuxSpec>) {
         let spec = ModelSpec::vgg19(200);
@@ -519,10 +580,101 @@ mod tests {
         // int8 approaches 4× as the channel table amortises.
         let r = CacheCostModel::int8_affine().compression_vs_f32(1_000_000, 512);
         assert!((3.9..=4.0).contains(&r), "{r}");
-        for name in ["f32", "f16", "int8"] {
-            assert_eq!(CacheCostModel::by_name(name).unwrap().name, name);
+    }
+
+    const MB: u64 = 1_000_000;
+
+    /// Every unit's largest feasible batch under `budget` (Figure 6's bars).
+    fn max_batches(
+        m: &MemoryModel,
+        spec: &ModelSpec,
+        aux: &[AuxSpec],
+        budget: u64,
+        paradigm: TrainingParadigm,
+    ) -> Vec<Option<usize>> {
+        let line = |a| m.ll_unit_line(spec, a, aux, paradigm).max_batch(budget);
+        spec.analyze().iter().map(line).collect()
+    }
+
+    #[test]
+    fn max_batch_inverts_prediction() {
+        let m = LinearMemoryModel {
+            intercept: 1000.0,
+            slope: 10.0,
+        };
+        assert_eq!(m.max_batch(1100), Some(10));
+        assert_eq!(m.max_batch(1009), None);
+        assert_eq!(m.max_batch(2000), Some(100));
+        let flat = LinearMemoryModel {
+            intercept: 10.0,
+            slope: 0.0,
+        };
+        assert_eq!(flat.max_batch(100), Some(usize::MAX));
+    }
+
+    #[test]
+    fn later_units_afford_larger_batches() {
+        // Figure 6: feasible batch grows (non-strictly) toward deeper
+        // layers by orders of magnitude.
+        let m = MemoryModel::default();
+        let (spec, aux) = vgg19_aan();
+        let batches = max_batches(&m, &spec, &aux, 630 * MB, TrainingParadigm::BlockLocal);
+        let first = batches[0].unwrap();
+        let last = batches.last().unwrap().unwrap();
+        assert!(
+            last > first * 10,
+            "deep units should dwarf early ones: {first} vs {last}"
+        );
+    }
+
+    #[test]
+    fn bp_has_a_hard_floor() {
+        // The fixed model+optimizer bytes alone exceed small budgets —
+        // exactly why Figure 11 has no BP points at low budgets.
+        let m = MemoryModel::default();
+        let spec = ModelSpec::vgg16(10);
+        assert!(m.bp_line(&spec).max_batch(100 * MB).is_none());
+        assert!(m.bp_line(&spec).max_batch(500 * MB).is_some());
+    }
+
+    #[test]
+    fn block_local_fits_where_classic_ll_cannot() {
+        // Observation 2: NeuroFlux trains under budgets unattainable by
+        // classic LL (whole model resident).
+        let m = MemoryModel::default();
+        let spec = ModelSpec::vgg16(10);
+        let aux = assign_aux(&spec, AuxPolicy::Adaptive);
+        let budget = 100 * MB;
+        let classic = max_batches(&m, &spec, &aux, budget, TrainingParadigm::LocalLearning)[0];
+        let block = max_batches(&m, &spec, &aux, budget, TrainingParadigm::BlockLocal)[0];
+        assert!(classic.is_none(), "classic LL should not fit 100 MB");
+        assert!(block.is_some(), "NeuroFlux block mode should fit 100 MB");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn reported_batch_fits_and_is_maximal(
+            budget_mb in 40u64..2000,
+            unit in 0usize..8,
+        ) {
+            let m = MemoryModel::default();
+            let spec = ModelSpec::vgg11(10);
+            let aux = assign_aux(&spec, AuxPolicy::Adaptive);
+            let budget = budget_mb * MB;
+            let analytics = spec.analyze();
+            let line = m.ll_unit_line(&spec, &analytics[unit], &aux, TrainingParadigm::BlockLocal);
+            if let Some(b) = line.max_batch(budget) {
+                let fits = m
+                    .ll_unit_training(&spec, &analytics[unit], &aux, b, TrainingParadigm::BlockLocal)
+                    .total();
+                prop_assert!(fits <= budget, "batch {b} does not fit: {fits} > {budget}");
+                let over = m
+                    .ll_unit_training(&spec, &analytics[unit], &aux, b + 1, TrainingParadigm::BlockLocal)
+                    .total();
+                prop_assert!(over > budget, "batch {} also fits: {over} <= {budget}", b + 1);
+            }
         }
-        assert!(CacheCostModel::by_name("f64").is_none());
     }
 
     #[test]

@@ -104,8 +104,8 @@ proptest! {
         let m = MemoryModel::default();
         let spec = ModelSpec::vgg11(10);
         let aux = assign_aux(&spec, AuxPolicy::Adaptive);
-        let b1 = max_batch_ll_unit(&m, &spec, &aux, 0, mb1 * 1_000_000, TrainingParadigm::BlockLocal);
-        let b2 = max_batch_ll_unit(&m, &spec, &aux, 0, mb2 * 1_000_000, TrainingParadigm::BlockLocal);
+        let line = m.ll_unit_line(&spec, &spec.analyze()[0], &aux, TrainingParadigm::BlockLocal);
+        let (b1, b2) = (line.max_batch(mb1 * 1_000_000), line.max_batch(mb2 * 1_000_000));
         match (b1, b2) {
             (Some(x), Some(y)) => prop_assert!(x <= y),
             (Some(_), None) => prop_assert!(false, "larger budget lost feasibility"),

@@ -118,11 +118,11 @@ fn multi_block_training_respects_budget() {
         .unwrap();
     assert_eq!(outcome.blocks, planned);
     // Every unit's planned footprint at its block batch fits the budget.
-    let profiler = neuroflux::core::Profiler::default();
-    let profiles = profiler.profile(&mut rng, &spec, config.aux_policy);
+    let memory = neuroflux::memsim::MemoryModel::default();
+    let lines = neuroflux::core::profiler::profile(&memory, &spec, config.aux_policy);
     for block in &outcome.blocks {
         for u in block.units.clone() {
-            let predicted = profiles[u].memory.predict(block.batch);
+            let predicted = lines[u].predict(block.batch);
             assert!(
                 predicted <= config.budget_bytes as f64,
                 "unit {u} at batch {} predicted {predicted} bytes > budget {}",
