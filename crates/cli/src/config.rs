@@ -23,7 +23,7 @@
 use crate::error::{CliError, Result};
 use crate::schema::{sections, string_enum, wrong_type, Bound, Kind, Row};
 use neuroflux_core::{CodecKind, NeuroFluxConfig, ServePolicy, SloTier, MAX_REPLICAS};
-use nf_data::{ShardStrategy, SyntheticSpec};
+use nf_data::SyntheticSpec;
 use nf_models::{AuxPolicy, ModelSpec};
 use nf_tensor::KernelBackend;
 use nf_value::Value;
@@ -34,7 +34,6 @@ string_enum! {
     KernelBackend = "blocked | naive";
     AuxPolicy = "adaptive | classic | fixed:<n>";
     CodecKind = "f32 | f16 | int8";
-    ShardStrategy = "round-robin | by-label | dirichlet:<alpha>";
 }
 
 /// Core's loop-knob defaults (the two arguments are the required keys).
@@ -150,20 +149,6 @@ sections! {
         pub samples: usize = 50_000;
     }
 
-    /// `[federated]`: knobs for `nf federated`, the parallel FedAvg engine (`DESIGN.md` §9).
-    pub struct FederatedSection: Default {
-        /// Clients the training split is sharded across.
-        pub clients: usize = 4, Bound::Positive;
-        /// Synchronous FedAvg rounds.
-        pub rounds: usize = 3, Bound::Positive;
-        /// Client-training threads: `0` is one per core, `1` sequential; bit-identical either way.
-        pub threads: usize = 0;
-        /// How the training split is sharded.
-        pub strategy: ShardStrategy = ShardStrategy::RoundRobin;
-        /// Sharding and client-stream seed; defaults to `[run].seed`.
-        pub seed: Option<u64> = None;
-    }
-
     /// `[serve]`: knobs for `nf serve` and the server `nf loadgen` hosts (`DESIGN.md` §12).
     pub struct ServeSection: Default {
         /// Listen address; port 0 picks a free port (printed at startup).
@@ -216,8 +201,6 @@ sections! {
         pub baseline: Option<BaselineSection> = None;
         /// Required by `nf sweep` only.
         pub sweep: Option<SweepSection> = None;
-        /// Required by `nf federated` only.
-        pub federated: Option<FederatedSection> = None;
         /// Used by `nf serve` / `nf loadgen`; its defaults apply without it.
         pub serve: Option<ServeSection> = None;
         /// Used by `nf loadgen`; its defaults apply without it.
@@ -387,20 +370,6 @@ impl RunConfig {
         config.momentum = t.momentum as f32;
         config.validate()?;
         Ok(config)
-    }
-
-    /// Resolves the `[federated]` section into an engine configuration
-    /// (`nf federated` points its cache dir at the run directory).
-    pub fn resolve_federated(&self) -> Result<neuroflux_core::FederatedConfig> {
-        let f = self.federated.as_ref().ok_or_else(|| {
-            CliError::config("federated", "missing section (required by `nf federated`)")
-        })?;
-        Ok(
-            neuroflux_core::FederatedConfig::new(f.clients, f.rounds, self.resolve_train()?)
-                .with_threads(f.threads)
-                .with_strategy(f.strategy)
-                .with_seed(f.seed.unwrap_or(self.run.seed)),
-        )
     }
 
     /// Resolves all three training inputs at once.
@@ -794,6 +763,8 @@ epochs_per_block = 2
             let doc = format!("{}\n[serve]\n{gone} = 1\n", quickstart_toml());
             assert_eq!(config_error(&doc).0, format!("serve.{gone}"));
         }
+        let doc = format!("{}\n[federated]\nclients = 4\n", quickstart_toml());
+        assert_eq!(config_error(&doc).0, "federated");
 
         // Unknown sections, and the same through JSON.
         let (path, message) = config_error(&format!("{}\n[trian]\nlr = 0.1\n", quickstart_toml()));
@@ -1007,32 +978,6 @@ kernel_backend = "naive"
             assert_eq!(at, path, "{doc:?} -> {message}");
             assert!(message.contains(needle), "{doc:?} -> {message}");
         }
-    }
-
-    #[test]
-    fn federated_section_parses_resolves_and_round_trips() {
-        let doc = format!(
-            "{}\n[federated]\nclients = 3\nrounds = 2\nthreads = 4\nstrategy = \"dirichlet:0.5\"\nseed = 9\n",
-            quickstart_toml()
-        );
-        let cfg = parse_config(&doc);
-        let fed = cfg.resolve_federated().unwrap();
-        assert_eq!((fed.clients, fed.rounds, fed.threads), (3, 2, 4));
-        assert_eq!(fed.seed, 9);
-        assert_eq!(fed.strategy, ShardStrategy::Dirichlet(0.5));
-        // Defaults and the [run].seed fallback.
-        let cfg = parse_config(&format!("{}\n[federated]\n", quickstart_toml()));
-        let fed = cfg.resolve_federated().unwrap();
-        assert_eq!((fed.clients, fed.rounds, fed.threads), (4, 3, 0));
-        assert_eq!(fed.seed, cfg.run.seed);
-        // A typo'd strategy fails at parse time with the key path.
-        let doc = format!("{}\n[federated]\nstrategy = \"zipf\"\n", quickstart_toml());
-        assert_eq!(config_error(&doc).0, "federated.strategy");
-        // No [federated] section: `nf federated` refuses with a hint.
-        let err = parse_config(quickstart_toml())
-            .resolve_federated()
-            .unwrap_err();
-        assert!(err.to_string().contains("federated"), "{err}");
     }
 
     #[test]

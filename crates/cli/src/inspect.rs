@@ -44,7 +44,6 @@ pub fn run_inspect(path: &Path) -> Result<String> {
         "train" => Ok(render_train(&metrics)),
         "sweep" => Ok(render_sweep(&metrics)),
         "baseline" => Ok(render_baseline(&metrics)),
-        "federated" => Ok(render_federated(&metrics)),
         "serve" => Ok(render_serve(&metrics)),
         other => Err(CliError::new(format!(
             "metrics.json has unknown kind {other:?}"
@@ -88,9 +87,8 @@ fn render_kernel_section(out: &mut String, m: &Value) {
     }
 }
 
-/// Renders the activation-cache section of a metrics document (codec,
-/// encoded bytes, peak, achieved compression) — present in both train and
-/// federated artifacts.
+/// Renders the activation-cache section of a train metrics document
+/// (codec, encoded bytes, peak, achieved compression).
 fn render_cache_section(out: &mut String, m: &Value) {
     let cache = match m.get("cache") {
         Some(c) => c,
@@ -118,43 +116,6 @@ fn render_cache_section(out: &mut String, m: &Value) {
         bytes("bytes_written"),
         bytes("peak_bytes"),
     );
-}
-
-fn render_federated(m: &Value) -> String {
-    let mut out = String::new();
-    let name = m.get("name").and_then(Value::as_str).unwrap_or("?");
-    let model = m.get("model").and_then(Value::as_str).unwrap_or("?");
-    let threads = m.get("threads_used").and_then(Value::as_int).unwrap_or(1);
-    let _ = writeln!(
-        out,
-        "# Run `{name}` — federated NeuroFlux ({model}, {threads} thread(s))\n"
-    );
-    if let Some(acc) = m.get("final_accuracy").and_then(Value::as_float) {
-        let _ = writeln!(out, "Final global-model accuracy: {}\n", pct(acc));
-    }
-    if let Some(rounds) = m.get("rounds").and_then(Value::as_array) {
-        let _ = writeln!(out, "| round | accuracy | wall (s) | client train (s) |");
-        let _ = writeln!(out, "|---|---|---|---|");
-        for r in rounds {
-            let idx = r.get("round").and_then(Value::as_int).unwrap_or(-1);
-            let acc = r
-                .get("accuracy")
-                .and_then(Value::as_float)
-                .map(pct)
-                .unwrap_or_else(|| "—".into());
-            let wall = r
-                .get("wall_seconds")
-                .and_then(Value::as_float)
-                .unwrap_or(0.0);
-            let train = r
-                .get("train_wall_seconds")
-                .and_then(Value::as_float)
-                .unwrap_or(0.0);
-            let _ = writeln!(out, "| {idx} | {acc} | {wall:.2} | {train:.2} |");
-        }
-    }
-    render_cache_section(&mut out, m);
-    out
 }
 
 fn render_serve(m: &Value) -> String {

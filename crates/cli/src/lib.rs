@@ -8,7 +8,6 @@
 //! ```text
 //! nf train     <config> [--resume|--force] [--quiet]  # NeuroFlux pipeline
 //! nf baseline  <bp|ll|fa|sp> <config> [--quiet]       # comparison trainers
-//! nf federated <config> [--quiet]                     # parallel FedAvg engine
 //! nf sweep     <config> [--quiet]                     # nf-memsim budget sweep
 //! nf serve     <config> [--quiet]                     # early-exit inference service
 //! nf loadgen   <config> [--addr=..]                   # deterministic load generator
@@ -37,7 +36,6 @@
 pub mod baseline;
 pub mod config;
 pub mod error;
-pub mod federated;
 pub mod inspect;
 pub mod loadgen;
 pub mod net;
@@ -52,7 +50,6 @@ pub mod train;
 pub use baseline::{run_baseline, Paradigm};
 pub use config::RunConfig;
 pub use error::{CliError, Result};
-pub use federated::run_federated_cmd;
 pub use inspect::run_inspect;
 pub use loadgen::{run_loadgen, LoadgenOptions, LoadgenReport};
 pub use nf_value::{Table, Value};

@@ -1,8 +1,8 @@
 //! The `nf` binary: thin argv parsing over the `nf-cli` library.
 
 use nf_cli::{
-    run_baseline, run_federated_cmd, run_inspect, run_loadgen, run_serve, run_sweep, run_train,
-    LoadgenOptions, Paradigm, RunConfig, TrainOptions,
+    run_baseline, run_inspect, run_loadgen, run_serve, run_sweep, run_train, LoadgenOptions,
+    Paradigm, RunConfig, TrainOptions,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -13,7 +13,6 @@ nf — config-driven NeuroFlux experiment runner
 USAGE:
     nf train <config.toml> [--resume] [--force] [--quiet]
     nf baseline <bp|ll|fa|sp> <config.toml> [--quiet]
-    nf federated <config.toml> [--force] [--quiet]
     nf sweep <config.toml> [--quiet]
     nf serve <config.toml> [--quiet]
     nf loadgen <config.toml> [--addr=HOST:PORT] [--connections=N] [--quiet]
@@ -114,23 +113,6 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
                         paradigm.name(),
                         acc * 100.0
                     );
-                }
-                println!("run complete: {}", run_dir.root().display());
-            }
-            Ok(())
-        }
-        Some("federated") => {
-            let config_path = positional
-                .get(1)
-                .ok_or_else(|| nf_cli::CliError::new("usage: nf federated <config.toml>"))?;
-            let cfg = RunConfig::load(Path::new(config_path))?;
-            let (run_dir, metrics) = run_federated_cmd(&cfg, force, quiet)?;
-            if !quiet {
-                if let Some(acc) = metrics
-                    .get("final_accuracy")
-                    .and_then(nf_cli::Value::as_float)
-                {
-                    println!("final global-model accuracy: {:.1}%", acc * 100.0);
                 }
                 println!("run complete: {}", run_dir.root().display());
             }

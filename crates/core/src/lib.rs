@@ -52,7 +52,6 @@ pub mod confidence_exit;
 mod config;
 pub mod controller;
 mod error;
-pub mod federated;
 pub mod params_io;
 pub mod partitioner;
 pub mod profiler;
@@ -70,7 +69,6 @@ pub use confidence_exit::{CascadePrediction, CascadeReport, ConfidenceCascade};
 pub use config::{NeuroFluxConfig, RHO};
 pub use controller::{NeuroFluxOutcome, NeuroFluxTrainer, TrainHooks};
 pub use error::NfError;
-pub use federated::{run_federated, ClientReport, FederatedConfig, FederatedOutcome, RoundReport};
 pub use params_io::{deserialize_params, serialize_params};
 pub use partitioner::{partition, Block};
 pub use serve::{

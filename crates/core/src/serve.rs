@@ -654,8 +654,7 @@ pub fn latency_percentiles(sorted: &[u64]) -> (u64, u64, u64) {
 }
 
 /// SplitMix64: a tiny, stable hash for deriving per-request streams
-/// (tier assignment, arrival jitter) from `(seed, index)` — the same
-/// derivation discipline the federated engine uses for client seeds.
+/// (tier assignment, arrival jitter) from `(seed, index)`.
 pub fn splitmix64(seed: u64, index: u64) -> u64 {
     let mut z = seed.wrapping_add(index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -80,7 +80,7 @@ impl Dataset {
     }
 
     /// Builds a new dataset from the samples at `indices` (in order;
-    /// indices may repeat or reorder — sharding uses disjoint sets).
+    /// indices may repeat or reorder).
     pub fn select(&self, indices: &[usize]) -> Result<Self, TensorError> {
         let per: usize = self.images.shape()[1..].iter().product();
         let mut data = Vec::with_capacity(indices.len() * per);

@@ -28,9 +28,7 @@
 
 mod dataset;
 mod generator;
-mod shard;
 mod spec;
 
 pub use dataset::{Dataset, SplitDataset};
-pub use shard::{shard, ShardError, ShardStrategy};
 pub use spec::SyntheticSpec;

@@ -25,13 +25,6 @@ pub enum NnError {
         /// Description of the problem.
         reason: String,
     },
-    /// Two model replicas that should share an architecture disagree
-    /// structurally (parameter/buffer count or shape) — surfaced by the
-    /// [`crate::aggregate`] helpers instead of a panic or silent skew.
-    ModelMismatch {
-        /// Description of the disagreement.
-        reason: String,
-    },
 }
 
 impl fmt::Display for NnError {
@@ -43,7 +36,6 @@ impl fmt::Display for NnError {
             }
             NnError::BadInput { layer, reason } => write!(f, "{layer}: bad input: {reason}"),
             NnError::BadLabels { reason } => write!(f, "bad labels: {reason}"),
-            NnError::ModelMismatch { reason } => write!(f, "model mismatch: {reason}"),
         }
     }
 }

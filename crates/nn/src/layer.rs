@@ -44,10 +44,10 @@ pub enum Mode {
 /// - Cache *storage* (cached inputs, masks, normalised activations) is
 ///   kept and refilled step after step; [`Layer::clear_cache`] releases it.
 ///
-/// `Send` is a supertrait so trained models can move between threads —
-/// the federated engine trains clients in parallel and the serve path
-/// hands the built model to a dedicated batcher thread. Layers own plain
-/// tensor state, so this costs implementors nothing.
+/// `Send` is a supertrait so trained models can move between threads:
+/// the serve path hands each bit-identical model replica to its own
+/// batcher thread. Layers own plain tensor state, so this costs
+/// implementors nothing.
 pub trait Layer: Send {
     /// Human-readable layer name (used in error messages and reports).
     fn name(&self) -> String;

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod aggregate;
 pub mod batchnorm;
 pub mod conv2d;
 mod error;
@@ -56,7 +55,6 @@ pub mod scratch;
 mod sequential;
 pub mod step;
 
-pub use aggregate::{load, snapshot, StateSnapshot, WeightedReduce};
 pub use batchnorm::BatchNorm2d;
 pub use conv2d::Conv2d;
 pub use error::NnError;

@@ -1,19 +1,17 @@
 //! The one fan-out every parallel loop of the workspace runs through: the
 //! GEMM panels, NCHW groups, lane samples, positions channel blocks and
-//! int8 row blocks here, the batched lowerings' samples in `conv.rs`, and
-//! federated training's clients.
+//! int8 row blocks here, and the batched lowerings' samples in `conv.rs`.
 //!
 //! [`fan`] runs a closure over every item of an iterator of disjoint work
 //! items on `workers` scoped threads, the caller's thread being one of
 //! them. Workers claim items one at a time from the shared iterator, under
-//! a `Mutex`: items are panels, samples, channel blocks or clients —
-//! microseconds of work at least — so the lock is noise, and uneven items
-//! (a Dirichlet client shard) balance themselves. There is no persistent
-//! pool: a call with more than one worker spawns its threads and joins
-//! them before it returns, which is why the callers only fan out above a
-//! floor ([`super::FAN_OUT_MIN_MACS`], `conv.rs`'s `PAR_MIN_ELEMS`). With
-//! one worker the loop runs inline, with no spawn, no lock and no
-//! allocation.
+//! a `Mutex`: items are panels, samples or channel blocks — microseconds
+//! of work at least — so the lock is noise, and uneven items (a ragged
+//! last panel) balance themselves. There is no persistent pool: a call
+//! with more than one worker spawns its threads and joins them before it
+//! returns, which is why the callers only fan out above a floor
+//! ([`super::FAN_OUT_MIN_MACS`], `conv.rs`'s `PAR_MIN_ELEMS`). With one
+//! worker the loop runs inline, with no spawn, no lock and no allocation.
 //!
 //! Which worker runs which item never changes what an item computes, so a
 //! caller whose items write disjoint outputs gets the same bits at every

@@ -81,8 +81,8 @@ pub const NC: usize = 256;
 pub const FAN_OUT_MIN_MACS: usize = 1 << 26;
 
 /// Number of hardware threads this process may use (read once, cached):
-/// the one core count behind every fan-out, kernel or federated. Thread
-/// fan-out only ever happens where a second core actually exists.
+/// the one core count behind every kernel fan-out. Thread fan-out only
+/// ever happens where a second core actually exists.
 pub fn host_cores() -> usize {
     use std::sync::OnceLock;
     static CORES: OnceLock<usize> = OnceLock::new();

@@ -42,7 +42,7 @@ fn corpus() -> &'static [Vec<u8>] {
             .filter(|p| p.extension().is_some_and(|x| x == "toml"))
             .collect();
         paths.sort();
-        assert_eq!(paths.len(), 4, "{paths:?}");
+        assert_eq!(paths.len(), 3, "{paths:?}");
         paths.iter().map(|p| std::fs::read(p).unwrap()).collect()
     })
 }
