@@ -18,7 +18,7 @@ use neuroflux_core::{Block, NeuroFluxConfig, NeuroFluxTrainer, RHO};
 use nf_baselines::{install_feedback, BpTrainer, LocalLearningTrainer, SpTrainer};
 use nf_data::SyntheticSpec;
 use nf_memsim::TrainingParadigm::{BlockLocal, LocalLearning};
-use nf_memsim::{CacheCostModel, DeviceProfile, MemoryModel, TimingModel};
+use nf_memsim::{memory, timing, CacheCostModel, DeviceProfile};
 use nf_models::{assign_aux, exit_candidates, AuxPolicy, ExitCandidate, ModelSpec, UnitAnalytics};
 use rand::{rngs::StdRng, SeedableRng};
 use std::cell::{OnceCell, RefCell};
@@ -222,15 +222,6 @@ fn sim(budget_mb: u64, samples: usize) -> SimConfig {
     }
 }
 
-/// The analytic models every simulated figure prices with.
-fn models() -> (MemoryModel, TimingModel, DeviceProfile) {
-    (
-        MemoryModel::default(),
-        TimingModel::default(),
-        DeviceProfile::agx_orin(),
-    )
-}
-
 impl Shared {
     /// Figure 11's nine panels at 100–500 MB on the AGX Orin.
     fn sweep(&self) -> &[(&'static str, &'static str, Vec<SweepPoint>)] {
@@ -257,8 +248,8 @@ impl Shared {
         if let Some(run) = self.runs_300.borrow().get(&key) {
             return Ok(run.clone());
         }
-        let (mem, timing, device) = models();
-        let run = simulate_neuroflux(spec, &device, &sim(300, samples), &mem, &timing)?;
+        let device = DeviceProfile::agx_orin();
+        let run = simulate_neuroflux(spec, &device, &sim(300, samples))?;
         self.runs_300.borrow_mut().insert(key, run.clone());
         Ok(run)
     }
@@ -313,15 +304,15 @@ fn row(label: impl ToString, cells: impl IntoIterator<Item = String>) -> Vec<Str
 /// Figure 1: BP memory breakdown and relative training time for
 /// ResNet-18 and VGG-19 on Tiny ImageNet at batch 4, 8 and 256.
 fn fig01(_: &Shared) -> Result<Figure> {
-    let (mem, timing, device) = models();
-    let epoch_s = |spec: &ModelSpec, batch| timing.bp_epoch_time_s(&device, spec, 100_000, batch);
+    let device = DeviceProfile::agx_orin();
+    let epoch_s = |spec: &ModelSpec, batch| timing::bp_epoch_time_s(&device, spec, 100_000, batch);
     let mut fig = Figure::new("fig01");
     let (mut dominate, mut grows, mut ratios) = (true, true, Vec::new());
     for spec in [ModelSpec::resnet18(200), ModelSpec::vgg19(200)] {
         let (mut rows, mut prev, mut rel) = (Vec::new(), 0, (0.0, 0.0));
         for batch in [4usize, 8, 256] {
-            let m = mem.bp_training(&spec, batch);
-            let rel_mem = m.total() as f64 / mem.inference(&spec, batch).total() as f64;
+            let m = memory::bp_training(&spec, batch);
+            let rel_mem = m.total() as f64 / memory::inference(&spec, batch).total() as f64;
             let rel_t = epoch_s(&spec, batch) / epoch_s(&spec, 256);
             (grows, prev) = (grows && m.total() > prev, m.total());
             if batch == 4 {
@@ -361,15 +352,14 @@ fn fig01(_: &Shared) -> Result<Figure> {
 /// Memory is the analytic model on full-size VGG-16 at batch 32; accuracy
 /// is real training of one small CNN on one noisy synthetic task.
 fn fig03(_: &Shared) -> Result<Figure> {
-    let (full, mem) = (ModelSpec::vgg16(100), MemoryModel::default());
+    let full = ModelSpec::vgg16(100);
     let classic = assign_aux(&full, AuxPolicy::CLASSIC);
-    let bp_mem = mem.bp_training(&full, 32).total();
-    let ll_mem = mem
-        .ll_training_peak(&full, &classic, 32, LocalLearning)
+    let bp_mem = memory::bp_training(&full, 32).total();
+    let ll_mem = memory::ll_training_peak(&full, &classic, 32, LocalLearning)
         .0
         .total();
     let fa_mem = bp_mem; // FA retains the full activation chain like BP.
-    let sp_mem = mem.inference(&full, 32).total(); // no heads, one layer live.
+    let sp_mem = memory::inference(&full, 32).total(); // no heads, one layer live.
 
     let classes = 6;
     let data = SyntheticSpec::quick(classes, 8, 240)
@@ -426,14 +416,18 @@ fn fig03(_: &Shared) -> Result<Figure> {
 /// Figure 4: VGG-19 memory for inference, BP, classic LL (256-filter
 /// heads) and AAN-LL at batch 10–90.
 fn fig04(_: &Shared) -> Result<Figure> {
-    let (spec, mem) = (&ModelSpec::vgg19(200), MemoryModel::default());
+    let spec = &ModelSpec::vgg19(200);
     let [classic, aan] = [AuxPolicy::CLASSIC, AuxPolicy::Adaptive].map(|p| assign_aux(spec, p));
-    let peak = |aux, b| mem.ll_training_peak(spec, aux, b, LocalLearning).0.total();
+    let peak = |aux, b| {
+        memory::ll_training_peak(spec, aux, b, LocalLearning)
+            .0
+            .total()
+    };
     // Per batch: inference, BP, classic LL, AAN-LL.
     let column = |b| {
         let (inference, bp) = (
-            mem.inference(spec, b).total(),
-            mem.bp_training(spec, b).total(),
+            memory::inference(spec, b).total(),
+            memory::bp_training(spec, b).total(),
         );
         (b, [inference, bp, peak(&classic, b), peak(&aan, b)])
     };
@@ -460,9 +454,9 @@ fn fig04(_: &Shared) -> Result<Figure> {
 /// Figure 5: VGG-19's per-layer training memory at batch 30 under AAN-LL,
 /// with the headroom below the peak layer.
 fn fig05(_: &Shared) -> Result<Figure> {
-    let (spec, mem) = (ModelSpec::vgg19(200), MemoryModel::default());
+    let spec = ModelSpec::vgg19(200);
     let aux = assign_aux(&spec, AuxPolicy::Adaptive);
-    let unit = |a| mem.ll_unit_training(&spec, a, &aux, 30, BlockLocal).total();
+    let unit = |a| memory::ll_unit_training(&spec, a, &aux, 30, BlockLocal).total();
     let per_layer: Vec<u64> = spec.analyze().iter().map(unit).collect();
     let peak = per_layer.iter().copied().max().unwrap_or(0).max(1);
     let peak_layer = per_layer.iter().position(|&v| v == peak).unwrap_or(0) + 1;
@@ -484,10 +478,12 @@ fn fig05(_: &Shared) -> Result<Figure> {
 /// Figure 6: the largest batch each VGG-19 layer can train at under the
 /// AAN-LL peak of batch 30 (the paper's 630 MB).
 fn fig06(_: &Shared) -> Result<Figure> {
-    let (spec, mem) = (ModelSpec::vgg19(200), MemoryModel::default());
+    let spec = ModelSpec::vgg19(200);
     let aux = assign_aux(&spec, AuxPolicy::Adaptive);
-    let budget = mem.ll_training_peak(&spec, &aux, 30, BlockLocal).0.total();
-    let line = |a| mem.ll_unit_line(&spec, a, &aux, BlockLocal);
+    let budget = memory::ll_training_peak(&spec, &aux, 30, BlockLocal)
+        .0
+        .total();
+    let line = |a| memory::ll_unit_line(&spec, a, &aux, BlockLocal);
     let max_batch = |a| line(a).max_batch(budget).unwrap_or(0);
     let batches: Vec<usize> = spec.analyze().iter().map(max_batch).collect();
     let max_b = batches.iter().copied().max().unwrap_or(1).max(1);
@@ -515,10 +511,10 @@ fn fig06(_: &Shared) -> Result<Figure> {
 /// Figure 8: VGG-11's per-layer training memory is linear in batch size,
 /// and the line per layer the Profiler hands the Partitioner.
 fn fig08(_: &Shared) -> Result<Figure> {
-    let (spec, mem) = (ModelSpec::vgg11(200), MemoryModel::default());
+    let spec = ModelSpec::vgg11(200);
     let (aux, analytics) = (assign_aux(&spec, AuxPolicy::Adaptive), spec.analyze());
     let layers = |b| {
-        let unit = |a| mem.ll_unit_training(&spec, a, &aux, b, BlockLocal).total();
+        let unit = |a| memory::ll_unit_training(&spec, a, &aux, b, BlockLocal).total();
         analytics.iter().map(unit).collect::<Vec<u64>>()
     };
     let bytes: Vec<(usize, Vec<u64>)> = (10..=90).step_by(10).map(|b| (b, layers(b))).collect();
@@ -528,9 +524,7 @@ fn fig08(_: &Shared) -> Result<Figure> {
     let title = "Figure 8: per-layer memory vs batch size, VGG-11 (MB)";
     let headers = format!("batch | {}", names.join(" | "));
     fig.table(title, &headers, rows.collect());
-    let lines = profile(&mem, &spec, AuxPolicy::Adaptive)
-        .into_iter()
-        .zip(&names);
+    let lines = profile(&spec, AuxPolicy::Adaptive).into_iter().zip(&names);
     let rows = lines.map(|(line, name)| {
         let slope = format!("{:.3}", line.slope / 1e6);
         row(name, [slope, format!("{:.1}", line.intercept / 1e6)])
@@ -584,16 +578,9 @@ fn fig09(shared: &Shared) -> Result<Figure> {
         tiles,
         "the blocks cover every unit once, in order",
     );
-    let (mem, aux) = (
-        MemoryModel::default(),
-        assign_aux(&spec, AuxPolicy::Adaptive),
-    );
-    let analytics = spec.analyze();
+    let (aux, analytics) = (assign_aux(&spec, AuxPolicy::Adaptive), spec.analyze());
     let fits = blocks.iter().all(|b| {
-        let unit = |a| {
-            mem.ll_unit_training(&spec, a, &aux, b.batch, BlockLocal)
-                .total()
-        };
+        let unit = |a| memory::ll_unit_training(&spec, a, &aux, b.batch, BlockLocal).total();
         analytics[b.units.clone()]
             .iter()
             .all(|a| unit(a) <= 300_000_000)
@@ -763,7 +750,7 @@ fn obs(shared: &Shared) -> Result<Figure> {
 /// the time axis is the simulated wall-clock of the full-size run at
 /// 300 MB on the AGX Orin, one simulated epoch per real epoch.
 fn fig12(_: &Shared) -> Result<Figure> {
-    let (mem, timing, device) = models();
+    let device = DeviceProfile::agx_orin();
     let epochs = 6usize;
     let mut fig = Figure::new("fig12");
     let mut cheaper = true;
@@ -773,9 +760,9 @@ fn fig12(_: &Shared) -> Result<Figure> {
         let mut cfg = sim(300, 50_000);
         cfg.epochs = 1;
         let hours = |run: Option<SimulatedRun>| run.map(|r| r.total_hours());
-        let bp_h = hours(simulate_bp(full, &device, &cfg, &mem, &timing).ok());
-        let ll_h = hours(simulate_classic_ll(full, &device, &cfg, &mem, &timing).ok());
-        let nf = simulate_neuroflux(full, &device, &cfg, &mem, &timing);
+        let bp_h = hours(simulate_bp(full, &device, &cfg).ok());
+        let ll_h = hours(simulate_classic_ll(full, &device, &cfg).ok());
+        let nf = simulate_neuroflux(full, &device, &cfg);
         let nf_h = hours(nf.ok().map(|(run, _)| run));
         cheaper &= nf_h.is_some_and(|nf| [bp_h, ll_h].iter().flatten().all(|&b| nf < b));
 
@@ -891,7 +878,7 @@ fn table2(shared: &Shared) -> Result<Figure> {
 /// Table 3 / Figure 14: inference throughput of the full model against
 /// NeuroFlux's early exit (Table 2's exits) on all four platforms.
 fn table3(shared: &Shared) -> Result<Figure> {
-    let (timing, devices) = (TimingModel::default(), DeviceProfile::all());
+    let devices = DeviceProfile::all();
     let mut fig = Figure::new("table3");
     let (mut faster, mut ordered, mut pi_anchor) = (true, true, false);
     for dataset in DATASETS {
@@ -899,7 +886,7 @@ fn table3(shared: &Shared) -> Result<Figure> {
         for (_, model, full, exit_unit) in shared.exits()?.iter().filter(|e| e.0 == dataset) {
             let exits = exit_candidates(full, &assign_aux(full, AuxPolicy::Adaptive));
             let exit_flops = exits.get(*exit_unit).ok_or("exit out of range")?.flops;
-            let tp = |d, flops| timing.inference_throughput(d, flops);
+            let tp = timing::inference_throughput;
             let full_tp: Vec<f64> = devices.iter().map(|d| tp(d, full.total_flops())).collect();
             ordered &= full_tp.windows(2).all(|w| w[0] < w[1]);
             if (dataset, *model) == ("cifar10", "vgg16") {
@@ -989,12 +976,12 @@ fn overheads(shared: &Shared) -> Result<Figure> {
 /// traffic, regeneration passes); large ρ merges layers whose feasible
 /// batches differ, pinning each block to its smallest member's batch.
 fn ablation_rho(_: &Shared) -> Result<Figure> {
-    let ((mem, timing, device), spec) = (models(), ModelSpec::vgg16(100));
+    let (device, spec) = (DeviceProfile::agx_orin(), ModelSpec::vgg16(100));
     let cfg = sim(300, 50_000);
     let (mut rows, mut sweep) = (Vec::new(), Vec::new()); // sweep: (ρ, blocks, hours)
     for rho in [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7] {
-        let blocks = plan_neuroflux(&spec, &cfg, &mem, rho)?;
-        let run = price_neuroflux(&spec, &device, &cfg, &timing, &blocks);
+        let blocks = plan_neuroflux(&spec, &cfg, rho)?;
+        let run = price_neuroflux(&spec, &device, &cfg, &blocks);
         let batches: Vec<String> = blocks.iter().map(|b| b.batch.to_string()).collect();
         let (h, gb) = (run.total_hours(), run.cache_bytes_written as f64 / 1e9);
         let cells = [

@@ -2,21 +2,25 @@
 //! figure that trains nothing prints the tables it printed when it was its
 //! own binary (64-bit FNV-1a over its table lines, each ending in `\n`), so
 //! a memory, timing or partitioning model change is a reviewed digest
-//! diff. The scaled-training figures (10, 12, Tables 2–3) take minutes in
-//! debug; the `figures` binary checks their claims.
+//! diff. Figure 10 trains one scaled model (about 30 s in the dev profile)
+//! and runs as its own test beside the rest, its table pinned the same
+//! way. Figure 12 and Tables 2–3 take minutes each; they wait for the
+//! Worker's per-epoch accuracy hook (ROADMAP item 9(c)), and until then
+//! the `figures` binary checks their claims.
 
 use nf_bench::figures::{Shared, FIGURES};
 
-/// Figures whose claims rest on scaled training runs.
-const SCALED: [&str; 4] = ["fig10", "fig12", "table2", "table3"];
+/// Figures whose claims rest on scaled training runs of minutes each.
+const SCALED: [&str; 3] = ["fig12", "table2", "table3"];
 
-/// Table digests of the figures that train nothing.
-const DIGESTS: [(&str, &str); 12] = [
+/// Table digests: the figures that train nothing, and Figure 10.
+const DIGESTS: [(&str, &str); 13] = [
     ("fig01", "275e6bebfe8b8f6d"),
     ("fig04", "f5a17cae2562f619"),
     ("fig05", "2c9d690ccb520e38"),
     ("fig06", "88f910faf3fd3540"),
     ("fig08", "17483d9687c1f363"),
+    ("fig10", "10aaa055b77ae17d"),
     ("fig09", "a70f4bcaa7778008"),
     ("fig11", "592841253ed3e6d1"),
     ("obs", "522e115e1e92e474"),
@@ -32,14 +36,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-#[test]
-fn claims_hold_and_tables_match_their_digests() {
-    for (name, _) in DIGESTS {
-        assert!(FIGURES.iter().any(|(n, _)| *n == name), "no figure {name}");
-    }
+/// Runs the figures `select` picks and asserts every claim holds and every
+/// pinned table digest matches.
+fn check(select: impl Fn(&str) -> bool) {
     let shared = Shared::default();
     let mut broken = Vec::new();
-    for (name, figure) in FIGURES.iter().filter(|(n, _)| !SCALED.contains(n)) {
+    for (name, figure) in FIGURES.iter().filter(|(n, _)| select(n)) {
         let fig = figure(&shared).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(fig.name, *name);
         assert!(!fig.claims.is_empty(), "{name} claims nothing");
@@ -53,4 +55,19 @@ fn claims_hold_and_tables_match_their_digests() {
         }
     }
     assert!(broken.is_empty(), "{}", broken.join("\n"));
+}
+
+#[test]
+fn claims_hold_and_tables_match_their_digests() {
+    for (name, _) in DIGESTS {
+        assert!(FIGURES.iter().any(|(n, _)| *n == name), "no figure {name}");
+    }
+    check(|name| !SCALED.contains(&name) && name != "fig10");
+}
+
+/// Figure 10's one training, in its own test so the harness runs it beside
+/// the one above.
+#[test]
+fn fig10_selects_a_shallower_exit_and_matches_its_digest() {
+    check(|name| name == "fig10");
 }

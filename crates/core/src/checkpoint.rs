@@ -288,8 +288,8 @@ mod tests {
         let ds = SyntheticSpec::quick(3, 8, 24).generate();
         let config = crate::NeuroFluxConfig::new(1 << 30, 8).with_epochs(1);
         let mut store = crate::MemoryStore::new();
-        let (mm, fixed) = (nf_memsim::MemoryModel::default(), AuxPolicy::Fixed(4));
-        let blocks = crate::partitioner::plan(&mm, &spec, &config.with_aux_policy(fixed)).unwrap();
+        let planning = config.with_aux_policy(AuxPolicy::Fixed(4));
+        let blocks = crate::partitioner::plan(&spec, &planning).unwrap();
         crate::worker::Worker::new(config, &mut store)
             .run(
                 &mut model,

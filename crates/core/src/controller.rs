@@ -19,7 +19,6 @@ use crate::partitioner::{plan, Block};
 use crate::worker::{RunHooks, TrainEvent, Worker, WorkerReport};
 use crate::{NfError, Result};
 use nf_data::{Dataset, SplitDataset};
-use nf_memsim::MemoryModel;
 use nf_models::{build_aux_head, exit_accuracy, BuiltModel, ExitCandidate, ModelSpec};
 use nf_nn::Sequential;
 use rand::Rng;
@@ -112,14 +111,14 @@ impl NeuroFluxTrainer {
     }
 
     /// Plans the block partition for `spec` without training (Profiler +
-    /// Partitioner only, against the default [`MemoryModel`]).
+    /// Partitioner only, on `nf-memsim`'s closed-form memory lines).
     ///
     /// Planning draws nothing: `_rng` is unused, and stays in the
     /// signature only because the repository benchmark, which is frozen,
     /// calls `plan(&mut rng, &spec)`.
     pub fn plan<R: Rng>(&self, _rng: &mut R, spec: &ModelSpec) -> Result<Vec<Block>> {
         self.config.validate()?;
-        plan(&MemoryModel::default(), spec, &self.config)
+        plan(spec, &self.config)
     }
 
     /// Runs the full pipeline: plan, build, block-train, measure exits,

@@ -8,7 +8,7 @@
 
 use crate::profiler::profile;
 use crate::{NeuroFluxConfig, NfError, Result};
-use nf_memsim::{LinearMemoryModel, MemoryModel};
+use nf_memsim::LinearMemoryModel;
 use nf_models::ModelSpec;
 
 /// One partition: a contiguous run of units trained together with a single
@@ -91,16 +91,12 @@ pub fn partition(
     Ok(blocks)
 }
 
-/// Profiler + Partitioner: one [`profile`] line per unit of `spec` from
-/// `memory` under `config`'s heads, partitioned by Algorithm 1 at
-/// `config`'s budget, batch limit and ρ. The one planning body behind
+/// Profiler + Partitioner: one [`profile`] line per unit of `spec` under
+/// `config`'s heads, partitioned by Algorithm 1 at `config`'s budget,
+/// batch limit and ρ. The one planning body behind
 /// [`crate::NeuroFluxTrainer::plan`] and [`crate::simulate::plan_neuroflux`].
-pub fn plan(
-    memory: &MemoryModel,
-    spec: &ModelSpec,
-    config: &NeuroFluxConfig,
-) -> Result<Vec<Block>> {
-    let lines = profile(memory, spec, config.aux_policy);
+pub fn plan(spec: &ModelSpec, config: &NeuroFluxConfig) -> Result<Vec<Block>> {
+    let lines = profile(spec, config.aux_policy);
     partition(&lines, config.budget_bytes, config.batch_limit, config.rho)
 }
 
@@ -138,6 +134,7 @@ pub fn check_partition(blocks: &[Block], n_units: usize, batch_limit: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nf_memsim::memory;
     use nf_memsim::TrainingParadigm::BlockLocal;
     use nf_models::{assign_aux, AuxPolicy};
     use proptest::prelude::*;
@@ -216,7 +213,7 @@ mod tests {
         let spec = ModelSpec::vgg16(100);
         let budget = 300_000_000; // 300 MB
         let config = NeuroFluxConfig::new(budget, 512);
-        let blocks = plan(&MemoryModel::default(), &spec, &config).unwrap();
+        let blocks = plan(&spec, &config).unwrap();
         check_partition(&blocks, spec.num_units(), 512).unwrap();
         assert!(blocks.len() >= 2, "VGG-16 should split into several blocks");
         // Deeper blocks get (weakly) larger batches — the AB-LL effect.
@@ -233,8 +230,8 @@ mod tests {
         // above its footprints admits 17 and splits the block as
         // [0..1 @ 17, 1..4 @ 24].
         let spec = ModelSpec::tiny("tiny", 48, &[8, 8, 12, 12], 4);
-        let (mm, budget) = (MemoryModel::default(), 14_940_000);
-        let blocks = plan(&mm, &spec, &NeuroFluxConfig::new(budget, 32)).unwrap();
+        let budget = 14_940_000;
+        let blocks = plan(&spec, &NeuroFluxConfig::new(budget, 32)).unwrap();
         assert_eq!(
             blocks,
             [Block {
@@ -245,7 +242,7 @@ mod tests {
         let (aux, analytics) = (assign_aux(&spec, AuxPolicy::Adaptive), spec.analyze());
         for block in &blocks {
             for a in &analytics[block.units.clone()] {
-                let bytes = mm.ll_unit_training(&spec, a, &aux, block.batch, BlockLocal);
+                let bytes = memory::ll_unit_training(&spec, a, &aux, block.batch, BlockLocal);
                 assert!(
                     bytes.total() <= budget,
                     "unit {}: {} B",

@@ -7,9 +7,13 @@
 //! suffice. Here the memory backend is the `nf-memsim` model standing in
 //! for a real GPU (DESIGN.md §2), which is affine by construction, so the
 //! line is read off it in closed form
-//! ([`MemoryModel::ll_unit_line`]) rather than fitted to samples.
+//! ([`nf_memsim::memory::ll_unit_line`]) rather than fitted to samples.
+//!
+//! [`profile`] is the seam a measured backend plugs into: lines in,
+//! blocks out — only where the lines come from would change, and
+//! [`crate::partitioner::plan`] would partition them as it does these.
 
-use nf_memsim::{LinearMemoryModel, MemoryModel, TimingModel, TrainingParadigm};
+use nf_memsim::{memory, timing, LinearMemoryModel, TrainingParadigm};
 use nf_models::{assign_aux, AuxPolicy, ModelSpec};
 
 /// Batch sizes the paper's Profiler benchmarks each unit at.
@@ -17,13 +21,9 @@ const PROBE_BATCHES: [usize; 5] = [4, 8, 16, 32, 64];
 
 /// Assigns auxiliary heads under `policy` and returns one block-local
 /// training line per unit, in unit order.
-pub fn profile(
-    memory: &MemoryModel,
-    spec: &ModelSpec,
-    policy: AuxPolicy,
-) -> Vec<LinearMemoryModel> {
+pub fn profile(spec: &ModelSpec, policy: AuxPolicy) -> Vec<LinearMemoryModel> {
     let aux = assign_aux(spec, policy);
-    let line = |a| memory.ll_unit_line(spec, a, &aux, TrainingParadigm::BlockLocal);
+    let line = |a| memory::ll_unit_line(spec, a, &aux, TrainingParadigm::BlockLocal);
     spec.analyze().iter().map(line).collect()
 }
 
@@ -32,10 +32,9 @@ pub fn profile(
 /// time" overhead claim (§6.4).
 pub fn profiling_flops(spec: &ModelSpec, policy: AuxPolicy) -> f64 {
     let aux = assign_aux(spec, policy);
-    let timing = TimingModel::default();
     let probe_samples: usize = PROBE_BATCHES.iter().sum();
     (0..spec.num_units())
-        .map(|u| timing.unit_train_flops(spec, u, &aux[u]) * probe_samples as f64)
+        .map(|u| timing::unit_train_flops(spec, u, &aux[u]) * probe_samples as f64)
         .sum()
 }
 
@@ -49,13 +48,13 @@ mod tests {
         // footprint the probe schedule would measure lies on the unit's
         // line (to the byte the footprint truncates).
         let spec = ModelSpec::vgg11(10);
-        let mm = MemoryModel::default();
-        let lines = profile(&mm, &spec, AuxPolicy::Adaptive);
+        let lines = profile(&spec, AuxPolicy::Adaptive);
         assert_eq!(lines.len(), 8);
         let aux = assign_aux(&spec, AuxPolicy::Adaptive);
         for (a, line) in spec.analyze().iter().zip(&lines) {
             for b in PROBE_BATCHES {
-                let bytes = mm.ll_unit_training(&spec, a, &aux, b, TrainingParadigm::BlockLocal);
+                let bytes =
+                    memory::ll_unit_training(&spec, a, &aux, b, TrainingParadigm::BlockLocal);
                 let off = (line.predict(b) - bytes.total() as f64).abs();
                 assert!(off < 1.0, "unit {} batch {b} off by {off} B", a.index);
             }
@@ -68,9 +67,8 @@ mod tests {
         let spec = ModelSpec::vgg16(100);
         let profile_flops = profiling_flops(&spec, AuxPolicy::Adaptive);
         let aux = assign_aux(&spec, AuxPolicy::Adaptive);
-        let timing = TimingModel::default();
         // One epoch over a CIFAR-sized training set.
-        let train_flops = timing.ll_train_flops_per_sample(&spec, &aux) * 50_000.0;
+        let train_flops = timing::ll_train_flops_per_sample(&spec, &aux) * 50_000.0;
         let frac = profile_flops / train_flops;
         assert!(frac < 0.015, "profiling fraction {frac}");
     }

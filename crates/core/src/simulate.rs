@@ -10,7 +10,7 @@
 
 use crate::partitioner::{plan, Block};
 use crate::{NeuroFluxConfig, NfError, Result, RHO};
-use nf_memsim::{CacheCostModel, DeviceProfile, MemoryModel, TimingModel, TrainingParadigm};
+use nf_memsim::{memory, timing, CacheCostModel, DeviceProfile, TrainingParadigm};
 use nf_models::{assign_aux, AuxPolicy, ModelSpec};
 
 /// Simulated cost of one full training run.
@@ -82,18 +82,15 @@ pub fn simulate_bp(
     spec: &ModelSpec,
     device: &DeviceProfile,
     cfg: &SimConfig,
-    mem: &MemoryModel,
-    timing: &TimingModel,
 ) -> Result<SimulatedRun> {
-    let batch = mem
-        .bp_line(spec)
+    let batch = memory::bp_line(spec)
         .max_batch(cfg.budget_bytes)
         .ok_or(NfError::InfeasibleBudget {
             unit: 0,
             budget_bytes: cfg.budget_bytes,
         })?
         .min(cfg.batch_limit);
-    let flops = timing.bp_train_flops_per_sample(spec) * cfg.samples as f64 * cfg.epochs as f64;
+    let flops = timing::bp_train_flops_per_sample(spec) * cfg.samples as f64 * cfg.epochs as f64;
     let n_batches = cfg.samples.div_ceil(batch) * cfg.epochs;
     Ok(SimulatedRun {
         paradigm: "bp",
@@ -113,14 +110,11 @@ pub fn simulate_classic_ll(
     spec: &ModelSpec,
     device: &DeviceProfile,
     cfg: &SimConfig,
-    mem: &MemoryModel,
-    timing: &TimingModel,
 ) -> Result<SimulatedRun> {
     let aux = assign_aux(spec, AuxPolicy::CLASSIC);
     let mut batch = usize::MAX;
     for a in &spec.analyze() {
-        let b = mem
-            .ll_unit_line(spec, a, &aux, TrainingParadigm::LocalLearning)
+        let b = memory::ll_unit_line(spec, a, &aux, TrainingParadigm::LocalLearning)
             .max_batch(cfg.budget_bytes)
             .ok_or(NfError::InfeasibleBudget {
                 unit: a.index,
@@ -130,7 +124,7 @@ pub fn simulate_classic_ll(
     }
     let batch = batch.min(cfg.batch_limit);
     let flops =
-        timing.ll_train_flops_per_sample(spec, &aux) * cfg.samples as f64 * cfg.epochs as f64;
+        timing::ll_train_flops_per_sample(spec, &aux) * cfg.samples as f64 * cfg.epochs as f64;
     let n_batches = cfg.samples.div_ceil(batch) * cfg.epochs;
     Ok(SimulatedRun {
         paradigm: "classic-ll",
@@ -150,23 +144,17 @@ pub fn simulate_neuroflux(
     spec: &ModelSpec,
     device: &DeviceProfile,
     cfg: &SimConfig,
-    mem: &MemoryModel,
-    timing: &TimingModel,
 ) -> Result<(SimulatedRun, Vec<Block>)> {
-    let blocks = plan_neuroflux(spec, cfg, mem, RHO)?;
-    Ok((price_neuroflux(spec, device, cfg, timing, &blocks), blocks))
+    let blocks = plan_neuroflux(spec, cfg, RHO)?;
+    Ok((price_neuroflux(spec, device, cfg, &blocks), blocks))
 }
 
 /// Plans blocks the way the Controller does ([`plan`]): adaptive heads,
-/// `mem`'s line per unit, then the Partitioner at grouping threshold `rho`.
-pub fn plan_neuroflux(
-    spec: &ModelSpec,
-    cfg: &SimConfig,
-    mem: &MemoryModel,
-    rho: f64,
-) -> Result<Vec<Block>> {
+/// one memory line per unit, then the Partitioner at grouping threshold
+/// `rho`.
+pub fn plan_neuroflux(spec: &ModelSpec, cfg: &SimConfig, rho: f64) -> Result<Vec<Block>> {
     let config = NeuroFluxConfig::new(cfg.budget_bytes, cfg.batch_limit).with_rho(rho);
-    plan(mem, spec, &config)
+    plan(spec, &config)
 }
 
 /// Prices block-wise training of `blocks` (which tile `spec`'s units, as
@@ -176,7 +164,6 @@ pub fn price_neuroflux(
     spec: &ModelSpec,
     device: &DeviceProfile,
     cfg: &SimConfig,
-    timing: &TimingModel,
     blocks: &[Block],
 ) -> SimulatedRun {
     let aux = assign_aux(spec, AuxPolicy::Adaptive);
@@ -195,7 +182,7 @@ pub fn price_neuroflux(
         let block_train_flops: f64 = block
             .units
             .clone()
-            .map(|u| timing.unit_train_flops(spec, u, &aux[u]))
+            .map(|u| timing::unit_train_flops(spec, u, &aux[u]))
             .sum();
         let block_compute = block_train_flops * n * cfg.epochs as f64 / device.effective_flops();
         compute_s += block_compute;
@@ -265,11 +252,9 @@ pub fn sweep_point(
     Option<SimulatedRun>,
     Option<SimulatedRun>,
 ) {
-    let mem = MemoryModel::default();
-    let timing = TimingModel::default();
-    let bp = simulate_bp(spec, device, cfg, &mem, &timing).ok();
-    let ll = simulate_classic_ll(spec, device, cfg, &mem, &timing).ok();
-    let nf = simulate_neuroflux(spec, device, cfg, &mem, &timing)
+    let bp = simulate_bp(spec, device, cfg).ok();
+    let ll = simulate_classic_ll(spec, device, cfg).ok();
+    let nf = simulate_neuroflux(spec, device, cfg)
         .ok()
         .map(|(run, _)| run);
     (bp, ll, nf)
@@ -361,11 +346,9 @@ mod tests {
         let device = DeviceProfile::agx_orin();
         let spec = ModelSpec::vgg16(10);
         let c = cfg(100);
-        let mem = MemoryModel::default();
-        let timing = TimingModel::default();
-        assert!(simulate_bp(&spec, &device, &c, &mem, &timing).is_err());
-        assert!(simulate_classic_ll(&spec, &device, &c, &mem, &timing).is_err());
-        let (run, blocks) = simulate_neuroflux(&spec, &device, &c, &mem, &timing).unwrap();
+        assert!(simulate_bp(&spec, &device, &c).is_err());
+        assert!(simulate_classic_ll(&spec, &device, &c).is_err());
+        let (run, blocks) = simulate_neuroflux(&spec, &device, &c).unwrap();
         assert!(!blocks.is_empty());
         assert!(run.total_s() > 0.0);
     }
@@ -382,12 +365,8 @@ mod tests {
         // at 500 MB (recorded per-figure in EXPERIMENTS.md).
         let device = DeviceProfile::agx_orin();
         let spec = ModelSpec::vgg16(10);
-        let mem = MemoryModel::default();
-        let timing = TimingModel::default();
-        let nf = simulate_neuroflux(&spec, &device, &cfg(100), &mem, &timing)
-            .unwrap()
-            .0;
-        let bp = simulate_bp(&spec, &device, &cfg(500), &mem, &timing).unwrap();
+        let nf = simulate_neuroflux(&spec, &device, &cfg(100)).unwrap().0;
+        let bp = simulate_bp(&spec, &device, &cfg(500)).unwrap();
         let ratio = nf.total_s() / bp.total_s();
         assert!(
             ratio < 2.5,
@@ -402,11 +381,9 @@ mod tests {
         // Figure 11's downward slope for NeuroFlux.
         let device = DeviceProfile::agx_orin();
         let spec = ModelSpec::vgg19(100);
-        let mem = MemoryModel::default();
-        let timing = TimingModel::default();
         let mut prev = f64::INFINITY;
         for budget in [100, 200, 300, 400, 500] {
-            let (run, _) = simulate_neuroflux(&spec, &device, &cfg(budget), &mem, &timing).unwrap();
+            let (run, _) = simulate_neuroflux(&spec, &device, &cfg(budget)).unwrap();
             let t = run.total_s();
             assert!(t <= prev * 1.001, "time rose at {budget}MB: {t} > {prev}");
             prev = t;
@@ -417,13 +394,9 @@ mod tests {
     fn quantized_cache_codecs_shrink_simulated_footprint_and_io() {
         let device = DeviceProfile::agx_orin();
         let spec = ModelSpec::vgg16(10);
-        let mem = MemoryModel::default();
-        let timing = TimingModel::default();
         let run_with = |cache: CacheCostModel| {
             let c = SimConfig { cache, ..cfg(300) };
-            simulate_neuroflux(&spec, &device, &c, &mem, &timing)
-                .unwrap()
-                .0
+            simulate_neuroflux(&spec, &device, &c).unwrap().0
         };
         let f32_run = run_with(CacheCostModel::f32_raw());
         let f16_run = run_with(CacheCostModel::f16());
@@ -445,9 +418,7 @@ mod tests {
         // §6.4: activation cache totals 1.5–5.3x the dataset size.
         let device = DeviceProfile::agx_orin();
         let spec = ModelSpec::vgg16(10);
-        let mem = MemoryModel::default();
-        let timing = TimingModel::default();
-        let (run, _) = simulate_neuroflux(&spec, &device, &cfg(300), &mem, &timing).unwrap();
+        let (run, _) = simulate_neuroflux(&spec, &device, &cfg(300)).unwrap();
         // Dataset ≈ 50k CIFAR images as u8: ~150 MB; as f32: ~600 MB. This
         // test divides by the f32 dataset and reads ≈ 16x. §6.4 (and the
         // `overheads` figure) divide by the stored u8 dataset, where the

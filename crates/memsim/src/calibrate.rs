@@ -3,19 +3,21 @@
 //! The Table 1 presets in [`crate::device`] model the paper's edge boards.
 //! This module closes the loop on the machine the benchmarks actually run
 //! on: the caller measures the host's GEMM throughput and codec
-//! encode/decode bandwidth (`nf sweep` on its `host` device, the root
-//! `tests/calibrated_cost.rs`), and a [`CalibratedCostModel`] built from
-//! those [`MeasuredPrimitives`] prices training-step and cache
-//! predictions from them instead of from datasheet TFLOPs.
+//! encode/decode bandwidth into [`MeasuredPrimitives`]. `nf sweep` on its
+//! `host` device turns them into a device profile
+//! ([`MeasuredPrimitives::host_profile`]) with no fitted overheads
+//! (`per_batch_overhead_s = 0`); it builds no [`CalibratedCostModel`].
 //!
-//! The model is deliberately linear —
+//! A [`CalibratedCostModel`] adds two fitted overhead terms. The model is
+//! deliberately linear —
 //! `step = batch·flops/gemm_rate + batch·per_sample_overhead + per_batch_overhead`
-//! — mirroring
-//! [`crate::timing::TimingModel`]'s structure. The two overhead terms are
-//! fitted from two measured step times at different batch sizes
-//! ([`CalibratedCostModel::fit_overheads`]), after which the model
-//! *predicts* unmeasured batch sizes; `tests/calibrated_cost.rs` holds the
-//! prediction within 25 % of a real quickstart-shaped step.
+//! — mirroring the [`crate::timing`] functions' structure. The two
+//! overhead terms are fitted from two measured step times at different
+//! batch sizes ([`CalibratedCostModel::fit_overheads`]), after which the
+//! model *predicts* unmeasured batch sizes; the root
+//! `tests/calibrated_cost.rs` holds the prediction within 25 % of a real
+//! quickstart-shaped step. Only that test builds one today; folding it
+//! into one fitted cost model is ROADMAP item 4.
 //!
 //! This crate never touches `nf-tensor` (it is `forbid(unsafe_code)` and
 //! dependency-free by design), so the measuring itself lives with the

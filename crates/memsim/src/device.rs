@@ -155,16 +155,6 @@ impl DeviceProfile {
     pub fn effective_flops(&self) -> f64 {
         self.peak_tflops * 1e12 * self.compute_efficiency
     }
-
-    /// Seconds to execute `flops` floating-point operations.
-    pub fn compute_time_s(&self, flops: u64) -> f64 {
-        flops as f64 / self.effective_flops()
-    }
-
-    /// Seconds to move `bytes` to or from storage.
-    pub fn io_time_s(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.storage_bw_bytes_s
-    }
 }
 
 #[cfg(test)]
@@ -192,13 +182,6 @@ mod tests {
             .map(|d| d.effective_flops())
             .collect();
         assert!(eff.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn compute_and_io_time_scale_linearly() {
-        let d = DeviceProfile::agx_orin();
-        assert!((d.compute_time_s(2_000_000) - 2.0 * d.compute_time_s(1_000_000)).abs() < 1e-12);
-        assert!((d.io_time_s(800) - 2.0 * d.io_time_s(400)).abs() < 1e-12);
     }
 
     #[test]

@@ -6,22 +6,21 @@
 //! - **optimizer** — gradient + momentum buffers (2× parameters for
 //!   momentum SGD);
 //! - **activations** — everything batch-dependent: retained layer outputs
-//!   (BP), transient in/out/gradient buffers and, optionally, conv
-//!   lowering workspaces (all paradigms).
+//!   (BP) and transient in/out/gradient buffers (all paradigms). The conv
+//!   lowering workspace is priced apart
+//!   ([`ll_unit_workspace_bytes_per_sample`]) and budgeted by no plan.
 //!
 //! The batch-dependent term is **linear in batch size** by construction,
 //! which is the empirical observation (Figure 8) the NeuroFlux Profiler
-//! turns into per-layer linear predictors.
+//! turns into per-layer linear predictors. The copy counts behind it are
+//! documented constants ([`BP_RETAINED_COPIES`], [`GRAD_COPIES`],
+//! [`OPTIMIZER_STATES`], [`BYTES_PER_ELEM`]).
 
 use nf_models::{AuxSpec, LayerKind, ModelSpec, UnitAnalytics};
 
-/// Which training (or inference) regime memory is being modelled for.
+/// Which local-learning regime memory is being modelled for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrainingParadigm {
-    /// Forward passes only.
-    Inference,
-    /// End-to-end backpropagation (all activations retained).
-    Backprop,
     /// Local learning: one unit + its auxiliary head at a time, but the
     /// whole model (and every auxiliary network) resident on the
     /// accelerator, as in classic LL implementations.
@@ -178,46 +177,26 @@ impl LinearMemoryModel {
     }
 }
 
-/// The memory model and its documented constants.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemoryModel {
-    /// Bytes per tensor element (4 = fp32).
-    pub bytes_per_elem: u64,
-    /// Retained copies of each unit output under BP. A PyTorch-style stack
-    /// keeps the conv output, batch-norm output, ReLU output, and pool
-    /// bookkeeping alive per block, holds gradient buffers for the autograd
-    /// graph during the backward sweep, and pays caching-allocator
-    /// high-water marks on top. The value 12.0 is calibrated once so the
-    /// VGG-19 batch-256 activation footprint lands in the multi-GB regime
-    /// Figure 1 measures (~2.6 GB here vs ~3.2 GB in the paper).
-    pub bp_retained_copies: f64,
-    /// Copies of the in/out/auxiliary activations alive while locally
-    /// training one unit (forward chain copies + their gradients); 6.0 is
-    /// the same per-layer copy count the BP constant charges, which makes
-    /// classic-LL footprints track BP's as Figure 4 observes.
-    pub grad_copies: f64,
-    /// Whether the layers' shared workspace counts — the padded input
-    /// copy an implicit-GEMM convolution reads (`nf_nn::Conv2d`; no
-    /// materialised patch matrix) and the hand-off buffers a chain of
-    /// layers passes its activations through (`nf_nn::Sequential`). Off
-    /// by default: the paper budgets activations, and the partitioner's
-    /// frozen block plans are sized without it.
-    pub include_workspace: bool,
-    /// Optimizer state per parameter (2.0 = gradient + momentum).
-    pub optimizer_states: f64,
-}
+/// Bytes per tensor element (4 = fp32).
+pub const BYTES_PER_ELEM: u64 = 4;
 
-impl Default for MemoryModel {
-    fn default() -> Self {
-        MemoryModel {
-            bytes_per_elem: 4,
-            bp_retained_copies: 12.0,
-            grad_copies: 6.0,
-            include_workspace: false,
-            optimizer_states: 2.0,
-        }
-    }
-}
+/// Retained copies of each unit output under BP. A PyTorch-style stack
+/// keeps the conv output, batch-norm output, ReLU output, and pool
+/// bookkeeping alive per block, holds gradient buffers for the autograd
+/// graph during the backward sweep, and pays caching-allocator high-water
+/// marks on top. The value 12.0 is calibrated once so the VGG-19 batch-256
+/// activation footprint lands in the multi-GB regime Figure 1 measures
+/// (~2.6 GB here vs ~3.2 GB in the paper).
+pub const BP_RETAINED_COPIES: f64 = 12.0;
+
+/// Copies of the in/out/auxiliary activations alive while locally training
+/// one unit (forward chain copies + their gradients); 6.0 is the same
+/// per-layer copy count the BP constant charges, which makes classic-LL
+/// footprints track BP's as Figure 4 observes.
+pub const GRAD_COPIES: f64 = 6.0;
+
+/// Optimizer state per parameter (2.0 = gradient + momentum).
+pub const OPTIMIZER_STATES: f64 = 2.0;
 
 /// Elements of one sample padded by `pad` on every spatial side.
 fn padded_elems(c: usize, h: usize, w: usize, pad: usize) -> usize {
@@ -285,161 +264,148 @@ fn aux_workspace_elems(aux: &AuxSpec) -> usize {
     padded_elems(aux.in_ch, h, w, 1) + 2 * aux.filters * h * w
 }
 
-impl MemoryModel {
-    fn param_bytes(&self, params: usize) -> u64 {
-        params as u64 * self.bytes_per_elem
-    }
+fn param_bytes(params: usize) -> u64 {
+    params as u64 * BYTES_PER_ELEM
+}
 
-    fn optimizer_bytes(&self, params: usize) -> u64 {
-        (params as f64 * self.optimizer_states) as u64 * self.bytes_per_elem
-    }
+fn optimizer_bytes(params: usize) -> u64 {
+    (params as f64 * OPTIMIZER_STATES) as u64 * BYTES_PER_ELEM
+}
 
-    /// Inference memory: parameters + the largest transient
-    /// (input + output) across units.
-    ///
-    /// Lowering workspaces are *not* counted for inference: a forward-only
-    /// convolution can stream patch columns instead of materialising them,
-    /// which is what inference runtimes do — and why training-vs-inference
-    /// memory gaps (Figure 1's ×22.9/×37.6 annotations) are so large.
-    pub fn inference(&self, spec: &ModelSpec, batch: usize) -> MemoryBreakdown {
-        let peak_transient = spec
-            .analyze()
-            .iter()
-            .map(|a| a.in_elems + a.out_elems)
-            .max()
-            .unwrap_or(0);
-        MemoryBreakdown {
-            activations: (peak_transient * batch) as u64 * self.bytes_per_elem,
-            model: self.param_bytes(spec.total_params()),
-            optimizer: 0,
+/// Inference memory: parameters + the largest transient (input + output)
+/// across units.
+///
+/// Lowering workspaces are *not* counted for inference: a forward-only
+/// convolution can stream patch columns instead of materialising them,
+/// which is what inference runtimes do — and why training-vs-inference
+/// memory gaps (Figure 1's ×22.9/×37.6 annotations) are so large.
+pub fn inference(spec: &ModelSpec, batch: usize) -> MemoryBreakdown {
+    let peak_transient = spec
+        .analyze()
+        .iter()
+        .map(|a| a.in_elems + a.out_elems)
+        .max()
+        .unwrap_or(0);
+    MemoryBreakdown {
+        activations: (peak_transient * batch) as u64 * BYTES_PER_ELEM,
+        model: param_bytes(spec.total_params()),
+        optimizer: 0,
+    }
+}
+
+/// End-to-end BP training memory: every unit output retained
+/// (×[`BP_RETAINED_COPIES`]) plus the input, plus parameters and optimizer
+/// state for the whole model.
+pub fn bp_training(spec: &ModelSpec, batch: usize) -> MemoryBreakdown {
+    let input_elems = spec.input.0 * spec.input.1 * spec.input.2;
+    let retained: f64 = spec
+        .analyze()
+        .iter()
+        .map(|a| a.out_elems as f64 * BP_RETAINED_COPIES)
+        .sum::<f64>()
+        + input_elems as f64;
+    MemoryBreakdown {
+        activations: (retained * batch as f64) as u64 * BYTES_PER_ELEM,
+        model: param_bytes(spec.total_params()),
+        optimizer: optimizer_bytes(spec.total_params()),
+    }
+}
+
+/// Batch-dependent activation bytes for locally training unit `a.index`
+/// with head `aux` — the **slope** of the per-layer linear model.
+pub fn ll_unit_activation_bytes_per_sample(a: &UnitAnalytics, aux: &AuxSpec) -> f64 {
+    let transient = (a.in_elems + a.out_elems + aux.activation_elems()) as f64 * GRAD_COPIES;
+    transient * BYTES_PER_ELEM as f64
+}
+
+/// Per-sample bytes of the layers' shared workspace while unit `a.index`
+/// and head `aux` run: the padded input copy an implicit-GEMM convolution
+/// reads (`nf_nn::Conv2d`; no materialised patch matrix) and the hand-off
+/// buffers a chain of layers passes its activations through
+/// (`nf_nn::Sequential`). Not part of the slope: the paper budgets
+/// activations, and the partitioner's block plans are sized without it.
+pub fn ll_unit_workspace_bytes_per_sample(
+    spec: &ModelSpec,
+    a: &UnitAnalytics,
+    aux: &AuxSpec,
+) -> f64 {
+    let unit_kind = spec.units[a.index].kind;
+    (workspace_elems(unit_kind, a) + aux_workspace_elems(aux)) as f64 * BYTES_PER_ELEM as f64
+}
+
+/// Local-learning memory for training unit `a.index` at `batch`.
+///
+/// Under [`TrainingParadigm::LocalLearning`] the whole backbone *and every
+/// auxiliary head* stay resident — classic LL constructs the full model
+/// with all its heads on the accelerator, which is why the paper observes
+/// classic LL using *more* GPU memory than BP (Section 3, Opportunity 1).
+/// Under [`TrainingParadigm::BlockLocal`] only the current unit and its
+/// head are resident (NeuroFlux evicts everything else to storage and
+/// skips forward passes over trained blocks).
+pub fn ll_unit_training(
+    spec: &ModelSpec,
+    a: &UnitAnalytics,
+    all_aux: &[AuxSpec],
+    batch: usize,
+    paradigm: TrainingParadigm,
+) -> MemoryBreakdown {
+    let aux = &all_aux[a.index];
+    let act = ll_unit_activation_bytes_per_sample(a, aux) * batch as f64;
+    let resident_params = match paradigm {
+        TrainingParadigm::BlockLocal => a.params + aux.params(),
+        TrainingParadigm::LocalLearning => {
+            spec.total_params() + all_aux.iter().map(|x| x.params()).sum::<usize>()
+        }
+    };
+    MemoryBreakdown {
+        activations: act as u64,
+        model: param_bytes(resident_params),
+        optimizer: optimizer_bytes(resident_params),
+    }
+}
+
+/// [`ll_unit_training`] as a line: its bytes at batch 0 plus
+/// [`ll_unit_activation_bytes_per_sample`] per sample.
+pub fn ll_unit_line(
+    spec: &ModelSpec,
+    a: &UnitAnalytics,
+    all_aux: &[AuxSpec],
+    paradigm: TrainingParadigm,
+) -> LinearMemoryModel {
+    LinearMemoryModel {
+        intercept: ll_unit_training(spec, a, all_aux, 0, paradigm).total() as f64,
+        slope: ll_unit_activation_bytes_per_sample(a, &all_aux[a.index]),
+    }
+}
+
+/// [`bp_training`] as a line: its bytes at batch 0 plus the bytes each
+/// sample adds.
+pub fn bp_line(spec: &ModelSpec) -> LinearMemoryModel {
+    let fixed = bp_training(spec, 0).total();
+    LinearMemoryModel {
+        intercept: fixed as f64,
+        slope: (bp_training(spec, 1).total() - fixed) as f64,
+    }
+}
+
+/// Peak local-learning memory across all units at a fixed batch, with the
+/// index of the binding unit (Figure 4's curve / Figure 5's bars).
+pub fn ll_training_peak(
+    spec: &ModelSpec,
+    all_aux: &[AuxSpec],
+    batch: usize,
+    paradigm: TrainingParadigm,
+) -> (MemoryBreakdown, usize) {
+    let mut best = MemoryBreakdown::default();
+    let mut arg = 0usize;
+    for a in &spec.analyze() {
+        let m = ll_unit_training(spec, a, all_aux, batch, paradigm);
+        if m.total() > best.total() {
+            best = m;
+            arg = a.index;
         }
     }
-
-    /// End-to-end BP training memory: every unit output retained
-    /// (×`bp_retained_copies`), plus the largest single-unit workspace,
-    /// plus parameters and optimizer state for the whole model.
-    pub fn bp_training(&self, spec: &ModelSpec, batch: usize) -> MemoryBreakdown {
-        let analytics = spec.analyze();
-        let input_elems = spec.input.0 * spec.input.1 * spec.input.2;
-        let retained: f64 = analytics
-            .iter()
-            .map(|a| a.out_elems as f64 * self.bp_retained_copies)
-            .sum::<f64>()
-            + input_elems as f64;
-        let peak_ws = if self.include_workspace {
-            spec.units
-                .iter()
-                .zip(&analytics)
-                .map(|(u, a)| workspace_elems(u.kind, a))
-                .max()
-                .unwrap_or(0) as f64
-                * self.grad_copies
-        } else {
-            0.0
-        };
-        MemoryBreakdown {
-            activations: ((retained + peak_ws) * batch as f64) as u64 * self.bytes_per_elem,
-            model: self.param_bytes(spec.total_params()),
-            optimizer: self.optimizer_bytes(spec.total_params()),
-        }
-    }
-
-    /// Batch-dependent activation bytes for locally training unit `unit`
-    /// with head `aux` — the **slope** of the per-layer linear model.
-    pub fn ll_unit_activation_bytes_per_sample(
-        &self,
-        spec: &ModelSpec,
-        a: &UnitAnalytics,
-        aux: &AuxSpec,
-    ) -> f64 {
-        let unit_kind = spec.units[a.index].kind;
-        let transient =
-            (a.in_elems + a.out_elems + aux.activation_elems()) as f64 * self.grad_copies;
-        let ws = if self.include_workspace {
-            (workspace_elems(unit_kind, a) + aux_workspace_elems(aux)) as f64
-        } else {
-            0.0
-        };
-        (transient + ws) * self.bytes_per_elem as f64
-    }
-
-    /// Local-learning memory for training unit `a.index` at `batch`.
-    ///
-    /// Under [`TrainingParadigm::LocalLearning`] the whole backbone *and
-    /// every auxiliary head* stay resident — classic LL constructs the full
-    /// model with all its heads on the accelerator, which is why the paper
-    /// observes classic LL using *more* GPU memory than BP (Section 3,
-    /// Opportunity 1). Under [`TrainingParadigm::BlockLocal`] only the
-    /// current unit and its head are resident (NeuroFlux evicts everything
-    /// else to storage and skips forward passes over trained blocks).
-    pub fn ll_unit_training(
-        &self,
-        spec: &ModelSpec,
-        a: &UnitAnalytics,
-        all_aux: &[AuxSpec],
-        batch: usize,
-        paradigm: TrainingParadigm,
-    ) -> MemoryBreakdown {
-        let aux = &all_aux[a.index];
-        let act = self.ll_unit_activation_bytes_per_sample(spec, a, aux) * batch as f64;
-        let resident_params = match paradigm {
-            TrainingParadigm::BlockLocal => a.params + aux.params(),
-            _ => spec.total_params() + all_aux.iter().map(|x| x.params()).sum::<usize>(),
-        };
-        MemoryBreakdown {
-            activations: act as u64,
-            model: self.param_bytes(resident_params),
-            optimizer: self.optimizer_bytes(resident_params),
-        }
-    }
-
-    /// [`MemoryModel::ll_unit_training`] as a line: its bytes at batch 0
-    /// plus [`MemoryModel::ll_unit_activation_bytes_per_sample`] per
-    /// sample.
-    pub fn ll_unit_line(
-        &self,
-        spec: &ModelSpec,
-        a: &UnitAnalytics,
-        all_aux: &[AuxSpec],
-        paradigm: TrainingParadigm,
-    ) -> LinearMemoryModel {
-        LinearMemoryModel {
-            intercept: self.ll_unit_training(spec, a, all_aux, 0, paradigm).total() as f64,
-            slope: self.ll_unit_activation_bytes_per_sample(spec, a, &all_aux[a.index]),
-        }
-    }
-
-    /// [`MemoryModel::bp_training`] as a line: its bytes at batch 0 plus
-    /// the bytes each sample adds.
-    pub fn bp_line(&self, spec: &ModelSpec) -> LinearMemoryModel {
-        let fixed = self.bp_training(spec, 0).total();
-        LinearMemoryModel {
-            intercept: fixed as f64,
-            slope: (self.bp_training(spec, 1).total() - fixed) as f64,
-        }
-    }
-
-    /// Peak local-learning memory across all units at a fixed batch, with
-    /// the index of the binding unit (Figure 4's curve / Figure 5's bars).
-    pub fn ll_training_peak(
-        &self,
-        spec: &ModelSpec,
-        all_aux: &[AuxSpec],
-        batch: usize,
-        paradigm: TrainingParadigm,
-    ) -> (MemoryBreakdown, usize) {
-        let analytics = spec.analyze();
-        let mut best = MemoryBreakdown::default();
-        let mut arg = 0usize;
-        for a in &analytics {
-            let m = self.ll_unit_training(spec, a, all_aux, batch, paradigm);
-            if m.total() > best.total() {
-                best = m;
-                arg = a.index;
-            }
-        }
-        (best, arg)
-    }
+    (best, arg)
 }
 
 #[cfg(test)]
@@ -458,9 +424,8 @@ mod tests {
     fn activations_dominate_bp_training_at_large_batch() {
         // Figure 1's headline: at batch 256 the activation slice dwarfs
         // model + optimizer.
-        let m = MemoryModel::default();
         let spec = ModelSpec::vgg19(200);
-        let bp = m.bp_training(&spec, 256);
+        let bp = bp_training(&spec, 256);
         assert!(bp.activations > 4 * (bp.model + bp.optimizer));
     }
 
@@ -468,13 +433,12 @@ mod tests {
     fn bp_training_far_exceeds_inference() {
         // Figure 1 annotates training at 22.9x (VGG-19) and 37.6x
         // (ResNet-18) the inference footprint at batch 256.
-        let m = MemoryModel::default();
         for (spec, lo, hi) in [
             (ModelSpec::vgg19(200), 4.0, 60.0),
             (ModelSpec::resnet18(200), 4.0, 80.0),
         ] {
             let ratio =
-                m.bp_training(&spec, 256).total() as f64 / m.inference(&spec, 256).total() as f64;
+                bp_training(&spec, 256).total() as f64 / inference(&spec, 256).total() as f64;
             assert!(
                 (lo..hi).contains(&ratio),
                 "{}: train/inference ratio {ratio}",
@@ -486,19 +450,15 @@ mod tests {
     #[test]
     fn ll_memory_is_linear_in_batch() {
         // Figure 8: per-layer memory is linear in batch size.
-        let m = MemoryModel::default();
         let (spec, aux) = vgg19_aan();
         let analytics = spec.analyze();
         for a in &analytics {
-            let at10 = m
-                .ll_unit_training(&spec, a, &aux, 10, TrainingParadigm::BlockLocal)
-                .activations;
-            let at20 = m
-                .ll_unit_training(&spec, a, &aux, 20, TrainingParadigm::BlockLocal)
-                .activations;
-            let at40 = m
-                .ll_unit_training(&spec, a, &aux, 40, TrainingParadigm::BlockLocal)
-                .activations;
+            let at10 =
+                ll_unit_training(&spec, a, &aux, 10, TrainingParadigm::BlockLocal).activations;
+            let at20 =
+                ll_unit_training(&spec, a, &aux, 20, TrainingParadigm::BlockLocal).activations;
+            let at40 =
+                ll_unit_training(&spec, a, &aux, 40, TrainingParadigm::BlockLocal).activations;
             // Equal increments for equal batch increments: slope is constant.
             let d1 = (at20 - at10) as f64;
             let d2 = (at40 - at20) as f64 / 2.0;
@@ -510,9 +470,8 @@ mod tests {
     #[test]
     fn early_units_bind_the_ll_peak() {
         // Figure 5: an initial layer (index ≤ 2) dominates GPU memory.
-        let m = MemoryModel::default();
         let (spec, aux) = vgg19_aan();
-        let (_, arg) = m.ll_training_peak(&spec, &aux, 30, TrainingParadigm::BlockLocal);
+        let (_, arg) = ll_training_peak(&spec, &aux, 30, TrainingParadigm::BlockLocal);
         assert!(arg <= 2, "peak at unit {arg}");
     }
 
@@ -520,21 +479,18 @@ mod tests {
     fn aan_beats_classic_ll_memory() {
         // Figure 4's ordering at any batch: AAN-LL < classic LL, and both
         // below BP at training batch sizes.
-        let m = MemoryModel::default();
         let spec = ModelSpec::vgg19(200);
         let aan = assign_aux(&spec, AuxPolicy::Adaptive);
         let classic = assign_aux(&spec, AuxPolicy::CLASSIC);
         for batch in [10, 30, 50, 70, 90] {
-            let a = m
-                .ll_training_peak(&spec, &aan, batch, TrainingParadigm::LocalLearning)
+            let a = ll_training_peak(&spec, &aan, batch, TrainingParadigm::LocalLearning)
                 .0
                 .total();
-            let c = m
-                .ll_training_peak(&spec, &classic, batch, TrainingParadigm::LocalLearning)
+            let c = ll_training_peak(&spec, &classic, batch, TrainingParadigm::LocalLearning)
                 .0
                 .total();
-            let bp = m.bp_training(&spec, batch).total();
-            let inf = m.inference(&spec, batch).total();
+            let bp = bp_training(&spec, batch).total();
+            let inf = inference(&spec, batch).total();
             assert!(a < c, "batch {batch}: AAN {a} !< classic {c}");
             // Section 3: "the GPU memory used during classic LL training is
             // noted to be higher than BP" — true at the small-batch
@@ -556,17 +512,16 @@ mod tests {
 
     #[test]
     fn block_local_slashes_resident_params() {
-        let m = MemoryModel::default();
         let (spec, aux) = vgg19_aan();
         let analytics = spec.analyze();
-        let classic = m.ll_unit_training(
+        let classic = ll_unit_training(
             &spec,
             &analytics[3],
             &aux,
             8,
             TrainingParadigm::LocalLearning,
         );
-        let block = m.ll_unit_training(&spec, &analytics[3], &aux, 8, TrainingParadigm::BlockLocal);
+        let block = ll_unit_training(&spec, &analytics[3], &aux, 8, TrainingParadigm::BlockLocal);
         assert!(block.model * 5 < classic.model);
         assert_eq!(block.activations, classic.activations);
     }
@@ -586,13 +541,12 @@ mod tests {
 
     /// Every unit's largest feasible batch under `budget` (Figure 6's bars).
     fn max_batches(
-        m: &MemoryModel,
         spec: &ModelSpec,
         aux: &[AuxSpec],
         budget: u64,
         paradigm: TrainingParadigm,
     ) -> Vec<Option<usize>> {
-        let line = |a| m.ll_unit_line(spec, a, aux, paradigm).max_batch(budget);
+        let line = |a| ll_unit_line(spec, a, aux, paradigm).max_batch(budget);
         spec.analyze().iter().map(line).collect()
     }
 
@@ -616,9 +570,8 @@ mod tests {
     fn later_units_afford_larger_batches() {
         // Figure 6: feasible batch grows (non-strictly) toward deeper
         // layers by orders of magnitude.
-        let m = MemoryModel::default();
         let (spec, aux) = vgg19_aan();
-        let batches = max_batches(&m, &spec, &aux, 630 * MB, TrainingParadigm::BlockLocal);
+        let batches = max_batches(&spec, &aux, 630 * MB, TrainingParadigm::BlockLocal);
         let first = batches[0].unwrap();
         let last = batches.last().unwrap().unwrap();
         assert!(
@@ -631,22 +584,20 @@ mod tests {
     fn bp_has_a_hard_floor() {
         // The fixed model+optimizer bytes alone exceed small budgets —
         // exactly why Figure 11 has no BP points at low budgets.
-        let m = MemoryModel::default();
         let spec = ModelSpec::vgg16(10);
-        assert!(m.bp_line(&spec).max_batch(100 * MB).is_none());
-        assert!(m.bp_line(&spec).max_batch(500 * MB).is_some());
+        assert!(bp_line(&spec).max_batch(100 * MB).is_none());
+        assert!(bp_line(&spec).max_batch(500 * MB).is_some());
     }
 
     #[test]
     fn block_local_fits_where_classic_ll_cannot() {
         // Observation 2: NeuroFlux trains under budgets unattainable by
         // classic LL (whole model resident).
-        let m = MemoryModel::default();
         let spec = ModelSpec::vgg16(10);
         let aux = assign_aux(&spec, AuxPolicy::Adaptive);
         let budget = 100 * MB;
-        let classic = max_batches(&m, &spec, &aux, budget, TrainingParadigm::LocalLearning)[0];
-        let block = max_batches(&m, &spec, &aux, budget, TrainingParadigm::BlockLocal)[0];
+        let classic = max_batches(&spec, &aux, budget, TrainingParadigm::LocalLearning)[0];
+        let block = max_batches(&spec, &aux, budget, TrainingParadigm::BlockLocal)[0];
         assert!(classic.is_none(), "classic LL should not fit 100 MB");
         assert!(block.is_some(), "NeuroFlux block mode should fit 100 MB");
     }
@@ -658,19 +609,16 @@ mod tests {
             budget_mb in 40u64..2000,
             unit in 0usize..8,
         ) {
-            let m = MemoryModel::default();
             let spec = ModelSpec::vgg11(10);
             let aux = assign_aux(&spec, AuxPolicy::Adaptive);
             let budget = budget_mb * MB;
             let analytics = spec.analyze();
-            let line = m.ll_unit_line(&spec, &analytics[unit], &aux, TrainingParadigm::BlockLocal);
+            let line = ll_unit_line(&spec, &analytics[unit], &aux, TrainingParadigm::BlockLocal);
             if let Some(b) = line.max_batch(budget) {
-                let fits = m
-                    .ll_unit_training(&spec, &analytics[unit], &aux, b, TrainingParadigm::BlockLocal)
+                let fits = ll_unit_training(&spec, &analytics[unit], &aux, b, TrainingParadigm::BlockLocal)
                     .total();
                 prop_assert!(fits <= budget, "batch {b} does not fit: {fits} > {budget}");
-                let over = m
-                    .ll_unit_training(&spec, &analytics[unit], &aux, b + 1, TrainingParadigm::BlockLocal)
+                let over = ll_unit_training(&spec, &analytics[unit], &aux, b + 1, TrainingParadigm::BlockLocal)
                     .total();
                 prop_assert!(over > budget, "batch {} also fits: {over} <= {budget}", b + 1);
             }
@@ -679,8 +627,7 @@ mod tests {
 
     #[test]
     fn inference_needs_no_optimizer() {
-        let m = MemoryModel::default();
         let spec = ModelSpec::vgg16(10);
-        assert_eq!(m.inference(&spec, 8).optimizer, 0);
+        assert_eq!(inference(&spec, 8).optimizer, 0);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! `time = compute + per-batch overhead + storage I/O`, where compute is
 //! `FLOPs / (efficiency · peak)`, the backward pass costs
-//! `backward_factor` × the forward pass (the paper says "up to 3×"; 2× is
+//! [`BACKWARD_FACTOR`] × the forward pass (the paper says "up to 3×"; 2× is
 //! used, the standard estimate for convolutions), and the per-batch
 //! overhead is a device constant. The overhead term is what makes
 //! small-batch training slow (Figure 1: batch 4 ≈ 9× slower than 256) and
@@ -11,82 +11,63 @@
 use crate::device::DeviceProfile;
 use nf_models::{AuxSpec, ModelSpec};
 
-/// Timing-model constants.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimingModel {
-    /// Backward-pass FLOPs as a multiple of forward FLOPs.
-    pub backward_factor: f64,
+/// Backward-pass FLOPs as a multiple of forward FLOPs.
+pub const BACKWARD_FACTOR: f64 = 2.0;
+
+/// FLOPs to run one *training* sample through one unit + its auxiliary
+/// head (forward + backward of both).
+pub fn unit_train_flops(spec: &ModelSpec, unit: usize, aux: &AuxSpec) -> f64 {
+    let a = &spec.analyze()[unit];
+    (a.flops as f64 + aux.flops() as f64) * (1.0 + BACKWARD_FACTOR)
 }
 
-impl Default for TimingModel {
-    fn default() -> Self {
-        TimingModel {
-            backward_factor: 2.0,
-        }
-    }
+/// FLOPs for one BP training sample (forward + backward over the whole
+/// model and head).
+pub fn bp_train_flops_per_sample(spec: &ModelSpec) -> f64 {
+    spec.total_flops() as f64 * (1.0 + BACKWARD_FACTOR)
 }
 
-impl TimingModel {
-    /// FLOPs to run one *training* sample through one unit + its auxiliary
-    /// head (forward + backward of both).
-    pub fn unit_train_flops(&self, spec: &ModelSpec, unit: usize, aux: &AuxSpec) -> f64 {
-        let a = &spec.analyze()[unit];
-        (a.flops as f64 + aux.flops() as f64) * (1.0 + self.backward_factor)
-    }
+/// FLOPs for one classic-LL training sample: each unit does its own
+/// forward + aux forward + local backward while the batch flows through
+/// the whole model.
+pub fn ll_train_flops_per_sample(spec: &ModelSpec, aux: &[AuxSpec]) -> f64 {
+    spec.analyze()
+        .iter()
+        .zip(aux)
+        .map(|(a, x)| (a.flops as f64 + x.flops() as f64) * (1.0 + BACKWARD_FACTOR))
+        .sum()
+}
 
-    /// FLOPs for one BP training sample (forward + backward over the whole
-    /// model and head).
-    pub fn bp_train_flops_per_sample(&self, spec: &ModelSpec) -> f64 {
-        spec.total_flops() as f64 * (1.0 + self.backward_factor)
-    }
+/// Wall-clock seconds for one epoch of BP training.
+pub fn bp_epoch_time_s(
+    device: &DeviceProfile,
+    spec: &ModelSpec,
+    samples: usize,
+    batch: usize,
+) -> f64 {
+    let compute = bp_train_flops_per_sample(spec) * samples as f64 / device.effective_flops();
+    let batches = samples.div_ceil(batch.max(1)) as f64;
+    compute + batches * device.per_batch_overhead_s
+}
 
-    /// FLOPs for one classic-LL training sample: each unit does its own
-    /// forward + aux forward + local backward while the batch flows through
-    /// the whole model.
-    pub fn ll_train_flops_per_sample(&self, spec: &ModelSpec, aux: &[AuxSpec]) -> f64 {
-        let analytics = spec.analyze();
-        analytics
-            .iter()
-            .zip(aux)
-            .map(|(a, x)| (a.flops as f64 + x.flops() as f64) * (1.0 + self.backward_factor))
-            .sum()
-    }
+/// Wall-clock seconds for one epoch of classic LL training (single fixed
+/// batch size, full model traversal per batch).
+pub fn ll_epoch_time_s(
+    device: &DeviceProfile,
+    spec: &ModelSpec,
+    aux: &[AuxSpec],
+    samples: usize,
+    batch: usize,
+) -> f64 {
+    let compute = ll_train_flops_per_sample(spec, aux) * samples as f64 / device.effective_flops();
+    let batches = samples.div_ceil(batch.max(1)) as f64;
+    compute + batches * device.per_batch_overhead_s
+}
 
-    /// Wall-clock seconds for one epoch of BP training.
-    pub fn bp_epoch_time_s(
-        &self,
-        device: &DeviceProfile,
-        spec: &ModelSpec,
-        samples: usize,
-        batch: usize,
-    ) -> f64 {
-        let compute =
-            self.bp_train_flops_per_sample(spec) * samples as f64 / device.effective_flops();
-        let batches = samples.div_ceil(batch.max(1)) as f64;
-        compute + batches * device.per_batch_overhead_s
-    }
-
-    /// Wall-clock seconds for one epoch of classic LL training (single
-    /// fixed batch size, full model traversal per batch).
-    pub fn ll_epoch_time_s(
-        &self,
-        device: &DeviceProfile,
-        spec: &ModelSpec,
-        aux: &[AuxSpec],
-        samples: usize,
-        batch: usize,
-    ) -> f64 {
-        let compute =
-            self.ll_train_flops_per_sample(spec, aux) * samples as f64 / device.effective_flops();
-        let batches = samples.div_ceil(batch.max(1)) as f64;
-        compute + batches * device.per_batch_overhead_s
-    }
-
-    /// Inference throughput in images/second for a model that costs
-    /// `flops_per_image` per forward pass (Table 3).
-    pub fn inference_throughput(&self, device: &DeviceProfile, flops_per_image: u64) -> f64 {
-        device.effective_flops() / flops_per_image.max(1) as f64
-    }
+/// Inference throughput in images/second for a model that costs
+/// `flops_per_image` per forward pass (Table 3).
+pub fn inference_throughput(device: &DeviceProfile, flops_per_image: u64) -> f64 {
+    device.effective_flops() / flops_per_image.max(1) as f64
 }
 
 #[cfg(test)]
@@ -98,12 +79,11 @@ mod tests {
     fn small_batches_are_much_slower() {
         // Figure 1 (bottom right): VGG-19 at batch 4 is ~9x slower than at
         // batch 256 on the Tiny ImageNet-scale workload.
-        let t = TimingModel::default();
         let d = DeviceProfile::agx_orin();
         let spec = ModelSpec::vgg19(200);
         let n = 100_000;
-        let slow = t.bp_epoch_time_s(&d, &spec, n, 4);
-        let fast = t.bp_epoch_time_s(&d, &spec, n, 256);
+        let slow = bp_epoch_time_s(&d, &spec, n, 4);
+        let fast = bp_epoch_time_s(&d, &spec, n, 256);
         let ratio = slow / fast;
         assert!(
             (5.0..14.0).contains(&ratio),
@@ -114,23 +94,21 @@ mod tests {
     #[test]
     fn resnet18_batch_ratio_matches_fig1() {
         // Figure 1 (bottom left): ResNet-18 batch 4 ≈ 5x slower than 256.
-        let t = TimingModel::default();
         let d = DeviceProfile::agx_orin();
         let spec = ModelSpec::resnet18(200);
         let ratio =
-            t.bp_epoch_time_s(&d, &spec, 100_000, 4) / t.bp_epoch_time_s(&d, &spec, 100_000, 256);
+            bp_epoch_time_s(&d, &spec, 100_000, 4) / bp_epoch_time_s(&d, &spec, 100_000, 256);
         assert!((3.0..10.0).contains(&ratio), "ratio {ratio}, expected ≈5");
     }
 
     #[test]
     fn classic_ll_is_slower_than_bp_at_equal_batch() {
         // LL adds auxiliary-network compute on top of the full traversal.
-        let t = TimingModel::default();
         let d = DeviceProfile::agx_orin();
         let spec = ModelSpec::vgg16(100);
         let aux = assign_aux(&spec, AuxPolicy::CLASSIC);
-        let bp = t.bp_epoch_time_s(&d, &spec, 10_000, 64);
-        let ll = t.ll_epoch_time_s(&d, &spec, &aux, 10_000, 64);
+        let bp = bp_epoch_time_s(&d, &spec, 10_000, 64);
+        let ll = ll_epoch_time_s(&d, &spec, &aux, 10_000, 64);
         assert!(ll > bp);
     }
 
@@ -138,7 +116,6 @@ mod tests {
     fn table3_bp_throughput_anchors() {
         // The per-device efficiency calibration should land the BP VGG-16
         // CIFAR-10 throughput near the paper's Table 3 column.
-        let t = TimingModel::default();
         let spec = ModelSpec::vgg16(10);
         let flops = spec.total_flops();
         let expect = [
@@ -148,7 +125,7 @@ mod tests {
             (DeviceProfile::agx_orin(), 3706.0),
         ];
         for (device, paper) in expect {
-            let ours = t.inference_throughput(&device, flops);
+            let ours = inference_throughput(&device, flops);
             let rel = (ours - paper).abs() / paper;
             assert!(
                 rel < 0.5,
@@ -160,10 +137,9 @@ mod tests {
 
     #[test]
     fn throughput_scales_inverse_to_flops() {
-        let t = TimingModel::default();
         let d = DeviceProfile::jetson_nano();
-        let a = t.inference_throughput(&d, 1_000_000);
-        let b = t.inference_throughput(&d, 2_000_000);
+        let a = inference_throughput(&d, 1_000_000);
+        let b = inference_throughput(&d, 2_000_000);
         assert!((a / b - 2.0).abs() < 1e-9);
     }
 }

@@ -6,7 +6,6 @@ use proptest::prelude::*;
 
 #[test]
 fn all_architectures_have_positive_footprints() {
-    let m = MemoryModel::default();
     for spec in [
         ModelSpec::vgg11(10),
         ModelSpec::vgg16(100),
@@ -14,8 +13,8 @@ fn all_architectures_have_positive_footprints() {
         ModelSpec::resnet18(10),
         ModelSpec::mobilenet(10),
     ] {
-        let inf = m.inference(&spec, 8);
-        let bp = m.bp_training(&spec, 8);
+        let inf = memory::inference(&spec, 8);
+        let bp = memory::bp_training(&spec, 8);
         assert!(inf.total() > 0);
         assert!(bp.total() > inf.total(), "{}", spec.name);
         assert_eq!(inf.optimizer, 0);
@@ -25,26 +24,29 @@ fn all_architectures_have_positive_footprints() {
 
 #[test]
 fn bigger_models_need_more_memory() {
-    let m = MemoryModel::default();
-    let v16 = m.bp_training(&ModelSpec::vgg16(100), 32).total();
-    let v19 = m.bp_training(&ModelSpec::vgg19(100), 32).total();
+    let v16 = memory::bp_training(&ModelSpec::vgg16(100), 32).total();
+    let v19 = memory::bp_training(&ModelSpec::vgg19(100), 32).total();
     assert!(v19 > v16);
 }
 
 #[test]
 fn block_local_is_never_larger_than_classic_residency() {
-    let m = MemoryModel::default();
     for spec in [ModelSpec::vgg16(10), ModelSpec::resnet18(10)] {
         let aux = assign_aux(&spec, AuxPolicy::Adaptive);
         let analytics = spec.analyze();
         for a in &analytics {
             for batch in [1usize, 16, 128] {
-                let block = m
-                    .ll_unit_training(&spec, a, &aux, batch, TrainingParadigm::BlockLocal)
-                    .total();
-                let classic = m
-                    .ll_unit_training(&spec, a, &aux, batch, TrainingParadigm::LocalLearning)
-                    .total();
+                let block =
+                    memory::ll_unit_training(&spec, a, &aux, batch, TrainingParadigm::BlockLocal)
+                        .total();
+                let classic = memory::ll_unit_training(
+                    &spec,
+                    a,
+                    &aux,
+                    batch,
+                    TrainingParadigm::LocalLearning,
+                )
+                .total();
                 assert!(block <= classic, "{} unit {}", spec.name, a.index);
             }
         }
@@ -53,12 +55,11 @@ fn block_local_is_never_larger_than_classic_residency() {
 
 #[test]
 fn training_flops_exceed_inference_flops() {
-    let t = TimingModel::default();
     for spec in [ModelSpec::vgg16(10), ModelSpec::resnet18(10)] {
         let aux = assign_aux(&spec, AuxPolicy::Adaptive);
-        let train = t.ll_train_flops_per_sample(&spec, &aux);
+        let train = timing::ll_train_flops_per_sample(&spec, &aux);
         assert!(train > spec.total_flops() as f64, "{}", spec.name);
-        assert!(t.bp_train_flops_per_sample(&spec) > spec.total_flops() as f64);
+        assert!(timing::bp_train_flops_per_sample(&spec) > spec.total_flops() as f64);
     }
 }
 
@@ -69,15 +70,14 @@ proptest! {
     #[test]
     fn memory_monotone_in_batch(b1 in 1usize..200, b2 in 1usize..200) {
         prop_assume!(b1 < b2);
-        let m = MemoryModel::default();
         let spec = ModelSpec::vgg11(10);
         let aux = assign_aux(&spec, AuxPolicy::Adaptive);
-        prop_assert!(m.bp_training(&spec, b1).total() <= m.bp_training(&spec, b2).total());
-        prop_assert!(m.inference(&spec, b1).total() <= m.inference(&spec, b2).total());
+        prop_assert!(memory::bp_training(&spec, b1).total() <= memory::bp_training(&spec, b2).total());
+        prop_assert!(memory::inference(&spec, b1).total() <= memory::inference(&spec, b2).total());
         let a = &spec.analyze()[0];
         prop_assert!(
-            m.ll_unit_training(&spec, a, &aux, b1, TrainingParadigm::BlockLocal).total()
-                <= m.ll_unit_training(&spec, a, &aux, b2, TrainingParadigm::BlockLocal).total()
+            memory::ll_unit_training(&spec, a, &aux, b1, TrainingParadigm::BlockLocal).total()
+                <= memory::ll_unit_training(&spec, a, &aux, b2, TrainingParadigm::BlockLocal).total()
         );
     }
 
@@ -88,23 +88,21 @@ proptest! {
         batch1 in 1usize..256, batch2 in 1usize..256, n in 1000usize..100_000
     ) {
         prop_assume!(batch1 < batch2);
-        let t = TimingModel::default();
         let d = DeviceProfile::agx_orin();
         let spec = ModelSpec::vgg11(10);
-        let fast = t.bp_epoch_time_s(&d, &spec, n, batch2);
-        let slow = t.bp_epoch_time_s(&d, &spec, n, batch1);
+        let fast = timing::bp_epoch_time_s(&d, &spec, n, batch2);
+        let slow = timing::bp_epoch_time_s(&d, &spec, n, batch1);
         prop_assert!(slow >= fast);
-        prop_assert!(t.bp_epoch_time_s(&d, &spec, n * 2, batch1) > slow);
+        prop_assert!(timing::bp_epoch_time_s(&d, &spec, n * 2, batch1) > slow);
     }
 
     /// Feasible max batch is monotone in budget.
     #[test]
     fn max_batch_monotone_in_budget(mb1 in 40u64..1000, mb2 in 40u64..1000) {
         prop_assume!(mb1 < mb2);
-        let m = MemoryModel::default();
         let spec = ModelSpec::vgg11(10);
         let aux = assign_aux(&spec, AuxPolicy::Adaptive);
-        let line = m.ll_unit_line(&spec, &spec.analyze()[0], &aux, TrainingParadigm::BlockLocal);
+        let line = memory::ll_unit_line(&spec, &spec.analyze()[0], &aux, TrainingParadigm::BlockLocal);
         let (b1, b2) = (line.max_batch(mb1 * 1_000_000), line.max_batch(mb2 * 1_000_000));
         match (b1, b2) {
             (Some(x), Some(y)) => prop_assert!(x <= y),

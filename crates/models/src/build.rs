@@ -38,9 +38,10 @@ impl BuiltModel {
     /// instead of pinning one arena per layer or per block. Units and aux
     /// heads get *separate* arenas because they interleave within every
     /// step (unit fwd → head fwd → head bwd → unit bwd), and the memory
-    /// model's optional workspace term (`MemoryModel::include_workspace`)
-    /// charges a unit's and its head's scratch side by side — which is
-    /// what two arenas reserve.
+    /// model's workspace term
+    /// (`nf_memsim::memory::ll_unit_workspace_bytes_per_sample`) charges a
+    /// unit's and its head's scratch side by side — which is what two
+    /// arenas reserve.
     pub fn prepare_local_learning(
         &mut self,
         aux_heads: &mut [Sequential],

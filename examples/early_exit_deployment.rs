@@ -8,7 +8,7 @@
 
 use neuroflux_core::{NeuroFluxConfig, NeuroFluxTrainer};
 use nf_data::SyntheticSpec;
-use nf_memsim::{DeviceProfile, TimingModel};
+use nf_memsim::{timing, DeviceProfile};
 use nf_models::ModelSpec;
 use rand::SeedableRng;
 
@@ -42,7 +42,6 @@ fn main() {
 
     // Throughput of full vs streamlined model on the paper's platforms,
     // priced by the FLOPs-based device model (Table 3's methodology).
-    let timing = TimingModel::default();
     let full_flops = spec.total_flops();
     let exit_flops = exit.flops;
     println!(
@@ -50,8 +49,8 @@ fn main() {
         "platform", "full (img/s)", "exit (img/s)", "gain"
     );
     for device in DeviceProfile::all() {
-        let full = timing.inference_throughput(&device, full_flops);
-        let early = timing.inference_throughput(&device, exit_flops);
+        let full = timing::inference_throughput(&device, full_flops);
+        let early = timing::inference_throughput(&device, exit_flops);
         println!(
             "{:<18} {:>14.0} {:>14.0} {:>7.2}x",
             device.name,

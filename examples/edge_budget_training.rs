@@ -11,14 +11,12 @@
 //! chooses, and the simulated wall-clock training time of each method.
 
 use neuroflux_core::simulate::{simulate_bp, simulate_classic_ll, simulate_neuroflux, SimConfig};
-use nf_memsim::{DeviceProfile, MemoryModel, TimingModel};
+use nf_memsim::DeviceProfile;
 use nf_models::ModelSpec;
 
 fn main() {
     let device = DeviceProfile::agx_orin();
     let spec = ModelSpec::vgg16(10); // CIFAR-10-scale VGG-16
-    let mem = MemoryModel::default();
-    let timing = TimingModel::default();
 
     println!(
         "training {} ({:.1}M params) on {}, 50k samples x 30 epochs\n",
@@ -43,13 +41,13 @@ fn main() {
             Ok(h) => format!("{h:9.2} h"),
             Err(()) => "   — OOM —".to_string(),
         };
-        let bp = simulate_bp(&spec, &device, &cfg, &mem, &timing)
+        let bp = simulate_bp(&spec, &device, &cfg)
             .map(|r| r.total_hours())
             .map_err(|_| ());
-        let ll = simulate_classic_ll(&spec, &device, &cfg, &mem, &timing)
+        let ll = simulate_classic_ll(&spec, &device, &cfg)
             .map(|r| r.total_hours())
             .map_err(|_| ());
-        let (nf, blocks) = simulate_neuroflux(&spec, &device, &cfg, &mem, &timing)
+        let (nf, blocks) = simulate_neuroflux(&spec, &device, &cfg)
             .expect("NeuroFlux plans under every budget in this sweep");
         let plan: Vec<String> = blocks
             .iter()

@@ -1,9 +1,10 @@
 //! The host-calibrated cost model against reality: measure this machine's
 //! GEMM and codec primitives, fit the model's two overhead terms from two
 //! step timings, then *predict* a batch size it never saw and hold the
-//! prediction within 25 % of the measured step time — the acceptance
-//! criterion for pricing `nf sweep` estimates from measured primitives
-//! instead of datasheet TFLOPs.
+//! prediction within 25 % of the measured step time. This holds only the
+//! fitted `CalibratedCostModel`; `nf sweep`'s `host` device prices from
+//! the measured primitives alone, with no fitted overheads. One fitted
+//! cost model for both is ROADMAP item 4.
 
 #![expect(
     clippy::disallowed_methods,
@@ -11,7 +12,7 @@
 )]
 
 use neuroflux_core::codec::{ActivationCodec, CacheBlob, CodecKind};
-use nf_memsim::{CalibratedCostModel, MeasuredPrimitives, TimingModel};
+use nf_memsim::{timing, CalibratedCostModel, MeasuredPrimitives};
 use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
 use nf_nn::optim::Sgd;
 use nf_nn::LocalStep;
@@ -119,7 +120,7 @@ fn measure_step_s(spec: &ModelSpec, batch: usize) -> f64 {
 fn calibrated_model_predicts_step_time_within_25_percent() {
     let spec = ModelSpec::tiny("calib", 8, &[8, 16], 3);
     let aux = assign_aux(&spec, AuxPolicy::Adaptive);
-    let flops_per_sample = TimingModel::default().ll_train_flops_per_sample(&spec, &aux);
+    let flops_per_sample = timing::ll_train_flops_per_sample(&spec, &aux);
 
     let (encode_gbps, decode_gbps) = measure_codec_gbps();
     let primitives = MeasuredPrimitives {

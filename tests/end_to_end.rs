@@ -118,8 +118,7 @@ fn multi_block_training_respects_budget() {
         .unwrap();
     assert_eq!(outcome.blocks, planned);
     // Every unit's planned footprint at its block batch fits the budget.
-    let memory = neuroflux::memsim::MemoryModel::default();
-    let lines = neuroflux::core::profiler::profile(&memory, &spec, config.aux_policy);
+    let lines = neuroflux::core::profiler::profile(&spec, config.aux_policy);
     for block in &outcome.blocks {
         for u in block.units.clone() {
             let predicted = lines[u].predict(block.batch);

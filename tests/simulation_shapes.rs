@@ -2,7 +2,7 @@
 //! orderings must hold across models, datasets, and devices.
 
 use neuroflux::core::simulate::{simulate_neuroflux, sweep_point, SimConfig};
-use neuroflux::memsim::{CacheCostModel, DeviceProfile, MemoryModel, TimingModel};
+use neuroflux::memsim::{CacheCostModel, DeviceProfile};
 use neuroflux::models::ModelSpec;
 
 const MB: u64 = 1_000_000;
@@ -107,16 +107,13 @@ fn speedup_grows_as_budget_tightens() {
 #[test]
 fn weaker_devices_train_slower() {
     let spec = ModelSpec::resnet18(10);
-    let mem = MemoryModel::default();
-    let timing = TimingModel::default();
     let mut times = Vec::new();
     for device in [
         DeviceProfile::jetson_nano(),
         DeviceProfile::xavier_nx(),
         DeviceProfile::agx_orin(),
     ] {
-        let (run, _) =
-            simulate_neuroflux(&spec, &device, &cfg(300, 50_000), &mem, &timing).unwrap();
+        let (run, _) = simulate_neuroflux(&spec, &device, &cfg(300, 50_000)).unwrap();
         times.push(run.total_s());
     }
     assert!(
@@ -130,15 +127,12 @@ fn weaker_devices_train_slower() {
 #[test]
 fn block_batches_grow_with_depth() {
     let device = DeviceProfile::agx_orin();
-    let mem = MemoryModel::default();
-    let timing = TimingModel::default();
     for spec in [
         ModelSpec::vgg11(10),
         ModelSpec::vgg16(100),
         ModelSpec::vgg19(200),
     ] {
-        let (_, blocks) =
-            simulate_neuroflux(&spec, &device, &cfg(300, 50_000), &mem, &timing).unwrap();
+        let (_, blocks) = simulate_neuroflux(&spec, &device, &cfg(300, 50_000)).unwrap();
         let batches: Vec<usize> = blocks.iter().map(|b| b.batch).collect();
         assert!(
             batches.windows(2).all(|w| w[1] >= w[0]),

@@ -1,11 +1,10 @@
-//! The memory model's optional workspace term against the bytes a real
-//! `Workspace` reserves: with `include_workspace` set, the per-sample
-//! slope grows by exactly the padded-input copies the conv layers keep in
-//! their lowering slot plus the hand-off buffers their chains pass
-//! activations through — and a forward pass reserves nothing else that
-//! grows with the batch.
+//! The memory model's workspace term against the bytes a real `Workspace`
+//! reserves: `memory::ll_unit_workspace_bytes_per_sample` is exactly the
+//! padded-input copies the conv layers keep in their lowering slot plus
+//! the hand-off buffers their chains pass activations through — and a
+//! forward pass reserves nothing else that grows with the batch.
 
-use nf_memsim::MemoryModel;
+use nf_memsim::memory;
 use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
 use nf_nn::{Layer, Mode};
 use nf_tensor::{lock_workspace, shared_workspace, Tensor};
@@ -19,14 +18,7 @@ fn workspace_term_is_the_padded_input_the_layers_reserve() {
     let analytics = spec.analyze();
     let (a, aux) = (&analytics[0], &aux_specs[0]);
 
-    let slope = |include_workspace| {
-        let model = MemoryModel {
-            include_workspace,
-            ..MemoryModel::default()
-        };
-        model.ll_unit_activation_bytes_per_sample(&spec, a, aux)
-    };
-    let modelled_per_sample = (slope(true) - slope(false)) as u64;
+    let modelled_per_sample = memory::ll_unit_workspace_bytes_per_sample(&spec, a, aux) as u64;
 
     // Bytes the unit's and the head's arenas hold after one forward pass
     // at `batch`, from fresh arenas (they are grow-only).
