@@ -73,17 +73,6 @@ impl LocalLearningTrainer {
         }
     }
 
-    /// AAN-LL trainer (the paper's adaptive head sizing).
-    pub fn adaptive(lr: f32, epochs: usize, batch: usize) -> Self {
-        LocalLearningTrainer {
-            sgd: Sgd::new(lr).with_momentum(0.9),
-            epochs,
-            batch,
-            policy: AuxPolicy::Adaptive,
-            kernel_backend: nf_tensor::KernelBackend::default(),
-        }
-    }
-
     /// One local-learning pass of a batch through the whole model
     /// (Algorithm 2 applied to all units): per unit,
     /// [`LocalStep::train_unit`], passing activations on (detached); then

@@ -21,11 +21,6 @@ impl TrainReport {
         self.test_accuracy.last().copied().unwrap_or(0.0)
     }
 
-    /// Final mean training loss (+∞ if no epochs ran).
-    pub fn final_loss(&self) -> f32 {
-        self.epoch_loss.last().copied().unwrap_or(f32::INFINITY)
-    }
-
     /// Whether loss decreased from the first to the last epoch.
     pub fn loss_improved(&self) -> bool {
         match (self.epoch_loss.first(), self.epoch_loss.last()) {
@@ -43,7 +38,6 @@ mod tests {
     fn accessors_handle_empty_and_filled() {
         let empty = TrainReport::default();
         assert_eq!(empty.final_test_accuracy(), 0.0);
-        assert_eq!(empty.final_loss(), f32::INFINITY);
         assert!(!empty.loss_improved());
 
         let r = TrainReport {
@@ -52,7 +46,6 @@ mod tests {
             test_accuracy: vec![0.25, 0.55],
         };
         assert_eq!(r.final_test_accuracy(), 0.55);
-        assert_eq!(r.final_loss(), 1.0);
         assert!(r.loss_improved());
     }
 }

@@ -110,7 +110,7 @@ impl SpTrainer {
         model: &mut BuiltModel,
         train: &Dataset,
         test: &Dataset,
-    ) -> nf_nn::Result<(TrainReport, Vec<f32>)> {
+    ) -> nf_nn::Result<TrainReport> {
         // Pin every layer to the configured backend, sharing one scratch
         // workspace across the sequentially trained units.
         let ws = nf_tensor::shared_workspace();
@@ -157,12 +157,7 @@ impl SpTrainer {
                 .test_accuracy
                 .push(self.evaluate(model, &protos, test)?);
         }
-        // Return the last-layer prototype flattened dims for inspection.
-        let dims = protos
-            .last()
-            .map(|p| p.data.iter().map(|v| v.len() as f32).collect())
-            .unwrap_or_default();
-        Ok((report, dims))
+        Ok(report)
     }
 
     fn evaluate(
@@ -209,7 +204,7 @@ mod tests {
         let ds = SyntheticSpec::quick(2, 8, 64).generate();
         let spec = ModelSpec::tiny("t", 8, &[6, 8], 2);
         let mut model = spec.build(&mut rng).unwrap();
-        let (report, _) = SpTrainer::new(0.01, 5, 16)
+        let report = SpTrainer::new(0.01, 5, 16)
             .train(&mut model, &ds.train, &ds.test)
             .unwrap();
         assert!(
@@ -233,7 +228,7 @@ mod tests {
                 .unwrap()
         };
         let mut lean = build();
-        let (report, _) = trainer.train(&mut lean, &ds.train, &ds.test).unwrap();
+        let report = trainer.train(&mut lean, &ds.train, &ds.test).unwrap();
 
         let mut full = build();
         let mut protos: Vec<Prototypes> = full.units.iter().map(|_| Prototypes::new(2)).collect();

@@ -383,7 +383,7 @@ fn fig03(_: &Shared) -> Result<Figure> {
     install_feedback(&mut rng, &mut fa_model);
     let fa = BpTrainer::new(lr, epochs, batch).train(&mut fa_model, train, test)?;
     let mut sp_model = spec.build(&mut rng)?;
-    let (sp, _) = SpTrainer::new(0.01, epochs, batch).train(&mut sp_model, train, test)?;
+    let sp = SpTrainer::new(0.01, epochs, batch).train(&mut sp_model, train, test)?;
     let [bp_acc, ll_acc, fa_acc, sp_acc] = [bp, ll, fa, sp].map(|r| r.final_test_accuracy());
 
     let mut fig = Figure::new("fig03");
@@ -524,7 +524,8 @@ fn fig08(_: &Shared) -> Result<Figure> {
     let title = "Figure 8: per-layer memory vs batch size, VGG-11 (MB)";
     let headers = format!("batch | {}", names.join(" | "));
     fig.table(title, &headers, rows.collect());
-    let lines = profile(&spec, AuxPolicy::Adaptive).into_iter().zip(&names);
+    let lines = profile(&spec, AuxPolicy::Adaptive, BlockLocal);
+    let lines = lines.into_iter().zip(&names);
     let rows = lines.map(|(line, name)| {
         let slope = format!("{:.3}", line.slope / 1e6);
         row(name, [slope, format!("{:.1}", line.intercept / 1e6)])

@@ -1,13 +1,20 @@
 //! `nf baseline <bp|ll|fa|sp> <config>`: the paper's comparison trainers,
 //! run from the same config file and persisted with the same artifact
-//! layout (`runs/<name>-<paradigm>/`).
+//! layout (`runs/<name>-<paradigm>/`). Each trains on `[train]`: its
+//! `lr`, `epochs_per_block` epochs, and the largest batch its memory
+//! lines fit under `budget_bytes` (capped by `batch_limit`), so every
+//! paradigm is compared at the same memory budget.
 
 use crate::config::RunConfig;
 use crate::error::{CliError, Result};
 use crate::rundir::RunDir;
+use neuroflux_core::partitioner::feasible_batches;
+use neuroflux_core::profiler::profile;
 use neuroflux_core::serve::SystemClock;
-use neuroflux_core::{Checkpoint, WorkerReport};
-use nf_baselines::{install_feedback, BpTrainer, LocalLearningTrainer, SpTrainer, TrainReport};
+use neuroflux_core::{Checkpoint, NeuroFluxConfig, NfError, WorkerReport};
+use nf_baselines::{install_feedback, BpTrainer, LocalLearningTrainer, SpTrainer};
+use nf_memsim::{memory, TrainingParadigm};
+use nf_models::{ExitCandidate, ModelSpec};
 use nf_value::{Table, Value};
 use rand::SeedableRng;
 
@@ -49,10 +56,35 @@ impl Paradigm {
     }
 }
 
+/// The batch `paradigm` trains `spec` at under `config`'s budget: BP and
+/// FA (same state) fit one whole-model BP line, LL every unit's line with
+/// the whole model and all heads resident, SP one inference line. A
+/// budget no batch fits is a config error at the budget.
+fn budget_batch(paradigm: Paradigm, spec: &ModelSpec, config: &NeuroFluxConfig) -> Result<usize> {
+    let lines = match paradigm {
+        Paradigm::Bp | Paradigm::Fa => vec![memory::bp_line(spec)],
+        Paradigm::Ll => profile(spec, config.aux_policy, TrainingParadigm::LocalLearning),
+        Paradigm::Sp => vec![memory::inference_line(spec)],
+    };
+    match feasible_batches(&lines, config.budget_bytes, config.batch_limit) {
+        Ok(feasible) => Ok(feasible.into_iter().min().unwrap_or(config.batch_limit)),
+        Err(e @ NfError::InfeasibleBudget { .. }) => {
+            let message = format!("the `{}` baseline cannot train: {e}", paradigm.name());
+            Err(CliError::config("train.budget_mb", message))
+        }
+        Err(other) => Err(other.into()),
+    }
+}
+
 /// Executes a baseline run; returns the run directory and metrics.
 pub fn run_baseline(cfg: &RunConfig, paradigm: Paradigm) -> Result<(RunDir, Value)> {
     let (spec, data_spec, nf_config) = cfg.resolve()?;
-    let b = cfg.baseline();
+    let batch = budget_batch(paradigm, &spec, &nf_config)?;
+    let (lr, epochs, backend) = (
+        nf_config.lr,
+        nf_config.epochs_per_block,
+        nf_config.kernel_backend,
+    );
     let run_dir = RunDir::create(
         &cfg.run.out_dir,
         &format!("{}-{}", cfg.run.name, paradigm.name()),
@@ -61,112 +93,66 @@ pub fn run_baseline(cfg: &RunConfig, paradigm: Paradigm) -> Result<(RunDir, Valu
     let data = data_spec.generate();
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.run.seed);
     let start = SystemClock::new();
-    let backend = nf_config.kernel_backend;
 
-    let mut extra = Table::new();
-    let report = match paradigm {
-        Paradigm::Bp | Paradigm::Fa => {
-            let mut model = spec.build(&mut rng)?;
-            if paradigm == Paradigm::Fa {
-                // Drawn after the model, so FA and BP at one seed start
-                // from the same weights.
-                install_feedback(&mut rng, &mut model);
-            }
-            let mut trainer = BpTrainer::new(b.lr as f32, b.epochs, b.batch);
-            trainer.kernel_backend = backend;
-            let report = trainer.train(&mut model, &data.train, &data.test)?;
-            Checkpoint::capture(0, true, &mut model, &mut [], &WorkerReport::default())
-                .save(&run_dir.checkpoint_path())?;
-            report
-        }
-        Paradigm::Ll => {
-            let model = spec.build(&mut rng)?;
-            let mut trainer = LocalLearningTrainer::classic(b.lr as f32, b.epochs, b.batch);
-            trainer.policy = nf_config.aux_policy;
-            trainer.kernel_backend = backend;
-            let (mut trained, report) = trainer.train(&mut rng, model, &data.train, &data.test)?;
-            let exits = trained.measure_exits(&data.val)?;
-            extra.insert(
-                "exits",
-                Value::Array(
-                    exits
-                        .iter()
-                        .map(|e| {
-                            let mut t = Table::new();
-                            t.insert("unit", Value::Int(e.unit as i64));
-                            t.insert(
-                                "val_accuracy",
-                                match e.val_accuracy {
-                                    Some(a) => Value::Float(a as f64),
-                                    None => Value::Null,
-                                },
-                            );
-                            t.build()
-                        })
-                        .collect(),
-                ),
-            );
-            Checkpoint::capture(
-                0,
-                true,
-                &mut trained.model,
-                &mut trained.aux_heads,
-                &WorkerReport::default(),
-            )
-            .save(&run_dir.checkpoint_path())?;
-            report
-        }
-        Paradigm::Sp => {
-            let mut model = spec.build(&mut rng)?;
-            let mut trainer = SpTrainer::new(b.lr as f32, b.epochs, b.batch);
-            trainer.kernel_backend = backend;
-            let (report, layer_accs) = trainer.train(&mut model, &data.train, &data.test)?;
-            extra.insert(
-                "layer_accuracies",
-                Value::Array(layer_accs.iter().map(|&a| Value::Float(a as f64)).collect()),
-            );
-            Checkpoint::capture(0, true, &mut model, &mut [], &WorkerReport::default())
-                .save(&run_dir.checkpoint_path())?;
-            report
-        }
-    };
-
-    let metrics = baseline_metrics(
-        cfg,
-        paradigm,
-        &report,
-        extra.build(),
-        start.elapsed_seconds(),
-    );
-    run_dir.write_metrics(&metrics)?;
-    Ok((run_dir, metrics))
-}
-
-fn baseline_metrics(
-    cfg: &RunConfig,
-    paradigm: Paradigm,
-    report: &TrainReport,
-    extra: Value,
-    wall_seconds: f64,
-) -> Value {
-    let floats = |xs: &[f32]| Value::Array(xs.iter().map(|&x| Value::Float(x as f64)).collect());
     let mut m = Table::new();
     m.insert("kind", Value::Str("baseline".into()));
     m.insert("paradigm", Value::Str(paradigm.name().into()));
     m.insert("name", Value::Str(cfg.run.name.clone()));
     m.insert("config", cfg.to_value());
+    m.insert("batch", Value::Int(batch as i64));
+    let floats = |xs: &[f32]| Value::Array(xs.iter().map(|&x| Value::Float(x as f64)).collect());
+    let mut model = spec.build(&mut rng)?;
+    let mut aux_heads = Vec::new();
+    let report = match paradigm {
+        Paradigm::Bp | Paradigm::Fa => {
+            if paradigm == Paradigm::Fa {
+                // Drawn after the model, so FA and BP at one seed start
+                // from the same weights.
+                install_feedback(&mut rng, &mut model);
+            }
+            let mut trainer = BpTrainer::new(lr, epochs, batch);
+            trainer.kernel_backend = backend;
+            trainer.train(&mut model, &data.train, &data.test)?
+        }
+        Paradigm::Ll => {
+            let mut trainer = LocalLearningTrainer::classic(lr, epochs, batch);
+            trainer.policy = nf_config.aux_policy;
+            trainer.kernel_backend = backend;
+            let (mut trained, report) = trainer.train(&mut rng, model, &data.train, &data.test)?;
+            let exit = |e: &ExitCandidate| {
+                let mut t = Table::new();
+                t.insert("unit", Value::Int(e.unit as i64));
+                let accuracy = e.val_accuracy.map(|a| Value::Float(a as f64));
+                t.insert("val_accuracy", accuracy.unwrap_or(Value::Null));
+                t.build()
+            };
+            let exits = trained.measure_exits(&data.val)?;
+            m.insert("exits", Value::Array(exits.iter().map(exit).collect()));
+            (model, aux_heads) = (trained.model, trained.aux_heads);
+            report
+        }
+        Paradigm::Sp => {
+            let mut trainer = SpTrainer::new(lr, epochs, batch);
+            trainer.kernel_backend = backend;
+            trainer.train(&mut model, &data.train, &data.test)?
+        }
+    };
+    Checkpoint::capture(
+        0,
+        true,
+        &mut model,
+        &mut aux_heads,
+        &WorkerReport::default(),
+    )
+    .save(&run_dir.checkpoint_path())?;
+
     m.insert("epoch_loss", floats(&report.epoch_loss));
     m.insert("train_accuracy", floats(&report.train_accuracy));
     m.insert("test_accuracy", floats(&report.test_accuracy));
-    m.insert(
-        "final_test_accuracy",
-        Value::Float(report.final_test_accuracy() as f64),
-    );
-    if let Some(entries) = extra.entries() {
-        for (k, v) in entries {
-            m.insert(k, v.clone());
-        }
-    }
-    m.insert("wall_seconds", Value::Float(wall_seconds));
-    m.build()
+    let accuracy = report.final_test_accuracy() as f64;
+    m.insert("final_test_accuracy", Value::Float(accuracy));
+    m.insert("wall_seconds", Value::Float(start.elapsed_seconds()));
+    let metrics = m.build();
+    run_dir.write_metrics(&metrics)?;
+    Ok((run_dir, metrics))
 }

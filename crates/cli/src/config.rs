@@ -24,7 +24,7 @@ use crate::error::{CliError, Result};
 use crate::schema::{sections, string_enum, wrong_type, Bound, Kind, Row};
 use neuroflux_core::{CodecKind, NeuroFluxConfig, ServePolicy, SloTier, MAX_REPLICAS};
 use nf_data::SyntheticSpec;
-use nf_models::{AuxPolicy, ModelSpec};
+use nf_models::{AuxPolicy, LayerKind, ModelSpec, UnitSpec};
 use nf_tensor::KernelBackend;
 use nf_value::Value;
 
@@ -61,7 +61,7 @@ sections! {
 
     /// `[model]`: which architecture to train.
     pub struct ModelSection {
-        /// `vgg11 | vgg16 | vgg19 | resnet18 | mobilenet`, or `tiny` (built from `channels`).
+        /// `vgg11 | vgg16 | vgg19 | resnet18 | mobilenet` (`nf sweep` only: nothing builds it), or `tiny` (built from `channels`).
         pub preset: String;
         /// Conv channels per unit; required by (and only read for) `tiny`.
         pub channels: Option<Vec<usize>> = None, Bound::AllPositive;
@@ -125,16 +125,6 @@ sections! {
         pub codec: CodecKind = core_train().cache_codec;
     }
 
-    /// `[baseline]`: knobs for `nf baseline <bp|ll|fa|sp>`.
-    pub struct BaselineSection: Default {
-        /// Training epochs.
-        pub epochs: usize = 5, Bound::Positive;
-        /// Fixed batch size.
-        pub batch: usize = 16, Bound::Positive;
-        /// Learning rate.
-        pub lr: f64 = 0.05;
-    }
-
     /// `[sweep]`: the device-budget sweep `nf sweep` runs on the analytic `nf-memsim` models.
     pub struct SweepSection {
         /// `pi4b | jetson-nano | xavier-nx | agx-orin`, or `host`: this machine, profiled live.
@@ -142,7 +132,7 @@ sections! {
         /// Memory budgets to sweep, in MB (10⁶ bytes).
         pub budgets_mb: Vec<u64>, Bound::AllPositive;
         /// Batch-size cap.
-        pub batch_limit: usize = 512;
+        pub batch_limit: usize = 512, Bound::Positive;
         /// Simulated training epochs.
         pub epochs: usize = 30;
         /// Simulated training-set size.
@@ -197,8 +187,6 @@ sections! {
         pub train: TrainSection;
         /// Activation-cache storage; always spelled out in snapshots.
         pub cache: CacheSection = CacheSection::default();
-        /// Used by `nf baseline`; its defaults apply without it.
-        pub baseline: Option<BaselineSection> = None;
         /// Required by `nf sweep` only.
         pub sweep: Option<SweepSection> = None;
         /// Used by `nf serve` / `nf loadgen`; its defaults apply without it.
@@ -233,9 +221,12 @@ impl RunConfig {
 
     /// Reads a config out of a parsed document tree; resolution validates
     /// the cross-section constraints (model fits dataset geometry) up front.
+    /// A model only `nf sweep` can price loads here; [`RunConfig::resolve`]
+    /// rejects it.
     pub fn from_value(root: &Value) -> Result<RunConfig> {
         let config = Self::read_document(root)?;
-        config.resolve()?;
+        config.resolve_model(&config.resolve_dataset()?)?;
+        config.resolve_train()?;
         Ok(config)
     }
 
@@ -372,10 +363,17 @@ impl RunConfig {
         Ok(config)
     }
 
-    /// Resolves all three training inputs at once.
+    /// Resolves all three training inputs at once, for the subcommands
+    /// that build the model: its every unit must have a runnable layer.
     pub fn resolve(&self) -> Result<(ModelSpec, SyntheticSpec, NeuroFluxConfig)> {
         let dataset = self.resolve_dataset()?;
         let model = self.resolve_model(&dataset)?;
+        let depthwise = |u: &UnitSpec| matches!(u.kind, LayerKind::DepthwiseSeparable { .. });
+        if model.units.iter().any(depthwise) {
+            let message = "cannot be built: its depthwise-separable units need channel-grouped \
+                           convolution, which nf-nn does not implement (`nf sweep` prices it)";
+            return Err(CliError::config("model.preset", message));
+        }
         let config = self.resolve_train()?;
         Ok((model, dataset, config))
     }
@@ -388,11 +386,6 @@ impl RunConfig {
     /// The `[loadgen]` section, or its documented defaults.
     pub fn loadgen(&self) -> LoadgenSection {
         self.loadgen.clone().unwrap_or_default()
-    }
-
-    /// The `[baseline]` section, or its documented defaults.
-    pub fn baseline(&self) -> BaselineSection {
-        self.baseline.clone().unwrap_or_default()
     }
 
     /// Resolves the `[serve]` section (or its defaults) into the core
@@ -763,8 +756,10 @@ epochs_per_block = 2
             let doc = format!("{}\n[serve]\n{gone} = 1\n", quickstart_toml());
             assert_eq!(config_error(&doc).0, format!("serve.{gone}"));
         }
-        let doc = format!("{}\n[federated]\nclients = 4\n", quickstart_toml());
-        assert_eq!(config_error(&doc).0, "federated");
+        for gone in ["federated", "baseline"] {
+            let doc = format!("{}\n[{gone}]\nlr = 0.1\n", quickstart_toml());
+            assert_eq!(config_error(&doc).0, gone);
+        }
 
         // Unknown sections, and the same through JSON.
         let (path, message) = config_error(&format!("{}\n[trian]\nlr = 0.1\n", quickstart_toml()));
@@ -909,6 +904,17 @@ kernel_backend = "naive"
         assert_eq!(dataset.val, 32);
         assert_eq!(nf.aux_policy, AuxPolicy::CLASSIC);
         assert_eq!(nf.kernel_backend, KernelBackend::Naive);
+
+        // MobileNet loads (`nf sweep` prices it), but nothing builds it.
+        let doc = cfg.to_value().to_toml().unwrap();
+        let doc = doc.replace("\"vgg11\"", "\"mobilenet\"");
+        let Err(CliError::Config { path, message }) = parse_config(&doc).resolve() else {
+            panic!("mobilenet resolved for training");
+        };
+        assert_eq!(
+            (path.as_str(), message.contains("depthwise")),
+            ("model.preset", true)
+        );
     }
 
     #[test]

@@ -468,6 +468,13 @@ fn render_baseline(m: &Value) -> String {
     if let Some(acc) = m.get("final_test_accuracy").and_then(Value::as_float) {
         let _ = writeln!(out, "| final test accuracy | {} |", pct(acc));
     }
+    let budget = m
+        .get("config")
+        .and_then(|c| c.get("train")?.get("budget_bytes")?.as_int());
+    if let (Some(budget), Some(batch)) = (budget, m.get("batch").and_then(Value::as_int)) {
+        let mb = budget as f64 / 1e6;
+        let _ = writeln!(out, "| batch under {mb} MB budget | {batch} |");
+    }
     if let Some(losses) = m.get("epoch_loss").and_then(Value::as_array) {
         let first = losses.first().and_then(Value::as_float).unwrap_or(0.0);
         let last = losses.last().and_then(Value::as_float).unwrap_or(0.0);

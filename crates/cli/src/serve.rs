@@ -81,7 +81,7 @@ use crate::net::sys::{self, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOL
 use crate::proto::{self, RejectReason, Request, Response};
 use neuroflux_core::serve::{reactor_timeout_ms, Clock, MicroBatcher, SystemClock};
 use neuroflux_core::{
-    BatchPlan, Draw, NeuroFluxTrainer, ServeEngine, ServePolicy, ServeReply, ServeRequest,
+    BatchPlan, Draw, NeuroFluxTrainer, NfError, ServeEngine, ServePolicy, ServeReply, ServeRequest,
     OUTBOX_CAP_BYTES,
 };
 use rand::SeedableRng;
@@ -89,6 +89,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -242,9 +243,12 @@ struct Shared {
     /// `accept(2)` stalls on fd exhaustion (`EMFILE`/`ENFILE`); each one
     /// backed off and re-armed rather than killing the accept path.
     accept_exhausted: AtomicU64,
-    /// Replicas that finished their drain; the reactor outlives them and
-    /// flushes their final replies before closing connections.
+    /// Replicas that finished their drain (or retired after a panic); the
+    /// reactor outlives them and flushes their final replies before
+    /// closing connections.
     replicas_done: AtomicUsize,
+    /// Replica threads started.
+    replicas: usize,
 }
 
 impl Shared {
@@ -380,6 +384,7 @@ pub fn start_server_with_engines(
         clock: SystemClock::new(),
         accept_exhausted: AtomicU64::new(0),
         replicas_done: AtomicUsize::new(0),
+        replicas,
     });
 
     let reactor = Reactor {
@@ -393,7 +398,6 @@ pub fn start_server_with_engines(
         next_id: 0,
         input_len,
         allow_shutdown,
-        replicas,
         scratch: vec![0u8; READ_CHUNK],
         accepting: true,
         accept_resume_us: None,
@@ -484,8 +488,6 @@ struct Reactor {
     input_len: usize,
     /// Whether a shutdown frame stops the server.
     allow_shutdown: bool,
-    /// Replica threads the shutdown drain waits for.
-    replicas: usize,
     scratch: Vec<u8>,
     /// Whether the listener is currently registered with epoll.
     accepting: bool,
@@ -809,7 +811,7 @@ impl Reactor {
             self.accepting = false;
             self.accept_resume_us = None;
         }
-        if self.shared.replicas_done.load(Ordering::SeqCst) < self.replicas {
+        if self.shared.replicas_done.load(Ordering::SeqCst) < self.shared.replicas {
             return false;
         }
         // All drain outcomes are now posted; move them into outboxes.
@@ -870,7 +872,12 @@ fn next_plan(shared: &Shared) -> Option<BatchPlan> {
 /// deadline-lapsed requests, runs ready batches through its own model
 /// clone, and accounts its busy time. Each micro-batch's outcomes land in
 /// the completion queue under one lock, with one eventfd wake.
+///
+/// An engine that panics fails its batch like an engine error and retires
+/// with its replica. The last replica to stop begins the shutdown, so
+/// admission answers `shutting-down` and `stop()` / `wait()` return.
 fn replica_loop(engine: &mut ServeEngine, shared: &Shared, stats: &ReplicaStats) {
+    let mut panicked = false;
     while let Some(plan) = next_plan(shared) {
         let mut outcomes: Vec<(u64, Outcome)> = plan
             .expired
@@ -879,10 +886,16 @@ fn replica_loop(engine: &mut ServeEngine, shared: &Shared, stats: &ReplicaStats)
             .collect();
         if !plan.ready.is_empty() {
             let t0 = shared.clock.now_us();
-            let result = engine.infer_batch(&plan.ready);
+            let result = catch_unwind(AssertUnwindSafe(|| engine.infer_batch(&plan.ready)));
             let busy = shared.clock.now_us().saturating_sub(t0);
             stats.busy_us.fetch_add(busy, Ordering::Relaxed);
             stats.batches.fetch_add(1, Ordering::Relaxed);
+            panicked = result.is_err();
+            let result = result.unwrap_or_else(|_| {
+                Err(NfError::Serve {
+                    cause: "the replica panicked and retired".into(),
+                })
+            });
             match result {
                 Ok(replies) => {
                     stats
@@ -911,7 +924,12 @@ fn replica_loop(engine: &mut ServeEngine, shared: &Shared, stats: &ReplicaStats)
         }
         // One wake per micro-batch, not per reply.
         let _ = shared.wake.wake();
+        if panicked {
+            break;
+        }
     }
-    shared.replicas_done.fetch_add(1, Ordering::SeqCst);
+    if shared.replicas_done.fetch_add(1, Ordering::SeqCst) + 1 == shared.replicas {
+        shared.begin_shutdown();
+    }
     let _ = shared.wake.wake();
 }

@@ -1,9 +1,10 @@
 //! `nf baseline <bp|ll|fa|sp>` end-to-end: every paradigm leaves the same
 //! three artifacts, learns on a quickstart-sized config, and is a pure
 //! function of the seed; feedback alignment is the BP run with feedback
-//! matrices drawn after the model is built.
+//! matrices drawn after the model is built; a budget a paradigm cannot
+//! fit is a config error at the budget.
 
-use nf_cli::{run_baseline, Paradigm, RunConfig, Value};
+use nf_cli::{run_baseline, CliError, Paradigm, RunConfig, Value};
 
 const ALL: [Paradigm; 4] = [Paradigm::Bp, Paradigm::Ll, Paradigm::Fa, Paradigm::Sp];
 const CLASSES: usize = 4;
@@ -15,9 +16,10 @@ fn temp_out_dir(tag: &str) -> String {
         .to_string()
 }
 
-/// `examples/quickstart.toml` with a shorter channel plan; `batch` ≥
-/// `train` makes an epoch one step.
-fn config(out_dir: &str, train: usize, batch: usize) -> RunConfig {
+/// `examples/quickstart.toml` with a shorter channel plan and a budget
+/// every paradigm fits `batch_limit` in; `batch_limit` ≥ `train` makes an
+/// epoch one step.
+fn config(out_dir: &str, train: usize, batch_limit: usize) -> RunConfig {
     let doc = format!(
         r#"
 [run]
@@ -36,13 +38,9 @@ image_hw = 16
 train = {train}
 
 [train]
-budget_mb = 1.0
-batch_limit = 32
+budget_mb = 64
+batch_limit = {batch_limit}
 epochs_per_block = 5
-
-[baseline]
-epochs = 5
-batch = {batch}
 lr = 0.05
 "#
     );
@@ -102,4 +100,34 @@ fn fa_starts_from_bp_weights_and_parts_ways_at_the_first_update() {
     assert_eq!(bp[0], fa[0], "feedback is drawn after the model is built");
     assert_ne!(bp[1..], fa[1..], "the error went back through B, not W");
     std::fs::remove_dir_all(&out_dir).ok();
+}
+
+/// The quickstart's own budget: the recorded batch is each paradigm's
+/// largest fit, and classic LL (every 256-filter head resident) or BP
+/// below its fixed bytes cannot train at all — a typed error at the
+/// budget, before any run directory exists.
+#[test]
+fn batches_come_from_the_budget_and_an_unfittable_one_is_a_config_error() {
+    let out_dir = temp_out_dir("budget");
+    let quickstart = include_str!("../../../examples/quickstart.toml")
+        .replace("out_dir = \"runs\"", &format!("out_dir = \"{out_dir}\""))
+        .replace("epochs_per_block = 5", "epochs_per_block = 1");
+    let load = |doc: &str| RunConfig::from_value(&nf_value::toml::parse(doc).unwrap()).unwrap();
+    let cfg = load(&quickstart);
+    for (paradigm, batch) in [(Paradigm::Bp, 2), (Paradigm::Ll, 4), (Paradigm::Sp, 32)] {
+        let (_, metrics) = run_baseline(&cfg, paradigm).unwrap();
+        assert_eq!(metrics.get("batch").and_then(Value::as_int), Some(batch));
+    }
+    std::fs::remove_dir_all(&out_dir).unwrap();
+
+    let classic = quickstart.replace("# aux_policy = \"adaptive\"", "aux_policy = \"classic\"");
+    let below_intercept = quickstart.replace("budget_mb = 1.0", "budget_mb = 0.3");
+    for (doc, paradigm) in [(classic, Paradigm::Ll), (below_intercept, Paradigm::Bp)] {
+        let Err(CliError::Config { path, message }) = run_baseline(&load(&doc), paradigm) else {
+            panic!("{}: expected a config error", paradigm.name());
+        };
+        assert_eq!(path, "train.budget_mb");
+        assert!(message.contains(paradigm.name()), "{message}");
+        assert!(!std::path::Path::new(&out_dir).exists());
+    }
 }

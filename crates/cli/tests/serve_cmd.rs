@@ -7,10 +7,14 @@
     reason = "the test waits on a real server with a wall-clock deadline"
 )]
 
-use neuroflux_core::{ServePolicy, ServeRequest, SloTier};
+use neuroflux_core::{ServeEngine, ServePolicy, ServeRequest, SloTier};
 use nf_cli::proto::{self, RejectReason, Request, Response};
 use nf_cli::serve::{build_engine, replicate_engines, start_server_with_engines};
 use nf_cli::{run_inspect, RunConfig};
+use nf_models::{assign_aux, build_aux_head};
+use nf_nn::{Layer, Mode, Param};
+use nf_tensor::Tensor;
+use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -546,6 +550,51 @@ fn pipelined_requests_racing_stop_get_at_most_one_reply_each() {
         Ok(None) | Err(proto::ProtoError::Io(_))
     ));
     stopper.join().unwrap();
+}
+
+/// A replica whose engine panics mid-batch: its batch gets an error reply
+/// instead of silence, the replica retires, and with no replica left the
+/// server shuts itself down, so `wait()` (and so `stop()`) returns.
+#[test]
+fn a_panicking_replica_fails_its_batch_and_stop_still_returns() {
+    struct Explode;
+    impl Layer for Explode {
+        fn name(&self) -> String {
+            "explode".into()
+        }
+        fn forward_into(&mut self, _: &Tensor, _: Mode, _: &mut Tensor) -> nf_nn::Result<()> {
+            panic!("injected fault in a replica's forward pass")
+        }
+        fn backward_into(&mut self, _: &Tensor, _: &mut Tensor) -> nf_nn::Result<()> {
+            Ok(())
+        }
+        fn visit_params(&mut self, _: &mut dyn FnMut(&mut Param)) {}
+    }
+    let cfg = config(&temp_out_dir("panic"));
+    let (spec, _, nf) = cfg.resolve().unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    let mut model = spec.build(&mut rng).unwrap();
+    model.units[0].push(Box::new(Explode));
+    let heads = assign_aux(&spec, nf.aux_policy)
+        .iter()
+        .map(|aux| build_aux_head(&mut rng, aux).unwrap())
+        .collect();
+    let engine = ServeEngine::new(model, heads, 0.8).unwrap();
+    let policy = cfg.resolve_serve().unwrap();
+    let handle = start_server_with_engines(vec![engine], policy, "127.0.0.1:0", false).unwrap();
+    let samples = test_samples(&cfg, 1);
+    let mut stream = TcpStream::connect(handle.addr).unwrap();
+    // A stranded batch would leave this read waiting forever.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    send_request(&mut stream, &infer(&samples, 0, 0));
+    match read_response(&mut stream) {
+        Response::Error { message } => assert!(message.contains("panicked"), "{message}"),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    // No stop(): the last replica to retire began the shutdown itself.
+    within_deadline(move || handle.wait());
 }
 
 /// Shutdown frames on a server started without `allow_shutdown` are a

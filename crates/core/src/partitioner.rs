@@ -8,7 +8,7 @@
 
 use crate::profiler::profile;
 use crate::{NeuroFluxConfig, NfError, Result};
-use nf_memsim::LinearMemoryModel;
+use nf_memsim::{LinearMemoryModel, TrainingParadigm};
 use nf_models::ModelSpec;
 
 /// One partition: a contiguous run of units trained together with a single
@@ -34,6 +34,33 @@ impl Block {
     }
 }
 
+/// Algorithm 1, lines 2–5: the largest batch each line fits under
+/// `budget_bytes`, capped at `batch_limit` — the one place a budget
+/// becomes a batch, for every paradigm. A whole-model paradigm (BP, FA,
+/// classic LL, SP) trains at the minimum over its lines.
+///
+/// Returns [`NfError::InfeasibleBudget`] naming the first line that
+/// cannot fit even batch 1.
+pub fn feasible_batches(
+    lines: &[LinearMemoryModel],
+    budget_bytes: u64,
+    batch_limit: usize,
+) -> Result<Vec<usize>> {
+    if lines.is_empty() {
+        return Err(NfError::BadConfig("no units to partition".into()));
+    }
+    if batch_limit == 0 {
+        return Err(NfError::BadConfig("batch_limit must be > 0".into()));
+    }
+    let fit = |(unit, line): (usize, &LinearMemoryModel)| {
+        let batch = line
+            .max_batch(budget_bytes)
+            .ok_or(NfError::InfeasibleBudget { unit, budget_bytes })?;
+        Ok(batch.min(batch_limit))
+    };
+    lines.iter().enumerate().map(fit).collect()
+}
+
 /// Algorithm 1: partitions units into blocks under `budget_bytes`.
 ///
 /// Inputs mirror the paper's: the budget `M`, batch limit `B`, per-layer
@@ -49,20 +76,7 @@ pub fn partition(
     batch_limit: usize,
     rho: f64,
 ) -> Result<Vec<Block>> {
-    if lines.is_empty() {
-        return Err(NfError::BadConfig("no units to partition".into()));
-    }
-    if batch_limit == 0 {
-        return Err(NfError::BadConfig("batch_limit must be > 0".into()));
-    }
-    // Lines 2–5: per-layer max feasible batch, capped at B.
-    let mut feasible = Vec::with_capacity(lines.len());
-    for (unit, line) in lines.iter().enumerate() {
-        let t = line
-            .max_batch(budget_bytes)
-            .ok_or(NfError::InfeasibleBudget { unit, budget_bytes })?;
-        feasible.push(t.min(batch_limit));
-    }
+    let feasible = feasible_batches(lines, budget_bytes, batch_limit)?;
     // Lines 6–16: greedy grouping of contiguous layers.
     let mut blocks = Vec::new();
     let mut i = 0usize;
@@ -96,7 +110,7 @@ pub fn partition(
 /// batch limit and ρ. The one planning body behind
 /// [`crate::NeuroFluxTrainer::plan`] and [`crate::simulate::plan_neuroflux`].
 pub fn plan(spec: &ModelSpec, config: &NeuroFluxConfig) -> Result<Vec<Block>> {
-    let lines = profile(spec, config.aux_policy);
+    let lines = profile(spec, config.aux_policy, TrainingParadigm::BlockLocal);
     partition(&lines, config.budget_bytes, config.batch_limit, config.rho)
 }
 

@@ -19,11 +19,16 @@ use nf_models::{assign_aux, AuxPolicy, ModelSpec};
 /// Batch sizes the paper's Profiler benchmarks each unit at.
 const PROBE_BATCHES: [usize; 5] = [4, 8, 16, 32, 64];
 
-/// Assigns auxiliary heads under `policy` and returns one block-local
-/// training line per unit, in unit order.
-pub fn profile(spec: &ModelSpec, policy: AuxPolicy) -> Vec<LinearMemoryModel> {
+/// Assigns auxiliary heads under `policy` and returns one training line
+/// per unit, in unit order: block-local for NeuroFlux's plan, whole model
+/// resident ([`TrainingParadigm::LocalLearning`]) for the LL baselines.
+pub fn profile(
+    spec: &ModelSpec,
+    policy: AuxPolicy,
+    paradigm: TrainingParadigm,
+) -> Vec<LinearMemoryModel> {
     let aux = assign_aux(spec, policy);
-    let line = |a| memory::ll_unit_line(spec, a, &aux, TrainingParadigm::BlockLocal);
+    let line = |a| memory::ll_unit_line(spec, a, &aux, paradigm);
     spec.analyze().iter().map(line).collect()
 }
 
@@ -48,7 +53,7 @@ mod tests {
         // footprint the probe schedule would measure lies on the unit's
         // line (to the byte the footprint truncates).
         let spec = ModelSpec::vgg11(10);
-        let lines = profile(&spec, AuxPolicy::Adaptive);
+        let lines = profile(&spec, AuxPolicy::Adaptive, TrainingParadigm::BlockLocal);
         assert_eq!(lines.len(), 8);
         let aux = assign_aux(&spec, AuxPolicy::Adaptive);
         for (a, line) in spec.analyze().iter().zip(&lines) {

@@ -8,13 +8,16 @@
 //! sizes, resident sets, and cache traffic differ — which is exactly the
 //! paper's claim about where NeuroFlux's speedup comes from.
 
-use crate::partitioner::{plan, Block};
-use crate::{NeuroFluxConfig, NfError, Result, RHO};
-use nf_memsim::{memory, timing, CacheCostModel, DeviceProfile, TrainingParadigm};
+use crate::partitioner::{feasible_batches, plan, Block};
+use crate::profiler::profile;
+use crate::{NeuroFluxConfig, Result, RHO};
+use nf_memsim::{
+    memory, timing, CacheCostModel, DeviceProfile, LinearMemoryModel, TrainingParadigm,
+};
 use nf_models::{assign_aux, AuxPolicy, ModelSpec};
 
 /// Simulated cost of one full training run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimulatedRun {
     /// Paradigm label ("bp", "classic-ll", "neuroflux").
     pub paradigm: &'static str,
@@ -69,11 +72,26 @@ pub struct SimConfig {
     pub cache: CacheCostModel,
 }
 
-/// Channel count of a `(channels, height, width)` feature shape — the
-/// per-channel quantization axis the int8 cache codec charges its side
-/// table over.
-fn channels_of(shape: (usize, usize, usize)) -> usize {
-    shape.0
+/// A whole-model run: every step at the one batch all of `lines` fit
+/// ([`feasible_batches`]' minimum), no activation cache.
+fn whole_model_run(
+    paradigm: &'static str,
+    lines: &[LinearMemoryModel],
+    flops_per_sample: f64,
+    device: &DeviceProfile,
+    cfg: &SimConfig,
+) -> Result<SimulatedRun> {
+    let feasible = feasible_batches(lines, cfg.budget_bytes, cfg.batch_limit)?;
+    let batch = feasible.into_iter().min().unwrap_or(cfg.batch_limit);
+    let flops = flops_per_sample * cfg.samples as f64 * cfg.epochs as f64;
+    let n_batches = cfg.samples.div_ceil(batch) * cfg.epochs;
+    Ok(SimulatedRun {
+        paradigm,
+        compute_s: flops / device.effective_flops(),
+        overhead_s: n_batches as f64 * device.per_batch_overhead_s,
+        batches: vec![batch],
+        ..SimulatedRun::default()
+    })
 }
 
 /// Simulates end-to-end BP training; `Err(InfeasibleBudget)` when even
@@ -83,25 +101,8 @@ pub fn simulate_bp(
     device: &DeviceProfile,
     cfg: &SimConfig,
 ) -> Result<SimulatedRun> {
-    let batch = memory::bp_line(spec)
-        .max_batch(cfg.budget_bytes)
-        .ok_or(NfError::InfeasibleBudget {
-            unit: 0,
-            budget_bytes: cfg.budget_bytes,
-        })?
-        .min(cfg.batch_limit);
-    let flops = timing::bp_train_flops_per_sample(spec) * cfg.samples as f64 * cfg.epochs as f64;
-    let n_batches = cfg.samples.div_ceil(batch) * cfg.epochs;
-    Ok(SimulatedRun {
-        paradigm: "bp",
-        compute_s: flops / device.effective_flops(),
-        overhead_s: n_batches as f64 * device.per_batch_overhead_s,
-        io_s: 0.0,
-        batches: vec![batch],
-        cache_bytes_written: 0,
-        cache_peak_bytes: 0,
-        cache_saved_s: 0.0,
-    })
+    let flops = timing::bp_train_flops_per_sample(spec);
+    whole_model_run("bp", &[memory::bp_line(spec)], flops, device, cfg)
 }
 
 /// Simulates classic-LL training: the whole backbone is resident and one
@@ -111,31 +112,9 @@ pub fn simulate_classic_ll(
     device: &DeviceProfile,
     cfg: &SimConfig,
 ) -> Result<SimulatedRun> {
-    let aux = assign_aux(spec, AuxPolicy::CLASSIC);
-    let mut batch = usize::MAX;
-    for a in &spec.analyze() {
-        let b = memory::ll_unit_line(spec, a, &aux, TrainingParadigm::LocalLearning)
-            .max_batch(cfg.budget_bytes)
-            .ok_or(NfError::InfeasibleBudget {
-                unit: a.index,
-                budget_bytes: cfg.budget_bytes,
-            })?;
-        batch = batch.min(b);
-    }
-    let batch = batch.min(cfg.batch_limit);
-    let flops =
-        timing::ll_train_flops_per_sample(spec, &aux) * cfg.samples as f64 * cfg.epochs as f64;
-    let n_batches = cfg.samples.div_ceil(batch) * cfg.epochs;
-    Ok(SimulatedRun {
-        paradigm: "classic-ll",
-        compute_s: flops / device.effective_flops(),
-        overhead_s: n_batches as f64 * device.per_batch_overhead_s,
-        io_s: 0.0,
-        batches: vec![batch],
-        cache_bytes_written: 0,
-        cache_peak_bytes: 0,
-        cache_saved_s: 0.0,
-    })
+    let lines = profile(spec, AuxPolicy::CLASSIC, TrainingParadigm::LocalLearning);
+    let flops = timing::ll_train_flops_per_sample(spec, &assign_aux(spec, AuxPolicy::CLASSIC));
+    whole_model_run("classic-ll", &lines, flops, device, cfg)
 }
 
 /// Simulates a NeuroFlux run: [`plan_neuroflux`] at [`RHO`], then
@@ -198,7 +177,7 @@ pub fn price_neuroflux(
         let mut read_excess = 0.0;
         if bi > 0 {
             let in_elems = analytics[block.units.start].in_elems as u64 * cfg.samples as u64;
-            let in_channels = channels_of(analytics[block.units.start].in_shape) as u64;
+            let in_channels = analytics[block.units.start].in_shape.0 as u64;
             let in_bytes = cfg.cache.encoded_bytes(in_elems, in_channels) as f64;
             let raw_io = in_bytes * cfg.epochs as f64 / device.storage_bw_bytes_s;
             read_excess = (raw_io - block_compute).max(0.0);
@@ -211,7 +190,7 @@ pub fn price_neuroflux(
         compute_s += regen_compute;
         let out_analytics = &analytics[block.units.end - 1];
         let out_elems = out_analytics.out_elems as u64 * cfg.samples as u64;
-        let out_channels = channels_of(out_analytics.out_shape) as u64;
+        let out_channels = out_analytics.out_shape.0 as u64;
         let out_bytes = cfg.cache.encoded_bytes(out_elems, out_channels);
         let write_excess = (out_bytes as f64 / device.storage_bw_bytes_s - regen_compute).max(0.0);
         io_s += write_excess;

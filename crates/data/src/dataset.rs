@@ -68,17 +68,6 @@ impl Dataset {
         (0..self.len().div_ceil(size)).map(move |i| self.batch(i * size, size))
     }
 
-    /// Number of optimisation steps one epoch takes at `batch` — the
-    /// quantity AB-LL reduces by enlarging batches (Section 3).
-    pub fn steps_per_epoch(&self, batch: usize) -> usize {
-        self.len().div_ceil(batch.max(1))
-    }
-
-    /// Bytes of the raw image + label payload (f32 pixels).
-    pub fn byte_size(&self) -> usize {
-        self.images.numel() * 4 + self.labels.len()
-    }
-
     /// Builds a new dataset from the samples at `indices` (in order;
     /// indices may repeat or reorder).
     pub fn select(&self, indices: &[usize]) -> Result<Self, TensorError> {
@@ -145,14 +134,5 @@ mod tests {
             seen += labels.len();
         }
         assert_eq!(seen, 5);
-        assert_eq!(ds.steps_per_epoch(2), 3);
-        assert_eq!(ds.steps_per_epoch(5), 1);
-        assert_eq!(ds.steps_per_epoch(0), 5, "zero batch treated as 1");
-    }
-
-    #[test]
-    fn byte_size_counts_pixels_and_labels() {
-        let ds = tiny();
-        assert_eq!(ds.byte_size(), 20 * 4 + 5);
     }
 }

@@ -378,14 +378,26 @@ pub fn ll_unit_line(
     }
 }
 
-/// [`bp_training`] as a line: its bytes at batch 0 plus the bytes each
-/// sample adds.
-pub fn bp_line(spec: &ModelSpec) -> LinearMemoryModel {
-    let fixed = bp_training(spec, 0).total();
+/// A whole-model footprint as a line: its bytes at batch 0 plus the
+/// bytes one sample adds.
+fn line_of(bytes: impl Fn(usize) -> MemoryBreakdown) -> LinearMemoryModel {
+    let fixed = bytes(0).total();
     LinearMemoryModel {
         intercept: fixed as f64,
-        slope: (bp_training(spec, 1).total() - fixed) as f64,
+        slope: (bytes(1).total() - fixed) as f64,
     }
+}
+
+/// [`bp_training`] as a line (BP's, and feedback alignment's, which
+/// keeps the same state).
+pub fn bp_line(spec: &ModelSpec) -> LinearMemoryModel {
+    line_of(|batch| bp_training(spec, batch))
+}
+
+/// [`inference`] as a line: the footprint signal propagation trains in
+/// (forward passes only, no optimizer state).
+pub fn inference_line(spec: &ModelSpec) -> LinearMemoryModel {
+    line_of(|batch| inference(spec, batch))
 }
 
 /// Peak local-learning memory across all units at a fixed batch, with the

@@ -50,20 +50,6 @@ pub fn bp_epoch_time_s(
     compute + batches * device.per_batch_overhead_s
 }
 
-/// Wall-clock seconds for one epoch of classic LL training (single fixed
-/// batch size, full model traversal per batch).
-pub fn ll_epoch_time_s(
-    device: &DeviceProfile,
-    spec: &ModelSpec,
-    aux: &[AuxSpec],
-    samples: usize,
-    batch: usize,
-) -> f64 {
-    let compute = ll_train_flops_per_sample(spec, aux) * samples as f64 / device.effective_flops();
-    let batches = samples.div_ceil(batch.max(1)) as f64;
-    compute + batches * device.per_batch_overhead_s
-}
-
 /// Inference throughput in images/second for a model that costs
 /// `flops_per_image` per forward pass (Table 3).
 pub fn inference_throughput(device: &DeviceProfile, flops_per_image: u64) -> f64 {
@@ -73,7 +59,6 @@ pub fn inference_throughput(device: &DeviceProfile, flops_per_image: u64) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nf_models::{assign_aux, AuxPolicy};
 
     #[test]
     fn small_batches_are_much_slower() {
@@ -99,17 +84,6 @@ mod tests {
         let ratio =
             bp_epoch_time_s(&d, &spec, 100_000, 4) / bp_epoch_time_s(&d, &spec, 100_000, 256);
         assert!((3.0..10.0).contains(&ratio), "ratio {ratio}, expected ≈5");
-    }
-
-    #[test]
-    fn classic_ll_is_slower_than_bp_at_equal_batch() {
-        // LL adds auxiliary-network compute on top of the full traversal.
-        let d = DeviceProfile::agx_orin();
-        let spec = ModelSpec::vgg16(100);
-        let aux = assign_aux(&spec, AuxPolicy::CLASSIC);
-        let bp = bp_epoch_time_s(&d, &spec, 10_000, 64);
-        let ll = ll_epoch_time_s(&d, &spec, &aux, 10_000, 64);
-        assert!(ll > bp);
     }
 
     #[test]

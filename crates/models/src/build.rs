@@ -98,23 +98,13 @@ fn build_unit<R: Rng>(rng: &mut R, unit: &UnitSpec) -> nf_nn::Result<Sequential>
         } => {
             seq.push(Box::new(BasicBlock::new(rng, in_ch, out_ch, stride)?));
         }
-        LayerKind::DepthwiseSeparable {
-            in_ch,
-            out_ch,
-            stride,
-        } => {
-            // Depthwise conv approximated by a grouped dense conv: we do not
-            // implement channel groups, so we use the dense equivalent with
-            // the same output geometry. The FLOP/memory *analytics* in the
-            // spec use true depthwise counts; the runnable network is only
-            // used for accuracy-shape experiments where the approximation is
-            // immaterial (documented in DESIGN.md §2).
-            seq.push(Box::new(Conv2d::new(rng, in_ch, in_ch, 3, stride, 1)?));
-            seq.push(Box::new(BatchNorm2d::new(in_ch)));
-            seq.push(Box::new(nf_nn::relu::ReLU::new()));
-            seq.push(Box::new(Conv2d::new(rng, in_ch, out_ch, 1, 1, 0)?));
-            seq.push(Box::new(BatchNorm2d::new(out_ch)));
-            seq.push(Box::new(nf_nn::relu::ReLU::new()));
+        LayerKind::DepthwiseSeparable { .. } => {
+            return Err(nf_nn::NnError::BadInput {
+                layer: "depthwise-separable".into(),
+                reason: "channel-grouped convolution is not implemented, \
+                         so the unit cannot be built as its spec prices it"
+                    .into(),
+            });
         }
     }
     Ok(seq)
@@ -200,6 +190,35 @@ mod tests {
         let spec = ModelSpec::resnet18(10).scale_channels(0.125, 4);
         let mut model = spec.build(&mut rng).unwrap();
         assert_eq!(model.param_count(), spec.total_params());
+    }
+
+    /// One spec, one network: every buildable preset builds the parameters
+    /// and unit shapes its spec prices; MobileNet's is a typed error.
+    #[test]
+    fn every_buildable_preset_matches_its_analytics() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        for name in ModelSpec::preset_names() {
+            for size in [32, 64] {
+                let spec = ModelSpec::by_name(name, 10)
+                    .unwrap()
+                    .scale_channels(0.125, 4)
+                    .try_with_input_size(size)
+                    .unwrap();
+                let (at, built) = (format!("{name} @ {size}"), spec.build(&mut rng));
+                if name == "mobilenet" {
+                    assert!(matches!(built, Err(nf_nn::NnError::BadInput { .. })));
+                    continue;
+                }
+                let mut model = built.unwrap();
+                assert_eq!(model.param_count(), spec.total_params(), "{at}");
+                let mut cur = Tensor::zeros(&[1, 3, size, size]);
+                for (unit, a) in model.units.iter_mut().zip(spec.analyze()) {
+                    cur = unit.forward(&cur, Mode::Eval).unwrap();
+                    let (c, h, w) = a.out_shape;
+                    assert_eq!(cur.shape(), &[1, c, h, w], "{at} unit {}", a.index);
+                }
+            }
+        }
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl Sequential {
         &mut self.layers
     }
 
-    /// Consumes the container, returning its layers.
-    pub fn into_layers(self) -> Vec<Box<dyn Layer>> {
-        self.layers
-    }
-
     /// Runs a forward pass up to (excluding) `end`, returning the
     /// intermediate activation. `forward_until(x, mode, len())` is the full
     /// forward pass.

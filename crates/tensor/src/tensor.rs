@@ -140,11 +140,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Row-major strides for the current shape.
     ///
     /// The stride of dimension `d` is the number of elements separating two
@@ -223,11 +218,6 @@ impl Tensor {
             shape: new_shape.to_vec(),
             data: self.data,
         })
-    }
-
-    /// Returns a reshaped copy, leaving `self` untouched.
-    pub fn reshaped(&self, new_shape: &[usize]) -> Result<Self> {
-        self.clone().reshape(new_shape)
     }
 
     /// Interprets a rank-4 tensor's shape as `(n, c, h, w)`.
@@ -321,20 +311,6 @@ impl Tensor {
         self.data.capacity()
     }
 
-    /// Extracts rows `[start, end)` of a rank-2 tensor as a new tensor.
-    ///
-    /// Used heavily by the batching / re-batching machinery (AB-LL).
-    pub fn slice_rows(&self, start: usize, end: usize) -> Result<Self> {
-        let (rows, cols) = self.dims2()?;
-        if start > end || end > rows {
-            return Err(TensorError::index_out_of_bounds(&[start, end], &self.shape));
-        }
-        Ok(Tensor {
-            shape: vec![end - start, cols],
-            data: self.data[start * cols..end * cols].to_vec(),
-        })
-    }
-
     /// Extracts samples `[start, end)` along the batch (first) axis of any
     /// rank ≥ 1 tensor.
     pub fn slice_batch(&self, start: usize, end: usize) -> Result<Self> {
@@ -426,11 +402,6 @@ impl Tensor {
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
-
-    /// Returns `true` if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|v| !v.is_finite())
-    }
 }
 
 #[cfg(test)]
@@ -493,16 +464,6 @@ mod tests {
                 assert_eq!(i.at(&[r, c]), if r == c { 1.0 } else { 0.0 });
             }
         }
-    }
-
-    #[test]
-    fn slice_rows_extracts_contiguous_block() {
-        let t = Tensor::from_vec(vec![4, 2], (0..8).map(|i| i as f32).collect()).unwrap();
-        let s = t.slice_rows(1, 3).unwrap();
-        assert_eq!(s.shape(), &[2, 2]);
-        assert_eq!(s.data(), &[2.0, 3.0, 4.0, 5.0]);
-        assert!(t.slice_rows(3, 5).is_err());
-        assert!(t.slice_rows(3, 2).is_err());
     }
 
     #[test]
@@ -569,8 +530,7 @@ mod tests {
     fn norm_and_finite_checks() {
         let t = Tensor::from_vec(vec![2], vec![3.0, 4.0]).unwrap();
         assert!((t.norm() - 5.0).abs() < 1e-6);
-        assert!(!t.has_non_finite());
         let bad = Tensor::from_vec(vec![1], vec![f32::NAN]).unwrap();
-        assert!(bad.has_non_finite());
+        assert!(bad.norm().is_nan());
     }
 }

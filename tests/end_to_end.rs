@@ -118,7 +118,8 @@ fn multi_block_training_respects_budget() {
         .unwrap();
     assert_eq!(outcome.blocks, planned);
     // Every unit's planned footprint at its block batch fits the budget.
-    let lines = neuroflux::core::profiler::profile(&spec, config.aux_policy);
+    let paradigm = neuroflux::memsim::TrainingParadigm::BlockLocal;
+    let lines = neuroflux::core::profiler::profile(&spec, config.aux_policy, paradigm);
     for block in &outcome.blocks {
         for u in block.units.clone() {
             let predicted = lines[u].predict(block.batch);
