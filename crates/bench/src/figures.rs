@@ -8,17 +8,17 @@
 //! once per process, through [`Shared`].
 
 use crate::scaled::{workload, DATASETS};
-use neuroflux_core::partitioner::check_partition;
+use neuroflux_core::partitioner::{check_partition, plan};
 use neuroflux_core::profiler::{profile, profiling_flops};
 use neuroflux_core::simulate::{
-    plan_neuroflux, price_neuroflux, simulate_bp, simulate_classic_ll, simulate_neuroflux,
-    sweep_point, SimConfig, SimulatedRun,
+    price_neuroflux, simulate_bp, simulate_classic_ll, simulate_neuroflux, sweep_point,
+    SimulatedRun,
 };
 use neuroflux_core::{Block, NeuroFluxConfig, NeuroFluxTrainer, RHO};
 use nf_baselines::{install_feedback, BpTrainer, LocalLearningTrainer, SpTrainer};
 use nf_data::SyntheticSpec;
 use nf_memsim::TrainingParadigm::{BlockLocal, LocalLearning};
-use nf_memsim::{memory, timing, CacheCostModel, DeviceProfile};
+use nf_memsim::{memory, timing, DeviceProfile};
 use nf_models::{assign_aux, exit_candidates, AuxPolicy, ExitCandidate, ModelSpec, UnitAnalytics};
 use rand::{rngs::StdRng, SeedableRng};
 use std::cell::{OnceCell, RefCell};
@@ -212,14 +212,8 @@ const SAMPLES: [(&str, usize, usize); 3] = [
 ];
 
 /// The simulations' setting: 30 epochs, a 512 batch cap, f32 cache.
-fn sim(budget_mb: u64, samples: usize) -> SimConfig {
-    SimConfig {
-        budget_bytes: budget_mb * 1_000_000,
-        batch_limit: 512,
-        epochs: 30,
-        samples,
-        cache: CacheCostModel::f32_raw(),
-    }
+fn sim(budget_mb: u64) -> NeuroFluxConfig {
+    NeuroFluxConfig::new(budget_mb * 1_000_000, 512).with_epochs(30)
 }
 
 impl Shared {
@@ -232,7 +226,7 @@ impl Shared {
                 for (model, make) in MODELS {
                     let spec = make(classes);
                     let point = |mb| {
-                        let (bp, ll, nf) = sweep_point(&spec, &device, &sim(mb, samples));
+                        let (bp, ll, nf) = sweep_point(&spec, &device, &sim(mb), samples);
                         (mb, [bp, ll, nf])
                     };
                     panels.push((model, dataset, (100..=500).step_by(50).map(point).collect()));
@@ -249,7 +243,7 @@ impl Shared {
             return Ok(run.clone());
         }
         let device = DeviceProfile::agx_orin();
-        let run = simulate_neuroflux(spec, &device, &sim(300, samples))?;
+        let run = simulate_neuroflux(spec, &device, &sim(300), samples)?;
         self.runs_300.borrow_mut().insert(key, run.clone());
         Ok(run)
     }
@@ -758,12 +752,11 @@ fn fig12(_: &Shared) -> Result<Figure> {
     for (model, dataset) in [("vgg16", "cifar10"), ("resnet18", "cifar100")] {
         let w = workload(model, dataset)?;
         let (full, train, test) = (&w.full, &w.data.train, &w.data.test);
-        let mut cfg = sim(300, 50_000);
-        cfg.epochs = 1;
+        let cfg = sim(300).with_epochs(1);
         let hours = |run: Option<SimulatedRun>| run.map(|r| r.total_hours());
-        let bp_h = hours(simulate_bp(full, &device, &cfg).ok());
-        let ll_h = hours(simulate_classic_ll(full, &device, &cfg).ok());
-        let nf = simulate_neuroflux(full, &device, &cfg);
+        let bp_h = hours(simulate_bp(full, &device, &cfg, 50_000).ok());
+        let ll_h = hours(simulate_classic_ll(full, &device, &cfg, 50_000).ok());
+        let nf = simulate_neuroflux(full, &device, &cfg, 50_000);
         let nf_h = hours(nf.ok().map(|(run, _)| run));
         cheaper &= nf_h.is_some_and(|nf| [bp_h, ll_h].iter().flatten().all(|&b| nf < b));
 
@@ -978,11 +971,11 @@ fn overheads(shared: &Shared) -> Result<Figure> {
 /// batches differ, pinning each block to its smallest member's batch.
 fn ablation_rho(_: &Shared) -> Result<Figure> {
     let (device, spec) = (DeviceProfile::agx_orin(), ModelSpec::vgg16(100));
-    let cfg = sim(300, 50_000);
     let (mut rows, mut sweep) = (Vec::new(), Vec::new()); // sweep: (ρ, blocks, hours)
     for rho in [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7] {
-        let blocks = plan_neuroflux(&spec, &cfg, rho)?;
-        let run = price_neuroflux(&spec, &device, &cfg, &blocks);
+        let cfg = sim(300).with_rho(rho);
+        let blocks = plan(&spec, &cfg)?;
+        let run = price_neuroflux(&spec, &device, &cfg, 50_000, &blocks);
         let batches: Vec<String> = blocks.iter().map(|b| b.batch.to_string()).collect();
         let (h, gb) = (run.total_hours(), run.cache_bytes_written as f64 / 1e9);
         let cells = [

@@ -11,7 +11,7 @@ use crate::rundir::RunDir;
 use neuroflux_core::partitioner::feasible_batches;
 use neuroflux_core::profiler::profile;
 use neuroflux_core::serve::SystemClock;
-use neuroflux_core::{Checkpoint, NeuroFluxConfig, NfError, WorkerReport};
+use neuroflux_core::{Checkpoint, NeuroFluxConfig, WorkerReport};
 use nf_baselines::{install_feedback, BpTrainer, LocalLearningTrainer, SpTrainer};
 use nf_memsim::{memory, TrainingParadigm};
 use nf_models::{ExitCandidate, ModelSpec};
@@ -66,14 +66,9 @@ fn budget_batch(paradigm: Paradigm, spec: &ModelSpec, config: &NeuroFluxConfig) 
         Paradigm::Ll => profile(spec, config.aux_policy, TrainingParadigm::LocalLearning),
         Paradigm::Sp => vec![memory::inference_line(spec)],
     };
-    match feasible_batches(&lines, config.budget_bytes, config.batch_limit) {
-        Ok(feasible) => Ok(feasible.into_iter().min().unwrap_or(config.batch_limit)),
-        Err(e @ NfError::InfeasibleBudget { .. }) => {
-            let message = format!("the `{}` baseline cannot train: {e}", paradigm.name());
-            Err(CliError::config("train.budget_mb", message))
-        }
-        Err(other) => Err(other.into()),
-    }
+    let feasible = feasible_batches(&lines, config.budget_bytes, config.batch_limit)
+        .map_err(|e| CliError::from_plan(&format!("the `{}` baseline", paradigm.name()), e))?;
+    Ok(feasible.into_iter().min().unwrap_or(config.batch_limit))
 }
 
 /// Executes a baseline run; returns the run directory and metrics.

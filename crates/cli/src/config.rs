@@ -129,14 +129,8 @@ sections! {
     pub struct SweepSection {
         /// `pi4b | jetson-nano | xavier-nx | agx-orin`, or `host`: this machine, profiled live.
         pub devices: Vec<String>, Bound::NonEmpty;
-        /// Memory budgets to sweep, in MB (10⁶ bytes).
+        /// Memory budgets to sweep, in MB (10⁶ bytes); each replaces `[train]`'s budget.
         pub budgets_mb: Vec<u64>, Bound::AllPositive;
-        /// Batch-size cap.
-        pub batch_limit: usize = 512, Bound::Positive;
-        /// Simulated training epochs.
-        pub epochs: usize = 30;
-        /// Simulated training-set size.
-        pub samples: usize = 50_000;
     }
 
     /// `[serve]`: knobs for `nf serve` and the server `nf loadgen` hosts (`DESIGN.md` §12).
@@ -187,7 +181,7 @@ sections! {
         pub train: TrainSection;
         /// Activation-cache storage; always spelled out in snapshots.
         pub cache: CacheSection = CacheSection::default();
-        /// Required by `nf sweep` only.
+        /// Required by `nf sweep` only: the devices and budgets it prices `[train]` at, over `[dataset] train` samples.
         pub sweep: Option<SweepSection> = None;
         /// Used by `nf serve` / `nf loadgen`; its defaults apply without it.
         pub serve: Option<ServeSection> = None;
@@ -737,7 +731,8 @@ epochs_per_block = 2
 
         // Deleted keys get no alias (a pre-table snapshot carrying them
         // cannot be resumed as if nothing had changed), nor does the old
-        // `[sweep] device`.
+        // `[sweep] device`, nor `[sweep]`'s copies of `[train] batch_limit`,
+        // `[train] epochs_per_block` and `[dataset] train`.
         for (section, gone) in [
             ("train", "evict_params = true"),
             ("model", "granularity = 4"),
@@ -747,11 +742,14 @@ epochs_per_block = 2
             let key = gone.split(' ').next().unwrap();
             assert_eq!(config_error(&doc).0, format!("{section}.{key}"));
         }
-        let sweep = "\n[sweep]\ndevice = \"agx-orin\"\nbudgets_mb = [100]\n";
-        assert_eq!(
-            config_error(&format!("{}{sweep}", quickstart_toml())).0,
-            "sweep.device"
-        );
+        for gone in ["device", "batch_limit", "epochs", "samples"] {
+            let sweep =
+                format!("\n[sweep]\ndevices = [\"agx-orin\"]\nbudgets_mb = [100]\n{gone} = 1\n");
+            assert_eq!(
+                config_error(&format!("{}{sweep}", quickstart_toml())).0,
+                format!("sweep.{gone}")
+            );
+        }
         for gone in ["batch_window_us", "outbox_kib"] {
             let doc = format!("{}\n[serve]\n{gone} = 1\n", quickstart_toml());
             assert_eq!(config_error(&doc).0, format!("serve.{gone}"));

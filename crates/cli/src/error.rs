@@ -40,6 +40,18 @@ impl CliError {
             message: message.into(),
         }
     }
+
+    /// A planning error of `who`'s: a budget no batch fits is the
+    /// config's fault, at `train.budget_mb`; anything else converts as
+    /// usual.
+    pub fn from_plan(who: &str, e: neuroflux_core::NfError) -> Self {
+        match e {
+            e @ neuroflux_core::NfError::InfeasibleBudget { .. } => {
+                CliError::config("train.budget_mb", format!("{who} cannot train: {e}"))
+            }
+            other => other.into(),
+        }
+    }
 }
 
 impl fmt::Display for CliError {

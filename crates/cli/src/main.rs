@@ -4,6 +4,7 @@ use nf_cli::{
     run_baseline, run_inspect, run_loadgen, run_serve, run_sweep, run_train, LoadgenOptions,
     Paradigm, RunConfig, TrainOptions,
 };
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -44,6 +45,22 @@ fn main() -> ExitCode {
     }
 }
 
+/// Writes `text` and a newline to `out`. A reader that has gone away
+/// (`nf inspect <run> | head`) ends the output quietly: the rest has
+/// nowhere to go, and the command itself did not fail.
+fn print_to(out: &mut impl Write, text: &str) -> io::Result<()> {
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        written => written,
+    }
+}
+
+/// [`print_to`] on stdout: every line `main` prints goes through here.
+fn say(text: &str) -> nf_cli::Result<()> {
+    print_to(&mut io::stdout().lock(), text)
+        .map_err(|e| nf_cli::CliError::new(format!("writing to stdout: {e}")))
+}
+
 fn dispatch(args: &[String]) -> nf_cli::Result<()> {
     let mut positional = Vec::new();
     let mut resume = false;
@@ -60,10 +77,7 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
             a if a.starts_with("--connections=") => {
                 connections = Some(a["--connections=".len()..].to_string())
             }
-            "--help" | "-h" | "help" => {
-                println!("{USAGE}");
-                return Ok(());
-            }
+            "--help" | "-h" | "help" => return say(USAGE),
             other if other.starts_with('-') => {
                 return Err(nf_cli::CliError::new(format!("unknown flag {other:?}")));
             }
@@ -85,11 +99,10 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
             };
             let summary = run_train(&cfg, &opts)?;
             if !quiet {
-                println!("\nrun complete: {}", summary.run_dir.root().display());
-                println!(
-                    "inspect it with: nf inspect {}",
-                    summary.run_dir.root().display()
-                );
+                let root = summary.run_dir.root().display();
+                say(&format!(
+                    "\nrun complete: {root}\ninspect it with: nf inspect {root}"
+                ))?;
             }
             Ok(())
         }
@@ -108,13 +121,13 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
                     .get("final_test_accuracy")
                     .and_then(nf_cli::Value::as_float)
                 {
-                    println!(
+                    say(&format!(
                         "{} final test accuracy: {:.1}%",
                         paradigm.name(),
                         acc * 100.0
-                    );
+                    ))?;
                 }
-                println!("run complete: {}", run_dir.root().display());
+                say(&format!("run complete: {}", run_dir.root().display()))?;
             }
             Ok(())
         }
@@ -125,7 +138,7 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
             let cfg = RunConfig::load(Path::new(config_path))?;
             let (run_dir, _) = run_sweep(&cfg, quiet)?;
             if !quiet {
-                println!("run complete: {}", run_dir.root().display());
+                say(&format!("run complete: {}", run_dir.root().display()))?;
             }
             Ok(())
         }
@@ -164,16 +177,33 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
             let run_path = positional
                 .get(1)
                 .ok_or_else(|| nf_cli::CliError::new("usage: nf inspect <run-dir>"))?;
-            let report = run_inspect(Path::new(run_path))?;
-            println!("{report}");
-            Ok(())
+            say(&run_inspect(Path::new(run_path))?)
         }
         Some(other) => Err(nf_cli::CliError::new(format!(
             "unknown command {other:?}\n\n{USAGE}"
         ))),
-        None => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        None => say(USAGE),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_closed_pipe_ends_output_quietly() {
+        let mut out = Vec::new();
+        print_to(&mut out, "report").unwrap();
+        assert_eq!(out, b"report\n");
+        // The reader has exited: the write fails `BrokenPipe`, quietly.
+        let (reader, mut closed) = io::pipe().unwrap();
+        drop(reader);
+        let err = closed.write(b"x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        print_to(&mut closed, "report").unwrap();
+        // Any other write failure is still an error.
+        let mut full = [0u8; 2];
+        let err = print_to(&mut &mut full[..], "report").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 }

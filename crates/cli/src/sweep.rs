@@ -7,7 +7,8 @@ use crate::error::{CliError, Result};
 use crate::rundir::RunDir;
 use neuroflux_core::codec::{ActivationCodec, CacheBlob, CodecKind};
 use neuroflux_core::serve::SystemClock;
-use neuroflux_core::simulate::{sweep_point, SimConfig, SimulatedRun};
+use neuroflux_core::simulate::{sweep_point, SimulatedRun};
+use neuroflux_core::NeuroFluxConfig;
 use nf_memsim::{DeviceProfile, MeasuredPrimitives};
 use nf_value::{Table, Value};
 
@@ -73,6 +74,9 @@ pub fn run_sweep(cfg: &RunConfig, quiet: bool) -> Result<(RunDir, Value)> {
         .ok_or_else(|| CliError::config("sweep", "missing section (required by `nf sweep`)"))?;
     let dataset = cfg.resolve_dataset()?;
     let spec = cfg.resolve_model(&dataset)?;
+    // The run's own `[train]` inputs (not `resolve`, which refuses the
+    // MobileNet a sweep prices): only the budget varies per point.
+    let train = cfg.resolve_train()?;
     let run_dir = RunDir::create(&cfg.run.out_dir, &format!("{}-sweep", cfg.run.name))?;
     run_dir.write_config(cfg)?;
     let start = SystemClock::new();
@@ -98,16 +102,11 @@ pub fn run_sweep(cfg: &RunConfig, quiet: bool) -> Result<(RunDir, Value)> {
         }
         let mut points = Vec::new();
         for &budget_mb in &sweep.budgets_mb {
-            let sim = SimConfig {
+            let point_config = NeuroFluxConfig {
                 budget_bytes: budget_mb.saturating_mul(1_000_000),
-                batch_limit: sweep.batch_limit,
-                epochs: sweep.epochs,
-                samples: sweep.samples,
-                // The sweep prices cache footprint and storage I/O in the
-                // configured codec's encoded bytes.
-                cache: cfg.cache.codec.cost_model(),
+                ..train
             };
-            let (bp, ll, nf) = sweep_point(&spec, &device, &sim);
+            let (bp, ll, nf) = sweep_point(&spec, &device, &point_config, cfg.dataset.train);
             let mut point = Table::new();
             point.insert("budget_mb", Value::Int(budget_mb as i64));
             point.insert("bp", run_value(&bp));
@@ -182,5 +181,42 @@ fn run_value(run: &Option<SimulatedRun>) -> Value {
             t.insert("cache_peak_bytes", Value::Int(r.cache_peak_bytes as i64));
             t.build()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn train_section_reaches_the_sweep() {
+        // `examples/sweep.toml` at `ablation_rho`'s point: VGG-16 on
+        // CIFAR-100 at 300 MB.
+        let example = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/sweep.toml");
+        let mut cfg = RunConfig::load(std::path::Path::new(example)).unwrap();
+        let out_dir = std::env::temp_dir().join(format!("nf_sweep_train_{}", std::process::id()));
+        cfg.run.out_dir = out_dir.display().to_string();
+        cfg.dataset.preset = "cifar100".into();
+        cfg.sweep.as_mut().unwrap().budgets_mb = vec![300];
+        // BP's compute seconds and NeuroFlux's block count.
+        let priced = |cfg: &RunConfig| {
+            let (_, m) = run_sweep(cfg, true).unwrap();
+            let devices = m.get("devices").and_then(Value::as_array).unwrap();
+            let point = &devices[0].get("points").and_then(Value::as_array).unwrap()[0];
+            let run = |paradigm: &str, key: &str| point.get(paradigm).unwrap().get(key).unwrap();
+            let blocks = run("neuroflux", "batches").as_array().unwrap().len();
+            (run("bp", "compute_s").as_float().unwrap(), blocks)
+        };
+        let (bp, blocks) = priced(&cfg);
+        cfg.train.epochs_per_block *= 2;
+        let (doubled, _) = priced(&cfg);
+        assert!(
+            (doubled - 2.0 * bp).abs() <= 1e-12 * doubled,
+            "{doubled} vs 2 × {bp}"
+        );
+        // 3 blocks at the default ρ = 0.4, 7 at ρ = 0.1.
+        cfg.train.rho = 0.1;
+        assert_eq!((blocks, priced(&cfg).1), (3, 7));
+        std::fs::remove_dir_all(&out_dir).ok();
     }
 }

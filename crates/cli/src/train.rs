@@ -1,6 +1,6 @@
 //! `nf train <config>`: the full NeuroFlux pipeline as a durable run.
 //!
-//! Resolves the config, creates the run directory, trains with an on-disk
+//! Resolves and plans the config, creates the run directory, trains with an on-disk
 //! activation cache + per-block checkpointing, measures exits, and writes
 //! `metrics.json`. With `--resume`, restarts an interrupted run from its
 //! checkpoint and the cached activations — producing the same final
@@ -11,6 +11,7 @@ use crate::config::{Field, RunConfig};
 use crate::error::{CliError, Result};
 use crate::progress::ProgressPrinter;
 use crate::rundir::RunDir;
+use neuroflux_core::partitioner::plan;
 use neuroflux_core::serve::SystemClock;
 use neuroflux_core::{
     Checkpoint, DiskStore, FileCheckpoint, NeuroFluxOutcome, NeuroFluxTrainer, RunHooks,
@@ -45,6 +46,9 @@ pub struct TrainSummary {
 /// Executes a training run (the `nf train` command).
 pub fn run_train(cfg: &RunConfig, opts: &TrainOptions) -> Result<TrainSummary> {
     let (spec, data_spec, nf_config) = cfg.resolve()?;
+    // Plan before anything is written: a budget no unit fits is a config
+    // error and leaves no run directory behind.
+    plan(&spec, &nf_config).map_err(|e| CliError::from_plan("NeuroFlux", e))?;
     let run_dir = RunDir::create(&cfg.run.out_dir, &cfg.run.name)?;
     if opts.resume {
         if run_dir.is_complete() {

@@ -129,18 +129,16 @@ channels = [6, 8]
 preset = "quick"
 classes = 3
 image_hw = 8
-train = 48
+train = 1000
 
 [train]
 budget_mb = 1
-batch_limit = 8
+batch_limit = 64
+epochs_per_block = 1
 
 [sweep]
 devices = ["host", "pi4b"]
 budgets_mb = [64]
-batch_limit = 64
-epochs = 1
-samples = 1000
 "#,
         base.display()
     ));

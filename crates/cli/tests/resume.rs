@@ -386,3 +386,25 @@ fn checkpoint_reload_reproduces_inference() {
     assert_eq!(a.infer(&x).unwrap(), b.infer(&x).unwrap());
     std::fs::remove_dir_all(&base).ok();
 }
+
+/// The quickstart at a budget no unit fits: a typed error at the budget,
+/// planned before anything is written, so no run directory is left.
+#[test]
+fn an_unplannable_budget_is_a_config_error_and_writes_nothing() {
+    let base = temp_base("tinybudget");
+    let out_dir = base.join("runs");
+    let doc = include_str!("../../../examples/quickstart.toml")
+        .replace(
+            "out_dir = \"runs\"",
+            &format!("out_dir = {:?}", out_dir.display().to_string()),
+        )
+        .replace("budget_mb = 1.0", "budget_mb = 0.05");
+    let cfg = RunConfig::from_value(&nf_value::toml::parse(&doc).unwrap()).unwrap();
+    let Err(CliError::Config { path, message }) = run_train(&cfg, &TrainOptions::default()) else {
+        panic!("expected a config error at the budget");
+    };
+    assert_eq!(path, "train.budget_mb");
+    assert!(message.contains("NeuroFlux cannot train"), "{message}");
+    assert!(!out_dir.exists(), "{} was created", out_dir.display());
+    std::fs::remove_dir_all(&base).ok();
+}

@@ -108,7 +108,7 @@ pub fn partition(
 /// Profiler + Partitioner: one [`profile`] line per unit of `spec` under
 /// `config`'s heads, partitioned by Algorithm 1 at `config`'s budget,
 /// batch limit and ρ. The one planning body behind
-/// [`crate::NeuroFluxTrainer::plan`] and [`crate::simulate::plan_neuroflux`].
+/// [`crate::NeuroFluxTrainer::plan`] and [`crate::simulate::simulate_neuroflux`].
 pub fn plan(spec: &ModelSpec, config: &NeuroFluxConfig) -> Result<Vec<Block>> {
     let lines = profile(spec, config.aux_policy, TrainingParadigm::BlockLocal);
     partition(&lines, config.budget_bytes, config.batch_limit, config.rho)

@@ -10,17 +10,13 @@
 
 use crate::partitioner::{feasible_batches, plan, Block};
 use crate::profiler::profile;
-use crate::{NeuroFluxConfig, Result, RHO};
-use nf_memsim::{
-    memory, timing, CacheCostModel, DeviceProfile, LinearMemoryModel, TrainingParadigm,
-};
+use crate::{NeuroFluxConfig, Result};
+use nf_memsim::{memory, timing, DeviceProfile, LinearMemoryModel, TrainingParadigm};
 use nf_models::{assign_aux, AuxPolicy, ModelSpec};
 
 /// Simulated cost of one full training run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimulatedRun {
-    /// Paradigm label ("bp", "classic-ll", "neuroflux").
-    pub paradigm: &'static str,
     /// Seconds of pure compute.
     pub compute_s: f64,
     /// Seconds of per-batch overhead.
@@ -30,7 +26,7 @@ pub struct SimulatedRun {
     /// Batch size(s) used: single batch for BP/LL, per-block for NeuroFlux.
     pub batches: Vec<usize>,
     /// Total **encoded** activation-cache bytes written (NeuroFlux only;
-    /// shrinks under a quantizing [`CacheCostModel`]).
+    /// shrinks under a quantizing cache codec).
     pub cache_bytes_written: u64,
     /// Peak encoded cache bytes simultaneously resident (at most two
     /// adjacent blocks' outputs coexist: the input being consumed and the
@@ -56,37 +52,21 @@ impl SimulatedRun {
     }
 }
 
-/// Shared sweep parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct SimConfig {
-    /// Memory budget in bytes.
-    pub budget_bytes: u64,
-    /// User batch cap (Algorithm 1, line 4).
-    pub batch_limit: usize,
-    /// Training epochs (per block for NeuroFlux, global for BP/LL).
-    pub epochs: usize,
-    /// Training-set size.
-    pub samples: usize,
-    /// Activation-cache codec the feasibility/sweep accounting (cache
-    /// bytes + storage I/O time) is priced with.
-    pub cache: CacheCostModel,
-}
-
 /// A whole-model run: every step at the one batch all of `lines` fit
 /// ([`feasible_batches`]' minimum), no activation cache.
 fn whole_model_run(
-    paradigm: &'static str,
     lines: &[LinearMemoryModel],
     flops_per_sample: f64,
     device: &DeviceProfile,
-    cfg: &SimConfig,
+    config: &NeuroFluxConfig,
+    samples: usize,
 ) -> Result<SimulatedRun> {
-    let feasible = feasible_batches(lines, cfg.budget_bytes, cfg.batch_limit)?;
-    let batch = feasible.into_iter().min().unwrap_or(cfg.batch_limit);
-    let flops = flops_per_sample * cfg.samples as f64 * cfg.epochs as f64;
-    let n_batches = cfg.samples.div_ceil(batch) * cfg.epochs;
+    let feasible = feasible_batches(lines, config.budget_bytes, config.batch_limit)?;
+    let batch = feasible.into_iter().min().unwrap_or(config.batch_limit);
+    let epochs = config.epochs_per_block;
+    let flops = flops_per_sample * samples as f64 * epochs as f64;
+    let n_batches = samples.div_ceil(batch) * epochs;
     Ok(SimulatedRun {
-        paradigm,
         compute_s: flops / device.effective_flops(),
         overhead_s: n_batches as f64 * device.per_batch_overhead_s,
         batches: vec![batch],
@@ -94,58 +74,62 @@ fn whole_model_run(
     })
 }
 
-/// Simulates end-to-end BP training; `Err(InfeasibleBudget)` when even
+/// Simulates end-to-end BP training over `samples` for
+/// `config.epochs_per_block` epochs; `Err(InfeasibleBudget)` when even
 /// batch 1 exceeds the budget (Figure 11's missing BP points).
 pub fn simulate_bp(
     spec: &ModelSpec,
     device: &DeviceProfile,
-    cfg: &SimConfig,
+    config: &NeuroFluxConfig,
+    samples: usize,
 ) -> Result<SimulatedRun> {
     let flops = timing::bp_train_flops_per_sample(spec);
-    whole_model_run("bp", &[memory::bp_line(spec)], flops, device, cfg)
+    whole_model_run(&[memory::bp_line(spec)], flops, device, config, samples)
 }
 
 /// Simulates classic-LL training: the whole backbone is resident and one
-/// fixed batch must fit **every** unit's local training footprint.
+/// fixed batch must fit **every** unit's local training footprint. Its
+/// heads are [`AuxPolicy::CLASSIC`] whatever `config.aux_policy` says:
+/// that is the paradigm.
 pub fn simulate_classic_ll(
     spec: &ModelSpec,
     device: &DeviceProfile,
-    cfg: &SimConfig,
+    config: &NeuroFluxConfig,
+    samples: usize,
 ) -> Result<SimulatedRun> {
     let lines = profile(spec, AuxPolicy::CLASSIC, TrainingParadigm::LocalLearning);
     let flops = timing::ll_train_flops_per_sample(spec, &assign_aux(spec, AuxPolicy::CLASSIC));
-    whole_model_run("classic-ll", &lines, flops, device, cfg)
+    whole_model_run(&lines, flops, device, config, samples)
 }
 
-/// Simulates a NeuroFlux run: [`plan_neuroflux`] at [`RHO`], then
+/// Simulates a NeuroFlux run: [`plan`] at `config.rho` under
+/// `config.aux_policy`, the Controller's planning body, then
 /// [`price_neuroflux`] over the plan.
 pub fn simulate_neuroflux(
     spec: &ModelSpec,
     device: &DeviceProfile,
-    cfg: &SimConfig,
+    config: &NeuroFluxConfig,
+    samples: usize,
 ) -> Result<(SimulatedRun, Vec<Block>)> {
-    let blocks = plan_neuroflux(spec, cfg, RHO)?;
-    Ok((price_neuroflux(spec, device, cfg, &blocks), blocks))
-}
-
-/// Plans blocks the way the Controller does ([`plan`]): adaptive heads,
-/// one memory line per unit, then the Partitioner at grouping threshold
-/// `rho`.
-pub fn plan_neuroflux(spec: &ModelSpec, cfg: &SimConfig, rho: f64) -> Result<Vec<Block>> {
-    let config = NeuroFluxConfig::new(cfg.budget_bytes, cfg.batch_limit).with_rho(rho);
-    plan(spec, &config)
+    let blocks = plan(spec, config)?;
+    let run = price_neuroflux(spec, device, config, samples, &blocks);
+    Ok((run, blocks))
 }
 
 /// Prices block-wise training of `blocks` (which tile `spec`'s units, as
-/// the Partitioner returns them) with adaptive batches, cache regeneration
-/// passes, and storage I/O.
+/// the Partitioner returns them) over `samples` with adaptive batches,
+/// `config.aux_policy` heads, cache regeneration passes, and storage I/O in
+/// `config.cache_codec`'s encoded bytes.
 pub fn price_neuroflux(
     spec: &ModelSpec,
     device: &DeviceProfile,
-    cfg: &SimConfig,
+    config: &NeuroFluxConfig,
+    samples: usize,
     blocks: &[Block],
 ) -> SimulatedRun {
-    let aux = assign_aux(spec, AuxPolicy::Adaptive);
+    let aux = assign_aux(spec, config.aux_policy);
+    let cache = config.cache_codec.cost_model();
+    let epochs = config.epochs_per_block;
     let analytics = spec.analyze();
 
     let mut compute_s = 0.0;
@@ -155,7 +139,7 @@ pub fn price_neuroflux(
     let mut cache_bytes = 0u64;
     let mut cache_peak = 0u64;
     let mut prev_block_bytes = 0u64;
-    let n = cfg.samples as f64;
+    let n = samples as f64;
     for (bi, block) in blocks.iter().enumerate() {
         // Per-epoch block training: local fwd+bwd of each unit + aux.
         let block_train_flops: f64 = block
@@ -163,10 +147,10 @@ pub fn price_neuroflux(
             .clone()
             .map(|u| timing::unit_train_flops(spec, u, &aux[u]))
             .sum();
-        let block_compute = block_train_flops * n * cfg.epochs as f64 / device.effective_flops();
+        let block_compute = block_train_flops * n * epochs as f64 / device.effective_flops();
         compute_s += block_compute;
-        let batches_per_epoch = cfg.samples.div_ceil(block.batch.max(1));
-        overhead_s += (batches_per_epoch * cfg.epochs) as f64 * device.per_batch_overhead_s;
+        let batches_per_epoch = samples.div_ceil(block.batch.max(1));
+        overhead_s += (batches_per_epoch * epochs) as f64 * device.per_batch_overhead_s;
         // Reading cached inputs each epoch (block 0 reads the dataset,
         // already covered by per-batch overhead). The prefetcher (§3.2)
         // streams activations while the GPU trains, so only the I/O that
@@ -176,10 +160,10 @@ pub fn price_neuroflux(
         // bandwidth-starved devices.
         let mut read_excess = 0.0;
         if bi > 0 {
-            let in_elems = analytics[block.units.start].in_elems as u64 * cfg.samples as u64;
+            let in_elems = analytics[block.units.start].in_elems as u64 * samples as u64;
             let in_channels = analytics[block.units.start].in_shape.0 as u64;
-            let in_bytes = cfg.cache.encoded_bytes(in_elems, in_channels) as f64;
-            let raw_io = in_bytes * cfg.epochs as f64 / device.storage_bw_bytes_s;
+            let in_bytes = cache.encoded_bytes(in_elems, in_channels) as f64;
+            let raw_io = in_bytes * epochs as f64 / device.storage_bw_bytes_s;
             read_excess = (raw_io - block_compute).max(0.0);
             io_s += read_excess;
         }
@@ -189,9 +173,9 @@ pub fn price_neuroflux(
         let regen_compute = fwd_flops * n / device.effective_flops();
         compute_s += regen_compute;
         let out_analytics = &analytics[block.units.end - 1];
-        let out_elems = out_analytics.out_elems as u64 * cfg.samples as u64;
+        let out_elems = out_analytics.out_elems as u64 * samples as u64;
         let out_channels = out_analytics.out_shape.0 as u64;
-        let out_bytes = cfg.cache.encoded_bytes(out_elems, out_channels);
+        let out_bytes = cache.encoded_bytes(out_elems, out_channels);
         let write_excess = (out_bytes as f64 / device.storage_bw_bytes_s - regen_compute).max(0.0);
         io_s += write_excess;
         cache_bytes += out_bytes;
@@ -205,11 +189,10 @@ pub fn price_neuroflux(
             .iter()
             .map(|a| a.flops as f64)
             .sum();
-        let prefix_s = prefix_flops * n * cfg.epochs as f64 / device.effective_flops();
+        let prefix_s = prefix_flops * n * epochs as f64 / device.effective_flops();
         cache_saved_s += prefix_s - regen_compute - read_excess - write_excess;
     }
     SimulatedRun {
-        paradigm: "neuroflux",
         compute_s,
         overhead_s,
         io_s,
@@ -225,15 +208,16 @@ pub fn price_neuroflux(
 pub fn sweep_point(
     spec: &ModelSpec,
     device: &DeviceProfile,
-    cfg: &SimConfig,
+    config: &NeuroFluxConfig,
+    samples: usize,
 ) -> (
     Option<SimulatedRun>,
     Option<SimulatedRun>,
     Option<SimulatedRun>,
 ) {
-    let bp = simulate_bp(spec, device, cfg).ok();
-    let ll = simulate_classic_ll(spec, device, cfg).ok();
-    let nf = simulate_neuroflux(spec, device, cfg)
+    let bp = simulate_bp(spec, device, config, samples).ok();
+    let ll = simulate_classic_ll(spec, device, config, samples).ok();
+    let nf = simulate_neuroflux(spec, device, config, samples)
         .ok()
         .map(|(run, _)| run);
     (bp, ll, nf)
@@ -242,17 +226,14 @@ pub fn sweep_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CodecKind;
 
     const MB: u64 = 1_000_000;
 
-    fn cfg(budget_mb: u64) -> SimConfig {
-        SimConfig {
-            budget_bytes: budget_mb * MB,
-            batch_limit: 512,
-            epochs: 30,
-            samples: 50_000,
-            cache: CacheCostModel::f32_raw(),
-        }
+    const SAMPLES: usize = 50_000;
+
+    fn cfg(budget_mb: u64) -> NeuroFluxConfig {
+        NeuroFluxConfig::new(budget_mb * MB, 512).with_epochs(30)
     }
 
     #[test]
@@ -261,7 +242,7 @@ mod tests {
         let device = DeviceProfile::agx_orin();
         for spec in [ModelSpec::vgg16(10), ModelSpec::vgg19(100)] {
             for budget in [250, 300, 400, 500] {
-                let (bp, _, nf) = sweep_point(&spec, &device, &cfg(budget));
+                let (bp, _, nf) = sweep_point(&spec, &device, &cfg(budget), SAMPLES);
                 if let (Some(bp), Some(nf)) = (bp, nf) {
                     let speedup = bp.total_s() / nf.total_s();
                     assert!(
@@ -288,7 +269,7 @@ mod tests {
             ModelSpec::resnet18(10),
         ] {
             for budget in [200, 250, 300, 350, 400, 450, 500] {
-                let (bp, ll, nf) = sweep_point(&spec, &device, &cfg(budget));
+                let (bp, ll, nf) = sweep_point(&spec, &device, &cfg(budget), SAMPLES);
                 let nf = nf.expect("neuroflux always feasible at these budgets");
                 if let Some(bp) = &bp {
                     bp_speedups.push(bp.total_s() / nf.total_s());
@@ -325,9 +306,9 @@ mod tests {
         let device = DeviceProfile::agx_orin();
         let spec = ModelSpec::vgg16(10);
         let c = cfg(100);
-        assert!(simulate_bp(&spec, &device, &c).is_err());
-        assert!(simulate_classic_ll(&spec, &device, &c).is_err());
-        let (run, blocks) = simulate_neuroflux(&spec, &device, &c).unwrap();
+        assert!(simulate_bp(&spec, &device, &c, SAMPLES).is_err());
+        assert!(simulate_classic_ll(&spec, &device, &c, SAMPLES).is_err());
+        let (run, blocks) = simulate_neuroflux(&spec, &device, &c, SAMPLES).unwrap();
         assert!(!blocks.is_empty());
         assert!(run.total_s() > 0.0);
     }
@@ -344,8 +325,10 @@ mod tests {
         // at 500 MB (recorded per-figure in EXPERIMENTS.md).
         let device = DeviceProfile::agx_orin();
         let spec = ModelSpec::vgg16(10);
-        let nf = simulate_neuroflux(&spec, &device, &cfg(100)).unwrap().0;
-        let bp = simulate_bp(&spec, &device, &cfg(500)).unwrap();
+        let nf = simulate_neuroflux(&spec, &device, &cfg(100), SAMPLES)
+            .unwrap()
+            .0;
+        let bp = simulate_bp(&spec, &device, &cfg(500), SAMPLES).unwrap();
         let ratio = nf.total_s() / bp.total_s();
         assert!(
             ratio < 2.5,
@@ -362,7 +345,7 @@ mod tests {
         let spec = ModelSpec::vgg19(100);
         let mut prev = f64::INFINITY;
         for budget in [100, 200, 300, 400, 500] {
-            let (run, _) = simulate_neuroflux(&spec, &device, &cfg(budget)).unwrap();
+            let (run, _) = simulate_neuroflux(&spec, &device, &cfg(budget), SAMPLES).unwrap();
             let t = run.total_s();
             assert!(t <= prev * 1.001, "time rose at {budget}MB: {t} > {prev}");
             prev = t;
@@ -373,13 +356,13 @@ mod tests {
     fn quantized_cache_codecs_shrink_simulated_footprint_and_io() {
         let device = DeviceProfile::agx_orin();
         let spec = ModelSpec::vgg16(10);
-        let run_with = |cache: CacheCostModel| {
-            let c = SimConfig { cache, ..cfg(300) };
-            simulate_neuroflux(&spec, &device, &c).unwrap().0
+        let run_with = |codec: CodecKind| {
+            let c = cfg(300).with_cache_codec(codec);
+            simulate_neuroflux(&spec, &device, &c, SAMPLES).unwrap().0
         };
-        let f32_run = run_with(CacheCostModel::f32_raw());
-        let f16_run = run_with(CacheCostModel::f16());
-        let int8_run = run_with(CacheCostModel::int8_affine());
+        let f32_run = run_with(CodecKind::F32Raw);
+        let f16_run = run_with(CodecKind::F16);
+        let int8_run = run_with(CodecKind::Int8Affine);
         // Encoded cache bytes track the codecs' ratios (2× / ~4×): the
         // §6.4 accounting the sweeps report is codec-aware.
         let half = f32_run.cache_bytes_written as f64 / f16_run.cache_bytes_written as f64;
@@ -397,7 +380,7 @@ mod tests {
         // §6.4: activation cache totals 1.5–5.3x the dataset size.
         let device = DeviceProfile::agx_orin();
         let spec = ModelSpec::vgg16(10);
-        let (run, _) = simulate_neuroflux(&spec, &device, &cfg(300)).unwrap();
+        let (run, _) = simulate_neuroflux(&spec, &device, &cfg(300), SAMPLES).unwrap();
         // Dataset ≈ 50k CIFAR images as u8: ~150 MB; as f32: ~600 MB. This
         // test divides by the f32 dataset and reads ≈ 16x. §6.4 (and the
         // `overheads` figure) divide by the stored u8 dataset, where the

@@ -56,8 +56,6 @@ pub enum TrainingParadigm {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheCostModel {
-    /// Stable codec name (`f32`, `f16`, `int8`).
-    pub name: &'static str,
     /// Encoded bytes per cached tensor element.
     pub bytes_per_elem: f64,
     /// Fixed side-table bytes per quantization channel (0 for the
@@ -66,10 +64,9 @@ pub struct CacheCostModel {
 }
 
 impl CacheCostModel {
-    /// Bit-exact f32 storage (4 bytes/element) — the default.
+    /// Bit-exact f32 storage (4 bytes/element), the default codec.
     pub fn f32_raw() -> Self {
         CacheCostModel {
-            name: "f32",
             bytes_per_elem: 4.0,
             per_channel_overhead_bytes: 0.0,
         }
@@ -78,7 +75,6 @@ impl CacheCostModel {
     /// IEEE binary16 storage (2 bytes/element).
     pub fn f16() -> Self {
         CacheCostModel {
-            name: "f16",
             bytes_per_elem: 2.0,
             per_channel_overhead_bytes: 0.0,
         }
@@ -88,7 +84,6 @@ impl CacheCostModel {
     /// scale/offset per channel).
     pub fn int8_affine() -> Self {
         CacheCostModel {
-            name: "int8",
             bytes_per_elem: 1.0,
             per_channel_overhead_bytes: 8.0,
         }
@@ -99,19 +94,6 @@ impl CacheCostModel {
     pub fn encoded_bytes(&self, elems: u64, channels: u64) -> u64 {
         (elems as f64 * self.bytes_per_elem + channels as f64 * self.per_channel_overhead_bytes)
             as u64
-    }
-
-    /// Compression ratio versus raw f32 storage for `elems` elements over
-    /// `channels` channels (≥ 1.0 for the shipped codecs).
-    pub fn compression_vs_f32(&self, elems: u64, channels: u64) -> f64 {
-        let raw = Self::f32_raw().encoded_bytes(elems, 0);
-        raw as f64 / self.encoded_bytes(elems, channels).max(1) as f64
-    }
-}
-
-impl Default for CacheCostModel {
-    fn default() -> Self {
-        Self::f32_raw()
     }
 }
 
@@ -544,9 +526,6 @@ mod tests {
         assert_eq!(CacheCostModel::f32_raw().encoded_bytes(1000, 10), 4000);
         assert_eq!(CacheCostModel::f16().encoded_bytes(1000, 10), 2000);
         assert_eq!(CacheCostModel::int8_affine().encoded_bytes(1000, 10), 1080);
-        // int8 approaches 4× as the channel table amortises.
-        let r = CacheCostModel::int8_affine().compression_vs_f32(1_000_000, 512);
-        assert!((3.9..=4.0).contains(&r), "{r}");
     }
 
     const MB: u64 = 1_000_000;

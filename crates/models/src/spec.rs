@@ -438,30 +438,9 @@ impl ModelSpec {
     }
 
     /// Returns a copy with a different square input resolution, recomputing
-    /// the head geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resolution collapses to zero anywhere in the stack
-    /// (too many downsampling stages for the requested size). Callers
-    /// resizing from *user input* should use
-    /// [`ModelSpec::try_with_input_size`], which returns the same
-    /// condition as a typed [`SpecError`].
-    pub fn with_input_size(&self, hw: usize) -> ModelSpec {
-        match self.try_with_input_size(hw) {
-            Ok(out) => out,
-            // Keep the historical message (pinned by tests) for the
-            // infallible programmer-facing path.
-            Err(SpecError::CollapsedResolution { hw, name }) => {
-                panic!("input size {hw} collapses to zero spatial extent in {name}")
-            }
-        }
-    }
-
-    /// Fallible twin of [`ModelSpec::with_input_size`]: a resolution that
-    /// collapses to zero spatial extent is a typed error, never a panic —
-    /// this is the entry point for resolutions that come from config
-    /// files or other user input.
+    /// the head geometry. A resolution that collapses to zero spatial
+    /// extent anywhere in the stack (too many downsampling stages for the
+    /// requested size) is a typed error, never a panic.
     pub fn try_with_input_size(&self, hw: usize) -> Result<ModelSpec, SpecError> {
         let mut out = self.clone();
         out.input = (self.input.0, hw, hw);
@@ -610,7 +589,7 @@ mod tests {
 
     #[test]
     fn with_input_size_recomputes_head() {
-        let spec = ModelSpec::resnet18(10).with_input_size(64);
+        let spec = ModelSpec::resnet18(10).try_with_input_size(64).unwrap();
         let (c, h, w) = spec.final_feature_shape();
         assert_eq!(c, 512);
         assert_eq!((h, w), (8, 8));
@@ -628,14 +607,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "collapses")]
-    fn with_input_size_rejects_collapse() {
-        // VGG-19 has 5 pools: 8x8 input collapses to zero.
-        let _ = ModelSpec::vgg19(10).with_input_size(8);
-    }
-
-    #[test]
     fn try_with_input_size_surfaces_collapse_as_typed_error() {
+        // VGG-19 has 5 pools: 8x8 input collapses to zero.
         let err = ModelSpec::vgg19(10).try_with_input_size(8).unwrap_err();
         assert_eq!(
             err,
@@ -645,11 +618,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("collapses"), "{err}");
-        // The happy path matches the infallible twin.
-        let a = ModelSpec::resnet18(10).try_with_input_size(64).unwrap();
-        let b = ModelSpec::resnet18(10).with_input_size(64);
-        assert_eq!(a.head, b.head);
-        assert_eq!(a.input, b.input);
     }
 
     #[test]

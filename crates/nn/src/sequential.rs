@@ -79,16 +79,8 @@ impl Sequential {
         &mut self.layers
     }
 
-    /// Runs a forward pass up to (excluding) `end`, returning the
-    /// intermediate activation. `forward_until(x, mode, len())` is the full
-    /// forward pass.
-    pub fn forward_until(&mut self, x: &Tensor, mode: Mode, end: usize) -> Result<Tensor> {
-        let mut out = Tensor::default();
-        self.forward_until_into(x, mode, end, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Sequential::forward_until`] into a caller-provided buffer.
+    /// Runs a forward pass up to (excluding) `end` into `out`, the
+    /// intermediate activation. `end = len()` is the full forward pass.
     pub fn forward_until_into(
         &mut self,
         x: &Tensor,
@@ -260,10 +252,11 @@ mod tests {
     fn forward_until_stops_early() {
         let mut net = two_layer();
         let x = Tensor::ones(&[2, 3]);
-        let mid = net.forward_until(&x, Mode::Eval, 1).unwrap();
-        assert_eq!(mid.shape(), &[2, 4]);
-        let nothing = net.forward_until(&x, Mode::Eval, 0).unwrap();
-        assert_eq!(nothing, x);
+        let mut out = Tensor::default();
+        net.forward_until_into(&x, Mode::Eval, 1, &mut out).unwrap();
+        assert_eq!(out.shape(), &[2, 4]);
+        net.forward_until_into(&x, Mode::Eval, 0, &mut out).unwrap();
+        assert_eq!(out, x);
     }
 
     #[test]

@@ -140,18 +140,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Row-major strides for the current shape.
-    ///
-    /// The stride of dimension `d` is the number of elements separating two
-    /// consecutive indices along `d`.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1; self.shape.len()];
-        for d in (0..self.shape.len().saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * self.shape[d + 1];
-        }
-        strides
-    }
-
     /// Converts a multi-dimensional index into a flat offset.
     fn offset(&self, index: &[usize]) -> Result<usize> {
         if index.len() != self.shape.len() {
@@ -437,15 +425,6 @@ mod tests {
         assert!(t.get(&[2, 0]).is_err());
         assert!(t.get(&[0]).is_err());
         assert!(t.get(&[0, 0, 0]).is_err());
-    }
-
-    #[test]
-    fn strides_are_row_major() {
-        let t = Tensor::zeros(&[2, 3, 4]);
-        assert_eq!(t.strides(), vec![12, 4, 1]);
-        let s = Tensor::scalar(1.0);
-        assert_eq!(s.strides(), Vec::<usize>::new());
-        assert_eq!(s.numel(), 1);
     }
 
     #[test]

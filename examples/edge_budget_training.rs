@@ -10,7 +10,8 @@
 //! and classic local learning can run at all, the block partition NeuroFlux
 //! chooses, and the simulated wall-clock training time of each method.
 
-use neuroflux_core::simulate::{simulate_bp, simulate_classic_ll, simulate_neuroflux, SimConfig};
+use neuroflux_core::simulate::{simulate_bp, simulate_classic_ll, simulate_neuroflux};
+use neuroflux_core::NeuroFluxConfig;
 use nf_memsim::DeviceProfile;
 use nf_models::ModelSpec;
 
@@ -30,24 +31,18 @@ fn main() {
     );
 
     for budget_mb in [100u64, 150, 200, 250, 300, 350, 400, 450, 500] {
-        let cfg = SimConfig {
-            budget_bytes: budget_mb * 1_000_000,
-            batch_limit: 512,
-            epochs: 30,
-            samples: 50_000,
-            cache: nf_memsim::CacheCostModel::f32_raw(),
-        };
+        let cfg = NeuroFluxConfig::new(budget_mb * 1_000_000, 512).with_epochs(30);
         let fmt = |r: Result<f64, ()>| match r {
             Ok(h) => format!("{h:9.2} h"),
             Err(()) => "   — OOM —".to_string(),
         };
-        let bp = simulate_bp(&spec, &device, &cfg)
+        let bp = simulate_bp(&spec, &device, &cfg, 50_000)
             .map(|r| r.total_hours())
             .map_err(|_| ());
-        let ll = simulate_classic_ll(&spec, &device, &cfg)
+        let ll = simulate_classic_ll(&spec, &device, &cfg, 50_000)
             .map(|r| r.total_hours())
             .map_err(|_| ());
-        let (nf, blocks) = simulate_neuroflux(&spec, &device, &cfg)
+        let (nf, blocks) = simulate_neuroflux(&spec, &device, &cfg, 50_000)
             .expect("NeuroFlux plans under every budget in this sweep");
         let plan: Vec<String> = blocks
             .iter()

@@ -163,14 +163,8 @@ fn calibrated_model_predicts_step_time_within_25_percent() {
     let host = model.device_profile();
     let rate = primitives.gemm_gflops * 1e9;
     assert!((host.effective_flops() - rate).abs() / rate < 1e-9);
-    let sim = neuroflux_core::simulate::SimConfig {
-        budget_bytes: 64 << 20,
-        batch_limit: 64,
-        epochs: 1,
-        samples: 1_000,
-        cache: nf_memsim::CacheCostModel::default(),
-    };
-    let (_, _, nf) = neuroflux_core::simulate::sweep_point(&spec, &host, &sim);
+    let config = neuroflux_core::NeuroFluxConfig::new(64 << 20, 64).with_epochs(1);
+    let (_, _, nf) = neuroflux_core::simulate::sweep_point(&spec, &host, &config, 1_000);
     let nf = nf.expect("NeuroFlux must be feasible on the calibrated host");
     assert!(nf.total_s().is_finite() && nf.total_s() > 0.0);
 }

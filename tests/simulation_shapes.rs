@@ -1,20 +1,15 @@
 //! Integration tests over the simulation path: the paper's macroscopic
 //! orderings must hold across models, datasets, and devices.
 
-use neuroflux::core::simulate::{simulate_neuroflux, sweep_point, SimConfig};
-use neuroflux::memsim::{CacheCostModel, DeviceProfile};
+use neuroflux::core::simulate::{simulate_neuroflux, sweep_point};
+use neuroflux::core::NeuroFluxConfig;
+use neuroflux::memsim::DeviceProfile;
 use neuroflux::models::ModelSpec;
 
 const MB: u64 = 1_000_000;
 
-fn cfg(budget_mb: u64, samples: usize) -> SimConfig {
-    SimConfig {
-        budget_bytes: budget_mb * MB,
-        batch_limit: 512,
-        epochs: 30,
-        samples,
-        cache: CacheCostModel::f32_raw(),
-    }
+fn cfg(budget_mb: u64) -> NeuroFluxConfig {
+    NeuroFluxConfig::new(budget_mb * MB, 512).with_epochs(30)
 }
 
 /// Figure 11, all nine panels: wherever BP or classic LL is feasible,
@@ -36,7 +31,7 @@ fn figure11_orderings_hold_for_all_nine_panels() {
     ];
     for (name, spec, samples) in specs {
         for budget in [100u64, 200, 300, 400, 500] {
-            let (bp, ll, nf) = sweep_point(&spec, &device, &cfg(budget, samples));
+            let (bp, ll, nf) = sweep_point(&spec, &device, &cfg(budget), samples);
             let nf = nf.unwrap_or_else(|| {
                 panic!("{name}/{samples} @ {budget}MB: NeuroFlux must be feasible")
             });
@@ -65,7 +60,7 @@ fn infeasibility_floors_are_ordered_like_the_paper() {
     let device = DeviceProfile::agx_orin();
     let floor = |spec: &ModelSpec| -> u64 {
         for budget in (50..2000).step_by(10) {
-            let (bp, _, _) = sweep_point(spec, &device, &cfg(budget, 50_000));
+            let (bp, _, _) = sweep_point(spec, &device, &cfg(budget), 50_000);
             if bp.is_some() {
                 return budget;
             }
@@ -93,7 +88,7 @@ fn speedup_grows_as_budget_tightens() {
     let spec = ModelSpec::vgg16(10);
     let mut speedups = Vec::new();
     for budget in [250u64, 350, 500] {
-        let (bp, _, nf) = sweep_point(&spec, &device, &cfg(budget, 50_000));
+        let (bp, _, nf) = sweep_point(&spec, &device, &cfg(budget), 50_000);
         let (bp, nf) = (bp.unwrap(), nf.unwrap());
         speedups.push(bp.total_s() / nf.total_s());
     }
@@ -113,7 +108,7 @@ fn weaker_devices_train_slower() {
         DeviceProfile::xavier_nx(),
         DeviceProfile::agx_orin(),
     ] {
-        let (run, _) = simulate_neuroflux(&spec, &device, &cfg(300, 50_000)).unwrap();
+        let (run, _) = simulate_neuroflux(&spec, &device, &cfg(300), 50_000).unwrap();
         times.push(run.total_s());
     }
     assert!(
@@ -132,7 +127,7 @@ fn block_batches_grow_with_depth() {
         ModelSpec::vgg16(100),
         ModelSpec::vgg19(200),
     ] {
-        let (_, blocks) = simulate_neuroflux(&spec, &device, &cfg(300, 50_000)).unwrap();
+        let (_, blocks) = simulate_neuroflux(&spec, &device, &cfg(300), 50_000).unwrap();
         let batches: Vec<usize> = blocks.iter().map(|b| b.batch).collect();
         assert!(
             batches.windows(2).all(|w| w[1] >= w[0]),
