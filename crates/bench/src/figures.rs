@@ -299,7 +299,8 @@ fn row(label: impl ToString, cells: impl IntoIterator<Item = String>) -> Vec<Str
 /// ResNet-18 and VGG-19 on Tiny ImageNet at batch 4, 8 and 256.
 fn fig01(_: &Shared) -> Result<Figure> {
     let device = DeviceProfile::agx_orin();
-    let epoch_s = |spec: &ModelSpec, batch| timing::bp_epoch_time_s(&device, spec, 100_000, batch);
+    let flops = timing::bp_train_flops_per_sample;
+    let epoch_s = |spec: &ModelSpec, b| timing::epoch_time_s(&device, flops(spec), 100_000, b);
     let mut fig = Figure::new("fig01");
     let (mut dominate, mut grows, mut ratios) = (true, true, Vec::new());
     for spec in [ModelSpec::resnet18(200), ModelSpec::vgg19(200)] {

@@ -32,6 +32,16 @@
 // Everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
+// No panic path: every failure a command can meet is a `CliError`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod baseline;
 pub mod config;

@@ -34,6 +34,7 @@ use crate::config::RunConfig;
 use crate::error::{CliError, Result};
 use crate::net::reactor::{Conn, ReadEnd, READ_CHUNK};
 use crate::net::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN};
+use crate::progress::say;
 use crate::proto::{self, RejectReason, Request, Response};
 use crate::serve::{build_engines, start_server_with_engines};
 use neuroflux_core::serve::splitmix64;
@@ -631,7 +632,7 @@ pub fn run_loadgen(cfg: &RunConfig, opts: &LoadgenOptions) -> Result<LoadgenRepo
     run_dir.write_config(cfg)?;
     run_dir.write_metrics(&report.to_value())?;
     if !opts.quiet {
-        println!(
+        say(&format!(
             "loadgen: {} requests over {} connections ({} in flight, {} replica(s)) — \
              {} ok, {} rejected, {:.1} req/s, p50/p95/p99 {}/{}/{} µs",
             report.requests,
@@ -644,9 +645,12 @@ pub fn run_loadgen(cfg: &RunConfig, opts: &LoadgenOptions) -> Result<LoadgenRepo
             report.p50_us,
             report.p95_us,
             report.p99_us
-        );
-        println!("  exit histogram: {:?}", report.exit_hist);
-        println!("inspect it with: nf inspect {}", run_dir.root().display());
+        ))?;
+        say(&format!("  exit histogram: {:?}", report.exit_hist))?;
+        say(&format!(
+            "inspect it with: nf inspect {}",
+            run_dir.root().display()
+        ))?;
     }
     Ok(report)
 }

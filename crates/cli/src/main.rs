@@ -1,10 +1,10 @@
 //! The `nf` binary: thin argv parsing over the `nf-cli` library.
 
+use nf_cli::progress::say;
 use nf_cli::{
     run_baseline, run_inspect, run_loadgen, run_serve, run_sweep, run_train, LoadgenOptions,
     Paradigm, RunConfig, TrainOptions,
 };
-use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -43,22 +43,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Writes `text` and a newline to `out`. A reader that has gone away
-/// (`nf inspect <run> | head`) ends the output quietly: the rest has
-/// nowhere to go, and the command itself did not fail.
-fn print_to(out: &mut impl Write, text: &str) -> io::Result<()> {
-    match writeln!(out, "{text}").and_then(|()| out.flush()) {
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
-        written => written,
-    }
-}
-
-/// [`print_to`] on stdout: every line `main` prints goes through here.
-fn say(text: &str) -> nf_cli::Result<()> {
-    print_to(&mut io::stdout().lock(), text)
-        .map_err(|e| nf_cli::CliError::new(format!("writing to stdout: {e}")))
 }
 
 fn dispatch(args: &[String]) -> nf_cli::Result<()> {
@@ -183,27 +167,5 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
             "unknown command {other:?}\n\n{USAGE}"
         ))),
         None => say(USAGE),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_closed_pipe_ends_output_quietly() {
-        let mut out = Vec::new();
-        print_to(&mut out, "report").unwrap();
-        assert_eq!(out, b"report\n");
-        // The reader has exited: the write fails `BrokenPipe`, quietly.
-        let (reader, mut closed) = io::pipe().unwrap();
-        drop(reader);
-        let err = closed.write(b"x").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        print_to(&mut closed, "report").unwrap();
-        // Any other write failure is still an error.
-        let mut full = [0u8; 2];
-        let err = print_to(&mut &mut full[..], "report").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 }

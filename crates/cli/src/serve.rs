@@ -78,6 +78,7 @@ use crate::config::RunConfig;
 use crate::error::{CliError, Result};
 use crate::net::reactor::{Conn, ReadEnd, READ_CHUNK, TOKEN_LISTENER, TOKEN_WAKE};
 use crate::net::sys::{self, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN};
+use crate::progress::say;
 use crate::proto::{self, RejectReason, Request, Response};
 use neuroflux_core::serve::{reactor_timeout_ms, Clock, MicroBatcher, SystemClock};
 use neuroflux_core::{
@@ -113,16 +114,16 @@ pub fn build_engine(cfg: &RunConfig, quiet: bool) -> Result<ServeEngine> {
     let data = data_spec.generate();
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.run.seed);
     if !quiet {
-        println!(
+        say(&format!(
             "training {} ({} exit heads) for serving, seed {} ...",
             spec.name,
             spec.num_units(),
             cfg.run.seed
-        );
+        ))?;
     }
     let outcome = NeuroFluxTrainer::new(nf_config)
         .train(&mut rng, &spec, &data)
-        .map_err(|e| CliError::new(format!("training the serving model: {e}")))?;
+        .map_err(|e| CliError::from_plan("the serving model", e))?;
     ServeEngine::new(
         outcome.model,
         outcome.aux_heads,
@@ -166,7 +167,9 @@ pub fn build_engines(cfg: &RunConfig, quiet: bool) -> Result<Vec<ServeEngine>> {
     let n = policy.effective_replicas(nf_tensor::host_cores());
     let primary = build_engine(cfg, quiet)?;
     if !quiet && n > 1 {
-        println!("cloning the engine into {n} bit-identical replicas ...");
+        say(&format!(
+            "cloning the engine into {n} bit-identical replicas ..."
+        ))?;
     }
     replicate_engines(cfg, primary, n)
 }
@@ -446,7 +449,7 @@ pub fn run_serve(cfg: &RunConfig, quiet: bool) -> Result<()> {
     let handle = start_server(cfg, quiet)?;
     let section = cfg.serve();
     if !quiet {
-        println!(
+        say(&format!(
             "serving on {} — {} replica(s); tiers fast/balanced/exact cap exits at \
              {}/{}/{} of {} heads; max batch {}, queue {}",
             handle.addr,
@@ -457,8 +460,11 @@ pub fn run_serve(cfg: &RunConfig, quiet: bool) -> Result<()> {
             handle.n_units,
             section.max_batch,
             section.queue_capacity,
-        );
-        println!("drive it with: nf loadgen <config> --addr={}", handle.addr);
+        ))?;
+        say(&format!(
+            "drive it with: nf loadgen <config> --addr={}",
+            handle.addr
+        ))?;
     }
     handle.wait();
     Ok(())

@@ -4,6 +4,7 @@
 
 use crate::config::RunConfig;
 use crate::error::{CliError, Result};
+use crate::progress::say;
 use crate::rundir::RunDir;
 use neuroflux_core::codec::{ActivationCodec, CacheBlob, CodecKind};
 use neuroflux_core::serve::SystemClock;
@@ -13,11 +14,10 @@ use nf_memsim::{DeviceProfile, MeasuredPrimitives};
 use nf_value::{Table, Value};
 
 /// Measures this machine's sustained GEMM throughput (the default kernel)
-/// and activation-codec bandwidth, and returns them as the sweep's
-/// `host` device: predictions priced from measured primitives instead of
-/// a Table 1 datasheet. Takes ~a second; only runs when the config's
-/// device list names `host`.
-fn calibrate_host(codec: CodecKind) -> (MeasuredPrimitives, DeviceProfile) {
+/// and `codec`'s encode/decode bandwidth: `nf sweep`'s `host` device,
+/// priced from measured primitives instead of a Table 1 datasheet. Takes
+/// ~a second; `tests/calibrated_cost.rs` fits its step-time line on it.
+pub fn calibrate_host(codec: CodecKind) -> Result<(MeasuredPrimitives, DeviceProfile)> {
     use nf_tensor::KernelBackend;
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
@@ -25,11 +25,11 @@ fn calibrate_host(codec: CodecKind) -> (MeasuredPrimitives, DeviceProfile) {
     let b = nf_tensor::uniform_init(&mut rng, &[256, 128], -1.0, 1.0);
     let mut out = nf_tensor::Tensor::default();
     let backend = KernelBackend::default();
-    nf_tensor::matmul_into(backend, &a, &b, &mut out).expect("calibration gemm");
+    nf_tensor::matmul_into(backend, &a, &b, &mut out)?;
     let iters = 8;
     let start = SystemClock::new();
     for _ in 0..iters {
-        nf_tensor::matmul_into(backend, &a, &b, &mut out).expect("calibration gemm");
+        nf_tensor::matmul_into(backend, &a, &b, &mut out)?;
     }
     let gemm_gflops = 2.0 * 128.0 * 256.0 * 128.0 * iters as f64 / start.elapsed_seconds() / 1e9;
 
@@ -45,14 +45,10 @@ fn calibrate_host(codec: CodecKind) -> (MeasuredPrimitives, DeviceProfile) {
     }
     let encode_gbps = 4.0 * bytes / start.elapsed_seconds() / 1e9;
     let mut decoded = nf_tensor::Tensor::default();
-    codec
-        .decode_into(&blob, &mut decoded)
-        .expect("calibration decode");
+    codec.decode_into(&blob, &mut decoded)?;
     let start = SystemClock::new();
     for _ in 0..4 {
-        codec
-            .decode_into(&blob, &mut decoded)
-            .expect("calibration decode");
+        codec.decode_into(&blob, &mut decoded)?;
     }
     let decode_gbps = 4.0 * bytes / start.elapsed_seconds() / 1e9;
 
@@ -62,8 +58,7 @@ fn calibrate_host(codec: CodecKind) -> (MeasuredPrimitives, DeviceProfile) {
         decode_gbps,
         host_cores: nf_tensor::host_cores(),
     };
-    let profile = primitives.host_profile();
-    (primitives, profile)
+    Ok((primitives, primitives.host_profile()))
 }
 
 /// Executes the `[sweep]` section; returns the run directory and metrics.
@@ -86,7 +81,7 @@ pub fn run_sweep(cfg: &RunConfig, quiet: bool) -> Result<(RunDir, Value)> {
         // `host` is special: not a Table 1 preset but *this* machine,
         // profiled live from its measured GEMM + codec primitives.
         let (calibration, device) = if slug == "host" {
-            let (p, d) = calibrate_host(cfg.cache.codec);
+            let (p, d) = calibrate_host(cfg.cache.codec)?;
             (Some(p), d)
         } else {
             let d = DeviceProfile::by_name(slug).ok_or_else(|| {
@@ -98,7 +93,11 @@ pub fn run_sweep(cfg: &RunConfig, quiet: bool) -> Result<(RunDir, Value)> {
             (None, d)
         };
         if !quiet {
-            println!("{} — {} points", device.name, sweep.budgets_mb.len());
+            say(&format!(
+                "{} — {} points",
+                device.name,
+                sweep.budgets_mb.len()
+            ))?;
         }
         let mut points = Vec::new();
         for &budget_mb in &sweep.budgets_mb {
@@ -123,12 +122,12 @@ pub fn run_sweep(cfg: &RunConfig, quiet: bool) -> Result<(RunDir, Value)> {
                     Some(r) => format!("{:.1} h", r.total_hours()),
                     None => "infeasible".to_string(),
                 };
-                println!(
+                say(&format!(
                     "  {budget_mb:>5} MB: bp {:>10}  ll {:>10}  neuroflux {:>10}",
                     fmt(&bp),
                     fmt(&ll),
                     fmt(&nf)
-                );
+                ))?;
             }
             points.push(point.build());
         }

@@ -9,7 +9,7 @@
 
 use crate::config::{Field, RunConfig};
 use crate::error::{CliError, Result};
-use crate::progress::ProgressPrinter;
+use crate::progress::print_event;
 use crate::rundir::RunDir;
 use neuroflux_core::partitioner::plan;
 use neuroflux_core::serve::SystemClock;
@@ -112,22 +112,25 @@ pub fn run_train(cfg: &RunConfig, opts: &TrainOptions) -> Result<TrainSummary> {
     };
     let mut sink = FileCheckpoint::new(run_dir.checkpoint_path());
 
-    let mut printer = ProgressPrinter::new(opts.quiet);
     let interrupt_after = opts.interrupt_after_blocks;
     let mut finished_blocks = 0usize;
+    // A failed stdout write stops the run (resumable) and is its error.
+    let mut printed = Ok(());
     let mut progress = |event: &TrainEvent| -> bool {
-        printer.observe(event);
+        if !opts.quiet && printed.is_ok() {
+            printed = print_event(event);
+        }
         if let TrainEvent::BlockFinished { .. } = event {
             finished_blocks += 1;
             if interrupt_after == Some(finished_blocks) {
                 return false;
             }
         }
-        true
+        printed.is_ok()
     };
 
     let trainer = NeuroFluxTrainer::new(nf_config);
-    let mut outcome = trainer.train_with(
+    let trained = trainer.train_with(
         &mut rng,
         &spec,
         &data,
@@ -139,7 +142,9 @@ pub fn run_train(cfg: &RunConfig, opts: &TrainOptions) -> Result<TrainSummary> {
                 resume_from: resume_ck.as_ref(),
             },
         },
-    )?;
+    );
+    printed?;
+    let mut outcome = trained?;
 
     let test_accuracy = outcome.selected_exit_accuracy(&data.test)?;
     let wall_seconds = start.elapsed_seconds();

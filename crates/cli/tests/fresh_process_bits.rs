@@ -1,6 +1,7 @@
 //! Reproducibility across processes, on what users run: two fresh
 //! `nf train` processes on the same config — default kernel backend, no
-//! pin — must write the same `block_losses` bits.
+//! pin — must write the same `block_losses` bits. And one whose stdout
+//! reader has gone (`nf sweep … | head -1`) still succeeds, unpanicked.
 //!
 //! The config is sized so its products split on the blocked kernel's `K`
 //! cache block (32 to 64 channels at 3×3 → `K` = 288 … 432 > `KC`, and
@@ -11,16 +12,14 @@
 //! the commit before it was deleted); with the one fixed plan they cannot.
 
 use nf_cli::{RunDir, Value};
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
-/// Trains `name` in a fresh `nf` process and returns its per-block loss
-/// histories as bit patterns.
-fn train_in_fresh_process(dir: &std::path::Path, name: &str) -> Vec<Vec<u64>> {
+/// Writes `name`'s config into `dir`; its `[sweep]` prices the host first.
+fn write_config(dir: &Path, name: &str) -> PathBuf {
     let cfg_path = dir.join(format!("{name}.toml"));
-    std::fs::write(
-        &cfg_path,
-        format!(
-            r#"
+    let doc = format!(
+        r#"
 [run]
 name = "{name}"
 seed = 31
@@ -40,11 +39,21 @@ train = 24
 budget_mb = 16
 batch_limit = 8
 epochs_per_block = 2
+
+[sweep]
+devices = ["host", "agx-orin"]
+budgets_mb = [16, 64]
 "#,
-            dir.display()
-        ),
-    )
-    .unwrap();
+        dir.display()
+    );
+    std::fs::write(&cfg_path, doc).unwrap();
+    cfg_path
+}
+
+/// Trains `name` in a fresh `nf` process and returns its per-block loss
+/// histories as bit patterns.
+fn train_in_fresh_process(dir: &Path, name: &str) -> Vec<Vec<u64>> {
+    let cfg_path = write_config(dir, name);
     let status = Command::new(env!("CARGO_BIN_EXE_nf"))
         .args(["train", cfg_path.to_str().unwrap(), "--quiet"])
         .status()
@@ -78,6 +87,30 @@ fn two_fresh_processes_write_the_same_loss_bits() {
     let second = train_in_fresh_process(&dir, "second");
     assert!(!first.is_empty() && first.iter().all(|block| block.len() == 2));
     assert_eq!(first, second, "loss bits differ between two processes");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_closed_stdout_ends_output_quietly() {
+    let dir = std::env::temp_dir().join(format!("nf_closed_stdout_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg_path = write_config(&dir, "piped");
+
+    for command in ["sweep", "train"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_nf"))
+            .args([command, cfg_path.to_str().unwrap()])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        // The reader goes before the first line is written.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let quiet = out.status.success() && !stderr.contains("panicked");
+        assert!(quiet, "nf {command}: {}: {stderr}", out.status);
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

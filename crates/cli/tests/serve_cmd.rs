@@ -10,7 +10,7 @@
 use neuroflux_core::{ServeEngine, ServePolicy, ServeRequest, SloTier};
 use nf_cli::proto::{self, RejectReason, Request, Response};
 use nf_cli::serve::{build_engine, replicate_engines, start_server_with_engines};
-use nf_cli::{run_inspect, RunConfig};
+use nf_cli::{run_inspect, CliError, RunConfig};
 use nf_models::{assign_aux, build_aux_head};
 use nf_nn::{Layer, Mode, Param};
 use nf_tensor::Tensor;
@@ -599,6 +599,18 @@ fn a_panicking_replica_fails_its_batch_and_stop_still_returns() {
 
 /// Shutdown frames on a server started without `allow_shutdown` are a
 /// typed error, and the server keeps running.
+/// `nf serve` and `nf loadgen` type an unfittable budget as `nf train` does.
+#[test]
+fn an_unfittable_budget_is_a_config_error() {
+    let mut cfg = config(&temp_out_dir("budget"));
+    cfg.train.budget_bytes = 5_000;
+    let Err(CliError::Config { path, message }) = build_engine(&cfg, true) else {
+        panic!("expected a config error at the budget");
+    };
+    assert_eq!(path, "train.budget_mb");
+    assert!(message.contains("serving model cannot"), "{message}");
+}
+
 #[test]
 fn shutdown_is_rejected_when_disabled() {
     let cfg = config(&temp_out_dir("noshut"));

@@ -23,9 +23,11 @@
 //!   slow (Figure 1's 9× at batch 4) and is the effect NeuroFlux's larger
 //!   adaptive batches exploit.
 //! - **calibration** ([`calibrate`]): the bench host's *measured* GEMM
-//!   and codec throughput, lowered to a device profile so sweep
+//!   and codec throughput, lowered to a [`DeviceProfile`] so sweep
 //!   predictions on "this machine" come from primitives rather than
-//!   datasheet TFLOPs.
+//!   datasheet TFLOPs. A fitted host is the same profile with its two
+//!   calibration constants set from two measured step times; [`timing`]
+//!   prices it like a preset, so there is one time model.
 //!
 //! Absolute magnitudes are calibrated per device with a single efficiency
 //! scalar (see [`DeviceProfile`]); every reproduced figure compares
@@ -39,6 +41,6 @@ pub mod device;
 pub mod memory;
 pub mod timing;
 
-pub use calibrate::{CalibratedCostModel, MeasuredPrimitives};
+pub use calibrate::MeasuredPrimitives;
 pub use device::DeviceProfile;
 pub use memory::{CacheCostModel, LinearMemoryModel, MemoryBreakdown, TrainingParadigm};

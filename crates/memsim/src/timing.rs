@@ -38,14 +38,16 @@ pub fn ll_train_flops_per_sample(spec: &ModelSpec, aux: &[AuxSpec]) -> f64 {
         .sum()
 }
 
-/// Wall-clock seconds for one epoch of BP training.
-pub fn bp_epoch_time_s(
+/// Wall-clock seconds for one epoch of `samples` at `batch`, each sample
+/// costing `flops_per_sample` (e.g. [`bp_train_flops_per_sample`]): compute
+/// at the device's sustained rate plus one overhead per batch.
+pub fn epoch_time_s(
     device: &DeviceProfile,
-    spec: &ModelSpec,
+    flops_per_sample: f64,
     samples: usize,
     batch: usize,
 ) -> f64 {
-    let compute = bp_train_flops_per_sample(spec) * samples as f64 / device.effective_flops();
+    let compute = flops_per_sample * samples as f64 / device.effective_flops();
     let batches = samples.div_ceil(batch.max(1)) as f64;
     compute + batches * device.per_batch_overhead_s
 }
@@ -67,8 +69,9 @@ mod tests {
         let d = DeviceProfile::agx_orin();
         let spec = ModelSpec::vgg19(200);
         let n = 100_000;
-        let slow = bp_epoch_time_s(&d, &spec, n, 4);
-        let fast = bp_epoch_time_s(&d, &spec, n, 256);
+        let flops = bp_train_flops_per_sample(&spec);
+        let slow = epoch_time_s(&d, flops, n, 4);
+        let fast = epoch_time_s(&d, flops, n, 256);
         let ratio = slow / fast;
         assert!(
             (5.0..14.0).contains(&ratio),
@@ -81,8 +84,8 @@ mod tests {
         // Figure 1 (bottom left): ResNet-18 batch 4 ≈ 5x slower than 256.
         let d = DeviceProfile::agx_orin();
         let spec = ModelSpec::resnet18(200);
-        let ratio =
-            bp_epoch_time_s(&d, &spec, 100_000, 4) / bp_epoch_time_s(&d, &spec, 100_000, 256);
+        let flops = bp_train_flops_per_sample(&spec);
+        let ratio = epoch_time_s(&d, flops, 100_000, 4) / epoch_time_s(&d, flops, 100_000, 256);
         assert!((3.0..10.0).contains(&ratio), "ratio {ratio}, expected ≈5");
     }
 

@@ -90,10 +90,11 @@ proptest! {
         prop_assume!(batch1 < batch2);
         let d = DeviceProfile::agx_orin();
         let spec = ModelSpec::vgg11(10);
-        let fast = timing::bp_epoch_time_s(&d, &spec, n, batch2);
-        let slow = timing::bp_epoch_time_s(&d, &spec, n, batch1);
+        let flops = timing::bp_train_flops_per_sample(&spec);
+        let fast = timing::epoch_time_s(&d, flops, n, batch2);
+        let slow = timing::epoch_time_s(&d, flops, n, batch1);
         prop_assert!(slow >= fast);
-        prop_assert!(timing::bp_epoch_time_s(&d, &spec, n * 2, batch1) > slow);
+        prop_assert!(timing::epoch_time_s(&d, flops, n * 2, batch1) > slow);
     }
 
     /// Feasible max batch is monotone in budget.

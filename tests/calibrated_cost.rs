@@ -1,18 +1,18 @@
-//! The host-calibrated cost model against reality: measure this machine's
-//! GEMM and codec primitives, fit the model's two overhead terms from two
-//! step timings, then *predict* a batch size it never saw and hold the
-//! prediction within 25 % of the measured step time. This holds only the
-//! fitted `CalibratedCostModel`; `nf sweep`'s `host` device prices from
-//! the measured primitives alone, with no fitted overheads. One fitted
-//! cost model for both is ROADMAP item 4.
+//! The fitted host against reality: measure this machine's GEMM and
+//! codec primitives with `nf sweep`'s own `calibrate_host`, fit the host
+//! `DeviceProfile`'s two calibration constants from two step timings,
+//! then *predict* a batch size it never saw through `timing::epoch_time_s`,
+//! the arithmetic `nf sweep` and every figure price with, and hold the
+//! prediction within 25 % of the measured step time.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "calibration measures this host's real step times"
 )]
 
-use neuroflux_core::codec::{ActivationCodec, CacheBlob, CodecKind};
-use nf_memsim::{timing, CalibratedCostModel, MeasuredPrimitives};
+use neuroflux_core::codec::CodecKind;
+use nf_cli::sweep::calibrate_host;
+use nf_memsim::{timing, DeviceProfile, MeasuredPrimitives};
 use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
 use nf_nn::optim::Sgd;
 use nf_nn::LocalStep;
@@ -25,58 +25,23 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Sustained GEMM GFLOP/s of the default kernel on a model-shaped
-/// product, measured in this very process (so debug/release consistency
-/// between primitive and prediction is automatic).
-fn measure_gemm_gflops() -> f64 {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let a = nf_tensor::uniform_init(&mut rng, &[256, 128, 64][..2], -1.0, 1.0);
-    let b = nf_tensor::uniform_init(&mut rng, &[128, 64], -1.0, 1.0);
-    let mut out = nf_tensor::Tensor::default();
-    let backend = KernelBackend::default();
-    nf_tensor::matmul_into(backend, &a, &b, &mut out).unwrap();
-    let flops = 2.0 * 256.0 * 128.0 * 64.0;
-    let times: Vec<f64> = (0..5)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..4 {
-                nf_tensor::matmul_into(backend, &a, &b, &mut out).unwrap();
-            }
-            start.elapsed().as_secs_f64() / 4.0
-        })
-        .collect();
-    flops / median(times) / 1e9
+/// `host` fitted to two measured `(batch, seconds)` steps of `flops`
+/// each: the line through them, its slope in `compute_efficiency` (≤ 1,
+/// so no per-sample time is negative) and its intercept in
+/// `per_batch_overhead_s` (clamped ≥ 0).
+fn fit(host: &DeviceProfile, flops: f64, a: (usize, f64), b: (usize, f64)) -> DeviceProfile {
+    let slope = (b.1 - a.1) / (b.0 as f64 - a.0 as f64);
+    let compute = flops / (host.peak_tflops * 1e12);
+    DeviceProfile {
+        compute_efficiency: compute / slope.max(compute),
+        per_batch_overhead_s: (a.1 - slope * a.0 as f64).max(0.0),
+        ..host.clone()
+    }
 }
 
-/// Codec encode/decode bandwidth in GB/s of f32 activation bytes.
-fn measure_codec_gbps() -> (f64, f64) {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    let acts = nf_tensor::uniform_init(&mut rng, &[32, 8, 8, 8], -2.0, 2.0);
-    let bytes = (acts.numel() * 4) as f64;
-    let kind = CodecKind::F32Raw;
-    let mut blob = CacheBlob::new();
-    kind.encode(&acts, &mut blob);
-    let enc = median(
-        (0..5)
-            .map(|_| {
-                let start = Instant::now();
-                kind.encode(&acts, &mut blob);
-                start.elapsed().as_secs_f64()
-            })
-            .collect(),
-    );
-    let mut out = nf_tensor::Tensor::default();
-    kind.decode_into(&blob, &mut out).unwrap();
-    let dec = median(
-        (0..5)
-            .map(|_| {
-                let start = Instant::now();
-                kind.decode_into(&blob, &mut out).unwrap();
-                start.elapsed().as_secs_f64()
-            })
-            .collect(),
-    );
-    (bytes / enc / 1e9, bytes / dec / 1e9)
+/// Seconds of one training step of `batch` samples on `device`.
+fn step_s(device: &DeviceProfile, flops: f64, batch: usize) -> f64 {
+    timing::epoch_time_s(device, flops, batch, batch)
 }
 
 /// Median wall-clock seconds of one local-learning training step at
@@ -117,35 +82,63 @@ fn measure_step_s(spec: &ModelSpec, batch: usize) -> f64 {
 }
 
 #[test]
+fn the_fit_recovers_a_synthetic_host_and_clamps() {
+    let host = MeasuredPrimitives {
+        gemm_gflops: 10.0,
+        encode_gbps: 4.0,
+        decode_gbps: 2.0,
+        host_cores: 2,
+    }
+    .host_profile();
+    let flops = 5.0e6;
+    // Ground truth: half the measured GEMM rate and 2 ms per step.
+    let truth = DeviceProfile {
+        compute_efficiency: 0.5,
+        per_batch_overhead_s: 2e-3,
+        ..host.clone()
+    };
+    let fitted = fit(
+        &host,
+        flops,
+        (8, step_s(&truth, flops, 8)),
+        (32, step_s(&truth, flops, 32)),
+    );
+    assert!((fitted.compute_efficiency - 0.5).abs() < 1e-12);
+    assert!((fitted.per_batch_overhead_s - 2e-3).abs() < 1e-12);
+    // An interpolated batch is then predicted exactly.
+    assert!((step_s(&fitted, flops, 16) - step_s(&truth, flops, 16)).abs() < 1e-12);
+    // Measured faster than the GEMM rate allows: efficiency stays 1.
+    let fast = fit(&host, 1.0e9, (8, 1e-12), (32, 1e-12));
+    assert_eq!(fast.compute_efficiency, 1.0);
+    // A line with a negative intercept: no negative overhead.
+    let steep = fit(&host, flops, (8, 1.0), (16, 3.0));
+    assert_eq!(steep.per_batch_overhead_s, 0.0);
+    assert!((step_s(&steep, flops, 16) - 4.0).abs() < 1e-12);
+}
+
+#[test]
 fn calibrated_model_predicts_step_time_within_25_percent() {
     let spec = ModelSpec::tiny("calib", 8, &[8, 16], 3);
     let aux = assign_aux(&spec, AuxPolicy::Adaptive);
     let flops_per_sample = timing::ll_train_flops_per_sample(&spec, &aux);
 
-    let (encode_gbps, decode_gbps) = measure_codec_gbps();
-    let primitives = MeasuredPrimitives {
-        gemm_gflops: measure_gemm_gflops(),
-        encode_gbps,
-        decode_gbps,
-        host_cores: nf_tensor::host_cores(),
-    };
+    let (primitives, host) = calibrate_host(CodecKind::F32Raw).unwrap();
     assert!(primitives.gemm_gflops > 0.0);
 
-    // Fit the two overhead terms from batches 4 and 16, then predict the
-    // batch-8 step the model never saw. Wall-clock measurements on a
-    // shared host are occasionally disturbed (scheduler, page cache), so
-    // the 25 % bound gets three attempts; a systematic model error fails
-    // all of them.
-    let mut model = CalibratedCostModel::new(primitives);
+    // Fit the host from batches 4 and 16, then predict the batch-8 step
+    // it never saw. Wall-clock measurements on a shared host are
+    // occasionally disturbed (scheduler, page cache), so the 25 % bound
+    // gets three attempts; a systematic model error fails all of them.
+    let mut fitted = host.clone();
     let mut best_rel = f64::INFINITY;
     for _ in 0..3 {
-        let fitted = model.fit_overheads(
+        fitted = fit(
+            &host,
+            flops_per_sample,
             (4, measure_step_s(&spec, 4)),
             (16, measure_step_s(&spec, 16)),
-            flops_per_sample,
         );
-        assert!(fitted);
-        let predicted = model.step_time_s(flops_per_sample, 8);
+        let predicted = step_s(&fitted, flops_per_sample, 8);
         let measured = measure_step_s(&spec, 8);
         best_rel = best_rel.min((predicted - measured).abs() / measured);
         if best_rel <= 0.25 {
@@ -157,14 +150,10 @@ fn calibrated_model_predicts_step_time_within_25_percent() {
         "calibrated prediction off by {best_rel:.2} (> 25 %) in every attempt"
     );
 
-    // The calibrated host slots into the sweep machinery like any Table 1
-    // preset: its profile reproduces the measured GEMM rate, and a sweep
-    // point priced on it is feasible and finite.
-    let host = model.device_profile();
-    let rate = primitives.gemm_gflops * 1e9;
-    assert!((host.effective_flops() - rate).abs() / rate < 1e-9);
+    // The fitted host slots into the sweep machinery like any Table 1
+    // preset: a sweep point priced on it is feasible and finite.
     let config = neuroflux_core::NeuroFluxConfig::new(64 << 20, 64).with_epochs(1);
-    let (_, _, nf) = neuroflux_core::simulate::sweep_point(&spec, &host, &config, 1_000);
+    let (_, _, nf) = neuroflux_core::simulate::sweep_point(&spec, &fitted, &config, 1_000);
     let nf = nf.expect("NeuroFlux must be feasible on the calibrated host");
     assert!(nf.total_s().is_finite() && nf.total_s() > 0.0);
 }
