@@ -44,7 +44,7 @@ impl LocallyTrainedModel {
     /// in eval mode up to and including unit `exit`):
     /// [`nf_models::exit_accuracy`].
     pub fn exit_accuracy(&mut self, exit: usize, data: &Dataset) -> nf_nn::Result<f32> {
-        exit_accuracy(&mut self.model, &mut self.aux_heads, exit, data)
+        exit_accuracy(&mut self.model, &mut self.aux_heads, exit, data, 64)
     }
 
     /// Measures validation accuracy at every exit — one pass over `val`,
@@ -53,7 +53,7 @@ impl LocallyTrainedModel {
     pub fn measure_exits(&mut self, val: &Dataset) -> nf_nn::Result<Vec<ExitCandidate>> {
         let mut cands = nf_models::exit_candidates(&self.model.spec, &self.aux_specs);
         let (model, heads) = (&mut self.model, &mut self.aux_heads);
-        let accs = nf_models::exit_accuracies(model, heads, val.images(), val.labels())?;
+        let accs = nf_models::exit_accuracies(model, heads, val.images(), val.labels(), 64)?;
         for (cand, acc) in cands.iter_mut().zip(accs) {
             cand.val_accuracy = Some(acc);
         }
@@ -128,10 +128,10 @@ impl LocalLearningTrainer {
             let (model, heads) = (&mut model, &mut aux_heads);
             report
                 .train_accuracy
-                .push(exit_accuracy(model, heads, last, train)?);
+                .push(exit_accuracy(model, heads, last, train, 64)?);
             report
                 .test_accuracy
-                .push(exit_accuracy(model, heads, last, test)?);
+                .push(exit_accuracy(model, heads, last, test, 64)?);
         }
         Ok((
             LocallyTrainedModel {

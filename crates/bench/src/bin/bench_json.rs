@@ -45,19 +45,23 @@ const REPS: usize = 7;
 /// to compare two implementations by and the one every gate reads (the
 /// mean of three sub-microsecond smoke-shape calls came out bimodal — 363
 /// vs 635 ns for identical code — once the kernels used 512-bit
-/// instructions); `median` is recorded beside it so the spread shows.
+/// instructions); `median` and the interquartile range `iqr` are recorded
+/// beside it so the spread shows.
 #[derive(Clone, Copy, Default)]
 struct Sample {
     min: u128,
     median: u128,
+    iqr: u128,
 }
 
 impl Sample {
     fn of(mut reps: Vec<u128>) -> Sample {
         reps.sort_unstable();
+        let at = |q: usize| reps.get(reps.len() * q / 4).copied().unwrap_or(0);
         Sample {
             min: reps.first().copied().unwrap_or(0),
-            median: reps.get(reps.len() / 2).copied().unwrap_or(0),
+            median: at(2),
+            iqr: at(3) - at(1),
         }
     }
 
@@ -81,6 +85,7 @@ impl std::ops::Add for Sample {
         Sample {
             min: self.min + other.min,
             median: self.median + other.median,
+            iqr: self.iqr + other.iqr,
         }
     }
 }
@@ -916,9 +921,10 @@ fn time_train_step(smoke: bool) -> Table {
     // inside it on both ends.
     let faults = minor_faults();
     let allocs = counting_alloc::allocations();
-    let ns_per_step = timed(iters, run);
+    let ns = sample(REPS, iters, run);
+    let steps = REPS * iters + 1;
     let allocs = counting_alloc::allocations() - allocs;
-    let faults = (minor_faults() - faults) as f64 / iters as f64;
+    let faults = (minor_faults() - faults) as f64 / steps as f64;
     assert!(
         faults <= 4.0,
         "a warmed-up training step took {faults} minor faults"
@@ -928,15 +934,14 @@ fn time_train_step(smoke: bool) -> Table {
         "backend",
         Value::Str(KernelBackend::default().name().into()),
     );
-    row.insert("steps", int(iters));
-    row.insert("ns_per_step", int(ns_per_step));
-    row.insert(
-        "steps_per_sec",
-        Value::Float(round2(1e9 / ns_per_step as f64)),
-    );
+    row.insert("steps", int(steps));
+    row.insert("ns_per_step", int(ns.min));
+    row.insert("median_ns_per_step", int(ns.median));
+    row.insert("iqr_ns_per_step", int(ns.iqr));
+    row.insert("steps_per_sec", Value::Float(round2(1e9 / ns.min as f64)));
     row.insert(
         "allocs_per_step",
-        Value::Float(round2(allocs as f64 / iters as f64)),
+        Value::Float(round2(allocs as f64 / steps as f64)),
     );
     row.insert("minor_faults_per_step", Value::Float(round2(faults)));
     row
@@ -951,11 +956,13 @@ fn time_train_step(smoke: bool) -> Table {
 /// `layers` row per pass.
 fn time_layers(iters: usize) -> Vec<Value> {
     let mut rows = Vec::new();
-    let mut push = |layer: &str, shape: [usize; 4], ns: u128| {
+    let mut push = |layer: &str, shape: [usize; 4], ns: Sample| {
         let mut row = Table::new();
         row.insert("layer", Value::Str(layer.into()));
         row.insert("shape", Value::Array(shape.map(int).to_vec()));
-        row.insert("ns_per_iter", int(ns));
+        row.insert("ns_per_iter", int(ns.min));
+        row.insert("median_ns", int(ns.median));
+        row.insert("iqr_ns", int(ns.iqr));
         rows.push(row.build());
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
@@ -964,18 +971,28 @@ fn time_layers(iters: usize) -> Vec<Value> {
         let (mut y, mut dx) = (Tensor::default(), Tensor::default());
         layer.forward_into(&x, Mode::Train, &mut y).unwrap();
         let dy = nf_tensor::uniform_init(&mut rng, y.shape(), -1.0, 1.0);
-        let ns = best_ns(REPS, iters, || {
+        let ns = sample(REPS, iters, || {
             layer.forward_into(&x, Mode::Train, &mut y).unwrap()
         });
         push(fwd, shape, ns);
         let Some(bwd) = bwd else { return };
         // Each backward consumes a forward's cache: time the pair and
-        // take the forward back out.
-        let pair = best_ns(REPS, iters, || {
+        // take the forward's minimum back out (the spread is the pair's).
+        let pair = sample(REPS, iters, || {
             layer.forward_into(&x, Mode::Train, &mut y).unwrap();
             layer.backward_into(&dy, &mut dx).unwrap();
         });
-        push(bwd, shape, pair.saturating_sub(ns));
+        let less = |a: u128| a.saturating_sub(ns.min);
+        let (min, median) = (less(pair.min), less(pair.median));
+        push(
+            bwd,
+            shape,
+            Sample {
+                min,
+                median,
+                iqr: pair.iqr,
+            },
+        );
     };
     for (unit, aux_filters) in [([8usize, 16, 32, 32], 8usize), ([11, 12, 24, 24], 6)] {
         let [n, c, h, w] = unit;
@@ -1400,7 +1417,9 @@ fn main() {
             "results",
             "results.allocs_per_step",
             "results.minor_faults_per_step",
+            "results.iqr_ns_per_step",
             "layers",
+            "layers.iqr_ns",
         ],
     );
 }

@@ -147,6 +147,7 @@ pub fn run_baseline(cfg: &RunConfig, paradigm: Paradigm) -> Result<(RunDir, Valu
     let accuracy = report.final_test_accuracy() as f64;
     m.insert("final_test_accuracy", Value::Float(accuracy));
     m.insert("wall_seconds", Value::Float(start.elapsed_seconds()));
+    crate::train::insert_peak_rss(&mut m);
     let metrics = m.build();
     run_dir.write_metrics(&metrics)?;
     Ok((run_dir, metrics))

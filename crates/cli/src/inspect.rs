@@ -88,7 +88,8 @@ fn render_kernel_section(out: &mut String, m: &Value) {
 }
 
 /// Renders the activation-cache section of a train metrics document
-/// (codec, encoded bytes, peak, achieved compression).
+/// (codec, encoded bytes, peak, the process's own peak resident set,
+/// achieved compression).
 fn render_cache_section(out: &mut String, m: &Value) {
     let cache = match m.get("cache") {
         Some(c) => c,
@@ -97,8 +98,13 @@ fn render_cache_section(out: &mut String, m: &Value) {
     let codec = cache.get("codec").and_then(Value::as_str).unwrap_or("f32");
     let bytes = |key: &str| cache.get(key).and_then(Value::as_int).unwrap_or(0);
     let _ = writeln!(out, "\n## Activation cache\n");
-    let _ = writeln!(out, "| codec | bytes written | peak bytes | vs f32 |");
-    let _ = writeln!(out, "|---|---|---|---|");
+    let rss = m.get("peak_rss_bytes").and_then(Value::as_int);
+    let rss = rss.map_or_else(|| "—".into(), |b| b.to_string());
+    let _ = writeln!(
+        out,
+        "| codec | bytes written | peak bytes | process peak RSS | vs f32 |"
+    );
+    let _ = writeln!(out, "|---|---|---|---|---|");
     let ratio = cache
         .get("compression_vs_f32")
         .and_then(Value::as_float)
@@ -112,7 +118,7 @@ fn render_cache_section(out: &mut String, m: &Value) {
         .unwrap_or_else(|| "—".into());
     let _ = writeln!(
         out,
-        "| {codec} | {} | {} | {ratio} |",
+        "| {codec} | {} | {} | {rss} | {ratio} |",
         bytes("bytes_written"),
         bytes("peak_bytes"),
     );
@@ -474,6 +480,9 @@ fn render_baseline(m: &Value) -> String {
     if let (Some(budget), Some(batch)) = (budget, m.get("batch").and_then(Value::as_int)) {
         let mb = budget as f64 / 1e6;
         let _ = writeln!(out, "| batch under {mb} MB budget | {batch} |");
+    }
+    if let Some(rss) = m.get("peak_rss_bytes").and_then(Value::as_int) {
+        let _ = writeln!(out, "| process peak RSS | {rss} bytes |");
     }
     if let Some(losses) = m.get("epoch_loss").and_then(Value::as_array) {
         let first = losses.first().and_then(Value::as_float).unwrap_or(0.0);

@@ -184,6 +184,17 @@ fn kernel_table(cfg: &RunConfig) -> Value {
     t.build()
 }
 
+/// Records the process's peak resident set so far as `peak_rss_bytes`:
+/// `VmHWM` from `/proc/self/status`, left out where that cannot be read.
+pub(crate) fn insert_peak_rss(m: &mut Table) {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"));
+    let kb = hwm.and_then(|v| v.trim().strip_suffix("kB")?.trim().parse::<i64>().ok());
+    if let Some(kb) = kb {
+        m.insert("peak_rss_bytes", Value::Int(kb * 1024));
+    }
+}
+
 /// Builds the `metrics.json` document for a training run.
 fn train_metrics(
     cfg: &RunConfig,
@@ -272,6 +283,7 @@ fn train_metrics(
         Value::Int(outcome.report.params_bytes_evicted as i64),
     );
     m.insert("cache", cache);
+    insert_peak_rss(&mut m);
 
     let exit_value = |e: &nf_models::ExitCandidate| {
         let mut t = Table::new();

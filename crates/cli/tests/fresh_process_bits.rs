@@ -2,6 +2,8 @@
 //! `nf train` processes on the same config — default kernel backend, no
 //! pin — must write the same `block_losses` bits. And one whose stdout
 //! reader has gone (`nf sweep … | head -1`) still succeeds, unpanicked.
+//! And a fresh process's own peak memory grows with its dataset, not with
+//! the activations it caches.
 //!
 //! The config is sized so its products split on the blocked kernel's `K`
 //! cache block (32 to 64 channels at 3×3 → `K` = 288 … 432 > `KC`, and
@@ -112,5 +114,51 @@ fn a_closed_stdout_ends_output_quietly() {
         assert!(quiet, "nf {command}: {}: {stderr}", out.status);
     }
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The peak resident set a fresh `nf train` process records in its
+/// `metrics.json`, for a 2-block config on `samples` 64×64 images.
+fn peak_rss_training(dir: &Path, samples: usize) -> i64 {
+    let name = format!("slope{samples}");
+    let cfg_path = dir.join(format!("{name}.toml"));
+    let doc = format!(
+        "[run]\nname = \"{name}\"\nout_dir = \"{}\"\n\n\
+         [model]\npreset = \"tiny\"\nchannels = [8, 4]\n\n\
+         [dataset]\npreset = \"quick\"\nclasses = 4\nimage_hw = 64\ntrain = {samples}\n\n\
+         [train]\nbudget_mb = 2.0\nbatch_limit = 32\nepochs_per_block = 1\n\n\
+         [cache]\ncodec = \"f32\"\n",
+        dir.display()
+    );
+    std::fs::write(&cfg_path, doc).unwrap();
+    let status = Command::new(env!("CARGO_BIN_EXE_nf"))
+        .args(["train", cfg_path.to_str().unwrap(), "--quiet"])
+        .status()
+        .unwrap();
+    assert!(status.success(), "nf train {name} failed: {status}");
+    let metrics = RunDir::open(&dir.join(&name)).unwrap();
+    let metrics = metrics.read_metrics().unwrap();
+    let blocks = metrics.get("blocks").and_then(Value::as_array);
+    assert_eq!(blocks.map(<[_]>::len), Some(2), "the config plans 2 blocks");
+    let rss = metrics.get("peak_rss_bytes").and_then(Value::as_int);
+    rss.expect("metrics.json records peak_rss_bytes")
+}
+
+#[test]
+fn peak_memory_grows_with_the_images_not_the_cached_activations() {
+    // The cache streams a batch at a time and exits are measured at the
+    // plan's batch, so nothing but the dataset scales with the samples:
+    // from 32 to 128 the peak may grow by at most twice the training
+    // images' own growth (4.7 MB; the three splits together grow 7 MB).
+    // Block 0's cached activations alone grow 2.7× as fast as the images.
+    let dir = std::env::temp_dir().join(format!("nf_rss_slope_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let growth = peak_rss_training(&dir, 128) - peak_rss_training(&dir, 32);
+    let images = (128 - 32) * 3 * 64 * 64 * 4;
+    assert!(
+        growth <= 2 * images,
+        "peak grew {growth} B, images {images} B"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -168,6 +168,20 @@ fn interrupted_run_resumed_matches_uninterrupted() {
     }
     std::fs::write(&snapshot_path, snapshot_text).unwrap();
 
+    // A cache entry torn between the kill and the resume fails the resume
+    // with a typed read error when it is opened, before anything trains on
+    // short data.
+    let block = run_dir.join("cache/block_0.acts");
+    let whole = std::fs::read(&block).unwrap();
+    std::fs::write(&block, &whole[..whole.len() / 2]).unwrap();
+    let err = run_train(&cfg_b, &opts).unwrap_err().to_string();
+    assert!(
+        err.contains("activation cache read failed for block 0"),
+        "{err}"
+    );
+    assert!(!run_dir.join("metrics.json").exists());
+    std::fs::write(&block, whole).unwrap();
+
     // Resume (a fresh RunConfig, as a new process would load it from the
     // snapshot) and compare outcomes.
     let snapshot = RunConfig::load(&run_dir.join("config.toml")).unwrap();

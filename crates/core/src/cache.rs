@@ -11,6 +11,14 @@
 //! (raw f32, f16, or per-channel-quantized int8 — see [`crate::codec`])
 //! and a [`BlobStore`] deciding where the bytes live (memory or disk),
 //! composed by [`CodecStore`].
+//!
+//! A block streams through the cache a batch at a time, so only the
+//! current batch of a block is resident: a write is the header, then one
+//! append per batch as it leaves the block; a read opens the block once,
+//! validating its header and length, then reads each batch's byte range.
+//! The one exception is int8, whose per-channel table heads the payload
+//! and covers the whole block: its writes stage the block in f32 until
+//! the table is known.
 
 #![deny(
     clippy::unwrap_used,
@@ -22,21 +30,30 @@
     clippy::indexing_slicing
 )]
 
-use crate::codec::{parse_header, ActivationCodec, CacheBlob, CodecKind, MAX_HEADER_LEN};
+use crate::codec::{
+    blob_header, int8_ranges, int8_widen, int8_write_table, parse_header, CodecKind, Int8Grid,
+    MAX_HEADER_LEN,
+};
 use crate::{NfError, Result};
 use nf_tensor::{QuantTensor, Tensor};
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Storage backend for cached activations, keyed by block index.
 ///
 /// Byte accounting ([`ActivationStore::bytes_stored`],
 /// [`ActivationStore::peak_bytes`], and the count returned by
-/// [`ActivationStore::write`]) is always in **encoded** bytes — that is
-/// the paper's §6.4 overhead metric, and the quantity a quantizing codec
-/// shrinks.
+/// [`ActivationStore::finish_write`]) is always in **encoded** bytes —
+/// that is the paper's §6.4 overhead metric, and the quantity a quantizing
+/// codec shrinks.
+///
+/// A block is written as a stream of batches and read by sample range;
+/// the whole-block [`ActivationStore::write`] and
+/// [`ActivationStore::read_into`] are the one-batch case of the same path.
 ///
 /// # Examples
 ///
@@ -53,6 +70,15 @@ use std::path::{Path, PathBuf};
 /// assert_eq!(store.read(0)?, acts);
 /// assert_eq!(store.bytes_stored(), 4 * 8 * 4);
 ///
+/// // A block streams in by batch and reads back by sample range.
+/// store.begin_write(1, &[4, 8])?;
+/// store.append_batch(&Tensor::ones(&[3, 8]))?;
+/// store.append_batch(&Tensor::ones(&[1, 8]))?;
+/// store.finish_write()?;
+/// let mut batch = Tensor::default();
+/// store.read_batch_into(1, 2..4, &mut batch)?;
+/// assert_eq!(batch, Tensor::ones(&[2, 8]));
+///
 /// // The same store under the f16 codec holds the same tensor in half
 /// // the bytes.
 /// let mut half = MemoryStore::with_codec(CodecKind::F16);
@@ -62,9 +88,54 @@ use std::path::{Path, PathBuf};
 /// # Ok::<(), neuroflux_core::NfError>(())
 /// ```
 pub trait ActivationStore {
-    /// Persists the output activations of `block`, returning the
-    /// **encoded** byte count the cache was charged.
-    fn write(&mut self, block: usize, activations: &Tensor) -> Result<u64>;
+    /// Starts writing `block`, whose whole output has `shape` (sample count
+    /// first); its samples follow in order through
+    /// [`ActivationStore::append_batch`].
+    fn begin_write(&mut self, block: usize, shape: &[usize]) -> Result<()>;
+
+    /// Appends the next samples of the block being written.
+    fn append_batch(&mut self, batch: &Tensor) -> Result<()>;
+
+    /// Completes the block being written, returning the **encoded** byte
+    /// count the cache was charged. A block short of its samples is a
+    /// typed error.
+    fn finish_write(&mut self) -> Result<u64>;
+
+    /// Persists the output activations of `block` as one batch, returning
+    /// the **encoded** byte count the cache was charged.
+    fn write(&mut self, block: usize, activations: &Tensor) -> Result<u64> {
+        self.begin_write(block, activations.shape())?;
+        self.append_batch(activations)?;
+        self.finish_write()
+    }
+
+    /// Opens `block` for batch reads and returns its sample count. Its
+    /// header and length are checked here, once, so a torn or foreign
+    /// block fails before any of it is consumed.
+    fn open(&mut self, block: usize) -> Result<usize>;
+
+    /// Loads samples `range` of `block` into `out`, reusing the caller's
+    /// buffer (grow-only, like [`Tensor::reuse_as`]) — the Worker's
+    /// steady-state consume path. Opens `block` unless it is the open one.
+    fn read_batch_into(
+        &mut self,
+        block: usize,
+        range: Range<usize>,
+        out: &mut Tensor,
+    ) -> Result<()>;
+
+    /// Loads samples `range` of `block` directly in affine-`u8` form into
+    /// `out` — the quantized-compute consume path, on one per-tensor grid
+    /// for the whole block. Returns `Ok(true)` when the store holds
+    /// natively quantized data and filled `out` **without an f32 detour**;
+    /// `Ok(false)` when it cannot, in which case the caller falls back to
+    /// [`ActivationStore::read_batch_into`] and the f32 path.
+    fn read_batch_quant(
+        &mut self,
+        block: usize,
+        range: Range<usize>,
+        out: &mut QuantTensor,
+    ) -> Result<bool>;
 
     /// Loads the cached output activations of `block`.
     fn read(&mut self, block: usize) -> Result<Tensor> {
@@ -73,18 +144,20 @@ pub trait ActivationStore {
         Ok(out)
     }
 
-    /// Loads the cached output activations of `block` into `out`, reusing
-    /// the caller's buffer (grow-only, like [`Tensor::reuse_as`]) — the
-    /// Worker's steady-state consume path.
-    fn read_into(&mut self, block: usize, out: &mut Tensor) -> Result<()>;
+    /// Loads the whole of `block` into `out` as one batch.
+    fn read_into(&mut self, block: usize, out: &mut Tensor) -> Result<()> {
+        let n = self.open(block)?;
+        self.read_batch_into(block, 0..n, out)
+    }
 
-    /// Loads the cached activations of `block` directly in affine-`u8`
-    /// form into `out` — the quantized-compute consume path. Returns
-    /// `Ok(true)` when the store holds natively quantized data and filled
-    /// `out` **without an f32 detour**; `Ok(false)` when it cannot, in
-    /// which case the caller falls back to [`ActivationStore::read_into`]
-    /// and the f32 path.
-    fn read_quant(&mut self, block: usize, out: &mut QuantTensor) -> Result<bool>;
+    /// [`ActivationStore::read_batch_quant`] of the whole of `block`.
+    fn read_quant(&mut self, block: usize, out: &mut QuantTensor) -> Result<bool> {
+        if self.codec() != CodecKind::Int8Affine {
+            return Ok(false);
+        }
+        let n = self.open(block)?;
+        self.read_batch_quant(block, 0..n, out)
+    }
 
     /// Drops the cached activations of `block` (frees storage once the next
     /// block has consumed them).
@@ -100,50 +173,24 @@ pub trait ActivationStore {
     fn codec(&self) -> CodecKind;
 }
 
-// Mutable references forward to the underlying store, so APIs taking a
-// generic `S: ActivationStore` also accept `&mut dyn ActivationStore`
-// (which is how the Controller threads a caller-chosen store through).
-impl<S: ActivationStore + ?Sized> ActivationStore for &mut S {
-    fn write(&mut self, block: usize, activations: &Tensor) -> Result<u64> {
-        (**self).write(block, activations)
-    }
-
-    fn read_into(&mut self, block: usize, out: &mut Tensor) -> Result<()> {
-        (**self).read_into(block, out)
-    }
-
-    fn read_quant(&mut self, block: usize, out: &mut QuantTensor) -> Result<bool> {
-        (**self).read_quant(block, out)
-    }
-
-    fn delete(&mut self, block: usize) -> Result<()> {
-        (**self).delete(block)
-    }
-
-    fn bytes_stored(&self) -> u64 {
-        (**self).bytes_stored()
-    }
-
-    fn peak_bytes(&self) -> u64 {
-        (**self).peak_bytes()
-    }
-
-    fn codec(&self) -> CodecKind {
-        (**self).codec()
-    }
-}
-
-/// Storage layer below the codec: persists encoded [`CacheBlob`]s by block
-/// index. Implementations never interpret the payload — that is the
-/// codec's job — but they do persist the blob's self-describing header, so
-/// a reader under a different codec gets a typed mismatch instead of
-/// garbage.
+/// Storage layer below the codec: persists encoded blobs by block index,
+/// written as a header and appended payload, read by payload byte range.
+/// Implementations never interpret the payload — that is the codec's job
+/// — but they do persist the blob's self-describing header, so a reader
+/// under a different codec gets a typed mismatch instead of garbage.
 pub trait BlobStore {
-    /// Persists `blob` as `block` (header + payload).
-    fn put(&mut self, block: usize, blob: &CacheBlob) -> Result<()>;
+    /// Starts `block` afresh: its header (`codec`, `shape`), no payload.
+    fn create(&mut self, block: usize, codec: CodecKind, shape: &[usize]) -> Result<()>;
 
-    /// Loads `block` into `blob`, reusing its buffers (grow-only).
-    fn get(&mut self, block: usize, blob: &mut CacheBlob) -> Result<()>;
+    /// Appends `bytes` to the payload of `block`, the block created last.
+    fn append(&mut self, block: usize, bytes: &[u8]) -> Result<()>;
+
+    /// Opens `block` for reads: its codec, shape and payload length.
+    fn open(&mut self, block: usize) -> Result<(CodecKind, Vec<usize>, u64)>;
+
+    /// Fills `buf` from payload offset `offset` of `block`, the block
+    /// opened last.
+    fn read_at(&mut self, block: usize, offset: u64, buf: &mut [u8]) -> Result<()>;
 
     /// Drops `block`.
     fn delete(&mut self, block: usize) -> Result<()>;
@@ -159,15 +206,37 @@ pub trait BlobStore {
 /// [`ActivationStore`] the Worker trains against.
 ///
 /// The aliases [`MemoryStore`] and [`DiskStore`] name the shipped storage
-/// backends. One scratch [`CacheBlob`] is reused across every write and
-/// read, so the steady-state encode/decode path performs no payload-sized
-/// allocations once warmed up (what remains per block write is small
-/// header/metadata work, negligible next to the payload I/O).
+/// backends. Every batch is encoded into, or read into, one reused
+/// batch-sized byte buffer, so the steady-state write and read paths
+/// allocate nothing once warmed up.
 #[derive(Debug)]
 pub struct CodecStore<S> {
     codec: CodecKind,
     store: S,
-    scratch: CacheBlob,
+    /// The block being written, its shape, and the elements appended.
+    writing: Option<(usize, Vec<usize>)>,
+    written: usize,
+    /// Int8 only: the block so far in f32, its per-group ranges and its
+    /// largest batch in elements (the codes go out in batches that size).
+    staged: Vec<f32>,
+    ranges: Vec<(f32, f32)>,
+    chunk: usize,
+    /// The block open for reads.
+    reading: Option<OpenBlock>,
+    /// The batch-sized byte buffer every encode and read goes through.
+    bytes: Vec<u8>,
+}
+
+/// A block open for batch reads.
+#[derive(Debug)]
+struct OpenBlock {
+    block: usize,
+    /// The whole block's shape, and the last batch's.
+    shape: Vec<usize>,
+    part: Vec<usize>,
+    /// The payload's table, read once, and int8's quantized-read grid.
+    table: Vec<u8>,
+    grid: Option<Int8Grid>,
 }
 
 impl<S: BlobStore> CodecStore<S> {
@@ -176,13 +245,14 @@ impl<S: BlobStore> CodecStore<S> {
         CodecStore {
             codec,
             store,
-            scratch: CacheBlob::new(),
+            writing: None,
+            written: 0,
+            staged: Vec::new(),
+            ranges: Vec::new(),
+            chunk: 0,
+            reading: None,
+            bytes: Vec::new(),
         }
-    }
-
-    /// The underlying blob store.
-    pub fn inner(&self) -> &S {
-        &self.store
     }
 
     /// The underlying blob store, mutably (how tests arm a
@@ -191,43 +261,193 @@ impl<S: BlobStore> CodecStore<S> {
         &mut self.store
     }
 
-    /// Loads `block` into the scratch blob and checks it was written under
-    /// `expected`.
-    fn load(&mut self, block: usize, expected: CodecKind, what: &str) -> Result<()> {
-        self.store.get(block, &mut self.scratch)?;
-        if self.scratch.codec != expected {
+    /// Opens `block`: it must have been written under this store's codec,
+    /// with a batch axis and a payload as long as its shape needs. Then
+    /// reads its table.
+    fn open_block(&mut self, block: usize) -> Result<OpenBlock> {
+        let (codec, shape, payload) = self.store.open(block)?;
+        if codec != self.codec {
             return Err(NfError::CodecMismatch {
-                expected: expected.name(),
-                found: self.scratch.codec.name(),
-                context: format!("activation cache block {block}{what}"),
+                expected: self.codec.name(),
+                found: codec.name(),
+                context: format!("activation cache block {block}"),
             });
         }
-        Ok(())
+        let expected = codec.payload_len(&shape);
+        if payload != expected as u64 || shape.is_empty() {
+            return Err(cache_err(
+                "read",
+                block,
+                format!(
+                    "payload is {payload} bytes, shape {shape:?} needs {expected} and a batch axis"
+                ),
+            ));
+        }
+        let mut table = vec![0; codec.table_len(&shape)];
+        self.store.read_at(block, 0, &mut table)?;
+        let grid = (codec == CodecKind::Int8Affine).then(|| Int8Grid::new(&table));
+        Ok(OpenBlock {
+            block,
+            part: shape.clone(),
+            shape,
+            table,
+            grid,
+        })
+    }
+
+    /// Reads samples `range` of `block` into the byte buffer and hands it
+    /// to `decode` with the open block and the batch's first element.
+    fn with_batch<T>(
+        &mut self,
+        block: usize,
+        range: Range<usize>,
+        decode: impl FnOnce(&OpenBlock, usize, &[u8]) -> T,
+    ) -> Result<T> {
+        let open = match self.reading.take() {
+            Some(open) if open.block == block => open,
+            _ => self.open_block(block)?,
+        };
+        let open = self.reading.insert(open);
+        let (n, per) = match open.shape.split_first() {
+            Some((&n, rest)) => (n, rest.iter().product::<usize>()),
+            None => (0, 0),
+        };
+        if range.start > range.end || range.end > n {
+            return Err(cache_err(
+                "read",
+                block,
+                format!("samples {range:?} of a {n}-sample block"),
+            ));
+        }
+        if let Some(len) = open.part.first_mut() {
+            *len = range.len();
+        }
+        let elem = self.codec.elem_len();
+        self.bytes.resize(range.len() * per * elem, 0);
+        let offset = open.table.len() + range.start * per * elem;
+        self.store.read_at(block, offset as u64, &mut self.bytes)?;
+        Ok(decode(open, range.start * per, &self.bytes))
     }
 }
 
 impl<S: BlobStore> ActivationStore for CodecStore<S> {
-    fn write(&mut self, block: usize, activations: &Tensor) -> Result<u64> {
-        self.codec.encode(activations, &mut self.scratch);
-        self.store.put(block, &self.scratch)?;
-        Ok(self.scratch.encoded_len())
+    fn begin_write(&mut self, block: usize, shape: &[usize]) -> Result<()> {
+        if shape.is_empty() {
+            return Err(cache_err(
+                "write",
+                block,
+                "a cached block needs a batch axis",
+            ));
+        }
+        self.reading = self.reading.take().filter(|r| r.block != block);
+        (self.written, self.chunk) = (0, 0);
+        self.writing = Some((block, shape.to_vec()));
+        match self.codec {
+            CodecKind::Int8Affine => {
+                self.staged.clear();
+                self.ranges = int8_ranges(shape);
+                Ok(())
+            }
+            codec => self.store.create(block, codec, shape),
+        }
     }
 
-    fn read_into(&mut self, block: usize, out: &mut Tensor) -> Result<()> {
-        self.load(block, self.codec, "")?;
-        self.codec.decode_into(&self.scratch, out)
+    fn append_batch(&mut self, batch: &Tensor) -> Result<()> {
+        let Some((block, shape)) = &self.writing else {
+            return Err(cache_err("write", 0, "no block is being written"));
+        };
+        let (first, data) = (self.written, batch.data());
+        let numel: usize = shape.iter().product();
+        if batch.shape().get(1..) != shape.get(1..) || first + data.len() > numel {
+            let cause = format!("batch {:?} overruns block {shape:?}", batch.shape());
+            return Err(cache_err("write", *block, cause));
+        }
+        self.written += data.len();
+        match self.codec {
+            CodecKind::Int8Affine => {
+                int8_widen(shape, first, data, &mut self.ranges);
+                self.staged.extend_from_slice(data);
+                self.chunk = self.chunk.max(data.len());
+                Ok(())
+            }
+            codec => {
+                self.bytes.resize(data.len() * codec.elem_len(), 0);
+                codec.encode_elems(shape, &[], first, data, &mut self.bytes);
+                self.store.append(*block, &self.bytes)
+            }
+        }
     }
 
-    fn read_quant(&mut self, block: usize, out: &mut QuantTensor) -> Result<bool> {
+    fn finish_write(&mut self) -> Result<u64> {
+        let Some((block, shape)) = self.writing.take() else {
+            return Err(cache_err("write", 0, "no block is being written"));
+        };
+        let numel: usize = shape.iter().product();
+        if self.written != numel {
+            let cause = format!("{} of the {numel} elements written", self.written);
+            return Err(cache_err("write", block, cause));
+        }
+        if self.codec == CodecKind::Int8Affine {
+            // The table covers the whole block, so the codes follow it
+            // from the staged f32, a batch at a time.
+            self.store.create(block, self.codec, &shape)?;
+            let mut table = vec![0; self.codec.table_len(&shape)];
+            int8_write_table(&self.ranges, &mut table);
+            self.store.append(block, &table)?;
+            for (i, data) in self.staged.chunks(self.chunk.max(1)).enumerate() {
+                self.bytes.resize(data.len(), 0);
+                let first = i * self.chunk;
+                (self.codec).encode_elems(&shape, &table, first, data, &mut self.bytes);
+                self.store.append(block, &self.bytes)?;
+            }
+        }
+        Ok(self.codec.payload_len(&shape) as u64)
+    }
+
+    fn open(&mut self, block: usize) -> Result<usize> {
+        self.reading = None;
+        let open = self.open_block(block)?;
+        let n = open.shape.first().copied().unwrap_or(0);
+        self.reading = Some(open);
+        Ok(n)
+    }
+
+    fn read_batch_into(
+        &mut self,
+        block: usize,
+        range: Range<usize>,
+        out: &mut Tensor,
+    ) -> Result<()> {
+        let codec = self.codec;
+        self.with_batch(block, range, |open, first, bytes| {
+            out.reuse_as(&open.part);
+            codec.decode_elems(&open.shape, &open.table, first, bytes, out.data_mut());
+        })
+    }
+
+    fn read_batch_quant(
+        &mut self,
+        block: usize,
+        range: Range<usize>,
+        out: &mut QuantTensor,
+    ) -> Result<bool> {
         if self.codec != CodecKind::Int8Affine {
             return Ok(false);
         }
-        self.load(block, CodecKind::Int8Affine, " (quantized read)")?;
-        crate::codec::requantize_int8_blob(&self.scratch, out)?;
-        Ok(true)
+        self.with_batch(block, range, |open, first, codes| {
+            let Some(g) = &open.grid else { return false };
+            g.map(
+                &open.shape,
+                first,
+                codes,
+                out.reuse_as(&open.part, g.scale, g.min),
+            );
+            true
+        })
     }
 
     fn delete(&mut self, block: usize) -> Result<()> {
+        self.reading = self.reading.take().filter(|r| r.block != block);
         self.store.delete(block)
     }
 
@@ -244,40 +464,78 @@ impl<S: BlobStore> ActivationStore for CodecStore<S> {
     }
 }
 
+/// A typed cache failure of `op` on `block`.
+fn cache_err(op: &'static str, block: usize, cause: impl Into<String>) -> NfError {
+    NfError::Cache {
+        op,
+        block,
+        cause: cause.into(),
+    }
+}
+
+/// One stored blob of a [`MemoryBlobStore`]: codec, shape, payload.
+type MemoryBlob = (CodecKind, Vec<usize>, Vec<u8>);
+
 /// In-memory blob storage (tests, small runs). Its two switches inject
-/// faults: while one is set, every `put` or `get` fails with a typed
+/// faults: while one is set, every write or read fails with a typed
 /// [`NfError::Cache`] — how tests check, under every codec, that the
 /// Worker surfaces storage failures without corrupting trained state.
 #[derive(Debug, Default)]
 pub struct MemoryBlobStore {
-    blocks: BTreeMap<usize, CacheBlob>,
+    blocks: BTreeMap<usize, MemoryBlob>,
     peak: u64,
-    /// While set, every `put` fails.
+    /// While set, every `create` and `append` fails.
     pub fail_writes: bool,
-    /// While set, every `get` fails.
+    /// While set, every `open` and `read_at` fails.
     pub fail_reads: bool,
 }
 
+impl MemoryBlobStore {
+    fn stored(&self, block: usize) -> Result<&MemoryBlob> {
+        if self.fail_reads {
+            return Err(injected("read", block));
+        }
+        self.blocks
+            .get(&block)
+            .ok_or_else(|| cache_err("read", block, "no cached activations for block"))
+    }
+}
+
 impl BlobStore for MemoryBlobStore {
-    fn put(&mut self, block: usize, blob: &CacheBlob) -> Result<()> {
+    fn create(&mut self, block: usize, codec: CodecKind, shape: &[usize]) -> Result<()> {
         if self.fail_writes {
             return Err(injected("write", block));
         }
-        self.blocks.entry(block).or_default().copy_from(blob);
+        let payload = Vec::with_capacity(codec.payload_len(shape));
+        self.blocks.insert(block, (codec, shape.to_vec(), payload));
+        Ok(())
+    }
+
+    fn append(&mut self, block: usize, bytes: &[u8]) -> Result<()> {
+        if self.fail_writes {
+            return Err(injected("write", block));
+        }
+        let (_, _, payload) = self
+            .blocks
+            .get_mut(&block)
+            .ok_or_else(|| cache_err("write", block, "block was not created"))?;
+        payload.extend_from_slice(bytes);
         self.peak = self.peak.max(self.bytes_stored());
         Ok(())
     }
 
-    fn get(&mut self, block: usize, blob: &mut CacheBlob) -> Result<()> {
-        if self.fail_reads {
-            return Err(injected("read", block));
-        }
-        let stored = self.blocks.get(&block).ok_or(NfError::Cache {
-            op: "read",
-            block,
-            cause: "no cached activations for block".into(),
-        })?;
-        blob.copy_from(stored);
+    fn open(&mut self, block: usize) -> Result<(CodecKind, Vec<usize>, u64)> {
+        let (codec, shape, payload) = self.stored(block)?;
+        Ok((*codec, shape.clone(), payload.len() as u64))
+    }
+
+    fn read_at(&mut self, block: usize, offset: u64, buf: &mut [u8]) -> Result<()> {
+        let (_, _, payload) = self.stored(block)?;
+        let at = usize::try_from(offset).unwrap_or(usize::MAX);
+        let src = payload
+            .get(at..at.saturating_add(buf.len()))
+            .ok_or_else(|| cache_err("read", block, "read past the payload"))?;
+        buf.copy_from_slice(src);
         Ok(())
     }
 
@@ -287,7 +545,7 @@ impl BlobStore for MemoryBlobStore {
     }
 
     fn bytes_stored(&self) -> u64 {
-        self.blocks.values().map(CacheBlob::encoded_len).sum()
+        self.blocks.values().map(|(_, _, p)| p.len() as u64).sum()
     }
 
     fn peak_bytes(&self) -> u64 {
@@ -296,11 +554,7 @@ impl BlobStore for MemoryBlobStore {
 }
 
 fn injected(op: &'static str, block: usize) -> NfError {
-    NfError::Cache {
-        op,
-        block,
-        cause: format!("injected {op} failure"),
-    }
+    cache_err(op, block, format!("injected {op} failure"))
 }
 
 /// Simple in-memory store (tests, small runs): a [`MemoryBlobStore`] under
@@ -329,31 +583,34 @@ impl Default for MemoryStore {
 /// directory (the paper's SD-card/NVMe activation cache).
 ///
 /// File format: magic `NFAC`, codec id `u32` LE, the shape record (rank
-/// `u64` LE, each dim `u64` LE), then the codec's payload. A read is one
-/// header read, parsed by the one blob-header parser, plus one bulk
-/// `read_exact` of the whole payload into a reused buffer — the codec then
-/// decodes it with a single slice-wise pass, so multi-megabyte block
-/// reloads during `--resume` stay I/O-bound rather than decode-bound.
+/// `u64` LE, each dim `u64` LE), then the codec's payload. A write creates
+/// the file with its header and appends each batch's bytes to it. A read
+/// opens the file once per block, parses the header with the one
+/// blob-header parser, and then serves each batch with one positioned
+/// `read_exact_at` on that open file.
 #[derive(Debug)]
 pub struct DiskBlobStore {
     dir: PathBuf,
     sizes: BTreeMap<usize, u64>,
     peak: u64,
+    /// The block being written, and its file.
+    writing: Option<(usize, File)>,
+    /// The block open for reads, its file and its header's length.
+    reading: Option<(usize, File, u64)>,
 }
 
 impl DiskBlobStore {
     /// Creates (and if needed, makes) blob storage under `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Result<Self> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(|e| NfError::Cache {
-            op: "write",
-            block: 0,
-            cause: format!("creating {}: {e}", dir.display()),
-        })?;
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| cache_err("write", 0, format!("creating {}: {e}", dir.display())))?;
         Ok(DiskBlobStore {
             dir,
             sizes: BTreeMap::new(),
             peak: 0,
+            writing: None,
+            reading: None,
         })
     }
 
@@ -362,14 +619,11 @@ impl DiskBlobStore {
     }
 
     /// Re-registers any `block_*.acts` files a previous process left
-    /// behind so `bytes_stored` accounts for them and `get` serves them.
+    /// behind so `bytes_stored` accounts for them and `open` serves them.
     fn recover_dir(dir: impl Into<PathBuf>) -> Result<Self> {
         let mut store = Self::new(dir)?;
-        let entries = std::fs::read_dir(&store.dir).map_err(|e| NfError::Cache {
-            op: "read",
-            block: 0,
-            cause: format!("scanning {}: {e}", store.dir.display()),
-        })?;
+        let entries = std::fs::read_dir(&store.dir)
+            .map_err(|e| cache_err("read", 0, format!("scanning {}: {e}", store.dir.display())))?;
         for entry in entries.flatten() {
             let name = entry.file_name();
             let name = name.to_string_lossy();
@@ -382,10 +636,10 @@ impl DiskBlobStore {
                 None => continue,
             };
             if let Ok(meta) = entry.metadata() {
-                // Accounting is payload-only (matching `put`); the header
-                // length depends on the stored rank, so peek at it. A file
-                // too corrupt to parse keeps its full size registered —
-                // the read path will surface the precise error.
+                // Accounting is payload-only (matching `append`); the
+                // header length depends on the stored rank, so peek at it.
+                // A file too corrupt to parse keeps its full size
+                // registered — opening it surfaces the precise error.
                 let payload = Self::peek_payload_len(&entry.path()).unwrap_or(meta.len());
                 store.sizes.insert(block, payload);
             }
@@ -397,72 +651,81 @@ impl DiskBlobStore {
     /// A blob file's payload length from its header; `None` if the
     /// header is unreadable.
     fn peek_payload_len(path: &Path) -> Option<u64> {
-        read_header(&mut File::open(path).ok()?)
+        read_header(&File::open(path).ok()?)
             .ok()
-            .map(|(_, _, payload)| payload)
+            .map(|(_, _, _, payload)| payload)
     }
 }
 
-/// Parses the header of an open blob file and leaves the file at its
-/// payload: the codec, the shape, and the payload's length in bytes.
-fn read_header(file: &mut File) -> std::result::Result<(CodecKind, Vec<usize>, u64), String> {
+/// Parses the header of an open blob file: the codec, the shape, and the
+/// lengths in bytes of the header and of the payload after it.
+fn read_header(file: &File) -> std::result::Result<(CodecKind, Vec<usize>, u64, u64), String> {
     let io = |e: std::io::Error| e.to_string();
     let file_len = file.metadata().map_err(io)?.len();
     let mut head = [0u8; MAX_HEADER_LEN];
     let head = head
         .get_mut(..file_len.min(MAX_HEADER_LEN as u64) as usize)
         .unwrap_or_default();
-    file.read_exact(head).map_err(io)?;
+    file.read_exact_at(head, 0).map_err(io)?;
     let (codec, shape, header_len) = parse_header(head)?;
     let header_len = header_len as u64;
-    file.seek(SeekFrom::Start(header_len)).map_err(io)?;
-    Ok((codec, shape, file_len - header_len))
+    Ok((codec, shape, header_len, file_len - header_len))
 }
 
 impl BlobStore for DiskBlobStore {
-    fn put(&mut self, block: usize, blob: &CacheBlob) -> Result<()> {
-        let path = self.path(block);
-        let werr = |e: std::io::Error| NfError::Cache {
-            op: "write",
-            block,
-            cause: e.to_string(),
-        };
-        // Header and payload stream out separately: the encoded payload
-        // is written straight from the blob's buffer, never copied into a
-        // whole-file staging Vec.
-        let mut file = File::create(&path).map_err(werr)?;
-        file.write_all(&blob.header_bytes()).map_err(werr)?;
-        file.write_all(blob.bytes()).map_err(werr)?;
+    fn create(&mut self, block: usize, codec: CodecKind, shape: &[usize]) -> Result<()> {
+        let werr = |e: std::io::Error| cache_err("write", block, e.to_string());
+        self.reading = self.reading.take().filter(|r| r.0 != block);
+        let mut file = File::create(self.path(block)).map_err(werr)?;
+        file.write_all(&blob_header(codec, shape)).map_err(werr)?;
         // Accounting excludes the fixed per-file header so the write /
         // bytes_stored totals agree across memory and disk stores (and
         // across codecs of the same payload size).
-        self.sizes.insert(block, blob.encoded_len());
+        self.sizes.insert(block, 0);
+        self.writing = Some((block, file));
+        Ok(())
+    }
+
+    fn append(&mut self, block: usize, bytes: &[u8]) -> Result<()> {
+        let file = match &mut self.writing {
+            Some((b, file)) if *b == block => file,
+            _ => return Err(cache_err("write", block, "block was not created")),
+        };
+        file.write_all(bytes)
+            .map_err(|e| cache_err("write", block, e.to_string()))?;
+        *self.sizes.entry(block).or_default() += bytes.len() as u64;
         self.peak = self.peak.max(self.bytes_stored());
         Ok(())
     }
 
-    fn get(&mut self, block: usize, blob: &mut CacheBlob) -> Result<()> {
-        let rerr = |cause: String| NfError::Cache {
-            op: "read",
-            block,
-            cause,
+    fn open(&mut self, block: usize) -> Result<(CodecKind, Vec<usize>, u64)> {
+        let rerr = |cause: String| cache_err("read", block, cause);
+        self.reading = None;
+        let file = File::open(self.path(block)).map_err(|e| rerr(e.to_string()))?;
+        let (codec, shape, header, payload) = read_header(&file).map_err(rerr)?;
+        self.reading = Some((block, file, header));
+        Ok((codec, shape, payload))
+    }
+
+    fn read_at(&mut self, block: usize, offset: u64, buf: &mut [u8]) -> Result<()> {
+        let cause = match &self.reading {
+            Some((b, file, header)) if *b == block => {
+                match file.read_exact_at(buf, header + offset) {
+                    Ok(()) => return Ok(()),
+                    Err(e) => e.to_string(),
+                }
+            }
+            _ => "block is not open".into(),
         };
-        let mut file = File::open(self.path(block)).map_err(|e| rerr(e.to_string()))?;
-        let (codec, shape, payload) = read_header(&mut file).map_err(rerr)?;
-        blob.reset(codec, &shape, payload as usize);
-        // The whole payload in one bulk read into the reused buffer.
-        file.read_exact(blob.bytes_mut())
-            .map_err(|e| rerr(e.to_string()))
+        Err(cache_err("read", block, cause))
     }
 
     fn delete(&mut self, block: usize) -> Result<()> {
+        self.reading = self.reading.take().filter(|r| r.0 != block);
+        self.writing = self.writing.take().filter(|w| w.0 != block);
         let path = self.path(block);
         if path.exists() {
-            std::fs::remove_file(&path).map_err(|e| NfError::Cache {
-                op: "delete",
-                block,
-                cause: e.to_string(),
-            })?;
+            std::fs::remove_file(&path).map_err(|e| cache_err("delete", block, e.to_string()))?;
         }
         self.sizes.remove(&block);
         Ok(())
@@ -551,18 +814,6 @@ mod tests {
         assert!(recovered.bytes_stored() > 0);
         assert_eq!(recovered.peak_bytes(), recovered.bytes_stored());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn mut_reference_forwards_store_impl() {
-        fn write_via_generic<S: ActivationStore>(mut store: S) -> u64 {
-            store.write(0, &sample()).unwrap();
-            store.bytes_stored()
-        }
-        let mut s = MemoryStore::new();
-        let dyn_ref: &mut dyn ActivationStore = &mut s;
-        assert_eq!(write_via_generic(dyn_ref), 24);
-        assert_eq!(s.bytes_stored(), 24);
     }
 
     #[test]
@@ -682,6 +933,81 @@ mod tests {
         // The message names both codecs for the operator.
         let msg = wrong.read(0).unwrap_err().to_string();
         assert!(msg.contains("int8") && msg.contains("f16"), "{msg}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn batch_reads_are_the_whole_blocks_slices_bit_for_bit() {
+        use crate::codec::{blob_header, requantize_int8_blob, ActivationCodec, CacheBlob};
+        let dir = std::env::temp_dir().join(format!("nf_cache_batch_{}", std::process::id()));
+        let bits = |q: &QuantTensor| (q.shape().to_vec(), q.data().to_vec(), q.scale(), q.min());
+        // Every int8 grouping (per channel, per row, one group), every
+        // codec, both stores; streamed in batches of 4, 4 and 2.
+        for shape in [vec![10, 3, 2, 2], vec![10, 5], vec![10]] {
+            let data =
+                (0..shape.iter().product()).map(|i| (i as f32 * 0.37).sin() * (i % 3) as f32);
+            let t = Tensor::from_vec(shape.clone(), data.collect()).unwrap();
+            for codec in CodecKind::all() {
+                let (mut blob, mut whole, mut whole_q) =
+                    (CacheBlob::new(), Tensor::default(), QuantTensor::new());
+                codec.encode(&t, &mut blob);
+                codec.decode_into(&blob, &mut whole).unwrap();
+                let quant = requantize_int8_blob(&blob, &mut whole_q).is_ok();
+                let disk = DiskStore::with_codec(dir.join(codec.name()), codec).unwrap();
+                for mut s in [
+                    Box::new(MemoryStore::with_codec(codec)) as Box<dyn ActivationStore>,
+                    Box::new(disk),
+                ] {
+                    s.begin_write(0, &shape).unwrap();
+                    for at in [0, 4, 8] {
+                        s.append_batch(&t.slice_batch(at, (at + 4).min(10)).unwrap())
+                            .unwrap();
+                    }
+                    assert_eq!(s.finish_write().unwrap(), blob.encoded_len());
+                    let (mut part, mut q, mut want) =
+                        (Tensor::default(), QuantTensor::new(), QuantTensor::new());
+                    for (at, end) in [(0, 1), (1, 4), (4, 7), (7, 10), (0, 10), (9, 10)] {
+                        s.read_batch_into(0, at..end, &mut part).unwrap();
+                        assert_eq!(
+                            part,
+                            whole.slice_batch(at, end).unwrap(),
+                            "{codec} {shape:?}"
+                        );
+                        assert_eq!(s.read_batch_quant(0, at..end, &mut q).unwrap(), quant);
+                        if quant {
+                            whole_q.slice_batch_into(at, end, &mut want).unwrap();
+                            assert_eq!(bits(&q), bits(&want), "{shape:?} {at}..{end}");
+                        }
+                    }
+                    assert!(s.read_batch_into(0, 9..11, &mut part).is_err());
+                }
+                // The streamed file is the whole-block blob, byte for byte.
+                let file = std::fs::read(dir.join(codec.name()).join("block_0.acts")).unwrap();
+                assert_eq!(
+                    file,
+                    [blob_header(codec, &shape), blob.bytes().to_vec()].concat()
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_block_torn_mid_payload_fails_when_opened() {
+        let dir = std::env::temp_dir().join(format!("nf_cache_torn_{}", std::process::id()));
+        let mut s = DiskStore::with_codec(&dir, CodecKind::F32Raw).unwrap();
+        s.write(0, &Tensor::ones(&[6, 2, 2, 2])).unwrap();
+        let path = dir.join("block_0.acts");
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 8]).unwrap();
+        let mut torn = DiskStore::recover_with_codec(&dir, CodecKind::F32Raw).unwrap();
+        assert!(matches!(
+            torn.open(0),
+            Err(NfError::Cache { op: "read", .. })
+        ));
+        let mut out = Tensor::default();
+        let first = torn.read_batch_into(0, 0..1, &mut out);
+        assert!(matches!(first, Err(NfError::Cache { op: "read", .. })));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -120,14 +120,93 @@ impl CodecKind {
         }
     }
 
-    /// Encoded payload size of a tensor of `shape` (for int8, the
-    /// `(scale, min)` table + one byte per element).
-    fn payload_len(self, shape: &[usize]) -> usize {
-        let numel: usize = shape.iter().product();
+    /// Encoded bytes of one element.
+    pub(crate) fn elem_len(self) -> usize {
         match self {
-            CodecKind::F32Raw => numel * 4,
-            CodecKind::F16 => numel * 2,
-            CodecKind::Int8Affine => int8_grouping(shape).0 * 8 + numel,
+            CodecKind::F32Raw => 4,
+            CodecKind::F16 => 2,
+            CodecKind::Int8Affine => 1,
+        }
+    }
+
+    /// Bytes of the table heading a payload of `shape`, which every batch
+    /// of it decodes through: int8's `(scale, min)` pair per group, and
+    /// nothing for the other codecs.
+    pub(crate) fn table_len(self, shape: &[usize]) -> usize {
+        match self {
+            CodecKind::Int8Affine => int8_grouping(shape).0.saturating_mul(8),
+            _ => 0,
+        }
+    }
+
+    /// Encoded payload size of a tensor of `shape`: the table, then
+    /// [`CodecKind::elem_len`] bytes per element. Saturating, so a garbage
+    /// shape never matches a real length.
+    pub(crate) fn payload_len(self, shape: &[usize]) -> usize {
+        let numel: usize = shape.iter().product();
+        self.table_len(shape)
+            .saturating_add(numel.saturating_mul(self.elem_len()))
+    }
+
+    /// Encodes `data`, the elements `first..` of a block of `shape`, into
+    /// `bytes` ([`CodecKind::elem_len`] each), quantizing int8 with the
+    /// parameters of the block's `table`. The whole-tensor encode is the
+    /// batch at 0.
+    pub(crate) fn encode_elems(
+        self,
+        shape: &[usize],
+        table: &[u8],
+        first: usize,
+        data: &[f32],
+        bytes: &mut [u8],
+    ) {
+        match self {
+            CodecKind::F32Raw => {
+                for (dst, &src) in bytes.as_chunks_mut::<4>().0.iter_mut().zip(data) {
+                    *dst = src.to_le_bytes();
+                }
+            }
+            CodecKind::F16 => f16_encode_slice(data, bytes),
+            CodecKind::Int8Affine => {
+                let (step, skip) = int8_segments(shape, first);
+                let params = int8_params(table, skip);
+                let segments = data.chunks(step).zip(bytes.chunks_mut(step));
+                for ((src, dst), (scale, min)) in segments.zip(params) {
+                    quantize_u8_slice(src, min, scale, dst);
+                }
+            }
+        }
+    }
+
+    /// Decodes `bytes`, the encoded elements `first..` of a block of
+    /// `shape`, into `out` (as many elements as `bytes` holds), reading
+    /// int8's parameters from the block's `table`. The whole-tensor decode
+    /// is the batch at 0.
+    pub(crate) fn decode_elems(
+        self,
+        shape: &[usize],
+        table: &[u8],
+        first: usize,
+        bytes: &[u8],
+        out: &mut [f32],
+    ) {
+        match self {
+            // One slice-wise pass: this loop compiles to a vectorised
+            // copy, so cache reads stay I/O-bound rather than decode-bound.
+            CodecKind::F32Raw => {
+                for (dst, src) in out.iter_mut().zip(bytes.as_chunks::<4>().0) {
+                    *dst = f32::from_le_bytes(*src);
+                }
+            }
+            CodecKind::F16 => f16_decode_slice(bytes, out),
+            CodecKind::Int8Affine => {
+                let (step, skip) = int8_segments(shape, first);
+                let params = int8_params(table, skip);
+                let segments = bytes.chunks(step).zip(out.chunks_mut(step));
+                for ((src, dst), (scale, min)) in segments.zip(params) {
+                    dequantize_u8_slice(src, min, scale, dst);
+                }
+            }
         }
     }
 }
@@ -198,33 +277,16 @@ impl CacheBlob {
         self.bytes.clear();
         self.bytes.resize(payload_len, 0);
     }
+}
 
-    /// Mutable payload access (for codecs and blob stores filling it in).
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
-    }
-
-    /// Makes `self` an exact copy of `src`, reusing allocations.
-    pub fn copy_from(&mut self, src: &CacheBlob) {
-        self.codec = src.codec;
-        self.shape.clear();
-        self.shape.extend_from_slice(&src.shape);
-        self.bytes.clear();
-        self.bytes.extend_from_slice(&src.bytes);
-    }
-
-    /// Serialises just the self-describing header (magic + codec id +
-    /// shape record) — the prefix of the on-disk format of one cache
-    /// entry. Writers stream the payload separately so the (possibly
-    /// multi-megabyte) encoded bytes are never copied into a second
-    /// buffer.
-    pub fn header_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(MAX_HEADER_LEN);
-        out.extend_from_slice(&BLOB_MAGIC);
-        out.extend_from_slice(&self.codec.id().to_le_bytes());
-        write_shape(&mut out, &self.shape);
-        out
-    }
+/// The self-describing header (magic + codec id + shape record) that
+/// heads one cache entry's file; the payload streams after it.
+pub(crate) fn blob_header(codec: CodecKind, shape: &[usize]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(MAX_HEADER_LEN);
+    out.extend_from_slice(&BLOB_MAGIC);
+    out.extend_from_slice(&codec.id().to_le_bytes());
+    write_shape(&mut out, shape);
+    out
 }
 
 /// Longest header a blob file can have: magic, codec id and a shape
@@ -308,16 +370,16 @@ fn int8_grouping(shape: &[usize]) -> (usize, usize) {
     }
 }
 
-/// An int8 payload split into its `(scale, min)` table and its codes, as
-/// `(step, table, codes)`. The walks take segments of `step` =
-/// `segment_len.max(1)`: a zero segment means no elements, and
-/// `chunks_exact(0)` would panic.
-fn int8_parts<'b>(shape: &[usize], bytes: &'b [u8]) -> (usize, &'b [u8], &'b [u8]) {
+/// Where the elements `first..` of a block of `shape` meet int8's groups,
+/// as `(step, skip)`: segments of `step` = `segment_len.max(1)` elements
+/// (a zero segment means no elements, and `chunks(0)` would panic), the
+/// first in group `skip`. A batch starts on a segment boundary under the
+/// per-channel and per-row groupings, and the one-group fallback has no
+/// boundary to meet.
+fn int8_segments(shape: &[usize], first: usize) -> (usize, usize) {
     let (groups, seg) = int8_grouping(shape);
-    // `check_len` sized the payload for the table; an unsplittable one
-    // decodes nothing.
-    let (table, codes) = bytes.split_at_checked(groups * 8).unwrap_or_default();
-    (seg.max(1), table, codes)
+    let step = seg.max(1);
+    (step, (first / step) % groups.max(1))
 }
 
 /// The `(scale, min)` pairs of an int8 payload's table.
@@ -334,84 +396,119 @@ fn int8_table(table: &[u8]) -> impl Iterator<Item = (f32, f32)> + Clone + '_ {
         })
 }
 
-/// Int8 encode: per-group min/max, the table, then each segment quantized
-/// with its group's parameters.
-fn int8_encode(shape: &[usize], data: &[f32], bytes: &mut [u8]) {
-    let (groups, seg) = int8_grouping(shape);
-    let step = seg.max(1);
-    let mut ranges = vec![(f32::INFINITY, f32::NEG_INFINITY); groups];
-    for run in data.chunks_exact((groups * seg).max(1)) {
-        for (segment, (lo, hi)) in run.chunks_exact(step).zip(&mut ranges) {
+/// The `(scale, min)` pairs of an int8 table from group `skip` on,
+/// cycling (without walking the `skip` groups before it).
+fn int8_params(table: &[u8], skip: usize) -> impl Iterator<Item = (f32, f32)> + '_ {
+    let rest = table.get(skip.saturating_mul(8)..).unwrap_or_default();
+    int8_table(rest).chain(int8_table(table).cycle())
+}
+
+/// Empty `(lo, hi)` ranges, one per int8 group of `shape`.
+pub(crate) fn int8_ranges(shape: &[usize]) -> Vec<(f32, f32)> {
+    vec![(f32::INFINITY, f32::NEG_INFINITY); int8_grouping(shape).0]
+}
+
+/// Widens the per-group `ranges` of a block of `shape` by `data`, its
+/// elements `first..`.
+pub(crate) fn int8_widen(shape: &[usize], first: usize, data: &[f32], ranges: &mut [(f32, f32)]) {
+    let (step, skip) = int8_segments(shape, first);
+    let groups = ranges.len().max(1);
+    for (i, segment) in data.chunks(step).enumerate() {
+        if let Some((lo, hi)) = ranges.get_mut((skip + i) % groups) {
             let (slo, shi) = minmax_slice(segment);
             *lo = lo.min(slo);
             *hi = hi.max(shi);
         }
     }
-    // (min, scale) per group; an empty or non-finite group maps to 0.
-    let params: Vec<(f32, f32)> = ranges
-        .into_iter()
-        .map(|(lo, hi)| {
-            if lo.is_finite() {
-                (lo, (hi - lo) / 255.0)
-            } else {
-                (0.0, 0.0)
-            }
-        })
-        .collect();
-    let (table, codes) = bytes.split_at_mut_checked(groups * 8).unwrap_or_default();
-    let words = params.iter().flat_map(|&(min, scale)| [scale, min]);
+}
+
+/// Writes int8's table from the per-group ranges: `scale = (hi − lo) /
+/// 255`, `min = lo`, and zeros for an empty or non-finite group.
+pub(crate) fn int8_write_table(ranges: &[(f32, f32)], table: &mut [u8]) {
+    let words = ranges.iter().flat_map(|&(lo, hi)| match lo.is_finite() {
+        true => [(hi - lo) / 255.0, lo],
+        false => [0.0, 0.0],
+    });
     for (dst, v) in table.as_chunks_mut::<4>().0.iter_mut().zip(words) {
         *dst = v.to_le_bytes();
     }
-    let segments = data.chunks_exact(step).zip(codes.chunks_exact_mut(step));
-    for ((src, dst), &(min, scale)) in segments.zip(params.iter().cycle()) {
-        quantize_u8_slice(src, min, scale, dst);
+}
+
+/// The per-tensor grid [`requantize_int8_blob`] maps an int8 block onto,
+/// spanning every group's representable range, with one 256-entry lookup
+/// table per group (stored code → grid code). Built once per block from
+/// its table; it never touches f32 element-wise.
+#[derive(Debug)]
+pub(crate) struct Int8Grid {
+    /// The grid's step.
+    pub(crate) scale: f32,
+    /// The grid's origin.
+    pub(crate) min: f32,
+    luts: Vec<[u8; 256]>,
+}
+
+impl Int8Grid {
+    /// The grid of the block whose table is `table`.
+    pub(crate) fn new(table: &[u8]) -> Self {
+        let mut lo = f32::INFINITY;
+        let mut hi = f32::NEG_INFINITY;
+        for (scale, min) in int8_table(table) {
+            lo = lo.min(min);
+            hi = hi.max(min + 255.0 * scale);
+        }
+        if !lo.is_finite() {
+            lo = 0.0;
+            hi = 0.0;
+        }
+        let gscale = if hi > lo { (hi - lo) / 255.0 } else { 0.0 };
+        let luts = int8_table(table)
+            .map(|(scale, min)| {
+                std::array::from_fn(|q| {
+                    if gscale == 0.0 {
+                        0
+                    } else {
+                        (((min + scale * q as f32) - lo) / gscale)
+                            .round()
+                            .clamp(0.0, 255.0) as u8
+                    }
+                })
+            })
+            .collect();
+        Int8Grid {
+            scale: gscale,
+            min: lo,
+            luts,
+        }
+    }
+
+    /// Maps `codes`, the stored codes of elements `first..` of a block of
+    /// `shape`, onto the grid in `dst`.
+    pub(crate) fn map(&self, shape: &[usize], first: usize, codes: &[u8], dst: &mut [u8]) {
+        let (step, skip) = int8_segments(shape, first);
+        let segments = codes.chunks(step).zip(dst.chunks_mut(step));
+        let rest = self.luts.get(skip..).unwrap_or_default();
+        for ((src, dst), lut) in segments.zip(rest.iter().chain(self.luts.iter().cycle())) {
+            for (d, &q) in dst.iter_mut().zip(src) {
+                *d = lut.get(usize::from(q)).copied().unwrap_or_default();
+            }
+        }
     }
 }
 
 /// Re-quantizes a per-group `Int8Affine` blob into a single per-tensor
-/// affine encoding — the quantized-compute read path: the int8 GEMM
+/// affine encoding — the quantized-compute read path over a whole blob
+/// (the store reads the same way a batch at a time). The int8 GEMM
 /// ([`nf_tensor::kernels::int8`]) wants one `(scale, min)` pair per
-/// tensor, so the stored per-group codes are remapped through per-group
-/// 256-entry lookup tables onto a global grid spanning every group's
-/// range. This adds at most half a *global* quantization step of error on
-/// top of the codec's own bound, and never touches f32 element-wise.
+/// tensor, so the stored codes are remapped through per-group lookup
+/// tables onto one grid spanning every group's range: at most half a
+/// global step of error on top of the codec's own bound.
 pub fn requantize_int8_blob(blob: &CacheBlob, out: &mut QuantTensor) -> Result<()> {
     check_len(CodecKind::Int8Affine, blob)?;
-    let (step, table, codes) = int8_parts(&blob.shape, &blob.bytes);
-    // Global range covering every group's representable span.
-    let mut lo = f32::INFINITY;
-    let mut hi = f32::NEG_INFINITY;
-    for (scale, min) in int8_table(table) {
-        lo = lo.min(min);
-        hi = hi.max(min + 255.0 * scale);
-    }
-    if !lo.is_finite() {
-        lo = 0.0;
-        hi = 0.0;
-    }
-    let gscale = if hi > lo { (hi - lo) / 255.0 } else { 0.0 };
-    let dst = out.reuse_as(blob.shape(), gscale, lo);
-    // One LUT per group: stored code -> global code.
-    let luts: Vec<[u8; 256]> = int8_table(table)
-        .map(|(scale, min)| {
-            std::array::from_fn(|q| {
-                if gscale == 0.0 {
-                    0
-                } else {
-                    (((min + scale * q as f32) - lo) / gscale)
-                        .round()
-                        .clamp(0.0, 255.0) as u8
-                }
-            })
-        })
-        .collect();
-    let segments = codes.chunks_exact(step).zip(dst.chunks_exact_mut(step));
-    for ((src, dst), lut) in segments.zip(luts.iter().cycle()) {
-        for (d, &q) in dst.iter_mut().zip(src) {
-            *d = lut.get(usize::from(q)).copied().unwrap_or_default();
-        }
-    }
+    let table_len = CodecKind::Int8Affine.table_len(&blob.shape);
+    let (table, codes) = blob.bytes.split_at_checked(table_len).unwrap_or_default();
+    let grid = Int8Grid::new(table);
+    let dst = out.reuse_as(blob.shape(), grid.scale, grid.min);
+    grid.map(&blob.shape, 0, codes, dst);
     Ok(())
 }
 
@@ -423,41 +520,26 @@ impl ActivationCodec for CodecKind {
     }
 
     fn encode(&self, acts: &Tensor, blob: &mut CacheBlob) {
-        blob.reset(*self, acts.shape(), self.payload_len(acts.shape()));
-        let (data, bytes) = (acts.data(), blob.bytes.as_mut_slice());
-        match self {
-            CodecKind::F32Raw => {
-                for (dst, &src) in bytes.as_chunks_mut::<4>().0.iter_mut().zip(data) {
-                    *dst = src.to_le_bytes();
-                }
-            }
-            CodecKind::F16 => f16_encode_slice(data, bytes),
-            CodecKind::Int8Affine => int8_encode(acts.shape(), data, bytes),
+        let shape = acts.shape();
+        blob.reset(*self, shape, self.payload_len(shape));
+        let bytes = blob.bytes.as_mut_slice();
+        let (table, bytes) = bytes
+            .split_at_mut_checked(self.table_len(shape))
+            .unwrap_or_default();
+        if *self == CodecKind::Int8Affine {
+            let mut ranges = int8_ranges(shape);
+            int8_widen(shape, 0, acts.data(), &mut ranges);
+            int8_write_table(&ranges, table);
         }
+        self.encode_elems(shape, table, 0, acts.data(), bytes);
     }
 
     fn decode_into(&self, blob: &CacheBlob, out: &mut Tensor) -> Result<()> {
         check_len(*self, blob)?;
         out.reuse_as(&blob.shape);
-        let (bytes, data) = (blob.bytes.as_slice(), out.data_mut());
-        match self {
-            // One slice-wise pass over the bulk-read payload: this loop
-            // compiles to a vectorised copy, so multi-megabyte block
-            // reloads stay I/O-bound rather than decode-bound.
-            CodecKind::F32Raw => {
-                for (dst, src) in data.iter_mut().zip(bytes.as_chunks::<4>().0) {
-                    *dst = f32::from_le_bytes(*src);
-                }
-            }
-            CodecKind::F16 => f16_decode_slice(bytes, data),
-            CodecKind::Int8Affine => {
-                let (step, table, codes) = int8_parts(&blob.shape, bytes);
-                let segments = codes.chunks_exact(step).zip(data.chunks_exact_mut(step));
-                for ((src, dst), (scale, min)) in segments.zip(int8_table(table).cycle()) {
-                    dequantize_u8_slice(src, min, scale, dst);
-                }
-            }
-        }
+        let table_len = self.table_len(&blob.shape);
+        let (table, bytes) = blob.bytes.split_at_checked(table_len).unwrap_or_default();
+        self.decode_elems(&blob.shape, table, 0, bytes, out.data_mut());
         Ok(())
     }
 }
@@ -634,7 +716,7 @@ mod tests {
         let t = sample_nchw();
         let mut blob = CacheBlob::new();
         CodecKind::F16.encode(&t, &mut blob);
-        let mut file = blob.header_bytes();
+        let mut file = blob_header(blob.codec, blob.shape());
         assert_eq!(&file[..8], b"NFAC\x01\0\0\0");
         assert_eq!(file.len(), 8 + 8 * (1 + 4));
         file.extend_from_slice(blob.bytes());

@@ -219,7 +219,7 @@ mod tests {
     fn cascade_accuracy_close_to_deepest_and_cheaper() {
         let (mut o, ds, spec) = trained();
         let deep_acc =
-            nf_models::exit_accuracy(&mut o.model, &mut o.aux_heads, 2, &ds.test).unwrap();
+            nf_models::exit_accuracy(&mut o.model, &mut o.aux_heads, 2, &ds.test, 64).unwrap();
         let aux = assign_aux(&spec, AuxPolicy::Adaptive);
         let mut cascade = ConfidenceCascade::new(&mut o.model, &mut o.aux_heads, 0.9);
         let report = cascade.evaluate(&ds.test, &spec, &aux).unwrap();

@@ -65,7 +65,13 @@ impl NeuroFluxOutcome {
             None => return Ok(0.0),
         };
         let (model, heads) = (&mut self.model, &mut self.aux_heads);
-        Ok(exit_accuracy(model, heads, exit, data)?)
+        Ok(exit_accuracy(
+            model,
+            heads,
+            exit,
+            data,
+            eval_batch(&self.blocks),
+        )?)
     }
 
     /// Compression factor of the selected exit versus the full model
@@ -175,7 +181,8 @@ impl NeuroFluxTrainer {
         // pick the smallest within tolerance of the best.
         let mut exits = nf_models::exit_candidates(spec, &aux_specs);
         let (val_images, val_labels) = (data.val.images(), data.val.labels());
-        let accs = nf_models::exit_accuracies(&mut model, &mut aux_heads, val_images, val_labels)?;
+        let (heads, batch) = (&mut aux_heads, eval_batch(&blocks));
+        let accs = nf_models::exit_accuracies(&mut model, heads, val_images, val_labels, batch)?;
         for (i, (cand, acc)) in exits.iter_mut().zip(accs).enumerate() {
             cand.val_accuracy = Some(acc);
             if let Some(p) = hooks.run.progress.as_mut() {
@@ -200,6 +207,12 @@ impl NeuroFluxTrainer {
             report,
         })
     }
+}
+
+/// The forward batch exits are measured at: the plan's smallest, so an
+/// eval pass (no retained caches, no gradients) fits wherever training did.
+fn eval_batch(blocks: &[Block]) -> usize {
+    blocks.iter().map(|b| b.batch).min().unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -241,7 +254,7 @@ mod tests {
             .unwrap();
         assert_eq!(o.exits.len(), 4);
         for (i, cand) in o.exits.iter().enumerate() {
-            let alone = exit_accuracy(&mut o.model, &mut o.aux_heads, i, &ds.val).unwrap();
+            let alone = exit_accuracy(&mut o.model, &mut o.aux_heads, i, &ds.val, 64).unwrap();
             assert_eq!(cand.val_accuracy.map(f32::to_bits), Some(alone.to_bits()));
         }
         // No samples, no accuracy — at every exit.
@@ -251,6 +264,7 @@ mod tests {
             &mut o.aux_heads,
             none.images(),
             none.labels(),
+            64,
         )
         .unwrap();
         assert_eq!(accs, [0.0; 4]);

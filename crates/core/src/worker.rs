@@ -2,16 +2,19 @@
 //!
 //! For each block, the Worker:
 //!
-//! 1. loads the block's input activations — the raw training set for block
-//!    0, the previous block's cached outputs otherwise (§3.1, skipping all
-//!    forward passes over trained blocks);
-//! 2. re-batches those activations to the block's own batch size — the
-//!    AB-LL prefetcher (§3.2);
-//! 3. trains every unit in the block with its local auxiliary loss for the
+//! 1. reads the block's input activations a batch at a time, at the
+//!    block's own batch size (the AB-LL prefetcher, §3.2) — from the raw
+//!    training set for block 0, from the previous block's cache entry
+//!    otherwise (§3.1, skipping all forward passes over trained blocks);
+//! 2. trains every unit in the block with its local auxiliary loss for the
 //!    configured epochs (Algorithm 2);
-//! 4. runs one final forward pass and persists the block's output
-//!    activations to the [`crate::ActivationStore`] (§3.3), then evicts the
-//!    block's forward caches and the consumed upstream cache entry.
+//! 3. runs one final forward pass, appending each batch's output to the
+//!    [`crate::ActivationStore`] as it leaves the block (§3.3), then evicts
+//!    the block's forward caches and the consumed upstream cache entry.
+//!
+//! No whole block of activations is ever held in memory here: the step's
+//! `cur` and `out` carry one batch in and one batch out (an int8 store
+//! stages its own writes; see [`crate::cache`]).
 
 #![deny(
     clippy::unwrap_used,
@@ -33,6 +36,7 @@ use nf_models::BuiltModel;
 use nf_nn::optim::Sgd;
 use nf_nn::{Layer, LocalStep, Mode, Sequential};
 use nf_tensor::{QuantTensor, Tensor};
+use std::ops::Range;
 
 /// Progress notifications emitted during a Worker run (and exit
 /// measurement, via the Controller).
@@ -166,30 +170,31 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         labels: &[usize],
     ) -> Result<Vec<f32>> {
         let mut step = LocalStep::default();
+        let input = Input::Data(inputs);
         (0..self.config.epochs_per_block)
-            .map(|_| self.train_epoch(model, aux_heads, block, inputs, labels, &mut step))
+            .map(|_| self.train_epoch(model, aux_heads, block, &input, labels, &mut step))
             .collect()
     }
 
     /// One epoch of [`Worker::train_block`], returning its mean local loss.
     fn train_epoch(
-        &self,
+        &mut self,
         model: &mut BuiltModel,
         aux_heads: &mut [Sequential],
         block: &Block,
-        inputs: &Tensor,
+        input: &Input<'_>,
         labels: &[usize],
         step: &mut LocalStep,
     ) -> Result<f32> {
         let sgd = self.optimizer();
-        let n = batch_count(inputs);
+        let n = input.samples(self.store)?;
         let batch = block.batch.max(1);
         let (mut sum, mut count) = (0.0f32, 0usize);
         for start in (0..n).step_by(batch) {
             let end = (start + batch).min(n);
-            // AB-LL prefetch: slice exactly this block's batch size out of
-            // the cached activation stream.
-            inputs.slice_batch_into(start, end, &mut step.cur)?;
+            // AB-LL prefetch: read exactly this block's batch size out of
+            // the input stream.
+            input.fill(self.store, start..end, &mut step.cur)?;
             let batch_labels = labels_of(labels, start, end)?;
             let units = block_slice(&mut model.units, block)?;
             for (unit, head) in units.iter_mut().zip(block_slice(aux_heads, block)?) {
@@ -202,66 +207,66 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         Ok(sum / count.max(1) as f32)
     }
 
-    /// Runs the trained block forward over all `inputs` (eval mode, in
-    /// batches) producing the activations to cache.
+    /// Runs trained block `b` forward over all of `input` (eval mode, in
+    /// batches) and appends each batch's output to the store as block
+    /// `b`'s cache entry as it leaves the block. Returns the encoded and
+    /// the logical (f32) bytes written.
     ///
-    /// With `quant` set — the same cached inputs still in int8 form — each
-    /// batch is sliced *quantized* and enters the block's first unit via
+    /// With int8 compute on and an int8 cache behind `input`, each batch
+    /// is read *quantized* and enters the block's first unit via
     /// [`Layer::forward_quant`], which runs the integer GEMM path through
     /// that unit's entry layer without a decode to f32; the rest of the
-    /// block continues in f32 either way. Batch outputs are copied straight
-    /// into `acts` — the caller's run-wide buffer, resized from the first
-    /// batch and fully overwritten — so the block's output is never held
-    /// twice and no dataset-sized tensor is faulted in per block.
+    /// block continues in f32 either way, and a store that cannot serve
+    /// quantized reads falls back to the f32 path.
     fn regenerate_activations(
-        &self,
+        &mut self,
         model: &mut BuiltModel,
-        block: &Block,
-        inputs: &Tensor,
-        quant: Option<&QuantTensor>,
+        (b, block): (usize, &Block),
+        input: &Input<'_>,
         step: &mut LocalStep,
-        acts: &mut Tensor,
-    ) -> Result<()> {
+    ) -> Result<(u64, u64)> {
         let (cur, out) = (&mut step.cur, &mut step.out);
-        let n = match quant {
-            Some(q) => q.shape().first().copied().unwrap_or(0),
-            None => batch_count(inputs),
-        };
+        let n = input.samples(self.store)?;
         let batch = block.batch.max(1);
+        let mut shape = vec![0];
         if n == 0 {
-            // No batch will size it: empty, not the previous block's.
-            acts.reuse_as(&[0]);
+            // No batch will shape it: an empty entry.
+            self.store.begin_write(b, &shape)?;
         }
         let mut qbatch = QuantTensor::new();
-        let mut start = 0usize;
-        while start < n {
+        for start in (0..n).step_by(batch) {
             let end = (start + batch).min(n);
             let mut units = block_slice(&mut model.units, block)?.iter_mut();
-            match quant {
-                Some(q) => {
-                    q.slice_batch_into(start, end, &mut qbatch)?;
-                    match units.next() {
-                        Some(first) => first.forward_quant_into(&qbatch, Mode::Eval, cur)?,
-                        None => qbatch.dequantize_into(cur)?,
-                    }
+            let quantized = match input {
+                Input::Cached(prev) if self.config.int8_compute => {
+                    self.store
+                        .read_batch_quant(*prev, start..end, &mut qbatch)?
                 }
-                None => inputs.slice_batch_into(start, end, cur)?,
+                _ => false,
+            };
+            if quantized {
+                match units.next() {
+                    Some(first) => first.forward_quant_into(&qbatch, Mode::Eval, cur)?,
+                    None => qbatch.dequantize_into(cur)?,
+                }
+            } else {
+                input.fill(self.store, start..end, cur)?;
             }
             for unit in units {
                 unit.forward_into(cur, Mode::Eval, out)?;
                 std::mem::swap(cur, out);
             }
             if start == 0 {
-                let mut shape = cur.shape().to_vec();
+                shape = cur.shape().to_vec();
                 if let Some(batch_dim) = shape.first_mut() {
                     *batch_dim = n;
                 }
-                acts.reuse_as(&shape);
+                self.store.begin_write(b, &shape)?;
             }
-            acts.write_batch(start, cur)?;
-            start = end;
+            self.store.append_batch(cur)?;
         }
-        Ok(())
+        let logical = shape.iter().product::<usize>() as u64 * 4;
+        Ok((self.store.finish_write()?, logical))
     }
 
     /// Trains all blocks in order over the training set (the full §3 flow).
@@ -353,24 +358,6 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         for stale in 0..start_block.saturating_sub(1) {
             self.store.delete(stale)?;
         }
-        // One decode buffer for the whole run: every cached-input reload
-        // (and the head-training reload below) decodes into it via
-        // `read_into`, so the consume path settles at the largest block's
-        // size and stops allocating — and block 0 trains straight off the
-        // caller's dataset tensor instead of a private clone.
-        let mut cache_input = Tensor::default();
-        // Quantized sibling of `cache_input` for the int8-compute
-        // regeneration path (only filled when the store serves it).
-        let mut quant_input = QuantTensor::new();
-        // Its partner: the activations a block regenerates for the store.
-        // The two trade places at every block — the buffer block `b - 1`'s
-        // output was regenerated into is exactly the size of its decoded
-        // cache entry, and the spent input buffer is at least as large as
-        // anything a later block regenerates — so from the third block on
-        // neither is faulted in again, and never more than one of each is
-        // held (a tensor kept at its largest size beside a growing
-        // `cache_input` would raise the run's peak).
-        let mut acts = Tensor::default();
         let mut step = LocalStep::default();
         for (b, block) in blocks.iter().enumerate() {
             if b < start_block {
@@ -397,21 +384,19 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
                 },
                 b,
             )?;
-            // §3.1: load this block's inputs — dataset for block 0, the
-            // previous block's cached activations (decoded into the reused
-            // buffer) otherwise.
-            let inputs: &Tensor = if b == 0 {
-                images
-            } else {
-                std::mem::swap(&mut cache_input, &mut acts);
-                self.store.read_into(b - 1, &mut cache_input)?;
-                &cache_input
+            // §3.1: this block's inputs — the dataset for block 0, the
+            // previous block's cache entry otherwise, read a batch at a
+            // time. Each pass opens the entry first, which validates it
+            // before anything trains on it.
+            let input = match b.checked_sub(1) {
+                None => Input::Data(images),
+                Some(prev) => Input::Cached(prev),
             };
             let epochs = self.config.epochs_per_block;
             let mut losses = Vec::with_capacity(epochs);
             for epoch in 0..epochs {
                 let mean_loss =
-                    self.train_epoch(model, aux_heads, block, inputs, labels, &mut step)?;
+                    self.train_epoch(model, aux_heads, block, &input, labels, &mut step)?;
                 losses.push(mean_loss);
                 emit_event(
                     &mut hooks.progress,
@@ -430,22 +415,11 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
             // write reports the *encoded* byte count — the §6.4 metric.
             // With int8 compute enabled, this regeneration sweep (the
             // run's dominant forward-only pass) consumes the previous
-            // block's cache *in quantized form*, skipping the f32 decode;
-            // block 0 reads the raw dataset, and stores that cannot serve
-            // quantized reads fall back to the f32 path.
-            let quantized = b > 0
-                && self.config.int8_compute
-                && self.store.read_quant(b - 1, &mut quant_input)?;
-            self.regenerate_activations(
-                model,
-                block,
-                inputs,
-                quantized.then_some(&quant_input),
-                &mut step,
-                &mut acts,
-            )?;
-            report.cache_logical_bytes += acts.numel() as u64 * 4;
-            report.cache_bytes_written += self.store.write(b, &acts)?;
+            // block's cache *in quantized form*, skipping the f32 decode.
+            let (written, logical) =
+                self.regenerate_activations(model, (b, block), &input, &mut step)?;
+            report.cache_bytes_written += written;
+            report.cache_logical_bytes += logical;
             let units = block_slice(&mut model.units, block)?;
             for (unit, head) in units.iter_mut().zip(block_slice(aux_heads, block)?) {
                 unit.clear_cache();
@@ -493,14 +467,14 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         // checkpoint already covers it (head parameters were restored).
         if let Some((last, last_block)) = blocks.iter().enumerate().next_back() {
             if !resume_head_trained {
-                self.store.read_into(last, &mut cache_input)?;
+                let input = Input::Cached(last);
+                let n = input.samples(self.store)?;
                 let sgd = self.optimizer();
                 let batch = last_block.batch.max(1);
-                let n = batch_count(&cache_input);
                 for _ in 0..self.config.epochs_per_block {
                     for start in (0..n).step_by(batch) {
                         let end = (start + batch).min(n);
-                        cache_input.slice_batch_into(start, end, &mut step.cur)?;
+                        input.fill(self.store, start..end, &mut step.cur)?;
                         let batch_labels = labels_of(labels, start, end)?;
                         step.train_head(&sgd, &mut model.head, batch_labels)?;
                     }
@@ -514,6 +488,37 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         }
         report.cache_peak_bytes = resume_peak.max(self.store.peak_bytes());
         Ok(report)
+    }
+}
+
+/// Where a block's input batches come from: the dataset for block 0, a
+/// cache entry otherwise (the previous block's, or the last block's for
+/// the deep head).
+enum Input<'a> {
+    Data(&'a Tensor),
+    Cached(usize),
+}
+
+impl Input<'_> {
+    /// The samples it holds. Opening a cache entry validates it.
+    fn samples<S: ActivationStore + ?Sized>(&self, store: &mut S) -> Result<usize> {
+        match self {
+            Input::Data(t) => Ok(batch_count(t)),
+            Input::Cached(block) => store.open(*block),
+        }
+    }
+
+    /// Loads samples `range` into `out` (grow-only).
+    fn fill<S: ActivationStore + ?Sized>(
+        &self,
+        store: &mut S,
+        range: Range<usize>,
+        out: &mut Tensor,
+    ) -> Result<()> {
+        match self {
+            Input::Data(t) => Ok(t.slice_batch_into(range.start, range.end, out)?),
+            Input::Cached(block) => store.read_batch_into(*block, range, out),
+        }
     }
 }
 
@@ -601,29 +606,27 @@ mod tests {
     }
 
     #[test]
-    fn regeneration_reuses_one_buffer_and_is_empty_for_no_samples() {
+    fn regeneration_streams_into_the_store_and_is_empty_for_no_samples() {
         let (mut model, _, ds) = setup(0, &[6, 8]);
         let mut store = MemoryStore::new();
-        let worker = Worker::new(NeuroFluxConfig::new(1 << 30, 16), &mut store);
-        let block = &two_blocks()[0];
-        let (mut step, mut acts) = (LocalStep::default(), Tensor::full(&[7], f32::NAN));
-        let mut regenerate = |inputs: &Tensor, acts: &mut Tensor| {
-            worker
-                .regenerate_activations(&mut model, block, inputs, None, &mut step, acts)
-                .unwrap()
+        let mut worker = Worker::new(NeuroFluxConfig::new(1 << 30, 16), &mut store);
+        let (block, mut step) = (&two_blocks()[0], LocalStep::default());
+        let mut regenerate = |inputs: &Tensor| {
+            let input = Input::Data(inputs);
+            let bytes = worker.regenerate_activations(&mut model, (0, block), &input, &mut step);
+            (bytes.unwrap(), worker.store.read(0).unwrap())
         };
         // 48 samples in batches of 8, every element written.
-        regenerate(ds.train.images(), &mut acts);
+        let (bytes, acts) = regenerate(ds.train.images());
         assert_eq!(acts.shape(), &[48, 6, 8, 8]);
+        assert_eq!(bytes, (acts.numel() as u64 * 4, acts.numel() as u64 * 4));
         assert!(acts.data().iter().all(|v| v.is_finite()));
-        let (first, capacity) = (acts.clone(), acts.data_capacity());
-        // A smaller input through the same buffer: its prefix, no growth.
-        regenerate(&ds.train.images().slice_batch(0, 11).unwrap(), &mut acts);
-        assert_eq!(acts, first.slice_batch(0, 11).unwrap());
-        assert_eq!(acts.data_capacity(), capacity);
-        // No samples: a well-formed empty tensor, not the previous result.
-        regenerate(&Tensor::zeros(&[0, 3, 8, 8]), &mut acts);
-        assert_eq!((acts.shape(), acts.numel()), (&[0][..], 0));
+        // A smaller input rewrites the entry with its prefix.
+        let prefix = regenerate(&ds.train.images().slice_batch(0, 11).unwrap()).1;
+        assert_eq!(prefix, acts.slice_batch(0, 11).unwrap());
+        // No samples: a well-formed empty entry, not the previous one.
+        let (bytes, empty) = regenerate(&Tensor::zeros(&[0, 3, 8, 8]));
+        assert_eq!((empty.shape(), bytes), (&[0][..], (0, 0)));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::aux::AuxSpec;
 use crate::build::BuiltModel;
 use crate::spec::ModelSpec;
 use nf_data::Dataset;
-use nf_nn::loss::accuracy;
+use nf_nn::loss::correct;
 use nf_nn::{Layer, Mode, Sequential};
 use nf_tensor::Tensor;
 
@@ -59,61 +59,84 @@ pub fn exit_candidates(spec: &ModelSpec, aux: &[AuxSpec]) -> Vec<ExitCandidate> 
     out
 }
 
+/// Each exit's accuracy over `n` samples, scored by forward batches of at
+/// most `batch` samples: `score(start, end, hits)` adds each exit's
+/// correct predictions on samples `start..end`. The sum runs over chunks
+/// of 64 samples, `(hits / len) · len` each, over `n` — fixed, so the bits
+/// do not depend on `batch`, and the memory of a forward pass is bounded
+/// by it. No samples score `0.0`.
+fn accuracies(
+    n: usize,
+    exits: usize,
+    batch: usize,
+    mut score: impl FnMut(usize, usize, &mut [usize]) -> nf_nn::Result<()>,
+) -> nf_nn::Result<Vec<f32>> {
+    let (mut sums, mut hits) = (vec![0.0f32; exits], vec![0usize; exits]);
+    let batch = batch.clamp(1, 64);
+    for chunk in (0..n).step_by(64) {
+        let end = (chunk + 64).min(n);
+        hits.fill(0);
+        for start in (chunk..end).step_by(batch) {
+            score(start, (start + batch).min(end), &mut hits)?;
+        }
+        let len = (end - chunk) as f32;
+        for (sum, &h) in sums.iter_mut().zip(&hits) {
+            *sum += h as f32 / len * len;
+        }
+    }
+    Ok(sums.into_iter().map(|s| s / n.max(1) as f32).collect())
+}
+
 /// Inference accuracy at **every** exit over `images` / `labels`, in one
-/// pass: each batch of 64 goes through the units once (eval mode), and
-/// head `i` scores the activation as it leaves unit `i` — `units` forward
-/// passes per batch where measuring the exits one by one re-runs units
-/// `0..=i` for each (`units·(units+1)/2`). Exit `i`'s accuracy is the sum
-/// of its per-batch `accuracy · batch_len`, over the sample count: the
-/// arithmetic of a single-exit measurement, so the two agree bit for bit.
-/// An empty dataset scores `0.0` everywhere.
+/// pass at forward batches of at most `batch`: each batch goes through
+/// the units once (eval mode), and head `i` scores the activation as it
+/// leaves unit `i` — `units` forward passes per batch where measuring the
+/// exits one by one re-runs units `0..=i` for each (`units·(units+1)/2`).
+/// The same arithmetic as [`exit_accuracy`], so the two agree bit for bit.
 pub fn exit_accuracies(
     model: &mut BuiltModel,
     aux_heads: &mut [Sequential],
     images: &Tensor,
     labels: &[usize],
+    batch: usize,
 ) -> nf_nn::Result<Vec<f32>> {
-    let mut correct = vec![0.0f32; aux_heads.len()];
     let (mut cur, mut out, mut logits) = (Tensor::default(), Tensor::default(), Tensor::default());
-    for start in (0..labels.len()).step_by(64) {
-        let batch = &labels[start..(start + 64).min(labels.len())];
-        images.slice_batch_into(start, start + batch.len(), &mut cur)?;
+    accuracies(labels.len(), aux_heads.len(), batch, |start, end, hits| {
+        images.slice_batch_into(start, end, &mut cur)?;
         let exits = model.units.iter_mut().zip(aux_heads.iter_mut());
-        for ((unit, head), correct) in exits.zip(&mut correct) {
+        for ((unit, head), hits) in exits.zip(hits) {
             unit.forward_into(&cur, Mode::Eval, &mut out)?;
             std::mem::swap(&mut cur, &mut out);
             head.forward_into(&cur, Mode::Eval, &mut logits)?;
-            *correct += accuracy(&logits, batch)? * batch.len() as f32;
+            *hits += correct(&logits, &labels[start..end])?;
         }
-    }
-    let n = labels.len().max(1) as f32;
-    Ok(correct.into_iter().map(|c| c / n).collect())
+        Ok(())
+    })
 }
 
-/// Inference accuracy at exit `exit` alone over `data`: each batch of 64
-/// goes through units `0..=exit` (eval mode), then head `exit`. The same
-/// arithmetic as [`exit_accuracies`], so the two agree bit for bit. An
-/// empty dataset scores `0.0`.
+/// Inference accuracy at exit `exit` alone over `data`, at forward
+/// batches of at most `batch`: units `0..=exit` (eval mode), then head
+/// `exit`. The same arithmetic as [`exit_accuracies`].
 pub fn exit_accuracy(
     model: &mut BuiltModel,
     aux_heads: &mut [Sequential],
     exit: usize,
     data: &Dataset,
+    batch: usize,
 ) -> nf_nn::Result<f32> {
     let (images, labels) = (data.images(), data.labels());
     let (mut cur, mut out) = (Tensor::default(), Tensor::default());
-    let mut correct = 0.0f32;
-    for start in (0..labels.len()).step_by(64) {
-        let batch = &labels[start..(start + 64).min(labels.len())];
-        images.slice_batch_into(start, start + batch.len(), &mut cur)?;
+    let acc = accuracies(labels.len(), 1, batch, |start, end, hits| {
+        images.slice_batch_into(start, end, &mut cur)?;
         for unit in &mut model.units[..=exit] {
             unit.forward_into(&cur, Mode::Eval, &mut out)?;
             std::mem::swap(&mut cur, &mut out);
         }
         aux_heads[exit].forward_into(&cur, Mode::Eval, &mut out)?;
-        correct += accuracy(&out, batch)? * batch.len() as f32;
-    }
-    Ok(correct / labels.len().max(1) as f32)
+        hits[0] += correct(&out, &labels[start..end])?;
+        Ok(())
+    })?;
+    Ok(acc[0])
 }
 
 /// Selects the paper's "best" exit: the candidate with the **smallest

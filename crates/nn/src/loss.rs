@@ -71,17 +71,23 @@ pub fn mse(pred: &Tensor, target: &Tensor) -> Result<(f32, Tensor)> {
 
 /// Classification accuracy of logits against labels, in `[0, 1]`.
 pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
+    let hits = correct(logits, labels)?;
+    Ok(if labels.is_empty() {
+        0.0
+    } else {
+        hits as f32 / labels.len() as f32
+    })
+}
+
+/// Rows of `logits` whose argmax is their label.
+pub fn correct(logits: &Tensor, labels: &[usize]) -> Result<usize> {
     let preds = nf_tensor::argmax_rows(logits)?;
     if preds.len() != labels.len() {
         return Err(NnError::BadLabels {
             reason: format!("{} labels for batch of {}", labels.len(), preds.len()),
         });
     }
-    if labels.is_empty() {
-        return Ok(0.0);
-    }
-    let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
-    Ok(correct as f32 / labels.len() as f32)
+    Ok(preds.iter().zip(labels).filter(|(p, l)| p == l).count())
 }
 
 #[cfg(test)]

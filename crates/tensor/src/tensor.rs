@@ -337,27 +337,6 @@ impl Tensor {
         Ok(self.shape[1..].iter().product())
     }
 
-    /// Overwrites samples `[start, start + part.shape()[0])` along the
-    /// batch (first) axis with `part` — the inverse of
-    /// [`Tensor::slice_batch`], for assembling a batched result in place
-    /// instead of collecting parts for [`Tensor::cat_batch`].
-    pub fn write_batch(&mut self, start: usize, part: &Tensor) -> Result<()> {
-        if self.shape.is_empty() || part.shape.is_empty() || self.shape[1..] != part.shape[1..] {
-            return Err(TensorError::shape_mismatch(
-                "write_batch",
-                &self.shape,
-                &part.shape,
-            ));
-        }
-        let end = start + part.shape[0];
-        if end > self.shape[0] {
-            return Err(TensorError::index_out_of_bounds(&[start, end], &self.shape));
-        }
-        let per: usize = self.shape[1..].iter().product();
-        self.data[start * per..end * per].copy_from_slice(&part.data);
-        Ok(())
-    }
-
     /// Concatenates tensors along the batch (first) axis.
     ///
     /// All inputs must agree on every non-batch dimension.
@@ -471,19 +450,6 @@ mod tests {
         assert!(Tensor::scalar(1.0)
             .slice_batch_into(0, 1, &mut part)
             .is_err());
-    }
-
-    #[test]
-    fn write_batch_inverts_slice_batch() {
-        let t = Tensor::from_vec(vec![4, 1, 2, 2], (0..16).map(|i| i as f32).collect()).unwrap();
-        let mut r = Tensor::zeros(&[4, 1, 2, 2]);
-        r.write_batch(1, &t.slice_batch(1, 4).unwrap()).unwrap();
-        r.write_batch(0, &t.slice_batch(0, 1).unwrap()).unwrap();
-        assert_eq!(r, t);
-        // Past the end, and a different per-sample shape.
-        assert!(r.write_batch(2, &t.slice_batch(0, 3).unwrap()).is_err());
-        assert!(r.write_batch(0, &Tensor::zeros(&[1, 4])).is_err());
-        assert_eq!(r, t);
     }
 
     #[test]

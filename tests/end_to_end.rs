@@ -83,9 +83,14 @@ fn neuroflux_exits_track_classic_ll_quality() {
     let mut outcome = NeuroFluxTrainer::new(config)
         .train(&mut rng, &spec, &ds)
         .unwrap();
-    let nf_exit_acc =
-        neuroflux::models::exit_accuracy(&mut outcome.model, &mut outcome.aux_heads, 1, &ds.test)
-            .unwrap();
+    let nf_exit_acc = neuroflux::models::exit_accuracy(
+        &mut outcome.model,
+        &mut outcome.aux_heads,
+        1,
+        &ds.test,
+        64,
+    )
+    .unwrap();
 
     assert!(
         (nf_exit_acc - ll_exit_acc).abs() < 0.25,

@@ -8,8 +8,9 @@
 //!
 //! The binary decoders: every strict truncation, and a one-byte flip at
 //! every offset, of a valid cache blob file under each codec (read back
-//! through a recovered `DiskStore`: the header parser, `decode_into` and,
-//! for int8, `requantize_int8_blob`), a parameter blob, a checkpoint, and
+//! through a recovered `DiskStore`, whole and per batch: the header
+//! parser, the length check at open, the decode and, for int8, the
+//! quantized read), a parameter blob, a checkpoint, and
 //! one serve request and response. A failing case names its decoder and
 //! mutation.
 //!
@@ -145,7 +146,7 @@ fn sweep<E: std::fmt::Debug>(
 fn blob_files_never_panic_the_cache_reader() {
     let dir = std::env::temp_dir().join(format!("nf_blob_fuzz_{}", std::process::id()));
     let acts = vec![0.5, -1.0, 2.0, 0.0, 3.0, 1.5, -2.5, 4.0];
-    let t = Tensor::from_vec(vec![1, 2, 2, 2], acts).unwrap();
+    let t = Tensor::from_vec(vec![2, 2, 1, 2], acts).unwrap();
     for codec in CodecKind::all() {
         let file = dir.join(format!("{codec}/block_0.acts"));
         let mut store = DiskStore::with_codec(file.parent().unwrap(), codec).unwrap();
@@ -159,7 +160,13 @@ fn blob_files_never_panic_the_cache_reader() {
                 std::fs::write(&file, bytes).unwrap();
                 let mut store = DiskStore::recover_with_codec(file.parent().unwrap(), codec)?;
                 store.read_into(0, &mut out)?;
-                store.read_quant(0, &mut q).map(drop)
+                store.read_quant(0, &mut q)?;
+                // Per batch, as the Worker reads: each one typed or correct.
+                for s in 0..store.open(0)? {
+                    store.read_batch_into(0, s..s + 1, &mut out)?;
+                    store.read_batch_quant(0, s..s + 1, &mut q)?;
+                }
+                Ok(())
             },
         );
     }
