@@ -92,7 +92,10 @@ impl Prototypes {
 }
 
 impl SpTrainer {
-    /// Creates an SP trainer.
+    /// Creates an SP trainer on plain SGD, deliberately without momentum:
+    /// the prototype targets move every batch, and a velocity would keep
+    /// pulling outputs toward where a target used to be. `nf baseline sp`
+    /// keeps it at 0.0 whatever `[train] momentum` says.
     pub fn new(lr: f32, epochs: usize, batch: usize) -> Self {
         SpTrainer {
             sgd: Sgd::new(lr).with_momentum(0.0),

@@ -20,7 +20,7 @@
 //! required keys; a malformed artifact exits non-zero, which is what the
 //! CI bench-smoke job asserts.
 
-use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
+use nf_models::{build_aux_heads, AuxPolicy, ModelSpec};
 use nf_nn::optim::Sgd;
 use nf_nn::{BatchNorm2d, GlobalAvgPool, Layer, LocalStep, MaxPool2d, Mode};
 use nf_tensor::{KernelBackend, Tensor};
@@ -897,10 +897,7 @@ fn time_train_step(smoke: bool) -> Table {
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     let spec = ModelSpec::tiny("bench", hw, channels, classes);
     let mut model = spec.build(&mut rng).unwrap();
-    let mut heads: Vec<_> = assign_aux(&spec, AuxPolicy::Adaptive)
-        .iter()
-        .map(|a| build_aux_head(&mut rng, a).unwrap())
-        .collect();
+    let mut heads = build_aux_heads(&mut rng, &spec, AuxPolicy::Adaptive).unwrap();
     model.prepare_local_learning(&mut heads, KernelBackend::default());
     let sgd = Sgd::new(0.05).with_momentum(0.9);
     let images = nf_tensor::uniform_init(&mut rng, &[batch, 3, hw, hw], -1.0, 1.0);

@@ -14,12 +14,15 @@ use neuroflux_core::simulate::{
     price_neuroflux, simulate_bp, simulate_classic_ll, simulate_neuroflux, sweep_point,
     SimulatedRun,
 };
-use neuroflux_core::{Block, NeuroFluxConfig, NeuroFluxTrainer, RHO};
-use nf_baselines::{install_feedback, BpTrainer, LocalLearningTrainer, SpTrainer};
+use neuroflux_core::{Block, MemoryStore, NeuroFluxConfig, NeuroFluxTrainer, RHO};
+use nf_baselines::{install_feedback, train_local, BpTrainer, SpTrainer};
 use nf_data::SyntheticSpec;
 use nf_memsim::TrainingParadigm::{BlockLocal, LocalLearning};
 use nf_memsim::{memory, timing, DeviceProfile};
-use nf_models::{assign_aux, exit_candidates, AuxPolicy, ExitCandidate, ModelSpec, UnitAnalytics};
+use nf_models::{
+    assign_aux, build_aux_heads, exit_candidates, AuxPolicy, ExitCandidate, ModelSpec,
+    UnitAnalytics,
+};
 use rand::{rngs::StdRng, SeedableRng};
 use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
@@ -366,12 +369,14 @@ fn fig03(_: &Shared) -> Result<Figure> {
     let mut rng = StdRng::seed_from_u64(1);
     let mut bp_model = spec.build(&mut rng)?;
     let bp = BpTrainer::new(lr, epochs, batch).train(&mut bp_model, train, test)?;
-    let ll_trainer = LocalLearningTrainer {
-        policy: AuxPolicy::Fixed(16),
-        ..LocalLearningTrainer::classic(lr, epochs, batch)
-    };
-    let ll_model = spec.build(&mut rng)?;
-    let (_, ll) = ll_trainer.train(&mut rng, ll_model, train, test)?;
+    // LL: the Worker over one block of both units, cached in memory.
+    let mut ll_model = spec.build(&mut rng)?;
+    let heads = &mut build_aux_heads(&mut rng, &spec, AuxPolicy::Fixed(16))?;
+    let config = NeuroFluxConfig::new(u64::MAX, batch)
+        .with_lr(lr)
+        .with_epochs(epochs);
+    let store = &mut MemoryStore::new();
+    let ll = train_local(config, store, &mut ll_model, heads, batch, train, test)?;
     // FA: the BP model and trainer, the error sent back through fixed
     // random feedback matrices.
     let mut fa_model = spec.build(&mut rng)?;
@@ -764,9 +769,13 @@ fn fig12(_: &Shared) -> Result<Figure> {
         let mut rng = StdRng::seed_from_u64(0);
         let mut bp_model = w.scaled.build(&mut rng)?;
         let bp = BpTrainer::new(0.05, epochs, 32).train(&mut bp_model, train, test)?;
-        let ll_model = w.scaled.build(&mut rng)?;
-        let ll_trainer = LocalLearningTrainer::classic(0.05, epochs, 32);
-        let (_, ll) = ll_trainer.train(&mut rng, ll_model, train, test)?;
+        let mut ll_model = w.scaled.build(&mut rng)?;
+        let heads = &mut build_aux_heads(&mut rng, &w.scaled, AuxPolicy::CLASSIC)?;
+        let config = NeuroFluxConfig::new(u64::MAX, 32)
+            .with_lr(0.05)
+            .with_epochs(epochs);
+        let store = &mut MemoryStore::new();
+        let ll = train_local(config, store, &mut ll_model, heads, 32, train, test)?;
         // The Worker trains blocks one after another, so NeuroFlux's
         // accuracy after `e` epochs is a whole run at `e` epochs a block.
         let mut nf = Vec::with_capacity(epochs);

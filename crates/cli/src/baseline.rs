@@ -1,9 +1,12 @@
 //! `nf baseline <bp|ll|fa|sp> <config>`: the paper's comparison trainers,
 //! run from the same config file and persisted with the same artifact
 //! layout (`runs/<name>-<paradigm>/`). Each trains on `[train]`: its
-//! `lr`, `epochs_per_block` epochs, and the largest batch its memory
-//! lines fit under `budget_bytes` (capped by `batch_limit`), so every
-//! paradigm is compared at the same memory budget.
+//! `lr`, `momentum` (SP's SGD keeps none), `epochs_per_block` epochs, and
+//! the largest batch its memory lines fit under `budget_bytes` (capped by
+//! `batch_limit`), so every paradigm is compared at the same memory
+//! budget. `ll` is the NeuroFlux Worker over one block of every unit, its
+//! activations streamed through the run directory's `cache/` as `nf
+//! train`'s are.
 
 use crate::config::RunConfig;
 use crate::error::{CliError, Result};
@@ -11,10 +14,10 @@ use crate::rundir::RunDir;
 use neuroflux_core::partitioner::feasible_batches;
 use neuroflux_core::profiler::profile;
 use neuroflux_core::serve::SystemClock;
-use neuroflux_core::{Checkpoint, NeuroFluxConfig, WorkerReport};
-use nf_baselines::{install_feedback, BpTrainer, LocalLearningTrainer, SpTrainer};
+use neuroflux_core::{Checkpoint, DiskStore, NeuroFluxConfig, WorkerReport};
+use nf_baselines::{install_feedback, train_local, BpTrainer, SpTrainer};
 use nf_memsim::{memory, TrainingParadigm};
-use nf_models::{ExitCandidate, ModelSpec};
+use nf_models::{build_aux_heads, exit_accuracies, ModelSpec};
 use nf_value::{Table, Value};
 use rand::SeedableRng;
 
@@ -106,24 +109,25 @@ pub fn run_baseline(cfg: &RunConfig, paradigm: Paradigm) -> Result<(RunDir, Valu
                 install_feedback(&mut rng, &mut model);
             }
             let mut trainer = BpTrainer::new(lr, epochs, batch);
+            trainer.sgd.momentum = nf_config.momentum;
             trainer.kernel_backend = backend;
             trainer.train(&mut model, &data.train, &data.test)?
         }
         Paradigm::Ll => {
-            let mut trainer = LocalLearningTrainer::classic(lr, epochs, batch);
-            trainer.policy = nf_config.aux_policy;
-            trainer.kernel_backend = backend;
-            let (mut trained, report) = trainer.train(&mut rng, model, &data.train, &data.test)?;
-            let exit = |e: &ExitCandidate| {
+            aux_heads = build_aux_heads(&mut rng, &spec, nf_config.aux_policy)?;
+            let mut store = DiskStore::with_codec(run_dir.cache_dir(), nf_config.cache_codec)?;
+            let (train, test) = (&data.train, &data.test);
+            let heads = &mut aux_heads;
+            let report = train_local(nf_config, &mut store, &mut model, heads, batch, train, test)?;
+            let (images, labels) = (data.val.images(), data.val.labels());
+            let accs = exit_accuracies(&mut model, heads, images, labels, 64)?;
+            let exit = |(unit, acc): (i64, f32)| {
                 let mut t = Table::new();
-                t.insert("unit", Value::Int(e.unit as i64));
-                let accuracy = e.val_accuracy.map(|a| Value::Float(a as f64));
-                t.insert("val_accuracy", accuracy.unwrap_or(Value::Null));
+                t.insert("unit", Value::Int(unit));
+                t.insert("val_accuracy", Value::Float(acc as f64));
                 t.build()
             };
-            let exits = trained.measure_exits(&data.val)?;
-            m.insert("exits", Value::Array(exits.iter().map(exit).collect()));
-            (model, aux_heads) = (trained.model, trained.aux_heads);
+            m.insert("exits", Value::Array((0..).zip(accs).map(exit).collect()));
             report
         }
         Paradigm::Sp => {

@@ -140,6 +140,7 @@ pub fn run_train(cfg: &RunConfig, opts: &TrainOptions) -> Result<TrainSummary> {
                 progress: Some(&mut progress),
                 checkpoint: Some(&mut sink),
                 resume_from: resume_ck.as_ref(),
+                after_epoch: None,
             },
         },
     );

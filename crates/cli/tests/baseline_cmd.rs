@@ -1,8 +1,9 @@
 //! `nf baseline <bp|ll|fa|sp>` end-to-end: every paradigm leaves the same
 //! three artifacts, learns on a quickstart-sized config, and is a pure
 //! function of the seed; feedback alignment is the BP run with feedback
-//! matrices drawn after the model is built; a budget a paradigm cannot
-//! fit is a config error at the budget.
+//! matrices drawn after the model is built; BP's SGD takes `[train]
+//! momentum`; a budget a paradigm cannot fit is a config error at the
+//! budget.
 
 use nf_cli::{run_baseline, CliError, Paradigm, RunConfig, Value};
 
@@ -99,6 +100,22 @@ fn fa_starts_from_bp_weights_and_parts_ways_at_the_first_update() {
     let (bp, fa) = (series(&bp, "epoch_loss"), series(&fa, "epoch_loss"));
     assert_eq!(bp[0], fa[0], "feedback is drawn after the model is built");
     assert_ne!(bp[1..], fa[1..], "the error went back through B, not W");
+    std::fs::remove_dir_all(&out_dir).ok();
+}
+
+#[test]
+fn bp_trains_at_the_configured_momentum() {
+    let out_dir = temp_out_dir("momentum");
+    // One step per epoch: the first update is the gradient at any
+    // momentum, the second carries the first's velocity at 0.9.
+    let cfg = config(&out_dir, 48, 64);
+    let mut plain = cfg.clone();
+    plain.train.momentum = 0.0;
+    let (_, heavy) = run_baseline(&cfg, Paradigm::Bp).unwrap();
+    let (_, plain) = run_baseline(&plain, Paradigm::Bp).unwrap();
+    let (heavy, plain) = (series(&heavy, "epoch_loss"), series(&plain, "epoch_loss"));
+    assert_eq!(heavy[..2], plain[..2]);
+    assert_ne!(heavy[2..], plain[2..], "[train] momentum reached BP's SGD");
     std::fs::remove_dir_all(&out_dir).ok();
 }
 

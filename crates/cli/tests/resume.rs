@@ -367,7 +367,6 @@ fn train_writes_all_artifacts_and_inspect_renders() {
 fn checkpoint_reload_reproduces_inference() {
     // Acceptance: the run's checkpoint is a usable model artifact — load
     // it into a freshly built model and get identical logits.
-    use nf_models::assign_aux;
     use rand::SeedableRng;
 
     let base = temp_base("ckload");
@@ -386,10 +385,7 @@ fn checkpoint_reload_reproduces_inference() {
     let build = |seed: u64| {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let model = spec.build(&mut rng).unwrap();
-        let heads: Vec<_> = assign_aux(&spec, nf.aux_policy)
-            .iter()
-            .map(|a| nf_models::build_aux_head(&mut rng, a).unwrap())
-            .collect();
+        let heads = nf_models::build_aux_heads(&mut rng, &spec, nf.aux_policy).unwrap();
         (model, heads)
     };
     let (mut a, mut ha) = build(1);

@@ -11,7 +11,7 @@ use neuroflux_core::{ServeEngine, ServePolicy, ServeRequest, SloTier};
 use nf_cli::proto::{self, RejectReason, Request, Response};
 use nf_cli::serve::{build_engine, replicate_engines, start_server_with_engines};
 use nf_cli::{run_inspect, CliError, RunConfig};
-use nf_models::{assign_aux, build_aux_head};
+use nf_models::build_aux_heads;
 use nf_nn::{Layer, Mode, Param};
 use nf_tensor::Tensor;
 use rand::SeedableRng;
@@ -575,10 +575,7 @@ fn a_panicking_replica_fails_its_batch_and_stop_still_returns() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let mut model = spec.build(&mut rng).unwrap();
     model.units[0].push(Box::new(Explode));
-    let heads = assign_aux(&spec, nf.aux_policy)
-        .iter()
-        .map(|aux| build_aux_head(&mut rng, aux).unwrap())
-        .collect();
+    let heads = build_aux_heads(&mut rng, &spec, nf.aux_policy).unwrap();
     let engine = ServeEngine::new(model, heads, 0.8).unwrap();
     let policy = cfg.resolve_serve().unwrap();
     let handle = start_server_with_engines(vec![engine], policy, "127.0.0.1:0", false).unwrap();

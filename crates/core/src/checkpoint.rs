@@ -270,7 +270,7 @@ impl CheckpointSink for FileCheckpoint {
 mod tests {
     use super::*;
     use nf_data::SyntheticSpec;
-    use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
+    use nf_models::{build_aux_heads, AuxPolicy, ModelSpec};
     use nf_nn::Layer;
     use nf_tensor::Tensor;
     use rand::SeedableRng;
@@ -279,11 +279,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let spec = ModelSpec::tiny("ck", 8, &[4, 8], 3);
         let mut model = spec.build(&mut rng).unwrap();
-        let aux = assign_aux(&spec, AuxPolicy::Fixed(4));
-        let mut heads: Vec<Sequential> = aux
-            .iter()
-            .map(|a| build_aux_head(&mut rng, a).unwrap())
-            .collect();
+        let mut heads = build_aux_heads(&mut rng, &spec, AuxPolicy::Fixed(4)).unwrap();
         // Train a little so optimizer state exists.
         let ds = SyntheticSpec::quick(3, 8, 24).generate();
         let config = crate::NeuroFluxConfig::new(1 << 30, 8).with_epochs(1);

@@ -19,7 +19,7 @@ use crate::partitioner::{plan, Block};
 use crate::worker::{RunHooks, TrainEvent, Worker, WorkerReport};
 use crate::{NfError, Result};
 use nf_data::{Dataset, SplitDataset};
-use nf_models::{build_aux_head, exit_accuracy, BuiltModel, ExitCandidate, ModelSpec};
+use nf_models::{build_aux_heads, exit_accuracy, BuiltModel, ExitCandidate, ModelSpec};
 use nf_nn::Sequential;
 use rand::Rng;
 
@@ -157,11 +157,7 @@ impl NeuroFluxTrainer {
     ) -> Result<NeuroFluxOutcome> {
         let blocks = self.plan(rng, spec)?;
         let mut model = spec.build(rng)?;
-        let aux_specs = nf_models::assign_aux(spec, self.config.aux_policy);
-        let mut aux_heads = Vec::with_capacity(aux_specs.len());
-        for a in &aux_specs {
-            aux_heads.push(build_aux_head(rng, a)?);
-        }
+        let mut aux_heads = build_aux_heads(rng, spec, self.config.aux_policy)?;
         let mut default_store = MemoryStore::with_codec(self.config.cache_codec);
         let store: &mut dyn ActivationStore = match hooks.store {
             Some(store) => store,
@@ -179,6 +175,7 @@ impl NeuroFluxTrainer {
         // §4: measure every exit on the validation split — one pass, each
         // head scoring its unit's activation as the batch goes by — and
         // pick the smallest within tolerance of the best.
+        let aux_specs = nf_models::assign_aux(spec, self.config.aux_policy);
         let mut exits = nf_models::exit_candidates(spec, &aux_specs);
         let (val_images, val_labels) = (data.val.images(), data.val.labels());
         let (heads, batch) = (&mut aux_heads, eval_batch(&blocks));

@@ -31,7 +31,8 @@ use nf_models::BuiltModel;
 use nf_nn::{Layer, Param, Sequential};
 use nf_tensor::Tensor;
 
-/// Most optimizer state tensors a parameter may carry (Adam keeps two).
+/// Most optimizer state tensors a decoded parameter may carry: momentum SGD
+/// keeps one, and a larger count marks a corrupt blob.
 const MAX_STATE: usize = 4;
 
 fn write_f32s(out: &mut Vec<u8>, data: &[f32]) {
@@ -256,15 +257,12 @@ mod tests {
         // not a parameter, so the blobs — count, lengths, bytes — are the
         // ones a plain model writes, and either model loads them.
         use crate::serve::ServeEngine;
-        use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
+        use nf_models::{build_aux_heads, AuxPolicy, ModelSpec};
         let engine = |feedback: bool| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(6);
             let spec = ModelSpec::tiny("fa", 8, &[4, 8], 3);
             let mut model = spec.build(&mut rng).unwrap();
-            let heads = assign_aux(&spec, AuxPolicy::Adaptive)
-                .iter()
-                .map(|a| build_aux_head(&mut rng, a).unwrap())
-                .collect();
+            let heads = build_aux_heads(&mut rng, &spec, AuxPolicy::Adaptive).unwrap();
             if feedback {
                 for layer in model.units.iter_mut().chain([&mut model.head]) {
                     layer.visit_params(&mut |p| {

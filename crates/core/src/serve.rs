@@ -36,7 +36,7 @@
 use crate::confidence_exit::ConfidenceCascade;
 use crate::params_io::{load_snapshot, snapshot_params};
 use crate::{NfError, Result};
-use nf_models::{assign_aux, build_aux_head, AuxPolicy, BuiltModel};
+use nf_models::{build_aux_heads, AuxPolicy, BuiltModel};
 use nf_nn::{Layer, Sequential};
 use nf_tensor::Tensor;
 use rand::SeedableRng;
@@ -575,21 +575,18 @@ impl ServeEngine {
         let model = spec.build(&mut rng).map_err(|e| NfError::Serve {
             cause: format!("rebuilding replica architecture: {e}"),
         })?;
-        let aux_specs = assign_aux(&spec, aux_policy);
-        if aux_specs.len() != self.aux_heads.len() {
+        let aux_heads =
+            build_aux_heads(&mut rng, &spec, aux_policy).map_err(|e| NfError::Serve {
+                cause: format!("rebuilding replica aux head: {e}"),
+            })?;
+        if aux_heads.len() != self.aux_heads.len() {
             return Err(NfError::Serve {
                 cause: format!(
                     "aux policy yields {} heads, engine has {} (policy mismatch?)",
-                    aux_specs.len(),
+                    aux_heads.len(),
                     self.aux_heads.len()
                 ),
             });
-        }
-        let mut aux_heads = Vec::with_capacity(aux_specs.len());
-        for a in &aux_specs {
-            aux_heads.push(build_aux_head(&mut rng, a).map_err(|e| NfError::Serve {
-                cause: format!("rebuilding replica aux head: {e}"),
-            })?);
         }
         let mut clone = ServeEngine::new(model, aux_heads, self.threshold)?;
         let snapshot = self.params_snapshot();

@@ -112,7 +112,16 @@ pub struct RunHooks<'h> {
     /// blocks the checkpoint already completed (their activations must be
     /// present in the store — see [`crate::DiskStore::recover_with_codec`]).
     pub resume_from: Option<&'h Checkpoint>,
+    /// Called after every epoch of every block, once its
+    /// [`TrainEvent::EpochFinished`] is out, with the model and the aux
+    /// heads (how the local-learning baseline scores its last exit per
+    /// epoch); an `Err` ends the run with that error, before the block is
+    /// cached or checkpointed.
+    pub after_epoch: Option<&'h mut EpochHook<'h>>,
 }
+
+/// The [`RunHooks::after_epoch`] callback.
+pub type EpochHook<'h> = dyn FnMut(&mut BuiltModel, &mut [Sequential]) -> Result<()> + 'h;
 
 /// Telemetry from one Worker run.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -159,24 +168,8 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         Sgd::new(self.config.lr).with_momentum(self.config.momentum)
     }
 
-    /// Trains the units of one block on `inputs` (Algorithm 2), returning
-    /// mean local loss per epoch.
-    pub fn train_block(
-        &mut self,
-        model: &mut BuiltModel,
-        aux_heads: &mut [Sequential],
-        block: &Block,
-        inputs: &Tensor,
-        labels: &[usize],
-    ) -> Result<Vec<f32>> {
-        let mut step = LocalStep::default();
-        let input = Input::Data(inputs);
-        (0..self.config.epochs_per_block)
-            .map(|_| self.train_epoch(model, aux_heads, block, &input, labels, &mut step))
-            .collect()
-    }
-
-    /// One epoch of [`Worker::train_block`], returning its mean local loss.
+    /// One epoch of block training (Algorithm 2), returning its mean local
+    /// loss.
     fn train_epoch(
         &mut self,
         model: &mut BuiltModel,
@@ -408,6 +401,9 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
                     },
                     b,
                 )?;
+                if let Some(hook) = hooks.after_epoch.as_mut() {
+                    hook(model, aux_heads)?;
+                }
             }
             report.block_losses.push(losses);
             report.block_batches.push(block.batch);
@@ -573,7 +569,7 @@ mod tests {
     use crate::cache::MemoryStore;
     use crate::NfError;
     use nf_data::SyntheticSpec;
-    use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
+    use nf_models::{build_aux_heads, AuxPolicy, ModelSpec};
     use rand::SeedableRng;
 
     fn setup(
@@ -583,11 +579,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let spec = ModelSpec::tiny("w", 8, channels, 3);
         let model = spec.build(&mut rng).unwrap();
-        let aux = assign_aux(&spec, AuxPolicy::Fixed(4));
-        let heads = aux
-            .iter()
-            .map(|a| build_aux_head(&mut rng, a).unwrap())
-            .collect();
+        let heads = build_aux_heads(&mut rng, &spec, AuxPolicy::Fixed(4)).unwrap();
         let ds = SyntheticSpec::quick(3, 8, 48).generate();
         (model, heads, ds)
     }
@@ -689,16 +681,16 @@ mod tests {
         let (mut model_b, mut heads_b, _) = setup(7, &[6, 8]);
         let mut store_b = MemoryStore::new();
         let mut worker = Worker::new(config, &mut store_b);
-        // Train block 0 identically.
-        worker
-            .train_block(
-                &mut model_b,
-                &mut heads_b,
-                &blocks[0],
-                ds.train.images(),
-                ds.train.labels(),
-            )
-            .unwrap();
+        // Train block 0 identically, stopping once it is done.
+        let mut stop = |e: &TrainEvent| !matches!(e, TrainEvent::BlockFinished { .. });
+        let hooks = &mut RunHooks {
+            progress: Some(&mut stop),
+            ..RunHooks::default()
+        };
+        let (images, labels) = (ds.train.images(), ds.train.labels());
+        let blocks_b = &blocks[..1];
+        let err = worker.run_with(&mut model_b, &mut heads_b, blocks_b, images, labels, hooks);
+        assert!(matches!(err, Err(NfError::Interrupted { .. })));
         // Compute block-1 inputs by live forward.
         let mut inputs = Vec::new();
         let n = ds.train.len();
@@ -711,14 +703,9 @@ mod tests {
         }
         let refs: Vec<&Tensor> = inputs.iter().collect();
         let live = Tensor::cat_batch(&refs).unwrap();
+        // Block 1 alone, as a one-block plan over the live inputs.
         worker
-            .train_block(
-                &mut model_b,
-                &mut heads_b,
-                &blocks[1],
-                &live,
-                ds.train.labels(),
-            )
+            .run(&mut model_b, &mut heads_b, &blocks[1..], &live, labels)
             .unwrap();
 
         let mut params_a = Vec::new();
@@ -871,7 +858,7 @@ mod tests {
                 &mut RunHooks {
                     progress: Some(&mut cancel),
                     checkpoint: Some(&mut sink),
-                    resume_from: None,
+                    ..RunHooks::default()
                 },
             )
             .unwrap_err();
@@ -905,8 +892,8 @@ mod tests {
                 ds.train.labels(),
                 &mut RunHooks {
                     progress: Some(&mut observe),
-                    checkpoint: None,
                     resume_from: Some(&ck),
+                    ..RunHooks::default()
                 },
             )
             .unwrap();
@@ -932,6 +919,72 @@ mod tests {
             "resumed inference must match uninterrupted"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn epoch_hook_runs_after_each_epoch_and_its_error_ends_the_run() {
+        use std::cell::RefCell;
+        /// Logs the completed-block count of every checkpoint.
+        struct Saved<'l>(&'l RefCell<Vec<String>>);
+        impl CheckpointSink for Saved<'_> {
+            fn save_state(
+                &mut self,
+                completed_blocks: usize,
+                _: bool,
+                _: &mut BuiltModel,
+                _: &mut [Sequential],
+                _: &WorkerReport,
+            ) -> Result<()> {
+                self.0
+                    .borrow_mut()
+                    .push(format!("saved {completed_blocks}"));
+                Ok(())
+            }
+        }
+
+        let (mut model, mut heads, ds) = setup(4, &[6, 8]);
+        let config = NeuroFluxConfig::new(1 << 30, 8).with_epochs(3);
+        // Every epoch event, hook call and checkpoint, in order.
+        let log = RefCell::new(Vec::new());
+        let mut progress = |e: &TrainEvent| {
+            if let TrainEvent::EpochFinished { block, epoch, .. } = e {
+                log.borrow_mut().push(format!("epoch {block}.{epoch}"));
+            }
+            true
+        };
+        // The hook fails after the last block's last epoch.
+        let mut hook = |_: &mut BuiltModel, _: &mut [Sequential]| {
+            let mut log = log.borrow_mut();
+            let last_epoch = log.last().is_some_and(|l| l == "epoch 1.2");
+            log.push("hook".into());
+            match last_epoch {
+                true => Err(NfError::BadConfig("hook".into())),
+                false => Ok(()),
+            }
+        };
+        let err = Worker::new(config, &mut MemoryStore::new())
+            .run_with(
+                &mut model,
+                &mut heads,
+                &two_blocks(),
+                ds.train.images(),
+                ds.train.labels(),
+                &mut RunHooks {
+                    progress: Some(&mut progress),
+                    checkpoint: Some(&mut Saved(&log)),
+                    after_epoch: Some(&mut hook),
+                    ..RunHooks::default()
+                },
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, NfError::BadConfig(ref m) if m == "hook"),
+            "{err:?}"
+        );
+        // Block 1 never reaches its checkpoint.
+        let want = "epoch 0.0, hook, epoch 0.1, hook, epoch 0.2, hook, saved 1, \
+                    epoch 1.0, hook, epoch 1.1, hook, epoch 1.2, hook";
+        assert_eq!(log.into_inner().join(", "), want);
     }
 
     #[test]

@@ -101,11 +101,8 @@ fn worker_rejects_store_codec_disagreeing_with_config() {
     let ds = SyntheticSpec::quick(3, 8, 24).generate();
     let spec = ModelSpec::tiny("mismatch", 8, &[4, 4], 3);
     let mut model = spec.build(&mut rng).unwrap();
-    let aux = nf_models::assign_aux(&spec, nf_models::AuxPolicy::Fixed(4));
-    let mut heads: Vec<_> = aux
-        .iter()
-        .map(|a| nf_models::build_aux_head(&mut rng, a).unwrap())
-        .collect();
+    let mut heads =
+        nf_models::build_aux_heads(&mut rng, &spec, nf_models::AuxPolicy::Fixed(4)).unwrap();
     let blocks = vec![
         neuroflux_core::Block {
             units: 0..1,

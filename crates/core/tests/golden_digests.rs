@@ -25,7 +25,7 @@ use neuroflux_core::{
     NeuroFluxTrainer, ServeEngine, ServeRequest, SloTier,
 };
 use nf_data::SyntheticSpec;
-use nf_models::{assign_aux, build_aux_head, AuxPolicy, HeadSpec, LayerKind, ModelSpec};
+use nf_models::{build_aux_heads, AuxPolicy, HeadSpec, LayerKind, ModelSpec};
 use nf_tensor::Tensor;
 use rand::{Rng, SeedableRng};
 
@@ -140,10 +140,7 @@ fn serve(row: &Golden) -> String {
     let spec = (row.spec)();
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let model = spec.build(&mut rng).unwrap();
-    let heads = assign_aux(&spec, AuxPolicy::Adaptive)
-        .iter()
-        .map(|a| build_aux_head(&mut rng, a).unwrap())
-        .collect();
+    let heads = build_aux_heads(&mut rng, &spec, AuxPolicy::Adaptive).unwrap();
     let mut engine = ServeEngine::new(model, heads, 0.999).unwrap();
     let tiers = [SloTier::Exact, SloTier::Fast, SloTier::Balanced];
     let requests: Vec<ServeRequest> = (0..SERVED_REQUESTS)

@@ -11,7 +11,7 @@
 //! splits.
 
 use neuroflux_core::{ServeEngine, ServeReply, ServeRequest, SloTier};
-use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
+use nf_models::{build_aux_heads, AuxPolicy, ModelSpec};
 use rand::{Rng, SeedableRng};
 
 const MAX_BATCH: usize = 16;
@@ -20,10 +20,7 @@ fn engine_and_requests() -> (ServeEngine, Vec<ServeRequest>) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
     let spec = ModelSpec::tiny("kc-split", 8, &[8, 32, 32], 3);
     let model = spec.build(&mut rng).unwrap();
-    let heads = assign_aux(&spec, AuxPolicy::Adaptive)
-        .iter()
-        .map(|a| build_aux_head(&mut rng, a).unwrap())
-        .collect();
+    let heads = build_aux_heads(&mut rng, &spec, AuxPolicy::Adaptive).unwrap();
     // A threshold no untrained head clears, so every request runs to its
     // tier's cap and the three tiers cover all three exits.
     let engine = ServeEngine::new(model, heads, 0.999).unwrap();

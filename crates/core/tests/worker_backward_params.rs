@@ -1,13 +1,13 @@
-//! The Worker trains units through `Layer::backward_params` — the unit's
-//! input gradient crosses no boundary in local learning, so it is never
-//! computed. That must be invisible in the numbers: every parameter
-//! gradient, and therefore every loss and every trained weight, keeps the
-//! bits the full `backward` produces.
+//! The Worker trains units and the deep head through
+//! `Layer::backward_params` — their input gradient crosses no boundary in
+//! local learning, so it is never computed. That must be invisible in the
+//! numbers: every parameter gradient, and therefore every loss and every
+//! trained weight, keeps the bits the full `backward` produces.
 
 use neuroflux_core::worker::Worker;
 use neuroflux_core::{Block, MemoryStore, NeuroFluxConfig};
 use nf_data::SyntheticSpec;
-use nf_models::{assign_aux, build_aux_head, AuxPolicy, BuiltModel, ModelSpec};
+use nf_models::{build_aux_heads, AuxPolicy, BuiltModel, ModelSpec};
 use nf_nn::loss::cross_entropy;
 use nf_nn::optim::Sgd;
 use nf_nn::{Layer, Mode, Sequential};
@@ -17,11 +17,7 @@ fn setup() -> (BuiltModel, Vec<Sequential>, nf_data::SplitDataset) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let spec = ModelSpec::tiny("bp", 8, &[6, 8], 3);
     let model = spec.build(&mut rng).unwrap();
-    let aux = assign_aux(&spec, AuxPolicy::Fixed(4));
-    let heads: Vec<Sequential> = aux
-        .iter()
-        .map(|a| build_aux_head(&mut rng, a).unwrap())
-        .collect();
+    let heads = build_aux_heads(&mut rng, &spec, AuxPolicy::Fixed(4)).unwrap();
     (model, heads, SyntheticSpec::quick(3, 8, 48).generate())
 }
 
@@ -95,15 +91,38 @@ fn worker_losses_and_weights_match_a_full_backward_loop() {
         }
         want_losses.push(losses.iter().sum::<f32>() / losses.len() as f32);
     }
+    // The deep head, after the block: on the block's eval-mode output,
+    // for as many epochs, at the block's batch.
+    let mut outputs = Vec::new();
+    for start in (0..images.shape()[0]).step_by(block.batch) {
+        let end = (start + block.batch).min(images.shape()[0]);
+        let mut cur = images.slice_batch(start, end).unwrap();
+        for unit in &mut model.units {
+            cur = unit.forward(&cur, Mode::Eval).unwrap();
+        }
+        outputs.push((cur, &labels[start..end]));
+    }
+    for _ in 0..config.epochs_per_block {
+        for (out, labels) in &outputs {
+            let logits = model.head.forward(out, Mode::Train).unwrap();
+            let (_, grad_logits) = cross_entropy(&logits, labels).unwrap();
+            assert_eq!(
+                model.head.backward(&grad_logits).unwrap().shape(),
+                out.shape()
+            );
+            sgd.step(&mut model.head);
+        }
+    }
 
     let (mut trained, mut trained_heads, _) = setup();
     let mut store = MemoryStore::new();
-    let got_losses = Worker::new(config, &mut store)
-        .train_block(&mut trained, &mut trained_heads, &block, images, labels)
+    let blocks = std::slice::from_ref(&block);
+    let report = Worker::new(config, &mut store)
+        .run(&mut trained, &mut trained_heads, blocks, images, labels)
         .unwrap();
 
     let loss_bits = |l: &[f32]| l.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    assert_eq!(loss_bits(&got_losses), loss_bits(&want_losses));
+    assert_eq!(loss_bits(&report.block_losses[0]), loss_bits(&want_losses));
     for u in block.units.clone() {
         assert_eq!(
             bits(&mut trained.units[u], false),
@@ -116,4 +135,6 @@ fn worker_losses_and_weights_match_a_full_backward_loop() {
             "head {u} weights"
         );
     }
+    let deep = bits(&mut trained.head, false);
+    assert_eq!(deep, bits(&mut model.head, false), "deep head weights");
 }

@@ -10,7 +10,7 @@
 use neuroflux_core::worker::Worker;
 use neuroflux_core::{Block, MemoryStore, NeuroFluxConfig};
 use nf_data::SyntheticSpec;
-use nf_models::{assign_aux, build_aux_head, AuxPolicy, BuiltModel, ModelSpec};
+use nf_models::{build_aux_heads, AuxPolicy, BuiltModel, ModelSpec};
 use nf_nn::loss::cross_entropy;
 use nf_nn::optim::Sgd;
 use nf_nn::{Layer, Mode, Sequential};
@@ -23,10 +23,7 @@ fn setup() -> (BuiltModel, Vec<Sequential>, nf_data::SplitDataset) {
     // of every sweep is short.
     let spec = ModelSpec::tiny("into", 8, &[6, 8, 8], 3);
     let model = spec.build(&mut rng).unwrap();
-    let heads = assign_aux(&spec, AuxPolicy::Fixed(4))
-        .iter()
-        .map(|a| build_aux_head(&mut rng, a).unwrap())
-        .collect();
+    let heads = build_aux_heads(&mut rng, &spec, AuxPolicy::Fixed(4)).unwrap();
     (model, heads, SyntheticSpec::quick(3, 8, 40).generate())
 }
 

@@ -5,7 +5,7 @@
 use neuroflux_core::worker::Worker;
 use neuroflux_core::{Block, MemoryStore, NeuroFluxConfig};
 use nf_data::SyntheticSpec;
-use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
+use nf_models::{build_aux_heads, AuxPolicy, ModelSpec};
 use nf_nn::{Layer, Sequential};
 use rand::SeedableRng;
 
@@ -19,11 +19,7 @@ fn setup(
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let spec = ModelSpec::tiny("ab", 8, &[6, 8], 3);
     let model = spec.build(&mut rng).unwrap();
-    let aux = assign_aux(&spec, AuxPolicy::Fixed(4));
-    let heads = aux
-        .iter()
-        .map(|a| build_aux_head(&mut rng, a).unwrap())
-        .collect();
+    let heads = build_aux_heads(&mut rng, &spec, AuxPolicy::Fixed(4)).unwrap();
     (model, heads, SyntheticSpec::quick(3, 8, 48).generate())
 }
 

@@ -1,6 +1,6 @@
 //! Instantiating real, trainable networks from a [`ModelSpec`].
 
-use crate::aux::AuxSpec;
+use crate::aux::{assign_aux, AuxPolicy, AuxSpec};
 use crate::spec::{HeadSpec, LayerKind, ModelSpec, UnitSpec};
 use nf_nn::{
     BasicBlock, BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, Layer, Linear, MaxPool2d, Sequential,
@@ -168,10 +168,22 @@ pub fn build_aux_head<R: Rng>(rng: &mut R, aux: &AuxSpec) -> nf_nn::Result<Seque
     Ok(seq)
 }
 
+/// One auxiliary head per unit of `spec`, sized by `policy`
+/// ([`assign_aux`]) and drawn from `rng` in unit order.
+pub fn build_aux_heads<R: Rng>(
+    rng: &mut R,
+    spec: &ModelSpec,
+    policy: AuxPolicy,
+) -> nf_nn::Result<Vec<Sequential>> {
+    assign_aux(spec, policy)
+        .iter()
+        .map(|aux| build_aux_head(rng, aux))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aux::{assign_aux, AuxPolicy};
     use nf_nn::Mode;
     use nf_tensor::Tensor;
     use rand::SeedableRng;

@@ -38,7 +38,7 @@ mod presets;
 mod spec;
 
 pub use aux::{assign_aux, AuxPolicy, AuxSpec};
-pub use build::{build_aux_head, BuiltModel};
+pub use build::{build_aux_head, build_aux_heads, BuiltModel};
 pub use early_exit::{
     compression_factor, exit_accuracies, exit_accuracy, exit_candidates, select_exit, ExitCandidate,
 };

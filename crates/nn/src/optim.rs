@@ -1,9 +1,8 @@
-//! Optimizers: SGD with momentum and weight decay, and Adam.
+//! The optimizer every trainer runs: SGD with momentum and weight decay.
 //!
 //! Per-parameter state lives in [`Param::state`], so the GPU-memory cost of
-//! the optimizer (one extra tensor per parameter for momentum SGD, two for
-//! Adam) is explicit — exactly the "optimizer" slice of Figure 1's memory
-//! breakdown.
+//! the optimizer (one extra tensor per parameter with momentum) is explicit
+//! — exactly the "optimizer" slice of Figure 1's memory breakdown.
 
 use crate::layer::Layer;
 use crate::param::Param;
@@ -95,69 +94,6 @@ impl Sgd {
     }
 }
 
-/// Adam optimizer (Kingma & Ba, 2015) with bias correction.
-#[derive(Debug, Clone, Copy)]
-pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay β₁.
-    pub beta1: f32,
-    /// Second-moment decay β₂.
-    pub beta2: f32,
-    /// Numerical-stability constant ε.
-    pub eps: f32,
-}
-
-impl Adam {
-    /// Adam with standard defaults (β₁ = 0.9, β₂ = 0.999, ε = 1e-8).
-    pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-        }
-    }
-
-    /// Applies one update to a single parameter.
-    pub fn step_param(&self, p: &mut Param) {
-        p.ensure_state(2);
-        p.steps += 1;
-        let t = p.steps as f32;
-        let bc1 = 1.0 - self.beta1.powf(t);
-        let bc2 = 1.0 - self.beta2.powf(t);
-        let Param {
-            value, grad, state, ..
-        } = p;
-        let (m, v) = {
-            let (a, b) = state.split_at_mut(1);
-            (&mut a[0], &mut b[0])
-        };
-        for (((w, &g), mi), vi) in value
-            .data_mut()
-            .iter_mut()
-            .zip(grad.data())
-            .zip(m.data_mut())
-            .zip(v.data_mut())
-        {
-            *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
-            *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
-            let m_hat = *mi / bc1;
-            let v_hat = *vi / bc2;
-            *w -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-        }
-        p.note_update();
-    }
-
-    /// Applies one update to every parameter of `layer`, then zeroes grads.
-    pub fn step(&self, layer: &mut dyn Layer) {
-        layer.visit_params(&mut |p| {
-            self.step_param(p);
-            p.zero_grad();
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,29 +134,6 @@ mod tests {
         let mut p = param_with_grad(1.0, 0.0);
         opt.step_param(&mut p);
         assert!((p.value.data()[0] - 0.99).abs() < 1e-6);
-    }
-
-    #[test]
-    fn adam_first_step_is_lr_sized() {
-        let opt = Adam::new(0.01);
-        let mut p = param_with_grad(0.0, 3.0);
-        opt.step_param(&mut p);
-        // With bias correction, |Δw| ≈ lr on the first step.
-        assert!((p.value.data()[0] + 0.01).abs() < 1e-4);
-        assert_eq!(p.state.len(), 2);
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        // Minimise f(w) = (w − 3)² from w = 0.
-        let opt = Adam::new(0.2);
-        let mut p = Param::new(Tensor::zeros(&[1]));
-        for _ in 0..200 {
-            let w = p.value.data()[0];
-            p.grad = Tensor::from_vec(vec![1], vec![2.0 * (w - 3.0)]).unwrap();
-            opt.step_param(&mut p);
-        }
-        assert!((p.value.data()[0] - 3.0).abs() < 0.05);
     }
 
     #[test]

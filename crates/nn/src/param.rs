@@ -5,8 +5,8 @@ use nf_tensor::Tensor;
 /// A trainable parameter tensor with its accumulated gradient and optimizer
 /// scratch slots.
 ///
-/// Optimizers store per-parameter state (momentum velocity, Adam moments)
-/// in [`Param::state`], created lazily on the first step. Keeping the state
+/// The optimizer stores per-parameter state (the momentum velocity) in
+/// [`Param::state`], created lazily on the first step. Keeping the state
 /// with the parameter — rather than in the optimizer, keyed by traversal
 /// order — means parameters can move between blocks (as NeuroFlux's
 /// Partitioner does) without invalidating optimizer state.
@@ -20,10 +20,11 @@ pub struct Param {
     pub value: Tensor,
     /// Accumulated gradient, same shape as `value`.
     pub grad: Tensor,
-    /// Optimizer scratch tensors (e.g. `[velocity]` for momentum SGD,
-    /// `[m, v]` for Adam), same shape as `value`.
+    /// Optimizer scratch tensors (`[velocity]` for momentum SGD, none for
+    /// plain SGD), same shape as `value`.
     pub state: Vec<Tensor>,
-    /// Adam-style step counter; unused by plain SGD.
+    /// Optimizer steps applied so far. Nothing reads it to update; it is
+    /// kept because parameter blobs and checkpoints record it.
     pub steps: u64,
     /// Monotonic value-mutation counter; see [`Param::note_update`].
     version: u64,

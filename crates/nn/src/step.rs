@@ -1,6 +1,7 @@
 //! The local-learning step (Algorithm 2, lines 3–7), written once for every
-//! trainer that runs it: the NeuroFlux Worker, the classic-LL baseline and
-//! the step `bench_json` times.
+//! trainer that runs it: the NeuroFlux Worker (which is also the
+//! local-learning baseline, run over a one-block plan) and the step
+//! `bench_json` times.
 
 use crate::loss::cross_entropy_into;
 use crate::optim::Sgd;

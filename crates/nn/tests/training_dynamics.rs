@@ -2,7 +2,7 @@
 //! many steps, not just per call.
 
 use nf_nn::loss::{cross_entropy, mse};
-use nf_nn::optim::{Adam, Sgd};
+use nf_nn::optim::Sgd;
 use nf_nn::{BatchNorm2d, Layer, Linear, Mode, Sequential};
 use nf_tensor::Tensor;
 use rand::SeedableRng;
@@ -48,22 +48,6 @@ fn momentum_accelerates_ill_conditioned_quadratic() {
         heavy < plain,
         "momentum ({heavy}) should beat plain SGD ({plain})"
     );
-}
-
-/// Adam must handle wildly different gradient scales per coordinate.
-#[test]
-fn adam_normalises_gradient_scales() {
-    let mut p = nf_nn::Param::new(Tensor::from_vec(vec![2], vec![1.0, 1.0]).unwrap());
-    let opt = Adam::new(0.05);
-    for _ in 0..300 {
-        let w = p.value.data().to_vec();
-        // Gradient scales differ by 1e4; Adam's per-coordinate scaling
-        // should still converge both.
-        p.grad = Tensor::from_vec(vec![2], vec![1e4 * w[0], 1e-1 * w[1]]).unwrap();
-        opt.step_param(&mut p);
-    }
-    assert!(p.value.data()[0].abs() < 0.05, "{:?}", p.value.data());
-    assert!(p.value.data()[1].abs() < 0.6, "{:?}", p.value.data());
 }
 
 /// After training, batch-norm eval outputs must track train outputs on the

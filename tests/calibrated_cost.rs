@@ -13,7 +13,7 @@
 use neuroflux_core::codec::CodecKind;
 use nf_cli::sweep::calibrate_host;
 use nf_memsim::{timing, DeviceProfile, MeasuredPrimitives};
-use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
+use nf_models::{assign_aux, build_aux_heads, AuxPolicy, ModelSpec};
 use nf_nn::optim::Sgd;
 use nf_nn::LocalStep;
 use nf_tensor::KernelBackend;
@@ -54,10 +54,7 @@ fn measure_step_s(spec: &ModelSpec, batch: usize) -> f64 {
     let classes = spec.classes;
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     let mut model = spec.build(&mut rng).unwrap();
-    let mut heads: Vec<_> = assign_aux(spec, AuxPolicy::Adaptive)
-        .iter()
-        .map(|a| build_aux_head(&mut rng, a).unwrap())
-        .collect();
+    let mut heads = build_aux_heads(&mut rng, spec, AuxPolicy::Adaptive).unwrap();
     model.prepare_local_learning(&mut heads, KernelBackend::default());
     let images = nf_tensor::uniform_init(&mut rng, &[batch, 3, hw, hw], -1.0, 1.0);
     let labels: Vec<usize> = (0..batch).map(|i| i % classes).collect();

@@ -1,11 +1,11 @@
 //! Cross-crate integration tests: the full NeuroFlux pipeline against its
 //! baselines on real (synthetic) training runs.
 
-use neuroflux::core::{NeuroFluxConfig, NeuroFluxTrainer};
+use neuroflux::core::{MemoryStore, NeuroFluxConfig, NeuroFluxTrainer};
 use neuroflux::models::ModelSpec;
-use nf_baselines::{BpTrainer, LocalLearningTrainer};
+use nf_baselines::{train_local, BpTrainer};
 use nf_data::SyntheticSpec;
-use nf_models::AuxPolicy;
+use nf_models::{build_aux_heads, AuxPolicy};
 use rand::SeedableRng;
 
 /// NeuroFlux reaches accuracy parity (within a margin) with BP on a
@@ -67,19 +67,18 @@ fn neuroflux_exits_track_classic_ll_quality() {
     let ds = SyntheticSpec::quick(3, 8, 96).generate();
     let spec = ModelSpec::tiny("track", 8, &[8, 16], 3);
 
+    // AAN-LL: the Worker over one block of both units at batch 16.
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    let ll_model = spec.build(&mut rng).unwrap();
-    let trainer = LocalLearningTrainer {
-        policy: AuxPolicy::Adaptive,
-        ..LocalLearningTrainer::classic(0.05, 5, 16)
-    };
-    let (mut ll_trained, _) = trainer
-        .train(&mut rng, ll_model, &ds.train, &ds.test)
-        .unwrap();
-    let ll_exit_acc = ll_trained.exit_accuracy(1, &ds.test).unwrap();
+    let mut ll_model = spec.build(&mut rng).unwrap();
+    let mut ll_heads = build_aux_heads(&mut rng, &spec, AuxPolicy::Adaptive).unwrap();
+    let config = NeuroFluxConfig::new(64 << 20, 16).with_epochs(5);
+    let (train, test) = (&ds.train, &ds.test);
+    let store = &mut MemoryStore::new();
+    train_local(config, store, &mut ll_model, &mut ll_heads, 16, train, test).unwrap();
+    let ll_exit_acc =
+        neuroflux::models::exit_accuracy(&mut ll_model, &mut ll_heads, 1, test, 64).unwrap();
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    let config = NeuroFluxConfig::new(64 << 20, 16).with_epochs(5);
     let mut outcome = NeuroFluxTrainer::new(config)
         .train(&mut rng, &spec, &ds)
         .unwrap();

@@ -24,7 +24,7 @@ use neuroflux_core::{
 };
 use nf_cli::proto::{self, ProtoError, RejectReason, Request, Response};
 use nf_cli::{CliError, RunConfig};
-use nf_models::{assign_aux, build_aux_head, AuxPolicy, ModelSpec};
+use nf_models::{build_aux_heads, AuxPolicy, ModelSpec};
 use nf_nn::{BatchNorm2d, Conv2d, Layer, Mode, Sequential};
 use nf_tensor::{QuantTensor, Tensor};
 use proptest::prelude::*;
@@ -202,10 +202,7 @@ fn checkpoints_never_panic_the_loader() {
     let mut rng = StdRng::seed_from_u64(4);
     let spec = ModelSpec::tiny("fuzz", 4, &[1], 2);
     let mut model = spec.build(&mut rng).unwrap();
-    let mut heads: Vec<Sequential> = assign_aux(&spec, AuxPolicy::Fixed(1))
-        .iter()
-        .map(|a| build_aux_head(&mut rng, a).unwrap())
-        .collect();
+    let mut heads = build_aux_heads(&mut rng, &spec, AuxPolicy::Fixed(1)).unwrap();
     let report = WorkerReport {
         block_losses: vec![vec![0.5, 0.25]],
         block_batches: vec![4],
