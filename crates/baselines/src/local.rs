@@ -65,7 +65,8 @@ mod tests {
     use neuroflux_core::MemoryStore;
     use nf_data::SyntheticSpec;
     use nf_models::{build_aux_heads, AuxPolicy, ModelSpec};
-    use nf_nn::Layer;
+    use nf_nn::loss::cross_entropy;
+    use nf_nn::{Layer, Mode};
     use rand::SeedableRng;
 
     /// `lr` and `epochs` on the Worker's defaults (momentum 0.9).
@@ -144,6 +145,94 @@ mod tests {
         };
         let two = unit0(&ModelSpec::tiny("two", 8, &[4, 8], 2));
         assert_eq!(two, unit0(&ModelSpec::tiny("one", 8, &[4], 2)));
+    }
+
+    #[test]
+    fn skipping_input_gradients_changes_no_bits() {
+        // `train_local` never computes a unit's (or the deep head's) input
+        // gradient, and its epoch hook only evaluates. Against classic LL
+        // written by hand with the full `backward`, every epoch loss and
+        // every trained weight keeps its bits.
+        let ds = SyntheticSpec::quick(3, 8, 32).generate();
+        let config = config(0.1, 2);
+        let batch = 8;
+        let setup = || {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            let spec = ModelSpec::tiny("lean", 8, &[4, 6], 3);
+            let model = spec.build(&mut rng).unwrap();
+            let heads = build_aux_heads(&mut rng, &spec, AuxPolicy::Fixed(4)).unwrap();
+            (model, heads)
+        };
+
+        let (mut lean, mut lean_heads) = setup();
+        let mut store = MemoryStore::new();
+        let report = train_local(
+            config,
+            &mut store,
+            &mut lean,
+            &mut lean_heads,
+            batch,
+            &ds.train,
+            &ds.test,
+        )
+        .unwrap();
+
+        let (mut full, mut full_heads) = setup();
+        let sgd = nf_nn::optim::Sgd::new(config.lr).with_momentum(config.momentum);
+        let mut want = Vec::new();
+        for _ in 0..config.epochs_per_block {
+            let mut losses = Vec::new();
+            for (images, labels) in ds.train.batches(batch) {
+                let mut cur = images.clone();
+                for (unit, head) in full.units.iter_mut().zip(&mut full_heads) {
+                    let out = unit.forward(&cur, Mode::Train).unwrap();
+                    let logits = head.forward(&out, Mode::Train).unwrap();
+                    let (loss, grad_logits) = cross_entropy(&logits, &labels).unwrap();
+                    losses.push(loss);
+                    let grad_out = head.backward(&grad_logits).unwrap();
+                    assert_eq!(unit.backward(&grad_out).unwrap().shape(), cur.shape());
+                    sgd.step(unit);
+                    sgd.step(head);
+                    cur = out;
+                }
+            }
+            want.push(losses.iter().sum::<f32>() / losses.len() as f32);
+        }
+        // The deep head trains after the block, on its eval-mode output.
+        let mut outputs = Vec::new();
+        for (images, labels) in ds.train.batches(batch) {
+            let mut cur = images.clone();
+            for unit in &mut full.units {
+                cur = unit.forward(&cur, Mode::Eval).unwrap();
+            }
+            outputs.push((cur, labels));
+        }
+        for _ in 0..config.epochs_per_block {
+            for (out, labels) in &outputs {
+                let logits = full.head.forward(out, Mode::Train).unwrap();
+                let (_, grad_logits) = cross_entropy(&logits, labels).unwrap();
+                assert_eq!(
+                    full.head.backward(&grad_logits).unwrap().shape(),
+                    out.shape()
+                );
+                sgd.step(&mut full.head);
+            }
+        }
+
+        let bits = |l: &[f32]| l.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&report.epoch_loss), bits(&want));
+        let state = |model: &mut BuiltModel, heads: &mut [Sequential]| {
+            let mut bits = Vec::new();
+            let units = model.units.iter_mut().chain(heads.iter_mut());
+            for layer in units.chain(std::iter::once(&mut model.head)) {
+                push_state(&mut bits, layer);
+            }
+            bits
+        };
+        assert_eq!(
+            state(&mut lean, &mut lean_heads),
+            state(&mut full, &mut full_heads)
+        );
     }
 
     /// Two epochs of the classic baseline (256-filter heads) on a fixed
