@@ -713,15 +713,16 @@ fn time_conv(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usize) -
 
 /// One frozen-block entry layer timed three ways from the same
 /// int8-cached activations, each ending at the layer's NCHW output: the
-/// gathered integer path `Conv2d::forward_quant` runs (pad the `u8` input,
-/// gathered `i32` GEMM, dequantize on the way to NCHW), the explicit
-/// integer lowering it replaced (`u8` `im2col`, dense `i32` GEMM,
-/// dequantize into position rows, the transposing pass), and the f32
-/// alternative (decode to f32, gathered forward on the `blocked` plan).
+/// gathered integer path `Conv2d::forward_quant` runs (`fused`: pad the
+/// `u8` input, gathered `i32` GEMM whose tiles are dequantized in
+/// registers on their way to NCHW), the explicit integer lowering it replaced (`u8`
+/// `im2col`, dense `i32` GEMM, dequantize into position rows, the
+/// transposing pass), and the f32 alternative (decode to f32, gathered
+/// forward on the `blocked` plan).
 ///
-/// `pad_u8_ns` is inside `gather_i32` (one `forward_quant_into` call); it
-/// is timed again on its own to show the split. `dequantize` + `transpose`
-/// is what `dequantize_nchw` replaced in the layer.
+/// `gather_i32` is the fused call's product alone, into `i32` position
+/// rows, and `pad_u8_ns` the padding inside both: `fused − gather_i32` is
+/// what the dequantize epilogue costs.
 struct ConvInt8Row {
     batch: usize,
     c_in: usize,
@@ -733,7 +734,7 @@ struct ConvInt8Row {
     gather_i32: Sample,
     dequantize: Sample,
     transpose: Sample,
-    dequantize_nchw: Sample,
+    fused: Sample,
     f32_decode_ns: u128,
     f32_gather_ns: u128,
 }
@@ -746,7 +747,7 @@ impl ConvInt8Row {
     }
     /// The gathered integer path the layer runs.
     fn int8(&self) -> Sample {
-        self.gather_i32 + self.dequantize_nchw
+        self.fused
     }
     fn f32_ns(&self) -> u128 {
         self.f32_decode_ns + self.f32_gather_ns
@@ -797,14 +798,25 @@ fn time_conv_int8(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usi
     let transpose = sample(reps, iters, || {
         posrows_to_nchw_into(&y, None, batch, c_out, hw, hw, &mut out).unwrap()
     });
-    let mut fused = Tensor::zeros(&[batch, c_out, hw, hw]);
-    let dequantize_nchw = sample(reps, iters, || {
-        let (plane, nchw) = (hw * hw, fused.data_mut());
-        int8::dequantize_nchw_into(scale, min, &rhs, &acc, &bias, &mut corr, plane, nchw)
+    let (mut nchw, mut group) = (Tensor::default(), Vec::new());
+    let fused = sample(reps, iters, || {
+        patches
+            .forward_quant_nchw_into(
+                &qx,
+                &geom,
+                &rhs_rows,
+                &bias,
+                &mut padded_u8,
+                &mut group,
+                &mut nchw,
+            )
+            .unwrap();
     });
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(
-        fused, out,
-        "dequantize to NCHW differs from dequantize + transpose"
+        bits(&nchw),
+        bits(&out),
+        "the fused int8 forward differs from dequantize + transpose"
     );
     let mut pack = Vec::new();
     let f32_decode_ns = best_ns(reps, iters, || qx.dequantize_into(&mut decoded).unwrap());
@@ -833,10 +845,83 @@ fn time_conv_int8(batch: usize, c_in: usize, c_out: usize, hw: usize, iters: usi
         gather_i32,
         dequantize,
         transpose,
-        dequantize_nchw,
+        fused,
         f32_decode_ns,
         f32_gather_ns,
     }
+}
+
+/// The int8 cache codec's passes over one block of `shape` (NCHW,
+/// ReLU'd like a cached block output, so most channels' minimum is a
+/// zero), in ns per element: `widen` (the per-channel ranges of the range
+/// pass), `encode` (each channel's codes from its table) and `decode` —
+/// on the vector kernels the codec runs (`convert::minmax_slice`,
+/// `quantize_u8_slice`) and on their serial oracles (`minmax_scalar`,
+/// `quantize_u8_scalar`). Decode has one path (`dequantize_u8_slice`,
+/// which the compiler vectorizes), timed in both rows. Both rows must
+/// produce the same table and codes.
+fn time_int8_codec(shape: [usize; 4], iters: usize) -> Vec<(&'static str, [f64; 3])> {
+    use nf_tensor::convert;
+    use std::hint::black_box;
+    type MinMax = fn(&[f32]) -> (f32, f32);
+    type Quantize = fn(&[f32], f32, f32, &mut [u8]);
+    /// A path's per-channel table and codes.
+    type Encoded = (Vec<(f32, f32)>, Vec<u8>);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let x = nf_tensor::uniform_init(&mut rng, &shape, -1.0, 1.0);
+    let x: Vec<f32> = x.data().iter().map(|v| v.max(0.0)).collect();
+    let (c, plane) = (shape[1], shape[2] * shape[3]);
+    let paths: [(&str, MinMax, Quantize); 2] = [
+        ("vector", convert::minmax_slice, convert::quantize_u8_slice),
+        (
+            "scalar",
+            convert::minmax_scalar,
+            convert::quantize_u8_scalar,
+        ),
+    ];
+    let (mut ranges, mut codes) = (vec![(0.0f32, 0.0f32); c], vec![0u8; x.len()]);
+    let mut back = vec![0.0f32; x.len()];
+    let mut first: Option<Encoded> = None;
+    let per_elem = |ns: u128| ns as f64 / x.len() as f64;
+    let mut rows = Vec::new();
+    for (name, minmax, quantize) in paths {
+        let widen = best_ns(REPS, iters, || {
+            ranges.fill((f32::INFINITY, f32::NEG_INFINITY));
+            for (i, segment) in x.chunks(plane).enumerate() {
+                let (lo, hi) = minmax(black_box(segment));
+                let range = &mut ranges[i % c];
+                *range = (range.0.min(lo), range.1.max(hi));
+            }
+        });
+        let table: Vec<(f32, f32)> = ranges.iter().map(|&(l, h)| (l, (h - l) / 255.0)).collect();
+        let encode = best_ns(REPS, iters, || {
+            for (i, (src, dst)) in x.chunks(plane).zip(codes.chunks_mut(plane)).enumerate() {
+                let (min, scale) = table[i % c];
+                quantize(black_box(src), min, scale, dst);
+            }
+        });
+        let decode = best_ns(REPS, iters, || {
+            for (i, (src, dst)) in codes.chunks(plane).zip(back.chunks_mut(plane)).enumerate() {
+                let (min, scale) = table[i % c];
+                convert::dequantize_u8_slice(black_box(src), min, scale, dst);
+            }
+        });
+        let bits = |t: &[(f32, f32)]| -> Vec<(u32, u32)> {
+            t.iter().map(|p| (p.0.to_bits(), p.1.to_bits())).collect()
+        };
+        match &first {
+            None => first = Some((table, codes.clone())),
+            Some((t, q)) => {
+                let same = bits(t) == bits(&table) && *q == codes;
+                assert!(
+                    same,
+                    "the {name} int8 codec kernels differ from the vector ones"
+                );
+            }
+        }
+        rows.push((name, [widen, encode, decode].map(per_elem)));
+    }
+    rows
 }
 
 /// Dense `size³` on the dispatching `blocked` backend and on each tile the
@@ -1058,6 +1143,10 @@ fn header(schema: &str, smoke: bool) -> Table {
         "simd_int8",
         Value::Str(nf_tensor::kernels::int8::kernel_name().into()),
     );
+    host.insert(
+        "int8_codec",
+        Value::Str(nf_tensor::kernels::simd_int8::quantize_kernel_name().into()),
+    );
     let mut doc = Table::new();
     doc.insert("schema", Value::Str(schema.into()));
     doc.insert("rev", Value::Str(rev));
@@ -1201,10 +1290,10 @@ fn main() {
         let (int8, explicit) = (r.int8().min, r.explicit().min);
         assert!(
             int8 as f64 <= explicit as f64 * 1.05,
-            "gathered int8 conv forward ({int8} ns: pad+gather, dequantize to NCHW = {:?}) slower \
-             than the explicit lowering ({explicit} ns: im2col_u8, gemm_i32, dequantize, \
-             transpose = {:?}) at batch {batch} {c_in}→{c_out} @{hw}²",
-            [r.gather_i32.min, r.dequantize_nchw.min],
+            "gathered int8 conv forward ({int8} ns; its product alone {} ns) slower than the \
+             explicit lowering ({explicit} ns: im2col_u8, gemm_i32, dequantize, transpose = \
+             {:?}) at batch {batch} {c_in}→{c_out} @{hw}²",
+            r.gather_i32.min,
             [r.im2col_u8, r.gemm_i32, r.dequantize, r.transpose].map(|s| s.min),
         );
         if int8 > r.f32_ns() {
@@ -1216,6 +1305,10 @@ fn main() {
             );
         }
     }
+
+    // --- The int8 cache codec at `quant`'s block-0 output shape ---
+    let codec_shape = if smoke { [2, 4, 8, 8] } else { [4, 8, 48, 48] };
+    let codec_rows = time_int8_codec(codec_shape, iters);
 
     // --- The register tile at each width the host has, dense 256³ ---
     // Where the host has AVX-512 the dispatcher must actually be using
@@ -1342,7 +1435,7 @@ fn main() {
                     row.insert("gather_i32_ns", int(r.gather_i32.min));
                     row.insert("dequantize_ns", int(r.dequantize.min));
                     row.insert("transpose_ns", int(r.transpose.min));
-                    row.insert("dequantize_nchw_ns", int(r.dequantize_nchw.min));
+                    row.insert("fused_ns", int(r.fused.min));
                     row.insert("f32_decode_ns", int(r.f32_decode_ns));
                     row.insert("f32_gather_ns", int(r.f32_gather_ns));
                     // The gated pair, each side the sum of its stages.
@@ -1357,6 +1450,24 @@ fn main() {
                         "int8_vs_f32",
                         Value::Float(round2(int8.min as f64 / r.f32_ns().max(1) as f64)),
                     );
+                    row.build()
+                })
+                .collect(),
+        ),
+    );
+    gemm.insert(
+        "int8_codec",
+        Value::Array(
+            codec_rows
+                .iter()
+                .map(|&(path, [widen, encode, decode])| {
+                    let mut row = Table::new();
+                    row.insert("path", Value::Str(path.into()));
+                    let shape = codec_shape.iter().map(|&d| int(d)).collect();
+                    row.insert("shape", Value::Array(shape));
+                    row.insert("widen_ns_per_elem", Value::Float(round2(widen)));
+                    row.insert("encode_ns_per_elem", Value::Float(round2(encode)));
+                    row.insert("decode_ns_per_elem", Value::Float(round2(decode)));
                     row.build()
                 })
                 .collect(),
@@ -1397,8 +1508,10 @@ fn main() {
             "conv.transpose_ns",
             "conv.pad_ns",
             "conv_int8",
-            "conv_int8.dequantize_nchw_ns",
+            "conv_int8.fused_ns",
             "conv_int8.int8_median_ns",
+            "int8_codec",
+            "int8_codec.widen_ns_per_elem",
             "tiles_256",
             "tiles_256.median_ns",
         ],

@@ -118,17 +118,20 @@ fn a_closed_stdout_ends_output_quietly() {
 }
 
 /// The peak resident set a fresh `nf train` process records in its
-/// `metrics.json`, for a 2-block config on `samples` 64×64 images.
-fn peak_rss_training(dir: &Path, samples: usize) -> i64 {
-    let name = format!("slope{samples}");
+/// `metrics.json`, for a 2-block config on `samples` 64×64 images under
+/// cache `codec` (int8 with int8 frozen-block compute).
+fn peak_rss_training(dir: &Path, samples: usize, codec: &str) -> i64 {
+    let name = format!("slope{samples}{codec}");
     let cfg_path = dir.join(format!("{name}.toml"));
     let doc = format!(
         "[run]\nname = \"{name}\"\nout_dir = \"{}\"\n\n\
          [model]\npreset = \"tiny\"\nchannels = [8, 4]\n\n\
          [dataset]\npreset = \"quick\"\nclasses = 4\nimage_hw = 64\ntrain = {samples}\n\n\
-         [train]\nbudget_mb = 2.0\nbatch_limit = 32\nepochs_per_block = 1\n\n\
-         [cache]\ncodec = \"f32\"\n",
-        dir.display()
+         [train]\nbudget_mb = 2.0\nbatch_limit = 32\nepochs_per_block = 1\n\
+         int8_compute = {}\n\n\
+         [cache]\ncodec = \"{codec}\"\n",
+        dir.display(),
+        codec == "int8",
     );
     std::fs::write(&cfg_path, doc).unwrap();
     let status = Command::new(env!("CARGO_BIN_EXE_nf"))
@@ -151,14 +154,19 @@ fn peak_memory_grows_with_the_images_not_the_cached_activations() {
     // from 32 to 128 the peak may grow by at most twice the training
     // images' own growth (4.7 MB; the three splits together grow 7 MB).
     // Block 0's cached activations alone grow 2.7× as fast as the images.
+    // The same holds for an int8 cache with int8 frozen-block compute,
+    // whose whole-block table is found by a range pass over the block
+    // rather than by holding the block's f32 output.
     let dir = std::env::temp_dir().join(format!("nf_rss_slope_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let growth = peak_rss_training(&dir, 128) - peak_rss_training(&dir, 32);
-    let images = (128 - 32) * 3 * 64 * 64 * 4;
-    assert!(
-        growth <= 2 * images,
-        "peak grew {growth} B, images {images} B"
-    );
+    for codec in ["f32", "int8"] {
+        let growth = peak_rss_training(&dir, 128, codec) - peak_rss_training(&dir, 32, codec);
+        let images = (128 - 32) * 3 * 64 * 64 * 4;
+        assert!(
+            growth <= 2 * images,
+            "{codec}: peak grew {growth} B, images {images} B"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -16,9 +16,12 @@
 //! current batch of a block is resident: a write is the header, then one
 //! append per batch as it leaves the block; a read opens the block once,
 //! validating its header and length, then reads each batch's byte range.
-//! The one exception is int8, whose per-channel table heads the payload
-//! and covers the whole block: its writes stage the block in f32 until
-//! the table is known.
+//! A codec whose table heads the payload and covers the whole block
+//! (int8's per-channel ranges, [`CodecKind::needs_range_pass`]) is written
+//! in two passes over the block: a range pass, whose batches only widen
+//! the ranges, then the code pass, whose first batch writes the header and
+//! the table and whose every batch appends its codes. Nothing of the block
+//! is held between them; the writer produces the batches twice.
 
 #![deny(
     clippy::unwrap_used,
@@ -54,6 +57,9 @@ use std::path::{Path, PathBuf};
 /// A block is written as a stream of batches and read by sample range;
 /// the whole-block [`ActivationStore::write`] and
 /// [`ActivationStore::read_into`] are the one-batch case of the same path.
+/// Under a codec that [`CodecKind::needs_range_pass`], every batch goes
+/// through [`ActivationStore::widen_batch`] before the first goes through
+/// [`ActivationStore::append_batch`].
 ///
 /// # Examples
 ///
@@ -79,6 +85,19 @@ use std::path::{Path, PathBuf};
 /// store.read_batch_into(1, 2..4, &mut batch)?;
 /// assert_eq!(batch, Tensor::ones(&[2, 8]));
 ///
+/// // int8's table covers the whole block: a range pass over the batches
+/// // comes first, then the code pass appends them.
+/// let mut int8 = MemoryStore::with_codec(CodecKind::Int8Affine);
+/// assert!(int8.codec().needs_range_pass());
+/// int8.begin_write(0, &[4, 8])?;
+/// let (head, tail) = (Tensor::ones(&[3, 8]), Tensor::zeros(&[1, 8]));
+/// int8.widen_batch(&head)?;
+/// int8.widen_batch(&tail)?;
+/// int8.append_batch(&head)?;
+/// int8.append_batch(&tail)?;
+/// int8.finish_write()?;
+/// assert_eq!(int8.read(0)?, Tensor::cat_batch(&[&head, &tail])?);
+///
 /// // The same store under the f16 codec holds the same tensor in half
 /// // the bytes.
 /// let mut half = MemoryStore::with_codec(CodecKind::F16);
@@ -93,7 +112,15 @@ pub trait ActivationStore {
     /// [`ActivationStore::append_batch`].
     fn begin_write(&mut self, block: usize, shape: &[usize]) -> Result<()>;
 
-    /// Appends the next samples of the block being written.
+    /// Widens the block's ranges by its next samples: the range pass,
+    /// which a codec that [`CodecKind::needs_range_pass`] runs over the
+    /// whole block before the first [`ActivationStore::append_batch`]. A
+    /// no-op under the other codecs.
+    fn widen_batch(&mut self, batch: &Tensor) -> Result<()>;
+
+    /// Appends the next samples of the block being written. Under a codec
+    /// that [`CodecKind::needs_range_pass`], appending before the range
+    /// pass has covered the block is a typed error.
     fn append_batch(&mut self, batch: &Tensor) -> Result<()>;
 
     /// Completes the block being written, returning the **encoded** byte
@@ -105,6 +132,7 @@ pub trait ActivationStore {
     /// the **encoded** byte count the cache was charged.
     fn write(&mut self, block: usize, activations: &Tensor) -> Result<u64> {
         self.begin_write(block, activations.shape())?;
+        self.widen_batch(activations)?;
         self.append_batch(activations)?;
         self.finish_write()
     }
@@ -213,18 +241,61 @@ pub trait BlobStore {
 pub struct CodecStore<S> {
     codec: CodecKind,
     store: S,
-    /// The block being written, its shape, and the elements appended.
-    writing: Option<(usize, Vec<usize>)>,
-    written: usize,
-    /// Int8 only: the block so far in f32, its per-group ranges and its
-    /// largest batch in elements (the codes go out in batches that size).
-    staged: Vec<f32>,
-    ranges: Vec<(f32, f32)>,
-    chunk: usize,
+    /// The block being written.
+    writing: Option<WriteBlock>,
     /// The block open for reads.
     reading: Option<OpenBlock>,
     /// The batch-sized byte buffer every encode and read goes through.
     bytes: Vec<u8>,
+}
+
+/// A block being written: its shape, the elements the range pass has
+/// widened by and those appended, and — under a codec that
+/// [`CodecKind::needs_range_pass`] — its per-group ranges and, once the
+/// code pass has created the blob, the table written from them.
+#[derive(Debug)]
+struct WriteBlock {
+    block: usize,
+    shape: Vec<usize>,
+    widened: usize,
+    written: usize,
+    ranges: Vec<(f32, f32)>,
+    table: Option<Vec<u8>>,
+}
+
+impl WriteBlock {
+    /// Checks that `batch`, the block's next samples after `done`
+    /// elements of one pass, fits the block.
+    fn check_fits(&self, done: usize, batch: &Tensor) -> Result<()> {
+        let numel: usize = self.shape.iter().product();
+        if batch.shape().get(1..) != self.shape.get(1..) || done + batch.numel() > numel {
+            let shape = &self.shape;
+            let cause = format!("batch {:?} overruns block {shape:?}", batch.shape());
+            return Err(cache_err("write", self.block, cause));
+        }
+        Ok(())
+    }
+
+    /// Creates the blob under `codec` if the code pass has not yet: with
+    /// the table from the ranges, once the range pass covered the block.
+    fn create<S: BlobStore>(&mut self, codec: CodecKind, store: &mut S) -> Result<()> {
+        if self.table.is_none() {
+            let numel: usize = self.shape.iter().product();
+            if self.widened != numel {
+                let cause = format!(
+                    "the range pass covered {} of {numel} elements",
+                    self.widened
+                );
+                return Err(cache_err("write", self.block, cause));
+            }
+            store.create(self.block, codec, &self.shape)?;
+            let mut table = vec![0; codec.table_len(&self.shape)];
+            int8_write_table(&self.ranges, &mut table);
+            store.append(self.block, &table)?;
+            self.table = Some(table);
+        }
+        Ok(())
+    }
 }
 
 /// A block open for batch reads.
@@ -246,10 +317,6 @@ impl<S: BlobStore> CodecStore<S> {
             codec,
             store,
             writing: None,
-            written: 0,
-            staged: Vec::new(),
-            ranges: Vec::new(),
-            chunk: 0,
             reading: None,
             bytes: Vec::new(),
         }
@@ -340,68 +407,69 @@ impl<S: BlobStore> ActivationStore for CodecStore<S> {
             ));
         }
         self.reading = self.reading.take().filter(|r| r.block != block);
-        (self.written, self.chunk) = (0, 0);
-        self.writing = Some((block, shape.to_vec()));
-        match self.codec {
-            CodecKind::Int8Affine => {
-                self.staged.clear();
-                self.ranges = int8_ranges(shape);
-                Ok(())
-            }
-            codec => self.store.create(block, codec, shape),
+        let ranged = self.codec.needs_range_pass();
+        if !ranged {
+            self.store.create(block, self.codec, shape)?;
         }
+        self.writing = Some(WriteBlock {
+            block,
+            shape: shape.to_vec(),
+            widened: 0,
+            written: 0,
+            ranges: if ranged {
+                int8_ranges(shape)
+            } else {
+                Vec::new()
+            },
+            // Without a range pass the blob is created, its table empty.
+            table: (!ranged).then(Vec::new),
+        });
+        Ok(())
+    }
+
+    fn widen_batch(&mut self, batch: &Tensor) -> Result<()> {
+        let Some(w) = self.writing.as_mut() else {
+            return Err(cache_err("write", 0, "no block is being written"));
+        };
+        if !self.codec.needs_range_pass() {
+            return Ok(());
+        }
+        if w.table.is_some() {
+            let cause = "a range pass batch after the code pass began";
+            return Err(cache_err("write", w.block, cause));
+        }
+        w.check_fits(w.widened, batch)?;
+        int8_widen(&w.shape, w.widened, batch.data(), &mut w.ranges);
+        w.widened += batch.numel();
+        Ok(())
     }
 
     fn append_batch(&mut self, batch: &Tensor) -> Result<()> {
-        let Some((block, shape)) = &self.writing else {
+        let Some(w) = self.writing.as_mut() else {
             return Err(cache_err("write", 0, "no block is being written"));
         };
-        let (first, data) = (self.written, batch.data());
-        let numel: usize = shape.iter().product();
-        if batch.shape().get(1..) != shape.get(1..) || first + data.len() > numel {
-            let cause = format!("batch {:?} overruns block {shape:?}", batch.shape());
-            return Err(cache_err("write", *block, cause));
-        }
-        self.written += data.len();
-        match self.codec {
-            CodecKind::Int8Affine => {
-                int8_widen(shape, first, data, &mut self.ranges);
-                self.staged.extend_from_slice(data);
-                self.chunk = self.chunk.max(data.len());
-                Ok(())
-            }
-            codec => {
-                self.bytes.resize(data.len() * codec.elem_len(), 0);
-                codec.encode_elems(shape, &[], first, data, &mut self.bytes);
-                self.store.append(*block, &self.bytes)
-            }
-        }
+        w.check_fits(w.written, batch)?;
+        w.create(self.codec, &mut self.store)?;
+        let (table, data) = (w.table.as_deref().unwrap_or_default(), batch.data());
+        self.bytes.resize(data.len() * self.codec.elem_len(), 0);
+        (self.codec).encode_elems(&w.shape, table, w.written, data, &mut self.bytes);
+        self.store.append(w.block, &self.bytes)?;
+        w.written += data.len();
+        Ok(())
     }
 
     fn finish_write(&mut self) -> Result<u64> {
-        let Some((block, shape)) = self.writing.take() else {
+        let Some(mut w) = self.writing.take() else {
             return Err(cache_err("write", 0, "no block is being written"));
         };
-        let numel: usize = shape.iter().product();
-        if self.written != numel {
-            let cause = format!("{} of the {numel} elements written", self.written);
-            return Err(cache_err("write", block, cause));
+        let numel: usize = w.shape.iter().product();
+        if w.written != numel {
+            let cause = format!("{} of the {numel} elements written", w.written);
+            return Err(cache_err("write", w.block, cause));
         }
-        if self.codec == CodecKind::Int8Affine {
-            // The table covers the whole block, so the codes follow it
-            // from the staged f32, a batch at a time.
-            self.store.create(block, self.codec, &shape)?;
-            let mut table = vec![0; self.codec.table_len(&shape)];
-            int8_write_table(&self.ranges, &mut table);
-            self.store.append(block, &table)?;
-            for (i, data) in self.staged.chunks(self.chunk.max(1)).enumerate() {
-                self.bytes.resize(data.len(), 0);
-                let first = i * self.chunk;
-                (self.codec).encode_elems(&shape, &table, first, data, &mut self.bytes);
-                self.store.append(block, &self.bytes)?;
-            }
-        }
-        Ok(self.codec.payload_len(&shape) as u64)
+        // A block of no samples has no batch to have created it.
+        w.create(self.codec, &mut self.store)?;
+        Ok(self.codec.payload_len(&w.shape) as u64)
     }
 
     fn open(&mut self, block: usize) -> Result<usize> {
@@ -942,7 +1010,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("nf_cache_batch_{}", std::process::id()));
         let bits = |q: &QuantTensor| (q.shape().to_vec(), q.data().to_vec(), q.scale(), q.min());
         // Every int8 grouping (per channel, per row, one group), every
-        // codec, both stores; streamed in batches of 4, 4 and 2.
+        // codec, both stores; streamed in batches of 4, 4 and 2, the range
+        // pass first (a no-op but for int8).
         for shape in [vec![10, 3, 2, 2], vec![10, 5], vec![10]] {
             let data =
                 (0..shape.iter().product()).map(|i| (i as f32 * 0.37).sin() * (i % 3) as f32);
@@ -958,10 +1027,13 @@ mod tests {
                     Box::new(MemoryStore::with_codec(codec)) as Box<dyn ActivationStore>,
                     Box::new(disk),
                 ] {
+                    let batches = [0, 4, 8].map(|at| t.slice_batch(at, (at + 4).min(10)).unwrap());
                     s.begin_write(0, &shape).unwrap();
-                    for at in [0, 4, 8] {
-                        s.append_batch(&t.slice_batch(at, (at + 4).min(10)).unwrap())
-                            .unwrap();
+                    for batch in &batches {
+                        s.widen_batch(batch).unwrap();
+                    }
+                    for batch in &batches {
+                        s.append_batch(batch).unwrap();
                     }
                     assert_eq!(s.finish_write().unwrap(), blob.encoded_len());
                     let (mut part, mut q, mut want) =
@@ -990,6 +1062,35 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn int8_appends_wait_for_the_whole_range_pass() {
+        let t = Tensor::from_vec(vec![4, 2], (0..8).map(|i| i as f32).collect()).unwrap();
+        let (head, tail) = (t.slice_batch(0, 3).unwrap(), t.slice_batch(3, 4).unwrap());
+        let is_write_err = |r: Result<()>| matches!(r, Err(NfError::Cache { op: "write", .. }));
+        let mut s = MemoryStore::with_codec(CodecKind::Int8Affine);
+        // No range pass, or one short of the block: no blob is created.
+        s.begin_write(0, t.shape()).unwrap();
+        assert!(is_write_err(s.append_batch(&head)));
+        s.begin_write(0, t.shape()).unwrap();
+        s.widen_batch(&head).unwrap();
+        assert!(is_write_err(s.append_batch(&head)));
+        assert!(s.open(0).is_err());
+        // Once the code pass began, the ranges are the table's.
+        s.widen_batch(&tail).unwrap();
+        s.append_batch(&head).unwrap();
+        assert!(is_write_err(s.widen_batch(&tail)));
+        // Overrunning the block in either pass is refused too.
+        s.begin_write(1, t.shape()).unwrap();
+        s.widen_batch(&t).unwrap();
+        assert!(is_write_err(s.widen_batch(&tail)));
+        s.append_batch(&t).unwrap();
+        assert!(is_write_err(s.append_batch(&tail)));
+        s.finish_write().unwrap();
+        let mut whole = MemoryStore::with_codec(CodecKind::Int8Affine);
+        whole.write(0, &t).unwrap();
+        assert_eq!(s.read(1).unwrap(), whole.read(0).unwrap());
     }
 
     #[test]

@@ -120,6 +120,14 @@ impl CodecKind {
         }
     }
 
+    /// Whether a streamed write needs a range pass over the whole block
+    /// before its first batch is encoded: int8's `(scale, min)` table heads
+    /// the payload and covers every batch of it (see
+    /// [`crate::ActivationStore::widen_batch`]).
+    pub fn needs_range_pass(self) -> bool {
+        self == CodecKind::Int8Affine
+    }
+
     /// Encoded bytes of one element.
     pub(crate) fn elem_len(self) -> usize {
         match self {

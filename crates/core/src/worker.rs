@@ -11,10 +11,12 @@
 //! 3. runs one final forward pass, appending each batch's output to the
 //!    [`crate::ActivationStore`] as it leaves the block (§3.3), then evicts
 //!    the block's forward caches and the consumed upstream cache entry.
+//!    Under a codec whose table covers the whole block (int8) that pass
+//!    runs twice: a range pass that only widens the table's ranges, then
+//!    the pass that appends.
 //!
-//! No whole block of activations is ever held in memory here: the step's
-//! `cur` and `out` carry one batch in and one batch out (an int8 store
-//! stages its own writes; see [`crate::cache`]).
+//! No whole block of activations is ever held in memory, here or in the
+//! store: the step's `cur` and `out` carry one batch in and one batch out.
 
 #![deny(
     clippy::unwrap_used,
@@ -205,12 +207,13 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
     /// `b`'s cache entry as it leaves the block. Returns the encoded and
     /// the logical (f32) bytes written.
     ///
-    /// With int8 compute on and an int8 cache behind `input`, each batch
-    /// is read *quantized* and enters the block's first unit via
-    /// [`Layer::forward_quant`], which runs the integer GEMM path through
-    /// that unit's entry layer without a decode to f32; the rest of the
-    /// block continues in f32 either way, and a store that cannot serve
-    /// quantized reads falls back to the f32 path.
+    /// A codec whose table covers the whole block
+    /// ([`CodecKind::needs_range_pass`], int8) gets the block twice: a
+    /// range pass, whose batches only widen the store's ranges, then the
+    /// code pass, which appends them. The store cannot re-run the block
+    /// itself, and holding the block's output in between is what the two
+    /// passes avoid. An eval forward draws nothing and changes nothing, so
+    /// both passes see the same bits.
     fn regenerate_activations(
         &mut self,
         model: &mut BuiltModel,
@@ -218,7 +221,6 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
         input: &Input<'_>,
         step: &mut LocalStep,
     ) -> Result<(u64, u64)> {
-        let (cur, out) = (&mut step.cur, &mut step.out);
         let n = input.samples(self.store)?;
         let batch = block.batch.max(1);
         let mut shape = vec![0];
@@ -226,40 +228,73 @@ impl<'s, S: ActivationStore + ?Sized> Worker<'s, S> {
             // No batch will shape it: an empty entry.
             self.store.begin_write(b, &shape)?;
         }
+        // `true`: the range pass.
+        let passes: &[bool] = match self.store.codec().needs_range_pass() {
+            true => &[true, false],
+            false => &[false],
+        };
         let mut qbatch = QuantTensor::new();
-        for start in (0..n).step_by(batch) {
-            let end = (start + batch).min(n);
-            let mut units = block_slice(&mut model.units, block)?.iter_mut();
-            let quantized = match input {
-                Input::Cached(prev) if self.config.int8_compute => {
-                    self.store
-                        .read_batch_quant(*prev, start..end, &mut qbatch)?
+        for (pass, &widening) in passes.iter().enumerate() {
+            for start in (0..n).step_by(batch) {
+                let end = (start + batch).min(n);
+                self.forward_batch(model, block, input, start..end, step, &mut qbatch)?;
+                let out = &step.cur;
+                if pass == 0 && start == 0 {
+                    shape = out.shape().to_vec();
+                    if let Some(batch_dim) = shape.first_mut() {
+                        *batch_dim = n;
+                    }
+                    self.store.begin_write(b, &shape)?;
                 }
-                _ => false,
-            };
-            if quantized {
-                match units.next() {
-                    Some(first) => first.forward_quant_into(&qbatch, Mode::Eval, cur)?,
-                    None => qbatch.dequantize_into(cur)?,
+                match widening {
+                    true => self.store.widen_batch(out)?,
+                    false => self.store.append_batch(out)?,
                 }
-            } else {
-                input.fill(self.store, start..end, cur)?;
             }
-            for unit in units {
-                unit.forward_into(cur, Mode::Eval, out)?;
-                std::mem::swap(cur, out);
-            }
-            if start == 0 {
-                shape = cur.shape().to_vec();
-                if let Some(batch_dim) = shape.first_mut() {
-                    *batch_dim = n;
-                }
-                self.store.begin_write(b, &shape)?;
-            }
-            self.store.append_batch(cur)?;
         }
         let logical = shape.iter().product::<usize>() as u64 * 4;
         Ok((self.store.finish_write()?, logical))
+    }
+
+    /// Trained block `block`'s eval output for samples `range` of `input`,
+    /// left in `step.cur`.
+    ///
+    /// With int8 compute on and an int8 cache behind `input`, the batch is
+    /// read *quantized* and enters the block's first unit via
+    /// [`Layer::forward_quant`], which runs the integer GEMM path through
+    /// that unit's entry layer without a decode to f32; the rest of the
+    /// block continues in f32 either way, and a store that cannot serve
+    /// quantized reads falls back to the f32 path.
+    fn forward_batch(
+        &mut self,
+        model: &mut BuiltModel,
+        block: &Block,
+        input: &Input<'_>,
+        range: Range<usize>,
+        step: &mut LocalStep,
+        qbatch: &mut QuantTensor,
+    ) -> Result<()> {
+        let (cur, out) = (&mut step.cur, &mut step.out);
+        let mut units = block_slice(&mut model.units, block)?.iter_mut();
+        let quantized = match input {
+            Input::Cached(prev) if self.config.int8_compute => {
+                self.store.read_batch_quant(*prev, range.clone(), qbatch)?
+            }
+            _ => false,
+        };
+        if quantized {
+            match units.next() {
+                Some(first) => first.forward_quant_into(qbatch, Mode::Eval, cur)?,
+                None => qbatch.dequantize_into(cur)?,
+            }
+        } else {
+            input.fill(self.store, range, cur)?;
+        }
+        for unit in units {
+            unit.forward_into(cur, Mode::Eval, out)?;
+            std::mem::swap(cur, out);
+        }
+        Ok(())
     }
 
     /// Trains all blocks in order over the training set (the full §3 flow).
@@ -771,31 +806,37 @@ mod tests {
 
     #[test]
     fn storage_write_failure_surfaces_without_corrupting_block() {
-        let (mut model, mut heads, ds) = setup(1, &[6, 8]);
-        let mut store = MemoryStore::with_codec(CodecKind::F32Raw);
-        store.inner_mut().fail_writes = true;
-        let config = NeuroFluxConfig::new(1 << 30, 8).with_epochs(1);
-        let mut worker = Worker::new(config, &mut store);
-        let err = worker
-            .run(
-                &mut model,
-                &mut heads,
-                &two_blocks(),
-                ds.train.images(),
-                ds.train.labels(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, NfError::Cache { op: "write", .. }));
-        // Block 0 was trained before the failing write: its parameters must
-        // have moved from initialisation.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let fresh = ModelSpec::tiny("w", 8, &[6, 8], 3).build(&mut rng).unwrap();
-        let mut fresh = fresh;
-        let mut init_params = Vec::new();
-        fresh.units[0].visit_params(&mut |p| init_params.push(p.value.clone()));
-        let mut trained_params = Vec::new();
-        model.units[0].visit_params(&mut |p| trained_params.push(p.value.clone()));
-        assert_ne!(init_params, trained_params);
+        // Under int8 the range pass writes nothing, so the injected fault
+        // hits the code pass.
+        for codec in [CodecKind::F32Raw, CodecKind::Int8Affine] {
+            let (mut model, mut heads, ds) = setup(1, &[6, 8]);
+            let mut store = MemoryStore::with_codec(codec);
+            store.inner_mut().fail_writes = true;
+            let config = NeuroFluxConfig::new(1 << 30, 8)
+                .with_epochs(1)
+                .with_cache_codec(codec);
+            let mut worker = Worker::new(config, &mut store);
+            let err = worker
+                .run(
+                    &mut model,
+                    &mut heads,
+                    &two_blocks(),
+                    ds.train.images(),
+                    ds.train.labels(),
+                )
+                .unwrap_err();
+            assert!(matches!(err, NfError::Cache { op: "write", .. }), "{codec}");
+            // Block 0 was trained before the failing write: its parameters
+            // must have moved from initialisation.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+            let fresh = ModelSpec::tiny("w", 8, &[6, 8], 3).build(&mut rng).unwrap();
+            let mut fresh = fresh;
+            let mut init_params = Vec::new();
+            fresh.units[0].visit_params(&mut |p| init_params.push(p.value.clone()));
+            let mut trained_params = Vec::new();
+            model.units[0].visit_params(&mut |p| trained_params.push(p.value.clone()));
+            assert_ne!(init_params, trained_params, "{codec}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::layer::{forward_dequantized, Layer, Mode};
 use crate::param::Param;
 use crate::scratch::{InputCache, PackedPanel, QuantPanel};
 use crate::Result;
-use nf_tensor::kernels::{int8, positions_fit};
+use nf_tensor::kernels::positions_fit;
 use nf_tensor::{
     col2im_batch_into, flip_kernel_panel_into, he_normal, lock_workspace, matmul_into,
     nchw_to_posrows_into, pad_nchw_into, shared_workspace, sum_axis0_acc, Conv2dGeometry,
@@ -72,7 +72,7 @@ use std::sync::Arc;
 /// [`Layer::forward_quant_into`] is the same gathered product in integer
 /// arithmetic over an int8-cached input (padded once with its zero-point
 /// byte, read through the same position table), dequantized per output
-/// channel on the same way out to NCHW.
+/// channel in the integer tile's registers on its way out to NCHW.
 ///
 /// Matrix products run on the layer's [`KernelBackend`]: the default
 /// until [`Layer::set_kernel_backend`] (or [`Conv2d::with_backend`]) pins
@@ -121,7 +121,9 @@ pub struct Conv2d {
     /// [`Layer::forward_quant`], one quad per kernel row, keyed by the
     /// same weight version.
     quant_wt: QuantPanel,
-    /// `i32` accumulator buffer for the int8 GEMM, reused across calls.
+    /// `i32` accumulators of the int8 product's row blocks that its
+    /// decoding tile cannot take (one block per thread), reused across
+    /// calls.
     qacc: Vec<i32>,
     cached_input: InputCache,
 }
@@ -356,7 +358,7 @@ impl Layer for Conv2d {
             // training path must run the f32 forward.
             return forward_dequantized(self, x, mode, out);
         }
-        let (n, _, h, w) = self.check_input(x.shape())?;
+        let (_, _, h, w) = self.check_input(x.shape())?;
         let geom = self.geometry(h, w)?;
         let version = self.weight.version();
         let wt = self.packed_wt.get(&self.weight)?;
@@ -364,23 +366,20 @@ impl Layer for Conv2d {
         // The same gathered product as the f32 forward, in the quantized
         // domain: the input is padded once with the code for real 0.0, so
         // the integer GEMM sees exactly what the f32 lowering would have
-        // encoded, and reads it in place through the same tables.
+        // encoded, and reads it in place through the same tables. Its
+        // accumulators are dequantized, bias added, on the way to NCHW.
         let mut ws = lock_workspace(&self.ws);
         let p = ws.parts();
-        self.patches
-            .forward_quant_into(x, &geom, rhs, p.cols_u8, &mut self.qacc)?;
-        // Dequantize + bias on the way from accumulator rows to NCHW.
-        out.reuse_as(&[n, self.out_channels, geom.out_h, geom.out_w]);
-        int8::dequantize_nchw_into(
-            x.scale(),
-            x.min(),
+        let bias = self.bias.value.data();
+        self.patches.forward_quant_nchw_into(
+            x,
+            &geom,
             rhs,
-            &self.qacc,
-            self.bias.value.data(),
-            p.pack,
-            geom.out_positions(),
-            out.data_mut(),
-        );
+            bias,
+            p.cols_u8,
+            &mut self.qacc,
+            out,
+        )?;
         Ok(())
     }
 
@@ -520,7 +519,7 @@ mod tests {
 
     #[test]
     fn forward_quant_is_the_explicit_composition_bit_for_bit() {
-        use nf_tensor::kernels::int8::{QuantizedLhs, QuantizedRhs};
+        use nf_tensor::kernels::int8::{self, QuantizedLhs, QuantizedRhs};
         use nf_tensor::{im2col_batch_u8_into, posrows_to_nchw, transpose2d};
         // The gathered layer against the lowering it replaced, spelled
         // out: u8 im2col → dense i32 GEMM → dequantize + bias → NCHW. The

@@ -11,8 +11,9 @@
 //! weight gradient (the same tables swapped) and, for stride 1, the input
 //! gradient (the same product over the padded output gradient with a
 //! flipped kernel panel) all run through it — and so does the int8 forward over a cached `u8`
-//! input ([`ConvGather::forward_quant_into`]: the same position table,
-//! one four-byte quad per kernel row). Products whose result is an
+//! input ([`ConvGather::forward_quant_nchw_into`]: the same position
+//! table, one four-byte quad per kernel row, each tile decoded to NCHW in
+//! registers). Products whose result is an
 //! activation (forward, input gradient) are written as NCHW by the GEMM
 //! itself ([`Dest::Nchw`]); no position-row copy of them exists. At stride
 //! 1, where an output row is a run of consecutive padded-input floats
@@ -49,6 +50,7 @@ use crate::error::TensorError;
 use crate::kernels::fan::fan;
 use crate::kernels::int8::{self, QuantizedLhs, QuantizedRhs};
 use crate::kernels::simd::{GatherRuns, Positions};
+use crate::kernels::simd_int8::QuadA;
 use crate::kernels::{host_cores, Dest, GatherA, GatherQuads, KernelBackend};
 use crate::quant::QuantTensor;
 use crate::tensor::Tensor;
@@ -577,7 +579,51 @@ impl ConvGather {
         padded: &mut Vec<u8>,
         acc: &mut Vec<i32>,
     ) -> Result<usize> {
+        let a = self.quant_operand("conv_forward_quant", x, geom, rhs, padded)?;
+        int8::gemm_i32_gather(&a, rhs, acc);
+        Ok(a.rows())
+    }
+
+    /// What the layer runs: [`ConvGather::forward_quant_into`]'s product
+    /// dequantized under `x`'s encoding, `bias` added, into `out` as the
+    /// `N × C_out × OH × OW` tensor ([`int8::gemm_i32_gather_nchw`]) — the
+    /// bits of [`int8::dequantize_into`] over the accumulators followed by
+    /// [`crate::posrows_to_nchw`], with no `M × N` accumulator buffer.
+    /// `padded` and `acc` (the row blocks the decoding tile cannot take)
+    /// are grow-only scratch.
+    #[allow(clippy::too_many_arguments)]
+    pub fn forward_quant_nchw_into(
+        &mut self,
+        x: &QuantTensor,
+        geom: &Conv2dGeometry,
+        rhs: &QuantizedRhs,
+        bias: &[f32],
+        padded: &mut Vec<u8>,
+        acc: &mut Vec<i32>,
+        out: &mut Tensor,
+    ) -> Result<()> {
         let op = "conv_forward_quant";
+        if bias.len() != rhs.n() {
+            return Err(TensorError::shape_mismatch(op, &[bias.len()], &[rhs.n()]));
+        }
+        let a = self.quant_operand(op, x, geom, rhs, padded)?;
+        let n = x.shape().first().copied().unwrap_or(0);
+        out.reuse_as(&[n, rhs.n(), geom.out_h, geom.out_w]);
+        let (scale, min, plane) = (x.scale(), x.min(), geom.out_positions());
+        int8::gemm_i32_gather_nchw(&a, rhs, scale, min, bias, plane, out.data_mut(), acc);
+        Ok(())
+    }
+
+    /// The gathered `u8` operand of `x`'s int8 product with `rhs`: checks
+    /// the shapes, builds the tables and pads `x` into `padded`.
+    fn quant_operand<'a>(
+        &'a mut self,
+        op: &'static str,
+        x: &QuantTensor,
+        geom: &Conv2dGeometry,
+        rhs: &QuantizedRhs,
+        padded: &'a mut Vec<u8>,
+    ) -> Result<GatherQuads<'a>> {
         let (rows, patch) = self.tables_for(op, x.shape(), geom, false)?;
         if rhs.k() != patch || rhs.run() != geom.k_w {
             return Err(TensorError::shape_mismatch(
@@ -589,9 +635,7 @@ impl ConvGather {
         let pad_byte = int8::zero_point(x.min(), x.scale());
         let slack = int8::round_up4(geom.k_w) - geom.k_w;
         pad_nchw_u8_into(x, geom.pad, pad_byte, slack, padded)?;
-        let a = GatherQuads::new(padded, &self.pos[..rows], &self.quads)?;
-        int8::gemm_i32_gather(&a, rhs, acc);
-        Ok(rows)
+        GatherQuads::new(padded, &self.pos[..rows], &self.quads)
     }
 }
 

@@ -11,9 +11,11 @@
 //!
 //! Also here: the affine u8 quantization primitives (`minmax_slice`,
 //! `quantize_u8_slice`, `dequantize_u8_slice`) the per-channel `Int8Affine`
-//! codec composes. Quantization maps `x ∈ [min, max]` onto `q ∈ 0..=255`
-//! with `x ≈ min + scale·q`, `scale = (max − min)/255`; the reconstruction
-//! error is at most `scale/2` per element.
+//! codec composes. The first two run at vector speed and keep their serial
+//! versions (`minmax_scalar`, `quantize_u8_scalar`) as the oracles they
+//! are tested against, bit for bit. Quantization maps `x ∈ [min, max]`
+//! onto `q ∈ 0..=255` with `x ≈ min + scale·q`, `scale = (max − min)/255`;
+//! the reconstruction error is at most `scale/2` per element.
 //!
 //! # Examples
 //!
@@ -27,6 +29,8 @@
 //! let round_tripped = f16_bits_to_f32(f32_to_f16_bits(x));
 //! assert!((round_tripped - x).abs() <= x * 2f32.powi(-11));
 //! ```
+
+use crate::kernels::simd_int8;
 
 /// Converts one `f32` to IEEE 754 binary16 bits, rounding to nearest even.
 ///
@@ -131,11 +135,55 @@ pub fn f16_decode_slice(src: &[u8], dst: &mut [f32]) {
     }
 }
 
-/// Minimum and maximum of a slice in one pass; `(0.0, 0.0)` for an empty
-/// slice. Non-finite inputs are the caller's responsibility (training
+/// Minimum and maximum of a slice; `(0.0, 0.0)` for an empty slice.
+/// Non-finite inputs are the caller's responsibility (training
 /// activations are finite by construction; NaN would poison the min/max
 /// like any other reduction).
+///
+/// The same bits as [`minmax_scalar`], the serial oracle, at vector
+/// speed: 16 independent chains making the oracle's own
+/// comparisons (a tie or a NaN keeps the running value), folded at the
+/// end. Values that compare equal have equal bits except `±0.0`, whose
+/// order the lanes lose, so a zero result is the slice's first zero, as
+/// the oracle keeps it. A leading NaN (which the oracle keeps as both
+/// bounds) and a result that is not finite are left to the oracle.
 pub fn minmax_slice(src: &[f32]) -> (f32, f32) {
+    if src.first().is_some_and(|x| x.is_nan()) {
+        return minmax_scalar(src);
+    }
+    let (blocks, tail) = src.as_chunks::<MINMAX_LANES>();
+    let mut lo = [f32::INFINITY; MINMAX_LANES];
+    let mut hi = [f32::NEG_INFINITY; MINMAX_LANES];
+    for block in blocks {
+        for ((l, h), &x) in lo.iter_mut().zip(&mut hi).zip(block) {
+            *l = if x < *l { x } else { *l };
+            *h = if x > *h { x } else { *h };
+        }
+    }
+    let min = |l: f32, &x: &f32| if x < l { x } else { l };
+    let max = |h: f32, &x: &f32| if x > h { x } else { h };
+    let mut l = lo.iter().chain(tail).fold(f32::INFINITY, min);
+    let mut h = hi.iter().chain(tail).fold(f32::NEG_INFINITY, max);
+    if !(l.is_finite() && h.is_finite()) {
+        return minmax_scalar(src);
+    }
+    let first_zero = || src.iter().copied().find(|&x| x == 0.0).unwrap_or(0.0);
+    if l == 0.0 {
+        l = first_zero();
+    }
+    if h == 0.0 {
+        h = first_zero();
+    }
+    (l, h)
+}
+
+/// Independent min/max chains of [`minmax_slice`]: one zmm register, or
+/// two ymm, of each.
+const MINMAX_LANES: usize = 16;
+
+/// [`minmax_slice`] as one serial chain: the oracle it is tested against,
+/// and what it falls back to on non-finite results.
+pub fn minmax_scalar(src: &[f32]) -> (f32, f32) {
     let mut it = src.iter();
     let first = match it.next() {
         Some(&x) => x,
@@ -151,12 +199,29 @@ pub fn minmax_slice(src: &[f32]) -> (f32, f32) {
 }
 
 /// Quantizes `src` onto `q ∈ 0..=255` with `x ≈ min + scale·q`, rounding
-/// to nearest. A `scale` of zero (constant slice) writes all zeros.
+/// to nearest, half away from zero. A `scale` of zero (constant slice)
+/// writes all zeros.
+///
+/// The same bytes as [`quantize_u8_scalar`], the oracle, on the vector
+/// loop of [`crate::kernels::simd_int8::quantize_u8`] where the host has
+/// one, and through the oracle otherwise.
 ///
 /// # Panics
 ///
 /// Panics if the slices' lengths differ (codec-internal invariant).
 pub fn quantize_u8_slice(src: &[f32], min: f32, scale: f32, dst: &mut [u8]) {
+    if scale == 0.0 || !simd_int8::quantize_u8(src, min, 1.0 / scale, dst) {
+        quantize_u8_scalar(src, min, scale, dst);
+    }
+}
+
+/// [`quantize_u8_slice`] one element at a time: the portable fallback and
+/// the oracle.
+///
+/// # Panics
+///
+/// Panics if the slices' lengths differ (codec-internal invariant).
+pub fn quantize_u8_scalar(src: &[f32], min: f32, scale: f32, dst: &mut [u8]) {
     assert_eq!(src.len(), dst.len(), "quantize slice length mismatch");
     if scale == 0.0 {
         dst.fill(0);
@@ -294,5 +359,68 @@ mod tests {
     fn minmax_handles_empty_and_negatives() {
         assert_eq!(minmax_slice(&[]), (0.0, 0.0));
         assert_eq!(minmax_slice(&[-3.0, 2.0, -7.5]), (-7.5, 2.0));
+    }
+
+    /// `len` values from `seed` that the vector kernels could get wrong:
+    /// both zeros, exact half-way points of the unit grid, the largest
+    /// float below one half, and ordinary values — or one value repeated.
+    fn awkward(len: usize, seed: u64) -> Vec<f32> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let constant = rng.gen_range(0..4) == 0;
+        let c = rng.gen_range(-3.0f32..3.0);
+        (0..len)
+            .map(|_| match rng.gen_range(0..6) {
+                _ if constant => c,
+                0 => 0.0,
+                1 => -0.0,
+                2 => rng.gen_range(-40..40) as f32 + 0.5,
+                3 => 0.499_999_97,
+                _ => rng.gen_range(-40.0f32..40.0),
+            })
+            .collect()
+    }
+
+    /// The vector kernels against their serial oracles, bit for bit.
+    fn check_against_oracles(src: &[f32]) {
+        let bits = |(l, h): (f32, f32)| (l.to_bits(), h.to_bits());
+        let (lo, hi) = minmax_scalar(src);
+        assert_eq!(bits(minmax_slice(src)), bits((lo, hi)), "{src:?}");
+        for (min, scale) in [(0.0, 1.0), (-2.0, 1.0), (lo, (hi - lo) / 255.0), (lo, 0.0)] {
+            let mut want = vec![0xAB; src.len()];
+            quantize_u8_scalar(src, min, scale, &mut want);
+            let mut got = vec![0xCD; src.len()];
+            quantize_u8_slice(src, min, scale, &mut got);
+            assert_eq!(got, want, "min {min} scale {scale} {src:?}");
+            // The vector loop itself, where the host has it.
+            if scale != 0.0 && simd_int8::quantize_u8(src, min, 1.0 / scale, &mut got) {
+                assert_eq!(got, want, "min {min} scale {scale} {src:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn vector_kernels_are_their_oracles_at_every_length() {
+        println!("int8 codec kernel: {}", simd_int8::quantize_kernel_name());
+        for len in 0..=200 {
+            for seed in 0..4 {
+                check_against_oracles(&awkward(len, seed * 1000 + len as u64));
+            }
+        }
+        // The ties the rounding must break away from zero, and the one
+        // float below a half that adding 0.5 would round up.
+        check_against_oracles(&[0.5, 1.5, 2.5, 254.5, 0.499_999_97, 255.0, 300.0, -1.0]);
+        check_against_oracles(&[-0.0, 0.0, 1.0, -0.0]);
+        check_against_oracles(&[0.0; 37]);
+        check_against_oracles(&[-0.0; 37]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_vector_kernels_are_their_oracles(len in 0usize..201, seed in 0u64..1 << 40) {
+            check_against_oracles(&awkward(len, seed));
+        }
     }
 }

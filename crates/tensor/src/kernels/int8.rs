@@ -17,8 +17,11 @@
 //!
 //! so dequantization is one fused scale/offset pass over the `i32`
 //! accumulators ([`dequantize_into`]), with the optional layer bias folded
-//! in. Accumulation cannot overflow: `|q_a · q_w| ≤ 255 · 63`, so even
-//! `K = 100 000` stays 5 orders of magnitude below `i32::MAX`.
+//! in. A convolution's accumulators never reach memory: each tile is
+//! dequantized in registers on its way to the NCHW output
+//! ([`gemm_i32_gather_nchw`]). Accumulation cannot overflow:
+//! `|q_a · q_w| ≤ 255 · 63`, so even `K = 100 000` stays 5 orders of
+//! magnitude below `i32::MAX`.
 //!
 //! Data layout: the RHS is packed **k-quad interleaved** —
 //! `packed[(q·n + j)·4 + r]` is the weight of the `r`-th `K` value of quad
@@ -48,9 +51,8 @@
 //! same logical product bit for bit (integer addition is exact and
 //! order-free).
 
-use super::fan::fan;
-use super::nchw;
-use super::simd_int8::{self, DenseQuads, GatherQuads, QuadA};
+use super::fan::{fan, fan_with};
+use super::simd_int8::{self, DenseQuads, GatherQuads, QuadA, ROWS};
 use crate::convert;
 
 /// Symmetric weight clamp: `q_w ∈ [-63, 63]`.
@@ -299,16 +301,20 @@ fn gemm_quads<A: QuadA>(workers: usize, a: &A, rhs: &QuantizedRhs, out: &mut Vec
         out.fill(0);
         return;
     }
-    let bp = &rhs.packed[..];
-    let rows_per_block = simd_int8::ROWS;
-    let blocks = out.chunks_mut(rows_per_block * n).enumerate();
+    let blocks = out.chunks_mut(ROWS * n).enumerate();
     fan(workers, blocks, |(idx, opanel)| {
-        let i0 = idx * rows_per_block;
-        let rows = opanel.len() / n;
-        if !(rows == rows_per_block && simd_int8::panel_u8i8(a, bp, n, i0, opanel)) {
-            scalar_rows(a, bp, n, i0, rows, opanel);
-        }
+        row_block(a, &rhs.packed, n, idx * ROWS, opanel)
     });
+}
+
+/// Rows `i0..` of the product, as many as `opanel` holds (at most
+/// [`ROWS`]): on the maddubs panel when it is a whole block and the host
+/// has AVX2, on the scalar quad kernel otherwise.
+fn row_block<A: QuadA>(a: &A, bp: &[i8], n: usize, i0: usize, opanel: &mut [i32]) {
+    let rows = opanel.len() / n;
+    if !(rows == ROWS && simd_int8::panel_u8i8(a, bp, n, i0, opanel)) {
+        scalar_rows(a, bp, n, i0, rows, opanel);
+    }
 }
 
 /// Scalar quad kernel over rows `i0..i0+rows` — the portable path and the
@@ -400,50 +406,114 @@ fn dequantized(scale_a: f32, q: i32, s: f32, c: f32) -> f32 {
     s * (scale_a * q as f32 + c)
 }
 
-/// [`dequantize_into`] for a convolution: the rows of `acc` are `(sample,
-/// position)` pairs, `plane` positions to a sample, and `out` receives the
-/// same values, bias added, as the NCHW tensor of those samples — through
-/// the emitter the f32 product uses ([`super::Dest::Nchw`]), so the layer
-/// writes its output once instead of dequantizing into position rows and
-/// transposing those.
+/// The int8 forward of a convolution, written as the NCHW tensor the next
+/// layer reads: [`gemm_i32_gather`] whose accumulators never leave the
+/// registers undecoded. Element `(sample, position) × j` of the product
+/// lands at `out[(sample·N + j)·plane + position]` as
+/// `s_j · (scale_a · acc + min_a · col_sums[j]) + bias[j]` — the bits of
+/// [`dequantize_into`] followed by a transposing pass, without the `M×N`
+/// accumulator buffer or either pass: each tile is decoded and stored as
+/// four-position runs of its columns (`simd_int8::panel_nchw`). A row
+/// block the tile cannot take (no AVX2, the last `M % 4` rows, four rows
+/// across a sample boundary) goes through `acc`, grow-only scratch of one
+/// block per thread, and is decoded element by element. Whole samples
+/// fan out over threads under the rule of [`gemm_i32_gather`].
 ///
 /// # Panics
 ///
-/// Panics if `acc` is not whole samples of `plane` rows × `rhs.n()`
-/// columns, or `out` or `bias` do not match it.
+/// Panics if `a` does not supply `rhs.k4() / 4` quads per row, `out` is
+/// not `a.rows() × rhs.n()` long, `bias` is not `rhs.n()` long, or the
+/// rows are not whole samples of `plane`.
 #[allow(clippy::too_many_arguments)]
-pub fn dequantize_nchw_into(
+pub fn gemm_i32_gather_nchw(
+    a: &GatherQuads<'_>,
+    rhs: &QuantizedRhs,
     scale_a: f32,
     min_a: f32,
-    rhs: &QuantizedRhs,
-    acc: &[i32],
     bias: &[f32],
-    corr: &mut Vec<f32>,
     plane: usize,
     out: &mut [f32],
+    acc: &mut Vec<i32>,
 ) {
-    let n = rhs.n;
-    assert_eq!(out.len(), acc.len(), "dequantize output length mismatch");
+    let (m, n) = (a.rows(), rhs.n);
+    assert_eq!(a.quads() * 4, rhs.k4, "int8 gather K mismatch");
+    assert_eq!(out.len(), m * n, "int8 NCHW output is not m×n");
     assert_eq!(bias.len(), n, "dequantize bias length mismatch");
     assert!(
-        plane > 0 && acc.len().is_multiple_of(n * plane),
-        "dequantize accumulators are not whole samples"
+        plane > 0 && m.is_multiple_of(plane),
+        "{m} rows are not whole samples of {plane}"
     );
-    column_corrections(min_a, rhs, corr);
-    let (scales, corr) = (&rhs.scales[..], &corr[..]);
-    nchw::emit(
-        acc,
-        n,
-        acc.len() / n.max(1),
-        0,
-        plane,
+    if m == 0 || n == 0 {
+        return;
+    }
+    let workers = super::fans_out(m, rhs.k, n).min(m / plane);
+    nchw_fan(workers, a, rhs, (scale_a, min_a, bias), plane, out, acc);
+}
+
+/// The affine decode of a product's accumulators: the LHS's `scale_a` and
+/// `min_a`, and the bias.
+type Decode<'a> = (f32, f32, &'a [f32]);
+
+/// [`nchw_run`] over runs of whole samples, one per worker, side by side,
+/// each worker with its own block of `acc`. A run's rows are the same
+/// integer sums wherever it starts, so `workers` never changes bits.
+fn nchw_fan(
+    workers: usize,
+    a: &GatherQuads<'_>,
+    rhs: &QuantizedRhs,
+    decode: Decode<'_>,
+    plane: usize,
+    out: &mut [f32],
+    acc: &mut Vec<i32>,
+) {
+    let (samples, n) = (out.len() / (rhs.n * plane), rhs.n);
+    let rows = samples.div_ceil(workers.max(1)) * plane;
+    acc.resize(workers.max(1) * ROWS * n, 0);
+    let runs = out.chunks_mut(rows * n).enumerate();
+    fan_with(workers, acc.chunks_mut(ROWS * n), runs, |acc, (r, out)| {
+        nchw_run(a, rhs, decode, plane, r * rows, out, acc);
+    });
+}
+
+/// Rows `row0..` of the product for the whole samples whose NCHW storage
+/// is `out`, a row block at a time: on the decoding tile where it can,
+/// through `acc` and [`dequantized`] otherwise.
+fn nchw_run(
+    a: &GatherQuads<'_>,
+    rhs: &QuantizedRhs,
+    (scale_a, min_a, bias): Decode<'_>,
+    plane: usize,
+    row0: usize,
+    out: &mut [f32],
+    acc: &mut [i32],
+) {
+    let n = rhs.n;
+    let rows = out.len() / n;
+    let mut dest = simd_int8::NchwOut {
         out,
-        |j0| {
-            let at = |xs| nchw::block_of(xs, j0);
-            (at(scales), at(corr), at(bias))
-        },
-        |(s, c, b), q| std::array::from_fn(|l| dequantized(scale_a, q[l], s[l], c[l]) + b[l]),
-    );
+        plane,
+        scale_a,
+        min_a,
+        scales: &rhs.scales,
+        col_sums: &rhs.col_sums,
+        bias,
+    };
+    for at in (0..rows).step_by(ROWS) {
+        let live = ROWS.min(rows - at);
+        if live == ROWS && simd_int8::panel_nchw(a, &rhs.packed, row0 + at, at, &mut dest) {
+            continue;
+        }
+        let acc = &mut acc[..live * n];
+        row_block(a, &rhs.packed, n, row0 + at, acc);
+        for (r, arow) in acc.chunks_exact(n).enumerate() {
+            let (sample, p) = ((at + r) / plane, (at + r) % plane);
+            for (j, &q) in arow.iter().enumerate() {
+                let c = min_a * rhs.col_sums[j] as f32;
+                let y = dequantized(scale_a, q, rhs.scales[j], c) + bias[j];
+                dest.out[(sample * n + j) * plane + p] = y;
+            }
+        }
+    }
 }
 
 /// Name of the int8 micro-kernel in effect on this host, for benchmark
@@ -509,6 +579,59 @@ mod tests {
         for workers in [1, 2, 3, 5] {
             let mut got = vec![i32::MIN; m * n];
             gemm_quads(workers, &a, &rhs, &mut got);
+            assert_eq!(got, want, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn nchw_runs_agree_at_every_worker_count() {
+        // The decoding product driven directly at 1, 2, 3 and 5 workers
+        // over a poisoned output: 5 samples of 13 positions (row blocks
+        // inside a sample on the tile, those across a sample boundary and
+        // the 1-row tail through the accumulators), 131 columns (full
+        // tiles and a masked one), `K` off the quad grid — against
+        // `dequantize_into` over the plain product, transposed by hand.
+        let (samples, plane, k, n) = (5usize, 13usize, 37usize, 131usize);
+        let m = samples * plane;
+        let mut lhs = QuantizedLhs::default();
+        lhs.quantize_from_f32(&mat(m, k, -3.0, 5.0, 8), m, k);
+        let mut rhs = QuantizedRhs::default();
+        rhs.pack_from_f32(&mat(k, n, -1.0, 1.0, 9), k, n);
+        let bias = mat(1, n, -0.5, 0.5, 10);
+        let mut acc = Vec::new();
+        gemm_i32(&lhs, &rhs, &mut acc);
+        let mut rows = vec![0.0; m * n];
+        let (sa, min_a) = (lhs.scale, lhs.min);
+        dequantize_into(
+            sa,
+            min_a,
+            &rhs,
+            &acc,
+            Some(&bias),
+            &mut Vec::new(),
+            &mut rows,
+        );
+        let mut want = vec![0u32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                want[((i / plane) * n + j) * plane + i % plane] = rows[i * n + j].to_bits();
+            }
+        }
+        let row_off: Vec<u32> = (0..m as u32).map(|i| i * lhs.k4 as u32).collect();
+        let quad_off: Vec<u32> = (0..lhs.k4 as u32).step_by(4).collect();
+        let a = GatherQuads::new(&lhs.data, &row_off, &quad_off).unwrap();
+        for workers in [1, 2, 3, 5] {
+            let (mut got, mut scratch) = (vec![f32::NAN; m * n], vec![-1; 3]);
+            nchw_fan(
+                workers,
+                &a,
+                &rhs,
+                (sa, min_a, &bias),
+                plane,
+                &mut got,
+                &mut scratch,
+            );
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want, "{workers} workers");
         }
     }

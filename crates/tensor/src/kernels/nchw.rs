@@ -4,14 +4,14 @@
 //! A conv product has one row per `(sample, position)` and one column per
 //! output channel; NCHW wants `out[(sample·N + j)·plane + p]`. [`emit`]
 //! moves a band of such rows there [`BLOCK`]×[`BLOCK`] elements at a time:
-//! eight row segments are loaded, run through a per-column map (bias add,
-//! int8 dequantize) while columns are still lanes, transposed as
+//! eight row segments are loaded, run through a per-column map (the bias
+//! add) while columns are still lanes, transposed as
 //! fixed-size arrays — which the compiler keeps in vector registers, as
 //! `nf_nn`'s `lanes` module relies on for its reductions — and stored as
 //! eight position runs, one per channel.
 //! The blocked GEMM calls it on a few row panels at a time while they are
-//! still cache-hot ([`super::Dest::Nchw`]); the int8 forward calls it over
-//! its `i32` accumulators.
+//! still cache-hot ([`super::Dest::Nchw`]). (The int8 forward stores its
+//! NCHW runs from the register tile instead, `simd_int8::panel_nchw`.)
 //!
 //! Column counts that are not a multiple of [`BLOCK`] load the full block
 //! anyway — the spare lanes hold the next row's first elements — and store
@@ -29,11 +29,11 @@ pub(crate) fn block_of(xs: &[f32], j0: usize) -> [f32; BLOCK] {
     std::array::from_fn(|c| xs.get(j0 + c).copied().unwrap_or(0.0))
 }
 
-/// The `BLOCK` elements of `src` from `at`, `T::default()` past the end
-/// (only the last rows of `src` can reach it, and only in lanes that are
-/// never stored).
-fn load_clipped<T: Copy + Default>(src: &[T], at: usize) -> [T; BLOCK] {
-    let mut v = [T::default(); BLOCK];
+/// The `BLOCK` elements of `src` from `at`, zero past the end (only the
+/// last rows of `src` can reach it, and only in lanes that are never
+/// stored).
+fn load_clipped(src: &[f32], at: usize) -> [f32; BLOCK] {
+    let mut v = [0.0; BLOCK];
     let tail = &src[at..src.len().min(at + BLOCK)];
     v[..tail.len()].copy_from_slice(tail);
     v
@@ -58,15 +58,15 @@ fn load_clipped<T: Copy + Default>(src: &[T], at: usize) -> [T; BLOCK] {
 /// Panics if `src` is shorter than the rows or the band reaches outside
 /// `out`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn emit<T: Copy + Default, C>(
-    src: &[T],
+pub(crate) fn emit<C>(
+    src: &[f32],
     n: usize,
     rows: usize,
     row0: usize,
     plane: usize,
     out: &mut [f32],
     cols: impl Fn(usize) -> C,
-    map: impl Fn(&C, [T; BLOCK]) -> [f32; BLOCK],
+    map: impl Fn(&C, [f32; BLOCK]) -> [f32; BLOCK],
 ) {
     if n == 0 {
         return;

@@ -1,5 +1,6 @@
 //! Explicit-SIMD int8 GEMM inner loop: `u8 × i8 → i32` maddubs tiles on
-//! x86_64.
+//! x86_64, and the int8 cache codec's quantize loop ([`quantize_u8`]),
+//! whose unchecked cast is what lets it vectorize.
 //!
 //! The quantized GEMM in [`super::int8`] accumulates `u8` activations
 //! against `i8` weights into `i32`. On AVX2 hosts the inner loop maps
@@ -27,11 +28,13 @@
 //!
 //! Together with [`super::simd`] this is one of the **two** modules in
 //! `nf-tensor` allowed to use `unsafe` (crate-level `deny(unsafe_code)`
-//! with a reasoned module-level `expect`): the intrinsic function below
-//! is gated by [`available`], and its unchecked reads rest on an
+//! with a reasoned module-level `expect`): the intrinsic functions below
+//! are gated by [`available`], the quantize loop's cast rests on its
+//! clamp, and the tile's unchecked reads rest on an
 //! invariant held by private fields of this module's types — every
 //! four-byte window `row(i) + quad(q) .. + 4` of a `QuadA` is inside its
-//! data slice — plus the per-panel range asserts in `panel_u8i8`.
+//! data slice — plus the per-panel range asserts in `panel_u8i8` and
+//! `panel_nchw`.
 //!
 //! `maddubs` *saturates* its intermediate `i16` pair sums, which would
 //! silently diverge from the scalar path for large operands. The packer
@@ -91,6 +94,68 @@ pub fn kernel_name() -> &'static str {
         "u8i8-maddubs"
     } else {
         "scalar-quad"
+    }
+}
+
+/// Name of the codec kernel [`quantize_u8`] dispatches to, for benchmark
+/// artifacts and CI logs.
+pub fn quantize_kernel_name() -> &'static str {
+    if available() {
+        "u8-quantize-avx2"
+    } else {
+        "u8-quantize-scalar"
+    }
+}
+
+/// Quantizes `src` into `dst` as `convert::quantize_u8_scalar` does with
+/// `scale = 1 / inv`, byte for byte, on a loop the compiler vectorizes:
+/// the value is clamped to `0..=255` first (a NaN becomes 0, as the
+/// oracle's saturating cast makes it; both bounds are integers, so
+/// rounding commutes with the clamp), rounded half to even and raised
+/// where it lay exactly half-way below that (half away from zero, which
+/// is the oracle's `round` for values ≥ 0), and cast without the checks
+/// that keep `as u8` scalar. Returns `false`, with `dst` untouched, when
+/// the host lacks AVX2 and the caller must take the scalar path.
+///
+/// # Panics
+///
+/// Panics if the slices' lengths differ.
+pub fn quantize_u8(src: &[f32], min: f32, inv: f32, dst: &mut [u8]) -> bool {
+    if !available() {
+        return false;
+    }
+    assert_eq!(src.len(), dst.len(), "quantize slice length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `available()` verified AVX2, the only requirement.
+    unsafe {
+        quantize_avx2(src, min, inv, dst)
+    };
+    true
+}
+
+/// The loop of [`quantize_u8`], compiled for AVX2.
+///
+/// # Safety
+///
+/// The host must have AVX2 ([`available`]).
+// SAFETY: `unsafe fn` because of `#[target_feature]`; `quantize_u8`, the
+// only caller, checks `available()` first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_avx2(src: &[f32], min: f32, inv: f32, dst: &mut [u8]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        #[expect(
+            clippy::manual_clamp,
+            reason = "`clamp` keeps a NaN, which the unchecked cast below must never see; \
+                      `max` turns it into 0"
+        )]
+        let v = ((s - min) * inv).max(0.0).min(255.0);
+        let even = v.round_ties_even();
+        // Exact: `even` and `v` are within 0.5 of each other.
+        let r = if even - v == -0.5 { even + 1.0 } else { even };
+        // SAFETY: `r` is an integer in 0..=255 (`v` is, after the clamp,
+        // and a raised tie stays ≤ 255), so it is finite and fits `u8`.
+        *d = unsafe { r.to_int_unchecked::<u8>() };
     }
 }
 
@@ -283,48 +348,132 @@ pub(crate) fn panel_u8i8<A: QuadA>(
     true
 }
 
-/// One `ROWS × cols` accumulator tile over the whole `K` extent, `NV`
-/// `i32x8` vectors per row. `FULL` (`cols == NV · 8`) compiles it without
-/// lane masks; otherwise vector `v` covers only the columns
-/// `< cols − 8·v`, and `maskload`/`maskstore` neither touch nor fault on
-/// the bytes of a masked-out column — the last `B` row and the last
-/// output row end where the slices do.
+/// Where [`panel_nchw`] stores a product's rows: row `i` (of the rows
+/// `out` holds, whole samples of `plane` positions), column `j` becomes
+/// `scales[j] · (scale_a · acc + min_a · col_sums[j]) + bias[j]` at
+/// `out[(i / plane · N + j) · plane + i % plane]`, `N = scales.len()` —
+/// the affine decode of an int8 product with its layer's bias, written
+/// as NCHW (`int8::gemm_i32_gather_nchw`).
+pub(crate) struct NchwOut<'a> {
+    /// The NCHW storage of the samples.
+    pub(crate) out: &'a mut [f32],
+    /// Positions per sample.
+    pub(crate) plane: usize,
+    /// The LHS encoding's step and origin.
+    pub(crate) scale_a: f32,
+    pub(crate) min_a: f32,
+    /// Per output column: the weight scale, the sum of its codes and the
+    /// bias.
+    pub(crate) scales: &'a [f32],
+    pub(crate) col_sums: &'a [i32],
+    pub(crate) bias: &'a [f32],
+}
+
+/// [`panel_u8i8`] over rows `i0..i0 + ROWS` of `a`, stored through `dest`
+/// as its rows `at..at + ROWS` instead of as accumulators: every tile is
+/// dequantized in registers, in the order of operations the scalar
+/// decode uses, transposed, and written as one four-position run per
+/// output column. Returns `false`, with `dest` untouched, when AVX2 is
+/// unavailable or the rows cross a sample boundary; the caller then takes
+/// the accumulator path.
+///
+/// # Panics
+///
+/// Panics if the panel reaches outside `a`, `bp` or `dest.out`, or the
+/// per-column slices are not `N` long.
+pub(crate) fn panel_nchw<A: QuadA>(
+    a: &A,
+    bp: &[i8],
+    i0: usize,
+    at: usize,
+    dest: &mut NchwOut<'_>,
+) -> bool {
+    let (n, plane) = (dest.scales.len(), dest.plane);
+    if !available() || plane == 0 || at % plane + ROWS > plane {
+        return false;
+    }
+    assert!(i0 + ROWS <= a.rows());
+    assert!(bp.len() == a.quads() * 4 * n);
+    assert!(dest.col_sums.len() == n && dest.bias.len() == n);
+    assert!((at / plane + 1) * n * plane <= dest.out.len());
+    #[cfg(target_arch = "x86_64")]
+    {
+        let rb: [usize; ROWS] = std::array::from_fn(|r| a.row(i0 + r));
+        let mut j = 0;
+        while j < n {
+            let cols = COLS.min(n - j);
+            // SAFETY: `available()` verified AVX2. The asserts above proved
+            // `bp` holds `a.quads()` quad rows of `n` columns, the column
+            // slices `n` values and `j + cols ≤ n`; `rb` holds offsets of
+            // rows `< a.rows()`, so every `A` read is one the `QuadA`
+            // contract puts inside `a.data()`; the stores go through
+            // checked slices of `dest.out`. `cols` is `NV · 8` for the
+            // unmasked instantiations and within `1..NV · 8` otherwise.
+            unsafe {
+                match cols {
+                    COLS => nchw_tile::<A, 2, true>(a, rb, bp, n, j, cols, at, dest),
+                    LANES => nchw_tile::<A, 1, true>(a, rb, bp, n, j, cols, at, dest),
+                    c if c > LANES => nchw_tile::<A, 2, false>(a, rb, bp, n, j, cols, at, dest),
+                    _ => nchw_tile::<A, 1, false>(a, rb, bp, n, j, cols, at, dest),
+                }
+            };
+            j += cols;
+        }
+    }
+    true
+}
+
+/// Lane `l` of vector `v` is live iff `8·v + l < cols` (all-ones = sign
+/// bit set = selected).
+///
+/// # Safety
+///
+/// The host must have AVX2.
+// SAFETY: `unsafe fn` because of `#[target_feature]`; its callers are
+// AVX2 `unsafe fn`s themselves.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn lane_masks<const NV: usize>(cols: usize) -> [std::arch::x86_64::__m256i; NV] {
+    use std::arch::x86_64::*;
+    let lane_idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    std::array::from_fn(|v| {
+        let live = cols.saturating_sub(v * LANES) as i32;
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(live), lane_idx)
+    })
+}
+
+/// The `ROWS × cols` accumulators of one tile over the whole `K` extent,
+/// `NV` `i32x8` vectors per row. `FULL` (`cols == NV · 8`) compiles it
+/// without lane masks; otherwise vector `v` covers only the columns
+/// `< cols − 8·v`, and `maskload` neither touches nor faults on the bytes
+/// of a masked-out column — the last `B` row ends where the slice does;
+/// masked-out accumulators are zero.
 ///
 /// # Safety
 ///
 /// The host must have AVX2 ([`available`]); `rb` must hold row offsets of
 /// `a` (so that, by the [`QuadA`] contract, `rb[r] + off .. + 4` is inside
 /// `a.data()` for every `off` of `a.quad_offsets()`); `bp` must hold
-/// `a.quads() · 4 · n` weights and `opanel` `ROWS · n` accumulators;
-/// `j + cols ≤ n`, `1 ≤ cols ≤ NV · 8` and `FULL == (cols == NV · 8)`.
+/// `a.quads() · 4 · n` weights; `j + cols ≤ n`, `1 ≤ cols ≤ NV · 8`,
+/// `FULL == (cols == NV · 8)` and `masks` the [`lane_masks`] of `cols`.
 // SAFETY: `unsafe fn` because of `#[target_feature]` and the unchecked
 // pointer accesses; the contract is the `# Safety` section above, which
-// `panel_u8i8` (the only caller) establishes with real asserts.
+// the two tile functions establish from their own contracts.
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
+#[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn tile_u8i8<A: QuadA, const NV: usize, const FULL: bool>(
+unsafe fn accumulate<A: QuadA, const NV: usize, const FULL: bool>(
     a: &A,
     rb: [usize; ROWS],
     bp: &[i8],
     n: usize,
     j: usize,
-    cols: usize,
-    opanel: &mut [i32],
-) {
+    masks: &[std::arch::x86_64::__m256i; NV],
+) -> [[std::arch::x86_64::__m256i; NV]; ROWS] {
     use std::arch::x86_64::*;
     debug_assert_eq!(bp.len(), a.quads() * 4 * n);
-    debug_assert!(j + cols <= n && cols <= NV * LANES && FULL == (cols == NV * LANES));
-    debug_assert!((ROWS - 1) * n + j + cols <= opanel.len());
     let ones = _mm256_set1_epi16(1);
-    // Lane l of vector v is live iff 8·v + l < cols (all-ones = sign bit
-    // set = selected); unused when `FULL`.
-    let lane_idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    let mut masks = [_mm256_setzero_si256(); NV];
-    for (v, mask) in masks.iter_mut().enumerate() {
-        let live = cols.saturating_sub(v * LANES) as i32;
-        *mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(live), lane_idx);
-    }
     let mut acc = [[_mm256_setzero_si256(); NV]; ROWS];
     let ap = a.data().as_ptr();
     // One base pointer per panel row (each `rb[r]` alone is in bounds), so
@@ -334,7 +483,7 @@ unsafe fn tile_u8i8<A: QuadA, const NV: usize, const FULL: bool>(
     for off in a.quad_offsets() {
         // 32 bytes per vector = 8 columns × 4 interleaved k values each.
         let mut b = [_mm256_setzero_si256(); NV];
-        for (v, (bv, &mask)) in b.iter_mut().zip(&masks).enumerate() {
+        for (v, (bv, &mask)) in b.iter_mut().zip(masks).enumerate() {
             // Wrapping: a fully masked-out vector may start past the row.
             let src = bsrc.wrapping_add(v * LANES * 4);
             *bv = if FULL {
@@ -359,6 +508,36 @@ unsafe fn tile_u8i8<A: QuadA, const NV: usize, const FULL: bool>(
         // where it is never dereferenced.
         bsrc = bsrc.wrapping_add(n * 4);
     }
+    acc
+}
+
+/// One `ROWS × cols` accumulator tile ([`accumulate`]) stored into
+/// `opanel` at column `j`: `maskstore` neither touches nor faults on a
+/// masked-out column, so the last output row ends where the slice does.
+///
+/// # Safety
+///
+/// As [`accumulate`], and `opanel` must hold `ROWS · n` accumulators.
+// SAFETY: `unsafe fn` because of `#[target_feature]` and the unchecked
+// pointer accesses; the contract is the `# Safety` section above, which
+// `panel_u8i8` (the only caller) establishes with real asserts.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2")]
+unsafe fn tile_u8i8<A: QuadA, const NV: usize, const FULL: bool>(
+    a: &A,
+    rb: [usize; ROWS],
+    bp: &[i8],
+    n: usize,
+    j: usize,
+    cols: usize,
+    opanel: &mut [i32],
+) {
+    use std::arch::x86_64::*;
+    debug_assert!(j + cols <= n && cols <= NV * LANES && FULL == (cols == NV * LANES));
+    debug_assert!((ROWS - 1) * n + j + cols <= opanel.len());
+    let masks = lane_masks::<NV>(cols);
+    let acc = accumulate::<A, NV, FULL>(a, rb, bp, n, j, &masks);
     let op = opanel.as_mut_ptr();
     for (r, accr) in acc.iter().enumerate() {
         for (v, (&sum, &mask)) in accr.iter().zip(&masks).enumerate() {
@@ -368,6 +547,84 @@ unsafe fn tile_u8i8<A: QuadA, const NV: usize, const FULL: bool>(
             } else {
                 _mm256_maskstore_epi32(dst, mask, sum);
             }
+        }
+    }
+}
+
+/// One tile ([`accumulate`]) decoded and stored through `dest` as its
+/// rows `at..at + ROWS`, which lie in one sample: per vector of columns,
+/// the per-column constants are loaded (masked past `cols`), every row is
+/// decoded as `s · (scale_a · acc + c) + b` with `c = min_a · col_sum`,
+/// one rounding per operation as the scalar decode has them, and the
+/// `4 × 8` block is transposed so each live column gets its four
+/// positions with one 16-byte store.
+///
+/// # Safety
+///
+/// As [`accumulate`], and `dest`'s column slices must hold `n` values.
+// SAFETY: `unsafe fn` because of `#[target_feature]` and the unchecked
+// pointer accesses; the contract is the `# Safety` section above, which
+// `panel_nchw` (the only caller) establishes with real asserts. The
+// stores are to checked slices.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2")]
+unsafe fn nchw_tile<A: QuadA, const NV: usize, const FULL: bool>(
+    a: &A,
+    rb: [usize; ROWS],
+    bp: &[i8],
+    n: usize,
+    j: usize,
+    cols: usize,
+    at: usize,
+    dest: &mut NchwOut<'_>,
+) {
+    use std::arch::x86_64::*;
+    debug_assert!(j + cols <= n && cols <= NV * LANES && FULL == (cols == NV * LANES));
+    let masks = lane_masks::<NV>(cols);
+    let acc = accumulate::<A, NV, FULL>(a, rb, bp, n, j, &masks);
+    let (sample, p) = (at / dest.plane, at % dest.plane);
+    let (scale_a, min_a) = (_mm256_set1_ps(dest.scale_a), _mm256_set1_ps(dest.min_a));
+    for (v, &mask) in masks.iter().enumerate() {
+        let c0 = j + v * LANES;
+        let load = |xs: *const f32| match FULL {
+            true => _mm256_loadu_ps(xs),
+            false => _mm256_maskload_ps(xs, mask),
+        };
+        let sums = dest.col_sums.as_ptr().wrapping_add(c0);
+        let sums = match FULL {
+            true => _mm256_loadu_si256(sums as *const __m256i),
+            false => _mm256_maskload_epi32(sums, mask),
+        };
+        let s = load(dest.scales.as_ptr().wrapping_add(c0));
+        let b = load(dest.bias.as_ptr().wrapping_add(c0));
+        let c = _mm256_mul_ps(min_a, _mm256_cvtepi32_ps(sums));
+        let y: [__m256; ROWS] = std::array::from_fn(|r| {
+            let q = _mm256_cvtepi32_ps(acc[r][v]);
+            let inner = _mm256_add_ps(_mm256_mul_ps(scale_a, q), c);
+            _mm256_add_ps(_mm256_mul_ps(s, inner), b)
+        });
+        // 4 rows × 8 columns → 8 columns × 4 rows: column k in the low
+        // (k < 4) or high (k ≥ 4) half of `t[k % 4]`.
+        let lo01 = _mm256_unpacklo_ps(y[0], y[1]);
+        let hi01 = _mm256_unpackhi_ps(y[0], y[1]);
+        let lo23 = _mm256_unpacklo_ps(y[2], y[3]);
+        let hi23 = _mm256_unpackhi_ps(y[2], y[3]);
+        let t = [
+            _mm256_shuffle_ps::<0x44>(lo01, lo23),
+            _mm256_shuffle_ps::<0xEE>(lo01, lo23),
+            _mm256_shuffle_ps::<0x44>(hi01, hi23),
+            _mm256_shuffle_ps::<0xEE>(hi01, hi23),
+        ];
+        let live = LANES.min(cols - v * LANES);
+        for k in 0..live {
+            let run = match k < 4 {
+                true => _mm256_castps256_ps128(t[k]),
+                false => _mm256_extractf128_ps::<1>(t[k - 4]),
+            };
+            let start = ((sample * n) + c0 + k) * dest.plane + p;
+            let dst = &mut dest.out[start..start + ROWS];
+            _mm_storeu_ps(dst.as_mut_ptr(), run);
         }
     }
 }
@@ -385,6 +642,7 @@ mod tests {
         }
         // CI runs this test with --nocapture (see simd.rs).
         println!("int8 kernel: {}", kernel_name());
+        println!("int8 codec kernel: {}", quantize_kernel_name());
     }
 
     #[test]

@@ -13,7 +13,8 @@
 use nf_tensor::kernels::int8::{self, QuantizedLhs, QuantizedRhs};
 use nf_tensor::kernels::GatherQuads;
 use nf_tensor::{
-    im2col_batch_u8_into, pad_nchw_u8_into, Conv2dGeometry, ConvGather, QuantTensor, TensorError,
+    im2col_batch_u8_into, pad_nchw_u8_into, posrows_to_nchw, Conv2dGeometry, ConvGather,
+    QuantTensor, Tensor, TensorError,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -50,15 +51,19 @@ fn explicit(x: &QuantTensor, geom: &Conv2dGeometry, wt: &[f32], c_out: usize) ->
     acc
 }
 
-/// One conv problem checked through a (possibly warm) table cache.
+/// One conv problem checked through a (possibly warm) table cache: the
+/// accumulators against the explicit lowering's, and the dequantized NCHW
+/// output against `dequantize_into` over them and the transposing pass.
 fn check(lowering: &mut ConvGather, n: usize, c: usize, c_out: usize, geom: &Conv2dGeometry) {
     let seed = (n * 7 + c * 5 + c_out * 3 + geom.in_h + geom.in_w) as u64;
     let k = c * geom.k_h * geom.k_w;
     let wt = panel(k, c_out, seed + 1);
+    let bias = panel(1, c_out, seed + 2);
     let mut rhs = QuantizedRhs::default();
     rhs.pack_runs_from_f32(&wt, k, c_out, geom.k_w);
     // Stale scratch from a larger problem must not leak into a smaller one.
-    let (mut padded, mut acc) = (vec![0xAB; 7], vec![-1; 5]);
+    let (mut padded, mut acc, mut group) = (vec![0xAB; 7], vec![-1; 5], vec![-1; 3]);
+    let mut nchw = Tensor::from_vec(vec![1, 2], vec![f32::NAN; 2]).unwrap();
     for (e, &encoding) in ENCODINGS.iter().enumerate() {
         let x = quant_input(&[n, c, geom.in_h, geom.in_w], encoding, seed + e as u64);
         let rows = lowering
@@ -69,6 +74,28 @@ fn check(lowering: &mut ConvGather, n: usize, c: usize, c_out: usize, geom: &Con
             acc,
             explicit(&x, geom, &wt, c_out),
             "n {n} c {c} c_out {c_out} {geom:?} encoding {encoding:?}"
+        );
+        lowering
+            .forward_quant_nchw_into(&x, geom, &rhs, &bias, &mut padded, &mut group, &mut nchw)
+            .unwrap();
+        let mut y = Tensor::zeros(&[rows, c_out]);
+        let (scale, min) = (x.scale(), x.min());
+        int8::dequantize_into(
+            scale,
+            min,
+            &rhs,
+            &acc,
+            Some(&bias),
+            &mut Vec::new(),
+            y.data_mut(),
+        );
+        let want = posrows_to_nchw(&y, n, c_out, geom.out_h, geom.out_w).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(nchw.shape(), want.shape());
+        assert_eq!(
+            bits(&nchw),
+            bits(&want),
+            "NCHW n {n} c_out {c_out} {geom:?}"
         );
     }
 }
