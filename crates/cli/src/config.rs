@@ -10,16 +10,6 @@
 //! Defaults core owns are read from there. Below the table sit the checks
 //! no single key can make, and resolution into workspace types.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing
-)]
-
 use crate::error::{CliError, Result};
 use crate::schema::{sections, string_enum, wrong_type, Bound, Kind, Row};
 use neuroflux_core::{CodecKind, NeuroFluxConfig, ServePolicy, SloTier, MAX_REPLICAS};

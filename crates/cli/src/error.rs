@@ -25,6 +25,9 @@ pub enum CliError {
         /// Blocks fully trained (and checkpointed) before the cancellation.
         completed_blocks: usize,
     },
+    /// The path given to `nf serve` / `nf loadgen` holds no checkpoint
+    /// with a trained head: an interrupted run, or no run at all.
+    IncompleteRun(String),
 }
 
 impl CliError {
@@ -65,6 +68,11 @@ impl fmt::Display for CliError {
                 f,
                 "run interrupted after {completed_blocks} completed block(s); \
                  finish it with `nf train <config> --resume`"
+            ),
+            CliError::IncompleteRun(run) => write!(
+                f,
+                "{run} holds no trained model (no checkpoint with a trained head); \
+                 train it with `nf train <config>`, or finish it with `--resume`"
             ),
         }
     }

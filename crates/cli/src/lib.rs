@@ -9,8 +9,8 @@
 //! nf train     <config> [--resume|--force] [--quiet]  # NeuroFlux pipeline
 //! nf baseline  <bp|ll|fa|sp> <config> [--quiet]       # comparison trainers
 //! nf sweep     <config> [--quiet]                     # nf-memsim budget sweep
-//! nf serve     <config> [--quiet]                     # early-exit inference service
-//! nf loadgen   <config> [--addr=..]                   # deterministic load generator
+//! nf serve     <run-dir> [--quiet]                    # serve a trained run's early exits
+//! nf loadgen   <run-dir> [--addr=..]                  # deterministic load generator
 //! nf inspect   <run-dir>                              # paper-vs-measured report
 //! ```
 //!
@@ -21,7 +21,8 @@
 //! TOML/JSON reader and writer.
 //! Interrupted runs (crash, kill, cancellation) restart from the last
 //! completed block with `--resume` and finish with the same final metrics
-//! as an uninterrupted run.
+//! as an uninterrupted run. `nf serve` and `nf loadgen` serve the model a
+//! finished run's checkpoint holds ([`TrainedRun`]); nothing else trains.
 //!
 //! The library portion exists so integration tests (and other tools) can
 //! drive commands in-process; `src/main.rs` is a thin argv wrapper.
@@ -66,7 +67,7 @@ pub use nf_value::{Table, Value};
 pub use rundir::RunDir;
 pub use serve::{
     build_engines, replicate_engines, run_serve, start_server, start_server_with_engines,
-    ReplicaSnapshot, ServerHandle,
+    ReplicaSnapshot, ServerHandle, TrainedRun,
 };
 pub use sweep::run_sweep;
 pub use train::{run_train, TrainOptions, TrainSummary};

@@ -1,10 +1,10 @@
-//! `nf loadgen <config>`: a deterministic load generator for `nf serve`;
+//! `nf loadgen <run_dir>`: a deterministic load generator for `nf serve`;
 //! its report is the run directory's `metrics.json`.
 //!
 //! Determinism is the point: the request *schedule* is a pure function of
-//! the config — request `k` carries test-split sample `k % test.len()`
-//! under SLO tier `weighted_pick(splitmix64(seed, k))`, issued over
-//! `connections` connections (request `k` on connection
+//! the run's config — request `k` carries test-split sample
+//! `k % test.len()` under SLO tier `weighted_pick(splitmix64(seed, k))`,
+//! issued over `connections` connections (request `k` on connection
 //! `k % connections`). With `[loadgen] inflight > connections` each
 //! connection pipelines `inflight / connections` requests, matching
 //! replies by the echoed request id — replicated servers complete out of
@@ -12,23 +12,13 @@
 //! epoll instance (the caller's thread; `connections = 1024` costs 1024
 //! fds, not 1024 threads), mirroring the server's reactor, so one
 //! generator process can fan into a server at any connection count. Since
-//! the served model is itself trained deterministically from the config,
-//! the exit-depth histogram and every per-request prediction are
-//! reproducible bit for bit; only wall-clock latencies vary run to run.
+//! the served model is the run's checkpoint, the exit-depth histogram and
+//! every per-request prediction are reproducible bit for bit; only
+//! wall-clock latencies vary run to run.
 //! The report therefore separates the deterministic fields (exit
 //! histogram, per-tier request counts) from the host-dependent ones
 //! (latency percentiles, requests/sec, per-replica `busy_frac` /
 //! `batches` / `served`, `host_cores`).
-
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing
-)]
 
 use crate::config::RunConfig;
 use crate::error::{CliError, Result};
@@ -36,7 +26,7 @@ use crate::net::reactor::{Conn, ReadEnd, READ_CHUNK};
 use crate::net::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN};
 use crate::progress::say;
 use crate::proto::{self, RejectReason, Request, Response};
-use crate::serve::{build_engines, start_server_with_engines};
+use crate::serve::{build_engines, start_server_with_engines, TrainedRun};
 use neuroflux_core::serve::splitmix64;
 use neuroflux_core::{latency_percentiles, SloTier};
 use nf_value::{Table, Value};
@@ -47,8 +37,8 @@ use std::time::Instant;
 /// CLI options for `nf loadgen`.
 #[derive(Debug, Default)]
 pub struct LoadgenOptions {
-    /// Target an already-running server instead of self-hosting one.
-    /// The config must match the one the server was started from.
+    /// Target an already-running server instead of self-hosting one,
+    /// which must be serving the same run.
     pub addr: Option<String>,
     /// Suppress progress output.
     pub quiet: bool,
@@ -456,8 +446,9 @@ fn run_mux(
 
 /// Runs the load against `addr` and aggregates the results. The server
 /// must be serving the model described by `cfg`.
-pub fn run_load(cfg: &RunConfig, addr: &str, model: &str, n_units: usize) -> Result<LoadgenReport> {
-    let (_spec, data_spec, _nf) = cfg.resolve()?;
+pub fn run_load(cfg: &RunConfig, addr: &str) -> Result<LoadgenReport> {
+    let (spec, data_spec, _nf) = cfg.resolve()?;
+    let n_units = spec.num_units();
     let data = data_spec.generate();
     let test = &data.test;
     if test.is_empty() {
@@ -556,7 +547,7 @@ pub fn run_load(cfg: &RunConfig, addr: &str, model: &str, n_units: usize) -> Res
     let (p50_us, p95_us, p99_us) = latency_percentiles(&all_lat);
 
     Ok(LoadgenReport {
-        model: model.to_string(),
+        model: spec.name,
         n_units,
         requests: lg.requests,
         connections,
@@ -584,20 +575,15 @@ pub fn run_load(cfg: &RunConfig, addr: &str, model: &str, n_units: usize) -> Res
     })
 }
 
-/// Runs the full loadgen flow in-process: train + serve the config's
-/// model on an ephemeral port, drive the schedule, shut the server down,
-/// and return the aggregated report. This is what `nf loadgen` without
-/// `--addr` runs.
-pub fn run_loadgen_inprocess(cfg: &RunConfig, quiet: bool) -> Result<LoadgenReport> {
-    let engines = build_engines(cfg, quiet)?;
-    let first = engines
-        .first()
-        .ok_or_else(|| CliError::new("loadgen built zero serve engines"))?;
-    let model = first.model_name().to_string();
-    let n_units = first.n_units();
-    let handle = start_server_with_engines(engines, cfg.resolve_serve()?, "127.0.0.1:0", false)?;
-    let addr = handle.addr.to_string();
-    let report = run_load(cfg, &addr, &model, n_units);
+/// Runs the full loadgen flow in-process: serve the run's model on an
+/// ephemeral port, drive the schedule, shut the server down, and return
+/// the aggregated report. This is what `nf loadgen` without `--addr`
+/// runs.
+pub fn run_loadgen_inprocess(run: &TrainedRun, quiet: bool) -> Result<LoadgenReport> {
+    let engines = build_engines(run, quiet)?;
+    let policy = run.cfg.resolve_serve()?;
+    let handle = start_server_with_engines(engines, policy, "127.0.0.1:0", false)?;
+    let report = run_load(&run.cfg, &handle.addr.to_string());
     let stats = handle.replica_stats();
     let replicas = handle.replicas;
     let accept_exhausted = handle.accept_exhausted();
@@ -612,20 +598,14 @@ pub fn run_loadgen_inprocess(cfg: &RunConfig, quiet: bool) -> Result<LoadgenRepo
     })
 }
 
-/// Executes `nf loadgen <config>`: runs the load and writes the report
+/// Executes `nf loadgen <run_dir>`: runs the load and writes the report
 /// into the run directory `<out_dir>/<name>-serve`, like every other
 /// subcommand.
-pub fn run_loadgen(cfg: &RunConfig, opts: &LoadgenOptions) -> Result<LoadgenReport> {
+pub fn run_loadgen(run: &TrainedRun, opts: &LoadgenOptions) -> Result<LoadgenReport> {
+    let cfg = &run.cfg;
     let report = match &opts.addr {
-        Some(addr) => {
-            // Against an external server we still need the model's shape;
-            // resolve it from the (matching) config without training.
-            let (spec, _, _) = cfg.resolve()?;
-            let n_units = spec.num_units();
-            let name = spec.name.clone();
-            run_load(cfg, addr, &name, n_units)?
-        }
-        None => run_loadgen_inprocess(cfg, opts.quiet)?,
+        Some(addr) => run_load(cfg, addr)?,
+        None => run_loadgen_inprocess(run, opts.quiet)?,
     };
     let run_dir =
         crate::rundir::RunDir::create(&cfg.run.out_dir, &format!("{}-serve", cfg.run.name))?;

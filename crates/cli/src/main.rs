@@ -3,7 +3,7 @@
 use nf_cli::progress::say;
 use nf_cli::{
     run_baseline, run_inspect, run_loadgen, run_serve, run_sweep, run_train, LoadgenOptions,
-    Paradigm, RunConfig, TrainOptions,
+    Paradigm, RunConfig, TrainOptions, TrainedRun,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -15,15 +15,16 @@ USAGE:
     nf train <config.toml> [--resume] [--force] [--quiet]
     nf baseline <bp|ll|fa|sp> <config.toml> [--quiet]
     nf sweep <config.toml> [--quiet]
-    nf serve <config.toml> [--quiet]
-    nf loadgen <config.toml> [--addr=HOST:PORT] [--connections=N] [--quiet]
+    nf serve <run-dir> [--quiet]
+    nf loadgen <run-dir> [--addr=HOST:PORT] [--connections=N] [--quiet]
     nf inspect <run-dir>
     nf help
 
-serve trains the config's model in-process and serves early-exit
-inference over a length-prefixed TCP protocol (see [serve] in the
-config: SLO deadlines, queue capacity, replicas). loadgen drives a
-server with a deterministic, seeded request schedule and writes its
+serve restores the model a finished `nf train` run wrote (its
+checkpoint.nfck) and serves early-exit inference over a length-prefixed
+TCP protocol (see [serve] in the run's config: SLO deadlines, queue
+capacity, replicas). loadgen drives a server with the run's
+deterministic, seeded request schedule and writes its
 latency/exit-histogram report to <out_dir>/<name>-serve/metrics.json;
 without --addr it hosts the server itself on an ephemeral port.
 --connections overrides [loadgen].connections, keeping the config's
@@ -85,7 +86,8 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
             if !quiet {
                 let root = summary.run_dir.root().display();
                 say(&format!(
-                    "\nrun complete: {root}\ninspect it with: nf inspect {root}"
+                    "\nrun complete: {root}\ninspect it with: nf inspect {root}\n\
+                     serve it with: nf serve {root}"
                 ))?;
             }
             Ok(())
@@ -127,22 +129,21 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
             Ok(())
         }
         Some("serve") => {
-            let config_path = positional
+            let run_path = positional
                 .get(1)
-                .ok_or_else(|| nf_cli::CliError::new("usage: nf serve <config.toml>"))?;
-            let cfg = RunConfig::load(Path::new(config_path))?;
-            run_serve(&cfg, quiet)
+                .ok_or_else(|| nf_cli::CliError::new("usage: nf serve <run-dir>"))?;
+            run_serve(&TrainedRun::open(Path::new(run_path))?, quiet)
         }
         Some("loadgen") => {
-            let config_path = positional.get(1).ok_or_else(|| {
-                nf_cli::CliError::new("usage: nf loadgen <config.toml> [--addr=HOST:PORT]")
+            let run_path = positional.get(1).ok_or_else(|| {
+                nf_cli::CliError::new("usage: nf loadgen <run-dir> [--addr=HOST:PORT]")
             })?;
-            let mut cfg = RunConfig::load(Path::new(config_path))?;
+            let mut run = TrainedRun::open(Path::new(run_path))?;
             if let Some(n) = &connections {
                 let n: usize = n.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
                     nf_cli::CliError::new("--connections must be a positive integer")
                 })?;
-                let mut lg = cfg.loadgen();
+                let mut lg = run.cfg.loadgen();
                 // Preserve the config's per-connection pipelining window so
                 // the override scales fan-in, not queueing behavior.
                 let window = nf_cli::loadgen::pipeline_window(lg.inflight, lg.connections);
@@ -152,9 +153,9 @@ fn dispatch(args: &[String]) -> nf_cli::Result<()> {
                 } else {
                     window.saturating_mul(n)
                 };
-                cfg.loadgen = Some(lg);
+                run.cfg.loadgen = Some(lg);
             }
-            run_loadgen(&cfg, &LoadgenOptions { addr, quiet })?;
+            run_loadgen(&run, &LoadgenOptions { addr, quiet })?;
             Ok(())
         }
         Some("inspect") => {

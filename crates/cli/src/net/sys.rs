@@ -16,16 +16,7 @@
               epoll_create1/epoll_ctl/epoll_wait/eventfd/fcntl, each wrapped in a safe \
               RAII type that owns the fd and translates errno into io::Error"
 )]
-#![deny(
-    clippy::undocumented_unsafe_blocks,
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing
-)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::io;
 use std::os::raw::c_int;

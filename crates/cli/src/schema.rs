@@ -4,16 +4,6 @@
 //! `sections!` macro that turns declarations into typed structs. Every
 //! failure is a [`CliError::Config`] at `section.key`, never a panic.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing
-)]
-
 use crate::error::{CliError, Result};
 use nf_value::{join, Value};
 

@@ -1,4 +1,4 @@
-//! `nf serve <config>`: the early-exit inference service.
+//! `nf serve <run_dir>`: the early-exit inference service.
 //!
 //! Architecture (all std, no async runtime — vendored deps only):
 //!
@@ -60,19 +60,9 @@
 //!   then the reactor flushes every outbox (bounded by a drain deadline)
 //!   and closes all connections. Nothing is silently dropped.
 //!
-//! The model is trained in-process from the config at startup (seeded by
-//! `[run].seed`), so a given config always serves the identical model —
-//! the determinism the serve tests pin.
-
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing
-)]
+//! The model is the one `nf train` wrote: the run's checkpoint restored
+//! into its config snapshot's model ([`TrainedRun`]). Nothing on the
+//! serve path trains.
 
 use crate::config::RunConfig;
 use crate::error::{CliError, Result};
@@ -80,17 +70,20 @@ use crate::net::reactor::{Conn, ReadEnd, READ_CHUNK, TOKEN_LISTENER, TOKEN_WAKE}
 use crate::net::sys::{self, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN};
 use crate::progress::say;
 use crate::proto::{self, RejectReason, Request, Response};
+use crate::rundir::RunDir;
 use neuroflux_core::serve::{reactor_timeout_ms, Clock, MicroBatcher, SystemClock};
 use neuroflux_core::{
-    BatchPlan, Draw, NeuroFluxTrainer, NfError, ServeEngine, ServePolicy, ServeReply, ServeRequest,
-    OUTBOX_CAP_BYTES,
+    BatchPlan, Checkpoint, Draw, NeuroFluxTrainer, NfError, ServeEngine, ServePolicy, ServeReply,
+    ServeRequest, OUTBOX_CAP_BYTES,
 };
+use nf_models::build_aux_heads;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -105,31 +98,67 @@ const ACCEPT_BACKOFF_US: u64 = 50_000;
 /// a wedged client must not wedge `stop()`.
 const DRAIN_FLUSH_US: u64 = 2_000_000;
 
-/// Trains the serving model in-process from `cfg` (seeded by
-/// `[run].seed`) and wraps it in a [`ServeEngine`] with the configured
-/// exit threshold. Deterministic: the same config always yields the same
-/// engine, bit for bit.
-pub fn build_engine(cfg: &RunConfig, quiet: bool) -> Result<ServeEngine> {
-    let (spec, data_spec, nf_config) = cfg.resolve()?;
-    let data = data_spec.generate();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.run.seed);
-    if !quiet {
-        say(&format!(
-            "training {} ({} exit heads) for serving, seed {} ...",
-            spec.name,
-            spec.num_units(),
-            cfg.run.seed
-        ))?;
+/// A finished `nf train` run opened for serving. The model comes from its
+/// checkpoint; `[serve]` and `[loadgen]` come from `cfg`, which a caller
+/// may change before serving (`nf loadgen --connections` does).
+pub struct TrainedRun {
+    /// The run directory.
+    pub dir: RunDir,
+    /// The run's `config.toml` snapshot.
+    pub cfg: RunConfig,
+    checkpoint: Checkpoint,
+}
+
+impl TrainedRun {
+    /// Opens the run at `path`. A path with no checkpoint whose head is
+    /// trained (an interrupted run, or no run at all) is
+    /// [`CliError::IncompleteRun`].
+    pub fn open(path: &Path) -> Result<TrainedRun> {
+        let incomplete = || CliError::IncompleteRun(path.display().to_string());
+        let dir = RunDir::open(path).ok().filter(RunDir::is_resumable);
+        let dir = dir.ok_or_else(incomplete)?;
+        let checkpoint = Checkpoint::load(&dir.checkpoint_path())?;
+        if !checkpoint.head_trained {
+            return Err(incomplete());
+        }
+        let cfg = dir.read_config()?;
+        Ok(TrainedRun {
+            dir,
+            cfg,
+            checkpoint,
+        })
     }
-    let outcome = NeuroFluxTrainer::new(nf_config)
-        .train(&mut rng, &spec, &data)
-        .map_err(|e| CliError::from_plan("the serving model", e))?;
-    ServeEngine::new(
+
+    /// The run's model as a [`ServeEngine`]: the snapshot's spec and aux
+    /// heads built, the checkpoint restored into them, `[serve].threshold`.
+    pub fn engine(&self) -> Result<ServeEngine> {
+        let (spec, _, nf_config) = self.cfg.resolve()?;
+        // Any seed works: the checkpoint overwrites every parameter and
+        // buffer the build randomises.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let mut model = spec.build(&mut rng)?;
+        let mut aux_heads = build_aux_heads(&mut rng, &spec, nf_config.aux_policy)?;
+        self.checkpoint.restore(&mut model, &mut aux_heads)?;
+        let threshold = self.cfg.serve().threshold as f32;
+        Ok(ServeEngine::new(model, aux_heads, threshold)?)
+    }
+}
+
+/// Train-then-serve: trains `cfg`'s model in memory, seeded by
+/// `[run].seed`, and wraps it as [`TrainedRun::engine`] does — the bits
+/// of serving the run `nf train` writes from `cfg`. Only the benchmark
+/// calls it; ROADMAP item 2(b) moves the benchmark to [`TrainedRun`] and
+/// deletes it.
+pub fn build_engine(cfg: &RunConfig, _quiet: bool) -> Result<ServeEngine> {
+    let (spec, data_spec, nf_config) = cfg.resolve()?;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.run.seed);
+    let outcome = NeuroFluxTrainer::new(nf_config).train(&mut rng, &spec, &data_spec.generate())?;
+    let threshold = cfg.serve().threshold as f32;
+    Ok(ServeEngine::new(
         outcome.model,
         outcome.aux_heads,
-        cfg.serve().threshold as f32,
-    )
-    .map_err(|e| CliError::new(e.to_string()))
+        threshold,
+    )?)
 }
 
 /// Expands one trained engine into `n` bit-identical replicas: the
@@ -160,18 +189,18 @@ pub fn replicate_engines(
     Ok(engines)
 }
 
-/// Builds the full replica set for `cfg`: trains the primary once, then
+/// Builds the full replica set for `run`: restores the primary once, then
 /// clones it out to `[serve].replicas` engines (0 = one per host core).
-pub fn build_engines(cfg: &RunConfig, quiet: bool) -> Result<Vec<ServeEngine>> {
-    let policy = cfg.resolve_serve()?;
+pub fn build_engines(run: &TrainedRun, quiet: bool) -> Result<Vec<ServeEngine>> {
+    let policy = run.cfg.resolve_serve()?;
     let n = policy.effective_replicas(nf_tensor::host_cores());
-    let primary = build_engine(cfg, quiet)?;
+    let primary = run.engine()?;
     if !quiet && n > 1 {
         say(&format!(
             "cloning the engine into {n} bit-identical replicas ..."
         ))?;
     }
-    replicate_engines(cfg, primary, n)
+    replicate_engines(&run.cfg, primary, n)
 }
 
 /// A response route: which connection a served request's reply returns
@@ -429,25 +458,25 @@ pub fn start_server_with_engines(
     })
 }
 
-/// Trains the model, clones it into the configured replica count, and
-/// starts the server described by `cfg` (the in-process form of
-/// `nf serve`).
-pub fn start_server(cfg: &RunConfig, quiet: bool) -> Result<ServerHandle> {
-    let engines = build_engines(cfg, quiet)?;
-    let section = cfg.serve();
+/// Restores the run's model, clones it into the configured replica
+/// count, and starts the server its `[serve]` describes (the in-process
+/// form of `nf serve`).
+pub fn start_server(run: &TrainedRun, quiet: bool) -> Result<ServerHandle> {
+    let engines = build_engines(run, quiet)?;
+    let section = run.cfg.serve();
     start_server_with_engines(
         engines,
-        cfg.resolve_serve()?,
+        run.cfg.resolve_serve()?,
         &section.addr,
         section.allow_shutdown,
     )
 }
 
-/// Executes `nf serve <config>`: trains, binds, prints the address, and
-/// serves until shut down.
-pub fn run_serve(cfg: &RunConfig, quiet: bool) -> Result<()> {
-    let handle = start_server(cfg, quiet)?;
-    let section = cfg.serve();
+/// Executes `nf serve <run_dir>`: restores, binds, prints the address,
+/// and serves until shut down.
+pub fn run_serve(run: &TrainedRun, quiet: bool) -> Result<()> {
+    let handle = start_server(run, quiet)?;
+    let section = run.cfg.serve();
     if !quiet {
         say(&format!(
             "serving on {} — {} replica(s); tiers fast/balanced/exact cap exits at \
@@ -462,7 +491,8 @@ pub fn run_serve(cfg: &RunConfig, quiet: bool) -> Result<()> {
             section.queue_capacity,
         ))?;
         say(&format!(
-            "drive it with: nf loadgen <config> --addr={}",
+            "drive it with: nf loadgen {} --addr={}",
+            run.dir.root().display(),
             handle.addr
         ))?;
     }

@@ -3,8 +3,9 @@
 //! final metrics exactly. Also covers the end-to-end acceptance path:
 //! train → artifacts on disk → inspect.
 
-use nf_cli::{run_inspect, run_train, CliError, RunConfig, TrainOptions, Value};
-use std::path::PathBuf;
+use neuroflux_core::{ServeReply, ServeRequest, SloTier};
+use nf_cli::{run_inspect, run_train, CliError, RunConfig, TrainOptions, TrainedRun, Value};
+use std::path::{Path, PathBuf};
 
 /// A small 2+-block config (ρ = 0 keeps every unit in its own block so an
 /// interruption after block 1 is genuinely mid-run).
@@ -45,6 +46,23 @@ codec = "{codec}"
     RunConfig::from_value(&nf_value::toml::parse(&toml).unwrap()).unwrap()
 }
 
+/// `nf train --quiet`, the same with `--resume`, and a run cancelled after
+/// its first block as a kill there would leave it.
+const QUIET: TrainOptions = TrainOptions {
+    resume: false,
+    force: false,
+    quiet: true,
+    interrupt_after_blocks: None,
+};
+const RESUME: TrainOptions = TrainOptions {
+    resume: true,
+    ..QUIET
+};
+const KILLED: TrainOptions = TrainOptions {
+    interrupt_after_blocks: Some(1),
+    ..QUIET
+};
+
 fn temp_base(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nf_cli_{tag}_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -80,6 +98,24 @@ fn outcome_fields(metrics: &Value) -> Vec<(String, Value)> {
     out
 }
 
+/// The run's served replies to every test image at every tier.
+fn served(run_dir: &Path) -> Vec<ServeReply> {
+    let run = TrainedRun::open(run_dir).unwrap();
+    let test = run.cfg.resolve().unwrap().1.generate().test;
+    let images = test.images().data();
+    let per = images.len() / test.len();
+    let requests: Vec<ServeRequest> = (0..3 * test.len())
+        .map(|k| ServeRequest {
+            id: 0,
+            tier: SloTier::ALL[k % 3],
+            pixels: images[k / 3 * per..][..per].to_vec(),
+            arrival_us: 0,
+            deadline_us: u64::MAX,
+        })
+        .collect();
+    run.engine().unwrap().infer_batch(&requests).unwrap()
+}
+
 #[test]
 fn interrupted_run_resumed_matches_uninterrupted() {
     let base = temp_base("resume");
@@ -88,11 +124,7 @@ fn interrupted_run_resumed_matches_uninterrupted() {
 
     // Reference: uninterrupted run.
     let cfg_a = test_config(&out_a, "ref");
-    let opts = TrainOptions {
-        quiet: true,
-        ..TrainOptions::default()
-    };
-    let reference = run_train(&cfg_a, &opts).unwrap();
+    let reference = run_train(&cfg_a, &QUIET).unwrap();
     let n_blocks = reference
         .metrics
         .get("blocks")
@@ -106,15 +138,7 @@ fn interrupted_run_resumed_matches_uninterrupted() {
 
     // Interrupted run: cancelled after block 1 of n.
     let cfg_b = test_config(&out_b, "victim");
-    let err = run_train(
-        &cfg_b,
-        &TrainOptions {
-            quiet: true,
-            interrupt_after_blocks: Some(1),
-            ..TrainOptions::default()
-        },
-    )
-    .unwrap_err();
+    let err = run_train(&cfg_b, &KILLED).unwrap_err();
     assert!(
         matches!(
             err,
@@ -131,23 +155,20 @@ fn interrupted_run_resumed_matches_uninterrupted() {
     assert!(run_dir.join("checkpoint.nfck").is_file());
     assert!(run_dir.join("cache").is_dir());
     assert!(!run_dir.join("metrics.json").exists());
-    // Inspecting an incomplete run points at --resume.
+    // Inspecting an incomplete run points at --resume; serving it, or a
+    // path that is no run, is the typed incomplete-run error.
     let msg = run_inspect(&run_dir).unwrap_err().to_string();
     assert!(msg.contains("--resume"), "{msg}");
+    for path in [run_dir.clone(), base.join("no-such-run")] {
+        let open = TrainedRun::open(&path);
+        assert!(matches!(open, Err(CliError::IncompleteRun(_))));
+    }
 
     // Resuming with an *edited* config is refused — earlier blocks were
     // trained under the snapshot's settings.
     let mut edited = cfg_b.clone();
     edited.train.lr = 0.123;
-    let err = run_train(
-        &edited,
-        &TrainOptions {
-            resume: true,
-            quiet: true,
-            ..TrainOptions::default()
-        },
-    )
-    .unwrap_err();
+    let err = run_train(&edited, &RESUME).unwrap_err();
     assert!(err.to_string().contains("snapshot"), "{err}");
 
     // A snapshot from before a key was deleted is refused too, naming the
@@ -157,12 +178,7 @@ fn interrupted_run_resumed_matches_uninterrupted() {
     let snapshot_text = std::fs::read_to_string(&snapshot_path).unwrap();
     let stale = snapshot_text.replace("[train]\n", "[train]\nevict_params = true\n");
     std::fs::write(&snapshot_path, stale).unwrap();
-    let opts = TrainOptions {
-        resume: true,
-        quiet: true,
-        ..TrainOptions::default()
-    };
-    match run_train(&cfg_b, &opts).unwrap_err() {
+    match run_train(&cfg_b, &RESUME).unwrap_err() {
         CliError::Config { path, .. } => assert_eq!(path, "train.evict_params"),
         other => panic!("expected a typed config error, got {other}"),
     }
@@ -174,7 +190,7 @@ fn interrupted_run_resumed_matches_uninterrupted() {
     let block = run_dir.join("cache/block_0.acts");
     let whole = std::fs::read(&block).unwrap();
     std::fs::write(&block, &whole[..whole.len() / 2]).unwrap();
-    let err = run_train(&cfg_b, &opts).unwrap_err().to_string();
+    let err = run_train(&cfg_b, &RESUME).unwrap_err().to_string();
     assert!(
         err.contains("activation cache read failed for block 0"),
         "{err}"
@@ -186,32 +202,17 @@ fn interrupted_run_resumed_matches_uninterrupted() {
     // snapshot) and compare outcomes.
     let snapshot = RunConfig::load(&run_dir.join("config.toml")).unwrap();
     assert_eq!(snapshot, cfg_b, "config snapshot must round-trip");
-    let resumed = run_train(
-        &snapshot,
-        &TrainOptions {
-            resume: true,
-            quiet: true,
-            ..TrainOptions::default()
-        },
-    )
-    .unwrap();
+    let resumed = run_train(&snapshot, &RESUME).unwrap();
     assert_eq!(resumed.metrics.get("resumed"), Some(&Value::Bool(true)));
     assert_eq!(
         outcome_fields(&resumed.metrics),
         outcome_fields(&reference.metrics),
         "resumed run must reproduce the uninterrupted final metrics"
     );
+    assert_eq!(served(&run_dir), served(&out_a.join("ref")));
 
     // Resuming a *completed* run is refused.
-    let err = run_train(
-        &snapshot,
-        &TrainOptions {
-            resume: true,
-            quiet: true,
-            ..TrainOptions::default()
-        },
-    )
-    .unwrap_err();
+    let err = run_train(&snapshot, &RESUME).unwrap_err();
     assert!(err.to_string().contains("already completed"), "{err}");
 
     std::fs::remove_dir_all(&base).ok();
@@ -222,41 +223,21 @@ fn interrupted_quantized_run_resumes_and_changed_codec_is_refused() {
     let base = temp_base("resume_codec");
     let out_ref = base.join("ref");
     let out_vic = base.join("vic");
-    let opts = TrainOptions {
-        quiet: true,
-        ..TrainOptions::default()
-    };
 
     // Reference: uninterrupted int8 run.
-    let reference = run_train(&test_config_with_codec(&out_ref, "ref", "int8"), &opts).unwrap();
+    let reference = run_train(&test_config_with_codec(&out_ref, "ref", "int8"), &QUIET).unwrap();
 
     // Interrupted int8 run (kill after block 1: checkpoint + int8-encoded
     // cache blobs are on disk).
     let cfg = test_config_with_codec(&out_vic, "victim", "int8");
-    run_train(
-        &cfg,
-        &TrainOptions {
-            quiet: true,
-            interrupt_after_blocks: Some(1),
-            ..TrainOptions::default()
-        },
-    )
-    .unwrap_err();
+    run_train(&cfg, &KILLED).unwrap_err();
     let run_dir = out_vic.join("victim");
     assert!(run_dir.join("checkpoint.nfck").is_file());
 
     // Resuming with the codec changed to f16 is refused: the config no
     // longer matches the interrupted run's snapshot.
     let edited = test_config_with_codec(&out_vic, "victim", "f16");
-    let err = run_train(
-        &edited,
-        &TrainOptions {
-            resume: true,
-            quiet: true,
-            ..TrainOptions::default()
-        },
-    )
-    .unwrap_err();
+    let err = run_train(&edited, &RESUME).unwrap_err();
     assert!(err.to_string().contains("snapshot"), "{err}");
 
     // Below the CLI guard, the core is also defended: recovering the int8
@@ -272,15 +253,7 @@ fn interrupted_quantized_run_resumes_and_changed_codec_is_refused() {
     // Resuming with the original codec reproduces the uninterrupted run.
     let snapshot = RunConfig::load(&run_dir.join("config.toml")).unwrap();
     assert_eq!(snapshot, cfg);
-    let resumed = run_train(
-        &snapshot,
-        &TrainOptions {
-            resume: true,
-            quiet: true,
-            ..TrainOptions::default()
-        },
-    )
-    .unwrap();
+    let resumed = run_train(&snapshot, &RESUME).unwrap();
     assert_eq!(
         outcome_fields(&resumed.metrics),
         outcome_fields(&reference.metrics),
@@ -306,14 +279,7 @@ fn interrupted_quantized_run_resumes_and_changed_codec_is_refused() {
 fn train_writes_all_artifacts_and_inspect_renders() {
     let base = temp_base("artifacts");
     let cfg = test_config(&base, "arts");
-    let summary = run_train(
-        &cfg,
-        &TrainOptions {
-            quiet: true,
-            ..TrainOptions::default()
-        },
-    )
-    .unwrap();
+    let summary = run_train(&cfg, &QUIET).unwrap();
     let root = summary.run_dir.root();
     assert!(root.join("config.toml").is_file());
     assert!(root.join("metrics.json").is_file());
@@ -341,14 +307,7 @@ fn train_writes_all_artifacts_and_inspect_renders() {
     );
 
     // Refusing to clobber a completed run without --force.
-    let err = run_train(
-        &cfg,
-        &TrainOptions {
-            quiet: true,
-            ..TrainOptions::default()
-        },
-    )
-    .unwrap_err();
+    let err = run_train(&cfg, &QUIET).unwrap_err();
     assert!(err.to_string().contains("--force"), "{err}");
 
     // Inspect renders the paper-vs-measured report.
@@ -371,14 +330,7 @@ fn checkpoint_reload_reproduces_inference() {
 
     let base = temp_base("ckload");
     let cfg = test_config(&base, "ck");
-    run_train(
-        &cfg,
-        &TrainOptions {
-            quiet: true,
-            ..TrainOptions::default()
-        },
-    )
-    .unwrap();
+    run_train(&cfg, &QUIET).unwrap();
     let (spec, _, nf) = cfg.resolve().unwrap();
     let ck = neuroflux_core::Checkpoint::load(&base.join("ck").join("checkpoint.nfck")).unwrap();
 

@@ -10,7 +10,7 @@
 use neuroflux_core::{ServeEngine, ServePolicy, ServeRequest, SloTier};
 use nf_cli::proto::{self, RejectReason, Request, Response};
 use nf_cli::serve::{build_engine, replicate_engines, start_server_with_engines};
-use nf_cli::{run_inspect, CliError, RunConfig};
+use nf_cli::{run_inspect, run_train, RunConfig, TrainOptions, TrainedRun};
 use nf_models::build_aux_heads;
 use nf_nn::{Layer, Mode, Param};
 use nf_tensor::Tensor;
@@ -18,6 +18,8 @@ use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::path::PathBuf;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 fn temp_out_dir(tag: &str) -> String {
@@ -70,6 +72,19 @@ tier_weights = [1, 1, 1]
     RunConfig::from_value(&nf_value::toml::parse(&doc).unwrap()).unwrap()
 }
 
+/// Trains `cfg` into a fresh run directory and returns its root.
+fn train(cfg: &RunConfig) -> PathBuf {
+    let mut opts = TrainOptions::default();
+    (opts.quiet, opts.force) = (true, true);
+    run_train(cfg, &opts).unwrap().run_dir.root().to_path_buf()
+}
+
+/// The run every test serves: [`config`]'s, trained once per test binary.
+fn run() -> TrainedRun {
+    static DIR: OnceLock<PathBuf> = OnceLock::new();
+    TrainedRun::open(DIR.get_or_init(|| train(&config(&temp_out_dir("run"))))).unwrap()
+}
+
 /// Test-split pixels, one flat vector per sample.
 fn test_samples(cfg: &RunConfig, n: usize) -> Vec<Vec<f32>> {
     let (_, data_spec, _) = cfg.resolve().unwrap();
@@ -118,14 +133,15 @@ fn infer(samples: &[Vec<f32>], id: u64, k: usize) -> Request {
 /// The tentpole determinism claim: predictions served out of dynamic
 /// micro-batches (formed from whatever several concurrent connections
 /// happened to queue) are bit-identical — class, exit, and confidence
-/// bits — to running each sample alone through an identically-trained
-/// offline engine. The exit-depth histogram is therefore exact, and no
-/// reply ever exceeds its tier's depth cap.
+/// bits — to running each sample alone, offline, through the cascade
+/// over the run's restored checkpoint. The exit-depth histogram is
+/// therefore exact, and no reply ever exceeds its tier's depth cap.
 #[test]
 fn served_predictions_are_bit_identical_to_offline_single_sample() {
-    let cfg = config(&temp_out_dir("det"));
-    let engine = build_engine(&cfg, true).unwrap();
-    let mut offline = build_engine(&cfg, true).unwrap();
+    let run = run();
+    let cfg = &run.cfg;
+    let engine = run.engine().unwrap();
+    let mut offline = run.engine().unwrap();
     let n_units = engine.n_units();
     let handle = start_server_with_engines(
         vec![engine],
@@ -138,7 +154,7 @@ fn served_predictions_are_bit_identical_to_offline_single_sample() {
 
     const PER_CONN: usize = 16;
     const CONNS: usize = 3;
-    let samples = test_samples(&cfg, CONNS * PER_CONN);
+    let samples = test_samples(cfg, CONNS * PER_CONN);
 
     // Concurrent closed-loop clients so the batcher forms mixed batches.
     let replies: Vec<(usize, SloTier, u16, u8, u32)> = std::thread::scope(|scope| {
@@ -234,14 +250,14 @@ fn served_predictions_are_bit_identical_to_offline_single_sample() {
 /// batch it landed in, must be unobservable in the payload.
 #[test]
 fn four_replicas_with_pipelining_match_one_replica_and_offline() {
-    let cfg = config(&temp_out_dir("replicas"));
-    let mut offline = build_engine(&cfg, true).unwrap();
-    let samples = test_samples(&cfg, 36);
+    let run = run();
+    let cfg = &run.cfg;
+    let mut offline = run.engine().unwrap();
+    let samples = test_samples(cfg, 36);
 
     // One reply table per replica count, keyed by request id.
     let serve_all = |replicas: usize| -> BTreeMap<u64, (u16, u8, u32)> {
-        let primary = build_engine(&cfg, true).unwrap();
-        let engines = replicate_engines(&cfg, primary, replicas).unwrap();
+        let engines = replicate_engines(cfg, run.engine().unwrap(), replicas).unwrap();
         let mut policy = cfg.resolve_serve().unwrap();
         policy.replicas = replicas;
         let handle = start_server_with_engines(engines, policy, "127.0.0.1:0", false).unwrap();
@@ -340,8 +356,9 @@ fn four_replicas_with_pipelining_match_one_replica_and_offline() {
 /// serving new connections afterwards.
 #[test]
 fn protocol_garbage_never_wedges_the_server() {
-    let cfg = config(&temp_out_dir("garbage"));
-    let engine = build_engine(&cfg, true).unwrap();
+    let run = run();
+    let cfg = &run.cfg;
+    let engine = run.engine().unwrap();
     let input_len = engine.input_len();
     let handle = start_server_with_engines(
         vec![engine],
@@ -351,7 +368,7 @@ fn protocol_garbage_never_wedges_the_server() {
     )
     .unwrap();
     let addr = handle.addr;
-    let samples = test_samples(&cfg, 1);
+    let samples = test_samples(cfg, 1);
 
     // Unknown op byte → typed error reply, connection closed.
     {
@@ -463,13 +480,12 @@ fn protocol_garbage_never_wedges_the_server() {
 /// still returns promptly.
 #[test]
 fn a_client_closing_unread_costs_only_its_own_replies() {
-    let cfg = config(&temp_out_dir("unread"));
-    let engine = build_engine(&cfg, true).unwrap();
-    let policy = cfg.resolve_serve().unwrap();
+    let run = run();
+    let (engine, policy) = (run.engine().unwrap(), run.cfg.resolve_serve().unwrap());
     let handle = start_server_with_engines(vec![engine], policy, "127.0.0.1:0", false).unwrap();
     const N: usize = 24;
     const M: usize = 16;
-    let samples = test_samples(&cfg, N);
+    let samples = test_samples(&run.cfg, N);
     let mut quitter = TcpStream::connect(handle.addr).unwrap();
     let mut keeper = TcpStream::connect(handle.addr).unwrap();
     for k in 0..N {
@@ -498,12 +514,11 @@ fn a_client_closing_unread_costs_only_its_own_replies() {
 /// whole frame, and no frame arrives after the close.
 #[test]
 fn pipelined_requests_racing_stop_get_at_most_one_reply_each() {
-    let cfg = config(&temp_out_dir("race"));
-    let engine = build_engine(&cfg, true).unwrap();
-    let policy = cfg.resolve_serve().unwrap();
+    let run = run();
+    let (engine, policy) = (run.engine().unwrap(), run.cfg.resolve_serve().unwrap());
     let handle = start_server_with_engines(vec![engine], policy, "127.0.0.1:0", false).unwrap();
     const N: usize = 48;
-    let samples = test_samples(&cfg, N);
+    let samples = test_samples(&run.cfg, N);
     let mut stream = TcpStream::connect(handle.addr).unwrap();
     let mut reader = stream.try_clone().unwrap();
     let (go, stop_now) = std::sync::mpsc::channel();
@@ -596,22 +611,9 @@ fn a_panicking_replica_fails_its_batch_and_stop_still_returns() {
 
 /// Shutdown frames on a server started without `allow_shutdown` are a
 /// typed error, and the server keeps running.
-/// `nf serve` and `nf loadgen` type an unfittable budget as `nf train` does.
-#[test]
-fn an_unfittable_budget_is_a_config_error() {
-    let mut cfg = config(&temp_out_dir("budget"));
-    cfg.train.budget_bytes = 5_000;
-    let Err(CliError::Config { path, message }) = build_engine(&cfg, true) else {
-        panic!("expected a config error at the budget");
-    };
-    assert_eq!(path, "train.budget_mb");
-    assert!(message.contains("serving model cannot"), "{message}");
-}
-
 #[test]
 fn shutdown_is_rejected_when_disabled() {
-    let cfg = config(&temp_out_dir("noshut"));
-    let engine = build_engine(&cfg, true).unwrap();
+    let engine = run().engine().unwrap();
     let handle =
         start_server_with_engines(vec![engine], ServePolicy::default(), "127.0.0.1:0", false)
             .unwrap();
@@ -639,11 +641,9 @@ fn shutdown_is_rejected_when_disabled() {
 /// directory holds the report and renders through `nf inspect`.
 #[test]
 fn loadgen_is_deterministic_and_run_dir_inspects() {
-    let out_dir = temp_out_dir("loadgen");
-    std::fs::create_dir_all(&out_dir).unwrap();
-    let cfg = config(&out_dir);
-    let a = nf_cli::loadgen::run_loadgen_inprocess(&cfg, true).unwrap();
-    let b = nf_cli::loadgen::run_loadgen_inprocess(&cfg, true).unwrap();
+    let mut run = run();
+    let a = nf_cli::loadgen::run_loadgen_inprocess(&run, true).unwrap();
+    let b = nf_cli::loadgen::run_loadgen_inprocess(&run, true).unwrap();
     assert_eq!(a.requests, 48);
     assert_eq!(a.ok + a.rejected, 48);
     assert_eq!(a.exit_hist, b.exit_hist, "exit histogram must reproduce");
@@ -659,20 +659,19 @@ fn loadgen_is_deterministic_and_run_dir_inspects() {
     // The CLI path writes the report into an inspectable run dir. Two
     // replicas behind the one queue and two requests pipelined per
     // connection change no served bit, and the report echoes that shape.
-    let mut cfg = cfg;
-    cfg.serve.as_mut().unwrap().replicas = 2;
-    let loadgen = cfg.loadgen.as_mut().unwrap();
+    run.cfg.serve.as_mut().unwrap().replicas = 2;
+    let loadgen = run.cfg.loadgen.as_mut().unwrap();
     loadgen.inflight = 2 * loadgen.connections;
     let opts = nf_cli::LoadgenOptions {
         addr: None,
         quiet: true,
     };
-    let report = nf_cli::run_loadgen(&cfg, &opts).unwrap();
+    let report = nf_cli::run_loadgen(&run, &opts).unwrap();
     assert_eq!(report.exit_hist, a.exit_hist);
     assert_eq!(report.ok + report.rejected, report.requests);
     assert_eq!((report.replicas, report.inflight), (2, 6));
     assert_eq!(report.busy_frac.len(), 2, "one busy fraction per replica");
-    let run_root = std::path::Path::new(&out_dir).join("servetest-serve");
+    let run_root = std::path::Path::new(&run.cfg.run.out_dir).join("servetest-serve");
     let doc = nf_cli::RunDir::open(&run_root)
         .unwrap()
         .read_metrics()
@@ -690,4 +689,32 @@ fn loadgen_is_deterministic_and_run_dir_inspects() {
     assert!(rendered.contains("early-exit inference load test"));
     assert!(rendered.contains("## SLO tiers"));
     assert!(rendered.contains("## Exit-depth histogram"));
+}
+
+/// The benchmark serves through the `build_engine` shim. On
+/// `examples/serve.toml` it answers every test image at every tier with
+/// the bits of the run `nf train` writes from the same config.
+#[test]
+fn the_train_then_serve_shim_serves_the_trained_runs_bits() {
+    let doc = include_str!("../../../examples/serve.toml").replace(
+        "out_dir = \"runs\"",
+        &format!("out_dir = {:?}", temp_out_dir("shim")),
+    );
+    let cfg = RunConfig::from_value(&nf_value::toml::parse(&doc).unwrap()).unwrap();
+    let run = TrainedRun::open(&train(&cfg)).unwrap();
+    let n = cfg.resolve().unwrap().1.generate().test.len();
+    let samples = test_samples(&cfg, 3 * n);
+    let requests: Vec<ServeRequest> = (0..3 * n)
+        .map(|k| ServeRequest {
+            id: k as u64,
+            tier: SloTier::ALL[k / n],
+            pixels: samples[k].clone(),
+            arrival_us: 0,
+            deadline_us: u64::MAX,
+        })
+        .collect();
+    let replies = |mut engine: ServeEngine| engine.infer_batch(&requests).unwrap();
+    let served = replies(run.engine().unwrap());
+    assert_eq!(served, replies(build_engine(&cfg, true).unwrap()));
+    assert!(served.iter().any(|r| r.exit == 2), "no reply went deep");
 }

@@ -16,8 +16,8 @@
 
 use neuroflux_core::{ServeRequest, SloTier};
 use nf_cli::proto::{self, Request, Response};
-use nf_cli::serve::{build_engine, start_server_with_engines};
-use nf_cli::RunConfig;
+use nf_cli::serve::start_server_with_engines;
+use nf_cli::{run_train, RunConfig, TrainOptions, TrainedRun};
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -29,7 +29,8 @@ const CONNS: usize = 1024;
 /// (host-speed-dependent) queue-full behavior.
 const WAVE: usize = 32;
 
-fn config() -> RunConfig {
+/// The served run: this config, trained.
+fn trained_run() -> TrainedRun {
     let out_dir = std::env::temp_dir()
         .join(format!("nf_serve_fanin_{}", std::process::id()))
         .to_string_lossy()
@@ -65,7 +66,10 @@ balanced_deadline_us = 5000000
 exact_deadline_us = 5000000
 "#
     );
-    RunConfig::from_value(&nf_value::toml::parse(&doc).unwrap()).unwrap()
+    let cfg = RunConfig::from_value(&nf_value::toml::parse(&doc).unwrap()).unwrap();
+    let mut opts = TrainOptions::default();
+    (opts.quiet, opts.force) = (true, true);
+    TrainedRun::open(run_train(&cfg, &opts).unwrap().run_dir.root()).unwrap()
 }
 
 /// Open fds of this process.
@@ -110,9 +114,10 @@ fn read_response(stream: &mut TcpStream) -> Response {
 
 #[test]
 fn reactor_sustains_1024_connections_on_a_fixed_thread_count() {
-    let cfg = config();
-    let engine = build_engine(&cfg, true).unwrap();
-    let mut offline = build_engine(&cfg, true).unwrap();
+    let run = trained_run();
+    let cfg = &run.cfg;
+    let engine = run.engine().unwrap();
+    let mut offline = run.engine().unwrap();
     let n_units = engine.n_units();
     let mut policy = cfg.resolve_serve().unwrap();
     policy.replicas = 1;

@@ -15,6 +15,7 @@
 )]
 
 use nf_cli::proto::{self, Request, Response};
+use nf_cli::{run_train, RunConfig, TrainOptions};
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -46,12 +47,8 @@ fn cpu_ticks(pid: u32) -> u64 {
 #[test]
 fn idle_server_consumes_no_cpu() {
     let dir = std::env::temp_dir().join(format!("nf_serve_idle_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let cfg_path = dir.join("serve.toml");
-    std::fs::write(
-        &cfg_path,
-        format!(
-            r#"
+    let doc = format!(
+        r#"
 [run]
 name = "idletest"
 seed = 29
@@ -77,14 +74,17 @@ addr = "127.0.0.1:0"
 replicas = 2
 allow_shutdown = true
 "#,
-            dir.display()
-        ),
-    )
-    .unwrap();
+        dir.display()
+    );
+    let cfg = RunConfig::from_value(&nf_value::toml::parse(&doc).unwrap()).unwrap();
+    let mut opts = TrainOptions::default();
+    (opts.quiet, opts.force) = (true, true);
+    let run_dir = run_train(&cfg, &opts).unwrap().run_dir;
 
     let mut guard = ChildGuard(
         Command::new(env!("CARGO_BIN_EXE_nf"))
-            .args(["serve", cfg_path.to_str().unwrap()])
+            .arg("serve")
+            .arg(run_dir.root())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
@@ -92,8 +92,8 @@ allow_shutdown = true
     );
     let pid = guard.0.id();
 
-    // The child trains in-process first, then prints
-    // "serving on <addr> — ..." once the listener is bound.
+    // The child restores the run, then prints "serving on <addr> — ..."
+    // once the listener is bound.
     // Keep the stdout pipe open for the child's whole life: dropping it
     // early would turn the child's next `println!` into an EPIPE panic.
     let mut reader = BufReader::new(guard.0.stdout.take().unwrap());

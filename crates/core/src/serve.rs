@@ -490,11 +490,6 @@ impl ServeEngine {
         self.model.units.len()
     }
 
-    /// Model name (for reports).
-    pub fn model_name(&self) -> &str {
-        &self.model.spec.name
-    }
-
     /// Flattened input length one request must carry (`C·H·W`).
     pub fn input_len(&self) -> usize {
         let (c, h, w) = self.model.spec.input;

@@ -18,20 +18,14 @@ const UNSAFE_MODULES: [&str; 3] = [
 ];
 
 /// The modules that take bytes or requests from outside the process: the
-/// serve path, the wire format, config, the document readers and the
-/// storage decoders — plus the Worker and Controller, whose per-unit
-/// indexing runs over plan-sized vectors, and nf-cli's crate root, which
-/// denies them for the whole crate. Each carries an inner `#![deny(..)]`
-/// of every [`NO_PANIC`] lint, so clippy rejects a panic path in them.
-const NO_PANIC_MODULES: [&str; 17] = [
-    "crates/cli/src/config.rs",
+/// document readers, core's serve engine and the storage decoders — plus
+/// the Worker and Controller, whose per-unit indexing runs over
+/// plan-sized vectors, and nf-cli's crate root, which denies them for the
+/// whole crate (its serve path, wire format and config). Each carries an
+/// inner `#![deny(..)]` of every [`NO_PANIC`] lint, so clippy rejects a
+/// panic path in them.
+const NO_PANIC_MODULES: [&str; 10] = [
     "crates/cli/src/lib.rs",
-    "crates/cli/src/loadgen.rs",
-    "crates/cli/src/net/reactor.rs",
-    "crates/cli/src/net/sys.rs",
-    "crates/cli/src/proto.rs",
-    "crates/cli/src/schema.rs",
-    "crates/cli/src/serve.rs",
     "crates/core/src/cache.rs",
     "crates/core/src/checkpoint.rs",
     "crates/core/src/codec.rs",
